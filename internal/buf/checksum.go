@@ -1,25 +1,52 @@
 package buf
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
-// Checksum is the streaming word-wise integrity hash over a payload's
-// packed byte stream: an FNV-1a-style 64-bit fold taken eight bytes
-// per step, with a carry buffer so the value is a pure function of the
-// byte stream regardless of how the stream was chunked. Sender and
-// receiver walk the same packed-stream order (possibly through
-// different segmentations — internal chunks, pipeline slots, fused
-// runs) and must arrive at the same Sum64.
+// Checksum is the streaming integrity hash over a payload's packed
+// byte stream. The stream is read as little-endian 64-bit words; word
+// number i (counted from the start of the stream, whatever Write or
+// FoldRuns call delivers it) is folded into lane i mod 4 by one
+// FNV-1a-style step, h = (h XOR word) * prime. Sum64 then folds the
+// four lanes in order into one value, followed by the pending tail
+// (the stream's last 1..7 bytes, if its length is not a multiple of
+// eight), the tail's length and the stream length.
 //
-// The kernel is deliberately cheap — one XOR and one multiply per
-// eight bytes — and allocation-free, so checksumming the zero-staging
-// paths adds a single pass over bytes already in cache and nothing
-// else. It is an integrity check against the fabric's injected
-// corruption, not a cryptographic MAC.
+// Why four lanes: a single chain is bound by the latency of one 64-bit
+// multiply per word; four independent chains keep the multiplier busy
+// and run at memory speed.
+//
+// Why the value is still a pure function of the byte stream regardless
+// of how it was chunked: the lane a word lands in depends only on its
+// index in the stream, and bytes that do not yet fill a word wait in a
+// carry buffer until the next call completes it. Sender and receiver
+// walk the same packed-stream order through different segmentations
+// (internal chunks, pipeline slots, a layout's runs) and arrive at the
+// same Sum64.
+//
+// What is detected: every step is a bijection of its lane's state and
+// the final fold is a chain of bijections of the lanes, so two streams
+// of equal length that differ in exactly one word — any single-bit,
+// single-byte or single-word damage, which is what the fabric injects
+// — always have different sums. Streams of different length differ in
+// the folded tail and length (truncation, extension by zero bytes or
+// words). Moving a word to another position changes either the order
+// within a lane's chain or which lane holds it, and the ordered lane
+// fold keeps the lanes from being interchangeable. What is not: this
+// is an integrity check against injected corruption, not a
+// cryptographic MAC — multi-word damage collides with probability
+// about 2^-64 at best and an adversary can construct collisions.
+//
+// The kernel allocates nothing, so checksumming the zero-staging paths
+// adds one pass over the bytes and nothing else.
 type Checksum struct {
-	h    uint64
-	pend [8]byte
-	n    int   // buffered bytes in pend (0..7)
-	len  int64 // total stream length folded so far, incl. virtual
+	lane  [4]uint64
+	words uint64 // whole words folded so far; the next one goes to lane words%4
+	pend  [8]byte
+	n     int   // buffered bytes in pend (0..7)
+	len   int64 // total stream length folded so far, incl. virtual
 }
 
 const (
@@ -27,13 +54,18 @@ const (
 	csumPrime  = 1099511628211
 )
 
+// csumSeed is the lanes' common starting state. A zero Checksum stands
+// for it: the lanes are seeded by the first call that finds len == 0,
+// and nothing can have been folded before that.
+var csumSeed = [4]uint64{csumOffset, csumOffset, csumOffset, csumOffset}
+
 // Reset returns the checksum to its initial state.
 func (c *Checksum) Reset() { *c = Checksum{} }
 
 // Write folds p into the checksum.
 func (c *Checksum) Write(p []byte) {
-	if c.h == 0 && c.len == 0 {
-		c.h = csumOffset
+	if c.len == 0 {
+		c.lane = csumSeed
 	}
 	c.len += int64(len(p))
 	// Drain the carry buffer first.
@@ -44,24 +76,110 @@ func (c *Checksum) Write(p []byte) {
 		if c.n < 8 {
 			return
 		}
-		c.h = (c.h ^ binary.LittleEndian.Uint64(c.pend[:])) * csumPrime
+		c.foldWord(binary.LittleEndian.Uint64(c.pend[:]))
 		c.n = 0
 	}
-	for len(p) >= 8 {
-		c.h = (c.h ^ binary.LittleEndian.Uint64(p)) * csumPrime
-		p = p[8:]
-	}
-	if len(p) > 0 {
+	if p = c.foldWords(p); len(p) > 0 {
 		c.n = copy(c.pend[:], p)
 	}
+}
+
+// foldWord folds one word into the lane its stream index selects.
+func (c *Checksum) foldWord(w uint64) {
+	l := &c.lane[c.words&3]
+	*l = (*l ^ w) * csumPrime
+	c.words++
+}
+
+// foldWords folds the whole words of p — the carry buffer is empty —
+// and returns the tail of fewer than eight bytes.
+func (c *Checksum) foldWords(p []byte) []byte {
+	for c.words&3 != 0 && len(p) >= 8 {
+		c.foldWord(binary.LittleEndian.Uint64(p))
+		p = p[8:]
+	}
+	if len(p) >= 32 {
+		h0, h1, h2, h3 := c.lane[0], c.lane[1], c.lane[2], c.lane[3]
+		groups := uint64(len(p) / 32)
+		for ; len(p) >= 32; p = p[32:] {
+			h0 = (h0 ^ binary.LittleEndian.Uint64(p)) * csumPrime
+			h1 = (h1 ^ binary.LittleEndian.Uint64(p[8:])) * csumPrime
+			h2 = (h2 ^ binary.LittleEndian.Uint64(p[16:])) * csumPrime
+			h3 = (h3 ^ binary.LittleEndian.Uint64(p[24:])) * csumPrime
+		}
+		c.lane = [4]uint64{h0, h1, h2, h3}
+		c.words += 4 * groups
+	}
+	for ; len(p) >= 8; p = p[8:] {
+		c.foldWord(binary.LittleEndian.Uint64(p))
+	}
+	return p
+}
+
+// FoldRuns folds n runs of runLen bytes, run k at data[base+k*step:],
+// in that order: exactly Write of each run in turn. It is the run
+// kernel under datatype.Plan.ChecksumRange: when the state is
+// word-aligned (no carried bytes) and runs are whole words, the words
+// go from the strided buffer straight into the lanes, four runs per
+// iteration for the 8-byte runs of the paper's every-other-double
+// layouts.
+func (c *Checksum) FoldRuns(data []byte, base, step, runLen, n int64) {
+	if c.n != 0 || runLen&7 != 0 || n <= 0 {
+		for ; n > 0; n-- {
+			c.Write(data[base : base+runLen])
+			base += step
+		}
+		return
+	}
+	if c.len == 0 {
+		c.lane = csumSeed
+	}
+	c.len += n * runLen
+	if runLen != 8 || step < 0 {
+		for ; n > 0; n-- {
+			c.foldWords(data[base : base+runLen])
+			base += step
+		}
+		return
+	}
+	// One bounds check for the batch — the step is not negative, so the
+	// reslice to the last run covers every load — then the words are
+	// read at offsets from one base pointer (no pointer is ever formed
+	// outside the slice): the per-word slice checks cost more than the
+	// fold.
+	data = data[base : base+(n-1)*step+8]
+	p, o := unsafe.Pointer(&data[0]), int64(0)
+	for ; c.words&3 != 0 && n > 0; n-- {
+		c.foldWord(le64(unsafe.Add(p, o)))
+		o += step
+	}
+	h0, h1, h2, h3 := c.lane[0], c.lane[1], c.lane[2], c.lane[3]
+	c.words += uint64(n &^ 3)
+	for ; n >= 4; n -= 4 {
+		h0 = (h0 ^ le64(unsafe.Add(p, o))) * csumPrime
+		h1 = (h1 ^ le64(unsafe.Add(p, o+step))) * csumPrime
+		h2 = (h2 ^ le64(unsafe.Add(p, o+2*step))) * csumPrime
+		h3 = (h3 ^ le64(unsafe.Add(p, o+3*step))) * csumPrime
+		o += 4 * step
+	}
+	c.lane = [4]uint64{h0, h1, h2, h3}
+	for ; n > 0; n-- {
+		c.foldWord(le64(unsafe.Add(p, o)))
+		o += step
+	}
+}
+
+// le64 loads the little-endian word at p, at any alignment.
+func le64(p unsafe.Pointer) uint64 {
+	return binary.LittleEndian.Uint64((*[8]byte)(p)[:])
 }
 
 // SkipVirtual accounts n bytes of a virtual (storage-less) payload:
 // both ends of a virtual transfer skip identically, so their sums
 // still agree and still bind the stream length.
 func (c *Checksum) SkipVirtual(n int64) {
-	if c.h == 0 && c.len == 0 {
-		c.h = csumOffset
+	if c.len == 0 {
+		c.lane = csumSeed
 	}
 	c.len += n
 }
@@ -70,13 +188,17 @@ func (c *Checksum) SkipVirtual(n int64) {
 func (c *Checksum) Len() int64 { return c.len }
 
 // Sum64 finalises over a copy of the state — the checksum remains
-// usable for further writes — folding in the pending tail and the
-// stream length, so streams differing only by a short tail or by
-// length cannot collide trivially.
+// usable for further writes — folding the lanes in order, then the
+// pending tail and the stream length, so streams differing only by a
+// short tail or by length cannot collide trivially.
 func (c *Checksum) Sum64() uint64 {
-	h := c.h
-	if h == 0 && c.len == 0 {
-		h = csumOffset
+	lane := c.lane
+	if c.len == 0 {
+		lane = csumSeed
+	}
+	h := uint64(csumOffset)
+	for _, l := range lane {
+		h = (h ^ l) * csumPrime
 	}
 	if c.n > 0 {
 		var tail [8]byte

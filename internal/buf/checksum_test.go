@@ -96,3 +96,142 @@ func TestChecksumZeroAlloc(t *testing.T) {
 		t.Fatalf("checksum path allocates %.1f times per run", allocs)
 	}
 }
+
+// laneStream is the stream the detection tests damage: 4 KiB + 5
+// bytes, so it holds whole lane groups, a ragged last group and a tail.
+func laneStream() []byte {
+	data := make([]byte, 4096+5)
+	rand.New(rand.NewSource(29)).Read(data)
+	return data
+}
+
+func sumOf(p []byte) uint64 {
+	var c Checksum
+	c.Write(p)
+	return c.Sum64()
+}
+
+// TestChecksumDetectsEveryByteFlip damages every byte of the stream in
+// turn, whole and by each single bit: each lane step is a bijection, so
+// none of them may leave Sum64 unchanged.
+func TestChecksumDetectsEveryByteFlip(t *testing.T) {
+	data := laneStream()
+	want := sumOf(data)
+	for i := range data {
+		for _, mask := range []byte{0xFF, 1 << (i % 8)} {
+			data[i] ^= mask
+			if sumOf(data) == want {
+				t.Fatalf("flipping byte %d by %#x left the sum unchanged", i, mask)
+			}
+			data[i] ^= mask
+		}
+	}
+}
+
+// TestChecksumDetectsWordSwaps moves words: two words of one lane
+// exchange places in its chain, two words of neighbouring lanes
+// exchange lanes. The ordered lane fold must tell both from the
+// original.
+func TestChecksumDetectsWordSwaps(t *testing.T) {
+	data := laneStream()
+	want := sumOf(data)
+	swap := func(i, j int) {
+		for k := 0; k < 8; k++ {
+			data[8*i+k], data[8*j+k] = data[8*j+k], data[8*i+k]
+		}
+	}
+	for i := 0; i+4 < len(data)/8; i++ {
+		for _, j := range []int{i + 4, i + 1} { // same lane, next lane
+			swap(i, j)
+			if sumOf(data) == want {
+				t.Fatalf("swapping words %d and %d left the sum unchanged", i, j)
+			}
+			swap(i, j)
+		}
+	}
+}
+
+// TestChecksumBindsLength extends and truncates the stream: appended
+// zero words, zero bytes and dropped tails all change the sum, from a
+// stream that ends on a lane group and from one that ends in a tail.
+func TestChecksumBindsLength(t *testing.T) {
+	data := laneStream()
+	for _, n := range []int{4096, len(data)} {
+		want := sumOf(data[:n])
+		for _, pad := range []int{1, 7, 8, 16, 32, 64} {
+			if sumOf(append(append([]byte{}, data[:n]...), make([]byte, pad)...)) == want {
+				t.Fatalf("%d-byte stream: appending %d zero bytes left the sum unchanged", n, pad)
+			}
+		}
+		for _, cut := range []int{1, 5, 8, 13, 32} {
+			if sumOf(data[:n-cut]) == want {
+				t.Fatalf("%d-byte stream: dropping the last %d bytes left the sum unchanged", n, cut)
+			}
+		}
+	}
+	// All-zero streams hide nothing behind the seed either.
+	zeros := make([]byte, 256)
+	seen := map[uint64]int{}
+	for n := 0; n <= len(zeros); n++ {
+		s := sumOf(zeros[:n])
+		if m, dup := seen[s]; dup {
+			t.Fatalf("zero streams of %d and %d bytes collide", m, n)
+		}
+		seen[s] = n
+	}
+}
+
+// TestChecksumEverySplitPoint re-chunks the stream at every split
+// point — inside words, between lanes, inside and between 32-byte lane
+// groups — and, for the first groups, at every pair of split points.
+func TestChecksumEverySplitPoint(t *testing.T) {
+	data := laneStream()
+	want := sumOf(data)
+	for s := 0; s <= len(data); s++ {
+		var c Checksum
+		c.Write(data[:s])
+		c.Write(data[s:])
+		if c.Sum64() != want || c.Len() != int64(len(data)) {
+			t.Fatalf("split at %d: sum %#x, want %#x", s, c.Sum64(), want)
+		}
+	}
+	for s1 := 0; s1 <= 80; s1++ {
+		for s2 := s1; s2 <= 80; s2++ {
+			var c Checksum
+			c.Write(data[:s1])
+			c.Write(data[s1:s2])
+			c.Write(data[s2:])
+			if c.Sum64() != want {
+				t.Fatalf("splits at %d and %d: sum %#x, want %#x", s1, s2, c.Sum64(), want)
+			}
+		}
+	}
+}
+
+// TestChecksumFoldRunsIsWritePerRun pins the run kernel's contract:
+// from any carry and lane phase, FoldRuns over n strided runs equals
+// Write of each run in order, whatever the run length.
+func TestChecksumFoldRunsIsWritePerRun(t *testing.T) {
+	data := laneStream()
+	for _, runLen := range []int64{1, 3, 4, 8, 12, 16, 24, 32, 40, 64} {
+		for _, gap := range []int64{0, 1, 8, 24} {
+			step := runLen + gap
+			for n := int64(0); n <= 11; n++ {
+				for seed := 0; seed < 32; seed++ {
+					var want, got Checksum
+					want.Write(data[:seed]) // seed/8 words folded, seed%8 bytes carried
+					got.Write(data[:seed])
+					const base = 7
+					for k := int64(0); k < n; k++ {
+						want.Write(data[base+k*step : base+k*step+runLen])
+					}
+					got.FoldRuns(data, base, step, runLen, n)
+					if got.Sum64() != want.Sum64() || got.Len() != want.Len() {
+						t.Fatalf("runLen %d step %d n %d seed %d: FoldRuns %#x (len %d), Write per run %#x (len %d)",
+							runLen, step, n, seed, got.Sum64(), got.Len(), want.Sum64(), want.Len())
+					}
+				}
+			}
+		}
+	}
+}

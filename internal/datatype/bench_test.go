@@ -216,6 +216,59 @@ func BenchmarkPackEngines(b *testing.B) {
 			})
 		}
 	}
+	// The fusedPair cells above pair a plan with itself (1:1 runs) and
+	// run whichever of the serial kernel and the worker split the host's
+	// GOMAXPROCS selects. These cells name both: the typed receive of
+	// every-other doubles into blocks of four (8-byte runs into 32-byte
+	// runs) at the parallel threshold, on one goroutine and cut across
+	// two workers whatever the host — and the range checksum over either
+	// layout, the other per-byte pass of a transfer under faults.
+	const payload = 4 << 20
+	everyOther, src, _ := benchVector(b, payload/8, 1, 2)
+	block4, blockSrc, _ := benchVector(b, payload/32, 4, 8)
+	srcPlan, dstPlan := benchPlan(b, everyOther), benchPlan(b, block4)
+	for _, c := range []struct {
+		name string
+		w    int
+	}{{"serial", 1}, {"split2", 2}} {
+		b.Run("fusedPair/everyOther→block4/4MiB/"+c.name, func(b *testing.B) {
+			dst := buf.Alloc(int(block4.Extent()))
+			b.ReportAllocs()
+			b.SetBytes(payload)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fusedExec(srcPlan, dstPlan, src, dst, payload, c.w)
+			}
+		})
+	}
+	for _, c := range []struct {
+		name string
+		plan *Plan
+		user buf.Block
+	}{{"everyOther", srcPlan, src}, {"block4", dstPlan, blockSrc}} {
+		b.Run("checksumRange/"+c.name+"/4MiB", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(payload)
+			for i := 0; i < b.N; i++ {
+				var sum buf.Checksum
+				c.plan.ChecksumRange(c.user, 0, payload, &sum)
+				benchSink += sum.Sum64()
+			}
+		})
+	}
+}
+
+// benchSink keeps a benchmarked result live.
+var benchSink uint64
+
+// benchPlan compiles the single-instance plan of a committed type.
+func benchPlan(b *testing.B, ty *Type) *Plan {
+	b.Helper()
+	plan, err := ty.CompilePlan(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan
 }
 
 // benchChunkedStream drains one message through a Packer in 64 KiB

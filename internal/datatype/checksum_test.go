@@ -110,3 +110,92 @@ func TestChecksumRangeClamps(t *testing.T) {
 		t.Fatal("degenerate range mutated the sum")
 	}
 }
+
+// seededChecksums returns two checksums in the same state: carry
+// pending bytes (0..7) behind phase whole words (0..3) already folded,
+// so the next word lands in lane phase and, with a carry, straddles the
+// next Write.
+func seededChecksums(carry, phase int) (a, b buf.Checksum) {
+	prefix := make([]byte, phase*8+carry)
+	for i := range prefix {
+		prefix[i] = byte(0xA5 ^ i*29)
+	}
+	a.Write(prefix)
+	b.Write(prefix)
+	return a, b
+}
+
+// checksumRangeMatches reports whether the range kernel over [lo, hi),
+// entered from the seeded state, agrees with Write of the same packed
+// bytes.
+func checksumRangeMatches(plan *Plan, src buf.Block, packed []byte, lo, hi int64, carry, phase int) bool {
+	want, got := seededChecksums(carry, phase)
+	want.Write(packed[lo:hi])
+	plan.ChecksumRange(src, lo, hi, &got)
+	return got.Sum64() == want.Sum64() && got.Len() == want.Len()
+}
+
+// TestChecksumRangeKernel is the differential of the run-kernel
+// ChecksumRange: for every kernel and batch shape, every [lo, hi) cut
+// — on and off run boundaries — entered with every carry length and
+// every lane phase must equal Write over the packed bytes.
+func TestChecksumRangeKernel(t *testing.T) {
+	strideOf := func(runLen, gap, n int) *Type {
+		return mustType(Hvector(n, runLen, int64(runLen+gap), Byte))
+	}
+	row := mustType(Vector(4, 1, 2, Float64))
+	block2d := mustType(Hvector(3, 1, 100, row))
+	block3d := mustType(Hvector(2, 1, 300, mustType(Hvector(2, 1, 120, mustType(Vector(3, 1, 2, Float64))))))
+	cases := []struct {
+		name   string
+		ty     *Type
+		count  int
+		kernel PlanKernel
+	}{
+		{"stride3", strideOf(3, 2, 32), 1, KernelStride},
+		{"stride4", strideOf(4, 4, 24), 1, KernelStride},
+		{"stride8", strideOf(8, 8, 12), 1, KernelStride},
+		{"stride16", strideOf(16, 5, 6), 1, KernelStride},
+		{"stride24", strideOf(24, 8, 4), 1, KernelStride},
+		{"stride32", strideOf(32, 32, 3), 1, KernelStride},
+		{"stride8x3", strideOf(8, 8, 5), 3, KernelStride},
+		{"stride8resized", mustType(Resized(strideOf(8, 8, 5), 0, 107)), 3, KernelStride},
+		{"stride4resized", mustType(Resized(strideOf(4, 4, 7), 0, 61)), 3, KernelStride},
+		{"block2d", block2d, 1, KernelBlock},
+		{"block3d", block3d, 1, KernelBlock},
+		{"block2dx2", block2d, 2, KernelBlock},
+		{"gatherUniform", mustType(IndexedBlock(1, []int{0, 3, 5, 10, 12, 17, 19, 22, 26, 29, 33, 40}, Float64)), 1, KernelGather},
+		{"gatherMixed", mustType(Indexed([]int{1, 3, 2, 1, 4}, []int{0, 2, 7, 11, 13}, Float64)), 1, KernelGather},
+		{"gatherMixedx2", mustType(Indexed([]int{1, 2, 1}, []int{0, 2, 6}, Float64)), 2, KernelGather},
+		{"contig", mustType(Contiguous(12, Float64)), 1, KernelContig},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := mustPlan(t, tc.ty, tc.count)
+			if plan.Kernel() != tc.kernel {
+				t.Fatalf("plan runs kernel %v, the case is meant for %v (%s)", plan.Kernel(), tc.kernel, tc.ty.CanonicalString())
+			}
+			if tc.name == "gatherUniform" && plan.prog.uniform != 8 {
+				t.Fatalf("uniform segment length not hoisted: %d", plan.prog.uniform)
+			}
+			src := buf.Alloc(userBufLen(tc.ty, tc.count))
+			src.FillPattern(0x5B)
+			staged := buf.Alloc(int(plan.Bytes()))
+			if _, err := plan.Pack(src, staged); err != nil {
+				t.Fatal(err)
+			}
+			packed := staged.Bytes()
+			for lo := int64(0); lo < plan.Bytes(); lo++ {
+				for hi := lo + 1; hi <= plan.Bytes(); hi++ {
+					for carry := 0; carry < 8; carry++ {
+						for phase := 0; phase < 4; phase++ {
+							if !checksumRangeMatches(plan, src, packed, lo, hi, carry, phase) {
+								t.Fatalf("[%d,%d) carry %d phase %d: range sum differs from Write over the packed bytes", lo, hi, carry, phase)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}

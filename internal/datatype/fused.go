@@ -7,16 +7,29 @@ import (
 	"repro/internal/buf"
 )
 
-// This file implements the fused scatter/gather transfer engine: a
-// resumable segment iterator over a compiled plan's packed stream, a
-// pair iterator that zips two plans covering the same stream, and
-// FusedCopy, which moves a message from one user layout straight into
-// another in a single pass — no packed staging buffer, no second pass
-// over the payload. It is the engine behind the mpi layer's fused
-// rendezvous (sendv): the paper's central finding is that the software
-// copy — not the wire — dominates non-contiguous sends, and the staged
+// This file implements the fused scatter/gather transfer engine:
+// FusedCopy moves a message from one user layout straight into another
+// in a single pass — no packed staging buffer, no second pass over the
+// payload. It is the engine behind the mpi layer's fused rendezvous
+// (sendv): the paper's central finding is that the software copy — not
+// the wire — dominates non-contiguous sends, and the staged
 // pack→staging→unpack pipeline reads and writes every payload byte
 // twice. The fused pass does it once.
+//
+// There is one executor, fusedRange, over any packed byte range: the
+// whole message on one goroutine, a worker's share of it, or a chunk a
+// recovery protocol replays. It picks one kernel per pairing, and each
+// kernel executes the plans' programs in whole-run batches the way pack
+// and unpack do: a contiguous side rides the other side's runRange
+// kernels, a stride pair the ranged stride×stride kernel
+// (fusedStrideStrideRange). Only pairings with a gather table or a
+// block form zip two segment iterators span by span.
+//
+// The segment iterator (SegIter) is the per-run view of a plan's packed
+// stream, and costs a kernel switch per Run and per Advance. It serves
+// what is not a batch: the partial runs at the edges of a ChecksumRange,
+// gather-table walks, the pair iterator above, locating one byte for
+// damage injection (mpi), and tests.
 
 // SegIter enumerates the contiguous (userOff, len) runs of a compiled
 // plan's packed stream in packed order. It is resumable: Seek
@@ -134,9 +147,16 @@ func (it *SegIter) Advance(n int64) {
 		return
 	}
 	it.off = 0
-	it.j++
+	it.stepRuns(1)
+}
+
+// stepRuns moves a head at a run start k whole runs on, k at most the
+// runs left in the instance; past the last one the next instance
+// begins. The packed position is the caller's to advance.
+func (it *SegIter) stepRuns(k int64) {
+	pr := it.p.prog
 	var runs int64
-	switch p.kernel {
+	switch it.p.kernel {
 	case KernelStride:
 		runs = pr.runs
 	case KernelBlock:
@@ -144,7 +164,7 @@ func (it *SegIter) Advance(n int64) {
 	default:
 		runs = int64(len(pr.segs))
 	}
-	if it.j >= runs {
+	if it.j += k; it.j >= runs {
 		it.j = 0
 		it.inst++
 	}
@@ -152,29 +172,19 @@ func (it *SegIter) Advance(n int64) {
 
 // PairIter zips the packed streams of two plans: each Next yields the
 // longest (srcOff, dstOff, len) span over which both layouts are
-// contiguous, in packed order, up to the shorter stream's length.
-// This is the schedule a fused scatter/gather transfer executes.
+// contiguous, in packed order. This is the schedule a fused
+// scatter/gather transfer executes when either side is a gather table
+// or a block form.
 type PairIter struct {
 	src, dst SegIter
 	limit    int64
 	pos      int64
 }
 
-// NewPairIter builds the pair iterator for a source and destination
-// plan. The iteration covers min(src.Bytes(), dst.Bytes()) packed
-// bytes.
-func NewPairIter(src, dst *Plan) PairIter {
-	limit := src.total
-	if dst.total < limit {
-		limit = dst.total
-	}
-	return PairIter{src: src.Segments(), dst: dst.Segments(), limit: limit}
-}
-
 // NewPairIterRange builds a pair iterator over the packed byte range
 // [lo, hi): both sides seek to lo in O(log segments) and Next yields
-// spans until hi — the schedule of one worker's share of a parallel
-// fused pass.
+// spans until hi — the whole pass, one worker's share of it, or one
+// replayed chunk.
 func NewPairIterRange(src, dst *Plan, lo, hi int64) PairIter {
 	it := PairIter{src: src.Segments(), dst: dst.Segments(), limit: hi, pos: lo}
 	it.src.SeekTo(lo)
@@ -256,58 +266,31 @@ func FusedCopy(srcPlan, dstPlan *Plan, src, dst buf.Block) (int64, error) {
 	// The parallel decision depends only on the size, so virtual
 	// transfers are attributed exactly as their real counterparts
 	// (and as the parallel pricers model them).
-	parallel := total >= ParallelPackThreshold() && workersFor(total) > 1
+	w := ParallelWorkersFor(total)
 	if !src.IsVirtual() && !dst.IsVirtual() {
-		fusedExec(srcPlan, dstPlan, src, dst, total, parallel)
+		fusedExec(srcPlan, dstPlan, src, dst, total, w)
 	}
-	recordFused(total, parallel)
+	recordFused(total, w > 1)
 	return total, nil
 }
 
-// fusedExec dispatches the one-pass transfer to the tightest executor
-// for the kernel pairing, splitting the packed range across goroutines
-// when parallel is set (every executor can start mid-stream, so the
-// split needs no segment alignment). A contiguous side turns the
-// transfer into a plain pack or unpack running the unrolled compiled
-// kernels against the peer's buffer window; a stride pair runs the
-// fused stride kernel; anything involving a gather table walks the
-// generic pair schedule.
-func fusedExec(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, parallel bool) {
-	if parallel {
-		fusedExecParallel(srcPlan, dstPlan, src, dst, total, workersFor(total))
+// fusedExec runs the one-pass transfer over the packed range
+// [0, total): on the calling goroutine, or cut across w > 1 workers
+// (every kernel can start mid-stream, so the cut needs no segment
+// alignment). Either way each range goes through fusedRange — one
+// dispatcher, one kernel per pairing.
+func fusedExec(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, w int) {
+	if w <= 1 {
+		fusedRange(srcPlan, dstPlan, src, dst, 0, total, total)
 		return
 	}
-	switch {
-	case dstPlan.kernel == KernelContig:
-		// Gather straight into the destination window: the source
-		// plan's own unrolled kernel, no staging in between.
-		stream := dst.Slice(int(dstPlan.contigOff), int(total))
-		srcPlan.runRange(src, stream, 0, total, 0, packDirection)
-	case srcPlan.kernel == KernelContig:
-		// Scatter straight out of the source window.
-		stream := src.Slice(int(srcPlan.contigOff), int(total))
-		dstPlan.runRange(dst, stream, 0, total, 0, unpackDirection)
-	case srcPlan.kernel == KernelStride && dstPlan.kernel == KernelStride:
-		fusedStrideStride(dst.Bytes(), src.Bytes(), srcPlan.prog, dstPlan.prog, total)
-	default:
-		fusedGeneric(dst.Bytes(), src.Bytes(), srcPlan, dstPlan)
-	}
-}
-
-// fusedExecParallel splits the fused pass's packed byte range across w
-// workers. The destination plan is FusedDstSafe (callers fall back to
-// the staged path otherwise), so distinct packed ranges write distinct
-// user bytes and the workers need no synchronisation beyond the final
-// join — the same disjointness argument as runParallelRange.
-func fusedExecParallel(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, w int) {
-	share := total / int64(w)
+	// The destination plan is FusedDstSafe (callers fall back to the
+	// staged path otherwise), so distinct packed ranges write distinct
+	// user bytes and the workers need no synchronisation beyond the
+	// final join — the same disjointness argument as runParallelRange.
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
-		lo := int64(i) * share
-		hi := lo + share
-		if i == w-1 {
-			hi = total
-		}
+		lo, hi := splitPoint(0, total, i, w), splitPoint(0, total, i+1, w)
 		wg.Add(1)
 		go func(lo, hi int64) {
 			defer wg.Done()
@@ -318,16 +301,26 @@ func fusedExecParallel(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, 
 }
 
 // fusedRange executes the packed byte range [lo, hi) of the fused
-// schedule: contiguous sides ride the compiled runRange kernels
-// mid-stream, and layout×layout pairings walk seeked pair iterators.
+// schedule with the tightest kernel for the pairing. A contiguous side
+// turns the transfer into a plain pack or unpack running the unrolled
+// compiled kernels against the peer's buffer window; a stride pair runs
+// the ranged stride×stride kernel; pairings that involve a gather table
+// or a block form walk seeked pair iterators (table segments are
+// typically longer than stride runs, so the per-span bookkeeping
+// amortises).
 func fusedRange(srcPlan, dstPlan *Plan, src, dst buf.Block, lo, hi, total int64) {
 	switch {
 	case dstPlan.kernel == KernelContig:
+		// Gather straight into the destination window: the source
+		// plan's own unrolled kernel, no staging in between.
 		stream := dst.Slice(int(dstPlan.contigOff), int(total))
 		srcPlan.runRange(src, stream, lo, hi, 0, packDirection)
 	case srcPlan.kernel == KernelContig:
+		// Scatter straight out of the source window.
 		stream := src.Slice(int(srcPlan.contigOff), int(total))
 		dstPlan.runRange(dst, stream, lo, hi, 0, unpackDirection)
+	case srcPlan.kernel == KernelStride && dstPlan.kernel == KernelStride:
+		fusedStrideStrideRange(dst.Bytes(), src.Bytes(), srcPlan.prog, dstPlan.prog, lo, hi)
 	default:
 		db, sb := dst.Bytes(), src.Bytes()
 		it := NewPairIterRange(srcPlan, dstPlan, lo, hi)
@@ -341,100 +334,99 @@ func fusedRange(srcPlan, dstPlan *Plan, src, dst buf.Block, lo, hi, total int64)
 	}
 }
 
-// fusedStrideStride is the fused kernel for a pair of regular run/gap
-// layouts: both sides advance in closed form, so the schedule needs no
-// segment tables and the canonical case — equal small runs on both
-// sides, the paper's every-other-double exchanged between two strided
-// layouts — moves whole words with no per-span dispatch.
-func fusedStrideStride(db, sb []byte, sp, dp *planProg, total int64) {
-	// Instance rollover: after the last run of an instance, the next
-	// run starts at the next instance's first run.
-	sAdj := sp.ext - sp.runs*sp.step
-	dAdj := dp.ext - dp.runs*dp.step
-	so, do := sp.start, dp.start
-	var sJ, dJ int64
-	if sp.runLen == 8 && dp.runLen == 8 {
-		// Both streams advance 8 bytes per run — the canonical
-		// every-other-double exchange. Batch the spans up to the next
-		// instance rollover on either side, so the inner loop is pure
-		// word moves with fixed strides, unrolled like gatherRuns.
-		// Plan totals are multiples of the run length, so no tail
-		// handling is needed.
-		sStep, dStep := sp.step, dp.step
-		for pos := int64(0); pos < total; {
-			batch := sp.runs - sJ
-			if m := dp.runs - dJ; m < batch {
-				batch = m
-			}
-			if m := (total - pos) / 8; m < batch {
-				batch = m
-			}
-			k := int64(0)
-			for ; k+4 <= batch; k += 4 {
-				*(*[8]byte)(db[do:]) = *(*[8]byte)(sb[so:])
-				*(*[8]byte)(db[do+dStep:]) = *(*[8]byte)(sb[so+sStep:])
-				*(*[8]byte)(db[do+2*dStep:]) = *(*[8]byte)(sb[so+2*sStep:])
-				*(*[8]byte)(db[do+3*dStep:]) = *(*[8]byte)(sb[so+3*sStep:])
-				so += 4 * sStep
-				do += 4 * dStep
-			}
-			for ; k < batch; k++ {
-				*(*[8]byte)(db[do:]) = *(*[8]byte)(sb[so:])
-				so += sStep
-				do += dStep
-			}
-			pos += batch * 8
-			if sJ += batch; sJ == sp.runs {
-				sJ = 0
-				so += sAdj
-			}
-			if dJ += batch; dJ == dp.runs {
-				dJ = 0
-				do += dAdj
-			}
-		}
-		return
-	}
-	var sOff, dOff int64
-	for pos := int64(0); pos < total; {
-		n := sp.runLen - sOff
-		if m := dp.runLen - dOff; m < n {
-			n = m
-		}
-		if m := total - pos; m < n {
-			n = m
-		}
-		copyRun(db[do+dOff:], sb[so+sOff:], n)
-		pos += n
-		if sOff += n; sOff == sp.runLen {
-			sOff = 0
-			so += sp.step
-			if sJ++; sJ == sp.runs {
-				sJ = 0
-				so += sAdj
-			}
-		}
-		if dOff += n; dOff == dp.runLen {
-			dOff = 0
-			do += dp.step
-			if dJ++; dJ == dp.runs {
-				dJ = 0
-				do += dAdj
-			}
-		}
+// strideHead is one side's position in the stride×stride kernel: a
+// packed offset resolved in closed form against a regular run/gap
+// program.
+type strideHead struct {
+	pr  *planProg
+	o   int64 // user offset of the current run's first byte
+	j   int64 // run index within the instance
+	off int64 // bytes of the current run already consumed
+}
+
+func seekStride(pr *planProg, pos int64) strideHead {
+	inst := pos / pr.instSize
+	rem := pos - inst*pr.instSize
+	j := rem / pr.runLen
+	return strideHead{pr: pr, o: inst*pr.ext + pr.start + j*pr.step, j: j, off: rem - j*pr.runLen}
+}
+
+// skipRuns moves a head at a run start k runs on, k at most the runs
+// left in the instance; after the last run the next instance begins.
+func (h *strideHead) skipRuns(k int64) {
+	pr := h.pr
+	h.o += k * pr.step
+	if h.j += k; h.j == pr.runs {
+		h.j = 0
+		h.o += pr.ext - pr.runs*pr.step
 	}
 }
 
-// fusedGeneric walks the pair schedule for kernel pairings involving
-// a gather table. Table segments are typically longer than stride
-// runs, so the per-span iterator bookkeeping amortises.
-func fusedGeneric(db, sb []byte, srcPlan, dstPlan *Plan) {
-	it := NewPairIter(srcPlan, dstPlan)
-	for {
-		so, do, n, ok := it.Next()
-		if !ok {
-			return
+// advance consumes n bytes, n at most what is left of the current run.
+func (h *strideHead) advance(n int64) {
+	if h.off += n; h.off == h.pr.runLen {
+		h.off = 0
+		h.skipRuns(1)
+	}
+}
+
+// fusedStrideStrideRange is the fused kernel for a pair of regular
+// run/gap layouts over the packed range [lo, hi). Both sides seek in
+// closed form, so any worker's share or retransmitted chunk starts in
+// O(1) with no segment tables. When one side's run length divides the
+// other's — 1:1 is the paper's every-other-double exchanged between
+// two strided layouts, 8 B into 32 B a typed receive into blocks of
+// four — and both heads stand at run starts, whole long runs move in
+// one copyRunGroups batch up to the nearer instance rollover;
+// everything else (range edges cutting a run, a rollover inside a long
+// run, run lengths that do not divide) moves as the longest span
+// contiguous on both sides.
+func fusedStrideStrideRange(db, sb []byte, sp, dp *planProg, lo, hi int64) {
+	s, d := seekStride(sp, lo), seekStride(dp, lo)
+	a, b := sp.runLen, dp.runLen
+	// A long run holds sq source runs and dq destination runs (one of
+	// the two is 1). Within it the long side walks on densely, short
+	// bytes at a time, while the short side steps run to run.
+	short, long, sq, dq := a, b, b/a, int64(1)
+	if a > b {
+		short, long, sq, dq = b, a, 1, a/b
+	}
+	divides := long == a*sq && long == b*dq
+	sStep, sGroup := short, sp.step
+	if sq > 1 {
+		sStep, sGroup = sp.step, sq*sp.step
+	}
+	dStep, dGroup := short, dp.step
+	if dq > 1 {
+		dStep, dGroup = dp.step, dq*dp.step
+	}
+	for pos := lo; pos < hi; {
+		if divides && s.off == 0 && d.off == 0 {
+			k := (sp.runs - s.j) / sq
+			if m := (dp.runs - d.j) / dq; m < k {
+				k = m
+			}
+			if m := (hi - pos) / long; m < k {
+				k = m
+			}
+			if k > 0 {
+				copyRunGroups(db, sb, d.o, s.o, dStep, sStep, dGroup, sGroup, short, sq*dq, k)
+				s.skipRuns(k * sq)
+				d.skipRuns(k * dq)
+				pos += k * long
+				continue
+			}
 		}
-		copyRun(db[do:], sb[so:], n)
+		n := a - s.off
+		if m := b - d.off; m < n {
+			n = m
+		}
+		if m := hi - pos; m < n {
+			n = m
+		}
+		copyRun(db[d.o+d.off:], sb[s.o+s.off:], n)
+		s.advance(n)
+		d.advance(n)
+		pos += n
 	}
 }

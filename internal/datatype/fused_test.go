@@ -2,6 +2,7 @@ package datatype
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/buf"
@@ -130,7 +131,7 @@ func TestPairIterCoversStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewPairIter(srcPlan, dstPlan)
+	it := NewPairIterRange(srcPlan, dstPlan, 0, min(srcPlan.Bytes(), dstPlan.Bytes()))
 	var total int64
 	for {
 		_, _, n, ok := it.Next()
@@ -343,7 +344,90 @@ func TestFusedCopyParallelMatchesSerial(t *testing.T) {
 			if workersFor(srcPlan.Bytes()) > 1 && d.ParallelOps != 1 {
 				t.Fatalf("parallel attribution %+v (workers %d)", d, workersFor(srcPlan.Bytes()))
 			}
+
+			// FusedCopy splits only when the host has more than one P.
+			// The explicit worker count takes the split on any host.
+			for _, w := range []int{2, 3} {
+				split := buf.Alloc(userLen(tc.dstTy, 1))
+				fusedExec(srcPlan, dstPlan, src, split, srcPlan.Bytes(), w)
+				if !buf.Equal(split, want) {
+					t.Fatalf("fused pass split %d ways differs from serial", w)
+				}
+			}
 		})
+	}
+}
+
+// stagedRange is the oracle of a ranged fused pass: the packed range
+// [lo, hi) through a staging block, PackRange then UnpackRange, into a
+// zeroed destination.
+func stagedRange(t *testing.T, srcPlan, dstPlan *Plan, src buf.Block, dstLen int, lo, hi int64) buf.Block {
+	t.Helper()
+	staging := buf.Alloc(int(hi - lo))
+	dst := buf.Alloc(dstLen)
+	if err := srcPlan.PackRange(src, staging, lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	if err := dstPlan.UnpackRange(staging, dst, lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestFusedStrideStrideRange is the differential of the ranged
+// stride×stride kernel against staged PackRange→UnpackRange. Run-length
+// pairs cover 1:1, 1:4, 4:1, 8:8 doubles (batches), 2:3 (lengths that
+// do not divide: spans only) and sub-word runs; instances hold run
+// counts that share no factor with the ratio, so with count > 1 a
+// rollover lands inside a batch and inside a long run on either side,
+// and the total is unaligned, so the pass ends mid-run. Small instances
+// take every [lo, hi) cut; large ones take the worker split 1, 2, 3 and
+// 7 ways.
+func TestFusedStrideStrideRange(t *testing.T) {
+	for _, pair := range [][2]int{{8, 8}, {8, 32}, {32, 8}, {16, 24}, {64, 64}, {4, 8}, {6, 3}} {
+		a, b := pair[0], pair[1]
+		for _, size := range []struct {
+			name                 string
+			sRuns, dRuns, sc, dc int
+			everyCut             bool
+		}{
+			{"small", 5, 3, 4, 3, true},
+			{"large", 37, 11, 23, 19, false},
+		} {
+			t.Run(fmt.Sprintf("%dB→%dB/%s", a, b, size.name), func(t *testing.T) {
+				srcTy := mustType(Hvector(size.sRuns, a, int64(a+8), Byte))
+				dstTy := mustType(Hvector(size.dRuns, b, int64(b+5), Byte))
+				srcPlan, dstPlan := mustPlan(t, srcTy, size.sc), mustPlan(t, dstTy, size.dc)
+				if srcPlan.Kernel() != KernelStride || dstPlan.Kernel() != KernelStride {
+					t.Fatalf("kernels %v, %v: the case is meant for the stride pair", srcPlan.Kernel(), dstPlan.Kernel())
+				}
+				// An unaligned total: the pass ends inside a run on both sides.
+				total := min(srcPlan.Bytes(), dstPlan.Bytes()) - 5
+				src := buf.Alloc(userLen(srcTy, size.sc))
+				src.FillPattern(0x71)
+				dstLen := userLen(dstTy, size.dc)
+				if size.everyCut {
+					for lo := int64(0); lo < total; lo++ {
+						for hi := lo + 1; hi <= total; hi++ {
+							got := buf.Alloc(dstLen)
+							fusedRange(srcPlan, dstPlan, src, got, lo, hi, total)
+							if !buf.Equal(got, stagedRange(t, srcPlan, dstPlan, src, dstLen, lo, hi)) {
+								t.Fatalf("fused range [%d,%d) differs from staged PackRange→UnpackRange", lo, hi)
+							}
+						}
+					}
+					return
+				}
+				want := stagedRange(t, srcPlan, dstPlan, src, dstLen, 0, total)
+				for _, w := range []int{1, 2, 3, 7} {
+					got := buf.Alloc(dstLen)
+					fusedExec(srcPlan, dstPlan, src, got, total, w)
+					if !buf.Equal(got, want) {
+						t.Fatalf("fused pass split %d ways differs from staged PackRange→UnpackRange", w)
+					}
+				}
+			})
+		}
 	}
 }
 

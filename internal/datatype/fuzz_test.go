@@ -369,6 +369,19 @@ func FuzzPackRoundtrip(f *testing.F) {
 			if sumN.Sum64() != sumR.Sum64() {
 				t.Fatalf("normalized checksum differs from raw for %v count=%d (%s)", ty, count, ty.CanonicalString())
 			}
+			// Run-kernel differential: a fuzz-drawn [lo, hi) cut entered
+			// with a fuzz-drawn carry and lane phase must equal Write
+			// over the packed bytes. Drawn last, so the draws above
+			// decode as they did before this check existed.
+			lo := int64(d.byte()) % total
+			hi := lo + 1 + int64(d.byte())%(total-lo)
+			carry, phase := d.intn(8), d.intn(4)
+			for _, plan := range []*Plan{normPlan, rawPlan} {
+				if !checksumRangeMatches(plan, src, packed.Bytes(), lo, hi, carry, phase) {
+					t.Fatalf("ChecksumRange [%d,%d) carry %d phase %d differs from Write(Pack(src)[lo:hi]) for %v count=%d (%s)",
+						lo, hi, carry, phase, ty, count, ty.CanonicalString())
+				}
+			}
 		}
 	})
 }

@@ -133,14 +133,9 @@ func (p *Plan) runParallelN(user, stream buf.Block, dir direction, w int) {
 // runParallelRange splits the packed range [lo, hi) across w workers;
 // soff is the packed position of the stream block's byte 0.
 func (p *Plan) runParallelRange(user, stream buf.Block, lo, hi, soff int64, dir direction, w int) {
-	share := (hi - lo) / int64(w)
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
-		wlo := lo + int64(i)*share
-		whi := wlo + share
-		if i == w-1 {
-			whi = hi
-		}
+		wlo, whi := splitPoint(lo, hi, i, w), splitPoint(lo, hi, i+1, w)
 		wg.Add(1)
 		go func(wlo, whi int64) {
 			defer wg.Done()
@@ -148,6 +143,24 @@ func (p *Plan) runParallelRange(user, stream buf.Block, lo, hi, soff int64, dir 
 		}(wlo, whi)
 	}
 	wg.Wait()
+}
+
+// splitPoint returns where share i of the packed range [lo, hi) cut w
+// ways begins; share i ends where share i+1 begins and share w-1 at
+// hi. Interior points are rounded down to a multiple of 64 packed
+// bytes: the kernels can enter mid-run, so nothing requires it, but an
+// even total/w cut lands mid-word and mid-run for w = 3, 5, 6, 7 —
+// every worker then starts and ends on the partial-run edge path, and
+// two workers write the same cache line of a dense destination.
+func splitPoint(lo, hi int64, i, w int) int64 {
+	if i >= w {
+		return hi
+	}
+	cut := (lo + (hi-lo)/int64(w)*int64(i)) &^ 63
+	if cut < lo {
+		cut = lo
+	}
+	return cut
 }
 
 // run executes the packed byte range [lo, hi) of the message against a

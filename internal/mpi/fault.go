@@ -589,7 +589,11 @@ func (c *Comm) rdvSendLoop(m *simnet.Message, dest, tag int, n int64,
 // damaged chunks.
 func (c *Comm) rdvRecvVerify(m *simnet.Message, peer, tag int, verify func(lo, hi int64) (uint64, bool)) (simnet.RdvDone, error) {
 	attempts := 0
-	var accepted simnet.ChunkBitmap
+	// accepted persists across attempts; damaged is one attempt's verdict,
+	// cleared in place for the next. The sender copies a NACKed bitmap
+	// before it sends the next RdvDone, and this rank does not touch it
+	// again until that RdvDone has arrived, so the reuse is race-free.
+	var accepted, damaged simnet.ChunkBitmap
 	for {
 		done, err := c.awaitDone(m, peer, tag)
 		if err != nil {
@@ -605,8 +609,9 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, peer, tag int, verify func(lo, h
 		if done.Chunks > 0 {
 			if accepted == nil {
 				accepted = simnet.NewChunkBitmap(done.Chunks)
+				damaged = simnet.NewChunkBitmap(done.Chunks)
 			}
-			damaged := simnet.NewChunkBitmap(done.Chunks)
+			clear(damaged)
 			var want, got uint64
 			for i := 0; i < done.Chunks; i++ {
 				if !done.Sent.Get(i) {

@@ -60,6 +60,14 @@ func (c *Comm) rdvSendSelective(m *simnet.Message, dest, tag int, n int64, x *ch
 	pol := c.retry
 	attempt := 0
 	send := simnet.FullChunkBitmap(x.chunks)
+	// One set of per-attempt verdicts for the whole transfer, cleared in
+	// place each attempt. Reuse is race-free: they travel to the
+	// receiver inside the RdvDone, the receiver reads them only while it
+	// verifies that attempt, and this rank sits in awaitAck until the
+	// receiver has answered it.
+	poisoned := simnet.NewChunkBitmap(x.chunks)
+	dup := simnet.NewChunkBitmap(x.chunks)
+	sums := make([]uint64, x.chunks)
 	fail := func(err error) error {
 		m.NoteWake()
 		m.Done <- simnet.RdvDone{Err: err}
@@ -89,9 +97,9 @@ func (c *Comm) rdvSendSelective(m *simnet.Message, dest, tag int, n int64, x *ch
 		// Per-chunk fault verdicts and checksums for this attempt's
 		// chunks. A duplicate fault redelivers the chunk rather than
 		// damaging it; the receiver suppresses the extra copy.
-		poisoned := simnet.NewChunkBitmap(x.chunks)
-		dup := simnet.NewChunkBitmap(x.chunks)
-		sums := make([]uint64, x.chunks)
+		clear(poisoned)
+		clear(dup)
+		clear(sums)
 		hasSum := true
 		for i := 0; i < x.chunks; i++ {
 			if !send.Get(i) {
@@ -143,7 +151,9 @@ func (c *Comm) rdvSendSelective(m *simnet.Message, dest, tag int, n int64, x *ch
 		}
 		var nack *simnet.ChunkNack
 		if errors.As(ack, &nack) && nack.Damaged != nil {
-			send = nack.Damaged.Clone()
+			// Copied, not kept: the receiver reuses its bitmap for the
+			// next attempt's verdict.
+			copy(send, nack.Damaged)
 		} else {
 			// A legacy whole-transfer NACK: replay everything.
 			send = simnet.FullChunkBitmap(x.chunks)
