@@ -21,6 +21,8 @@
 package buf
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -175,26 +177,81 @@ func CopyAt(dst Block, dstOff int, src Block, srcOff, n int) int {
 // FillPattern writes a deterministic byte pattern derived from seed
 // into a real block; virtual blocks are untouched. The pattern is
 // position-dependent so that tests detect both missing and misplaced
-// bytes.
+// bytes: byte i holds patternByte(seed, i), counted from the block's
+// own byte 0 (a Slice view restarts it).
+//
+// Within one 256-byte row i>>8 and i>>16 are fixed, so the row is the
+// identity row 0, 1, … 255 XOR one broadcast byte: whole rows are
+// written a word at a time and only the tail runs the byte loop.
 func (b Block) FillPattern(seed byte) {
-	for i := range b.data {
-		b.data[i] = patternByte(seed, i)
+	d := b.data
+	full := len(d) &^ (patternRow - 1)
+	for base := 0; base < full; base += patternRow {
+		row := d[base : base+patternRow : base+patternRow]
+		key := rowKey(seed, base/patternRow)
+		word := uint64(identityWord)
+		for j := 0; j < patternRow; j += 8 {
+			binary.LittleEndian.PutUint64(row[j:], word^key)
+			word += 8 * byteLanes
+		}
+	}
+	for i := full; i < len(d); i++ {
+		d[i] = patternByte(seed, i)
 	}
 }
 
 // VerifyPattern checks that a real block holds exactly the pattern
-// FillPattern(seed) would write. Virtual blocks verify trivially.
+// FillPattern(seed) would write, and names the first byte that does
+// not. Virtual blocks verify trivially.
 func (b Block) VerifyPattern(seed byte) error {
-	for i, got := range b.data {
-		if want := patternByte(seed, i); got != want {
-			return fmt.Errorf("buf: pattern mismatch at byte %d: got %#x want %#x", i, got, want)
+	d := b.data
+	full := len(d) &^ (patternRow - 1)
+	for base := 0; base < full; base += patternRow {
+		row := d[base : base+patternRow : base+patternRow]
+		key := rowKey(seed, base/patternRow)
+		word := uint64(identityWord)
+		var diff uint64
+		for j := 0; j < patternRow; j += 8 {
+			diff |= binary.LittleEndian.Uint64(row[j:]) ^ word ^ key
+			word += 8 * byteLanes
+		}
+		if diff != 0 {
+			return firstMismatch(d[:base+patternRow], seed, base)
+		}
+	}
+	return firstMismatch(d, seed, full)
+}
+
+// firstMismatch compares d[from:] with the reference byte by byte.
+func firstMismatch(d []byte, seed byte, from int) error {
+	for i := from; i < len(d); i++ {
+		if want := patternByte(seed, i); d[i] != want {
+			return fmt.Errorf("buf: pattern mismatch at byte %d: got %#x want %#x", i, d[i], want)
 		}
 	}
 	return nil
 }
 
-// patternByte is the deterministic fill function shared by FillPattern
-// and VerifyPattern.
+const (
+	// patternRow is the span over which patternByte's high terms are
+	// constant.
+	patternRow = 256
+	// byteLanes broadcasts a byte into the eight lanes of a word.
+	byteLanes = 0x0101010101010101
+	// identityWord is bytes 0…7 of the identity row, little-endian;
+	// adding 8·byteLanes steps it to the next eight (no lane carries:
+	// the last lane of a row holds 255).
+	identityWord = 0x0706050403020100
+)
+
+// rowKey is the part of patternByte shared by every byte of a row,
+// broadcast to a word.
+func rowKey(seed byte, row int) uint64 {
+	return uint64(seed^byte(row)*31^byte(row>>8)*17) * byteLanes
+}
+
+// patternByte defines the pattern: the reference FillPattern and
+// VerifyPattern are tested against, and their tail loop.
 func patternByte(seed byte, i int) byte {
 	return seed ^ byte(i) ^ byte(i>>8)*31 ^ byte(i>>16)*17
 }
@@ -223,12 +280,7 @@ func Equal(a, b Block) bool {
 	if a.data == nil || b.data == nil {
 		return true
 	}
-	for i := range a.data {
-		if a.data[i] != b.data[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(a.data, b.data)
 }
 
 // String implements fmt.Stringer for diagnostics.

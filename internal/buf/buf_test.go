@@ -123,11 +123,24 @@ func TestEqual(t *testing.T) {
 	if !Equal(a, b) {
 		t.Fatal("identical blocks not equal")
 	}
-	if Equal(a, Alloc(16)) {
+	for _, i := range []int{0, 31} {
+		b.Bytes()[i] ^= 1
+		if Equal(a, b) {
+			t.Fatalf("difference at byte %d reported equal", i)
+		}
+		b.Bytes()[i] ^= 1
+	}
+	if Equal(a, Alloc(16)) || Equal(a, a.Slice(0, 31)) {
 		t.Fatal("length mismatch reported equal")
 	}
-	if !Equal(a, Virtual(32)) {
+	if !Equal(Alloc(0), Block{}) {
+		t.Fatal("empty blocks not equal")
+	}
+	if !Equal(a, Virtual(32)) || !Equal(Virtual(32), Virtual(32)) {
 		t.Fatal("virtual comparison must be length-only")
+	}
+	if Equal(a, Virtual(16)) {
+		t.Fatal("virtual block of another length reported equal")
 	}
 }
 

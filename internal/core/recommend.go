@@ -183,14 +183,11 @@ func priceModel(n int64, st layout.Stats, normalized bool, p *perfmodel.Profile)
 	// receiver's buffer, pipelined with the wire at nominal bandwidth:
 	// no staging traffic, no chunk bookkeeping, no internal-pool
 	// degradation. Only available past the eager limit, where the
-	// handshake exposes the destination.
+	// handshake exposes the destination. The pass splits across the
+	// same workers as the compiled pack, as mpi charges it.
 	if !p.Eager(n, false) {
 		contigSt := layout.Stats{Segments: 1, Bytes: n, Extent: n, AvgBlock: float64(n), MinBlock: n, MaxBlock: n, Density: 1}
-		fusedPass := mem.FusedCopyCost(0, 0, st, contigSt)
-		m.FusedSend = fusedPass
-		if wire > m.FusedSend {
-			m.FusedSend = wire
-		}
+		m.FusedSend = max(wire, mem.ParallelFusedCopyCost(0, 0, st, contigSt, m.Workers))
 	}
 	return m
 }

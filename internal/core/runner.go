@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/buf"
@@ -47,35 +48,10 @@ type Runner interface {
 	Teardown() error
 }
 
-// NewRunner builds the Runner for a scheme.
-func NewRunner(s Scheme) (Runner, error) {
-	switch s {
-	case Reference:
-		return &referenceRunner{}, nil
-	case Copying:
-		return &copyingRunner{}, nil
-	case Buffered:
-		return &bufferedRunner{}, nil
-	case VectorType:
-		return &typedRunner{scheme: VectorType}, nil
-	case Subarray:
-		return &typedRunner{scheme: Subarray}, nil
-	case OneSided:
-		return &oneSidedRunner{}, nil
-	case PackElement:
-		return &packRunner{scheme: PackElement}, nil
-	case PackVector:
-		return &packRunner{scheme: PackVector}, nil
-	case PackCompiled:
-		return &packRunner{scheme: PackCompiled}, nil
-	case Sendv:
-		return &sendvRunner{}, nil
-	case TypedPipelined:
-		return &pipelinedRunner{}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown scheme %v", s)
-	}
-}
+// NewRunner builds the Runner for a scheme. The runner owns a private
+// fixture set, rebuilt by every Setup; the cells of a grid share one
+// through Fixtures.NewRunner instead.
+func NewRunner(s Scheme) (Runner, error) { return (*Fixtures)(nil).NewRunner(s) }
 
 // pairState carries what every scheme needs.
 type pairState struct {
@@ -83,29 +59,55 @@ type pairState struct {
 	w    Workload
 	peer int
 
+	shared *Fixtures    // the grid's fixture set; nil: a private one per Setup
+	fx     *Fixtures    // the set this Setup draws from (real payloads only)
+	mem    *rankScratch // this rank's scratch in fx
+
 	src     buf.Block // strided source payload (sender)
 	recvbuf buf.Block // contiguous destination (receiver)
 	pong    buf.Block // zero-byte reply
 }
 
+// init hands out the cell's source and receive buffer: pattern-filled
+// and zeroed respectively, pages instantiated, outside the timing loop
+// (§3.2).
 func (ps *pairState) init(c *mpi.Comm, w Workload, peer int) error {
 	if err := w.Validate(); err != nil {
 		return err
 	}
 	ps.c, ps.w, ps.peer = c, w, peer
-	alloc := func(n int64) buf.Block {
-		if w.Virtual {
-			return buf.Virtual(int(n))
-		}
-		// 64-byte aligned, zeroed at allocation: pages are instantiated
-		// here, outside the timing loop (§3.2).
-		return buf.AllocAligned(int(n))
-	}
-	ps.src = alloc(w.SrcBytes())
-	ps.src.FillPattern(srcSeed)
-	ps.recvbuf = alloc(w.Bytes())
 	ps.pong = buf.Alloc(0)
+	if w.Virtual {
+		ps.src = buf.Virtual(int(w.SrcBytes()))
+		ps.recvbuf = buf.Virtual(int(w.Bytes()))
+		return nil
+	}
+	if ps.shared == nil {
+		fx, err := NewFixtures([]Workload{w})
+		if err != nil {
+			return err
+		}
+		ps.fx, ps.mem = fx, &fx.ranks[0] // this rank is the set's only user
+	} else {
+		if _, ok := ps.shared.want[w]; !ok {
+			return fmt.Errorf("core: workload %+v is not part of the fixture set", w)
+		}
+		if c.Size() != len(ps.shared.ranks) {
+			return fmt.Errorf("core: a shared fixture set serves a pair, not %d ranks", c.Size())
+		}
+		ps.fx, ps.mem = ps.shared, &ps.shared.ranks[c.Rank()]
+	}
+	ps.src = view(ps.fx.src, w.SrcBytes())
+	ps.recvbuf = ps.fx.scratch(&ps.mem.recv, w.Bytes())
 	return nil
+}
+
+// sendBlock hands out the n-byte buffer the cell's scheme sends from.
+func (ps *pairState) sendBlock(n int64) buf.Block {
+	if ps.w.Virtual {
+		return buf.Virtual(int(n))
+	}
+	return ps.fx.scratch(&ps.mem.send, n)
 }
 
 // pongTwoSided is the shared receiver side of all two-sided schemes:
@@ -124,23 +126,13 @@ func (ps *pairState) waitPong() error {
 	return err
 }
 
-// check verifies the receive buffer against a locally regenerated
-// packed payload.
+// check verifies the receive buffer against the expected pack of the
+// fixture set.
 func (ps *pairState) check() error {
 	if ps.w.Virtual {
 		return nil
 	}
-	ty, err := ps.w.VectorType()
-	if err != nil {
-		return err
-	}
-	want := buf.Alloc(int(ty.Size()))
-	src := buf.Alloc(int(ps.w.SrcBytes()))
-	src.FillPattern(srcSeed)
-	if _, err := ty.Pack(src, 1, want); err != nil {
-		return err
-	}
-	if !buf.Equal(ps.recvbuf, want) {
+	if want := ps.fx.want[ps.w]; !buf.Equal(ps.recvbuf, want) {
 		return fmt.Errorf("core: received payload differs from expected pack (%d bytes)", want.Len())
 	}
 	return nil
@@ -156,12 +148,33 @@ func (ps *pairState) gatherLoop(dst buf.Block) {
 	if ps.src.IsVirtual() || dst.IsVirtual() {
 		return
 	}
+	if s, ok := lay.(layout.Strided); ok {
+		gatherStrided(dst.Bytes(), ps.src.Bytes(), s)
+		return
+	}
 	off := 0
 	lay.ForEach(func(s layout.Segment) bool {
 		buf.CopyAt(dst, off, ps.src, int(s.Off), int(s.Len))
 		off += int(s.Len)
 		return true
 	})
+}
+
+// gatherStrided is the indexed loop the paper's user writes for a
+// regular stride (§2.2): an 8-byte block moves as one word, any other
+// block length as one copy.
+func gatherStrided(dst, src []byte, s layout.Strided) {
+	count, blockLen, stride := int(s.Count), int(s.BlockLen), int(s.Stride)
+	if blockLen == 8 {
+		dst = dst[:count*8]
+		for to, from := 0, 0; to < len(dst); to, from = to+8, from+stride {
+			binary.LittleEndian.PutUint64(dst[to:to+8], binary.LittleEndian.Uint64(src[from:from+8]))
+		}
+		return
+	}
+	for i := 0; i < count; i++ {
+		copy(dst[i*blockLen:(i+1)*blockLen], src[i*stride:])
+	}
 }
 
 // referenceRunner sends a contiguous buffer of the same byte count:
@@ -180,16 +193,9 @@ func (r *referenceRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if w.Virtual {
 		r.contig = buf.Virtual(int(w.Bytes()))
 	} else {
-		r.contig = buf.AllocAligned(int(w.Bytes()))
 		// The reference payload is the packed pattern so receivers can
 		// verify it with the same check as every other scheme.
-		ty, err := w.VectorType()
-		if err != nil {
-			return err
-		}
-		if _, err := ty.Pack(r.src, 1, r.contig); err != nil {
-			return err
-		}
+		r.contig = view(r.fx.want[w], w.Bytes())
 	}
 	return nil
 }
@@ -218,11 +224,7 @@ func (r *copyingRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if err := r.init(c, w, peer); err != nil {
 		return err
 	}
-	if w.Virtual {
-		r.sendbuf = buf.Virtual(int(w.Bytes()))
-	} else {
-		r.sendbuf = buf.AllocAligned(int(w.Bytes()))
-	}
+	r.sendbuf = r.sendBlock(w.Bytes())
 	return nil
 }
 
@@ -293,14 +295,7 @@ func (r *bufferedRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	// The sender attaches a buffer big enough for one in-flight
 	// message, like the paper's MPI_Buffer_attach before MPI_Bsend.
 	if c.Rank() == 0 {
-		size := w.Bytes() + mpi.BsendOverheadBytes + 64
-		var backing buf.Block
-		if w.Virtual {
-			backing = buf.Virtual(int(size))
-		} else {
-			backing = buf.AllocAligned(int(size))
-		}
-		if err := c.BufferAttach(backing); err != nil {
+		if err := c.BufferAttach(r.sendBlock(w.Bytes() + bsendSlack)); err != nil {
 			return err
 		}
 		r.attached = true
@@ -468,11 +463,7 @@ func (r *packRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if r.ty, err = w.VectorType(); err != nil {
 		return err
 	}
-	if w.Virtual {
-		r.sendbuf = buf.Virtual(int(w.Bytes()))
-	} else {
-		r.sendbuf = buf.AllocAligned(int(w.Bytes()))
-	}
+	r.sendbuf = r.sendBlock(w.Bytes())
 	return nil
 }
 

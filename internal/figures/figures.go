@@ -64,12 +64,13 @@ func Build(profileName string, sizes []int64, opt harness.Options) (*Figure, err
 		Sizes:        sizes,
 		Measurements: map[core.Scheme][]harness.Measurement{},
 	}
-	workloads := harness.Workloads(sizes, opt)
-	for _, scheme := range core.Schemes() {
-		ms, err := harness.MeasureSweep(prof, scheme, workloads, opt)
-		if err != nil {
-			return nil, fmt.Errorf("%s / %v: %w", profileName, scheme, err)
-		}
+	schemes := core.Schemes()
+	grid, err := harness.MeasureGrid(prof, schemes, harness.Workloads(sizes, opt), opt)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", profileName, err)
+	}
+	for i, scheme := range schemes {
+		ms := grid[i]
 		f.Measurements[scheme] = ms
 		ts := &stats.Series{Label: scheme.String()}
 		bw := &stats.Series{Label: scheme.String()}

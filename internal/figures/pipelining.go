@@ -35,30 +35,23 @@ func BuildPipeliningStudy(profileName string, sizes []int64, opt harness.Options
 	st := &PipeliningStudy{Profile: prof, Sizes: sizes}
 	workloads := harness.Workloads(sizes, opt)
 
-	measure := func(p *perfmodel.Profile, scheme core.Scheme) (*stats.Series, error) {
-		ms, err := harness.MeasureSweep(p, scheme, workloads, opt)
-		if err != nil {
-			return nil, err
-		}
-		s := &stats.Series{Label: scheme.String()}
+	series := func(ms []harness.Measurement) *stats.Series {
+		s := &stats.Series{}
 		for _, m := range ms {
 			s.Append(float64(m.Bytes), m.Time())
 		}
-		return s, nil
+		return s
 	}
 
-	ref, err := measure(prof, core.Reference)
+	measured, err := harness.MeasureGrid(prof, []core.Scheme{core.Reference, core.VectorType}, workloads, opt)
 	if err != nil {
 		return nil, err
 	}
-	base, err := measure(prof, core.VectorType)
+	withNIC, err := harness.MeasureGrid(prof.WithPipelining(), []core.Scheme{core.VectorType}, workloads, opt)
 	if err != nil {
 		return nil, err
 	}
-	piped, err := measure(prof.WithPipelining(), core.VectorType)
-	if err != nil {
-		return nil, err
-	}
+	ref, base, piped := series(measured[0]), series(measured[1]), series(withNIC[0])
 	st.Baseline = stats.Ratio("vector type (measured behaviour)", base, ref)
 	st.Pipelined = stats.Ratio("vector type (NIC pipelining, ref [2])", piped, ref)
 	return st, nil

@@ -49,13 +49,13 @@ func BuildEagerStudy(profileName string, opt harness.Options) (*EagerStudy, erro
 		if pass == 1 {
 			o.EagerLimitOverride = sizes[len(sizes)-1] * 4
 		}
-		for _, s := range schemes {
-			ms, err := harness.MeasureSweep(prof, s, harness.Workloads(sizes, o), o)
-			if err != nil {
-				return nil, err
-			}
+		grid, err := harness.MeasureGrid(prof, schemes, harness.Workloads(sizes, o), o)
+		if err != nil {
+			return nil, err
+		}
+		for i, s := range schemes {
 			series := &stats.Series{Label: s.String()}
-			for _, m := range ms {
+			for _, m := range grid[i] {
 				// Per-byte time exposes the drop at the protocol
 				// switch better than absolute time.
 				series.Append(float64(m.Bytes), m.Time()/float64(m.Bytes)*1e9)
@@ -128,13 +128,13 @@ func BuildCacheStudy(profileName string, opt harness.Options) (*CacheStudy, erro
 	for pass := 0; pass < 2; pass++ {
 		o := opt
 		o.FlushCache = pass == 0
-		for _, s := range schemes {
-			ms, err := harness.MeasureSweep(prof, s, harness.Workloads(sizes, o), o)
-			if err != nil {
-				return nil, err
-			}
+		grid, err := harness.MeasureGrid(prof, schemes, harness.Workloads(sizes, o), o)
+		if err != nil {
+			return nil, err
+		}
+		for i, s := range schemes {
 			series := &stats.Series{Label: s.String()}
-			for _, m := range ms {
+			for _, m := range grid[i] {
 				series.Append(float64(m.Bytes), m.Time())
 			}
 			if pass == 0 {
@@ -182,17 +182,13 @@ func BuildSpacingStudy(profileName string, payloadBytes int64, opt harness.Optio
 		Times:   map[core.Scheme][]float64{},
 	}
 	schemes := []core.Scheme{core.Copying, core.VectorType}
-	for _, s := range schemes {
-		for _, j := range st.Jitters {
-			w := core.ForBytes(payloadBytes)
-			w.Stride = 8 // wider gaps leave room for element-aligned jitter
-			w.Jitter = j
-			w.Virtual = payloadBytes > opt.MaxRealBytes
-			m, err := harness.Measure(prof, s, w, opt)
-			if err != nil {
-				return nil, err
-			}
-			st.Times[s] = append(st.Times[s], m.Time())
+	for _, j := range st.Jitters {
+		w := core.ForBytes(payloadBytes)
+		w.Stride = 8 // wider gaps leave room for element-aligned jitter
+		w.Jitter = j
+		w.Virtual = payloadBytes > opt.MaxRealBytes
+		if err := appendCellTimes(st.Times, prof, schemes, w, opt); err != nil {
+			return nil, err
 		}
 	}
 	return st, nil
@@ -234,22 +230,31 @@ func BuildBlockSizeStudy(profileName string, payloadBytes int64, opt harness.Opt
 	}
 	elems := int(payloadBytes / core.ElemSize)
 	schemes := []core.Scheme{core.Copying, core.VectorType}
-	for _, s := range schemes {
-		for _, bl := range st.BlockLens {
-			w := core.Workload{
-				Count:    elems / bl,
-				BlockLen: bl,
-				Stride:   2 * bl, // density stays 1/2
-				Virtual:  payloadBytes > opt.MaxRealBytes,
-			}
-			m, err := harness.Measure(prof, s, w, opt)
-			if err != nil {
-				return nil, err
-			}
-			st.Times[s] = append(st.Times[s], m.Time())
+	for _, bl := range st.BlockLens {
+		w := core.Workload{
+			Count:    elems / bl,
+			BlockLen: bl,
+			Stride:   2 * bl, // density stays 1/2
+			Virtual:  payloadBytes > opt.MaxRealBytes,
+		}
+		if err := appendCellTimes(st.Times, prof, schemes, w, opt); err != nil {
+			return nil, err
 		}
 	}
 	return st, nil
+}
+
+// appendCellTimes measures one workload under every scheme, each cell
+// in a world of its own, and appends each scheme's time to its row.
+func appendCellTimes(times map[core.Scheme][]float64, prof *perfmodel.Profile, schemes []core.Scheme, w core.Workload, opt harness.Options) error {
+	grid, err := harness.MeasureGrid(prof, schemes, []core.Workload{w}, opt)
+	if err != nil {
+		return err
+	}
+	for i, s := range schemes {
+		times[s] = append(times[s], grid[i][0].Time())
+	}
+	return nil
 }
 
 // Render prints the block-size table.
@@ -369,14 +374,14 @@ func BuildCostModelCheck(profileName string, n int64, opt harness.Options) (*Cos
 	if err != nil {
 		return nil, err
 	}
+	schemes := []core.Scheme{core.Reference, core.Copying, core.VectorType, core.Buffered, core.PackElement, core.PackVector}
+	grid, err := harness.MeasureGrid(prof, schemes, harness.Workloads([]int64{n}, opt), opt)
+	if err != nil {
+		return nil, err
+	}
 	times := map[core.Scheme]float64{}
-	for _, s := range []core.Scheme{core.Reference, core.Copying, core.VectorType, core.Buffered, core.PackElement, core.PackVector} {
-		ws := harness.Workloads([]int64{n}, opt)
-		ms, err := harness.MeasureSweep(prof, s, ws, opt)
-		if err != nil {
-			return nil, err
-		}
-		times[s] = ms[0].Time()
+	for i, s := range schemes {
+		times[s] = grid[i][0].Time()
 	}
 	return &CostModelCheck{
 		Profile:          prof,
@@ -434,15 +439,11 @@ func BuildPackPlanStudy(profileName string, sizes []int64, opt harness.Options) 
 		Interpreted: &stats.Series{Label: core.PackVector.String()},
 		Compiled:    &stats.Series{Label: core.PackCompiled.String()},
 	}
-	workloads := harness.Workloads(sizes, opt)
-	interp, err := harness.MeasureSweep(prof, core.PackVector, workloads, opt)
+	grid, err := harness.MeasureGrid(prof, []core.Scheme{core.PackVector, core.PackCompiled}, harness.Workloads(sizes, opt), opt)
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := harness.MeasureSweep(prof, core.PackCompiled, workloads, opt)
-	if err != nil {
-		return nil, err
-	}
+	interp, compiled := grid[0], grid[1]
 	for i := range interp {
 		st.Interpreted.Append(float64(interp[i].Bytes), interp[i].Bandwidth()/1e9)
 		st.Compiled.Append(float64(compiled[i].Bytes), compiled[i].Bandwidth()/1e9)

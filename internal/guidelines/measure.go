@@ -45,13 +45,13 @@ func measureCell(profile string, lay LayoutSpec, n int64, cfg Config) ([]Result,
 
 	times := make(map[core.Scheme]float64, len(p2pSchemes))
 	plans := make(map[core.Scheme]datatype.PlanStats, len(p2pSchemes))
-	for _, s := range p2pSchemes {
-		m, err := harness.Measure(p, s, w, opt)
-		if err != nil {
-			return nil, fmt.Errorf("%v: %w", s, err)
-		}
-		times[s] = m.Time()
-		plans[s] = m.PlanStats
+	grid, err := harness.MeasureGrid(p, p2pSchemes, []core.Workload{w}, opt)
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range p2pSchemes {
+		times[s] = grid[i][0].Time()
+		plans[s] = grid[i][0].PlanStats
 	}
 
 	cell := func(rule Rule, ranks int) Cell {
@@ -200,7 +200,7 @@ func measureNormalized(p *perfmodel.Profile, lay LayoutSpec, n int64, cfg Config
 	return Result{
 		Cell:    Cell{Rule: NormalizedVsRaw, Bytes: rows * rowBytes, Ranks: 2},
 		LhsName: "SendpType(normalized)", RhsName: "SendpType(raw)",
-		Lhs:     normT, Rhs: rawT, Plan: normPlan,
+		Lhs: normT, Rhs: rawT, Plan: normPlan,
 	}, nil
 }
 

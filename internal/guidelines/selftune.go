@@ -51,12 +51,12 @@ func SelfTune(profile string, lay LayoutSpec, sizes []int64, reps int) ([]TunedC
 	for _, n := range sizes {
 		w := workloadFor(lay, n)
 		times := make(map[core.Scheme]float64, len(p2pSchemes))
-		for _, s := range p2pSchemes {
-			m, err := harness.Measure(p, s, w, opt)
-			if err != nil {
-				return nil, fmt.Errorf("self-tune %s/%s/%d: %v: %w", profile, lay.Name, n, s, err)
-			}
-			times[s] = m.Time()
+		grid, err := harness.MeasureGrid(p, p2pSchemes, []core.Workload{w}, opt)
+		if err != nil {
+			return nil, fmt.Errorf("self-tune %s/%s/%d: %w", profile, lay.Name, n, err)
+		}
+		for i, s := range p2pSchemes {
+			times[s] = grid[i][0].Time()
 		}
 		table[n] = times
 		o.Observe(memsim.PathTypedSend, w.Bytes(), times[core.VectorType])

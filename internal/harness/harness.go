@@ -85,7 +85,8 @@ type Measurement struct {
 	Verified  bool
 	// PlanStats is the delta of the pack-plan engine counters over
 	// this cell's measurement window (both ranks: sender packs,
-	// receiver unpacks, plus the final verification pass). It shows
+	// receiver unpacks; the oracle's expected pack belongs to the
+	// grid's fixture set and runs before any window opens). It shows
 	// which tier — compiled whole-message kernels, compiled-chunked
 	// streaming, parallel execution, or the interpreting-cursor
 	// fallback — moved the cell's bytes, how the plan cache behaved
@@ -112,10 +113,39 @@ func (m Measurement) Bandwidth() float64 {
 	return float64(m.Bytes) / m.Summary.Mean
 }
 
-// MeasureSweep runs one scheme over a list of workloads on a fresh
-// two-rank world and returns one Measurement per workload. Rank 0 is
-// the origin, rank 1 the target, as in the paper.
+// MeasureGrid runs every scheme over the same workloads — one fresh
+// two-rank world per scheme, one after the other — and returns one row
+// of Measurements per scheme, one Measurement per workload. The cells
+// share one payload fixture set (core.Fixtures), built before the first
+// world starts and dropped on return.
+func MeasureGrid(profile *perfmodel.Profile, schemes []core.Scheme, workloads []core.Workload, opt Options) ([][]Measurement, error) {
+	fx, err := core.NewFixtures(workloads)
+	if err != nil {
+		return nil, err
+	}
+	grid := make([][]Measurement, len(schemes))
+	for i, s := range schemes {
+		if grid[i], err = measureWorld(profile, s, workloads, opt, fx); err != nil {
+			return nil, err
+		}
+	}
+	return grid, nil
+}
+
+// MeasureSweep runs one scheme over a list of workloads: a one-row
+// grid.
 func MeasureSweep(profile *perfmodel.Profile, scheme core.Scheme, workloads []core.Workload, opt Options) ([]Measurement, error) {
+	grid, err := MeasureGrid(profile, []core.Scheme{scheme}, workloads, opt)
+	if err != nil {
+		return nil, err
+	}
+	return grid[0], nil
+}
+
+// measureWorld is one row of a grid: the scheme's runners draw their
+// buffers from fx (nil: each from a private set) on a fresh two-rank
+// world. Rank 0 is the origin, rank 1 the target, as in the paper.
+func measureWorld(profile *perfmodel.Profile, scheme core.Scheme, workloads []core.Workload, opt Options, fx *core.Fixtures) ([]Measurement, error) {
 	opt = opt.withDefaults()
 	prof := *profile // private copy; overrides must not leak to callers
 	if opt.EagerLimitOverride != 0 {
@@ -130,7 +160,7 @@ func MeasureSweep(profile *perfmodel.Profile, scheme core.Scheme, workloads []co
 		WallLimit:  opt.WallLimit,
 	}, func(c *mpi.Comm) error {
 		for wi, w := range workloads {
-			runner, err := core.NewRunner(scheme)
+			runner, err := fx.NewRunner(scheme)
 			if err != nil {
 				return err
 			}

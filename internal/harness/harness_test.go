@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -219,6 +220,102 @@ func TestDismissalNeverNeededInModel(t *testing.T) {
 		}
 		if ms[0].Dismissed != 0 {
 			t.Errorf("size %d: %d measurements dismissed", n, ms[0].Dismissed)
+		}
+	}
+}
+
+// TestGridMatchesPrivateFixtures: sharing one fixture set across a grid
+// changes nothing that is measured. Every row of the grid equals the
+// same scheme swept with a private set per cell, and every cell equals
+// the one-cell Measure, on two installations, with the cache flushed
+// between ping-pongs, left warm, and modelled cold.
+func TestGridMatchesPrivateFixtures(t *testing.T) {
+	same := func(t *testing.T, what string, got, want Measurement) {
+		t.Helper()
+		if !slices.Equal(got.Times, want.Times) || got.Dismissed != want.Dismissed ||
+			got.Summary != want.Summary || got.Verified != want.Verified {
+			t.Errorf("%s: %v %d bytes: grid {%v %d %+v %v}, private fixtures {%v %d %+v %v}", what, got.Scheme, got.Bytes,
+				got.Times, got.Dismissed, got.Summary, got.Verified, want.Times, want.Dismissed, want.Summary, want.Verified)
+		}
+	}
+	variants := []struct {
+		name string
+		vary func(*Options)
+	}{
+		{"flushed", func(*Options) {}},
+		{"warm", func(o *Options) { o.FlushCache = false }},
+		{"cold", func(o *Options) { o.ColdCaches = true }},
+	}
+	for _, name := range []string{"skx-impi", "knl-impi"} {
+		prof, err := perfmodel.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range variants {
+			t.Run(name+"/"+v.name, func(t *testing.T) {
+				opt := fastOpts()
+				v.vary(&opt)
+				if raceEnabled {
+					opt.MaxRealBytes = 100_000 // instrumented byte loops: keep the 10⁶ cell virtual
+				}
+				ws := Workloads(LogSizes(1_000, 1_000_000_000, 1), opt)
+				schemes := core.Schemes()
+				grid, err := MeasureGrid(prof, schemes, ws, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for si, s := range schemes {
+					row, err := measureWorld(prof, s, ws, opt, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for wi, w := range ws {
+						if grid[si][wi].Verified == w.Virtual {
+							t.Errorf("%v %d bytes: Verified = %v", s, w.Bytes(), !w.Virtual)
+						}
+						same(t, "row", grid[si][wi], row[wi])
+						cell, err := Measure(prof, s, w, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						alone, err := measureWorld(prof, s, []core.Workload{w}, opt, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						same(t, "cell", cell, alone[0])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPlanStatsExcludeOracle: the expected payload is packed when the
+// fixture set is built, so a cell's PlanStats holds the pings' packs
+// and nothing of the verification.
+func TestPlanStatsExcludeOracle(t *testing.T) {
+	prof := perfmodel.Generic()
+	opt := fastOpts()
+	ws := Workloads([]int64{4 << 10, 256 << 10}, opt)
+	verified, err := MeasureSweep(prof, core.PackCompiled, ws, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Verify = false
+	unverified, err := MeasureSweep(prof, core.PackCompiled, ws, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range verified {
+		if !m.Verified || unverified[i].Verified {
+			t.Fatalf("%d bytes: Verified = %v with and %v without Options.Verify", m.Bytes, m.Verified, unverified[i].Verified)
+		}
+		ps := m.PlanStats
+		if ps.StrideOps != int64(opt.Reps) || ps.StrideBytes != int64(opt.Reps)*m.Bytes {
+			t.Errorf("%d bytes: %d stride-kernel packs of %d bytes in the window, want the %d pings'", m.Bytes, ps.StrideOps, ps.StrideBytes, opt.Reps)
+		}
+		if ps != unverified[i].PlanStats {
+			t.Errorf("%d bytes: verification shows in PlanStats: %v with, %v without", m.Bytes, ps, unverified[i].PlanStats)
 		}
 	}
 }
