@@ -17,7 +17,7 @@
 // The datatype engine packs through a plan compiler
 // (internal/datatype/plan.go): committing a type and binding it to a
 // count compiles an executable plan that selects a specialized kernel
-// — a single copy for contiguous layouts, an unrolled fixed-stride
+// — a single copy for contiguous layouts, a closed-form fixed-stride
 // loop for regular run/gap patterns (the paper's vector types), or a
 // flattened segment-table gather for irregular types — and splits the
 // packed range across goroutines for messages of at least

@@ -58,11 +58,11 @@
 //	             observed fault profile calibrated back from the
 //	             sweep's own retry counters)
 //	-canon       E19: the canonical-normalizer study (the Commit-time
-//	             datatype normalizer and its specialized kernel
-//	             registry: normalized vs raw pack bandwidth on
+//	             datatype normalizer and the closed block forms it
+//	             produces: normalized vs raw pack bandwidth on
 //	             hvector-of-vector, 3-D subarray and an irregular
 //	             indexed control, with per-type run-count reductions,
-//	             registry classes and CanonicalString forms; runs once
+//	             kernel classes and CanonicalString forms; runs once
 //	             per invocation — wall time, profile-independent)
 //	-scale       E20: the sustained-throughput scale study (a concurrent
 //	             job mix — several independent ring communicators over
@@ -114,7 +114,7 @@ func main() {
 	pipeline := flag.Bool("pipeline", false, "also print the E16 pipelined chunk-engine study (serial vs pipelined vs fused across chunk sizes)")
 	guidelinesFlag := flag.Bool("guidelines", false, "also print the E17 performance-guidelines verifier (rule table, baseline-diffed violations, self-tuned recommender)")
 	chaos := flag.Bool("chaos", false, "also print the E18 fault-recovery chaos study (goodput and p99 tail vs injected fault rate with retry attribution and the reliability model)")
-	canon := flag.Bool("canon", false, "also print the E19 canonical-normalizer study (normalized vs raw pack bandwidth with run-count reductions and kernel-registry classes)")
+	canon := flag.Bool("canon", false, "also print the E19 canonical-normalizer study (normalized vs raw pack bandwidth with run-count reductions and kernel classes)")
 	scale := flag.Bool("scale", false, "also print the E20 sustained-throughput scale study (concurrent job mix at 64-1024 ranks: aggregate GB/s, p99 completion, shard-contention attribution)")
 	chaosScale := flag.Bool("chaosscale", false, "also print the E21 chaos-at-scale study (the E20 job mix under injected faults across rank count x fault rate, with recovery attribution and the measured whole-replay counterfactual)")
 	flag.Parse()

@@ -120,11 +120,12 @@ func (c *Checksum) foldWords(p []byte) []byte {
 // in that order: exactly Write of each run in turn. It is the run
 // kernel under datatype.Plan.ChecksumRange: when the state is
 // word-aligned (no carried bytes) and runs are whole words, the words
-// go from the strided buffer straight into the lanes, four runs per
-// iteration for the 8-byte runs of the paper's every-other-double
-// layouts.
+// go from the strided buffer straight into the lanes, held in registers
+// for the whole batch — four runs per iteration for the 8-byte runs of
+// the paper's every-other-double layouts, four words per iteration
+// within longer runs.
 func (c *Checksum) FoldRuns(data []byte, base, step, runLen, n int64) {
-	if c.n != 0 || runLen&7 != 0 || n <= 0 {
+	if c.n != 0 || runLen&7 != 0 || runLen <= 0 || n <= 0 {
 		for ; n > 0; n-- {
 			c.Write(data[base : base+runLen])
 			base += step
@@ -135,38 +136,69 @@ func (c *Checksum) FoldRuns(data []byte, base, step, runLen, n int64) {
 		c.lane = csumSeed
 	}
 	c.len += n * runLen
-	if runLen != 8 || step < 0 {
-		for ; n > 0; n-- {
-			c.foldWords(data[base : base+runLen])
-			base += step
+	// One bounds check for the batch: the reslice to the span of the
+	// runs covers every load, and the words are read at offsets from one
+	// base pointer (no pointer is ever formed outside the slice) — the
+	// per-word slice checks cost more than the fold.
+	lo, hi := base, base+runLen
+	if d := (n - 1) * step; d < 0 {
+		lo += d
+	} else {
+		hi += d
+	}
+	data = data[lo:hi]
+	p, o := unsafe.Pointer(&data[0]), base-lo
+	// h0 is the lane of the next word of the stream, h1 of the one after
+	// it, and so on round the four: a group of four words leaves that
+	// assignment as it was, fewer rotate it.
+	ph := c.words & 3
+	h0, h1, h2, h3 := c.lane[ph], c.lane[(ph+1)&3], c.lane[(ph+2)&3], c.lane[(ph+3)&3]
+	c.words += uint64(n * runLen >> 3)
+	if runLen == 8 {
+		for ; n >= 4; n -= 4 {
+			h0 = (h0 ^ le64(unsafe.Add(p, o))) * csumPrime
+			h1 = (h1 ^ le64(unsafe.Add(p, o+step))) * csumPrime
+			h2 = (h2 ^ le64(unsafe.Add(p, o+2*step))) * csumPrime
+			h3 = (h3 ^ le64(unsafe.Add(p, o+3*step))) * csumPrime
+			o += 4 * step
 		}
-		return
+		// The loop below would finish the last one to three runs as
+		// well; finishing them here keeps its state out of the
+		// registers of the loop above.
+		for ; n > 0; n-- {
+			h0 = (h0 ^ le64(unsafe.Add(p, o))) * csumPrime
+			h0, h1, h2, h3 = h1, h2, h3, h0
+			o += step
+		}
 	}
-	// One bounds check for the batch — the step is not negative, so the
-	// reslice to the last run covers every load — then the words are
-	// read at offsets from one base pointer (no pointer is ever formed
-	// outside the slice): the per-word slice checks cost more than the
-	// fold.
-	data = data[base : base+(n-1)*step+8]
-	p, o := unsafe.Pointer(&data[0]), int64(0)
-	for ; c.words&3 != 0 && n > 0; n-- {
-		c.foldWord(le64(unsafe.Add(p, o)))
+	// Runs of m words: whole groups of four, then the odd words.
+	for m := runLen >> 3; n > 0; n-- {
+		q := o
+		for g := m >> 2; g > 0; g-- {
+			h0 = (h0 ^ le64(unsafe.Add(p, q))) * csumPrime
+			h1 = (h1 ^ le64(unsafe.Add(p, q+8))) * csumPrime
+			h2 = (h2 ^ le64(unsafe.Add(p, q+16))) * csumPrime
+			h3 = (h3 ^ le64(unsafe.Add(p, q+24))) * csumPrime
+			q += 32
+		}
+		switch m & 3 {
+		case 1:
+			h0 = (h0 ^ le64(unsafe.Add(p, q))) * csumPrime
+			h0, h1, h2, h3 = h1, h2, h3, h0
+		case 2:
+			h0 = (h0 ^ le64(unsafe.Add(p, q))) * csumPrime
+			h1 = (h1 ^ le64(unsafe.Add(p, q+8))) * csumPrime
+			h0, h1, h2, h3 = h2, h3, h0, h1
+		case 3:
+			h0 = (h0 ^ le64(unsafe.Add(p, q))) * csumPrime
+			h1 = (h1 ^ le64(unsafe.Add(p, q+8))) * csumPrime
+			h2 = (h2 ^ le64(unsafe.Add(p, q+16))) * csumPrime
+			h0, h1, h2, h3 = h3, h0, h1, h2
+		}
 		o += step
 	}
-	h0, h1, h2, h3 := c.lane[0], c.lane[1], c.lane[2], c.lane[3]
-	c.words += uint64(n &^ 3)
-	for ; n >= 4; n -= 4 {
-		h0 = (h0 ^ le64(unsafe.Add(p, o))) * csumPrime
-		h1 = (h1 ^ le64(unsafe.Add(p, o+step))) * csumPrime
-		h2 = (h2 ^ le64(unsafe.Add(p, o+2*step))) * csumPrime
-		h3 = (h3 ^ le64(unsafe.Add(p, o+3*step))) * csumPrime
-		o += 4 * step
-	}
-	c.lane = [4]uint64{h0, h1, h2, h3}
-	for ; n > 0; n-- {
-		c.foldWord(le64(unsafe.Add(p, o)))
-		o += step
-	}
+	ph = c.words & 3
+	c.lane[ph], c.lane[(ph+1)&3], c.lane[(ph+2)&3], c.lane[(ph+3)&3] = h0, h1, h2, h3
 }
 
 // le64 loads the little-endian word at p, at any alignment.

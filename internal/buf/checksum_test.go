@@ -210,28 +210,68 @@ func TestChecksumEverySplitPoint(t *testing.T) {
 
 // TestChecksumFoldRunsIsWritePerRun pins the run kernel's contract:
 // from any carry and lane phase, FoldRuns over n strided runs equals
-// Write of each run in order, whatever the run length.
+// Write of each run in order, whatever the run length — one to sixteen
+// words and lengths that are not whole words — and whichever way the
+// runs step through the buffer.
 func TestChecksumFoldRunsIsWritePerRun(t *testing.T) {
 	data := laneStream()
-	for _, runLen := range []int64{1, 3, 4, 8, 12, 16, 24, 32, 40, 64} {
+	for _, runLen := range []int64{1, 3, 4, 8, 12, 16, 24, 32, 40, 48, 56, 64, 72, 128, 264} {
 		for _, gap := range []int64{0, 1, 8, 24} {
-			step := runLen + gap
-			for n := int64(0); n <= 11; n++ {
-				for seed := 0; seed < 32; seed++ {
-					var want, got Checksum
-					want.Write(data[:seed]) // seed/8 words folded, seed%8 bytes carried
-					got.Write(data[:seed])
-					const base = 7
-					for k := int64(0); k < n; k++ {
-						want.Write(data[base+k*step : base+k*step+runLen])
+			for _, step := range []int64{runLen + gap, -(runLen + gap)} {
+				for n := int64(0); n <= 11; n++ {
+					base := int64(7)
+					if step < 0 {
+						base -= 10 * step
 					}
-					got.FoldRuns(data, base, step, runLen, n)
-					if got.Sum64() != want.Sum64() || got.Len() != want.Len() {
-						t.Fatalf("runLen %d step %d n %d seed %d: FoldRuns %#x (len %d), Write per run %#x (len %d)",
-							runLen, step, n, seed, got.Sum64(), got.Len(), want.Sum64(), want.Len())
+					for seed := 0; seed < 32; seed++ {
+						var want, got Checksum
+						want.Write(data[:seed]) // seed/8 words folded, seed%8 bytes carried
+						got.Write(data[:seed])
+						for k := int64(0); k < n; k++ {
+							want.Write(data[base+k*step : base+k*step+runLen])
+						}
+						got.FoldRuns(data, base, step, runLen, n)
+						if got.Sum64() != want.Sum64() || got.Len() != want.Len() {
+							t.Fatalf("runLen %d step %d n %d seed %d: FoldRuns %#x (len %d), Write per run %#x (len %d)",
+								runLen, step, n, seed, got.Sum64(), got.Len(), want.Sum64(), want.Len())
+						}
+						// The state, not only the sum: a further Write
+						// must land in the same lanes.
+						want.Write(data[:13])
+						got.Write(data[:13])
+						if got.Sum64() != want.Sum64() {
+							t.Fatalf("runLen %d step %d n %d seed %d: state after FoldRuns differs from Write per run",
+								runLen, step, n, seed)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestChecksumFoldRunsBoundsPanic pins the batch bounds contract: runs
+// that leave the buffer panic, forwards or backwards, on the word path
+// and on the Write path.
+func TestChecksumFoldRunsBoundsPanic(t *testing.T) {
+	data := make([]byte, 256)
+	for _, c := range []struct {
+		name                  string
+		base, step, runLen, n int64
+	}{
+		{"8B forward", 0, 16, 8, 17},
+		{"32B forward", 8, 40, 32, 7},
+		{"32B backward", 200, -40, 32, 7},
+		{"5B forward", 0, 16, 5, 17},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: overrunning FoldRuns did not panic", c.name)
+				}
+			}()
+			var sum Checksum
+			sum.FoldRuns(data, c.base, c.step, c.runLen, c.n)
+		}()
 	}
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
@@ -162,18 +162,34 @@ func (ps *pairState) gatherLoop(dst buf.Block) {
 
 // gatherStrided is the indexed loop the paper's user writes for a
 // regular stride (§2.2): an 8-byte block moves as one word, any other
-// block length as one copy.
+// block length as one copy. The word loop's bounds are checked once, the
+// way a C compiler has nothing to check in the user's loop at all: both
+// slices are resliced to the last word the loop touches — a layout the
+// buffers do not hold panics there, before a byte has moved — and the
+// words then move at offsets from the two base pointers.
 func gatherStrided(dst, src []byte, s layout.Strided) {
-	count, blockLen, stride := int(s.Count), int(s.BlockLen), int(s.Stride)
-	if blockLen == 8 {
-		dst = dst[:count*8]
-		for to, from := 0, 0; to < len(dst); to, from = to+8, from+stride {
-			binary.LittleEndian.PutUint64(dst[to:to+8], binary.LittleEndian.Uint64(src[from:from+8]))
+	count, blockLen, stride := s.Count, s.BlockLen, s.Stride
+	if blockLen != 8 || stride < 0 || count <= 0 {
+		for i := int64(0); i < count; i++ {
+			copy(dst[i*blockLen:(i+1)*blockLen], src[i*stride:])
 		}
 		return
 	}
-	for i := 0; i < count; i++ {
-		copy(dst[i*blockLen:(i+1)*blockLen], src[i*stride:])
+	dst, src = dst[:count*8], src[:(count-1)*stride+8]
+	dp, sp := unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0])
+	var to, from int64
+	for ; count >= 4; count -= 4 {
+		*(*[8]byte)(unsafe.Add(dp, to)) = *(*[8]byte)(unsafe.Add(sp, from))
+		*(*[8]byte)(unsafe.Add(dp, to+8)) = *(*[8]byte)(unsafe.Add(sp, from+stride))
+		*(*[8]byte)(unsafe.Add(dp, to+16)) = *(*[8]byte)(unsafe.Add(sp, from+2*stride))
+		*(*[8]byte)(unsafe.Add(dp, to+24)) = *(*[8]byte)(unsafe.Add(sp, from+3*stride))
+		to += 32
+		from += 4 * stride
+	}
+	for ; count > 0; count-- {
+		*(*[8]byte)(unsafe.Add(dp, to)) = *(*[8]byte)(unsafe.Add(sp, from))
+		to += 8
+		from += stride
 	}
 }
 

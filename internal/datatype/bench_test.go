@@ -256,6 +256,74 @@ func BenchmarkPackEngines(b *testing.B) {
 			}
 		})
 	}
+	// The other run-length classes of the batch run kernel (every cell
+	// above moves 8- or 512-byte runs through the stride program): 4-,
+	// 8-, 16- and 32-byte runs at a stride of twice their length, and
+	// the 2-D block form whose rows are whole copyRunGroups groups, on
+	// one goroutine in both directions.
+	for _, runLen := range []int{4, 8, 16, 32} {
+		elem, bl := runLenElem(runLen)
+		ty := mustType(Vector(payload/runLen, bl, 2*bl, elem))
+		benchKernelCells(b, fmt.Sprintf("strideRuns/%dB/4MiB", runLen), ty, KernelStride)
+	}
+	block2d, _, _ := benchNestedBlock(b, true, payload/(16*8), 16, 1)
+	benchKernelCells(b, "block2d/8B/4MiB", block2d, KernelBlock)
+}
+
+// benchKernelCells adds the name/pack and name/unpack cells of one
+// layout: the single-goroutine compiled kernel in each direction, with
+// the bytes it produced checked against the interpreting cursor once
+// the timed loop is done.
+func benchKernelCells(b *testing.B, name string, ty *Type, kernel PlanKernel) {
+	b.Helper()
+	plan := benchPlan(b, ty)
+	if plan.Kernel() != kernel {
+		b.Fatalf("%s compiled to %v, want %v", name, plan.Kernel(), kernel)
+	}
+	src := buf.Alloc(int(ty.Extent()))
+	src.FillPattern(1)
+	want := buf.Alloc(int(ty.Size()))
+	c := newCursor(ty, src, 1)
+	if _, err := c.transfer(want, packDirection); err != nil {
+		b.Fatal(err)
+	}
+	serial := func(b *testing.B, op func() error) {
+		SetParallelPackThreshold(ty.Size() + 1)
+		defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+		b.ReportAllocs()
+		b.SetBytes(ty.Size())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := op(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+	}
+	b.Run(name+"/pack", func(b *testing.B) {
+		dst := buf.Alloc(int(ty.Size()))
+		serial(b, func() error { _, err := plan.Pack(src, dst); return err })
+		if !buf.Equal(dst, want) {
+			b.Fatal("packed stream differs from the cursor's")
+		}
+	})
+	b.Run(name+"/unpack", func(b *testing.B) {
+		// The source holds its pattern in the gaps too, so unpacking its
+		// own packed stream over a copy with the runs zeroed restores it.
+		dst := buf.Alloc(int(ty.Extent()))
+		buf.CopyAt(dst, 0, src, 0, src.Len())
+		zero := buf.Alloc(int(ty.Size()))
+		if _, err := plan.Unpack(zero, dst); err != nil {
+			b.Fatal(err)
+		}
+		if buf.Equal(dst, src) {
+			b.Fatal("zeroing the runs left the buffer unchanged")
+		}
+		serial(b, func() error { _, err := plan.Unpack(want, dst); return err })
+		if !buf.Equal(dst, src) {
+			b.Fatal("unpacked buffer differs from the source layout")
+		}
+	})
 }
 
 // benchSink keeps a benchmarked result live.
@@ -448,11 +516,14 @@ func benchPackSerial(b *testing.B, ty *Type, src, dst buf.Block) {
 // BenchmarkNormalizedKernels compares the raw compiled programs against
 // their canonicalised forms on the normalizer's layout families:
 // every-other doubles (stride kernel either way — a parity cell), the
-// 2-D block of 8-byte runs (the hot unrolled Elem8 tile), and the 2-D
-// block of 64-byte runs (the element-agnostic tile). The smoke cell is
-// the CI gate: the canonical 2-D block kernel must beat the generic
-// gather by >=1.3x and must not allocate in steady state, measured as
-// min-of-reps so the verdict holds at -benchtime=1x.
+// 2-D block of 8-byte runs and the 2-D block of 64-byte runs (one
+// copyRunGroups tile per plane against one copyRun per table segment).
+// The smoke cell is the CI gate, and it gates only what is
+// deterministic: the nested shape must still collapse to the block
+// kernel and its raw twin stay on the gather walk, and the steady-state
+// block pack must not allocate. The block/gather speed ratio is
+// reported (min-of-reps, so it means something at -benchtime=1x), not
+// asserted; cmd/bench records the kernels' rates.
 func BenchmarkNormalizedKernels(b *testing.B) {
 	const rows, runs = 4096, 16 // 512 KiB of 8-byte runs
 	payload := int64(rows * runs * 8)
@@ -519,10 +590,6 @@ func BenchmarkNormalizedKernels(b *testing.B) {
 		minPack(raw)
 		canonBest, rawBest := minPack(canon), minPack(raw)
 		speedup := float64(rawBest) / float64(canonBest)
-		if speedup < 1.3 {
-			b.Fatalf("canonical block kernel %.2fx vs generic gather, want >= 1.3x (canon %v, raw %v)",
-				speedup, canonBest, rawBest)
-		}
 		if allocs := testing.AllocsPerRun(10, func() {
 			if _, err := canon.Pack(src, dst); err != nil {
 				b.Fatal(err)
@@ -530,7 +597,6 @@ func BenchmarkNormalizedKernels(b *testing.B) {
 		}); allocs != 0 {
 			b.Fatalf("canonical pack allocates %.0f objects/op in steady state", allocs)
 		}
-		b.ReportMetric(speedup, "x-speedup")
 		b.SetBytes(payload)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -538,6 +604,8 @@ func BenchmarkNormalizedKernels(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		// After the loop: ResetTimer deletes reported metrics.
+		b.ReportMetric(speedup, "x-speedup")
 	})
 }
 

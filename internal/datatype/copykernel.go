@@ -2,31 +2,46 @@ package datatype
 
 import "unsafe"
 
-// This file implements the word-wide copy kernel behind the compiled
-// plan executors and the fused transfer engine. The runs a
-// non-contiguous layout decomposes into are mostly short — the paper's
-// canonical case is an 8-byte double every 16 bytes — and at those
-// lengths the per-call dispatch of the runtime memmove costs more than
-// the move itself. copyRun moves whole machine words instead of bytes:
-// an aligned fast path issues true 8-byte (or 4-byte) loads and
-// stores, a mutually-misaligned path falls back to alignment-free
-// [8]byte array moves (which the compiler lowers to wide instructions
-// on the targets we care about and to safe byte sequences elsewhere),
-// and a byte tail finishes the 1–7 remaining bytes.
+// This file holds the two bodies that move bytes for every compiled
+// engine of the package — pack, unpack, the chunked and pipelined
+// ranges, the fused layout→layout copy and the contiguous landing all
+// end here. The runs a non-contiguous layout decomposes into are mostly
+// short — the paper's canonical case is an 8-byte double every 16 bytes
+// — and at those lengths neither the per-call dispatch of the runtime
+// memmove nor a slice bounds check per word is affordable: each costs
+// more than the move.
 //
-// Contract: dst and src must not overlap (the copy is forward-only and
-// word-granular); callers owning potentially-aliased buffers must use
-// the staged path. Bounds: len(dst) >= n and len(src) >= n — enforced
-// by the initial reslice, so a violating caller panics instead of
-// corrupting memory.
+// copyRunGroups is the strided move: a batch of equal runs at fixed
+// strides on either side, bounds checked once for the batch, the runs of
+// a word-sized length moved through pointers. The plan executors
+// (plan_exec.go, block.go) and the stride×stride fused kernel
+// (fused.go) cut their ranges into such batches; there is no other
+// strided loop and no per-element-size copy of it.
+//
+// copyRun is the single run, for what has no stride to batch over:
+// gather-table segments, the partial runs a range edge cuts, and run
+// lengths copyRunGroups has no word path for. It moves whole machine
+// words instead of bytes: an aligned fast path issues true 8-byte (or
+// 4-byte) loads and stores, a mutually-misaligned path falls back to
+// alignment-free [8]byte array moves (which the compiler lowers to wide
+// instructions on the targets we care about and to safe byte sequences
+// elsewhere), and a byte tail finishes the 1–7 remaining bytes.
+//
+// Contract of both: dst and src must not overlap (the copies are
+// forward-only and word-granular); callers owning potentially-aliased
+// buffers must use the staged path. Bounds: every byte named by the
+// arguments must lie inside its slice — enforced by one reslice before
+// any byte moves, so a violating caller panics instead of corrupting
+// memory.
 
 // longRunCopy is the run length beyond which the runtime memmove —
 // with its vectorised bulk loops — wins over the word loop and the
 // call overhead is amortised anyway.
 const longRunCopy = 256
 
-// copyRun copies n bytes from src to dst, word-wide. See the file
-// comment for the overlap and bounds contract.
+// copyRun copies n bytes from src to dst, word-wide: len(dst) >= n and
+// len(src) >= n. See the file comment for the overlap and bounds
+// contract.
 func copyRun(dst, src []byte, n int64) {
 	if n <= 0 {
 		return
@@ -79,29 +94,39 @@ func copyRun(dst, src []byte, n int64) {
 	}
 }
 
-// copyRunGroups is the batch kernel of a fused layout→layout copy:
-// k groups of q runs of runLen bytes, both sides strided. Run j of
-// group i moves from src[so+i*sGroup+j*sStep:] to
-// dst[do+i*dGroup+j*dStep:]. A group is one long run of the side with
-// the longer runs, filled from (or spilled over) q short runs of the
-// other; with q == 1 the groups themselves are the runs. gatherRuns and
-// scatterRuns are its one-side-dense cases.
+// copyRunGroups is the one strided move of the package: k groups of q
+// runs of runLen bytes, either side dense or strided. Run j of group i
+// moves from src[so+i*sGroup+j*sStep:] to dst[do+i*dGroup+j*dStep:].
+// Pack and unpack are its one-side-dense cases — the stream side steps
+// by runLen, a stride instance is one group, a block-form tile is k
+// rows of q runs — and in a fused layout→layout copy a group is one
+// long run of the side with the longer runs, filled from (or spilled
+// over) q short runs of the other. With q == 1 the groups themselves
+// are the runs.
 //
-// 8-byte runs, the paper's doubles, move as words, four per iteration,
-// through pointers: the per-word slice checks cost more than the moves
-// (2.3× on the 8 B → 32 B pair). As in copyRun the bounds are enforced
-// once — strides within a batch are never negative, so the reslice to
-// the batch's last byte covers every access and a violating caller
-// panics instead of corrupting memory.
+// The bounds are enforced once per batch, as copyRun enforces them once
+// per run: both slices are resliced to the span the batch touches
+// before any byte moves, so a violating caller panics instead of
+// corrupting memory. Runs of 4 and 8 bytes (float, double), four per
+// iteration, and runs of any longer multiple of eight below longRunCopy
+// (16 is double complex) then move as words at offsets from the two
+// base pointers — no pointer is ever formed outside its slice — because
+// at those lengths the per-word slice checks cost more than the moves
+// (2.3× on the 8 B → 32 B pair, 1.7× on packing every other double).
+// Every other length goes run by run through copyRun.
 func copyRunGroups(dst, src []byte, do, so, dStep, sStep, dGroup, sGroup, runLen, q, k int64) {
 	if q == 1 {
 		q, k = k, 1
 		dStep, sStep = dGroup, sGroup
 	}
-	if k <= 0 || q <= 0 {
+	if k <= 0 || q <= 0 || runLen <= 0 {
 		return
 	}
-	if runLen != 8 || dStep < 0 || sStep < 0 || dGroup < 0 || sGroup < 0 {
+	dLo, dHi := batchSpan(do, dStep, dGroup, runLen, q, k)
+	sLo, sHi := batchSpan(so, sStep, sGroup, runLen, q, k)
+	dst, src = dst[dLo:dHi], src[sLo:sHi]
+	do, so = do-dLo, so-sLo
+	if runLen >= longRunCopy || (runLen&7 != 0 && runLen != 4) {
 		for ; k > 0; k-- {
 			o, u := do, so
 			for n := q; n > 0; n-- {
@@ -114,28 +139,69 @@ func copyRunGroups(dst, src []byte, do, so, dStep, sStep, dGroup, sGroup, runLen
 		}
 		return
 	}
-	dst = dst[do : do+(k-1)*dGroup+(q-1)*dStep+8]
-	src = src[so : so+(k-1)*sGroup+(q-1)*sStep+8]
-	// Offsets from the two base pointers, so no pointer is ever formed
-	// outside its slice.
 	dp, sp := unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0])
-	do, so = 0, 0
+	switch runLen {
+	case 8:
+		moveWordGroups[[8]byte](dp, sp, do, so, dStep, sStep, dGroup, sGroup, q, k)
+	case 4:
+		moveWordGroups[[4]byte](dp, sp, do, so, dStep, sStep, dGroup, sGroup, q, k)
+	default:
+		// 8·m bytes: 16-byte moves, then the odd word.
+		for ; k > 0; k-- {
+			o, u := do, so
+			for n := q; n > 0; n-- {
+				i := int64(0)
+				for ; i+16 <= runLen; i += 16 {
+					*(*[16]byte)(unsafe.Add(dp, o+i)) = *(*[16]byte)(unsafe.Add(sp, u+i))
+				}
+				if i < runLen {
+					*(*[8]byte)(unsafe.Add(dp, o+i)) = *(*[8]byte)(unsafe.Add(sp, u+i))
+				}
+				o += dStep
+				u += sStep
+			}
+			do += dGroup
+			so += sGroup
+		}
+	}
+}
+
+// moveWordGroups is copyRunGroups for runs of one word W: k groups of q
+// words, four words per iteration. The caller has checked that every
+// offset lies inside the slices dp and sp point into.
+func moveWordGroups[W [4]byte | [8]byte](dp, sp unsafe.Pointer, do, so, dStep, sStep, dGroup, sGroup, q, k int64) {
 	for ; k > 0; k-- {
 		o, u, n := do, so, q
 		for ; n >= 4; n -= 4 {
-			*(*[8]byte)(unsafe.Add(dp, o)) = *(*[8]byte)(unsafe.Add(sp, u))
-			*(*[8]byte)(unsafe.Add(dp, o+dStep)) = *(*[8]byte)(unsafe.Add(sp, u+sStep))
-			*(*[8]byte)(unsafe.Add(dp, o+2*dStep)) = *(*[8]byte)(unsafe.Add(sp, u+2*sStep))
-			*(*[8]byte)(unsafe.Add(dp, o+3*dStep)) = *(*[8]byte)(unsafe.Add(sp, u+3*sStep))
+			*(*W)(unsafe.Add(dp, o)) = *(*W)(unsafe.Add(sp, u))
+			*(*W)(unsafe.Add(dp, o+dStep)) = *(*W)(unsafe.Add(sp, u+sStep))
+			*(*W)(unsafe.Add(dp, o+2*dStep)) = *(*W)(unsafe.Add(sp, u+2*sStep))
+			*(*W)(unsafe.Add(dp, o+3*dStep)) = *(*W)(unsafe.Add(sp, u+3*sStep))
 			o += 4 * dStep
 			u += 4 * sStep
 		}
 		for ; n > 0; n-- {
-			*(*[8]byte)(unsafe.Add(dp, o)) = *(*[8]byte)(unsafe.Add(sp, u))
+			*(*W)(unsafe.Add(dp, o)) = *(*W)(unsafe.Add(sp, u))
 			o += dStep
 			u += sStep
 		}
 		do += dGroup
 		so += sGroup
 	}
+}
+
+// batchSpan returns the byte span [lo, hi) one side of a copyRunGroups
+// batch touches: k groups of q runs of runLen bytes, the first at o,
+// stepping by step within a group and by group between groups. A
+// negative stride extends the span downwards from o.
+func batchSpan(o, step, group, runLen, q, k int64) (lo, hi int64) {
+	lo, hi = o, o+runLen
+	for _, d := range [2]int64{(q - 1) * step, (k - 1) * group} {
+		if d < 0 {
+			lo += d
+		} else {
+			hi += d
+		}
+	}
+	return lo, hi
 }

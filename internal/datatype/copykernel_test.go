@@ -55,6 +55,134 @@ func TestCopyRunBoundsPanic(t *testing.T) {
 	copyRun(make([]byte, 4), make([]byte, 16), 8)
 }
 
+// groupSide is how one side of a copyRunGroups batch is laid out for a
+// run length: run to run within a group, and group to group.
+type groupSide struct {
+	name string
+	geom func(runLen, q int64) (step, group int64)
+}
+
+var groupSides = []groupSide{
+	{"dense", func(l, q int64) (int64, int64) { return l, q * l }},
+	{"strided", func(l, q int64) (int64, int64) { return l + 3, q*(l+3) + 5 }},
+	{"reversed", func(l, q int64) (int64, int64) { return -(l + 3), -(q*(l+3) + 5) }},
+}
+
+// groupBase returns where run (0, 0) of a batch must start so that the
+// whole batch lies at or after off, and how many bytes the batch spans
+// from off.
+func groupBase(off, step, group, runLen, q, k int64) (base, span int64) {
+	reach := (q-1)*step + (k-1)*group
+	if reach < 0 {
+		return off - reach, -reach + runLen
+	}
+	return off, reach + runLen
+}
+
+// TestCopyRunGroupsMatchesByteLoop sweeps the batch kernel over every
+// run-length class — the word fast paths (4, 8, 16, 8·m), the odd
+// lengths and the long runs that go through copyRun — with each side
+// dense, strided or walking backwards, group shapes around the 4×
+// unroll, and every base alignment, against one copy per run. The
+// buffers are sentinel-filled, so a byte written outside a run fails
+// the comparison.
+func TestCopyRunGroupsMatchesByteLoop(t *testing.T) {
+	lengths := []int64{24, 32, 40, 64, 248, 256, 264}
+	for l := int64(17); l >= 1; l-- {
+		lengths = append([]int64{l}, lengths...)
+	}
+	const room = 16 << 10
+	src := make([]byte, room)
+	for i := range src {
+		src[i] = byte(i*131 + 7)
+	}
+	dst, want := make([]byte, room), make([]byte, room)
+	for _, runLen := range lengths {
+		for _, ds := range groupSides {
+			for _, ss := range groupSides {
+				for _, q := range []int64{1, 3, 4, 5} {
+					for _, k := range []int64{1, 2, 7} {
+						dStep, dGroup := ds.geom(runLen, q)
+						sStep, sGroup := ss.geom(runLen, q)
+						for dOff := int64(0); dOff < 8; dOff++ {
+							for sOff := int64(0); sOff < 8; sOff++ {
+								do, dSpan := groupBase(dOff, dStep, dGroup, runLen, q, k)
+								so, _ := groupBase(sOff, sStep, sGroup, runLen, q, k)
+								// Sentinels up to eight bytes past the batch.
+								got, exp := dst[:dOff+dSpan+8], want[:dOff+dSpan+8]
+								for i := range got {
+									got[i], exp[i] = 0xCC, 0xCC
+								}
+								for i := int64(0); i < k; i++ {
+									for j := int64(0); j < q; j++ {
+										o, u := do+i*dGroup+j*dStep, so+i*sGroup+j*sStep
+										copy(exp[o:o+runLen], src[u:u+runLen])
+									}
+								}
+								copyRunGroups(got, src, do, so, dStep, sStep, dGroup, sGroup, runLen, q, k)
+								if !bytes.Equal(got, exp) {
+									t.Fatalf("runLen %d dst %s@%d src %s@%d q %d k %d: differs from per-run copy",
+										runLen, ds.name, dOff, ss.name, sOff, q, k)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCopyRunGroupsBoundsPanic pins the batch bounds contract: a batch
+// whose last (or, walking backwards, first) run leaves either slice
+// panics before any byte has moved, whichever path the run length
+// takes.
+func TestCopyRunGroupsBoundsPanic(t *testing.T) {
+	const q, k = 5, 3
+	for _, runLen := range []int64{4, 5, 8, 24, 264} {
+		for _, side := range groupSides[1:] {
+			step, group := side.geom(runLen, q)
+			base, span := groupBase(0, step, group, runLen, q, k)
+			type overrun struct {
+				name         string
+				dLen, sLen   int64
+				dBase, sBase int64
+			}
+			cases := []overrun{
+				{"dst short", span - 1, span, base, base},
+				{"src short", span, span - 1, base, base},
+			}
+			if step < 0 {
+				cases = append(cases,
+					overrun{"dst below 0", span, span, base - 1, base},
+					overrun{"src below 0", span, span, base, base - 1})
+			}
+			for _, c := range cases {
+				dst, src := make([]byte, c.dLen), make([]byte, c.sLen)
+				for i := range dst {
+					dst[i] = 0xCC
+				}
+				for i := range src {
+					src[i] = 0x11
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("runLen %d %s, %s: overrunning batch did not panic", runLen, side.name, c.name)
+						}
+					}()
+					copyRunGroups(dst, src, c.dBase, c.sBase, step, step, group, group, runLen, q, k)
+				}()
+				for i, b := range dst {
+					if b != 0xCC {
+						t.Fatalf("runLen %d %s, %s: byte %d written before the panic", runLen, side.name, c.name, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkCopyRunShort measures the word kernel on the short-run
 // lengths the paper's layouts produce, against the runtime memmove.
 func BenchmarkCopyRunShort(b *testing.B) {

@@ -302,8 +302,8 @@ func fusedExec(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, w int) {
 
 // fusedRange executes the packed byte range [lo, hi) of the fused
 // schedule with the tightest kernel for the pairing. A contiguous side
-// turns the transfer into a plain pack or unpack running the unrolled
-// compiled kernels against the peer's buffer window; a stride pair runs
+// turns the transfer into a plain pack or unpack running the compiled
+// kernels against the peer's buffer window; a stride pair runs
 // the ranged stride×stride kernel; pairings that involve a gather table
 // or a block form walk seeked pair iterators (table segments are
 // typically longer than stride runs, so the per-span bookkeeping
@@ -312,7 +312,7 @@ func fusedRange(srcPlan, dstPlan *Plan, src, dst buf.Block, lo, hi, total int64)
 	switch {
 	case dstPlan.kernel == KernelContig:
 		// Gather straight into the destination window: the source
-		// plan's own unrolled kernel, no staging in between.
+		// plan's own kernel, no staging in between.
 		stream := dst.Slice(int(dstPlan.contigOff), int(total))
 		srcPlan.runRange(src, stream, lo, hi, 0, packDirection)
 	case srcPlan.kernel == KernelContig:

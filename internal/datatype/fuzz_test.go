@@ -152,6 +152,14 @@ func FuzzPackRoundtrip(f *testing.F) {
 	// on/off differential below covers the collapsed kernels.
 	f.Add([]byte{2, 0, 2, 1, 1, 7, 0, 1, 1, 2, 0, 5, 16, 0, 7}) // hvector(6) of vector(8,1,2,f64), broken pitch
 	f.Add([]byte{2, 1, 1, 7, 1, 2, 4, 0, 0, 1, 0, 11})          // subarray [2,3,6]->[2,3,4] partial rows
+	// Every word path of the batch run kernel (copyRunGroups): 4-, 16-
+	// and 32-byte runs as one stride level and as 2-D block forms.
+	f.Add([]byte{1, 1, 1, 1, 0, 20, 2, 1, 9})                   // vector(21,1,3,int32): 21×4B step 12
+	f.Add([]byte{3, 1, 1, 1, 0, 22, 1, 2, 5})                   // vector(23,1,2,complex128): 23×16B step 32
+	f.Add([]byte{2, 1, 1, 1, 3, 18, 3, 1, 3})                   // vector(19,4,7,f64): 19×32B step 56
+	f.Add([]byte{1, 0, 1, 1, 1, 0, 6, 1, 1, 2, 0, 4, 12, 1, 7}) // hvector(5) of vector(7,1,2,int32): block2d 7×4B
+	f.Add([]byte{3, 0, 3, 1, 1, 0, 4, 1, 1, 2, 0, 3, 24, 2, 7}) // hvector(4) of vector(5,1,2,complex128): block2d 5×16B
+	f.Add([]byte{2, 0, 2, 1, 1, 3, 5, 4, 1, 2, 0, 3, 40, 1, 7}) // hvector(4) of vector(6,4,8,f64): block2d 6×32B
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &fuzzDecoder{data: data}

@@ -12,9 +12,8 @@ import (
 // strided-block pattern. The normalizer canonicalises a freshly
 // compiled program by merging abutting table segments, hoisting the
 // uniform element size where one exists, and collapsing recognised
-// block patterns into a canonForm descriptor executed by the
-// specialized kernel registry (registry.go) instead of the generic
-// table walk. Every execution tier — Plan.Pack/Unpack, the chunked
+// block patterns into a canonForm descriptor executed in closed form
+// (runBlock, block.go) instead of by the generic table walk. Every execution tier — Plan.Pack/Unpack, the chunked
 // PackRange/UnpackRange, SegIter/FusedCopy, ChunkPipeline and
 // ChecksumRange — runs the normalized program, so the denser IR speeds
 // up the packed, fused, pipelined, collective and retry paths at once.
@@ -98,7 +97,6 @@ func normalizeProg(p *planProg) {
 		p.merged = int64(len(p.segs)) - int64(cf.dims)
 		p.kernel = KernelBlock
 		p.class = KernelClass{Elem: elemClassOf(cf.runLen), Stride: StrideRegular, Dims: cf.dims}
-		p.bk = lookupBlockKernels(p.class)
 		p.segs = nil
 		planCounters.canonHits.Add(1)
 		planCounters.runsMerged.Add(p.merged)
@@ -229,10 +227,8 @@ func (p *Plan) Canon() (ok bool, rawRuns int64, dims int) {
 	return true, pr.canon.runsPerInst(), pr.canon.dims
 }
 
-// KernelClass returns the registry class of the program the plan
-// executes: the (element size × stride class × dimensionality) key the
-// specialized kernel was resolved under, or the generic class of the
-// raw kernel.
+// KernelClass returns the descriptive class of the program the plan
+// executes: its (element size × stride class × dimensionality) label.
 func (p *Plan) KernelClass() KernelClass {
 	if p.kernel == KernelContig {
 		return KernelClass{Elem: ElemAny, Stride: StrideNone, Dims: 1}
@@ -241,8 +237,8 @@ func (p *Plan) KernelClass() KernelClass {
 }
 
 // CanonicalString renders the committed type's compiled program after
-// normalization — the kernel, its geometry, the registry class it
-// resolved to, and (for collapsed tables) the run-count reduction — as
+// normalization — the kernel, its geometry, its class label, and (for
+// collapsed tables) the run-count reduction — as
 // a debug aid for understanding what a nested derived type actually
 // executes.
 func (t *Type) CanonicalString() string {

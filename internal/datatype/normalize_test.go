@@ -188,20 +188,44 @@ func TestNormalizeStats(t *testing.T) {
 	}
 }
 
-func TestKernelRegistryLookup(t *testing.T) {
-	if RegisteredKernelClasses() == 0 {
-		t.Fatal("empty kernel registry")
+// TestKernelClassLabels pins the descriptive class label of each
+// program family — what CanonicalString and the E19 study print. The
+// label selects no kernel; every class runs copyRunGroups.
+func TestKernelClassLabels(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func() *Type
+		want  string
+	}{
+		{"contig", func() *Type { return mustType(Contiguous(4, Float64)) }, "any/contig/1d"},
+		{"stride-8B", func() *Type { return mustType(Vector(8, 1, 2, Float64)) }, "elem8/regular/1d"},
+		{"stride-4B", func() *Type { return mustType(Vector(8, 1, 2, Float32)) }, "elem4/regular/1d"},
+		{"stride-16B", func() *Type { return mustType(Vector(8, 2, 4, Float64)) }, "elem16/regular/1d"},
+		{"stride-24B", func() *Type { return mustType(Vector(8, 3, 4, Float64)) }, "any/regular/1d"},
+		{"block2d-8B", func() *Type { return hvecOfVec(t, 4, 8, 1, 24) }, "elem8/regular/2d"},
+		{"block2d-64B", func() *Type { return hvecOfVec(t, 4, 6, 8, 24) }, "any/regular/2d"},
+		{"block3d-8B", func() *Type {
+			in := mustType(Vector(4, 1, 2, Float64))
+			mid := mustType(Hvector(3, 1, 72, in))
+			return mustType(Hvector(2, 1, 240, mid))
+		}, "elem8/regular/3d"},
+		{"gather-8B", func() *Type { return mustType(IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64)) }, "elem8/irregular/1d"},
 	}
-	// Exact hit for the hot 8-byte 2-D class.
-	k := lookupBlockKernels(KernelClass{Elem8, StrideRegular, 2})
-	if k.GatherTile == nil || k.ScatterTile == nil {
-		t.Fatal("elem8/regular/2d resolved nil kernels")
-	}
-	// Unknown class falls back to the generic tile.
-	g := lookupBlockKernels(KernelClass{ElemAny, StrideRegular, 5})
-	if g.GatherTile == nil || g.ScatterTile == nil {
-		t.Fatal("fallback resolved nil kernels")
-	}
+	withNormalize(true, func() {
+		for _, c := range cases {
+			ty := c.build()
+			if err := ty.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			plan, err := ty.CompilePlan(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := plan.KernelClass().String(); got != c.want {
+				t.Errorf("%s: class %q, want %q (%s)", c.name, got, c.want, ty.CanonicalString())
+			}
+		}
+	})
 }
 
 func TestCanonicalString(t *testing.T) {

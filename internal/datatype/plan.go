@@ -24,8 +24,8 @@ import (
 //     single-run instance): a single copy.
 //  2. KernelStride  — the instance flattens to the regular run/gap
 //     form (vector, hvector, subarray rows, …): a closed-form loop
-//     with unrolled fast paths for 4/8/16-byte runs, the paper's
-//     canonical small-block strides.
+//     handing each instance's whole runs to the batch run kernel
+//     (copyRunGroups).
 //  3. KernelGather  — irregular instances (indexed, struct, jittered
 //     hindexed): a flattened (userOff, packedOff, len) segment table
 //     walked with a tight copy loop; the table is built once at
@@ -45,14 +45,13 @@ type PlanKernel int
 const (
 	// KernelContig moves the whole message with a single copy.
 	KernelContig PlanKernel = iota
-	// KernelStride runs the closed-form regular run/gap loop with
-	// unrolled small-block fast paths.
+	// KernelStride runs the closed-form regular run/gap loop.
 	KernelStride
 	// KernelGather walks a flattened per-instance segment table.
 	KernelGather
 	// KernelBlock executes a canonical 2-D/3-D strided-block form the
-	// normalizer collapsed a gather table into, through the
-	// specialized kernel registry (normalize.go, registry.go).
+	// normalizer collapsed a gather table into (normalize.go,
+	// block.go).
 	KernelBlock
 )
 
@@ -145,15 +144,13 @@ type planProg struct {
 	// instead of a binary search.
 	uniform int64
 
-	// KernelBlock canonical form and its resolved registry kernels
-	// (normalize.go, registry.go).
+	// KernelBlock canonical form (normalize.go, block.go).
 	canon canonForm
-	bk    BlockKernels
 	// merged counts the raw table segments the canonical form
 	// replaced.
 	merged int64
 
-	// class is the kernel-registry class of the program.
+	// class is the descriptive class label of the program.
 	class KernelClass
 }
 
@@ -393,13 +390,12 @@ type PlanStats struct {
 	// and no allocation.
 	PlanHits, PlanMisses int64
 
-	ContigOps, ContigBytes     int64
-	StrideOps, StrideBytes     int64
-	GatherOps, GatherBytes     int64
+	ContigOps, ContigBytes int64
+	StrideOps, StrideBytes int64
+	GatherOps, GatherBytes int64
 	// BlockOps and BlockBytes count executions of canonical
 	// strided-block programs — gather tables the normalizer collapsed
-	// into closed 2-D/3-D forms served by the specialized kernel
-	// registry.
+	// into closed 2-D/3-D forms.
 	BlockOps, BlockBytes       int64
 	ParallelOps, ParallelBytes int64
 

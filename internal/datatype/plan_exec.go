@@ -8,6 +8,16 @@ import (
 	"repro/internal/buf"
 )
 
+// This file executes compiled plans: the exported whole-message and
+// packed-range entry points, the split of a range across workers, and
+// the per-kernel range executors. An executor does addressing only — a
+// closed-form seek to the range's first byte, then the range cut into
+// the largest batches its program has a fixed stride for — and hands
+// every batch to copyRunGroups and every leftover piece to copyRun
+// (copykernel.go); pack and unpack differ in which argument is the
+// dense one (moveRuns, moveRun). runBlock, the executor of the
+// canonical block forms, is in block.go.
+
 // Pack gathers the plan's full message from src into dst, returning
 // the bytes produced. It is the compiled equivalent of Type.Pack.
 func (p *Plan) Pack(src, dst buf.Block) (int64, error) {
@@ -193,8 +203,8 @@ func (p *Plan) runRange(user, stream buf.Block, lo, hi, soff int64, dir directio
 }
 
 // runStride is the regular run/gap kernel: closed-form addressing from
-// any packed position, whole runs moved by the unrolled copiers. soff
-// is the packed position of sb's byte 0.
+// any packed position, the whole runs of an instance moved as one
+// copyRunGroups batch. soff is the packed position of sb's byte 0.
 func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir direction) {
 	ub, sb := user.Bytes(), stream.Bytes()
 	pr := p.prog
@@ -211,13 +221,7 @@ func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir directi
 			if n > hi-pos {
 				n = hi - pos
 			}
-			o := inst*pr.ext + pr.start + j*step + runOff
-			sp := pos - soff
-			if dir == packDirection {
-				copyRun(sb[sp:], ub[o:], n)
-			} else {
-				copyRun(ub[o:], sb[sp:], n)
-			}
+			moveRun(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step+runOff, n, dir)
 			pos += n
 			runOff = 0
 			j++
@@ -227,12 +231,7 @@ func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir directi
 				nRuns = m
 			}
 			if nRuns > 0 {
-				base := inst*pr.ext + pr.start + j*step
-				if dir == packDirection {
-					gatherRuns(sb, ub, pos-soff, base, step, runLen, nRuns)
-				} else {
-					scatterRuns(sb, ub, pos-soff, base, step, runLen, nRuns)
-				}
+				moveRuns(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step, step, 0, runLen, nRuns, 1, dir)
 				pos += nRuns * runLen
 				j += nRuns
 			}
@@ -241,14 +240,7 @@ func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir directi
 			}
 			if j < pr.runs {
 				// Trailing partial run (the range ends mid-run).
-				n := hi - pos
-				o := inst*pr.ext + pr.start + j*step
-				sp := pos - soff
-				if dir == packDirection {
-					copyRun(sb[sp:], ub[o:], n)
-				} else {
-					copyRun(ub[o:], sb[sp:], n)
-				}
+				moveRun(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step, hi-pos, dir)
 				return
 			}
 		}
@@ -286,13 +278,7 @@ func (p *Plan) runGather(user, stream buf.Block, lo, hi, soff int64, dir directi
 			if n > hi-pos {
 				n = hi - pos
 			}
-			o := userBase + s.off + segOff
-			sp := pos - soff
-			if dir == packDirection {
-				copyRun(sb[sp:], ub[o:], n)
-			} else {
-				copyRun(ub[o:], sb[sp:], n)
-			}
+			moveRun(sb, ub, pos-soff, userBase+s.off+segOff, n, dir)
 			pos += n
 			idx++
 		}
@@ -303,98 +289,24 @@ func (p *Plan) runGather(user, stream buf.Block, lo, hi, soff int64, dir directi
 	}
 }
 
-// gatherRuns moves n whole runs of runLen bytes from the strided user
-// buffer into the packed stream, dispatching to an unrolled fast path
-// for the element sizes the paper's workloads use (4-, 8- and 16-byte
-// blocks: float, double, double complex).
-func gatherRuns(packed, strided []byte, ppos, base, step, runLen, n int64) {
-	switch runLen {
-	case 8:
-		for ; n >= 4; n -= 4 {
-			*(*[8]byte)(packed[ppos:]) = *(*[8]byte)(strided[base:])
-			*(*[8]byte)(packed[ppos+8:]) = *(*[8]byte)(strided[base+step:])
-			*(*[8]byte)(packed[ppos+16:]) = *(*[8]byte)(strided[base+2*step:])
-			*(*[8]byte)(packed[ppos+24:]) = *(*[8]byte)(strided[base+3*step:])
-			ppos += 32
-			base += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[8]byte)(packed[ppos:]) = *(*[8]byte)(strided[base:])
-			ppos += 8
-			base += step
-		}
-	case 4:
-		for ; n >= 4; n -= 4 {
-			*(*[4]byte)(packed[ppos:]) = *(*[4]byte)(strided[base:])
-			*(*[4]byte)(packed[ppos+4:]) = *(*[4]byte)(strided[base+step:])
-			*(*[4]byte)(packed[ppos+8:]) = *(*[4]byte)(strided[base+2*step:])
-			*(*[4]byte)(packed[ppos+12:]) = *(*[4]byte)(strided[base+3*step:])
-			ppos += 16
-			base += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[4]byte)(packed[ppos:]) = *(*[4]byte)(strided[base:])
-			ppos += 4
-			base += step
-		}
-	case 16:
-		for ; n > 0; n-- {
-			*(*[16]byte)(packed[ppos:]) = *(*[16]byte)(strided[base:])
-			ppos += 16
-			base += step
-		}
-	default:
-		for ; n > 0; n-- {
-			copyRun(packed[ppos:], strided[base:], runLen)
-			ppos += runLen
-			base += step
-		}
+// moveRuns moves k rows of q whole runs of runLen bytes between the
+// packed stream, dense from sb[sp:], and the user buffer, run j of row
+// i at ub[o+i*rowStride+j*step:]. Direction only decides which side of
+// copyRunGroups is the dense one.
+func moveRuns(sb, ub []byte, sp, o, step, rowStride, runLen, q, k int64, dir direction) {
+	if dir == packDirection {
+		copyRunGroups(sb, ub, sp, o, runLen, step, q*runLen, rowStride, runLen, q, k)
+	} else {
+		copyRunGroups(ub, sb, o, sp, step, runLen, rowStride, q*runLen, runLen, q, k)
 	}
 }
 
-// scatterRuns is the inverse of gatherRuns: packed stream back into
-// the strided user buffer.
-func scatterRuns(packed, strided []byte, ppos, base, step, runLen, n int64) {
-	switch runLen {
-	case 8:
-		for ; n >= 4; n -= 4 {
-			*(*[8]byte)(strided[base:]) = *(*[8]byte)(packed[ppos:])
-			*(*[8]byte)(strided[base+step:]) = *(*[8]byte)(packed[ppos+8:])
-			*(*[8]byte)(strided[base+2*step:]) = *(*[8]byte)(packed[ppos+16:])
-			*(*[8]byte)(strided[base+3*step:]) = *(*[8]byte)(packed[ppos+24:])
-			ppos += 32
-			base += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[8]byte)(strided[base:]) = *(*[8]byte)(packed[ppos:])
-			ppos += 8
-			base += step
-		}
-	case 4:
-		for ; n >= 4; n -= 4 {
-			*(*[4]byte)(strided[base:]) = *(*[4]byte)(packed[ppos:])
-			*(*[4]byte)(strided[base+step:]) = *(*[4]byte)(packed[ppos+4:])
-			*(*[4]byte)(strided[base+2*step:]) = *(*[4]byte)(packed[ppos+8:])
-			*(*[4]byte)(strided[base+3*step:]) = *(*[4]byte)(packed[ppos+12:])
-			ppos += 16
-			base += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[4]byte)(strided[base:]) = *(*[4]byte)(packed[ppos:])
-			ppos += 4
-			base += step
-		}
-	case 16:
-		for ; n > 0; n-- {
-			*(*[16]byte)(strided[base:]) = *(*[16]byte)(packed[ppos:])
-			ppos += 16
-			base += step
-		}
-	default:
-		for ; n > 0; n-- {
-			copyRun(strided[base:], packed[ppos:], runLen)
-			ppos += runLen
-			base += step
-		}
+// moveRun moves the n bytes of one run, or of the part of a run a
+// range edge leaves, between sb[sp:] and ub[o:].
+func moveRun(sb, ub []byte, sp, o, n int64, dir direction) {
+	if dir == packDirection {
+		copyRun(sb[sp:], ub[o:], n)
+	} else {
+		copyRun(ub[o:], sb[sp:], n)
 	}
 }

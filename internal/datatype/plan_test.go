@@ -2,6 +2,7 @@ package datatype
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -542,5 +543,161 @@ func TestPlanErrors(t *testing.T) {
 	}
 	if _, err := plan.Unpack(buf.Alloc(4), buf.Alloc(int(ty.Extent()))); err == nil {
 		t.Fatal("truncated packed source accepted")
+	}
+}
+
+// runLenElem returns the basic type and block length that make a
+// vector block of runLen bytes.
+func runLenElem(runLen int) (*Type, int) {
+	if runLen%8 == 0 {
+		return Float64, runLen / 8
+	}
+	return Float32, runLen / 4
+}
+
+// TestStrideAndBlockAllRunLengths drives the stride and block programs
+// over every run-length class of the batch kernel — the 4/8/16-byte and
+// 8·m-byte word paths, 12 bytes (per-run copyRun) and 264 bytes (the
+// memmove side of longRunCopy) — with rows that are not a multiple of
+// the kernel's 4× unroll. Small instances execute every packed range
+// [lo, hi) — sampled, past 256 bytes, as checkEveryRange describes — so
+// every leading/trailing partial run, row remainder and whole-row tile
+// boundary is entered; large ones execute whole through worker splits. PackRange and UnpackRange must agree with the
+// interpreting cursor, byte for byte, and write nothing else.
+func TestStrideAndBlockAllRunLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x57A1D))
+	for _, runLen := range []int{4, 8, 12, 16, 24, 32, 64, 264} {
+		elem, bl := runLenElem(runLen)
+		// Pitches that keep a row off the previous row's continuation
+		// and a plane off the previous plane's, which would flatten the
+		// nest back to one stride level.
+		rowPad, planePad := int64(runLen+24), int64(runLen+72)
+		shapes := []struct {
+			name   string
+			kernel PlanKernel
+			build  func(runs, rows int) *Type
+		}{
+			{"vector", KernelStride, func(runs, rows int) *Type {
+				return mustType(Vector(runs*rows, bl, bl+1, elem))
+			}},
+			{"block2d", KernelBlock, func(runs, rows int) *Type {
+				in := mustType(Vector(runs, bl, 2*bl, elem))
+				return mustType(Hvector(rows, 1, in.TrueExtent()+rowPad, in))
+			}},
+			{"block3d", KernelBlock, func(runs, rows int) *Type {
+				in := mustType(Vector(runs, bl, 2*bl, elem))
+				mid := mustType(Hvector(rows, 1, in.TrueExtent()+rowPad, in))
+				return mustType(Hvector(2, 1, mid.TrueExtent()+planePad, mid))
+			}},
+		}
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("%s/%dB", sh.name, runLen), func(t *testing.T) {
+				// Small: 5 runs a row (4× unroll plus one), 3 rows, 2 instances.
+				small := sh.build(5, 3)
+				checkEveryRange(t, small, 2, sh.kernel, int64(runLen), rng)
+				// Large: 7 runs a row, enough rows for ≥ 64 KiB.
+				large := sh.build(7, 1+(64<<10)/(7*runLen))
+				checkWorkerSplits(t, large, 2, sh.kernel, rng)
+			})
+		}
+	}
+}
+
+// checkEveryRange executes packed ranges [lo, hi) of (count × ty)
+// through PackRange and UnpackRange, against the cursor. A stream of at
+// most 256 bytes is cut at every byte position and executes every
+// range. A longer one is cut at each run boundary, its two neighbours
+// and the run's middle; every cut is a lo, and its hi are the next
+// eight cuts (every way to end within the next two runs), every
+// thirteenth cut after them (ends in later rows, planes and instances)
+// and the end of the stream.
+func checkEveryRange(t *testing.T, ty *Type, count int, kernel PlanKernel, runLen int64, rng *rand.Rand) {
+	t.Helper()
+	plan, err := ty.CompilePlan(count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Kernel() != kernel {
+		t.Fatalf("%v compiled to %v, want %v", ty, plan.Kernel(), kernel)
+	}
+	total := plan.Bytes()
+	every := total <= 256
+	var cuts []int64
+	for p := int64(0); p <= total; p++ {
+		if r := p % runLen; every || r <= 1 || r == runLen-1 || r == runLen/2 {
+			cuts = append(cuts, p)
+		}
+	}
+	bufLen := userBufLen(ty, count)
+	src := buf.Alloc(bufLen)
+	src.FillPattern(0x3C)
+	want := cursorPack(t, ty, src, count, rng)
+	junk := bytes.Repeat([]byte{0xEE}, bufLen)
+	sentinel := bytes.Repeat([]byte{0xCC}, int(total)+8)
+	stream := make([]byte, len(sentinel))
+	got, exp := buf.Alloc(bufLen), buf.Alloc(bufLen)
+	for i, lo := range cuts {
+		for j := i; j < len(cuts); j++ {
+			if !every && j > i+8 && (j-i)%13 != 0 && j != len(cuts)-1 {
+				continue
+			}
+			hi := cuts[j]
+			copy(stream, sentinel)
+			if err := plan.PackRange(src, buf.FromBytes(stream), lo, hi); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stream[:hi-lo], want[lo:hi]) {
+				t.Fatalf("%v: PackRange [%d,%d) differs from cursor", ty, lo, hi)
+			}
+			if !bytes.Equal(stream[hi-lo:], sentinel[hi-lo:]) {
+				t.Fatalf("%v: PackRange [%d,%d) wrote past the range", ty, lo, hi)
+			}
+			copy(got.Bytes(), junk)
+			copy(exp.Bytes(), junk)
+			if err := plan.UnpackRange(buf.FromBytes(want[lo:hi]), got, lo, hi); err != nil {
+				t.Fatal(err)
+			}
+			c := newCursor(ty, exp, count)
+			c.skip(lo)
+			if _, err := c.transfer(buf.FromBytes(want[lo:hi]), unpackDirection); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+				t.Fatalf("%v: UnpackRange [%d,%d) differs from cursor", ty, lo, hi)
+			}
+		}
+	}
+}
+
+// checkWorkerSplits executes (count × ty) whole through 1, 2, 3 and 7
+// workers in both directions, against the cursor.
+func checkWorkerSplits(t *testing.T, ty *Type, count int, kernel PlanKernel, rng *rand.Rand) {
+	t.Helper()
+	plan, err := ty.CompilePlan(count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Kernel() != kernel {
+		t.Fatalf("%v compiled to %v, want %v", ty, plan.Kernel(), kernel)
+	}
+	bufLen := userBufLen(ty, count)
+	src := buf.Alloc(bufLen)
+	src.FillPattern(0x71)
+	want := cursorPack(t, ty, src, count, rng)
+	exp := buf.Alloc(bufLen)
+	exp.FillPattern(0xEE)
+	cursorUnpack(t, ty, exp, count, want, rng)
+	for _, w := range []int{1, 2, 3, 7} {
+		packed := buf.Alloc(int(plan.Bytes()))
+		plan.runParallelN(src, packed, packDirection, w)
+		if !bytes.Equal(packed.Bytes(), want) {
+			t.Fatalf("%v workers=%d: pack differs from cursor", ty, w)
+		}
+		got := buf.Alloc(bufLen)
+		got.FillPattern(0xEE)
+		plan.runParallelN(got, packed, unpackDirection, w)
+		if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+			t.Fatalf("%v workers=%d: unpack differs from cursor", ty, w)
+		}
 	}
 }

@@ -12,17 +12,16 @@ import (
 	"repro/internal/stats"
 )
 
-// CanonStudy is E19: the Commit-time datatype normalizer and its
-// specialized kernel registry (the TEMPI direction), measured in real
-// (wall-clock) time.
+// CanonStudy is E19: the Commit-time datatype normalizer (the TEMPI
+// direction), measured in real (wall-clock) time.
 //
 // Each panel packs one nested derived type twice — once with the
-// normalization pass enabled (the canonical strided-block program
-// served by the kernel registry) and once with it disabled (the raw
+// normalization pass enabled (the canonical strided-block program,
+// executed in closed form) and once with it disabled (the raw
 // flattened gather table) — and charts both rates. Alongside the
 // bandwidths the study records what the pass actually did to each
 // type: the per-instance run count it collapsed, the dimensionality of
-// the closed form, the registry class the program resolved to, and the
+// the closed form, the class label of the program, and the
 // CanonicalString rendering, so the chart ties the speedup to the IR
 // transformation that produced it.
 //
@@ -47,7 +46,7 @@ type CanonPanel struct {
 
 	// Per-size attribution of the normalized program: the raw run
 	// count the pass collapsed (0 when it fell back to the table),
-	// the canonical dimensionality, the registry class, and the
+	// the canonical dimensionality, the class label, and the
 	// CanonicalString rendering.
 	RawRuns []int64
 	Dims    []int
