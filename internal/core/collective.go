@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/datatype"
 	"repro/internal/layout"
 	"repro/internal/memsim"
+	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 )
 
@@ -24,8 +24,8 @@ import (
 //     the packed slots, unpack at the far side — the two extra memory
 //     passes the typed path removes.
 //
-// Leg costs come from the memsim collective terms
-// (FusedCollectiveLegCost, StagedCollectiveLegCost) and compose across
+// Leg costs come from the memsim collective terms (FusedCopyCost for a
+// fused leg, StagedCollectiveLegCost for a staged one) and compose across
 // ranks with the fan shape the engine would pick
 // (perfmodel.CollectiveTreeLimit): a binomial tree for latency-bound
 // legs, the linear fan for bandwidth-bound ones.
@@ -87,18 +87,19 @@ func PriceCollective(ranks int, n int64, p *perfmodel.Profile) CollectiveCostMod
 	mem.SetDisabled(true) // steady-state estimate: cold, deterministic
 	wire := p.WireTime(n) + p.NetLatency
 	over := p.SendOverhead + p.RecvOverhead
-	m.Workers = datatype.ParallelWorkersFor(n)
+	k := mpi.KernelFor(false, n)
+	m.Workers = k.Workers
 	// The engine's tree rule: small legs, more than two ranks (a
 	// two-rank tree is the linear fan), and every aggregated
 	// store-and-forward hop still eager.
 	m.Tree = p.UseCollectiveTree(ranks, n)
 
-	selfLeg := mem.FusedCollectiveLegCost(0, 0, st, st, m.Workers)
+	selfLeg := mem.FusedCopyCost(0, 0, st, st, m.Workers)
+	stagedLeg := mem.StagedCollectiveLegCost(0, 0, 0, st, st)
 	if m.Tree {
 		// At tree sizes the legs are eager-staged (pack, forward,
 		// unpack) — the fused rendezvous needs the handshake — and
 		// every hop serialises its memory pass with the wire.
-		stagedLeg := mem.StagedCollectiveLegCost(0, 0, st, st)
 		m.TypedCollective = memsim.TreeFanCost(ranks, selfLeg, stagedLeg, wire, over)
 	} else {
 		// Linear fused fan: the remote senders' fused passes run
@@ -113,14 +114,8 @@ func PriceCollective(ranks int, n int64, p *perfmodel.Profile) CollectiveCostMod
 	// Packed-then-collective: the per-rank packs run concurrently too,
 	// but the root must unpack every remote slot itself, so the
 	// per-leg term is the larger of the wire and the root-side unpack.
-	var pack float64
-	if m.Workers > 1 {
-		pack = mem.ParallelCompiledGatherCost(0, 0, st, m.Workers)
-	} else {
-		pack = mem.CompiledGatherCost(0, 0, st)
-	}
-	unpack := mem.CompiledScatterCost(0, 0, st)
-	prologue := p.PackCallOverhead + pack + unpack // own pack + self-slot unpack
+	unpack := mem.ScatterCost(0, 0, st, memsim.Kernel{Engine: memsim.Compiled})
+	prologue := p.PackCallOverhead + mem.GatherCost(0, 0, st, k) + unpack // own pack + self-slot unpack
 	if m.Tree {
 		m.PackedCollective = prologue + memsim.TreeFanCost(ranks, 0, unpack, wire, over)
 	} else {
@@ -137,7 +132,6 @@ func PriceCollective(ranks int, n int64, p *perfmodel.Profile) CollectiveCostMod
 	if ns := p.Mem.NodeSize; ns > 1 && p.IntraNodeLatency > 0 && ranks > ns {
 		m.Nodes = (ranks + ns - 1) / ns
 		intraWire := p.WireTime(n) + p.IntraNodeLatency
-		stagedLeg := mem.StagedCollectiveLegCost(0, 0, st, st)
 		intra := memsim.LinearFanCost(ns, selfLeg, stagedLeg, intraWire, over)
 		if m.Tree {
 			m.TwoLevelTyped = intra + memsim.TreeFanCost(m.Nodes, 0, stagedLeg, wire, over)
@@ -146,17 +140,23 @@ func PriceCollective(ranks int, n int64, p *perfmodel.Profile) CollectiveCostMod
 		}
 	}
 
-	// Pipelined packed-segment ring: one serial compiled pack of the
-	// contribution, then p-1 hops whose per-hop span is the chunked
-	// pipeline of the block's wire against its unpack (the forwarded
-	// stream is read back out at streaming rate, which the duplex hop
-	// hides under the receive).
 	if !m.Tree {
-		serialPack := mem.CompiledGatherCost(0, 0, st)
-		hop := memsim.PipelinedChunkCost(wire, unpack, p.Chunks(n), p.PipelineDepth())
-		m.PipelinedRing = serialPack + float64(ranks-1)*(over+hop)
+		m.PipelinedRing = ringCost(mem, st, ranks, n, p)
 	}
 	return m
+}
+
+// ringCost prices the clean pipelined packed-segment ring: one serial
+// compiled pack of the contribution, then ranks-1 hops whose per-hop
+// span is the chunked pipeline of the block's wire against its unpack
+// (the forwarded stream is read back out at streaming rate, which the
+// duplex hop hides under the receive).
+func ringCost(mem *memsim.State, st layout.Stats, ranks int, n int64, p *perfmodel.Profile) float64 {
+	k := memsim.Kernel{Engine: memsim.Compiled}
+	wire := p.WireTime(n) + p.NetLatency
+	over := p.SendOverhead + p.RecvOverhead
+	hop := memsim.PipelinedChunkCost(wire, mem.ScatterCost(0, 0, st, k), p.Chunks(n), p.PipelineDepth())
+	return mem.GatherCost(0, 0, st, k) + float64(ranks-1)*(over+hop)
 }
 
 // TwoLevelSpeedup returns TypedCollective/TwoLevelTyped: >1 means the

@@ -96,15 +96,13 @@ func PriceCollectiveUnderFaults(ranks int, n int64, p *perfmodel.Profile, fp mem
 	}
 
 	// The ring is priced even where the clean model declines it (tree
-	// sizes), reusing the clean model's formula: one serial pack, then
-	// p-1 forwards of the packed block pipelined against its unpack.
+	// sizes), by the clean model's formula.
 	m.RingClean = m.PipelinedRing
 	if m.RingClean <= 0 {
 		st := layout.Describe(ForBytes(n).Layout())
 		mem := memsim.NewState(&p.Mem)
 		mem.SetDisabled(true)
-		ringHop := memsim.PipelinedChunkCost(wire, mem.CompiledScatterCost(0, 0, st), p.Chunks(n), p.PipelineDepth())
-		m.RingClean = mem.CompiledGatherCost(0, 0, st) + float64(ranks-1)*(over+ringHop)
+		m.RingClean = ringCost(mem, st, ranks, n, p)
 	}
 
 	// Critical-path hop counts per topology: the tree relays over

@@ -6,6 +6,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/layout"
 	"repro/internal/memsim"
+	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 )
 
@@ -71,7 +72,7 @@ type PackingCostModel struct {
 
 	// Normalized reports that the pack terms were priced with the
 	// canonicalised block kernel's further-amortised bookkeeping
-	// (memsim.NormalizedGatherCost): the type's compiled program
+	// (memsim.Normalized): the type's compiled program
 	// collapsed to a strided-block form at Commit.
 	Normalized bool
 }
@@ -142,21 +143,13 @@ func priceModel(n int64, st layout.Stats, normalized bool, p *perfmodel.Profile)
 	mem.SetDisabled(true) // steady-state estimate: cold, deterministic
 	wire := p.WireTime(n)
 
-	m.Workers = datatype.ParallelWorkersFor(n)
-	compiledGather := func(workers int) float64 {
-		switch {
-		case normalized && workers > 1:
-			return mem.ParallelNormalizedGatherCost(0, 0, st, workers)
-		case normalized:
-			return mem.NormalizedGatherCost(0, 0, st)
-		case workers > 1:
-			return mem.ParallelCompiledGatherCost(0, 0, st, workers)
-		}
-		return mem.CompiledGatherCost(0, 0, st)
-	}
-	m.CompiledPack = p.PackCallOverhead + compiledGather(m.Workers) + wire
+	// The compiled pack is priced with the spec mpi.PackCompiled
+	// charges a plan of this shape and size with.
+	k := mpi.KernelFor(normalized, n)
+	m.Workers = k.Workers
+	m.CompiledPack = p.PackCallOverhead + mem.GatherCost(0, 0, st, k) + wire
 
-	m.InterpretedPack = p.PackCallOverhead + mem.GatherCost(0, 0, st) + wire
+	m.InterpretedPack = p.PackCallOverhead + mem.GatherCost(0, 0, st, memsim.Kernel{}) + wire
 
 	// The direct datatype send interprets the type through MPI's
 	// internal chunk buffers at the internally degraded bandwidth
@@ -167,7 +160,7 @@ func priceModel(n int64, st layout.Stats, normalized bool, p *perfmodel.Profile)
 	}
 	m.Chunks = p.Chunks(n)
 	m.Depth = p.PipelineDepth()
-	m.TypedSend = mem.GatherCost(0, 0, st) + float64(m.Chunks)*p.ChunkOverhead + typedWire
+	m.TypedSend = mem.GatherCost(0, 0, st, memsim.Kernel{}) + float64(m.Chunks)*p.ChunkOverhead + typedWire
 
 	// The pipelined typed send runs the same chunked staging, but the
 	// compiled pack of chunk k+1 overlaps the injection of chunk k
@@ -175,7 +168,7 @@ func priceModel(n int64, st layout.Stats, normalized bool, p *perfmodel.Profile)
 	// pipeline bound. Rendezvous only: the eager path packs in one
 	// shot before the envelope leaves.
 	if !p.Eager(n, false) && m.Chunks > 1 {
-		pipePack := compiledGather(1) + float64(m.Chunks)*p.ChunkOverhead
+		pipePack := mem.GatherCost(0, 0, st, memsim.Kernel{Engine: k.Engine}) + float64(m.Chunks)*p.ChunkOverhead
 		m.PipelinedSend = memsim.PipelinedChunkCost(pipePack, typedWire, m.Chunks, m.Depth)
 	}
 
@@ -186,8 +179,7 @@ func priceModel(n int64, st layout.Stats, normalized bool, p *perfmodel.Profile)
 	// handshake exposes the destination. The pass splits across the
 	// same workers as the compiled pack, as mpi charges it.
 	if !p.Eager(n, false) {
-		contigSt := layout.Stats{Segments: 1, Bytes: n, Extent: n, AvgBlock: float64(n), MinBlock: n, MaxBlock: n, Density: 1}
-		m.FusedSend = max(wire, mem.ParallelFusedCopyCost(0, 0, st, contigSt, m.Workers))
+		m.FusedSend = max(wire, mem.FusedCopyCost(0, 0, st, layout.Dense(n), m.Workers))
 	}
 	return m
 }

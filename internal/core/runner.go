@@ -7,6 +7,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/datatype"
 	"repro/internal/layout"
+	"repro/internal/memsim"
 	"repro/internal/mpi"
 )
 
@@ -144,7 +145,7 @@ func (ps *pairState) check() error {
 func (ps *pairState) gatherLoop(dst buf.Block) {
 	lay := ps.w.Layout()
 	st := layout.Describe(lay)
-	ps.c.Charge(ps.c.Cache().GatherCost(ps.src.Region(), dst.Region(), st))
+	ps.c.Charge(ps.c.Cache().GatherCost(ps.src.Region(), dst.Region(), st, memsim.Kernel{}))
 	if ps.src.IsVirtual() || dst.IsVirtual() {
 		return
 	}
@@ -504,7 +505,7 @@ func (r *packRunner) Ping() error {
 		elems := r.w.Elems()
 		r.c.Charge(float64(elems) * r.c.Profile().CallOverhead)
 		st := layout.Describe(r.w.Layout())
-		r.c.Charge(r.c.Cache().GatherCost(r.src.Region(), r.sendbuf.Region(), st))
+		r.c.Charge(r.c.Cache().GatherCost(r.src.Region(), r.sendbuf.Region(), st, memsim.Kernel{}))
 		if !r.w.Virtual {
 			if _, err := r.ty.Pack(r.src, 1, r.sendbuf); err != nil {
 				return err

@@ -122,8 +122,8 @@ func TestNormalizeSubarrayOfContiguous(t *testing.T) {
 	if ok, raw, _ := plan.Canon(); !ok || raw != 6 {
 		t.Fatalf("Canon() = (%v, %d, _), want (true, 6, _)", ok, raw)
 	}
-	// 24-byte rows land outside the unrolled element classes: the
-	// registry must have fallen back to the element-agnostic tile.
+	// 24-byte rows are none of the named element widths: the class
+	// must be the element-agnostic one.
 	if c := plan.KernelClass(); c.Elem != ElemAny || c.Stride != StrideRegular {
 		t.Fatalf("class = %v, want any/regular", c)
 	}

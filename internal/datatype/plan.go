@@ -337,13 +337,6 @@ func (p *Plan) Parallel() bool {
 	return p.total >= ParallelPackThreshold() && p.workers() > 1
 }
 
-// Workers returns the goroutine fan-out a full-message execution of
-// this plan uses: 1 below the parallel threshold. Cost models use it
-// to price the parallel-pack term.
-func (p *Plan) Workers() int {
-	return ParallelWorkersFor(p.total)
-}
-
 // workers returns the parallel fan-out for this plan's size, ignoring
 // the threshold (execute checks that separately).
 func (p *Plan) workers() int { return workersFor(p.total) }

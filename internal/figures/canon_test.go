@@ -9,8 +9,8 @@ import (
 )
 
 // TestCanonStudy pins the E19 contract: the collapsing families resolve
-// to block kernels with positive run-count reductions and regular-class
-// registry keys, every packed byte of their canon sweeps lands on
+// to block kernels with positive run-count reductions and regular
+// kernel classes, every packed byte of their canon sweeps lands on
 // BlockOps, the irregular control keeps its gather table, size bounds
 // are honoured, and Render reports the per-size attribution.
 func TestCanonStudy(t *testing.T) {
@@ -38,7 +38,7 @@ func TestCanonStudy(t *testing.T) {
 						p.Layout, n, p.RawRuns[i], p.Dims[i])
 				}
 				if !strings.Contains(p.Classes[i], "regular") {
-					t.Errorf("%s at %d B: class %q, want a regular registry key", p.Layout, n, p.Classes[i])
+					t.Errorf("%s at %d B: class %q, want a regular kernel class", p.Layout, n, p.Classes[i])
 				}
 				if !strings.Contains(p.Forms[i], "canon{block") {
 					t.Errorf("%s at %d B: form %q, want a block canonical form", p.Layout, n, p.Forms[i])

@@ -83,3 +83,10 @@ func (s Subarray2D) DescribeFast() (Stats, bool) {
 	st.Density = float64(st.Bytes) / float64(st.Extent)
 	return st, true
 }
+
+// Dense returns the statistics of one contiguous run of n bytes — a
+// packed buffer, or the contiguous side of a fused transfer.
+func Dense(n int64) Stats {
+	st, _ := Contig{N: n}.DescribeFast()
+	return st
+}

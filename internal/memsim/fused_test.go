@@ -13,10 +13,6 @@ func everyOtherStats() layout.Stats {
 	return layout.Stats{Segments: 1 << 17, Bytes: 1 << 20, Extent: 2 << 20, AvgBlock: 8, AvgGap: 8, MinBlock: 8, MaxBlock: 8, Density: 0.5}
 }
 
-func contigStats(n int64) layout.Stats {
-	return layout.Stats{Segments: 1, Bytes: n, Extent: n, AvgBlock: float64(n), MinBlock: n, MaxBlock: n, Density: 1}
-}
-
 // TestFusedCopyCostUnderStagedSum pins the point of the fused engine:
 // one pass must price below the staged gather+scatter pipeline it
 // replaces, for both typed→contig and typed→typed destinations, while
@@ -26,11 +22,11 @@ func TestFusedCopyCostUnderStagedSum(t *testing.T) {
 	n := st.Bytes
 	srcR, stagingR, dstR := buf.Alloc(1).Region(), buf.Alloc(1).Region(), buf.Alloc(1).Region()
 
-	for _, dstSt := range []layout.Stats{contigStats(n), st} {
-		fused := NewState(testHierarchy()).FusedCopyCost(srcR, dstR, st, dstSt)
+	for _, dstSt := range []layout.Stats{layout.Dense(n), st} {
+		fused := NewState(testHierarchy()).FusedCopyCost(srcR, dstR, st, dstSt, 1)
 		stagedState := NewState(testHierarchy())
-		staged := stagedState.CompiledGatherCost(srcR, stagingR, st) +
-			stagedState.CompiledScatterCost(stagingR, dstR, dstSt)
+		staged := stagedState.GatherCost(srcR, stagingR, st, Kernel{Engine: Compiled}) +
+			stagedState.ScatterCost(stagingR, dstR, dstSt, Kernel{Engine: Compiled})
 		if fused >= staged {
 			t.Fatalf("fused %g not under staged gather+scatter %g (dst segments %d)", fused, staged, dstSt.Segments)
 		}
@@ -47,7 +43,7 @@ func TestFusedCopyCostUnderStagedSum(t *testing.T) {
 // TestFusedCopyCostZero pins the trivial cases.
 func TestFusedCopyCostZero(t *testing.T) {
 	s := NewState(testHierarchy())
-	if c := s.FusedCopyCost(1, 2, layout.Stats{}, layout.Stats{}); c != 0 {
+	if c := s.FusedCopyCost(1, 2, layout.Stats{}, layout.Stats{}, 1); c != 0 {
 		t.Fatalf("empty fused copy priced %g", c)
 	}
 }
@@ -64,8 +60,8 @@ func TestParallelBWScaleProfileField(t *testing.T) {
 	low.ParallelBWScale = 2
 	high := testHierarchy()
 	high.ParallelBWScale = 8
-	costLow := NewState(low).ParallelCompiledGatherCost(src, dst, st, 16)
-	costHigh := NewState(high).ParallelCompiledGatherCost(src, dst, st, 16)
+	costLow := NewState(low).GatherCost(src, dst, st, Kernel{Engine: Compiled, Workers: 16})
+	costHigh := NewState(high).GatherCost(src, dst, st, Kernel{Engine: Compiled, Workers: 16})
 	if costHigh >= costLow {
 		t.Fatalf("higher ParallelBWScale did not cut the saturated cost: %g >= %g", costHigh, costLow)
 	}
@@ -83,26 +79,27 @@ func TestParallelBWScaleProfileField(t *testing.T) {
 	}
 }
 
-// TestParallelFusedCopyCostSpeedup pins the parallel fused pricer: more
-// workers cost less, saturating at the hierarchy's ParallelBWScale.
-func TestParallelFusedCopyCostSpeedup(t *testing.T) {
+// TestFusedCopyCostWorkersSpeedup pins the fused pricer's worker
+// argument: more workers cost less, saturating at the hierarchy's
+// ParallelBWScale.
+func TestFusedCopyCostWorkersSpeedup(t *testing.T) {
 	st := everyOtherStats()
 	srcR, dstR := buf.Alloc(1).Region(), buf.Alloc(1).Region()
-	serial := NewState(testHierarchy()).FusedCopyCost(srcR, dstR, st, st)
-	par4 := NewState(testHierarchy()).ParallelFusedCopyCost(srcR, dstR, st, st, 4)
+	serial := NewState(testHierarchy()).FusedCopyCost(srcR, dstR, st, st, 0)
+	par4 := NewState(testHierarchy()).FusedCopyCost(srcR, dstR, st, st, 4)
 	if par4 >= serial {
 		t.Fatalf("4-worker fused pass %g not under serial %g", par4, serial)
 	}
 	// Past the saturation cap, extra workers only shave bookkeeping.
 	h := testHierarchy()
-	cap16 := NewState(testHierarchy()).ParallelFusedCopyCost(srcR, dstR, st, st, 16)
+	cap16 := NewState(testHierarchy()).FusedCopyCost(srcR, dstR, st, st, 16)
 	floor := float64(h.Traffic(st)) / (h.CopyBW * h.parallelScale())
 	if cap16 < floor*0.2 {
 		t.Fatalf("16-worker fused pass %g far below the saturated floor %g", cap16, floor)
 	}
-	one := NewState(testHierarchy()).ParallelFusedCopyCost(srcR, dstR, st, st, 1)
+	one := NewState(testHierarchy()).FusedCopyCost(srcR, dstR, st, st, 1)
 	if one != serial {
-		t.Fatalf("1-worker parallel pricer %g differs from FusedCopyCost %g", one, serial)
+		t.Fatalf("1-worker fused pass %g differs from the 0-worker (serial) one %g", one, serial)
 	}
 }
 
@@ -113,8 +110,13 @@ func TestParallelFusedCopyCostSpeedup(t *testing.T) {
 func TestCollectiveLegCosts(t *testing.T) {
 	st := everyOtherStats()
 	srcR, dstR := buf.Alloc(1).Region(), buf.Alloc(1).Region()
-	fused := NewState(testHierarchy()).FusedCollectiveLegCost(srcR, dstR, st, st, 1)
-	staged := NewState(testHierarchy()).StagedCollectiveLegCost(srcR, dstR, st, st)
+	fused := NewState(testHierarchy()).FusedCopyCost(srcR, dstR, st, st, 1)
+	stagingR := buf.Alloc(1).Region()
+	staged := NewState(testHierarchy()).StagedCollectiveLegCost(srcR, stagingR, dstR, st, st)
+	hand := NewState(testHierarchy())
+	if sum := hand.GatherCost(srcR, stagingR, st, Kernel{Engine: Compiled}) + hand.ScatterCost(stagingR, dstR, st, Kernel{Engine: Compiled}); staged != sum {
+		t.Fatalf("staged leg %g is not its compiled pack plus compiled unpack %g", staged, sum)
+	}
 	if fused >= staged {
 		t.Fatalf("fused leg %g not under staged leg %g", fused, staged)
 	}

@@ -19,6 +19,24 @@
 //     better (§4.7).
 //   - Data resident in cache is read at cache bandwidth, which is why
 //     not flushing between ping-pongs helps intermediate sizes (§4.6).
+//
+// Every engine moves the same lines — the traffic term above — and
+// differs only in bookkeeping (§2.2–2.3), so GatherCost and ScatterCost
+// take a Kernel spec and FusedCopyCost a worker count (its engine is
+// always Compiled). With w = max(Workers, 1):
+//
+//	Engine        cost per segment
+//	Interpreted   SegmentOverhead / w
+//	Compiled      SegmentOverhead / CompiledUnrollFactor / w
+//	Normalized    SegmentOverhead / (CompiledUnrollFactor·NormalizedUnrollFactor) / w
+//
+//	Workers       bandwidth multiplier
+//	w = 1         1
+//	w > 1         min(w, ParallelBWScale), the socket's saturation cap
+//	              (DefaultParallelBWScale when the profile leaves it zero)
+//
+// Per-segment bookkeeping is embarrassingly parallel, so it divides by w
+// uncapped; only the traffic term saturates.
 package memsim
 
 import (
@@ -322,14 +340,30 @@ func roundUp(n, q int64) int64 {
 	return (n + q - 1) / q * q
 }
 
-// GatherCost prices a user-space gather loop: read src through the
-// layout, write st.Bytes contiguously. Destination writes interleave
-// with reads and are not charged (paper §2.2); the cost is read
-// traffic at the blended bandwidth plus per-segment overhead.
-// The call updates warmth: the source lines and the destination become
-// resident.
-func (s *State) GatherCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.gatherCost(src, dst, st, s.h.SegmentOverhead, 1)
+// Engine names which loop executes a gather or scatter; the engines
+// move the same lines and differ only in per-segment bookkeeping.
+type Engine uint8
+
+const (
+	// Interpreted is the generic interpreting loop: MPI_Pack on a
+	// derived type, the datatype send's internal gather.
+	Interpreted Engine = iota
+	// Compiled is a compiled pack plan (internal/datatype/plan.go), the
+	// model behind the "packing(c)" scheme column.
+	Compiled
+	// Normalized is a compiled plan whose program the Commit-time
+	// normalizer collapsed into a closed-form strided-block descriptor
+	// (datatype.KernelBlock), the term behind the "normalized<=raw"
+	// guideline and the E19 model panel.
+	Normalized
+)
+
+// Kernel is the spec a gather or scatter is priced with: which engine
+// runs the loop and across how many goroutines it splits. The zero
+// value is the interpreting serial loop; Workers below 1 means 1.
+type Kernel struct {
+	Engine  Engine
+	Workers int
 }
 
 // CompiledUnrollFactor is how far a compiled pack plan amortises the
@@ -339,67 +373,17 @@ func (s *State) GatherCost(src buf.Region, dst buf.Region, st layout.Stats) floa
 // overlap the copies instead of serialising with them.
 const CompiledUnrollFactor = 8
 
-// CompiledGatherCost prices the gather when a compiled pack plan runs
-// it (see internal/datatype/plan.go): the memory traffic is identical
-// — lines are lines — but the per-segment bookkeeping is amortised by
-// CompiledUnrollFactor. This is the model behind the "packing(c)"
-// scheme column: compiled packing approaches the traffic bound that
-// generic interpretation cannot reach on small-block layouts.
-func (s *State) CompiledGatherCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.gatherCost(src, dst, st, s.h.SegmentOverhead/CompiledUnrollFactor, 1)
-}
-
-// CompiledScatterCost is the scatter-side mirror of
-// CompiledGatherCost.
-func (s *State) CompiledScatterCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.scatterCost(src, dst, st, s.h.SegmentOverhead/CompiledUnrollFactor, 1)
-}
-
 // NormalizedUnrollFactor is the additional per-segment amortisation of
 // a canonicalised block program over a generic compiled gather: the
-// Commit-time normalizer collapses the segment table into a closed-form
-// strided-block descriptor, so the kernel enumerates whole rows through
-// an unrolled tile with no table walk, no binary-search entry and no
-// per-segment length fetch. It composes with CompiledUnrollFactor.
+// kernel enumerates whole rows from the closed-form descriptor with no
+// table walk, no binary-search entry and no per-segment length fetch.
+// It composes with CompiledUnrollFactor.
 const NormalizedUnrollFactor = 2
-
-// NormalizedGatherCost prices the gather when the plan's program was
-// canonicalised into a strided-block form (datatype.KernelBlock): the
-// traffic term is unchanged — lines are lines — but the per-segment
-// bookkeeping amortises a further NormalizedUnrollFactor beyond the
-// generic compiled kernel. This is the cost term behind the
-// "normalized<=raw" guideline and the E19 model panel.
-func (s *State) NormalizedGatherCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.gatherCost(src, dst, st, s.h.SegmentOverhead/(CompiledUnrollFactor*NormalizedUnrollFactor), 1)
-}
-
-// NormalizedScatterCost is the scatter-side mirror of
-// NormalizedGatherCost.
-func (s *State) NormalizedScatterCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.scatterCost(src, dst, st, s.h.SegmentOverhead/(CompiledUnrollFactor*NormalizedUnrollFactor), 1)
-}
-
-// ParallelNormalizedGatherCost prices the canonicalised gather when the
-// plan engine splits the packed range across workers goroutines.
-func (s *State) ParallelNormalizedGatherCost(src buf.Region, dst buf.Region, st layout.Stats, workers int) float64 {
-	return s.gatherCost(src, dst, st,
-		s.h.SegmentOverhead/(CompiledUnrollFactor*NormalizedUnrollFactor)/float64(maxInt(workers, 1)),
-		s.h.parallelSpeedup(workers))
-}
-
-// ParallelNormalizedScatterCost is the scatter-side mirror of
-// ParallelNormalizedGatherCost.
-func (s *State) ParallelNormalizedScatterCost(src buf.Region, dst buf.Region, st layout.Stats, workers int) float64 {
-	return s.scatterCost(src, dst, st,
-		s.h.SegmentOverhead/(CompiledUnrollFactor*NormalizedUnrollFactor)/float64(maxInt(workers, 1)),
-		s.h.parallelSpeedup(workers))
-}
 
 // DefaultParallelBWScale is the saturation cap used when a Hierarchy
 // does not calibrate its own ParallelBWScale: the paper-era socket
 // shape, where roughly 3–4 cores' worth of copy bandwidth saturates a
-// socket. (This was previously the package-wide constant
-// ParallelBWScale; it is now a per-profile Hierarchy field.)
+// socket.
 const DefaultParallelBWScale = 3.5
 
 // parallelScale returns the hierarchy's saturation cap, defaulted.
@@ -416,33 +400,72 @@ func (h *Hierarchy) parallelSpeedup(w int) float64 {
 	if w <= 1 {
 		return 1
 	}
-	sp := float64(w)
-	if cap := h.parallelScale(); sp > cap {
-		sp = cap
+	return min(float64(w), h.parallelScale())
+}
+
+// unroll is each engine's divisor of SegmentOverhead.
+var unroll = [...]float64{Interpreted: 1, Compiled: CompiledUnrollFactor, Normalized: CompiledUnrollFactor * NormalizedUnrollFactor}
+
+// terms resolves a kernel spec on this memory system to the package
+// comment's two tables: bookkeeping cost per segment and bandwidth
+// multiplier. One worker divides and multiplies by exactly 1, so the
+// serial prices fall out of the parallel expressions.
+func (h *Hierarchy) terms(k Kernel) (segOverhead, speedup float64) {
+	return h.SegmentOverhead / unroll[k.Engine] / float64(max(k.Workers, 1)), h.parallelSpeedup(k.Workers)
+}
+
+// GatherCost prices a gather loop run by kernel k: read src through the
+// layout, write st.Bytes contiguously. Destination writes interleave
+// with reads and are not charged (paper §2.2); the cost is read
+// traffic at the blended bandwidth plus per-segment overhead.
+// The call updates warmth: the source lines and the destination become
+// resident.
+func (s *State) GatherCost(src buf.Region, dst buf.Region, st layout.Stats, k Kernel) float64 {
+	traffic := s.h.Traffic(st)
+	if traffic == 0 {
+		return 0
 	}
-	return sp
+	segOverhead, speedup := s.h.terms(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res := s.residency(src, traffic)
+	bw := s.readBandwidth(s.h.CopyBW, res, st) * speedup
+	cost := float64(traffic)/bw + float64(st.Segments)*segOverhead
+	s.touch(src, traffic)
+	s.touch(dst, st.Bytes)
+	return cost
 }
 
-// ParallelCompiledGatherCost prices the compiled gather when the plan
-// engine splits the packed range across workers goroutines (messages
-// over datatype.SetParallelPackThreshold): the traffic term scales by
-// the saturating parallel speedup, and the per-segment bookkeeping —
-// embarrassingly parallel — divides across the workers. This is the
-// parallel-pack term that lets the recommendation engine price
-// packing(c) against datatype sends at large sizes.
-func (s *State) ParallelCompiledGatherCost(src buf.Region, dst buf.Region, st layout.Stats, workers int) float64 {
-	return s.gatherCost(src, dst, st, s.h.SegmentOverhead/CompiledUnrollFactor/float64(maxInt(workers, 1)), s.h.parallelSpeedup(workers))
-}
-
-// ParallelCompiledScatterCost is the scatter-side mirror of
-// ParallelCompiledGatherCost.
-func (s *State) ParallelCompiledScatterCost(src buf.Region, dst buf.Region, st layout.Stats, workers int) float64 {
-	return s.scatterCost(src, dst, st, s.h.SegmentOverhead/CompiledUnrollFactor/float64(maxInt(workers, 1)), s.h.parallelSpeedup(workers))
+// ScatterCost prices the inverse loop: read a contiguous source of
+// st.Bytes and write it out through the layout. Reads are contiguous,
+// but scattered writes still allocate the destination lines, so the
+// charged traffic is the contiguous read plus the destination line
+// fills beyond the payload itself.
+func (s *State) ScatterCost(src buf.Region, dst buf.Region, st layout.Stats, k Kernel) float64 {
+	if st.Bytes == 0 {
+		return 0
+	}
+	segOverhead, speedup := s.h.terms(k)
+	traffic := roundUp(st.Bytes, s.h.LineSize)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res := s.residency(src, traffic)
+	bw := s.readBandwidth(s.h.CopyBW, res, layout.Stats{Segments: 1, Bytes: st.Bytes, Extent: st.Bytes}) * speedup
+	cost := float64(traffic) / bw
+	// Write-allocate fills for the partial destination lines.
+	if extra := s.h.Traffic(st) - traffic; extra > 0 {
+		cost += float64(extra) / (s.h.CopyBW * speedup)
+	}
+	cost += float64(st.Segments) * segOverhead
+	s.touch(src, traffic)
+	s.touch(dst, s.h.Traffic(st))
+	return cost
 }
 
 // FusedCopyCost prices the one-pass fused scatter/gather of a
-// plan-driven transfer (datatype.FusedCopy behind the sendv
-// rendezvous): read the source through its layout and write the
+// plan-driven transfer (datatype.FusedCopy behind the sendv rendezvous
+// and the typed collectives' fused legs), split across workers
+// goroutines: read the source through its layout and write the
 // destination through its layout in a single pass. Compared with the
 // staged pipeline it replaces — a gather into a staging buffer plus a
 // scatter out of it — the payload crosses the memory system once, the
@@ -450,22 +473,7 @@ func (s *State) ParallelCompiledScatterCost(src buf.Region, dst buf.Region, st l
 // layers' segment walks collapse into one fused schedule whose
 // bookkeeping is the larger of the two segment counts at the
 // compiled engines' amortised per-segment cost.
-func (s *State) FusedCopyCost(src buf.Region, dst buf.Region, srcSt, dstSt layout.Stats) float64 {
-	return s.fusedCopyCost(src, dst, srcSt, dstSt, 1)
-}
-
-// ParallelFusedCopyCost prices the fused one-pass transfer when the
-// pair schedule splits across workers goroutines (messages of at least
-// datatype.SetParallelPackThreshold bytes): the single pass's traffic
-// scales by the saturating parallel speedup (ParallelBWScale, the same
-// cap as parallel compiled packing) and the fused segment bookkeeping
-// divides across the workers.
-func (s *State) ParallelFusedCopyCost(src buf.Region, dst buf.Region, srcSt, dstSt layout.Stats, workers int) float64 {
-	return s.fusedCopyCost(src, dst, srcSt, dstSt, workers)
-}
-
-// fusedCopyCost is the shared body of the fused pricers.
-func (s *State) fusedCopyCost(src buf.Region, dst buf.Region, srcSt, dstSt layout.Stats, workers int) float64 {
+func (s *State) FusedCopyCost(src buf.Region, dst buf.Region, srcSt, dstSt layout.Stats, workers int) float64 {
 	traffic := s.h.Traffic(srcSt)
 	if traffic == 0 {
 		return 0
@@ -482,11 +490,8 @@ func (s *State) fusedCopyCost(src buf.Region, dst buf.Region, srcSt, dstSt layou
 	if extra := s.h.Traffic(dstSt) - roundUp(dstSt.Bytes, s.h.LineSize); extra > 0 {
 		cost += float64(extra) / (s.h.CopyBW * speedup)
 	}
-	segs := srcSt.Segments
-	if dstSt.Segments > segs {
-		segs = dstSt.Segments
-	}
-	cost += float64(segs) * s.h.SegmentOverhead / CompiledUnrollFactor / float64(maxInt(workers, 1))
+	segs := max(srcSt.Segments, dstSt.Segments)
+	cost += float64(segs) * s.h.SegmentOverhead / CompiledUnrollFactor / float64(max(workers, 1))
 	s.touch(src, traffic)
 	s.touch(dst, s.h.Traffic(dstSt))
 	return cost
@@ -518,25 +523,19 @@ func PipelinedChunkCost(pack, consume float64, chunks int64, depth int) float64 
 }
 
 // Collective cost terms. A fan collective (gather/scatter shape) is a
-// set of per-leg layout transfers serialised at the root; the two
-// terms below price one leg under each engine, and the fan composers
-// fold legs across the communicator. core.PriceCollective composes
-// them into the packed-then-collective vs typed-collective comparison.
-
-// FusedCollectiveLegCost prices one leg of a typed collective riding
-// the fused engine: the payload crosses the memory system once,
-// straight between the two rank layouts (the root's self-leg, or a
-// fused sendv remote leg), parallel-pack aware.
-func (s *State) FusedCollectiveLegCost(src buf.Region, dst buf.Region, srcSt, dstSt layout.Stats, workers int) float64 {
-	return s.fusedCopyCost(src, dst, srcSt, dstSt, workers)
-}
+// set of per-leg layout transfers serialised at the root: a fused leg
+// is one FusedCopyCost, a staged leg is priced below, and the fan
+// composers fold legs across the communicator. core.PriceCollective
+// composes them into the packed-then-collective vs typed-collective
+// comparison.
 
 // StagedCollectiveLegCost prices one leg of the packed-then-collective
-// pipeline: a compiled pack of the layout into a contiguous slot plus
-// the matching compiled unpack on the far side — two memory passes per
-// leg, the cost the typed collective removes.
-func (s *State) StagedCollectiveLegCost(src buf.Region, dst buf.Region, srcSt, dstSt layout.Stats) float64 {
-	return s.CompiledGatherCost(src, dst, srcSt) + s.CompiledScatterCost(src, dst, dstSt)
+// pipeline: a compiled pack of the layout into a contiguous staging
+// slot plus the matching compiled unpack out of it — two memory passes
+// per leg, the cost the typed collective removes.
+func (s *State) StagedCollectiveLegCost(src, staging, dst buf.Region, srcSt, dstSt layout.Stats) float64 {
+	k := Kernel{Engine: Compiled}
+	return s.GatherCost(src, staging, srcSt, k) + s.ScatterCost(staging, dst, dstSt, k)
 }
 
 // LinearFanCost composes a per-leg cost across a p-rank linear
@@ -559,62 +558,6 @@ func TreeFanCost(p int, selfLeg, remoteLeg, wire, perLegOverhead float64) float6
 	}
 	rounds := math.Ceil(math.Log2(float64(p)))
 	return selfLeg + rounds*(perLegOverhead+remoteLeg+wire)
-}
-
-// gatherCost is the shared body of the gather pricers; the engines
-// differ in their per-segment bookkeeping cost and, for the parallel
-// executor, the bandwidth speedup.
-func (s *State) gatherCost(src buf.Region, dst buf.Region, st layout.Stats, segOverhead, speedup float64) float64 {
-	traffic := s.h.Traffic(st)
-	if traffic == 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	res := s.residency(src, traffic)
-	bw := s.readBandwidth(s.h.CopyBW, res, st) * speedup
-	cost := float64(traffic)/bw + float64(st.Segments)*segOverhead
-	s.touch(src, traffic)
-	s.touch(dst, st.Bytes)
-	return cost
-}
-
-// scatterCost is the shared body of the scatter pricers.
-func (s *State) scatterCost(src buf.Region, dst buf.Region, st layout.Stats, segOverhead, speedup float64) float64 {
-	if st.Bytes == 0 {
-		return 0
-	}
-	traffic := roundUp(st.Bytes, s.h.LineSize)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	res := s.residency(src, traffic)
-	bw := s.readBandwidth(s.h.CopyBW, res, layout.Stats{Segments: 1, Bytes: st.Bytes, Extent: st.Bytes}) * speedup
-	cost := float64(traffic) / bw
-	// Write-allocate fills for the partial destination lines.
-	extra := s.h.Traffic(st) - roundUp(st.Bytes, s.h.LineSize)
-	if extra > 0 {
-		cost += float64(extra) / (s.h.CopyBW * speedup)
-	}
-	cost += float64(st.Segments) * segOverhead
-	s.touch(src, traffic)
-	s.touch(dst, s.h.Traffic(st))
-	return cost
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ScatterCost prices the inverse loop: read a contiguous source of
-// st.Bytes and write it out through the layout. Reads are contiguous,
-// but scattered writes still allocate the destination lines, so the
-// charged traffic is the contiguous read plus the destination line
-// fills beyond the payload itself.
-func (s *State) ScatterCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.scatterCost(src, dst, st, s.h.SegmentOverhead, 1)
 }
 
 // StreamCost prices a streaming contiguous read of n bytes of region r

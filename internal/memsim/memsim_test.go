@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/buf"
@@ -73,8 +74,8 @@ func TestGatherCostColdVsWarm(t *testing.T) {
 	src := buf.Alloc(1 << 20)
 	dst := buf.Alloc(1 << 19)
 	st := layout.Describe(layout.Strided{Count: 1 << 16, BlockLen: 8, Stride: 16})
-	cold := s.GatherCost(src.Region(), dst.Region(), st)
-	warm := s.GatherCost(src.Region(), dst.Region(), st)
+	cold := s.GatherCost(src.Region(), dst.Region(), st, Kernel{})
+	warm := s.GatherCost(src.Region(), dst.Region(), st, Kernel{})
 	if warm >= cold {
 		t.Fatalf("warm gather (%g) not faster than cold (%g)", warm, cold)
 	}
@@ -86,9 +87,9 @@ func TestFlushResetsWarmth(t *testing.T) {
 	src := buf.Alloc(1 << 20)
 	dst := buf.Alloc(1 << 19)
 	st := layout.Describe(layout.Strided{Count: 1 << 16, BlockLen: 8, Stride: 16})
-	cold := s.GatherCost(src.Region(), dst.Region(), st)
+	cold := s.GatherCost(src.Region(), dst.Region(), st, Kernel{})
 	s.Flush()
-	again := s.GatherCost(src.Region(), dst.Region(), st)
+	again := s.GatherCost(src.Region(), dst.Region(), st, Kernel{})
 	if again != cold {
 		t.Fatalf("post-flush cost %g differs from cold cost %g", again, cold)
 	}
@@ -130,8 +131,8 @@ func TestIrregularGatherCostsMore(t *testing.T) {
 	src, dst := buf.Alloc(1), buf.Alloc(1)
 	regular := layout.Describe(layout.Jittered(10000, 8, 64, 0))
 	jittered := layout.Describe(layout.Jittered(10000, 8, 64, 0.9))
-	cr := s.GatherCost(src.Region(), dst.Region(), regular)
-	cj := s.GatherCost(src.Region(), dst.Region(), jittered)
+	cr := s.GatherCost(src.Region(), dst.Region(), regular, Kernel{})
+	cj := s.GatherCost(src.Region(), dst.Region(), jittered, Kernel{})
 	if cj <= cr {
 		t.Fatalf("irregular gather (%g) not slower than regular (%g)", cj, cr)
 	}
@@ -145,8 +146,8 @@ func TestLargerBlocksCheaperPerByte(t *testing.T) {
 	payload := int64(1 << 20)
 	small := layout.Describe(layout.Strided{Count: payload / 8, BlockLen: 8, Stride: 16})
 	big := layout.Describe(layout.Strided{Count: payload / 512, BlockLen: 512, Stride: 1024})
-	cSmall := s.GatherCost(src.Region(), dst.Region(), small)
-	cBig := s.GatherCost(src.Region(), dst.Region(), big)
+	cSmall := s.GatherCost(src.Region(), dst.Region(), small, Kernel{})
+	cBig := s.GatherCost(src.Region(), dst.Region(), big, Kernel{})
 	if cBig >= cSmall {
 		t.Fatalf("big-block gather (%g) not cheaper than small-block (%g)", cBig, cSmall)
 	}
@@ -170,13 +171,13 @@ func TestScatterCost(t *testing.T) {
 	s.SetDisabled(true)
 	src, dst := buf.Alloc(1), buf.Alloc(1)
 	st := layout.Describe(layout.Strided{Count: 1000, BlockLen: 8, Stride: 16})
-	c := s.ScatterCost(src.Region(), dst.Region(), st)
+	c := s.ScatterCost(src.Region(), dst.Region(), st, Kernel{})
 	if c <= 0 {
 		t.Fatalf("scatter cost = %g", c)
 	}
 	// Scatter reads contiguous, so it should cost no more than the
 	// equivalent gather, which reads with stride amplification.
-	g := s.GatherCost(src.Region(), dst.Region(), st)
+	g := s.GatherCost(src.Region(), dst.Region(), st, Kernel{})
 	if c > g*1.5 {
 		t.Fatalf("scatter %g unexpectedly dearer than gather %g", c, g)
 	}
@@ -188,7 +189,7 @@ func TestZeroSizedOpsFree(t *testing.T) {
 	if s.StreamCost(r.Region(), 0) != 0 || s.CopyCost(r.Region(), r.Region(), 0) != 0 {
 		t.Fatal("zero-byte op has nonzero cost")
 	}
-	if s.GatherCost(r.Region(), r.Region(), layout.Stats{}) != 0 {
+	if s.GatherCost(r.Region(), r.Region(), layout.Stats{}, Kernel{}) != 0 {
 		t.Fatal("empty gather has nonzero cost")
 	}
 }
@@ -265,15 +266,15 @@ func TestParallelCompiledGatherCheaper(t *testing.T) {
 	// states keep warmth effects out of the comparison.
 	st := layout.Stats{Segments: 1 << 16, Bytes: 8 << 20, Extent: 16 << 20, AvgBlock: 8, AvgGap: 8, MinBlock: 8, MaxBlock: 8, Density: 0.5}
 	src, dst := buf.Alloc(1).Region(), buf.Alloc(1).Region()
-	interp := NewState(testHierarchy()).GatherCost(src, dst, st)
-	serial := NewState(testHierarchy()).CompiledGatherCost(src, dst, st)
-	par := NewState(testHierarchy()).ParallelCompiledGatherCost(src, dst, st, 8)
+	interp := NewState(testHierarchy()).GatherCost(src, dst, st, Kernel{})
+	serial := NewState(testHierarchy()).GatherCost(src, dst, st, Kernel{Engine: Compiled})
+	par := NewState(testHierarchy()).GatherCost(src, dst, st, Kernel{Engine: Compiled, Workers: 8})
 	if !(par < serial && serial < interp) {
 		t.Fatalf("cost ordering violated: parallel %g, serial compiled %g, interpreted %g", par, serial, interp)
 	}
 	// The bandwidth term saturates at ParallelBWScale, so doubling the
 	// workers past saturation only shaves segment bookkeeping.
-	par16 := NewState(testHierarchy()).ParallelCompiledGatherCost(src, dst, st, 16)
+	par16 := NewState(testHierarchy()).GatherCost(src, dst, st, Kernel{Engine: Compiled, Workers: 16})
 	if par16 > par {
 		t.Fatalf("more workers cost more: %g > %g", par16, par)
 	}
@@ -281,7 +282,7 @@ func TestParallelCompiledGatherCheaper(t *testing.T) {
 		t.Fatalf("parallel cost %g beats the saturated-bandwidth floor %g", par16, floor)
 	}
 	// One worker must price exactly like the serial compiled pack.
-	one := NewState(testHierarchy()).ParallelCompiledGatherCost(src, dst, st, 1)
+	one := NewState(testHierarchy()).GatherCost(src, dst, st, Kernel{Engine: Compiled, Workers: 1})
 	if one != serial {
 		t.Fatalf("1-worker parallel cost %g != serial compiled %g", one, serial)
 	}
@@ -290,9 +291,69 @@ func TestParallelCompiledGatherCheaper(t *testing.T) {
 func TestParallelCompiledScatterCheaper(t *testing.T) {
 	st := layout.Stats{Segments: 1 << 16, Bytes: 8 << 20, Extent: 16 << 20, AvgBlock: 8, AvgGap: 8, MinBlock: 8, MaxBlock: 8, Density: 0.5}
 	src, dst := buf.Alloc(1).Region(), buf.Alloc(1).Region()
-	serial := NewState(testHierarchy()).CompiledScatterCost(src, dst, st)
-	par := NewState(testHierarchy()).ParallelCompiledScatterCost(src, dst, st, 8)
+	serial := NewState(testHierarchy()).ScatterCost(src, dst, st, Kernel{Engine: Compiled})
+	par := NewState(testHierarchy()).ScatterCost(src, dst, st, Kernel{Engine: Compiled, Workers: 8})
 	if par >= serial {
 		t.Fatalf("parallel scatter %g not under serial %g", par, serial)
+	}
+}
+
+// TestKernelCostProperties sweeps the three kernel pricers over engine
+// × workers × layout on cold caches: Workers 0 and 1 are the same
+// price to the bit, cost never rises with Workers, the engine ladder is
+// Normalized ≤ Compiled ≤ Interpreted at every worker count, and cost
+// grows with the payload (same geometry, more runs) and with the
+// segment count (same bytes and extent, shorter runs).
+func TestKernelCostProperties(t *testing.T) {
+	src, dst := buf.Alloc(1).Region(), buf.Alloc(1).Region()
+	strided := func(count, block int64) layout.Stats {
+		return layout.Describe(layout.Strided{Count: count, BlockLen: block, Stride: 2 * block})
+	}
+	engines := []Engine{Normalized, Compiled, Interpreted} // cheapest first
+	workers := []int{0, 1, 2, 3, 4, 8, 16, 64}
+	type pricer struct {
+		name      string
+		oneEngine bool // the fused pass always runs Compiled
+		cost      func(st layout.Stats, k Kernel) float64
+	}
+	pricers := []pricer{
+		{"gather", false, func(st layout.Stats, k Kernel) float64 { return NewState(testHierarchy()).GatherCost(src, dst, st, k) }},
+		{"scatter", false, func(st layout.Stats, k Kernel) float64 { return NewState(testHierarchy()).ScatterCost(src, dst, st, k) }},
+		{"fused", true, func(st layout.Stats, k Kernel) float64 {
+			return NewState(testHierarchy()).FusedCopyCost(src, dst, st, st, k.Workers)
+		}},
+	}
+	for _, p := range pricers {
+		for _, st := range []layout.Stats{strided(1<<16, 8), strided(1<<10, 512), layout.Describe(layout.Jittered(1<<12, 8, 96, 0.5))} {
+			for ei, e := range engines {
+				if p.oneEngine && e != Compiled {
+					continue
+				}
+				if zero, one := p.cost(st, Kernel{Engine: e}), p.cost(st, Kernel{Engine: e, Workers: 1}); zero != one {
+					t.Errorf("%s engine %d: Workers 0 prices %g, Workers 1 %g", p.name, e, zero, one)
+				}
+				prev := math.Inf(1)
+				for _, w := range workers {
+					c := p.cost(st, Kernel{Engine: e, Workers: w})
+					if c <= 0 || c > prev {
+						t.Errorf("%s engine %d: cost %g at %d workers after %g with fewer", p.name, e, c, w, prev)
+					}
+					prev = c
+					if ei > 0 && !p.oneEngine {
+						if cheaper := p.cost(st, Kernel{Engine: engines[ei-1], Workers: w}); cheaper > c {
+							t.Errorf("%s at %d workers: engine %d %g above engine %d %g", p.name, w, engines[ei-1], cheaper, e, c)
+						}
+					}
+				}
+			}
+		}
+		for _, k := range []Kernel{{}, {Engine: Compiled}, {Engine: Normalized, Workers: 4}} {
+			if small, big := p.cost(strided(1<<10, 8), k), p.cost(strided(1<<14, 8), k); small >= big {
+				t.Errorf("%s %+v: %g for 8 KiB not under %g for 128 KiB", p.name, k, small, big)
+			}
+			if few, many := p.cost(strided(1<<10, 128), k), p.cost(strided(1<<14, 8), k); few >= many {
+				t.Errorf("%s %+v: %g for 1 Ki segments not under %g for 16 Ki segments of the same bytes", p.name, k, few, many)
+			}
+		}
 	}
 }

@@ -18,15 +18,15 @@ func TestNormalizedCostOrdering(t *testing.T) {
 	st := layout.Describe(layout.Strided{Count: 1 << 16, BlockLen: 8, Stride: 16})
 	src := buf.Alloc(int(st.Extent))
 	dst := buf.Alloc(int(st.Bytes))
-	generic := NewState(h).GatherCost(src.Region(), dst.Region(), st)
-	compiled := NewState(h).CompiledGatherCost(src.Region(), dst.Region(), st)
-	norm := NewState(h).NormalizedGatherCost(src.Region(), dst.Region(), st)
+	generic := NewState(h).GatherCost(src.Region(), dst.Region(), st, Kernel{})
+	compiled := NewState(h).GatherCost(src.Region(), dst.Region(), st, Kernel{Engine: Compiled})
+	norm := NewState(h).GatherCost(src.Region(), dst.Region(), st, Kernel{Engine: Normalized})
 	if !(norm < compiled && compiled < generic) {
 		t.Fatalf("gather ladder broken: normalized %g, compiled %g, generic %g", norm, compiled, generic)
 	}
-	genericS := NewState(h).ScatterCost(src.Region(), dst.Region(), st)
-	compiledS := NewState(h).CompiledScatterCost(src.Region(), dst.Region(), st)
-	normS := NewState(h).NormalizedScatterCost(src.Region(), dst.Region(), st)
+	genericS := NewState(h).ScatterCost(src.Region(), dst.Region(), st, Kernel{})
+	compiledS := NewState(h).ScatterCost(src.Region(), dst.Region(), st, Kernel{Engine: Compiled})
+	normS := NewState(h).ScatterCost(src.Region(), dst.Region(), st, Kernel{Engine: Normalized})
 	if !(normS < compiledS && compiledS < genericS) {
 		t.Fatalf("scatter ladder broken: normalized %g, compiled %g, generic %g", normS, compiledS, genericS)
 	}
@@ -40,16 +40,16 @@ func TestParallelNormalizedCosts(t *testing.T) {
 	st := layout.Describe(layout.Strided{Count: 1 << 16, BlockLen: 8, Stride: 16})
 	src := buf.Alloc(int(st.Extent))
 	dst := buf.Alloc(int(st.Bytes))
-	serial := NewState(h).NormalizedGatherCost(src.Region(), dst.Region(), st)
-	par := NewState(h).ParallelNormalizedGatherCost(src.Region(), dst.Region(), st, 4)
+	serial := NewState(h).GatherCost(src.Region(), dst.Region(), st, Kernel{Engine: Normalized})
+	par := NewState(h).GatherCost(src.Region(), dst.Region(), st, Kernel{Engine: Normalized, Workers: 4})
 	if par >= serial {
 		t.Fatalf("4-worker normalized gather %g not under serial %g", par, serial)
 	}
 	if floor := serial / 8; par < floor {
 		t.Fatalf("4-worker normalized gather %g below saturation floor %g", par, floor)
 	}
-	serialS := NewState(h).NormalizedScatterCost(src.Region(), dst.Region(), st)
-	parS := NewState(h).ParallelNormalizedScatterCost(src.Region(), dst.Region(), st, 4)
+	serialS := NewState(h).ScatterCost(src.Region(), dst.Region(), st, Kernel{Engine: Normalized})
+	parS := NewState(h).ScatterCost(src.Region(), dst.Region(), st, Kernel{Engine: Normalized, Workers: 4})
 	if parS >= serialS {
 		t.Fatalf("4-worker normalized scatter %g not under serial %g", parS, serialS)
 	}

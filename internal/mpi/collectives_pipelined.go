@@ -86,8 +86,8 @@ func (c *Comm) bcastPipelined(b buf.Block, count int, ty *datatype.Type, root in
 	// proportionally per segment so the whole message prices exactly
 	// one gather (at the sender of each block) and one scatter (at
 	// each unpacking rank).
-	packUnit := c.cache.CompiledGatherCost(b.Region(), c.internal.Region(), st) / float64(n)
-	scatterUnit := c.cache.CompiledScatterCost(c.internal.Region(), b.Region(), st) / float64(n)
+	packUnit := c.cache.GatherCost(b.Region(), c.internal.Region(), st, genericCompiled) / float64(n)
+	scatterUnit := c.cache.ScatterCost(c.internal.Region(), b.Region(), st, genericCompiled) / float64(n)
 
 	myLo, myHi := seg(rel)
 	span := subtreeSpan(rel, p)
@@ -208,8 +208,8 @@ func (c *Comm) allgatherPipelined(send buf.Block, sendCount int, sendTy *datatyp
 	n := sp.Bytes()
 	sst := sendTy.Stats(sendCount)
 	rst := recvTy.Stats(recvCount)
-	packCost := c.cache.CompiledGatherCost(send.Region(), c.internal.Region(), sst)
-	scatterUnit := c.cache.CompiledScatterCost(c.internal.Region(), recv.Region(), rst) / float64(n)
+	packCost := c.cache.GatherCost(send.Region(), c.internal.Region(), sst, genericCompiled)
+	scatterUnit := c.cache.ScatterCost(c.internal.Region(), recv.Region(), rst, genericCompiled) / float64(n)
 
 	ownBlk := c.transitAlloc(send, n)
 	defer buf.PutPooled(ownBlk)

@@ -188,21 +188,13 @@ func (c *Comm) typedSelfCopy(sb buf.Block, scount int, sty *datatype.Type, db bu
 	}
 	sst, dst := sty.Stats(scount), dty.Stats(dcount)
 	if dp.FusedDstSafe() && !buf.Overlaps(sb, db) {
-		var cost float64
-		if w := datatype.ParallelWorkersFor(n); w > 1 {
-			cost = c.cache.ParallelFusedCopyCost(sb.Region(), db.Region(), sst, dst, w)
-		} else {
-			cost = c.cache.FusedCopyCost(sb.Region(), db.Region(), sst, dst)
-		}
-		c.clock.Advance(vclock.FromSeconds(cost))
+		c.clock.Advance(vclock.FromSeconds(c.fusedCopyCost(sb, db, sst, dst, n)))
 		_, err := datatype.FusedCopy(sp, dp, sb, db)
 		return err
 	}
 	staging := c.transitAlloc(sb, n)
 	defer buf.PutPooled(staging)
-	cost := c.cache.CompiledGatherCost(sb.Region(), staging.Region(), sst) +
-		c.cache.CompiledScatterCost(staging.Region(), db.Region(), dst)
-	c.clock.Advance(vclock.FromSeconds(cost))
+	c.clock.Advance(vclock.FromSeconds(c.cache.StagedCollectiveLegCost(sb.Region(), staging.Region(), db.Region(), sst, dst)))
 	if err := sp.PackRange(sb, staging, 0, n); err != nil {
 		return err
 	}
@@ -396,7 +388,7 @@ func (c *Comm) gatherTree(send buf.Block, sendCount int, sendTy *datatype.Type, 
 	if rel != 0 {
 		// Pack my own contribution into slot 0 of the scratch.
 		st := sendTy.Stats(sendCount)
-		c.clock.Advance(vclock.FromSeconds(c.cache.CompiledGatherCost(send.Region(), scratch.Region(), st)))
+		c.clock.Advance(vclock.FromSeconds(c.cache.GatherCost(send.Region(), scratch.Region(), st, genericCompiled)))
 		if err := sp.PackRange(send, scratch.Slice(0, int(n)), 0, n); err != nil {
 			return err
 		}
@@ -427,7 +419,7 @@ func (c *Comm) gatherTree(send buf.Block, sendCount int, sendTy *datatype.Type, 
 		if err != nil {
 			return err
 		}
-		c.clock.Advance(vclock.FromSeconds(c.cache.CompiledScatterCost(scratch.Region(), recv.Region(), rst)))
+		c.clock.Advance(vclock.FromSeconds(c.cache.ScatterCost(scratch.Region(), recv.Region(), rst, genericCompiled)))
 		if err := rp.UnpackRange(scratch.Slice(int(int64(q)*n), int(n)), view, 0, n); err != nil {
 			return err
 		}
@@ -599,7 +591,7 @@ func (c *Comm) scatterTree(send buf.Block, sendCount int, sendTy *datatype.Type,
 			if err != nil {
 				return err
 			}
-			c.clock.Advance(vclock.FromSeconds(c.cache.CompiledGatherCost(send.Region(), scratch.Region(), sst)))
+			c.clock.Advance(vclock.FromSeconds(c.cache.GatherCost(send.Region(), scratch.Region(), sst, genericCompiled)))
 			if err := sp.PackRange(view, scratch.Slice(int(int64(q)*n), int(n)), 0, n); err != nil {
 				return err
 			}
@@ -643,7 +635,7 @@ func (c *Comm) scatterTree(send buf.Block, sendCount int, sendTy *datatype.Type,
 		return err
 	}
 	rst := recvTy.Stats(recvCount)
-	c.clock.Advance(vclock.FromSeconds(c.cache.CompiledScatterCost(scratch.Region(), recv.Region(), rst)))
+	c.clock.Advance(vclock.FromSeconds(c.cache.ScatterCost(scratch.Region(), recv.Region(), rst, genericCompiled)))
 	if err := rp.UnpackRange(scratch.Slice(0, int(n)), recv, 0, n); err != nil {
 		return err
 	}

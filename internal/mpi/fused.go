@@ -158,13 +158,15 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 	ctsAt := match.MatchTime + dur(c.linkLatency(dest))
 	c.clock.AdvanceTo(ctsAt)
 
+	// A fused receiver takes delivery in its own layout (fd.user); a
+	// contiguous or fused-declining one in match.Dst. covered is the
+	// stream prefix the receiver has room for.
+	fd, _ := match.FusedDst.(*fusedDst)
+	recv, covered := match.Dst, minInt64(n, int64(match.Dst.Len()))
+	if fd != nil {
+		recv, covered = fd.user, minInt64(n, fd.need)
+	}
 	if c.faultsOn() && !c.retry.WholeReplay && m.Ack != nil {
-		fd, hasFd := match.FusedDst.(*fusedDst)
-		hasFd = hasFd && fd != nil
-		covered := minInt64(n, int64(match.Dst.Len()))
-		if hasFd {
-			covered = minInt64(n, fd.need)
-		}
 		chunkSz := p.InternalChunk()
 		if schunks := int((covered + chunkSz - 1) / chunkSz); schunks > 1 {
 			// Selective chunk retransmission over the fused rendezvous:
@@ -175,40 +177,16 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 			x := &chunkedXfer{
 				covered: covered, chunkSize: chunkSz, chunks: schunks,
 				drainAll: func() error {
-					var copyCost float64
-					var xferErr error
-					if hasFd {
-						if n == fd.need && !buf.Overlaps(b, fd.user) {
-							if w := datatype.ParallelWorkersFor(n); w > 1 {
-								copyCost = c.cache.ParallelFusedCopyCost(b.Region(), fd.user.Region(), st, fd.stats, w)
-							} else {
-								copyCost = c.cache.FusedCopyCost(b.Region(), fd.user.Region(), st, fd.stats)
-							}
-							_, xferErr = datatype.FusedCopy(plan, fd.plan, b, fd.user)
-						} else {
-							copyCost, xferErr = c.stagedScatter(plan, fd, b, st, n)
-						}
-					} else {
-						dst := match.Dst
-						dstSt := layout.Stats{Segments: 1, Bytes: covered, Extent: covered, AvgBlock: float64(covered), MinBlock: covered, MaxBlock: covered, Density: 1}
-						if w := datatype.ParallelWorkersFor(covered); w > 1 {
-							copyCost = c.cache.ParallelFusedCopyCost(b.Region(), dst.Region(), st, dstSt, w)
-						} else {
-							copyCost = c.cache.FusedCopyCost(b.Region(), dst.Region(), st, dstSt)
-						}
-						if covered > 0 {
-							xferErr = plan.PackRange(b, dst, 0, covered)
-						}
-					}
-					if xferErr != nil {
-						return xferErr
+					copyCost, err := c.fusedMove(plan, fd, match.Dst, b, st, n, covered)
+					if err != nil {
+						return err
 					}
 					attemptCost = math.Max(copyCost, wire)
 					c.clock.Advance(vclock.FromSeconds(attemptCost))
 					return nil
 				},
 				resend: func(lo, hi int64) error {
-					if hasFd {
+					if fd != nil {
 						scratch := c.transitAlloc(b, hi-lo)
 						err := plan.PackRange(b, scratch, lo, hi)
 						if err == nil {
@@ -225,8 +203,7 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 					return nil
 				},
 				sum: func(lo, hi int64) (uint64, bool) {
-					recvReal := (hasFd && !fd.user.IsVirtual()) || (!hasFd && !match.Dst.IsVirtual())
-					if b.IsVirtual() || !recvReal || hi <= lo {
+					if b.IsVirtual() || recv.IsVirtual() || hi <= lo {
 						return 0, false
 					}
 					var cs buf.Checksum
@@ -234,7 +211,7 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 					return cs.Sum64(), true
 				},
 				damage: func(f simnet.Fault, lo, hi int64) bool {
-					if hasFd {
+					if fd != nil {
 						return damagePlanRange(fd.plan, fd.user, lo, hi, f)
 					}
 					return damageContigRange(match.Dst, lo, hi, f)
@@ -249,74 +226,57 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 	// through its own plan, and the checksum claim covers the packed
 	// stream both sides can compute without staging.
 	return c.rdvSendLoop(m, dest, tag, n, func(f simnet.Fault) (uint64, bool, bool, error) {
-		var copyCost float64
-		var xferErr error
-		var sum uint64
-		hasSum := false
-		poisoned := false
-		if fd, ok := match.FusedDst.(*fusedDst); ok && fd != nil {
-			if n == fd.need && !buf.Overlaps(b, fd.user) {
-				// The fused fast path: one pass, layout to layout, split
-				// across workers (and priced at the saturating parallel
-				// speedup) above the parallel-pack threshold.
-				if w := datatype.ParallelWorkersFor(n); w > 1 {
-					copyCost = c.cache.ParallelFusedCopyCost(b.Region(), fd.user.Region(), st, fd.stats, w)
-				} else {
-					copyCost = c.cache.FusedCopyCost(b.Region(), fd.user.Region(), st, fd.stats)
-				}
-				_, xferErr = datatype.FusedCopy(plan, fd.plan, b, fd.user)
-			} else {
-				// Aliased buffers or a size mismatch: sender-local staged
-				// emulation. The receiver still takes delivery in its
-				// layout; the two passes are paid here.
-				copyCost, xferErr = c.stagedScatter(plan, fd, b, st, n)
-			}
-			if xferErr == nil {
-				nCopy := minInt64(n, fd.need)
-				poisoned = f.NeedsResend() && !damagePlan(fd.plan, fd.user, nCopy, f)
-				if m.Ack != nil && !b.IsVirtual() && !fd.user.IsVirtual() && nCopy > 0 {
-					var cs buf.Checksum
-					plan.ChecksumRange(b, 0, nCopy, &cs)
-					sum = cs.Sum64()
-					hasSum = true
-				}
-			}
-		} else {
-			// Contiguous (or fused-declining) receiver: pack the plan
-			// straight into the remote destination block in one pass.
-			dst := match.Dst
-			nCopy := minInt64(n, int64(dst.Len()))
-			dstSt := layout.Stats{Segments: 1, Bytes: nCopy, Extent: nCopy, AvgBlock: float64(nCopy), MinBlock: nCopy, MaxBlock: nCopy, Density: 1}
-			if w := datatype.ParallelWorkersFor(nCopy); w > 1 {
-				copyCost = c.cache.ParallelFusedCopyCost(b.Region(), dst.Region(), st, dstSt, w)
-			} else {
-				copyCost = c.cache.FusedCopyCost(b.Region(), dst.Region(), st, dstSt)
-			}
-			if nCopy > 0 {
-				xferErr = plan.PackRange(b, dst, 0, nCopy)
-			}
-			// Attribution happens at the receiver: a contiguous receive
-			// records the transfer as fused (one pass, no staging), a
-			// fused-declining typed receiver records it as staged when it
-			// unpacks. The sender cannot tell the two destinations apart.
-			if xferErr == nil {
-				poisoned = f.NeedsResend() && !damageContig(dst, nCopy, f)
-				if m.Ack != nil && !b.IsVirtual() && !dst.IsVirtual() && nCopy > 0 {
-					var cs buf.Checksum
-					plan.ChecksumRange(b, 0, nCopy, &cs)
-					sum = cs.Sum64()
-					hasSum = true
-				}
-			}
+		copyCost, err := c.fusedMove(plan, fd, match.Dst, b, st, n, covered)
+		if err != nil {
+			return 0, false, false, err
 		}
-		if xferErr != nil {
-			return 0, false, false, xferErr
+		// Attribution happens at the receiver: a contiguous receive
+		// records the transfer as fused (one pass, no staging), a
+		// fused-declining typed receiver records it as staged when it
+		// unpacks. The sender cannot tell the two destinations apart.
+		poisoned := f.NeedsResend()
+		if poisoned && fd != nil {
+			poisoned = !damagePlan(fd.plan, fd.user, covered, f)
+		} else if poisoned {
+			poisoned = !damageContig(recv, covered, f)
+		}
+		var sum uint64
+		hasSum := m.Ack != nil && !b.IsVirtual() && !recv.IsVirtual() && covered > 0
+		if hasSum {
+			var cs buf.Checksum
+			plan.ChecksumRange(b, 0, covered, &cs)
+			sum = cs.Sum64()
 		}
 		// The single pass and the wire pipeline: the pass feeds the wire
 		// run-by-run, so the sender is occupied for the longer of the two.
 		c.clock.Advance(vclock.FromSeconds(math.Max(copyCost, wire)))
 		return sum, hasSum, poisoned, nil
 	})
+}
+
+// fusedMove runs one attempt's data movement of the fused rendezvous
+// and returns its memory cost. A fused receiver (fd non-nil) with a
+// matching size and no aliasing takes the fused fast path: one pass,
+// layout to layout, split across workers (and priced at the saturating
+// parallel speedup) above the parallel-pack threshold. Aliased buffers
+// or a size mismatch fall to the sender-local staged emulation — the
+// receiver still takes delivery in its layout, the two passes are paid
+// here. A contiguous (or fused-declining) receiver gets the plan packed
+// straight into its block dst in one pass.
+func (c *Comm) fusedMove(plan *datatype.Plan, fd *fusedDst, dst, b buf.Block, st layout.Stats, n, covered int64) (float64, error) {
+	switch {
+	case fd == nil:
+		cost := c.fusedCopyCost(b, dst, st, layout.Dense(covered), covered)
+		if covered == 0 {
+			return cost, nil
+		}
+		return cost, plan.PackRange(b, dst, 0, covered)
+	case n == fd.need && !buf.Overlaps(b, fd.user):
+		cost := c.fusedCopyCost(b, fd.user, st, fd.stats, n)
+		_, err := datatype.FusedCopy(plan, fd.plan, b, fd.user)
+		return cost, err
+	}
+	return c.stagedScatter(plan, fd, b, st, covered)
 }
 
 // stagedScatter is the sender-local staged emulation of a fused
@@ -328,10 +288,9 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 // receiver's layout, so the cost collapses from gather+scatter to the
 // two-stage pipeline bound and the staging footprint shrinks from the
 // whole message to the slot ring.
-func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st layout.Stats, n int64) (float64, error) {
-	nCopy := minInt64(n, fd.need)
-	gather := c.cache.CompiledGatherCost(b.Region(), c.internal.Region(), st)
-	scatter := c.cache.CompiledScatterCost(c.internal.Region(), fd.user.Region(), fd.stats)
+func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st layout.Stats, nCopy int64) (float64, error) {
+	gather := c.cache.GatherCost(b.Region(), c.internal.Region(), st, genericCompiled)
+	scatter := c.cache.ScatterCost(c.internal.Region(), fd.user.Region(), fd.stats, genericCompiled)
 	chunk := c.prof.InternalChunk()
 	chunks := c.prof.Chunks(nCopy)
 	// Aliased buffers (a fused self-send) must stage the whole message:

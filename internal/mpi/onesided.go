@@ -7,6 +7,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/datatype"
 	"repro/internal/elem"
+	"repro/internal/memsim"
 	"repro/internal/vclock"
 )
 
@@ -145,9 +146,9 @@ func (w *Win) access(origin buf.Block, count int, ty *datatype.Type, target int,
 	var gather float64
 	switch kind {
 	case accessPut:
-		gather = c.cache.GatherCost(origin.Region(), c.internal.Region(), st)
+		gather = c.cache.GatherCost(origin.Region(), c.internal.Region(), st, memsim.Kernel{})
 	case accessGet:
-		gather = c.cache.ScatterCost(c.internal.Region(), origin.Region(), st)
+		gather = c.cache.ScatterCost(c.internal.Region(), origin.Region(), st, memsim.Kernel{})
 	}
 	c.clock.Advance(vclock.FromSeconds(c.prof.PutSetup + gather))
 	wire := 0.0

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
+	"repro/internal/memsim"
 	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
@@ -110,7 +111,7 @@ func (c *Comm) BsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	if err != nil {
 		return err
 	}
-	gather := c.cache.GatherCost(b.Region(), region.Region(), ty.Stats(count))
+	gather := c.cache.GatherCost(b.Region(), region.Region(), ty.Stats(count), memsim.Kernel{})
 	c.clock.Advance(vclock.FromSeconds(gather + c.prof.BsendOverhead))
 	if _, err := packer.Pack(region); err != nil {
 		release(c.clock.Now())

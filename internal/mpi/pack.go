@@ -6,6 +6,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/datatype"
 	"repro/internal/layout"
+	"repro/internal/memsim"
 	"repro/internal/vclock"
 )
 
@@ -37,7 +38,7 @@ func (c *Comm) Pack(b buf.Block, count int, ty *datatype.Type, outbuf buf.Block,
 		return err
 	}
 	st := ty.Stats(count)
-	cost := c.prof.PackCallOverhead + c.cache.GatherCost(b.Region(), outbuf.Region(), st)
+	cost := c.prof.PackCallOverhead + c.cache.GatherCost(b.Region(), outbuf.Region(), st, memsim.Kernel{})
 	c.clock.Advance(vclock.FromSeconds(cost))
 	if _, err := ty.Pack(b, count, dst); err != nil {
 		return err
@@ -53,7 +54,7 @@ func (c *Comm) Unpack(inbuf buf.Block, position *int64, b buf.Block, count int, 
 		return err
 	}
 	st := ty.Stats(count)
-	cost := c.prof.PackCallOverhead + c.cache.ScatterCost(inbuf.Region(), b.Region(), st)
+	cost := c.prof.PackCallOverhead + c.cache.ScatterCost(inbuf.Region(), b.Region(), st, memsim.Kernel{})
 	c.clock.Advance(vclock.FromSeconds(cost))
 	if _, err := ty.Unpack(src, count, b); err != nil {
 		return err
@@ -72,10 +73,8 @@ func (c *Comm) PackSize(count int, ty *datatype.Type) int64 {
 // gather, executed by the plan's specialized kernel instead of generic
 // interpretation. The plan comes from the type's cache (compiled at
 // Commit, bound per count on first use), so steady-state calls compile
-// nothing. Pricing uses the amortised per-segment bookkeeping of
-// memsim.CompiledGatherCost — or its parallel-pack term when the plan
-// splits across goroutines. This is the "packing(c)" scheme of the
-// figures.
+// nothing. The gather is priced with the plan's own kernel spec
+// (PlanKernel). This is the "packing(c)" scheme of the figures.
 func (c *Comm) PackCompiled(b buf.Block, count int, ty *datatype.Type, outbuf buf.Block, position *int64) error {
 	dst, need, err := packWindow(count, ty, outbuf, position, "pack")
 	if err != nil {
@@ -86,7 +85,7 @@ func (c *Comm) PackCompiled(b buf.Block, count int, ty *datatype.Type, outbuf bu
 		return err
 	}
 	st := ty.Stats(count)
-	gather := c.planGatherCost(plan, b.Region(), outbuf.Region(), st)
+	gather := c.cache.GatherCost(b.Region(), outbuf.Region(), st, PlanKernel(plan))
 	c.clock.Advance(vclock.FromSeconds(c.prof.PackCallOverhead + gather))
 	if _, err := plan.Pack(b, dst); err != nil {
 		return err
@@ -106,7 +105,7 @@ func (c *Comm) UnpackCompiled(inbuf buf.Block, position *int64, b buf.Block, cou
 		return err
 	}
 	st := ty.Stats(count)
-	scatter := c.planScatterCost(plan, inbuf.Region(), b.Region(), st)
+	scatter := c.cache.ScatterCost(inbuf.Region(), b.Region(), st, PlanKernel(plan))
 	c.clock.Advance(vclock.FromSeconds(c.prof.PackCallOverhead + scatter))
 	if _, err := plan.Unpack(src, b); err != nil {
 		return err
@@ -115,37 +114,36 @@ func (c *Comm) UnpackCompiled(inbuf buf.Block, position *int64, b buf.Block, cou
 	return nil
 }
 
-// planGatherCost prices the compiled gather behind plan. A plan whose
+// KernelFor is the one place a compiled move gets its kernel spec:
+// every charge in this package and every price in core goes through it,
+// so the model and the engine it prices agree by construction. A
 // program the Commit-time normalizer collapsed into a canonical
-// strided-block form (datatype.KernelBlock) runs the registry's
-// unrolled tiles, so it is priced with the further-amortised normalized
-// term; every other program prices at the generic compiled term. Both
-// choices are parallel-pack aware.
-func (c *Comm) planGatherCost(plan *datatype.Plan, src, dst buf.Region, st layout.Stats) float64 {
-	norm := plan.Kernel() == datatype.KernelBlock
-	if w := plan.Workers(); w > 1 {
-		if norm {
-			return c.cache.ParallelNormalizedGatherCost(src, dst, st, w)
-		}
-		return c.cache.ParallelCompiledGatherCost(src, dst, st, w)
+// strided-block form (datatype.KernelBlock) runs the Normalized engine,
+// any other the generic Compiled one, across the workers the pack
+// engine fans a move of that many bytes out to.
+func KernelFor(normalized bool, bytes int64) memsim.Kernel {
+	k := memsim.Kernel{Engine: memsim.Compiled, Workers: datatype.ParallelWorkersFor(bytes)}
+	if normalized {
+		k.Engine = memsim.Normalized
 	}
-	if norm {
-		return c.cache.NormalizedGatherCost(src, dst, st)
-	}
-	return c.cache.CompiledGatherCost(src, dst, st)
+	return k
 }
 
-// planScatterCost is the scatter-side mirror of planGatherCost.
-func (c *Comm) planScatterCost(plan *datatype.Plan, src, dst buf.Region, st layout.Stats) float64 {
-	norm := plan.Kernel() == datatype.KernelBlock
-	if w := plan.Workers(); w > 1 {
-		if norm {
-			return c.cache.ParallelNormalizedScatterCost(src, dst, st, w)
-		}
-		return c.cache.ParallelCompiledScatterCost(src, dst, st, w)
-	}
-	if norm {
-		return c.cache.NormalizedScatterCost(src, dst, st)
-	}
-	return c.cache.CompiledScatterCost(src, dst, st)
+// PlanKernel is KernelFor for a full-message execution of plan.
+func PlanKernel(plan *datatype.Plan) memsim.Kernel {
+	return KernelFor(plan.Kernel() == datatype.KernelBlock, plan.Bytes())
+}
+
+// genericCompiled is the spec the staged typed-collective legs and the
+// staged emulation of a fused transfer charge whatever kernel their
+// plan runs. For a KernelBlock plan, or a leg past the parallel
+// threshold, that is not what PackCompiled charges for the same move:
+// the known disagreement of ROADMAP item 1, kept so simulated times
+// stay the parent's.
+var genericCompiled = memsim.Kernel{Engine: memsim.Compiled}
+
+// fusedCopyCost prices the one-pass move of n bytes from src's layout
+// into dst's, split as the fused engine splits a move of that size.
+func (c *Comm) fusedCopyCost(src, dst buf.Block, srcSt, dstSt layout.Stats, n int64) float64 {
+	return c.cache.FusedCopyCost(src.Region(), dst.Region(), srcSt, dstSt, KernelFor(false, n).Workers)
 }

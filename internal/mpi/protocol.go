@@ -208,19 +208,13 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	// reference-[2] NIC what-if the hardware already overlaps, so the
 	// software ring would only add a copy.
 	pipelined := fl.pipelined && !eager && chunks > 1 && !p.NICPipelining && pipelineEnabled()
-	var gather float64
+	var k memsim.Kernel // the interpreting serial loop
 	if pipelined {
-		// The slot ring is filled by the compiled kernels, with their
-		// amortised per-segment bookkeeping — further amortised when
-		// the plan's program normalized into a canonical block form.
-		if plan, perr := ty.CompilePlan(count); perr == nil && plan.Kernel() == datatype.KernelBlock {
-			gather = c.cache.NormalizedGatherCost(b.Region(), c.internal.Region(), st)
-		} else {
-			gather = c.cache.CompiledGatherCost(b.Region(), c.internal.Region(), st)
-		}
-	} else {
-		gather = c.cache.GatherCost(b.Region(), c.internal.Region(), st)
+		// The slot ring is filled by the plan's compiled kernel, one
+		// internal chunk at a time by a single pack worker.
+		k.Engine = PlanKernel(packer.Plan()).Engine
 	}
+	gather := c.cache.GatherCost(b.Region(), c.internal.Region(), st, k)
 	wireBW := fl.wireBW
 	if wireBW == 0 {
 		if p.NICPipelining {
@@ -672,7 +666,7 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 		return Status{}, err
 	}
 	st := Status{Source: c.localRank(m.Src), Tag: m.Tag, Count: m.Bytes}
-	scatter := c.cache.ScatterCost(c.internal.Region(), b.Region(), ty.Stats(count))
+	scatter := c.cache.ScatterCost(c.internal.Region(), b.Region(), ty.Stats(count), memsim.Kernel{})
 	switch m.Kind {
 	case simnet.KindEager:
 		c.clock.AdvanceTo(maxTime(m.Arrival, post))
