@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/buf"
+	"repro/internal/perfmodel"
 	"repro/internal/simnet"
 )
 
@@ -100,5 +103,55 @@ func TestJobMixValidation(t *testing.T) {
 	}
 	if _, err := RunJobMix(JobMix{Ranks: 4, Jobs: 3}); err == nil {
 		t.Error("4 ranks over 3 jobs accepted (rings under 2 ranks)")
+	}
+}
+
+// TestJobMixAccountingReturnsToZero: a finished mix leaves nothing
+// behind — every rank, request half and detector goroutine has exited
+// and every pooled byte is back — on a clean fabric and under
+// TestJobMixUnderFaults' plan.
+func TestJobMixAccountingReturnsToZero(t *testing.T) {
+	mix := JobMix{Ranks: 32, Jobs: 2, InFlight: 2, Rounds: 2, Bytes: 1 << 20, WallLimit: 4 * time.Minute}
+	if raceEnabled {
+		mix.Ranks, mix.InFlight = 16, 1
+	}
+	for _, faults := range []*simnet.FaultPlan{nil, simnet.UniformFaults(97, 0.04)} {
+		mix.Faults = faults
+		goroutines, inUse := runtime.NumGoroutine(), buf.PoolStatsSnapshot().InUseBytes
+		if _, err := RunJobMix(mix); err != nil {
+			t.Fatal(err)
+		}
+		// A goroutine that has released its waiter may still be on its
+		// way out; give the scheduler a moment, then insist.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > goroutines {
+			t.Errorf("faults=%v: %d goroutines after the mix, %d before", faults != nil, got, goroutines)
+		}
+		if got := buf.PoolStatsSnapshot().InUseBytes; got != inUse {
+			t.Errorf("faults=%v: pool holds %d bytes in use after the mix, %d before", faults != nil, got, inUse)
+		}
+	}
+}
+
+// BenchmarkJobMixRound is the wall cost of one cmd/bench jobmix op: 8
+// ring communicators over 256 ranks in nodes of 16, 4 virtual 1 MiB
+// typed transfers in flight per rank, 8 rounds, on skx-impi — requests,
+// matching and the scheduler, no bytes. Profile it with -cpuprofile /
+// -memprofile -memprofilerate 1.
+func BenchmarkJobMixRound(b *testing.B) {
+	p, err := perfmodel.ByName("skx-impi")
+	if err != nil {
+		b.Fatal(err)
+	}
+	mix := JobMix{Ranks: 256, Jobs: 8, InFlight: 4, Rounds: 8, NodeSize: 16, Bytes: 1 << 20, Profile: p}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunJobMix(mix); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

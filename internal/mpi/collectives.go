@@ -1,9 +1,10 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/buf"
 	"repro/internal/elem"
@@ -237,24 +238,23 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	if err := c.Allgather(mine, all); err != nil {
 		return nil, err
 	}
-	type member struct{ color, key, rank int }
-	members := make([]member, c.size)
-	colors := map[int]bool{}
+	// One pass over the exchanged table keeps only what this rank
+	// needs: the sorted distinct colors (they number the new contexts)
+	// and its own color's members, in old-rank order.
+	type member struct{ key, rank int }
+	var distinct []int
+	var group []member
 	for r := 0; r < c.size; r++ {
-		members[r] = member{
-			color: int(elem.Int64(all.Slice(16*r, 16), 0)),
-			key:   int(elem.Int64(all.Slice(16*r, 16), 1)),
-			rank:  r,
+		col := int(elem.Int64(all, 2*r))
+		if i, found := slices.BinarySearch(distinct, col); !found {
+			distinct = slices.Insert(distinct, i, col)
 		}
-		colors[members[r].color] = true
+		if col == color {
+			group = append(group, member{key: int(elem.Int64(all, 2*r+1)), rank: r})
+		}
 	}
 	// Rank 0 allocates a contiguous ctx block, one per distinct color,
 	// and broadcasts the base.
-	distinct := make([]int, 0, len(colors))
-	for col := range colors {
-		distinct = append(distinct, col)
-	}
-	sort.Ints(distinct)
 	base := buf.Alloc(8)
 	if c.rank == 0 {
 		elem.PutInt64(base, 0, int64(c.fabric.AllocCtxBlock(len(distinct))))
@@ -263,21 +263,10 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		return nil, err
 	}
 	ctxBase := int(elem.Int64(base, 0))
-	colorIdx := sort.SearchInts(distinct, color)
+	colorIdx, _ := slices.BinarySearch(distinct, color)
 
 	// My group, ordered by (key, old rank).
-	var group []member
-	for _, m := range members {
-		if m.color == color {
-			group = append(group, m)
-		}
-	}
-	sort.Slice(group, func(i, j int) bool {
-		if group[i].key != group[j].key {
-			return group[i].key < group[j].key
-		}
-		return group[i].rank < group[j].rank
-	})
+	slices.SortStableFunc(group, func(a, b member) int { return cmp.Compare(a.key, b.key) })
 	newMembers := make([]int, len(group))
 	newRank := -1
 	for i, m := range group {
@@ -286,21 +275,12 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 			newRank = i
 		}
 	}
-	nc := &Comm{
-		rank:     newRank,
-		size:     len(group),
-		ctx:      ctxBase + colorIdx,
-		members:  newMembers,
-		fabric:   c.fabric,
-		prof:     c.prof,
-		clock:    c.clock,
-		cache:    c.cache,
-		realTime: c.realTime,
-		start:    c.start,
-		internal: c.internal,
-		faults:   c.faults,
-		retry:    c.retry,
-	}
+	// The child shares the rank's clock and everything in the parent's
+	// core but the identity and the node grouping (built on first use).
+	core := *c.commCore
+	core.rank, core.size, core.ctx, core.members = newRank, len(group), ctxBase+colorIdx, newMembers
+	core.nodes, core.nodesBuilt = nil, false
+	nc := &Comm{commCore: &core, clock: c.clock}
 	// Materialise the group's sync object before anyone uses it.
 	c.fabric.GroupFor(nc.ctx, nc.size)
 	return nc, nil

@@ -3,6 +3,7 @@ package mpi
 import (
 	"repro/internal/buf"
 	"repro/internal/datatype"
+	"repro/internal/perfmodel"
 )
 
 // Two-level collective topologies for hierarchical machines. When the
@@ -39,19 +40,37 @@ type nodeGroups struct {
 }
 
 // twoLevel returns the node grouping when the two-level topologies
-// apply: a node granularity is declared, the intra-node discount
-// exists (otherwise the hierarchy buys nothing), the communicator
-// spans at least two nodes, and at least one node holds more than one
-// member (all-singleton grouping is the flat topology already).
+// apply, nil otherwise. The grouping depends only on the profile and
+// the membership, so it is built once per communicator: by Run for the
+// world (one immutable value shared by all ranks), here on first use
+// for a Split child.
 func (c *Comm) twoLevel() *nodeGroups {
-	if c.nodeSize() == 0 || c.prof.IntraNodeLatency <= 0 || c.size <= 2 {
+	if !c.nodesBuilt {
+		c.nodes, c.nodesBuilt = groupByNode(c.prof, c.size, c.members), true
+	}
+	return c.nodes
+}
+
+// groupByNode groups a communicator of the given size (members maps
+// its ranks to world endpoints, nil = identity) by machine node. It
+// returns nil unless the two-level topologies apply: a node granularity
+// is declared, the intra-node discount exists (otherwise the hierarchy
+// buys nothing), the communicator spans at least two nodes, and at
+// least one node holds more than one member (all-singleton grouping is
+// the flat topology already).
+func groupByNode(prof *perfmodel.Profile, size int, members []int) *nodeGroups {
+	ns := prof.Mem.NodeSize
+	if ns <= 1 || prof.IntraNodeLatency <= 0 || size <= 2 {
 		return nil
 	}
-	g := &nodeGroups{index: make([]int, c.size), contig: true}
+	g := &nodeGroups{index: make([]int, size), contig: true}
 	byNode := make(map[int]int)
 	multi := false
-	for r := 0; r < c.size; r++ {
-		node := c.nodeOf(r)
+	for r := 0; r < size; r++ {
+		node := r / ns
+		if members != nil {
+			node = members[r] / ns
+		}
 		gi, ok := byNode[node]
 		if !ok {
 			gi = len(g.groups)
@@ -174,10 +193,7 @@ func (c *Comm) allgatherTwoLevel(send buf.Block, sendCount int, sendTy *datatype
 		if err != nil {
 			return err
 		}
-		req, err := c.collIsend(sv, sn, recvTy, right, "ring-send")
-		if err != nil {
-			return err
-		}
+		req := c.collIsend(sv, sn, recvTy, right, "ring-send")
 		blk = (blk - 1 + nL) % nL
 		rv, rn, err := block(blk)
 		if err != nil {

@@ -137,11 +137,7 @@ func (c *Comm) bcastPipelined(b buf.Block, count int, ty *datatype.Type, root in
 				buf.PutPooled(blk)
 				return err
 			}
-			req, err := c.cisend(blk.Slice(0, int(hi-lo)), abs(child), collTag)
-			if err != nil {
-				buf.PutPooled(blk)
-				return legWrap(abs(child), "pipeline-scatter", err)
-			}
+			req := c.cisend(blk.Slice(0, int(hi-lo)), abs(child), collTag)
 			if err := flush(); err != nil {
 				return err
 			}

@@ -148,17 +148,13 @@ func (c *Comm) collRecv(view buf.Block, count int, ty *datatype.Type, src int, l
 
 // collIsend starts a collective leg send whose completion the caller
 // folds in after its paired receive (ring and pairwise exchange
-// steps). The leg attribution travels inside the async closure, so it
+// steps). The leg attribution travels inside the request, so it
 // surfaces at Wait.
-func (c *Comm) collIsend(view buf.Block, count int, ty *datatype.Type, dest int, leg string) (*Request, error) {
+func (c *Comm) collIsend(view buf.Block, count int, ty *datatype.Type, dest int, leg string) *Request {
 	if w, ok := contigWindow(view, count, ty); ok {
-		return c.startAsyncSend(func(cc *Comm, fl sendFlags) error {
-			return legWrap(dest, leg, cc.sendContig(w, dest, collTag, fl))
-		})
+		return c.startAsyncSend(&Request{kind: opSendContig, b: w, peer: dest, tag: collTag, leg: leg})
 	}
-	return c.startAsyncSend(func(cc *Comm, fl sendFlags) error {
-		return legWrap(dest, leg, cc.sendTypedFused(view, count, ty, dest, collTag, fl))
-	})
+	return c.startAsyncSend(&Request{kind: opSendFused, b: view, count: count, ty: ty, peer: dest, tag: collTag, leg: leg})
 }
 
 // typedSelfCopy is the root's own leg of a typed collective: a single
@@ -188,7 +184,7 @@ func (c *Comm) typedSelfCopy(sb buf.Block, scount int, sty *datatype.Type, db bu
 	}
 	sst, dst := sty.Stats(scount), dty.Stats(dcount)
 	if dp.FusedDstSafe() && !buf.Overlaps(sb, db) {
-		c.clock.Advance(vclock.FromSeconds(c.fusedCopyCost(sb, db, sst, dst, n)))
+		c.clock.Advance(vclock.FromSeconds(c.fusedCopyCost(sb.Region(), db.Region(), &sst, &dst, n)))
 		_, err := datatype.FusedCopy(sp, dp, sb, db)
 		return err
 	}
@@ -768,10 +764,7 @@ func (c *Comm) allgatherType(send buf.Block, sendCount int, sendTy *datatype.Typ
 	blk := c.rank
 	for k := 0; k < c.size-1; k++ {
 		sv, _ := slot(blk)
-		req, err := c.collIsend(sv, recvCount, recvTy, right, "ring-send")
-		if err != nil {
-			return err
-		}
+		req := c.collIsend(sv, recvCount, recvTy, right, "ring-send")
 		blk = (blk - 1 + c.size) % c.size
 		rv, _ := slot(blk)
 		if err := c.collRecv(rv, recvCount, recvTy, left, "ring-recv"); err != nil {
@@ -836,10 +829,7 @@ func (c *Comm) alltoallType(send buf.Block, sendCount int, sendTy *datatype.Type
 		dst := (c.rank + step) % c.size
 		src := (c.rank - step + c.size) % c.size
 		sv, _ := sslot(dst)
-		req, err := c.collIsend(sv, sendCount, sendTy, dst, "pairwise-send")
-		if err != nil {
-			return err
-		}
+		req := c.collIsend(sv, sendCount, sendTy, dst, "pairwise-send")
 		rv, _ := rslot(src)
 		if err := c.collRecv(rv, recvCount, recvTy, src, "pairwise-recv"); err != nil {
 			return err

@@ -381,7 +381,7 @@ func chanClosed(ch <-chan struct{}) bool {
 // path it is the plain channel receive it always was.
 func (c *Comm) awaitMatch(m *simnet.Message, peer, tag int) (simnet.RdvMatch, error) {
 	if !c.fabric.Tracking() {
-		return <-m.Match, nil
+		return m.AwaitMatch(), nil
 	}
 	// Readiness must stay true between consuming the event and
 	// deregistering: the poster bumps the wake counter before the
@@ -411,7 +411,7 @@ func (c *Comm) awaitMatch(m *simnet.Message, peer, tag int) (simnet.RdvMatch, er
 // awaitDone waits for the sender's payload-complete notice.
 func (c *Comm) awaitDone(m *simnet.Message, peer, tag int) (simnet.RdvDone, error) {
 	if !c.fabric.Tracking() {
-		return <-m.Done, nil
+		return m.AwaitDone(), nil
 	}
 	w0 := m.WakeSeq()
 	release := c.fabric.EnterBlocked(c.blockInfo("rdv-done", peer, tag),
@@ -542,17 +542,15 @@ func (c *Comm) rdvSendLoop(m *simnet.Message, dest, tag int, n int64,
 		}
 		sum, hasSum, poisoned, err := xfer(f)
 		if err != nil {
-			m.NoteWake()
-			m.Done <- simnet.RdvDone{Err: err}
+			m.PostDone(simnet.RdvDone{Err: err})
 			return err
 		}
 		final := m.Ack == nil || attempt >= pol.MaxRetries
-		m.NoteWake()
-		m.Done <- simnet.RdvDone{
+		m.PostDone(simnet.RdvDone{
 			Arrival: c.clock.Now() + dur(c.linkLatency(dest)),
 			Bytes:   n,
 			Sum:     sum, HasSum: hasSum, Poisoned: poisoned, Final: final,
-		}
+		})
 		if m.Ack == nil {
 			return nil
 		}

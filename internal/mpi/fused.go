@@ -94,9 +94,7 @@ func (c *Comm) IsendvType(b buf.Block, count int, ty *datatype.Type, dest, tag i
 	if count < 0 {
 		return nil, errNegativeCount(count)
 	}
-	return c.startAsyncSend(func(cc *Comm, fl sendFlags) error {
-		return cc.sendTypedFused(b, count, ty, dest, tag, fl)
-	})
+	return c.startAsyncSend(&Request{kind: opSendFused, b: b, count: count, ty: ty, peer: dest, tag: tag}), nil
 }
 
 // IssendvType is IsendvType under forced rendezvous: even eager-sized
@@ -108,125 +106,83 @@ func (c *Comm) IssendvType(b buf.Block, count int, ty *datatype.Type, dest, tag 
 	if count < 0 {
 		return nil, errNegativeCount(count)
 	}
-	return c.startAsyncSend(func(cc *Comm, fl sendFlags) error {
-		fl.forceRdv = true
-		return cc.sendTypedFused(b, count, ty, dest, tag, fl)
-	})
+	return c.startAsyncSend(&Request{kind: opSendFused, b: b, count: count, ty: ty, peer: dest, tag: tag,
+		fl: sendFlags{forceRdv: true}}), nil
 }
 
-// sendTypedFused is the sender side of the fused rendezvous.
+// sendTypedFused is the sender side of the fused rendezvous: open the
+// handshake, then move the payload. They are two calls so that the
+// open's frame (and the staged typed path under it) has left the stack
+// when the transfer's cost-and-copy chain runs; a background half then
+// does not outgrow the stack it starts with.
 func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, tag int, fl sendFlags) error {
-	p := c.prof
+	var x fusedXfer
+	m, err := c.fusedOpen(&x, b, count, ty, dest, tag, fl)
+	if m == nil {
+		return err
+	}
+	return c.fusedTransfer(m, dest, tag, &x)
+}
+
+// fusedOpen validates the send, runs the rendezvous handshake and
+// describes the matched transfer in x. A nil envelope means there is
+// nothing left to transfer: the payload was eager-sized (or empty) and
+// went the ordinary staged typed way, or the send failed.
+func (c *Comm) fusedOpen(x *fusedXfer, b buf.Block, count int, ty *datatype.Type, dest, tag int, fl sendFlags) (*simnet.Message, error) {
 	n := ty.PackSize(count)
 	if n == 0 || (!fl.forceRdv && c.eagerOK(n, fl.packed, !fl.asyncReturn && !b.IsVirtual())) {
-		// Eager-sized (or empty): stage through the ordinary typed path.
-		return c.sendTyped(b, count, ty, dest, tag, fl)
+		return nil, c.sendTyped(b, count, ty, dest, tag, fl)
 	}
 	plan, err := ty.CompilePlan(count)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := plan.Validate(b); err != nil {
 		// Argument errors surface locally, before the rendezvous
 		// envelope enters the fabric — the same order as SendType,
 		// whose NewPacker validates before anything is delivered.
-		return err
+		return nil, err
 	}
-	st := ty.Stats(count)
 	wireBW := fl.wireBW
 	if wireBW == 0 {
 		// No MPI-internal buffers are involved, so the internal-pool
 		// degradation of large typed sends does not apply: the wire
 		// term runs at the nominal injection bandwidth, like the
 		// reference send.
-		wireBW = p.NetBandwidth
+		wireBW = c.prof.NetBandwidth
 	}
-	wire := float64(n) / wireBW
-
 	fl.sendv = true
-	c.clock.Advance(vclock.FromSeconds(p.SendOverhead))
-	m := c.newRdvMessage(dest, tag, n, fl)
-	err = c.deliverRdv(m, dest, tag)
-	fl.signalDelivered()
+	m, match, err := c.rdvHandshake(dest, tag, n, &fl)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	match, err := c.awaitMatch(m, dest, tag)
-	if err != nil {
-		return err
-	}
-	ctsAt := match.MatchTime + dur(c.linkLatency(dest))
-	c.clock.AdvanceTo(ctsAt)
+	c.clock.AdvanceTo(match.MatchTime + dur(c.linkLatency(dest)))
 
 	// A fused receiver takes delivery in its own layout (fd.user); a
 	// contiguous or fused-declining one in match.Dst. covered is the
 	// stream prefix the receiver has room for.
-	fd, _ := match.FusedDst.(*fusedDst)
-	recv, covered := match.Dst, minInt64(n, int64(match.Dst.Len()))
-	if fd != nil {
-		recv, covered = fd.user, minInt64(n, fd.need)
+	*x = fusedXfer{plan: plan, b: b, st: ty.Stats(count), dst: match.Dst, n: n, wire: float64(n) / wireBW,
+		recv: match.Dst, covered: minInt64(n, int64(match.Dst.Len()))}
+	if x.fd, _ = match.FusedDst.(*fusedDst); x.fd != nil {
+		x.recv, x.covered = x.fd.user, minInt64(n, x.fd.need)
 	}
+	return m, nil
+}
+
+// fusedTransfer moves a matched rendezvous' payload, attempt by attempt.
+func (c *Comm) fusedTransfer(m *simnet.Message, dest, tag int, x *fusedXfer) error {
 	if c.faultsOn() && !c.retry.WholeReplay && m.Ack != nil {
-		chunkSz := p.InternalChunk()
-		if schunks := int((covered + chunkSz - 1) / chunkSz); schunks > 1 {
-			// Selective chunk retransmission over the fused rendezvous:
-			// replays re-pack only the damaged stream ranges — through a
-			// chunk-sized staging hop into a fused receiver's layout, or
-			// straight into a contiguous receiver's block.
-			var attemptCost float64
-			x := &chunkedXfer{
-				covered: covered, chunkSize: chunkSz, chunks: schunks,
-				drainAll: func() error {
-					copyCost, err := c.fusedMove(plan, fd, match.Dst, b, st, n, covered)
-					if err != nil {
-						return err
-					}
-					attemptCost = math.Max(copyCost, wire)
-					c.clock.Advance(vclock.FromSeconds(attemptCost))
-					return nil
-				},
-				resend: func(lo, hi int64) error {
-					if fd != nil {
-						scratch := c.transitAlloc(b, hi-lo)
-						err := plan.PackRange(b, scratch, lo, hi)
-						if err == nil {
-							err = fd.plan.UnpackRange(scratch, fd.user, lo, hi)
-						}
-						buf.PutPooled(scratch)
-						if err != nil {
-							return err
-						}
-					} else if err := plan.PackRange(b, match.Dst.Slice(int(lo), int(hi-lo)), lo, hi); err != nil {
-						return err
-					}
-					c.clock.Advance(vclock.FromSeconds(attemptCost * float64(hi-lo) / float64(covered)))
-					return nil
-				},
-				sum: func(lo, hi int64) (uint64, bool) {
-					if b.IsVirtual() || recv.IsVirtual() || hi <= lo {
-						return 0, false
-					}
-					var cs buf.Checksum
-					plan.ChecksumRange(b, lo, hi, &cs)
-					return cs.Sum64(), true
-				},
-				damage: func(f simnet.Fault, lo, hi int64) bool {
-					if fd != nil {
-						return damagePlanRange(fd.plan, fd.user, lo, hi, f)
-					}
-					return damageContigRange(match.Dst, lo, hi, f)
-				},
-			}
-			return c.rdvSendSelective(m, dest, tag, n, x)
+		chunkSz := c.prof.InternalChunk()
+		if schunks := int((x.covered + chunkSz - 1) / chunkSz); schunks > 1 {
+			return c.fusedSendSelective(m, dest, tag, x, chunkSz, schunks)
 		}
 	}
-
 	// Each attempt re-runs the one-pass (or staged-emulation) transfer;
 	// under faults the drawn damage lands in the receiver's layout
 	// through its own plan, and the checksum claim covers the packed
 	// stream both sides can compute without staging.
-	return c.rdvSendLoop(m, dest, tag, n, func(f simnet.Fault) (uint64, bool, bool, error) {
-		copyCost, err := c.fusedMove(plan, fd, match.Dst, b, st, n, covered)
+	return c.rdvSendLoop(m, dest, tag, x.n, func(f simnet.Fault) (uint64, bool, bool, error) {
+		copyCost, err := c.fusedMove(x)
 		if err != nil {
 			return 0, false, false, err
 		}
@@ -234,23 +190,100 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 		// records the transfer as fused (one pass, no staging), a
 		// fused-declining typed receiver records it as staged when it
 		// unpacks. The sender cannot tell the two destinations apart.
-		poisoned := f.NeedsResend()
-		if poisoned && fd != nil {
-			poisoned = !damagePlan(fd.plan, fd.user, covered, f)
-		} else if poisoned {
-			poisoned = !damageContig(recv, covered, f)
-		}
 		var sum uint64
-		hasSum := m.Ack != nil && !b.IsVirtual() && !recv.IsVirtual() && covered > 0
-		if hasSum {
-			var cs buf.Checksum
-			plan.ChecksumRange(b, 0, covered, &cs)
-			sum = cs.Sum64()
+		var hasSum, poisoned bool
+		if m.Ack != nil {
+			sum, hasSum, poisoned = x.verdict(f)
 		}
 		// The single pass and the wire pipeline: the pass feeds the wire
 		// run-by-run, so the sender is occupied for the longer of the two.
-		c.clock.Advance(vclock.FromSeconds(math.Max(copyCost, wire)))
+		c.clock.Advance(vclock.FromSeconds(math.Max(copyCost, x.wire)))
 		return sum, hasSum, poisoned, nil
+	})
+}
+
+// verdict is a whole-transfer attempt's claim under faults: the drawn
+// damage applied to what landed (poisoned when it cannot materialise)
+// and the checksum of the covered source stream.
+func (x *fusedXfer) verdict(f simnet.Fault) (sum uint64, hasSum, poisoned bool) {
+	poisoned = f.NeedsResend()
+	if poisoned && x.fd != nil {
+		poisoned = !damagePlan(x.fd.plan, x.fd.user, x.covered, f)
+	} else if poisoned {
+		poisoned = !damageContig(x.recv, x.covered, f)
+	}
+	if hasSum = !x.b.IsVirtual() && !x.recv.IsVirtual() && x.covered > 0; hasSum {
+		var cs buf.Checksum
+		x.plan.ChecksumRange(x.b, 0, x.covered, &cs)
+		sum = cs.Sum64()
+	}
+	return sum, hasSum, poisoned
+}
+
+// fusedXfer is one matched fused rendezvous as its attempts see it: the
+// sender's plan over its block b, where the payload lands (fd's layout
+// for a fused receiver, the block dst otherwise; recv is whichever of
+// the two takes delivery), and the stream prefix covered the receiver
+// has room for.
+type fusedXfer struct {
+	plan       *datatype.Plan
+	b          buf.Block
+	st         layout.Stats
+	fd         *fusedDst
+	dst, recv  buf.Block
+	n, covered int64
+	wire       float64
+}
+
+// fusedSendSelective runs a fused rendezvous under selective chunk
+// retransmission: replays re-pack only the damaged stream ranges —
+// through a chunk-sized staging hop into a fused receiver's layout, or
+// straight into a contiguous receiver's block.
+func (c *Comm) fusedSendSelective(m *simnet.Message, dest, tag int, x *fusedXfer, chunkSz int64, chunks int) error {
+	plan, fd, b := x.plan, x.fd, x.b
+	var attemptCost float64
+	return c.rdvSendSelective(m, dest, tag, x.n, &chunkedXfer{
+		covered: x.covered, chunkSize: chunkSz, chunks: chunks,
+		drainAll: func() error {
+			copyCost, err := c.fusedMove(x)
+			if err != nil {
+				return err
+			}
+			attemptCost = math.Max(copyCost, x.wire)
+			c.clock.Advance(vclock.FromSeconds(attemptCost))
+			return nil
+		},
+		resend: func(lo, hi int64) error {
+			if fd != nil {
+				scratch := c.transitAlloc(b, hi-lo)
+				err := plan.PackRange(b, scratch, lo, hi)
+				if err == nil {
+					err = fd.plan.UnpackRange(scratch, fd.user, lo, hi)
+				}
+				buf.PutPooled(scratch)
+				if err != nil {
+					return err
+				}
+			} else if err := plan.PackRange(b, x.dst.Slice(int(lo), int(hi-lo)), lo, hi); err != nil {
+				return err
+			}
+			c.clock.Advance(vclock.FromSeconds(attemptCost * float64(hi-lo) / float64(x.covered)))
+			return nil
+		},
+		sum: func(lo, hi int64) (uint64, bool) {
+			if b.IsVirtual() || x.recv.IsVirtual() || hi <= lo {
+				return 0, false
+			}
+			var cs buf.Checksum
+			plan.ChecksumRange(b, lo, hi, &cs)
+			return cs.Sum64(), true
+		},
+		damage: func(f simnet.Fault, lo, hi int64) bool {
+			if fd != nil {
+				return damagePlanRange(fd.plan, fd.user, lo, hi, f)
+			}
+			return damageContigRange(x.dst, lo, hi, f)
+		},
 	})
 }
 
@@ -263,20 +296,22 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 // receiver still takes delivery in its layout, the two passes are paid
 // here. A contiguous (or fused-declining) receiver gets the plan packed
 // straight into its block dst in one pass.
-func (c *Comm) fusedMove(plan *datatype.Plan, fd *fusedDst, dst, b buf.Block, st layout.Stats, n, covered int64) (float64, error) {
+func (c *Comm) fusedMove(x *fusedXfer) (float64, error) {
+	fd := x.fd
 	switch {
 	case fd == nil:
-		cost := c.fusedCopyCost(b, dst, st, layout.Dense(covered), covered)
-		if covered == 0 {
+		dense := layout.Dense(x.covered)
+		cost := c.fusedCopyCost(x.b.Region(), x.dst.Region(), &x.st, &dense, x.covered)
+		if x.covered == 0 {
 			return cost, nil
 		}
-		return cost, plan.PackRange(b, dst, 0, covered)
-	case n == fd.need && !buf.Overlaps(b, fd.user):
-		cost := c.fusedCopyCost(b, fd.user, st, fd.stats, n)
-		_, err := datatype.FusedCopy(plan, fd.plan, b, fd.user)
+		return cost, x.plan.PackRange(x.b, x.dst, 0, x.covered)
+	case x.n == fd.need && !buf.Overlaps(x.b, fd.user):
+		cost := c.fusedCopyCost(x.b.Region(), fd.user.Region(), &x.st, &fd.stats, x.n)
+		_, err := datatype.FusedCopy(x.plan, fd.plan, x.b, fd.user)
 		return cost, err
 	}
-	return c.stagedScatter(plan, fd, b, st, covered)
+	return c.stagedScatter(x.plan, fd, x.b, &x.st, x.covered)
 }
 
 // stagedScatter is the sender-local staged emulation of a fused
@@ -288,8 +323,8 @@ func (c *Comm) fusedMove(plan *datatype.Plan, fd *fusedDst, dst, b buf.Block, st
 // receiver's layout, so the cost collapses from gather+scatter to the
 // two-stage pipeline bound and the staging footprint shrinks from the
 // whole message to the slot ring.
-func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st layout.Stats, nCopy int64) (float64, error) {
-	gather := c.cache.GatherCost(b.Region(), c.internal.Region(), st, genericCompiled)
+func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st *layout.Stats, nCopy int64) (float64, error) {
+	gather := c.cache.GatherCost(b.Region(), c.internal.Region(), *st, genericCompiled)
 	scatter := c.cache.ScatterCost(c.internal.Region(), fd.user.Region(), fd.stats, genericCompiled)
 	chunk := c.prof.InternalChunk()
 	chunks := c.prof.Chunks(nCopy)
@@ -333,11 +368,9 @@ func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st 
 
 // offerFusedDst builds the fused descriptor a typed rendezvous
 // receiver hands to a sendv sender, or nil when the layout cannot
-// legally take a one-pass scatter (uncompilable plan, overlapping
-// repeated instances).
-func (c *Comm) offerFusedDst(b buf.Block, count int, ty *datatype.Type, need int64) *fusedDst {
-	plan, err := ty.CompilePlan(count)
-	if err != nil || !plan.FusedDstSafe() {
+// legally take a one-pass scatter (overlapping repeated instances).
+func offerFusedDst(b buf.Block, count int, ty *datatype.Type, plan *datatype.Plan, need int64) *fusedDst {
+	if !plan.FusedDstSafe() {
 		return nil
 	}
 	return &fusedDst{user: b, plan: plan, stats: ty.Stats(count), need: need}

@@ -127,6 +127,9 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 		defer stopDetector()
 	}
 	start := time.Now()
+	// The world's node grouping is the same for every rank: built once
+	// per Run (nil on flat machines) and shared read-only by all cores.
+	nodes := groupByNode(prof, size, nil)
 	errs := make([]error, size)
 	var wg sync.WaitGroup
 	for r := 0; r < size; r++ {
@@ -139,23 +142,29 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v\n%s", rank, p, debug.Stack())
 				}
 			}()
-			c := &Comm{
-				rank:     rank,
-				size:     size,
-				ctx:      0,
-				members:  nil, // world: identity mapping
-				fabric:   fabric,
-				prof:     prof,
-				clock:    &vclock.Clock{},
-				cache:    memsim.NewState(&prof.Mem),
-				realTime: opts.RealTime,
-				start:    start,
-				faults:   faultsOn,
-				retry:    retry,
-			}
-			c.cache.SetDisabled(opts.ColdCaches)
-			c.internal = buf.Alloc(1) // identity for MPI-internal buffer warmth
-			errs[rank] = body(c)
+			// One allocation holds the rank's world view: the shared
+			// core, the Comm the body runs on, and the rank's clock.
+			w := &struct {
+				core  commCore
+				comm  Comm
+				clock vclock.Clock
+			}{core: commCore{
+				rank:       rank, // ctx 0, nil members: the world's identity mapping
+				size:       size,
+				fabric:     fabric,
+				prof:       prof,
+				cache:      memsim.NewState(&prof.Mem),
+				realTime:   opts.RealTime,
+				start:      start,
+				internal:   buf.Alloc(1), // identity for MPI-internal buffer warmth
+				faults:     faultsOn,
+				retry:      retry,
+				nodes:      nodes,
+				nodesBuilt: true,
+			}}
+			w.core.cache.SetDisabled(opts.ColdCaches)
+			w.comm = Comm{commCore: &w.core, clock: &w.clock}
+			errs[rank] = body(&w.comm)
 		}(r)
 	}
 	done := make(chan struct{})
@@ -179,10 +188,12 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 	return errors.Join(errs...)
 }
 
-// Comm is one rank's view of a communicator. All methods must be
-// called from the rank's own goroutine (like an MPI process); a Comm
-// is not safe for concurrent use.
-type Comm struct {
+// commCore is what every view of one rank's communicator shares: its
+// identity (rank, size, context, membership), the run's fabric, profile
+// and fault configuration, the rank's cache model, and the memoised
+// node grouping. It is immutable once the communicator is in use, apart
+// from the lazily built grouping, which only the owning rank touches.
+type commCore struct {
 	rank    int   // rank within this communicator
 	size    int   // communicator size
 	ctx     int   // communicator context id (0 = world)
@@ -190,14 +201,46 @@ type Comm struct {
 
 	fabric   *simnet.Fabric
 	prof     *perfmodel.Profile
-	clock    *vclock.Clock
 	cache    *memsim.State
 	realTime bool
 	start    time.Time
 
-	attach *bsendPool // Bsend attached buffer, nil when detached
-
 	internal buf.Block // region identity for MPI-internal staging
+
+	// fault-recovery configuration (see fault.go).
+	faults bool        // a fault plan is armed on the fabric
+	retry  RetryPolicy // normalized retransmission budget and backoff
+
+	// nodes is the communicator's node grouping (see twoLevel), valid
+	// once nodesBuilt: the world's is built by Run and shared by every
+	// rank, a Split child's on first use.
+	nodes      *nodeGroups
+	nodesBuilt bool
+}
+
+// Comm is one rank's view of a communicator. All methods must be
+// called from the rank's own goroutine (like an MPI process); a Comm
+// is not safe for concurrent use.
+//
+// A rank has several views of one communicator: the one its body runs
+// on, and one inside every outstanding Request, on which the request's
+// background half executes. All of them share the commCore — and
+// through it the fabric and the rank's (internally locked) cache
+// model. Each view owns the words that differ per execution context:
+// the clock it advances (the rank's own, or the half's private one that
+// Wait folds back) and the cancel hook of its blocking fabric waits.
+// The remaining fields belong to the rank's own view and are copied by
+// value into a half, so nothing a half does to them reaches the owner.
+type Comm struct {
+	*commCore
+
+	clock *vclock.Clock
+	// cancelCh, non-nil only inside the async half of a request whose
+	// run has tracking enabled, tears blocking fabric waits down when
+	// the request's deadline fires.
+	cancelCh chan struct{}
+
+	attach *bsendPool // Bsend attached buffer, nil when detached
 
 	// observed, when set, receives the per-Start virtual-clock cost of
 	// persistent operations (the self-tuning feedback loop; see
@@ -207,14 +250,12 @@ type Comm struct {
 	reqSeq int // request numbering for diagnostics
 	winSeq int // window numbering; identical across ranks (collective)
 
-	// fault-recovery configuration (see fault.go).
-	faults bool        // a fault plan is armed on the fabric
-	retry  RetryPolicy // normalized retransmission budget and backoff
-
-	// cancelCh, non-nil only inside the async half of a request whose
-	// run has tracking enabled, tears blocking fabric waits down when
-	// the request's deadline fires.
-	cancelCh chan struct{}
+	// posted is the rank's reusable delivery signal: the half of an
+	// Isend puts one token in once its envelope has entered the fabric
+	// (or it failed before that), and the starter takes it before
+	// returning, so the channel is empty between calls. Made on the
+	// first non-blocking send.
+	posted chan struct{}
 }
 
 // groupSync deposits the local clock at the communicator's

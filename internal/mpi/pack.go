@@ -144,6 +144,6 @@ var genericCompiled = memsim.Kernel{Engine: memsim.Compiled}
 
 // fusedCopyCost prices the one-pass move of n bytes from src's layout
 // into dst's, split as the fused engine splits a move of that size.
-func (c *Comm) fusedCopyCost(src, dst buf.Block, srcSt, dstSt layout.Stats, n int64) float64 {
-	return c.cache.FusedCopyCost(src.Region(), dst.Region(), srcSt, dstSt, KernelFor(false, n).Workers)
+func (c *Comm) fusedCopyCost(src, dst buf.Region, srcSt, dstSt *layout.Stats, n int64) float64 {
+	return c.cache.FusedCopyCost(src, dst, *srcSt, *dstSt, KernelFor(false, n).Workers)
 }

@@ -61,10 +61,8 @@ func (c *Comm) IsendpType(b buf.Block, count int, ty *datatype.Type, dest, tag i
 	if count < 0 {
 		return nil, errNegativeCount(count)
 	}
-	return c.startAsyncSend(func(cc *Comm, fl sendFlags) error {
-		fl.pipelined = true
-		return cc.sendTyped(b, count, ty, dest, tag, fl)
-	})
+	return c.startAsyncSend(&Request{kind: opSendTyped, b: b, count: count, ty: ty, peer: dest, tag: tag,
+		fl: sendFlags{pipelined: true}}), nil
 }
 
 // pipelineEnabled reports whether the pipelined chunk engine may run:
@@ -94,17 +92,13 @@ func chunkTag(i int) int {
 }
 
 // cisend starts an internal async contiguous send on tag.
-func (c *Comm) cisend(b buf.Block, dest, tag int) (*Request, error) {
-	return c.startAsyncSend(func(cc *Comm, fl sendFlags) error {
-		return cc.sendContig(b, dest, tag, fl)
-	})
+func (c *Comm) cisend(b buf.Block, dest, tag int) *Request {
+	return c.startAsyncSend(&Request{kind: opSendContig, b: b, peer: dest, tag: tag})
 }
 
 // cirecv starts an internal async contiguous receive on tag.
 func (c *Comm) cirecv(b buf.Block, src, tag int) *Request {
-	return c.startAsyncRecv(func(cc *Comm) (Status, error) {
-		return cc.recvContig(b, src, tag)
-	})
+	return c.startAsync(&Request{kind: opRecvContig, b: b, peer: src, tag: tag})
 }
 
 // ringHop is one hop of a pipelined ring schedule: it streams the
@@ -133,10 +127,7 @@ func (c *Comm) ringHop(out buf.Block, dest int, in buf.Block, src int, unpack fu
 	var sendReq, recvReq *Request
 	var sent, recvd int64
 	if outPieces > 0 {
-		var err error
-		if sendReq, err = c.cisend(piece(out, 0), dest, chunkTag(0)); err != nil {
-			return legWrap(dest, "pipeline-ring-send", err)
-		}
+		sendReq = c.cisend(piece(out, 0), dest, chunkTag(0))
 	}
 	if inPieces > 0 {
 		recvReq = c.cirecv(piece(in, 0), src, chunkTag(0))
@@ -168,10 +159,7 @@ func (c *Comm) ringHop(out buf.Block, dest int, in buf.Block, src int, unpack fu
 			}
 			sent++
 			if sent < outPieces {
-				var err error
-				if sendReq, err = c.cisend(piece(out, sent), dest, chunkTag(int(sent))); err != nil {
-					return legWrap(dest, "pipeline-ring-send", err)
-				}
+				sendReq = c.cisend(piece(out, sent), dest, chunkTag(int(sent)))
 			}
 		}
 	}

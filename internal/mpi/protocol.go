@@ -28,9 +28,10 @@ type sendFlags struct {
 	// the message travelling behind its back (Bsend semantics). Only
 	// valid together with eager-style delivery.
 	asyncReturn bool
-	// delivered, when non-nil, is closed as soon as the envelope has
-	// entered the fabric; Isend uses it to pin program-order delivery.
-	delivered chan struct{}
+	// isend, when non-nil, is the request whose starter must be
+	// released as soon as the envelope has entered the fabric; Isend
+	// uses it to pin program-order delivery.
+	isend *Request
 	// sendv marks a plan-driven fused rendezvous send (SendvType): the
 	// typed receiver may expose its user layout for the direct
 	// one-pass scatter instead of allocating staging.
@@ -42,14 +43,6 @@ type sendFlags struct {
 	// serialise the two stages (§2.3), so the paper schemes leave it
 	// unset.
 	pipelined bool
-}
-
-// signalDelivered closes the delivery notification exactly once.
-func (fl *sendFlags) signalDelivered() {
-	if fl.delivered != nil {
-		close(fl.delivered)
-		fl.delivered = nil
-	}
 }
 
 // eagerOK decides the protocol for an n-byte payload: the profile's
@@ -122,7 +115,7 @@ func (c *Comm) sendContig(b buf.Block, dest, tag int, fl sendFlags) error {
 				c.clock.AdvanceTo(injectEnd)
 			}
 			f := c.deliverEager(dest, tag, c.transitCopy(b), n, injectEnd, fl)
-			fl.signalDelivered()
+			fl.isend.signalPosted()
 			again, err := c.eagerRetryStep(&attempt, "send", dest, tag, f)
 			if err != nil || !again {
 				if c.faultsOn() && fl.onConsume != nil {
@@ -136,14 +129,7 @@ func (c *Comm) sendContig(b buf.Block, dest, tag int, fl sendFlags) error {
 		}
 	}
 	// Rendezvous: RTS, wait for the matched receive, stream zero-copy.
-	c.clock.Advance(vclock.FromSeconds(p.SendOverhead))
-	m := c.newRdvMessage(dest, tag, n, fl)
-	err := c.deliverRdv(m, dest, tag)
-	fl.signalDelivered()
-	if err != nil {
-		return err
-	}
-	match, err := c.awaitMatch(m, dest, tag)
+	m, match, err := c.rdvHandshake(dest, tag, n, &fl)
 	if err != nil {
 		return err
 	}
@@ -168,6 +154,21 @@ func (c *Comm) sendContig(b buf.Block, dest, tag int, fl sendFlags) error {
 		}
 		return sum, hasSum, poisoned, nil
 	})
+}
+
+// rdvHandshake opens a rendezvous: it pays the send overhead, injects
+// the RTS envelope — releasing a waiting Isend starter once it is in
+// the fabric — and waits for the receiver's match.
+func (c *Comm) rdvHandshake(dest, tag int, n int64, fl *sendFlags) (*simnet.Message, simnet.RdvMatch, error) {
+	c.clock.Advance(vclock.FromSeconds(c.prof.SendOverhead))
+	m := c.newRdvMessage(dest, tag, n, *fl)
+	err := c.deliverRdv(m, dest, tag)
+	fl.isend.signalPosted()
+	if err != nil {
+		return nil, simnet.RdvMatch{}, err
+	}
+	match, err := c.awaitMatch(m, dest, tag)
+	return m, match, err
 }
 
 // deliverRdv injects a rendezvous control envelope, retransmitting
@@ -278,7 +279,7 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 				transit := c.transitAlloc(b, n)
 				if _, err := packer.Pack(transit); err != nil {
 					buf.PutPooled(transit)
-					fl.signalDelivered()
+					fl.isend.signalPosted()
 					return err
 				}
 				c.clock.Advance(vclock.FromSeconds(p.SendOverhead))
@@ -289,7 +290,7 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 					c.clock.Advance(vclock.FromSeconds(packWork))
 				}
 				f := c.deliverEager(dest, tag, transit, n, injectEnd, fl)
-				fl.signalDelivered()
+				fl.isend.signalPosted()
 				again, err := c.eagerRetryStep(&attempt, "send-typed", dest, tag, f)
 				if err != nil || !again {
 					if fl.onConsume != nil {
@@ -316,19 +317,12 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 			c.clock.Advance(vclock.FromSeconds(packWork))
 		}
 		c.deliverEager(dest, tag, transit, n, injectEnd, fl)
-		fl.signalDelivered()
+		fl.isend.signalPosted()
 		return nil
 	}
 
-	c.clock.Advance(vclock.FromSeconds(p.SendOverhead))
-	sendStart := c.clock.Now()
-	m := c.newRdvMessage(dest, tag, n, fl)
-	err = c.deliverRdv(m, dest, tag)
-	fl.signalDelivered()
-	if err != nil {
-		return err
-	}
-	match, err := c.awaitMatch(m, dest, tag)
+	sendStart := c.clock.Now() + dur(p.SendOverhead)
+	m, match, err := c.rdvHandshake(dest, tag, n, &fl)
 	if err != nil {
 		return err
 	}
@@ -492,21 +486,10 @@ func (c *Comm) drainPipelined(plan *datatype.Plan, user, dst buf.Block, n int64)
 // stamped. Under faults the envelope carries the per-attempt Ack
 // channel of the checksum/NACK loop.
 func (c *Comm) newRdvMessage(dest, tag int, n int64, fl sendFlags) *simnet.Message {
-	m := &simnet.Message{
-		Ctx:     c.ctx,
-		Src:     c.endpoint(c.rank),
-		Tag:     tag,
-		Kind:    simnet.KindRendezvous,
-		Bytes:   n,
-		Arrival: c.clock.Now() + dur(c.linkLatency(dest)),
-		Packed:  fl.packed,
-		Sendv:   fl.sendv,
-		Match:   make(chan simnet.RdvMatch, 1),
-		Done:    make(chan simnet.RdvDone, 1),
-	}
-	if c.fabric.Tracking() {
-		m.InitWake()
-	}
+	m := simnet.NewRendezvous(c.fabric.Tracking())
+	m.Ctx, m.Src, m.Tag = c.ctx, c.endpoint(c.rank), tag
+	m.Bytes, m.Arrival = n, c.clock.Now()+dur(c.linkLatency(dest))
+	m.Packed, m.Sendv = fl.packed, fl.sendv
 	if c.faultsOn() {
 		m.Ack = make(chan error, 1)
 	}
@@ -618,8 +601,7 @@ func (c *Comm) completeRecvContig(b buf.Block, m *simnet.Message, post vclock.Ti
 		}
 		return st, nil
 	case simnet.KindRendezvous:
-		m.NoteWake()
-		m.Match <- simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: b}
+		m.PostMatch(simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: b})
 		done, err := c.rdvRecvVerify(m, c.localRank(m.Src), m.Tag, func(lo, hi int64) (uint64, bool) {
 			hi = minInt64(hi, int64(b.Len()))
 			if b.IsVirtual() || hi <= lo {
@@ -654,7 +636,12 @@ func (c *Comm) completeRecvContig(b buf.Block, m *simnet.Message, post vclock.Ti
 // recvTyped receives a typed message, scattering into the datatype
 // layout.
 func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int) (Status, error) {
-	unpacker, err := ty.NewUnpacker(b, count)
+	// Argument errors surface here, before the match; the unpacker is
+	// built only by the branches that unpack (a fused match never does).
+	plan, err := ty.CompilePlan(count)
+	if err == nil {
+		err = plan.Validate(b)
+	}
 	if err != nil {
 		return Status{}, err
 	}
@@ -680,7 +667,7 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 			nCopy = need
 		}
 		if nCopy > 0 {
-			if _, err := unpacker.Unpack(m.Payload.Slice(0, int(nCopy))); err != nil {
+			if err := unpackTyped(b, count, ty, m.Payload.Slice(0, int(nCopy))); err != nil {
 				buf.PutPooled(m.Payload)
 				m.Payload = buf.Block{}
 				return st, err
@@ -698,13 +685,12 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 		return st, nil
 	case simnet.KindRendezvous:
 		if m.Sendv {
-			if fd := c.offerFusedDst(b, count, ty, need); fd != nil {
+			if fd := offerFusedDst(b, count, ty, plan, need); fd != nil {
 				// Fused: expose the user layout; the sendv sender
 				// scatters straight into it (or runs its local staged
 				// emulation) — either way the payload arrives in place
 				// and this rank never allocates staging or unpacks.
-				m.NoteWake()
-				m.Match <- simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: b, FusedDst: fd}
+				m.PostMatch(simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: b, FusedDst: fd})
 				done, err := c.rdvRecvVerify(m, c.localRank(m.Src), m.Tag, func(lo, hi int64) (uint64, bool) {
 					hi = minInt64(hi, need)
 					if b.IsVirtual() || hi <= lo {
@@ -733,8 +719,7 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 			// in one compiled pass instead.
 		}
 		staging := c.transitAlloc(b, minInt64(m.Bytes, need))
-		m.NoteWake()
-		m.Match <- simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: staging}
+		m.PostMatch(simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: staging})
 		done, err := c.rdvRecvVerify(m, c.localRank(m.Src), m.Tag, func(lo, hi int64) (uint64, bool) {
 			hi = minInt64(hi, int64(staging.Len()))
 			if staging.IsVirtual() || hi <= lo {
@@ -753,7 +738,7 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 		c.clock.AdvanceTo(done.Arrival)
 		c.clock.Advance(vclock.FromSeconds(p.RecvOverhead + scatter))
 		if staging.Len() > 0 {
-			if _, err := unpacker.Unpack(staging); err != nil {
+			if err := unpackTyped(b, count, ty, staging); err != nil {
 				buf.PutPooled(staging)
 				return st, err
 			}
@@ -770,6 +755,16 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 	default:
 		return st, fmt.Errorf("mpi: unknown message kind %v", m.Kind)
 	}
+}
+
+// unpackTyped scatters a packed stream (prefix) into count instances
+// of ty in b.
+func unpackTyped(b buf.Block, count int, ty *datatype.Type, packed buf.Block) error {
+	u, err := ty.NewUnpacker(b, count)
+	if err == nil {
+		_, err = u.Unpack(packed)
+	}
+	return err
 }
 
 // matchFrom resolves the wildcard-aware (src, tag) match for this

@@ -1,0 +1,6 @@
+//go:build race
+
+package mpi
+
+// raceEnabled gates the allocation-count tests under the race detector.
+const raceEnabled = true

@@ -3,6 +3,8 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/buf"
@@ -18,12 +20,52 @@ import (
 // deadline, so measured results stay deterministic.
 const waitTimeoutRealFallback = 250 * time.Millisecond
 
+// asyncKind names the protocol routine a request's background half runs.
+type asyncKind uint8
+
+const (
+	opSendContig asyncKind = iota
+	opSendTyped
+	opSendFused
+	opRecvContig
+	opRecvTyped
+)
+
 // Request tracks a non-blocking operation, like MPI_Request. Complete
 // it with Wait or poll with Test.
+//
+// The request is the operation's only allocation besides its goroutine:
+// it holds the operands, the view of the communicator the background
+// half executes on (the owner's core with this request's own clock and
+// cancel hook) and the completion latch. It is never pooled: the caller
+// keeps the pointer past completion, and Wait or Test on a finished
+// request must keep answering with a RequestStateError that carries the
+// original result, which a recycled object could not.
 type Request struct {
 	owner *Comm
-	async *Comm // clone whose clock the background half advances
-	done  chan struct{}
+	half  Comm         // the background half's view; its clock is &clock
+	clock vclock.Clock // starts at the owner's time, folded back by Wait
+
+	// The operation: kind selects the routine, the rest are its
+	// operands (peer is the destination of a send, the source of a
+	// receive). A non-empty leg attributes a failure to its collective
+	// leg.
+	kind  asyncKind
+	b     buf.Block
+	count int
+	ty    *datatype.Type
+	peer  int
+	tag   int
+	fl    sendFlags
+	leg   string
+	// owesPost is set while a send's starter waits for the delivery
+	// token on the rank's posted channel.
+	owesPost bool
+
+	// completed flips, and wg releases, when the background half has
+	// stored status and err.
+	completed atomic.Bool
+	wg        sync.WaitGroup
 
 	status   Status
 	err      error
@@ -38,18 +80,6 @@ type Request struct {
 	deadline vclock.Duration
 }
 
-// asyncClone returns a clone of the Comm whose clock starts at the
-// caller's current time and advances independently; Wait folds the
-// result back. Fabric, cache state (internally locked) and the attach
-// pool are shared.
-func (c *Comm) asyncClone() *Comm {
-	cc := *c
-	cl := &vclock.Clock{}
-	cl.AdvanceTo(c.clock.Now())
-	cc.clock = cl
-	return &cc
-}
-
 // Isend starts a non-blocking contiguous send, like MPI_Isend. The
 // message enters the network in program order (the envelope is
 // delivered before Isend returns), so pairwise ordering guarantees
@@ -58,9 +88,7 @@ func (c *Comm) Isend(b buf.Block, dest, tag int) (*Request, error) {
 	if err := c.checkP2P(dest, tag); err != nil {
 		return nil, err
 	}
-	return c.startAsyncSend(func(cc *Comm, fl sendFlags) error {
-		return cc.sendContig(b, dest, tag, fl)
-	})
+	return c.startAsyncSend(&Request{kind: opSendContig, b: b, peer: dest, tag: tag}), nil
 }
 
 // IsendType starts a non-blocking derived-datatype send.
@@ -71,57 +99,90 @@ func (c *Comm) IsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	if count < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrCount, count)
 	}
-	return c.startAsyncSend(func(cc *Comm, fl sendFlags) error {
-		return cc.sendTyped(b, count, ty, dest, tag, fl)
-	})
+	return c.startAsyncSend(&Request{kind: opSendTyped, b: b, count: count, ty: ty, peer: dest, tag: tag}), nil
 }
 
-// newRequest builds the request shell shared by the async starters: on
-// tracked fabrics the background half is registered with the
+// startAsync launches r's background half on its own view of the
+// communicator. On tracked fabrics the half is registered with the
 // quiescence detector as a worker, and the cancel channel that a
-// deadline closes is threaded into the clone's blocking fabric waits.
-func (c *Comm) newRequest(cc *Comm) *Request {
+// deadline closes is threaded into its blocking fabric waits.
+func (c *Comm) startAsync(r *Request) *Request {
 	c.reqSeq++
-	r := &Request{owner: c, async: cc, done: make(chan struct{}), id: c.reqSeq}
+	r.owner, r.id = c, c.reqSeq
+	r.clock = *c.clock
+	r.half = *c
+	r.half.clock = &r.clock
 	if c.fabric.Tracking() {
 		r.cancel = make(chan struct{})
-		cc.cancelCh = r.cancel
+		r.half.cancelCh = r.cancel
 		c.fabric.WorkerStart()
 	}
+	r.wg.Add(1)
+	go r.run()
 	return r
 }
 
-// startAsyncSend runs op on a clone. To preserve MPI's non-overtaking
-// rule the envelope must enter the fabric before Isend returns, so a
-// later blocking send from the same rank cannot overtake it. The
-// protocol layer signals the delivered channel right after it enqueues
-// the envelope (both sendContig and sendTyped deliver before they
-// first block); startAsyncSend waits for that signal.
-func (c *Comm) startAsyncSend(op func(*Comm, sendFlags) error) (*Request, error) {
-	cc := c.asyncClone()
-	delivered := make(chan struct{})
-	r := c.newRequest(cc)
-	tracked := r.cancel != nil
-	go func() {
-		defer close(r.done)
-		if tracked {
-			defer c.fabric.WorkerDone()
+// run is the background half: the operation itself, then completion.
+func (r *Request) run() {
+	cc := &r.half
+	defer func() {
+		if p := recover(); p != nil {
+			r.err = fmt.Errorf("mpi: async op panicked: %v", p)
 		}
-		defer func() {
-			if p := recover(); p != nil {
-				r.err = fmt.Errorf("mpi: async op panicked: %v", p)
-			}
-		}()
-		r.err = op(cc, sendFlags{delivered: delivered})
+		r.signalPosted() // a send that failed before delivering
+		if cc.cancelCh != nil {
+			cc.fabric.WorkerDone()
+		}
+		r.completed.Store(true)
+		r.wg.Done()
 	}()
-	select {
-	case <-delivered:
-	case <-r.done: // op failed before delivering
+	switch r.kind {
+	case opSendContig:
+		r.err = cc.sendContig(r.b, r.peer, r.tag, r.fl)
+	case opSendTyped:
+		r.err = cc.sendTyped(r.b, r.count, r.ty, r.peer, r.tag, r.fl)
+	case opSendFused:
+		r.err = cc.sendTypedFused(r.b, r.count, r.ty, r.peer, r.tag, r.fl)
+	case opRecvContig:
+		r.status, r.err = cc.recvContig(r.b, r.peer, r.tag)
+	case opRecvTyped:
+		r.status, r.err = cc.recvTyped(r.b, r.count, r.ty, r.peer, r.tag)
 	}
-	return r, nil
+	if r.leg != "" {
+		r.err = legWrap(r.peer, r.leg, r.err)
+	}
 }
 
-// Irecv starts a non-blocking receive, like MPI_Irecv. When several
+// startAsyncSend starts a send request. To preserve MPI's
+// non-overtaking rule the envelope must enter the fabric before Isend
+// returns, so a later blocking send from the same rank cannot overtake
+// it. The protocol layer puts a token on the rank's posted channel
+// right after it enqueues the envelope (both sendContig and sendTyped
+// deliver before they first block), and a half that fails earlier puts
+// it on its way out; startAsyncSend takes that one token, so the
+// channel is empty again when it returns.
+func (c *Comm) startAsyncSend(r *Request) *Request {
+	if c.posted == nil {
+		c.posted = make(chan struct{}, 1)
+	}
+	r.owesPost = true
+	r.fl.isend = r
+	c.startAsync(r)
+	<-c.posted
+	return r
+}
+
+// signalPosted releases the starter of a send request, once; a no-op on
+// the nil request of a blocking send.
+func (r *Request) signalPosted() {
+	if r != nil && r.owesPost {
+		r.owesPost = false
+		r.half.posted <- struct{}{}
+	}
+}
+
+// Irecv starts a non-blocking receive, like MPI_Irecv: the receive
+// posts when the background half first touches the fabric. When several
 // Irecvs with overlapping patterns are outstanding, their matching
 // order is unspecified (a documented divergence from MPI's
 // posted-receive queue order; the benchmark patterns never rely on
@@ -130,9 +191,7 @@ func (c *Comm) Irecv(b buf.Block, src, tag int) (*Request, error) {
 	if err := c.checkRecvArgs(src, tag); err != nil {
 		return nil, err
 	}
-	return c.startAsyncRecv(func(cc *Comm) (Status, error) {
-		return cc.recvContig(b, src, tag)
-	}), nil
+	return c.startAsync(&Request{kind: opRecvContig, b: b, peer: src, tag: tag}), nil
 }
 
 // IrecvType starts a non-blocking derived-datatype receive, like
@@ -147,30 +206,7 @@ func (c *Comm) IrecvType(b buf.Block, count int, ty *datatype.Type, src, tag int
 	if count < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrCount, count)
 	}
-	return c.startAsyncRecv(func(cc *Comm) (Status, error) {
-		return cc.recvTyped(b, count, ty, src, tag)
-	}), nil
-}
-
-// startAsyncRecv runs a receive op on a clone in the background; the
-// receive posts when the op first touches the fabric, like MPI_Irecv.
-func (c *Comm) startAsyncRecv(op func(*Comm) (Status, error)) *Request {
-	cc := c.asyncClone()
-	r := c.newRequest(cc)
-	tracked := r.cancel != nil
-	go func() {
-		defer close(r.done)
-		if tracked {
-			defer c.fabric.WorkerDone()
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				r.err = fmt.Errorf("mpi: async op panicked: %v", p)
-			}
-		}()
-		r.status, r.err = op(cc)
-	}()
-	return r
+	return c.startAsync(&Request{kind: opRecvTyped, b: b, count: count, ty: ty, peer: src, tag: tag}), nil
 }
 
 // SetDeadline bounds every subsequent Wait on this request by d of
@@ -213,30 +249,32 @@ func (r *Request) Wait() (Status, error) {
 }
 
 // await blocks until the background half finishes. On tracked fabrics
-// the wait is registered with the quiescence detector and unwinds on
-// abort (the aborted background half closes done on its own way out).
+// the wait is registered with the quiescence detector; an abort tears
+// the background half down too, and its error (the abort reason) is
+// what this Wait then reports.
 func (r *Request) await() {
 	f := r.owner.fabric
 	if !f.Tracking() {
-		<-r.done
+		r.wg.Wait()
 		return
 	}
-	release := f.EnterBlocked(r.owner.blockInfo("wait", AnySource, AnyTag),
-		func() bool { return chanClosed(r.done) })
-	select {
-	case <-r.done:
-	case <-f.AbortChan():
-		// The abort tears the background half down too; collect it so
-		// its error (the abort reason) is what this Wait reports.
-		<-r.done
-	}
+	release := f.EnterBlocked(r.owner.blockInfo("wait", AnySource, AnyTag), r.completed.Load)
+	r.wg.Wait()
 	release()
+}
+
+// doneChan bridges the completion latch to a channel for the selects
+// of the deadline-bounded waits.
+func (r *Request) doneChan() <-chan struct{} {
+	done := make(chan struct{})
+	go func() { r.wg.Wait(); close(done) }()
+	return done
 }
 
 // finish folds the background half's virtual time into the owner and
 // retires the request.
 func (r *Request) finish() (Status, error) {
-	r.owner.clock.AdvanceTo(r.async.clock.Now())
+	r.owner.clock.AdvanceTo(r.clock.Now())
 	r.finished = true
 	return r.status, r.err
 }
@@ -261,7 +299,7 @@ func (r *Request) WaitTimeout(d vclock.Duration) (Status, error) {
 		// and detach. The background goroutine unwinds whenever its peer
 		// acts (or the run ends).
 		select {
-		case <-r.done:
+		case <-r.doneChan():
 			return r.finish()
 		case <-time.After(waitTimeoutRealFallback):
 			r.finished = true
@@ -271,7 +309,8 @@ func (r *Request) WaitTimeout(d vclock.Duration) (Status, error) {
 	}
 	info := r.owner.blockInfo("wait-timeout", AnySource, AnyTag)
 	info.Deadline = true
-	release := f.EnterBlocked(info, func() bool { return chanClosed(r.done) })
+	release := f.EnterBlocked(info, r.completed.Load)
+	done := r.doneChan()
 	ticker := time.NewTicker(200 * time.Microsecond)
 	fallback := time.NewTimer(waitTimeoutRealFallback)
 	defer ticker.Stop()
@@ -280,10 +319,10 @@ func (r *Request) WaitTimeout(d vclock.Duration) (Status, error) {
 loop:
 	for {
 		select {
-		case <-r.done:
+		case <-done:
 			break loop
 		case <-f.AbortChan():
-			<-r.done
+			<-done
 			break loop
 		case <-ticker.C:
 			// Deterministic verdict: nothing in the simulation is
@@ -309,7 +348,7 @@ loop:
 		r.cancel = nil
 	}
 	f.KickAll()
-	<-r.done
+	<-done
 	if r.err == nil || !errors.Is(r.err, simnet.ErrCanceled) {
 		// Completed (or failed for its own reason) in the race with the
 		// teardown: report that instead of the timeout.
@@ -328,13 +367,11 @@ func (r *Request) Test() (bool, Status, error) {
 	if r.finished {
 		return true, Status{}, r.misuse("test")
 	}
-	select {
-	case <-r.done:
-		st, err := r.finish()
-		return true, st, err
-	default:
+	if !r.completed.Load() {
 		return false, Status{}, nil
 	}
+	st, err := r.finish()
+	return true, st, err
 }
 
 // WaitAll completes a set of requests, returning the first error, like

@@ -69,8 +69,7 @@ func (c *Comm) rdvSendSelective(m *simnet.Message, dest, tag int, n int64, x *ch
 	dup := simnet.NewChunkBitmap(x.chunks)
 	sums := make([]uint64, x.chunks)
 	fail := func(err error) error {
-		m.NoteWake()
-		m.Done <- simnet.RdvDone{Err: err}
+		m.PostDone(simnet.RdvDone{Err: err})
 		return err
 	}
 	for {
@@ -124,15 +123,14 @@ func (c *Comm) rdvSendSelective(m *simnet.Message, dest, tag int, n int64, x *ch
 			}
 		}
 		final := m.Ack == nil || attempt >= pol.MaxRetries
-		m.NoteWake()
-		m.Done <- simnet.RdvDone{
+		m.PostDone(simnet.RdvDone{
 			Arrival: c.clock.Now() + dur(c.linkLatency(dest)),
 			Bytes:   n,
 			HasSum:  hasSum, Final: final,
 			Chunks: x.chunks, ChunkSize: x.chunkSize, Covered: x.covered,
 			Sent: send, PoisonedChunks: poisoned, Dup: dup,
 			ChunkSums: sums,
-		}
+		})
 		if m.Ack == nil {
 			return nil
 		}

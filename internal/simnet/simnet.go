@@ -157,19 +157,12 @@ type Message struct {
 	// (rendezvous) lands at the receiver, in virtual time.
 	Arrival vclock.Time
 
-	// Packed marks payloads that were packed in user space, for the
-	// Cray eager-limit artefact (perfmodel.PackedEagerFactor).
-	Packed bool
-
-	// Sendv marks a plan-driven fused rendezvous send (mpi.SendvType):
-	// a typed receiver matching it may expose its user layout through
-	// RdvMatch.FusedDst for the direct one-pass scatter instead of
-	// allocating a packed staging buffer.
-	Sendv bool
-
-	// Match and Done carry the rendezvous handshake; nil for eager.
+	// Match and Done carry the rendezvous handshake on a tracked
+	// fabric; nil for eager, and on an untracked fabric, where hs
+	// carries it (see NewRendezvous). Post through PostMatch/PostDone.
 	Match chan RdvMatch
 	Done  chan RdvDone
+	hs    *handshake
 	// Ack carries the receiver's per-attempt verdict on a rendezvous
 	// payload back to the sender: nil accepts, non-nil NACKs and asks
 	// for a retransmission. Created (capacity 1) only when the fabric
@@ -192,6 +185,16 @@ type Message struct {
 	// mechanically alter (virtual blocks carry no bytes): receivers
 	// treat it exactly like a checksum mismatch.
 	Corrupt bool
+
+	// Packed marks payloads that were packed in user space, for the
+	// Cray eager-limit artefact (perfmodel.PackedEagerFactor). (The
+	// envelope's four flags sit together so they share one word.)
+	Packed bool
+	// Sendv marks a plan-driven fused rendezvous send (mpi.SendvType):
+	// a typed receiver matching it may expose its user layout through
+	// RdvMatch.FusedDst for the direct one-pass scatter instead of
+	// allocating a packed staging buffer.
+	Sendv bool
 
 	// Err is a delivery error attached in flight (ErrShortDelivery for
 	// truncation): it surfaces as a typed error from Recv/Wait when no
@@ -221,7 +224,74 @@ type Message struct {
 	wake *atomic.Int64
 }
 
-// InitWake arms the handshake wake counter; the mpi layer calls it
+// handshake carries a rendezvous' two notices without channels: each
+// is a slot, published once by releasing its latch.
+type handshake struct {
+	match             RdvMatch
+	done              RdvDone
+	matched, finished sync.WaitGroup
+}
+
+// NewRendezvous returns a rendezvous envelope with its handshake armed.
+// On a tracked fabric the notices travel over the Match and Done
+// channels, which a blocked wait selects on together with the abort and
+// cancel signals, and the wake counter is armed. On an untracked fabric
+// a wait can only end by its notice arriving and each notice is sent
+// once (no Ack, no retransmission), so the envelope and the two slots
+// that carry them are one allocation.
+func NewRendezvous(tracked bool) *Message {
+	if tracked {
+		m := &Message{Kind: KindRendezvous, Match: make(chan RdvMatch, 1), Done: make(chan RdvDone, 1)}
+		m.InitWake()
+		return m
+	}
+	e := &struct {
+		m  Message
+		hs handshake
+	}{m: Message{Kind: KindRendezvous}}
+	e.m.hs = &e.hs
+	e.hs.matched.Add(1)
+	e.hs.finished.Add(1)
+	return &e.m
+}
+
+// PostMatch hands the receiver's half of the handshake to the sender.
+func (m *Message) PostMatch(x RdvMatch) {
+	if m.hs != nil {
+		m.hs.match = x
+		m.hs.matched.Done()
+		return
+	}
+	m.NoteWake()
+	m.Match <- x
+}
+
+// PostDone hands the sender's half (one attempt's completion notice)
+// to the receiver.
+func (m *Message) PostDone(x RdvDone) {
+	if m.hs != nil {
+		m.hs.done = x
+		m.hs.finished.Done()
+		return
+	}
+	m.NoteWake()
+	m.Done <- x
+}
+
+// AwaitMatch blocks until PostMatch on an untracked fabric's envelope
+// (no teardown to honour). Tracked waits select on Match themselves.
+func (m *Message) AwaitMatch() RdvMatch {
+	m.hs.matched.Wait()
+	return m.hs.match
+}
+
+// AwaitDone is AwaitMatch for the sender's notice.
+func (m *Message) AwaitDone() RdvDone {
+	m.hs.finished.Wait()
+	return m.hs.done
+}
+
+// InitWake arms the handshake wake counter; NewRendezvous calls it
 // when the fabric tracks quiescence. Without it NoteWake/WakeSeq are
 // inert and the handshake is the plain channel protocol.
 func (m *Message) InitWake() { m.wake = new(atomic.Int64) }

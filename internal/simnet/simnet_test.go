@@ -203,3 +203,37 @@ func TestBadRankPanics(t *testing.T) {
 	}()
 	f.Deliver(5, &Message{Src: 0})
 }
+
+// TestRendezvousHandshake drives both representations of the
+// rendezvous handshake through the same four calls: the channel pair of
+// a tracked fabric (with its wake counter) and the one-allocation slot
+// pair of an untracked one.
+func TestRendezvousHandshake(t *testing.T) {
+	for _, tracked := range []bool{false, true} {
+		m := NewRendezvous(tracked)
+		if m.Kind != KindRendezvous || (m.Match != nil) != tracked || (m.Done != nil) != tracked {
+			t.Fatalf("tracked=%v: kind %v, Match %v, Done %v", tracked, m.Kind, m.Match, m.Done)
+		}
+		await := func() (RdvMatch, RdvDone) { return m.AwaitMatch(), m.AwaitDone() }
+		if tracked {
+			await = func() (RdvMatch, RdvDone) { return <-m.Match, <-m.Done }
+		}
+		go func() {
+			m.PostMatch(RdvMatch{MatchTime: 7})
+			m.PostDone(RdvDone{Bytes: 9})
+		}()
+		match, done := await()
+		if match.MatchTime != 7 || done.Bytes != 9 {
+			t.Errorf("tracked=%v: handshake carried %+v / %+v", tracked, match, done)
+		}
+		if want := map[bool]int64{false: 0, true: 2}[tracked]; m.WakeSeq() != want {
+			t.Errorf("tracked=%v: wake count %d, want %d", tracked, m.WakeSeq(), want)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { NewRendezvous(false) }); n != 1 {
+		t.Errorf("an untracked rendezvous envelope is %v allocations, want 1", n)
+	}
+}
