@@ -39,8 +39,12 @@ import (
 // cryptographic MAC — multi-word damage collides with probability
 // about 2^-64 at best and an adversary can construct collisions.
 //
-// The kernel allocates nothing, so checksumming the zero-staging paths
-// adds one pass over the bytes and nothing else.
+// The kernel allocates nothing, and a sender spends no pass on it: the
+// strided move that packs or fuses a chunk folds each word while it
+// holds it (MoveRuns, under datatype's copyRunGroups), once per
+// transfer — a source does not change under a send, so replays reuse
+// the sum. Only a receiver verifying what landed still reads bytes just
+// to sum them (Write over staging, FoldRuns over a layout).
 type Checksum struct {
 	lane  [4]uint64
 	words uint64 // whole words folded so far; the next one goes to lane words%4
@@ -140,12 +144,7 @@ func (c *Checksum) FoldRuns(data []byte, base, step, runLen, n int64) {
 	// runs covers every load, and the words are read at offsets from one
 	// base pointer (no pointer is ever formed outside the slice) — the
 	// per-word slice checks cost more than the fold.
-	lo, hi := base, base+runLen
-	if d := (n - 1) * step; d < 0 {
-		lo += d
-	} else {
-		hi += d
-	}
+	lo, hi := RunSpan(base, step, 0, runLen, n, 1)
 	data = data[lo:hi]
 	p, o := unsafe.Pointer(&data[0]), base-lo
 	// h0 is the lane of the next word of the stream, h1 of the one after
@@ -201,9 +200,119 @@ func (c *Checksum) FoldRuns(data []byte, base, step, runLen, n int64) {
 	c.lane[ph], c.lane[(ph+1)&3], c.lane[(ph+2)&3], c.lane[(ph+3)&3] = h0, h1, h2, h3
 }
 
+// MoveRuns is the strided move that folds what it moves: k groups of q
+// runs of runLen bytes, run j of group i copied from
+// src[so+i*sGroup+j*sStep:] to dst[do+i*dGroup+j*dStep:] and folded, in
+// that order — the bytes a copy of each run leaves, the sum Write of
+// each run in turn gives. It is datatype's one strided move
+// (copyRunGroups) when a checksum rides along: with a word-aligned
+// state and runs of whole words every word is loaded once, stored, and
+// folded into its lane; otherwise each run is copied, then written.
+// Bounds as in FoldRuns: both slices are resliced to the span the
+// batch touches before any byte moves.
+func (c *Checksum) MoveRuns(dst, src []byte, do, so, dStep, sStep, dGroup, sGroup, runLen, q, k int64) {
+	if q == 1 {
+		q, k = k, 1
+		dStep, sStep = dGroup, sGroup
+	}
+	if k <= 0 || q <= 0 || runLen <= 0 {
+		return
+	}
+	dLo, dHi := RunSpan(do, dStep, dGroup, runLen, q, k)
+	sLo, sHi := RunSpan(so, sStep, sGroup, runLen, q, k)
+	dst, src = dst[dLo:dHi], src[sLo:sHi]
+	do, so = do-dLo, so-sLo
+	if c.n == 0 && runLen == 8 {
+		c.moveWords(dst, src, do, so, dStep, sStep, dGroup, sGroup, q, k)
+		return
+	}
+	for ; k > 0; k-- {
+		if c.n == 0 && runLen&7 == 0 {
+			// Each run is a group of its words.
+			c.moveWords(dst, src, do, so, 8, 8, dStep, sStep, runLen>>3, q)
+		} else {
+			o, u := do, so
+			for n := q; n > 0; n-- {
+				copy(dst[o:o+runLen], src[u:u+runLen])
+				c.Write(src[u : u+runLen])
+				o += dStep
+				u += sStep
+			}
+		}
+		do += dGroup
+		so += sGroup
+	}
+}
+
+// moveWords is MoveRuns for one-word runs and a word-aligned state,
+// every run inside the slices: four words per iteration, the lanes in
+// registers for the whole batch as in FoldRuns. The cursors step from
+// word to word and never past the last one, so no pointer is formed
+// outside its slice.
+func (c *Checksum) moveWords(dst, src []byte, do, so, dStep, sStep, dGroup, sGroup, q, k int64) {
+	if c.len == 0 {
+		c.lane = csumSeed
+	}
+	c.len += k * q * 8
+	// h0 is the lane of the next word of the stream, and so on round
+	// the four.
+	ph := c.words & 3
+	h0, h1, h2, h3 := c.lane[ph], c.lane[(ph+1)&3], c.lane[(ph+2)&3], c.lane[(ph+3)&3]
+	c.words += uint64(k * q)
+	for ; k > 0; k-- {
+		d, s, n := unsafe.Pointer(&dst[do]), unsafe.Pointer(&src[so]), q
+		for n >= 4 {
+			h0 = moveWord(d, s, h0)
+			d, s = unsafe.Add(d, dStep), unsafe.Add(s, sStep)
+			h1 = moveWord(d, s, h1)
+			d, s = unsafe.Add(d, dStep), unsafe.Add(s, sStep)
+			h2 = moveWord(d, s, h2)
+			d, s = unsafe.Add(d, dStep), unsafe.Add(s, sStep)
+			h3 = moveWord(d, s, h3)
+			if n -= 4; n > 0 {
+				d, s = unsafe.Add(d, dStep), unsafe.Add(s, sStep)
+			}
+		}
+		for ; n > 0; n-- {
+			h0, h1, h2, h3 = h1, h2, h3, moveWord(d, s, h0)
+			if n > 1 {
+				d, s = unsafe.Add(d, dStep), unsafe.Add(s, sStep)
+			}
+		}
+		do += dGroup
+		so += sGroup
+	}
+	ph = c.words & 3
+	c.lane[ph], c.lane[(ph+1)&3], c.lane[(ph+2)&3], c.lane[(ph+3)&3] = h0, h1, h2, h3
+}
+
+// RunSpan returns the byte span [lo, hi) one side of a strided batch
+// touches: k groups of q runs of runLen bytes, the first at o, stepping
+// by step within a group and by group between groups. A negative stride
+// extends the span downwards from o.
+func RunSpan(o, step, group, runLen, q, k int64) (lo, hi int64) {
+	lo, hi = o, o+runLen
+	for _, d := range [2]int64{(q - 1) * step, (k - 1) * group} {
+		if d < 0 {
+			lo += d
+		} else {
+			hi += d
+		}
+	}
+	return lo, hi
+}
+
 // le64 loads the little-endian word at p, at any alignment.
 func le64(p unsafe.Pointer) uint64 {
 	return binary.LittleEndian.Uint64((*[8]byte)(p)[:])
+}
+
+// moveWord moves the word at s to d, at any alignment, and returns the
+// lane state h with it folded in.
+func moveWord(d, s unsafe.Pointer, h uint64) uint64 {
+	w := le64(s)
+	binary.LittleEndian.PutUint64((*[8]byte)(d)[:], w)
+	return (h ^ w) * csumPrime
 }
 
 // SkipVirtual accounts n bytes of a virtual (storage-less) payload:

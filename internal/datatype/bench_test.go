@@ -237,7 +237,7 @@ func BenchmarkPackEngines(b *testing.B) {
 			b.SetBytes(payload)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fusedExec(srcPlan, dstPlan, src, dst, payload, c.w)
+				fusedExec(srcPlan, dstPlan, src, dst, payload, c.w, 0, nil)
 			}
 		})
 	}

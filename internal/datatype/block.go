@@ -100,7 +100,7 @@ func (c KernelClass) String() string {
 // (plane, row, col) is two more. Whole rows move as one copyRunGroups
 // tile (a group is a row), row remainders as one group, split-point
 // partial runs through copyRun.
-func (p *Plan) runBlock(user, stream buf.Block, lo, hi, soff int64, dir direction) {
+func (p *Plan) runBlock(user, stream buf.Block, lo, hi, soff int64, dir direction, sum *buf.Checksum) {
 	ub, sb := user.Bytes(), stream.Bytes()
 	pr := p.prog
 	cf := &pr.canon
@@ -131,7 +131,7 @@ func (p *Plan) runBlock(user, stream buf.Block, lo, hi, soff int64, dir directio
 			if n > hi-pos {
 				n = hi - pos
 			}
-			moveRun(sb, ub, pos-soff, base+runOff, n, dir)
+			moveRun(sb, ub, pos-soff, base+runOff, n, dir, sum)
 			pos += n
 			runOff = 0
 			col++
@@ -141,7 +141,7 @@ func (p *Plan) runBlock(user, stream buf.Block, lo, hi, soff int64, dir directio
 			if m := (hi - pos) / rowBytes; m < nRows {
 				nRows = m
 			}
-			moveRuns(sb, ub, pos-soff, base, cf.str[0], cf.str[1], runLen, rowRuns, nRows, dir)
+			moveRuns(sb, ub, pos-soff, base, cf.str[0], cf.str[1], runLen, rowRuns, nRows, dir, sum)
 			pos += nRows * rowBytes
 			row += nRows
 		default:
@@ -151,7 +151,7 @@ func (p *Plan) runBlock(user, stream buf.Block, lo, hi, soff int64, dir directio
 				nRuns = m
 			}
 			if nRuns > 0 {
-				moveRuns(sb, ub, pos-soff, base, cf.str[0], 0, runLen, nRuns, 1, dir)
+				moveRuns(sb, ub, pos-soff, base, cf.str[0], 0, runLen, nRuns, 1, dir, sum)
 				pos += nRuns * runLen
 				col += nRuns
 			}
@@ -160,7 +160,7 @@ func (p *Plan) runBlock(user, stream buf.Block, lo, hi, soff int64, dir directio
 			}
 			if col < rowRuns {
 				// Trailing partial run (the range ends mid-run).
-				moveRun(sb, ub, pos-soff, base+nRuns*cf.str[0], hi-pos, dir)
+				moveRun(sb, ub, pos-soff, base+nRuns*cf.str[0], hi-pos, dir, sum)
 				return
 			}
 		}

@@ -13,7 +13,10 @@ import "repro/internal/buf"
 // edge cuts, gather-table segments and the single run of a contiguous
 // plan. The fold is chunk-invariant (see buf.Checksum): a sender
 // summing per internal chunk or pipeline slot and a receiver summing
-// the whole stream agree.
+// the whole stream agree. It is the receiver's tool: a sender's sums
+// are folded by the move that packs or fuses the bytes (PackRangeSum,
+// FusedCopySum, NewChunkPipelineSum), and PlanStats.ChecksumBytes
+// counts the passes made here so that a sender making one shows.
 //
 // Virtual user blocks are skipped length-only, so both ends of a
 // virtual transfer still produce matching sums.
@@ -31,6 +34,7 @@ func (p *Plan) ChecksumRange(user buf.Block, lo, hi int64, sum *buf.Checksum) {
 		sum.SkipVirtual(hi - lo)
 		return
 	}
+	planCounters.checksumBytes.Add(hi - lo)
 	data := user.Bytes()
 	it := p.Segments()
 	it.SeekTo(lo)

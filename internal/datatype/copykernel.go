@@ -1,6 +1,10 @@
 package datatype
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/buf"
+)
 
 // This file holds the two bodies that move bytes for every compiled
 // engine of the package — pack, unpack, the chunked and pipelined
@@ -16,7 +20,11 @@ import "unsafe"
 // a word-sized length moved through pointers. The plan executors
 // (plan_exec.go, block.go) and the stride×stride fused kernel
 // (fused.go) cut their ranges into such batches; there is no other
-// strided loop and no per-element-size copy of it.
+// strided loop and no per-element-size copy of it. The checksum of the
+// bytes moved is part of the move: when a *buf.Checksum rides along,
+// the batch runs buf.Checksum.MoveRuns — the same loads and stores,
+// each word folded while it is in a register — so a sender under
+// faults packs and sums in one pass.
 //
 // copyRun is the single run, for what has no stride to batch over:
 // gather-table segments, the partial runs a range edge cuts, and run
@@ -113,8 +121,13 @@ func copyRun(dst, src []byte, n int64) {
 // base pointers — no pointer is ever formed outside its slice — because
 // at those lengths the per-word slice checks cost more than the moves
 // (2.3× on the 8 B → 32 B pair, 1.7× on packing every other double).
-// Every other length goes run by run through copyRun.
-func copyRunGroups(dst, src []byte, do, so, dStep, sStep, dGroup, sGroup, runLen, q, k int64) {
+// Every other length goes run by run through copyRun. A non-nil sum
+// folds the runs moved, in order.
+func copyRunGroups(dst, src []byte, do, so, dStep, sStep, dGroup, sGroup, runLen, q, k int64, sum *buf.Checksum) {
+	if sum != nil {
+		sum.MoveRuns(dst, src, do, so, dStep, sStep, dGroup, sGroup, runLen, q, k)
+		return
+	}
 	if q == 1 {
 		q, k = k, 1
 		dStep, sStep = dGroup, sGroup
@@ -122,8 +135,8 @@ func copyRunGroups(dst, src []byte, do, so, dStep, sStep, dGroup, sGroup, runLen
 	if k <= 0 || q <= 0 || runLen <= 0 {
 		return
 	}
-	dLo, dHi := batchSpan(do, dStep, dGroup, runLen, q, k)
-	sLo, sHi := batchSpan(so, sStep, sGroup, runLen, q, k)
+	dLo, dHi := buf.RunSpan(do, dStep, dGroup, runLen, q, k)
+	sLo, sHi := buf.RunSpan(so, sStep, sGroup, runLen, q, k)
 	dst, src = dst[dLo:dHi], src[sLo:sHi]
 	do, so = do-dLo, so-sLo
 	if runLen >= longRunCopy || (runLen&7 != 0 && runLen != 4) {
@@ -190,18 +203,11 @@ func moveWordGroups[W [4]byte | [8]byte](dp, sp unsafe.Pointer, do, so, dStep, s
 	}
 }
 
-// batchSpan returns the byte span [lo, hi) one side of a copyRunGroups
-// batch touches: k groups of q runs of runLen bytes, the first at o,
-// stepping by step within a group and by group between groups. A
-// negative stride extends the span downwards from o.
-func batchSpan(o, step, group, runLen, q, k int64) (lo, hi int64) {
-	lo, hi = o, o+runLen
-	for _, d := range [2]int64{(q - 1) * step, (k - 1) * group} {
-		if d < 0 {
-			lo += d
-		} else {
-			hi += d
-		}
+// copyRunSum is copyRun with the run — a range edge, a table segment —
+// folded into sum, if any, while the copy still has it in cache.
+func copyRunSum(dst, src []byte, n int64, sum *buf.Checksum) {
+	copyRun(dst, src, n)
+	if sum != nil && n > 0 {
+		sum.Write(src[:n])
 	}
-	return lo, hi
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/buf"
 )
 
 // byteCopyOracle is the definitional byte loop copyRun must match.
@@ -119,7 +121,7 @@ func TestCopyRunGroupsMatchesByteLoop(t *testing.T) {
 										copy(exp[o:o+runLen], src[u:u+runLen])
 									}
 								}
-								copyRunGroups(got, src, do, so, dStep, sStep, dGroup, sGroup, runLen, q, k)
+								copyRunGroups(got, src, do, so, dStep, sStep, dGroup, sGroup, runLen, q, k, nil)
 								if !bytes.Equal(got, exp) {
 									t.Fatalf("runLen %d dst %s@%d src %s@%d q %d k %d: differs from per-run copy",
 										runLen, ds.name, dOff, ss.name, sOff, q, k)
@@ -165,17 +167,91 @@ func TestCopyRunGroupsBoundsPanic(t *testing.T) {
 				for i := range src {
 					src[i] = 0x11
 				}
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Errorf("runLen %d %s, %s: overrunning batch did not panic", runLen, side.name, c.name)
-						}
+				// The folding move has the same contract, on its word
+				// path and (a carried byte) on its run-by-run one.
+				for _, sum := range []*buf.Checksum{nil, new(buf.Checksum), carried(1)} {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("runLen %d %s, %s: overrunning batch did not panic (sum %v)", runLen, side.name, c.name, sum != nil)
+							}
+						}()
+						copyRunGroups(dst, src, c.dBase, c.sBase, step, step, group, group, runLen, q, k, sum)
 					}()
-					copyRunGroups(dst, src, c.dBase, c.sBase, step, step, group, group, runLen, q, k)
-				}()
-				for i, b := range dst {
-					if b != 0xCC {
-						t.Fatalf("runLen %d %s, %s: byte %d written before the panic", runLen, side.name, c.name, i)
+					for i, b := range dst {
+						if b != 0xCC {
+							t.Fatalf("runLen %d %s, %s: byte %d written before the panic (sum %v)", runLen, side.name, c.name, i, sum != nil)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// carried returns a checksum holding n pending bytes.
+func carried(n int) *buf.Checksum {
+	c := new(buf.Checksum)
+	c.Write(make([]byte, n))
+	return c
+}
+
+// TestFoldingMoveMatchesPlainMove is the differential of the strided
+// move with a checksum riding along (buf.Checksum.MoveRuns under
+// copyRunGroups): over every run-length class — one word, several,
+// four-byte and odd lengths, the long runs — with each side dense,
+// strided or walking backwards, group shapes around the 4× unroll,
+// misaligned bases, and a checksum entered with 0–7 carried bytes in
+// every lane phase, it leaves exactly the bytes the plain move leaves
+// and exactly the state Write of each run in turn gives.
+func TestFoldingMoveMatchesPlainMove(t *testing.T) {
+	const room = 16 << 10
+	src := make([]byte, room)
+	for i := range src {
+		src[i] = byte(i*131 + 7)
+	}
+	dst, want := make([]byte, room), make([]byte, room)
+	for _, runLen := range []int64{4, 8, 12, 16, 24, 32, 40, 248, 256, 264, 7} {
+		for _, ds := range groupSides {
+			for _, ss := range groupSides {
+				for _, q := range []int64{1, 3, 4, 5} {
+					for _, k := range []int64{1, 2, 7} {
+						dStep, dGroup := ds.geom(runLen, q)
+						sStep, sGroup := ss.geom(runLen, q)
+						for _, off := range [][2]int64{{0, 0}, {1, 0}, {0, 3}, {5, 5}, {7, 2}} {
+							do, dSpan := groupBase(off[0], dStep, dGroup, runLen, q, k)
+							so, _ := groupBase(off[1], sStep, sGroup, runLen, q, k)
+							got, exp := dst[:off[0]+dSpan+8], want[:off[0]+dSpan+8]
+							for i := range exp {
+								exp[i] = 0xCC
+							}
+							copyRunGroups(exp, src, do, so, dStep, sStep, dGroup, sGroup, runLen, q, k, nil)
+							for carry := 0; carry < 8; carry++ {
+								for phase := 0; phase < 4; phase++ {
+									wantSum, gotSum := seededChecksums(carry, phase)
+									for i := int64(0); i < k; i++ {
+										for j := int64(0); j < q; j++ {
+											u := so + i*sGroup + j*sStep
+											wantSum.Write(src[u : u+runLen])
+										}
+									}
+									for i := range got {
+										got[i] = 0xCC
+									}
+									copyRunGroups(got, src, do, so, dStep, sStep, dGroup, sGroup, runLen, q, k, &gotSum)
+									if !bytes.Equal(got, exp) {
+										t.Fatalf("runLen %d dst %s@%d src %s@%d q %d k %d carry %d phase %d: bytes differ from the plain move",
+											runLen, ds.name, off[0], ss.name, off[1], q, k, carry, phase)
+									}
+									// The states must agree, not just the sums: what is
+									// folded next depends on lanes, phase and carry.
+									if gotSum != wantSum {
+										t.Fatalf("runLen %d dst %s@%d src %s@%d q %d k %d carry %d phase %d: state differs from Write per run",
+											runLen, ds.name, off[0], ss.name, off[1], q, k, carry, phase)
+									}
+								}
+							}
+						}
 					}
 				}
 			}

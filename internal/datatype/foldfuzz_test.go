@@ -1,0 +1,171 @@
+package datatype
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/buf"
+)
+
+// sumOf is the oracle of every folded move: the checksum of packed
+// bytes, entered from a fresh state.
+func sumOf(packed []byte) uint64 { return buf.ChecksumOf(buf.FromBytes(packed)) }
+
+// FuzzFoldedMove pins the moves that fold a checksum while they move
+// against the two-pass form they replace, over fuzzed layouts (count
+// > 1, so ranges cross instance rollovers), arbitrary packed ranges —
+// mid-run cuts included — and sum spans: a folded PackRange equals
+// PackRange plus ChecksumRange per piece, a Packer folding one running
+// checksum through fuzz-sized pieces equals the checksum of the stream,
+// the summing pipeline's chunks carry ChecksumRange of their [Lo, Hi),
+// and the folded fused copy equals FusedCopy plus ChecksumRange per
+// piece at one, two and three workers.
+func FuzzFoldedMove(f *testing.F) {
+	// A first type, then range cut, span, chunk and depth draws, then the
+	// receiver type of the fused pair.
+	f.Add([]byte{2, 1, 1, 29, 0, 1, 0, 7, 8, 40, 8, 15, 1, 2, 1, 1, 7, 3, 4, 1})        // vector(30,1,2,f64) -> vector(8,4,8,f64): the bench pair
+	f.Add([]byte{2, 1, 1, 8, 1, 3, 2, 11, 3, 90, 5, 6, 2, 2, 1, 0, 12, 1})              // vector(9,2,5) -> contiguous, cuts mid-run
+	f.Add([]byte{2, 1, 2, 6, 0, 16, 1, 5, 17, 200, 8, 23, 0, 2, 1, 1, 5, 2, 4, 1})      // hvector -> vector
+	f.Add([]byte{2, 1, 3, 2, 1, 0, 0, 2, 2, 1, 30, 30, 16, 9, 3, 2, 1, 1, 6, 1, 2, 2})  // indexed -> vector
+	f.Add([]byte{2, 1, 6, 5, 5, 2, 3, 1, 29, 1, 250, 32, 31, 1, 2, 1, 6, 4, 6, 1, 2})   // subarray -> subarray
+	f.Add([]byte{2, 6, 1, 8, 1, 3, 2, 11, 40, 40, 24, 12, 2, 2, 6, 2, 6, 0, 16, 1})     // resized vector -> resized hvector
+	f.Add([]byte{1, 1, 1, 1, 0, 20, 2, 1, 9, 2, 77, 4, 4, 0, 1, 1, 1, 1, 0, 9, 1})      // int32 runs: no whole word
+	f.Add([]byte{3, 1, 1, 1, 0, 22, 1, 2, 5, 8, 130, 16, 48, 1, 3, 1, 1, 1, 0, 5, 1})   // complex128: two-word runs
+	f.Add([]byte{2, 0, 2, 1, 1, 3, 5, 4, 1, 2, 0, 3, 40, 1, 7, 0, 255, 64, 64, 1, 2})   // block2d of 32-byte runs
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1})                                // byte-element vector, one-byte pieces
+	f.Add([]byte{3, 4, 3, 1, 1, 1, 1, 1, 1, 1, 1, 5, 60, 7, 3, 2, 0, 1, 3, 1, 1, 0, 1}) // nested indexed over a derived base
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := &fuzzDecoder{data: data}
+		ty := decodeType(d, 1)
+		if ty == nil {
+			t.Skip("draw encodes invalid constructor arguments")
+		}
+		count := d.intn(3) + 2
+		seed := d.byte()
+		total := ty.PackSize(count)
+		if total == 0 {
+			t.Skip("empty message")
+		}
+		src := buf.Alloc(userBufLen(ty, count))
+		src.FillPattern(seed)
+		packedBlock := buf.Alloc(int(total))
+		if _, err := ty.Pack(src, count, packedBlock); err != nil {
+			t.Fatal(err)
+		}
+		packed := packedBlock.Bytes()
+		plan, err := ty.CompilePlan(count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// pieceSums checks sums against both oracles piece by piece.
+		pieceSums := func(what string, p *Plan, lo, hi, span int64, sums []uint64) {
+			t.Helper()
+			for a := lo; a < hi; a += span {
+				b := min(a+span, hi)
+				var cs buf.Checksum
+				p.ChecksumRange(src, a, b, &cs)
+				if got := sums[(a-lo)/span]; got != cs.Sum64() || got != sumOf(packed[a:b]) {
+					t.Fatalf("%s: sum of [%d,%d) is %#x, ChecksumRange %#x, Write %#x (%v count=%d %s)",
+						what, a, b, got, cs.Sum64(), sumOf(packed[a:b]), ty, count, ty.CanonicalString())
+				}
+			}
+		}
+
+		// Folded PackRange over an arbitrary cut and span.
+		lo := int64(d.byte()) % total
+		hi := lo + 1 + int64(d.byte())%(total-lo)
+		span := 1 + int64(d.byte())%(hi-lo)
+		stream := buf.Alloc(int(hi - lo))
+		sums := make([]uint64, (hi-lo+span-1)/span)
+		if err := plan.PackRangeSum(src, stream, lo, hi, span, sums); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stream.Bytes(), packed[lo:hi]) {
+			t.Fatalf("PackRangeSum [%d,%d) moved other bytes than PackRange (%v count=%d)", lo, hi, ty, count)
+		}
+		pieceSums("PackRangeSum", plan, lo, hi, span, sums)
+
+		// One running checksum through a Packer drained in pieces.
+		chunk := int64(d.byte()) + 1
+		pk, err := ty.NewPacker(src, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var running buf.Checksum
+		drained := buf.Alloc(int(total))
+		for off := int64(0); off < total; off += chunk {
+			if _, err := pk.PackSum(drained.Slice(int(off), int(min(chunk, total-off))), &running); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(drained.Bytes(), packed) || running.Sum64() != sumOf(packed) {
+			t.Fatalf("Packer.PackSum in %d-byte pieces: stream or running sum differs (%v count=%d)", chunk, ty, count)
+		}
+
+		// The summing pipeline, each chunk alone and the range as one.
+		depth := d.intn(4) + 1
+		for _, sumSpan := range []int64{chunk, total} {
+			cp, err := NewChunkPipelineSum(plan, src, 0, total, chunk, depth, 0, sumSpan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				ch, ok := cp.Next()
+				if !ok {
+					break
+				}
+				from := ch.Lo - ch.Lo%sumSpan
+				if !bytes.Equal(ch.Data.Bytes(), packed[ch.Lo:ch.Hi]) || ch.Sum != sumOf(packed[from:ch.Hi]) {
+					t.Fatalf("pipeline chunk [%d,%d) span %d: bytes or sum differ (%v count=%d chunk=%d depth=%d)",
+						ch.Lo, ch.Hi, sumSpan, ty, count, chunk, depth)
+				}
+				if sumSpan == chunk {
+					pieceSums("pipeline", plan, ch.Lo, ch.Hi, chunk, []uint64{ch.Sum})
+				}
+				cp.Recycle(ch)
+			}
+			cp.Close()
+		}
+
+		// The folded fused copy, with the explicit fan-out so that the
+		// piece-aligned split is exercised on any host.
+		dstTy := decodeType(d, 1)
+		if dstTy == nil {
+			return
+		}
+		dstCount := d.intn(3) + 2
+		dstPlan, err := dstTy.CompilePlan(dstCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		both := min(total, dstPlan.Bytes())
+		if !dstPlan.FusedDstSafe() || both == 0 {
+			return
+		}
+		want := buf.Alloc(userBufLen(dstTy, dstCount))
+		if _, err := FusedCopy(plan, dstPlan, src, want); err != nil {
+			t.Fatal(err)
+		}
+		span = 1 + int64(d.byte())%both
+		for w := 1; w <= 3; w++ {
+			got := buf.Alloc(want.Len())
+			sums := make([]uint64, (both+span-1)/span)
+			fusedExec(plan, dstPlan, src, got, both, w, span, sums)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("summed fused copy, %d workers, span %d: differs from FusedCopy (%v count=%d -> %v count=%d)",
+					w, span, ty, count, dstTy, dstCount)
+			}
+			pieceSums("FusedCopySum", plan, 0, both, span, sums)
+		}
+		got := buf.Alloc(want.Len())
+		sums = make([]uint64, (both+span-1)/span)
+		if n, err := FusedCopySum(plan, dstPlan, src, got, span, sums); err != nil || n != both {
+			t.Fatalf("FusedCopySum: %d bytes, %v", n, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("FusedCopySum differs from FusedCopy (%v count=%d -> %v count=%d)", ty, count, dstTy, dstCount)
+		}
+		pieceSums("FusedCopySum", plan, 0, both, span, sums)
+	})
+}

@@ -250,6 +250,15 @@ func (p *Plan) FusedDstSafe() bool {
 // FusedDstSafe; callers fall back to the staged path otherwise.
 // Virtual participants record the transfer without moving bytes.
 func FusedCopy(srcPlan, dstPlan *Plan, src, dst buf.Block) (int64, error) {
+	return FusedCopySum(srcPlan, dstPlan, src, dst, 0, nil)
+}
+
+// FusedCopySum is FusedCopy that checksums the packed stream it moves
+// in the same pass: the stream is cut every span bytes and sums[i]
+// receives the checksum of piece i alone, what srcPlan.ChecksumRange
+// over the piece would give. Nil sums make it FusedCopy, and virtual
+// participants record no sum.
+func FusedCopySum(srcPlan, dstPlan *Plan, src, dst buf.Block, span int64, sums []uint64) (int64, error) {
 	if err := srcPlan.t.checkUse(int(srcPlan.count), src.Len()); err != nil {
 		return 0, fmt.Errorf("fused source: %w", err)
 	}
@@ -268,7 +277,7 @@ func FusedCopy(srcPlan, dstPlan *Plan, src, dst buf.Block) (int64, error) {
 	// (and as the parallel pricers model them).
 	w := ParallelWorkersFor(total)
 	if !src.IsVirtual() && !dst.IsVirtual() {
-		fusedExec(srcPlan, dstPlan, src, dst, total, w)
+		fusedExec(srcPlan, dstPlan, src, dst, total, w, span, sums)
 	}
 	recordFused(total, w > 1)
 	return total, nil
@@ -278,11 +287,17 @@ func FusedCopy(srcPlan, dstPlan *Plan, src, dst buf.Block) (int64, error) {
 // [0, total): on the calling goroutine, or cut across w > 1 workers
 // (every kernel can start mid-stream, so the cut needs no segment
 // alignment). Either way each range goes through fusedRange — one
-// dispatcher, one kernel per pairing.
-func fusedExec(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, w int) {
+// dispatcher, one kernel per pairing. With sums non-nil the pass is
+// summed piece by piece (FusedCopySum); a checksum's chain is
+// sequential, so the cut then falls on piece boundaries.
+func fusedExec(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, w int, span int64, sums []uint64) {
 	if w <= 1 {
-		fusedRange(srcPlan, dstPlan, src, dst, 0, total, total)
+		fusedPieces(srcPlan, dstPlan, src, dst, 0, total, total, span, sums)
 		return
+	}
+	align := int64(64)
+	if sums != nil {
+		align = span
 	}
 	// The destination plan is FusedDstSafe (callers fall back to the
 	// staged path otherwise), so distinct packed ranges write distinct
@@ -290,14 +305,33 @@ func fusedExec(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, w int) {
 	// final join — the same disjointness argument as runParallelRange.
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
-		lo, hi := splitPoint(0, total, i, w), splitPoint(0, total, i+1, w)
+		lo, hi := splitPoint(0, total, i, w, align), splitPoint(0, total, i+1, w, align)
+		if i == w-1 {
+			// The caller, who would only wait, takes the last share.
+			fusedPieces(srcPlan, dstPlan, src, dst, lo, hi, total, span, sums)
+			break
+		}
 		wg.Add(1)
 		go func(lo, hi int64) {
 			defer wg.Done()
-			fusedRange(srcPlan, dstPlan, src, dst, lo, hi, total)
+			fusedPieces(srcPlan, dstPlan, src, dst, lo, hi, total, span, sums)
 		}(lo, hi)
 	}
 	wg.Wait()
+}
+
+// fusedPieces runs one share of fusedExec: the range as it is, or,
+// summed, piece by piece (lo is a multiple of span).
+func fusedPieces(srcPlan, dstPlan *Plan, src, dst buf.Block, lo, hi, total, span int64, sums []uint64) {
+	if sums == nil {
+		fusedRange(srcPlan, dstPlan, src, dst, lo, hi, total, nil)
+		return
+	}
+	for ; lo < hi; lo += span {
+		var cs buf.Checksum
+		fusedRange(srcPlan, dstPlan, src, dst, lo, min(lo+span, hi), total, &cs)
+		sums[lo/span] = cs.Sum64()
+	}
 }
 
 // fusedRange executes the packed byte range [lo, hi) of the fused
@@ -307,20 +341,21 @@ func fusedExec(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, w int) {
 // the ranged stride×stride kernel; pairings that involve a gather table
 // or a block form walk seeked pair iterators (table segments are
 // typically longer than stride runs, so the per-span bookkeeping
-// amortises).
-func fusedRange(srcPlan, dstPlan *Plan, src, dst buf.Block, lo, hi, total int64) {
+// amortises). A non-nil sum is folded over the range's packed bytes by
+// the moves, as in runRange.
+func fusedRange(srcPlan, dstPlan *Plan, src, dst buf.Block, lo, hi, total int64, sum *buf.Checksum) {
 	switch {
 	case dstPlan.kernel == KernelContig:
 		// Gather straight into the destination window: the source
 		// plan's own kernel, no staging in between.
 		stream := dst.Slice(int(dstPlan.contigOff), int(total))
-		srcPlan.runRange(src, stream, lo, hi, 0, packDirection)
+		srcPlan.runRange(src, stream, lo, hi, 0, packDirection, sum)
 	case srcPlan.kernel == KernelContig:
 		// Scatter straight out of the source window.
 		stream := src.Slice(int(srcPlan.contigOff), int(total))
-		dstPlan.runRange(dst, stream, lo, hi, 0, unpackDirection)
+		dstPlan.runRange(dst, stream, lo, hi, 0, unpackDirection, sum)
 	case srcPlan.kernel == KernelStride && dstPlan.kernel == KernelStride:
-		fusedStrideStrideRange(dst.Bytes(), src.Bytes(), srcPlan.prog, dstPlan.prog, lo, hi)
+		fusedStrideStrideRange(dst.Bytes(), src.Bytes(), srcPlan.prog, dstPlan.prog, lo, hi, sum)
 	default:
 		db, sb := dst.Bytes(), src.Bytes()
 		it := NewPairIterRange(srcPlan, dstPlan, lo, hi)
@@ -329,7 +364,7 @@ func fusedRange(srcPlan, dstPlan *Plan, src, dst buf.Block, lo, hi, total int64)
 			if !ok {
 				return
 			}
-			copyRun(db[do:], sb[so:], n)
+			copyRunSum(db[do:], sb[so:], n, sum)
 		}
 	}
 }
@@ -381,7 +416,7 @@ func (h *strideHead) advance(n int64) {
 // everything else (range edges cutting a run, a rollover inside a long
 // run, run lengths that do not divide) moves as the longest span
 // contiguous on both sides.
-func fusedStrideStrideRange(db, sb []byte, sp, dp *planProg, lo, hi int64) {
+func fusedStrideStrideRange(db, sb []byte, sp, dp *planProg, lo, hi int64, sum *buf.Checksum) {
 	s, d := seekStride(sp, lo), seekStride(dp, lo)
 	a, b := sp.runLen, dp.runLen
 	// A long run holds sq source runs and dq destination runs (one of
@@ -410,7 +445,7 @@ func fusedStrideStrideRange(db, sb []byte, sp, dp *planProg, lo, hi int64) {
 				k = m
 			}
 			if k > 0 {
-				copyRunGroups(db, sb, d.o, s.o, dStep, sStep, dGroup, sGroup, short, sq*dq, k)
+				copyRunGroups(db, sb, d.o, s.o, dStep, sStep, dGroup, sGroup, short, sq*dq, k, sum)
 				s.skipRuns(k * sq)
 				d.skipRuns(k * dq)
 				pos += k * long
@@ -424,7 +459,7 @@ func fusedStrideStrideRange(db, sb []byte, sp, dp *planProg, lo, hi int64) {
 		if m := hi - pos; m < n {
 			n = m
 		}
-		copyRun(db[d.o+d.off:], sb[s.o+s.off:], n)
+		copyRunSum(db[d.o+d.off:], sb[s.o+s.off:], n, sum)
 		s.advance(n)
 		d.advance(n)
 		pos += n

@@ -349,7 +349,7 @@ func TestFusedCopyParallelMatchesSerial(t *testing.T) {
 			// The explicit worker count takes the split on any host.
 			for _, w := range []int{2, 3} {
 				split := buf.Alloc(userLen(tc.dstTy, 1))
-				fusedExec(srcPlan, dstPlan, src, split, srcPlan.Bytes(), w)
+				fusedExec(srcPlan, dstPlan, src, split, srcPlan.Bytes(), w, 0, nil)
 				if !buf.Equal(split, want) {
 					t.Fatalf("fused pass split %d ways differs from serial", w)
 				}
@@ -410,7 +410,7 @@ func TestFusedStrideStrideRange(t *testing.T) {
 					for lo := int64(0); lo < total; lo++ {
 						for hi := lo + 1; hi <= total; hi++ {
 							got := buf.Alloc(dstLen)
-							fusedRange(srcPlan, dstPlan, src, got, lo, hi, total)
+							fusedRange(srcPlan, dstPlan, src, got, lo, hi, total, nil)
 							if !buf.Equal(got, stagedRange(t, srcPlan, dstPlan, src, dstLen, lo, hi)) {
 								t.Fatalf("fused range [%d,%d) differs from staged PackRange→UnpackRange", lo, hi)
 							}
@@ -421,7 +421,7 @@ func TestFusedStrideStrideRange(t *testing.T) {
 				want := stagedRange(t, srcPlan, dstPlan, src, dstLen, 0, total)
 				for _, w := range []int{1, 2, 3, 7} {
 					got := buf.Alloc(dstLen)
-					fusedExec(srcPlan, dstPlan, src, got, total, w)
+					fusedExec(srcPlan, dstPlan, src, got, total, w, 0, nil)
 					if !buf.Equal(got, want) {
 						t.Fatalf("fused pass split %d ways differs from staged PackRange→UnpackRange", w)
 					}

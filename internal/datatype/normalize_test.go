@@ -434,7 +434,7 @@ func TestNormalizeParallelRange(t *testing.T) {
 	src.FillPattern(3)
 	want := buf.Alloc(int(plan.Bytes()))
 	got := buf.Alloc(int(plan.Bytes()))
-	plan.run(src, want, 0, plan.Bytes(), packDirection)
+	plan.runRange(src, want, 0, plan.Bytes(), 0, packDirection, nil)
 	for _, w := range []int{2, 3, 5, 7} {
 		got.FillPattern(0)
 		plan.runParallelN(src, got, packDirection, w)
@@ -447,7 +447,7 @@ func TestNormalizeParallelRange(t *testing.T) {
 	ref := buf.Alloc(userBufLen(ty, 2))
 	back.FillPattern(0xEE)
 	ref.FillPattern(0xEE)
-	plan.run(ref, want, 0, plan.Bytes(), unpackDirection)
+	plan.runRange(ref, want, 0, plan.Bytes(), 0, unpackDirection, nil)
 	plan.runParallelN(back, want, unpackDirection, 5)
 	if !bytes.Equal(ref.Bytes(), back.Bytes()) {
 		t.Fatal("parallel block unpack differs from serial")

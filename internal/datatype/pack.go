@@ -51,7 +51,7 @@ func (t *Type) Pack(src buf.Block, count int, dst buf.Block) (int64, error) {
 	if err := t.checkUse(count, src.Len()); err != nil {
 		return 0, err
 	}
-	return t.plan(count).execute(src, dst, packDirection), nil
+	return t.plan(count).execute(src, dst, packDirection, nil), nil
 }
 
 // Unpack scatters packed bytes from src into count instances of the
@@ -65,7 +65,7 @@ func (t *Type) Unpack(src buf.Block, count int, dst buf.Block) (int64, error) {
 	if err := t.checkUse(count, dst.Len()); err != nil {
 		return 0, err
 	}
-	return t.plan(count).execute(dst, src, unpackDirection), nil
+	return t.plan(count).execute(dst, src, unpackDirection, nil), nil
 }
 
 // Packer streams the packed byte sequence of (count × type) out of a
@@ -108,9 +108,14 @@ func (p *Packer) Remaining() int64 { return p.c.remaining() }
 
 // Pack fills dst with the next min(dst.Len(), Remaining()) bytes of
 // the packed stream and returns how many were produced.
-func (p *Packer) Pack(dst buf.Block) (int64, error) {
+func (p *Packer) Pack(dst buf.Block) (int64, error) { return p.PackSum(dst, nil) }
+
+// PackSum is Pack that also folds the bytes it produces into sum, in
+// the same pass where a compiled kernel moves them (nil: plain Pack;
+// virtual participants produce no bytes to fold).
+func (p *Packer) PackSum(dst buf.Block, sum *buf.Checksum) (int64, error) {
 	if p.c.done == 0 && int64(dst.Len()) >= p.c.remaining() {
-		n := p.Plan().execute(p.c.user, dst, packDirection)
+		n := p.Plan().execute(p.c.user, dst, packDirection, sum)
 		p.c.done = n
 		return n, nil
 	}
@@ -122,11 +127,15 @@ func (p *Packer) Pack(dst buf.Block) (int64, error) {
 		if want == 0 {
 			return 0, nil
 		}
-		p.Plan().runChunk(p.c.user, dst, p.c.done, p.c.done+want, packDirection)
+		p.Plan().runChunk(p.c.user, dst, p.c.done, p.c.done+want, packDirection, sum)
 		p.c.skip(want)
 		return want, nil
 	}
-	return p.c.transfer(dst, packDirection)
+	n, err := p.c.transfer(dst, packDirection)
+	if sum != nil && !p.c.user.IsVirtual() && !dst.IsVirtual() {
+		sum.Write(dst.Bytes()[:n])
+	}
+	return n, err
 }
 
 // Unpacker is the inverse stream: packed bytes in, scattered layout
@@ -163,7 +172,7 @@ func (u *Unpacker) Remaining() int64 { return u.c.remaining() }
 // the bytes consumed.
 func (u *Unpacker) Unpack(src buf.Block) (int64, error) {
 	if u.c.done == 0 && int64(src.Len()) >= u.c.remaining() {
-		n := u.Plan().execute(u.c.user, src, unpackDirection)
+		n := u.Plan().execute(u.c.user, src, unpackDirection, nil)
 		u.c.done = n
 		return n, nil
 	}
@@ -175,7 +184,7 @@ func (u *Unpacker) Unpack(src buf.Block) (int64, error) {
 		if want == 0 {
 			return 0, nil
 		}
-		u.Plan().runChunk(u.c.user, src, u.c.done, u.c.done+want, unpackDirection)
+		u.Plan().runChunk(u.c.user, src, u.c.done, u.c.done+want, unpackDirection, nil)
 		u.c.skip(want)
 		return want, nil
 	}

@@ -43,6 +43,10 @@ func PipelinedChunks() bool { return pipelinedChunks.Load() }
 type PipeChunk struct {
 	Data   buf.Block
 	Lo, Hi int64
+	// Sum, on a NewChunkPipelineSum pipeline, is the checksum of the
+	// packed bytes from the last multiple of the sum span up to Hi: the
+	// last chunk of a span carries the span's sum.
+	Sum uint64
 
 	slot buf.Block // the ring slot backing Data
 }
@@ -63,6 +67,7 @@ type ChunkPipeline struct {
 	lo, hi int64
 	chunk  int64
 	depth  int
+	span   int64 // sum span; 0: the worker folds nothing
 
 	slots []buf.Block
 	ready chan PipeChunk
@@ -76,7 +81,16 @@ type ChunkPipeline struct {
 // a depth-slot ring drawn from the given pool shard (the caller's
 // rank). depth is clamped to [1, chunks]; chunk must be positive.
 func NewChunkPipeline(plan *Plan, user buf.Block, lo, hi, chunk int64, depth, shard int) (*ChunkPipeline, error) {
-	if chunk <= 0 {
+	return NewChunkPipelineSum(plan, user, lo, hi, chunk, depth, shard, 0)
+}
+
+// NewChunkPipelineSum is NewChunkPipeline whose pack worker checksums
+// what it packs in the same pass (PipeChunk.Sum), starting afresh every
+// span packed bytes from lo: span == chunk sums each chunk alone, span
+// >= hi-lo the whole range; otherwise a multiple of chunk. 0 sums
+// nothing, nor does a virtual user block.
+func NewChunkPipelineSum(plan *Plan, user buf.Block, lo, hi, chunk int64, depth, shard int, span int64) (*ChunkPipeline, error) {
+	if chunk <= 0 || span%chunk != 0 && span < hi-lo {
 		return nil, fmt.Errorf("%w: pipeline chunk %d", ErrArgument, chunk)
 	}
 	if lo < 0 || hi < lo || hi > plan.total {
@@ -99,6 +113,7 @@ func NewChunkPipeline(plan *Plan, user buf.Block, lo, hi, chunk int64, depth, sh
 		hi:    hi,
 		chunk: chunk,
 		depth: depth,
+		span:  span,
 		slots: make([]buf.Block, depth),
 		ready: make(chan PipeChunk, depth),
 		free:  make(chan buf.Block, depth),
@@ -132,6 +147,7 @@ func (cp *ChunkPipeline) Depth() int { return cp.depth }
 func (cp *ChunkPipeline) worker() {
 	defer close(cp.ready)
 	pos := cp.lo
+	var cs buf.Checksum
 	for pos < cp.hi {
 		var slot buf.Block
 		select {
@@ -143,9 +159,16 @@ func (cp *ChunkPipeline) worker() {
 		if hi > cp.hi {
 			hi = cp.hi
 		}
-		cp.plan.runChunk(cp.user, slot, pos, hi, packDirection)
+		var sum *buf.Checksum
+		if cp.span > 0 {
+			sum = &cs
+			if (pos-cp.lo)%cp.span == 0 {
+				cs.Reset()
+			}
+		}
+		cp.plan.runChunk(cp.user, slot, pos, hi, packDirection, sum)
 		recordPipelined(hi - pos)
-		ch := PipeChunk{Data: slot.Slice(0, int(hi-pos)), Lo: pos, Hi: hi, slot: slot}
+		ch := PipeChunk{Data: slot.Slice(0, int(hi-pos)), Lo: pos, Hi: hi, Sum: cs.Sum64(), slot: slot}
 		select {
 		case cp.ready <- ch:
 		case <-cp.quit:

@@ -420,6 +420,11 @@ type PlanStats struct {
 	// moved it.
 	FusedOps, FusedBytes   int64
 	StagedOps, StagedBytes int64
+
+	// ChecksumBytes counts the bytes of ChecksumRange passes over real
+	// buffers: reads of a layout that move nothing. Sums folded by a
+	// move (PackRangeSum, FusedCopySum, the pipeline) do not count.
+	ChecksumBytes int64
 }
 
 // HitRate returns PlanHits/(PlanHits+PlanMisses), or 0 with no
@@ -471,6 +476,7 @@ func (s PlanStats) Sub(o PlanStats) PlanStats {
 		FusedBytes:     s.FusedBytes - o.FusedBytes,
 		StagedOps:      s.StagedOps - o.StagedOps,
 		StagedBytes:    s.StagedBytes - o.StagedBytes,
+		ChecksumBytes:  s.ChecksumBytes - o.ChecksumBytes,
 	}
 }
 
@@ -501,6 +507,7 @@ var planCounters struct {
 	cursorOps, cursorBytes       atomic.Int64
 	fusedOps, fusedBytes         atomic.Int64
 	stagedOps, stagedBytes       atomic.Int64
+	checksumBytes                atomic.Int64
 }
 
 // PlanStatsSnapshot returns the current plan-engine counters.
@@ -532,6 +539,7 @@ func PlanStatsSnapshot() PlanStats {
 		FusedBytes:     planCounters.fusedBytes.Load(),
 		StagedOps:      planCounters.stagedOps.Load(),
 		StagedBytes:    planCounters.stagedBytes.Load(),
+		ChecksumBytes:  planCounters.checksumBytes.Load(),
 	}
 }
 
@@ -563,6 +571,7 @@ func ResetPlanStats() {
 	planCounters.fusedBytes.Store(0)
 	planCounters.stagedOps.Store(0)
 	planCounters.stagedBytes.Store(0)
+	planCounters.checksumBytes.Store(0)
 }
 
 // recordPlanExec attributes one full-message execution to its kernel.

@@ -15,7 +15,8 @@ import (
 // the largest batches its program has a fixed stride for — and hands
 // every batch to copyRunGroups and every leftover piece to copyRun
 // (copykernel.go); pack and unpack differ in which argument is the
-// dense one (moveRuns, moveRun). runBlock, the executor of the
+// dense one (moveRuns, moveRun); a checksum handed to an executor is
+// folded by the moves, in packed order. runBlock, the executor of the
 // canonical block forms, is in block.go.
 
 // Pack gathers the plan's full message from src into dst, returning
@@ -27,7 +28,7 @@ func (p *Plan) Pack(src, dst buf.Block) (int64, error) {
 	if int64(dst.Len()) < p.total {
 		return 0, fmt.Errorf("%w: need %d bytes, destination has %d", ErrTruncate, p.total, dst.Len())
 	}
-	return p.execute(src, dst, packDirection), nil
+	return p.execute(src, dst, packDirection, nil), nil
 }
 
 // Unpack scatters the packed bytes of src into the plan's layout in
@@ -39,7 +40,7 @@ func (p *Plan) Unpack(src, dst buf.Block) (int64, error) {
 	if int64(src.Len()) < p.total {
 		return 0, fmt.Errorf("%w: need %d packed bytes, source has %d", ErrTruncate, p.total, src.Len())
 	}
-	return p.execute(dst, src, unpackDirection), nil
+	return p.execute(dst, src, unpackDirection, nil), nil
 }
 
 // PackRange gathers the packed byte range [lo, hi) of the plan's
@@ -48,10 +49,28 @@ func (p *Plan) Unpack(src, dst buf.Block) (int64, error) {
 // through without allocating a Packer. Buffers are validated; the
 // execution is attributed to the chunk counters.
 func (p *Plan) PackRange(src, stream buf.Block, lo, hi int64) error {
+	return p.PackRangeSum(src, stream, lo, hi, 0, nil)
+}
+
+// PackRangeSum is PackRange that checksums the bytes it packs in the
+// same pass: the range is cut every span bytes from lo and sums[i]
+// receives the checksum of piece i alone, what ChecksumRange over the
+// piece would give. A summed range runs on the calling goroutine; nil
+// sums make it PackRange, and virtual participants record no sum.
+func (p *Plan) PackRangeSum(src, stream buf.Block, lo, hi, span int64, sums []uint64) error {
 	if err := p.checkRange(src, stream, lo, hi); err != nil {
 		return err
 	}
-	p.runChunk(src, stream, lo, hi, packDirection)
+	if sums == nil || hi <= lo || src.IsVirtual() || stream.IsVirtual() {
+		p.runChunk(src, stream, lo, hi, packDirection, nil)
+		return nil
+	}
+	for a := lo; a < hi; a += span {
+		var cs buf.Checksum
+		p.runRange(src, stream, a, min(a+span, hi), lo, packDirection, &cs)
+		sums[(a-lo)/span] = cs.Sum64()
+	}
+	recordPlanChunk(p.kernel, hi-lo, false)
 	return nil
 }
 
@@ -62,7 +81,7 @@ func (p *Plan) UnpackRange(stream, dst buf.Block, lo, hi int64) error {
 	if err := p.checkRange(dst, stream, lo, hi); err != nil {
 		return err
 	}
-	p.runChunk(dst, stream, lo, hi, unpackDirection)
+	p.runChunk(dst, stream, lo, hi, unpackDirection, nil)
 	return nil
 }
 
@@ -84,18 +103,20 @@ func (p *Plan) checkRange(user, stream buf.Block, lo, hi int64) error {
 // execute runs the full message through the selected kernel, splitting
 // across goroutines above the parallel threshold, and records the
 // execution in the plan counters. Buffers must already be validated.
-// Virtual participants record the execution without moving bytes.
-func (p *Plan) execute(user, stream buf.Block, dir direction) int64 {
+// Virtual participants record the execution without moving bytes. A
+// checksum's chain is sequential: with sum non-nil the message runs on
+// the calling goroutine and is folded as it moves.
+func (p *Plan) execute(user, stream buf.Block, dir direction, sum *buf.Checksum) int64 {
 	if p.total == 0 {
 		return 0
 	}
 	parallel := false
 	if !user.IsVirtual() && !stream.IsVirtual() {
-		if p.Parallel() {
+		if sum == nil && p.Parallel() {
 			parallel = true
 			p.runParallel(user, stream, dir)
 		} else {
-			p.run(user, stream, 0, p.total, dir)
+			p.runRange(user, stream, 0, p.total, 0, dir, sum)
 		}
 	}
 	recordPlanExec(p.kernel, p.total, parallel)
@@ -105,20 +126,21 @@ func (p *Plan) execute(user, stream buf.Block, dir direction) int64 {
 // runChunk executes the packed byte range [lo, hi) of the message
 // against a stream block whose byte 0 is packed position lo — the
 // compiled-chunked tier behind Packer/Unpacker streaming. Large chunks
-// split across goroutines like whole messages; virtual participants
-// record the execution without moving bytes.
-func (p *Plan) runChunk(user, stream buf.Block, lo, hi int64, dir direction) {
+// split across goroutines like whole messages, unless a checksum is
+// folded along (sum non-nil: one sequential chain); virtual
+// participants record the execution without moving bytes.
+func (p *Plan) runChunk(user, stream buf.Block, lo, hi int64, dir direction, sum *buf.Checksum) {
 	if hi <= lo {
 		return
 	}
 	parallel := false
 	if !user.IsVirtual() && !stream.IsVirtual() {
 		n := hi - lo
-		if w := workersFor(n); n >= ParallelPackThreshold() && w > 1 {
+		if w := workersFor(n); sum == nil && n >= ParallelPackThreshold() && w > 1 {
 			parallel = true
 			p.runParallelRange(user, stream, lo, hi, lo, dir, w)
 		} else {
-			p.runRange(user, stream, lo, hi, lo, dir)
+			p.runRange(user, stream, lo, hi, lo, dir, sum)
 		}
 	}
 	recordPlanChunk(p.kernel, hi-lo, parallel)
@@ -145,11 +167,11 @@ func (p *Plan) runParallelN(user, stream buf.Block, dir direction, w int) {
 func (p *Plan) runParallelRange(user, stream buf.Block, lo, hi, soff int64, dir direction, w int) {
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
-		wlo, whi := splitPoint(lo, hi, i, w), splitPoint(lo, hi, i+1, w)
+		wlo, whi := splitPoint(lo, hi, i, w, 64), splitPoint(lo, hi, i+1, w, 64)
 		wg.Add(1)
 		go func(wlo, whi int64) {
 			defer wg.Done()
-			p.runRange(user, stream, wlo, whi, soff, dir)
+			p.runRange(user, stream, wlo, whi, soff, dir, nil)
 		}(wlo, whi)
 	}
 	wg.Wait()
@@ -157,32 +179,29 @@ func (p *Plan) runParallelRange(user, stream buf.Block, lo, hi, soff int64, dir 
 
 // splitPoint returns where share i of the packed range [lo, hi) cut w
 // ways begins; share i ends where share i+1 begins and share w-1 at
-// hi. Interior points are rounded down to a multiple of 64 packed
-// bytes: the kernels can enter mid-run, so nothing requires it, but an
-// even total/w cut lands mid-word and mid-run for w = 3, 5, 6, 7 —
-// every worker then starts and ends on the partial-run edge path, and
-// two workers write the same cache line of a dense destination.
-func splitPoint(lo, hi int64, i, w int) int64 {
+// hi. Interior points are rounded down to a multiple of align packed
+// bytes, 64 unless the pass is summed (fusedExec): the kernels can
+// enter mid-run, so nothing requires it, but an even total/w cut lands
+// mid-word and mid-run for w = 3, 5, 6, 7 — every worker then starts
+// and ends on the partial-run edge path, and two workers write the
+// same cache line of a dense destination.
+func splitPoint(lo, hi int64, i, w int, align int64) int64 {
 	if i >= w {
 		return hi
 	}
-	cut := (lo + (hi-lo)/int64(w)*int64(i)) &^ 63
+	cut := lo + (hi-lo)/int64(w)*int64(i)
+	cut -= cut % align
 	if cut < lo {
 		cut = lo
 	}
 	return cut
 }
 
-// run executes the packed byte range [lo, hi) of the message against a
-// stream block holding the whole packed message.
-func (p *Plan) run(user, stream buf.Block, lo, hi int64, dir direction) {
-	p.runRange(user, stream, lo, hi, 0, dir)
-}
-
 // runRange executes the packed byte range [lo, hi); soff is the packed
 // position the stream block starts at (0 for whole-message streams,
-// lo for standalone chunk blocks).
-func (p *Plan) runRange(user, stream buf.Block, lo, hi, soff int64, dir direction) {
+// lo for standalone chunk blocks). A non-nil sum is folded over the
+// range's bytes, in packed order, by the moves themselves.
+func (p *Plan) runRange(user, stream buf.Block, lo, hi, soff int64, dir direction, sum *buf.Checksum) {
 	if hi <= lo {
 		return
 	}
@@ -193,19 +212,23 @@ func (p *Plan) runRange(user, stream buf.Block, lo, hi, soff int64, dir directio
 		} else {
 			buf.CopyAt(user, int(p.contigOff+lo), stream, int(lo-soff), int(hi-lo))
 		}
+		if sum != nil {
+			// Either way the stream block now holds the range's bytes.
+			sum.Write(stream.Bytes()[lo-soff : hi-soff])
+		}
 	case KernelStride:
-		p.runStride(user, stream, lo, hi, soff, dir)
+		p.runStride(user, stream, lo, hi, soff, dir, sum)
 	case KernelGather:
-		p.runGather(user, stream, lo, hi, soff, dir)
+		p.runGather(user, stream, lo, hi, soff, dir, sum)
 	case KernelBlock:
-		p.runBlock(user, stream, lo, hi, soff, dir)
+		p.runBlock(user, stream, lo, hi, soff, dir, sum)
 	}
 }
 
 // runStride is the regular run/gap kernel: closed-form addressing from
 // any packed position, the whole runs of an instance moved as one
 // copyRunGroups batch. soff is the packed position of sb's byte 0.
-func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir direction) {
+func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir direction, sum *buf.Checksum) {
 	ub, sb := user.Bytes(), stream.Bytes()
 	pr := p.prog
 	runLen, step := pr.runLen, pr.step
@@ -221,7 +244,7 @@ func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir directi
 			if n > hi-pos {
 				n = hi - pos
 			}
-			moveRun(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step+runOff, n, dir)
+			moveRun(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step+runOff, n, dir, sum)
 			pos += n
 			runOff = 0
 			j++
@@ -231,7 +254,7 @@ func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir directi
 				nRuns = m
 			}
 			if nRuns > 0 {
-				moveRuns(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step, step, 0, runLen, nRuns, 1, dir)
+				moveRuns(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step, step, 0, runLen, nRuns, 1, dir, sum)
 				pos += nRuns * runLen
 				j += nRuns
 			}
@@ -240,7 +263,7 @@ func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir directi
 			}
 			if j < pr.runs {
 				// Trailing partial run (the range ends mid-run).
-				moveRun(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step, hi-pos, dir)
+				moveRun(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step, hi-pos, dir, sum)
 				return
 			}
 		}
@@ -255,7 +278,7 @@ func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir directi
 // flattened segment table — a division when the normalizer hoisted a
 // uniform segment length, a binary search otherwise — then walk it
 // linearly. soff is the packed position of sb's byte 0.
-func (p *Plan) runGather(user, stream buf.Block, lo, hi, soff int64, dir direction) {
+func (p *Plan) runGather(user, stream buf.Block, lo, hi, soff int64, dir direction, sum *buf.Checksum) {
 	ub, sb := user.Bytes(), stream.Bytes()
 	pr := p.prog
 	segs := pr.segs
@@ -278,7 +301,7 @@ func (p *Plan) runGather(user, stream buf.Block, lo, hi, soff int64, dir directi
 			if n > hi-pos {
 				n = hi - pos
 			}
-			moveRun(sb, ub, pos-soff, userBase+s.off+segOff, n, dir)
+			moveRun(sb, ub, pos-soff, userBase+s.off+segOff, n, dir, sum)
 			pos += n
 			idx++
 		}
@@ -293,20 +316,20 @@ func (p *Plan) runGather(user, stream buf.Block, lo, hi, soff int64, dir directi
 // packed stream, dense from sb[sp:], and the user buffer, run j of row
 // i at ub[o+i*rowStride+j*step:]. Direction only decides which side of
 // copyRunGroups is the dense one.
-func moveRuns(sb, ub []byte, sp, o, step, rowStride, runLen, q, k int64, dir direction) {
+func moveRuns(sb, ub []byte, sp, o, step, rowStride, runLen, q, k int64, dir direction, sum *buf.Checksum) {
 	if dir == packDirection {
-		copyRunGroups(sb, ub, sp, o, runLen, step, q*runLen, rowStride, runLen, q, k)
+		copyRunGroups(sb, ub, sp, o, runLen, step, q*runLen, rowStride, runLen, q, k, sum)
 	} else {
-		copyRunGroups(ub, sb, o, sp, step, runLen, rowStride, q*runLen, runLen, q, k)
+		copyRunGroups(ub, sb, o, sp, step, runLen, rowStride, q*runLen, runLen, q, k, sum)
 	}
 }
 
 // moveRun moves the n bytes of one run, or of the part of a run a
 // range edge leaves, between sb[sp:] and ub[o:].
-func moveRun(sb, ub []byte, sp, o, n int64, dir direction) {
+func moveRun(sb, ub []byte, sp, o, n int64, dir direction, sum *buf.Checksum) {
 	if dir == packDirection {
-		copyRun(sb[sp:], ub[o:], n)
+		copyRunSum(sb[sp:], ub[o:], n, sum)
 	} else {
-		copyRun(ub[o:], sb[sp:], n)
+		copyRunSum(ub[o:], sb[sp:], n, sum)
 	}
 }

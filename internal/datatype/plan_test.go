@@ -377,7 +377,7 @@ func TestPlanRunRangeDifferential(t *testing.T) {
 		}
 		dst := buf.Alloc(int(total))
 		for i := 0; i+1 < len(cuts); i++ {
-			plan.run(src, dst, cuts[i], cuts[i+1], packDirection)
+			plan.runRange(src, dst, cuts[i], cuts[i+1], 0, packDirection, nil)
 		}
 		if !bytes.Equal(dst.Bytes(), want) {
 			t.Fatalf("iter %d (%v, kernel %v): piecewise run differs from cursor (cuts %v)",
@@ -387,7 +387,7 @@ func TestPlanRunRangeDifferential(t *testing.T) {
 		// Unpack direction through the same cuts.
 		back := buf.Alloc(bufLen)
 		for i := 0; i+1 < len(cuts); i++ {
-			plan.run(back, dst, cuts[i], cuts[i+1], unpackDirection)
+			plan.runRange(back, dst, cuts[i], cuts[i+1], 0, unpackDirection, nil)
 		}
 		cursorDst := buf.Alloc(bufLen)
 		cursorUnpack(t, ty, cursorDst, count, want, rng)

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
+	"repro/internal/perfmodel"
+	"repro/internal/simnet"
 )
 
 // benchPingPong runs b.N ping-pongs of n bytes inside one world.
@@ -143,5 +145,66 @@ func BenchmarkOneSidedPutFence(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkTypedFaulty is the op of cmd/bench's typed_faulty workload
+// as an inner loop for -cpuprofile: 4 MiB of every-other-double sent
+// into blocks of four doubles at stride eight on skx-impi under 2 %
+// uniform faults with the default retry policy, answered by a
+// zero-byte reply — one sub-benchmark per engine.
+func BenchmarkTypedFaulty(b *testing.B) {
+	const n = 4 << 20
+	prof, err := perfmodel.ByName("skx-impi")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range []struct {
+		name string
+		send func(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) error
+	}{
+		{"serial", (*Comm).SendType},
+		{"pipelined", (*Comm).SendpType},
+		{"fused", (*Comm).SendvType},
+	} {
+		b.Run(e.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(n)
+			err := Run(2, Options{Profile: prof, Faults: simnet.UniformFaults(11, 0.02), WallLimit: 5 * time.Minute}, func(c *Comm) error {
+				count, block, stride := n/8, 1, 2
+				if c.Rank() == 1 {
+					count, block, stride = n/32, 4, 8
+				}
+				ty, err := datatype.Vector(count, block, stride, datatype.Float64)
+				if err == nil {
+					err = ty.Commit()
+				}
+				if err != nil {
+					return err
+				}
+				user, pong := buf.AllocAligned(2*n), buf.Alloc(0)
+				user.FillPattern(11)
+				if c.Rank() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					if c.Rank() == 0 {
+						err = e.send(c, user, 1, ty, 1, 0)
+						if err == nil {
+							_, err = c.Recv(pong, 1, 1)
+						}
+					} else if _, err = c.RecvType(user, 1, ty, 0, 0); err == nil {
+						err = c.Send(pong, 0, 1)
+					}
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/buf"
-	"repro/internal/datatype"
 	"repro/internal/memsim"
 	"repro/internal/simnet"
 	"repro/internal/vclock"
@@ -686,65 +685,6 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, peer, tag int, verify func(lo, h
 				Attempts: attempts, Want: done.Sum, Got: got}
 		}
 	}
-}
-
-// damageContig applies a payload fault's mechanical effect to a real
-// contiguous destination of n delivered bytes; it reports false when
-// the damage could not be materialised (virtual or empty blocks), in
-// which case the attempt must travel poisoned.
-func damageContig(dst buf.Block, n int64, f simnet.Fault) bool {
-	if !f.NeedsResend() {
-		return true
-	}
-	if dst.IsVirtual() || n <= 0 || dst.Len() == 0 {
-		return false
-	}
-	data := dst.Bytes()
-	if int64(len(data)) < n {
-		n = int64(len(data))
-	}
-	switch f.Kind {
-	case FaultCorrupt:
-		data[int(f.Offset%n)] ^= 0xFF
-	case FaultTruncate:
-		// The suffix never arrived: damage it where the true payload
-		// would have been.
-		data[int(f.Keep%n)] ^= 0xFF
-	case FaultDrop:
-		// Nothing arrived at all; the caller skipped the copy and
-		// whatever the buffer held stays. Flip one byte so a reused
-		// staging block holding the previous (NACKed) attempt cannot
-		// accidentally verify.
-		data[0] ^= 0xFF
-	}
-	return true
-}
-
-// damagePlan is damageContig for a plan-described destination layout:
-// the byte at packed-stream position pos is flipped through the plan's
-// segment table, zero staging.
-func damagePlan(plan *datatype.Plan, user buf.Block, n int64, f simnet.Fault) bool {
-	if !f.NeedsResend() {
-		return true
-	}
-	if user.IsVirtual() || n <= 0 || plan == nil {
-		return false
-	}
-	pos := int64(0)
-	switch f.Kind {
-	case FaultCorrupt:
-		pos = f.Offset % n
-	case FaultTruncate:
-		pos = f.Keep % n
-	}
-	it := plan.Segments()
-	it.SeekTo(pos)
-	off, runLen := it.Run()
-	if runLen <= 0 || off >= int64(user.Len()) {
-		return false
-	}
-	user.Bytes()[off] ^= 0xFF
-	return true
 }
 
 // FaultKind aliases keep protocol code free of simnet qualifiers at

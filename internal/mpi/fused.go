@@ -182,7 +182,14 @@ func (c *Comm) fusedTransfer(m *simnet.Message, dest, tag int, x *fusedXfer) err
 	// through its own plan, and the checksum claim covers the packed
 	// stream both sides can compute without staging.
 	return c.rdvSendLoop(m, dest, tag, x.n, func(f simnet.Fault) (uint64, bool, bool, error) {
-		copyCost, err := c.fusedMove(x)
+		// The fused copy's workers may hold the sums, so they live on the
+		// heap: allocated only when there is something to sum.
+		var ss srcSums
+		hasSum := m.Ack != nil && !x.b.IsVirtual() && !x.recv.IsVirtual() && x.covered > 0
+		if hasSum {
+			ss = srcSums{span: x.covered, sums: make([]uint64, 1)}
+		}
+		copyCost, err := c.fusedMove(x, ss)
 		if err != nil {
 			return 0, false, false, err
 		}
@@ -190,34 +197,28 @@ func (c *Comm) fusedTransfer(m *simnet.Message, dest, tag int, x *fusedXfer) err
 		// records the transfer as fused (one pass, no staging), a
 		// fused-declining typed receiver records it as staged when it
 		// unpacks. The sender cannot tell the two destinations apart.
-		var sum uint64
-		var hasSum, poisoned bool
-		if m.Ack != nil {
-			sum, hasSum, poisoned = x.verdict(f)
-		}
+		poisoned := m.Ack != nil && x.poisoned(f)
 		// The single pass and the wire pipeline: the pass feeds the wire
 		// run-by-run, so the sender is occupied for the longer of the two.
 		c.clock.Advance(vclock.FromSeconds(math.Max(copyCost, x.wire)))
+		var sum uint64
+		if hasSum {
+			sum = ss.sums[0]
+		}
 		return sum, hasSum, poisoned, nil
 	})
 }
 
-// verdict is a whole-transfer attempt's claim under faults: the drawn
-// damage applied to what landed (poisoned when it cannot materialise)
-// and the checksum of the covered source stream.
-func (x *fusedXfer) verdict(f simnet.Fault) (sum uint64, hasSum, poisoned bool) {
-	poisoned = f.NeedsResend()
-	if poisoned && x.fd != nil {
-		poisoned = !damagePlan(x.fd.plan, x.fd.user, x.covered, f)
-	} else if poisoned {
-		poisoned = !damageContig(x.recv, x.covered, f)
+// poisoned applies a whole-transfer attempt's drawn damage to what
+// landed and reports whether it could not materialise.
+func (x *fusedXfer) poisoned(f simnet.Fault) bool {
+	if !f.NeedsResend() {
+		return false
 	}
-	if hasSum = !x.b.IsVirtual() && !x.recv.IsVirtual() && x.covered > 0; hasSum {
-		var cs buf.Checksum
-		x.plan.ChecksumRange(x.b, 0, x.covered, &cs)
-		sum = cs.Sum64()
+	if x.fd != nil {
+		return !damagePlanRange(x.fd.plan, x.fd.user, 0, x.covered, f)
 	}
-	return sum, hasSum, poisoned
+	return !damageContigRange(x.recv, 0, x.covered, f)
 }
 
 // fusedXfer is one matched fused rendezvous as its attempts see it: the
@@ -244,8 +245,9 @@ func (c *Comm) fusedSendSelective(m *simnet.Message, dest, tag int, x *fusedXfer
 	var attemptCost float64
 	return c.rdvSendSelective(m, dest, tag, x.n, &chunkedXfer{
 		covered: x.covered, chunkSize: chunkSz, chunks: chunks,
-		drainAll: func() error {
-			copyCost, err := c.fusedMove(x)
+		hasSum: !b.IsVirtual() && !x.recv.IsVirtual(),
+		drainAll: func(ss srcSums) error {
+			copyCost, err := c.fusedMove(x, ss)
 			if err != nil {
 				return err
 			}
@@ -270,14 +272,6 @@ func (c *Comm) fusedSendSelective(m *simnet.Message, dest, tag int, x *fusedXfer
 			c.clock.Advance(vclock.FromSeconds(attemptCost * float64(hi-lo) / float64(x.covered)))
 			return nil
 		},
-		sum: func(lo, hi int64) (uint64, bool) {
-			if b.IsVirtual() || x.recv.IsVirtual() || hi <= lo {
-				return 0, false
-			}
-			var cs buf.Checksum
-			plan.ChecksumRange(b, lo, hi, &cs)
-			return cs.Sum64(), true
-		},
 		damage: func(f simnet.Fault, lo, hi int64) bool {
 			if fd != nil {
 				return damagePlanRange(fd.plan, fd.user, lo, hi, f)
@@ -295,8 +289,9 @@ func (c *Comm) fusedSendSelective(m *simnet.Message, dest, tag int, x *fusedXfer
 // or a size mismatch fall to the sender-local staged emulation — the
 // receiver still takes delivery in its layout, the two passes are paid
 // here. A contiguous (or fused-declining) receiver gets the plan packed
-// straight into its block dst in one pass.
-func (c *Comm) fusedMove(x *fusedXfer) (float64, error) {
+// straight into its block dst in one pass. Whichever pass reads the
+// source folds ss's checksums on the way.
+func (c *Comm) fusedMove(x *fusedXfer, ss srcSums) (float64, error) {
 	fd := x.fd
 	switch {
 	case fd == nil:
@@ -305,13 +300,13 @@ func (c *Comm) fusedMove(x *fusedXfer) (float64, error) {
 		if x.covered == 0 {
 			return cost, nil
 		}
-		return cost, x.plan.PackRange(x.b, x.dst, 0, x.covered)
+		return cost, x.plan.PackRangeSum(x.b, x.dst, 0, x.covered, ss.span, ss.sums)
 	case x.n == fd.need && !buf.Overlaps(x.b, fd.user):
 		cost := c.fusedCopyCost(x.b.Region(), fd.user.Region(), &x.st, &fd.stats, x.n)
-		_, err := datatype.FusedCopy(x.plan, fd.plan, x.b, fd.user)
+		_, err := datatype.FusedCopySum(x.plan, fd.plan, x.b, fd.user, ss.span, ss.sums)
 		return cost, err
 	}
-	return c.stagedScatter(x.plan, fd, x.b, &x.st, x.covered)
+	return c.stagedScatter(x.plan, fd, x.b, &x.st, x.covered, ss)
 }
 
 // stagedScatter is the sender-local staged emulation of a fused
@@ -323,7 +318,7 @@ func (c *Comm) fusedMove(x *fusedXfer) (float64, error) {
 // receiver's layout, so the cost collapses from gather+scatter to the
 // two-stage pipeline bound and the staging footprint shrinks from the
 // whole message to the slot ring.
-func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st *layout.Stats, nCopy int64) (float64, error) {
+func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st *layout.Stats, nCopy int64, ss srcSums) (float64, error) {
 	gather := c.cache.GatherCost(b.Region(), c.internal.Region(), *st, genericCompiled)
 	scatter := c.cache.ScatterCost(c.internal.Region(), fd.user.Region(), fd.stats, genericCompiled)
 	chunk := c.prof.InternalChunk()
@@ -333,7 +328,7 @@ func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st 
 	// concurrently scattering over.
 	if chunks > 1 && pipelineEnabled() && !buf.Overlaps(b, fd.user) {
 		cost := memsim.PipelinedChunkCost(gather, scatter, chunks, c.prof.PipelineDepth())
-		cp, err := datatype.NewChunkPipeline(plan, b, 0, nCopy, chunk, c.prof.PipelineDepth(), c.rank)
+		cp, err := datatype.NewChunkPipelineSum(plan, b, 0, nCopy, chunk, c.prof.PipelineDepth(), c.rank, ss.span)
 		if err != nil {
 			return cost, err
 		}
@@ -346,6 +341,9 @@ func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st 
 			if err := fd.plan.UnpackRange(ch.Data, fd.user, ch.Lo, ch.Hi); err != nil {
 				return cost, err
 			}
+			if ss.sums != nil {
+				ss.sums[ch.Lo/ss.span] = ch.Sum
+			}
 			cp.Recycle(ch)
 		}
 		datatype.RecordStagedTransfer(nCopy)
@@ -355,7 +353,7 @@ func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st 
 	defer buf.PutPooled(staging)
 	cost := gather + scatter
 	if nCopy > 0 {
-		if err := plan.PackRange(b, staging, 0, nCopy); err != nil {
+		if err := plan.PackRangeSum(b, staging, 0, nCopy, ss.span, ss.sums); err != nil {
 			return cost, err
 		}
 		if err := fd.plan.UnpackRange(staging, fd.user, 0, nCopy); err != nil {

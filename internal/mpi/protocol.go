@@ -143,7 +143,7 @@ func (c *Comm) sendContig(b buf.Block, dest, tag int, fl sendFlags) error {
 		if nCopy > 0 {
 			buf.CopyAt(match.Dst, 0, b, 0, int(nCopy))
 		}
-		poisoned := f.NeedsResend() && !damageContig(match.Dst, nCopy, f)
+		poisoned := f.NeedsResend() && !damageContigRange(match.Dst, 0, nCopy, f)
 		var sum uint64
 		hasSum := false
 		if m.Ack != nil && !b.IsVirtual() && !match.Dst.IsVirtual() && nCopy > 0 {
@@ -353,12 +353,13 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 			// stream ranges through the compiled plan.
 			x := &chunkedXfer{
 				covered: nCopy, chunkSize: chunkSz, chunks: schunks,
-				drainAll: func() error {
+				hasSum: !b.IsVirtual() && !match.Dst.IsVirtual(),
+				drainAll: func(ss srcSums) error {
 					var drainErr error
 					if pipelined {
-						drainErr = c.drainPipelined(plan, b, match.Dst, n)
+						drainErr = c.drainPipelined(plan, b, match.Dst, n, ss)
 					} else {
-						drainErr = c.drainPacker(packer, match.Dst, n)
+						drainErr = c.drainPacker(packer, match.Dst, n, ss)
 					}
 					if drainErr != nil {
 						return drainErr
@@ -375,14 +376,6 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 					}
 					c.clock.Advance(vclock.FromSeconds((packWork + wire) * float64(hi-lo) / float64(n)))
 					return nil
-				},
-				sum: func(lo, hi int64) (uint64, bool) {
-					if b.IsVirtual() || match.Dst.IsVirtual() || hi <= lo {
-						return 0, false
-					}
-					var cs buf.Checksum
-					plan.ChecksumRange(b, lo, hi, &cs)
-					return cs.Sum64(), true
 				},
 				damage: func(f simnet.Fault, lo, hi int64) bool {
 					return damageContigRange(match.Dst, lo, hi, f)
@@ -401,11 +394,19 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 			}
 		}
 		first = false
+		// One running checksum of the source stream, folded by the drain
+		// as it packs.
+		var sum [1]uint64
+		var ss srcSums
+		hasSum := m.Ack != nil && !b.IsVirtual() && !match.Dst.IsVirtual() && nCopy > 0
+		if hasSum {
+			ss = srcSums{span: nCopy, sums: sum[:]}
+		}
 		var drainErr error
 		if pipelined {
-			drainErr = c.drainPipelined(pk.Plan(), b, match.Dst, n)
+			drainErr = c.drainPipelined(pk.Plan(), b, match.Dst, n, ss)
 		} else {
-			drainErr = c.drainPacker(pk, match.Dst, n)
+			drainErr = c.drainPacker(pk, match.Dst, n, ss)
 		}
 		if drainErr != nil {
 			return 0, false, false, drainErr
@@ -416,36 +417,49 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 			// was prefetched.
 			c.clock.AdvanceTo(end)
 		}
-		poisoned := f.NeedsResend() && !damageContig(match.Dst, nCopy, f)
-		var sum uint64
-		hasSum := false
-		if m.Ack != nil && !b.IsVirtual() && !match.Dst.IsVirtual() && nCopy > 0 {
-			var cs buf.Checksum
-			pk.Plan().ChecksumRange(b, 0, nCopy, &cs)
-			sum = cs.Sum64()
-			hasSum = true
-		}
-		return sum, hasSum, poisoned, nil
+		poisoned := f.NeedsResend() && !damageContigRange(match.Dst, 0, nCopy, f)
+		return sum[0], hasSum, poisoned, nil
 	})
+}
+
+// srcSums is where a sender's drain records the checksums of the source
+// stream, folded by the moves: sums[i] covers packed bytes [i·span,
+// (i+1)·span) — span is the internal chunk under selective replay, the
+// covered stream for a whole-transfer attempt. The zero value records
+// nothing (clean fabrics, virtual payloads).
+type srcSums struct {
+	span int64
+	sums []uint64
 }
 
 // drainPacker streams the packed byte sequence into dst through
 // internal-chunk-sized pieces — the mechanical counterpart of the cost
 // charged in sendTyped.
-func (c *Comm) drainPacker(packer *datatype.Packer, dst buf.Block, n int64) error {
+func (c *Comm) drainPacker(packer *datatype.Packer, dst buf.Block, n int64, ss srcSums) error {
 	limit := int64(dst.Len())
 	if n < limit {
 		limit = n
 	}
 	chunk := c.prof.InternalChunk()
 	var off int64
+	var cs buf.Checksum
+	var sum *buf.Checksum
+	if ss.sums != nil {
+		sum = &cs
+	}
 	for off < limit {
 		sz := chunk
 		if off+sz > limit {
 			sz = limit - off
 		}
-		if _, err := packer.Pack(dst.Slice(int(off), int(sz))); err != nil {
+		if sum != nil && off%ss.span == 0 {
+			cs.Reset()
+		}
+		if _, err := packer.PackSum(dst.Slice(int(off), int(sz)), sum); err != nil {
 			return err
+		}
+		if sum != nil {
+			ss.sums[off/ss.span] = cs.Sum64()
 		}
 		off += sz
 	}
@@ -458,13 +472,13 @@ func (c *Comm) drainPacker(packer *datatype.Packer, dst buf.Block, n int64) erro
 // slot into the destination, so chunk k+1 packs while chunk k injects.
 // The ring is the path's entire allocation footprint — depth pooled
 // slots from this rank's shard, recycled in place and released on
-// return.
-func (c *Comm) drainPipelined(plan *datatype.Plan, user, dst buf.Block, n int64) error {
+// return. The pack worker folds ss's sums while it fills a slot.
+func (c *Comm) drainPipelined(plan *datatype.Plan, user, dst buf.Block, n int64, ss srcSums) error {
 	limit := int64(dst.Len())
 	if n < limit {
 		limit = n
 	}
-	cp, err := datatype.NewChunkPipeline(plan, user, 0, limit, c.prof.InternalChunk(), c.prof.PipelineDepth(), c.rank)
+	cp, err := datatype.NewChunkPipelineSum(plan, user, 0, limit, c.prof.InternalChunk(), c.prof.PipelineDepth(), c.rank, ss.span)
 	if err != nil {
 		return err
 	}
@@ -477,6 +491,9 @@ func (c *Comm) drainPipelined(plan *datatype.Plan, user, dst buf.Block, n int64)
 		}
 		if real {
 			buf.CopyAt(dst, int(ch.Lo), ch.Data, 0, int(ch.Hi-ch.Lo))
+		}
+		if ss.sums != nil {
+			ss.sums[ch.Lo/ss.span] = ch.Sum
 		}
 		cp.Recycle(ch)
 	}

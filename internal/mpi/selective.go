@@ -13,9 +13,12 @@ import (
 // chunks; under faults each chunk carries its own checksum, the
 // receiver NACKs a bitmap of damaged chunks (simnet.ChunkNack), and
 // the sender replays only those — re-packing them through the plan's
-// stream offsets — instead of the whole transfer. PR 7's
-// whole-transfer replay survives as the fallback for checksum-less
-// and single-chunk paths (rdvSendLoop).
+// stream offsets — instead of the whole transfer. The checksums are of
+// the source stream, which cannot change during a send: the first drain
+// folds them while it moves the bytes (srcSums — no second read of the
+// source) and every replay reuses them. PR 7's whole-transfer replay
+// survives as the fallback for checksum-less and single-chunk paths
+// (rdvSendLoop).
 
 // chunkedXfer describes one transfer to the selective engine. The
 // packed stream's first covered bytes are cut into chunks pieces of
@@ -25,15 +28,16 @@ type chunkedXfer struct {
 	covered   int64
 	chunkSize int64
 	chunks    int
+	// hasSum is false when the transfer is unverifiable (virtual
+	// payloads): no checksum is computed or claimed.
+	hasSum bool
 
 	// drainAll performs the initial full-transfer copy (the engine's
-	// normal drain: serial, pipelined slot ring, or fused scatter).
-	drainAll func() error
+	// normal drain: serial, pipelined slot ring, or fused scatter),
+	// recording each chunk's SOURCE checksum in ss as it goes.
+	drainAll func(ss srcSums) error
 	// resend re-packs and re-lands stream range [lo,hi) only.
 	resend func(lo, hi int64) error
-	// sum checksums the SOURCE stream over [lo,hi); false when the
-	// attempt is unverifiable (virtual payloads, checksum-less paths).
-	sum func(lo, hi int64) (uint64, bool)
 	// damage applies a drawn fault's mechanical effect to the landed
 	// bytes of [lo,hi); false when it cannot materialise, in which
 	// case the chunk travels poisoned.
@@ -64,17 +68,22 @@ func (c *Comm) rdvSendSelective(m *simnet.Message, dest, tag int, n int64, x *ch
 	// place each attempt. Reuse is race-free: they travel to the
 	// receiver inside the RdvDone, the receiver reads them only while it
 	// verifies that attempt, and this rank sits in awaitAck until the
-	// receiver has answered it.
+	// receiver has answered it. The chunk sums are written once, by the
+	// first drain.
 	poisoned := simnet.NewChunkBitmap(x.chunks)
 	dup := simnet.NewChunkBitmap(x.chunks)
 	sums := make([]uint64, x.chunks)
+	var ss srcSums
+	if x.hasSum {
+		ss = srcSums{span: x.chunkSize, sums: sums}
+	}
 	fail := func(err error) error {
 		m.PostDone(simnet.RdvDone{Err: err})
 		return err
 	}
 	for {
 		if attempt == 0 {
-			if err := x.drainAll(); err != nil {
+			if err := x.drainAll(ss); err != nil {
 				return fail(err)
 			}
 		} else {
@@ -93,13 +102,11 @@ func (c *Comm) rdvSendSelective(m *simnet.Message, dest, tag int, n int64, x *ch
 			}
 			c.fabric.NoteChunkRetransmit(c.endpoint(c.rank), resent, resentBytes)
 		}
-		// Per-chunk fault verdicts and checksums for this attempt's
-		// chunks. A duplicate fault redelivers the chunk rather than
-		// damaging it; the receiver suppresses the extra copy.
+		// Per-chunk fault verdicts for this attempt's chunks. A duplicate
+		// fault redelivers the chunk rather than damaging it; the
+		// receiver suppresses the extra copy.
 		clear(poisoned)
 		clear(dup)
-		clear(sums)
-		hasSum := true
 		for i := 0; i < x.chunks; i++ {
 			if !send.Get(i) {
 				continue
@@ -116,17 +123,12 @@ func (c *Comm) rdvSendSelective(m *simnet.Message, dest, tag int, n int64, x *ch
 			if f.NeedsResend() && !x.damage(f, lo, hi) {
 				poisoned.Set(i)
 			}
-			s, ok := x.sum(lo, hi)
-			sums[i] = s
-			if !ok {
-				hasSum = false
-			}
 		}
 		final := m.Ack == nil || attempt >= pol.MaxRetries
 		m.PostDone(simnet.RdvDone{
 			Arrival: c.clock.Now() + dur(c.linkLatency(dest)),
 			Bytes:   n,
-			HasSum:  hasSum, Final: final,
+			HasSum:  x.hasSum, Final: final,
 			Chunks: x.chunks, ChunkSize: x.chunkSize, Covered: x.covered,
 			Sent: send, PoisonedChunks: poisoned, Dup: dup,
 			ChunkSums: sums,
@@ -162,8 +164,11 @@ func (c *Comm) rdvSendSelective(m *simnet.Message, dest, tag int, n int64, x *ch
 	}
 }
 
-// damageContigRange is damageContig restricted to the landed bytes of
-// packed-stream range [lo,hi) of a contiguous destination.
+// damageContigRange applies a payload fault's mechanical effect to the
+// landed bytes of packed-stream range [lo,hi) of a real contiguous
+// destination — [0,n) for a whole-transfer attempt; it reports false
+// when the damage could not be materialised (virtual or empty blocks),
+// in which case the attempt must travel poisoned.
 func damageContigRange(dst buf.Block, lo, hi int64, f simnet.Fault) bool {
 	if !f.NeedsResend() {
 		return true
@@ -183,15 +188,21 @@ func damageContigRange(dst buf.Block, lo, hi int64, f simnet.Fault) bool {
 	case FaultCorrupt:
 		data[lo+f.Offset%span] ^= 0xFF
 	case FaultTruncate:
+		// The suffix never arrived: damage it where the true payload
+		// would have been.
 		data[lo+f.Keep%span] ^= 0xFF
 	case FaultDrop:
+		// Nothing arrived at all and whatever the buffer held stays. Flip
+		// one byte so a reused staging block holding the previous
+		// (NACKed) attempt cannot accidentally verify.
 		data[lo] ^= 0xFF
 	}
 	return true
 }
 
-// damagePlanRange is damagePlan restricted to packed-stream range
-// [lo,hi) of a plan-described destination layout.
+// damagePlanRange is damageContigRange for a plan-described destination
+// layout: the byte at the damaged packed-stream position is flipped
+// through the plan's segment table, zero staging.
 func damagePlanRange(plan *datatype.Plan, user buf.Block, lo, hi int64, f simnet.Fault) bool {
 	if !f.NeedsResend() {
 		return true

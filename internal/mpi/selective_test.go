@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
@@ -227,6 +229,114 @@ func TestSelectiveVirtualPoisoned(t *testing.T) {
 	}
 	if c0.Retries != 1 || c0.ChunkRetransmits != 1 {
 		t.Fatalf("poisoned virtual chunk not selectively replayed: %+v", c0)
+	}
+}
+
+// selectiveSends are the three engines' forced-rendezvous sends.
+var selectiveSends = []struct {
+	name string
+	send func(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) error
+}{
+	{"SsendType", (*Comm).SsendType},
+	{"SsendpType", (*Comm).SsendpType},
+	{"SsendvType", (*Comm).SsendvType},
+}
+
+// runFaulted sends the selective vector once, 0→1, under a corruption
+// scripted onto the first payload draw, into a typed or a contiguous
+// receive; it returns both ranks' errors, the packed source stream and
+// the plan-engine attribution of the run.
+func runFaulted(t *testing.T, send func(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) error,
+	typedRecv bool, retry RetryPolicy) (errs [2]error, packed []byte, stats datatype.PlanStats) {
+	t.Helper()
+	ty, recvTy := selectiveVector(t), selectiveVector(t)
+	src := buf.Alloc(int(typedSpan(ty, 1)))
+	fillPat(src, 0, 1)
+	stream := buf.Alloc(int(ty.PackSize(1)))
+	if _, err := ty.Pack(src, 1, stream); err != nil {
+		t.Fatal(err)
+	}
+	faults := &simnet.FaultPlan{Seed: 29, Scripted: []simnet.ScriptedFault{
+		{Src: 0, Dst: 1, Seq: 0, Payload: true, Kind: simnet.FaultCorrupt}}}
+	before := datatype.PlanStatsSnapshot()
+	err := Run(2, Options{Profile: selectiveProfile(), Faults: faults, Retry: retry, WallLimit: 30 * time.Second}, func(c *Comm) error {
+		switch {
+		case c.Rank() == 0:
+			errs[0] = send(c, src, 1, ty, 1, 7)
+		case typedRecv:
+			_, errs[1] = c.RecvType(buf.Alloc(src.Len()), 1, recvTy, 0, 7)
+		default:
+			_, errs[1] = c.Recv(buf.Alloc(stream.Len()), 0, 7)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return errs, stream.Bytes(), datatype.PlanStatsSnapshot().Sub(before)
+}
+
+// TestSenderMakesNoChecksumPass pins where a faulted typed send reads
+// its source: once, in the move that also folds the checksum. On every
+// engine, under selective and under whole-transfer replay, the only
+// standalone checksum passes of a run (PlanStats.ChecksumBytes) are the
+// fused receiver's verifications of what landed in its layout — every
+// other receiver sums a contiguous block — so a sender that went back
+// to summing its source in a second strided read shows as extra bytes.
+func TestSenderMakesNoChecksumPass(t *testing.T) {
+	const n, chunk = 64 << 10, 4096
+	for _, e := range selectiveSends {
+		for _, whole := range []bool{false, true} {
+			for _, typedRecv := range []bool{false, true} {
+				errs, _, stats := runFaulted(t, e.send, typedRecv, RetryPolicy{WholeReplay: whole})
+				if errs[0] != nil || errs[1] != nil {
+					t.Fatalf("%s whole=%v typed=%v: %v / %v", e.name, whole, typedRecv, errs[0], errs[1])
+				}
+				var want int64
+				if typedRecv && e.name == "SsendvType" {
+					// The receiver verified the first attempt and the replay:
+					// of the damaged chunk, or of everything.
+					want = n + chunk
+					if whole {
+						want = 2 * n
+					}
+				}
+				if stats.ChecksumBytes != want {
+					t.Errorf("%s whole=%v typed=%v: %d bytes of standalone checksum passes, want %d (the receiver's)",
+						e.name, whole, typedRecv, stats.ChecksumBytes, want)
+				}
+			}
+		}
+	}
+}
+
+// TestExhaustedBudgetIntegrityError: with no retry left, the damaged
+// first attempt surfaces *IntegrityError on both ranks, and the
+// receiver's carries the sender's claim — the true checksum of the
+// source stream's damaged chunk (of the whole stream under
+// whole-transfer replay), folded by the move — next to what it
+// computed over the landed bytes.
+func TestExhaustedBudgetIntegrityError(t *testing.T) {
+	for _, e := range selectiveSends {
+		for _, whole := range []bool{false, true} {
+			for _, typedRecv := range []bool{false, true} {
+				errs, packed, _ := runFaulted(t, e.send, typedRecv, RetryPolicy{MaxRetries: -1, WholeReplay: whole})
+				claimed := packed[:4096]
+				if whole {
+					claimed = packed
+				}
+				var cs buf.Checksum
+				cs.Write(claimed)
+				var se, re *IntegrityError
+				if !errors.As(errs[0], &se) || !errors.As(errs[1], &re) {
+					t.Fatalf("%s whole=%v typed=%v: errors %v / %v, want *IntegrityError on both ranks", e.name, whole, typedRecv, errs[0], errs[1])
+				}
+				if re.Want != cs.Sum64() || re.Got == 0 || re.Got == re.Want || re.Attempts != 1 {
+					t.Errorf("%s whole=%v typed=%v: receiver reports want %#x got %#x after %d attempts, true sum %#x",
+						e.name, whole, typedRecv, re.Want, re.Got, re.Attempts, cs.Sum64())
+				}
+			}
+		}
 	}
 }
 
