@@ -1,22 +1,17 @@
-// Benchmarks regenerating every figure and study of the paper's
-// evaluation. One benchmark per artefact:
+// Benchmarks regenerating the paper's figures and the study table:
 //
 //	BenchmarkFigure1SkxImpi      paper Figure 1  (E1)
 //	BenchmarkFigure2SkxMvapich   paper Figure 2  (E2)
 //	BenchmarkFigure3Ls5Cray      paper Figure 3  (E3)
 //	BenchmarkFigure4KnlImpi      paper Figure 4  (E4)
-//	BenchmarkEagerLimit          §4.5 study      (E5)
-//	BenchmarkCacheFlush          §4.6 study      (E6)
-//	BenchmarkStrideIrregularity  §4.7 study      (E7)
-//	BenchmarkBlockSize           §4.7 study      (E8)
-//	BenchmarkNodeScaling         §4.7 study      (E9)
-//	BenchmarkCostModelFactors    §2 cost model   (E10)
+//	BenchmarkStudy/E5-eager …    one sub-benchmark per study (E5–E12)
 //
 // The figure benchmarks report the paper's headline numbers as custom
-// metrics (slowdowns at 1 GB relative to the contiguous reference), so
-// `go test -bench=.` doubles as a reproduction report. Absolute wall
-// time of a benchmark iteration is the cost of simulating the sweep,
-// not the simulated time itself.
+// metrics (slowdowns at 1 GB relative to the contiguous reference) and
+// the study benchmarks each claim's value, so `go test -bench=.`
+// doubles as a reproduction report. Absolute wall time of a benchmark
+// iteration is the cost of simulating the sweep, not the simulated
+// time itself.
 package repro_test
 
 import (
@@ -65,110 +60,26 @@ func BenchmarkFigure2SkxMvapich(b *testing.B) { benchFigure(b, "skx-mvapich") }
 func BenchmarkFigure3Ls5Cray(b *testing.B)    { benchFigure(b, "ls5-cray") }
 func BenchmarkFigure4KnlImpi(b *testing.B)    { benchFigure(b, "knl-impi") }
 
-func BenchmarkEagerLimit(b *testing.B) {
-	opt := benchOpts()
-	var st *figures.EagerStudy
-	for i := 0; i < b.N; i++ {
-		var err error
-		st, err = figures.BuildEagerStudy("skx-impi", opt)
-		if err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkStudy runs every row of the study table (E5–E12) and
+// reports each paper claim's value under the claim's metric name. The
+// size-axis studies that follow the caller's sweep (E11, E12) measure
+// 10⁶, 10⁸ and 10⁹ bytes.
+func BenchmarkStudy(b *testing.B) {
+	sweep := []int64{1_000_000, 100_000_000, 1_000_000_000}
+	for _, st := range figures.Studies() {
+		b.Run(st.ID+"-"+st.Name, func(b *testing.B) {
+			var r *figures.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if r, err = st.Run("skx-impi", sweep, benchOpts()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, c := range st.Claims {
+				b.ReportMetric(c.Value(r), c.Metric)
+			}
+		})
 	}
-	b.ReportMetric(st.LargeUnchangedByRaisedLimit()*100, "raisedLimitΔ(%)")
-}
-
-func BenchmarkCacheFlush(b *testing.B) {
-	opt := benchOpts()
-	var st *figures.CacheStudy
-	for i := 0; i < b.N; i++ {
-		var err error
-		st, err = figures.BuildCacheStudy("skx-impi", opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Peak speedup from leaving caches warm (paper §4.6: a clear
-	// positive effect on intermediate sizes).
-	best := 0.0
-	for _, y := range st.Speedup.Y {
-		if y > best {
-			best = y
-		}
-	}
-	b.ReportMetric(best, "warmSpeedup(x)")
-}
-
-func BenchmarkStrideIrregularity(b *testing.B) {
-	opt := benchOpts()
-	var st *figures.SpacingStudy
-	for i := 0; i < b.N; i++ {
-		var err error
-		st, err = figures.BuildSpacingStudy("skx-impi", 4<<20, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	ts := st.Times[core.VectorType]
-	b.ReportMetric(ts[len(ts)-1]/ts[0], "jitterPenalty(x)")
-}
-
-func BenchmarkBlockSize(b *testing.B) {
-	opt := benchOpts()
-	var st *figures.BlockSizeStudy
-	for i := 0; i < b.N; i++ {
-		var err error
-		st, err = figures.BuildBlockSizeStudy("skx-impi", 4<<20, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	ts := st.Times[core.VectorType]
-	b.ReportMetric(ts[0]/ts[len(ts)-1], "bigBlockGain(x)")
-}
-
-func BenchmarkNodeScaling(b *testing.B) {
-	var st *figures.NodeScalingStudy
-	for i := 0; i < b.N; i++ {
-		var err error
-		st, err = figures.BuildNodeScalingStudy("skx-impi", 6, 1<<20, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(st.MaxDegradation()*100, "pairDegradation(%)")
-}
-
-func BenchmarkCostModelFactors(b *testing.B) {
-	opt := benchOpts()
-	var ck *figures.CostModelCheck
-	for i := 0; i < b.N; i++ {
-		var err error
-		ck, err = figures.BuildCostModelCheck("skx-impi", 100_000_000, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(ck.CopyingSlowdown, "copy/ref(x)")
-	b.ReportMetric(ck.PackVsCopy, "packv/copy(x)")
-	b.ReportMetric(ck.PackElementRatio, "packe/copy(x)")
-}
-
-// BenchmarkPipeliningAblation is E11: the reference-[2] what-if. The
-// reported metric is how much NIC datatype pipelining would recover at
-// 1 GB relative to the measured vector-type behaviour.
-func BenchmarkPipeliningAblation(b *testing.B) {
-	opt := benchOpts()
-	sizes := []int64{1_000_000, 100_000_000, 1_000_000_000}
-	var st *figures.PipeliningStudy
-	for i := 0; i < b.N; i++ {
-		var err error
-		st, err = figures.BuildPipeliningStudy("skx-impi", sizes, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(st.LargeGain(), "pipeliningGain@1GB(x)")
 }
 
 // BenchmarkSingleMeasurement prices one harness cell: useful when

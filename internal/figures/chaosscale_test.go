@@ -26,11 +26,11 @@ func TestChaosScaleStudy(t *testing.T) {
 	}
 
 	for _, r := range ranks {
-		if got := st.GoodputRatioAt(r, 0); got != 1 {
+		if got := st.CellAt(r, 0).GoodputRatio; got != 1 {
 			t.Errorf("%d ranks: clean baseline ratio %g, want 1", r, got)
 		}
 		for _, rate := range rates[1:] {
-			measured := st.GoodputRatioAt(r, rate)
+			measured := st.CellAt(r, rate).GoodputRatio
 			if measured <= 0 || measured > 1 {
 				t.Errorf("%d ranks @ %.0f%%: goodput ratio %g outside (0,1]", r, 100*rate, measured)
 				continue

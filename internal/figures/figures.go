@@ -1,16 +1,18 @@
-// Package figures regenerates the paper's evaluation artefacts: the
-// four installation figures (each with time, bandwidth and slowdown
-// panels over eight schemes, Figures 1–4) and the section-4 studies
-// (eager limit §4.5, cache flushing §4.6, spacing/block size and
-// node scaling §4.7, and the §2 cost-model factors).
-//
-// Every experiment has an identifier (E1…E10) mapped in DESIGN.md and
-// recorded in EXPERIMENTS.md.
+// Package figures regenerates the paper's evaluation artefacts, each
+// under an experiment identifier: the four installation figures E1–E4
+// (Figures 1–4: time, bandwidth and slowdown panels over every scheme,
+// built by Build) and the studies E5–E21. E5–E12 — eager limit §4.5,
+// cache flushing §4.6, spacing, block size and node scaling §4.7, the
+// §2 cost-model factors, the NIC-pipelining what-if and the pack-plan
+// compiler — are rows of one table (Studies) measured by one runner and
+// rendered by one renderer; E13–E21 have a Build*Study function each.
+// cmd/figures runs any of them by name: `figures -study list`.
 package figures
 
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -90,9 +92,8 @@ func Build(profileName string, sizes []int64, opt harness.Options) (*Figure, err
 
 // Render writes the three ASCII panels, mirroring the paper's layout.
 func (f *Figure) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s ==\n\n", f.Title); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s ==\n\n", f.Title)
 	panels := []struct {
 		cfg    plot.Config
 		series []*stats.Series
@@ -102,60 +103,52 @@ func (f *Figure) Render(w io.Writer) error {
 		{plot.Config{Title: "slowdown vs reference", XLabel: "message bytes", YLabel: "x", LogX: true, YMax: 10}, f.Slowdown},
 	}
 	for _, p := range panels {
-		if err := plot.ASCII(w, p.cfg, p.series); err != nil {
+		if err := plot.ASCII(&b, p.cfg, p.series); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		fmt.Fprintln(&b)
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // WriteCSV emits the three panels as CSV blocks separated by blank
 // lines: time, bandwidth (GB/s), slowdown.
 func (f *Figure) WriteCSV(w io.Writer) error {
+	var b strings.Builder
 	for i, panel := range [][]*stats.Series{f.Time, f.Bandwidth, f.Slowdown} {
-		header := []string{"# time (s) vs bytes", "# bandwidth (GB/s) vs bytes", "# slowdown vs bytes"}[i]
-		if _, err := fmt.Fprintln(w, header); err != nil {
+		fmt.Fprintln(&b, []string{"# time (s) vs bytes", "# bandwidth (GB/s) vs bytes", "# slowdown vs bytes"}[i])
+		if err := plot.CSV(&b, "bytes", panel); err != nil {
 			return err
 		}
-		if err := plot.CSV(w, "bytes", panel); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		fmt.Fprintln(&b)
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // SchemeSlowdownAt returns a scheme's slowdown at the sweep size
 // closest to n bytes.
 func (f *Figure) SchemeSlowdownAt(s core.Scheme, n int64) (float64, error) {
-	idx := -1
-	for i, sd := range f.Slowdown {
-		if sd.Label == s.String() {
-			idx = i
-			break
+	for _, sd := range f.Slowdown {
+		if sd.Label != s.String() {
+			continue
 		}
-	}
-	if idx < 0 {
-		return 0, fmt.Errorf("figures: scheme %v not in figure", s)
-	}
-	sd := f.Slowdown[idx]
-	best, bestDist := 0.0, int64(-1)
-	for i, x := range sd.X {
-		d := int64(x) - n
-		if d < 0 {
-			d = -d
+		if y, ok := sd.Nearest(float64(n)); ok {
+			return y, nil
 		}
-		if bestDist < 0 || d < bestDist {
-			bestDist, best = d, sd.Y[i]
-		}
-	}
-	if bestDist < 0 {
 		return 0, fmt.Errorf("figures: empty slowdown series for %v", s)
 	}
-	return best, nil
+	return 0, fmt.Errorf("figures: scheme %v not in figure", s)
 }
+
+// ratio is a/b, or 0 when b is not positive (nothing was measured).
+func ratio(a, b float64) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return a / b
+}
+
+// gbps is the bandwidth of moving n bytes in secs seconds.
+func gbps(n, secs float64) float64 { return ratio(n, secs) / 1e9 }

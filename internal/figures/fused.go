@@ -166,13 +166,7 @@ func (p *FusedPanel) measure(g fusedGeometry, n int64, reps int) error {
 	dst := userBlock(dstTy, false)
 	staging := buf.Alloc(int(srcTy.Size()))
 
-	moved := float64(minInt64Fig(srcPlan.Bytes(), dstPlan.Bytes())) * float64(reps)
-	bw := func(secs float64) float64 {
-		if secs <= 0 {
-			return 0
-		}
-		return moved / secs / 1e9
-	}
+	moved := float64(min(srcPlan.Bytes(), dstPlan.Bytes())) * float64(reps)
 
 	// Fused: one pass, with attribution checked by the study test.
 	before := datatype.PlanStatsSnapshot()
@@ -191,7 +185,7 @@ func (p *FusedPanel) measure(g fusedGeometry, n int64, reps int) error {
 		if _, err := srcPlan.Pack(src, staging); err != nil {
 			return err
 		}
-		if err := dstPlan.UnpackRange(staging, dst, 0, minInt64Fig(srcPlan.Bytes(), dstPlan.Bytes())); err != nil {
+		if err := dstPlan.UnpackRange(staging, dst, 0, min(srcPlan.Bytes(), dstPlan.Bytes())); err != nil {
 			return err
 		}
 	}
@@ -205,7 +199,7 @@ func (p *FusedPanel) measure(g fusedGeometry, n int64, reps int) error {
 	datatype.SetChunkedCompiled(false)
 	defer datatype.SetChunkedCompiled(prevChunked)
 	const chunk = int64(32 << 10)
-	limit := minInt64Fig(srcPlan.Bytes(), dstPlan.Bytes())
+	limit := min(srcPlan.Bytes(), dstPlan.Bytes())
 	start = time.Now()
 	for r := 0; r < reps; r++ {
 		pk, err := srcTy.NewPacker(src, 1)
@@ -214,7 +208,7 @@ func (p *FusedPanel) measure(g fusedGeometry, n int64, reps int) error {
 		}
 		var off int64
 		for pk.Remaining() > 0 {
-			sz := minInt64Fig(pk.Remaining(), chunk)
+			sz := min(pk.Remaining(), chunk)
 			if _, err := pk.Pack(staging.Slice(int(off), int(sz))); err != nil {
 				return err
 			}
@@ -225,7 +219,7 @@ func (p *FusedPanel) measure(g fusedGeometry, n int64, reps int) error {
 			return err
 		}
 		for off = 0; off < limit; {
-			sz := minInt64Fig(limit-off, chunk)
+			sz := min(limit-off, chunk)
 			if _, err := up.Unpack(staging.Slice(int(off), int(sz))); err != nil {
 				return err
 			}
@@ -234,14 +228,14 @@ func (p *FusedPanel) measure(g fusedGeometry, n int64, reps int) error {
 	}
 	cursor := time.Since(start).Seconds()
 
-	p.Fused.Append(float64(n), bw(fused))
-	p.Staged.Append(float64(n), bw(staged))
-	p.Cursor.Append(float64(n), bw(cursor))
+	p.Fused.Append(float64(n), gbps(moved, fused))
+	p.Staged.Append(float64(n), gbps(moved, staged))
+	p.Cursor.Append(float64(n), gbps(moved, cursor))
 	return nil
 }
 
 // Render prints one bandwidth panel per layout plus the fused
-// attribution counters.
+// attribution counters, then the closing claim line.
 func (st *FusedStudy) Render(w io.Writer) error {
 	fmt.Fprintf(w, "== E14 fused-transfer study — %s (%d reps, wall time) ==\n\n", st.Profile.Name, st.Reps)
 	for _, p := range st.Panels {
@@ -254,15 +248,15 @@ func (st *FusedStudy) Render(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%s fused-vs-staged per size:\n", p.Layout)
 		for i, n := range p.Sizes {
-			speed := 0.0
-			if p.Staged.Y[i] > 0 {
-				speed = p.Fused.Y[i] / p.Staged.Y[i]
-			}
+			speed := ratio(p.Fused.Y[i], p.Staged.Y[i])
 			fmt.Fprintf(w, "  %12d B  fused %6.2f GB/s  staged %6.2f GB/s  cursor %6.2f GB/s  fused/staged %.2fx  %v\n",
 				n, p.Fused.Y[i], p.Staged.Y[i], p.Cursor.Y[i], speed, p.Stats[i])
 		}
 		fmt.Fprintln(w)
 	}
+	largest := st.Panels[0].Sizes[len(st.Panels[0].Sizes)-1]
+	fmt.Fprintf(w, "fused transfer is %.2fx the staged pack+unpack on the everyOther->everyThird pair at the largest size\n\n",
+		st.FusedSpeedupAt("everyOther->everyThird", largest))
 	return nil
 }
 
@@ -270,28 +264,10 @@ func (st *FusedStudy) Render(w io.Writer) error {
 // at the size closest to n (0 when the layout is unknown).
 func (st *FusedStudy) FusedSpeedupAt(layoutName string, n int64) float64 {
 	for _, p := range st.Panels {
-		if p.Layout != layoutName {
-			continue
+		if p.Layout == layoutName {
+			best, _ := stats.Ratio("", p.Fused, p.Staged).Nearest(float64(n))
+			return best
 		}
-		best, bestDist := 0.0, int64(-1)
-		for i := range p.Sizes {
-			d := p.Sizes[i] - n
-			if d < 0 {
-				d = -d
-			}
-			if (bestDist < 0 || d < bestDist) && p.Staged.Y[i] > 0 {
-				bestDist = d
-				best = p.Fused.Y[i] / p.Staged.Y[i]
-			}
-		}
-		return best
 	}
 	return 0
-}
-
-func minInt64Fig(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -57,7 +57,7 @@ func BuildGuidelinesStudy(profile string) (*GuidelinesStudy, error) {
 }
 
 // Render prints the rule tables, the violation verdicts against the
-// baseline, and the self-tuning panel.
+// baseline, the self-tuning panel, and the gate verdict.
 func (st *GuidelinesStudy) Render(w io.Writer) error {
 	profile := "?"
 	if len(st.Report.Results) > 0 {
@@ -120,5 +120,10 @@ func (st *GuidelinesStudy) Render(w io.Writer) error {
 			tc.Layout, tc.Bytes, tc.Tuned, tc.TunedTime, tc.Best, tc.BestTime, note, change)
 	}
 	fmt.Fprintln(w)
+	verdict := "passes"
+	if !st.Clean() {
+		verdict = "FAILS"
+	}
+	fmt.Fprintf(w, "the guidelines gate %s against the checked-in baseline (%d waived cells)\n\n", verdict, st.Baseline.Len())
 	return nil
 }

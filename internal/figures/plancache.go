@@ -172,23 +172,17 @@ func (st *PlanCacheStudy) measureSize(n int64, reps int) error {
 	}
 
 	moved := float64(n) * float64(reps)
-	bw := func(secs float64) float64 {
-		if secs <= 0 {
-			return 0
-		}
-		return moved / secs / 1e9
-	}
-	st.Cold.Append(float64(n), bw(cold))
-	st.Warm.Append(float64(n), bw(warm))
-	st.ChunkCursor.Append(float64(n), bw(cursorT))
-	st.ChunkCompiled.Append(float64(n), bw(compiledT))
+	st.Cold.Append(float64(n), gbps(moved, cold))
+	st.Warm.Append(float64(n), gbps(moved, warm))
+	st.ChunkCursor.Append(float64(n), gbps(moved, cursorT))
+	st.ChunkCompiled.Append(float64(n), gbps(moved, compiledT))
 	st.HitRates = append(st.HitRates, delta.HitRate())
 	st.WarmStats = append(st.WarmStats, delta)
 	return nil
 }
 
 // Render prints the two bandwidth panels and the per-size cache
-// counters.
+// counters, then the closing claim line.
 func (st *PlanCacheStudy) Render(w io.Writer) error {
 	fmt.Fprintf(w, "== E13 plan-cache study — %s (%d reps, wall time) ==\n\n", st.Profile.Name, st.Reps)
 	cfg := plot.Config{Title: "whole-message pack bandwidth, cold vs warm plan cache (GB/s)", XLabel: "message bytes", YLabel: "GB/s", LogX: true}
@@ -203,22 +197,14 @@ func (st *PlanCacheStudy) Render(w io.Writer) error {
 	for i, n := range st.Sizes {
 		fmt.Fprintf(w, "  %12d B  hit rate %.2f  %v\n", n, st.HitRates[i], st.WarmStats[i])
 	}
+	fmt.Fprintf(w, "warm plan cache is %.2fx cold compile at the largest size (steady state clean: %v)\n\n",
+		st.WarmSpeedupAt(st.Sizes[len(st.Sizes)-1]), st.SteadyStateClean())
 	return nil
 }
 
 // WarmSpeedupAt returns warm/cold bandwidth at the size closest to n.
 func (st *PlanCacheStudy) WarmSpeedupAt(n int64) float64 {
-	best, bestDist := 0.0, int64(-1)
-	for i := range st.Sizes {
-		d := st.Sizes[i] - n
-		if d < 0 {
-			d = -d
-		}
-		if (bestDist < 0 || d < bestDist) && st.Cold.Y[i] > 0 {
-			bestDist = d
-			best = st.Warm.Y[i] / st.Cold.Y[i]
-		}
-	}
+	best, _ := stats.Ratio("", st.Warm, st.Cold).Nearest(float64(n))
 	return best
 }
 

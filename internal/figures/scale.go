@@ -96,7 +96,8 @@ func (st *ScaleStudy) PeakInFlight() int64 {
 }
 
 // Render prints the study: the throughput and tail panels against the
-// rank axis, then the per-cell shard-contention attribution.
+// rank axis, the per-cell shard-contention attribution, and the
+// closing claim line.
 func (st *ScaleStudy) Render(w io.Writer) error {
 	fmt.Fprintf(w, "== E20 sustained-throughput scale study — %s (%d-byte virtual typed transfers, %d ranks/node, virtual clock) ==\n\n",
 		st.Profile.Name, st.Bytes, st.NodeSize)
@@ -123,5 +124,6 @@ func (st *ScaleStudy) Render(w io.Writer) error {
 			c.Pool.Gets, c.Pool.Hits, c.Pool.EagerAdaptations, c.Pool.Degradations)
 	}
 	fmt.Fprintln(w)
+	fmt.Fprintf(w, "the fabric sustained %d concurrent typed transfers at its widest mix\n\n", st.PeakInFlight())
 	return nil
 }

@@ -3,10 +3,10 @@ package figures
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datatype"
 	"repro/internal/harness"
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
@@ -14,286 +14,473 @@ import (
 	"repro/internal/stats"
 )
 
-// EagerStudy is E5 (§4.5): behaviour around the eager limit, and the
-// effect of raising the limit beyond the maximum message size.
-type EagerStudy struct {
-	Profile *perfmodel.Profile
-	// Default and Raised hold per-scheme time series with the
-	// profile's eager limit and with the limit raised above the
-	// largest message.
-	Default []*stats.Series
-	Raised  []*stats.Series
-	Sizes   []int64
+// A Study is one experiment of the paper's evaluation written as data:
+// a grid of schemes over one axis, measured once per variant, rendered
+// as panels and checked against the paper's claims.
+type Study struct {
+	ID    string // experiment identifier, "E5"
+	Name  string // the cmd/figures -study name, "eager"
+	Title string // header text, "eager limit study"
+	// Detail appends facts to the header line; nil appends nothing.
+	Detail func(r *Result) string
+
+	Axis Axis
+	// Sizes derives a size axis from the installation and the caller's
+	// sweep; nil measures the sweep itself.
+	Sizes func(p *perfmodel.Profile, sweep []int64) []int64
+	// Points and Bytes are the x values and the fixed payload of every
+	// axis but the size axis.
+	Points []float64
+	Bytes  int64
+
+	Schemes  []core.Scheme
+	Variants []Variant // nil: one run with the caller's options
+	// Metric is what one measured cell contributes to a series:
+	// Seconds, NsPerByte or GBps.
+	Metric func(harness.Measurement) float64
+	// Measure replaces the harness grid (E9 runs pairs on split
+	// communicators); it fills the default variant's series.
+	Measure func(r *Result, opt harness.Options) error
+
+	Panels []Panel
+	Claims []Claim
+	// Spaced ends the output with a blank line.
+	Spaced bool
 }
 
-// BuildEagerStudy sweeps sizes bracketing the eager limit for the
-// reference, vector-type and packing(v) schemes, then repeats with the
-// limit raised over the maximum size.
-func BuildEagerStudy(profileName string, opt harness.Options) (*EagerStudy, error) {
+// An Axis is what a study sweeps. Cell builds the workload at point x
+// for an n-byte payload; a nil Cell is the message-size axis. Label is
+// the x header of the study's tables.
+type Axis struct {
+	Label string
+	Cell  func(x float64, n int64) core.Workload
+}
+
+// The axes of the section-4 studies.
+var (
+	SizeAxis   = Axis{Label: "bytes"}
+	JitterAxis = Axis{Label: "jitter", Cell: func(j float64, n int64) core.Workload {
+		w := core.ForBytes(n)
+		w.Stride = 8 // wider gaps leave room for element-aligned jitter
+		w.Jitter = j
+		return w
+	}}
+	BlockAxis = Axis{Label: "blocklen", Cell: func(x float64, n int64) core.Workload {
+		bl := int(x)
+		// Density stays 1/2 as the blocks grow.
+		return core.Workload{Count: int(n/core.ElemSize) / bl, BlockLen: bl, Stride: 2 * bl}
+	}}
+	PairAxis = Axis{Label: "pairs"}
+)
+
+// A Variant is one named run of a study's grid with an option or an
+// installation changed; nil fields change nothing.
+type Variant struct {
+	Name    string
+	Schemes []core.Scheme // nil: the study's schemes
+	Opt     func(o *harness.Options, sizes []int64)
+	Profile func(*perfmodel.Profile) *perfmodel.Profile
+}
+
+// The metrics of the study table; ratios to a scheme or a variant are
+// Curves with Over set.
+func Seconds(m harness.Measurement) float64   { return m.Time() }
+func NsPerByte(m harness.Measurement) float64 { return m.Time() / float64(m.Bytes) * 1e9 }
+func GBps(m harness.Measurement) float64      { return m.Bandwidth() / 1e9 }
+
+// A Curve is one rendered series: Scheme under the named Variant (""
+// is the first), divided point by point by Over when set — the
+// ratio-to-a-scheme-or-variant metric.
+type Curve struct {
+	Label   string // "": the scheme's name
+	Scheme  core.Scheme
+	Variant string
+	Over    *Curve
+}
+
+// A Panel is one block of a study's output: an ASCII chart, a table
+// over the axis, or the plan-engine attribution of its first curve's
+// cells. Nil Curves are the study's schemes under Variant.
+type Panel struct {
+	plot.Config
+	Table, Kernels bool
+	Variant        string
+	Curves         []Curve
+}
+
+// A Claim is one paper statement a study checks: a value read off the
+// result, the bound the paper states, the benchmark metric reporting
+// it, and the closing line printing it ("" prints nothing).
+type Claim struct {
+	Metric string
+	Line   string // printf format with one verb for the value
+	Value  func(r *Result) float64
+	Holds  func(v float64) bool
+}
+
+// A Result is a study measured on one installation.
+type Result struct {
+	*Study
+	Profile *perfmodel.Profile
+	series  map[cell][]harness.Measurement
+	y       map[cell]*stats.Series
+}
+
+type cell struct {
+	variant string
+	scheme  core.Scheme
+}
+
+// Run measures the study on one installation; sweep is the size axis
+// of studies without their own. Each variant is one MeasureGrid on the
+// size axis and one per point on any other, so every cell runs in the
+// world it ran in when the output was pinned.
+func (st *Study) Run(profileName string, sweep []int64, opt harness.Options) (*Result, error) {
 	prof, err := perfmodel.ByName(profileName)
 	if err != nil {
 		return nil, err
 	}
-	limit := prof.EagerLimit
-	sizes := []int64{}
+	r := &Result{Study: st, Profile: prof, series: map[cell][]harness.Measurement{}, y: map[cell]*stats.Series{}}
+	if st.Measure != nil {
+		return r, st.Measure(r, opt)
+	}
+	sizes := sweep
+	if st.Sizes != nil {
+		sizes = st.Sizes(prof, sweep)
+	}
+	for _, v := range st.variants() {
+		p, o := prof, opt
+		if v.Profile != nil {
+			p = v.Profile(p)
+		}
+		if v.Opt != nil {
+			v.Opt(&o, sizes)
+		}
+		schemes := st.schemes(v)
+		grid := make([][]harness.Measurement, len(schemes))
+		if st.Axis.Cell == nil {
+			if grid, err = harness.MeasureGrid(p, schemes, harness.Workloads(sizes, o), o); err != nil {
+				return nil, err
+			}
+		}
+		for _, x := range st.Points {
+			w := st.Axis.Cell(x, st.Bytes)
+			w.Virtual = st.Bytes > o.MaxRealBytes
+			g, err := harness.MeasureGrid(p, schemes, []core.Workload{w}, o)
+			if err != nil {
+				return nil, err
+			}
+			for i := range g {
+				grid[i] = append(grid[i], g[i][0])
+			}
+		}
+		for i, s := range schemes {
+			sr := &stats.Series{Label: s.String()}
+			for j, m := range grid[i] {
+				x := float64(m.Bytes)
+				if st.Axis.Cell != nil {
+					x = st.Points[j]
+				}
+				sr.Append(x, st.Metric(m))
+			}
+			r.series[cell{v.Name, s}], r.y[cell{v.Name, s}] = grid[i], sr
+		}
+	}
+	return r, nil
+}
+
+func (st *Study) variants() []Variant {
+	if len(st.Variants) == 0 {
+		return []Variant{{}}
+	}
+	return st.Variants
+}
+
+func (st *Study) schemes(v Variant) []core.Scheme {
+	if v.Schemes != nil {
+		return v.Schemes
+	}
+	return st.Schemes
+}
+
+func (r *Result) key(c Curve) cell {
+	if c.Variant == "" {
+		c.Variant = r.variants()[0].Name
+	}
+	return cell{c.Variant, c.Scheme}
+}
+
+// Series returns a curve's points.
+func (r *Result) Series(c Curve) *stats.Series {
+	s := *r.y[r.key(c)]
+	if c.Label != "" {
+		s.Label = c.Label
+	}
+	if c.Over != nil {
+		return stats.Ratio(s.Label, &s, r.Series(*c.Over))
+	}
+	return &s
+}
+
+// Render writes the header, the panels and the closing claim lines.
+func (r *Result) Render(w io.Writer) error {
+	detail := ""
+	if r.Detail != nil {
+		detail = r.Detail(r)
+	}
+	fmt.Fprintf(w, "== %s %s — %s%s ==\n", r.ID, r.Title, r.Profile.Name, detail)
+	for _, p := range r.Panels {
+		if !p.Table && !p.Kernels {
+			fmt.Fprintln(w) // charts sit one blank line under the header
+			break
+		}
+	}
+	for _, p := range r.Panels {
+		curves := p.Curves
+		if curves == nil {
+			for _, s := range r.Schemes {
+				curves = append(curves, Curve{Scheme: s, Variant: p.Variant})
+			}
+		}
+		series := make([]*stats.Series, len(curves))
+		for i, c := range curves {
+			series[i] = r.Series(c)
+		}
+		var err error
+		switch {
+		case p.Table:
+			err = plot.Table(w, r.Axis.Label, series)
+		case p.Kernels:
+			fmt.Fprintf(w, "%s:\n", p.Title)
+			for _, m := range r.series[r.key(curves[0])] {
+				fmt.Fprintf(w, "  %12d B  %v\n", m.Bytes, m.PlanStats)
+			}
+		default:
+			err = plot.ASCII(w, p.Config, series)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	for _, c := range r.Claims {
+		if c.Line != "" {
+			fmt.Fprintf(w, c.Line, c.Value(r))
+		}
+	}
+	if r.Spaced {
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// last is a curve's value at the largest axis point (0 when empty).
+func (r *Result) last(c Curve) float64 {
+	s := r.Series(c)
+	if s.Len() == 0 {
+		return 0
+	}
+	return s.Y[s.Len()-1]
+}
+
+// growth is a curve's last value over its first.
+func (r *Result) growth(c Curve) float64 {
+	return r.last(c) / r.Series(c).Y[0]
+}
+
+func over(a, b core.Scheme) Curve { return Curve{Scheme: a, Over: &Curve{Scheme: b}} }
+
+func above(lo float64) func(float64) bool  { return func(v float64) bool { return v > lo } }
+func atMost(hi float64) func(float64) bool { return func(v float64) bool { return v <= hi } }
+func within(lo, hi float64) func(float64) bool {
+	return func(v float64) bool { return v >= lo && v <= hi }
+}
+
+// checkBytes is where E10 reads the cost-model factors.
+const checkBytes = 100_000_000
+
+// Studies returns the study table: the paper's §4.5–4.7 ablations
+// (E5–E9), the §2 cost-model factors (E10), the NIC-pipelining what-if
+// of the paper's reference [2] (E11) and the pack-plan compiler (E12).
+func Studies() []*Study {
+	warmSpeedup := Curve{Label: "copying flush/warm", Scheme: core.Copying, Variant: "flushed",
+		Over: &Curve{Scheme: core.Copying, Variant: "warm"}}
+	measured := Curve{Label: "vector type (measured behaviour)", Scheme: core.VectorType, Over: &Curve{Scheme: core.Reference}}
+	pipelined := Curve{Label: "vector type (NIC pipelining, ref [2])", Scheme: core.VectorType, Variant: "pipelined",
+		Over: &Curve{Scheme: core.Reference}}
+	compiledSpeedup := Curve{Label: "speedup", Scheme: core.PackCompiled, Over: &Curve{Scheme: core.PackVector}}
+	flush := func(on bool) func(*harness.Options, []int64) {
+		return func(o *harness.Options, _ []int64) { o.FlushCache = on }
+	}
+	return []*Study{{
+		ID: "E5", Name: "eager", Title: "eager limit study",
+		Detail: func(r *Result) string { return fmt.Sprintf(" (limit %d bytes)", r.Profile.EagerLimit) },
+		Axis:   SizeAxis, Sizes: eagerSizes,
+		Schemes: []core.Scheme{core.Reference, core.VectorType, core.PackVector},
+		Variants: []Variant{{Name: "default"}, {Name: "raised", Opt: func(o *harness.Options, sizes []int64) {
+			o.EagerLimitOverride = sizes[len(sizes)-1] * 4
+		}}},
+		// Per-byte time exposes the drop at the protocol switch better
+		// than absolute time.
+		Metric: NsPerByte,
+		Panels: []Panel{
+			{Config: plot.Config{Title: "ns per byte, default eager limit", XLabel: "message bytes", YLabel: "ns/B", LogX: true, LogY: true}, Variant: "default"},
+			{Config: plot.Config{Title: "ns per byte, eager limit raised over max size", XLabel: "message bytes", YLabel: "ns/B", LogX: true, LogY: true}, Variant: "raised"},
+		},
+		// §4.5: raising the limit "did not appreciably change the
+		// results for large messages".
+		Claims: []Claim{{Metric: "raisedLimitΔ(%)",
+			Line: "\nreference time change at the largest size from raising the limit: %.2f%% (paper: not appreciable)\n",
+			Value: func(r *Result) float64 {
+				a, b := r.last(Curve{Scheme: core.Reference}), r.last(Curve{Scheme: core.Reference, Variant: "raised"})
+				return 100 * math.Abs((b-a)/a)
+			},
+			Holds: atMost(5)}},
+	}, {
+		ID: "E6", Name: "cache", Title: "cache flushing study",
+		Axis: SizeAxis,
+		Sizes: func(*perfmodel.Profile, []int64) []int64 {
+			return harness.LogSizes(10_000, 20_000_000, 2)
+		},
+		Schemes:  []core.Scheme{core.Copying, core.VectorType, core.PackVector},
+		Variants: []Variant{{Name: "flushed", Opt: flush(true)}, {Name: "warm", Opt: flush(false)}},
+		Metric:   Seconds,
+		Panels: []Panel{
+			{Config: plot.Config{Title: "time, caches flushed between ping-pongs", XLabel: "bytes", YLabel: "sec", LogX: true, LogY: true}, Variant: "flushed"},
+			{Config: plot.Config{Title: "time, caches left warm", XLabel: "bytes", YLabel: "sec", LogX: true, LogY: true}, Variant: "warm"},
+			{Config: plot.Config{Title: "copying speedup from warm caches (x)", XLabel: "bytes", YLabel: "x", LogX: true},
+				Curves: []Curve{warmSpeedup}},
+		},
+		// §4.6: skipping the flush "had a clear positive effect on
+		// intermediate size messages".
+		Claims: []Claim{{Metric: "warmSpeedup(x)",
+			Value: func(r *Result) float64 { return stats.Max(r.Series(warmSpeedup).Y) },
+			Holds: above(1.1)}},
+	}, {
+		ID: "E7", Name: "spacing", Title: "spacing irregularity study",
+		Axis: JitterAxis, Points: []float64{0, 0.25, 0.5, 0.75, 1.0}, Bytes: 8 << 20,
+		Schemes: []core.Scheme{core.Copying, core.VectorType},
+		Metric:  Seconds,
+		Panels:  []Panel{{Table: true}},
+		// §4.7: less regular spacing is slower (fewer prefetch streams).
+		Claims: []Claim{{Metric: "jitterPenalty(x)",
+			Value: func(r *Result) float64 { return r.growth(Curve{Scheme: core.VectorType}) },
+			Holds: above(1)}},
+		Spaced: true,
+	}, {
+		ID: "E8", Name: "blocks", Title: "block size study",
+		Axis: BlockAxis, Points: []float64{1, 2, 4, 8, 16, 32, 64}, Bytes: 8 << 20,
+		Schemes: []core.Scheme{core.Copying, core.VectorType},
+		Metric:  Seconds,
+		Panels:  []Panel{{Table: true}},
+		// §4.7: larger blocks are faster (higher cache-line use).
+		Claims: []Claim{{Metric: "bigBlockGain(x)",
+			Value: func(r *Result) float64 { return 1 / r.growth(Curve{Scheme: core.VectorType}) },
+			Holds: above(1)}},
+	}, {
+		ID: "E9", Name: "nodes", Title: "node scaling study",
+		Detail: func(r *Result) string { return fmt.Sprintf(" (%d bytes per pair)", r.Bytes) },
+		Axis:   PairAxis, Points: []float64{1, 2, 3, 4, 5, 6, 7, 8}, Bytes: 1 << 20,
+		Schemes: []core.Scheme{core.VectorType},
+		Measure: measurePairs,
+		Panels:  []Panel{{Table: true, Curves: []Curve{{Label: "pair-0 ping-pong time", Scheme: core.VectorType}}}},
+		// §4.7: "no performance degradation results from having all
+		// processes on a node communicate".
+		Claims: []Claim{{Metric: "pairDegradation(%)",
+			Line: "\nworst pair-0 degradation across configurations: %.2f%% (paper: none)\n",
+			Value: func(r *Result) float64 {
+				ts := r.Series(Curve{Scheme: core.VectorType}).Y
+				worst := 0.0
+				for _, t := range ts[1:] {
+					worst = max(worst, (t-ts[0])/ts[0])
+				}
+				return 100 * worst
+			},
+			Holds: atMost(1)}},
+	}, {
+		ID: "E10", Name: "check", Title: "cost-model factors",
+		Detail: func(*Result) string { return fmt.Sprintf(" at %d bytes", checkBytes) },
+		Axis:   SizeAxis,
+		Sizes:  func(*perfmodel.Profile, []int64) []int64 { return []int64{checkBytes} },
+		Schemes: []core.Scheme{core.Reference, core.Copying, core.VectorType, core.Buffered,
+			core.PackElement, core.PackVector},
+		Metric: Seconds,
+		Claims: []Claim{
+			factor("copy/ref(x)", "copying/reference", "§2.2: ≈3", core.Copying, core.Reference, within(2.3, 4.2)),
+			factor("packv/copy(x)", "packing(v)/copying", "§4.3: ≈1", core.PackVector, core.Copying, within(0.95, 1.05)),
+			factor("vector/copy(x)", "vector/copying", "§4.1: >1 at large sizes", core.VectorType, core.Copying, above(1)),
+			factor("buffered/copy(x)", "buffered/copying", "§4.2: >1", core.Buffered, core.Copying, above(1)),
+			factor("packe/copy(x)", "packing(e)/copying", "§2.6: ≫1", core.PackElement, core.Copying, above(2)),
+		},
+		Spaced: true,
+	}, {
+		// §2.3 observes that with enough NIC support a derived-type
+		// send could pipeline like the reference, "but in practice we
+		// don't see this performance" (the paper's reference [2]).
+		ID: "E11", Name: "what-if", Title: "NIC datatype-pipelining what-if",
+		Axis:    SizeAxis,
+		Schemes: []core.Scheme{core.Reference, core.VectorType},
+		Variants: []Variant{{Name: "measured"},
+			{Name: "pipelined", Schemes: []core.Scheme{core.VectorType}, Profile: (*perfmodel.Profile).WithPipelining}},
+		Metric: Seconds,
+		Panels: []Panel{
+			{Config: plot.Config{Title: "vector-type slowdown vs reference, with and without pipelining",
+				XLabel: "message bytes", YLabel: "x", LogX: true, YMax: 10}, Curves: []Curve{measured, pipelined}},
+			{Table: true, Curves: []Curve{measured, pipelined}},
+		},
+		Claims: []Claim{{Metric: "pipeliningGain@1GB(x)",
+			Line:  "pipelining would recover %.1fx at the largest size (§2.3, ref [2])\n",
+			Value: func(r *Result) float64 { return r.last(measured) / r.last(pipelined) },
+			Holds: above(2)}},
+		Spaced: true,
+	}, {
+		// Compiled against interpreted packing: packing(c) runs the
+		// compiled pack plan, packing(v) interprets the type at pack
+		// time.
+		ID: "E12", Name: "plan", Title: "pack-plan compiler study",
+		Axis:    SizeAxis,
+		Schemes: []core.Scheme{core.PackVector, core.PackCompiled},
+		Metric:  GBps,
+		Panels: []Panel{
+			{Config: plot.Config{Title: "pack bandwidth, interpreted vs compiled (GB/s)", XLabel: "message bytes", YLabel: "GB/s", LogX: true}},
+			{Config: plot.Config{Title: "compiled speedup (x)", XLabel: "message bytes", YLabel: "x", LogX: true},
+				Curves: []Curve{compiledSpeedup}},
+			{Config: plot.Config{Title: "kernel attribution per size (compiled sweep)"}, Kernels: true,
+				Curves: []Curve{{Scheme: core.PackCompiled}}},
+		},
+		Claims: []Claim{{Metric: "compiledSpeedup(x)",
+			Line:  "compiled packing is %.2fx interpreted at the largest size\n",
+			Value: func(r *Result) float64 { return r.last(compiledSpeedup) },
+			Holds: above(1)}},
+		Spaced: true,
+	}}
+}
+
+// factor is one E10 row: the time ratio a/b the cost model predicts.
+func factor(metric, name, paper string, a, b core.Scheme, holds func(float64) bool) Claim {
+	return Claim{Metric: metric, Line: fmt.Sprintf("  %-18s  = %%5.2f   (paper %s)\n", name, paper),
+		Value: func(r *Result) float64 { return r.last(over(a, b)) }, Holds: holds}
+}
+
+// eagerSizes brackets the installation's eager limit.
+func eagerSizes(p *perfmodel.Profile, _ []int64) []int64 {
+	var sizes []int64
 	for _, f := range []float64{0.25, 0.5, 0.8, 1.0, 1.2, 1.6, 2.0, 2.4, 4, 8, 64, 1024} {
-		n := int64(f*float64(limit)) / 8 * 8
-		if n >= 8 {
+		if n := int64(f*float64(p.EagerLimit)) / 8 * 8; n >= 8 {
 			sizes = append(sizes, n)
 		}
 	}
-	st := &EagerStudy{Profile: prof, Sizes: sizes}
-	schemes := []core.Scheme{core.Reference, core.VectorType, core.PackVector}
-	for pass := 0; pass < 2; pass++ {
-		o := opt
-		if pass == 1 {
-			o.EagerLimitOverride = sizes[len(sizes)-1] * 4
-		}
-		grid, err := harness.MeasureGrid(prof, schemes, harness.Workloads(sizes, o), o)
-		if err != nil {
-			return nil, err
-		}
-		for i, s := range schemes {
-			series := &stats.Series{Label: s.String()}
-			for _, m := range grid[i] {
-				// Per-byte time exposes the drop at the protocol
-				// switch better than absolute time.
-				series.Append(float64(m.Bytes), m.Time()/float64(m.Bytes)*1e9)
-			}
-			if pass == 0 {
-				st.Default = append(st.Default, series)
-			} else {
-				st.Raised = append(st.Raised, series)
-			}
-		}
-	}
-	return st, nil
+	return sizes
 }
 
-// Render prints the two passes side by side.
-func (st *EagerStudy) Render(w io.Writer) error {
-	fmt.Fprintf(w, "== E5 eager limit study — %s (limit %d bytes) ==\n\n", st.Profile.Name, st.Profile.EagerLimit)
-	cfg := plot.Config{Title: "ns per byte, default eager limit", XLabel: "message bytes", YLabel: "ns/B", LogX: true, LogY: true}
-	if err := plot.ASCII(w, cfg, st.Default); err != nil {
-		return err
-	}
-	cfg.Title = "ns per byte, eager limit raised over max size"
-	if err := plot.ASCII(w, cfg, st.Raised); err != nil {
-		return err
-	}
-	return nil
-}
-
-// LargeUnchangedByRaisedLimit reports the relative change of the
-// largest message's reference time when the eager limit is raised —
-// the paper found "this did not appreciably change the results for
-// large messages".
-func (st *EagerStudy) LargeUnchangedByRaisedLimit() float64 {
-	d := st.Default[0]
-	r := st.Raised[0]
-	if d.Len() == 0 || r.Len() == 0 {
-		return 0
-	}
-	a := d.Y[d.Len()-1]
-	b := r.Y[r.Len()-1]
-	if a == 0 {
-		return 0
-	}
-	diff := (b - a) / a
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff
-}
-
-// CacheStudy is E6 (§4.6): the effect of not flushing caches between
-// ping-pongs.
-type CacheStudy struct {
-	Profile *perfmodel.Profile
-	Flushed []*stats.Series // time per scheme with inter-ping-pong flush
-	Warm    []*stats.Series // without flushing
-	Speedup *stats.Series   // flushed/warm time ratio for the copying scheme
-}
-
-// BuildCacheStudy measures intermediate sizes with and without the
-// 50 M-array rewrite between ping-pongs.
-func BuildCacheStudy(profileName string, opt harness.Options) (*CacheStudy, error) {
-	prof, err := perfmodel.ByName(profileName)
-	if err != nil {
-		return nil, err
-	}
-	sizes := harness.LogSizes(10_000, 20_000_000, 2)
-	st := &CacheStudy{Profile: prof}
-	schemes := []core.Scheme{core.Copying, core.VectorType, core.PackVector}
-	for pass := 0; pass < 2; pass++ {
-		o := opt
-		o.FlushCache = pass == 0
-		grid, err := harness.MeasureGrid(prof, schemes, harness.Workloads(sizes, o), o)
-		if err != nil {
-			return nil, err
-		}
-		for i, s := range schemes {
-			series := &stats.Series{Label: s.String()}
-			for _, m := range grid[i] {
-				series.Append(float64(m.Bytes), m.Time())
-			}
-			if pass == 0 {
-				st.Flushed = append(st.Flushed, series)
-			} else {
-				st.Warm = append(st.Warm, series)
-			}
-		}
-	}
-	st.Speedup = stats.Ratio("copying flush/warm", st.Flushed[0], st.Warm[0])
-	return st, nil
-}
-
-// Render prints the warm-vs-flushed comparison.
-func (st *CacheStudy) Render(w io.Writer) error {
-	fmt.Fprintf(w, "== E6 cache flushing study — %s ==\n\n", st.Profile.Name)
-	if err := plot.ASCII(w, plot.Config{Title: "time, caches flushed between ping-pongs", XLabel: "bytes", YLabel: "sec", LogX: true, LogY: true}, st.Flushed); err != nil {
-		return err
-	}
-	if err := plot.ASCII(w, plot.Config{Title: "time, caches left warm", XLabel: "bytes", YLabel: "sec", LogX: true, LogY: true}, st.Warm); err != nil {
-		return err
-	}
-	return plot.ASCII(w, plot.Config{Title: "copying speedup from warm caches (x)", XLabel: "bytes", YLabel: "x", LogX: true}, []*stats.Series{st.Speedup})
-}
-
-// SpacingStudy is the §4.7 stride-irregularity prediction (E7): less
-// regular spacing hurts through reduced prefetch effectiveness.
-type SpacingStudy struct {
-	Profile *perfmodel.Profile
-	Jitters []float64
-	// Times per scheme: index matches Jitters.
-	Times map[core.Scheme][]float64
-}
-
-// BuildSpacingStudy measures a fixed payload under increasing gap
-// jitter for the copying and derived-type schemes.
-func BuildSpacingStudy(profileName string, payloadBytes int64, opt harness.Options) (*SpacingStudy, error) {
-	prof, err := perfmodel.ByName(profileName)
-	if err != nil {
-		return nil, err
-	}
-	st := &SpacingStudy{
-		Profile: prof,
-		Jitters: []float64{0, 0.25, 0.5, 0.75, 1.0},
-		Times:   map[core.Scheme][]float64{},
-	}
-	schemes := []core.Scheme{core.Copying, core.VectorType}
-	for _, j := range st.Jitters {
-		w := core.ForBytes(payloadBytes)
-		w.Stride = 8 // wider gaps leave room for element-aligned jitter
-		w.Jitter = j
-		w.Virtual = payloadBytes > opt.MaxRealBytes
-		if err := appendCellTimes(st.Times, prof, schemes, w, opt); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-// Render prints the jitter table.
-func (st *SpacingStudy) Render(w io.Writer) error {
-	fmt.Fprintf(w, "== E7 spacing irregularity study — %s ==\n", st.Profile.Name)
-	series := []*stats.Series{}
-	for _, s := range []core.Scheme{core.Copying, core.VectorType} {
-		sr := &stats.Series{Label: s.String()}
-		for i, j := range st.Jitters {
-			sr.Append(j, st.Times[s][i])
-		}
-		series = append(series, sr)
-	}
-	return plot.Table(w, "jitter", series)
-}
-
-// BlockSizeStudy is the §4.7 block-size prediction (E8): larger blocks
-// perform better through higher cache-line utilisation.
-type BlockSizeStudy struct {
-	Profile   *perfmodel.Profile
-	BlockLens []int
-	Times     map[core.Scheme][]float64
-}
-
-// BuildBlockSizeStudy measures a fixed payload at constant density 1/2
-// with growing block length.
-func BuildBlockSizeStudy(profileName string, payloadBytes int64, opt harness.Options) (*BlockSizeStudy, error) {
-	prof, err := perfmodel.ByName(profileName)
-	if err != nil {
-		return nil, err
-	}
-	st := &BlockSizeStudy{
-		Profile:   prof,
-		BlockLens: []int{1, 2, 4, 8, 16, 32, 64},
-		Times:     map[core.Scheme][]float64{},
-	}
-	elems := int(payloadBytes / core.ElemSize)
-	schemes := []core.Scheme{core.Copying, core.VectorType}
-	for _, bl := range st.BlockLens {
-		w := core.Workload{
-			Count:    elems / bl,
-			BlockLen: bl,
-			Stride:   2 * bl, // density stays 1/2
-			Virtual:  payloadBytes > opt.MaxRealBytes,
-		}
-		if err := appendCellTimes(st.Times, prof, schemes, w, opt); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-// appendCellTimes measures one workload under every scheme, each cell
-// in a world of its own, and appends each scheme's time to its row.
-func appendCellTimes(times map[core.Scheme][]float64, prof *perfmodel.Profile, schemes []core.Scheme, w core.Workload, opt harness.Options) error {
-	grid, err := harness.MeasureGrid(prof, schemes, []core.Workload{w}, opt)
-	if err != nil {
-		return err
-	}
-	for i, s := range schemes {
-		times[s] = append(times[s], grid[i][0].Time())
-	}
-	return nil
-}
-
-// Render prints the block-size table.
-func (st *BlockSizeStudy) Render(w io.Writer) error {
-	fmt.Fprintf(w, "== E8 block size study — %s ==\n", st.Profile.Name)
-	series := []*stats.Series{}
-	for _, s := range []core.Scheme{core.Copying, core.VectorType} {
-		sr := &stats.Series{Label: s.String()}
-		for i, bl := range st.BlockLens {
-			sr.Append(float64(bl), st.Times[s][i])
-		}
-		series = append(series, sr)
-	}
-	return plot.Table(w, "blocklen", series)
-}
-
-// NodeScalingStudy is the §4.7 all-processes-per-node test (E9): with
-// p pairs communicating simultaneously, per-pair performance must not
-// degrade.
-type NodeScalingStudy struct {
-	Profile *perfmodel.Profile
-	Pairs   []int
-	Times   []float64 // pair-0 ping-pong time per configuration
-	Bytes   int64
-}
-
-// BuildNodeScalingStudy runs 1…maxPairs concurrent ping-pong pairs on
-// split communicators and reports pair 0's time.
-func BuildNodeScalingStudy(profileName string, maxPairs int, payloadBytes int64, reps int) (*NodeScalingStudy, error) {
-	prof, err := perfmodel.ByName(profileName)
-	if err != nil {
-		return nil, err
-	}
-	st := &NodeScalingStudy{Profile: prof, Bytes: payloadBytes}
-	for pairs := 1; pairs <= maxPairs; pairs++ {
+// measurePairs is E9: 1…N concurrent ping-pong pairs on split
+// communicators of one world, timing pair 0.
+func measurePairs(r *Result, opt harness.Options) error {
+	sr := &stats.Series{Label: core.VectorType.String()}
+	for _, x := range r.Points {
 		var t0 float64
-		w := core.ForBytes(payloadBytes)
+		w := core.ForBytes(r.Bytes)
 		w.Virtual = true
-		err := mpi.Run(2*pairs, mpi.Options{Profile: prof, WallLimit: 2 * time.Minute}, func(c *mpi.Comm) error {
+		err := mpi.Run(2*int(x), mpi.Options{Profile: r.Profile, WallLimit: 2 * time.Minute}, func(c *mpi.Comm) error {
 			pair, err := c.Split(c.Rank()/2, c.Rank()%2)
 			if err != nil {
 				return err
@@ -307,7 +494,7 @@ func BuildNodeScalingStudy(profileName string, maxPairs int, payloadBytes int64,
 			}
 			pair.Barrier()
 			start := pair.Wtime()
-			for rep := 0; rep < reps; rep++ {
+			for rep := 0; rep < opt.Reps; rep++ {
 				if pair.Rank() == 0 {
 					if err := runner.Ping(); err != nil {
 						return err
@@ -317,173 +504,15 @@ func BuildNodeScalingStudy(profileName string, maxPairs int, payloadBytes int64,
 				}
 			}
 			if c.Rank() == 0 {
-				t0 = (pair.Wtime() - start) / float64(reps)
+				t0 = (pair.Wtime() - start) / float64(opt.Reps)
 			}
 			return runner.Teardown()
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		st.Pairs = append(st.Pairs, pairs)
-		st.Times = append(st.Times, t0)
+		sr.Append(x, t0)
 	}
-	return st, nil
-}
-
-// Render prints the scaling table.
-func (st *NodeScalingStudy) Render(w io.Writer) error {
-	fmt.Fprintf(w, "== E9 node scaling study — %s (%d bytes per pair) ==\n", st.Profile.Name, st.Bytes)
-	sr := &stats.Series{Label: "pair-0 ping-pong time"}
-	for i, p := range st.Pairs {
-		sr.Append(float64(p), st.Times[i])
-	}
-	return plot.Table(w, "pairs", []*stats.Series{sr})
-}
-
-// MaxDegradation returns the worst-case relative slowdown of pair 0
-// as pairs are added; the paper reports "no performance degradation".
-func (st *NodeScalingStudy) MaxDegradation() float64 {
-	if len(st.Times) == 0 {
-		return 0
-	}
-	base := st.Times[0]
-	worst := 0.0
-	for _, t := range st.Times[1:] {
-		if d := (t - base) / base; d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// CostModelCheck is E10: the §2 cost-model factors at a large size.
-type CostModelCheck struct {
-	Profile          *perfmodel.Profile
-	Bytes            int64
-	CopyingSlowdown  float64 // expected ≈3 (§2.2)
-	PackVsCopy       float64 // packing(v)/copying time, expected ≈1 (§4.3)
-	VectorDegraded   float64 // vector/copying at 10⁹, expected >1 (§4.1)
-	BufferedPenalty  float64 // buffered/copying, expected >1 (§4.2)
-	PackElementRatio float64 // packing(e)/copying, expected ≫1 (§2.6)
-}
-
-// BuildCostModelCheck measures the factor relationships the paper's
-// cost model predicts.
-func BuildCostModelCheck(profileName string, n int64, opt harness.Options) (*CostModelCheck, error) {
-	prof, err := perfmodel.ByName(profileName)
-	if err != nil {
-		return nil, err
-	}
-	schemes := []core.Scheme{core.Reference, core.Copying, core.VectorType, core.Buffered, core.PackElement, core.PackVector}
-	grid, err := harness.MeasureGrid(prof, schemes, harness.Workloads([]int64{n}, opt), opt)
-	if err != nil {
-		return nil, err
-	}
-	times := map[core.Scheme]float64{}
-	for i, s := range schemes {
-		times[s] = grid[i][0].Time()
-	}
-	return &CostModelCheck{
-		Profile:          prof,
-		Bytes:            n,
-		CopyingSlowdown:  times[core.Copying] / times[core.Reference],
-		PackVsCopy:       times[core.PackVector] / times[core.Copying],
-		VectorDegraded:   times[core.VectorType] / times[core.Copying],
-		BufferedPenalty:  times[core.Buffered] / times[core.Copying],
-		PackElementRatio: times[core.PackElement] / times[core.Copying],
-	}, nil
-}
-
-// Render prints the factor table with the paper's expectations.
-func (ck *CostModelCheck) Render(w io.Writer) error {
-	fmt.Fprintf(w, "== E10 cost-model factors — %s at %d bytes ==\n", ck.Profile.Name, ck.Bytes)
-	fmt.Fprintf(w, "  copying/reference   = %5.2f   (paper §2.2: ≈3)\n", ck.CopyingSlowdown)
-	fmt.Fprintf(w, "  packing(v)/copying  = %5.2f   (paper §4.3: ≈1)\n", ck.PackVsCopy)
-	fmt.Fprintf(w, "  vector/copying      = %5.2f   (paper §4.1: >1 at large sizes)\n", ck.VectorDegraded)
-	fmt.Fprintf(w, "  buffered/copying    = %5.2f   (paper §4.2: >1)\n", ck.BufferedPenalty)
-	fmt.Fprintf(w, "  packing(e)/copying  = %5.2f   (paper §2.6: ≫1)\n", ck.PackElementRatio)
+	r.y[cell{"", core.VectorType}] = sr
 	return nil
-}
-
-// PackPlanStudy is E12: compiled-vs-interpreted pack bandwidth — the
-// packing(v) column (generic interpretation at pack time) against the
-// packing(c) column (compiled pack plan), with the plan-engine
-// counters of every compiled cell.
-type PackPlanStudy struct {
-	Profile *perfmodel.Profile
-	Sizes   []int64
-
-	// Interpreted and Compiled are the effective bandwidths (GB/s) of
-	// packing(v) and packing(c); Speedup is their time ratio
-	// (interpreted / compiled, >1 when compiling wins).
-	Interpreted *stats.Series
-	Compiled    *stats.Series
-	Speedup     *stats.Series
-
-	// PlanStats holds the per-size plan-engine counter deltas of the
-	// compiled sweep: which kernels executed and whether the parallel
-	// splitter engaged.
-	PlanStats []datatype.PlanStats
-}
-
-// BuildPackPlanStudy sweeps the canonical workload over sizes for the
-// interpreted and compiled pack schemes.
-func BuildPackPlanStudy(profileName string, sizes []int64, opt harness.Options) (*PackPlanStudy, error) {
-	prof, err := perfmodel.ByName(profileName)
-	if err != nil {
-		return nil, err
-	}
-	st := &PackPlanStudy{
-		Profile:     prof,
-		Sizes:       sizes,
-		Interpreted: &stats.Series{Label: core.PackVector.String()},
-		Compiled:    &stats.Series{Label: core.PackCompiled.String()},
-	}
-	grid, err := harness.MeasureGrid(prof, []core.Scheme{core.PackVector, core.PackCompiled}, harness.Workloads(sizes, opt), opt)
-	if err != nil {
-		return nil, err
-	}
-	interp, compiled := grid[0], grid[1]
-	for i := range interp {
-		st.Interpreted.Append(float64(interp[i].Bytes), interp[i].Bandwidth()/1e9)
-		st.Compiled.Append(float64(compiled[i].Bytes), compiled[i].Bandwidth()/1e9)
-		st.PlanStats = append(st.PlanStats, compiled[i].PlanStats)
-	}
-	// Bandwidth ratio compiled/interpreted: >1 means compiling wins.
-	st.Speedup = stats.Ratio("speedup", st.Compiled, st.Interpreted)
-	return st, nil
-}
-
-// Render prints the two bandwidth curves, the speedup, and the kernel
-// attribution of the compiled sweep.
-func (st *PackPlanStudy) Render(w io.Writer) error {
-	fmt.Fprintf(w, "== E12 pack-plan compiler study — %s ==\n\n", st.Profile.Name)
-	cfg := plot.Config{Title: "pack bandwidth, interpreted vs compiled (GB/s)", XLabel: "message bytes", YLabel: "GB/s", LogX: true}
-	if err := plot.ASCII(w, cfg, []*stats.Series{st.Interpreted, st.Compiled}); err != nil {
-		return err
-	}
-	if err := plot.ASCII(w, plot.Config{Title: "compiled speedup (x)", XLabel: "message bytes", YLabel: "x", LogX: true}, []*stats.Series{st.Speedup}); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "kernel attribution per size (compiled sweep):")
-	for i, ps := range st.PlanStats {
-		fmt.Fprintf(w, "  %12d B  %v\n", st.Sizes[i], ps)
-	}
-	return nil
-}
-
-// CompiledSpeedupAt returns the compiled/interpreted speedup at the
-// sweep size closest to n bytes.
-func (st *PackPlanStudy) CompiledSpeedupAt(n int64) float64 {
-	best, bestDist := 0.0, int64(-1)
-	for i, x := range st.Speedup.X {
-		d := int64(x) - n
-		if d < 0 {
-			d = -d
-		}
-		if bestDist < 0 || d < bestDist {
-			bestDist, best = d, st.Speedup.Y[i]
-		}
-	}
-	return best
 }

@@ -198,6 +198,23 @@ func (s *Series) YAt(x float64) (float64, bool) {
 	return 0, false
 }
 
+// Nearest returns the y value at the x closest to x, the first such
+// point on a tie, or (0, false) for an empty series. Lookups that must
+// skip a zero denominator search a Ratio series, which omits those
+// points.
+func (s *Series) Nearest(x float64) (float64, bool) {
+	best := -1
+	for i, xv := range s.X {
+		if best < 0 || math.Abs(xv-x) < math.Abs(s.X[best]-x) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	return s.Y[best], true
+}
+
 // Validate checks the X/Y length contract.
 func (s *Series) Validate() error {
 	if len(s.X) != len(s.Y) {

@@ -86,6 +86,32 @@ func TestSeriesRatioSkipsMissingX(t *testing.T) {
 	}
 }
 
+func TestSeriesNearest(t *testing.T) {
+	s := &Series{X: []float64{10, 20, 40}, Y: []float64{1, 2, 4}}
+	num := &Series{X: []float64{1, 2, 3}, Y: []float64{6, 8, 12}}
+	den := &Series{X: []float64{1, 2, 3}, Y: []float64{2, 0, 3}}
+	for _, c := range []struct {
+		name   string
+		s      *Series
+		x      float64
+		want   float64
+		wantOK bool
+	}{
+		{"exact", s, 20, 2, true},
+		{"between", s, 33, 4, true},
+		{"tie keeps the first", s, 15, 1, true},
+		{"below the range", s, -5, 1, true},
+		{"above the range", s, 1e9, 4, true},
+		{"empty", &Series{}, 1, 0, false},
+		{"zero denominator skipped", Ratio("r", num, den), 2.2, 4, true},
+		{"zero denominator tie", Ratio("r", num, den), 2, 3, true},
+	} {
+		if got, ok := c.s.Nearest(c.x); got != c.want || ok != c.wantOK {
+			t.Errorf("%s: Nearest(%v) = (%v, %v), want (%v, %v)", c.name, c.x, got, ok, c.want, c.wantOK)
+		}
+	}
+}
+
 func TestGeoMean(t *testing.T) {
 	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
 		t.Fatalf("geomean = %v", g)
