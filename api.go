@@ -22,15 +22,18 @@
 // flattened segment-table gather for irregular types — and splits the
 // packed range across goroutines for messages of at least
 // SetParallelPackThreshold bytes. Chunked mid-stream packing (the
-// runtime's internal pipelined sends) falls back to the interpreting
-// cursor; the two engines are property-tested byte-for-byte against
-// each other. The ninth scheme, PackCompiled ("packing(c)"), measures
-// this engine against the paper's interpreted packing(v); the tenth,
-// Sendv ("sendv"), is the fused zero-copy rendezvous, where the
-// compiled plan scatters the sender's layout straight into the
-// receiver's buffer in one pass — no staging buffer, no MPI-internal
-// chunking. Measurement.PlanStats reports which kernels moved each
-// cell's bytes, including fused-vs-staged attribution.
+// runtime's rendezvous chunk loops) resumes the same compiled kernels
+// at stream offsets; the interpreting cursor is the byte-for-byte
+// oracle they are property-tested against. The ninth scheme,
+// PackCompiled ("packing(c)"), measures this engine against the
+// paper's interpreted packing(v); the tenth, Sendv ("sendv"), is the
+// fused zero-copy rendezvous, where the compiled plan scatters the
+// sender's layout straight into the receiver's buffer in one pass — no
+// staging buffer, no MPI-internal chunking; the eleventh,
+// TypedPipelined ("pipelined"), overlaps the pack of one internal
+// chunk with the injection of the previous one through a slot ring.
+// Measurement.PlanStats reports which kernels moved each cell's bytes,
+// including fused-vs-staged attribution.
 //
 // Quick start:
 //
@@ -51,7 +54,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// Scheme identifies one of the paper's eight send schemes.
+// Scheme identifies one of the paper's eight send schemes or the
+// three engines added beyond them.
 type Scheme = core.Scheme
 
 // The schemes, in the order of the paper's figure legends, plus the
@@ -163,70 +167,35 @@ const (
 // Recommendation is scheme advice with its reasoning.
 type Recommendation = core.Recommendation
 
-// CollectiveCostModel prices a p-rank fan collective of
-// non-contiguous rank layouts two ways: the typed collectives (fused
-// legs, fused self-leg) against packing explicitly around the classic
-// contiguous collective.
-type CollectiveCostModel = core.CollectiveCostModel
+// Query is one question to the cost model: Bytes of the canonical
+// layout (or Count instances of a committed Type) on one installation,
+// point-to-point or as a Ranks-rank fan collective, optionally on a
+// lossy fabric (Faults) or with observed fits (Observed). Zero fields
+// mean the canonical layout, count 1, point-to-point, a clean fabric
+// and no calibration.
+type Query = core.Query
 
-// PriceCollective evaluates the collective cost model for ranks ranks
-// exchanging n-byte per-rank payloads of the canonical layout.
-func PriceCollective(ranks int, n int64, p *Profile) CollectiveCostModel {
-	return core.PriceCollective(ranks, n, p)
-}
+// Cost is the cost model's answer to a Query: modelled times per scheme
+// (Clean, Faulty under the query's faults, WholeReplay), indexed by
+// Scheme, plus the shape they were priced with.
+type Cost = core.Cost
 
-// FaultyCollectiveModel is the collective cost model re-priced under
-// a fault profile: tree hops pay whole-replay inflation while the
-// chunked pipelined ring recovers selectively, with per-topology
-// delivery probabilities (deep trees lose reliability to rings as the
-// fault rate climbs).
-type FaultyCollectiveModel = core.FaultyCollectiveModel
+// Price evaluates the cost model for one query.
+func Price(q Query) (Cost, error) { return core.Price(q) }
 
-// PriceCollectiveUnderFaults evaluates the collective cost model and
-// inflates each alternative by the fault profile's expected retries
-// and backoff, leg-compounded over each topology's critical path.
-func PriceCollectiveUnderFaults(ranks int, n int64, p *Profile, fp FaultProfile) FaultyCollectiveModel {
-	return core.PriceCollectiveUnderFaults(ranks, n, p, fp)
-}
-
-// RecommendCollectiveUnderFaults is the fault-adjusted
-// RecommendCollective: the same ladder priced with the re-priced
-// tree-vs-ring exposure folded in. With a disabled FaultProfile it
-// reduces exactly to RecommendCollective.
-func RecommendCollectiveUnderFaults(ranks int, n int64, contiguous bool, goal Goal, p *Profile, fp FaultProfile) Recommendation {
-	return core.RecommendCollectiveUnderFaults(ranks, n, contiguous, goal, p, fp)
-}
-
-// RecommendCollective advises between the typed collectives and the
-// pack-then-collective pipeline for a p-rank exchange of n-byte
-// per-rank payloads.
-func RecommendCollective(ranks int, n int64, contiguous bool, goal Goal, p *Profile) Recommendation {
-	return core.RecommendCollective(ranks, n, contiguous, goal, p)
-}
-
-// Recommend operationalises the paper's conclusion for an n-byte
-// payload.
-func Recommend(n int64, contiguous bool, goal Goal, p *Profile) Recommendation {
-	return core.Recommend(n, contiguous, goal, p)
-}
-
-// RecommendForType is Recommend for a concrete committed datatype:
-// the type's count-instance plan is compiled (or fetched from the
-// plan cache) and, when the Commit-time normalizer collapsed it to a
-// canonical strided-block program, the packing ladder is priced
-// through the specialized-kernel cost term instead of the generic
-// gather walk — so advice tracks what the engine will actually
-// execute.
-func RecommendForType(ty *Datatype, count int, goal Goal, p *Profile) (Recommendation, error) {
-	return core.RecommendForType(ty, count, goal, p)
-}
+// Recommend operationalises the paper's conclusion for one query:
+// derived datatypes up to large sizes, the compiled pack beyond them
+// (GoalBalanced), or the cheapest priced scheme (GoalFastest). With
+// observed fits it is a strict argmin over them, so the recommended
+// scheme is never priced above an alternative.
+func Recommend(q Query, goal Goal) (Recommendation, error) { return core.Recommend(q, goal) }
 
 // ObservedHierarchy accumulates measured (bytes, seconds) samples per
 // transfer path and fits latency+bandwidth lines to them — the sink
 // of the self-tuning loop. Attach one to a communicator with
 // Comm.ObserveInto and persistent operations (SendInit/SendTypeInit
-// Start/Wait cycles) feed it their virtual-clock cost; pass it to
-// RecommendTuned to prefer observed behaviour over calibration.
+// Start/Wait cycles) feed it their virtual-clock cost; set it as
+// Query.Observed to prefer observed behaviour over calibration.
 type ObservedHierarchy = memsim.ObservedHierarchy
 
 // NewObservedHierarchy creates an empty observed model (the base
@@ -234,21 +203,12 @@ type ObservedHierarchy = memsim.ObservedHierarchy
 func NewObservedHierarchy() *ObservedHierarchy { return memsim.NewObservedHierarchy(nil) }
 
 // Transfer-path names recorded by persistent operations and consumed
-// by the tuned recommender.
+// by Price and Recommend through Query.Observed.
 const (
 	PathTypedSend  = memsim.PathTypedSend
 	PathPackedSend = memsim.PathPackedSend
 	PathContigSend = memsim.PathContigSend
 )
-
-// RecommendTuned is the self-tuned Recommend: once the observed
-// hierarchy has enough samples on a transfer path, the choice becomes
-// a strict argmin over observed costs, so the recommender guideline
-// ("recommended ≤ every alternative") holds by construction. Without
-// usable fits it degrades to the calibrated Recommend.
-func RecommendTuned(n int64, contiguous bool, goal Goal, p *Profile, o *ObservedHierarchy) Recommendation {
-	return core.RecommendTuned(n, contiguous, goal, p, o)
-}
 
 // PersistentRequest is a reusable posted operation in the style of
 // MPI_Send_init/MPI_Recv_init: build once with Comm.SendInit,
@@ -347,13 +307,6 @@ func DropOnly(seed uint64, rate float64) *FaultPlan { return simnet.DropOnly(see
 // DefaultRetryPolicy is the recovery budget used when RunOptions.Retry
 // is zero: 8 retries, 20 µs base backoff doubling to a 2 ms cap.
 func DefaultRetryPolicy() RetryPolicy { return mpi.DefaultRetryPolicy() }
-
-// RecommendUnderFaults is the fault-adjusted Recommend: the same
-// scheme ladder priced with expected retries and backoff folded in.
-// With a disabled FaultProfile it reduces exactly to Recommend.
-func RecommendUnderFaults(n int64, contiguous bool, goal Goal, p *Profile, fp FaultProfile) Recommendation {
-	return core.RecommendUnderFaults(n, contiguous, goal, p, fp)
-}
 
 // Cart is a Cartesian process topology over a communicator, with
 // Coords/Rank/Shift in the style of MPI_Cart_*; ProcNull marks an

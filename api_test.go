@@ -57,7 +57,10 @@ func TestFacadeSchemes(t *testing.T) {
 
 func TestFacadeRecommend(t *testing.T) {
 	prof, _ := repro.ProfileByName("generic")
-	r := repro.Recommend(1<<30, false, repro.GoalBalanced, prof)
+	r, err := repro.Recommend(repro.Query{Bytes: 1 << 30, Profile: prof}, repro.GoalBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Scheme != repro.PackCompiled {
 		t.Fatalf("large balanced recommendation = %v", r.Scheme)
 	}
@@ -72,13 +75,16 @@ func TestFacadeSelfTuning(t *testing.T) {
 		o.Observe(repro.PathTypedSend, 1<<20, 1e-3)
 		o.Observe(repro.PathPackedSend, 1<<20, 1e-4)
 	}
-	r := repro.RecommendTuned(1<<20, false, repro.GoalFastest, prof, o)
+	r, err := repro.Recommend(repro.Query{Bytes: 1 << 20, Profile: prof, Observed: o}, repro.GoalFastest)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Scheme == repro.VectorType {
 		t.Fatalf("tuned recommendation kept the typed send: %+v", r)
 	}
 	// A persistent typed send feeds the communicator's sink.
 	obs := repro.NewObservedHierarchy()
-	err := repro.Run(2, repro.RunOptions{}, func(c *repro.Comm) error {
+	err = repro.Run(2, repro.RunOptions{}, func(c *repro.Comm) error {
 		c.ObserveInto(obs)
 		ty, err := repro.TypeVector(64, 1, 2, repro.TypeFloat64)
 		if err != nil {

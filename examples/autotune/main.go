@@ -47,7 +47,10 @@ func main() {
 			}
 		}
 
-		rec := repro.Recommend(n, false, repro.GoalFastest, prof)
+		rec, err := repro.Recommend(repro.Query{Bytes: n, Profile: prof}, repro.GoalFastest)
+		if err != nil {
+			log.Fatal(err)
+		}
 		gap := times[rec.Scheme]/bestT - 1
 		fmt.Printf("%12d bytes: measured best %-12s recommended %-12s (within %4.1f%% of best)\n",
 			n, best.String(), rec.Scheme.String(), gap*100)

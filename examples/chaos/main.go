@@ -147,16 +147,26 @@ func main() {
 	// selective chunk recovery keeps the pipelined engines ahead where
 	// whole-transfer replay used to sink them.
 	fp := repro.FaultProfile{LegLossRate: 0.04, MaxRetries: 8, BaseBackoff: 20e-6, MaxBackoff: 2e-3}
-	rec := repro.RecommendUnderFaults(ty.Size(), false, repro.GoalFastest, prof, fp)
+	rec, err := repro.Recommend(repro.Query{Bytes: ty.Size(), Profile: prof, Faults: fp}, repro.GoalFastest)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nrecommended under 4%% leg loss: %s\n  (%s)\n", rec.Scheme, rec.Reason)
 
 	// 6. The same question for a collective. Tree hops replay whole
 	// transfers on damage while the chunked pipelined ring recovers
 	// selectively, so as the loss rate climbs the ladder flips from the
 	// tree toward the ring.
-	crec := repro.RecommendCollectiveUnderFaults(16, 16<<20, false, repro.GoalFastest, prof, fp)
+	cq := repro.Query{Bytes: 16 << 20, Profile: prof, Ranks: 16, Faults: fp}
+	crec, err := repro.Recommend(cq, repro.GoalFastest)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("collective at 16 ranks × 16 MiB under 4%% leg loss: %s\n  (%s)\n", crec.Scheme, crec.Reason)
-	cm := repro.PriceCollectiveUnderFaults(16, 16<<20, prof, fp)
+	cm, err := repro.Price(cq)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  tree delivery %.4f vs ring delivery %.4f (ring gain %.2fx)\n",
-		cm.TreeDeliveryProb, cm.RingDeliveryProb, cm.RingGainUnderFaults())
+		cm.DeliveryProb, cm.RingDeliveryProb, cm.Faulty.Ratio(repro.Sendv, repro.TypedPipelined))
 }

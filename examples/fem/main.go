@@ -115,7 +115,10 @@ func run(c *repro.Comm) error {
 
 		// For irregular layouts the same scheme question arises; the
 		// recommendation engine answers per payload size.
-		rec := repro.Recommend(bt.Size(), false, repro.GoalFastest, c.Profile())
+		rec, err := repro.Recommend(repro.Query{Bytes: bt.Size(), Profile: c.Profile()}, repro.GoalFastest)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("fastest scheme at this size: %s — %s\n", rec.Scheme, rec.Reason)
 	}
 	return nil

@@ -175,7 +175,10 @@ func run(c *repro.Comm) error {
 		fmt.Printf("2x2 halo exchange of a %dx%d tile verified on all ranks: %.1f us (virtual, %s)\n",
 			tile, tile, elapsed*1e6, c.Profile().Name)
 		colBytes := int64(tile * 8)
-		rec := repro.Recommend(colBytes, false, repro.GoalBalanced, c.Profile())
+		rec, err := repro.Recommend(repro.Query{Bytes: colBytes, Profile: c.Profile()}, repro.GoalBalanced)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("column halo is %d bytes; advice: %s — %s\n", colBytes, rec.Scheme, rec.Reason)
 	}
 	return nil

@@ -81,7 +81,10 @@ func run(c *repro.Comm) error {
 		fmt.Printf("restriction+return of %d coarse points: %.1f us (virtual, %s)\n",
 			coarseN, elapsed*1e6, c.Profile().Name)
 
-		rec := repro.Recommend(int64(coarseN*8), false, repro.GoalBalanced, c.Profile())
+		rec, err := repro.Recommend(repro.Query{Bytes: int64(coarseN * 8), Profile: c.Profile()}, repro.GoalBalanced)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("scheme advice for this transfer: %s — %s\n", rec.Scheme, rec.Reason)
 		return nil
 

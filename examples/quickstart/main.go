@@ -44,6 +44,9 @@ func main() {
 			s, m.Time()*1e6, m.Bandwidth()/1e9, m.Time()/ref)
 	}
 
-	rec := repro.Recommend(w.Bytes(), false, repro.GoalBalanced, prof)
+	rec, err := repro.Recommend(repro.Query{Bytes: w.Bytes(), Profile: prof}, repro.GoalBalanced)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nrecommended scheme for this payload: %s\n  (%s)\n", rec.Scheme, rec.Reason)
 }

@@ -71,7 +71,10 @@ func main() {
 	hier := *prof
 	hier.Mem.NodeSize = 16
 	hier.IntraNodeLatency = hier.NetLatency / 10
-	m := repro.PriceCollective(256, 4096, &hier)
+	m, err := repro.Price(repro.Query{Bytes: 4096, Profile: &hier, Ranks: 256})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ncollective model at 256 ranks, 4 KiB slots: flat %.3gs vs two-level %.3gs over %d nodes — %.2fx\n",
-		m.TypedCollective, m.TwoLevelTyped, m.Nodes, m.TwoLevelSpeedup())
+		m.Clean[repro.Sendv], m.TwoLevel, m.Nodes, m.Clean[repro.Sendv]/m.TwoLevel)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/layout"
+	"repro/internal/memsim"
 	"repro/internal/perfmodel"
 )
 
@@ -157,44 +158,106 @@ func TestNewRunnerAllSchemes(t *testing.T) {
 	}
 }
 
+// price and recommend are Price and Recommend for queries the test
+// knows to be valid.
+func price(t testing.TB, q Query) Cost {
+	t.Helper()
+	c, err := Price(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func recommend(t testing.TB, q Query, goal Goal) Recommendation {
+	t.Helper()
+	r, err := Recommend(q, goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// committer returns a function that commits a freshly constructed
+// type, failing t on any error.
+func committer(t testing.TB) func(*datatype.Type, error) *datatype.Type {
+	return func(ty *datatype.Type, err error) *datatype.Type {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ty.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return ty
+	}
+}
+
+// TestQueryRejectsUnpricedCombinations: a query combining fields no
+// model prices together is an error, not a silent default.
+func TestQueryRejectsUnpricedCombinations(t *testing.T) {
+	p := perfmodel.Generic()
+	vec := committer(t)(datatype.Vector(64, 1, 2, datatype.Float64))
+	o := memsim.NewObservedHierarchy(nil)
+	for name, q := range map[string]Query{
+		"no profile":          {Bytes: 1 << 20},
+		"collective type":     {Type: vec, Profile: p, Ranks: 8},
+		"collective observed": {Bytes: 1 << 20, Profile: p, Ranks: 8, Observed: o},
+		"observed faults":     {Bytes: 1 << 20, Profile: p, Observed: o, Faults: lossy(0.02)},
+	} {
+		if _, err := Price(q); err == nil {
+			t.Errorf("%s: Price accepted %+v", name, q)
+		}
+		if _, err := Recommend(q, GoalFastest); err == nil {
+			t.Errorf("%s: Recommend accepted %+v", name, q)
+		}
+	}
+	// A disabled fault profile combines with observed fits.
+	if _, err := Price(Query{Bytes: 1 << 20, Profile: p, Observed: o, Faults: memsim.FaultProfile{MaxRetries: 8}}); err != nil {
+		t.Errorf("observed fits on a clean fabric rejected: %v", err)
+	}
+}
+
 func TestRecommendConclusion(t *testing.T) {
 	prof := perfmodel.Generic()
-	small := Recommend(1<<20, false, GoalBalanced, prof)
+	q := func(n int64) Query { return Query{Bytes: n, Profile: prof} }
+	small := recommend(t, q(1<<20), GoalBalanced)
 	if small.Scheme != VectorType {
 		t.Errorf("balanced small: %v", small.Scheme)
 	}
-	large := Recommend(5e8, false, GoalBalanced, prof)
+	large := recommend(t, q(5e8), GoalBalanced)
 	if large.Scheme != PackCompiled {
 		t.Errorf("balanced large: %v", large.Scheme)
 	}
 	// Past the eager limit the fused rendezvous removes the staging
 	// pass the pack pipelines still pay, so GoalFastest picks sendv.
-	fast := Recommend(1<<20, false, GoalFastest, prof)
+	fast := recommend(t, q(1<<20), GoalFastest)
 	if fast.Scheme != Sendv {
 		t.Errorf("fastest: %v", fast.Scheme)
 	}
 	// Under the eager limit sendv falls back to the staged path, so
 	// the recommendation must not name it.
-	fastSmall := Recommend(16<<10, false, GoalFastest, prof)
+	fastSmall := recommend(t, q(16<<10), GoalFastest)
 	if fastSmall.Scheme == Sendv {
 		t.Errorf("fastest under the eager limit recommended sendv")
 	}
 	// The fused recommendation must rest on an actual price.
-	if m := PricePacking(1<<20, prof); m.FusedSend <= 0 || m.FusedSpeedup() <= 1 || m.FusedSend >= m.CompiledPack {
+	if m := price(t, q(1<<20)).Clean; m[Sendv] <= 0 || m.Ratio(VectorType, Sendv) <= 1 || m[Sendv] >= m[PackCompiled] {
 		t.Errorf("cost model does not favour the fused rendezvous at 1 MiB: %+v", m)
 	}
-	if m := PricePacking(16<<10, prof); m.FusedSend != 0 {
+	if m := price(t, q(16<<10)).Clean; m[Sendv] != 0 {
 		t.Errorf("eager-sized payload priced a fused send: %+v", m)
 	}
 	// The compiled recommendation must rest on an actual price: the
 	// model has to show packing(c) beating the datatype send.
-	if m := PricePacking(5e8, prof); m.CompiledSpeedup() <= 1 {
+	if m := price(t, q(5e8)).Clean; m.Ratio(VectorType, PackCompiled) <= 1 {
 		t.Errorf("cost model does not favour compiled packing at 5e8 B: %+v", m)
 	}
-	if m := PricePacking(64<<20, prof); runtime.GOMAXPROCS(0) > 1 && m.Workers <= 1 {
+	if m := price(t, q(64<<20)); runtime.GOMAXPROCS(0) > 1 && m.Workers <= 1 {
 		t.Errorf("no parallel-pack term above the threshold: %+v", m)
 	}
-	contig := Recommend(1<<20, true, GoalBalanced, prof)
+	dense := committer(t)(datatype.Contiguous(1<<17, datatype.Float64))
+	contig := recommend(t, Query{Type: dense, Profile: prof}, GoalBalanced)
 	if contig.Scheme != Reference {
 		t.Errorf("contiguous: %v", contig.Scheme)
 	}
@@ -211,32 +274,31 @@ func TestRecommendConclusion(t *testing.T) {
 // send, and degenerating to zero at eager sizes.
 func TestPricePipelined(t *testing.T) {
 	prof := perfmodel.Generic()
-	m := PricePacking(4<<20, prof)
-	if m.PipelinedSend <= 0 {
+	m := price(t, Query{Bytes: 4 << 20, Profile: prof})
+	if m.Clean[TypedPipelined] <= 0 {
 		t.Fatalf("4 MiB payload priced no pipelined send: %+v", m)
 	}
 	if m.Chunks <= 1 || m.Depth < 1 {
 		t.Fatalf("pipelined model carries no chunk geometry: %+v", m)
 	}
-	if m.PipelinedSend >= m.TypedSend {
-		t.Errorf("pipelined (%.3g) not below the serial typed send (%.3g)", m.PipelinedSend, m.TypedSend)
+	if m.Clean[TypedPipelined] >= m.Clean[VectorType] {
+		t.Errorf("pipelined (%.3g) not below the serial typed send (%.3g)", m.Clean[TypedPipelined], m.Clean[VectorType])
 	}
-	if m.PipelinedSpeedup() < 1.3 {
-		t.Errorf("pipelined speedup %.2fx at 4 MiB, want >= 1.3x (the acceptance floor)", m.PipelinedSpeedup())
+	if sp := m.Clean.Ratio(VectorType, TypedPipelined); sp < 1.3 {
+		t.Errorf("pipelined speedup %.2fx at 4 MiB, want >= 1.3x (the acceptance floor)", sp)
 	}
-	if m.FusedSend > 0 && m.PipelinedSend < m.FusedSend {
-		t.Errorf("pipelined (%.3g) prices below the fused bound (%.3g)", m.PipelinedSend, m.FusedSend)
+	if m.Clean[Sendv] > 0 && m.Clean[TypedPipelined] < m.Clean[Sendv] {
+		t.Errorf("pipelined (%.3g) prices below the fused bound (%.3g)", m.Clean[TypedPipelined], m.Clean[Sendv])
 	}
-	if e := PricePacking(16<<10, prof); e.PipelinedSend != 0 {
+	if e := price(t, Query{Bytes: 16 << 10, Profile: prof}); e.Clean[TypedPipelined] != 0 {
 		t.Errorf("eager-sized payload priced a pipelined send: %+v", e)
 	}
 	// GoalFastest prefers fused when it is cheapest, and must fall to
 	// the pipelined scheme when the fused path is priced out.
-	if rec := Recommend(4<<20, false, GoalFastest, prof); rec.Scheme != Sendv {
+	if rec := recommend(t, Query{Bytes: 4 << 20, Profile: prof}, GoalFastest); rec.Scheme != Sendv {
 		t.Errorf("fastest at 4 MiB: %v (fused should win outright)", rec.Scheme)
 	}
-	sp := m.TypedSend / m.PipelinedSend
-	if sp <= 1 {
+	if m.Clean[VectorType]/m.Clean[TypedPipelined] <= 1 {
 		t.Fatalf("no pipelined headroom to recommend: %+v", m)
 	}
 }
@@ -246,17 +308,16 @@ func TestPricePipelined(t *testing.T) {
 // tree sizes.
 func TestRecommendCollectivePipelined(t *testing.T) {
 	p := perfmodel.Generic()
-	big := PriceCollective(8, 10_000_000, p)
-	if big.PipelinedRing <= 0 {
-		t.Fatalf("10 MB legs priced no pipelined ring: %+v", big)
+	big := Query{Bytes: 10_000_000, Profile: p, Ranks: 8}
+	if m := price(t, big); m.Clean[TypedPipelined] <= 0 {
+		t.Fatalf("10 MB legs priced no pipelined ring: %+v", m)
 	}
-	small := PriceCollective(8, 1024, p)
-	if small.PipelinedRing != 0 {
-		t.Errorf("tree-sized legs priced a pipelined ring: %+v", small)
+	if m := price(t, Query{Bytes: 1024, Profile: p, Ranks: 8}); m.Clean[TypedPipelined] != 0 {
+		t.Errorf("tree-sized legs priced a pipelined ring: %+v", m)
 	}
 	// Whatever wins, the recommendation must be one of the three
 	// engines the model prices, with a reason.
-	rec := RecommendCollective(8, 10_000_000, false, GoalFastest, p)
+	rec := recommend(t, big, GoalFastest)
 	switch rec.Scheme {
 	case Sendv, PackCompiled, TypedPipelined:
 	default:
@@ -274,24 +335,23 @@ func TestPriceCollective(t *testing.T) {
 	}
 	// Rendezvous-sized legs: linear fan, fused legs beat the
 	// pack-then-collective pipeline.
-	big := PriceCollective(8, 10_000_000, p)
+	big := price(t, Query{Bytes: 10_000_000, Profile: p, Ranks: 8})
 	if big.Tree {
 		t.Errorf("10 MB legs priced as tree fan")
 	}
-	if big.TypedCollective <= 0 || big.PackedCollective <= 0 {
+	if big.Clean[Sendv] <= 0 || big.Clean[PackCompiled] <= 0 {
 		t.Fatalf("non-positive collective costs: %+v", big)
 	}
-	if big.TypedSpeedup() <= 1 {
-		t.Errorf("typed collective models %.2fx vs packed at 10 MB, want >1", big.TypedSpeedup())
+	if sp := big.Clean.Ratio(PackCompiled, Sendv); sp <= 1 {
+		t.Errorf("typed collective models %.2fx vs packed at 10 MB, want >1", sp)
 	}
 	// Latency-sized legs: tree fan.
-	small := PriceCollective(8, 1024, p)
-	if !small.Tree {
+	if small := price(t, Query{Bytes: 1024, Profile: p, Ranks: 8}); !small.Tree {
 		t.Errorf("1 KB legs priced as linear fan")
 	}
 	// Degenerate shapes.
-	if m := PriceCollective(1, 1<<20, p); m.TypedCollective != 0 {
-		t.Errorf("single-rank collective has nonzero cost %+v", m)
+	if m := price(t, Query{Bytes: 0, Profile: p, Ranks: 8}); m.Clean != (Times{}) {
+		t.Errorf("zero-byte collective has nonzero cost %+v", m)
 	}
 }
 
@@ -300,18 +360,15 @@ func TestRecommendCollective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := RecommendCollective(8, 1<<20, true, GoalFastest, p); rec.Scheme != Reference {
-		t.Errorf("contiguous slots recommended %v", rec.Scheme)
-	}
-	rec := RecommendCollective(8, 10_000_000, false, GoalFastest, p)
+	big := Query{Bytes: 10_000_000, Profile: p, Ranks: 8}
+	rec := recommend(t, big, GoalFastest)
 	if rec.Scheme != Sendv && rec.Scheme != PackCompiled {
 		t.Errorf("fastest collective recommended %v", rec.Scheme)
 	}
-	m := PriceCollective(8, 10_000_000, p)
-	if m.TypedSpeedup() > 1 && rec.Scheme != Sendv {
-		t.Errorf("model favours typed (%.2fx) but recommendation is %v", m.TypedSpeedup(), rec.Scheme)
+	if sp := price(t, big).Clean.Ratio(PackCompiled, Sendv); sp > 1 && rec.Scheme != Sendv {
+		t.Errorf("model favours typed (%.2fx) but recommendation is %v", sp, rec.Scheme)
 	}
-	if rec := RecommendCollective(8, 1<<16, false, GoalBalanced, p); rec.Scheme != Sendv {
+	if rec := recommend(t, Query{Bytes: 1 << 16, Profile: p, Ranks: 8}, GoalBalanced); rec.Scheme != Sendv {
 		t.Errorf("balanced mid-size collective recommended %v, want the typed collectives", rec.Scheme)
 	}
 }
@@ -325,17 +382,8 @@ func TestPricePackingForType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ty, err := datatype.Hvector(256, 1, in.TrueExtent()+16, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ty.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := PricePackingForType(ty, 1, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ty := committer(t)(datatype.Hvector(256, 1, in.TrueExtent()+16, in))
+	m := price(t, Query{Type: ty, Profile: prof})
 	if !m.Normalized {
 		t.Fatalf("hvector-of-vector priced raw: %+v", m)
 	}
@@ -344,61 +392,33 @@ func TestPricePackingForType(t *testing.T) {
 	}
 	// The normalized term only amortises bookkeeping, so it must price
 	// at or under the raw compiled ladder on the identical stats.
-	raw := priceModel(m.Bytes, ty.Stats(1), false, prof)
-	if m.CompiledPack > raw.CompiledPack {
-		t.Fatalf("normalized compiled pack %g prices above raw %g", m.CompiledPack, raw.CompiledPack)
+	raw := Cost{Bytes: m.Bytes}
+	raw.priceClean(ty.Stats(1), false, prof)
+	if m.Clean[PackCompiled] > raw.Clean[PackCompiled] {
+		t.Fatalf("normalized compiled pack %g prices above raw %g", m.Clean[PackCompiled], raw.Clean[PackCompiled])
 	}
 	if raw.Normalized {
 		t.Fatal("raw ladder claims normalized pricing")
 	}
 
 	// An irregular indexed layout keeps the raw ladder.
-	ib, err := datatype.IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, datatype.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ib.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	im, err := PricePackingForType(ib, 1, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.Normalized {
+	ib := committer(t)(datatype.IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, datatype.Float64))
+	if im := price(t, Query{Type: ib, Profile: prof}); im.Normalized {
 		t.Fatalf("irregular indexed layout priced normalized: %+v", im)
 	}
 }
 
 // TestRecommendForType: dense types get the reference scheme; a
-// non-contiguous derived type walks the same ladder as Recommend.
+// non-contiguous derived type walks the same ladder as the canonical
+// layout.
 func TestRecommendForType(t *testing.T) {
 	prof := perfmodel.Generic()
-	dense, err := datatype.Contiguous(1024, datatype.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dense.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := RecommendForType(dense, 1, GoalFastest, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Scheme != Reference {
+	dense := committer(t)(datatype.Contiguous(1024, datatype.Float64))
+	if r := recommend(t, Query{Type: dense, Profile: prof}, GoalFastest); r.Scheme != Reference {
 		t.Fatalf("dense type recommended %v, want Reference", r.Scheme)
 	}
-	vec, err := datatype.Vector(1<<17, 1, 2, datatype.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vec.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	rv, err := RecommendForType(vec, 1, GoalFastest, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rv.Scheme == Reference {
+	vec := committer(t)(datatype.Vector(1<<17, 1, 2, datatype.Float64))
+	if r := recommend(t, Query{Type: vec, Profile: prof}, GoalFastest); r.Scheme == Reference {
 		t.Fatal("strided vector recommended the reference scheme")
 	}
 }
@@ -408,25 +428,25 @@ func TestRecommendForType(t *testing.T) {
 // installation with a strong intra-node latency discount at
 // latency-bound sizes.
 func TestPriceCollectiveTwoLevel(t *testing.T) {
-	flat := PriceCollective(64, 1024, perfmodel.Generic())
-	if flat.TwoLevelTyped != 0 || flat.Nodes != 1 || flat.TwoLevelSpeedup() != 1 {
+	flat := price(t, Query{Bytes: 1024, Profile: perfmodel.Generic(), Ranks: 64})
+	if flat.TwoLevel != 0 || flat.Nodes != 1 {
 		t.Fatalf("flat machine priced a two-level fan: %+v", flat)
 	}
 	p := perfmodel.Generic()
 	p.Mem.NodeSize = 8
 	p.IntraNodeLatency = p.NetLatency / 10
-	hier := PriceCollective(64, 1024, p)
+	hier := price(t, Query{Bytes: 1024, Profile: p, Ranks: 64})
 	if hier.Nodes != 8 {
 		t.Fatalf("64 ranks at 8 per node priced %d nodes", hier.Nodes)
 	}
-	if hier.TwoLevelTyped <= 0 {
+	if hier.TwoLevel <= 0 {
 		t.Fatalf("hierarchical machine priced no two-level fan: %+v", hier)
 	}
-	if hier.TwoLevelSpeedup() <= 1 {
-		t.Errorf("two-level fan models %.2fx vs flat at 64 ranks, want >1", hier.TwoLevelSpeedup())
+	if sp := hier.Clean[Sendv] / hier.TwoLevel; sp <= 1 {
+		t.Errorf("two-level fan models %.2fx vs flat at 64 ranks, want >1", sp)
 	}
 	// Communicator inside one node: the hierarchy buys nothing.
-	if m := PriceCollective(8, 1024, p); m.TwoLevelTyped != 0 {
+	if m := price(t, Query{Bytes: 1024, Profile: p, Ranks: 8}); m.TwoLevel != 0 {
 		t.Errorf("intra-node fan priced a two-level schedule: %+v", m)
 	}
 }

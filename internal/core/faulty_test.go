@@ -8,38 +8,26 @@ import (
 	"repro/internal/perfmodel"
 )
 
-func TestRecommendUnderFaultsCleanReducesToRecommend(t *testing.T) {
-	p := perfmodel.Generic()
-	for _, n := range []int64{1 << 10, 1 << 20, 1 << 27} {
-		for _, goal := range []Goal{GoalBalanced, GoalFastest} {
-			clean := Recommend(n, false, goal, p)
-			got := RecommendUnderFaults(n, false, goal, p, memsim.FaultProfile{})
-			if got.Scheme != clean.Scheme || got.Reason != clean.Reason {
-				t.Fatalf("n=%d goal=%v: clean fault profile diverged: %+v vs %+v", n, goal, got, clean)
-			}
-		}
-	}
-}
-
 func TestPricePackingUnderFaults(t *testing.T) {
 	p := perfmodel.Generic()
-	fp := memsim.FaultProfile{LegLossRate: 0.02, MaxRetries: 8, BaseBackoff: 20e-6, MaxBackoff: 2e-3}
+	fp := lossy(0.02)
 
 	// Eager-sized payload: one leg.
-	small := PricePackingUnderFaults(1<<10, p, fp)
+	small := price(t, Query{Bytes: 1 << 10, Profile: p, Faults: fp})
 	if small.Legs != 1 {
 		t.Fatalf("eager payload priced %d legs", small.Legs)
 	}
 	// Rendezvous payload: envelope + internal chunks.
-	big := PricePackingUnderFaults(1<<26, p, fp)
+	big := price(t, Query{Bytes: 1 << 26, Profile: p, Faults: fp})
 	if want := 1 + p.Chunks(1<<26); big.Legs != want {
 		t.Fatalf("rdv payload priced %d legs, want %d", big.Legs, want)
 	}
-	if big.FaultyTypedSend <= big.TypedSend {
+	if big.Faulty[VectorType] <= big.Clean[VectorType] {
 		t.Fatal("loss did not inflate the typed send")
 	}
-	if big.Slowdown() <= 1 {
-		t.Fatalf("slowdown %g", big.Slowdown())
+	slowdown := func(c Cost) float64 { return c.Faulty[VectorType] / c.Clean[VectorType] }
+	if slowdown(big) <= 1 {
+		t.Fatalf("slowdown %g", slowdown(big))
 	}
 	if big.DeliveryProb <= 0 || big.DeliveryProb >= 1 {
 		t.Fatalf("delivery prob %g", big.DeliveryProb)
@@ -49,24 +37,24 @@ func TestPricePackingUnderFaults(t *testing.T) {
 	}
 
 	// More loss, more slowdown (same retry/backoff pricing fields).
-	worse := PricePackingUnderFaults(1<<26, p, memsim.FaultProfile{LegLossRate: 0.1, MaxRetries: 8, BaseBackoff: 20e-6, MaxBackoff: 2e-3})
-	if worse.Slowdown() <= big.Slowdown() {
-		t.Fatalf("slowdown not monotone in loss: %g vs %g", worse.Slowdown(), big.Slowdown())
+	worse := price(t, Query{Bytes: 1 << 26, Profile: p, Faults: lossy(0.1)})
+	if slowdown(worse) <= slowdown(big) {
+		t.Fatalf("slowdown not monotone in loss: %g vs %g", slowdown(worse), slowdown(big))
 	}
 }
 
 func TestRecommendUnderFaultsAnnotates(t *testing.T) {
 	p := perfmodel.Generic()
-	fp := memsim.FaultProfile{LegLossRate: 0.05, MaxRetries: 8, BaseBackoff: 20e-6, MaxBackoff: 2e-3}
-	r := RecommendUnderFaults(1<<26, false, GoalFastest, p, fp)
+	q := Query{Bytes: 1 << 26, Profile: p, Faults: lossy(0.05)}
+	r := recommend(t, q, GoalFastest)
 	if !strings.Contains(r.Reason, "fault-adjusted") {
 		t.Fatalf("reason not annotated: %q", r.Reason)
 	}
 	if r.Scheme == Reference {
 		t.Fatalf("non-contiguous payload recommended %v", r.Scheme)
 	}
-	b := RecommendUnderFaults(1<<26, false, GoalBalanced, p, fp)
-	clean := Recommend(1<<26, false, GoalBalanced, p)
+	b := recommend(t, q, GoalBalanced)
+	clean := recommend(t, Query{Bytes: 1 << 26, Profile: p}, GoalBalanced)
 	if b.Scheme != clean.Scheme {
 		t.Fatalf("balanced ladder flipped under faults: %v vs %v", b.Scheme, clean.Scheme)
 	}
@@ -84,44 +72,44 @@ func TestRecommendUnderFaultsAnnotates(t *testing.T) {
 func TestPipelinedKeepsEdgeUnderLoss(t *testing.T) {
 	p := perfmodel.Generic()
 	n := int64(1 << 26)
-	base := PricePacking(n, p)
-	if base.PipelinedSend <= 0 {
+	if base := price(t, Query{Bytes: n, Profile: p}); base.Clean[TypedPipelined] <= 0 {
 		t.Skip("profile does not pipeline this size")
 	}
-	price := func(rate float64) FaultyCostModel {
-		return PricePackingUnderFaults(n, p, memsim.FaultProfile{LegLossRate: rate, MaxRetries: 8})
+	at := func(rate float64) Cost {
+		return price(t, Query{Bytes: n, Profile: p, Faults: memsim.FaultProfile{LegLossRate: rate, MaxRetries: 8}})
 	}
+	gain := func(c Cost) float64 { return c.WholeReplay[TypedPipelined] / c.Faulty[TypedPipelined] }
 	for _, rate := range []float64{0.02, 0.05} {
-		m := price(rate)
-		if m.Chunks <= 1 {
-			t.Fatalf("rate %g: rendezvous payload priced %d chunks", rate, m.Chunks)
+		m := at(rate)
+		if m.Repair <= 1 {
+			t.Fatalf("rate %g: rendezvous payload priced %d chunks", rate, m.Repair)
 		}
 		// Selective recovery strictly undercuts the whole-replay
 		// baseline for the engine with the expensive serial retry.
-		if m.FaultyPipelinedSend >= m.WholeReplayPipelinedSend {
+		if m.Faulty[TypedPipelined] >= m.WholeReplay[TypedPipelined] {
 			t.Fatalf("rate %g: selective pipelined %g not under whole-replay %g",
-				rate, m.FaultyPipelinedSend, m.WholeReplayPipelinedSend)
+				rate, m.Faulty[TypedPipelined], m.WholeReplay[TypedPipelined])
 		}
-		if m.SelectiveGain() <= 1 {
-			t.Fatalf("rate %g: selective gain %g", rate, m.SelectiveGain())
+		if gain(m) <= 1 {
+			t.Fatalf("rate %g: selective gain %g", rate, gain(m))
 		}
 		// The edge itself survives: pipelined stays ahead of the serial
 		// typed send even at 5% leg loss.
-		if m.FaultyPipelinedSend >= m.FaultyTypedSend {
+		if m.Faulty[TypedPipelined] >= m.Faulty[VectorType] {
 			t.Fatalf("rate %g: pipelined lost its edge: %g vs typed %g",
-				rate, m.FaultyPipelinedSend, m.FaultyTypedSend)
+				rate, m.Faulty[TypedPipelined], m.Faulty[VectorType])
 		}
 		// And selective preserves more of it than whole replay did at
 		// the same rate.
-		selEdge := m.FaultyTypedSend / m.FaultyPipelinedSend
-		wrEdge := m.WholeReplayTypedSend / m.WholeReplayPipelinedSend
+		selEdge := m.Faulty.Ratio(VectorType, TypedPipelined)
+		wrEdge := m.WholeReplay.Ratio(VectorType, TypedPipelined)
 		if selEdge <= wrEdge {
 			t.Fatalf("rate %g: selective edge %.4f not above whole-replay edge %.4f",
 				rate, selEdge, wrEdge)
 		}
 	}
 	// The payoff of per-chunk recovery grows with the loss rate.
-	if g2, g5 := price(0.02).SelectiveGain(), price(0.05).SelectiveGain(); g5 <= g2 {
+	if g2, g5 := gain(at(0.02)), gain(at(0.05)); g5 <= g2 {
 		t.Fatalf("selective gain not monotone in loss: %.4f → %.4f", g2, g5)
 	}
 }

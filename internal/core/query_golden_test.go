@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -67,10 +66,13 @@ type goldenFault struct {
 	fp   memsim.FaultProfile
 }
 
+// lossy is the fault profile of the chaos tests: a leg-loss rate under
+// the default retry budget and backoff.
+func lossy(rate float64) memsim.FaultProfile {
+	return memsim.FaultProfile{LegLossRate: rate, MaxRetries: 8, BaseBackoff: 20e-6, MaxBackoff: 2e-3}
+}
+
 func goldenFaults() []goldenFault {
-	lossy := func(rate float64) memsim.FaultProfile {
-		return memsim.FaultProfile{LegLossRate: rate, MaxRetries: 8, BaseBackoff: 20e-6, MaxBackoff: 2e-3}
-	}
 	return []goldenFault{
 		{"clean", memsim.FaultProfile{}},
 		{"loss0-budget8", memsim.FaultProfile{MaxRetries: 8}},
@@ -81,13 +83,23 @@ func goldenFaults() []goldenFault {
 	}
 }
 
+// feed trains a path with a synthetic latency+bandwidth line sampled
+// at several sizes.
+func feed(o *memsim.ObservedHierarchy, path string, alpha, invBW float64) {
+	for _, n := range []int64{1 << 10, 64 << 10, 1 << 20, 16 << 20} {
+		o.Observe(path, n, alpha+invBW*float64(n))
+	}
+}
+
 type goldenObserved struct {
 	name string
 	o    *memsim.ObservedHierarchy
 }
 
-// goldenObservedSet builds the observed hierarchies as the tuned tests
-// do. The nil hierarchy is the calibrated model, the clean rows.
+// goldenObservedSet builds the observed hierarchies: one below
+// MinObservations, one where the typed send is observed near-free, and
+// one where it is observed 100x slower than the packed send. The nil
+// hierarchy is the calibrated model, the clean rows.
 func goldenObservedSet() []goldenObserved {
 	sparse := memsim.NewObservedHierarchy(nil)
 	sparse.Observe(memsim.PathTypedSend, 1<<20, 1e-4)
@@ -105,15 +117,7 @@ type goldenType struct {
 }
 
 func goldenTypes(t testing.TB) []goldenType {
-	commit := func(ty *datatype.Type, err error) *datatype.Type {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ty.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		return ty
-	}
+	commit := committer(t)
 	dense := commit(datatype.Contiguous(1024, datatype.Float64))
 	vec := commit(datatype.Vector(1<<17, 1, 2, datatype.Float64))
 	in, err := datatype.Vector(64, 1, 2, datatype.Float64)
@@ -123,6 +127,47 @@ func goldenTypes(t testing.TB) []goldenType {
 	nested := commit(datatype.Hvector(256, 1, in.TrueExtent()+16, in))
 	irregular := commit(datatype.IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, datatype.Float64))
 	return []goldenType{{"dense", dense}, {"vector", vec}, {"hvector-of-vector", nested}, {"indexed", irregular}}
+}
+
+// goldenQuery is one query of the grid with its line key and the
+// fault profile it varies, if any.
+type goldenQuery struct {
+	key   string
+	q     Query
+	fault string
+}
+
+// goldenQueries enumerates the grid: point-to-point under every fault
+// profile and every observed hierarchy, collectives at every rank count
+// under every fault profile, and every type at counts 1 and 4.
+func goldenQueries(t testing.TB) []goldenQuery {
+	var out []goldenQuery
+	for _, gp := range goldenProfiles(t) {
+		p := gp.p
+		for _, n := range goldenSizes() {
+			for _, gf := range goldenFaults() {
+				out = append(out, goldenQuery{fmt.Sprintf("%s n=%d faults=%s", gp.name, n, gf.name),
+					Query{Bytes: n, Profile: p, Faults: gf.fp}, gf.name})
+			}
+			for _, ob := range goldenObservedSet() {
+				out = append(out, goldenQuery{key: fmt.Sprintf("%s n=%d observed=%s", gp.name, n, ob.name),
+					q: Query{Bytes: n, Profile: p, Observed: ob.o}})
+			}
+			for _, ranks := range goldenRanks {
+				for _, gf := range goldenFaults() {
+					out = append(out, goldenQuery{fmt.Sprintf("%s n=%d ranks=%d faults=%s", gp.name, n, ranks, gf.name),
+						Query{Bytes: n, Profile: p, Ranks: ranks, Faults: gf.fp}, gf.name})
+				}
+			}
+		}
+		for _, gt := range goldenTypes(t) {
+			for _, count := range []int{1, 4} {
+				out = append(out, goldenQuery{key: fmt.Sprintf("%s type=%s count=%d", gp.name, gt.name, count),
+					q: Query{Type: gt.ty, Count: count, Profile: p}})
+			}
+		}
+	}
+	return out
 }
 
 // goldenBlock collects one query's lines: its non-zero quantities
@@ -151,99 +196,87 @@ func (b *goldenBlock) lines() []string {
 	return append(b.quant, b.recs...)
 }
 
-// modelQuantities emits every scalar field of a cost-model struct,
-// flattening embedded structs; an embedded field shadowed by an outer
-// one keeps its selector path (PackingCostModel.Chunks).
-func modelQuantities(b *goldenBlock, v reflect.Value) {
-	outer := map[string]bool{}
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Type().Field(i); !f.Anonymous {
-			outer[f.Name] = true
+// quantities records a Cost under the field names of the four model
+// structs the golden file was recorded with: the packing model for
+// types and observed fits, the faulty packing model for point-to-point
+// fault profiles, the faulty collective model for collectives.
+func (b *goldenBlock) quantities(c Cost, gq goldenQuery) {
+	f := b.quantity
+	flag := func(v bool) float64 {
+		if v {
+			return 1
 		}
+		return 0
 	}
-	for i := 0; i < v.NumField(); i++ {
-		f, x := v.Type().Field(i), v.Field(i)
-		if f.Anonymous {
-			inner := &goldenBlock{key: b.key}
-			modelQuantities(inner, x)
-			for _, l := range inner.quant {
-				name := strings.Fields(strings.TrimPrefix(l, b.key))[0]
-				val := strings.Fields(strings.TrimPrefix(l, b.key))[1]
-				if outer[name] {
-					name = f.Name + "." + name
-				}
-				b.quant = append(b.quant, b.key+" "+name+" "+val)
-			}
-			continue
+	f("Bytes", float64(c.Bytes))
+	f("Workers", float64(c.Workers))
+	if c.Ranks > 1 {
+		f("Ranks", float64(c.Ranks))
+		f("Tree", flag(c.Tree))
+		f("TypedCollective", c.Clean[Sendv])
+		f("PackedCollective", c.Clean[PackCompiled])
+		f("PipelinedRing", c.Clean[TypedPipelined])
+		f("Nodes", float64(c.Nodes))
+		f("TwoLevelTyped", c.TwoLevel)
+		f("Depth", float64(c.Depth))
+		if c.Bytes > 0 {
+			f("FanHops", float64(c.Ranks-1))
 		}
-		switch x.Kind() {
-		case reflect.Float64:
-			b.quantity(f.Name, x.Float())
-		case reflect.Int, reflect.Int64:
-			b.quantity(f.Name, float64(x.Int()))
-		case reflect.Bool:
-			v := 0.0
-			if x.Bool() {
-				v = 1
-			}
-			b.quantity(f.Name, v)
-		}
+		f("HopLegs", float64(c.Legs))
+		f("Chunks", float64(c.Repair))
+		f("TreeExposure", c.TreeExposure)
+		f("RingExposure", c.RingExposure)
+		f("FaultyTyped", c.Faulty[Sendv])
+		f("FaultyPacked", c.Faulty[PackCompiled])
+		f("FaultyTwoLevel", c.FaultyTwoLevel)
+		f("RingClean", c.RingClean)
+		f("FaultyPipelinedRing", c.Faulty[TypedPipelined])
+		f("TreeDeliveryProb", c.DeliveryProb)
+		f("RingDeliveryProb", c.RingDeliveryProb)
+		return
 	}
+	f("CompiledPack", c.Clean[PackCompiled])
+	f("InterpretedPack", c.Clean[PackVector])
+	f("TypedSend", c.Clean[VectorType])
+	f("FusedSend", c.Clean[Sendv])
+	f("PipelinedSend", c.Clean[TypedPipelined])
+	f("Depth", float64(c.Depth))
+	f("Normalized", flag(c.Normalized))
+	if gq.fault == "" {
+		f("Chunks", float64(c.Chunks))
+		return
+	}
+	f("PackingCostModel.Chunks", float64(c.Chunks))
+	f("Legs", float64(c.Legs))
+	f("Chunks", float64(c.Repair))
+	f("FaultyCompiledPack", c.Faulty[PackCompiled])
+	f("FaultyTypedSend", c.Faulty[VectorType])
+	f("FaultyFusedSend", c.Faulty[Sendv])
+	f("FaultyPipelinedSend", c.Faulty[TypedPipelined])
+	f("WholeReplayTypedSend", c.WholeReplay[VectorType])
+	f("WholeReplayPipelinedSend", c.WholeReplay[TypedPipelined])
+	f("DeliveryProb", c.DeliveryProb)
 }
 
 // queryGoldenLines prices and recommends every query of the grid at the
 // current GOMAXPROCS.
 func queryGoldenLines(t testing.TB) []string {
 	var out []string
-	add := func(b *goldenBlock) { out = append(out, b.lines()...) }
-	for _, gp := range goldenProfiles(t) {
-		p := gp.p
-		for _, n := range goldenSizes() {
-			for _, gf := range goldenFaults() {
-				b := &goldenBlock{key: fmt.Sprintf("%s n=%d faults=%s", gp.name, n, gf.name)}
-				modelQuantities(b, reflect.ValueOf(PricePackingUnderFaults(n, p, gf.fp)))
-				for _, g := range goldenGoals {
-					b.recommend(g.name, RecommendUnderFaults(n, false, g.goal, p, gf.fp))
-				}
-				add(b)
-			}
-			for _, ob := range goldenObservedSet() {
-				b := &goldenBlock{key: fmt.Sprintf("%s n=%d observed=%s", gp.name, n, ob.name)}
-				modelQuantities(b, reflect.ValueOf(PricePackingTuned(n, p, ob.o)))
-				for _, g := range goldenGoals {
-					b.recommend(g.name, RecommendTuned(n, false, g.goal, p, ob.o))
-				}
-				add(b)
-			}
-			for _, ranks := range goldenRanks {
-				for _, gf := range goldenFaults() {
-					b := &goldenBlock{key: fmt.Sprintf("%s n=%d ranks=%d faults=%s", gp.name, n, ranks, gf.name)}
-					modelQuantities(b, reflect.ValueOf(PriceCollectiveUnderFaults(ranks, n, p, gf.fp)))
-					for _, g := range goldenGoals {
-						b.recommend(g.name, RecommendCollectiveUnderFaults(ranks, n, false, g.goal, p, gf.fp))
-					}
-					add(b)
-				}
-			}
+	for _, gq := range goldenQueries(t) {
+		c, err := Price(gq.q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, gt := range goldenTypes(t) {
-			for _, count := range []int{1, 4} {
-				b := &goldenBlock{key: fmt.Sprintf("%s type=%s count=%d", gp.name, gt.name, count)}
-				m, err := PricePackingForType(gt.ty, count, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				modelQuantities(b, reflect.ValueOf(m))
-				for _, g := range goldenGoals {
-					r, err := RecommendForType(gt.ty, count, g.goal, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b.recommend(g.name, r)
-				}
-				add(b)
+		b := &goldenBlock{key: gq.key}
+		b.quantities(c, gq)
+		for _, g := range goldenGoals {
+			r, err := Recommend(gq.q, g.goal)
+			if err != nil {
+				t.Fatal(err)
 			}
+			b.recommend(g.name, r)
 		}
+		out = append(out, b.lines()...)
 	}
 	return out
 }
@@ -273,7 +306,10 @@ func queryGolden(t testing.TB) []byte {
 }
 
 // TestQueryGolden pins every price and recommendation of the cost model
-// over the golden grid at GOMAXPROCS 1 and 4.
+// over the golden grid at GOMAXPROCS 1 and 4. The file was recorded
+// through the twelve entry points Query replaced, under their field
+// names; the zero-byte collective rows under a fault profile since
+// report delivery probability 1 and a finite ratio.
 func TestQueryGolden(t *testing.T) {
 	got := queryGolden(t)
 	if *queryGoldenUpdate {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/buf"
 	"repro/internal/core"
 	"repro/internal/datatype"
-	"repro/internal/memsim"
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 	"repro/internal/plot"
@@ -28,8 +27,8 @@ import (
 // retries, integrity rejections and raw fault counts from the
 // injection counters.
 //
-// The model panel prices the same sweep through
-// core.PricePackingUnderFaults — expected attempts over the
+// The model panel prices the same sweep through core.Price under a
+// fault profile — expected attempts over the
 // envelope+chunk legs, exponential backoff, truncated retry budget —
 // and reports the predicted typed-send slowdown, the delivery
 // probability within the budget, and the fault-adjusted
@@ -154,14 +153,9 @@ func BuildChaosStudy(profileName string, rates []float64, reps int) (*ChaosStudy
 	// retry loop compounds over.
 	legs := 1 + prof.Chunks(st.Bytes)
 	for i, rate := range rates {
-		fp := memsim.FaultProfile{
-			// UniformFaults spreads rate evenly over six kinds; the
-			// resend class (drop, corrupt, truncate) is half of it.
-			LegLossRate: rate / 2,
-			MaxRetries:  rp.MaxRetries,
-			BaseBackoff: float64(rp.BaseBackoff) / 1e9,
-			MaxBackoff:  float64(rp.MaxBackoff) / 1e9,
-		}
+		// UniformFaults spreads rate evenly over six kinds; the resend
+		// class (drop, corrupt, truncate) is half of it.
+		fp := rp.FaultProfile(rate / 2)
 		// Calibrate the observed profile back from the sweep's own
 		// counters, summed across the three engines at this rate.
 		var retries, transfers int64
@@ -170,29 +164,48 @@ func BuildChaosStudy(profileName string, rates []float64, reps int) (*ChaosStudy
 			transfers += s.Transfers[i]
 		}
 		obs, _ := fp.Calibrated(retries, transfers, legs)
-		m := core.PricePackingUnderFaults(st.Bytes, prof, fp)
-		om := core.PricePackingUnderFaults(st.Bytes, prof, obs)
-		rec := core.RecommendUnderFaults(st.Bytes, false, core.GoalFastest, prof, fp)
+		q := core.Query{Bytes: st.Bytes, Profile: prof, Faults: fp}
+		m, err := core.Price(q)
+		if err != nil {
+			return nil, err
+		}
+		rec, err := core.Recommend(q, core.GoalFastest)
+		if err != nil {
+			return nil, err
+		}
+		q.Faults = obs
+		om, err := core.Price(q)
+		if err != nil {
+			return nil, err
+		}
 		row := ChaosModelRow{
 			Rate:                 rate,
-			Slowdown:             m.Slowdown(),
+			Slowdown:             typedSlowdown(m),
 			DeliveryProb:         m.DeliveryProb,
 			Recommended:          rec.Scheme.String(),
 			ObservedLegLoss:      obs.LegLossRate,
-			ObservedSlowdown:     om.Slowdown(),
+			ObservedSlowdown:     typedSlowdown(om),
 			SelectiveRetention:   1,
 			WholeReplayRetention: 1,
-			SelectiveGain:        m.SelectiveGain(),
+			SelectiveGain:        1,
 		}
-		if m.FaultyPipelinedSend > 0 {
-			row.SelectiveRetention = m.PipelinedSend / m.FaultyPipelinedSend
-		}
-		if m.WholeReplayPipelinedSend > 0 {
-			row.WholeReplayRetention = m.PipelinedSend / m.WholeReplayPipelinedSend
+		if lossy := m.Faulty[core.TypedPipelined]; lossy > 0 {
+			row.SelectiveRetention = m.Clean[core.TypedPipelined] / lossy
+			row.WholeReplayRetention = m.Clean[core.TypedPipelined] / m.WholeReplay[core.TypedPipelined]
+			row.SelectiveGain = m.WholeReplay[core.TypedPipelined] / lossy
 		}
 		st.Model = append(st.Model, row)
 	}
 	return st, nil
+}
+
+// typedSlowdown is the fault-induced inflation of the direct datatype
+// send: expected lossy time over clean time.
+func typedSlowdown(m core.Cost) float64 {
+	if m.Clean[core.VectorType] <= 0 {
+		return 1
+	}
+	return m.Faulty[core.VectorType] / m.Clean[core.VectorType]
 }
 
 type chaosCell struct {

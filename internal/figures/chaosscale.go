@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/memsim"
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 	"repro/internal/simnet"
@@ -187,28 +186,25 @@ func BuildChaosScaleStudy(profileName string, ranks []int, rates []float64) (*Ch
 
 	rp := mpi.DefaultRetryPolicy()
 	for _, rate := range rates {
-		fp := memsim.FaultProfile{
-			// UniformFaults spreads rate over six kinds; the resend
-			// class (drop, corrupt, truncate) is half of it.
-			LegLossRate: rate / 2,
-			MaxRetries:  rp.MaxRetries,
-			BaseBackoff: float64(rp.BaseBackoff) / 1e9,
-			MaxBackoff:  float64(rp.MaxBackoff) / 1e9,
+		// UniformFaults spreads rate over six kinds; the resend class
+		// (drop, corrupt, truncate) is half of it.
+		fp := rp.FaultProfile(rate / 2)
+		q := core.Query{Bytes: st.Bytes, Profile: &selProf, Faults: fp}
+		m, err := core.Price(q)
+		if err != nil {
+			return nil, err
 		}
-		m := core.PricePackingUnderFaults(st.Bytes, &selProf, fp)
-		row := ChaosScaleModelRow{Rate: rate, SelectiveRatio: 1, WholeReplayRatio: 1, DeliveryProb: m.DeliveryProb}
-		if fp.Enabled() && m.FusedSend > 0 {
+		rec, err := core.Recommend(q, core.GoalFastest)
+		if err != nil {
+			return nil, err
+		}
+		row := ChaosScaleModelRow{Rate: rate, SelectiveRatio: 1, WholeReplayRatio: 1, DeliveryProb: m.DeliveryProb, Recommended: rec.Scheme.String()}
+		if fused := m.Clean[core.Sendv]; fp.Enabled() && fused > 0 {
 			// The mix's transfers ride the fused sendv rendezvous; the
 			// goodput retention is clean-over-lossy expected time.
-			if m.FaultyFusedSend > 0 {
-				row.SelectiveRatio = m.FusedSend / m.FaultyFusedSend
-			}
-			wr := fp.InflateTransfer(m.FusedSend, m.FusedSend, m.Legs)
-			if wr > 0 {
-				row.WholeReplayRatio = m.FusedSend / wr
-			}
+			row.SelectiveRatio = fused / m.Faulty[core.Sendv]
+			row.WholeReplayRatio = fused / m.WholeReplay[core.Sendv]
 		}
-		row.Recommended = core.RecommendUnderFaults(st.Bytes, false, core.GoalFastest, &selProf, fp).Scheme.String()
 		st.Model = append(st.Model, row)
 	}
 	return st, nil

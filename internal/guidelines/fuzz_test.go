@@ -61,7 +61,11 @@ func FuzzGuidelines(f *testing.F) {
 			o.Observe(memsim.PathTypedSend, w.Bytes(), typed.Time())
 			o.Observe(memsim.PathPackedSend, w.Bytes(), packedC.Time())
 		}
-		rec := core.RecommendTuned(w.Bytes(), false, core.GoalFastest, p, o)
+		q := core.Query{Bytes: w.Bytes(), Profile: p, Observed: o}
+		rec, err := core.Recommend(q, core.GoalFastest)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		const tol = 1.05
 		if rec.Scheme == core.VectorType && typed.Time() > packedC.Time()*tol {
@@ -72,7 +76,10 @@ func FuzzGuidelines(f *testing.F) {
 		// balanced recommendation must not abandon the user-friendly
 		// datatype.
 		if typed.Time()*tol < packedC.Time() {
-			bal := core.RecommendTuned(w.Bytes(), false, core.GoalBalanced, p, o)
+			bal, err := core.Recommend(q, core.GoalBalanced)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if bal.Scheme == core.PackCompiled {
 				t.Errorf("%s %+v: typed observed %.3g s beats compiled pack %.3g s but balanced self-tuning packed anyway",
 					p.Name, w, typed.Time(), packedC.Time())

@@ -212,7 +212,10 @@ func TestSelfTunedRecommenderSatisfiesGuidelines(t *testing.T) {
 		}
 		for _, n := range sizes {
 			w := workloadFor(lay, n)
-			rec := core.RecommendTuned(w.Bytes(), false, core.GoalFastest, p, o)
+			rec, err := core.Recommend(core.Query{Bytes: w.Bytes(), Profile: p, Observed: o}, core.GoalFastest)
+			if err != nil {
+				t.Fatal(err)
+			}
 			times := table[n]
 			chosen, ok := times[rec.Scheme]
 			if !ok {

@@ -82,7 +82,10 @@ func measureCell(profile string, lay LayoutSpec, n int64, cfg Config) ([]Result,
 	}
 
 	// Recommender bound: the picked scheme against the measured best.
-	rec := core.Recommend(w.Bytes(), false, core.GoalFastest, p)
+	rec, err := core.Recommend(core.Query{Bytes: w.Bytes(), Profile: p}, core.GoalFastest)
+	if err != nil {
+		return nil, err
+	}
 	recTime, ok := times[rec.Scheme]
 	if !ok {
 		m, err := harness.Measure(p, rec.Scheme, w, opt)

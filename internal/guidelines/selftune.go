@@ -17,10 +17,10 @@ type TunedChoice struct {
 	Profile string
 	Layout  string
 	Bytes   int64
-	// Calibrated and Tuned are the schemes Recommend and RecommendTuned
-	// pick for this cell; the time fields are those schemes' measured
-	// virtual-clock seconds, and Best/BestTime the fastest scheme of
-	// the measured table.
+	// Calibrated and Tuned are the schemes core.Recommend picks for
+	// this cell without and with the observed fits; the time fields are
+	// those schemes' measured virtual-clock seconds, and Best/BestTime
+	// the fastest scheme of the measured table.
 	Calibrated, Tuned, Best             core.Scheme
 	CalibratedTime, TunedTime, BestTime float64
 }
@@ -77,8 +77,14 @@ func SelfTune(profile string, lay LayoutSpec, sizes []int64, reps int) ([]TunedC
 			times[s] = m.Time()
 			return m.Time(), nil
 		}
-		cal := core.Recommend(w.Bytes(), false, core.GoalFastest, p)
-		tuned := core.RecommendTuned(w.Bytes(), false, core.GoalFastest, p, o)
+		cal, err := core.Recommend(core.Query{Bytes: w.Bytes(), Profile: p}, core.GoalFastest)
+		if err != nil {
+			return nil, err
+		}
+		tuned, err := core.Recommend(core.Query{Bytes: w.Bytes(), Profile: p, Observed: o}, core.GoalFastest)
+		if err != nil {
+			return nil, err
+		}
 		tc := TunedChoice{
 			Profile: profile, Layout: lay.Name, Bytes: w.Bytes(),
 			Calibrated: cal.Scheme, Tuned: tuned.Scheme,

@@ -525,9 +525,9 @@ func PipelinedChunkCost(pack, consume float64, chunks int64, depth int) float64 
 // Collective cost terms. A fan collective (gather/scatter shape) is a
 // set of per-leg layout transfers serialised at the root: a fused leg
 // is one FusedCopyCost, a staged leg is priced below, and the fan
-// composers fold legs across the communicator. core.PriceCollective
-// composes them into the packed-then-collective vs typed-collective
-// comparison.
+// composers fold legs across the communicator. core.Price of a
+// collective query composes them into the packed-then-collective vs
+// typed-collective comparison.
 
 // StagedCollectiveLegCost prices one leg of the packed-then-collective
 // pipeline: a compiled pack of the layout into a contiguous staging

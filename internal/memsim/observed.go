@@ -69,7 +69,7 @@ func (f Fit) String() string {
 // observed per installation. Persistent operations feed it their
 // per-Start virtual-clock cost (mpi.Comm.ObserveInto); once a path has
 // MinObservations samples, Fit returns an online-fitted cost model
-// that core.RecommendTuned prefers over the static prediction.
+// that core.Recommend prefers over the static prediction.
 //
 // The accumulator is O(1) per sample (running OLS moments) and safe
 // for concurrent use by all ranks of a run.

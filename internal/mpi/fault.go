@@ -287,6 +287,18 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxRetries: 8, BaseBackoff: 20_000, MaxBackoff: 2_000_000}
 }
 
+// FaultProfile prices this policy's recovery for the cost model on a
+// fabric losing legLossRate of its delivery legs, with the backoff
+// converted from virtual nanoseconds to seconds.
+func (rp RetryPolicy) FaultProfile(legLossRate float64) memsim.FaultProfile {
+	return memsim.FaultProfile{
+		LegLossRate: legLossRate,
+		MaxRetries:  rp.MaxRetries,
+		BaseBackoff: float64(rp.BaseBackoff) / 1e9,
+		MaxBackoff:  float64(rp.MaxBackoff) / 1e9,
+	}
+}
+
 // normalized fills zero fields with the defaults.
 func (rp RetryPolicy) normalized() RetryPolicy {
 	def := DefaultRetryPolicy()
@@ -331,21 +343,15 @@ func (c *Comm) faultsOn() bool { return c.faults }
 // was configured to do: the retry counter against the completed sends,
 // inverted through the leg-compounding model at legsPerTransfer
 // faultable legs per attempt (memsim.EstimateLegLossRate). The
-// retry/backoff pricing fields come from the communicator's own policy,
-// converted from virtual nanoseconds to seconds. A model panel that
+// retry/backoff pricing fields come from the communicator's own policy
+// (RetryPolicy.FaultProfile). A model panel that
 // prices recovery from this profile tracks the run it sits next to,
 // drifting injector or not. The second result is false when this rank
 // has completed no sends at all: the zero-rate profile is then an
 // explicit not-calibrated state, not a measured-clean link.
 func (c *Comm) ObservedFaultProfile(legsPerTransfer int64) (memsim.FaultProfile, bool) {
 	ct := c.Counters()
-	pol := c.retry
-	f := memsim.FaultProfile{
-		MaxRetries:  pol.MaxRetries,
-		BaseBackoff: float64(pol.BaseBackoff) / 1e9,
-		MaxBackoff:  float64(pol.MaxBackoff) / 1e9,
-	}
-	return f.Calibrated(ct.Retries, ct.EagerSends+ct.RendezvousSends, legsPerTransfer)
+	return c.retry.FaultProfile(0).Calibrated(ct.Retries, ct.EagerSends+ct.RendezvousSends, legsPerTransfer)
 }
 
 // blockInfo builds the quiescence-detector record of a wait.

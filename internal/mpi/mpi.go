@@ -318,7 +318,7 @@ func (c *Comm) Profile() *perfmodel.Profile { return c.prof }
 // memsim.PathPackedSend for packed-buffer sends, memsim.PathContigSend
 // for contiguous ones). The sink is safe to share across ranks; nil
 // detaches. This is the measurement half of the self-tuning loop —
-// core.RecommendTuned consumes the fitted coefficients.
+// core.Recommend consumes the fitted coefficients (Query.Observed).
 func (c *Comm) ObserveInto(o *memsim.ObservedHierarchy) { c.observed = o }
 
 // Observed returns the attached observed-cost sink, or nil.

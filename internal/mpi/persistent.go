@@ -18,7 +18,7 @@ import (
 // the Comm has an observed-cost sink attached (ObserveInto), every
 // Start/Wait cycle records its virtual-clock cost against the
 // operation's transfer path, and the fitted coefficients feed
-// core.RecommendTuned.
+// core.Recommend through Query.Observed.
 type PersistentRequest struct {
 	owner  *Comm
 	start  func() (*Request, error)

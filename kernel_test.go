@@ -82,7 +82,7 @@ func TestHostFanOutHasOneReader(t *testing.T) {
 // TestPricedKernelIsChargedKernel pins model and engine to one
 // decision: for the canonical workload at sizes straddling the
 // parallel-pack threshold on the four paper profiles, the kernel spec
-// core.PricePacking priced the compiled pack with is the spec
+// core.Price priced the compiled pack with is the spec
 // Comm.PackCompiled charged its plan with, and the two virtual costs
 // are the same number.
 func TestPricedKernelIsChargedKernel(t *testing.T) {
@@ -103,7 +103,10 @@ func TestPricedKernelIsChargedKernel(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			m := core.PricePacking(n, prof)
+			m, err := core.Price(core.Query{Bytes: n, Profile: prof})
+			if err != nil {
+				t.Fatal(err)
+			}
 			priced := memsim.Kernel{Engine: memsim.Compiled, Workers: m.Workers}
 			if m.Normalized {
 				priced.Engine = memsim.Normalized
@@ -115,8 +118,8 @@ func TestPricedKernelIsChargedKernel(t *testing.T) {
 			cold := memsim.NewState(&prof.Mem)
 			cold.SetDisabled(true)
 			gather := cold.GatherCost(0, 0, layout.Describe(w.Layout()), priced)
-			if want := prof.PackCallOverhead + gather + prof.WireTime(n); m.CompiledPack != want {
-				t.Errorf("%s %d B: CompiledPack %g is not the %+v gather's %g", name, n, m.CompiledPack, priced, want)
+			if want := prof.PackCallOverhead + gather + prof.WireTime(n); m.Clean[core.PackCompiled] != want {
+				t.Errorf("%s %d B: compiled pack %g is not the %+v gather's %g", name, n, m.Clean[core.PackCompiled], priced, want)
 			}
 			var charged vclock.Duration
 			err = mpi.Run(1, mpi.Options{Profile: prof, ColdCaches: true}, func(c *mpi.Comm) error {
