@@ -9,6 +9,22 @@ import (
 	"repro/internal/perfmodel"
 )
 
+func TestRecommendCollectiveUnderFaultsCleanReduces(t *testing.T) {
+	p := perfmodel.Generic()
+	for _, ranks := range []int{4, 16, 64} {
+		for _, n := range []int64{1 << 12, 1 << 20, 1 << 24} {
+			for _, goal := range []Goal{GoalBalanced, GoalFastest} {
+				q := Query{Bytes: n, Profile: p, Ranks: ranks}
+				clean := recommend(t, q, goal)
+				q.Faults = memsim.FaultProfile{}
+				if got := recommend(t, q, goal); got != clean {
+					t.Fatalf("ranks=%d n=%d goal=%v: clean fault profile diverged: %+v vs %+v", ranks, n, goal, got, clean)
+				}
+			}
+		}
+	}
+}
+
 func TestPriceCollectiveUnderFaults(t *testing.T) {
 	p := perfmodel.Generic()
 	fp := lossy(0.02)
@@ -121,8 +137,8 @@ func TestDeepTreeLosesReliabilityToRing(t *testing.T) {
 	}
 }
 
-// TestQueryProperties replaces the per-variant reduction tests with one
-// loop over the golden grid's point-to-point and collective queries:
+// TestQueryProperties extends the reduction tests above to one loop
+// over the golden grid's point-to-point and collective queries:
 //   - a disabled fault profile leaves Clean and the recommendation of
 //     the clean query identical, and no fault profile moves Clean;
 //   - a nil or sparse observed hierarchy gives the calibrated answer;

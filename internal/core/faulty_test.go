@@ -8,6 +8,19 @@ import (
 	"repro/internal/perfmodel"
 )
 
+func TestRecommendUnderFaultsCleanReducesToRecommend(t *testing.T) {
+	p := perfmodel.Generic()
+	for _, n := range []int64{1 << 10, 1 << 20, 1 << 27} {
+		for _, goal := range []Goal{GoalBalanced, GoalFastest} {
+			clean := recommend(t, Query{Bytes: n, Profile: p}, goal)
+			got := recommend(t, Query{Bytes: n, Profile: p, Faults: memsim.FaultProfile{}}, goal)
+			if got != clean {
+				t.Fatalf("n=%d goal=%v: clean fault profile diverged: %+v vs %+v", n, goal, got, clean)
+			}
+		}
+	}
+}
+
 func TestPricePackingUnderFaults(t *testing.T) {
 	p := perfmodel.Generic()
 	fp := lossy(0.02)

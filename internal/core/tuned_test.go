@@ -3,9 +3,37 @@ package core
 import (
 	"testing"
 
+	"repro/internal/datatype"
 	"repro/internal/memsim"
 	"repro/internal/perfmodel"
 )
+
+// TestRecommendTunedFallsBack pins the degradation ladder: nil
+// hierarchy and under-sampled hierarchy both reproduce the calibrated
+// recommendation exactly.
+func TestRecommendTunedFallsBack(t *testing.T) {
+	p := perfmodel.Generic()
+	for _, n := range []int64{1 << 10, 1 << 20, 1 << 27} {
+		for _, goal := range []Goal{GoalBalanced, GoalFastest} {
+			want := recommend(t, Query{Bytes: n, Profile: p}, goal)
+			if got := recommend(t, Query{Bytes: n, Profile: p, Observed: nil}, goal); got.Scheme != want.Scheme {
+				t.Errorf("nil hierarchy: n=%d goal=%v got %s want %s", n, goal, got.Scheme, want.Scheme)
+			}
+			sparse := memsim.NewObservedHierarchy(nil)
+			sparse.Observe(memsim.PathTypedSend, 1<<20, 1e-4) // below MinObservations
+			if got := recommend(t, Query{Bytes: n, Profile: p, Observed: sparse}, goal); got.Scheme != want.Scheme {
+				t.Errorf("sparse hierarchy: n=%d goal=%v got %s want %s", n, goal, got.Scheme, want.Scheme)
+			}
+		}
+	}
+	// Contiguous payloads stay on the reference path regardless.
+	o := memsim.NewObservedHierarchy(nil)
+	feed(o, memsim.PathTypedSend, 1e-6, 1e-9)
+	dense := committer(t)(datatype.Contiguous(1<<17, datatype.Float64))
+	if got := recommend(t, Query{Type: dense, Profile: p, Observed: o}, GoalFastest); got.Scheme != Reference {
+		t.Errorf("contiguous payload recommended %s", got.Scheme)
+	}
+}
 
 // TestRecommendTunedPrefersObservedWinner pins the self-tuning
 // property: when the observed fits say the typed send loses badly, the
