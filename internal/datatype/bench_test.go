@@ -264,65 +264,68 @@ func BenchmarkPackEngines(b *testing.B) {
 	for _, runLen := range []int{4, 8, 16, 32} {
 		elem, bl := runLenElem(runLen)
 		ty := mustType(Vector(payload/runLen, bl, 2*bl, elem))
-		benchKernelCells(b, fmt.Sprintf("strideRuns/%dB/4MiB", runLen), ty, KernelStride)
+		benchKernelCells(b, fmt.Sprintf("strideRuns/%dB/4MiB", runLen), ty, 1, KernelStride)
 	}
 	block2d, _, _ := benchNestedBlock(b, true, payload/(16*8), 16, 1)
-	benchKernelCells(b, "block2d/8B/4MiB", block2d, KernelBlock)
+	benchKernelCells(b, "block2d/8B/4MiB", block2d, 1, KernelBlock)
+	// Count as the form's outermost level: 1000 instances of a 4-run
+	// vector move as one batch of 1000 rows.
+	benchKernelCells(b, "countFold/1000x4", mustType(Vector(4, 1, 2, Float64)), 1000, KernelStride)
 }
 
-// benchKernelCells adds the name/pack and name/unpack cells of one
-// layout: the single-goroutine compiled kernel in each direction, with
-// the bytes it produced checked against the interpreting cursor once
-// the timed loop is done.
-func benchKernelCells(b *testing.B, name string, ty *Type, kernel PlanKernel) {
+// benchKernelCells adds the name/pack and name/unpack cells of count
+// instances of a layout: the single-goroutine compiled plan in each
+// direction, its result checked once against the interpreting cursor
+// before the timed loop.
+func benchKernelCells(b *testing.B, name string, ty *Type, count int, kernel PlanKernel) {
 	b.Helper()
-	plan := benchPlan(b, ty)
+	plan, err := ty.CompilePlan(count)
+	if err != nil {
+		b.Fatal(err)
+	}
 	if plan.Kernel() != kernel {
 		b.Fatalf("%s compiled to %v, want %v", name, plan.Kernel(), kernel)
 	}
-	src := buf.Alloc(int(ty.Extent()))
+	src := buf.Alloc(userBufLen(ty, count))
 	src.FillPattern(1)
-	want := buf.Alloc(int(ty.Size()))
-	c := newCursor(ty, src, 1)
+	want := buf.Alloc(int(plan.Bytes()))
+	c := newCursor(ty, src, count)
 	if _, err := c.transfer(want, packDirection); err != nil {
 		b.Fatal(err)
 	}
 	serial := func(b *testing.B, op func() error) {
-		SetParallelPackThreshold(ty.Size() + 1)
+		SetParallelPackThreshold(plan.Bytes() + 1)
 		defer SetParallelPackThreshold(DefaultParallelPackThreshold)
 		b.ReportAllocs()
-		b.SetBytes(ty.Size())
+		b.SetBytes(plan.Bytes())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := op(); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.StopTimer()
 	}
 	b.Run(name+"/pack", func(b *testing.B) {
-		dst := buf.Alloc(int(ty.Size()))
-		serial(b, func() error { _, err := plan.Pack(src, dst); return err })
-		if !buf.Equal(dst, want) {
-			b.Fatal("packed stream differs from the cursor's")
+		dst := buf.Alloc(int(plan.Bytes()))
+		pack := func() error { _, err := plan.Pack(src, dst); return err }
+		if err := pack(); err != nil || !buf.Equal(dst, want) {
+			b.Fatalf("packed stream differs from the cursor's (%v)", err)
 		}
+		serial(b, pack)
 	})
 	b.Run(name+"/unpack", func(b *testing.B) {
 		// The source holds its pattern in the gaps too, so unpacking its
 		// own packed stream over a copy with the runs zeroed restores it.
-		dst := buf.Alloc(int(ty.Extent()))
+		dst := buf.Alloc(src.Len())
 		buf.CopyAt(dst, 0, src, 0, src.Len())
-		zero := buf.Alloc(int(ty.Size()))
-		if _, err := plan.Unpack(zero, dst); err != nil {
-			b.Fatal(err)
+		if _, err := plan.Unpack(buf.Alloc(int(plan.Bytes())), dst); err != nil || buf.Equal(dst, src) {
+			b.Fatalf("zeroing the runs left the buffer unchanged (%v)", err)
 		}
-		if buf.Equal(dst, src) {
-			b.Fatal("zeroing the runs left the buffer unchanged")
+		unpack := func() error { _, err := plan.Unpack(want, dst); return err }
+		if err := unpack(); err != nil || !buf.Equal(dst, src) {
+			b.Fatalf("unpacked buffer differs from the source layout (%v)", err)
 		}
-		serial(b, func() error { _, err := plan.Unpack(want, dst); return err })
-		if !buf.Equal(dst, src) {
-			b.Fatal("unpacked buffer differs from the source layout")
-		}
+		serial(b, unpack)
 	})
 }
 

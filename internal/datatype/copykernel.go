@@ -17,8 +17,8 @@ import (
 //
 // copyRunGroups is the strided move: a batch of equal runs at fixed
 // strides on either side, bounds checked once for the batch, the runs of
-// a word-sized length moved through pointers. The plan executors
-// (plan_exec.go, block.go) and the stride×stride fused kernel
+// a word-sized length moved through pointers. The strided form's range
+// executor (block.go) and the fused pair kernel over two forms
 // (fused.go) cut their ranges into such batches; there is no other
 // strided loop and no per-element-size copy of it. The checksum of the
 // bytes moved is part of the move: when a *buf.Checksum rides along,
@@ -106,10 +106,9 @@ func copyRun(dst, src []byte, n int64) {
 // runs of runLen bytes, either side dense or strided. Run j of group i
 // moves from src[so+i*sGroup+j*sStep:] to dst[do+i*dGroup+j*dStep:].
 // Pack and unpack are its one-side-dense cases — the stream side steps
-// by runLen, a stride instance is one group, a block-form tile is k
-// rows of q runs — and in a fused layout→layout copy a group is one
-// long run of the side with the longer runs, filled from (or spilled
-// over) q short runs of the other. With q == 1 the groups themselves
+// by runLen, a strided form's tile is k rows of q runs — and in a fused
+// layout→layout copy a group is one long run of the side with the
+// longer runs, filled from (or spilled over) q short runs of the other. With q == 1 the groups themselves
 // are the runs.
 //
 // The bounds are enforced once per batch, as copyRun enforces them once

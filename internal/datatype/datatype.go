@@ -29,23 +29,26 @@
 //
 //  1. Compiled (whole message): a full-message Pack/Unpack — or a
 //     Packer/Unpacker stream drained in one call — executes the
-//     compiled plan (plan.go): a contig/stride/gather kernel bound to
-//     (type, count), goroutine-parallel above
-//     SetParallelPackThreshold. Plans are cached per type and count;
+//     compiled plan (plan.go) bound to (type, count),
+//     goroutine-parallel above SetParallelPackThreshold. A plan is one
+//     strided-block form (block.go) — a regular instance, a block
+//     pattern the normalizer found, or a dense message, with count as
+//     its outermost level — or a gather table for irregular instances;
+//     each has one range executor. Plans are cached per type and count;
 //     the program is compiled at Commit, so steady-state packing does
 //     no compilation and no allocation.
 //  2. Compiled-chunked: partial-range transfers (the chunked and
 //     pipelined streaming of internal/mpi's rendezvous sends) enter
-//     the same kernels mid-stream — O(log segments) positioning, then
-//     the tight copy loop — resuming exactly where the previous chunk
-//     stopped. This is the default for every kernel-executable range.
+//     the same executors mid-stream — one seek, then the batched
+//     moves — resuming exactly where the previous chunk stopped. This
+//     is the default for every plan.
 //  3. Interpreting cursor: the generic segment walker remains the true
 //     fallback — packers over unplanned types, and any stream after
 //     SetChunkedCompiled(false) — and doubles as the differential
 //     oracle the compiled engines are tested against.
 //
-// PlanStats attributes every byte to the tier and kernel that moved
-// it.
+// PlanStats attributes every byte to the tier and the kernel label
+// (PlanKernel) of the plan that moved it.
 package datatype
 
 import (

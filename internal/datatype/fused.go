@@ -18,32 +18,31 @@ import (
 //
 // There is one executor, fusedRange, over any packed byte range: the
 // whole message on one goroutine, a worker's share of it, or a chunk a
-// recovery protocol replays. It picks one kernel per pairing, and each
-// kernel executes the plans' programs in whole-run batches the way pack
-// and unpack do: a contiguous side rides the other side's runRange
-// kernels, a stride pair the ranged stride×stride kernel
-// (fusedStrideStrideRange). Only pairings with a gather table or a
-// block form zip two segment iterators span by span.
+// recovery protocol replays. A contiguous side rides the other side's
+// range executor (runRange); any two strided forms run the pair kernel
+// (fusedFormRange), which moves whole runs in copyRunGroups batches the
+// way pack and unpack do. Only a pairing with a gather table zips two
+// segment iterators span by span.
 //
 // The segment iterator (SegIter) is the per-run view of a plan's packed
-// stream, and costs a kernel switch per Run and per Advance. It serves
-// what is not a batch: the partial runs at the edges of a ChecksumRange,
-// gather-table walks, the pair iterator above, locating one byte for
-// damage injection (mpi), and tests.
+// stream. It serves what is not a batch: the partial runs at the edges
+// of a ChecksumRange, gather-table walks, the pair iterator above,
+// locating one byte for damage injection (mpi), and tests.
 
 // SegIter enumerates the contiguous (userOff, len) runs of a compiled
-// plan's packed stream in packed order. It is resumable: Seek
-// positions it at any packed offset in O(log segments) (closed form
-// for stride plans, binary search for gather tables), after which
+// plan's packed stream in packed order. It is resumable: SeekTo
+// positions it at any packed offset — in closed form on a strided form,
+// by division or binary search in a gather table — after which
 // Run/Advance walk forward in O(1) per run. The zero value is not
 // usable; obtain one from Plan.Segments.
 type SegIter struct {
-	p *Plan
+	p   *Plan
+	pos int64 // packed position of the iterator head
+	h   head  // the head in a strided plan's form
 
-	pos  int64 // packed position of the iterator head
-	inst int64 // current instance
-	j    int64 // run (stride) / segment (gather) index within instance
-	off  int64 // bytes consumed within the current run
+	// A gather plan's head: the instance, the segment index within it,
+	// and the bytes of that segment consumed.
+	inst, j, off int64
 }
 
 // Segments returns a segment iterator positioned at the start of the
@@ -58,43 +57,34 @@ func (p *Plan) Segments() SegIter {
 // stream length).
 func (it *SegIter) SeekTo(pos int64) {
 	p := it.p
-	if pos >= p.total {
-		pos = p.total
-	}
-	it.pos = pos
+	it.pos = min(pos, p.total)
 	it.inst, it.j, it.off = 0, 0, 0
-	if pos >= p.total || p.kernel == KernelContig {
+	if it.pos >= p.total {
+		return
+	}
+	if p.kernel != KernelGather {
+		it.h = p.form.seek(pos)
 		return
 	}
 	pr := p.prog
 	it.inst = pos / pr.instSize
 	rem := pos - it.inst*pr.instSize
-	switch p.kernel {
-	case KernelStride:
-		it.j = rem / pr.runLen
-		it.off = rem - it.j*pr.runLen
-	case KernelBlock:
-		// Flat run index; Run decomposes it into the block levels.
-		it.j = rem / pr.canon.runLen
-		it.off = rem - it.j*pr.canon.runLen
-	case KernelGather:
-		if pr.uniform > 0 {
-			it.j = rem / pr.uniform
-			it.off = rem - it.j*pr.uniform
-			return
-		}
-		lo, hi := 0, len(pr.segs)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if pr.segs[mid].pos+pr.segs[mid].length > rem {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		it.j = int64(lo)
-		it.off = rem - pr.segs[lo].pos
+	if pr.uniform > 0 {
+		it.j = rem / pr.uniform
+		it.off = rem - it.j*pr.uniform
+		return
 	}
+	lo, hi := 0, len(pr.segs)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if pr.segs[mid].pos+pr.segs[mid].length > rem {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	it.j = int64(lo)
+	it.off = rem - pr.segs[lo].pos
 }
 
 // Pos returns the packed offset of the iterator head.
@@ -107,64 +97,31 @@ func (it *SegIter) Run() (off, n int64) {
 	if it.pos >= p.total {
 		return 0, 0
 	}
-	switch p.kernel {
-	case KernelContig:
-		return p.contigOff + it.pos, p.total - it.pos
-	case KernelStride:
-		pr := p.prog
-		return it.inst*pr.ext + pr.start + it.j*pr.step + it.off, pr.runLen - it.off
-	case KernelBlock:
-		pr := p.prog
-		return it.inst*pr.ext + pr.canon.offsetOf(it.j) + it.off, pr.canon.runLen - it.off
-	default: // KernelGather
-		pr := p.prog
-		s := pr.segs[it.j]
-		return it.inst*pr.ext + s.off + it.off, s.length - it.off
+	if p.kernel != KernelGather {
+		return it.h.o + it.h.off, p.form.runLen - it.h.off
 	}
+	pr := p.prog
+	s := pr.segs[it.j]
+	return it.inst*pr.ext + s.off + it.off, s.length - it.off
 }
 
 // Advance consumes n bytes of the current run; n must not exceed the
 // run remainder Run reported. Runs roll over to the next segment and
 // instance automatically.
 func (it *SegIter) Advance(n int64) {
-	it.pos += n
-	it.off += n
-	p := it.p
-	if it.pos >= p.total || p.kernel == KernelContig {
+	if it.pos += n; it.pos >= it.p.total {
 		return
 	}
-	pr := p.prog
-	var runLen int64
-	switch p.kernel {
-	case KernelStride:
-		runLen = pr.runLen
-	case KernelBlock:
-		runLen = pr.canon.runLen
-	default:
-		runLen = pr.segs[it.j].length
+	if it.p.kernel != KernelGather {
+		it.h.advance(n)
+		return
 	}
-	if it.off < runLen {
+	segs := it.p.prog.segs
+	if it.off += n; it.off < segs[it.j].length {
 		return
 	}
 	it.off = 0
-	it.stepRuns(1)
-}
-
-// stepRuns moves a head at a run start k whole runs on, k at most the
-// runs left in the instance; past the last one the next instance
-// begins. The packed position is the caller's to advance.
-func (it *SegIter) stepRuns(k int64) {
-	pr := it.p.prog
-	var runs int64
-	switch it.p.kernel {
-	case KernelStride:
-		runs = pr.runs
-	case KernelBlock:
-		runs = pr.canon.runsPerInst()
-	default:
-		runs = int64(len(pr.segs))
-	}
-	if it.j += k; it.j >= runs {
+	if it.j++; it.j == int64(len(segs)) {
 		it.j = 0
 		it.inst++
 	}
@@ -173,8 +130,7 @@ func (it *SegIter) stepRuns(k int64) {
 // PairIter zips the packed streams of two plans: each Next yields the
 // longest (srcOff, dstOff, len) span over which both layouts are
 // contiguous, in packed order. This is the schedule a fused
-// scatter/gather transfer executes when either side is a gather table
-// or a block form.
+// scatter/gather transfer executes when either side is a gather table.
 type PairIter struct {
 	src, dst SegIter
 	limit    int64
@@ -335,11 +291,10 @@ func fusedPieces(srcPlan, dstPlan *Plan, src, dst buf.Block, lo, hi, total, span
 }
 
 // fusedRange executes the packed byte range [lo, hi) of the fused
-// schedule with the tightest kernel for the pairing. A contiguous side
-// turns the transfer into a plain pack or unpack running the compiled
-// kernels against the peer's buffer window; a stride pair runs
-// the ranged stride×stride kernel; pairings that involve a gather table
-// or a block form walk seeked pair iterators (table segments are
+// schedule. A contiguous side turns the transfer into a plain pack or
+// unpack running the other plan's range executor against the peer's
+// buffer window; two strided forms run the pair kernel; a pairing with
+// a gather table walks seeked pair iterators (table segments are
 // typically longer than stride runs, so the per-span bookkeeping
 // amortises). A non-nil sum is folded over the range's packed bytes by
 // the moves, as in runRange.
@@ -347,15 +302,15 @@ func fusedRange(srcPlan, dstPlan *Plan, src, dst buf.Block, lo, hi, total int64,
 	switch {
 	case dstPlan.kernel == KernelContig:
 		// Gather straight into the destination window: the source
-		// plan's own kernel, no staging in between.
-		stream := dst.Slice(int(dstPlan.contigOff), int(total))
+		// plan's own executor, no staging in between.
+		stream := dst.Slice(int(dstPlan.form.start), int(total))
 		srcPlan.runRange(src, stream, lo, hi, 0, packDirection, sum)
 	case srcPlan.kernel == KernelContig:
 		// Scatter straight out of the source window.
-		stream := src.Slice(int(srcPlan.contigOff), int(total))
+		stream := src.Slice(int(srcPlan.form.start), int(total))
 		dstPlan.runRange(dst, stream, lo, hi, 0, unpackDirection, sum)
-	case srcPlan.kernel == KernelStride && dstPlan.kernel == KernelStride:
-		fusedStrideStrideRange(dst.Bytes(), src.Bytes(), srcPlan.prog, dstPlan.prog, lo, hi, sum)
+	case srcPlan.kernel != KernelGather && dstPlan.kernel != KernelGather:
+		fusedFormRange(dst.Bytes(), src.Bytes(), &srcPlan.form, &dstPlan.form, lo, hi, sum)
 	default:
 		db, sb := dst.Bytes(), src.Bytes()
 		it := NewPairIterRange(srcPlan, dstPlan, lo, hi)
@@ -369,56 +324,20 @@ func fusedRange(srcPlan, dstPlan *Plan, src, dst buf.Block, lo, hi, total int64,
 	}
 }
 
-// strideHead is one side's position in the stride×stride kernel: a
-// packed offset resolved in closed form against a regular run/gap
-// program.
-type strideHead struct {
-	pr  *planProg
-	o   int64 // user offset of the current run's first byte
-	j   int64 // run index within the instance
-	off int64 // bytes of the current run already consumed
-}
-
-func seekStride(pr *planProg, pos int64) strideHead {
-	inst := pos / pr.instSize
-	rem := pos - inst*pr.instSize
-	j := rem / pr.runLen
-	return strideHead{pr: pr, o: inst*pr.ext + pr.start + j*pr.step, j: j, off: rem - j*pr.runLen}
-}
-
-// skipRuns moves a head at a run start k runs on, k at most the runs
-// left in the instance; after the last run the next instance begins.
-func (h *strideHead) skipRuns(k int64) {
-	pr := h.pr
-	h.o += k * pr.step
-	if h.j += k; h.j == pr.runs {
-		h.j = 0
-		h.o += pr.ext - pr.runs*pr.step
-	}
-}
-
-// advance consumes n bytes, n at most what is left of the current run.
-func (h *strideHead) advance(n int64) {
-	if h.off += n; h.off == h.pr.runLen {
-		h.off = 0
-		h.skipRuns(1)
-	}
-}
-
-// fusedStrideStrideRange is the fused kernel for a pair of regular
-// run/gap layouts over the packed range [lo, hi). Both sides seek in
-// closed form, so any worker's share or retransmitted chunk starts in
-// O(1) with no segment tables. When one side's run length divides the
-// other's — 1:1 is the paper's every-other-double exchanged between
-// two strided layouts, 8 B into 32 B a typed receive into blocks of
-// four — and both heads stand at run starts, whole long runs move in
-// one copyRunGroups batch up to the nearer instance rollover;
-// everything else (range edges cutting a run, a rollover inside a long
+// fusedFormRange is the fused kernel for a pair of strided forms over
+// the packed range [lo, hi). Both sides seek in closed form, so any
+// worker's share or retransmitted chunk starts in O(1) with no segment
+// tables. When one side's run length divides the other's — 1:1 is the
+// paper's every-other-double exchanged between two strided layouts,
+// 8 B into 32 B a typed receive into blocks of four — and both heads
+// stand at run starts, whole long runs move in one copyRunGroups batch
+// up to the nearer row edge (the end of either side's level 0);
+// everything else (range edges cutting a run, a row edge inside a long
 // run, run lengths that do not divide) moves as the longest span
 // contiguous on both sides.
-func fusedStrideStrideRange(db, sb []byte, sp, dp *planProg, lo, hi int64, sum *buf.Checksum) {
-	s, d := seekStride(sp, lo), seekStride(dp, lo)
-	a, b := sp.runLen, dp.runLen
+func fusedFormRange(db, sb []byte, sf, df *form, lo, hi int64, sum *buf.Checksum) {
+	s, d := sf.seek(lo), df.seek(lo)
+	a, b := sf.runLen, df.runLen
 	// A long run holds sq source runs and dq destination runs (one of
 	// the two is 1). Within it the long side walks on densely, short
 	// bytes at a time, while the short side steps run to run.
@@ -427,38 +346,26 @@ func fusedStrideStrideRange(db, sb []byte, sp, dp *planProg, lo, hi int64, sum *
 		short, long, sq, dq = b, a, 1, a/b
 	}
 	divides := long == a*sq && long == b*dq
-	sStep, sGroup := short, sp.step
+	sStep, sGroup := short, sf.str[0]
 	if sq > 1 {
-		sStep, sGroup = sp.step, sq*sp.step
+		sStep, sGroup = sf.str[0], sq*sf.str[0]
 	}
-	dStep, dGroup := short, dp.step
+	dStep, dGroup := short, df.str[0]
 	if dq > 1 {
-		dStep, dGroup = dp.step, dq*dp.step
+		dStep, dGroup = df.str[0], dq*df.str[0]
 	}
 	for pos := lo; pos < hi; {
 		if divides && s.off == 0 && d.off == 0 {
-			k := (sp.runs - s.j) / sq
-			if m := (dp.runs - d.j) / dq; m < k {
-				k = m
-			}
-			if m := (hi - pos) / long; m < k {
-				k = m
-			}
+			k := min((sf.cnt[0]-s.c[0])/sq, (df.cnt[0]-d.c[0])/dq, (hi-pos)/long)
 			if k > 0 {
 				copyRunGroups(db, sb, d.o, s.o, dStep, sStep, dGroup, sGroup, short, sq*dq, k, sum)
-				s.skipRuns(k * sq)
-				d.skipRuns(k * dq)
+				s.step(0, k*sq)
+				d.step(0, k*dq)
 				pos += k * long
 				continue
 			}
 		}
-		n := a - s.off
-		if m := b - d.off; m < n {
-			n = m
-		}
-		if m := hi - pos; m < n {
-			n = m
-		}
+		n := min(a-s.off, b-d.off, hi-pos)
 		copyRunSum(db[d.o+d.off:], sb[s.o+s.off:], n, sum)
 		s.advance(n)
 		d.advance(n)

@@ -160,6 +160,18 @@ func FuzzPackRoundtrip(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1, 1, 0, 6, 1, 1, 2, 0, 4, 12, 1, 7}) // hvector(5) of vector(7,1,2,int32): block2d 7×4B
 	f.Add([]byte{3, 0, 3, 1, 1, 0, 4, 1, 1, 2, 0, 3, 24, 2, 7}) // hvector(4) of vector(5,1,2,complex128): block2d 5×16B
 	f.Add([]byte{2, 0, 2, 1, 1, 3, 5, 4, 1, 2, 0, 3, 40, 1, 7}) // hvector(4) of vector(6,4,8,f64): block2d 6×32B
+	// Fused pairs with a block form on either side, moved by the strided
+	// pair kernel: a first type, count and seed, 100-byte chunk and
+	// unpack splits, a 64-byte pipeline at depth 2, then the receiver
+	// type and count.
+	f.Add([]byte{1, 0, 1, 1, 1, 0, 6, 1, 1, 2, 0, 4, 12, 1, 7, 99, 99, 99, 99, 99, 99, 63, 1,
+		1, 1, 1, 1, 0, 20, 2, 0}) // block2d 7×4B ×2 -> vector(21,1,3,int32)
+	f.Add([]byte{3, 1, 1, 1, 0, 22, 1, 0, 7, 99, 99, 99, 99, 99, 99, 99, 99, 63, 1,
+		2, 0, 2, 1, 1, 3, 5, 4, 1, 2, 0, 3, 40, 2}) // vector(23,1,2,complex128) -> block2d 6×32B ×3
+	f.Add([]byte{3, 0, 3, 1, 1, 0, 4, 1, 1, 2, 0, 3, 24, 1, 7, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 63, 1,
+		2, 0, 2, 1, 1, 3, 5, 4, 1, 2, 0, 3, 40, 1}) // block2d 5×16B ×2 -> block2d 6×32B ×2
+	f.Add([]byte{2, 1, 1, 1, 3, 18, 3, 0, 7, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 63, 1,
+		3, 0, 3, 1, 1, 0, 4, 1, 1, 2, 0, 3, 24, 0}) // vector(19,4,7,f64) -> block2d 5×16B
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &fuzzDecoder{data: data}

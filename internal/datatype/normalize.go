@@ -12,11 +12,12 @@ import (
 // strided-block pattern. The normalizer canonicalises a freshly
 // compiled program by merging abutting table segments, hoisting the
 // uniform element size where one exists, and collapsing recognised
-// block patterns into a canonForm descriptor executed in closed form
-// (runBlock, block.go) instead of by the generic table walk. Every execution tier — Plan.Pack/Unpack, the chunked
-// PackRange/UnpackRange, SegIter/FusedCopy, ChunkPipeline and
-// ChecksumRange — runs the normalized program, so the denser IR speeds
-// up the packed, fused, pipelined, collective and retry paths at once.
+// block patterns into a strided form (block.go), which then runs on the
+// same executor, iterator and fused pair kernel as a regular run/gap
+// program instead of on the table walk. Every execution tier —
+// Plan.Pack/Unpack, the chunked PackRange/UnpackRange,
+// SegIter/FusedCopy, ChunkPipeline and ChecksumRange — runs the
+// normalized program.
 //
 // The pass is semantics-preserving by construction: a candidate form
 // is accepted only after every table offset has been reproduced from
@@ -42,43 +43,6 @@ func SetNormalize(on bool) { normalizeEnabled.Store(on) }
 // normalized.
 func NormalizeEnabled() bool { return normalizeEnabled.Load() }
 
-// canonForm is the canonical strided-block descriptor of a normalized
-// gather program: uniform runs of runLen bytes arranged in up to three
-// nested stride levels (innermost first). Level counts multiply to the
-// raw table's segment count, and the user offset of flat run j is
-//
-//	start + (j/(cnt0*cnt1))*str2 + ((j/cnt0)%cnt1)*str1 + (j%cnt0)*str0
-//
-// so the whole table collapses to dims stride descriptors.
-type canonForm struct {
-	dims   int   // nested stride levels (2 or 3)
-	runLen int64 // uniform run length in bytes
-	start  int64 // user offset of the first run within an instance
-	cnt    [3]int64
-	str    [3]int64
-}
-
-// runsPerInst returns the flat run count of one instance.
-func (cf *canonForm) runsPerInst() int64 {
-	n := cf.cnt[0] * cf.cnt[1]
-	if cf.dims == 3 {
-		n *= cf.cnt[2]
-	}
-	return n
-}
-
-// offsetOf returns the instance-relative user offset of flat run j.
-func (cf *canonForm) offsetOf(j int64) int64 {
-	col := j % cf.cnt[0]
-	row := j / cf.cnt[0]
-	var plane int64
-	if cf.dims == 3 {
-		plane = row / cf.cnt[1]
-		row -= plane * cf.cnt[1]
-	}
-	return cf.start + plane*cf.str[2] + row*cf.str[1] + col*cf.str[0]
-}
-
 // normalizeProg canonicalises a freshly compiled program in place.
 // Contig and stride programs are already canonical (one run, or a
 // single closed-form stride level); gather tables are merged, matched
@@ -93,7 +57,7 @@ func normalizeProg(p *planProg) {
 		planCounters.runsMerged.Add(m)
 	}
 	if cf, ok := detectCanon(p.segs); ok {
-		p.canon = cf
+		p.form = cf
 		p.merged = int64(len(p.segs)) - int64(cf.dims)
 		p.kernel = KernelBlock
 		p.class = KernelClass{Elem: elemClassOf(cf.runLen), Stride: StrideRegular, Dims: cf.dims}
@@ -153,14 +117,14 @@ func uniformSegLen(segs []planSeg) int64 {
 // table — then every offset is verified against the closed form before
 // the match is accepted, which is what makes the collapse
 // semantics-preserving rather than heuristic.
-func detectCanon(segs []planSeg) (canonForm, bool) {
+func detectCanon(segs []planSeg) (form, bool) {
 	n := int64(len(segs))
 	if n < 4 {
-		return canonForm{}, false
+		return form{}, false
 	}
 	runLen := uniformSegLen(segs)
 	if runLen == 0 {
-		return canonForm{}, false
+		return form{}, false
 	}
 	d0 := segs[1].off - segs[0].off
 	c0 := int64(1)
@@ -171,16 +135,16 @@ func detectCanon(segs []planSeg) (canonForm, bool) {
 		// A single uniform level is the regular run/gap form; the
 		// flattener's promote pass keeps those on KernelStride, so a
 		// fully uniform table here would be redundant, not canonical.
-		return canonForm{}, false
+		return form{}, false
 	}
 	if c0 < 2 || n%c0 != 0 {
-		return canonForm{}, false
+		return form{}, false
 	}
 	rows := n / c0
 	d1 := segs[c0].off - segs[0].off
-	cf := canonForm{dims: 2, runLen: runLen, start: segs[0].off}
-	cf.cnt[0], cf.str[0] = c0, d0
-	cf.cnt[1], cf.str[1] = rows, d1
+	cf := newForm(runLen, segs[0].off)
+	cf.level(c0, d0)
+	cf.level(rows, d1)
 	if verifyCanon(segs, &cf) {
 		return cf, true
 	}
@@ -191,24 +155,23 @@ func detectCanon(segs []planSeg) (canonForm, bool) {
 		c1++
 	}
 	if c1 < 2 || c1 == rows || rows%c1 != 0 {
-		return canonForm{}, false
+		return form{}, false
 	}
-	planes := rows / c1
-	cf = canonForm{dims: 3, runLen: runLen, start: segs[0].off}
-	cf.cnt[0], cf.str[0] = c0, d0
-	cf.cnt[1], cf.str[1] = c1, d1
-	cf.cnt[2], cf.str[2] = planes, segs[c1*c0].off-segs[0].off
+	cf = newForm(runLen, segs[0].off)
+	cf.level(c0, d0)
+	cf.level(c1, d1)
+	cf.level(rows/c1, segs[c1*c0].off-segs[0].off)
 	if verifyCanon(segs, &cf) {
 		return cf, true
 	}
-	return canonForm{}, false
+	return form{}, false
 }
 
 // verifyCanon checks that the closed form reproduces every table
 // offset.
-func verifyCanon(segs []planSeg, cf *canonForm) bool {
+func verifyCanon(segs []planSeg, cf *form) bool {
 	for j := range segs {
-		if segs[j].off != cf.offsetOf(int64(j)) {
+		if segs[j].off != cf.seek(int64(j)*cf.runLen).o {
 			return false
 		}
 	}
@@ -224,7 +187,7 @@ func (p *Plan) Canon() (ok bool, rawRuns int64, dims int) {
 	if pr.kernel != KernelBlock {
 		return false, 0, 0
 	}
-	return true, pr.canon.runsPerInst(), pr.canon.dims
+	return true, pr.form.runs(), pr.form.dims
 }
 
 // KernelClass returns the descriptive class of the program the plan
@@ -253,14 +216,14 @@ func (t *Type) CanonicalString() string {
 		return fmt.Sprintf("canon{contig %dB}", pr.instSize)
 	case KernelStride:
 		return fmt.Sprintf("canon{stride %d×%dB step=%d class=%v}",
-			pr.runs, pr.runLen, pr.step, pr.class)
+			t.r.n, t.r.runLen, t.r.runLen+t.r.gap, pr.class)
 	case KernelBlock:
-		cf := &pr.canon
+		cf := &pr.form
 		s := fmt.Sprintf("canon{block%dd %d×%dB str=%d", cf.dims, cf.cnt[0], cf.runLen, cf.str[0])
 		for l := 1; l < cf.dims; l++ {
 			s += fmt.Sprintf(" × %d str=%d", cf.cnt[l], cf.str[l])
 		}
-		return s + fmt.Sprintf(" class=%v runs %d→%d}", pr.class, cf.runsPerInst(), cf.dims)
+		return s + fmt.Sprintf(" class=%v runs %d→%d}", pr.class, cf.runs(), cf.dims)
 	default: // KernelGather
 		if pr.uniform > 0 {
 			return fmt.Sprintf("canon{gather segs=%d uniform=%dB class=%v}",

@@ -16,42 +16,35 @@ import (
 // arXiv:1607.00178) that real MPI implementations lose to hand-written
 // copy loops because they walk the type representation at pack time.
 //
-// Kernel selection rules, applied in order when a plan is bound to a
-// (type, count) pair:
-//
-//  1. KernelContig  — the whole message is one dense run (the type is
-//     contiguous and repetition stays dense, or count == 1 with a
-//     single-run instance): a single copy.
-//  2. KernelStride  — the instance flattens to the regular run/gap
-//     form (vector, hvector, subarray rows, …): a closed-form loop
-//     handing each instance's whole runs to the batch run kernel
-//     (copyRunGroups).
-//  3. KernelGather  — irregular instances (indexed, struct, jittered
-//     hindexed): a flattened (userOff, packedOff, len) segment table
-//     walked with a tight copy loop; the table is built once at
-//     compile time, never re-derived per pack.
-//
-// Independently of the kernel, messages of at least
-// ParallelPackThreshold() bytes execute goroutine-parallel: the packed
-// byte range is split across workers, and every kernel can start
-// mid-stream in O(log n) (closed form for stride, binary search for
-// gather), so the split needs no segment alignment.
+// Execution is one strided-block form plus one gather walk. Every
+// program whose runs follow a closed form — a regular run/gap instance
+// (vector, hvector, subarray rows, …), a gather table the normalizer
+// collapsed into 2-D/3-D blocks, a dense message — is a form (block.go)
+// and runs on its executor; a bound plan folds count into the form as
+// one more outer level of stride Extent(), so a message of many small
+// instances still moves in whole-row batches. Irregular instances
+// (indexed, struct, jittered hindexed) keep a flattened (userOff,
+// packedOff, len) segment table, built once at compile time and walked
+// per instance. Either program can start mid-stream — the form in
+// closed form, the table by division or binary search — so messages of
+// at least ParallelPackThreshold() bytes split across goroutines with
+// no segment alignment.
 
-// PlanKernel identifies the specialized copy kernel a compiled plan
-// executes.
+// PlanKernel labels the program a compiled plan executes, for the cost
+// model and the PlanStats buckets: it selects a price and a counter,
+// not code.
 type PlanKernel int
 
-// The plan kernels, in specialization order.
+// The plan kernel labels, in specialization order.
 const (
-	// KernelContig moves the whole message with a single copy.
+	// KernelContig is a message that is one dense run.
 	KernelContig PlanKernel = iota
-	// KernelStride runs the closed-form regular run/gap loop.
+	// KernelStride is a regular run/gap instance: a 1-d form.
 	KernelStride
-	// KernelGather walks a flattened per-instance segment table.
+	// KernelGather is a flattened per-instance segment table.
 	KernelGather
-	// KernelBlock executes a canonical 2-D/3-D strided-block form the
-	// normalizer collapsed a gather table into (normalize.go,
-	// block.go).
+	// KernelBlock is a gather table the normalizer collapsed into a
+	// 2-D/3-D form (normalize.go).
 	KernelBlock
 )
 
@@ -126,16 +119,15 @@ type planSeg struct {
 }
 
 // planProg is the count-independent part of a compiled plan: the
-// kernel and the per-instance geometry. It is compiled once per type
-// and cached on the Type, so repeated packers pay nothing.
+// kernel label and the per-instance geometry. It is compiled once per
+// type and cached on the Type, so repeated packers pay nothing.
 type planProg struct {
 	kernel   PlanKernel
 	instSize int64 // payload bytes per instance
 	ext      int64 // byte distance between instances
 
-	// KernelStride parameters (regular runs).
-	start, runLen, step int64
-	runs                int64
+	// form is one instance's strided form (KernelStride, KernelBlock).
+	form form
 
 	// KernelGather table (irregular runs).
 	segs []planSeg
@@ -144,10 +136,7 @@ type planProg struct {
 	// instead of a binary search.
 	uniform int64
 
-	// KernelBlock canonical form (normalize.go, block.go).
-	canon canonForm
-	// merged counts the raw table segments the canonical form
-	// replaced.
+	// merged counts the raw table segments a block form replaced.
 	merged int64
 
 	// class is the descriptive class label of the program.
@@ -164,11 +153,9 @@ func compileProg(t *Type) *planProg {
 		p.class = KernelClass{Elem: ElemAny, Stride: StrideNone, Dims: 1}
 	case t.r.regular:
 		p.kernel = KernelStride
-		p.start = t.r.start
-		p.runLen = t.r.runLen
-		p.step = t.r.runLen + t.r.gap
-		p.runs = t.r.n
-		p.class = KernelClass{Elem: elemClassOf(p.runLen), Stride: StrideRegular, Dims: 1}
+		p.form = newForm(t.r.runLen, t.r.start)
+		p.form.level(t.r.n, t.r.runLen+t.r.gap)
+		p.class = KernelClass{Elem: elemClassOf(t.r.runLen), Stride: StrideRegular, Dims: 1}
 	default:
 		p.kernel = KernelGather
 		p.segs = make([]planSeg, len(t.r.segs))
@@ -232,9 +219,10 @@ type Plan struct {
 	count  int64
 	total  int64
 	kernel PlanKernel
-	// contigOff is the user offset of the single run when kernel is
-	// KernelContig.
-	contigOff int64
+	// form is the message's strided form, for every kernel but
+	// KernelGather: the program's form with count as its outermost
+	// level, or the one run of a KernelContig message.
+	form form
 }
 
 // CompilePlan compiles count instances of the committed type into an
@@ -299,17 +287,20 @@ func (t *Type) buildPlan(count int) *Plan {
 		p.kernel = KernelContig
 		return p
 	}
-	// Whole-message contiguity promotions.
 	switch {
 	case t.IsContiguous():
 		// Dense repetition: count instances form one run.
 		p.kernel = KernelContig
-		p.contigOff = t.r.first()
-	case count == 1 && prog.kernel == KernelStride && prog.runs == 1:
-		// A single single-run instance is contiguous regardless of
-		// extent (resized types, subarray single rows, …).
-		p.kernel = KernelContig
-		p.contigOff = prog.start
+		p.form = newForm(p.total, t.r.first())
+	case prog.kernel != KernelGather:
+		// The program's form with count as its outermost level.
+		p.form = prog.form
+		p.form.level(p.count, prog.ext)
+		if p.form.dims == 0 {
+			// A single single-run instance is contiguous regardless of
+			// extent (resized types, subarray single rows, …).
+			p.kernel = KernelContig
+		}
 	}
 	return p
 }
@@ -325,7 +316,7 @@ func (p *Plan) ContigWindow() (off int64, ok bool) {
 	if p.kernel != KernelContig {
 		return 0, false
 	}
-	return p.contigOff, true
+	return p.form.start, true
 }
 
 // Bytes returns the packed size of the full message.

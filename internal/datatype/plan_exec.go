@@ -10,14 +10,15 @@ import (
 
 // This file executes compiled plans: the exported whole-message and
 // packed-range entry points, the split of a range across workers, and
-// the per-kernel range executors. An executor does addressing only — a
-// closed-form seek to the range's first byte, then the range cut into
-// the largest batches its program has a fixed stride for — and hands
-// every batch to copyRunGroups and every leftover piece to copyRun
-// (copykernel.go); pack and unpack differ in which argument is the
-// dense one (moveRuns, moveRun); a checksum handed to an executor is
-// folded by the moves, in packed order. runBlock, the executor of the
-// canonical block forms, is in block.go.
+// the two range executors a range can run on — runForm (block.go) over
+// the plan's strided form, which every plan but a gather table has, and
+// runGather over the table. An executor does addressing only — one
+// seek to the range's first byte, then the range cut into the largest
+// batches the program has a fixed stride for — and hands every batch to
+// copyRunGroups and every leftover piece to copyRun (copykernel.go);
+// pack and unpack differ in which argument is the dense one (moveRuns,
+// moveRun); a checksum handed to an executor is folded by the moves, in
+// packed order.
 
 // Pack gathers the plan's full message from src into dst, returning
 // the bytes produced. It is the compiled equivalent of Type.Pack.
@@ -202,75 +203,12 @@ func splitPoint(lo, hi int64, i, w int, align int64) int64 {
 // lo for standalone chunk blocks). A non-nil sum is folded over the
 // range's bytes, in packed order, by the moves themselves.
 func (p *Plan) runRange(user, stream buf.Block, lo, hi, soff int64, dir direction, sum *buf.Checksum) {
-	if hi <= lo {
-		return
-	}
-	switch p.kernel {
-	case KernelContig:
-		if dir == packDirection {
-			buf.CopyAt(stream, int(lo-soff), user, int(p.contigOff+lo), int(hi-lo))
-		} else {
-			buf.CopyAt(user, int(p.contigOff+lo), stream, int(lo-soff), int(hi-lo))
-		}
-		if sum != nil {
-			// Either way the stream block now holds the range's bytes.
-			sum.Write(stream.Bytes()[lo-soff : hi-soff])
-		}
-	case KernelStride:
-		p.runStride(user, stream, lo, hi, soff, dir, sum)
-	case KernelGather:
+	switch {
+	case hi <= lo:
+	case p.kernel == KernelGather:
 		p.runGather(user, stream, lo, hi, soff, dir, sum)
-	case KernelBlock:
-		p.runBlock(user, stream, lo, hi, soff, dir, sum)
-	}
-}
-
-// runStride is the regular run/gap kernel: closed-form addressing from
-// any packed position, the whole runs of an instance moved as one
-// copyRunGroups batch. soff is the packed position of sb's byte 0.
-func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir direction, sum *buf.Checksum) {
-	ub, sb := user.Bytes(), stream.Bytes()
-	pr := p.prog
-	runLen, step := pr.runLen, pr.step
-	inst := lo / pr.instSize
-	rem := lo - inst*pr.instSize
-	j := rem / runLen
-	runOff := rem - j*runLen
-	pos := lo
-	for pos < hi {
-		if runOff != 0 {
-			// Leading partial run (a split point landed mid-run).
-			n := runLen - runOff
-			if n > hi-pos {
-				n = hi - pos
-			}
-			moveRun(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step+runOff, n, dir, sum)
-			pos += n
-			runOff = 0
-			j++
-		} else {
-			nRuns := pr.runs - j
-			if m := (hi - pos) / runLen; nRuns > m {
-				nRuns = m
-			}
-			if nRuns > 0 {
-				moveRuns(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step, step, 0, runLen, nRuns, 1, dir, sum)
-				pos += nRuns * runLen
-				j += nRuns
-			}
-			if pos >= hi {
-				return
-			}
-			if j < pr.runs {
-				// Trailing partial run (the range ends mid-run).
-				moveRun(sb, ub, pos-soff, inst*pr.ext+pr.start+j*step, hi-pos, dir, sum)
-				return
-			}
-		}
-		if j >= pr.runs {
-			j = 0
-			inst++
-		}
+	default:
+		p.runForm(user, stream, lo, hi, soff, dir, sum)
 	}
 }
 

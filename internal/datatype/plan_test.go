@@ -562,8 +562,13 @@ func runLenElem(runLen int) (*Type, int) {
 // the kernel's 4× unroll. Small instances execute every packed range
 // [lo, hi) — sampled, past 256 bytes, as checkEveryRange describes — so
 // every leading/trailing partial run, row remainder and whole-row tile
-// boundary is entered; large ones execute whole through worker splits. PackRange and UnpackRange must agree with the
-// interpreting cursor, byte for byte, and write nothing else.
+// boundary is entered; large ones, and the small ones at count 1000
+// (count is the form's outermost level, so a batch spans instances),
+// execute whole through worker splits. PackRange and UnpackRange must
+// agree with the interpreting cursor, byte for byte, and write nothing
+// else. The resized shape's extent is shorter than its span: instance
+// i+1 fills the gaps of instance i, so the rows of one batch across
+// instances interleave in the user buffer.
 func TestStrideAndBlockAllRunLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x57A1D))
 	for _, runLen := range []int{4, 8, 12, 16, 24, 32, 64, 264} {
@@ -589,17 +594,48 @@ func TestStrideAndBlockAllRunLengths(t *testing.T) {
 				mid := mustType(Hvector(rows, 1, in.TrueExtent()+rowPad, in))
 				return mustType(Hvector(2, 1, mid.TrueExtent()+planePad, mid))
 			}},
+			{"resized", KernelStride, func(runs, rows int) *Type {
+				// With an odd run count n, instance i+1 starts n run
+				// lengths on: in the gaps of instance i, while instance
+				// i+2 starts past its end.
+				n := runs*rows | 1
+				v := mustType(Vector(n, bl, 2*bl, elem))
+				return mustType(Resized(v, 0, int64(n*runLen)))
+			}},
 		}
 		for _, sh := range shapes {
 			t.Run(fmt.Sprintf("%s/%dB", sh.name, runLen), func(t *testing.T) {
 				// Small: 5 runs a row (4× unroll plus one), 3 rows, 2 instances.
 				small := sh.build(5, 3)
 				checkEveryRange(t, small, 2, sh.kernel, int64(runLen), rng)
+				if plan, _ := small.CompilePlan(2); sh.name == "resized" && plan.FusedDstSafe() {
+					t.Fatalf("%v: instances do not interleave", small)
+				}
+				checkWorkerSplits(t, small, 1000, sh.kernel, rng)
 				// Large: 7 runs a row, enough rows for ≥ 64 KiB.
 				large := sh.build(7, 1+(64<<10)/(7*runLen))
 				checkWorkerSplits(t, large, 2, sh.kernel, rng)
 			})
 		}
+	}
+}
+
+// TestCountIsOutermostLevel pins how a plan binds count: a count-1000
+// message of a 4-run vector is one form whose outermost level is the
+// count at a stride of the extent, so the executor moves it as one
+// copyRunGroups batch of 1000 rows rather than 1000 batches.
+func TestCountIsOutermostLevel(t *testing.T) {
+	ty := mustType(Vector(4, 1, 2, Float64))
+	plan, err := ty.CompilePlan(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := plan.form
+	if f.dims != 2 || f.cnt[0] != 4 || f.str[0] != 16 || f.runLen != 8 {
+		t.Fatalf("inner level %+v, want 4 runs of 8 B at stride 16", f)
+	}
+	if f.cnt[1] != 1000 || f.str[1] != ty.Extent() {
+		t.Fatalf("outermost level (%d, %d), want (1000, %d)", f.cnt[1], f.str[1], ty.Extent())
 	}
 }
 

@@ -328,7 +328,7 @@ func (st *ChaosStudy) Render(w io.Writer) error {
 		}
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "reliability model (core.PricePackingUnderFaults, resend-class legs = envelope + internal chunks);")
+	fmt.Fprintln(w, "reliability model (core.Price with Query.Faults, resend-class legs = envelope + internal chunks);")
 	fmt.Fprintln(w, "observed columns calibrate the leg-loss rate back from the sweep's retries-per-transfer;")
 	fmt.Fprintln(w, "pipelined retention compares selective chunk recovery against whole-transfer replay:")
 	for _, m := range st.Model {
