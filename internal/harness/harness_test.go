@@ -174,6 +174,30 @@ func TestWorkloadsVirtualCap(t *testing.T) {
 	}
 }
 
+// TestVirtualCellChunkAttribution pins that a virtual 10⁹-byte cell
+// still attributes every internal chunk of every ping: the staged
+// datatype send to the chunk counters, the pipelined one to the
+// pipelined counters.
+func TestVirtualCellChunkAttribution(t *testing.T) {
+	prof := perfmodel.Generic()
+	opt := fastOpts()
+	w := Workloads([]int64{1e9}, opt)[0]
+	want := int64(opt.Reps) * prof.Chunks(w.Bytes())
+	for _, s := range []core.Scheme{core.VectorType, core.TypedPipelined} {
+		m, err := Measure(prof, s, w, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.PlanStats.ChunkOps
+		if s == core.TypedPipelined {
+			got = m.PlanStats.PipelinedOps
+		}
+		if got != want {
+			t.Errorf("%v: %d chunks attributed, want %d pings × %d chunks: %v", s, got, opt.Reps, prof.Chunks(w.Bytes()), m.PlanStats)
+		}
+	}
+}
+
 func TestLogSizes(t *testing.T) {
 	sizes := LogSizes(1_000, 1_000_000, 3)
 	if len(sizes) < 9 {
