@@ -138,6 +138,16 @@ func (p *Packer) PackSum(dst buf.Block, sum *buf.Checksum) (int64, error) {
 	return n, err
 }
 
+// RecordChunks is Plan.RecordChunks over the packer's next n stream
+// bytes (at most what remains): it stands for chunk-sized Pack calls
+// into a virtual destination on the compiled-chunked tier, attributing
+// each chunk and leaving the cursor where they would leave it.
+func (p *Packer) RecordChunks(n, chunk int64) {
+	n = min(n, p.c.remaining())
+	p.Plan().RecordChunks(p.c.done, p.c.done+n, chunk, false)
+	p.c.skip(n)
+}
+
 // Unpacker is the inverse stream: packed bytes in, scattered layout
 // out. Like Packer, a whole-message Unpack executes the compiled plan
 // and partial chunks run compiled-chunked, with the cursor as the true

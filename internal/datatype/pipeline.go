@@ -167,7 +167,7 @@ func (cp *ChunkPipeline) worker() {
 			}
 		}
 		cp.plan.runChunk(cp.user, slot, pos, hi, packDirection, sum)
-		recordPipelined(hi - pos)
+		recordPipelined(1, hi-pos)
 		ch := PipeChunk{Data: slot.Slice(0, int(hi-pos)), Lo: pos, Hi: hi, Sum: cs.Sum64(), slot: slot}
 		select {
 		case cp.ready <- ch:
@@ -201,7 +201,7 @@ func (cp *ChunkPipeline) Recycle(ch PipeChunk) {
 // overlapped against its neighbour's flight outside a ChunkPipeline —
 // the chunk-streamed collective hops — so PlanStats carries the
 // overlap attribution of every pipelined path.
-func RecordPipelinedChunk(n int64) { recordPipelined(n) }
+func RecordPipelinedChunk(n int64) { recordPipelined(1, n) }
 
 // Close stops the worker (if still running), waits for it to exit and
 // returns the ring storage to the pool. It is safe after a full drain

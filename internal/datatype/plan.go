@@ -365,7 +365,10 @@ func workersFor(n int64) int {
 // (ChunkOps/ChunkBytes) — how many of those ran parallel, and how much
 // traffic fell back to the interpreting cursor. The harness reports
 // per-measurement deltas of these so the figures can show
-// compiled-vs-interpreted bandwidth and cache hit rates.
+// compiled-vs-interpreted bandwidth and cache hit rates. A chunked
+// range with a virtual participant moves no bytes and may be
+// attributed in closed form (Plan.RecordChunks): chunk for chunk what
+// the chunk loop would attribute.
 type PlanStats struct {
 	Compiled int64
 
@@ -565,41 +568,56 @@ func ResetPlanStats() {
 	planCounters.checksumBytes.Store(0)
 }
 
-// recordPlanExec attributes one full-message execution to its kernel.
-func recordPlanExec(k PlanKernel, n int64, parallel bool) {
+// recordPlanExec attributes ops executions moving n bytes in total to
+// their kernel, and to the parallel counters when they were split.
+func recordPlanExec(k PlanKernel, ops, n int64, parallel bool) {
 	switch k {
 	case KernelContig:
-		planCounters.contigOps.Add(1)
+		planCounters.contigOps.Add(ops)
 		planCounters.contigBytes.Add(n)
 	case KernelStride:
-		planCounters.strideOps.Add(1)
+		planCounters.strideOps.Add(ops)
 		planCounters.strideBytes.Add(n)
 	case KernelGather:
-		planCounters.gatherOps.Add(1)
+		planCounters.gatherOps.Add(ops)
 		planCounters.gatherBytes.Add(n)
 	case KernelBlock:
-		planCounters.blockOps.Add(1)
+		planCounters.blockOps.Add(ops)
 		planCounters.blockBytes.Add(n)
 	}
 	if parallel {
-		planCounters.parallelOps.Add(1)
+		planCounters.parallelOps.Add(ops)
 		planCounters.parallelBytes.Add(n)
 	}
 }
 
-// recordPlanChunk attributes one compiled partial-range execution to
-// its kernel and the chunk counters.
-func recordPlanChunk(k PlanKernel, n int64, parallel bool) {
-	recordPlanExec(k, n, parallel)
-	planCounters.chunkOps.Add(1)
+// recordPlanChunk attributes ops compiled partial-range executions
+// moving n bytes in total to their kernel and the chunk counters.
+func recordPlanChunk(k PlanKernel, ops, n int64, parallel bool) {
+	recordPlanExec(k, ops, n, parallel)
+	planCounters.chunkOps.Add(ops)
 	planCounters.chunkBytes.Add(n)
 }
 
-// recordPipelined attributes one chunk executed by the chunk-slot
-// pipeline's pack worker.
-func recordPipelined(n int64) {
-	planCounters.pipelinedOps.Add(1)
+// recordPipelined attributes ops chunks of n bytes in total executed
+// by the chunk-slot pipeline's pack worker.
+func recordPipelined(ops, n int64) {
+	planCounters.pipelinedOps.Add(ops)
 	planCounters.pipelinedBytes.Add(n)
+}
+
+// RecordChunks attributes the packed range [lo, hi), cut into
+// chunk-sized pieces, exactly as that many partial-range executions
+// over a virtual participant would — and, when pipelined, as chunks of
+// a ChunkPipeline's pack worker — without running them. A chunk loop
+// whose user buffer or destination is virtual moves no bytes and folds
+// no checksum, so this one step is all it does.
+func (p *Plan) RecordChunks(lo, hi, chunk int64, pipelined bool) {
+	ops := (hi - lo + chunk - 1) / chunk
+	recordPlanChunk(p.kernel, ops, hi-lo, false)
+	if pipelined {
+		recordPipelined(ops, hi-lo)
+	}
 }
 
 // recordFused attributes one fused one-pass transfer; parallel

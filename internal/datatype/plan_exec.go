@@ -71,7 +71,7 @@ func (p *Plan) PackRangeSum(src, stream buf.Block, lo, hi, span int64, sums []ui
 		p.runRange(src, stream, a, min(a+span, hi), lo, packDirection, &cs)
 		sums[(a-lo)/span] = cs.Sum64()
 	}
-	recordPlanChunk(p.kernel, hi-lo, false)
+	recordPlanChunk(p.kernel, 1, hi-lo, false)
 	return nil
 }
 
@@ -120,7 +120,7 @@ func (p *Plan) execute(user, stream buf.Block, dir direction, sum *buf.Checksum)
 			p.runRange(user, stream, 0, p.total, 0, dir, sum)
 		}
 	}
-	recordPlanExec(p.kernel, p.total, parallel)
+	recordPlanExec(p.kernel, 1, p.total, parallel)
 	return p.total
 }
 
@@ -144,7 +144,7 @@ func (p *Plan) runChunk(user, stream buf.Block, lo, hi int64, dir direction, sum
 			p.runRange(user, stream, lo, hi, lo, dir, sum)
 		}
 	}
-	recordPlanChunk(p.kernel, hi-lo, parallel)
+	recordPlanChunk(p.kernel, 1, hi-lo, parallel)
 }
 
 // runParallel splits the packed byte range [0, total) across workers.

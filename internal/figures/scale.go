@@ -120,8 +120,10 @@ func (st *ScaleStudy) Render(w io.Writer) error {
 			c.Transfers, c.InFlightPeak, c.AggregateGBs, c.P50, c.P99)
 		fmt.Fprintf(w, "    matching: %d shard queues live, %d fast-path takes, %d wildcard takes\n",
 			c.Matching.Queues, c.Matching.FastTakes, c.Matching.WildTakes)
-		fmt.Fprintf(w, "    pool: %d gets (%d hits), %d eager adaptations, %d cap degradations\n",
-			c.Pool.Gets, c.Pool.Hits, c.Pool.EagerAdaptations, c.Pool.Degradations)
+		// Hits are left out: whether a get finds recycled storage depends
+		// on the garbage collector, not on the simulated run.
+		fmt.Fprintf(w, "    pool: %d gets, %d eager adaptations, %d cap degradations\n",
+			c.Pool.Gets, c.Pool.EagerAdaptations, c.Pool.Degradations)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "the fabric sustained %d concurrent typed transfers at its widest mix\n\n", st.PeakInFlight())

@@ -31,7 +31,9 @@ type Options struct {
 	OutlierSigma float64
 	// MaxRealBytes caps materialised payloads: workloads above it run
 	// with virtual (length-only) buffers so the 10⁹-byte end of the
-	// sweep stays affordable. Zero means the default of 16 MiB.
+	// sweep stays affordable: a virtual message costs O(1) on the wall
+	// clock, its chunk loops attributed in closed form, whatever its
+	// size. Zero means the default of 16 MiB.
 	MaxRealBytes int64
 	// Verify checks received payloads byte-for-byte after the last
 	// ping-pong (real payloads only).

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -70,6 +71,77 @@ func benchPingPong(b *testing.B, n int, typed bool) {
 func BenchmarkPingPongEager(b *testing.B)      { benchPingPong(b, 4<<10, false) }
 func BenchmarkPingPongRendezvous(b *testing.B) { benchPingPong(b, 1<<20, false) }
 func BenchmarkPingPongTyped(b *testing.B)      { benchPingPong(b, 1<<20, true) }
+
+// BenchmarkPingPongVirtual times 10⁹-byte ping-pongs of a virtual
+// every-other-double vector, the large end of the paper's sweep that
+// the figures run without materialising. No byte moves, so an op is
+// one accounting step per drain: it fails if its plan counters differ
+// from one compiled chunk per internal chunk (also one pipelined chunk
+// for SendpType) or if it draws a pooled block.
+func BenchmarkPingPongVirtual(b *testing.B) {
+	const n = 1_000_000_000
+	prof := perfmodel.Generic()
+	chunks := prof.Chunks(n)
+	ty, err := datatype.Vector(n/8, 1, 2, datatype.Float64)
+	if err == nil {
+		err = ty.Commit()
+	}
+	if err == nil {
+		_, err = ty.CompilePlan(1) // every op then binds the plan with one cache hit
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pipelined := range []bool{false, true} {
+		name, want := "SendType", datatype.PlanStats{PlanHits: 1, StrideOps: chunks, StrideBytes: n, ChunkOps: chunks, ChunkBytes: n}
+		if pipelined {
+			name, want.PipelinedOps, want.PipelinedBytes = "SendpType", chunks, n
+		}
+		b.Run(name, func(b *testing.B) {
+			err := Run(2, Options{Profile: prof, WallLimit: 5 * time.Minute}, func(c *Comm) error {
+				src, dst, pong := buf.Virtual(int(ty.Extent())), buf.Virtual(n), buf.Alloc(0)
+				c.Barrier()
+				if c.Rank() == 1 {
+					for i := 0; i < b.N; i++ {
+						if _, err := c.Recv(dst, 0, 0); err != nil {
+							return err
+						}
+						if err := c.Send(pong, 0, 1); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				b.SetBytes(n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					planBefore, poolBefore := datatype.PlanStatsSnapshot(), buf.PoolStatsSnapshot()
+					send := c.SendType
+					if pipelined {
+						send = c.SendpType
+					}
+					if err := send(src, 1, ty, 1, 0); err != nil {
+						return err
+					}
+					if _, err := c.Recv(pong, 1, 1); err != nil {
+						return err
+					}
+					if got := datatype.PlanStatsSnapshot().Sub(planBefore); got != want {
+						return fmt.Errorf("op %d: plan counters %v, want %v", i, got, want)
+					}
+					if gets := buf.PoolStatsSnapshot().Sub(poolBefore).Gets; gets != 0 {
+						return fmt.Errorf("op %d drew %d pooled blocks", i, gets)
+					}
+				}
+				b.StopTimer()
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
 
 func BenchmarkBarrier8(b *testing.B) {
 	err := Run(8, Options{WallLimit: 5 * time.Minute}, func(c *Comm) error {

@@ -317,7 +317,9 @@ func (c *Comm) fusedMove(x *fusedXfer, ss srcSums) (float64, error) {
 // fills slot k+1 while this goroutine scatters slot k into the
 // receiver's layout, so the cost collapses from gather+scatter to the
 // two-stage pipeline bound and the staging footprint shrinks from the
-// whole message to the slot ring.
+// whole message to the slot ring. With either buffer virtual no byte
+// can land, so both sides' chunks are attributed in closed form,
+// chunk for chunk as the ring would attribute them.
 func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st *layout.Stats, nCopy int64, ss srcSums) (float64, error) {
 	gather := c.cache.GatherCost(b.Region(), c.internal.Region(), *st, genericCompiled)
 	scatter := c.cache.ScatterCost(c.internal.Region(), fd.user.Region(), fd.stats, genericCompiled)
@@ -328,6 +330,12 @@ func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st 
 	// concurrently scattering over.
 	if chunks > 1 && pipelineEnabled() && !buf.Overlaps(b, fd.user) {
 		cost := memsim.PipelinedChunkCost(gather, scatter, chunks, c.prof.PipelineDepth())
+		if b.IsVirtual() || fd.user.IsVirtual() {
+			plan.RecordChunks(0, nCopy, chunk, true)
+			fd.plan.RecordChunks(0, nCopy, chunk, false)
+			datatype.RecordStagedTransfer(nCopy)
+			return cost, nil
+		}
 		cp, err := datatype.NewChunkPipelineSum(plan, b, 0, nCopy, chunk, c.prof.PipelineDepth(), c.rank, ss.span)
 		if err != nil {
 			return cost, err

@@ -359,7 +359,7 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 					if pipelined {
 						drainErr = c.drainPipelined(plan, b, match.Dst, n, ss)
 					} else {
-						drainErr = c.drainPacker(packer, match.Dst, n, ss)
+						drainErr = c.drainPacker(packer, b, match.Dst, n, ss)
 					}
 					if drainErr != nil {
 						return drainErr
@@ -406,7 +406,7 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 		if pipelined {
 			drainErr = c.drainPipelined(pk.Plan(), b, match.Dst, n, ss)
 		} else {
-			drainErr = c.drainPacker(pk, match.Dst, n, ss)
+			drainErr = c.drainPacker(pk, b, match.Dst, n, ss)
 		}
 		if drainErr != nil {
 			return 0, false, false, drainErr
@@ -432,15 +432,18 @@ type srcSums struct {
 	sums []uint64
 }
 
-// drainPacker streams the packed byte sequence into dst through
-// internal-chunk-sized pieces — the mechanical counterpart of the cost
-// charged in sendTyped.
-func (c *Comm) drainPacker(packer *datatype.Packer, dst buf.Block, n int64, ss srcSums) error {
-	limit := int64(dst.Len())
-	if n < limit {
-		limit = n
-	}
+// drainPacker streams the packed byte sequence of user into dst
+// through internal-chunk-sized pieces — the mechanical counterpart of
+// the cost charged in sendTyped. When either buffer is virtual no byte
+// lands and no sum exists, so a multi-chunk compiled drain is
+// attributed in closed form, chunk for chunk as the loop would.
+func (c *Comm) drainPacker(packer *datatype.Packer, user, dst buf.Block, n int64, ss srcSums) error {
+	limit := min(n, int64(dst.Len()))
 	chunk := c.prof.InternalChunk()
+	if (user.IsVirtual() || dst.IsVirtual()) && limit > chunk && datatype.ChunkedCompiled() {
+		packer.RecordChunks(limit, chunk)
+		return nil
+	}
 	var off int64
 	var cs buf.Checksum
 	var sum *buf.Checksum
@@ -472,26 +475,26 @@ func (c *Comm) drainPacker(packer *datatype.Packer, dst buf.Block, n int64, ss s
 // slot into the destination, so chunk k+1 packs while chunk k injects.
 // The ring is the path's entire allocation footprint — depth pooled
 // slots from this rank's shard, recycled in place and released on
-// return. The pack worker folds ss's sums while it fills a slot.
+// return. The pack worker folds ss's sums while it fills a slot. With
+// either buffer virtual there is nothing to pack, inject or sum: the
+// chunks are attributed in closed form, with no ring, worker or slot.
 func (c *Comm) drainPipelined(plan *datatype.Plan, user, dst buf.Block, n int64, ss srcSums) error {
-	limit := int64(dst.Len())
-	if n < limit {
-		limit = n
+	limit := min(n, int64(dst.Len()))
+	if user.IsVirtual() || dst.IsVirtual() {
+		plan.RecordChunks(0, limit, c.prof.InternalChunk(), true)
+		return nil
 	}
 	cp, err := datatype.NewChunkPipelineSum(plan, user, 0, limit, c.prof.InternalChunk(), c.prof.PipelineDepth(), c.rank, ss.span)
 	if err != nil {
 		return err
 	}
 	defer cp.Close()
-	real := !user.IsVirtual() && !dst.IsVirtual()
 	for {
 		ch, ok := cp.Next()
 		if !ok {
 			return nil
 		}
-		if real {
-			buf.CopyAt(dst, int(ch.Lo), ch.Data, 0, int(ch.Hi-ch.Lo))
-		}
+		buf.CopyAt(dst, int(ch.Lo), ch.Data, 0, int(ch.Hi-ch.Lo))
 		if ss.sums != nil {
 			ss.sums[ch.Lo/ss.span] = ch.Sum
 		}
