@@ -25,7 +25,7 @@ type virtualDrainRow struct {
 // rank 0 to a typed receive on rank 1 whose type is one element longer
 // than the message, so a sendv transfer takes the staged scatter.
 // virt names the side(s) whose buffer is virtual.
-func runVirtualDrain(t *testing.T, prof *perfmodel.Profile, send string, virt string, n int64) virtualDrainRow {
+func runVirtualDrain(t *testing.T, prof *perfmodel.Profile, send, virt string, n int64) virtualDrainRow {
 	t.Helper()
 	vec := func(elems int64) *datatype.Type {
 		ty, err := datatype.Vector(int(elems), 1, 2, datatype.Float64)
