@@ -10,6 +10,8 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -119,9 +121,10 @@ func (m Measurement) Bandwidth() float64 {
 // two-rank world per scheme, one after the other — and returns one row
 // of Measurements per scheme, one Measurement per workload. The cells
 // share one payload fixture set (core.Fixtures), built before the first
-// world starts and dropped on return.
+// world starts, or handed on by the previous grid over the same
+// workloads.
 func MeasureGrid(profile *perfmodel.Profile, schemes []core.Scheme, workloads []core.Workload, opt Options) ([][]Measurement, error) {
-	fx, err := core.NewFixtures(workloads)
+	fx, err := takeFixtures(workloads)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +134,34 @@ func MeasureGrid(profile *perfmodel.Profile, schemes []core.Scheme, workloads []
 			return nil, err
 		}
 	}
+	spare.Lock()
+	spare.workloads, spare.fx = slices.Clone(workloads), fx
+	spare.Unlock()
 	return grid, nil
+}
+
+// spare holds the fixture set of the last grid that finished, for the
+// next grid over the same workloads: a figure sweep measures every
+// installation over one size axis, and a fresh set allocates and fills
+// megabytes per installation. A grid takes the set out while it runs,
+// so concurrent grids never share scratch memory.
+var spare struct {
+	sync.Mutex
+	workloads []core.Workload
+	fx        *core.Fixtures
+}
+
+// takeFixtures empties spare and returns its set when it was built
+// for workloads, else a new set.
+func takeFixtures(workloads []core.Workload) (*core.Fixtures, error) {
+	spare.Lock()
+	fx, same := spare.fx, slices.Equal(spare.workloads, workloads)
+	spare.workloads, spare.fx = nil, nil
+	spare.Unlock()
+	if fx != nil && same {
+		return fx, nil
+	}
+	return core.NewFixtures(workloads)
 }
 
 // MeasureSweep runs one scheme over a list of workloads: a one-row

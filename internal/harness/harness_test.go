@@ -2,6 +2,7 @@ package harness
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -310,6 +311,58 @@ func TestGridMatchesPrivateFixtures(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestGridHandsOnFixtures: a grid over the workloads of the grid that
+// finished before it runs on that grid's fixture set and measures the
+// same, payloads verified; grids running at once each get a set of
+// their own.
+func TestGridHandsOnFixtures(t *testing.T) {
+	prof := perfmodel.Generic()
+	opt := fastOpts()
+	if raceEnabled {
+		opt.MaxRealBytes = 100_000 // instrumented byte loops: keep the 10⁶ cell virtual
+	}
+	ws := Workloads(LogSizes(1_000, 1_000_000, 1), opt)
+	measure := func() [][]Measurement {
+		grid, err := MeasureGrid(prof, core.Schemes(), ws, opt)
+		if err != nil {
+			t.Error(err)
+		}
+		return grid
+	}
+	same := func(what string, grid, want [][]Measurement) {
+		for si := range want {
+			for wi, m := range want[si] {
+				g := grid[si][wi]
+				if !slices.Equal(g.Times, m.Times) || g.Summary != m.Summary || g.Verified != m.Verified || g.Verified == ws[wi].Virtual {
+					t.Errorf("%s: %v %d bytes: {%v %+v %v}, first grid {%v %+v %v}", what, m.Scheme, m.Bytes,
+						g.Times, g.Summary, g.Verified, m.Times, m.Summary, m.Verified)
+				}
+			}
+		}
+	}
+	first := measure()
+	kept := spare.fx
+	same("second grid", measure(), first)
+	if kept == nil || spare.fx != kept {
+		t.Fatalf("the second grid did not run on the first grid's fixture set")
+	}
+	grids := make([][][]Measurement, 3)
+	var wg sync.WaitGroup
+	for i := range grids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			grids[i] = measure()
+		}()
+	}
+	wg.Wait()
+	for _, g := range grids {
+		if g != nil {
+			same("concurrent grid", g, first)
 		}
 	}
 }
