@@ -134,30 +134,30 @@ func MeasureGrid(profile *perfmodel.Profile, schemes []core.Scheme, workloads []
 			return nil, err
 		}
 	}
-	spare.Lock()
-	spare.workloads, spare.fx = slices.Clone(workloads), fx
-	spare.Unlock()
+	spareFixtures.Lock()
+	spareFixtures.workloads, spareFixtures.fx = slices.Clone(workloads), fx
+	spareFixtures.Unlock()
 	return grid, nil
 }
 
-// spare holds the fixture set of the last grid that finished, for the
-// next grid over the same workloads: a figure sweep measures every
-// installation over one size axis, and a fresh set allocates and fills
-// megabytes per installation. A grid takes the set out while it runs,
-// so concurrent grids never share scratch memory.
-var spare struct {
+// spareFixtures holds the fixture set of the last grid that finished,
+// for the next grid over the same workloads: a figure sweep measures
+// every installation over one size axis, and a fresh set allocates and
+// fills megabytes per installation. A grid takes the set out while it
+// runs, so concurrent grids never share scratch memory.
+var spareFixtures struct {
 	sync.Mutex
 	workloads []core.Workload
 	fx        *core.Fixtures
 }
 
-// takeFixtures empties spare and returns its set when it was built
-// for workloads, else a new set.
+// takeFixtures empties spareFixtures and returns its set when it was
+// built for workloads, else a new set.
 func takeFixtures(workloads []core.Workload) (*core.Fixtures, error) {
-	spare.Lock()
-	fx, same := spare.fx, slices.Equal(spare.workloads, workloads)
-	spare.workloads, spare.fx = nil, nil
-	spare.Unlock()
+	spareFixtures.Lock()
+	fx, same := spareFixtures.fx, slices.Equal(spareFixtures.workloads, workloads)
+	spareFixtures.workloads, spareFixtures.fx = nil, nil
+	spareFixtures.Unlock()
 	if fx != nil && same {
 		return fx, nil
 	}

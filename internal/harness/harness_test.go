@@ -345,9 +345,9 @@ func TestGridHandsOnFixtures(t *testing.T) {
 		}
 	}
 	first := measure()
-	kept := spare.fx
+	kept := spareFixtures.fx
 	same("second grid", measure(), first)
-	if kept == nil || spare.fx != kept {
+	if kept == nil || spareFixtures.fx != kept {
 		t.Fatalf("the second grid did not run on the first grid's fixture set")
 	}
 	grids := make([][][]Measurement, 3)
