@@ -383,8 +383,8 @@ type PackPlan = datatype.Plan
 func CompilePlan(ty *Datatype, count int) (*PackPlan, error) { return ty.CompilePlan(count) }
 
 // PlanStats is a snapshot of the pack-plan engine counters: compiled
-// kernel executions and bytes per kernel, parallel executions, and
-// interpreting-cursor fallback traffic.
+// kernel executions and bytes per kernel, chunked and parallel
+// executions, and fused-vs-staged transfers.
 type PlanStats = datatype.PlanStats
 
 // PlanStatsSnapshot returns the current pack-plan engine counters.

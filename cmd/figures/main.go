@@ -47,10 +47,10 @@ func table() []entry {
 		}})
 	}
 	return append(es,
-		entry{"plancache", "E13: plan cache, cold vs warm compile, chunked cursor vs compiled kernels", false, func(w io.Writer, p string, c config) error {
+		entry{"plancache", "E13: plan cache, cold vs warm compile, compiled chunked streaming", false, func(w io.Writer, p string, c config) error {
 			return show(w)(figures.BuildPlanCacheStudy(p, []int64{64 << 10, 1 << 20, 8 << 20}, capReps(c.opt, 12)))
 		}},
-		entry{"fused", "E14: fused transfer vs staged pack+unpack vs cursor bandwidth", false, func(w io.Writer, p string, c config) error {
+		entry{"fused", "E14: fused transfer vs staged pack+unpack bandwidth", false, func(w io.Writer, p string, c config) error {
 			return show(w)(figures.BuildFusedStudy(p, compact, capReps(c.opt, 12)))
 		}},
 		entry{"halo", "E15: halo exchange, typed collectives vs manual pack over subarray faces", false, func(w io.Writer, p string, c config) error {
@@ -65,7 +65,7 @@ func table() []entry {
 		entry{"chaos", "E18: goodput and p99 tail against injected fault rate", false, func(w io.Writer, p string, _ config) error {
 			return show(w)(figures.BuildChaosStudy(p, nil, 0))
 		}},
-		entry{"canon", "E19: normalized vs raw pack bandwidth (wall time, runs once)", true, func(w io.Writer, _ string, c config) error {
+		entry{"canon", "E19: normalized vs gather-twin pack bandwidth (wall time, runs once)", true, func(w io.Writer, _ string, c config) error {
 			return show(w)(figures.BuildCanonStudy(compact, capReps(c.opt, 12)))
 		}},
 		entry{"scale", "E20: concurrent job mix at 64-1024 ranks", false, func(w io.Writer, p string, _ config) error {

@@ -168,9 +168,16 @@ func BenchmarkPackEngines(b *testing.B) {
 				}
 			})
 			b.Run("chunkedCursor/"+name, func(b *testing.B) {
-				SetChunkedCompiled(false)
-				defer SetChunkedCompiled(true)
-				benchChunkedStream(b, ty, src)
+				chunk := buf.Alloc(64 << 10)
+				b.SetBytes(ty.Size())
+				for i := 0; i < b.N; i++ {
+					c := newCursor(ty, src, 1)
+					for c.remaining() > 0 {
+						if _, err := c.transfer(chunk, packDirection); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
 			})
 			b.Run("chunkedCompiled/"+name, func(b *testing.B) {
 				benchChunkedStream(b, ty, src)
@@ -266,7 +273,7 @@ func BenchmarkPackEngines(b *testing.B) {
 		ty := mustType(Vector(payload/runLen, bl, 2*bl, elem))
 		benchKernelCells(b, fmt.Sprintf("strideRuns/%dB/4MiB", runLen), ty, 1, KernelStride)
 	}
-	block2d, _, _ := benchNestedBlock(b, true, payload/(16*8), 16, 1)
+	block2d, _, _ := benchNestedBlock(b, false, payload/(16*8), 16, 1)
 	benchKernelCells(b, "block2d/8B/4MiB", block2d, 1, KernelBlock)
 	// Count as the form's outermost level: 1000 instances of a 4-run
 	// vector move as one batch of 1000 rows.
@@ -471,26 +478,48 @@ func sizeLabel(n int64) string {
 
 // benchNestedBlock builds the 2-D canonical hvector-of-vector shape —
 // rows × runs runs at a broken outer pitch, so the flattener emits an
-// irregular table the normalizer collapses — compiled under the given
-// normalization gate. The +16 pad keeps the outer stride off the inner
+// irregular table the normalizer collapses — or, with twin set, its
+// GatherTwin. The +16 pad keeps the outer stride off the inner
 // continuation, which would stay on the stride kernel.
-func benchNestedBlock(b *testing.B, on bool, rows, runs, bl int) (*Type, buf.Block, buf.Block) {
+func benchNestedBlock(b *testing.B, twin bool, rows, runs, bl int) (*Type, buf.Block, buf.Block) {
 	b.Helper()
-	var ty *Type
-	withNormalize(on, func() {
-		in, err := Vector(runs, bl, 2*bl, Float64)
-		if err != nil {
+	in, err := Vector(runs, bl, 2*bl, Float64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ty, err := Hvector(rows, 1, in.TrueExtent()+16, in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return benchCanonPair(b, ty, twin)
+}
+
+// benchSubarray3d builds the 3-D face with strictly partial rows
+// (32-of-48 doubles over planes × 8 rows) that collapses to the 3-D
+// block form — or, with twin set, its GatherTwin.
+func benchSubarray3d(b *testing.B, twin bool, planes int) (*Type, buf.Block, buf.Block) {
+	b.Helper()
+	ty, err := Subarray([]int{planes + 2, 12, 48}, []int{planes, 8, 32}, []int{1, 2, 4}, OrderC, Float64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return benchCanonPair(b, ty, twin)
+}
+
+// benchCanonPair commits ty, swaps in its GatherTwin when twin is set,
+// and allocates a pattern-filled source and a packed destination.
+func benchCanonPair(b *testing.B, ty *Type, twin bool) (*Type, buf.Block, buf.Block) {
+	b.Helper()
+	if err := ty.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	if twin {
+		var err error
+		if ty, err = GatherTwin(ty); err != nil {
 			b.Fatal(err)
 		}
-		ty, err = Hvector(rows, 1, in.TrueExtent()+16, in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ty.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	})
-	src := buf.Alloc(int(ty.Extent()))
+	}
+	src := buf.Alloc(userBufLen(ty, 1))
 	src.FillPattern(1)
 	dst := buf.Alloc(int(ty.Size()))
 	return ty, src, dst
@@ -516,53 +545,53 @@ func benchPackSerial(b *testing.B, ty *Type, src, dst buf.Block) {
 	}
 }
 
-// BenchmarkNormalizedKernels compares the raw compiled programs against
-// their canonicalised forms on the normalizer's layout families:
-// every-other doubles (stride kernel either way — a parity cell), the
-// 2-D block of 8-byte runs and the 2-D block of 64-byte runs (one
-// copyRunGroups tile per plane against one copyRun per table segment).
-// The smoke cell is the CI gate, and it gates only what is
-// deterministic: the nested shape must still collapse to the block
-// kernel and its raw twin stay on the gather walk, and the steady-state
-// block pack must not allocate. The block/gather speed ratio is
-// reported (min-of-reps, so it means something at -benchtime=1x), not
-// asserted; cmd/bench records the kernels' rates.
+// BenchmarkNormalizedKernels compares canonicalised programs against
+// the gather walk over the same runs — each type's GatherTwin — on the
+// normalizer's layout families: every-other doubles (the stride
+// kernel, no twin), the 2-D block of 8-byte runs, the 2-D block of
+// 64-byte runs (one copyRunGroups tile per plane against one copyRun
+// per table segment) and the 3-D subarray face. The smoke cell is the
+// CI gate, and it gates only what is deterministic: the nested shape
+// must still collapse to the block kernel and its twin stay on the
+// gather walk, and the steady-state block pack must not allocate. The
+// block/gather speed ratio is reported (min-of-reps, so it means
+// something at -benchtime=1x), not asserted; cmd/bench records the
+// kernels' rates.
 func BenchmarkNormalizedKernels(b *testing.B) {
 	const rows, runs = 4096, 16 // 512 KiB of 8-byte runs
 	payload := int64(rows * runs * 8)
 	b.Run("everyOther/canon", func(b *testing.B) {
-		var ty *Type
-		withNormalize(true, func() { ty, _, _ = benchVector(b, 1<<16, 1, 2) })
-		src := buf.Alloc(int(ty.Extent()))
-		src.FillPattern(1)
-		benchPackSerial(b, ty, src, buf.Alloc(int(ty.Size())))
-	})
-	b.Run("everyOther/raw", func(b *testing.B) {
-		var ty *Type
-		withNormalize(false, func() { ty, _, _ = benchVector(b, 1<<16, 1, 2) })
-		src := buf.Alloc(int(ty.Extent()))
-		src.FillPattern(1)
-		benchPackSerial(b, ty, src, buf.Alloc(int(ty.Size())))
-	})
-	b.Run("block2dRuns8B/canon", func(b *testing.B) {
-		ty, src, dst := benchNestedBlock(b, true, rows, runs, 1)
+		ty, src, dst := benchVector(b, 1<<16, 1, 2)
 		benchPackSerial(b, ty, src, dst)
 	})
-	b.Run("block2dRuns8B/rawGather", func(b *testing.B) {
-		ty, src, dst := benchNestedBlock(b, false, rows, runs, 1)
-		benchPackSerial(b, ty, src, dst)
-	})
-	b.Run("block2dRuns64B/canon", func(b *testing.B) {
-		ty, src, dst := benchNestedBlock(b, true, 512, runs, 8)
-		benchPackSerial(b, ty, src, dst)
-	})
-	b.Run("block2dRuns64B/rawGather", func(b *testing.B) {
-		ty, src, dst := benchNestedBlock(b, false, 512, runs, 8)
-		benchPackSerial(b, ty, src, dst)
-	})
+	for _, f := range []struct {
+		name  string
+		build func(b *testing.B, twin bool) (*Type, buf.Block, buf.Block)
+	}{
+		{"block2dRuns8B", func(b *testing.B, twin bool) (*Type, buf.Block, buf.Block) {
+			return benchNestedBlock(b, twin, rows, runs, 1)
+		}},
+		{"block2dRuns64B", func(b *testing.B, twin bool) (*Type, buf.Block, buf.Block) {
+			return benchNestedBlock(b, twin, 512, runs, 8)
+		}},
+		{"subarray3d", func(b *testing.B, twin bool) (*Type, buf.Block, buf.Block) {
+			return benchSubarray3d(b, twin, 256) // 512 KiB
+		}},
+	} {
+		b.Run(f.name+"/canon", func(b *testing.B) {
+			ty, src, dst := f.build(b, false)
+			benchPackSerial(b, ty, src, dst)
+		})
+		b.Run(f.name+"/rawGather", func(b *testing.B) {
+			ty, src, dst := f.build(b, true)
+			benchPackSerial(b, ty, src, dst)
+		})
+	}
 	b.Run("smoke", func(b *testing.B) {
-		canonTy, src, dst := benchNestedBlock(b, true, rows, runs, 1)
-		rawTy, _, _ := benchNestedBlock(b, false, rows, runs, 1)
+		canonTy, _, dst := benchNestedBlock(b, false, rows, runs, 1)
+		// The twin's source covers the canon type's too: same runs, the
+		// last one 8 bytes further out.
+		rawTy, src, _ := benchNestedBlock(b, true, rows, runs, 1)
 		SetParallelPackThreshold(payload + 1)
 		defer SetParallelPackThreshold(DefaultParallelPackThreshold)
 		canon, err := canonTy.CompilePlan(1)

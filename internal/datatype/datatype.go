@@ -24,8 +24,7 @@
 //
 // # Execution tiers
 //
-// Pack and unpack traffic runs on one of three engines, from most to
-// least specialized:
+// Pack and unpack traffic runs on one of two compiled engines:
 //
 //  1. Compiled (whole message): a full-message Pack/Unpack — or a
 //     Packer/Unpacker stream drained in one call — executes the
@@ -35,17 +34,16 @@
 //     pattern the normalizer found, or a dense message, with count as
 //     its outermost level — or a gather table for irregular instances;
 //     each has one range executor. Plans are cached per type and count;
-//     the program is compiled at Commit, so steady-state packing does
-//     no compilation and no allocation.
+//     the program is compiled and normalized at Commit, so steady-state
+//     packing does no compilation and no allocation.
 //  2. Compiled-chunked: partial-range transfers (the chunked and
 //     pipelined streaming of internal/mpi's rendezvous sends) enter
 //     the same executors mid-stream — one seek, then the batched
-//     moves — resuming exactly where the previous chunk stopped. This
-//     is the default for every plan.
-//  3. Interpreting cursor: the generic segment walker remains the true
-//     fallback — packers over unplanned types, and any stream after
-//     SetChunkedCompiled(false) — and doubles as the differential
-//     oracle the compiled engines are tested against.
+//     moves — resuming exactly where the previous chunk stopped.
+//
+// The interpreting cursor — a generic segment walker over the raw
+// flattened runs — lives only in the package's tests, as the
+// differential oracle both engines are checked against.
 //
 // PlanStats attributes every byte to the tier and the kernel label
 // (PlanKernel) of the plan that moved it.

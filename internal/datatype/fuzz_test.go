@@ -347,47 +347,30 @@ func FuzzPackRoundtrip(f *testing.F) {
 			}
 		}
 
-		// Normalization differential: rebuild the identical draw with
-		// the Commit-time normalizer disabled and require the raw
-		// program to produce the same packed stream, the same scatter
-		// and the same ChecksumRange folds — the canonical program must
-		// be byte-for-byte indistinguishable from the table walk.
-		var rawTy *Type
-		withNormalize(false, func() { rawTy = decodeType(&fuzzDecoder{data: data}, 1) })
-		if rawTy == nil {
-			t.Fatalf("raw re-decode diverged for %v", ty)
+		// Normalization differential: the cursor walks the raw
+		// flattened runs, so the canonical program must match its
+		// scatter and fold the same ChecksumRange sums as its packed
+		// stream — byte-for-byte indistinguishable from the table walk.
+		oracleBack := buf.Alloc(bufLen)
+		c = newCursor(ty, oracleBack, count)
+		if _, err := c.transfer(packed, unpackDirection); err != nil {
+			t.Fatalf("cursor unpack (%v): %v", ty, err)
 		}
-		rawPacked := buf.Alloc(int(rawTy.PackSize(count)))
-		if _, err := rawTy.Pack(src, count, rawPacked); err != nil {
-			t.Fatalf("raw pack (%v): %v", rawTy, err)
-		}
-		if !bytes.Equal(rawPacked.Bytes(), packed.Bytes()) {
-			t.Fatalf("normalized pack differs from raw for %v count=%d (%s)", ty, count, ty.CanonicalString())
-		}
-		rawBack := buf.Alloc(bufLen)
-		if _, err := rawTy.Unpack(packed, count, rawBack); err != nil {
-			t.Fatalf("raw unpack (%v): %v", rawTy, err)
-		}
-		if !bytes.Equal(rawBack.Bytes(), back.Bytes()) {
-			t.Fatalf("normalized unpack differs from raw for %v count=%d (%s)", ty, count, ty.CanonicalString())
+		if !bytes.Equal(oracleBack.Bytes(), back.Bytes()) {
+			t.Fatalf("normalized unpack differs from cursor for %v count=%d (%s)", ty, count, ty.CanonicalString())
 		}
 		if total := ty.PackSize(count); total > 0 {
 			normPlan, err := ty.CompilePlan(count)
 			if err != nil {
 				t.Fatalf("norm plan (%v): %v", ty, err)
 			}
-			rawPlan, err := rawTy.CompilePlan(count)
-			if err != nil {
-				t.Fatalf("raw plan (%v): %v", rawTy, err)
-			}
 			var sumN, sumR buf.Checksum
 			mid := total / 3
 			normPlan.ChecksumRange(src, 0, mid, &sumN)
 			normPlan.ChecksumRange(src, mid, total, &sumN)
-			rawPlan.ChecksumRange(src, 0, mid, &sumR)
-			rawPlan.ChecksumRange(src, mid, total, &sumR)
+			sumR.Write(oracle.Bytes())
 			if sumN.Sum64() != sumR.Sum64() {
-				t.Fatalf("normalized checksum differs from raw for %v count=%d (%s)", ty, count, ty.CanonicalString())
+				t.Fatalf("normalized checksum differs from cursor for %v count=%d (%s)", ty, count, ty.CanonicalString())
 			}
 			// Run-kernel differential: a fuzz-drawn [lo, hi) cut entered
 			// with a fuzz-drawn carry and lane phase must equal Write
@@ -396,11 +379,9 @@ func FuzzPackRoundtrip(f *testing.F) {
 			lo := int64(d.byte()) % total
 			hi := lo + 1 + int64(d.byte())%(total-lo)
 			carry, phase := d.intn(8), d.intn(4)
-			for _, plan := range []*Plan{normPlan, rawPlan} {
-				if !checksumRangeMatches(plan, src, packed.Bytes(), lo, hi, carry, phase) {
-					t.Fatalf("ChecksumRange [%d,%d) carry %d phase %d differs from Write(Pack(src)[lo:hi]) for %v count=%d (%s)",
-						lo, hi, carry, phase, ty, count, ty.CanonicalString())
-				}
+			if !checksumRangeMatches(normPlan, src, packed.Bytes(), lo, hi, carry, phase) {
+				t.Fatalf("ChecksumRange [%d,%d) carry %d phase %d differs from Write(Pack(src)[lo:hi]) for %v count=%d (%s)",
+					lo, hi, carry, phase, ty, count, ty.CanonicalString())
 			}
 		}
 	})

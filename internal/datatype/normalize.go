@@ -2,7 +2,8 @@ package datatype
 
 import (
 	"fmt"
-	"sync/atomic"
+
+	"repro/internal/layout"
 )
 
 // This file implements the Commit-time datatype normalizer (the TEMPI
@@ -25,23 +26,29 @@ import (
 // (userOff, packedOff, len) runs of the raw table, in the same packed
 // order.
 
-// normalizeEnabled gates the Commit-time normalization pass. Enabled by
-// default; the raw compiled program is kept as the exact fallback so
-// differential tests and studies can measure it (the way
-// SetChunkedCompiled keeps the interpreting cursor).
-var normalizeEnabled atomic.Bool
-
-func init() { normalizeEnabled.Store(true) }
-
-// SetNormalize enables or disables the Commit-time normalization pass.
-// The gate is read when a type's program is first compiled (at
-// Commit), so toggling it affects types committed afterwards, not
-// programs already cached.
-func SetNormalize(on bool) { normalizeEnabled.Store(on) }
-
-// NormalizeEnabled reports whether newly committed types are
-// normalized.
-func NormalizeEnabled() bool { return normalizeEnabled.Load() }
+// GatherTwin returns a committed Hindexed type over ty's flattened
+// runs (one instance) with the last run moved 8 bytes further out: the
+// same size and the same runs, but — for three or more runs — a table
+// no closed form matches, so it compiles to the KernelGather walk
+// whatever ty normalizes to. Studies and benchmarks send it as the
+// un-normalized stand-in for ty.
+func GatherTwin(ty *Type) (*Type, error) {
+	var lens []int
+	var displs []int64
+	ty.r.forEach(0, func(s layout.Segment) bool {
+		lens = append(lens, int(s.Len))
+		displs = append(displs, s.Off)
+		return true
+	})
+	if n := len(displs); n > 0 {
+		displs[n-1] += 8
+	}
+	twin, err := Hindexed(lens, displs, Byte)
+	if err != nil {
+		return nil, err
+	}
+	return twin, twin.Commit()
+}
 
 // normalizeProg canonicalises a freshly compiled program in place.
 // Contig and stride programs are already canonical (one run, or a

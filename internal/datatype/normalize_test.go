@@ -10,19 +10,9 @@ import (
 
 // This file tests the Commit-time normalizer: canonical-form detection
 // on the nested shapes TEMPI targets, and — the load-bearing property —
-// byte-identical behaviour of the normalized program against the raw
-// one across pack, unpack, chunked streaming, fused copy and
-// ChecksumRange.
-
-// withNormalize runs fn under the given normalization gate setting,
-// restoring the previous one. Types must be constructed inside fn: the
-// gate is read when a type's program is first compiled.
-func withNormalize(on bool, fn func()) {
-	prev := NormalizeEnabled()
-	SetNormalize(on)
-	defer SetNormalize(prev)
-	fn()
-}
+// byte-identical behaviour of the normalized program against the
+// interpreting cursor's walk over the raw flattened runs across pack,
+// unpack, chunked streaming, fused copy and ChecksumRange.
 
 // hvecOfVec builds the canonical 2-D block shape: an hvector of outer
 // strided vectors whose pitch breaks the regular continuation, so the
@@ -44,8 +34,7 @@ func hvecOfVec(t *testing.T, outer, inner, bl int, pad int64) *Type {
 }
 
 func TestNormalizeHvectorOfVector(t *testing.T) {
-	var ty *Type
-	withNormalize(true, func() { ty = hvecOfVec(t, 6, 16, 1, 16) })
+	ty := hvecOfVec(t, 6, 16, 1, 16)
 	plan, err := ty.CompilePlan(2)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -66,24 +55,9 @@ func TestNormalizeHvectorOfVector(t *testing.T) {
 func TestNormalize3DNesting(t *testing.T) {
 	// Three stride levels: runs within a row, rows within a plane,
 	// planes — each pitch breaking the level below's continuation.
-	var ty *Type
-	withNormalize(true, func() {
-		in, err := Vector(4, 1, 2, Float64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mid, err := Hvector(3, 1, 72, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ty, err = Hvector(2, 1, 240, mid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ty.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	in := mustType(Vector(4, 1, 2, Float64))
+	mid := mustType(Hvector(3, 1, 72, in))
+	ty := mustType(Hvector(2, 1, 240, mid))
 	plan, err := ty.CompilePlan(1)
 	if err != nil {
 		t.Fatal(err)
@@ -101,17 +75,7 @@ func TestNormalizeSubarrayOfContiguous(t *testing.T) {
 	// pitch within each plane, planes at a plane pitch — collapses to
 	// a block form with one run per row (the subarray-of-contiguous
 	// family).
-	var ty *Type
-	withNormalize(true, func() {
-		var err error
-		ty, err = Subarray([]int{4, 4, 8}, []int{2, 3, 3}, []int{1, 0, 0}, OrderC, Float64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ty.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	ty := mustType(Subarray([]int{4, 4, 8}, []int{2, 3, 3}, []int{1, 0, 0}, OrderC, Float64))
 	plan, err := ty.CompilePlan(1)
 	if err != nil {
 		t.Fatal(err)
@@ -132,17 +96,7 @@ func TestNormalizeSubarrayOfContiguous(t *testing.T) {
 func TestNormalizeUniformHoist(t *testing.T) {
 	// Irregular offsets with a uniform block length: no canonical form,
 	// but the uniform element size is hoisted onto the gather table.
-	var ty *Type
-	withNormalize(true, func() {
-		var err error
-		ty, err = IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ty.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	ty := mustType(IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64))
 	plan, err := ty.CompilePlan(2)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +115,7 @@ func TestNormalizeUniformHoist(t *testing.T) {
 
 func TestNormalizeStats(t *testing.T) {
 	before := PlanStatsSnapshot()
-	var ty *Type
-	withNormalize(true, func() { ty = hvecOfVec(t, 4, 8, 1, 24) })
+	ty := hvecOfVec(t, 4, 8, 1, 24)
 	plan, err := ty.CompilePlan(1)
 	if err != nil {
 		t.Fatal(err)
@@ -211,21 +164,19 @@ func TestKernelClassLabels(t *testing.T) {
 		}, "elem8/regular/3d"},
 		{"gather-8B", func() *Type { return mustType(IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64)) }, "elem8/irregular/1d"},
 	}
-	withNormalize(true, func() {
-		for _, c := range cases {
-			ty := c.build()
-			if err := ty.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			plan, err := ty.CompilePlan(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := plan.KernelClass().String(); got != c.want {
-				t.Errorf("%s: class %q, want %q (%s)", c.name, got, c.want, ty.CanonicalString())
-			}
+	for _, c := range cases {
+		ty := c.build()
+		if err := ty.Commit(); err != nil {
+			t.Fatal(err)
 		}
-	})
+		plan, err := ty.CompilePlan(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.KernelClass().String(); got != c.want {
+			t.Errorf("%s: class %q, want %q (%s)", c.name, got, c.want, ty.CanonicalString())
+		}
+	}
 }
 
 func TestCanonicalString(t *testing.T) {
@@ -238,23 +189,21 @@ func TestCanonicalString(t *testing.T) {
 		{func() *Type { return hvecOfVec(t, 4, 8, 1, 24) }, "canon{block2d"},
 		{func() *Type { return mustType(IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64)) }, "canon{gather"},
 	}
-	withNormalize(true, func() {
-		for _, c := range cases {
-			ty := c.build()
-			if err := ty.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if s := ty.CanonicalString(); !bytes.Contains([]byte(s), []byte(c.want)) {
-				t.Errorf("CanonicalString() = %q, want prefix %q", s, c.want)
-			}
+	for _, c := range cases {
+		ty := c.build()
+		if err := ty.Commit(); err != nil {
+			t.Fatal(err)
 		}
-	})
+		if s := ty.CanonicalString(); !bytes.Contains([]byte(s), []byte(c.want)) {
+			t.Errorf("CanonicalString() = %q, want prefix %q", s, c.want)
+		}
+	}
 }
 
 // normalizeCorpus returns constructor closures covering the families
 // the normalizer touches, including the Resized/Subarray edge cases
 // from the PR 1–2 regressions. Each closure builds a fresh committed
-// type so the gate applies at its Commit.
+// type.
 func normalizeCorpus(t *testing.T) map[string]func() *Type {
 	t.Helper()
 	mk := func(ty *Type, err error) *Type {
@@ -306,110 +255,89 @@ func normalizeCorpus(t *testing.T) map[string]func() *Type {
 // TestNormalizeDifferential is the load-bearing property: for every
 // corpus shape, the normalized program's pack, unpack, chunked
 // streaming, fused copy and ChecksumRange results are byte-identical
-// to the raw program's.
+// to the interpreting cursor's walk over the raw flattened runs.
 func TestNormalizeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xCA11))
 	for name, build := range normalizeCorpus(t) {
 		t.Run(name, func(t *testing.T) {
-			var tyN, tyR *Type
-			withNormalize(true, func() { tyN = build() })
-			withNormalize(false, func() { tyR = build() })
+			ty := build()
 			for _, count := range []int{1, 2, 3} {
-				planN, err := tyN.CompilePlan(count)
+				plan, err := ty.CompilePlan(count)
 				if err != nil {
 					t.Fatal(err)
 				}
-				planR, err := tyR.CompilePlan(count)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if planR.Kernel() == KernelBlock {
-					t.Fatal("raw plan normalized: gate leaked")
-				}
-				total := planN.Bytes()
-				if total != planR.Bytes() {
-					t.Fatalf("sizes differ: %d vs %d", total, planR.Bytes())
-				}
-				src := buf.Alloc(userBufLen(tyN, count))
+				total := plan.Bytes()
+				src := buf.Alloc(userBufLen(ty, count))
 				src.FillPattern(byte(count))
+				want := cursorPack(t, ty, src, count, rng)
+				if int64(len(want)) != total {
+					t.Fatalf("sizes differ: %d vs %d", total, len(want))
+				}
 
 				// Whole-message pack.
-				dstN := buf.Alloc(int(total))
-				dstR := buf.Alloc(int(total))
-				if _, err := planN.Pack(src, dstN); err != nil {
+				dst := buf.Alloc(int(total))
+				if _, err := plan.Pack(src, dst); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := planR.Pack(src, dstR); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(dstN.Bytes(), dstR.Bytes()) {
-					t.Fatalf("count %d: normalized pack differs from raw (%s)", count, tyN.CanonicalString())
+				if !bytes.Equal(dst.Bytes(), want) {
+					t.Fatalf("count %d: normalized pack differs from the cursor (%s)", count, ty.CanonicalString())
 				}
 
 				// Whole-message unpack into junk-filled buffers.
-				outN := buf.Alloc(userBufLen(tyN, count))
-				outR := buf.Alloc(userBufLen(tyR, count))
-				outN.FillPattern(0xEE)
-				outR.FillPattern(0xEE)
-				if _, err := planN.Unpack(dstN, outN); err != nil {
+				out := buf.Alloc(userBufLen(ty, count))
+				exp := buf.Alloc(userBufLen(ty, count))
+				out.FillPattern(0xEE)
+				exp.FillPattern(0xEE)
+				if _, err := plan.Unpack(dst, out); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := planR.Unpack(dstR, outR); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(outN.Bytes(), outR.Bytes()) {
-					t.Fatalf("count %d: normalized unpack differs from raw", count)
+				cursorUnpack(t, ty, exp, count, want, rng)
+				if !bytes.Equal(out.Bytes(), exp.Bytes()) {
+					t.Fatalf("count %d: normalized unpack differs from the cursor", count)
 				}
 
 				// Chunked streaming at odd split points (mid-run
 				// entries exercise the block kernel's resumable
 				// addressing).
-				chunkN := buf.Alloc(int(total))
-				chunkR := buf.Alloc(int(total))
+				chunked := buf.Alloc(int(total))
 				var lo int64
 				for lo < total {
 					hi := lo + int64(rng.Intn(97)+1)
 					if hi > total {
 						hi = total
 					}
-					if err := planN.PackRange(src, buf.FromBytes(chunkN.Bytes()[lo:hi]), lo, hi); err != nil {
-						t.Fatal(err)
-					}
-					if err := planR.PackRange(src, buf.FromBytes(chunkR.Bytes()[lo:hi]), lo, hi); err != nil {
+					if err := plan.PackRange(src, buf.FromBytes(chunked.Bytes()[lo:hi]), lo, hi); err != nil {
 						t.Fatal(err)
 					}
 					lo = hi
 				}
-				if !bytes.Equal(chunkN.Bytes(), chunkR.Bytes()) {
-					t.Fatalf("count %d: chunked normalized pack differs from raw", count)
+				if !bytes.Equal(chunked.Bytes(), want) {
+					t.Fatalf("count %d: chunked normalized pack differs from the cursor", count)
 				}
 
 				// ChecksumRange over a random split.
-				var sumN, sumR buf.Checksum
+				var sum, ref buf.Checksum
 				mid := total / 3
-				planN.ChecksumRange(src, 0, mid, &sumN)
-				planN.ChecksumRange(src, mid, total, &sumN)
-				planR.ChecksumRange(src, 0, mid, &sumR)
-				planR.ChecksumRange(src, mid, total, &sumR)
-				if sumN.Sum64() != sumR.Sum64() {
-					t.Fatalf("count %d: normalized checksum differs from raw", count)
+				plan.ChecksumRange(src, 0, mid, &sum)
+				plan.ChecksumRange(src, mid, total, &sum)
+				ref.Write(want)
+				if sum.Sum64() != ref.Sum64() {
+					t.Fatalf("count %d: normalized checksum differs from the cursor's bytes", count)
 				}
 
-				// Fused copy: layout → layout in one pass on both
-				// programs.
-				if planN.FusedDstSafe() && planR.FusedDstSafe() {
-					fN := buf.Alloc(userBufLen(tyN, count))
-					fR := buf.Alloc(userBufLen(tyR, count))
-					fN.FillPattern(0xAB)
-					fR.FillPattern(0xAB)
-					if _, err := FusedCopy(planN, planN, src, fN); err != nil {
+				// Fused copy: layout → layout in one pass, against the
+				// cursor scattering the packed stream.
+				if plan.FusedDstSafe() {
+					f := buf.Alloc(userBufLen(ty, count))
+					fexp := buf.Alloc(userBufLen(ty, count))
+					f.FillPattern(0xAB)
+					fexp.FillPattern(0xAB)
+					if _, err := FusedCopy(plan, plan, src, f); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := FusedCopy(planR, planR, src, fR); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(fN.Bytes(), fR.Bytes()) {
-						t.Fatalf("count %d: normalized fused copy differs from raw", count)
+					cursorUnpack(t, ty, fexp, count, want, rng)
+					if !bytes.Equal(f.Bytes(), fexp.Bytes()) {
+						t.Fatalf("count %d: normalized fused copy differs from the cursor", count)
 					}
 				}
 			}
@@ -421,8 +349,7 @@ func TestNormalizeDifferential(t *testing.T) {
 // multi-worker split so the mid-stream entry decomposition is
 // exercised at arbitrary split points.
 func TestNormalizeParallelRange(t *testing.T) {
-	var ty *Type
-	withNormalize(true, func() { ty = hvecOfVec(t, 32, 64, 1, 16) })
+	ty := hvecOfVec(t, 32, 64, 1, 16)
 	plan, err := ty.CompilePlan(2)
 	if err != nil {
 		t.Fatal(err)
@@ -455,25 +382,16 @@ func TestNormalizeParallelRange(t *testing.T) {
 }
 
 // TestNormalizePipeline runs a canonical block program through the
-// chunk-slot pipeline against the raw program's packed stream.
+// chunk-slot pipeline against the cursor's packed stream.
 func TestNormalizePipeline(t *testing.T) {
-	var tyN, tyR *Type
-	withNormalize(true, func() { tyN = hvecOfVec(t, 16, 32, 1, 16) })
-	withNormalize(false, func() { tyR = hvecOfVec(t, 16, 32, 1, 16) })
-	planN, err := tyN.CompilePlan(1)
+	ty := hvecOfVec(t, 16, 32, 1, 16)
+	planN, err := ty.CompilePlan(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planR, err := tyR.CompilePlan(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := buf.Alloc(userBufLen(tyN, 1))
+	src := buf.Alloc(userBufLen(ty, 1))
 	src.FillPattern(9)
-	want := buf.Alloc(int(planR.Bytes()))
-	if _, err := planR.Pack(src, want); err != nil {
-		t.Fatal(err)
-	}
+	want := cursorPack(t, ty, src, 1, rand.New(rand.NewSource(9)))
 	pl, err := NewChunkPipeline(planN, src, 0, planN.Bytes(), 512, 2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +406,60 @@ func TestNormalizePipeline(t *testing.T) {
 		pl.Recycle(ch)
 	}
 	pl.Close()
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatal("pipelined block stream differs from raw pack")
+	if !bytes.Equal(got, want) {
+		t.Fatal("pipelined block stream differs from the cursor")
+	}
+}
+
+// TestGatherTwin pins the stand-in studies send for "the same transfer
+// without the normalizer": on E19's three families and the guidelines'
+// hvector-of-vector, the twin compiles to the gather walk with the
+// source's size and run count, and packs what the cursor walks over
+// it. indexedIrregular is the control: gather either way.
+func TestGatherTwin(t *testing.T) {
+	displs := make([]int, 64)
+	for i := 1; i < len(displs); i++ {
+		displs[i] = displs[i-1] + 2 + (i-1)%5
+	}
+	rng := rand.New(rand.NewSource(0x7715))
+	for _, c := range []struct {
+		name   string
+		ty     *Type
+		kernel PlanKernel
+	}{
+		{"hvecOfVec8B", hvecOfVec(t, 64, 16, 1, 16), KernelBlock},
+		{"subarray3d", mustType(Subarray([]int{6, 12, 48}, []int{4, 8, 32}, []int{1, 2, 4}, OrderC, Float64)), KernelBlock},
+		{"indexedIrregular", mustType(IndexedBlock(1, displs, Float64)), KernelGather},
+		{"guidelines/alt", hvecOfVec(t, 16, 8, 1, 32), KernelBlock},
+		{"guidelines/block8", hvecOfVec(t, 16, 8, 8, 32), KernelBlock},
+	} {
+		twin, err := GatherTwin(c.ty)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		plan, err := c.ty.CompilePlan(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twinPlan, err := twin.CompilePlan(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Kernel() != c.kernel || twinPlan.Kernel() != KernelGather {
+			t.Errorf("%s: kernels %v/%v, want %v/gather", c.name, plan.Kernel(), twinPlan.Kernel(), c.kernel)
+		}
+		if twin.Size() != c.ty.Size() || twin.SegmentCount() != c.ty.SegmentCount() {
+			t.Errorf("%s: twin size/runs %d/%d, want %d/%d",
+				c.name, twin.Size(), twin.SegmentCount(), c.ty.Size(), c.ty.SegmentCount())
+		}
+		src := buf.Alloc(userBufLen(twin, 1))
+		src.FillPattern(5)
+		got := buf.Alloc(int(twin.Size()))
+		if _, err := twin.Pack(src, 1, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), cursorPack(t, twin, src, 1, rng)) {
+			t.Errorf("%s: twin pack differs from the cursor", c.name)
+		}
 	}
 }

@@ -76,14 +76,10 @@ func (t *Type) Unpack(src buf.Block, count int, dst buf.Block) (int64, error) {
 // A whole-message Pack call from the start of the stream executes the
 // compiled plan (see plan.go): a specialized kernel, parallel above
 // the threshold. Partial chunks enter the same kernels mid-stream
-// (tier 2, compiled-chunked): each kernel positions itself at the
-// resume point in O(log segments) and runs its tight copy loop for
-// just the requested range. The interpreting cursor remains the true
-// fallback (unplanned types, SetChunkedCompiled(false)).
-type Packer struct {
-	c    cursor
-	plan *Plan // bound lazily from the type's plan cache
-}
+// (compiled-chunked): each kernel positions itself at the resume point
+// in O(log segments) and runs its tight copy loop for just the
+// requested range, so the packer itself holds only a stream position.
+type Packer struct{ stream }
 
 // NewPacker validates the (buffer, count, type) triple and returns a
 // streaming packer.
@@ -91,20 +87,8 @@ func (t *Type) NewPacker(src buf.Block, count int) (*Packer, error) {
 	if err := t.checkUse(count, src.Len()); err != nil {
 		return nil, err
 	}
-	return &Packer{c: newCursor(t, src, count)}, nil
+	return &Packer{stream{t: t, user: src, count: int64(count)}}, nil
 }
-
-// Plan returns the compiled plan the packer executes. The plan comes
-// from the type's count-keyed cache, so binding it is a map lookup.
-func (p *Packer) Plan() *Plan {
-	if p.plan == nil {
-		p.plan = p.c.t.plan(int(p.c.count))
-	}
-	return p.plan
-}
-
-// Remaining returns the unpacked bytes left in the stream.
-func (p *Packer) Remaining() int64 { return p.c.remaining() }
 
 // Pack fills dst with the next min(dst.Len(), Remaining()) bytes of
 // the packed stream and returns how many were produced.
@@ -114,48 +98,23 @@ func (p *Packer) Pack(dst buf.Block) (int64, error) { return p.PackSum(dst, nil)
 // the same pass where a compiled kernel moves them (nil: plain Pack;
 // virtual participants produce no bytes to fold).
 func (p *Packer) PackSum(dst buf.Block, sum *buf.Checksum) (int64, error) {
-	if p.c.done == 0 && int64(dst.Len()) >= p.c.remaining() {
-		n := p.Plan().execute(p.c.user, dst, packDirection, sum)
-		p.c.done = n
-		return n, nil
-	}
-	if p.c.t.plans != nil && ChunkedCompiled() {
-		want := int64(dst.Len())
-		if r := p.c.remaining(); want > r {
-			want = r
-		}
-		if want == 0 {
-			return 0, nil
-		}
-		p.Plan().runChunk(p.c.user, dst, p.c.done, p.c.done+want, packDirection, sum)
-		p.c.skip(want)
-		return want, nil
-	}
-	n, err := p.c.transfer(dst, packDirection)
-	if sum != nil && !p.c.user.IsVirtual() && !dst.IsVirtual() {
-		sum.Write(dst.Bytes()[:n])
-	}
-	return n, err
+	return p.move(dst, packDirection, sum), nil
 }
 
 // RecordChunks is Plan.RecordChunks over the packer's next n stream
 // bytes (at most what remains): it stands for chunk-sized Pack calls
-// into a virtual destination on the compiled-chunked tier, attributing
-// each chunk and leaving the cursor where they would leave it.
+// into a virtual destination, attributing each chunk and leaving the
+// stream position where they would leave it.
 func (p *Packer) RecordChunks(n, chunk int64) {
-	n = min(n, p.c.remaining())
-	p.Plan().RecordChunks(p.c.done, p.c.done+n, chunk, false)
-	p.c.skip(n)
+	n = min(n, p.Remaining())
+	p.Plan().RecordChunks(p.done, p.done+n, chunk, false)
+	p.done += n
 }
 
 // Unpacker is the inverse stream: packed bytes in, scattered layout
 // out. Like Packer, a whole-message Unpack executes the compiled plan
-// and partial chunks run compiled-chunked, with the cursor as the true
-// fallback.
-type Unpacker struct {
-	c    cursor
-	plan *Plan
-}
+// and partial chunks run compiled-chunked.
+type Unpacker struct{ stream }
 
 // NewUnpacker validates the triple and returns a streaming unpacker
 // writing into dst.
@@ -163,42 +122,13 @@ func (t *Type) NewUnpacker(dst buf.Block, count int) (*Unpacker, error) {
 	if err := t.checkUse(count, dst.Len()); err != nil {
 		return nil, err
 	}
-	return &Unpacker{c: newCursor(t, dst, count)}, nil
+	return &Unpacker{stream{t: t, user: dst, count: int64(count)}}, nil
 }
-
-// Plan returns the compiled plan the unpacker executes, bound from the
-// type's plan cache like Packer.Plan.
-func (u *Unpacker) Plan() *Plan {
-	if u.plan == nil {
-		u.plan = u.c.t.plan(int(u.c.count))
-	}
-	return u.plan
-}
-
-// Remaining returns the packed bytes still expected.
-func (u *Unpacker) Remaining() int64 { return u.c.remaining() }
 
 // Unpack consumes src and scatters it into the user buffer, returning
 // the bytes consumed.
 func (u *Unpacker) Unpack(src buf.Block) (int64, error) {
-	if u.c.done == 0 && int64(src.Len()) >= u.c.remaining() {
-		n := u.Plan().execute(u.c.user, src, unpackDirection, nil)
-		u.c.done = n
-		return n, nil
-	}
-	if u.c.t.plans != nil && ChunkedCompiled() {
-		want := int64(src.Len())
-		if r := u.c.remaining(); want > r {
-			want = r
-		}
-		if want == 0 {
-			return 0, nil
-		}
-		u.Plan().runChunk(u.c.user, src, u.c.done, u.c.done+want, unpackDirection, nil)
-		u.c.skip(want)
-		return want, nil
-	}
-	return u.c.transfer(src, unpackDirection)
+	return u.move(src, unpackDirection, nil), nil
 }
 
 type direction int
@@ -208,102 +138,43 @@ const (
 	unpackDirection
 )
 
-// cursor tracks a position in the packed byte stream of (count×type)
-// over a user buffer.
-type cursor struct {
+// stream is a position in the packed byte stream of (count × type)
+// over a user buffer: the state Packer and Unpacker share.
+type stream struct {
 	t     *Type
 	user  buf.Block
 	count int64
-
-	inst   int64 // current instance
-	segIdx int64 // segment index within instance
-	segOff int64 // bytes consumed within current segment
-	done   int64 // total bytes transferred
+	done  int64 // stream bytes already transferred
+	plan  *Plan // bound lazily from the type's plan cache
 }
 
-func newCursor(t *Type, user buf.Block, count int) cursor {
-	return cursor{t: t, user: user, count: int64(count)}
+// Plan returns the compiled plan the stream executes. The plan comes
+// from the type's count-keyed cache, so binding it is a map lookup.
+func (s *stream) Plan() *Plan {
+	if s.plan == nil {
+		s.plan = s.t.plan(int(s.count))
+	}
+	return s.plan
 }
 
-func (c *cursor) total() int64     { return c.count * c.t.size }
-func (c *cursor) remaining() int64 { return c.total() - c.done }
+// Remaining returns the stream bytes not yet transferred.
+func (s *stream) Remaining() int64 { return s.count*s.t.size - s.done }
 
-// transfer moves up to other.Len() bytes between the packed stream
-// (other) and the user buffer, in the given direction.
-func (c *cursor) transfer(other buf.Block, dir direction) (int64, error) {
-	want := int64(other.Len())
-	if r := c.remaining(); want > r {
-		want = r
+// move transfers the next min(other.Len(), Remaining()) stream bytes
+// between the user buffer and other (the packed side) in direction
+// dir: the whole message from the start of the stream on the plan's
+// executor, anything else as one compiled chunk.
+func (s *stream) move(other buf.Block, dir direction, sum *buf.Checksum) int64 {
+	want := min(int64(other.Len()), s.Remaining())
+	if s.done == 0 && want == s.Remaining() {
+		s.done = s.Plan().execute(s.user, other, dir, sum)
+		return s.done
 	}
-	if want == 0 {
-		return 0, nil
+	if want > 0 {
+		s.Plan().runChunk(s.user, other, s.done, s.done+want, dir, sum)
+		s.done += want
 	}
-	recordCursor(want)
-	// Virtual fast path: no byte movement, just cursor arithmetic.
-	if c.user.IsVirtual() || other.IsVirtual() {
-		c.skip(want)
-		return want, nil
-	}
-	var moved int64
-	ext := c.t.Extent()
-	for moved < want {
-		seg := c.t.r.seg(c.segIdx)
-		segBase := c.inst*ext + seg.Off
-		n := seg.Len - c.segOff
-		if n > want-moved {
-			n = want - moved
-		}
-		userOff := segBase + c.segOff
-		switch dir {
-		case packDirection:
-			buf.CopyAt(other, int(moved), c.user, int(userOff), int(n))
-		case unpackDirection:
-			buf.CopyAt(c.user, int(userOff), other, int(moved), int(n))
-		}
-		moved += n
-		c.advance(n)
-	}
-	return moved, nil
-}
-
-// advance moves the cursor n bytes forward within the current segment,
-// rolling over segments and instances.
-func (c *cursor) advance(n int64) {
-	c.segOff += n
-	c.done += n
-	for c.segOff >= c.t.r.seg(c.segIdx).Len && c.done < c.total() {
-		c.segOff = 0
-		c.segIdx++
-		if c.segIdx >= c.t.r.n {
-			c.segIdx = 0
-			c.inst++
-		}
-	}
-}
-
-// skip advances the cursor by n stream bytes without touching data.
-func (c *cursor) skip(n int64) {
-	if c.t.size == 0 {
-		return
-	}
-	pos := c.done + n
-	c.done = pos
-	if pos >= c.total() {
-		return
-	}
-	c.inst = pos / c.t.size
-	rem := pos % c.t.size
-	if c.t.r.regular {
-		c.segIdx = rem / c.t.r.runLen
-		c.segOff = rem % c.t.r.runLen
-		return
-	}
-	c.segIdx = 0
-	for rem >= c.t.r.segs[c.segIdx].Len {
-		rem -= c.t.r.segs[c.segIdx].Len
-		c.segIdx++
-	}
-	c.segOff = rem
+	return want
 }
 
 // typeLayout adapts (count × type) to the layout.Layout interface.

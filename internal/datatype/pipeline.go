@@ -21,8 +21,8 @@ import (
 // slots and nothing else — so the steady state allocates nothing.
 
 // pipelinedChunks gates the pipelined execution tier: protocol layers
-// consult it (together with ChunkedCompiled) before routing a chunked
-// transfer through a ChunkPipeline. It exists so differential tests
+// consult it before routing a chunked transfer through a
+// ChunkPipeline. It exists so differential tests
 // and studies can pin the pipelined paths byte-for-byte and
 // cost-for-cost against the serial chunk loop.
 var pipelinedChunks atomic.Bool

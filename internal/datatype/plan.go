@@ -84,24 +84,6 @@ func SetParallelPackThreshold(n int64) {
 // ParallelPackThreshold returns the current parallel-pack threshold.
 func ParallelPackThreshold() int64 { return parallelPackThreshold.Load() }
 
-// chunkedCompiled gates the compiled-chunked execution tier: when set
-// (the default), Packer/Unpacker route partial-range transfers through
-// the compiled kernels; when cleared they stream through the
-// interpreting cursor. The switch exists as the true fallback and so
-// studies/benchmarks can measure the cursor baseline.
-var chunkedCompiled atomic.Bool
-
-func init() { chunkedCompiled.Store(true) }
-
-// SetChunkedCompiled enables or disables compiled-kernel execution of
-// chunked (partial-range) transfers; disabled streams fall back to the
-// interpreting cursor.
-func SetChunkedCompiled(on bool) { chunkedCompiled.Store(on) }
-
-// ChunkedCompiled reports whether chunked transfers run on the
-// compiled kernels.
-func ChunkedCompiled() bool { return chunkedCompiled.Load() }
-
 // maxPackWorkers caps the parallel fan-out: memory bandwidth saturates
 // long before high core counts, so more workers only add scheduling
 // noise.
@@ -143,8 +125,8 @@ type planProg struct {
 	class KernelClass
 }
 
-// compileProg flattens one instance of the type into its program and,
-// under the normalization gate, canonicalises it.
+// compileProg flattens one instance of the type into its program and
+// canonicalises it.
 func compileProg(t *Type) *planProg {
 	p := &planProg{instSize: t.size, ext: t.Extent()}
 	switch {
@@ -166,9 +148,7 @@ func compileProg(t *Type) *planProg {
 		}
 		p.class = KernelClass{Elem: ElemAny, Stride: StrideIrregular, Dims: 1}
 	}
-	if NormalizeEnabled() {
-		normalizeProg(p)
-	}
+	normalizeProg(p)
 	return p
 }
 
@@ -210,9 +190,9 @@ func (t *Type) prog() *planProg {
 	return p
 }
 
-// Plan is an executable pack/unpack program for (count × type): the
-// compiled alternative to the interpreting cursor. A Plan is immutable
-// and safe for concurrent use.
+// Plan is an executable pack/unpack program for (count × type), bound
+// from the type's compiled program. A Plan is immutable and safe for
+// concurrent use.
 type Plan struct {
 	t      *Type
 	prog   *planProg
@@ -362,10 +342,9 @@ func workersFor(n int64) int {
 // how many programs were compiled, how the per-(type,count) plan cache
 // performed (PlanHits/PlanMisses), how many pack/unpack executions and
 // bytes each kernel handled — whole-message and chunked
-// (ChunkOps/ChunkBytes) — how many of those ran parallel, and how much
-// traffic fell back to the interpreting cursor. The harness reports
-// per-measurement deltas of these so the figures can show
-// compiled-vs-interpreted bandwidth and cache hit rates. A chunked
+// (ChunkOps/ChunkBytes) — and how many of those ran parallel. The
+// harness reports per-measurement deltas of these so the figures can
+// show kernel bandwidth and cache hit rates. A chunked
 // range with a virtual participant moves no bytes and may be
 // attributed in closed form (Plan.RecordChunks): chunk for chunk what
 // the chunk loop would attribute.
@@ -395,7 +374,9 @@ type PlanStats struct {
 	// ChunkOps and ChunkBytes count compiled-kernel executions of
 	// partial packed ranges (the chunked/pipelined streaming tier);
 	// their bytes are also attributed to the owning kernel above.
-	ChunkOps, ChunkBytes   int64
+	ChunkOps, ChunkBytes int64
+	// CursorOps and CursorBytes always read 0: every transfer runs a
+	// compiled plan. They remain for the readers that still print them.
 	CursorOps, CursorBytes int64
 
 	// PipelinedOps and PipelinedBytes count chunks executed by the
@@ -498,7 +479,6 @@ var planCounters struct {
 	parallelOps, parallelBytes   atomic.Int64
 	chunkOps, chunkBytes         atomic.Int64
 	pipelinedOps, pipelinedBytes atomic.Int64
-	cursorOps, cursorBytes       atomic.Int64
 	fusedOps, fusedBytes         atomic.Int64
 	stagedOps, stagedBytes       atomic.Int64
 	checksumBytes                atomic.Int64
@@ -527,8 +507,6 @@ func PlanStatsSnapshot() PlanStats {
 		ChunkBytes:     planCounters.chunkBytes.Load(),
 		PipelinedOps:   planCounters.pipelinedOps.Load(),
 		PipelinedBytes: planCounters.pipelinedBytes.Load(),
-		CursorOps:      planCounters.cursorOps.Load(),
-		CursorBytes:    planCounters.cursorBytes.Load(),
 		FusedOps:       planCounters.fusedOps.Load(),
 		FusedBytes:     planCounters.fusedBytes.Load(),
 		StagedOps:      planCounters.stagedOps.Load(),
@@ -559,8 +537,6 @@ func ResetPlanStats() {
 	planCounters.chunkBytes.Store(0)
 	planCounters.pipelinedOps.Store(0)
 	planCounters.pipelinedBytes.Store(0)
-	planCounters.cursorOps.Store(0)
-	planCounters.cursorBytes.Store(0)
 	planCounters.fusedOps.Store(0)
 	planCounters.fusedBytes.Store(0)
 	planCounters.stagedOps.Store(0)
@@ -646,12 +622,4 @@ func RecordFusedTransfer(n int64) { recordFused(n, false) }
 func RecordStagedTransfer(n int64) {
 	planCounters.stagedOps.Add(1)
 	planCounters.stagedBytes.Add(n)
-}
-
-// recordCursor attributes interpreted traffic (the true-fallback tier:
-// cursor streaming with compiled chunking disabled, or packers built
-// on unplanned types) to the fallback counters.
-func recordCursor(n int64) {
-	planCounters.cursorOps.Add(1)
-	planCounters.cursorBytes.Add(n)
 }

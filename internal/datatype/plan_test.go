@@ -190,7 +190,7 @@ func TestPlanDifferentialRandom(t *testing.T) {
 
 // TestPackerResumeMidSegment pins the streaming contract: a Packer
 // that has already produced partial chunks (arbitrary, usually
-// mid-segment boundaries) resumes on the cursor path and the
+// mid-segment boundaries) resumes on the compiled-chunked tier and the
 // concatenated stream still equals the compiled one-shot output. Same
 // for the Unpacker.
 func TestPackerResumeMidSegment(t *testing.T) {
@@ -212,7 +212,8 @@ func TestPackerResumeMidSegment(t *testing.T) {
 		}
 
 		// Stream a few partial chunks, then drain the rest in one call
-		// (which must not take the plan path: the cursor is mid-stream).
+		// (which must not take the whole-message path: the stream is
+		// already under way).
 		p, err := ty.NewPacker(src, count)
 		if err != nil {
 			t.Fatal(err)
@@ -430,9 +431,8 @@ func TestPlanKernelSelection(t *testing.T) {
 }
 
 // TestPlanStatsCounters checks that executions are attributed to the
-// right counters: compiled kernels for whole-message calls, the
-// compiled-chunked tier for streaming, and the cursor only when the
-// compiled-chunked tier is switched off.
+// right counters: compiled kernels for whole-message calls and the
+// compiled-chunked tier for streaming.
 func TestPlanStatsCounters(t *testing.T) {
 	ty := mustType(Vector(1000, 1, 2, Float64))
 	src := buf.Alloc(int(ty.Extent()))
@@ -447,50 +447,28 @@ func TestPlanStatsCounters(t *testing.T) {
 	if d.StrideOps != 1 || d.StrideBytes != ty.Size() {
 		t.Fatalf("stride delta = %+v, want 1 op / %d bytes", d, ty.Size())
 	}
-	if d.CursorOps != 0 {
-		t.Fatalf("whole-message pack went through the cursor: %+v", d)
-	}
 	if d.ChunkOps != 0 {
 		t.Fatalf("whole-message pack attributed to the chunk tier: %+v", d)
 	}
 
-	stream := func() PlanStats {
-		before := PlanStatsSnapshot()
-		p, err := ty.NewPacker(src, 1)
-		if err != nil {
+	// Chunked streaming runs on the compiled kernels.
+	before = PlanStatsSnapshot()
+	p, err := ty.NewPacker(src, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := buf.Alloc(128)
+	for p.Remaining() > 0 {
+		if _, err := p.Pack(chunk); err != nil {
 			t.Fatal(err)
 		}
-		chunk := buf.Alloc(128)
-		for p.Remaining() > 0 {
-			if _, err := p.Pack(chunk); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return PlanStatsSnapshot().Sub(before)
 	}
-
-	// Default: chunked streaming runs on the compiled kernels.
-	d = stream()
+	d = PlanStatsSnapshot().Sub(before)
 	if d.ChunkOps == 0 || d.ChunkBytes != ty.Size() {
 		t.Fatalf("chunked stream not attributed to the compiled-chunked tier: %+v", d)
 	}
 	if d.StrideBytes != ty.Size() {
 		t.Fatalf("chunked stream not attributed to the stride kernel: %+v", d)
-	}
-	if d.CursorOps != 0 {
-		t.Fatalf("chunked stream fell back to the cursor: %+v", d)
-	}
-
-	// Fallback: with the compiled-chunked tier off, the cursor moves
-	// the stream.
-	SetChunkedCompiled(false)
-	defer SetChunkedCompiled(true)
-	d = stream()
-	if d.CursorOps == 0 || d.CursorBytes != ty.Size() {
-		t.Fatalf("fallback stream not attributed to the cursor: %+v", d)
-	}
-	if d.CompiledBytes() != 0 || d.ChunkOps != 0 {
-		t.Fatalf("fallback stream attributed to compiled kernels: %+v", d)
 	}
 }
 

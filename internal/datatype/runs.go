@@ -9,7 +9,7 @@ import (
 // runs is the canonical flattened form of one type instance.
 //
 // Regular form: n runs of runLen bytes; run j starts at
-// start + j*(runLen+gap). Random access is O(1), so pack cursors and
+// start + j*(runLen+gap). Random access is O(1), so pack kernels and
 // chunked internal sends never materialise the segment list — vital
 // for the 10⁸-element vector types at the top of the paper's sweeps.
 //
@@ -131,14 +131,6 @@ func (r runs) size() int64 {
 		s += seg.Len
 	}
 	return s
-}
-
-// seg returns the j-th segment (0-based) of the instance.
-func (r runs) seg(j int64) layout.Segment {
-	if r.regular {
-		return layout.Segment{Off: r.start + j*(r.runLen+r.gap), Len: r.runLen}
-	}
-	return r.segs[j]
 }
 
 // forEach iterates the instance's segments shifted by base.

@@ -15,10 +15,11 @@ import (
 // CanonStudy is E19: the Commit-time datatype normalizer (the TEMPI
 // direction), measured in real (wall-clock) time.
 //
-// Each panel packs one nested derived type twice — once with the
-// normalization pass enabled (the canonical strided-block program,
-// executed in closed form) and once with it disabled (the raw
-// flattened gather table) — and charts both rates. Alongside the
+// Each panel packs one nested derived type — its normalized program,
+// the canonical strided-block form executed in closed form — and its
+// datatype.GatherTwin, the same runs as a table no closed form matches,
+// which stands in for the raw flattened gather walk; it charts both
+// rates. Alongside the
 // bandwidths the study records what the pass actually did to each
 // type: the per-instance run count it collapsed, the dimensionality of
 // the closed form, the class label of the program, and the
@@ -27,22 +28,22 @@ import (
 //
 // The third family is the deliberate miss: an irregular indexed type
 // no closed form matches, where the normalizer can only hoist the
-// uniform element size. Its canon-vs-raw ratio near 1 is the study's
+// uniform element size. Its canon-vs-twin ratio near 1 is the study's
 // control — the pass helps where a canonical form exists and costs
 // nothing where one doesn't.
 type CanonStudy struct {
 	Reps int
 
-	// Panels holds one canon-vs-raw comparison per type family.
+	// Panels holds one canon-vs-twin comparison per type family.
 	Panels []CanonPanel
 }
 
-// CanonPanel is one type family's normalized/raw comparison.
+// CanonPanel is one type family's normalized/gather-twin comparison.
 type CanonPanel struct {
 	Layout string
 	Sizes  []int64
 
-	Canon, Raw *stats.Series // pack bandwidth, GB/s
+	Canon, Twin *stats.Series // pack bandwidth, GB/s
 
 	// Per-size attribution of the normalized program: the raw run
 	// count the pass collapsed (0 when it fell back to the table),
@@ -53,9 +54,10 @@ type CanonPanel struct {
 	Classes []string
 	Forms   []string
 
-	// Stats is the plan-counter delta of the canon sweep per size; for
-	// collapsing families every packed byte must land on BlockOps.
-	Stats []datatype.PlanStats
+	// Stats and TwinStats are the plan-counter deltas of the canon and
+	// twin sweeps per size; for collapsing families every canon pack
+	// must land on BlockOps and every twin pack on GatherOps.
+	Stats, TwinStats []datatype.PlanStats
 }
 
 // canonGeometry builds one study type covering about n payload bytes.
@@ -126,10 +128,9 @@ var canonGeometries = []canonGeometry{
 // per-pack fixed costs don't dominate the timed loop.
 const canonStudyMinBytes = 64 << 10
 
-// BuildCanonStudy measures normalized-vs-raw pack bandwidth for each
+// BuildCanonStudy measures normalized-vs-twin pack bandwidth for each
 // family and size. Sizes above opt.MaxRealBytes (or under
 // canonStudyMinBytes) are skipped: the study times real byte movement.
-// The normalization gate is restored on return.
 func BuildCanonStudy(sizes []int64, opt harness.Options) (*CanonStudy, error) {
 	if opt.Reps == 0 {
 		opt.Reps = 12
@@ -137,14 +138,12 @@ func BuildCanonStudy(sizes []int64, opt harness.Options) (*CanonStudy, error) {
 	if opt.MaxRealBytes == 0 {
 		opt.MaxRealBytes = 16 << 20
 	}
-	prev := datatype.NormalizeEnabled()
-	defer datatype.SetNormalize(prev)
 	st := &CanonStudy{Reps: opt.Reps}
 	for _, g := range canonGeometries {
 		panel := CanonPanel{
 			Layout: g.name,
 			Canon:  &stats.Series{Label: "normalized (canonical program)"},
-			Raw:    &stats.Series{Label: "raw (flattened table walk)"},
+			Twin:   &stats.Series{Label: "gather twin (flattened table walk)"},
 		}
 		for _, n := range sizes {
 			if n > opt.MaxRealBytes || n < canonStudyMinBytes {
@@ -163,47 +162,50 @@ func BuildCanonStudy(sizes []int64, opt harness.Options) (*CanonStudy, error) {
 	return st, nil
 }
 
-// canonPackTime builds the geometry's type under the given gate
-// setting and times reps compiled packs, returning seconds, the moved
-// bytes per pack, and the committed type for attribution.
-func canonPackTime(g canonGeometry, n int64, on bool, reps int) (float64, int64, *datatype.Type, error) {
-	datatype.SetNormalize(on)
-	ty, err := g.build(n)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if err := ty.Commit(); err != nil {
-		return 0, 0, nil, err
-	}
+// canonPack times reps compiled packs of ty, returning seconds, the
+// moved bytes per pack and the plan-counter delta of the sweep.
+func canonPack(ty *datatype.Type, reps int) (float64, int64, datatype.PlanStats, error) {
+	before := datatype.PlanStatsSnapshot()
 	plan, err := ty.CompilePlan(1)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, datatype.PlanStats{}, err
 	}
-	src := buf.Alloc(int(ty.Extent()))
+	src := buf.Alloc(int(ty.UB()))
 	src.FillPattern(0x19)
 	packed := buf.Alloc(int(plan.Bytes()))
 	start := time.Now()
 	for r := 0; r < reps; r++ {
 		if _, err := plan.Pack(src, packed); err != nil {
-			return 0, 0, nil, err
+			return 0, 0, datatype.PlanStats{}, err
 		}
 	}
-	return time.Since(start).Seconds(), plan.Bytes(), ty, nil
+	return time.Since(start).Seconds(), plan.Bytes(), datatype.PlanStatsSnapshot().Sub(before), nil
 }
 
-// measure runs both gate settings for one (family, size) cell.
+// measure packs the family's type and its gather twin for one
+// (family, size) cell.
 func (p *CanonPanel) measure(g canonGeometry, n int64, reps int) error {
-	before := datatype.PlanStatsSnapshot()
-	canonSecs, moved, ty, err := canonPackTime(g, n, true, reps)
+	ty, err := g.build(n)
 	if err != nil {
 		return err
 	}
-	p.Stats = append(p.Stats, datatype.PlanStatsSnapshot().Sub(before))
-
-	rawSecs, _, _, err := canonPackTime(g, n, false, reps)
+	if err := ty.Commit(); err != nil {
+		return err
+	}
+	twin, err := datatype.GatherTwin(ty)
 	if err != nil {
 		return err
 	}
+	canonSecs, moved, canonStats, err := canonPack(ty, reps)
+	if err != nil {
+		return err
+	}
+	twinSecs, _, twinStats, err := canonPack(twin, reps)
+	if err != nil {
+		return err
+	}
+	p.Stats = append(p.Stats, canonStats)
+	p.TwinStats = append(p.TwinStats, twinStats)
 
 	plan, err := ty.CompilePlan(1)
 	if err != nil {
@@ -217,7 +219,7 @@ func (p *CanonPanel) measure(g canonGeometry, n int64, reps int) error {
 
 	bytes := float64(moved) * float64(reps)
 	p.Canon.Append(float64(n), gbps(bytes, canonSecs))
-	p.Raw.Append(float64(n), gbps(bytes, rawSecs))
+	p.Twin.Append(float64(n), gbps(bytes, twinSecs))
 	return nil
 }
 
@@ -227,37 +229,37 @@ func (st *CanonStudy) Render(w io.Writer) error {
 	fmt.Fprintf(w, "== E19 canonical-normalizer study (%d reps, wall time) ==\n\n", st.Reps)
 	for _, p := range st.Panels {
 		cfg := plot.Config{
-			Title:  fmt.Sprintf("%s: normalized vs raw pack bandwidth (GB/s)", p.Layout),
+			Title:  fmt.Sprintf("%s: normalized vs gather-twin pack bandwidth (GB/s)", p.Layout),
 			XLabel: "message bytes", YLabel: "GB/s", LogX: true,
 		}
-		if err := plot.ASCII(w, cfg, []*stats.Series{p.Canon, p.Raw}); err != nil {
+		if err := plot.ASCII(w, cfg, []*stats.Series{p.Canon, p.Twin}); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%s per size:\n", p.Layout)
 		for i, n := range p.Sizes {
-			speed := ratio(p.Canon.Y[i], p.Raw.Y[i])
+			speed := ratio(p.Canon.Y[i], p.Twin.Y[i])
 			reduction := "table kept (uniform hoist)"
 			if p.RawRuns[i] > 0 {
 				reduction = fmt.Sprintf("runs %d→%d (block%dd)", p.RawRuns[i], p.Dims[i], p.Dims[i])
 			}
-			fmt.Fprintf(w, "  %12d B  canon %6.2f GB/s  raw %6.2f GB/s  canon/raw %.2fx  class %s  %s\n",
-				n, p.Canon.Y[i], p.Raw.Y[i], speed, p.Classes[i], reduction)
+			fmt.Fprintf(w, "  %12d B  canon %6.2f GB/s  twin %6.2f GB/s  canon/twin %.2fx  class %s  %s\n",
+				n, p.Canon.Y[i], p.Twin.Y[i], speed, p.Classes[i], reduction)
 			fmt.Fprintf(w, "                 %s  %v\n", p.Forms[i], p.Stats[i])
 		}
 		fmt.Fprintln(w)
 	}
 	largest := st.Panels[0].Sizes[len(st.Panels[0].Sizes)-1]
-	fmt.Fprintf(w, "the normalized block kernel is %.2fx the raw table walk on nested 8-byte runs at the largest size\n\n",
+	fmt.Fprintf(w, "the normalized block kernel is %.2fx the gather twin's table walk on nested 8-byte runs at the largest size\n\n",
 		st.CanonSpeedupAt("hvecOfVec8B", largest))
 	return nil
 }
 
-// CanonSpeedupAt returns normalized/raw bandwidth for the named family
+// CanonSpeedupAt returns normalized/twin bandwidth for the named family
 // at the size closest to n (0 when the family is unknown).
 func (st *CanonStudy) CanonSpeedupAt(layoutName string, n int64) float64 {
 	for _, p := range st.Panels {
 		if p.Layout == layoutName {
-			best, _ := stats.Ratio("", p.Canon, p.Raw).Nearest(float64(n))
+			best, _ := stats.Ratio("", p.Canon, p.Twin).Nearest(float64(n))
 			return best
 		}
 	}

@@ -4,15 +4,15 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/datatype"
 	"repro/internal/harness"
 )
 
 // TestCanonStudy pins the E19 contract: the collapsing families resolve
 // to block kernels with positive run-count reductions and regular
-// kernel classes, every packed byte of their canon sweeps lands on
-// BlockOps, the irregular control keeps its gather table, size bounds
-// are honoured, and Render reports the per-size attribution.
+// kernel classes, every pack of their canon sweeps lands on BlockOps
+// and every pack of their twin sweeps on GatherOps, the irregular
+// control keeps its gather table, size bounds are honoured, and Render
+// reports the per-size attribution.
 func TestCanonStudy(t *testing.T) {
 	opt := harness.Options{Reps: 3, MaxRealBytes: 1 << 20}
 	st, err := BuildCanonStudy([]int64{8 << 10, 128 << 10, 512 << 10, 64 << 20}, opt)
@@ -28,10 +28,14 @@ func TestCanonStudy(t *testing.T) {
 			t.Fatalf("%s kept sizes %v, want the two inside [min,max]", p.Layout, p.Sizes)
 		}
 		for i, n := range p.Sizes {
-			if p.Canon.Y[i] <= 0 || p.Raw.Y[i] <= 0 {
+			if p.Canon.Y[i] <= 0 || p.Twin.Y[i] <= 0 {
 				t.Fatalf("%s: non-positive bandwidth at %d B", p.Layout, n)
 			}
-			d := p.Stats[i]
+			d, tw := p.Stats[i], p.TwinStats[i]
+			if tw.GatherOps < int64(st.Reps) || tw.BlockOps != 0 {
+				t.Errorf("%s at %d B: twin sweep block=%d gather=%d, want all packs on the gather walk",
+					p.Layout, n, tw.BlockOps, tw.GatherOps)
+			}
 			if g.collapses {
 				if p.RawRuns[i] <= int64(p.Dims[i]) || p.Dims[i] < 2 {
 					t.Errorf("%s at %d B: runs %d dims %d, want a real collapse",
@@ -65,15 +69,12 @@ func TestCanonStudy(t *testing.T) {
 	if st.CanonSpeedupAt("hvecOfVec8B", 512<<10) <= 0 {
 		t.Error("canon speedup not computable")
 	}
-	if !datatype.NormalizeEnabled() {
-		t.Error("study left the normalization gate disabled")
-	}
 	var sb strings.Builder
 	if err := st.Render(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"E19", "normalized (canonical program)", "canon/raw", "canon{block"} {
+	for _, want := range []string{"E19", "normalized (canonical program)", "canon/twin", "canon{block"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render lacks %q", want)
 		}

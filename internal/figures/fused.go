@@ -17,16 +17,14 @@ import (
 // the staged pipeline it replaces, measured in real (wall-clock) time
 // across the paper's layouts.
 //
-// Each panel compares three engines moving the same message from one
+// Each panel compares two engines moving the same message from one
 // user layout into another:
 //
 //   - fused: datatype.FusedCopy — one pass over the pair schedule of
 //     the two compiled plans, no staging buffer (the engine behind the
 //     sendv rendezvous);
 //   - staged: compiled Pack into a staging buffer, compiled Unpack out
-//     of it — two passes, the shape of the classic typed rendezvous;
-//   - cursor: the same staged pipeline through the interpreting
-//     cursor, the true-fallback baseline.
+//     of it — two passes, the shape of the classic typed rendezvous.
 //
 // The fused engine's headroom is the paper's point made mechanical:
 // the staged pipeline's second pass (and its staging traffic) is pure
@@ -40,12 +38,12 @@ type FusedStudy struct {
 	Panels []FusedPanel
 }
 
-// FusedPanel is one layout's fused/staged/cursor comparison.
+// FusedPanel is one layout's fused/staged comparison.
 type FusedPanel struct {
 	Layout string
 	Sizes  []int64
 
-	Fused, Staged, Cursor *stats.Series
+	Fused, Staged *stats.Series
 
 	// Stats is the plan-counter delta of the fused sweep per size; it
 	// must attribute every fused byte to FusedOps/FusedBytes.
@@ -68,12 +66,11 @@ var fusedGeometries = []fusedGeometry{
 	{"blocked64->blocked64", 64, 128, 64, 128},
 }
 
-// fusedStudyMinBytes keeps every measured message well above the
-// cursor leg's streaming chunk, so the chunked streams never take a
-// whole-message fast path.
+// fusedStudyMinBytes keeps the measured messages large enough that the
+// per-transfer fixed costs don't dominate the timed loop.
 const fusedStudyMinBytes = 64 << 10
 
-// BuildFusedStudy measures the three engines for each layout and
+// BuildFusedStudy measures the two engines for each layout and
 // size. Sizes above opt.MaxRealBytes (or under fusedStudyMinBytes)
 // are skipped: the study times real byte movement.
 func BuildFusedStudy(profileName string, sizes []int64, opt harness.Options) (*FusedStudy, error) {
@@ -93,7 +90,6 @@ func BuildFusedStudy(profileName string, sizes []int64, opt harness.Options) (*F
 			Layout: g.name,
 			Fused:  &stats.Series{Label: "fused (one pass, no staging)"},
 			Staged: &stats.Series{Label: "staged (pack + unpack)"},
-			Cursor: &stats.Series{Label: "staged, cursor"},
 		}
 		for _, n := range sizes {
 			if n > opt.MaxRealBytes || n < fusedStudyMinBytes {
@@ -135,7 +131,7 @@ func userBlock(ty *datatype.Type, fill bool) buf.Block {
 	return b
 }
 
-// measure runs the three engines for one (layout, size) cell.
+// measure runs the two engines for one (layout, size) cell.
 func (p *FusedPanel) measure(g fusedGeometry, n int64, reps int) error {
 	srcTy, err := vectorFor(n, g.srcBlock, g.srcStride)
 	if err != nil {
@@ -191,46 +187,8 @@ func (p *FusedPanel) measure(g fusedGeometry, n int64, reps int) error {
 	}
 	staged := time.Since(start).Seconds()
 
-	// Cursor: the same staged pipeline on the interpreting engine,
-	// streamed in sub-message chunks so neither stream takes the
-	// whole-message compiled fast path (the study's sizes sit above
-	// fusedStudyMinBytes, which is larger than the chunk).
-	prevChunked := datatype.ChunkedCompiled()
-	datatype.SetChunkedCompiled(false)
-	defer datatype.SetChunkedCompiled(prevChunked)
-	const chunk = int64(32 << 10)
-	limit := min(srcPlan.Bytes(), dstPlan.Bytes())
-	start = time.Now()
-	for r := 0; r < reps; r++ {
-		pk, err := srcTy.NewPacker(src, 1)
-		if err != nil {
-			return err
-		}
-		var off int64
-		for pk.Remaining() > 0 {
-			sz := min(pk.Remaining(), chunk)
-			if _, err := pk.Pack(staging.Slice(int(off), int(sz))); err != nil {
-				return err
-			}
-			off += sz
-		}
-		up, err := dstTy.NewUnpacker(dst, 1)
-		if err != nil {
-			return err
-		}
-		for off = 0; off < limit; {
-			sz := min(limit-off, chunk)
-			if _, err := up.Unpack(staging.Slice(int(off), int(sz))); err != nil {
-				return err
-			}
-			off += sz
-		}
-	}
-	cursor := time.Since(start).Seconds()
-
 	p.Fused.Append(float64(n), gbps(moved, fused))
 	p.Staged.Append(float64(n), gbps(moved, staged))
-	p.Cursor.Append(float64(n), gbps(moved, cursor))
 	return nil
 }
 
@@ -240,17 +198,17 @@ func (st *FusedStudy) Render(w io.Writer) error {
 	fmt.Fprintf(w, "== E14 fused-transfer study — %s (%d reps, wall time) ==\n\n", st.Profile.Name, st.Reps)
 	for _, p := range st.Panels {
 		cfg := plot.Config{
-			Title:  fmt.Sprintf("%s: fused vs staged vs cursor transfer bandwidth (GB/s)", p.Layout),
+			Title:  fmt.Sprintf("%s: fused vs staged transfer bandwidth (GB/s)", p.Layout),
 			XLabel: "message bytes", YLabel: "GB/s", LogX: true,
 		}
-		if err := plot.ASCII(w, cfg, []*stats.Series{p.Fused, p.Staged, p.Cursor}); err != nil {
+		if err := plot.ASCII(w, cfg, []*stats.Series{p.Fused, p.Staged}); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%s fused-vs-staged per size:\n", p.Layout)
 		for i, n := range p.Sizes {
 			speed := ratio(p.Fused.Y[i], p.Staged.Y[i])
-			fmt.Fprintf(w, "  %12d B  fused %6.2f GB/s  staged %6.2f GB/s  cursor %6.2f GB/s  fused/staged %.2fx  %v\n",
-				n, p.Fused.Y[i], p.Staged.Y[i], p.Cursor.Y[i], speed, p.Stats[i])
+			fmt.Fprintf(w, "  %12d B  fused %6.2f GB/s  staged %6.2f GB/s  fused/staged %.2fx  %v\n",
+				n, p.Fused.Y[i], p.Staged.Y[i], speed, p.Stats[i])
 		}
 		fmt.Fprintln(w)
 	}

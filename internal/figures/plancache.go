@@ -22,9 +22,9 @@ import (
 // blames for non-contiguous overhead — type construction, commit-time
 // flattening, plan compilation — on every pack; the warm curve reuses
 // one committed type so every pack is a plan-cache hit executing the
-// stride kernel. The chunked pair compares 64 KiB streaming through
-// the interpreting cursor against the same stream on the compiled
-// kernels (tier 2).
+// stride kernel. The chunked curve streams the same message in 64 KiB
+// pieces through a Packer, each piece entering the compiled kernels
+// mid-stream.
 type PlanCacheStudy struct {
 	Profile *perfmodel.Profile
 	Sizes   []int64
@@ -35,10 +35,9 @@ type PlanCacheStudy struct {
 	// cache.
 	Cold, Warm *stats.Series
 
-	// ChunkCursor and ChunkCompiled are chunked-streaming bandwidths
-	// (GB/s) through the interpreting cursor and the compiled-chunked
-	// tier.
-	ChunkCursor, ChunkCompiled *stats.Series
+	// Chunked is the chunked-streaming bandwidth (GB/s) on the
+	// compiled-chunked tier.
+	Chunked *stats.Series
 
 	// HitRates is the warm pass's plan-cache hit rate per size, and
 	// WarmStats the full counter deltas (which must show zero
@@ -52,7 +51,7 @@ type PlanCacheStudy struct {
 const planCacheChunk = 64 << 10
 
 // BuildPlanCacheStudy measures cold-vs-warm plan-cache pack bandwidth
-// and cursor-vs-compiled chunked streaming for each size. Sizes above
+// and compiled chunked streaming for each size. Sizes above
 // opt.MaxRealBytes are skipped: this study times real byte movement.
 func BuildPlanCacheStudy(profileName string, sizes []int64, opt harness.Options) (*PlanCacheStudy, error) {
 	prof, err := perfmodel.ByName(profileName)
@@ -66,12 +65,11 @@ func BuildPlanCacheStudy(profileName string, sizes []int64, opt harness.Options)
 		opt.MaxRealBytes = 16 << 20
 	}
 	st := &PlanCacheStudy{
-		Profile:       prof,
-		Reps:          opt.Reps,
-		Cold:          &stats.Series{Label: "cold (construct+commit+compile+pack)"},
-		Warm:          &stats.Series{Label: "warm (plan-cache hit)"},
-		ChunkCursor:   &stats.Series{Label: "chunked, cursor"},
-		ChunkCompiled: &stats.Series{Label: "chunked, compiled"},
+		Profile: prof,
+		Reps:    opt.Reps,
+		Cold:    &stats.Series{Label: "cold (construct+commit+compile+pack)"},
+		Warm:    &stats.Series{Label: "warm (plan-cache hit)"},
+		Chunked: &stats.Series{Label: "chunked, compiled"},
 	}
 	for _, n := range sizes {
 		if n > opt.MaxRealBytes || n < 2*core.ElemSize {
@@ -88,7 +86,7 @@ func BuildPlanCacheStudy(profileName string, sizes []int64, opt harness.Options)
 	return st, nil
 }
 
-// measureSize runs the four measurements for one payload size.
+// measureSize runs the three measurements for one payload size.
 func (st *PlanCacheStudy) measureSize(n int64, reps int) error {
 	count := int(n / core.ElemSize)
 	ty, err := datatype.Vector(count, 1, 2, datatype.Float64)
@@ -140,42 +138,26 @@ func (st *PlanCacheStudy) measureSize(n int64, reps int) error {
 	warm := time.Since(warmStart).Seconds()
 	delta := datatype.PlanStatsSnapshot().Sub(warmBefore)
 
-	// Chunked streaming: cursor fallback vs compiled-chunked tier.
-	chunked := func(compiled bool) (float64, error) {
-		datatype.SetChunkedCompiled(compiled)
-		defer datatype.SetChunkedCompiled(true)
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			p, err := ty.NewPacker(src, 1)
-			if err != nil {
-				return 0, err
-			}
-			for p.Remaining() > 0 {
-				sz := p.Remaining()
-				if sz > planCacheChunk {
-					sz = planCacheChunk
-				}
-				if _, err := p.Pack(dst.Slice(0, int(sz))); err != nil {
-					return 0, err
-				}
+	// Chunked streaming on the compiled-chunked tier.
+	chunkStart := time.Now()
+	for r := 0; r < reps; r++ {
+		p, err := ty.NewPacker(src, 1)
+		if err != nil {
+			return err
+		}
+		for p.Remaining() > 0 {
+			sz := min(p.Remaining(), planCacheChunk)
+			if _, err := p.Pack(dst.Slice(0, int(sz))); err != nil {
+				return err
 			}
 		}
-		return time.Since(start).Seconds(), nil
 	}
-	cursorT, err := chunked(false)
-	if err != nil {
-		return err
-	}
-	compiledT, err := chunked(true)
-	if err != nil {
-		return err
-	}
+	chunked := time.Since(chunkStart).Seconds()
 
 	moved := float64(n) * float64(reps)
 	st.Cold.Append(float64(n), gbps(moved, cold))
 	st.Warm.Append(float64(n), gbps(moved, warm))
-	st.ChunkCursor.Append(float64(n), gbps(moved, cursorT))
-	st.ChunkCompiled.Append(float64(n), gbps(moved, compiledT))
+	st.Chunked.Append(float64(n), gbps(moved, chunked))
 	st.HitRates = append(st.HitRates, delta.HitRate())
 	st.WarmStats = append(st.WarmStats, delta)
 	return nil
@@ -189,8 +171,8 @@ func (st *PlanCacheStudy) Render(w io.Writer) error {
 	if err := plot.ASCII(w, cfg, []*stats.Series{st.Cold, st.Warm}); err != nil {
 		return err
 	}
-	cfg.Title = "chunked streaming bandwidth, cursor vs compiled kernels (GB/s)"
-	if err := plot.ASCII(w, cfg, []*stats.Series{st.ChunkCursor, st.ChunkCompiled}); err != nil {
+	cfg.Title = "chunked streaming bandwidth, compiled kernels (GB/s)"
+	if err := plot.ASCII(w, cfg, []*stats.Series{st.Chunked}); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "plan-cache behaviour per size (warm sweep):")

@@ -21,7 +21,7 @@ func TestPlanCacheStudy(t *testing.T) {
 		t.Fatalf("sizes kept = %v, want the two under MaxRealBytes", st.Sizes)
 	}
 	for i := range st.Sizes {
-		if st.Cold.Y[i] <= 0 || st.Warm.Y[i] <= 0 || st.ChunkCursor.Y[i] <= 0 || st.ChunkCompiled.Y[i] <= 0 {
+		if st.Cold.Y[i] <= 0 || st.Warm.Y[i] <= 0 || st.Chunked.Y[i] <= 0 {
 			t.Fatalf("non-positive bandwidth at %d B", st.Sizes[i])
 		}
 		if st.HitRates[i] != 1 {

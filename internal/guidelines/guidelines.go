@@ -52,9 +52,9 @@ const (
 	// must not lose to any alternative scheme on the measured grid.
 	RecommenderMinimal
 	// NormalizedVsRaw: a type whose program the Commit-time normalizer
-	// canonicalised must never price slower than its raw table-walk
-	// program on the identical payload — the normalization pass may
-	// only help.
+	// canonicalised must never price slower than the raw table walk
+	// over the same runs — its datatype.GatherTwin — on the identical
+	// payload: the normalization pass may only help.
 	NormalizedVsRaw
 
 	numRules

@@ -109,8 +109,8 @@ func measureCell(profile string, lay LayoutSpec, n int64, cfg Config) ([]Result,
 		Plan: plans[rec.Scheme],
 	})
 
-	// Normalizer bound: the canonicalised nested layout against its raw
-	// table-walk program on the identical payload.
+	// Normalizer bound: the canonicalised nested layout against its
+	// gather twin's table walk on the identical payload.
 	norm, err := measureNormalized(p, lay, n, cfg)
 	if err != nil {
 		return nil, err
@@ -134,10 +134,12 @@ func measureCell(profile string, lay LayoutSpec, n int64, cfg Config) ([]Result,
 // point: an hvector-of-vector nesting of the layout family — the shape
 // the Commit-time normalizer collapses into a canonical strided block —
 // is sent through the software-pipelined typed send (SendpType, the
-// engine whose slot ring the block kernels fill) with the normalizer on
-// (Lhs) and off (Rhs) over the virtual clock. Both runs move identical
-// bytes through identical protocol paths; only the compiled program
-// differs, so the canonicalised side must never price slower.
+// engine whose slot ring the block kernels fill) as itself (Lhs) and as
+// its datatype.GatherTwin (Rhs), over the virtual clock. The twin has
+// the same size and runs but no closed form, so it stands in for the
+// raw program: both runs move identical bytes through identical
+// protocol paths, only the compiled program differs, and the
+// canonicalised side must never price slower.
 func measureNormalized(p *perfmodel.Profile, lay LayoutSpec, n int64, cfg Config) (Result, error) {
 	const innerRuns, tag = 8, 7
 	rowBytes := int64(innerRuns * lay.BlockLen * 8)
@@ -145,10 +147,7 @@ func measureNormalized(p *perfmodel.Profile, lay LayoutSpec, n int64, cfg Config
 	if rows < 2 {
 		rows = 2
 	}
-	run := func(on bool) (float64, datatype.PlanStats, error) {
-		prev := datatype.NormalizeEnabled()
-		datatype.SetNormalize(on)
-		defer datatype.SetNormalize(prev)
+	run := func(twin bool) (float64, datatype.PlanStats, error) {
 		var secs float64
 		var plan datatype.PlanStats
 		err := mpi.Run(2, mpi.Options{Profile: p, WallLimit: 2 * time.Minute}, func(c *mpi.Comm) error {
@@ -166,6 +165,11 @@ func measureNormalized(p *perfmodel.Profile, lay LayoutSpec, n int64, cfg Config
 			}
 			if err := ty.Commit(); err != nil {
 				return err
+			}
+			if twin {
+				if ty, err = datatype.GatherTwin(ty); err != nil {
+					return err
+				}
 			}
 			b := buf.Alloc(int(ty.Extent()))
 			if c.Rank() == 0 {
@@ -192,17 +196,17 @@ func measureNormalized(p *perfmodel.Profile, lay LayoutSpec, n int64, cfg Config
 		})
 		return secs, plan, err
 	}
-	normT, normPlan, err := run(true)
+	normT, normPlan, err := run(false)
 	if err != nil {
 		return Result{}, fmt.Errorf("normalized send: %w", err)
 	}
-	rawT, _, err := run(false)
+	rawT, _, err := run(true)
 	if err != nil {
-		return Result{}, fmt.Errorf("raw send: %w", err)
+		return Result{}, fmt.Errorf("gather-twin send: %w", err)
 	}
 	return Result{
 		Cell:    Cell{Rule: NormalizedVsRaw, Bytes: rows * rowBytes, Ranks: 2},
-		LhsName: "SendpType(normalized)", RhsName: "SendpType(raw)",
+		LhsName: "SendpType(normalized)", RhsName: "SendpType(gather twin)",
 		Lhs: normT, Rhs: rawT, Plan: normPlan,
 	}, nil
 }

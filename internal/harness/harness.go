@@ -92,11 +92,11 @@ type Measurement struct {
 	// receiver unpacks; the oracle's expected pack belongs to the
 	// grid's fixture set and runs before any window opens). It shows
 	// which tier — compiled whole-message kernels, compiled-chunked
-	// streaming, parallel execution, or the interpreting-cursor
-	// fallback — moved the cell's bytes, how the plan cache behaved
-	// (PlanHits/PlanMisses, PlanStats.HitRate), and how each typed
-	// rendezvous payload travelled: FusedOps/FusedBytes for one-pass
-	// fused transfers (the sendv scheme's zero-staging path),
+	// streaming or parallel execution — moved the cell's bytes, how
+	// the plan cache behaved (PlanHits/PlanMisses, PlanStats.HitRate),
+	// and how each typed rendezvous payload travelled:
+	// FusedOps/FusedBytes for one-pass fused transfers (the sendv
+	// scheme's zero-staging path),
 	// StagedOps/StagedBytes for the two-pass pack→staging→unpack
 	// pipeline. Studies use the fused-vs-staged split to verify the
 	// sendv cells really skipped the staging buffer.

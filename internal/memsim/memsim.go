@@ -354,7 +354,8 @@ const (
 	// Normalized is a compiled plan whose program the Commit-time
 	// normalizer collapsed into a closed-form strided-block descriptor
 	// (datatype.KernelBlock), the term behind the "normalized<=raw"
-	// guideline and the E19 model panel.
+	// guideline (raw: the type's gather twin, priced Compiled) and the
+	// E19 model panel.
 	Normalized
 )
 

@@ -27,8 +27,9 @@ import (
 // SendpType is the software-pipelined typed send: identical semantics
 // to SendType, but past the eager limit the rendezvous chunk loop
 // overlaps packing with injection through the slot ring. Eager-sized
-// payloads, single-chunk payloads and cursor-fallback streams
-// (SetChunkedCompiled(false)) take the ordinary serial typed path.
+// payloads, single-chunk payloads and sends with the pipelined engine
+// switched off (datatype.SetPipelinedChunks(false)) take the ordinary
+// serial typed path.
 func (c *Comm) SendpType(b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
 	if err := c.checkP2P(dest, tag); err != nil {
 		return err
@@ -66,11 +67,8 @@ func (c *Comm) IsendpType(b buf.Block, count int, ty *datatype.Type, dest, tag i
 }
 
 // pipelineEnabled reports whether the pipelined chunk engine may run:
-// both datatype gates are on (the cursor fallback disables the
-// compiled kernels the slot ring is filled by).
-func pipelineEnabled() bool {
-	return datatype.ChunkedCompiled() && datatype.PipelinedChunks()
-}
+// the datatype package's pipelined-chunks gate is on.
+func pipelineEnabled() bool { return datatype.PipelinedChunks() }
 
 // Chunk-streamed collective hops. A pipelined collective schedule
 // moves packed blocks between ranks in internal-chunk pieces on

@@ -204,8 +204,7 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	chunks := p.Chunks(n)
 	eager := !fl.forceRdv && c.eagerOK(n, fl.packed, !fl.asyncReturn && !b.IsVirtual())
 	// The pipelined engine needs the rendezvous chunk loop (eager
-	// sends pack in one shot before the envelope leaves) and the
-	// compiled kernels (the cursor is the true fallback); under the
+	// sends pack in one shot before the envelope leaves); under the
 	// reference-[2] NIC what-if the hardware already overlaps, so the
 	// software ring would only add a copy.
 	pipelined := fl.pipelined && !eager && chunks > 1 && !p.NICPipelining && pipelineEnabled()
@@ -435,12 +434,12 @@ type srcSums struct {
 // drainPacker streams the packed byte sequence of user into dst
 // through internal-chunk-sized pieces — the mechanical counterpart of
 // the cost charged in sendTyped. When either buffer is virtual no byte
-// lands and no sum exists, so a multi-chunk compiled drain is
-// attributed in closed form, chunk for chunk as the loop would.
+// lands and no sum exists, so a multi-chunk drain is attributed in
+// closed form, chunk for chunk as the loop would.
 func (c *Comm) drainPacker(packer *datatype.Packer, user, dst buf.Block, n int64, ss srcSums) error {
 	limit := min(n, int64(dst.Len()))
 	chunk := c.prof.InternalChunk()
-	if (user.IsVirtual() || dst.IsVirtual()) && limit > chunk && datatype.ChunkedCompiled() {
+	if (user.IsVirtual() || dst.IsVirtual()) && limit > chunk {
 		packer.RecordChunks(limit, chunk)
 		return nil
 	}

@@ -81,32 +81,27 @@ func runVirtualDrain(t *testing.T, prof *perfmodel.Profile, send, virt string, n
 // chunk, both virtual clocks, and the pooled blocks drawn — which may
 // only fall, since a drain that moves no bytes needs no slot ring.
 // Sizes straddle one internal chunk, span several and reach 10⁹ bytes
-// (with both sides virtual only: a real side would need a gigabyte),
-// under both the compiled-chunked tier and the interpreting cursor.
+// (with both sides virtual only: a real side would need a gigabyte).
 func TestVirtualDrainAttribution(t *testing.T) {
 	prof := perfmodel.Generic()
 	chunk := prof.InternalChunk()
-	defer datatype.SetChunkedCompiled(datatype.ChunkedCompiled())
 	var dump strings.Builder
-	for _, compiled := range []bool{true, false} {
-		datatype.SetChunkedCompiled(compiled)
-		for _, send := range []string{"SendType", "SendpType", "SendvType"} {
-			for _, virt := range []string{"sender", "receiver", "both"} {
-				for _, n := range []int64{chunk - 8, chunk, 3*chunk + 8, 1e9} {
-					if n == 1e9 && virt != "both" {
-						continue
-					}
-					key := fmt.Sprintf("%v/%s/%s/%d", compiled, send, virt, n)
-					got := runVirtualDrain(t, prof, send, virt, n)
-					fmt.Fprintf(&dump, "\t%q: {%q, %s, %s, %d},\n", key, got.plan,
-						strconv.FormatFloat(got.w0, 'g', -1, 64), strconv.FormatFloat(got.w1, 'g', -1, 64), got.gets)
-					want, ok := virtualDrainWant[key]
-					switch {
-					case !ok:
-						t.Errorf("%s: no recorded row", key)
-					case got.plan != want.plan || got.w0 != want.w0 || got.w1 != want.w1 || got.gets > want.gets:
-						t.Errorf("%s:\n got %v\nwant %v", key, got, want)
-					}
+	for _, send := range []string{"SendType", "SendpType", "SendvType"} {
+		for _, virt := range []string{"sender", "receiver", "both"} {
+			for _, n := range []int64{chunk - 8, chunk, 3*chunk + 8, 1e9} {
+				if n == 1e9 && virt != "both" {
+					continue
+				}
+				key := fmt.Sprintf("%s/%s/%d", send, virt, n)
+				got := runVirtualDrain(t, prof, send, virt, n)
+				fmt.Fprintf(&dump, "\t%q: {%q, %s, %s, %d},\n", key, got.plan,
+					strconv.FormatFloat(got.w0, 'g', -1, 64), strconv.FormatFloat(got.w1, 'g', -1, 64), got.gets)
+				want, ok := virtualDrainWant[key]
+				switch {
+				case !ok:
+					t.Errorf("%s: no recorded row", key)
+				case got.plan != want.plan || got.w0 != want.w0 || got.w1 != want.w1 || got.gets > want.gets:
+					t.Errorf("%s:\n got %v\nwant %v", key, got, want)
 				}
 			}
 		}
@@ -117,64 +112,34 @@ func TestVirtualDrainAttribution(t *testing.T) {
 }
 
 var virtualDrainWant = map[string]virtualDrainRow{
-	"true/SendType/sender/524280":      {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 1},
-	"true/SendType/sender/524288":      {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 1},
-	"true/SendType/sender/1572872":     {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 1},
-	"true/SendType/receiver/524280":    {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"true/SendType/receiver/524288":    {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"true/SendType/receiver/1572872":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
-	"true/SendType/both/524280":        {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"true/SendType/both/524288":        {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"true/SendType/both/1572872":       {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
-	"true/SendType/both/1000000000":    {"plan{compiled=0 cache=1/2 contig=0/0B stride=1909/2000000000B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1909/2000000000B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1000000000B}", 0.486139394, 0.668826326, 0},
-	"true/SendpType/sender/524280":     {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 1},
-	"true/SendpType/sender/524288":     {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 1},
-	"true/SendpType/sender/1572872":    {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 1},
-	"true/SendpType/receiver/524280":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"true/SendpType/receiver/524288":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"true/SendpType/receiver/1572872":  {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 3},
-	"true/SendpType/both/524280":       {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"true/SendpType/both/524288":       {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"true/SendpType/both/1572872":      {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 0},
-	"true/SendpType/both/1000000000":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=1909/2000000000B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1909/2000000000B pipelined=1908/1000000000B cursor=0/0B fused=0/0B staged=1/1000000000B}", 0.297139737, 0.479826669, 0},
-	"true/SendvType/sender/524280":     {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048560B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000152336, 0.000154836, 0},
-	"true/SendvType/sender/524288":     {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048576B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000152339, 0.000154839, 0},
-	"true/SendvType/sender/1572872":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=8/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=8/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000317514, 0.000320014, 0},
-	"true/SendvType/receiver/524280":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048560B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000152336, 0.000154836, 1},
-	"true/SendvType/receiver/524288":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048576B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000152339, 0.000154839, 1},
-	"true/SendvType/receiver/1572872":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=8/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=8/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000317514, 0.000320014, 3},
-	"true/SendvType/both/524280":       {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048560B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000152336, 0.000154836, 0},
-	"true/SendvType/both/524288":       {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048576B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000152339, 0.000154839, 0},
-	"true/SendvType/both/1572872":      {"plan{compiled=0 cache=0/2 contig=0/0B stride=8/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=8/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000317514, 0.000320014, 0},
-	"true/SendvType/both/1000000000":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=3816/2000000000B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=3816/2000000000B pipelined=1908/1000000000B cursor=0/0B fused=0/0B staged=1/1000000000B}", 0.171437032, 0.171439532, 0},
-	"false/SendType/sender/524280":     {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524280B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524280B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 1},
-	"false/SendType/sender/524288":     {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524288B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524288B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 1},
-	"false/SendType/sender/1572872":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=0/0B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=5/3145744B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 1},
-	"false/SendType/receiver/524280":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524280B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524280B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"false/SendType/receiver/524288":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524288B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524288B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"false/SendType/receiver/1572872":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=0/0B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=5/3145744B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
-	"false/SendType/both/524280":       {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524280B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524280B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"false/SendType/both/524288":       {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524288B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524288B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"false/SendType/both/1572872":      {"plan{compiled=0 cache=0/2 contig=0/0B stride=0/0B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=5/3145744B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
-	"false/SendType/both/1000000000":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=0/0B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1909/2000000000B fused=0/0B staged=1/1000000000B}", 0.486139394, 0.668826326, 0},
-	"false/SendpType/sender/524280":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524280B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524280B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 1},
-	"false/SendpType/sender/524288":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524288B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524288B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 1},
-	"false/SendpType/sender/1572872":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=0/0B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=5/3145744B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 1},
-	"false/SendpType/receiver/524280":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524280B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524280B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"false/SendpType/receiver/524288":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524288B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524288B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"false/SendpType/receiver/1572872": {"plan{compiled=0 cache=0/2 contig=0/0B stride=0/0B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=5/3145744B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
-	"false/SendpType/both/524280":      {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524280B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524280B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"false/SendpType/both/524288":      {"plan{compiled=0 cache=0/2 contig=0/0B stride=1/524288B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1/524288B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"false/SendpType/both/1572872":     {"plan{compiled=0 cache=0/2 contig=0/0B stride=0/0B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=5/3145744B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
-	"false/SendpType/both/1000000000":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=0/0B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=0/0B pipelined=0/0B cursor=1909/2000000000B fused=0/0B staged=1/1000000000B}", 0.486139394, 0.668826326, 0},
-	"false/SendvType/sender/524280":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048560B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000152336, 0.000154836, 0},
-	"false/SendvType/sender/524288":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048576B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000152339, 0.000154839, 0},
-	"false/SendvType/sender/1572872":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000448017, 0.000450517, 0},
-	"false/SendvType/receiver/524280":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048560B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000152336, 0.000154836, 1},
-	"false/SendvType/receiver/524288":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048576B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000152339, 0.000154839, 1},
-	"false/SendvType/receiver/1572872": {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000448017, 0.000450517, 1},
-	"false/SendvType/both/524280":      {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048560B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000152336, 0.000154836, 0},
-	"false/SendvType/both/524288":      {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048576B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000152339, 0.000154839, 0},
-	"false/SendvType/both/1572872":     {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000448017, 0.000450517, 0},
-	"false/SendvType/both/1000000000":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/2000000000B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/2000000000B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1000000000B}", 0.332041885, 0.332044385, 0},
+	"SendType/sender/524280":     {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 1},
+	"SendType/sender/524288":     {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 1},
+	"SendType/sender/1572872":    {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 1},
+	"SendType/receiver/524280":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
+	"SendType/receiver/524288":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
+	"SendType/receiver/1572872":  {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
+	"SendType/both/524280":       {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
+	"SendType/both/524288":       {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
+	"SendType/both/1572872":      {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
+	"SendType/both/1000000000":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=1909/2000000000B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1909/2000000000B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1000000000B}", 0.486139394, 0.668826326, 0},
+	"SendpType/sender/524280":    {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 1},
+	"SendpType/sender/524288":    {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 1},
+	"SendpType/sender/1572872":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 1},
+	"SendpType/receiver/524280":  {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
+	"SendpType/receiver/524288":  {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
+	"SendpType/receiver/1572872": {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 3},
+	"SendpType/both/524280":      {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
+	"SendpType/both/524288":      {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
+	"SendpType/both/1572872":     {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 0},
+	"SendpType/both/1000000000":  {"plan{compiled=0 cache=1/2 contig=0/0B stride=1909/2000000000B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1909/2000000000B pipelined=1908/1000000000B cursor=0/0B fused=0/0B staged=1/1000000000B}", 0.297139737, 0.479826669, 0},
+	"SendvType/sender/524280":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048560B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000152336, 0.000154836, 0},
+	"SendvType/sender/524288":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048576B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000152339, 0.000154839, 0},
+	"SendvType/sender/1572872":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=8/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=8/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000317514, 0.000320014, 0},
+	"SendvType/receiver/524280":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048560B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000152336, 0.000154836, 1},
+	"SendvType/receiver/524288":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048576B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000152339, 0.000154839, 1},
+	"SendvType/receiver/1572872": {"plan{compiled=0 cache=0/2 contig=0/0B stride=8/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=8/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000317514, 0.000320014, 3},
+	"SendvType/both/524280":      {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048560B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000152336, 0.000154836, 0},
+	"SendvType/both/524288":      {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048576B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000152339, 0.000154839, 0},
+	"SendvType/both/1572872":     {"plan{compiled=0 cache=0/2 contig=0/0B stride=8/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=8/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000317514, 0.000320014, 0},
+	"SendvType/both/1000000000":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=3816/2000000000B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=3816/2000000000B pipelined=1908/1000000000B cursor=0/0B fused=0/0B staged=1/1000000000B}", 0.171437032, 0.171439532, 0},
 }
