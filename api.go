@@ -20,9 +20,9 @@
 // — a single copy for contiguous layouts, a closed-form fixed-stride
 // loop for regular run/gap patterns (the paper's vector types), or a
 // flattened segment-table gather for irregular types — and splits the
-// packed range across goroutines for messages of at least
-// SetParallelPackThreshold bytes. Chunked mid-stream packing (the
-// runtime's rendezvous chunk loops) resumes the same compiled kernels
+// packed range across goroutines for messages of at least 4 MiB, the
+// engine's fixed parallel-pack threshold. Chunked mid-stream packing
+// (the runtime's rendezvous chunk loops) resumes the same compiled kernels
 // at stream offsets; the interpreting cursor is the byte-for-byte
 // oracle they are property-tested against. The ninth scheme,
 // PackCompiled ("packing(c)"), measures this engine against the
@@ -389,11 +389,3 @@ type PlanStats = datatype.PlanStats
 
 // PlanStatsSnapshot returns the current pack-plan engine counters.
 func PlanStatsSnapshot() PlanStats { return datatype.PlanStatsSnapshot() }
-
-// SetParallelPackThreshold sets the message size, in bytes, above
-// which compiled plans pack with goroutine parallelism. Zero or
-// negative disables parallel packing.
-func SetParallelPackThreshold(n int64) { datatype.SetParallelPackThreshold(n) }
-
-// ParallelPackThreshold returns the current parallel-pack threshold.
-func ParallelPackThreshold() int64 { return datatype.ParallelPackThreshold() }

@@ -60,8 +60,7 @@ func main() {
 	// fabric.
 	fmt.Printf("  matching: %d shard queues live, %d fast-path takes, %d wildcard takes\n",
 		res.Matching.Queues, res.Matching.FastTakes, res.Matching.WildTakes)
-	fmt.Printf("  pool: %d gets (%d recycled), %d eager adaptations under pressure\n",
-		res.Pool.Gets, res.Pool.Hits, res.Pool.EagerAdaptations)
+	fmt.Printf("  pool: %d gets\n", res.Pool.Gets)
 
 	// The same hierarchy feeds the collective cost model: on a
 	// machine with 16 ranks per node and a cheap intra-node hop, the

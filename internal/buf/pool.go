@@ -49,76 +49,15 @@ var blockPools [PoolShards][poolClasses]sync.Pool
 
 // poolCounters feed PoolStats so tests and studies can verify reuse.
 // The totals are kept alongside the per-shard breakdown so the cheap
-// whole-pool read never sums an array.
+// whole-pool read never sums an array. inUse is the storage
+// (class-rounded) currently checked out of the pool.
 var poolCounters struct {
-	gets, hits, puts atomic.Int64
+	gets, hits, puts, inUse atomic.Int64
 
 	shard [PoolShards]struct {
 		gets, hits, puts, inUse atomic.Int64
 	}
 }
-
-// Pool occupancy accounting for bounded-memory backpressure: inUse is
-// the storage (class-rounded) currently checked out of the pool,
-// capBytes the soft occupancy cap (0 = unlimited), degradations the
-// number of sends that fell back from eager to rendezvous because a
-// transit copy would have pushed occupancy past the cap.
-var poolPressure struct {
-	inUse        atomic.Int64
-	capBytes     atomic.Int64
-	degradations atomic.Int64
-	eagerAdapted atomic.Int64
-}
-
-// SetPoolCap sets the pool occupancy cap in bytes (0 disables) and
-// returns the previous cap. Senders consult PoolOverCap before drawing
-// an eager transit copy; past the cap they degrade to rendezvous,
-// which stages nothing on the send side.
-func SetPoolCap(n int64) int64 {
-	return poolPressure.capBytes.Swap(n)
-}
-
-// PoolCap returns the current occupancy cap (0 = unlimited).
-func PoolCap() int64 { return poolPressure.capBytes.Load() }
-
-// PoolInUse returns the class-rounded bytes currently checked out.
-func PoolInUse() int64 { return poolPressure.inUse.Load() }
-
-// PoolOverCap reports whether drawing extra more bytes would push the
-// pool past its occupancy cap. Always false with no cap set.
-func PoolOverCap(extra int64) bool {
-	cap := poolPressure.capBytes.Load()
-	return cap > 0 && poolPressure.inUse.Load()+extra > cap
-}
-
-// NotePoolDegradation records one eager→rendezvous backpressure
-// fallback.
-func NotePoolDegradation() { poolPressure.degradations.Add(1) }
-
-// PoolPressureRatio returns the occupancy as a fraction of the cap in
-// [0,1]; 0 with no cap set. Senders use it to adapt their effective
-// eager limit before the hard PoolOverCap wall: shrinking eager
-// traffic early keeps occupancy bounded without the latency cliff of
-// an outright rendezvous degradation at the cap.
-func PoolPressureRatio() float64 {
-	cap := poolPressure.capBytes.Load()
-	if cap <= 0 {
-		return 0
-	}
-	r := float64(poolPressure.inUse.Load()) / float64(cap)
-	if r < 0 {
-		return 0
-	}
-	if r > 1 {
-		return 1
-	}
-	return r
-}
-
-// NoteEagerAdaptation records one send whose effective eager limit was
-// shrunk by pool pressure (it went rendezvous although the profile's
-// nominal eager limit would have allowed an eager transit copy).
-func NoteEagerAdaptation() { poolPressure.eagerAdapted.Add(1) }
 
 // ShardPoolStats is one free-list shard's slice of the pool counters.
 // Gets and Hits are attributed to the shard the block was drawn from;
@@ -141,18 +80,10 @@ type PoolStats struct {
 	Hits int64 // Gets served by recycled storage
 	Puts int64 // blocks returned
 
-	// InUseBytes is the class-rounded storage currently checked out;
-	// CapBytes the occupancy cap (0 = unlimited); Degradations the
-	// count of eager sends that fell back to rendezvous under the cap
-	// (see SetPoolCap). InUseBytes and CapBytes are point-in-time
-	// gauges, not counters: Sub carries the receiver's values through.
-	InUseBytes   int64
-	CapBytes     int64
-	Degradations int64
-	// EagerAdaptations counts sends whose effective eager limit was
-	// shrunk under pool pressure before the hard cap (see
-	// NoteEagerAdaptation).
-	EagerAdaptations int64
+	// InUseBytes is the class-rounded storage currently checked out:
+	// a point-in-time gauge, not a counter (Sub carries the receiver's
+	// value through).
+	InUseBytes int64
 
 	// Shards is the per-shard breakdown; the totals above are its sums.
 	Shards [PoolShards]ShardPoolStats
@@ -162,9 +93,7 @@ type PoolStats struct {
 func (s PoolStats) Sub(o PoolStats) PoolStats {
 	d := PoolStats{
 		Gets: s.Gets - o.Gets, Hits: s.Hits - o.Hits, Puts: s.Puts - o.Puts,
-		InUseBytes: s.InUseBytes, CapBytes: s.CapBytes,
-		Degradations:     s.Degradations - o.Degradations,
-		EagerAdaptations: s.EagerAdaptations - o.EagerAdaptations,
+		InUseBytes: s.InUseBytes,
 	}
 	for i := range d.Shards {
 		d.Shards[i] = ShardPoolStats{
@@ -181,13 +110,10 @@ func (s PoolStats) Sub(o PoolStats) PoolStats {
 // per-shard breakdown.
 func PoolStatsSnapshot() PoolStats {
 	st := PoolStats{
-		Gets:             poolCounters.gets.Load(),
-		Hits:             poolCounters.hits.Load(),
-		Puts:             poolCounters.puts.Load(),
-		InUseBytes:       poolPressure.inUse.Load(),
-		CapBytes:         poolPressure.capBytes.Load(),
-		Degradations:     poolPressure.degradations.Load(),
-		EagerAdaptations: poolPressure.eagerAdapted.Load(),
+		Gets:       poolCounters.gets.Load(),
+		Hits:       poolCounters.hits.Load(),
+		Puts:       poolCounters.puts.Load(),
+		InUseBytes: poolCounters.inUse.Load(),
 	}
 	for i := range st.Shards {
 		st.Shards[i] = ShardPoolStats{
@@ -236,7 +162,7 @@ func GetPooledFor(rank, n int) Block {
 	}
 	poolCounters.gets.Add(1)
 	poolCounters.shard[shard].gets.Add(1)
-	poolPressure.inUse.Add(int64(1) << (minPoolBits + c))
+	poolCounters.inUse.Add(int64(1) << (minPoolBits + c))
 	poolCounters.shard[shard].inUse.Add(int64(1) << (minPoolBits + c))
 	if v := blockPools[shard][c].Get(); v != nil {
 		poolCounters.hits.Add(1)
@@ -257,7 +183,7 @@ func PutPooled(b Block) {
 		return
 	}
 	sl := b.data[:cap(b.data)]
-	poolPressure.inUse.Add(-(int64(1) << (minPoolBits + int(b.pool) - 1)))
+	poolCounters.inUse.Add(-(int64(1) << (minPoolBits + int(b.pool) - 1)))
 	poolCounters.shard[b.shard].inUse.Add(-(int64(1) << (minPoolBits + int(b.pool) - 1)))
 	poolCounters.puts.Add(1)
 	poolCounters.shard[b.shard].puts.Add(1)

@@ -172,3 +172,21 @@ func BenchmarkPoolContention(b *testing.B) {
 		}
 	}
 }
+
+// TestPoolShardInUseGauge pins the per-shard occupancy breakdown: a
+// checkout is charged to the drawing shard and released at the home
+// shard, wherever the release runs.
+func TestPoolShardInUseGauge(t *testing.T) {
+	const rank = 3 // shard 3
+	before := PoolStatsSnapshot()
+	b := GetPooledFor(rank, 2048)
+	mid := PoolStatsSnapshot()
+	if d := mid.Shards[rank].InUseBytes - before.Shards[rank].InUseBytes; d != 2048 {
+		t.Fatalf("shard %d inUse delta %d after get, want 2048", rank, d)
+	}
+	PutPooled(b)
+	after := PoolStatsSnapshot()
+	if d := after.Shards[rank].InUseBytes - before.Shards[rank].InUseBytes; d != 0 {
+		t.Fatalf("shard %d inUse delta %d after put, want 0", rank, d)
+	}
+}

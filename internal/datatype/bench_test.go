@@ -111,39 +111,25 @@ func BenchmarkPackEngines(b *testing.B) {
 				}
 			})
 			b.Run("compiled/"+name, func(b *testing.B) {
-				// Threshold above the payload: single-goroutine kernels.
-				SetParallelPackThreshold(payload + 1)
-				defer SetParallelPackThreshold(DefaultParallelPackThreshold)
-				plan, err := ty.CompilePlan(1)
-				if err != nil {
-					b.Fatal(err)
-				}
+				plan := benchPlan(b, ty)
 				b.SetBytes(ty.Size())
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := plan.Pack(src, dst); err != nil {
-						b.Fatal(err)
-					}
+					runSerial(plan, src, dst, packDirection)
 				}
 			})
 			b.Run("parallel/"+name, func(b *testing.B) {
-				SetParallelPackThreshold(1)
-				defer SetParallelPackThreshold(DefaultParallelPackThreshold)
-				plan, err := ty.CompilePlan(1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !plan.Parallel() {
+				w := benchWorkers(payload)
+				if w < 2 {
 					// Too small for >1 worker (or single-core): this
 					// cell would silently re-measure the serial kernel.
 					b.Skipf("payload %d B cannot engage the parallel splitter", payload)
 				}
+				plan := benchPlan(b, ty)
 				b.SetBytes(ty.Size())
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := plan.Pack(src, dst); err != nil {
-						b.Fatal(err)
-					}
+					plan.runParallelN(src, dst, packDirection, w)
 				}
 			})
 			b.Run("steadyState/"+name, func(b *testing.B) {
@@ -300,25 +286,20 @@ func benchKernelCells(b *testing.B, name string, ty *Type, count int, kernel Pla
 	if _, err := c.transfer(want, packDirection); err != nil {
 		b.Fatal(err)
 	}
-	serial := func(b *testing.B, op func() error) {
-		SetParallelPackThreshold(plan.Bytes() + 1)
-		defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+	serial := func(b *testing.B, user, stream buf.Block, dir direction) {
 		b.ReportAllocs()
 		b.SetBytes(plan.Bytes())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := op(); err != nil {
-				b.Fatal(err)
-			}
+			runSerial(plan, user, stream, dir)
 		}
 	}
 	b.Run(name+"/pack", func(b *testing.B) {
 		dst := buf.Alloc(int(plan.Bytes()))
-		pack := func() error { _, err := plan.Pack(src, dst); return err }
-		if err := pack(); err != nil || !buf.Equal(dst, want) {
+		if _, err := plan.Pack(src, dst); err != nil || !buf.Equal(dst, want) {
 			b.Fatalf("packed stream differs from the cursor's (%v)", err)
 		}
-		serial(b, pack)
+		serial(b, src, dst, packDirection)
 	})
 	b.Run(name+"/unpack", func(b *testing.B) {
 		// The source holds its pattern in the gaps too, so unpacking its
@@ -328,12 +309,23 @@ func benchKernelCells(b *testing.B, name string, ty *Type, count int, kernel Pla
 		if _, err := plan.Unpack(buf.Alloc(int(plan.Bytes())), dst); err != nil || buf.Equal(dst, src) {
 			b.Fatalf("zeroing the runs left the buffer unchanged (%v)", err)
 		}
-		unpack := func() error { _, err := plan.Unpack(want, dst); return err }
-		if err := unpack(); err != nil || !buf.Equal(dst, src) {
+		if _, err := plan.Unpack(want, dst); err != nil || !buf.Equal(dst, src) {
 			b.Fatalf("unpacked buffer differs from the source layout (%v)", err)
 		}
-		serial(b, unpack)
+		serial(b, dst, want, unpackDirection)
 	})
+}
+
+// runSerial moves p's whole message on the calling goroutine: the
+// single-goroutine executor, whatever the message size.
+func runSerial(p *Plan, user, stream buf.Block, dir direction) {
+	p.runRange(user, stream, 0, p.total, 0, dir, nil)
+}
+
+// benchWorkers is the fan-out of a parallel bench cell over payload
+// bytes: the host's pack fan-out, with at least 256 KiB per worker.
+func benchWorkers(payload int64) int {
+	return min(ParallelWorkersFor(ParallelPackThreshold), int(payload/(256<<10)))
 }
 
 // benchSink keeps a benchmarked result live.
@@ -388,36 +380,23 @@ func BenchmarkUnpackEngines(b *testing.B) {
 		}
 	})
 	b.Run("compiled", func(b *testing.B) {
-		SetParallelPackThreshold(payload + 1)
-		defer SetParallelPackThreshold(DefaultParallelPackThreshold)
-		plan, err := ty.CompilePlan(1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		plan := benchPlan(b, ty)
 		b.SetBytes(ty.Size())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.Unpack(dst, back); err != nil {
-				b.Fatal(err)
-			}
+			runSerial(plan, back, dst, unpackDirection)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		SetParallelPackThreshold(1)
-		defer SetParallelPackThreshold(DefaultParallelPackThreshold)
-		plan, err := ty.CompilePlan(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !plan.Parallel() {
+		w := benchWorkers(payload)
+		if w < 2 {
 			b.Skipf("payload %d B cannot engage the parallel splitter", payload)
 		}
+		plan := benchPlan(b, ty)
 		b.SetBytes(ty.Size())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.Unpack(dst, back); err != nil {
-				b.Fatal(err)
-			}
+			plan.runParallelN(back, dst, unpackDirection, w)
 		}
 	})
 }
@@ -526,22 +505,15 @@ func benchCanonPair(b *testing.B, ty *Type, twin bool) (*Type, buf.Block, buf.Bl
 }
 
 // benchPackSerial measures the single-goroutine compiled pack of ty —
-// the kernel itself, with the parallel splitter held off.
+// the kernel itself, without the parallel splitter.
 func benchPackSerial(b *testing.B, ty *Type, src, dst buf.Block) {
 	b.Helper()
-	SetParallelPackThreshold(ty.Size() + 1)
-	defer SetParallelPackThreshold(DefaultParallelPackThreshold)
-	plan, err := ty.CompilePlan(1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := benchPlan(b, ty)
 	b.ReportAllocs()
 	b.SetBytes(ty.Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Pack(src, dst); err != nil {
-			b.Fatal(err)
-		}
+		runSerial(plan, src, dst, packDirection)
 	}
 }
 
@@ -592,8 +564,6 @@ func BenchmarkNormalizedKernels(b *testing.B) {
 		// The twin's source covers the canon type's too: same runs, the
 		// last one 8 bytes further out.
 		rawTy, src, _ := benchNestedBlock(b, true, rows, runs, 1)
-		SetParallelPackThreshold(payload + 1)
-		defer SetParallelPackThreshold(DefaultParallelPackThreshold)
 		canon, err := canonTy.CompilePlan(1)
 		if err != nil {
 			b.Fatal(err)
@@ -609,9 +579,7 @@ func BenchmarkNormalizedKernels(b *testing.B) {
 			best := time.Duration(1 << 62)
 			for r := 0; r < 9; r++ {
 				start := time.Now()
-				if _, err := p.Pack(src, dst); err != nil {
-					b.Fatal(err)
-				}
+				runSerial(p, src, dst, packDirection)
 				if el := time.Since(start); el < best {
 					best = el
 				}
@@ -632,9 +600,7 @@ func BenchmarkNormalizedKernels(b *testing.B) {
 		b.SetBytes(payload)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := canon.Pack(src, dst); err != nil {
-				b.Fatal(err)
-			}
+			runSerial(canon, src, dst, packDirection)
 		}
 		// After the loop: ResetTimer deletes reported metrics.
 		b.ReportMetric(speedup, "x-speedup")

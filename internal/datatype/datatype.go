@@ -29,7 +29,7 @@
 //  1. Compiled (whole message): a full-message Pack/Unpack — or a
 //     Packer/Unpacker stream drained in one call — executes the
 //     compiled plan (plan.go) bound to (type, count),
-//     goroutine-parallel above SetParallelPackThreshold. A plan is one
+//     goroutine-parallel from ParallelPackThreshold bytes. A plan is one
 //     strided-block form (block.go) — a regular instance, a block
 //     pattern the normalizer found, or a dense message, with count as
 //     its outermost level — or a gather table for irregular instances;

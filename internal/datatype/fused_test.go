@@ -293,9 +293,10 @@ func TestFusedCopySteadyStateAllocs(t *testing.T) {
 }
 
 // TestFusedCopyParallelMatchesSerial pins the parallel fused pass:
-// with the threshold lowered so the pair schedule splits across
-// workers, every kernel pairing must produce byte-identical results to
-// the serial pass, and the execution must be attributed parallel.
+// split across explicit worker counts, every kernel pairing must
+// produce byte-identical results to the serial pass, and FusedCopy
+// must attribute the execution to the fan-out ParallelWorkersFor
+// chose.
 func TestFusedCopyParallelMatchesSerial(t *testing.T) {
 	vec := func(count, bl, str int) *Type {
 		return mustType(Vector(count, bl, str, Float64))
@@ -319,34 +320,29 @@ func TestFusedCopyParallelMatchesSerial(t *testing.T) {
 			src := buf.Alloc(userLen(tc.srcTy, 1))
 			src.FillPattern(0x8D)
 
-			// Serial reference: threshold above the payload.
-			SetParallelPackThreshold(int64(elems)*8 + 1)
-			defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+			// Serial reference: one worker.
 			want := buf.Alloc(userLen(tc.dstTy, 1))
-			if _, err := FusedCopy(srcPlan, dstPlan, src, want); err != nil {
-				t.Fatal(err)
-			}
+			fusedExec(srcPlan, dstPlan, src, want, srcPlan.Bytes(), 1, 0, nil)
 
-			// Parallel run: threshold far below the payload.
-			SetParallelPackThreshold(64 << 10)
 			before := PlanStatsSnapshot()
 			got := buf.Alloc(userLen(tc.dstTy, 1))
 			if _, err := FusedCopy(srcPlan, dstPlan, src, got); err != nil {
 				t.Fatal(err)
 			}
 			if !buf.Equal(got, want) {
-				t.Fatal("parallel fused pass differs from serial")
+				t.Fatal("fused pass differs from serial")
 			}
 			d := PlanStatsSnapshot().Sub(before)
 			if d.FusedOps != 1 {
 				t.Fatalf("fused attribution %+v", d)
 			}
-			if workersFor(srcPlan.Bytes()) > 1 && d.ParallelOps != 1 {
-				t.Fatalf("parallel attribution %+v (workers %d)", d, workersFor(srcPlan.Bytes()))
+			if w := ParallelWorkersFor(srcPlan.Bytes()); (w > 1) != (d.ParallelOps == 1) {
+				t.Fatalf("parallel attribution %+v (workers %d)", d, w)
 			}
 
-			// FusedCopy splits only when the host has more than one P.
-			// The explicit worker count takes the split on any host.
+			// FusedCopy splits only from ParallelPackThreshold bytes on
+			// a host with more than one P. The explicit worker count
+			// takes the split at any size on any host.
 			for _, w := range []int{2, 3} {
 				split := buf.Alloc(userLen(tc.dstTy, 1))
 				fusedExec(srcPlan, dstPlan, src, split, srcPlan.Bytes(), w, 0, nil)

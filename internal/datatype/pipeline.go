@@ -2,7 +2,6 @@ package datatype
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/buf"
 )
@@ -19,23 +18,6 @@ import (
 // consumer, so chunk k+1 packs while chunk k injects (or unpacks, for
 // a staged scatter). The ring is fixed at construction — depth pooled
 // slots and nothing else — so the steady state allocates nothing.
-
-// pipelinedChunks gates the pipelined execution tier: protocol layers
-// consult it before routing a chunked transfer through a
-// ChunkPipeline. It exists so differential tests
-// and studies can pin the pipelined paths byte-for-byte and
-// cost-for-cost against the serial chunk loop.
-var pipelinedChunks atomic.Bool
-
-func init() { pipelinedChunks.Store(true) }
-
-// SetPipelinedChunks enables or disables the pipelined chunk engine;
-// disabled, the protocol layers fall back to the serial chunk loop.
-func SetPipelinedChunks(on bool) { pipelinedChunks.Store(on) }
-
-// PipelinedChunks reports whether chunked transfers may run on the
-// pipelined engine.
-func PipelinedChunks() bool { return pipelinedChunks.Load() }
 
 // PipeChunk is one packed chunk handed from the pipeline's pack worker
 // to its consumer: Data holds the packed bytes of stream range

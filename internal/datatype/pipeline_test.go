@@ -226,15 +226,3 @@ func TestChunkPipelineArgErrors(t *testing.T) {
 		t.Error("short user buffer accepted")
 	}
 }
-
-// TestSetPipelinedChunks pins the gate's default and toggling.
-func TestSetPipelinedChunks(t *testing.T) {
-	if !PipelinedChunks() {
-		t.Fatal("pipelined chunks must default on")
-	}
-	SetPipelinedChunks(false)
-	if PipelinedChunks() {
-		t.Fatal("gate did not clear")
-	}
-	SetPipelinedChunks(true)
-}

@@ -27,7 +27,7 @@ import (
 // packedOff, len) segment table, built once at compile time and walked
 // per instance. Either program can start mid-stream — the form in
 // closed form, the table by division or binary search — so messages of
-// at least ParallelPackThreshold() bytes split across goroutines with
+// at least ParallelPackThreshold bytes split across goroutines with
 // no segment alignment.
 
 // PlanKernel labels the program a compiled plan executes, for the cost
@@ -63,35 +63,15 @@ func (k PlanKernel) String() string {
 	return fmt.Sprintf("PlanKernel(%d)", int(k))
 }
 
-// DefaultParallelPackThreshold is the message size, in bytes, above
-// which compiled plans split the packed range across goroutines. Below
-// it, goroutine startup costs more than the copy saves.
-const DefaultParallelPackThreshold = 4 << 20
-
-var parallelPackThreshold atomic.Int64
-
-func init() { parallelPackThreshold.Store(DefaultParallelPackThreshold) }
-
-// SetParallelPackThreshold sets the parallel-pack threshold in bytes.
-// Zero or negative disables parallel packing entirely.
-func SetParallelPackThreshold(n int64) {
-	if n <= 0 {
-		n = int64(1)<<62 - 1
-	}
-	parallelPackThreshold.Store(n)
-}
-
-// ParallelPackThreshold returns the current parallel-pack threshold.
-func ParallelPackThreshold() int64 { return parallelPackThreshold.Load() }
+// ParallelPackThreshold is the message size, in bytes, above which
+// compiled plans split the packed range across goroutines. Below it,
+// goroutine startup costs more than the copy saves.
+const ParallelPackThreshold = 4 << 20
 
 // maxPackWorkers caps the parallel fan-out: memory bandwidth saturates
 // long before high core counts, so more workers only add scheduling
 // noise.
 const maxPackWorkers = 16
-
-// minBytesPerWorker keeps each worker's share large enough that the
-// goroutine handoff stays amortised.
-const minBytesPerWorker = 256 << 10
 
 // planSeg is one flattened segment of an irregular instance: its user
 // offset, its position in the packed stream, and its length. All
@@ -302,40 +282,16 @@ func (p *Plan) ContigWindow() (off int64, ok bool) {
 // Bytes returns the packed size of the full message.
 func (p *Plan) Bytes() int64 { return p.total }
 
-// Parallel reports whether executing the plan on real buffers would
-// split across goroutines under the current threshold.
-func (p *Plan) Parallel() bool {
-	return p.total >= ParallelPackThreshold() && p.workers() > 1
-}
-
-// workers returns the parallel fan-out for this plan's size, ignoring
-// the threshold (execute checks that separately).
-func (p *Plan) workers() int { return workersFor(p.total) }
-
 // ParallelWorkersFor returns the goroutine fan-out the pack engine
-// uses for an n-byte message under the current threshold: 1 when the
-// message stays serial.
+// uses for an n-byte message: 1 below ParallelPackThreshold, else
+// GOMAXPROCS capped by maxPackWorkers. The threshold is maxPackWorkers
+// shares of 256 KiB, so every worker's share keeps the goroutine
+// handoff amortised.
 func ParallelWorkersFor(n int64) int {
-	if n < ParallelPackThreshold() {
+	if n < ParallelPackThreshold {
 		return 1
 	}
-	return workersFor(n)
-}
-
-// workersFor is the raw fan-out rule: GOMAXPROCS capped by
-// maxPackWorkers and by the minimum per-worker share.
-func workersFor(n int64) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > maxPackWorkers {
-		w = maxPackWorkers
-	}
-	if byShare := int(n / minBytesPerWorker); w > byShare {
-		w = byShare
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(runtime.GOMAXPROCS(0), maxPackWorkers)
 }
 
 // PlanStats is a snapshot of the package-wide plan-engine counters:

@@ -113,9 +113,9 @@ func (p *Plan) execute(user, stream buf.Block, dir direction, sum *buf.Checksum)
 	}
 	parallel := false
 	if !user.IsVirtual() && !stream.IsVirtual() {
-		if sum == nil && p.Parallel() {
+		if w := ParallelWorkersFor(p.total); sum == nil && w > 1 {
 			parallel = true
-			p.runParallel(user, stream, dir)
+			p.runParallelN(user, stream, dir, w)
 		} else {
 			p.runRange(user, stream, 0, p.total, 0, dir, sum)
 		}
@@ -137,7 +137,7 @@ func (p *Plan) runChunk(user, stream buf.Block, lo, hi int64, dir direction, sum
 	parallel := false
 	if !user.IsVirtual() && !stream.IsVirtual() {
 		n := hi - lo
-		if w := workersFor(n); sum == nil && n >= ParallelPackThreshold() && w > 1 {
+		if w := ParallelWorkersFor(n); sum == nil && w > 1 {
 			parallel = true
 			p.runParallelRange(user, stream, lo, hi, lo, dir, w)
 		} else {
@@ -147,18 +147,11 @@ func (p *Plan) runChunk(user, stream buf.Block, lo, hi int64, dir direction, sum
 	recordPlanChunk(p.kernel, 1, hi-lo, parallel)
 }
 
-// runParallel splits the packed byte range [0, total) across workers.
-// Every kernel can start mid-stream in O(log segments), so the split
-// points need no alignment; each worker touches disjoint packed and
-// user ranges (runs never overlap), so no synchronisation beyond the
-// final join is needed.
-func (p *Plan) runParallel(user, stream buf.Block, dir direction) {
-	p.runParallelN(user, stream, dir, p.workers())
-}
-
-// runParallelN is runParallel with an explicit worker count, so tests
-// can exercise the multi-range split on machines where workers() would
-// collapse to one.
+// runParallelN splits the packed byte range [0, total) across w
+// workers. Every kernel can start mid-stream in O(log segments), so the
+// split points need no alignment; each worker touches disjoint packed
+// and user ranges (runs never overlap), so no synchronisation beyond
+// the final join is needed.
 func (p *Plan) runParallelN(user, stream buf.Block, dir direction, w int) {
 	p.runParallelRange(user, stream, 0, p.total, 0, dir, w)
 }

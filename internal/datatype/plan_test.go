@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/buf"
@@ -275,13 +274,11 @@ func TestPackerResumeMidSegment(t *testing.T) {
 	}
 }
 
-// TestPlanParallelDifferential forces the goroutine-parallel executor
-// with a low threshold and checks it against the cursor on large
-// regular and irregular types.
+// TestPlanParallelDifferential checks the plan executors against the
+// cursor on large regular and irregular types: the whole-message path
+// (serial below ParallelPackThreshold) and the goroutine-parallel
+// executor at explicit worker counts.
 func TestPlanParallelDifferential(t *testing.T) {
-	SetParallelPackThreshold(64 << 10)
-	defer SetParallelPackThreshold(DefaultParallelPackThreshold)
-
 	rng := rand.New(rand.NewSource(0xFACADE))
 	big := []*Type{
 		mustType(Vector(300_000, 1, 2, Float64)),  // canonical every-other, 2.4 MB
@@ -306,9 +303,6 @@ func TestPlanParallelDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if runtime.GOMAXPROCS(0) > 1 && !plan.Parallel() {
-				t.Fatalf("%v count=%d: expected a parallel plan at %d bytes", ty, count, plan.Bytes())
-			}
 			dst := buf.Alloc(int(ty.PackSize(count)))
 			if _, err := plan.Pack(src, dst); err != nil {
 				t.Fatal(err)
@@ -328,9 +322,8 @@ func TestPlanParallelDifferential(t *testing.T) {
 				t.Fatalf("%v count=%d: parallel unpack differs from cursor", ty, count)
 			}
 
-			// Force the multi-range split regardless of GOMAXPROCS:
-			// single-core machines would otherwise collapse workers()
-			// to one and leave the split paths unexercised.
+			// Force the multi-range split regardless of GOMAXPROCS and
+			// the message size.
 			for _, w := range []int{2, 3, 7} {
 				forced := buf.Alloc(int(ty.PackSize(count)))
 				plan.runParallelN(src, forced, packDirection, w)

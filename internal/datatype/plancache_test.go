@@ -232,15 +232,12 @@ func TestChunkedCompiledDifferential(t *testing.T) {
 	}
 }
 
-// TestChunkedCompiledLargeChunkParallel drives a mid-stream chunk big
-// enough to engage the parallel splitter and checks it against the
-// cursor.
+// TestChunkedCompiledLargeChunkParallel drives a mid-stream chunk past
+// ParallelPackThreshold, big enough to engage the parallel splitter,
+// and checks it against the cursor.
 func TestChunkedCompiledLargeChunkParallel(t *testing.T) {
-	SetParallelPackThreshold(256 << 10)
-	defer SetParallelPackThreshold(DefaultParallelPackThreshold)
-
 	rng := rand.New(rand.NewSource(0xB16))
-	ty := mustType(Vector(300_000, 1, 2, Float64)) // 2.4 MB payload
+	ty := mustType(Vector(600_000, 1, 2, Float64)) // 4.8 MB payload
 	src := buf.Alloc(userBufLen(ty, 1))
 	src.FillPattern(0x42)
 	want := cursorPack(t, ty, src, 1, rng)
@@ -268,7 +265,7 @@ func TestChunkedCompiledLargeChunkParallel(t *testing.T) {
 	if d.ChunkOps == 0 {
 		t.Fatalf("large chunk not attributed to the chunk tier: %v", d)
 	}
-	if workersFor(int64(rest.Len())) > 1 && d.ParallelOps == 0 {
+	if ParallelWorkersFor(int64(rest.Len())) > 1 && d.ParallelOps == 0 {
 		t.Fatalf("large chunk did not engage the parallel splitter: %v", d)
 	}
 }

@@ -187,7 +187,7 @@ func (b *PipelineBcastPanel) measure(profileName string, sizes []int64) error {
 		if err != nil {
 			return err
 		}
-		run := func() (float64, error) {
+		run := func(bcast func(c *mpi.Comm, blk buf.Block) error) (float64, error) {
 			prof, err := perfmodel.ByName(profileName)
 			if err != nil {
 				return 0, err
@@ -198,7 +198,7 @@ func (b *PipelineBcastPanel) measure(profileName string, sizes []int64) error {
 				if c.Rank() == 0 {
 					blk.FillPattern(0x2F)
 				}
-				if err := c.BcastType(blk, 1, ty, 0); err != nil {
+				if err := bcast(c, blk); err != nil {
 					return err
 				}
 				c.Barrier()
@@ -210,15 +210,12 @@ func (b *PipelineBcastPanel) measure(profileName string, sizes []int64) error {
 			return worst, err
 		}
 		before := datatype.PlanStatsSnapshot()
-		piped, err := run()
+		piped, err := run(func(c *mpi.Comm, blk buf.Block) error { return c.BcastType(blk, 1, ty, 0) })
 		if err != nil {
 			return err
 		}
 		b.Stats = append(b.Stats, datatype.PlanStatsSnapshot().Sub(before))
-
-		datatype.SetPipelinedChunks(false)
-		tree, err := run()
-		datatype.SetPipelinedChunks(true)
+		tree, err := run(func(c *mpi.Comm, blk buf.Block) error { return treeBcast(c, blk, ty) })
 		if err != nil {
 			return err
 		}
@@ -230,6 +227,30 @@ func (b *PipelineBcastPanel) measure(profileName string, sizes []int64) error {
 			overlap = 1 - piped/tree
 		}
 		b.Overlap = append(b.Overlap, overlap)
+	}
+	return nil
+}
+
+// treeBcast broadcasts blk from rank 0 over BcastType's binomial tree,
+// written out in typed point-to-point legs: each rank receives from
+// rank−mask and relays to rank+mask with the fused rendezvous, the
+// schedule BcastType keeps at or under its CollectiveTreeLimit.
+func treeBcast(c *mpi.Comm, blk buf.Block, ty *datatype.Type) error {
+	mask := 1
+	for ; mask < c.Size(); mask <<= 1 {
+		if c.Rank()&mask != 0 {
+			if _, err := c.RecvType(blk, 1, ty, c.Rank()-mask, 0); err != nil {
+				return err
+			}
+			break
+		}
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if c.Rank()+mask < c.Size() {
+			if err := c.SendvType(blk, 1, ty, c.Rank()+mask, 0); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

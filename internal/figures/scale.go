@@ -17,7 +17,7 @@ import (
 // transfers in flight — and reports the aggregate payload rate, the
 // per-transfer completion tail, and the fabric's shard-contention
 // attribution (fast-path vs wildcard matches, live shard queues,
-// pool-pressure adaptations). Payloads are virtual, so the rank axis
+// pool gets). Payloads are virtual, so the rank axis
 // reaches the scale-out regime on a laptop; all times are virtual
 // clock. The machine carries a node hierarchy (NodeSize consecutive
 // ranks per node with an intra-node latency discount), so the mix's
@@ -122,8 +122,7 @@ func (st *ScaleStudy) Render(w io.Writer) error {
 			c.Matching.Queues, c.Matching.FastTakes, c.Matching.WildTakes)
 		// Hits are left out: whether a get finds recycled storage depends
 		// on the garbage collector, not on the simulated run.
-		fmt.Fprintf(w, "    pool: %d gets, %d eager adaptations, %d cap degradations\n",
-			c.Pool.Gets, c.Pool.EagerAdaptations, c.Pool.Degradations)
+		fmt.Fprintf(w, "    pool: %d gets\n", c.Pool.Gets)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "the fabric sustained %d concurrent typed transfers at its widest mix\n\n", st.PeakInFlight())

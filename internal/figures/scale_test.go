@@ -41,7 +41,7 @@ func TestScaleStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"E20", "aggregate payload rate", "p99 per-transfer completion", "shard queues live", "eager adaptations"} {
+	for _, want := range []string{"E20", "aggregate payload rate", "p99 per-transfer completion", "shard queues live", "pool: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}

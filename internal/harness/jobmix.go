@@ -129,7 +129,7 @@ type JobMixResult struct {
 	// at the end, fast-path vs wildcard takes.
 	Matching simnet.MatchStats
 	// Pool is the block-pool counter delta over the run, including
-	// per-shard contention splits and eager-limit adaptations.
+	// per-shard contention splits.
 	Pool buf.PoolStats
 
 	// Recovery sums the per-rank fault and recovery counters; zero on

@@ -236,7 +236,7 @@ func (c *Comm) bcastType(b buf.Block, count int, ty *datatype.Type, root int) er
 	if g := c.twoLevel(); g != nil {
 		return c.bcastTwoLevel(b, count, ty, root, g)
 	}
-	if n := plan.Bytes(); c.size > 2 && n > c.prof.CollectiveTreeLimit() && pipelineEnabled() {
+	if n := plan.Bytes(); c.size > 2 && n > c.prof.CollectiveTreeLimit() {
 		// Dense layouts keep the tree of raw contiguous hops; the
 		// scatter+allgather win is the relay's pack passes, which a
 		// dense relay does not pay.
@@ -750,7 +750,7 @@ func (c *Comm) allgatherType(send buf.Block, sendCount int, sendTy *datatype.Typ
 	if g := c.twoLevel(); g != nil && g.contig {
 		return c.allgatherTwoLevel(send, sendCount, sendTy, recv, recvCount, recvTy, g)
 	}
-	if n := rp.Bytes(); c.size > 2 && n > c.prof.CollectiveTreeLimit() && !rp.FusedDstSafe() && pipelineEnabled() {
+	if n := rp.Bytes(); c.size > 2 && n > c.prof.CollectiveTreeLimit() && !rp.FusedDstSafe() {
 		// Large slots the fused engine cannot scatter into (overlapping
 		// repeated instances — the extent-resized halo slots) would
 		// stage a pack+unpack at every hop of the typed ring; the

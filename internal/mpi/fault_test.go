@@ -750,86 +750,6 @@ func TestCollectiveLegAttribution(t *testing.T) {
 	}
 }
 
-// TestBackpressureDegradesToRendezvous: past the pool occupancy cap an
-// eager-sized send falls back to rendezvous and the degradation is
-// recorded in the pool stats.
-func TestBackpressureDegradesToRendezvous(t *testing.T) {
-	old := buf.SetPoolCap(1) // everything is over cap
-	defer buf.SetPoolCap(old)
-	before := buf.PoolStatsSnapshot()
-	err := Run(2, Options{WallLimit: 30 * time.Second}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			sb := buf.Alloc(512)
-			fillPat(sb, 0, 1)
-			if err := c.Send(sb, 1, 0); err != nil {
-				return err
-			}
-			eager, rdv := c.Counters().EagerSends, c.Counters().RendezvousSends
-			if eager != 0 || rdv == 0 {
-				return fmt.Errorf("eager=%d rdv=%d, want the send degraded to rendezvous", eager, rdv)
-			}
-			return nil
-		}
-		rb := buf.Alloc(512)
-		if _, err := c.Recv(rb, 0, 0); err != nil {
-			return err
-		}
-		for j, b := range rb.Bytes() {
-			if b != pat(0, 1, j) {
-				return fmt.Errorf("byte %d = %#x, want %#x", j, b, pat(0, 1, j))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := buf.PoolStatsSnapshot().Degradations - before.Degradations; d == 0 {
-		t.Fatal("no pool degradation recorded")
-	}
-}
-
-// TestEagerAdaptationUnderPressure: past half of the pool occupancy
-// cap the effective eager limit shrinks, so a nominally eager-sized
-// send goes rendezvous BEFORE the hard over-cap wall — and the
-// adaptation is counted separately from the cliff degradations.
-func TestEagerAdaptationUnderPressure(t *testing.T) {
-	base := buf.PoolInUse()
-	hold := buf.GetPooled(64 << 10) // occupancy ≈ cap → ratio ≈ 1
-	defer buf.PutPooled(hold)
-	old := buf.SetPoolCap(base + (64 << 10))
-	defer buf.SetPoolCap(old)
-
-	before := buf.PoolStatsSnapshot()
-	err := Run(2, Options{WallLimit: 30 * time.Second}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			sb := buf.Alloc(512)
-			fillPat(sb, 0, 1)
-			if err := c.Send(sb, 1, 0); err != nil {
-				return err
-			}
-			eager, rdv := c.Counters().EagerSends, c.Counters().RendezvousSends
-			if eager != 0 || rdv == 0 {
-				return fmt.Errorf("eager=%d rdv=%d, want the send adapted to rendezvous", eager, rdv)
-			}
-			return nil
-		}
-		rb := buf.Alloc(512)
-		_, err := c.Recv(rb, 0, 0)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := buf.PoolStatsSnapshot().Sub(before)
-	if d.EagerAdaptations == 0 {
-		t.Fatal("no eager adaptation recorded")
-	}
-	if d.Degradations != 0 {
-		t.Fatalf("%d hard degradations recorded; the adaptive limit should act first", d.Degradations)
-	}
-}
-
 // FuzzFaultRecovery drives the differential property from arbitrary
 // (seed, rate, size) corners: whatever the fault plan, a run within
 // the default retry budget either delivers byte-identical results or

@@ -130,7 +130,7 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 // went the ordinary staged typed way, or the send failed.
 func (c *Comm) fusedOpen(x *fusedXfer, b buf.Block, count int, ty *datatype.Type, dest, tag int, fl sendFlags) (*simnet.Message, error) {
 	n := ty.PackSize(count)
-	if n == 0 || (!fl.forceRdv && c.eagerOK(n, fl.packed, !fl.asyncReturn && !b.IsVirtual())) {
+	if n == 0 || (!fl.forceRdv && c.prof.Eager(n, fl.packed)) {
 		return nil, c.sendTyped(b, count, ty, dest, tag, fl)
 	}
 	plan, err := ty.CompilePlan(count)
@@ -328,7 +328,7 @@ func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st 
 	// Aliased buffers (a fused self-send) must stage the whole message:
 	// the pipeline's pack worker would read user bytes the consumer is
 	// concurrently scattering over.
-	if chunks > 1 && pipelineEnabled() && !buf.Overlaps(b, fd.user) {
+	if chunks > 1 && !buf.Overlaps(b, fd.user) {
 		cost := memsim.PipelinedChunkCost(gather, scatter, chunks, c.prof.PipelineDepth())
 		if b.IsVirtual() || fd.user.IsVirtual() {
 			plan.RecordChunks(0, nCopy, chunk, true)

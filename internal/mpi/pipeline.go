@@ -27,9 +27,7 @@ import (
 // SendpType is the software-pipelined typed send: identical semantics
 // to SendType, but past the eager limit the rendezvous chunk loop
 // overlaps packing with injection through the slot ring. Eager-sized
-// payloads, single-chunk payloads and sends with the pipelined engine
-// switched off (datatype.SetPipelinedChunks(false)) take the ordinary
-// serial typed path.
+// and single-chunk payloads take the ordinary serial typed path.
 func (c *Comm) SendpType(b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
 	if err := c.checkP2P(dest, tag); err != nil {
 		return err
@@ -65,10 +63,6 @@ func (c *Comm) IsendpType(b buf.Block, count int, ty *datatype.Type, dest, tag i
 	return c.startAsyncSend(&Request{kind: opSendTyped, b: b, count: count, ty: ty, peer: dest, tag: tag,
 		fl: sendFlags{pipelined: true}}), nil
 }
-
-// pipelineEnabled reports whether the pipelined chunk engine may run:
-// the datatype package's pipelined-chunks gate is on.
-func pipelineEnabled() bool { return datatype.PipelinedChunks() }
 
 // Chunk-streamed collective hops. A pipelined collective schedule
 // moves packed blocks between ranks in internal-chunk pieces on

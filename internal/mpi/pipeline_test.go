@@ -136,35 +136,30 @@ func TestSendpTypeEagerMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSendpTypeDisabledMatchesSerial pins the gate: with the pipelined
-// engine switched off, SendpType is the serial typed send exactly.
-func TestSendpTypeDisabledMatchesSerial(t *testing.T) {
-	datatype.SetPipelinedChunks(false)
-	defer datatype.SetPipelinedChunks(true)
-	prof := smallChunkProfile()
-	ty := everyOther(t, 1<<15)
-	serial, serialT := exchangeTyped(t, prof, ty, 1, func(c *Comm, src buf.Block) error {
-		return c.SendType(src, 1, ty, 1, 0)
-	}, false)
-	piped, pipedT := exchangeTyped(t, prof, ty, 1, func(c *Comm, src buf.Block) error {
-		return c.SendpType(src, 1, ty, 1, 0)
-	}, false)
-	if !bytes.Equal(serial, piped) || pipedT != serialT {
-		t.Fatal("disabled pipelined send must be identical to the serial path")
+// packUnpack is the byte oracle of one typed leg: src's (sendCount ×
+// sendTy) packed, then unpacked as (recvCount × recvTy) into dst.
+func packUnpack(t *testing.T, src buf.Block, sendCount int, sendTy *datatype.Type, dst buf.Block, recvCount int, recvTy *datatype.Type) {
+	t.Helper()
+	packed := buf.Alloc(int(sendTy.PackSize(sendCount)))
+	if _, err := sendTy.Pack(src, sendCount, packed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recvTy.Unpack(packed, recvCount, dst); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// bcastWorld runs BcastType of (count × ty) from the given root at
-// every world size in ranks and returns each rank's resulting buffer
-// per size.
-func bcastWorld(t *testing.T, prof *perfmodel.Profile, ty *datatype.Type, count, root, size int) [][]byte {
+// bcastWorld runs BcastType of (count × ty) from the given root, whose
+// buffer is rootBuf, at the given world size and returns each rank's
+// resulting buffer.
+func bcastWorld(t *testing.T, prof *perfmodel.Profile, ty *datatype.Type, count, root, size int, rootBuf buf.Block) [][]byte {
 	t.Helper()
 	span := typedSpan(ty, count)
 	out := make([][]byte, size)
 	err := Run(size, Options{Profile: prof}, func(c *Comm) error {
 		b := buf.Alloc(int(span))
 		if c.Rank() == root {
-			b.FillPattern(0x71)
+			buf.CopyAt(b, 0, rootBuf, 0, int(span))
 		}
 		if err := c.BcastType(b, count, ty, root); err != nil {
 			return err
@@ -178,10 +173,13 @@ func bcastWorld(t *testing.T, prof *perfmodel.Profile, ty *datatype.Type, count,
 	return out
 }
 
-// TestBcastPipelinedMatchesTree pins the scatter+allgather broadcast
-// byte-for-byte against the binomial tree at every world size 1–8,
-// over gapped and interleaved-resized layouts, roots 0 and last.
+// TestBcastPipelinedMatchesTree pins the broadcast byte-for-byte at
+// every world size 1–8, over gapped and interleaved-resized layouts,
+// roots 0 and last: every non-root rank holds the root's message
+// packed and unpacked over a zeroed buffer — what the binomial tree's
+// relays deliver — whichever schedule ran.
 func TestBcastPipelinedMatchesTree(t *testing.T) {
+	t.Parallel()
 	prof := smallChunkProfile()
 	layouts := map[string]*datatype.Type{
 		"everyOther": everyOther(t, 1<<14), // 128 KiB payload > tree limit
@@ -193,14 +191,19 @@ func TestBcastPipelinedMatchesTree(t *testing.T) {
 		for size := 1; size <= 8; size++ {
 			for _, root := range []int{0, size - 1} {
 				t.Run(fmt.Sprintf("%s/size%d/root%d", name, size, root), func(t *testing.T) {
-					piped := bcastWorld(t, prof, ty, count, root, size)
-
-					datatype.SetPipelinedChunks(false)
-					defer datatype.SetPipelinedChunks(true)
-					serial := bcastWorld(t, prof, ty, count, root, size)
+					span := int(typedSpan(ty, count))
+					rootBuf := buf.Alloc(span)
+					rootBuf.FillPattern(0x71)
+					want := buf.Alloc(span)
+					packUnpack(t, rootBuf, count, ty, want, count, ty)
+					got := bcastWorld(t, prof, ty, count, root, size, rootBuf)
 					for r := 0; r < size; r++ {
-						if !bytes.Equal(piped[r], serial[r]) {
-							t.Fatalf("rank %d: pipelined bcast differs from tree", r)
+						w := want.Bytes()
+						if r == root {
+							w = rootBuf.Bytes()
+						}
+						if !bytes.Equal(got[r], w) {
+							t.Fatalf("rank %d: bcast differs from the pack/unpack oracle", r)
 						}
 					}
 				})
@@ -234,25 +237,32 @@ func allgatherWorld(t *testing.T, prof *perfmodel.Profile, sendTy *datatype.Type
 }
 
 // TestAllgatherPipelinedMatchesSerial pins the packed-segment ring
-// byte-for-byte against the staged typed ring at world sizes 1–8. The
-// receive slots use the interleaved-resized layout, which is exactly
-// the not-FusedDstSafe shape that routes the serial ring through
-// per-hop staging and the pipelined ring through packed forwarding.
+// byte-for-byte at world sizes 1–8: slot s of every rank holds rank
+// s's packed contribution unpacked through the slot type. The receive
+// slots use the interleaved-resized layout, which is exactly the
+// not-FusedDstSafe shape that routes the ring through packed
+// forwarding; its slots are byte-disjoint, so the unpack order does
+// not matter.
 func TestAllgatherPipelinedMatchesSerial(t *testing.T) {
+	t.Parallel()
 	prof := smallChunkProfile()
 	const recvCount = 1 << 14 // 128 KiB per slot > tree limit
 	recvTy := interleavedResized(t)
 	sendTy := everyOther(t, recvCount) // same 128 KiB packed size
 	for size := 1; size <= 8; size++ {
 		t.Run(fmt.Sprintf("size%d", size), func(t *testing.T) {
-			piped := allgatherWorld(t, prof, sendTy, 1, recvTy, recvCount, size)
-
-			datatype.SetPipelinedChunks(false)
-			defer datatype.SetPipelinedChunks(true)
-			serial := allgatherWorld(t, prof, sendTy, 1, recvTy, recvCount, size)
+			got := allgatherWorld(t, prof, sendTy, 1, recvTy, recvCount, size)
+			slotSpan := typedSpan(recvTy, recvCount)
+			want := buf.Alloc(int(collSlotOff(size-1, recvCount, recvTy) + slotSpan))
+			for s := 0; s < size; s++ {
+				send := buf.Alloc(int(typedSpan(sendTy, 1)))
+				send.FillPattern(byte(0x21 + s))
+				slot := want.Slice(int(collSlotOff(s, recvCount, recvTy)), int(slotSpan))
+				packUnpack(t, send, 1, sendTy, slot, recvCount, recvTy)
+			}
 			for r := 0; r < size; r++ {
-				if !bytes.Equal(piped[r], serial[r]) {
-					t.Fatalf("rank %d: pipelined allgather differs from the staged ring", r)
+				if !bytes.Equal(got[r], want.Bytes()) {
+					t.Fatalf("rank %d: allgather differs from the pack/unpack oracle", r)
 				}
 			}
 		})
@@ -260,40 +270,37 @@ func TestAllgatherPipelinedMatchesSerial(t *testing.T) {
 }
 
 // TestStagedScatterPipelinedMatches pins the chunked fused-sendv
-// fallback (the sender-local staged emulation) byte-for-byte against
-// its whole-buffer form: a sendv to an interleaved-resized typed
-// receiver stages — pipelined by default, serial with the gate off.
+// fallback (the sender-local staged emulation, pipelined through the
+// slot ring) byte-for-byte. The typed receiver posts room for two
+// instances and gets one, and that size mismatch is what routes the
+// sendv to the staged scatter: its first instance holds the packed
+// payload unpacked, the rest stays zero.
 func TestStagedScatterPipelinedMatches(t *testing.T) {
+	t.Parallel()
 	prof := smallChunkProfile()
-	recvTy := interleavedResized(t)
 	const count = 1 << 14
-	sendTy := everyOther(t, count)
-	run := func() []byte {
-		var got []byte
-		err := Run(2, Options{Profile: prof}, func(c *Comm) error {
-			if c.Rank() == 0 {
-				src := buf.Alloc(int(typedSpan(sendTy, 1)))
-				src.FillPattern(0x5F)
-				return c.SendvType(src, 1, sendTy, 1, 0)
-			}
-			dst := buf.Alloc(int(typedSpan(recvTy, count)))
-			if _, err := c.RecvType(dst, count, recvTy, 0, 0); err != nil {
-				return err
-			}
-			got = append([]byte(nil), dst.Bytes()...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	ty := everyOther(t, count)
+	src := buf.Alloc(int(typedSpan(ty, 1)))
+	src.FillPattern(0x5F)
+	want := buf.Alloc(int(typedSpan(ty, 2)))
+	packUnpack(t, src, 1, ty, want, 1, ty)
+	var got []byte
+	err := Run(2, Options{Profile: prof}, func(c *Comm) error {
+		if c.Rank() == 0 {
+			return c.SendvType(src, 1, ty, 1, 0)
 		}
-		return got
+		dst := buf.Alloc(int(typedSpan(ty, 2)))
+		if _, err := c.RecvType(dst, 2, ty, 0, 0); err != nil {
+			return err
+		}
+		got = append([]byte(nil), dst.Bytes()...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	piped := run()
-	datatype.SetPipelinedChunks(false)
-	serial := run()
-	datatype.SetPipelinedChunks(true)
-	if !bytes.Equal(piped, serial) {
-		t.Fatal("pipelined staged scatter differs from the whole-buffer staged scatter")
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("staged scatter differs from the pack/unpack oracle")
 	}
 }
 

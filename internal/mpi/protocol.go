@@ -45,38 +45,6 @@ type sendFlags struct {
 	pipelined bool
 }
 
-// eagerOK decides the protocol for an n-byte payload: the profile's
-// nominal eager test, with the effective limit adapted under pool
-// pressure. Past half of the configured pool-occupancy cap the limit
-// shrinks linearly — reaching zero at the cap — so eager transit
-// traffic tapers off before the hard PoolOverCap wall and its latency
-// cliff. wouldPool says whether this send would actually draw a pooled
-// transit copy (synchronous, non-virtual payload); other sends keep
-// the nominal limit. Adapted refusals are counted through
-// buf.NoteEagerAdaptation and surface in PoolStats.EagerAdaptations.
-func (c *Comm) eagerOK(n int64, packed, wouldPool bool) bool {
-	p := c.prof
-	if !p.Eager(n, packed) {
-		return false
-	}
-	if !wouldPool {
-		return true
-	}
-	r := buf.PoolPressureRatio()
-	if r <= 0.5 {
-		return true
-	}
-	limit := p.EagerLimit
-	if packed {
-		limit = int64(float64(limit) * p.PackedEagerFactor)
-	}
-	if n <= int64(float64(limit)*2*(1-r)) {
-		return true
-	}
-	buf.NoteEagerAdaptation()
-	return false
-}
-
 // sendContig implements every contiguous-payload send: the reference
 // scheme, the manual-copy scheme, and packed sends. The payload block
 // is read as one stream.
@@ -93,15 +61,7 @@ func (c *Comm) sendContig(b buf.Block, dest, tag int, fl sendFlags) error {
 	if wireBW == 0 {
 		wireBW = p.NetBandwidth
 	}
-	eager := !fl.forceRdv && c.eagerOK(n, fl.packed, !fl.asyncReturn && !b.IsVirtual())
-	if eager && !fl.asyncReturn && !b.IsVirtual() && buf.PoolOverCap(n) {
-		// Backpressure: the transit pool is past its configured cap, so
-		// an eager send would push it further — fall back to
-		// rendezvous, which stages nothing, and record the degradation.
-		buf.NotePoolDegradation()
-		eager = false
-	}
-	if eager {
+	if !fl.forceRdv && p.Eager(n, fl.packed) {
 		// Eager: payload copied to a transit buffer; under faults every
 		// retransmission ships a fresh copy after the modeled
 		// ACK-timeout backoff.
@@ -202,12 +162,12 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	}
 	st := ty.Stats(count)
 	chunks := p.Chunks(n)
-	eager := !fl.forceRdv && c.eagerOK(n, fl.packed, !fl.asyncReturn && !b.IsVirtual())
+	eager := !fl.forceRdv && p.Eager(n, fl.packed)
 	// The pipelined engine needs the rendezvous chunk loop (eager
 	// sends pack in one shot before the envelope leaves); under the
 	// reference-[2] NIC what-if the hardware already overlaps, so the
 	// software ring would only add a copy.
-	pipelined := fl.pipelined && !eager && chunks > 1 && !p.NICPipelining && pipelineEnabled()
+	pipelined := fl.pipelined && !eager && chunks > 1 && !p.NICPipelining
 	var k memsim.Kernel // the interpreting serial loop
 	if pipelined {
 		// The slot ring is filled by the plan's compiled kernel, one
@@ -261,18 +221,9 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	}
 
 	if eager {
-		if c.faultsOn() || (!fl.asyncReturn && !b.IsVirtual() && buf.PoolOverCap(n)) {
-			// Under backpressure the eager pack target would grow the
-			// over-cap pool; under faults the retry loop needs a fresh
-			// transit pack per attempt. Both run the attempt loop.
-			if !c.faultsOn() {
-				buf.NotePoolDegradation()
-				// Degrade to rendezvous: re-enter with the handshake
-				// forced; the typed rendezvous stages into the
-				// receiver's buffer instead of a sender-side transit.
-				fl.forceRdv = true
-				return c.sendTyped(b, count, ty, dest, tag, fl)
-			}
+		if c.faultsOn() {
+			// Under faults the retry loop needs a fresh transit pack
+			// per attempt.
 			attempt := 0
 			for {
 				transit := c.transitAlloc(b, n)

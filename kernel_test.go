@@ -79,6 +79,42 @@ func TestHostFanOutHasOneReader(t *testing.T) {
 	}
 }
 
+// TestNoPackageSwitches is the tripwire for ROADMAP item 3: a simulated
+// run is a function of its inputs, so no package under internal/, and
+// not the api.go facade, may declare a receiverless Set… function — a
+// process-global switch some earlier caller could leave flipped.
+func TestNoPackageSwitches(t *testing.T) {
+	var sites []string
+	fset := token.NewFileSet()
+	check := func(path string) error {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Set") {
+				sites = append(sites, fset.Position(fn.Pos()).String()+" "+fn.Name.Name)
+			}
+		}
+		return nil
+	}
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		return check(path)
+	})
+	if err == nil {
+		err = check("api.go")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) != 0 {
+		t.Fatalf("package-level switches declared at %v", sites)
+	}
+}
+
 // TestPricedKernelIsChargedKernel pins model and engine to one
 // decision: for the canonical workload at sizes straddling the
 // parallel-pack threshold on the four paper profiles, the kernel spec
@@ -86,7 +122,7 @@ func TestHostFanOutHasOneReader(t *testing.T) {
 // Comm.PackCompiled charged its plan with, and the two virtual costs
 // are the same number.
 func TestPricedKernelIsChargedKernel(t *testing.T) {
-	th := datatype.ParallelPackThreshold()
+	th := int64(datatype.ParallelPackThreshold)
 	for _, name := range []string{"skx-impi", "skx-mvapich", "ls5-cray", "knl-impi"} {
 		for _, n := range []int64{th / 2, th - 8, th, th + 8, 2 * th, 8 * th} {
 			prof, err := perfmodel.ByName(name)
