@@ -23,8 +23,10 @@ import (
 // the engine came by a checksum. testdata/faulty_golden.txt records a
 // digest of those quantities per (send form × receiver × fault plan),
 // written from the tree that still summed the source in a second
-// strided pass (commit f6b1cfa); TestFaultyGolden asserts this tree
-// reproduces every row and that the received bytes equal the
+// strided pass (commit f6b1cfa); the contiguous and eager SendType rows
+// were recorded later, from the tree whose send engines still ran their
+// own attempt loops (commit d51fc9d). TestFaultyGolden asserts this
+// tree reproduces every row and that the received bytes equal the
 // Type.Pack/Type.Unpack oracle.
 //
 // To compare two trees row by row instead of by digest, run both with
@@ -40,13 +42,20 @@ type goldenSend struct {
 	name  string
 	elems int // doubles packed per transfer
 	whole bool
+	// contig sends the packed stream as one contiguous block (b is then
+	// that block; count and ty are ignored).
+	contig bool
+	// eager forms carry the payload in the envelope, so the scripted
+	// faults hit the envelope leg instead of the rendezvous payload leg.
+	eager bool
 	send  func(c *Comm, b buf.Block, count int, ty *datatype.Type) error
 }
 
 // goldenSends: the three engines at a rendezvous size (32 internal
 // chunks of the selective profile), their forced-rendezvous forms at
 // an eager size (6 chunks), and the engines again under whole-transfer
-// replay.
+// replay; then the contiguous send in the same three forms, and
+// SendType at the eager size (the faulted eager retry loop).
 func goldenSends() []goldenSend {
 	const large, small = 16384, 3072
 	engines := []struct {
@@ -63,11 +72,18 @@ func goldenSends() []goldenSend {
 		plain := func(c *Comm, b buf.Block, count int, ty *datatype.Type) error { return send(c, b, count, ty, 1, 7) }
 		forced := func(c *Comm, b buf.Block, count int, ty *datatype.Type) error { return ssend(c, b, count, ty, 1, 7) }
 		out = append(out,
-			goldenSend{e.name, large, false, plain},
-			goldenSend{"S" + strings.ToLower(e.name[:1]) + e.name[1:], small, false, forced},
-			goldenSend{e.name + "+WholeReplay", large, true, plain})
+			goldenSend{e.name, large, false, false, false, plain},
+			goldenSend{"S" + strings.ToLower(e.name[:1]) + e.name[1:], small, false, false, false, forced},
+			goldenSend{e.name + "+WholeReplay", large, true, false, false, plain})
 	}
-	return out
+	send := func(c *Comm, b buf.Block, _ int, _ *datatype.Type) error { return c.Send(b, 1, 7) }
+	ssend := func(c *Comm, b buf.Block, _ int, _ *datatype.Type) error { return c.Ssend(b, 1, 7) }
+	eager := func(c *Comm, b buf.Block, count int, ty *datatype.Type) error { return c.SendType(b, count, ty, 1, 7) }
+	return append(out,
+		goldenSend{"Send", large, false, true, false, send},
+		goldenSend{"Ssend", small, false, true, false, ssend},
+		goldenSend{"Send+WholeReplay", large, true, true, false, send},
+		goldenSend{"SendType.eager", small, false, false, true, eager})
 }
 
 var goldenRecvs = []string{"typed", "contig", "short", "overlap", "virtual"}
@@ -79,8 +95,10 @@ type goldenPlan struct {
 
 // goldenPlans: uniform 2 % faults for seeds 1…32, a 25 % storm for
 // seeds 1…8, and every payload fault kind scripted onto the first, a
-// middle and the last chunk of the first attempt.
-func goldenPlans(chunks int) []goldenPlan {
+// middle and the last chunk of the first attempt — or, for an eager
+// form (payload false), onto the envelope leg's first, middle and last
+// sequence number, where the first hits the first attempt.
+func goldenPlans(chunks int, payload bool) []goldenPlan {
 	var out []goldenPlan
 	for s := uint64(1); s <= 32; s++ {
 		s := s
@@ -99,7 +117,7 @@ func goldenPlans(chunks int) []goldenPlan {
 		}{{"first", 0}, {"mid", int64(chunks / 2)}, {"last", int64(chunks - 1)}} {
 			k, seq := k, at.seq
 			out = append(out, goldenPlan{fmt.Sprintf("%v.%s", k, at.name), func() *simnet.FaultPlan {
-				return &simnet.FaultPlan{Seed: 5, Scripted: []simnet.ScriptedFault{{Src: 0, Dst: 1, Seq: seq, Payload: true, Kind: k}}}
+				return &simnet.FaultPlan{Seed: 5, Scripted: []simnet.ScriptedFault{{Src: 0, Dst: 1, Seq: seq, Payload: payload, Kind: k}}}
 			}})
 		}
 	}
@@ -183,6 +201,9 @@ func goldenRow(t *testing.T, s goldenSend, recv string, faults *simnet.FaultPlan
 			t.Fatal(err)
 		}
 	}
+	if s.contig {
+		src = packed
+	}
 	if recv == "virtual" {
 		src, dst = buf.Virtual(src.Len()), buf.Virtual(dst.Len())
 	}
@@ -241,7 +262,7 @@ func TestFaultyGolden(t *testing.T) {
 	for _, s := range goldenSends() {
 		for _, recv := range goldenRecvs {
 			fmt.Fprintf(&out, "%s/%s", s.name, recv)
-			for _, p := range goldenPlans(s.elems * 8 / 4096) {
+			for _, p := range goldenPlans(s.elems*8/4096, !s.eager) {
 				key := s.name + "/" + recv + "/" + p.name
 				row := goldenRow(t, s, recv, p.plan())
 				h := fnv.New32a()
