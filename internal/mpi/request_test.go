@@ -17,29 +17,47 @@ func everyOtherBuf(tb testing.TB, n int) (*datatype.Type, int) {
 	return ty, typedNeed(ty, 1)
 }
 
-// TestAsyncAllocBudget pins what one non-blocking transfer allocates,
-// both sides together, on a clean fabric with virtual payloads: a
-// request and its goroutine's closure per side, the envelope, and the
-// typed receiver's layout descriptor. The counts are deterministic
-// (no wall threshold); before the request diet the typed pair cost 20
-// objects and the contiguous pair 14.
+// TestAsyncAllocBudget pins what one transfer allocates, both sides
+// together, on a clean fabric with virtual payloads: for a non-blocking
+// pair a request and its goroutine's closure per side, the envelope,
+// and the typed receiver's layout descriptor; for a blocking typed
+// rendezvous the envelope, the sender's packer and the receiver's
+// unpacker. The counts
+// are deterministic (no wall threshold) and equal at every GOMAXPROCS;
+// before the request diet the typed non-blocking pair cost 20 objects
+// and the contiguous pair 14. A send engine whose per-transfer state
+// escapes to the heap fails here first.
 func TestAsyncAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	ty, need := everyOtherBuf(t, 1<<17) // 1 MiB of data: rendezvous everywhere
+	wait := func(req *Request, err error) error {
+		if err == nil {
+			_, err = req.Wait()
+		}
+		return err
+	}
+	recvType := func(c *Comm) error {
+		_, err := c.RecvType(buf.Virtual(need), 1, ty, 0, 0)
+		return err
+	}
 	rows := []struct {
 		name   string
 		budget float64
-		send   func(c *Comm) (*Request, error)
-		recv   func(c *Comm) (*Request, error)
+		send   func(c *Comm) error
+		recv   func(c *Comm) error
 	}{
-		{"IsendvType+IrecvType rendezvous", 8,
-			func(c *Comm) (*Request, error) { return c.IsendvType(buf.Virtual(need), 1, ty, 1, 0) },
-			func(c *Comm) (*Request, error) { return c.IrecvType(buf.Virtual(need), 1, ty, 0, 0) }},
-		{"Isend+Irecv eager", 6,
-			func(c *Comm) (*Request, error) { return c.Isend(buf.Virtual(1024), 1, 0) },
-			func(c *Comm) (*Request, error) { return c.Irecv(buf.Virtual(1024), 0, 0) }},
+		{"IsendvType+IrecvType rendezvous", 6,
+			func(c *Comm) error { return wait(c.IsendvType(buf.Virtual(need), 1, ty, 1, 0)) },
+			func(c *Comm) error { return wait(c.IrecvType(buf.Virtual(need), 1, ty, 0, 0)) }},
+		{"Isend+Irecv eager", 5,
+			func(c *Comm) error { return wait(c.Isend(buf.Virtual(1024), 1, 0)) },
+			func(c *Comm) error { return wait(c.Irecv(buf.Virtual(1024), 0, 0)) }},
+		{"SendType+RecvType rendezvous", 3,
+			func(c *Comm) error { return c.SendType(buf.Virtual(need), 1, ty, 1, 0) }, recvType},
+		{"SendpType+RecvType rendezvous", 3,
+			func(c *Comm) error { return c.SendpType(buf.Virtual(need), 1, ty, 1, 0) }, recvType},
 	}
 	for _, row := range rows {
 		const runs = 200
@@ -51,11 +69,7 @@ func TestAsyncAllocBudget(t *testing.T) {
 			}
 			var opErr error
 			transfer := func() {
-				req, err := start(c)
-				if err == nil {
-					_, err = req.Wait()
-				}
-				if err != nil && opErr == nil {
+				if err := start(c); err != nil && opErr == nil {
 					opErr = err
 				}
 				// Both sides' allocations of a transfer fall inside the
