@@ -24,9 +24,10 @@ import (
 //
 // Every faulted cell is measured twice: once with the selective
 // chunk protocol live (damage repaired chunk-by-chunk) and once with
-// mpi.RetryPolicy.WholeReplay set, which reverts recovery to PR 7's
-// whole-transfer replay while keeping chunking, checksumming, fault
-// plan and every other cost identical. Both arms normalise against
+// mpi.RetryPolicy.WholeReplay set, under which every damaged attempt
+// is verified against one checksum of the whole stream and replayed
+// whole, while chunking, checksumming, fault plan and every other cost
+// stay identical. Both arms normalise against
 // the shared clean baseline, so the two goodput-retention ratios
 // compare the recovery protocols and nothing else. The selective
 // curve sitting strictly above the whole-replay one is the study's

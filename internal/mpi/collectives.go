@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
@@ -95,7 +94,7 @@ func (c *Comm) reduce(send, recv buf.Block, count int, op Op, root int) error {
 		return err
 	}
 	if count < 0 {
-		return fmt.Errorf("%w: %d", ErrCount, count)
+		return errNegativeCount(count)
 	}
 	n := count * elem.Float64Size
 	acc := elem.ToFloat64s(send.Slice(0, n))
@@ -199,7 +198,7 @@ func (c *Comm) Scan(send, recv buf.Block, count int, op Op) error {
 
 func (c *Comm) scan(send, recv buf.Block, count int, op Op) error {
 	if count < 0 {
-		return fmt.Errorf("%w: %d", ErrCount, count)
+		return errNegativeCount(count)
 	}
 	n := count * elem.Float64Size
 	acc := elem.ToFloat64s(send.Slice(0, n))

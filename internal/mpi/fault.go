@@ -272,9 +272,9 @@ type RetryPolicy struct {
 	BaseBackoff vclock.Duration
 	// MaxBackoff caps the exponential growth.
 	MaxBackoff vclock.Duration
-	// WholeReplay disables selective chunk retransmission: damaged
-	// rendezvous attempts are verified and replayed as whole
-	// transfers, exactly as before the per-chunk protocol existed.
+	// WholeReplay disables selective chunk retransmission: every
+	// damaged rendezvous attempt is verified against one checksum of
+	// the whole covered stream and replayed as a whole transfer.
 	// Chunking, checksumming, and every other cost stay identical, so
 	// a run with this set is the controlled baseline the chaos-scale
 	// study (E21) measures the selective protocol against.
@@ -529,68 +529,19 @@ func (c *Comm) eagerRetryStep(attempt *int, op string, dest, tag int, f simnet.F
 	return true, nil
 }
 
-// rdvSendLoop drives the sender's attempt loop of a rendezvous
-// payload. xfer performs one attempt's copy, applying the drawn
-// fault's mechanical effect, and reports the attempt's checksum
-// claim: the TRUE sum of the source stream (hasSum), or poisoned when
-// the attempt is known-damaged but unverifiable (virtual payloads,
-// checksum-less engines). Each attempt's transfer cost must be charged
-// to the clock inside xfer.
-func (c *Comm) rdvSendLoop(m *simnet.Message, dest, tag int, n int64,
-	xfer func(f simnet.Fault) (sum uint64, hasSum, poisoned bool, err error)) error {
-	pol := c.retry
-	attempt := 0
-	for {
-		var f simnet.Fault
-		if c.faultsOn() {
-			f = c.fabric.PayloadFault(c.endpoint(c.rank), c.endpoint(dest), n)
-		}
-		sum, hasSum, poisoned, err := xfer(f)
-		if err != nil {
-			m.PostDone(simnet.RdvDone{Err: err})
-			return err
-		}
-		final := m.Ack == nil || attempt >= pol.MaxRetries
-		m.PostDone(simnet.RdvDone{
-			Arrival: c.clock.Now() + dur(c.linkLatency(dest)),
-			Bytes:   n,
-			Sum:     sum, HasSum: hasSum, Poisoned: poisoned, Final: final,
-		})
-		if m.Ack == nil {
-			return nil
-		}
-		ack, werr := c.awaitAck(m, dest, tag)
-		if werr != nil {
-			return werr
-		}
-		if ack == nil {
-			return nil
-		}
-		if errors.Is(ack, errPeerGone) {
-			return &DeliveryError{Op: "rdv-send", Rank: c.rank, Peer: dest, Tag: tag, Attempts: attempt + 1, Last: f.Kind}
-		}
-		if final {
-			return &IntegrityError{Op: "rdv-send", Rank: c.rank, Peer: dest, Tag: tag, Attempts: attempt + 1, Want: sum}
-		}
-		attempt++
-		c.fabric.NoteRetry(c.endpoint(c.rank))
-		c.clock.Advance(pol.backoff(attempt))
-	}
-}
-
-// rdvRecvVerify completes the receiver half of a rendezvous payload:
-// it waits for each attempt's Done, verifies what landed against the
-// sender's checksum claims, and ACKs or NACKs through the handshake's
-// Ack channel until an attempt passes or the sender's budget runs out.
-// verify recomputes the receiver-side sum over the landed bytes of
-// packed-stream range [lo,hi), clamped to local capacity; the second
-// result reports whether verification is possible. Whole-transfer
-// attempts verify [0,Bytes) once and NACK with ErrIntegrity; chunked
-// attempts (Done.Chunks > 0) verify per chunk, track which chunks have
-// been accepted across attempts, suppress redelivered duplicates, and
-// NACK a simnet.ChunkNack bitmap so the sender replays only the
-// damaged chunks.
-func (c *Comm) rdvRecvVerify(m *simnet.Message, peer, tag int, verify func(lo, hi int64) (uint64, bool)) (simnet.RdvDone, error) {
+// rdvRecvVerify completes the receiver half of a rendezvous payload
+// landing in dst (in fd's layout for a fused receiver): it waits for
+// each attempt's Done, verifies what landed against the sender's
+// checksum claims (landedSum), and ACKs or NACKs through the
+// handshake's Ack channel until an attempt passes or the sender's
+// budget runs out. Whole-transfer attempts verify [0,Bytes) once and
+// NACK with ErrIntegrity; chunked attempts (Done.Chunks > 0) verify per
+// chunk, track which chunks have been accepted across attempts,
+// suppress redelivered duplicates, and NACK a simnet.ChunkNack bitmap
+// so the sender replays only the damaged chunks. It returns the
+// accepted attempt's arrival and delivered size.
+func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (arrival vclock.Time, bytes int64, err error) {
+	peer, tag := c.localRank(m.Src), m.Tag
 	attempts := 0
 	// accepted persists across attempts; damaged is one attempt's verdict,
 	// cleared in place for the next. The sender copies a NACKed bitmap
@@ -600,14 +551,14 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, peer, tag int, verify func(lo, h
 	for {
 		done, err := c.awaitDone(m, peer, tag)
 		if err != nil {
-			return done, err
+			return done.Arrival, done.Bytes, err
 		}
 		attempts++
 		if done.Err != nil {
-			return done, done.Err
+			return done.Arrival, done.Bytes, done.Err
 		}
 		if m.Ack == nil {
-			return done, nil
+			return done.Arrival, done.Bytes, nil
 		}
 		if done.Chunks > 0 {
 			if accepted == nil {
@@ -629,16 +580,12 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, peer, tag int, verify func(lo, h
 					c.fabric.NoteDupChunkSuppressed(c.endpoint(c.rank))
 					continue
 				}
-				lo := int64(i) * done.ChunkSize
-				hi := lo + done.ChunkSize
-				if hi > done.Covered {
-					hi = done.Covered
-				}
+				lo, hi := chunkSpan(i, done.ChunkSize, done.Covered)
 				ok := !done.PoisonedChunks.Get(i)
 				var sum uint64
 				if ok && done.HasSum {
 					var checkable bool
-					sum, checkable = verify(lo, hi)
+					sum, checkable = landedSum(dst, fd, lo, hi)
 					if checkable && sum != done.ChunkSums[i] {
 						ok = false
 					}
@@ -658,13 +605,13 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, peer, tag int, verify func(lo, h
 			if !damaged.Any() {
 				m.NoteWake()
 				m.Ack <- nil
-				return done, nil
+				return done.Arrival, done.Bytes, nil
 			}
 			c.fabric.NoteIntegrityReject(c.endpoint(c.rank))
 			m.NoteWake()
 			m.Ack <- &simnet.ChunkNack{Damaged: damaged}
 			if done.Final {
-				return done, &IntegrityError{Op: "rdv-recv", Rank: c.rank, Peer: c.localRank(m.Src), Tag: m.Tag,
+				return done.Arrival, done.Bytes, &IntegrityError{Op: "rdv-recv", Rank: c.rank, Peer: peer, Tag: tag,
 					Attempts: attempts, Want: want, Got: got}
 			}
 			continue
@@ -673,7 +620,7 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, peer, tag int, verify func(lo, h
 		var got uint64
 		if ok && done.HasSum {
 			var checkable bool
-			got, checkable = verify(0, done.Bytes)
+			got, checkable = landedSum(dst, fd, 0, done.Bytes)
 			if checkable && got != done.Sum {
 				ok = false
 			}
@@ -681,16 +628,38 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, peer, tag int, verify func(lo, h
 		if ok {
 			m.NoteWake()
 			m.Ack <- nil
-			return done, nil
+			return done.Arrival, done.Bytes, nil
 		}
 		c.fabric.NoteIntegrityReject(c.endpoint(c.rank))
 		m.NoteWake()
 		m.Ack <- ErrIntegrity
 		if done.Final {
-			return done, &IntegrityError{Op: "rdv-recv", Rank: c.rank, Peer: c.localRank(m.Src), Tag: m.Tag,
+			return done.Arrival, done.Bytes, &IntegrityError{Op: "rdv-recv", Rank: c.rank, Peer: peer, Tag: tag,
 				Attempts: attempts, Want: done.Sum, Got: got}
 		}
 	}
+}
+
+// landedSum recomputes the checksum of packed-stream range [lo,hi) as it
+// landed — through fd's plan in a fused receiver's layout, in dst
+// otherwise — clamped to what the receive holds. The second result is
+// false when nothing can be verified (virtual or empty landing).
+func landedSum(dst buf.Block, fd *fusedDst, lo, hi int64) (uint64, bool) {
+	var cs buf.Checksum
+	if fd != nil {
+		hi = min(hi, fd.need)
+		if fd.user.IsVirtual() || hi <= lo {
+			return 0, false
+		}
+		fd.plan.ChecksumRange(fd.user, lo, hi, &cs)
+		return cs.Sum64(), true
+	}
+	hi = min(hi, int64(dst.Len()))
+	if dst.IsVirtual() || hi <= lo {
+		return 0, false
+	}
+	cs.Write(dst.Bytes()[lo:hi])
+	return cs.Sum64(), true
 }
 
 // FaultKind aliases keep protocol code free of simnet qualifiers at

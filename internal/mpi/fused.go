@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/buf"
@@ -11,11 +10,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
-
-// errNegativeCount mirrors the inline ErrCount wrapping of p2p.go.
-func errNegativeCount(count int) error {
-	return fmt.Errorf("%w: %d", ErrCount, count)
-}
 
 // This file implements the fused zero-copy rendezvous: the sendv
 // path, where a plan-driven typed send copies directly from the
@@ -143,14 +137,6 @@ func (c *Comm) fusedOpen(x *fusedXfer, b buf.Block, count int, ty *datatype.Type
 		// whose NewPacker validates before anything is delivered.
 		return nil, err
 	}
-	wireBW := fl.wireBW
-	if wireBW == 0 {
-		// No MPI-internal buffers are involved, so the internal-pool
-		// degradation of large typed sends does not apply: the wire
-		// term runs at the nominal injection bandwidth, like the
-		// reference send.
-		wireBW = c.prof.NetBandwidth
-	}
 	fl.sendv = true
 	m, match, err := c.rdvHandshake(dest, tag, n, &fl)
 	if err != nil {
@@ -161,64 +147,15 @@ func (c *Comm) fusedOpen(x *fusedXfer, b buf.Block, count int, ty *datatype.Type
 	// A fused receiver takes delivery in its own layout (fd.user); a
 	// contiguous or fused-declining one in match.Dst. covered is the
 	// stream prefix the receiver has room for.
-	*x = fusedXfer{plan: plan, b: b, st: ty.Stats(count), dst: match.Dst, n: n, wire: float64(n) / wireBW,
+	// No MPI-internal buffers are involved, so the internal-pool
+	// degradation of large typed sends does not apply: the wire term
+	// runs at the nominal injection bandwidth, like the reference send.
+	*x = fusedXfer{plan: plan, b: b, st: ty.Stats(count), dst: match.Dst, n: n, wire: float64(n) / c.prof.NetBandwidth,
 		recv: match.Dst, covered: minInt64(n, int64(match.Dst.Len()))}
 	if x.fd, _ = match.FusedDst.(*fusedDst); x.fd != nil {
 		x.recv, x.covered = x.fd.user, minInt64(n, x.fd.need)
 	}
 	return m, nil
-}
-
-// fusedTransfer moves a matched rendezvous' payload, attempt by attempt.
-func (c *Comm) fusedTransfer(m *simnet.Message, dest, tag int, x *fusedXfer) error {
-	if c.faultsOn() && !c.retry.WholeReplay && m.Ack != nil {
-		chunkSz := c.prof.InternalChunk()
-		if schunks := int((x.covered + chunkSz - 1) / chunkSz); schunks > 1 {
-			return c.fusedSendSelective(m, dest, tag, x, chunkSz, schunks)
-		}
-	}
-	// Each attempt re-runs the one-pass (or staged-emulation) transfer;
-	// under faults the drawn damage lands in the receiver's layout
-	// through its own plan, and the checksum claim covers the packed
-	// stream both sides can compute without staging.
-	return c.rdvSendLoop(m, dest, tag, x.n, func(f simnet.Fault) (uint64, bool, bool, error) {
-		// The fused copy's workers may hold the sums, so they live on the
-		// heap: allocated only when there is something to sum.
-		var ss srcSums
-		hasSum := m.Ack != nil && !x.b.IsVirtual() && !x.recv.IsVirtual() && x.covered > 0
-		if hasSum {
-			ss = srcSums{span: x.covered, sums: make([]uint64, 1)}
-		}
-		copyCost, err := c.fusedMove(x, ss)
-		if err != nil {
-			return 0, false, false, err
-		}
-		// Attribution happens at the receiver: a contiguous receive
-		// records the transfer as fused (one pass, no staging), a
-		// fused-declining typed receiver records it as staged when it
-		// unpacks. The sender cannot tell the two destinations apart.
-		poisoned := m.Ack != nil && x.poisoned(f)
-		// The single pass and the wire pipeline: the pass feeds the wire
-		// run-by-run, so the sender is occupied for the longer of the two.
-		c.clock.Advance(vclock.FromSeconds(math.Max(copyCost, x.wire)))
-		var sum uint64
-		if hasSum {
-			sum = ss.sums[0]
-		}
-		return sum, hasSum, poisoned, nil
-	})
-}
-
-// poisoned applies a whole-transfer attempt's drawn damage to what
-// landed and reports whether it could not materialise.
-func (x *fusedXfer) poisoned(f simnet.Fault) bool {
-	if !f.NeedsResend() {
-		return false
-	}
-	if x.fd != nil {
-		return !damagePlanRange(x.fd.plan, x.fd.user, 0, x.covered, f)
-	}
-	return !damageContigRange(x.recv, 0, x.covered, f)
 }
 
 // fusedXfer is one matched fused rendezvous as its attempts see it: the
@@ -236,45 +173,53 @@ type fusedXfer struct {
 	wire       float64
 }
 
-// fusedSendSelective runs a fused rendezvous under selective chunk
-// retransmission: replays re-pack only the damaged stream ranges —
-// through a chunk-sized staging hop into a fused receiver's layout, or
-// straight into a contiguous receiver's block.
-func (c *Comm) fusedSendSelective(m *simnet.Message, dest, tag int, x *fusedXfer, chunkSz int64, chunks int) error {
-	plan, fd, b := x.plan, x.fd, x.b
+// fusedTransfer moves a matched rendezvous' payload, attempt by attempt.
+// Each attempt re-runs the one-pass (or staged-emulation) transfer;
+// under faults the drawn damage lands in the receiver's layout through
+// its own plan, and the checksum claims cover the packed stream both
+// sides can compute without staging. A selective replay re-packs only
+// the damaged stream ranges — through a chunk-sized staging hop into a
+// fused receiver's layout, or straight into a contiguous receiver's
+// block. Attribution happens at the receiver: a contiguous receive
+// records the transfer as fused (one pass, no staging), a
+// fused-declining typed receiver records it as staged when it unpacks.
+func (c *Comm) fusedTransfer(m *simnet.Message, dest, tag int, x *fusedXfer) error {
 	var attemptCost float64
-	return c.rdvSendSelective(m, dest, tag, x.n, &chunkedXfer{
-		covered: x.covered, chunkSize: chunkSz, chunks: chunks,
-		hasSum: !b.IsVirtual() && !x.recv.IsVirtual(),
-		drainAll: func(ss srcSums) error {
+	return c.rdvSend(m, dest, tag, x.n, &stage{
+		covered: x.covered,
+		real:    !x.b.IsVirtual() && !x.recv.IsVirtual(),
+		drain: func(ss srcSums) error {
 			copyCost, err := c.fusedMove(x, ss)
 			if err != nil {
 				return err
 			}
+			// The single pass and the wire pipeline: the pass feeds the
+			// wire run-by-run, so the sender is occupied for the longer
+			// of the two.
 			attemptCost = math.Max(copyCost, x.wire)
 			c.clock.Advance(vclock.FromSeconds(attemptCost))
 			return nil
 		},
 		resend: func(lo, hi int64) error {
-			if fd != nil {
-				scratch := c.transitAlloc(b, hi-lo)
-				err := plan.PackRange(b, scratch, lo, hi)
+			if x.fd != nil {
+				scratch := c.transitAlloc(x.b, hi-lo)
+				err := x.plan.PackRange(x.b, scratch, lo, hi)
 				if err == nil {
-					err = fd.plan.UnpackRange(scratch, fd.user, lo, hi)
+					err = x.fd.plan.UnpackRange(scratch, x.fd.user, lo, hi)
 				}
 				buf.PutPooled(scratch)
 				if err != nil {
 					return err
 				}
-			} else if err := plan.PackRange(b, x.dst.Slice(int(lo), int(hi-lo)), lo, hi); err != nil {
+			} else if err := x.plan.PackRange(x.b, x.dst.Slice(int(lo), int(hi-lo)), lo, hi); err != nil {
 				return err
 			}
 			c.clock.Advance(vclock.FromSeconds(attemptCost * float64(hi-lo) / float64(x.covered)))
 			return nil
 		},
 		damage: func(f simnet.Fault, lo, hi int64) bool {
-			if fd != nil {
-				return damagePlanRange(fd.plan, fd.user, lo, hi, f)
+			if x.fd != nil {
+				return damagePlanRange(x.fd.plan, x.fd.user, lo, hi, f)
 			}
 			return damageContigRange(x.dst, lo, hi, f)
 		},

@@ -57,7 +57,7 @@ func (c *Comm) SendType(b buf.Block, count int, ty *datatype.Type, dest, tag int
 		return err
 	}
 	if count < 0 {
-		return fmt.Errorf("%w: %d", ErrCount, count)
+		return errNegativeCount(count)
 	}
 	return c.sendTyped(b, count, ty, dest, tag, sendFlags{})
 }
@@ -68,7 +68,7 @@ func (c *Comm) SsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 		return err
 	}
 	if count < 0 {
-		return fmt.Errorf("%w: %d", ErrCount, count)
+		return errNegativeCount(count)
 	}
 	return c.sendTyped(b, count, ty, dest, tag, sendFlags{forceRdv: true})
 }
@@ -101,6 +101,9 @@ func (c *Comm) Bsend(b buf.Block, dest, tag int) error {
 func (c *Comm) BsendType(b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
 	if err := c.checkP2P(dest, tag); err != nil {
 		return err
+	}
+	if count < 0 {
+		return errNegativeCount(count)
 	}
 	n := ty.PackSize(count)
 	packer, err := ty.NewPacker(b, count)
@@ -178,7 +181,7 @@ func (c *Comm) RecvType(b buf.Block, count int, ty *datatype.Type, src, tag int)
 		return Status{}, err
 	}
 	if count < 0 {
-		return Status{}, fmt.Errorf("%w: %d", ErrCount, count)
+		return Status{}, errNegativeCount(count)
 	}
 	return c.recvTyped(b, count, ty, src, tag)
 }
@@ -250,6 +253,11 @@ func (c *Comm) checkP2P(dest, tag int) error {
 		return err
 	}
 	return checkTag(tag)
+}
+
+// errNegativeCount is every typed entry point's error for count < 0.
+func errNegativeCount(count int) error {
+	return fmt.Errorf("%w: %d", ErrCount, count)
 }
 
 func (c *Comm) checkRecvArgs(src, tag int) error {

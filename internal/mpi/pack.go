@@ -16,7 +16,7 @@ import (
 // window as a sub-block. op names the operation for the error text.
 func packWindow(count int, ty *datatype.Type, packed buf.Block, position *int64, op string) (buf.Block, int64, error) {
 	if count < 0 {
-		return buf.Block{}, 0, fmt.Errorf("%w: %d", ErrCount, count)
+		return buf.Block{}, 0, errNegativeCount(count)
 	}
 	need := ty.PackSize(count)
 	if *position < 0 || *position+need > int64(packed.Len()) {

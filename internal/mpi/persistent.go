@@ -51,7 +51,7 @@ func (c *Comm) SendTypeInit(b buf.Block, count int, ty *datatype.Type, dest, tag
 		return nil, err
 	}
 	if count < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrCount, count)
+		return nil, errNegativeCount(count)
 	}
 	return &PersistentRequest{
 		owner: c,
@@ -80,7 +80,7 @@ func (c *Comm) RecvTypeInit(b buf.Block, count int, ty *datatype.Type, src, tag 
 		return nil, err
 	}
 	if count < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrCount, count)
+		return nil, errNegativeCount(count)
 	}
 	return &PersistentRequest{
 		owner: c,

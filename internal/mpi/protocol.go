@@ -19,15 +19,8 @@ type sendFlags struct {
 	// forceRdv forces the rendezvous protocol (Ssend).
 	forceRdv bool
 	// onConsume runs when the receiver matches the message (Bsend
-	// buffer release).
+	// buffer release; bsendShip delivers such payloads itself).
 	onConsume func()
-	// wireBW overrides the wire bandwidth (Bsend penalty, one-sided);
-	// zero means the profile's nominal bandwidth.
-	wireBW float64
-	// asyncReturn makes the sender return right after local work with
-	// the message travelling behind its back (Bsend semantics). Only
-	// valid together with eager-style delivery.
-	asyncReturn bool
 	// isend, when non-nil, is the request whose starter must be
 	// released as soon as the envelope has entered the fabric; Isend
 	// uses it to pin program-order delivery.
@@ -57,63 +50,60 @@ type sendFlags struct {
 func (c *Comm) sendContig(b buf.Block, dest, tag int, fl sendFlags) error {
 	n := int64(b.Len())
 	p := c.prof
-	wireBW := fl.wireBW
-	if wireBW == 0 {
-		wireBW = p.NetBandwidth
-	}
+	wire := float64(n) / p.NetBandwidth
 	if !fl.forceRdv && p.Eager(n, fl.packed) {
 		// Eager: payload copied to a transit buffer; under faults every
-		// retransmission ships a fresh copy after the modeled
-		// ACK-timeout backoff.
-		streamCost := c.cache.StreamCost(b.Region(), n)
-		occupy := math.Max(streamCost, float64(n)/wireBW)
-		attempt := 0
-		for {
-			c.clock.Advance(vclock.FromSeconds(p.SendOverhead))
-			injectEnd := c.clock.Now() + dur(occupy)
-			if !fl.asyncReturn {
-				c.clock.AdvanceTo(injectEnd)
-			}
-			f := c.deliverEager(dest, tag, c.transitCopy(b), n, injectEnd, fl)
-			fl.isend.signalPosted()
-			again, err := c.eagerRetryStep(&attempt, "send", dest, tag, f)
-			if err != nil || !again {
-				if c.faultsOn() && fl.onConsume != nil {
-					// Faulted deliveries travel without OnConsume (a
-					// dropped copy would leak it); fire it here, where
-					// the payload's fate is settled.
-					fl.onConsume()
-				}
-				return err
-			}
-		}
+		// retransmission ships a fresh copy.
+		occupy := math.Max(c.cache.StreamCost(b.Region(), n), wire)
+		return c.sendEager("send", dest, tag, n, occupy, fl, func() (buf.Block, error) { return c.transitCopy(b), nil })
 	}
 	// Rendezvous: RTS, wait for the matched receive, stream zero-copy.
 	m, match, err := c.rdvHandshake(dest, tag, n, &fl)
 	if err != nil {
 		return err
 	}
-	ctsAt := match.MatchTime + dur(c.linkLatency(dest))
-	c.clock.AdvanceTo(ctsAt)
-	streamCost := c.cache.StreamCost(b.Region(), n)
-	occupy := math.Max(streamCost, float64(n)/wireBW)
-	nCopy := minInt64(n, int64(match.Dst.Len()))
-	return c.rdvSendLoop(m, dest, tag, n, func(f simnet.Fault) (uint64, bool, bool, error) {
-		c.clock.Advance(vclock.FromSeconds(occupy))
-		if nCopy > 0 {
+	c.clock.AdvanceTo(match.MatchTime + dur(c.linkLatency(dest)))
+	occupy := math.Max(c.cache.StreamCost(b.Region(), n), wire)
+	nCopy := min(n, int64(match.Dst.Len()))
+	return c.rdvSend(m, dest, tag, n, &stage{
+		covered: nCopy,
+		real:    !b.IsVirtual() && !match.Dst.IsVirtual(),
+		drain: func(ss srcSums) error {
+			c.clock.Advance(vclock.FromSeconds(occupy))
 			buf.CopyAt(match.Dst, 0, b, 0, int(nCopy))
-		}
-		poisoned := f.NeedsResend() && !damageContigRange(match.Dst, 0, nCopy, f)
-		var sum uint64
-		hasSum := false
-		if m.Ack != nil && !b.IsVirtual() && !match.Dst.IsVirtual() && nCopy > 0 {
-			var cs buf.Checksum
-			cs.Write(b.Bytes()[:nCopy])
-			sum = cs.Sum64()
-			hasSum = true
-		}
-		return sum, hasSum, poisoned, nil
+			if ss.sums != nil {
+				var cs buf.Checksum
+				cs.Write(b.Bytes()[:nCopy])
+				ss.sums[0] = cs.Sum64()
+			}
+			return nil
+		},
+		damage: func(f simnet.Fault, lo, hi int64) bool { return damageContigRange(match.Dst, lo, hi, f) },
 	})
+}
+
+// sendEager ships an eager payload attempt by attempt: fill builds each
+// attempt's transit block, and span is how long packing and injection
+// occupy the sender. Under faults each retransmission follows the
+// modeled ACK-timeout backoff.
+func (c *Comm) sendEager(op string, dest, tag int, n int64, span float64, fl sendFlags, fill func() (buf.Block, error)) error {
+	attempt := 0
+	for {
+		transit, err := fill()
+		if err != nil {
+			fl.isend.signalPosted()
+			return err
+		}
+		c.clock.Advance(vclock.FromSeconds(c.prof.SendOverhead))
+		injectEnd := c.clock.Now() + dur(span)
+		c.clock.AdvanceTo(injectEnd)
+		f := c.deliverEager(dest, tag, transit, n, injectEnd, fl)
+		fl.isend.signalPosted()
+		again, err := c.eagerRetryStep(&attempt, op, dest, tag, f)
+		if err != nil || !again {
+			return err
+		}
+	}
 }
 
 // rdvHandshake opens a rendezvous: it pays the send overhead, injects
@@ -175,16 +165,12 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 		k.Engine = PlanKernel(packer.Plan()).Engine
 	}
 	gather := c.cache.GatherCost(b.Region(), c.internal.Region(), st, k)
-	wireBW := fl.wireBW
-	if wireBW == 0 {
-		if p.NICPipelining {
-			// Reference [2]: the NIC reads user memory directly, so
-			// the internal buffer pool and its large-message
-			// bookkeeping degradation disappear.
-			wireBW = p.NetBandwidth
-		} else {
-			wireBW = p.InternalBW(n)
-		}
+	wireBW := p.InternalBW(n)
+	if p.NICPipelining {
+		// Reference [2]: the NIC reads user memory directly, so the
+		// internal buffer pool and its large-message bookkeeping
+		// degradation disappear.
+		wireBW = p.NetBandwidth
 	}
 	wire := 0.0
 	if n > 0 {
@@ -220,55 +206,28 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 		transferSpan = memsim.PipelinedChunkCost(packWork, wire, chunks, p.PipelineDepth())
 	}
 
+	// Every attempt after the first packs through a fresh packer.
+	first := true
+	attemptPacker := func() (*datatype.Packer, error) {
+		if first {
+			first = false
+			return packer, nil
+		}
+		return ty.NewPacker(b, count)
+	}
 	if eager {
-		if c.faultsOn() {
-			// Under faults the retry loop needs a fresh transit pack
-			// per attempt.
-			attempt := 0
-			for {
-				transit := c.transitAlloc(b, n)
-				if _, err := packer.Pack(transit); err != nil {
-					buf.PutPooled(transit)
-					fl.isend.signalPosted()
-					return err
-				}
-				c.clock.Advance(vclock.FromSeconds(p.SendOverhead))
-				injectEnd := c.clock.Now() + dur(transferSpan)
-				if !fl.asyncReturn {
-					c.clock.AdvanceTo(injectEnd)
-				} else {
-					c.clock.Advance(vclock.FromSeconds(packWork))
-				}
-				f := c.deliverEager(dest, tag, transit, n, injectEnd, fl)
-				fl.isend.signalPosted()
-				again, err := c.eagerRetryStep(&attempt, "send-typed", dest, tag, f)
-				if err != nil || !again {
-					if fl.onConsume != nil {
-						fl.onConsume()
-					}
-					return err
-				}
-				if packer, err = ty.NewPacker(b, count); err != nil {
-					return err
-				}
+		return c.sendEager("send-typed", dest, tag, n, transferSpan, fl, func() (buf.Block, error) {
+			pk, err := attemptPacker()
+			if err != nil {
+				return buf.Block{}, err
 			}
-		}
-		transit := c.transitAlloc(b, n)
-		if _, err := packer.Pack(transit); err != nil {
-			return err
-		}
-		c.clock.Advance(vclock.FromSeconds(p.SendOverhead))
-		injectEnd := c.clock.Now() + dur(transferSpan)
-		if !fl.asyncReturn {
-			// Bsend returns after the local pack; everyone else waits
-			// for the injection too.
-			c.clock.AdvanceTo(injectEnd)
-		} else {
-			c.clock.Advance(vclock.FromSeconds(packWork))
-		}
-		c.deliverEager(dest, tag, transit, n, injectEnd, fl)
-		fl.isend.signalPosted()
-		return nil
+			transit := c.transitAlloc(b, n)
+			if _, err := pk.Pack(transit); err != nil {
+				buf.PutPooled(transit)
+				return buf.Block{}, err
+			}
+			return transit, nil
+		})
 	}
 
 	sendStart := c.clock.Now() + dur(p.SendOverhead)
@@ -292,83 +251,41 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	c.clock.AdvanceTo(packFrom)
 	// Chunk loop: pack a chunk, inject a chunk — serialised in the
 	// measured installations, overlapped under NIC pipelining or the
-	// software-pipelined slot ring. Under faults each retransmission
-	// re-packs through a fresh packer.
-	nCopy := minInt64(n, int64(match.Dst.Len()))
-	if plan := packer.Plan(); c.faultsOn() && !c.retry.WholeReplay && m.Ack != nil && plan != nil {
-		chunkSz := p.InternalChunk()
-		if schunks := int((nCopy + chunkSz - 1) / chunkSz); schunks > 1 {
-			// Selective chunk retransmission: per-chunk checksums, a
-			// bitmap NACK, and replays that re-pack only the damaged
-			// stream ranges through the compiled plan.
-			x := &chunkedXfer{
-				covered: nCopy, chunkSize: chunkSz, chunks: schunks,
-				hasSum: !b.IsVirtual() && !match.Dst.IsVirtual(),
-				drainAll: func(ss srcSums) error {
-					var drainErr error
-					if pipelined {
-						drainErr = c.drainPipelined(plan, b, match.Dst, n, ss)
-					} else {
-						drainErr = c.drainPacker(packer, b, match.Dst, n, ss)
-					}
-					if drainErr != nil {
-						return drainErr
-					}
-					c.clock.Advance(vclock.FromSeconds(transferSpan))
-					if end := ctsAt + dur(wire); c.clock.Now() < end {
-						c.clock.AdvanceTo(end)
-					}
-					return nil
-				},
-				resend: func(lo, hi int64) error {
-					if err := plan.PackRange(b, match.Dst.Slice(int(lo), int(hi-lo)), lo, hi); err != nil {
-						return err
-					}
-					c.clock.Advance(vclock.FromSeconds((packWork + wire) * float64(hi-lo) / float64(n)))
-					return nil
-				},
-				damage: func(f simnet.Fault, lo, hi int64) bool {
-					return damageContigRange(match.Dst, lo, hi, f)
-				},
+	// software-pipelined slot ring. A selective replay re-packs only
+	// the damaged stream ranges through the compiled plan.
+	plan := packer.Plan()
+	return c.rdvSend(m, dest, tag, n, &stage{
+		covered: min(n, int64(match.Dst.Len())),
+		real:    !b.IsVirtual() && !match.Dst.IsVirtual(),
+		drain: func(ss srcSums) error {
+			pk, err := attemptPacker()
+			if err != nil {
+				return err
 			}
-			return c.rdvSendSelective(m, dest, tag, n, x)
-		}
-	}
-	first := true
-	return c.rdvSendLoop(m, dest, tag, n, func(f simnet.Fault) (uint64, bool, bool, error) {
-		pk := packer
-		if !first {
-			var perr error
-			if pk, perr = ty.NewPacker(b, count); perr != nil {
-				return 0, false, false, perr
+			if pipelined {
+				err = c.drainPipelined(pk.Plan(), b, match.Dst, n, ss)
+			} else {
+				err = c.drainPacker(pk, b, match.Dst, n, ss)
 			}
-		}
-		first = false
-		// One running checksum of the source stream, folded by the drain
-		// as it packs.
-		var sum [1]uint64
-		var ss srcSums
-		hasSum := m.Ack != nil && !b.IsVirtual() && !match.Dst.IsVirtual() && nCopy > 0
-		if hasSum {
-			ss = srcSums{span: nCopy, sums: sum[:]}
-		}
-		var drainErr error
-		if pipelined {
-			drainErr = c.drainPipelined(pk.Plan(), b, match.Dst, n, ss)
-		} else {
-			drainErr = c.drainPacker(pk, b, match.Dst, n, ss)
-		}
-		if drainErr != nil {
-			return 0, false, false, drainErr
-		}
-		c.clock.Advance(vclock.FromSeconds(transferSpan))
-		if end := ctsAt + dur(wire); c.clock.Now() < end {
-			// The wire cannot start before the CTS even when packing
-			// was prefetched.
-			c.clock.AdvanceTo(end)
-		}
-		poisoned := f.NeedsResend() && !damageContigRange(match.Dst, 0, nCopy, f)
-		return sum[0], hasSum, poisoned, nil
+			if err != nil {
+				return err
+			}
+			c.clock.Advance(vclock.FromSeconds(transferSpan))
+			if end := ctsAt + dur(wire); c.clock.Now() < end {
+				// The wire cannot start before the CTS even when packing
+				// was prefetched.
+				c.clock.AdvanceTo(end)
+			}
+			return nil
+		},
+		resend: func(lo, hi int64) error {
+			if err := plan.PackRange(b, match.Dst.Slice(int(lo), int(hi-lo)), lo, hi); err != nil {
+				return err
+			}
+			c.clock.Advance(vclock.FromSeconds((packWork + wire) * float64(hi-lo) / float64(n)))
+			return nil
+		},
+		damage: func(f simnet.Fault, lo, hi int64) bool { return damageContigRange(match.Dst, lo, hi, f) },
 	})
 }
 
@@ -525,89 +442,16 @@ func (c *Comm) recvContig(b buf.Block, src, tag int) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	return c.completeRecvContig(b, m, post)
-}
-
-// completeRecvContig finishes a matched contiguous receive.
-func (c *Comm) completeRecvContig(b buf.Block, m *simnet.Message, post vclock.Time) (Status, error) {
-	p := c.prof
 	st := Status{Source: c.localRank(m.Src), Tag: m.Tag, Count: m.Bytes}
-	switch m.Kind {
-	case simnet.KindEager:
-		c.clock.AdvanceTo(maxTime(m.Arrival, post))
-		if err := eagerWireErr(m); err != nil {
-			// A payload damaged in flight with no retry machinery armed
-			// to re-request it: surface the typed delivery error.
-			consumeEager(m)
-			return st, err
-		}
-		nCopy := m.Bytes
-		if int64(b.Len()) < nCopy {
-			nCopy = int64(b.Len())
-		}
-		// The bounce-buffer copy applies only to *unexpected* eager
-		// messages (arrival before the receive was posted); a posted
-		// receive takes delivery zero-copy. This is why raising the
-		// eager limit over the maximum size "did not appreciably
-		// change the results for large messages" (§4.5): a ping-pong
-		// receiver is always already waiting.
-		var copyCost float64
-		if m.Arrival <= post {
-			copyCost = c.cache.CopyCost(m.Payload.Region(), b.Region(), nCopy)
-		}
-		c.clock.Advance(vclock.FromSeconds(p.RecvOverhead + copyCost))
-		if nCopy > 0 {
-			buf.CopyAt(b, 0, m.Payload, 0, int(nCopy))
-		}
-		if m.OnConsume != nil {
-			m.OnConsume()
-		}
-		// The transit copy is consumed: recycle it. (No-op for
-		// non-pooled payloads like Bsend's attached-buffer regions.)
-		buf.PutPooled(m.Payload)
-		m.Payload = buf.Block{}
-		if m.Bytes > int64(b.Len()) {
-			return st, fmt.Errorf("%w: %d-byte message, %d-byte receive buffer", ErrTruncate, m.Bytes, b.Len())
-		}
-		return st, nil
-	case simnet.KindRendezvous:
-		m.PostMatch(simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: b})
-		done, err := c.rdvRecvVerify(m, c.localRank(m.Src), m.Tag, func(lo, hi int64) (uint64, bool) {
-			hi = minInt64(hi, int64(b.Len()))
-			if b.IsVirtual() || hi <= lo {
-				return 0, false
-			}
-			var cs buf.Checksum
-			cs.Write(b.Bytes()[lo:hi])
-			return cs.Sum64(), true
-		})
-		if err != nil {
-			return st, err
-		}
-		c.clock.AdvanceTo(done.Arrival)
-		c.clock.Advance(vclock.FromSeconds(p.RecvOverhead))
-		if m.Sendv {
-			// A sendv sender packed its layout straight into this
-			// contiguous buffer: one pass, no staging anywhere.
-			datatype.RecordFusedTransfer(minInt64(done.Bytes, int64(b.Len())))
-		}
-		if m.OnConsume != nil {
-			m.OnConsume()
-		}
-		if done.Bytes > int64(b.Len()) {
-			return st, fmt.Errorf("%w: %d-byte message, %d-byte receive buffer", ErrTruncate, done.Bytes, b.Len())
-		}
-		return st, nil
-	default:
-		return st, fmt.Errorf("mpi: unknown message kind %v", m.Kind)
-	}
+	return st, c.land(m, post, b, nil, int64(b.Len()), 0, nil)
 }
 
 // recvTyped receives a typed message, scattering into the datatype
 // layout.
 func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int) (Status, error) {
 	// Argument errors surface here, before the match; the unpacker is
-	// built only by the branches that unpack (a fused match never does).
+	// built only when a staged payload is scattered (a fused match never
+	// does).
 	plan, err := ty.CompilePlan(count)
 	if err == nil {
 		err = plan.Validate(b)
@@ -615,7 +459,6 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 	if err != nil {
 		return Status{}, err
 	}
-	p := c.prof
 	need := ty.PackSize(count)
 	post := c.clock.Now()
 	m, err := c.matchVerified(src, tag)
@@ -624,117 +467,119 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 	}
 	st := Status{Source: c.localRank(m.Src), Tag: m.Tag, Count: m.Bytes}
 	scatter := c.cache.ScatterCost(c.internal.Region(), b.Region(), ty.Stats(count), memsim.Kernel{})
+	// A staged payload (eager transit, rendezvous staging) is scattered
+	// into b's layout once it has landed.
+	unpack := func(packed buf.Block) error {
+		u, err := ty.NewUnpacker(b, count)
+		if err == nil {
+			_, err = u.Unpack(packed)
+		}
+		if err == nil {
+			datatype.RecordStagedTransfer(int64(packed.Len()))
+		}
+		return err
+	}
+	if m.Kind != simnet.KindRendezvous {
+		return st, c.land(m, post, b, nil, need, scatter, unpack)
+	}
+	if m.Sendv {
+		if fd := offerFusedDst(b, count, ty, plan, need); fd != nil {
+			// Fused: expose the user layout; the sendv sender scatters
+			// straight into it (or runs its local staged emulation) —
+			// either way the payload arrives in place and this rank
+			// never allocates staging or unpacks.
+			return st, c.land(m, post, b, fd, need, 0, nil)
+		}
+		// The layout cannot take a one-pass scatter (overlapping
+		// instances, uncompilable plan): stage like any typed
+		// rendezvous; the sendv sender packs into the staging block in
+		// one compiled pass instead.
+	}
+	// The sender has finished with the staging block once it posts
+	// Done, so it is recycled whatever the outcome.
+	staging := c.transitAlloc(b, min(m.Bytes, need))
+	defer buf.PutPooled(staging)
+	return st, c.land(m, post, staging, nil, need, scatter, unpack)
+}
+
+// land completes a matched receive with room for room bytes. An eager
+// payload is copied from its transit block into dst, or handed to
+// unpack; a rendezvous sender moves the payload into dst itself — into
+// fd's layout instead when the receiver offered one — and every attempt
+// is verified before unpack, when set, scatters the landed block. The
+// receive overhead plus extra is charged once the payload is complete;
+// an eager payload copied into dst pays the bounce-buffer copy of an
+// unexpected message as its extra. A message longer than room is
+// delivered up to room and reported as truncated.
+func (c *Comm) land(m *simnet.Message, post vclock.Time, dst buf.Block, fd *fusedDst, room int64, extra float64, unpack func(packed buf.Block) error) error {
+	bytes, landed := m.Bytes, dst
 	switch m.Kind {
 	case simnet.KindEager:
 		c.clock.AdvanceTo(maxTime(m.Arrival, post))
-		if werr := eagerWireErr(m); werr != nil {
+		if err := eagerWireErr(m); err != nil {
+			// A payload damaged in flight with no retry machinery armed
+			// to re-request it: surface the typed delivery error.
 			consumeEager(m)
-			return st, werr
+			return err
 		}
-		c.clock.Advance(vclock.FromSeconds(p.RecvOverhead + scatter))
-		nCopy := m.Bytes
-		if need < nCopy {
-			nCopy = need
-		}
-		if nCopy > 0 {
-			if err := unpackTyped(b, count, ty, m.Payload.Slice(0, int(nCopy))); err != nil {
-				buf.PutPooled(m.Payload)
-				m.Payload = buf.Block{}
-				return st, err
+		// The transit copy is consumed (and recycled) once it has landed.
+		defer consumeEager(m)
+		landed = m.Payload.Slice(0, int(min(bytes, room)))
+		if unpack == nil {
+			// The bounce-buffer copy applies only to *unexpected* eager
+			// messages (arrival before the receive was posted); a posted
+			// receive takes delivery zero-copy. This is why raising the
+			// eager limit over the maximum size "did not appreciably
+			// change the results for large messages" (§4.5): a
+			// ping-pong receiver is always already waiting.
+			if m.Arrival <= post {
+				extra = c.cache.CopyCost(m.Payload.Region(), dst.Region(), int64(landed.Len()))
 			}
-			datatype.RecordStagedTransfer(nCopy)
+			buf.CopyAt(dst, 0, landed, 0, landed.Len())
 		}
-		if m.OnConsume != nil {
-			m.OnConsume()
-		}
-		buf.PutPooled(m.Payload)
-		m.Payload = buf.Block{}
-		if m.Bytes > need {
-			return st, fmt.Errorf("%w: %d-byte message, %d-byte typed receive", ErrTruncate, m.Bytes, need)
-		}
-		return st, nil
 	case simnet.KindRendezvous:
-		if m.Sendv {
-			if fd := offerFusedDst(b, count, ty, plan, need); fd != nil {
-				// Fused: expose the user layout; the sendv sender
-				// scatters straight into it (or runs its local staged
-				// emulation) — either way the payload arrives in place
-				// and this rank never allocates staging or unpacks.
-				m.PostMatch(simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: b, FusedDst: fd})
-				done, err := c.rdvRecvVerify(m, c.localRank(m.Src), m.Tag, func(lo, hi int64) (uint64, bool) {
-					hi = minInt64(hi, need)
-					if b.IsVirtual() || hi <= lo {
-						return 0, false
-					}
-					var cs buf.Checksum
-					fd.plan.ChecksumRange(b, lo, hi, &cs)
-					return cs.Sum64(), true
-				})
-				if err != nil {
-					return st, err
-				}
-				c.clock.AdvanceTo(done.Arrival)
-				c.clock.Advance(vclock.FromSeconds(p.RecvOverhead))
-				if m.OnConsume != nil {
-					m.OnConsume()
-				}
-				if done.Bytes > need {
-					return st, fmt.Errorf("%w: %d-byte message, %d-byte typed receive", ErrTruncate, done.Bytes, need)
-				}
-				return st, nil
-			}
-			// The layout cannot take a one-pass scatter (overlapping
-			// instances, uncompilable plan): stage like any typed
-			// rendezvous; the sendv sender packs into the staging block
-			// in one compiled pass instead.
+		match := simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: dst}
+		if fd != nil {
+			match.FusedDst = fd
 		}
-		staging := c.transitAlloc(b, minInt64(m.Bytes, need))
-		m.PostMatch(simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: staging})
-		done, err := c.rdvRecvVerify(m, c.localRank(m.Src), m.Tag, func(lo, hi int64) (uint64, bool) {
-			hi = minInt64(hi, int64(staging.Len()))
-			if staging.IsVirtual() || hi <= lo {
-				return 0, false
-			}
-			var cs buf.Checksum
-			cs.Write(staging.Bytes()[lo:hi])
-			return cs.Sum64(), true
-		})
+		m.PostMatch(match)
+		arrival, n, err := c.rdvRecvVerify(m, dst, fd)
 		if err != nil {
-			// The sender has finished with the staging block (Done is
-			// sent after the copy), so it can be recycled even on error.
-			buf.PutPooled(staging)
-			return st, err
+			return err
 		}
-		c.clock.AdvanceTo(done.Arrival)
-		c.clock.Advance(vclock.FromSeconds(p.RecvOverhead + scatter))
-		if staging.Len() > 0 {
-			if err := unpackTyped(b, count, ty, staging); err != nil {
-				buf.PutPooled(staging)
-				return st, err
-			}
-			datatype.RecordStagedTransfer(int64(staging.Len()))
+		c.clock.AdvanceTo(arrival)
+		bytes = n
+		if m.Sendv && fd == nil && unpack == nil {
+			// A sendv sender packed its layout straight into this
+			// contiguous buffer: one pass, no staging anywhere.
+			datatype.RecordFusedTransfer(min(bytes, int64(dst.Len())))
 		}
 		if m.OnConsume != nil {
 			m.OnConsume()
 		}
-		buf.PutPooled(staging)
-		if done.Bytes > need {
-			return st, fmt.Errorf("%w: %d-byte message, %d-byte typed receive", ErrTruncate, done.Bytes, need)
-		}
-		return st, nil
 	default:
-		return st, fmt.Errorf("mpi: unknown message kind %v", m.Kind)
+		return fmt.Errorf("mpi: unknown message kind %v", m.Kind)
 	}
+	c.clock.Advance(vclock.FromSeconds(c.prof.RecvOverhead + extra))
+	if unpack != nil && landed.Len() > 0 {
+		if err := unpack(landed); err != nil {
+			return err
+		}
+	}
+	if bytes > room {
+		return errTruncated(bytes, room, fd != nil || unpack != nil)
+	}
+	return nil
 }
 
-// unpackTyped scatters a packed stream (prefix) into count instances
-// of ty in b.
-func unpackTyped(b buf.Block, count int, ty *datatype.Type, packed buf.Block) error {
-	u, err := ty.NewUnpacker(b, count)
-	if err == nil {
-		_, err = u.Unpack(packed)
+// errTruncated reports a bytes-long message delivered into a receive
+// with room for room bytes.
+func errTruncated(bytes, room int64, typed bool) error {
+	what := "receive buffer"
+	if typed {
+		what = "typed receive"
 	}
-	return err
+	return fmt.Errorf("%w: %d-byte message, %d-byte %s", ErrTruncate, bytes, room, what)
 }
 
 // matchFrom resolves the wildcard-aware (src, tag) match for this

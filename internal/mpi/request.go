@@ -97,7 +97,7 @@ func (c *Comm) IsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 		return nil, err
 	}
 	if count < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrCount, count)
+		return nil, errNegativeCount(count)
 	}
 	return c.startAsyncSend(&Request{kind: opSendTyped, b: b, count: count, ty: ty, peer: dest, tag: tag}), nil
 }
@@ -204,7 +204,7 @@ func (c *Comm) IrecvType(b buf.Block, count int, ty *datatype.Type, src, tag int
 		return nil, err
 	}
 	if count < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrCount, count)
+		return nil, errNegativeCount(count)
 	}
 	return c.startAsync(&Request{kind: opRecvTyped, b: b, count: count, ty: ty, peer: src, tag: tag}), nil
 }

@@ -8,160 +8,177 @@ import (
 	"repro/internal/simnet"
 )
 
-// Selective chunk retransmission (sender half). The chunked rendezvous
-// engines cut the packed byte stream into the profile's internal
-// chunks; under faults each chunk carries its own checksum, the
+// The sender half of a rendezvous payload. Every engine — the
+// contiguous stream, the serial or pipelined typed chunk loop, the
+// fused scatter — describes its matched transfer as one stage, and one
+// attempt loop runs it. Without faults that is a single drain. Under
+// faults each attempt carries the checksums of the source stream,
+// which cannot change during a send: the first drain folds them while
+// it moves the bytes (srcSums — no second read of the source). A
+// damaged attempt is replayed whole, or, when the engine can replay a
+// stream range and the payload spans several internal chunks, only in
+// its damaged chunks: each chunk then carries its own checksum, the
 // receiver NACKs a bitmap of damaged chunks (simnet.ChunkNack), and
-// the sender replays only those — re-packing them through the plan's
-// stream offsets — instead of the whole transfer. The checksums are of
-// the source stream, which cannot change during a send: the first drain
-// folds them while it moves the bytes (srcSums — no second read of the
-// source) and every replay reuses them. PR 7's whole-transfer replay
-// survives as the fallback for checksum-less and single-chunk paths
-// (rdvSendLoop).
+// every replay reuses the first drain's sums.
 
-// chunkedXfer describes one transfer to the selective engine. The
-// packed stream's first covered bytes are cut into chunks pieces of
-// chunkSize bytes (last one short). Every closure charges its own
-// virtual-clock cost; ranges are packed-stream byte offsets.
-type chunkedXfer struct {
-	covered   int64
-	chunkSize int64
-	chunks    int
-	// hasSum is false when the transfer is unverifiable (virtual
-	// payloads): no checksum is computed or claimed.
-	hasSum bool
-
-	// drainAll performs the initial full-transfer copy (the engine's
-	// normal drain: serial, pipelined slot ring, or fused scatter),
-	// recording each chunk's SOURCE checksum in ss as it goes.
-	drainAll func(ss srcSums) error
-	// resend re-packs and re-lands stream range [lo,hi) only.
+// stage is one matched rendezvous transfer as the attempt loop sees
+// it. Every move charges its own virtual-clock cost; ranges are
+// packed-stream byte offsets.
+type stage struct {
+	// covered is the stream prefix the receiver has room for.
+	covered int64
+	// real is false when either buffer is virtual: nothing lands, so no
+	// checksum is computed or claimed.
+	real bool
+	// drain moves the whole covered stream once (the engine's normal
+	// path), recording the SOURCE checksums in ss as it reads.
+	drain func(ss srcSums) error
+	// resend moves stream range [lo,hi) again; nil for an engine that
+	// replays whole transfers only.
 	resend func(lo, hi int64) error
 	// damage applies a drawn fault's mechanical effect to the landed
-	// bytes of [lo,hi); false when it cannot materialise, in which
-	// case the chunk travels poisoned.
+	// bytes of [lo,hi); false when it cannot materialise, in which case
+	// the range travels poisoned.
 	damage func(f simnet.Fault, lo, hi int64) bool
 }
 
-// rangeOf returns chunk i's packed-stream byte range.
-func (x *chunkedXfer) rangeOf(i int) (lo, hi int64) {
-	lo = int64(i) * x.chunkSize
-	hi = lo + x.chunkSize
-	if hi > x.covered {
-		hi = x.covered
-	}
-	return lo, hi
+// chunkSpan returns internal chunk i's packed-stream byte range of a
+// covered prefix cut into size-byte chunks (the last one short).
+func chunkSpan(i int, size, covered int64) (lo, hi int64) {
+	lo = int64(i) * size
+	return lo, min(lo+size, covered)
 }
 
-// rdvSendSelective drives the sender's attempt loop of a chunked
-// rendezvous payload with per-chunk fault draws, per-chunk checksums,
-// and bitmap-driven selective replay. The first attempt drains the
-// whole transfer through the engine's normal path; each NACKed round
-// replays only the damaged chunks and counts them against the fabric's
-// retransmission attribution.
-func (c *Comm) rdvSendSelective(m *simnet.Message, dest, tag int, n int64, x *chunkedXfer) error {
-	pol := c.retry
-	attempt := 0
-	send := simnet.FullChunkBitmap(x.chunks)
-	// One set of per-attempt verdicts for the whole transfer, cleared in
-	// place each attempt. Reuse is race-free: they travel to the
-	// receiver inside the RdvDone, the receiver reads them only while it
-	// verifies that attempt, and this rank sits in awaitAck until the
-	// receiver has answered it. The chunk sums are written once, by the
-	// first drain.
-	poisoned := simnet.NewChunkBitmap(x.chunks)
-	dup := simnet.NewChunkBitmap(x.chunks)
-	sums := make([]uint64, x.chunks)
+// rdvSend drives the sender's attempts of a matched rendezvous payload
+// of n bytes through st: each attempt moves its bytes and hands over to
+// rdvVerdict, until the payload is accepted or the budget is spent.
+// Replay is selective exactly when faults are armed, the policy allows
+// it, the envelope carries an Ack channel, the engine can replay a
+// range, and the covered stream spans more than one internal chunk;
+// otherwise every attempt drains the whole transfer again.
+func (c *Comm) rdvSend(m *simnet.Message, dest, tag int, n int64, st *stage) error {
+	size := c.prof.InternalChunk()
+	chunks := int((st.covered + size - 1) / size)
+	// done is every attempt's Done. Sum storage exists only when a sum
+	// is claimed, in ChunkSums (one slot for a whole transfer); the
+	// selective descriptor always carries one slot per chunk, with the
+	// replay set and the per-attempt verdicts. All of it is allocated
+	// once and reused in place. Reuse is race-free: the receiver reads
+	// it only while it verifies that attempt, and this rank sits in
+	// awaitAck until the receiver has answered it.
+	done := simnet.RdvDone{Bytes: n, HasSum: st.real && m.Ack != nil && st.covered > 0}
+	span := st.covered
+	if c.faultsOn() && !c.retry.WholeReplay && m.Ack != nil && st.resend != nil && chunks > 1 {
+		done.Chunks, done.ChunkSize, done.Covered = chunks, size, st.covered
+		done.ChunkSums = make([]uint64, chunks)
+		done.Sent, done.PoisonedChunks, done.Dup = simnet.FullChunkBitmap(chunks), simnet.NewChunkBitmap(chunks), simnet.NewChunkBitmap(chunks)
+		span = size
+	} else if done.HasSum {
+		done.ChunkSums = make([]uint64, 1)
+	}
 	var ss srcSums
-	if x.hasSum {
-		ss = srcSums{span: x.chunkSize, sums: sums}
+	if done.HasSum {
+		ss = srcSums{span: span, sums: done.ChunkSums}
 	}
-	fail := func(err error) error {
-		m.PostDone(simnet.RdvDone{Err: err})
-		return err
-	}
-	for {
-		if attempt == 0 {
-			if err := x.drainAll(ss); err != nil {
-				return fail(err)
-			}
+	for attempt := 0; ; attempt++ {
+		var err error
+		if attempt == 0 || done.Chunks == 0 {
+			err = st.drain(ss)
 		} else {
 			resent := 0
 			var resentBytes int64
-			for i := 0; i < x.chunks; i++ {
-				if !send.Get(i) {
-					continue
+			for i := 0; i < chunks && err == nil; i++ {
+				if done.Sent.Get(i) {
+					lo, hi := chunkSpan(i, size, st.covered)
+					err = st.resend(lo, hi)
+					resent++
+					resentBytes += hi - lo
 				}
-				lo, hi := x.rangeOf(i)
-				if err := x.resend(lo, hi); err != nil {
-					return fail(err)
-				}
-				resent++
-				resentBytes += hi - lo
 			}
-			c.fabric.NoteChunkRetransmit(c.endpoint(c.rank), resent, resentBytes)
+			if err == nil {
+				c.fabric.NoteChunkRetransmit(c.endpoint(c.rank), resent, resentBytes)
+			}
 		}
-		// Per-chunk fault verdicts for this attempt's chunks. A duplicate
-		// fault redelivers the chunk rather than damaging it; the
-		// receiver suppresses the extra copy.
-		clear(poisoned)
-		clear(dup)
-		for i := 0; i < x.chunks; i++ {
-			if !send.Get(i) {
+		if retry, err := c.rdvVerdict(m, dest, tag, st, &done, attempt, err); !retry {
+			return err
+		}
+	}
+}
+
+// rdvVerdict finishes one attempt once its move has run: a move error
+// is posted to the receiver and returned. Otherwise it draws the
+// attempt's faults — one per sent chunk under selective replay, one for
+// the whole transfer otherwise — and applies them to what landed,
+// posts Done with the checksum claims, and waits for the receiver's
+// verdict. A NACK with budget left asks for a retry — counted, its
+// backoff charged, a selective replay narrowed to the damaged chunks;
+// otherwise the result is nil once the payload is accepted, or the
+// typed error. It is a call of its own so that the drains run under
+// rdvSend's small frame: the request halves that run them start on
+// small goroutine stacks.
+func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *simnet.RdvDone, attempt int, moveErr error) (retry bool, err error) {
+	if moveErr != nil {
+		m.PostDone(simnet.RdvDone{Err: moveErr})
+		return false, moveErr
+	}
+	pol := c.retry
+	me, peer := c.endpoint(c.rank), c.endpoint(dest)
+	done.Final = m.Ack == nil || attempt >= pol.MaxRetries
+	var last simnet.FaultKind
+	if done.Chunks > 0 {
+		// A duplicate fault redelivers the chunk rather than damaging
+		// it; the receiver suppresses the extra copy.
+		clear(done.PoisonedChunks)
+		clear(done.Dup)
+		for i := 0; i < done.Chunks; i++ {
+			if !done.Sent.Get(i) {
 				continue
 			}
-			lo, hi := x.rangeOf(i)
-			var f simnet.Fault
-			if c.faultsOn() {
-				f = c.fabric.PayloadChunkFault(c.endpoint(c.rank), c.endpoint(dest), hi-lo)
-			}
+			lo, hi := chunkSpan(i, done.ChunkSize, st.covered)
+			f := c.fabric.PayloadChunkFault(me, peer, hi-lo)
 			if f.Kind == simnet.FaultDuplicate {
-				dup.Set(i)
+				done.Dup.Set(i)
 				f = simnet.Fault{}
 			}
-			if f.NeedsResend() && !x.damage(f, lo, hi) {
-				poisoned.Set(i)
+			if f.NeedsResend() && !st.damage(f, lo, hi) {
+				done.PoisonedChunks.Set(i)
 			}
 		}
-		final := m.Ack == nil || attempt >= pol.MaxRetries
-		m.PostDone(simnet.RdvDone{
-			Arrival: c.clock.Now() + dur(c.linkLatency(dest)),
-			Bytes:   n,
-			HasSum:  x.hasSum, Final: final,
-			Chunks: x.chunks, ChunkSize: x.chunkSize, Covered: x.covered,
-			Sent: send, PoisonedChunks: poisoned, Dup: dup,
-			ChunkSums: sums,
-		})
-		if m.Ack == nil {
-			return nil
+	} else {
+		var f simnet.Fault
+		if c.faultsOn() {
+			f = c.fabric.PayloadFault(me, peer, done.Bytes)
 		}
-		ack, werr := c.awaitAck(m, dest, tag)
-		if werr != nil {
-			return werr
+		last = f.Kind
+		done.Poisoned = f.NeedsResend() && !st.damage(f, 0, st.covered)
+		if done.HasSum {
+			done.Sum = done.ChunkSums[0]
 		}
-		if ack == nil {
-			return nil
-		}
-		if errors.Is(ack, errPeerGone) {
-			return &DeliveryError{Op: "rdv-send", Rank: c.rank, Peer: dest, Tag: tag, Attempts: attempt + 1}
-		}
-		if final {
-			return &IntegrityError{Op: "rdv-send", Rank: c.rank, Peer: dest, Tag: tag, Attempts: attempt + 1}
-		}
-		var nack *simnet.ChunkNack
-		if errors.As(ack, &nack) && nack.Damaged != nil {
-			// Copied, not kept: the receiver reuses its bitmap for the
-			// next attempt's verdict.
-			copy(send, nack.Damaged)
-		} else {
-			// A legacy whole-transfer NACK: replay everything.
-			send = simnet.FullChunkBitmap(x.chunks)
-		}
-		attempt++
-		c.fabric.NoteRetry(c.endpoint(c.rank))
-		c.clock.Advance(pol.backoff(attempt))
 	}
+	done.Arrival = c.clock.Now() + dur(c.linkLatency(dest))
+	m.PostDone(*done)
+	if m.Ack == nil {
+		return false, nil
+	}
+	ack, err := c.awaitAck(m, dest, tag)
+	if err != nil || ack == nil {
+		return false, err
+	}
+	if errors.Is(ack, errPeerGone) {
+		return false, &DeliveryError{Op: "rdv-send", Rank: c.rank, Peer: dest, Tag: tag, Attempts: attempt + 1, Last: last}
+	}
+	if done.Final {
+		return false, &IntegrityError{Op: "rdv-send", Rank: c.rank, Peer: dest, Tag: tag, Attempts: attempt + 1, Want: done.Sum}
+	}
+	var nack *simnet.ChunkNack
+	if done.Chunks > 0 && errors.As(ack, &nack) {
+		// Copied, not kept: the receiver reuses its bitmap for the
+		// next attempt's verdict.
+		copy(done.Sent, nack.Damaged)
+	}
+	c.fabric.NoteRetry(me)
+	c.clock.Advance(pol.backoff(attempt + 1))
+	return true, nil
 }
 
 // damageContigRange applies a payload fault's mechanical effect to the

@@ -310,6 +310,33 @@ func TestSenderMakesNoChecksumPass(t *testing.T) {
 	}
 }
 
+// TestCleanDrainFoldsNoSums: an attempt claims checksums only under
+// faults, so on a clean fabric the one drain of a real multi-chunk
+// transfer is handed no sum storage and no span — a drain handed a span
+// folds sums even with nowhere to put them — and nothing is replayed.
+func TestCleanDrainFoldsNoSums(t *testing.T) {
+	run2(t, func(c *Comm) error {
+		if c.Rank() != 0 {
+			return nil
+		}
+		var got []srcSums
+		st := stage{
+			covered: 64 << 10,
+			real:    true,
+			drain:   func(ss srcSums) error { got = append(got, ss); return nil },
+			resend:  func(lo, hi int64) error { t.Errorf("clean transfer replayed [%d,%d)", lo, hi); return nil },
+			damage:  func(simnet.Fault, int64, int64) bool { return true },
+		}
+		if err := c.rdvSend(simnet.NewRendezvous(false), 1, 0, st.covered, &st); err != nil {
+			return err
+		}
+		if len(got) != 1 || got[0].span != 0 || got[0].sums != nil {
+			t.Errorf("clean transfer drained with %+v, want one drain with no sums", got)
+		}
+		return nil
+	})
+}
+
 // TestExhaustedBudgetIntegrityError: with no retry left, the damaged
 // first attempt surfaces *IntegrityError on both ranks, and the
 // receiver's carries the sender's claim — the true checksum of the

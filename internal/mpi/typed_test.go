@@ -189,17 +189,42 @@ func TestChargeAdvancesClock(t *testing.T) {
 	})
 }
 
+// TestNegativeCountRejected: every typed send and receive entry point —
+// blocking, I, S, B, p and v forms and the persistent inits — rejects a
+// negative count with ErrCount before anything reaches the fabric.
 func TestNegativeCountRejected(t *testing.T) {
+	ty := mustVec(t, 4, 1, 2)
+	b := buf.Alloc(64)
+	req := func(_ *Request, err error) error { return err }
+	preq := func(_ *PersistentRequest, err error) error { return err }
+	entries := []struct {
+		name string
+		call func(c *Comm) error
+	}{
+		{"SendType", func(c *Comm) error { return c.SendType(b, -1, ty, 1, 0) }},
+		{"IsendType", func(c *Comm) error { return req(c.IsendType(b, -1, ty, 1, 0)) }},
+		{"SsendType", func(c *Comm) error { return c.SsendType(b, -1, ty, 1, 0) }},
+		{"BsendType", func(c *Comm) error { return c.BsendType(b, -1, ty, 1, 0) }},
+		{"SendpType", func(c *Comm) error { return c.SendpType(b, -1, ty, 1, 0) }},
+		{"IsendpType", func(c *Comm) error { return req(c.IsendpType(b, -1, ty, 1, 0)) }},
+		{"SsendpType", func(c *Comm) error { return c.SsendpType(b, -1, ty, 1, 0) }},
+		{"SendvType", func(c *Comm) error { return c.SendvType(b, -1, ty, 1, 0) }},
+		{"IsendvType", func(c *Comm) error { return req(c.IsendvType(b, -1, ty, 1, 0)) }},
+		{"SsendvType", func(c *Comm) error { return c.SsendvType(b, -1, ty, 1, 0) }},
+		{"IssendvType", func(c *Comm) error { return req(c.IssendvType(b, -1, ty, 1, 0)) }},
+		{"RecvType", func(c *Comm) error { _, err := c.RecvType(b, -1, ty, 1, 0); return err }},
+		{"IrecvType", func(c *Comm) error { return req(c.IrecvType(b, -1, ty, 1, 0)) }},
+		{"SendTypeInit", func(c *Comm) error { return preq(c.SendTypeInit(b, -1, ty, 1, 0)) }},
+		{"RecvTypeInit", func(c *Comm) error { return preq(c.RecvTypeInit(b, -1, ty, 1, 0)) }},
+	}
 	run2(t, func(c *Comm) error {
 		if c.Rank() != 0 {
 			return nil
 		}
-		ty := mustVec(t, 4, 1, 2)
-		if err := c.SendType(buf.Alloc(64), -1, ty, 1, 0); !errors.Is(err, ErrCount) {
-			t.Errorf("SendType count err = %v", err)
-		}
-		if _, err := c.RecvType(buf.Alloc(64), -1, ty, 1, 0); !errors.Is(err, ErrCount) {
-			t.Errorf("RecvType count err = %v", err)
+		for _, e := range entries {
+			if err := e.call(c); !errors.Is(err, ErrCount) {
+				t.Errorf("%s(count -1) = %v, want ErrCount", e.name, err)
+			}
 		}
 		return nil
 	})
