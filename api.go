@@ -192,30 +192,20 @@ func Recommend(q Query, goal Goal) (Recommendation, error) { return core.Recomme
 
 // ObservedHierarchy accumulates measured (bytes, seconds) samples per
 // transfer path and fits latency+bandwidth lines to them — the sink
-// of the self-tuning loop. Attach one to a communicator with
-// Comm.ObserveInto and persistent operations (SendInit/SendTypeInit
-// Start/Wait cycles) feed it their virtual-clock cost; set it as
-// Query.Observed to prefer observed behaviour over calibration.
+// of the self-tuning loop. Record a measured virtual-clock cost with
+// Observe; set it as Query.Observed to prefer observed behaviour over
+// calibration.
 type ObservedHierarchy = memsim.ObservedHierarchy
 
-// NewObservedHierarchy creates an empty observed model (the base
-// hierarchy may be nil when only fits are wanted).
-func NewObservedHierarchy() *ObservedHierarchy { return memsim.NewObservedHierarchy(nil) }
+// NewObservedHierarchy creates an empty observed model.
+func NewObservedHierarchy() *ObservedHierarchy { return memsim.NewObservedHierarchy() }
 
-// Transfer-path names recorded by persistent operations and consumed
-// by Price and Recommend through Query.Observed.
+// Transfer-path names of observed samples, consumed by Price and
+// Recommend through Query.Observed.
 const (
 	PathTypedSend  = memsim.PathTypedSend
 	PathPackedSend = memsim.PathPackedSend
-	PathContigSend = memsim.PathContigSend
 )
-
-// PersistentRequest is a reusable posted operation in the style of
-// MPI_Send_init/MPI_Recv_init: build once with Comm.SendInit,
-// Comm.SendTypeInit, Comm.RecvInit or Comm.RecvTypeInit, then cycle
-// Start/Wait. Each completed send cycle reports its virtual-clock
-// cost to the communicator's observed hierarchy.
-type PersistentRequest = mpi.PersistentRequest
 
 // GuidelinesConfig parameterises a performance-guidelines sweep;
 // GuidelinesReport is its outcome (see internal/guidelines for the
@@ -262,21 +252,18 @@ type (
 	// RetryPolicy bounds the recovery machinery (RunOptions.Retry).
 	RetryPolicy = mpi.RetryPolicy
 
-	// TimeoutError reports a deadline exceeded on a request wait;
-	// DeliveryError a retry budget exhausted; IntegrityError a
+	// DeliveryError reports a retry budget exhausted; IntegrityError a
 	// checksum mismatch the budget could not clear; DeadlockError a
 	// quiescent world with the structured stuck-endpoint report;
 	// CollectiveError wraps a failed collective leg.
-	TimeoutError    = mpi.TimeoutError
 	DeliveryError   = mpi.DeliveryError
 	IntegrityError  = mpi.IntegrityError
 	DeadlockError   = mpi.DeadlockError
 	CollectiveError = mpi.CollectiveError
 
-	// RequestStateError reports request-lifecycle misuse (Wait after
-	// completion, Start on an active persistent request, double Free)
-	// with the operation, rank, request state and — after an abort —
-	// the underlying fault that finished the request.
+	// RequestStateError reports request misuse (a Wait after
+	// completion) with the operation, rank, request state and — after
+	// an abort — the underlying fault that finished the request.
 	RequestStateError = mpi.RequestStateError
 
 	// FaultProfile prices the recovery machinery for the cost model
@@ -287,13 +274,10 @@ type (
 // Sentinel errors matchable with errors.Is against the typed errors
 // above.
 var (
-	ErrTimeout          = mpi.ErrTimeout
 	ErrIntegrity        = mpi.ErrIntegrity
 	ErrRetriesExhausted = mpi.ErrRetriesExhausted
 	ErrDeadlock         = mpi.ErrDeadlock
 	ErrRequestInactive  = mpi.ErrRequestInactive
-	ErrRequestActive    = mpi.ErrRequestActive
-	ErrRequestFreed     = mpi.ErrRequestFreed
 )
 
 // UniformFaults builds a plan injecting every fault kind uniformly at
@@ -309,16 +293,12 @@ func DropOnly(seed uint64, rate float64) *FaultPlan { return simnet.DropOnly(see
 func DefaultRetryPolicy() RetryPolicy { return mpi.DefaultRetryPolicy() }
 
 // Cart is a Cartesian process topology over a communicator, with
-// Coords/Rank/Shift in the style of MPI_Cart_*; ProcNull marks an
-// off-grid neighbour. DimsCreate factors a size into balanced grid
-// dimensions like MPI_Dims_create.
+// Rank/Shift in the style of MPI_Cart_*; ProcNull marks an off-grid
+// neighbour.
 type Cart = mpi.Cart
 
 // ProcNull is the off-grid neighbour marker of Cart.Shift.
 const ProcNull = mpi.ProcNull
-
-// DimsCreate factors size into ndims balanced dimensions.
-func DimsCreate(size, ndims int) ([]int, error) { return mpi.DimsCreate(size, ndims) }
 
 // Datatype is an MPI-style derived datatype; the constructors below
 // mirror the MPI type-constructor surface.

@@ -82,44 +82,6 @@ func TestFacadeSelfTuning(t *testing.T) {
 	if r.Scheme == repro.VectorType {
 		t.Fatalf("tuned recommendation kept the typed send: %+v", r)
 	}
-	// A persistent typed send feeds the communicator's sink.
-	obs := repro.NewObservedHierarchy()
-	err = repro.Run(2, repro.RunOptions{}, func(c *repro.Comm) error {
-		c.ObserveInto(obs)
-		ty, err := repro.TypeVector(64, 1, 2, repro.TypeFloat64)
-		if err != nil {
-			return err
-		}
-		if err := ty.Commit(); err != nil {
-			return err
-		}
-		b := buf.Alloc(int(ty.Extent()))
-		peer := 1 - c.Rank()
-		var req *repro.PersistentRequest
-		if c.Rank() == 0 {
-			req, err = c.SendTypeInit(b, 1, ty, peer, 0)
-		} else {
-			req, err = c.RecvTypeInit(b, 1, ty, peer, 0)
-		}
-		if err != nil {
-			return err
-		}
-		for i := 0; i < 3; i++ {
-			if err := req.Start(); err != nil {
-				return err
-			}
-			if _, err := req.Wait(); err != nil {
-				return err
-			}
-		}
-		return req.Free()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := obs.Samples(repro.PathTypedSend); n != 3 {
-		t.Fatalf("persistent sends recorded %d typed-send samples, want 3", n)
-	}
 }
 
 func TestFacadeGuidelinesSweep(t *testing.T) {

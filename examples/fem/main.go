@@ -5,8 +5,8 @@
 // Two ranks each own half of an unstructured mesh. The boundary
 // degrees of freedom each rank must send are scattered irregularly
 // through its solution vector; an indexed datatype describes them.
-// The example exchanges boundaries both ways with MPI-style
-// Sendrecv-over-requests, verifies every value, and then compares the
+// The example exchanges boundaries both ways with a non-blocking typed
+// send and a blocking receive, verifies every value, and then compares the
 // indexed-type send against manual copying and packing for this
 // genuinely irregular layout.
 //

@@ -200,38 +200,6 @@ func (b Block) FillPattern(seed byte) {
 	}
 }
 
-// VerifyPattern checks that a real block holds exactly the pattern
-// FillPattern(seed) would write, and names the first byte that does
-// not. Virtual blocks verify trivially.
-func (b Block) VerifyPattern(seed byte) error {
-	d := b.data
-	full := len(d) &^ (patternRow - 1)
-	for base := 0; base < full; base += patternRow {
-		row := d[base : base+patternRow : base+patternRow]
-		key := rowKey(seed, base/patternRow)
-		word := uint64(identityWord)
-		var diff uint64
-		for j := 0; j < patternRow; j += 8 {
-			diff |= binary.LittleEndian.Uint64(row[j:]) ^ word ^ key
-			word += 8 * byteLanes
-		}
-		if diff != 0 {
-			return firstMismatch(d[:base+patternRow], seed, base)
-		}
-	}
-	return firstMismatch(d, seed, full)
-}
-
-// firstMismatch compares d[from:] with the reference byte by byte.
-func firstMismatch(d []byte, seed byte, from int) error {
-	for i := from; i < len(d); i++ {
-		if want := patternByte(seed, i); d[i] != want {
-			return fmt.Errorf("buf: pattern mismatch at byte %d: got %#x want %#x", i, d[i], want)
-		}
-	}
-	return nil
-}
-
 const (
 	// patternRow is the span over which patternByte's high terms are
 	// constant.
@@ -250,8 +218,8 @@ func rowKey(seed byte, row int) uint64 {
 	return uint64(seed^byte(row)*31^byte(row>>8)*17) * byteLanes
 }
 
-// patternByte defines the pattern: the reference FillPattern and
-// VerifyPattern are tested against, and their tail loop.
+// patternByte defines the pattern: the reference FillPattern is tested
+// against, and its tail loop.
 func patternByte(seed byte, i int) byte {
 	return seed ^ byte(i) ^ byte(i>>8)*31 ^ byte(i>>16)*17
 }

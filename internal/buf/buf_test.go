@@ -94,18 +94,6 @@ func TestCopyAtBoundsPanic(t *testing.T) {
 	CopyAt(Alloc(4), 0, Alloc(4), 2, 3)
 }
 
-func TestFillVerifyPattern(t *testing.T) {
-	b := Alloc(1 << 16)
-	b.FillPattern(7)
-	if err := b.VerifyPattern(7); err != nil {
-		t.Fatalf("VerifyPattern: %v", err)
-	}
-	b.Bytes()[1234] ^= 0xff
-	if err := b.VerifyPattern(7); err == nil {
-		t.Fatal("corruption not detected")
-	}
-}
-
 func TestPatternSeedsDiffer(t *testing.T) {
 	a := Alloc(256)
 	b := Alloc(256)

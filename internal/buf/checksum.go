@@ -325,9 +325,6 @@ func (c *Checksum) SkipVirtual(n int64) {
 	c.len += n
 }
 
-// Len returns the total stream length folded so far.
-func (c *Checksum) Len() int64 { return c.len }
-
 // Sum64 finalises over a copy of the state — the checksum remains
 // usable for further writes — folding the lanes in order, then the
 // pending tail and the stream length, so streams differing only by a

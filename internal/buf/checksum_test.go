@@ -26,8 +26,8 @@ func TestChecksumChunkInvariance(t *testing.T) {
 		if c.Sum64() != want {
 			t.Fatalf("trial %d: segmented sum %#x != whole %#x", trial, c.Sum64(), want)
 		}
-		if c.Len() != int64(len(data)) {
-			t.Fatalf("trial %d: Len %d != %d", trial, c.Len(), len(data))
+		if c.len != int64(len(data)) {
+			t.Fatalf("trial %d: Len %d != %d", trial, c.len, len(data))
 		}
 	}
 }
@@ -191,7 +191,7 @@ func TestChecksumEverySplitPoint(t *testing.T) {
 		var c Checksum
 		c.Write(data[:s])
 		c.Write(data[s:])
-		if c.Sum64() != want || c.Len() != int64(len(data)) {
+		if c.Sum64() != want || c.len != int64(len(data)) {
 			t.Fatalf("split at %d: sum %#x, want %#x", s, c.Sum64(), want)
 		}
 	}
@@ -231,9 +231,9 @@ func TestChecksumFoldRunsIsWritePerRun(t *testing.T) {
 							want.Write(data[base+k*step : base+k*step+runLen])
 						}
 						got.FoldRuns(data, base, step, runLen, n)
-						if got.Sum64() != want.Sum64() || got.Len() != want.Len() {
+						if got.Sum64() != want.Sum64() || got.len != want.len {
 							t.Fatalf("runLen %d step %d n %d seed %d: FoldRuns %#x (len %d), Write per run %#x (len %d)",
-								runLen, step, n, seed, got.Sum64(), got.Len(), want.Sum64(), want.Len())
+								runLen, step, n, seed, got.Sum64(), got.len, want.Sum64(), want.len)
 						}
 						// The state, not only the sum: a further Write
 						// must land in the same lanes.

@@ -1,8 +1,11 @@
-package buf
+package buf_test
 
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/buf"
+	"repro/internal/oracle"
 )
 
 // patternLens covers every tail length around the 256-byte row, and
@@ -20,11 +23,23 @@ func patternLens() []int {
 // pattern restarts at the view's own byte 0.
 var patternViews = []struct {
 	name string
-	make func(n int) Block
+	make func(n int) buf.Block
 }{
-	{"Alloc", Alloc},
-	{"AllocAligned", AllocAligned},
-	{"Slice+3", func(n int) Block { return Alloc(n+7).Slice(3, n) }},
+	{"Alloc", buf.Alloc},
+	{"AllocAligned", buf.AllocAligned},
+	{"Slice+3", func(n int) buf.Block { return buf.Alloc(n+7).Slice(3, n) }},
+}
+
+func TestFillVerifyPattern(t *testing.T) {
+	b := buf.Alloc(1 << 16)
+	b.FillPattern(7)
+	if err := oracle.VerifyPattern(b, 7); err != nil {
+		t.Fatalf("VerifyPattern: %v", err)
+	}
+	b.Bytes()[1234] ^= 0xff
+	if err := oracle.VerifyPattern(b, 7); err == nil {
+		t.Fatal("corruption not detected")
+	}
 }
 
 func TestFillPatternMatchesReference(t *testing.T) {
@@ -34,11 +49,11 @@ func TestFillPatternMatchesReference(t *testing.T) {
 			for _, seed := range []byte{0, 0xA5, 0xFF} {
 				b.FillPattern(seed)
 				for i, got := range b.Bytes() {
-					if want := patternByte(seed, i); got != want {
+					if want := buf.PatternByte(seed, i); got != want {
 						t.Fatalf("%s len %d seed %#x: byte %d = %#x, reference %#x", v.name, n, seed, i, got, want)
 					}
 				}
-				if err := b.VerifyPattern(seed); err != nil {
+				if err := oracle.VerifyPattern(b, seed); err != nil {
 					t.Fatalf("%s len %d seed %#x: %v", v.name, n, seed, err)
 				}
 			}
@@ -50,11 +65,11 @@ func TestFillPatternMatchesReference(t *testing.T) {
 // VerifyPattern to name exactly that byte: every position of a block
 // with a tail, and the row edges, wraps and tail of the large ones.
 func TestVerifyPatternLocatesFlip(t *testing.T) {
-	check := func(b Block, seed byte, i int) {
+	check := func(b buf.Block, seed byte, i int) {
 		t.Helper()
 		d := b.Bytes()
 		d[i] ^= 0x40
-		err := b.VerifyPattern(seed)
+		err := oracle.VerifyPattern(b, seed)
 		d[i] ^= 0x40
 		want := fmt.Sprintf("buf: pattern mismatch at byte %d: got %#x want %#x", i, d[i]^0x40, d[i])
 		if err == nil || err.Error() != want {
@@ -67,19 +82,19 @@ func TestVerifyPatternLocatesFlip(t *testing.T) {
 		for i := 0; i < b.Len(); i++ {
 			check(b, 0xA5, i)
 		}
-		if err := b.VerifyPattern(0xA5); err != nil {
+		if err := oracle.VerifyPattern(b, 0xA5); err != nil {
 			t.Fatalf("%s: restored block: %v", v.name, err)
 		}
 	}
 	for _, n := range []int{64<<10 + 3, 16<<20 + 5} {
-		b := AllocAligned(n)
+		b := buf.AllocAligned(n)
 		b.FillPattern(0xFF)
 		for _, i := range []int{0, 7, 8, 255, 256, 257, 65535, 65536, n / 2, n - 6, n - 5, n - 1} {
 			check(b, 0xFF, i)
 		}
 	}
 	// Two damaged bytes: the lower index is the one reported.
-	b := Alloc(4096)
+	b := buf.Alloc(4096)
 	b.FillPattern(1)
 	b.Bytes()[3000] ^= 1
 	check(b, 1, 700)

@@ -19,12 +19,12 @@ import (
 // wherever the release happens (receive completions run on the peer
 // rank's goroutine).
 //
-// Contract: GetPooled returns a real block whose contents are
+// Contract: GetPooledFor returns a real block whose contents are
 // UNDEFINED (not zeroed — zeroing would cost the bandwidth the pool
 // saves); callers must write before they read. PutPooled returns the
 // backing storage to its class; the caller must not touch the block —
 // or any Slice of it — afterwards. Only the Block returned by
-// GetPooled can release the storage: sub-blocks made with Slice are
+// GetPooledFor can release the storage: sub-blocks made with Slice are
 // plain views. Double-release is the caller's bug, as with any free
 // list; the release points in internal/mpi are the single
 // receive-completion sites.
@@ -76,7 +76,7 @@ type ShardPoolStats struct {
 
 // PoolStats is a snapshot of the block-pool counters.
 type PoolStats struct {
-	Gets int64 // pooled-range GetPooled calls
+	Gets int64 // pooled-range GetPooledFor calls
 	Hits int64 // Gets served by recycled storage
 	Puts int64 // blocks returned
 
@@ -139,18 +139,13 @@ func poolClassFor(n int) int {
 	return bits - minPoolBits
 }
 
-// GetPooled returns a real block of n bytes backed by size-classed
-// recycled storage from the default shard. The contents are undefined;
-// the caller must write before reading. Requests outside the pooled
-// range fall back to a plain (zeroed) allocation. The block carries a
-// fresh Region: the cache model treats it like any new allocation.
-func GetPooled(n int) Block {
-	return GetPooledFor(0, n)
-}
-
-// GetPooledFor is GetPooled drawing from the free-list shard of the
-// given rank (mapped modulo PoolShards), so concurrent ranks recycle
-// through independent lists instead of contending on one.
+// GetPooledFor returns a real block of n bytes backed by size-classed
+// recycled storage from the free-list shard of the given rank (mapped
+// modulo PoolShards), so concurrent ranks recycle through independent
+// lists instead of contending on one. The contents are undefined; the
+// caller must write before reading. Requests outside the pooled range
+// fall back to a plain (zeroed) allocation. The block carries a fresh
+// Region: the cache model treats it like any new allocation.
 func GetPooledFor(rank, n int) Block {
 	c := poolClassFor(n)
 	if c < 0 {
@@ -174,7 +169,7 @@ func GetPooledFor(rank, n int) Block {
 	return Block{data: sl[:n], n: n, region: nextRegion(), pool: int8(c) + 1, shard: int8(shard)}
 }
 
-// PutPooled returns a block obtained from GetPooled to the size class
+// PutPooled returns a block obtained from GetPooledFor to the size class
 // of its home shard. It is a no-op for any other block (plain,
 // virtual, or a Slice view), so release sites can call it
 // unconditionally.

@@ -30,7 +30,7 @@ func TestPoolRecycles(t *testing.T) {
 	before := PoolStatsSnapshot()
 	var hits bool
 	for i := 0; i < 64 && !hits; i++ {
-		b := GetPooled(10_000)
+		b := GetPooledFor(0, 10_000)
 		if b.Len() != 10_000 || b.IsVirtual() {
 			t.Fatalf("pooled block: %v", b)
 		}
@@ -48,9 +48,9 @@ func TestPoolRecycles(t *testing.T) {
 }
 
 func TestPoolDistinctRegions(t *testing.T) {
-	a := GetPooled(512)
+	a := GetPooledFor(0, 512)
 	PutPooled(a)
-	b := GetPooled(512)
+	b := GetPooledFor(0, 512)
 	if a.Region() == b.Region() {
 		t.Fatal("recycled block kept its old region identity")
 	}
@@ -61,7 +61,7 @@ func TestPutPooledNoops(t *testing.T) {
 	// Plain, virtual and sliced blocks must be ignored.
 	PutPooled(Alloc(128))
 	PutPooled(Virtual(128))
-	p := GetPooled(1024)
+	p := GetPooledFor(0, 1024)
 	view := p.Slice(0, 512)
 	PutPooled(view) // a view must never release the backing storage
 	view.Bytes()[0] = 1
@@ -69,7 +69,7 @@ func TestPutPooledNoops(t *testing.T) {
 }
 
 func TestPoolOutOfRangeFallsBack(t *testing.T) {
-	big := GetPooled(1<<maxPoolBits + 1)
+	big := GetPooledFor(0, 1<<maxPoolBits+1)
 	if big.Len() != 1<<maxPoolBits+1 {
 		t.Fatalf("fallback length: %d", big.Len())
 	}

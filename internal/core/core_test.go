@@ -39,15 +39,6 @@ func TestSchemeByName(t *testing.T) {
 	}
 }
 
-func TestNonContiguous(t *testing.T) {
-	if Reference.NonContiguous() {
-		t.Error("reference marked non-contiguous")
-	}
-	if !PackVector.NonContiguous() {
-		t.Error("packing(v) marked contiguous")
-	}
-}
-
 func TestWorkloadGeometry(t *testing.T) {
 	w := ForBytes(1 << 20)
 	if w.BlockLen != 1 || w.Stride != 2 {
@@ -93,11 +84,20 @@ func TestWorkloadTypesAgreeWithLayout(t *testing.T) {
 	}
 	// Both types must select exactly the workload's layout bytes.
 	want := layout.Segments(w.Layout())
-	for name, ty := range map[string]interface {
-		ForEach(func(layout.Segment) bool)
-	}{"vector": vt.Layout(1), "subarray": st.Layout(1)} {
+	for name, ty := range map[string]*datatype.Type{"vector": vt, "subarray": st} {
+		plan, err := ty.CompilePlan(1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got []layout.Segment
-		ty.ForEach(func(s layout.Segment) bool { got = append(got, s); return true })
+		for it := plan.Segments(); ; {
+			off, n := it.Run()
+			if n == 0 {
+				break
+			}
+			got = append(got, layout.Segment{Off: off, Len: n})
+			it.Advance(n)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d segments, want %d", name, len(got), len(want))
 		}
@@ -149,8 +149,8 @@ func TestNewRunnerAllSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if r.Scheme() != s {
-			t.Fatalf("runner for %v reports %v", s, r.Scheme())
+		if r == nil {
+			t.Fatalf("%v: nil runner", s)
 		}
 	}
 	if _, err := NewRunner(Scheme(42)); err == nil {
@@ -198,7 +198,7 @@ func committer(t testing.TB) func(*datatype.Type, error) *datatype.Type {
 func TestQueryRejectsUnpricedCombinations(t *testing.T) {
 	p := perfmodel.Generic()
 	vec := committer(t)(datatype.Vector(64, 1, 2, datatype.Float64))
-	o := memsim.NewObservedHierarchy(nil)
+	o := memsim.NewObservedHierarchy()
 	for name, q := range map[string]Query{
 		"no profile":          {Bytes: 1 << 20},
 		"collective type":     {Type: vec, Profile: p, Ranks: 8},

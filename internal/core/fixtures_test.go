@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/mpi"
+	"repro/internal/oracle"
 )
 
 // fixtureWorkloads mixes the geometries a set must key apart: the
@@ -71,7 +72,7 @@ func TestFixturesGridVerifiesAndLeavesSourceIntact(t *testing.T) {
 			}
 		}
 	}
-	if err := fx.src.VerifyPattern(srcSeed); err != nil {
+	if err := oracle.VerifyPattern(fx.src, srcSeed); err != nil {
 		t.Fatalf("a scheme wrote the shared source: %v", err)
 	}
 	if got, want := int64(fx.src.Len()), ForBytes(96<<10).SrcBytes(); got != want {
@@ -205,7 +206,7 @@ func TestConcurrentGridsShareNothing(t *testing.T) {
 				}
 			}
 			if err == nil {
-				err = fx.src.VerifyPattern(srcSeed)
+				err = oracle.VerifyPattern(fx.src, srcSeed)
 			}
 			errs[g] = err
 		}()

@@ -101,11 +101,11 @@ type goldenObserved struct {
 // one where it is observed 100x slower than the packed send. The nil
 // hierarchy is the calibrated model, the clean rows.
 func goldenObservedSet() []goldenObserved {
-	sparse := memsim.NewObservedHierarchy(nil)
+	sparse := memsim.NewObservedHierarchy()
 	sparse.Observe(memsim.PathTypedSend, 1<<20, 1e-4)
-	fast := memsim.NewObservedHierarchy(nil)
+	fast := memsim.NewObservedHierarchy()
 	feed(fast, memsim.PathTypedSend, 1e-9, 1e-12)
-	slow := memsim.NewObservedHierarchy(nil)
+	slow := memsim.NewObservedHierarchy()
 	feed(slow, memsim.PathTypedSend, 1e-3, 1e-7)
 	feed(slow, memsim.PathPackedSend, 1e-6, 1e-9)
 	return []goldenObserved{{"sparse", sparse}, {"fitted-fast", fast}, {"fitted-slow", slow}}

@@ -31,8 +31,6 @@ const srcSeed byte = 0xA5
 // commits all happen in Setup, outside any timing loop, exactly like
 // the paper's protocol.
 type Runner interface {
-	// Scheme identifies the send scheme.
-	Scheme() Scheme
 	// Setup allocates buffers and communication objects for the
 	// workload. peer is the other rank of the pair.
 	Setup(c *mpi.Comm, w Workload, peer int) error
@@ -201,8 +199,6 @@ type referenceRunner struct {
 	contig buf.Block
 }
 
-func (r *referenceRunner) Scheme() Scheme { return Reference }
-
 func (r *referenceRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if err := r.init(c, w, peer); err != nil {
 		return err
@@ -235,8 +231,6 @@ type copyingRunner struct {
 	sendbuf buf.Block
 }
 
-func (r *copyingRunner) Scheme() Scheme { return Copying }
-
 func (r *copyingRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if err := r.init(c, w, peer); err != nil {
 		return err
@@ -264,8 +258,6 @@ type typedRunner struct {
 	scheme Scheme
 	ty     *datatype.Type
 }
-
-func (r *typedRunner) Scheme() Scheme { return r.scheme }
 
 func (r *typedRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if err := r.init(c, w, peer); err != nil {
@@ -298,8 +290,6 @@ type bufferedRunner struct {
 	ty       *datatype.Type
 	attached bool
 }
-
-func (r *bufferedRunner) Scheme() Scheme { return Buffered }
 
 func (r *bufferedRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if err := r.init(c, w, peer); err != nil {
@@ -346,8 +336,6 @@ type oneSidedRunner struct {
 	ty  *datatype.Type
 	win *mpi.Win
 }
-
-func (r *oneSidedRunner) Scheme() Scheme { return OneSided }
 
 func (r *oneSidedRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if err := r.init(c, w, peer); err != nil {
@@ -402,8 +390,6 @@ type sendvRunner struct {
 	ty *datatype.Type
 }
 
-func (r *sendvRunner) Scheme() Scheme { return Sendv }
-
 func (r *sendvRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if err := r.init(c, w, peer); err != nil {
 		return err
@@ -434,8 +420,6 @@ type pipelinedRunner struct {
 	pairState
 	ty *datatype.Type
 }
-
-func (r *pipelinedRunner) Scheme() Scheme { return TypedPipelined }
 
 func (r *pipelinedRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if err := r.init(c, w, peer); err != nil {
@@ -469,8 +453,6 @@ type packRunner struct {
 	ty      *datatype.Type
 	sendbuf buf.Block
 }
-
-func (r *packRunner) Scheme() Scheme { return r.scheme }
 
 func (r *packRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if err := r.init(c, w, peer); err != nil {

@@ -124,7 +124,3 @@ func SchemeByName(name string) (Scheme, error) {
 	sort.Strings(known)
 	return 0, fmt.Errorf("core: unknown scheme %q (known: %v)", name, known)
 }
-
-// NonContiguous reports whether the scheme actually transfers a
-// non-contiguous layout (everything except the reference baseline).
-func (s Scheme) NonContiguous() bool { return s != Reference }

@@ -19,7 +19,7 @@ func TestRecommendTunedFallsBack(t *testing.T) {
 			if got := recommend(t, Query{Bytes: n, Profile: p, Observed: nil}, goal); got.Scheme != want.Scheme {
 				t.Errorf("nil hierarchy: n=%d goal=%v got %s want %s", n, goal, got.Scheme, want.Scheme)
 			}
-			sparse := memsim.NewObservedHierarchy(nil)
+			sparse := memsim.NewObservedHierarchy()
 			sparse.Observe(memsim.PathTypedSend, 1<<20, 1e-4) // below MinObservations
 			if got := recommend(t, Query{Bytes: n, Profile: p, Observed: sparse}, goal); got.Scheme != want.Scheme {
 				t.Errorf("sparse hierarchy: n=%d goal=%v got %s want %s", n, goal, got.Scheme, want.Scheme)
@@ -27,7 +27,7 @@ func TestRecommendTunedFallsBack(t *testing.T) {
 		}
 	}
 	// Contiguous payloads stay on the reference path regardless.
-	o := memsim.NewObservedHierarchy(nil)
+	o := memsim.NewObservedHierarchy()
 	feed(o, memsim.PathTypedSend, 1e-6, 1e-9)
 	dense := committer(t)(datatype.Contiguous(1<<17, datatype.Float64))
 	if got := recommend(t, Query{Type: dense, Profile: p, Observed: o}, GoalFastest); got.Scheme != Reference {
@@ -44,7 +44,7 @@ func TestRecommendTunedPrefersObservedWinner(t *testing.T) {
 	const n = 1 << 20
 
 	// Typed observed 100x slower than packed: must not pick VectorType.
-	slow := memsim.NewObservedHierarchy(nil)
+	slow := memsim.NewObservedHierarchy()
 	feed(slow, memsim.PathTypedSend, 1e-3, 1e-7)
 	feed(slow, memsim.PathPackedSend, 1e-6, 1e-9)
 	q := Query{Bytes: n, Profile: p, Observed: slow}
@@ -64,7 +64,7 @@ func TestRecommendTunedPrefersObservedWinner(t *testing.T) {
 	}
 
 	// Typed observed near-free: balanced keeps the derived datatype.
-	fast := memsim.NewObservedHierarchy(nil)
+	fast := memsim.NewObservedHierarchy()
 	feed(fast, memsim.PathTypedSend, 1e-9, 1e-12)
 	if got := recommend(t, Query{Bytes: n, Profile: p, Observed: fast}, GoalBalanced); got.Scheme != VectorType {
 		t.Errorf("typed observed near-free under GoalBalanced: got %s, want %s", got.Scheme, VectorType)
@@ -78,7 +78,7 @@ func TestPricePackingTunedOverrides(t *testing.T) {
 	p := perfmodel.Generic()
 	const n = 1 << 20
 	base := price(t, Query{Bytes: n, Profile: p}).Clean
-	o := memsim.NewObservedHierarchy(nil)
+	o := memsim.NewObservedHierarchy()
 	feed(o, memsim.PathTypedSend, 2e-6, 1e-10)
 	tuned := price(t, Query{Bytes: n, Profile: p, Observed: o}).Clean
 	want := 2e-6 + 1e-10*float64(n)

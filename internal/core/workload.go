@@ -49,15 +49,6 @@ func (w Workload) Bytes() int64 {
 	return int64(w.Count) * int64(w.BlockLen) * ElemSize
 }
 
-// ExtentBytes returns the span of the source buffer the workload
-// needs.
-func (w Workload) ExtentBytes() int64 {
-	if w.Count == 0 {
-		return 0
-	}
-	return (int64(w.Count-1)*int64(w.Stride) + int64(w.BlockLen)) * ElemSize
-}
-
 // Elems returns the element count of the payload.
 func (w Workload) Elems() int { return w.Count * w.BlockLen }
 

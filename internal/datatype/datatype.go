@@ -69,7 +69,6 @@ const (
 	KindStruct
 	KindSubarray
 	KindResized
-	KindDup
 )
 
 var kindNames = map[Kind]string{
@@ -83,7 +82,6 @@ var kindNames = map[Kind]string{
 	KindStruct:       "struct",
 	KindSubarray:     "subarray",
 	KindResized:      "resized",
-	KindDup:          "dup",
 }
 
 // String returns the constructor name.
@@ -135,23 +133,14 @@ type Type struct {
 	plans *planCache
 }
 
-// Kind returns the constructor family.
-func (t *Type) Kind() Kind { return t.kind }
-
-// Name returns the debug name, settable with SetName.
+// Name returns the debug name.
 func (t *Type) Name() string { return t.name }
-
-// SetName assigns a debug name, like MPI_Type_set_name.
-func (t *Type) SetName(name string) { t.name = name }
 
 // Size returns the payload bytes of one instance (MPI_Type_size).
 func (t *Type) Size() int64 { return t.size }
 
 // Extent returns ub-lb (MPI_Type_get_extent).
 func (t *Type) Extent() int64 { return t.ub - t.lb }
-
-// LB returns the lower bound.
-func (t *Type) LB() int64 { return t.lb }
 
 // UB returns the upper bound.
 func (t *Type) UB() int64 { return t.ub }
@@ -173,9 +162,6 @@ func (t *Type) TrueExtent() int64 {
 	}
 	return t.r.last() - t.r.first()
 }
-
-// Committed reports whether Commit has been called.
-func (t *Type) Committed() bool { return t.committed }
 
 // Commit finalises the type for use in communication, like
 // MPI_Type_commit. Committing twice is a no-op. Basic types are born

@@ -87,9 +87,6 @@ func (it *SegIter) SeekTo(pos int64) {
 	it.off = rem - pr.segs[lo].pos
 }
 
-// Pos returns the packed offset of the iterator head.
-func (it *SegIter) Pos() int64 { return it.pos }
-
 // Run returns the user offset and remaining length of the run the
 // iterator head sits in. A zero length means the stream is exhausted.
 func (it *SegIter) Run() (off, n int64) {
@@ -147,9 +144,6 @@ func NewPairIterRange(src, dst *Plan, lo, hi int64) PairIter {
 	it.dst.SeekTo(lo)
 	return it
 }
-
-// Remaining returns the packed bytes the iterator has not yielded yet.
-func (it *PairIter) Remaining() int64 { return it.limit - it.pos }
 
 // Next returns the next fused run: srcOff/dstOff are user-buffer
 // offsets, n the span length. ok is false when the schedule is

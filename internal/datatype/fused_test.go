@@ -150,8 +150,8 @@ func TestPairIterCoversStream(t *testing.T) {
 	if total != want {
 		t.Fatalf("pair iterator covered %d bytes, want %d", total, want)
 	}
-	if it.Remaining() != 0 {
-		t.Fatalf("Remaining = %d after exhaustion", it.Remaining())
+	if rem := it.limit - it.pos; rem != 0 {
+		t.Fatalf("%d bytes remaining after exhaustion", rem)
 	}
 }
 
@@ -170,9 +170,9 @@ func TestSegIterSeekMatchesWalk(t *testing.T) {
 		}
 		for pos := int64(0); pos <= plan.Bytes(); pos += 5 {
 			walked := plan.Segments()
-			for walked.Pos() < pos {
+			for walked.pos < pos {
 				_, n := walked.Run()
-				step := pos - walked.Pos()
+				step := pos - walked.pos
 				if step > n {
 					step = n
 				}

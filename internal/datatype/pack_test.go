@@ -9,6 +9,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/elem"
 	"repro/internal/layout"
+	"repro/internal/oracle"
 )
 
 // gatherReference gathers the layout bytes with a plain loop, the
@@ -207,7 +208,7 @@ func TestVirtualPackCountsWithoutMoving(t *testing.T) {
 		t.Fatalf("virtual pack = %d, want %d", n, ty.Size())
 	}
 	// Destination untouched: virtual source moves no bytes.
-	if err := dst.VerifyPattern(9); err != nil {
+	if err := oracle.VerifyPattern(dst, 9); err != nil {
 		t.Fatalf("virtual pack wrote data: %v", err)
 	}
 }

@@ -113,17 +113,6 @@ func NewChunkPipelineSum(plan *Plan, user buf.Block, lo, hi, chunk int64, depth,
 	return cp, nil
 }
 
-// Chunks returns how many chunks the pipeline yields in total.
-func (cp *ChunkPipeline) Chunks() int64 {
-	if cp.hi <= cp.lo {
-		return 0
-	}
-	return (cp.hi - cp.lo + cp.chunk - 1) / cp.chunk
-}
-
-// Depth returns the effective ring depth.
-func (cp *ChunkPipeline) Depth() int { return cp.depth }
-
 // worker is the pack stage: it fills free slots ahead of the consumer
 // and hands them over in stream order.
 func (cp *ChunkPipeline) worker() {

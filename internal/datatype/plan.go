@@ -140,9 +140,7 @@ const maxCachedPlans = 128
 
 // planCache holds a type's compiled instance program plus the bound
 // plans keyed by count. It is allocated at Commit (and for predeclared
-// basic types), so the Type value itself stays copyable — Dup shares
-// the cache with its source, which is correct because the geometry is
-// shared too. The count map is read-mostly: steady-state lookups take
+// basic types), so the Type value itself stays copyable. The count map is read-mostly: steady-state lookups take
 // only the read lock and allocate nothing.
 type planCache struct {
 	p atomic.Pointer[planProg]
@@ -469,35 +467,6 @@ func PlanStatsSnapshot() PlanStats {
 		StagedBytes:    planCounters.stagedBytes.Load(),
 		ChecksumBytes:  planCounters.checksumBytes.Load(),
 	}
-}
-
-// ResetPlanStats zeroes the plan-engine counters.
-func ResetPlanStats() {
-	planCounters.compiled.Store(0)
-	planCounters.planHits.Store(0)
-	planCounters.planMisses.Store(0)
-	planCounters.contigOps.Store(0)
-	planCounters.contigBytes.Store(0)
-	planCounters.strideOps.Store(0)
-	planCounters.strideBytes.Store(0)
-	planCounters.gatherOps.Store(0)
-	planCounters.gatherBytes.Store(0)
-	planCounters.blockOps.Store(0)
-	planCounters.blockBytes.Store(0)
-	planCounters.canonHits.Store(0)
-	planCounters.canonMisses.Store(0)
-	planCounters.runsMerged.Store(0)
-	planCounters.parallelOps.Store(0)
-	planCounters.parallelBytes.Store(0)
-	planCounters.chunkOps.Store(0)
-	planCounters.chunkBytes.Store(0)
-	planCounters.pipelinedOps.Store(0)
-	planCounters.pipelinedBytes.Store(0)
-	planCounters.fusedOps.Store(0)
-	planCounters.fusedBytes.Store(0)
-	planCounters.stagedOps.Store(0)
-	planCounters.stagedBytes.Store(0)
-	planCounters.checksumBytes.Store(0)
 }
 
 // recordPlanExec attributes ops executions moving n bytes in total to

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/buf"
+	"repro/internal/oracle"
 )
 
 // This file is the differential-testing harness of the pack-plan
@@ -482,7 +483,7 @@ func TestPlanVirtualCountsWithoutMoving(t *testing.T) {
 	if n != ty.Size() {
 		t.Fatalf("virtual plan pack = %d, want %d", n, ty.Size())
 	}
-	if err := dst.VerifyPattern(9); err != nil {
+	if err := oracle.VerifyPattern(dst, 9); err != nil {
 		t.Fatalf("virtual plan pack wrote data: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/layout"
+	"repro/internal/oracle"
 )
 
 // randIndexed builds a random valid indexed-block type: sorted,
@@ -120,7 +121,7 @@ func TestQuickTypeLayoutValidates(t *testing.T) {
 			return false
 		}
 		_ = ty.Commit()
-		return layout.Validate(ty.Layout(k)) == nil
+		return oracle.ValidateLayout(ty.Layout(k)) == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

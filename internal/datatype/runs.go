@@ -121,18 +121,6 @@ func (r runs) last() int64 {
 	return r.segs[len(r.segs)-1].End()
 }
 
-// size returns the payload bytes of the instance.
-func (r runs) size() int64 {
-	if r.regular {
-		return r.n * r.runLen
-	}
-	var s int64
-	for _, seg := range r.segs {
-		s += seg.Len
-	}
-	return s
-}
-
 // forEach iterates the instance's segments shifted by base.
 func (r runs) forEach(base int64, fn func(layout.Segment) bool) bool {
 	if r.regular {

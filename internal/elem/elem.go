@@ -20,11 +20,8 @@ import (
 // basic datatypes the paper's benchmark uses.
 const (
 	Float64Size    = 8
-	Float32Size    = 4
-	Int32Size      = 4
 	Int64Size      = 8
 	Complex128Size = 16
-	ByteSize       = 1
 )
 
 // PutFloat64 stores v as the i-th float64 of the block.
@@ -42,38 +39,6 @@ func Float64(b buf.Block, i int) float64 {
 		return 0
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(b.Bytes()[i*Float64Size:]))
-}
-
-// PutFloat32 stores v as the i-th float32 of the block.
-func PutFloat32(b buf.Block, i int, v float32) {
-	if b.IsVirtual() {
-		return
-	}
-	binary.LittleEndian.PutUint32(b.Bytes()[i*Float32Size:], math.Float32bits(v))
-}
-
-// Float32 loads the i-th float32 of the block.
-func Float32(b buf.Block, i int) float32 {
-	if b.IsVirtual() {
-		return 0
-	}
-	return math.Float32frombits(binary.LittleEndian.Uint32(b.Bytes()[i*Float32Size:]))
-}
-
-// PutInt32 stores v as the i-th int32 of the block.
-func PutInt32(b buf.Block, i int, v int32) {
-	if b.IsVirtual() {
-		return
-	}
-	binary.LittleEndian.PutUint32(b.Bytes()[i*Int32Size:], uint32(v))
-}
-
-// Int32 loads the i-th int32 of the block.
-func Int32(b buf.Block, i int) int32 {
-	if b.IsVirtual() {
-		return 0
-	}
-	return int32(binary.LittleEndian.Uint32(b.Bytes()[i*Int32Size:]))
 }
 
 // PutInt64 stores v as the i-th int64 of the block.
@@ -103,60 +68,4 @@ func PutComplex128(b buf.Block, i int, v complex128) {
 	off := i * Complex128Size
 	binary.LittleEndian.PutUint64(b.Bytes()[off:], math.Float64bits(real(v)))
 	binary.LittleEndian.PutUint64(b.Bytes()[off+8:], math.Float64bits(imag(v)))
-}
-
-// Complex128 loads the i-th complex128 of the block.
-func Complex128(b buf.Block, i int) complex128 {
-	if b.IsVirtual() {
-		return 0
-	}
-	off := i * Complex128Size
-	re := math.Float64frombits(binary.LittleEndian.Uint64(b.Bytes()[off:]))
-	im := math.Float64frombits(binary.LittleEndian.Uint64(b.Bytes()[off+8:]))
-	return complex(re, im)
-}
-
-// Float64s copies a []float64 into a fresh real block.
-func Float64s(vs []float64) buf.Block {
-	b := buf.Alloc(len(vs) * Float64Size)
-	for i, v := range vs {
-		PutFloat64(b, i, v)
-	}
-	return b
-}
-
-// ToFloat64s decodes an entire block as float64 values. The block
-// length must be a multiple of 8.
-func ToFloat64s(b buf.Block) []float64 {
-	n := b.Len() / Float64Size
-	out := make([]float64, n)
-	if b.IsVirtual() {
-		return out
-	}
-	for i := range out {
-		out[i] = Float64(b, i)
-	}
-	return out
-}
-
-// Complex128s copies a []complex128 into a fresh real block.
-func Complex128s(vs []complex128) buf.Block {
-	b := buf.Alloc(len(vs) * Complex128Size)
-	for i, v := range vs {
-		PutComplex128(b, i, v)
-	}
-	return b
-}
-
-// ToComplex128s decodes an entire block as complex128 values.
-func ToComplex128s(b buf.Block) []complex128 {
-	n := b.Len() / Complex128Size
-	out := make([]complex128, n)
-	if b.IsVirtual() {
-		return out
-	}
-	for i := range out {
-		out[i] = Complex128(b, i)
-	}
-	return out
 }

@@ -56,7 +56,7 @@ func FuzzGuidelines(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		o := memsim.NewObservedHierarchy(&p.Mem)
+		o := memsim.NewObservedHierarchy()
 		for i := 0; i < memsim.MinObservations; i++ {
 			o.Observe(memsim.PathTypedSend, w.Bytes(), typed.Time())
 			o.Observe(memsim.PathPackedSend, w.Bytes(), packedC.Time())

@@ -193,7 +193,7 @@ func TestSelfTunedRecommenderSatisfiesGuidelines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := memsim.NewObservedHierarchy(&p.Mem)
+		o := memsim.NewObservedHierarchy()
 		table := make(map[int64]map[core.Scheme]float64)
 		opt := harness.Options{Reps: 3, FlushCache: true, OutlierSigma: 0}
 		for _, n := range sizes {

@@ -34,18 +34,17 @@ func (tc TunedChoice) Satisfied(tol float64) bool {
 
 // SelfTune closes the tuning loop on one installation: measure the
 // point-to-point scheme table at each size, feed the typed-send and
-// compiled-pack observations into a memsim.ObservedHierarchy (the same
-// sink persistent operations feed at runtime), and report the
-// calibrated vs self-tuned recommendation per cell. With the observed
-// fits in place the tuned choice is an argmin over measured costs, so
-// the recommender guideline holds by construction — including on the
-// cells where the raw typed-vs-pack bound is waived.
+// compiled-pack observations into a memsim.ObservedHierarchy, and
+// report the calibrated vs self-tuned recommendation per cell. With
+// the observed fits in place the tuned choice is an argmin over
+// measured costs, so the recommender guideline holds by construction —
+// including on the cells where the raw typed-vs-pack bound is waived.
 func SelfTune(profile string, lay LayoutSpec, sizes []int64, reps int) ([]TunedChoice, error) {
 	p, err := perfmodel.ByName(profile)
 	if err != nil {
 		return nil, err
 	}
-	o := memsim.NewObservedHierarchy(&p.Mem)
+	o := memsim.NewObservedHierarchy()
 	opt := harness.Options{Reps: reps, FlushCache: true, OutlierSigma: 0}
 	table := make(map[int64]map[core.Scheme]float64, len(sizes))
 	for _, n := range sizes {

@@ -75,11 +75,6 @@ type RecoveryStats struct {
 	DupChunksSuppressed               int64
 }
 
-// Faulted reports whether the run recorded any injected faults.
-func (r RecoveryStats) Faulted() bool {
-	return r.Drops+r.Corruptions+r.Truncations > 0
-}
-
 // Merge folds another run's attribution in (multi-trial studies sum
 // their per-trial recovery work).
 func (r *RecoveryStats) Merge(o RecoveryStats) {

@@ -76,7 +76,7 @@ func TestJobMixUnderFaults(t *testing.T) {
 	if res.AggregateGBs <= 0 {
 		t.Errorf("aggregate throughput %.3f GB/s, want >0", res.AggregateGBs)
 	}
-	if !res.Recovery.Faulted() {
+	if r := res.Recovery; r.Drops+r.Corruptions+r.Truncations == 0 {
 		t.Errorf("4%% fault rate recorded no injected faults: %+v", res.Recovery)
 	}
 	if res.Recovery.Retries == 0 && res.Recovery.ChunkRetransmits == 0 {

@@ -57,71 +57,6 @@ func Segments(l Layout) []Segment {
 	return out
 }
 
-// Validate checks the ordering and non-overlap contract and that the
-// advertised Size and Extent match the segments.
-func Validate(l Layout) error {
-	var (
-		size int64
-		prev int64 = -1
-		last int64
-		errv error
-	)
-	l.ForEach(func(s Segment) bool {
-		if s.Len < 0 || s.Off < 0 {
-			errv = fmt.Errorf("layout %s: negative segment %+v", l.Name(), s)
-			return false
-		}
-		if s.Off < prev {
-			errv = fmt.Errorf("layout %s: segment at %d overlaps or precedes previous end %d", l.Name(), s.Off, prev)
-			return false
-		}
-		prev = s.End()
-		size += s.Len
-		last = s.End()
-		return true
-	})
-	if errv != nil {
-		return errv
-	}
-	if size != l.Size() {
-		return fmt.Errorf("layout %s: Size()=%d but segments sum to %d", l.Name(), l.Size(), size)
-	}
-	if l.SegmentCount() > 0 && last > l.Extent() {
-		return fmt.Errorf("layout %s: Extent()=%d but last segment ends at %d", l.Name(), l.Extent(), last)
-	}
-	return nil
-}
-
-// Contig is a single contiguous run of N bytes at offset 0: the
-// reference layout.
-type Contig struct {
-	N int64
-}
-
-// Size implements Layout.
-func (c Contig) Size() int64 { return c.N }
-
-// Extent implements Layout.
-func (c Contig) Extent() int64 { return c.N }
-
-// SegmentCount implements Layout.
-func (c Contig) SegmentCount() int {
-	if c.N == 0 {
-		return 0
-	}
-	return 1
-}
-
-// ForEach implements Layout.
-func (c Contig) ForEach(fn func(Segment) bool) {
-	if c.N > 0 {
-		fn(Segment{Off: 0, Len: c.N})
-	}
-}
-
-// Name implements Layout.
-func (c Contig) Name() string { return "contig" }
-
 // Strided is the paper's canonical workload: Count blocks of BlockLen
 // bytes, the start of consecutive blocks separated by Stride bytes.
 // BlockLen = 8 and Stride = 16 selects every other float64, the
@@ -251,61 +186,3 @@ func (x *Indexed) ForEach(fn func(Segment) bool) {
 
 // Name implements Layout.
 func (x *Indexed) Name() string { return x.name }
-
-// Subarray2D selects a Rows×Cols sub-block of a row-major parent array
-// with ParentCols columns of Elem-byte elements, starting at
-// (StartRow, StartCol). This mirrors MPI_Type_create_subarray in two
-// dimensions, the "subarray" curve of the paper's figures.
-type Subarray2D struct {
-	Elem       int64 // element size in bytes
-	ParentCols int64 // row length of the parent array, in elements
-	StartRow   int64
-	StartCol   int64
-	Rows       int64
-	Cols       int64
-}
-
-// Size implements Layout.
-func (s Subarray2D) Size() int64 { return s.Rows * s.Cols * s.Elem }
-
-// Extent implements Layout.
-func (s Subarray2D) Extent() int64 {
-	if s.Rows == 0 || s.Cols == 0 {
-		return 0
-	}
-	return ((s.StartRow+s.Rows-1)*s.ParentCols + s.StartCol + s.Cols) * s.Elem
-}
-
-// SegmentCount implements Layout. Rows merge into one segment when the
-// selection spans full parent rows.
-func (s Subarray2D) SegmentCount() int {
-	if s.Rows == 0 || s.Cols == 0 {
-		return 0
-	}
-	if s.Cols == s.ParentCols {
-		return 1
-	}
-	return int(s.Rows)
-}
-
-// ForEach implements Layout.
-func (s Subarray2D) ForEach(fn func(Segment) bool) {
-	if s.Rows == 0 || s.Cols == 0 {
-		return
-	}
-	if s.Cols == s.ParentCols {
-		off := s.StartRow * s.ParentCols * s.Elem
-		fn(Segment{Off: off, Len: s.Rows * s.Cols * s.Elem})
-		return
-	}
-	rowLen := s.Cols * s.Elem
-	for r := int64(0); r < s.Rows; r++ {
-		off := ((s.StartRow+r)*s.ParentCols + s.StartCol) * s.Elem
-		if !fn(Segment{Off: off, Len: rowLen}) {
-			return
-		}
-	}
-}
-
-// Name implements Layout.
-func (s Subarray2D) Name() string { return "subarray2d" }

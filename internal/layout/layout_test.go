@@ -5,61 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestContig(t *testing.T) {
-	c := Contig{N: 100}
-	if c.Size() != 100 || c.Extent() != 100 || c.SegmentCount() != 1 {
-		t.Fatalf("contig: size=%d extent=%d segs=%d", c.Size(), c.Extent(), c.SegmentCount())
-	}
-	if err := Validate(c); err != nil {
-		t.Fatal(err)
-	}
-	segs := Segments(c)
-	if len(segs) != 1 || segs[0] != (Segment{Off: 0, Len: 100}) {
-		t.Fatalf("segments = %+v", segs)
-	}
-}
-
-func TestContigEmpty(t *testing.T) {
-	c := Contig{N: 0}
-	if c.SegmentCount() != 0 || len(Segments(c)) != 0 {
-		t.Fatal("empty contig has segments")
-	}
-}
-
-func TestStridedBasics(t *testing.T) {
-	// The paper's canonical layout: every other float64.
-	v := Strided{Count: 4, BlockLen: 8, Stride: 16}
-	if v.Size() != 32 {
-		t.Fatalf("size = %d", v.Size())
-	}
-	if v.Extent() != 3*16+8 {
-		t.Fatalf("extent = %d", v.Extent())
-	}
-	want := []Segment{{0, 8}, {16, 8}, {32, 8}, {48, 8}}
-	got := Segments(v)
-	if len(got) != len(want) {
-		t.Fatalf("segments = %+v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("segment %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if err := Validate(v); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStridedDegeneratesToContig(t *testing.T) {
-	v := Strided{Count: 10, BlockLen: 8, Stride: 8}
-	if v.SegmentCount() != 1 {
-		t.Fatalf("dense stride should coalesce, got %d segments", v.SegmentCount())
-	}
-	if err := Validate(v); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIndexedSortsAndValidates(t *testing.T) {
 	x, err := NewIndexed([]Segment{{Off: 64, Len: 8}, {Off: 0, Len: 8}})
 	if err != nil {
@@ -77,34 +22,6 @@ func TestIndexedSortsAndValidates(t *testing.T) {
 func TestIndexedRejectsOverlap(t *testing.T) {
 	if _, err := NewIndexed([]Segment{{0, 16}, {8, 8}}); err == nil {
 		t.Fatal("overlap accepted")
-	}
-}
-
-func TestSubarray2D(t *testing.T) {
-	// 2x3 block at (1,1) of a 4x8 float64 array.
-	s := Subarray2D{Elem: 8, ParentCols: 8, StartRow: 1, StartCol: 1, Rows: 2, Cols: 3}
-	if s.Size() != 2*3*8 {
-		t.Fatalf("size = %d", s.Size())
-	}
-	segs := Segments(s)
-	if len(segs) != 2 {
-		t.Fatalf("segments = %+v", segs)
-	}
-	if segs[0] != (Segment{Off: (8 + 1) * 8, Len: 24}) {
-		t.Fatalf("row 0 = %+v", segs[0])
-	}
-	if segs[1] != (Segment{Off: (16 + 1) * 8, Len: 24}) {
-		t.Fatalf("row 1 = %+v", segs[1])
-	}
-	if err := Validate(s); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSubarrayFullRowsCoalesce(t *testing.T) {
-	s := Subarray2D{Elem: 8, ParentCols: 4, Rows: 3, Cols: 4}
-	if s.SegmentCount() != 1 {
-		t.Fatalf("full-width subarray should be one segment, got %d", s.SegmentCount())
 	}
 }
 
@@ -200,20 +117,3 @@ func TestJitteredIncreasesGapJitter(t *testing.T) {
 		t.Fatalf("jitter changed payload: %d vs %d", irr.Bytes, reg.Bytes)
 	}
 }
-
-func TestValidateCatchesLies(t *testing.T) {
-	if err := Validate(badLayout{}); err == nil {
-		t.Fatal("Validate accepted a lying layout")
-	}
-}
-
-// badLayout advertises a wrong Size.
-type badLayout struct{}
-
-func (badLayout) Size() int64   { return 5 }
-func (badLayout) Extent() int64 { return 10 }
-func (badLayout) ForEach(fn func(Segment) bool) {
-	fn(Segment{Off: 0, Len: 10})
-}
-func (badLayout) SegmentCount() int { return 1 }
-func (badLayout) Name() string      { return "bad" }

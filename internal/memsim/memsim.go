@@ -195,14 +195,6 @@ func (s *State) SetDisabled(d bool) {
 	s.disabled = d
 }
 
-// Touch records that n bytes of region r were brought into cache,
-// evicting least-recently-used regions beyond LLC capacity.
-func (s *State) Touch(r buf.Region, n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.touch(r, n)
-}
-
 func (s *State) touch(r buf.Region, n int64) {
 	if s.disabled || n <= 0 {
 		return
@@ -243,14 +235,6 @@ func (s *State) removeFromOrder(r buf.Region) {
 			return
 		}
 	}
-}
-
-// Residency returns the fraction of an n-byte working set of region r
-// currently cache-resident, in [0, 1].
-func (s *State) Residency(r buf.Region, n int64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.residency(r, n)
 }
 
 func (s *State) residency(r buf.Region, n int64) float64 {

@@ -38,7 +38,7 @@ func TestValidate(t *testing.T) {
 
 func TestTrafficContig(t *testing.T) {
 	h := testHierarchy()
-	st := layout.Describe(layout.Contig{N: 1000})
+	st := layout.Dense(1000)
 	if got := h.Traffic(st); got != 1024 {
 		t.Fatalf("traffic = %d, want 1024 (line-rounded)", got)
 	}
@@ -100,16 +100,16 @@ func TestResidencyEvictsLRU(t *testing.T) {
 	h.LLC = 1 << 20 // 1 MB cache
 	s := NewState(h)
 	a, b, c := buf.Alloc(1), buf.Alloc(1), buf.Alloc(1)
-	s.Touch(a.Region(), 512<<10)
-	s.Touch(b.Region(), 512<<10)
-	if r := s.Residency(a.Region(), 512<<10); r != 1 {
+	s.touch(a.Region(), 512<<10)
+	s.touch(b.Region(), 512<<10)
+	if r := s.residency(a.Region(), 512<<10); r != 1 {
 		t.Fatalf("a residency = %v", r)
 	}
-	s.Touch(c.Region(), 512<<10) // evicts a (oldest)
-	if r := s.Residency(a.Region(), 512<<10); r != 0 {
+	s.touch(c.Region(), 512<<10) // evicts a (oldest)
+	if r := s.residency(a.Region(), 512<<10); r != 0 {
 		t.Fatalf("a not evicted: %v", r)
 	}
-	if r := s.Residency(c.Region(), 512<<10); r != 1 {
+	if r := s.residency(c.Region(), 512<<10); r != 1 {
 		t.Fatalf("c residency = %v", r)
 	}
 }
@@ -118,8 +118,8 @@ func TestDisabledStateAlwaysCold(t *testing.T) {
 	s := NewState(testHierarchy())
 	s.SetDisabled(true)
 	r := buf.Alloc(1)
-	s.Touch(r.Region(), 1<<20)
-	if got := s.Residency(r.Region(), 1<<20); got != 0 {
+	s.touch(r.Region(), 1<<20)
+	if got := s.residency(r.Region(), 1<<20); got != 0 {
 		t.Fatalf("disabled state has residency %v", got)
 	}
 }

@@ -1,15 +1,12 @@
 package memsim
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 )
 
-// Transfer-path names shared between the runtime (which records
-// observations) and the recommendation engine (which consumes fits).
-// Each names one engine whose end-to-end cost a persistent operation
-// can observe on the virtual clock.
+// Transfer-path names shared between the measurements that record
+// observations and the recommendation engine that consumes fits. Each
+// names one engine whose end-to-end virtual-clock cost is observed.
 const (
 	// PathTypedSend is the direct derived-datatype send: the chunked
 	// staging path of SendType, the cost the Hunold/Träff guideline
@@ -18,8 +15,6 @@ const (
 	// PathPackedSend is an explicit pack followed by a contiguous send
 	// of the packed bytes — the decomposition side of the guideline.
 	PathPackedSend = "packed-send"
-	// PathContigSend is the contiguous reference send.
-	PathContigSend = "contig-send"
 )
 
 // MinObservations is how many samples a path needs before its fit
@@ -49,25 +44,11 @@ func (f Fit) Predict(n int64) float64 {
 	return f.Alpha + f.InvBW*float64(n)
 }
 
-// Bandwidth returns the fitted asymptotic bandwidth in bytes/second
-// (0 when the marginal term is zero).
-func (f Fit) Bandwidth() float64 {
-	if f.InvBW <= 0 {
-		return 0
-	}
-	return 1 / f.InvBW
-}
-
-// String formats the fit for reports.
-func (f Fit) String() string {
-	return fmt.Sprintf("%s: %d samples, alpha %.3gs, %.3g GB/s", f.Path, f.Samples, f.Alpha, f.Bandwidth()/1e9)
-}
-
 // ObservedHierarchy accumulates measured (bytes, seconds) samples per
 // transfer path and fits a latency+bandwidth line to each: the
 // self-tuning loop that lets a recommender degrade from calibrated to
-// observed per installation. Persistent operations feed it their
-// per-Start virtual-clock cost (mpi.Comm.ObserveInto); once a path has
+// observed per installation. The guidelines self-tuning study feeds it
+// the virtual-clock cost of each measured transfer; once a path has
 // MinObservations samples, Fit returns an online-fitted cost model
 // that core.Recommend prefers over the static prediction.
 //
@@ -75,7 +56,6 @@ func (f Fit) String() string {
 // for concurrent use by all ranks of a run.
 type ObservedHierarchy struct {
 	mu    sync.Mutex
-	base  *Hierarchy
 	paths map[string]*pathMoments
 }
 
@@ -98,14 +78,10 @@ type sizeBucket struct {
 	sum float64
 }
 
-// NewObservedHierarchy creates an empty observed model over a
-// calibrated base hierarchy (may be nil when only fits are wanted).
-func NewObservedHierarchy(base *Hierarchy) *ObservedHierarchy {
-	return &ObservedHierarchy{base: base, paths: make(map[string]*pathMoments)}
+// NewObservedHierarchy creates an empty observed model.
+func NewObservedHierarchy() *ObservedHierarchy {
+	return &ObservedHierarchy{paths: make(map[string]*pathMoments)}
 }
-
-// Base returns the calibrated hierarchy the observations refine.
-func (o *ObservedHierarchy) Base() *Hierarchy { return o.base }
 
 // Observe records one measured transfer: path moved bytes in seconds
 // of virtual time. Non-positive sizes and negative times are ignored.
@@ -139,28 +115,6 @@ func (o *ObservedHierarchy) Observe(path string, bytes int64, seconds float64) {
 	m.sumY += y
 	m.sumXX += x * x
 	m.sumXY += x * y
-}
-
-// Samples returns how many observations path has accumulated.
-func (o *ObservedHierarchy) Samples(path string) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if m := o.paths[path]; m != nil {
-		return m.n
-	}
-	return 0
-}
-
-// Paths lists the observed path names in sorted order.
-func (o *ObservedHierarchy) Paths() []string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]string, 0, len(o.paths))
-	for k := range o.paths {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Fit returns the fitted cost line of a path, and whether the path has

@@ -7,7 +7,7 @@ import (
 )
 
 func TestObservedFitRecoversLine(t *testing.T) {
-	o := NewObservedHierarchy(nil)
+	o := NewObservedHierarchy()
 	// t = 2µs + n/10GB/s, sampled at several sizes.
 	alpha, invBW := 2e-6, 1e-10
 	for _, n := range []int64{1 << 10, 64 << 10, 1 << 20, 16 << 20} {
@@ -26,13 +26,13 @@ func TestObservedFitRecoversLine(t *testing.T) {
 	if got, want := f.Predict(8<<20), alpha+invBW*float64(8<<20); math.Abs(got-want) > want*0.05 {
 		t.Errorf("Predict(8MiB) %g, want ~%g", got, want)
 	}
-	if bw := f.Bandwidth(); math.Abs(bw-1e10) > 1e9 {
+	if bw := 1 / f.InvBW; math.Abs(bw-1e10) > 1e9 {
 		t.Errorf("Bandwidth %g, want ~1e10", bw)
 	}
 }
 
 func TestObservedFitNeedsMinSamples(t *testing.T) {
-	o := NewObservedHierarchy(nil)
+	o := NewObservedHierarchy()
 	for i := 0; i < MinObservations-1; i++ {
 		o.Observe(PathTypedSend, 1<<20, 1e-4)
 	}
@@ -46,7 +46,7 @@ func TestObservedFitNeedsMinSamples(t *testing.T) {
 }
 
 func TestObservedFitSingleSizeDegeneratesToBandwidth(t *testing.T) {
-	o := NewObservedHierarchy(nil)
+	o := NewObservedHierarchy()
 	for i := 0; i < 5; i++ {
 		o.Observe(PathPackedSend, 1<<20, 1e-4)
 	}
@@ -63,12 +63,12 @@ func TestObservedFitSingleSizeDegeneratesToBandwidth(t *testing.T) {
 }
 
 func TestObservedIgnoresBadSamplesAndClamps(t *testing.T) {
-	o := NewObservedHierarchy(nil)
+	o := NewObservedHierarchy()
 	o.Observe(PathTypedSend, 0, 1)
 	o.Observe(PathTypedSend, -5, 1)
 	o.Observe(PathTypedSend, 8, -1)
-	if n := o.Samples(PathTypedSend); n != 0 {
-		t.Fatalf("bad samples recorded: %d", n)
+	if m := o.paths[PathTypedSend]; m != nil {
+		t.Fatalf("bad samples recorded: %d", m.n)
 	}
 	// Decreasing times with size would fit a negative slope; the fit
 	// must clamp to a flat non-negative prediction.
@@ -88,7 +88,7 @@ func TestObservedIgnoresBadSamplesAndClamps(t *testing.T) {
 }
 
 func TestObservedPredictExactAtObservedSizes(t *testing.T) {
-	o := NewObservedHierarchy(nil)
+	o := NewObservedHierarchy()
 	// A convex cost curve no single line fits: the OLS line would
 	// misprice the smallest size, but Predict at an observed size must
 	// return that size's measured mean.
@@ -113,7 +113,7 @@ func TestObservedPredictExactAtObservedSizes(t *testing.T) {
 }
 
 func TestObservedConcurrent(t *testing.T) {
-	o := NewObservedHierarchy(nil)
+	o := NewObservedHierarchy()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -126,10 +126,7 @@ func TestObservedConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := o.Samples(PathTypedSend); n != 800 {
-		t.Errorf("samples %d, want 800", n)
-	}
-	if paths := o.Paths(); len(paths) != 1 || paths[0] != PathTypedSend {
-		t.Errorf("paths %v", paths)
+	if m := o.paths[PathTypedSend]; m == nil || m.n != 800 || len(o.paths) != 1 {
+		t.Errorf("paths %v, want 800 samples of %s only", o.paths, PathTypedSend)
 	}
 }

@@ -158,26 +158,6 @@ func BenchmarkBarrier8(b *testing.B) {
 	}
 }
 
-func BenchmarkAllreduce8(b *testing.B) {
-	err := Run(8, Options{WallLimit: 5 * time.Minute}, func(c *Comm) error {
-		send := buf.Alloc(8 * 128)
-		recv := buf.Alloc(8 * 128)
-		c.Barrier()
-		if c.Rank() == 0 {
-			b.ResetTimer()
-		}
-		for i := 0; i < b.N; i++ {
-			if err := c.Allreduce(send, recv, 128, OpSum); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
 func BenchmarkOneSidedPutFence(b *testing.B) {
 	err := Run(2, Options{WallLimit: 5 * time.Minute}, func(c *Comm) error {
 		const n = 64 << 10

@@ -97,14 +97,3 @@ func (c *Comm) BufferDetach() (buf.Block, error) {
 	c.attach = nil
 	return b, nil
 }
-
-// BufferedBytesInUse reports the currently reserved attached-buffer
-// bytes, for tests and diagnostics.
-func (c *Comm) BufferedBytesInUse() int64 {
-	if c.attach == nil {
-		return 0
-	}
-	c.attach.mu.Lock()
-	defer c.attach.mu.Unlock()
-	return c.attach.inUse
-}

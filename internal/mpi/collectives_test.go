@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/buf"
-	"repro/internal/elem"
+	"repro/internal/oracle"
 )
 
 // runN runs an n-rank job with a watchdog.
@@ -39,108 +39,12 @@ func TestBcastBinomial(t *testing.T) {
 			if err := c.Bcast(b, root); err != nil {
 				return err
 			}
-			if err := b.VerifyPattern(99); err != nil {
+			if err := oracle.VerifyPattern(b, 99); err != nil {
 				t.Errorf("size %d rank %d: %v", n, c.Rank(), err)
 			}
 			return nil
 		})
 	}
-}
-
-func TestReduceSum(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 7} {
-		runN(t, n, func(c *Comm) error {
-			const count = 16
-			send := buf.Alloc(count * 8)
-			for i := 0; i < count; i++ {
-				elem.PutFloat64(send, i, float64(c.Rank()+1))
-			}
-			recv := buf.Alloc(count * 8)
-			if err := c.Reduce(send, recv, count, OpSum, 0); err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				want := float64(n * (n + 1) / 2)
-				for i := 0; i < count; i++ {
-					if got := elem.Float64(recv, i); got != want {
-						t.Errorf("size %d: recv[%d] = %v, want %v", n, i, got, want)
-					}
-				}
-			}
-			return nil
-		})
-	}
-}
-
-func TestReduceMaxMinProd(t *testing.T) {
-	runN(t, 4, func(c *Comm) error {
-		send := buf.Alloc(8)
-		elem.PutFloat64(send, 0, float64(c.Rank()+1))
-		recv := buf.Alloc(8)
-		if err := c.Reduce(send, recv, 1, OpMax, 0); err != nil {
-			return err
-		}
-		if c.Rank() == 0 && elem.Float64(recv, 0) != 4 {
-			t.Errorf("max = %v", elem.Float64(recv, 0))
-		}
-		if err := c.Reduce(send, recv, 1, OpMin, 0); err != nil {
-			return err
-		}
-		if c.Rank() == 0 && elem.Float64(recv, 0) != 1 {
-			t.Errorf("min = %v", elem.Float64(recv, 0))
-		}
-		if err := c.Reduce(send, recv, 1, OpProd, 0); err != nil {
-			return err
-		}
-		if c.Rank() == 0 && elem.Float64(recv, 0) != 24 {
-			t.Errorf("prod = %v", elem.Float64(recv, 0))
-		}
-		return nil
-	})
-}
-
-func TestAllreduce(t *testing.T) {
-	runN(t, 5, func(c *Comm) error {
-		send := buf.Alloc(8)
-		elem.PutFloat64(send, 0, 2)
-		recv := buf.Alloc(8)
-		if err := c.Allreduce(send, recv, 1, OpSum); err != nil {
-			return err
-		}
-		if got := elem.Float64(recv, 0); got != 10 {
-			t.Errorf("rank %d: allreduce = %v, want 10", c.Rank(), got)
-		}
-		return nil
-	})
-}
-
-func TestGatherScatter(t *testing.T) {
-	runN(t, 4, func(c *Comm) error {
-		// Gather: each rank contributes 8 bytes with its rank pattern.
-		send := buf.Alloc(8)
-		send.FillPattern(byte(c.Rank()))
-		recv := buf.Alloc(8 * 4)
-		if err := c.Gather(send, recv, 2); err != nil {
-			return err
-		}
-		if c.Rank() == 2 {
-			for r := 0; r < 4; r++ {
-				if err := recv.Slice(r*8, 8).VerifyPattern(byte(r)); err != nil {
-					t.Errorf("gather slot %d: %v", r, err)
-				}
-			}
-		}
-		// Scatter back out.
-		mine := buf.Alloc(8)
-		if err := c.Scatter(recv, mine, 2); err != nil {
-			return err
-		}
-		if c.Rank() == 2 {
-			// Root's slice was its own contribution.
-			return mine.VerifyPattern(2)
-		}
-		return mine.VerifyPattern(byte(c.Rank()))
-	})
 }
 
 func TestAllgatherRing(t *testing.T) {
@@ -153,50 +57,13 @@ func TestAllgatherRing(t *testing.T) {
 				return err
 			}
 			for r := 0; r < n; r++ {
-				if err := recv.Slice(r*16, 16).VerifyPattern(byte(r * 3)); err != nil {
+				if err := oracle.VerifyPattern(recv.Slice(r*16, 16), byte(r*3)); err != nil {
 					t.Errorf("size %d rank %d slot %d: %v", n, c.Rank(), r, err)
 				}
 			}
 			return nil
 		})
 	}
-}
-
-func TestAlltoall(t *testing.T) {
-	runN(t, 4, func(c *Comm) error {
-		const bl = 8
-		send := buf.Alloc(bl * 4)
-		for r := 0; r < 4; r++ {
-			send.Slice(r*bl, bl).FillPattern(byte(c.Rank()*10 + r))
-		}
-		recv := buf.Alloc(bl * 4)
-		if err := c.Alltoall(send, recv, bl); err != nil {
-			return err
-		}
-		for r := 0; r < 4; r++ {
-			// Slot r holds what rank r sent to me.
-			if err := recv.Slice(r*bl, bl).VerifyPattern(byte(r*10 + c.Rank())); err != nil {
-				t.Errorf("rank %d from %d: %v", c.Rank(), r, err)
-			}
-		}
-		return nil
-	})
-}
-
-func TestScanPrefixSums(t *testing.T) {
-	runN(t, 5, func(c *Comm) error {
-		send := buf.Alloc(8)
-		elem.PutFloat64(send, 0, float64(c.Rank()+1))
-		recv := buf.Alloc(8)
-		if err := c.Scan(send, recv, 1, OpSum); err != nil {
-			return err
-		}
-		want := float64((c.Rank() + 1) * (c.Rank() + 2) / 2)
-		if got := elem.Float64(recv, 0); got != want {
-			t.Errorf("rank %d scan = %v, want %v", c.Rank(), got, want)
-		}
-		return nil
-	})
 }
 
 func TestSplitPairs(t *testing.T) {
@@ -220,7 +87,7 @@ func TestSplitPairs(t *testing.T) {
 			if _, err := pair.Recv(b, 0, 0); err != nil {
 				return err
 			}
-			if err := b.VerifyPattern(byte(c.Rank() / 2)); err != nil {
+			if err := oracle.VerifyPattern(b, byte(c.Rank()/2)); err != nil {
 				t.Errorf("pair %d: %v", c.Rank()/2, err)
 			}
 		}
@@ -259,6 +126,6 @@ func TestSplitTrafficIsolated(t *testing.T) {
 		if _, err := nc.Recv(b, 0, 0); err != nil {
 			return err
 		}
-		return b.VerifyPattern(byte(100 + c.Rank()%2))
+		return oracle.VerifyPattern(b, byte(100+c.Rank()%2))
 	})
 }

@@ -14,8 +14,8 @@ import (
 // collectives in collectives.go are thin wrappers viewing their blocks
 // through a datatype.Contiguous layout. The engine's legs are the
 // typed point-to-point paths — past the eager limit a remote leg rides
-// the fused sendv rendezvous, so a gather or alltoall scatters
-// straight between rank layouts with zero staging — and the root's own
+// the fused sendv rendezvous, so a gather scatters straight between
+// rank layouts with zero staging — and the root's own
 // contribution is a single datatype.FusedCopy instead of a loopback
 // send. Dense layouts (the wrappers, contiguous slots) take the raw
 // contiguous protocol paths, byte- and cost-identical to the classic
@@ -23,7 +23,7 @@ import (
 //
 // Algorithm selection keys off the per-leg payload size and the
 // installation's memory hierarchy (perfmodel.CollectiveTreeLimit):
-// small fan-in/fan-out collectives run a binomial tree of packed slots
+// small gathers run a binomial fan-in tree of packed slots
 // (latency-bound legs, ⌈log₂ p⌉ rounds), large ones the linear fan
 // whose legs each cross the memory system exactly once. Broadcast
 // relays the same layout unchanged, so it always uses the tree.
@@ -428,277 +428,6 @@ func (c *Comm) gatherTree(send buf.Block, sendCount int, sendTy *datatype.Type, 
 	return c.typedSelfCopy(send, sendCount, sendTy, view, recvCount, recvTy)
 }
 
-// GathervType is GatherType with per-rank receive counts and slot
-// displacements, like MPI_Gatherv: the root receives rank r's
-// contribution as recvCounts[r] instances of recvTy at displacement
-// displs[r], measured in units of recvTy's extent. It always runs the
-// linear fan (slots are irregular, so the packed-tree arithmetic does
-// not apply); remote legs and the root self-leg behave exactly as in
-// GatherType.
-func (c *Comm) GathervType(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCounts, displs []int, recvTy *datatype.Type, root int) error {
-	return c.collErr("GathervType", c.gathervType(send, sendCount, sendTy, recv, recvCounts, displs, recvTy, root))
-}
-
-func (c *Comm) gathervType(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCounts, displs []int, recvTy *datatype.Type, root int) error {
-	if err := c.checkRank(root); err != nil {
-		return err
-	}
-	if sendCount < 0 {
-		return errNegativeCount(sendCount)
-	}
-	sp, err := sendTy.CompilePlan(sendCount)
-	if err != nil {
-		return err
-	}
-	if err := sp.Validate(send); err != nil {
-		return err
-	}
-	if c.rank != root {
-		return c.collSend(send, sendCount, sendTy, root, "fan-in")
-	}
-	if len(recvCounts) != c.size || len(displs) != c.size {
-		return fmt.Errorf("%w: gatherv needs %d counts and displacements, have %d/%d",
-			ErrCount, c.size, len(recvCounts), len(displs))
-	}
-	slot := func(r int) (buf.Block, error) {
-		if recvCounts[r] < 0 {
-			return buf.Block{}, errNegativeCount(recvCounts[r])
-		}
-		return collSlotView(recv, int64(displs[r])*recvTy.Extent(), recvCounts[r], recvTy, "gatherv")
-	}
-	for r := 0; r < c.size; r++ {
-		if _, err := slot(r); err != nil {
-			return err
-		}
-	}
-	if cnt := recvCounts[root]; recvTy.PackSize(cnt) != sp.Bytes() {
-		return fmt.Errorf("%w: gatherv root slot holds %d bytes, contribution is %d",
-			ErrTruncate, recvTy.PackSize(cnt), sp.Bytes())
-	}
-	for r := 0; r < c.size; r++ {
-		view, _ := slot(r)
-		if r == root {
-			if err := c.typedSelfCopy(send, sendCount, sendTy, view, recvCounts[r], recvTy); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := c.collRecv(view, recvCounts[r], recvTy, r, "fan-in"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScatterType distributes typed slots of the root's buffer, like
-// MPI_Scatter with derived datatypes: the root sends sendCount
-// instances of sendTy from byte offset r*sendCount*sendTy.Extent() to
-// rank r, which receives them as recvCount instances of recvTy. send,
-// sendCount and sendTy are consulted only at the root. Algorithm
-// selection mirrors GatherType: small legs fan out over a binomial
-// tree of packed slots, large legs run the linear fan of fused sends.
-func (c *Comm) ScatterType(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type, root int) error {
-	return c.collErr("ScatterType", c.scatterType(send, sendCount, sendTy, recv, recvCount, recvTy, root))
-}
-
-func (c *Comm) scatterType(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type, root int) error {
-	if err := c.checkRank(root); err != nil {
-		return err
-	}
-	if recvCount < 0 {
-		return errNegativeCount(recvCount)
-	}
-	rp, err := recvTy.CompilePlan(recvCount)
-	if err != nil {
-		return err
-	}
-	if err := rp.Validate(recv); err != nil {
-		return err
-	}
-	n := rp.Bytes()
-	if c.rank == root {
-		if sendCount < 0 {
-			return errNegativeCount(sendCount)
-		}
-		sp, err := sendTy.CompilePlan(sendCount)
-		if err != nil {
-			return err
-		}
-		if sp.Bytes() != n {
-			return fmt.Errorf("%w: scatter slot holds %d bytes, receive expects %d", ErrTruncate, sp.Bytes(), n)
-		}
-		for r := 0; r < c.size; r++ {
-			if _, err := collSlotView(send, collSlotOff(r, sendCount, sendTy), sendCount, sendTy, "scatter"); err != nil {
-				return err
-			}
-		}
-	}
-	if c.size == 1 {
-		view, err := collSlotView(send, 0, sendCount, sendTy, "scatter")
-		if err != nil {
-			return err
-		}
-		return c.typedSelfCopy(view, sendCount, sendTy, recv, recvCount, recvTy)
-	}
-	if c.prof.UseCollectiveTree(c.size, n) {
-		return c.scatterTree(send, sendCount, sendTy, recv, recvCount, recvTy, root, n)
-	}
-	if c.rank != root {
-		return c.collRecv(recv, recvCount, recvTy, root, "fan-out")
-	}
-	for r := 0; r < c.size; r++ {
-		view, err := collSlotView(send, collSlotOff(r, sendCount, sendTy), sendCount, sendTy, "scatter")
-		if err != nil {
-			return err
-		}
-		if r == root {
-			if err := c.typedSelfCopy(view, sendCount, sendTy, recv, recvCount, recvTy); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := c.collSend(view, sendCount, sendTy, r, "fan-out"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scatterTree is the binomial fan-out for small typed scatters: the
-// root packs every remote slot once (compiled), subtree blocks travel
-// down in ⌈log₂ p⌉ rounds of contiguous sends, and each rank unpacks
-// its own slot into its receive layout. The root's own slot goes
-// straight into its receive layout as a fused copy.
-func (c *Comm) scatterTree(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type, root int, n int64) error {
-	rel := (c.rank - root + c.size) % c.size
-	abs := func(r int) int { return (r + root) % c.size }
-	span := subtreeSpan(rel, c.size)
-	var scratch buf.Block
-	if rel == 0 {
-		scratch = c.transitAlloc(send, int64(span)*n)
-		defer buf.PutPooled(scratch)
-		sp, err := sendTy.CompilePlan(sendCount)
-		if err != nil {
-			return err
-		}
-		sst := sendTy.Stats(sendCount)
-		for q := 1; q < c.size; q++ {
-			view, err := collSlotView(send, collSlotOff(abs(q), sendCount, sendTy), sendCount, sendTy, "scatter")
-			if err != nil {
-				return err
-			}
-			c.clock.Advance(vclock.FromSeconds(c.cache.GatherCost(send.Region(), scratch.Region(), sst, genericCompiled)))
-			if err := sp.PackRange(view, scratch.Slice(int(int64(q)*n), int(n)), 0, n); err != nil {
-				return err
-			}
-		}
-	} else {
-		scratch = c.transitAlloc(recv, int64(span)*n)
-		defer buf.PutPooled(scratch)
-		parent := rel &^ (rel & -rel) // clear the lowest set bit
-		if err := c.crecv(scratch.Slice(0, int(int64(span)*n)), abs(parent)); err != nil {
-			return err
-		}
-	}
-	// Forward sub-blocks to my children, largest subtree first, before
-	// the local leg so downstream ranks are not stalled behind it.
-	stride := 1
-	for stride < span {
-		stride <<= 1
-	}
-	for mask := stride >> 1; mask >= 1; mask >>= 1 {
-		child := rel + mask
-		if child >= c.size || mask >= span {
-			continue
-		}
-		childSpan := subtreeSpan(child, c.size)
-		block := scratch.Slice(int(int64(mask)*n), int(int64(childSpan)*n))
-		if err := c.csend(block, abs(child)); err != nil {
-			return err
-		}
-	}
-	if rel == 0 {
-		// The root's own slot goes straight into its receive layout as
-		// a fused copy, off every other rank's critical path.
-		view, err := collSlotView(send, collSlotOff(root, sendCount, sendTy), sendCount, sendTy, "scatter")
-		if err != nil {
-			return err
-		}
-		return c.typedSelfCopy(view, sendCount, sendTy, recv, recvCount, recvTy)
-	}
-	rp, err := recvTy.CompilePlan(recvCount)
-	if err != nil {
-		return err
-	}
-	rst := recvTy.Stats(recvCount)
-	c.clock.Advance(vclock.FromSeconds(c.cache.ScatterCost(scratch.Region(), recv.Region(), rst, genericCompiled)))
-	if err := rp.UnpackRange(scratch.Slice(0, int(n)), recv, 0, n); err != nil {
-		return err
-	}
-	datatype.RecordStagedTransfer(n)
-	return nil
-}
-
-// ScattervType is ScatterType with per-rank send counts and slot
-// displacements at the root, like MPI_Scatterv: rank r receives
-// sendCounts[r] instances of sendTy taken from displacement displs[r],
-// measured in units of sendTy's extent. Linear fan only, like
-// GathervType.
-func (c *Comm) ScattervType(send buf.Block, sendCounts, displs []int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type, root int) error {
-	return c.collErr("ScattervType", c.scattervType(send, sendCounts, displs, sendTy, recv, recvCount, recvTy, root))
-}
-
-func (c *Comm) scattervType(send buf.Block, sendCounts, displs []int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type, root int) error {
-	if err := c.checkRank(root); err != nil {
-		return err
-	}
-	if recvCount < 0 {
-		return errNegativeCount(recvCount)
-	}
-	rp, err := recvTy.CompilePlan(recvCount)
-	if err != nil {
-		return err
-	}
-	if err := rp.Validate(recv); err != nil {
-		return err
-	}
-	if c.rank != root {
-		return c.collRecv(recv, recvCount, recvTy, root, "fan-out")
-	}
-	if len(sendCounts) != c.size || len(displs) != c.size {
-		return fmt.Errorf("%w: scatterv needs %d counts and displacements, have %d/%d",
-			ErrCount, c.size, len(sendCounts), len(displs))
-	}
-	slot := func(r int) (buf.Block, error) {
-		if sendCounts[r] < 0 {
-			return buf.Block{}, errNegativeCount(sendCounts[r])
-		}
-		return collSlotView(send, int64(displs[r])*sendTy.Extent(), sendCounts[r], sendTy, "scatterv")
-	}
-	for r := 0; r < c.size; r++ {
-		if _, err := slot(r); err != nil {
-			return err
-		}
-	}
-	if cnt := sendCounts[root]; sendTy.PackSize(cnt) != rp.Bytes() {
-		return fmt.Errorf("%w: scatterv root slot holds %d bytes, receive expects %d",
-			ErrTruncate, sendTy.PackSize(cnt), rp.Bytes())
-	}
-	for r := 0; r < c.size; r++ {
-		view, _ := slot(r)
-		if r == root {
-			if err := c.typedSelfCopy(view, sendCounts[r], sendTy, recv, recvCount, recvTy); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := c.collSend(view, sendCounts[r], sendTy, r, "fan-out"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AllgatherType concentrates every rank's typed contribution at every
 // rank using the ring algorithm, like MPI_Allgather with derived
 // datatypes: rank r's contribution lands as recvCount instances of
@@ -768,70 +497,6 @@ func (c *Comm) allgatherType(send buf.Block, sendCount int, sendTy *datatype.Typ
 		blk = (blk - 1 + c.size) % c.size
 		rv, _ := slot(blk)
 		if err := c.collRecv(rv, recvCount, recvTy, left, "ring-recv"); err != nil {
-			return err
-		}
-		if _, err := req.Wait(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AlltoallType exchanges typed slots pairwise, like MPI_Alltoall with
-// derived datatypes: rank r receives this rank's slot r (sendCount
-// instances of sendTy at byte offset r*sendCount*sendTy.Extent() of
-// send) as recvCount instances of recvTy at slot offset
-// src*recvCount*recvTy.Extent() of recv. The self slot is a single
-// fused copy; remote slots exchange pairwise, fused past the eager
-// limit.
-func (c *Comm) AlltoallType(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type) error {
-	return c.collErr("AlltoallType", c.alltoallType(send, sendCount, sendTy, recv, recvCount, recvTy))
-}
-
-func (c *Comm) alltoallType(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type) error {
-	if sendCount < 0 {
-		return errNegativeCount(sendCount)
-	}
-	if recvCount < 0 {
-		return errNegativeCount(recvCount)
-	}
-	if _, err := sendTy.CompilePlan(sendCount); err != nil {
-		return err
-	}
-	rp, err := recvTy.CompilePlan(recvCount)
-	if err != nil {
-		return err
-	}
-	if rp.Bytes() != sendTy.PackSize(sendCount) {
-		return fmt.Errorf("%w: alltoall slot holds %d bytes, contribution is %d",
-			ErrTruncate, rp.Bytes(), sendTy.PackSize(sendCount))
-	}
-	sslot := func(r int) (buf.Block, error) {
-		return collSlotView(send, collSlotOff(r, sendCount, sendTy), sendCount, sendTy, "alltoall")
-	}
-	rslot := func(r int) (buf.Block, error) {
-		return collSlotView(recv, collSlotOff(r, recvCount, recvTy), recvCount, recvTy, "alltoall")
-	}
-	for r := 0; r < c.size; r++ {
-		if _, err := sslot(r); err != nil {
-			return err
-		}
-		if _, err := rslot(r); err != nil {
-			return err
-		}
-	}
-	sv, _ := sslot(c.rank)
-	rv, _ := rslot(c.rank)
-	if err := c.typedSelfCopy(sv, sendCount, sendTy, rv, recvCount, recvTy); err != nil {
-		return err
-	}
-	for step := 1; step < c.size; step++ {
-		dst := (c.rank + step) % c.size
-		src := (c.rank - step + c.size) % c.size
-		sv, _ := sslot(dst)
-		req := c.collIsend(sv, sendCount, sendTy, dst, "pairwise-send")
-		rv, _ := rslot(src)
-		if err := c.collRecv(rv, recvCount, recvTy, src, "pairwise-recv"); err != nil {
 			return err
 		}
 		if _, err := req.Wait(); err != nil {

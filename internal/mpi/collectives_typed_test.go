@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
+	"repro/internal/oracle"
 )
 
 // mustCommit commits a constructed type or fails the test.
@@ -118,49 +119,6 @@ func TestGatherTypeDifferential(t *testing.T) {
 	}
 }
 
-// TestScatterTypeDifferential is the fan-out mirror.
-func TestScatterTypeDifferential(t *testing.T) {
-	for _, cfg := range collConfigs {
-		for _, size := range collSizes {
-			t.Run(fmt.Sprintf("%s/n%d", cfg.name, size), func(t *testing.T) {
-				ty := cfg.mk(t)
-				count := cfg.count
-				root := size / 2
-				pitch := int(int64(count) * ty.Extent())
-				sendLen := pitch*(size-1) + typedNeed(ty, count)
-				const rootSeed = 0x5D
-				got := make([][]byte, size)
-				runN(t, size, func(c *Comm) error {
-					var send buf.Block
-					if c.Rank() == root {
-						send = buf.Alloc(sendLen)
-						send.FillPattern(rootSeed)
-					}
-					recv := buf.Alloc(typedNeed(ty, count))
-					if err := c.ScatterType(send, count, ty, recv, count, ty, root); err != nil {
-						return err
-					}
-					got[c.Rank()] = append([]byte(nil), recv.Bytes()...)
-					return nil
-				})
-				full := buf.Alloc(sendLen)
-				full.FillPattern(rootSeed)
-				for r := 0; r < size; r++ {
-					view := full.Slice(r*pitch, sendLen-r*pitch)
-					packed := packView(t, ty, count, view)
-					oracle := buf.Alloc(typedNeed(ty, count))
-					if _, err := ty.Unpack(buf.FromBytes(packed), count, oracle); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got[r], oracle.Bytes()) {
-						t.Fatalf("typed scatter slot %d differs from oracle", r)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestBcastTypeDifferential checks the typed broadcast: every rank's
 // layout must hold exactly what a pack→bcast→unpack pipeline delivers
 // (gap bytes stay zero on receivers).
@@ -244,129 +202,6 @@ func TestAllgatherTypeDifferential(t *testing.T) {
 	}
 }
 
-// TestAlltoallTypeDifferential checks the typed pairwise exchange on
-// every rank against the oracle.
-func TestAlltoallTypeDifferential(t *testing.T) {
-	for _, cfg := range collConfigs {
-		for _, size := range collSizes {
-			t.Run(fmt.Sprintf("%s/n%d", cfg.name, size), func(t *testing.T) {
-				ty := cfg.mk(t)
-				count := cfg.count
-				pitch := int(int64(count) * ty.Extent())
-				bufLen := pitch*(size-1) + typedNeed(ty, count)
-				got := make([][]byte, size)
-				runN(t, size, func(c *Comm) error {
-					send := buf.Alloc(bufLen)
-					send.FillPattern(rankSeed(c.Rank()))
-					recv := buf.Alloc(bufLen)
-					if err := c.AlltoallType(send, count, ty, recv, count, ty); err != nil {
-						return err
-					}
-					got[c.Rank()] = append([]byte(nil), recv.Bytes()...)
-					return nil
-				})
-				for me := 0; me < size; me++ {
-					oracle := buf.Alloc(bufLen)
-					for r := 0; r < size; r++ {
-						srcBuf := buf.Alloc(bufLen)
-						srcBuf.FillPattern(rankSeed(r))
-						packed := packView(t, ty, count, srcBuf.Slice(me*pitch, bufLen-me*pitch))
-						view := oracle.Slice(r*pitch, bufLen-r*pitch)
-						if _, err := ty.Unpack(buf.FromBytes(packed), count, view); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if !bytes.Equal(got[me], oracle.Bytes()) {
-						t.Fatalf("typed alltoall rank %d differs from oracle", me)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestGathervScattervTypeDifferential checks the v-variants with
-// per-rank counts and permuted, gapped displacements against the
-// oracle.
-func TestGathervScattervTypeDifferential(t *testing.T) {
-	for _, cfg := range collConfigs {
-		for _, size := range collSizes {
-			t.Run(fmt.Sprintf("%s/n%d", cfg.name, size), func(t *testing.T) {
-				ty := cfg.mk(t)
-				ext := int(ty.Extent())
-				counts := make([]int, size)
-				displs := make([]int, size)
-				maxEnd := 0
-				for r := 0; r < size; r++ {
-					counts[r] = 1 + r%cfg.count
-					// Reverse the slots and leave a one-extent gap
-					// between them.
-					displs[r] = (size - 1 - r) * (cfg.count + 1)
-					if end := displs[r]*ext + typedNeed(ty, counts[r]); end > maxEnd {
-						maxEnd = end
-					}
-				}
-				root := size / 2
-				rootLen := maxEnd
-
-				// Gatherv.
-				var got []byte
-				runN(t, size, func(c *Comm) error {
-					send := typedBuf(ty, counts[c.Rank()], rankSeed(c.Rank()))
-					var recv buf.Block
-					if c.Rank() == root {
-						recv = buf.Alloc(rootLen)
-					}
-					if err := c.GathervType(send, counts[c.Rank()], ty, recv, counts, displs, ty, root); err != nil {
-						return err
-					}
-					if c.Rank() == root {
-						got = append([]byte(nil), recv.Bytes()...)
-					}
-					return nil
-				})
-				oracle := buf.Alloc(rootLen)
-				for r := 0; r < size; r++ {
-					packed := packView(t, ty, counts[r], typedBuf(ty, counts[r], rankSeed(r)))
-					view := oracle.Slice(displs[r]*ext, rootLen-displs[r]*ext)
-					if _, err := ty.Unpack(buf.FromBytes(packed), counts[r], view); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if !bytes.Equal(got, oracle.Bytes()) {
-					t.Fatal("typed gatherv differs from oracle")
-				}
-
-				// Scatterv back out of the oracle image.
-				gotV := make([][]byte, size)
-				runN(t, size, func(c *Comm) error {
-					var send buf.Block
-					if c.Rank() == root {
-						send = buf.Alloc(rootLen)
-						buf.Copy(send, oracle)
-					}
-					recv := buf.Alloc(typedNeed(ty, counts[c.Rank()]))
-					if err := c.ScattervType(send, counts, displs, ty, recv, counts[c.Rank()], ty, root); err != nil {
-						return err
-					}
-					gotV[c.Rank()] = append([]byte(nil), recv.Bytes()...)
-					return nil
-				})
-				for r := 0; r < size; r++ {
-					packed := packView(t, ty, counts[r], oracle.Slice(displs[r]*ext, rootLen-displs[r]*ext))
-					want := buf.Alloc(typedNeed(ty, counts[r]))
-					if _, err := ty.Unpack(buf.FromBytes(packed), counts[r], want); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(gotV[r], want.Bytes()) {
-						t.Fatalf("typed scatterv slot %d differs from oracle", r)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestGatherTypeAsymmetricLayouts checks a rendezvous-sized gather
 // whose send and receive layouts differ (every-other doubles arriving
 // as blocked pairs): the fused remote legs must deliver exactly the
@@ -420,13 +255,7 @@ func TestTypedCollectivesRendezvousZeroStaging(t *testing.T) {
 		pitch := int(ty.Extent())
 		send := typedBuf(ty, 1, rankSeed(c.Rank()))
 		recv := buf.Alloc(pitch*(size-1) + typedNeed(ty, 1))
-		if err := c.GatherType(send, 1, ty, recv, 1, ty, 0); err != nil {
-			return err
-		}
-		sendAll := buf.Alloc(pitch*(size-1) + typedNeed(ty, 1))
-		sendAll.FillPattern(rankSeed(c.Rank()))
-		recvAll := buf.Alloc(pitch*(size-1) + typedNeed(ty, 1))
-		return c.AlltoallType(sendAll, 1, ty, recvAll, 1, ty)
+		return c.GatherType(send, 1, ty, recv, 1, ty, 0)
 	})
 	if d := buf.PoolStatsSnapshot().Sub(poolBefore); d.Gets != 0 {
 		t.Fatalf("typed collectives drew %d pooled staging/transit blocks, want 0 (%+v)", d.Gets, d)
@@ -495,22 +324,25 @@ func TestContigWrappersStillMatch(t *testing.T) {
 			return err
 		}
 		for r := 0; r < size; r++ {
-			if err := recv.Slice(r*n, n).VerifyPattern(byte(r)); err != nil {
+			if err := oracle.VerifyPattern(recv.Slice(r*n, n), byte(r)); err != nil {
 				t.Errorf("allgather slot %d: %v", r, err)
 			}
 		}
 		back := buf.Alloc(n)
-		if err := c.Scatter(recv, back, 1); err != nil {
+		if c.Rank() == 1 {
+			back.FillPattern(1)
+		}
+		if err := c.Bcast(back, 1); err != nil {
 			return err
 		}
-		return back.VerifyPattern(byte(c.Rank()))
+		return oracle.VerifyPattern(back, 1)
 	})
 }
 
 // BenchmarkTypedCollectives is the CI smoke for the typed-collective
-// zero-staging contract: rendezvous-sized GatherType and AlltoallType
-// rounds; any pooled staging or transit draw on the fused legs or the
-// root self-leg fails the bench.
+// zero-staging contract: rendezvous-sized GatherType rounds; any pooled
+// staging or transit draw on the fused legs or the root self-leg fails
+// the bench.
 func BenchmarkTypedCollectives(b *testing.B) {
 	const k = 1 << 14
 	const size = 4
@@ -522,12 +354,7 @@ func BenchmarkTypedCollectives(b *testing.B) {
 			pitch := int(ty.Extent())
 			send := buf.Alloc(typedNeed(ty, 1))
 			recv := buf.Alloc(pitch*(size-1) + typedNeed(ty, 1))
-			if err := c.GatherType(send, 1, ty, recv, 1, ty, 0); err != nil {
-				return err
-			}
-			sendAll := buf.Alloc(pitch*(size-1) + typedNeed(ty, 1))
-			recvAll := buf.Alloc(pitch*(size-1) + typedNeed(ty, 1))
-			return c.AlltoallType(sendAll, 1, ty, recvAll, 1, ty)
+			return c.GatherType(send, 1, ty, recv, 1, ty, 0)
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/buf"
 	"repro/internal/memsim"
@@ -16,15 +15,13 @@ import (
 
 // This file is the recovery half of the fault-injection subsystem: the
 // typed error taxonomy, the retry policy, the checksum plumbing of the
-// protocol paths, the abort/cancel-aware handshake waits, and the
+// protocol paths, the abort-aware handshake waits, and the
 // quiescence (deadlock) detector that names stuck endpoints instead of
 // hanging the run.
 
 // Typed error sentinels; the structured errors below match them
 // through errors.Is.
 var (
-	// ErrTimeout marks a Wait that hit its virtual-clock deadline.
-	ErrTimeout = errors.New("mpi: operation timed out")
 	// ErrIntegrity marks a payload that failed checksum verification
 	// with the retry budget exhausted.
 	ErrIntegrity = errors.New("mpi: payload failed integrity verification")
@@ -35,41 +32,27 @@ var (
 	// than its envelope advertised (a truncation fault) with no retry
 	// machinery armed to re-request it.
 	ErrShortDelivery = simnet.ErrShortDelivery
-	// ErrRequestInactive marks Wait/Test on a request that already
-	// completed (double-Wait) or was never started.
+	// ErrRequestInactive marks a Wait on a request that already
+	// completed (double Wait).
 	ErrRequestInactive = errors.New("mpi: request is not active")
-	// ErrRequestActive marks Start/Free on a persistent request with a
-	// started, un-waited instance.
-	ErrRequestActive = errors.New("mpi: persistent request is active")
-	// ErrRequestFreed marks any use of a persistent request after Free.
-	ErrRequestFreed = errors.New("mpi: persistent request used after Free")
-	// errPeerGone rides the rendezvous Ack/Done channels when one side
-	// abandons a matched handshake (deadline cancellation).
-	errPeerGone = errors.New("mpi: rendezvous peer abandoned the handshake")
 )
 
-// RequestStateError is the typed request-misuse error: an operation
-// invoked against a request in a state that cannot honor it (Wait or
-// Test on a completed request, Start or Wait on a freed persistent
-// request, double Free). Cause is the matching sentinel —
-// ErrRequestInactive, ErrRequestActive or ErrRequestFreed — so
-// errors.Is keeps matching; Prior, when non-nil, is the error the
-// request originally completed with, so a Wait-after-abort misuse
-// still surfaces the abort reason it swallowed.
+// RequestStateError is the typed request-misuse error: a Wait on a
+// request that already completed. Cause is the matching sentinel,
+// ErrRequestInactive, so errors.Is keeps matching; Prior, when non-nil,
+// is the error the request originally completed with, so a
+// Wait-after-abort misuse still surfaces the abort reason it swallowed.
 type RequestStateError struct {
-	Op    string // "wait", "test", "start", "free"
+	Op    string // "wait"
 	Rank  int
-	ID    int    // Request id; 0 for persistent requests
-	State string // "finished", "aborted", "active", "inactive", "freed"
+	ID    int    // Request id
+	State string // "finished", "aborted"
 	Cause error
 	Prior error
 }
 
 func (e *RequestStateError) Error() string {
-	s := fmt.Sprintf("mpi: rank %d: %s on %s request", e.Rank, e.Op, e.State)
-	if e.ID > 0 {
-		s = fmt.Sprintf("%s #%d", s, e.ID)
-	}
+	s := fmt.Sprintf("mpi: rank %d: %s on %s request #%d", e.Rank, e.Op, e.State, e.ID)
 	if e.Prior != nil {
 		s = fmt.Sprintf("%s (completed with: %v)", s, e.Prior)
 	}
@@ -78,21 +61,6 @@ func (e *RequestStateError) Error() string {
 
 // Unwrap exposes the sentinel to errors.Is/As.
 func (e *RequestStateError) Unwrap() error { return e.Cause }
-
-// TimeoutError is the typed error of a deadline-bounded Wait: the
-// operation did not complete within the virtual-clock deadline.
-type TimeoutError struct {
-	Op       string
-	Rank     int
-	Deadline vclock.Duration
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("mpi: rank %d: %s did not complete within %v: %v", e.Rank, e.Op, time.Duration(e.Deadline), ErrTimeout)
-}
-
-// Is matches ErrTimeout.
-func (e *TimeoutError) Is(target error) bool { return target == ErrTimeout }
 
 // DeliveryError is the typed error of a send whose retry budget ran
 // out: every attempt was dropped or damaged in flight.
@@ -252,7 +220,7 @@ func (c *Comm) collErr(op string, err error) error {
 	ce := c.wrapColl(op, err)
 	if c.fabric.Tracking() &&
 		(errors.Is(err, ErrRetriesExhausted) || errors.Is(err, ErrIntegrity) ||
-			errors.Is(err, ErrTimeout) || errors.Is(err, simnet.ErrShortDelivery)) {
+			errors.Is(err, simnet.ErrShortDelivery)) {
 		c.fabric.Abort(ce)
 	}
 	return ce
@@ -338,22 +306,6 @@ func (rp RetryPolicy) backoff(retry int) vclock.Duration {
 // build.
 func (c *Comm) faultsOn() bool { return c.faults }
 
-// ObservedFaultProfile builds a memsim.FaultProfile calibrated from
-// what this rank's fabric actually did rather than what the injector
-// was configured to do: the retry counter against the completed sends,
-// inverted through the leg-compounding model at legsPerTransfer
-// faultable legs per attempt (memsim.EstimateLegLossRate). The
-// retry/backoff pricing fields come from the communicator's own policy
-// (RetryPolicy.FaultProfile). A model panel that
-// prices recovery from this profile tracks the run it sits next to,
-// drifting injector or not. The second result is false when this rank
-// has completed no sends at all: the zero-rate profile is then an
-// explicit not-calibrated state, not a measured-clean link.
-func (c *Comm) ObservedFaultProfile(legsPerTransfer int64) (memsim.FaultProfile, bool) {
-	ct := c.Counters()
-	return c.retry.FaultProfile(0).Calibrated(ct.Retries, ct.EagerSends+ct.RendezvousSends, legsPerTransfer)
-}
-
 // blockInfo builds the quiescence-detector record of a wait.
 func (c *Comm) blockInfo(op string, peer, tag int) simnet.BlockInfo {
 	return simnet.BlockInfo{
@@ -382,8 +334,8 @@ func chanClosed(ch <-chan struct{}) bool {
 
 // awaitMatch waits for the receiver half of the rendezvous handshake.
 // Under tracking it registers with the quiescence detector and unwinds
-// on fabric abort or the request's deadline cancellation; on the clean
-// path it is the plain channel receive it always was.
+// on fabric abort; on the clean path it is the plain channel receive it
+// always was.
 func (c *Comm) awaitMatch(m *simnet.Message, peer, tag int) (simnet.RdvMatch, error) {
 	if !c.fabric.Tracking() {
 		return m.AwaitMatch(), nil
@@ -401,15 +353,6 @@ func (c *Comm) awaitMatch(m *simnet.Message, peer, tag int) (simnet.RdvMatch, er
 		return match, nil
 	case <-c.fabric.AbortChan():
 		return simnet.RdvMatch{}, c.abortErrFor("rdv-match")
-	case <-c.cancelCh:
-		// The sender's deadline fired mid-handshake: tell the eventual
-		// receiver the payload will never come.
-		m.NoteWake()
-		select {
-		case m.Done <- simnet.RdvDone{Err: errPeerGone}:
-		default:
-		}
-		return simnet.RdvMatch{}, simnet.ErrCanceled
 	}
 }
 
@@ -427,16 +370,6 @@ func (c *Comm) awaitDone(m *simnet.Message, peer, tag int) (simnet.RdvDone, erro
 		return done, nil
 	case <-c.fabric.AbortChan():
 		return simnet.RdvDone{}, c.abortErrFor("rdv-done")
-	case <-c.cancelCh:
-		if m.Ack != nil {
-			// Unblock a sender waiting for this attempt's verdict.
-			m.NoteWake()
-			select {
-			case m.Ack <- errPeerGone:
-			default:
-			}
-		}
-		return simnet.RdvDone{}, simnet.ErrCanceled
 	}
 }
 
@@ -454,8 +387,6 @@ func (c *Comm) awaitAck(m *simnet.Message, peer, tag int) (error, error) {
 		return ack, nil
 	case <-c.fabric.AbortChan():
 		return nil, c.abortErrFor("rdv-ack")
-	case <-c.cancelCh:
-		return nil, simnet.ErrCanceled
 	}
 }
 
@@ -674,14 +605,12 @@ const (
 // goroutine is runnable, at least one is blocked, and no blocked wait
 // could complete, the run is deadlocked — the fabric is aborted with a
 // structured report naming the stuck ranks, tags and protocol states,
-// and every blocked operation returns the typed DeadlockError. Waits
-// carrying their own deadline are given precedence (the detector skips
-// quiescent snapshots that include one, letting WaitTimeout fire
-// first). Returns a stop function.
+// and every blocked operation returns the typed DeadlockError. Returns
+// a stop function.
 func runDetector(fabric *simnet.Fabric) func() {
 	stop := make(chan struct{})
 	go func() {
-		stuck, ok := fabric.WaitQuiesce(stop, 0, true)
+		stuck, ok := fabric.WaitQuiesce(stop, 0)
 		if ok {
 			if os.Getenv("MPI_DEBUG_STACKS") != "" {
 				b := make([]byte, 1<<20)

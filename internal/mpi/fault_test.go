@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
-	"repro/internal/elem"
-	"repro/internal/memsim"
 	"repro/internal/perfmodel"
 	"repro/internal/simnet"
 )
@@ -80,11 +78,8 @@ func chaosSchemes(t testing.TB) []chaosScheme {
 			rb := buf.Alloc(8192)
 			sb := buf.Alloc(8192)
 			fillPat(sb, c.Rank(), next)
-			req, err := c.Irecv(rb, prev, 0)
-			if err != nil {
-				return err
-			}
-			if err := c.Ssend(sb, next, 0); err != nil {
+			req := c.cirecv(rb, prev, 0)
+			if err := ssend(c, sb, next, 0); err != nil {
 				return err
 			}
 			if _, err := req.Wait(); err != nil {
@@ -120,7 +115,7 @@ func chaosSchemes(t testing.TB) []chaosScheme {
 			if err != nil {
 				return err
 			}
-			if err := c.SsendvType(sb, 4, chaosVector(t), next, 0); err != nil {
+			if err := ssendv(c, sb, 4, chaosVector(t), next, 0); err != nil {
 				return err
 			}
 			if _, err := req.Wait(); err != nil {
@@ -138,7 +133,7 @@ func chaosSchemes(t testing.TB) []chaosScheme {
 			if err != nil {
 				return err
 			}
-			if err := c.SsendpType(sb, 4, chaosVector(t), next, 0); err != nil {
+			if err := ssendp(c, sb, 4, chaosVector(t), next, 0); err != nil {
 				return err
 			}
 			if _, err := req.Wait(); err != nil {
@@ -155,7 +150,11 @@ func chaosSchemes(t testing.TB) []chaosScheme {
 			sb := buf.Alloc(512)
 			rb := buf.Alloc(512)
 			fillPat(sb, c.Rank(), next)
-			if err := c.Bsend(sb, next, 0); err != nil {
+			cnt, cty, err := contigView(sb.Len())
+			if err != nil {
+				return err
+			}
+			if err := c.BsendType(sb, cnt, cty, next, 0); err != nil {
 				return err
 			}
 			if _, err := c.Recv(rb, prev, 0); err != nil {
@@ -194,22 +193,6 @@ func chaosSchemes(t testing.TB) []chaosScheme {
 			}
 			return nil
 		}},
-		{"scatter-type", 1, func(c *Comm, out *bytes.Buffer) error {
-			sb := buf.Alloc(tyNeed * c.Size())
-			if c.Rank() == 0 {
-				fillPat(sb, 0, 1)
-			}
-			rb := buf.Alloc(tyExtent)
-			cnt, cty, err := contigView(tyNeed)
-			if err != nil {
-				return err
-			}
-			if err := c.ScatterType(sb, cnt, cty, rb, 4, chaosVector(t), 0); err != nil {
-				return err
-			}
-			out.Write(rb.Bytes())
-			return nil
-		}},
 		{"allgather-type", 1, func(c *Comm, out *bytes.Buffer) error {
 			sb := buf.Alloc(tyExtent)
 			fillPat(sb, c.Rank(), 2)
@@ -222,61 +205,6 @@ func chaosSchemes(t testing.TB) []chaosScheme {
 				return err
 			}
 			out.Write(rb.Bytes())
-			return nil
-		}},
-		{"alltoall-type", 1, func(c *Comm, out *bytes.Buffer) error {
-			block := 128
-			sb := buf.Alloc(block * c.Size())
-			fillPat(sb, c.Rank(), 3)
-			rb := buf.Alloc(block * c.Size())
-			if err := c.Alltoall(sb, rb, block); err != nil {
-				return err
-			}
-			out.Write(rb.Bytes())
-			return nil
-		}},
-		{"gatherv-scatterv", 1, func(c *Comm, out *bytes.Buffer) error {
-			counts := make([]int, c.Size())
-			displs := make([]int, c.Size())
-			total := 0
-			for r := range counts {
-				counts[r] = 64 + 32*r
-				displs[r] = total
-				total += counts[r]
-			}
-			sb := buf.Alloc(counts[c.Rank()])
-			fillPat(sb, c.Rank(), 4)
-			rb := buf.Alloc(total)
-			if err := c.Gatherv(sb, rb, counts, displs, 0); err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				out.Write(rb.Bytes())
-			}
-			back := buf.Alloc(counts[c.Rank()])
-			if err := c.Scatterv(rb, counts, displs, back, 0); err != nil {
-				return err
-			}
-			out.Write(back.Bytes())
-			return nil
-		}},
-		{"reduce-scan", 1, func(c *Comm, out *bytes.Buffer) error {
-			const n = 32
-			send := buf.Alloc(n * elem.Float64Size)
-			for i := 0; i < n; i++ {
-				elem.PutFloat64(send, i, float64(c.Rank()*n+i))
-			}
-			recv := buf.Alloc(n * elem.Float64Size)
-			if err := c.Allreduce(send, recv, n, OpSum); err != nil {
-				return err
-			}
-			out.Write(recv.Bytes())
-			scanOut := buf.Alloc(n * elem.Float64Size)
-			if err := c.Scan(send, scanOut, n, OpMax); err != nil {
-				return err
-			}
-			out.Write(scanOut.Bytes())
-			c.Barrier()
 			return nil
 		}},
 	}
@@ -390,11 +318,8 @@ func TestChaosDeterminism(t *testing.T) {
 			rb := buf.Alloc(4096)
 			fillPat(sb, c.Rank(), next)
 			for i := 0; i < 8; i++ {
-				req, err := c.Irecv(rb, prev, i)
-				if err != nil {
-					return err
-				}
-				if err := c.Ssend(sb, next, i); err != nil {
+				req := c.cirecv(rb, prev, i)
+				if err := ssend(c, sb, next, i); err != nil {
 					return err
 				}
 				if _, err := req.Wait(); err != nil {
@@ -419,37 +344,6 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	if c1 != c2 {
 		t.Fatalf("fault counters diverged:\n%+v\n%+v", c1, c2)
-	}
-}
-
-// TestWaitTimeout: a receive that can never complete returns a typed
-// TimeoutError within its virtual deadline instead of hanging.
-func TestWaitTimeout(t *testing.T) {
-	err := Run(2, Options{WallLimit: 30 * time.Second, DetectDeadlock: true}, func(c *Comm) error {
-		if c.Rank() != 0 {
-			return nil // never sends
-		}
-		req, err := c.Irecv(buf.Alloc(64), 1, 0)
-		if err != nil {
-			return err
-		}
-		req.SetDeadline(2_000_000) // 2ms virtual
-		before := c.Clock().Now()
-		_, werr := req.Wait()
-		if !errors.Is(werr, ErrTimeout) {
-			return fmt.Errorf("Wait error = %v, want ErrTimeout", werr)
-		}
-		var te *TimeoutError
-		if !errors.As(werr, &te) || te.Deadline != 2_000_000 {
-			return fmt.Errorf("timeout detail = %+v", te)
-		}
-		if got := c.Clock().Now() - before; got != 2_000_000 {
-			return fmt.Errorf("clock advanced %d ns, want the 2ms deadline", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -493,15 +387,12 @@ func TestDeadlockDetector(t *testing.T) {
 	}
 }
 
-// TestRequestMisuse: double Wait and Test-after-completion are typed
-// errors, not silent no-ops.
+// TestRequestMisuse: a double Wait is a typed error, not a silent
+// no-op.
 func TestRequestMisuse(t *testing.T) {
 	run2(t, func(c *Comm) error {
 		if c.Rank() == 0 {
-			req, err := c.Isend(buf.Alloc(32), 1, 0)
-			if err != nil {
-				return err
-			}
+			req := c.cisend(buf.Alloc(32), 1, 0)
 			if _, err := req.Wait(); err != nil {
 				return err
 			}
@@ -513,62 +404,10 @@ func TestRequestMisuse(t *testing.T) {
 			if !errors.As(werr, &rse) || rse.Op != "wait" || rse.State != "finished" || rse.ID == 0 {
 				t.Errorf("double Wait detail = %+v, want typed wait-on-finished state", rse)
 			}
-			if _, _, err := req.Test(); !errors.Is(err, ErrRequestInactive) {
-				t.Errorf("Test after Wait = %v, want ErrRequestInactive", err)
-			}
 			return nil
 		}
 		_, err := c.Recv(buf.Alloc(32), 0, 0)
 		return err
-	})
-}
-
-// TestPersistentMisuse: the persistent request lifecycle errors are
-// typed — Start while active, Free while active, Wait while inactive,
-// anything after Free.
-func TestPersistentMisuseTyped(t *testing.T) {
-	run2(t, func(c *Comm) error {
-		if c.Rank() != 0 {
-			_, err := c.Recv(buf.Alloc(16), 0, 0)
-			return err
-		}
-		req, err := c.SendInit(buf.Alloc(16), 1, 0)
-		if err != nil {
-			return err
-		}
-		if _, err := req.Wait(); !errors.Is(err, ErrRequestInactive) {
-			t.Errorf("Wait while inactive = %v, want ErrRequestInactive", err)
-		}
-		if err := req.Start(); err != nil {
-			return err
-		}
-		if err := req.Start(); !errors.Is(err, ErrRequestActive) {
-			t.Errorf("Start while active = %v, want ErrRequestActive", err)
-		}
-		if err := req.Free(); !errors.Is(err, ErrRequestActive) {
-			t.Errorf("Free while active = %v, want ErrRequestActive", err)
-		}
-		if _, err := req.Wait(); err != nil {
-			return err
-		}
-		if err := req.Free(); err != nil {
-			return err
-		}
-		ferr := req.Free()
-		if !errors.Is(ferr, ErrRequestFreed) {
-			t.Errorf("double Free = %v, want ErrRequestFreed", ferr)
-		}
-		var rse *RequestStateError
-		if !errors.As(ferr, &rse) || rse.Op != "free" || rse.State != "freed" {
-			t.Errorf("double Free detail = %+v, want typed free-on-freed state", rse)
-		}
-		if err := req.Start(); !errors.Is(err, ErrRequestFreed) {
-			t.Errorf("Start after Free = %v, want ErrRequestFreed", err)
-		}
-		if _, err := req.Wait(); !errors.Is(err, ErrRequestFreed) {
-			t.Errorf("Wait after Free = %v, want ErrRequestFreed", err)
-		}
-		return nil
 	})
 }
 
@@ -587,10 +426,7 @@ func TestWaitAfterAbortCarriesReason(t *testing.T) {
 			_, err := c.Recv(buf.Alloc(256<<10), 0, 0)
 			return err
 		}
-		req, err := c.Isend(buf.Alloc(256<<10), 1, 0)
-		if err != nil {
-			return err
-		}
+		req := c.cisend(buf.Alloc(256<<10), 1, 0)
 		if _, err := req.Wait(); err == nil {
 			t.Error("total-loss Isend completed cleanly")
 		}
@@ -766,10 +602,7 @@ func FuzzFaultRecovery(f *testing.F) {
 			sb := buf.Alloc(1024)
 			rb := buf.Alloc(1024)
 			fillPat(sb, c.Rank(), next)
-			req, err := c.Irecv(rb, prev, 0)
-			if err != nil {
-				return err
-			}
+			req := c.cirecv(rb, prev, 0)
 			if err := c.Send(sb, next, 0); err != nil {
 				return err
 			}
@@ -845,73 +678,4 @@ func FuzzFaultRecovery(f *testing.F) {
 			t.Fatalf("selective replay resent %d of %d bytes (seed=%d rate=%g)", sc.RetransmitBytes, total, seed, rate)
 		}
 	})
-}
-
-// TestObservedFaultProfile: the calibrated profile tracks what the
-// fabric actually did — a lossy run estimates a positive per-leg rate
-// in the injector's neighbourhood, a clean run estimates zero — and
-// carries the communicator's own retry-policy pricing fields converted
-// to seconds.
-func TestObservedFaultProfile(t *testing.T) {
-	observe := func(faults *simnet.FaultPlan) memsim.FaultProfile {
-		var prof memsim.FaultProfile
-		err := Run(2, Options{WallLimit: 30 * time.Second, Faults: faults}, func(c *Comm) error {
-			// Before any traffic the counters carry no evidence: the
-			// profile must report the explicit not-calibrated state.
-			if _, ok := c.ObservedFaultProfile(2); ok {
-				t.Error("zero-transfer counters reported a calibrated profile")
-			}
-			next, prev := ringPeers(c)
-			sb := buf.Alloc(4096)
-			rb := buf.Alloc(4096)
-			fillPat(sb, c.Rank(), next)
-			for i := 0; i < 32; i++ {
-				req, err := c.Irecv(rb, prev, i)
-				if err != nil {
-					return err
-				}
-				if err := c.Ssend(sb, next, i); err != nil {
-					return err
-				}
-				if _, err := req.Wait(); err != nil {
-					return err
-				}
-			}
-			if c.Rank() == 0 {
-				var ok bool
-				if prof, ok = c.ObservedFaultProfile(2); !ok {
-					t.Error("completed traffic reported not-calibrated")
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return prof
-	}
-
-	const rate = 0.2 // resend-class per-leg rate rate/2 = 0.1
-	lossy := observe(simnet.UniformFaults(97, rate))
-	if !lossy.Enabled() {
-		t.Fatal("lossy run calibrated a clean profile")
-	}
-	// Loose bounds: the estimate should land in the injector's
-	// neighbourhood, not reproduce it exactly (finite sample, and the
-	// legs model is first-order).
-	if lossy.LegLossRate < rate/40 || lossy.LegLossRate > rate {
-		t.Fatalf("observed rate %g implausible for injected resend-class rate %g", lossy.LegLossRate, rate/2)
-	}
-	def := DefaultRetryPolicy()
-	if lossy.MaxRetries != def.MaxRetries {
-		t.Fatalf("MaxRetries = %d, want policy's %d", lossy.MaxRetries, def.MaxRetries)
-	}
-	if want := float64(def.BaseBackoff) / 1e9; lossy.BaseBackoff != want {
-		t.Fatalf("BaseBackoff = %g s, want %g s", lossy.BaseBackoff, want)
-	}
-
-	clean := observe(nil)
-	if clean.Enabled() {
-		t.Fatalf("clean run calibrated rate %g", clean.LegLossRate)
-	}
 }

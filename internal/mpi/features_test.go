@@ -7,8 +7,18 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
-	"repro/internal/elem"
+	"repro/internal/oracle"
 )
+
+// bsend is the buffered send of a contiguous payload: BsendType over a
+// byte view of b.
+func bsend(c *Comm, b buf.Block, dest, tag int) error {
+	count, ty, err := contigView(b.Len())
+	if err != nil {
+		return err
+	}
+	return c.BsendType(b, count, ty, dest, tag)
+}
 
 func TestBsendRoundTrip(t *testing.T) {
 	run2(t, func(c *Comm) error {
@@ -18,7 +28,7 @@ func TestBsendRoundTrip(t *testing.T) {
 			}
 			b := buf.Alloc(1024)
 			b.FillPattern(8)
-			if err := c.Bsend(b, 1, 0); err != nil {
+			if err := bsend(c, b, 1, 0); err != nil {
 				return err
 			}
 			if _, err := c.BufferDetach(); err != nil {
@@ -30,7 +40,7 @@ func TestBsendRoundTrip(t *testing.T) {
 		if _, err := c.Recv(b, 0, 0); err != nil {
 			return err
 		}
-		return b.VerifyPattern(8)
+		return oracle.VerifyPattern(b, 8)
 	})
 }
 
@@ -39,7 +49,7 @@ func TestBsendWithoutBufferFails(t *testing.T) {
 		if c.Rank() != 0 {
 			return nil
 		}
-		if err := c.Bsend(buf.Alloc(64), 1, 0); !errors.Is(err, ErrBsendBuffer) {
+		if err := bsend(c, buf.Alloc(64), 1, 0); !errors.Is(err, ErrBsendBuffer) {
 			t.Errorf("err = %v", err)
 		}
 		return nil
@@ -53,10 +63,10 @@ func TestBsendBufferExhaustion(t *testing.T) {
 			if err := c.BufferAttach(buf.Alloc(512 + BsendOverheadBytes + 32)); err != nil {
 				return err
 			}
-			if err := c.Bsend(buf.Alloc(512), 1, 0); err != nil {
+			if err := bsend(c, buf.Alloc(512), 1, 0); err != nil {
 				return err
 			}
-			if err := c.Bsend(buf.Alloc(512), 1, 1); !errors.Is(err, ErrBsendBuffer) {
+			if err := bsend(c, buf.Alloc(512), 1, 1); !errors.Is(err, ErrBsendBuffer) {
 				t.Errorf("second Bsend err = %v, want ErrBsendBuffer", err)
 			}
 			// Let the receiver drain the first message, then detach.
@@ -163,80 +173,6 @@ func TestOneSidedPutFence(t *testing.T) {
 	})
 }
 
-func TestOneSidedGet(t *testing.T) {
-	run2(t, func(c *Comm) error {
-		window := buf.Alloc(256)
-		if c.Rank() == 1 {
-			window.FillPattern(55)
-		}
-		w, err := c.WinCreate(window)
-		if err != nil {
-			return err
-		}
-		if err := w.Fence(); err != nil {
-			return err
-		}
-		got := buf.Alloc(256)
-		if c.Rank() == 0 {
-			ct, err := datatype.Contiguous(256, datatype.Byte)
-			if err != nil {
-				return err
-			}
-			if err := ct.Commit(); err != nil {
-				return err
-			}
-			if err := w.Get(got, 1, ct, 1, 0); err != nil {
-				return err
-			}
-		}
-		if err := w.Fence(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			if err := got.VerifyPattern(55); err != nil {
-				t.Errorf("get: %v", err)
-			}
-		}
-		return w.Free()
-	})
-}
-
-func TestOneSidedAccumulate(t *testing.T) {
-	run2(t, func(c *Comm) error {
-		window := buf.Alloc(8 * 4)
-		for i := 0; i < 4; i++ {
-			elem.PutFloat64(window, i, 10)
-		}
-		w, err := c.WinCreate(window)
-		if err != nil {
-			return err
-		}
-		if err := w.Fence(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			contrib := buf.Alloc(8 * 4)
-			for i := 0; i < 4; i++ {
-				elem.PutFloat64(contrib, i, float64(i))
-			}
-			if err := w.AccumulateSum(contrib, 4, 1, 0); err != nil {
-				return err
-			}
-		}
-		if err := w.Fence(); err != nil {
-			return err
-		}
-		if c.Rank() == 1 {
-			for i := 0; i < 4; i++ {
-				if got := elem.Float64(window, i); got != 10+float64(i) {
-					t.Errorf("window[%d] = %v", i, got)
-				}
-			}
-		}
-		return w.Free()
-	})
-}
-
 func TestPutOutsideWindowFails(t *testing.T) {
 	run2(t, func(c *Comm) error {
 		w, err := c.WinCreate(buf.Alloc(64))
@@ -333,26 +269,18 @@ func TestIsendIrecvWait(t *testing.T) {
 		if c.Rank() == 0 {
 			b := buf.Alloc(n)
 			b.FillPattern(61)
-			req, err := c.Isend(b, 1, 0)
-			if err != nil {
-				return err
-			}
-			_, err = req.Wait()
+			_, err := c.cisend(b, 1, 0).Wait()
 			return err
 		}
 		b := buf.Alloc(n)
-		req, err := c.Irecv(b, 0, 0)
-		if err != nil {
-			return err
-		}
-		st, err := req.Wait()
+		st, err := c.cirecv(b, 0, 0).Wait()
 		if err != nil {
 			return err
 		}
 		if st.Count != n {
 			t.Errorf("count = %d", st.Count)
 		}
-		return b.VerifyPattern(61)
+		return oracle.VerifyPattern(b, 61)
 	})
 }
 
@@ -362,16 +290,13 @@ func TestIsendPreservesOrderWithSend(t *testing.T) {
 			big := int(c.Profile().EagerLimit) * 2
 			a := buf.Alloc(big)
 			a.FillPattern(1)
-			req, err := c.Isend(a, 1, 4) // rendezvous, delivered first
-			if err != nil {
-				return err
-			}
+			req := c.cisend(a, 1, 4) // rendezvous, delivered first
 			b := buf.Alloc(big)
 			b.FillPattern(2)
 			if err := c.Send(b, 1, 4); err != nil {
 				return err
 			}
-			_, err = req.Wait()
+			_, err := req.Wait()
 			return err
 		}
 		big := int(c.Profile().EagerLimit) * 2
@@ -379,112 +304,13 @@ func TestIsendPreservesOrderWithSend(t *testing.T) {
 		if _, err := c.Recv(b, 0, 4); err != nil {
 			return err
 		}
-		if err := b.VerifyPattern(1); err != nil {
+		if err := oracle.VerifyPattern(b, 1); err != nil {
 			t.Errorf("Isend overtaken by Send: %v", err)
 		}
 		if _, err := c.Recv(b, 0, 4); err != nil {
 			return err
 		}
-		return b.VerifyPattern(2)
-	})
-}
-
-func TestRequestTest(t *testing.T) {
-	run2(t, func(c *Comm) error {
-		if c.Rank() == 0 {
-			req, err := c.Isend(buf.Alloc(16), 1, 0)
-			if err != nil {
-				return err
-			}
-			for {
-				done, _, err := req.Test()
-				if err != nil {
-					return err
-				}
-				if done {
-					return nil
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		_, err := c.Recv(buf.Alloc(16), 0, 0)
-		return err
-	})
-}
-
-func TestWaitAll(t *testing.T) {
-	run2(t, func(c *Comm) error {
-		const k = 4
-		if c.Rank() == 0 {
-			reqs := make([]*Request, k)
-			for i := range reqs {
-				r, err := c.Isend(buf.Alloc(32), 1, i)
-				if err != nil {
-					return err
-				}
-				reqs[i] = r
-			}
-			return WaitAll(reqs...)
-		}
-		for i := 0; i < k; i++ {
-			if _, err := c.Recv(buf.Alloc(32), 0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func TestSendrecvNoDeadlock(t *testing.T) {
-	run2(t, func(c *Comm) error {
-		peer := 1 - c.Rank()
-		out := buf.Alloc(1 << 17) // over the eager limit: both must handshake
-		out.FillPattern(byte(c.Rank()))
-		in := buf.Alloc(1 << 17)
-		if _, err := c.Sendrecv(out, peer, 0, in, peer, 0); err != nil {
-			return err
-		}
-		return in.VerifyPattern(byte(peer))
-	})
-}
-
-func TestProbeThenRecv(t *testing.T) {
-	run2(t, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(buf.Alloc(96), 1, 11)
-		}
-		st, err := c.Probe(AnySource, AnyTag)
-		if err != nil {
-			return err
-		}
-		if st.Count != 96 || st.Tag != 11 {
-			t.Errorf("probe status = %+v", st)
-		}
-		_, err = c.Recv(buf.Alloc(int(st.Count)), st.Source, st.Tag)
-		return err
-	})
-}
-
-func TestIprobeNonBlocking(t *testing.T) {
-	run2(t, func(c *Comm) error {
-		if c.Rank() == 0 {
-			if _, ok, err := c.Iprobe(1, 0); err != nil || ok {
-				t.Errorf("Iprobe = %v,%v on empty mailbox", ok, err)
-			}
-			return c.Send(buf.Alloc(8), 1, 0)
-		}
-		for {
-			_, ok, err := c.Iprobe(0, 0)
-			if err != nil {
-				return err
-			}
-			if ok {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		_, err := c.Recv(buf.Alloc(8), 0, 0)
-		return err
+		return oracle.VerifyPattern(b, 2)
 	})
 }
 

@@ -63,18 +63,6 @@ func (c *Comm) SendvType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	return c.sendTypedFused(b, count, ty, dest, tag, sendFlags{})
 }
 
-// SsendvType is SendvType under forced rendezvous: even eager-sized
-// payloads take the fused handshake path.
-func (c *Comm) SsendvType(b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return err
-	}
-	if count < 0 {
-		return errNegativeCount(count)
-	}
-	return c.sendTypedFused(b, count, ty, dest, tag, sendFlags{forceRdv: true})
-}
-
 // IsendvType starts a non-blocking fused send with SendvType
 // semantics, like an MPI_Isend that scatters straight into the typed
 // receiver's layout: the envelope enters the fabric before the call
@@ -89,19 +77,6 @@ func (c *Comm) IsendvType(b buf.Block, count int, ty *datatype.Type, dest, tag i
 		return nil, errNegativeCount(count)
 	}
 	return c.startAsyncSend(&Request{kind: opSendFused, b: b, count: count, ty: ty, peer: dest, tag: tag}), nil
-}
-
-// IssendvType is IsendvType under forced rendezvous: even eager-sized
-// payloads take the fused handshake path.
-func (c *Comm) IssendvType(b buf.Block, count int, ty *datatype.Type, dest, tag int) (*Request, error) {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return nil, err
-	}
-	if count < 0 {
-		return nil, errNegativeCount(count)
-	}
-	return c.startAsyncSend(&Request{kind: opSendFused, b: b, count: count, ty: ty, peer: dest, tag: tag,
-		fl: sendFlags{forceRdv: true}}), nil
 }
 
 // sendTypedFused is the sender side of the fused rendezvous: open the

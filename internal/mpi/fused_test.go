@@ -495,11 +495,7 @@ func TestIssendvTypeForcesRendezvous(t *testing.T) {
 		if c.Rank() == 0 {
 			src := buf.Alloc(int(ty.Extent()))
 			src.FillPattern(0x4B)
-			req, err := c.IssendvType(src, 1, ty, 1, 0)
-			if err != nil {
-				return err
-			}
-			if _, err := req.Wait(); err != nil {
+			if _, err := issendv(c, src, 1, ty, 1, 0).Wait(); err != nil {
 				return err
 			}
 			if got := c.Counters().RendezvousSends; got != 1 {

@@ -63,8 +63,8 @@ func goldenSends() []goldenSend {
 		send, ssend func(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) error
 	}{
 		{"SendType", (*Comm).SendType, (*Comm).SsendType},
-		{"SendpType", (*Comm).SendpType, (*Comm).SsendpType},
-		{"SendvType", (*Comm).SendvType, (*Comm).SsendvType},
+		{"SendpType", (*Comm).SendpType, ssendp},
+		{"SendvType", (*Comm).SendvType, ssendv},
 	}
 	var out []goldenSend
 	for _, e := range engines {
@@ -77,11 +77,11 @@ func goldenSends() []goldenSend {
 			goldenSend{e.name + "+WholeReplay", large, true, false, false, plain})
 	}
 	send := func(c *Comm, b buf.Block, _ int, _ *datatype.Type) error { return c.Send(b, 1, 7) }
-	ssend := func(c *Comm, b buf.Block, _ int, _ *datatype.Type) error { return c.Ssend(b, 1, 7) }
+	forced := func(c *Comm, b buf.Block, _ int, _ *datatype.Type) error { return ssend(c, b, 1, 7) }
 	eager := func(c *Comm, b buf.Block, count int, ty *datatype.Type) error { return c.SendType(b, count, ty, 1, 7) }
 	return append(out,
 		goldenSend{"Send", large, false, true, false, send},
-		goldenSend{"Ssend", small, false, true, false, ssend},
+		goldenSend{"Ssend", small, false, true, false, forced},
 		goldenSend{"Send+WholeReplay", large, true, true, false, send},
 		goldenSend{"SendType.eager", small, false, false, true, eager})
 }

@@ -14,7 +14,7 @@
 //
 // The public API mirrors MPI closely enough that the translation is
 // mechanical: Comm.Send ↔ MPI_Send, Comm.SendType ↔ MPI_Send with a
-// derived datatype argument, Comm.Bsend ↔ MPI_Bsend, Win.Fence ↔
+// derived datatype argument, Comm.BsendType ↔ MPI_Bsend, Win.Fence ↔
 // MPI_Win_fence, and so on.
 package mpi
 
@@ -226,32 +226,22 @@ type commCore struct {
 // on, and one inside every outstanding Request, on which the request's
 // background half executes. All of them share the commCore — and
 // through it the fabric and the rank's (internally locked) cache
-// model. Each view owns the words that differ per execution context:
-// the clock it advances (the rank's own, or the half's private one that
-// Wait folds back) and the cancel hook of its blocking fabric waits.
-// The remaining fields belong to the rank's own view and are copied by
-// value into a half, so nothing a half does to them reaches the owner.
+// model. Each view owns the clock it advances: the rank's own, or the
+// half's private one that Wait folds back. The remaining fields belong
+// to the rank's own view and are copied by value into a half, so
+// nothing a half does to them reaches the owner.
 type Comm struct {
 	*commCore
 
 	clock *vclock.Clock
-	// cancelCh, non-nil only inside the async half of a request whose
-	// run has tracking enabled, tears blocking fabric waits down when
-	// the request's deadline fires.
-	cancelCh chan struct{}
 
 	attach *bsendPool // Bsend attached buffer, nil when detached
-
-	// observed, when set, receives the per-Start virtual-clock cost of
-	// persistent operations (the self-tuning feedback loop; see
-	// ObserveInto).
-	observed *memsim.ObservedHierarchy
 
 	reqSeq int // request numbering for diagnostics
 	winSeq int // window numbering; identical across ranks (collective)
 
-	// posted is the rank's reusable delivery signal: the half of an
-	// Isend puts one token in once its envelope has entered the fabric
+	// posted is the rank's reusable delivery signal: the half of a
+	// non-blocking send puts one token in once its envelope has entered the fabric
 	// (or it failed before that), and the starter takes it before
 	// returning, so the channel is empty between calls. Made on the
 	// first non-blocking send.
@@ -302,27 +292,12 @@ func (c *Comm) Wtime() float64 {
 	return c.clock.Now().Seconds()
 }
 
-// Clock exposes the rank's virtual clock to the measurement harness.
-func (c *Comm) Clock() *vclock.Clock { return c.clock }
-
 // Cache exposes the rank's cache-warmth state; the harness flushes it
 // between ping-pongs the way the paper rewrites a 50 M array.
 func (c *Comm) Cache() *memsim.State { return c.cache }
 
 // Profile returns the installation profile of the run.
 func (c *Comm) Profile() *perfmodel.Profile { return c.prof }
-
-// ObserveInto attaches an observed-cost sink: from now on, persistent
-// operations on this Comm record their measured virtual-clock cost per
-// Start/Wait cycle into o (memsim.PathTypedSend for typed sends,
-// memsim.PathPackedSend for packed-buffer sends, memsim.PathContigSend
-// for contiguous ones). The sink is safe to share across ranks; nil
-// detaches. This is the measurement half of the self-tuning loop —
-// core.Recommend consumes the fitted coefficients (Query.Observed).
-func (c *Comm) ObserveInto(o *memsim.ObservedHierarchy) { c.observed = o }
-
-// Observed returns the attached observed-cost sink, or nil.
-func (c *Comm) Observed() *memsim.ObservedHierarchy { return c.observed }
 
 // Charge advances the rank's virtual clock by a user-space cost in
 // seconds. The benchmark schemes charge their own gather loops and

@@ -7,8 +7,24 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
+	"repro/internal/oracle"
 	"repro/internal/perfmodel"
 )
+
+// ssend, ssendp and ssendv are the forced-rendezvous contiguous,
+// pipelined typed and fused typed sends: even an eager-sized payload
+// takes the handshake.
+func ssend(c *Comm, b buf.Block, dest, tag int) error {
+	return c.sendContig(b, dest, tag, sendFlags{forceRdv: true})
+}
+
+func ssendp(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
+	return c.sendTyped(b, count, ty, dest, tag, sendFlags{forceRdv: true, pipelined: true})
+}
+
+func ssendv(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
+	return c.sendTypedFused(b, count, ty, dest, tag, sendFlags{forceRdv: true})
+}
 
 // run2 runs a two-rank job with the generic profile and a watchdog.
 func run2(t *testing.T, body func(c *Comm) error) {
@@ -60,7 +76,7 @@ func TestSendRecvSmall(t *testing.T) {
 		if st.Source != 0 || st.Tag != 7 || st.Count != n {
 			t.Errorf("status = %+v", st)
 		}
-		return b.VerifyPattern(42)
+		return oracle.VerifyPattern(b, 42)
 	})
 }
 
@@ -82,7 +98,7 @@ func TestSendRecvLargeRendezvous(t *testing.T) {
 		if _, err := c.Recv(b, 0, 0); err != nil {
 			return err
 		}
-		return b.VerifyPattern(3)
+		return oracle.VerifyPattern(b, 3)
 	})
 }
 
@@ -123,7 +139,7 @@ func TestSendBufferReusableAfterEagerSend(t *testing.T) {
 		if _, err := c.Recv(b, 0, 0); err != nil {
 			return err
 		}
-		if err := b.VerifyPattern(9); err != nil {
+		if err := oracle.VerifyPattern(b, 9); err != nil {
 			t.Errorf("first message corrupted by sender reuse: %v", err)
 		}
 		_, err := c.Recv(b, 0, 1)
@@ -149,7 +165,7 @@ func TestMessageOrderingSameTag(t *testing.T) {
 			if _, err := c.Recv(b, 0, 5); err != nil {
 				return err
 			}
-			if err := b.VerifyPattern(byte(i)); err != nil {
+			if err := oracle.VerifyPattern(b, byte(i)); err != nil {
 				t.Errorf("message %d out of order: %v", i, err)
 			}
 		}
@@ -174,13 +190,13 @@ func TestTagSelectivity(t *testing.T) {
 		if _, err := c.Recv(b, 0, 20); err != nil {
 			return err
 		}
-		if err := b.VerifyPattern(2); err != nil {
+		if err := oracle.VerifyPattern(b, 2); err != nil {
 			return err
 		}
 		if _, err := c.Recv(b, 0, 10); err != nil {
 			return err
 		}
-		return b.VerifyPattern(1)
+		return oracle.VerifyPattern(b, 1)
 	})
 }
 
@@ -199,7 +215,7 @@ func TestAnySourceAnyTag(t *testing.T) {
 		if st.Source != 0 || st.Tag != 3 {
 			t.Errorf("wildcard status = %+v", st)
 		}
-		return b.VerifyPattern(5)
+		return oracle.VerifyPattern(b, 5)
 	})
 }
 
@@ -315,7 +331,7 @@ func TestRecvTypeScatters(t *testing.T) {
 func TestSsendForcesRendezvous(t *testing.T) {
 	run2(t, func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.Ssend(buf.Alloc(16), 1, 0); err != nil {
+			if err := ssend(c, buf.Alloc(16), 1, 0); err != nil {
 				return err
 			}
 			if got := c.Counters().RendezvousSends; got != 1 {

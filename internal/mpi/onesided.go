@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
-	"repro/internal/elem"
 	"repro/internal/memsim"
 	"repro/internal/vclock"
 )
@@ -94,105 +93,31 @@ func (w *Win) Fence() error {
 // returns once the origin buffer is reusable; remote completion is
 // only guaranteed by the closing Fence.
 func (w *Win) Put(origin buf.Block, count int, ty *datatype.Type, target int, targetOff int64) error {
-	return w.access(origin, count, ty, target, targetOff, accessPut)
-}
-
-// Get transfers from the target window into origin memory, like
-// MPI_Get.
-func (w *Win) Get(origin buf.Block, count int, ty *datatype.Type, target int, targetOff int64) error {
-	return w.access(origin, count, ty, target, targetOff, accessGet)
-}
-
-// AccumulateSum adds count float64 values from origin into the target
-// window at targetOff, like MPI_Accumulate with MPI_SUM.
-func (w *Win) AccumulateSum(origin buf.Block, count int, target int, targetOff int64) error {
-	if err := w.checkAccess(target, targetOff, int64(count)*8); err != nil {
-		return err
-	}
-	c := w.comm
-	n := int64(count) * 8
-	cost := c.prof.PutSetup + c.cache.StreamCost(origin.Region(), n)
-	c.clock.Advance(vclock.FromSeconds(cost))
-	wire := float64(n) / c.prof.OneSidedBW(n)
-	arrival := c.clock.Now() + dur(c.prof.NetLatency+wire)
-	w.shared.mu.Lock()
-	tblock := w.shared.blocks[target]
-	if !tblock.IsVirtual() && !origin.IsVirtual() {
-		for i := 0; i < count; i++ {
-			cur := elem.Float64(tblock.Slice(int(targetOff), count*8), i)
-			add := elem.Float64(origin, i)
-			elem.PutFloat64(tblock.Slice(int(targetOff), count*8), i, cur+add)
-		}
-	}
-	w.shared.pending[target] = append(w.shared.pending[target], winAccess{arrival: arrival})
-	w.shared.mu.Unlock()
-	return nil
-}
-
-type accessKind int
-
-const (
-	accessPut accessKind = iota
-	accessGet
-)
-
-func (w *Win) access(origin buf.Block, count int, ty *datatype.Type, target int, targetOff int64, kind accessKind) error {
 	n := ty.PackSize(count)
 	if err := w.checkAccess(target, targetOff, n); err != nil {
 		return err
 	}
 	c := w.comm
-	st := ty.Stats(count)
-	var gather float64
-	switch kind {
-	case accessPut:
-		gather = c.cache.GatherCost(origin.Region(), c.internal.Region(), st, memsim.Kernel{})
-	case accessGet:
-		gather = c.cache.ScatterCost(c.internal.Region(), origin.Region(), st, memsim.Kernel{})
-	}
+	gather := c.cache.GatherCost(origin.Region(), c.internal.Region(), ty.Stats(count), memsim.Kernel{})
 	c.clock.Advance(vclock.FromSeconds(c.prof.PutSetup + gather))
 	wire := 0.0
 	if n > 0 {
 		wire = float64(n) / c.prof.OneSidedBW(n)
 	}
-	extraLat := c.prof.NetLatency
-	if kind == accessGet {
-		extraLat *= 2 // request + response
-	}
-	arrival := c.clock.Now() + dur(extraLat+wire)
+	arrival := c.clock.Now() + dur(c.prof.NetLatency+wire)
 
 	w.shared.mu.Lock()
-	tblock := w.shared.blocks[target]
-	switch kind {
-	case accessPut:
-		if n > 0 {
-			packer, err := ty.NewPacker(origin, count)
-			if err != nil {
-				w.shared.mu.Unlock()
-				return err
-			}
-			if _, err := packer.Pack(tblock.Slice(int(targetOff), int(n))); err != nil {
-				w.shared.mu.Unlock()
-				return err
-			}
+	defer w.shared.mu.Unlock()
+	if n > 0 {
+		packer, err := ty.NewPacker(origin, count)
+		if err != nil {
+			return err
 		}
-		w.shared.pending[target] = append(w.shared.pending[target], winAccess{arrival: arrival})
-	case accessGet:
-		if n > 0 {
-			unpacker, err := ty.NewUnpacker(origin, count)
-			if err != nil {
-				w.shared.mu.Unlock()
-				return err
-			}
-			if _, err := unpacker.Unpack(tblock.Slice(int(targetOff), int(n))); err != nil {
-				w.shared.mu.Unlock()
-				return err
-			}
+		if _, err := packer.Pack(w.shared.blocks[target].Slice(int(targetOff), int(n))); err != nil {
+			return err
 		}
-		// A get completes locally: the origin's own epoch waits on it.
-		w.shared.pending[w.comm.rank] = append(w.shared.pending[w.comm.rank], winAccess{arrival: arrival})
 	}
-	w.shared.mu.Unlock()
+	w.shared.pending[target] = append(w.shared.pending[target], winAccess{arrival: arrival})
 	return nil
 }
 

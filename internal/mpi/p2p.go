@@ -6,7 +6,6 @@ import (
 	"repro/internal/buf"
 	"repro/internal/datatype"
 	"repro/internal/memsim"
-	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
 
@@ -32,22 +31,6 @@ func (c *Comm) SendPacked(b buf.Block, dest, tag int) error {
 	return c.sendContig(b, dest, tag, sendFlags{packed: true})
 }
 
-// Ssend is the synchronous-mode send: it always uses the rendezvous
-// protocol regardless of size, like MPI_Ssend.
-func (c *Comm) Ssend(b buf.Block, dest, tag int) error {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return err
-	}
-	return c.sendContig(b, dest, tag, sendFlags{forceRdv: true})
-}
-
-// Rsend is the ready-mode send. Like most MPI implementations, it is
-// an alias for Send: the receiver-ready assertion enables no shortcut
-// in this runtime.
-func (c *Comm) Rsend(b buf.Block, dest, tag int) error {
-	return c.Send(b, dest, tag)
-}
-
 // SendType transmits count instances of a derived datatype read from
 // b, like MPI_Send with a non-contiguous type: the payload flows
 // through MPI's internal chunked pack buffers (§2.3 of the paper) and
@@ -71,27 +54,6 @@ func (c *Comm) SsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 		return errNegativeCount(count)
 	}
 	return c.sendTyped(b, count, ty, dest, tag, sendFlags{forceRdv: true})
-}
-
-// Bsend is the buffered send of a contiguous payload, like MPI_Bsend:
-// the payload is copied into the buffer attached with BufferAttach and
-// the call returns; transmission proceeds behind the sender's back.
-// It fails with ErrBsendBuffer when the attached buffer cannot hold
-// the message.
-func (c *Comm) Bsend(b buf.Block, dest, tag int) error {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return err
-	}
-	n := int64(b.Len())
-	region, release, err := c.reserveBsend(n)
-	if err != nil {
-		return err
-	}
-	// Local copy into the attached buffer plus fixed Bsend overhead.
-	copyCost := c.cache.CopyCost(b.Region(), region.Region(), n)
-	c.clock.Advance(vclock.FromSeconds(copyCost + c.prof.BsendOverhead))
-	buf.Copy(region, b)
-	return c.bsendShip(region, n, dest, tag, release)
 }
 
 // BsendType is the buffered send of a derived datatype, the paper's
@@ -184,68 +146,6 @@ func (c *Comm) RecvType(b buf.Block, count int, ty *datatype.Type, src, tag int)
 		return Status{}, errNegativeCount(count)
 	}
 	return c.recvTyped(b, count, ty, src, tag)
-}
-
-// Sendrecv performs a simultaneous send and receive, deadlock-free,
-// like MPI_Sendrecv.
-func (c *Comm) Sendrecv(sb buf.Block, dest, stag int, rb buf.Block, src, rtag int) (Status, error) {
-	req, err := c.Isend(sb, dest, stag)
-	if err != nil {
-		return Status{}, err
-	}
-	st, rerr := c.Recv(rb, src, rtag)
-	if _, werr := req.Wait(); werr != nil {
-		return st, werr
-	}
-	return st, rerr
-}
-
-// Probe blocks until a message matching (src, tag) is available and
-// returns its status without receiving it, like MPI_Probe.
-func (c *Comm) Probe(src, tag int) (Status, error) {
-	if err := c.checkRecvArgs(src, tag); err != nil {
-		return Status{}, err
-	}
-	ep := simnet.AnySource
-	if src != AnySource {
-		ep = c.endpoint(src)
-	}
-	me := c.endpoint(c.rank)
-	var m *simnet.Message
-	if c.fabric.Tracking() {
-		release := c.fabric.EnterBlocked(simnet.BlockInfo{
-			Rank: me, Op: "probe", Ctx: c.ctx, Src: ep, Tag: tag, Since: c.clock.Now(),
-		}, func() bool { return c.fabric.Pending(me, c.ctx, ep, tag) })
-		var err error
-		m, err = c.fabric.ProbeCancel(me, c.ctx, ep, tag, c.cancelCh)
-		release()
-		if err != nil {
-			return Status{}, err
-		}
-	} else {
-		m = c.fabric.Probe(me, c.ctx, ep, tag)
-		if m == nil {
-			return Status{}, c.abortErrFor("probe")
-		}
-	}
-	c.clock.AdvanceTo(m.Arrival)
-	return Status{Source: c.localRank(m.Src), Tag: m.Tag, Count: m.Bytes}, nil
-}
-
-// Iprobe is the non-blocking Probe, like MPI_Iprobe.
-func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
-	if err := c.checkRecvArgs(src, tag); err != nil {
-		return Status{}, false, err
-	}
-	ep := simnet.AnySource
-	if src != AnySource {
-		ep = c.endpoint(src)
-	}
-	m := c.fabric.TryMatch(c.endpoint(c.rank), c.ctx, ep, tag)
-	if m == nil {
-		return Status{}, false, nil
-	}
-	return Status{Source: c.localRank(m.Src), Tag: m.Tag, Count: m.Bytes}, true, nil
 }
 
 func (c *Comm) checkP2P(dest, tag int) error {

@@ -63,12 +63,6 @@ func (c *Comm) Unpack(inbuf buf.Block, position *int64, b buf.Block, count int, 
 	return nil
 }
 
-// PackSize returns the buffer space needed to pack count instances,
-// like MPI_Pack_size (without implementation slack).
-func (c *Comm) PackSize(count int, ty *datatype.Type) int64 {
-	return ty.PackSize(count)
-}
-
 // PackCompiled is Pack through the compiled pack-plan engine: the same
 // gather, executed by the plan's specialized kernel instead of generic
 // interpretation. The plan comes from the type's cache (compiled at
@@ -88,26 +82,6 @@ func (c *Comm) PackCompiled(b buf.Block, count int, ty *datatype.Type, outbuf bu
 	gather := c.cache.GatherCost(b.Region(), outbuf.Region(), st, PlanKernel(plan))
 	c.clock.Advance(vclock.FromSeconds(c.prof.PackCallOverhead + gather))
 	if _, err := plan.Pack(b, dst); err != nil {
-		return err
-	}
-	*position += need
-	return nil
-}
-
-// UnpackCompiled is the scatter-side mirror of PackCompiled.
-func (c *Comm) UnpackCompiled(inbuf buf.Block, position *int64, b buf.Block, count int, ty *datatype.Type) error {
-	src, need, err := packWindow(count, ty, inbuf, position, "unpack")
-	if err != nil {
-		return err
-	}
-	plan, err := ty.CompilePlan(count)
-	if err != nil {
-		return err
-	}
-	st := ty.Stats(count)
-	scatter := c.cache.ScatterCost(inbuf.Region(), b.Region(), st, PlanKernel(plan))
-	c.clock.Advance(vclock.FromSeconds(c.prof.PackCallOverhead + scatter))
-	if _, err := plan.Unpack(src, b); err != nil {
 		return err
 	}
 	*position += need

@@ -38,32 +38,6 @@ func (c *Comm) SendpType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	return c.sendTyped(b, count, ty, dest, tag, sendFlags{pipelined: true})
 }
 
-// SsendpType is SendpType under forced rendezvous: even eager-sized
-// payloads take the handshake and the pipelined chunk loop.
-func (c *Comm) SsendpType(b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return err
-	}
-	if count < 0 {
-		return errNegativeCount(count)
-	}
-	return c.sendTyped(b, count, ty, dest, tag, sendFlags{forceRdv: true, pipelined: true})
-}
-
-// IsendpType starts a non-blocking pipelined typed send with SendpType
-// semantics; the envelope enters the fabric before the call returns,
-// like every Isend variant.
-func (c *Comm) IsendpType(b buf.Block, count int, ty *datatype.Type, dest, tag int) (*Request, error) {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return nil, err
-	}
-	if count < 0 {
-		return nil, errNegativeCount(count)
-	}
-	return c.startAsyncSend(&Request{kind: opSendTyped, b: b, count: count, ty: ty, peer: dest, tag: tag,
-		fl: sendFlags{pipelined: true}}), nil
-}
-
 // Chunk-streamed collective hops. A pipelined collective schedule
 // moves packed blocks between ranks in internal-chunk pieces on
 // alternating reserved tags, so a piece's local work (the unpack of

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
+	"repro/internal/oracle"
 )
 
 // TestTransitBuffersRecycled pins the pooled-transit contract: across
@@ -41,7 +42,7 @@ func TestTransitBuffersRecycled(t *testing.T) {
 				if _, err := c.Recv(small, 0, 0); err != nil {
 					return err
 				}
-				if err := small.VerifyPattern(byte(rep)); err != nil {
+				if err := oracle.VerifyPattern(small, byte(rep)); err != nil {
 					return err
 				}
 				dst := buf.Alloc(int(ty.Extent()))

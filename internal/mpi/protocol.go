@@ -16,14 +16,14 @@ type sendFlags struct {
 	// packed marks a payload gathered in user space (manual copy or
 	// MPI_Pack output); it feeds the Cray packed-eager artefact.
 	packed bool
-	// forceRdv forces the rendezvous protocol (Ssend).
+	// forceRdv forces the rendezvous protocol (SsendType).
 	forceRdv bool
-	// onConsume runs when the receiver matches the message (Bsend
+	// onConsume runs when the receiver matches the message (BsendType
 	// buffer release; bsendShip delivers such payloads itself).
 	onConsume func()
 	// isend, when non-nil, is the request whose starter must be
-	// released as soon as the envelope has entered the fabric; Isend
-	// uses it to pin program-order delivery.
+	// released as soon as the envelope has entered the fabric; a
+	// non-blocking send uses it to pin program-order delivery.
 	isend *Request
 	// sendv marks a plan-driven fused rendezvous send (SendvType): the
 	// typed receiver may expose its user layout for the direct
@@ -107,7 +107,7 @@ func (c *Comm) sendEager(op string, dest, tag int, n int64, span float64, fl sen
 }
 
 // rdvHandshake opens a rendezvous: it pays the send overhead, injects
-// the RTS envelope — releasing a waiting Isend starter once it is in
+// the RTS envelope — releasing a waiting non-blocking starter once it is in
 // the fabric — and waits for the receiver's match.
 func (c *Comm) rdvHandshake(dest, tag int, n int64, fl *sendFlags) (*simnet.Message, simnet.RdvMatch, error) {
 	c.clock.Advance(vclock.FromSeconds(c.prof.SendOverhead))
@@ -594,8 +594,8 @@ func (c *Comm) matchFrom(src, tag int) (*simnet.Message, error) {
 
 // matchEndpoint blocks until a message from the fabric endpoint ep (or
 // any, for the wildcard) matches. Under tracking the wait is
-// registered with the quiescence detector and honours both an abort
-// teardown and the owning request's deadline cancellation.
+// registered with the quiescence detector and honours an abort
+// teardown.
 func (c *Comm) matchEndpoint(ep, tag int) (*simnet.Message, error) {
 	me := c.endpoint(c.rank)
 	if !c.fabric.Tracking() {
@@ -606,14 +606,14 @@ func (c *Comm) matchEndpoint(ep, tag int) (*simnet.Message, error) {
 		return m, nil
 	}
 	// The take counter keeps readiness true between removing the
-	// envelope inside MatchCancel and deregistering here: a take by any
+	// envelope inside MatchOrAbort and deregistering here: a take by any
 	// receiver on this mailbox since block time counts as progress, so
 	// a descheduled waiter cannot fabricate a quiescent state.
 	t0 := c.fabric.Takes(me)
 	release := c.fabric.EnterBlocked(simnet.BlockInfo{
 		Rank: me, Op: "recv", Ctx: c.ctx, Src: ep, Tag: tag, Since: c.clock.Now(),
 	}, func() bool { return c.fabric.Pending(me, c.ctx, ep, tag) || c.fabric.Takes(me) != t0 })
-	m, err := c.fabric.MatchCancel(me, c.ctx, ep, tag, c.cancelCh)
+	m, err := c.fabric.MatchOrAbort(me, c.ctx, ep, tag)
 	release()
 	if err != nil {
 		return nil, err

@@ -17,6 +17,13 @@ func everyOtherBuf(tb testing.TB, n int) (*datatype.Type, int) {
 	return ty, typedNeed(ty, 1)
 }
 
+// issendv starts a non-blocking fused send under forced rendezvous:
+// even an eager-sized payload takes the fused handshake path.
+func issendv(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) *Request {
+	return c.startAsyncSend(&Request{kind: opSendFused, b: b, count: count, ty: ty, peer: dest, tag: tag,
+		fl: sendFlags{forceRdv: true}})
+}
+
 // TestAsyncAllocBudget pins what one transfer allocates, both sides
 // together, on a clean fabric with virtual payloads: for a non-blocking
 // pair a request and its goroutine's closure per side, the envelope,
@@ -52,8 +59,8 @@ func TestAsyncAllocBudget(t *testing.T) {
 			func(c *Comm) error { return wait(c.IsendvType(buf.Virtual(need), 1, ty, 1, 0)) },
 			func(c *Comm) error { return wait(c.IrecvType(buf.Virtual(need), 1, ty, 0, 0)) }},
 		{"Isend+Irecv eager", 5,
-			func(c *Comm) error { return wait(c.Isend(buf.Virtual(1024), 1, 0)) },
-			func(c *Comm) error { return wait(c.Irecv(buf.Virtual(1024), 0, 0)) }},
+			func(c *Comm) error { return wait(c.cisend(buf.Virtual(1024), 1, 0), nil) },
+			func(c *Comm) error { return wait(c.cirecv(buf.Virtual(1024), 0, 0), nil) }},
 		{"SendType+RecvType rendezvous", 3,
 			func(c *Comm) error { return c.SendType(buf.Virtual(need), 1, ty, 1, 0) }, recvType},
 		{"SendpType+RecvType rendezvous", 3,
@@ -113,27 +120,29 @@ func TestIsendProgramOrder(t *testing.T) {
 						first, second := buf.Alloc(n), buf.Alloc(n)
 						elem.PutInt64(first, 0, 1)
 						elem.PutInt64(second, 0, 2)
-						req, err := c.Isend(first, 1, 7)
-						if err != nil {
-							return err
-						}
+						reqs := []*Request{c.cisend(first, 1, 7)}
 						if err := c.Send(second, 1, 7); err != nil {
 							return err
 						}
-						reqs := []*Request{req}
 						for i := 0; i < burst; i++ {
 							b := buf.Alloc(need)
 							elem.PutFloat64(b, 0, float64(i))
-							start := c.IsendvType
 							if rdv {
-								start = c.IssendvType
+								reqs = append(reqs, issendv(c, b, 1, ty, 1, 9))
+								continue
 							}
-							if req, err = start(b, 1, ty, 1, 9); err != nil {
+							req, err := c.IsendvType(b, 1, ty, 1, 9)
+							if err != nil {
 								return err
 							}
 							reqs = append(reqs, req)
 						}
-						return WaitAll(reqs...)
+						for _, req := range reqs {
+							if _, err := req.Wait(); err != nil {
+								return err
+							}
+						}
+						return nil
 					}
 					b := buf.Alloc(n)
 					for want := int64(1); want <= 2; want++ {
@@ -175,24 +184,18 @@ func TestIsendFailedPostLeavesNoSignal(t *testing.T) {
 			_, err := c.RecvType(buf.Alloc(need), 1, ty, 0, 0)
 			return err
 		}
-		bad, err := c.IssendvType(buf.Alloc(need/2), 1, ty, 1, 0)
-		if err != nil {
-			return err
-		}
+		bad := issendv(c, buf.Alloc(need/2), 1, ty, 1, 0)
 		if n := len(c.posted); n != 0 {
 			return fmt.Errorf("%d stale delivery tokens after a failed post", n)
 		}
 		if _, err := bad.Wait(); !errors.Is(err, datatype.ErrBounds) {
 			return fmt.Errorf("short-buffer Isend finished with %v, want ErrBounds", err)
 		}
-		good, err := c.IssendvType(buf.Alloc(need), 1, ty, 1, 0)
-		if err != nil {
-			return err
-		}
+		good := issendv(c, buf.Alloc(need), 1, ty, 1, 0)
 		if n := len(c.posted); n != 0 {
 			return fmt.Errorf("%d stale delivery tokens after a good post", n)
 		}
-		_, err = good.Wait()
+		_, err := good.Wait()
 		return err
 	})
 }
@@ -213,10 +216,7 @@ func TestRequestClockPrivateUntilWait(t *testing.T) {
 			return nil
 		}
 		before := c.Wtime()
-		req, err := c.Isend(buf.Alloc(n), 1, 0)
-		if err != nil {
-			return err
-		}
+		req := c.cisend(buf.Alloc(n), 1, 0)
 		// Give the half every chance to run to completion first.
 		for !req.completed.Load() {
 			time.Sleep(100 * time.Microsecond)
@@ -259,7 +259,7 @@ func TestRequestClockPrivateUntilWait(t *testing.T) {
 
 // TestTwoLevelMemo: the memoised node grouping equals a fresh build —
 // for the world (whose grouping every rank shares), a scattered Split
-// and a contiguous Split — and a Cart sees its parent's.
+// and a contiguous Split.
 func TestTwoLevelMemo(t *testing.T) {
 	const size, nodeSize = 16, 4
 	worlds := make([]*nodeGroups, size)
@@ -300,13 +300,6 @@ func TestTwoLevelMemo(t *testing.T) {
 		}
 		if g := contig.twoLevel(); g == nil || !g.contig || len(g.groups) != 2 {
 			return fmt.Errorf("contiguous split grouping = %+v, want 2 contiguous node groups", g)
-		}
-		cart, err := contig.CartCreate([]int{2, 4}, []bool{true, true})
-		if err != nil {
-			return err
-		}
-		if cart.Comm().twoLevel() != contig.twoLevel() {
-			return fmt.Errorf("cart does not see its parent's grouping")
 		}
 		return nil
 	})

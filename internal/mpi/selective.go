@@ -124,7 +124,6 @@ func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *sim
 	pol := c.retry
 	me, peer := c.endpoint(c.rank), c.endpoint(dest)
 	done.Final = m.Ack == nil || attempt >= pol.MaxRetries
-	var last simnet.FaultKind
 	if done.Chunks > 0 {
 		// A duplicate fault redelivers the chunk rather than damaging
 		// it; the receiver suppresses the extra copy.
@@ -149,7 +148,6 @@ func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *sim
 		if c.faultsOn() {
 			f = c.fabric.PayloadFault(me, peer, done.Bytes)
 		}
-		last = f.Kind
 		done.Poisoned = f.NeedsResend() && !st.damage(f, 0, st.covered)
 		if done.HasSum {
 			done.Sum = done.ChunkSums[0]
@@ -163,9 +161,6 @@ func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *sim
 	ack, err := c.awaitAck(m, dest, tag)
 	if err != nil || ack == nil {
 		return false, err
-	}
-	if errors.Is(ack, errPeerGone) {
-		return false, &DeliveryError{Op: "rdv-send", Rank: c.rank, Peer: dest, Tag: tag, Attempts: attempt + 1, Last: last}
 	}
 	if done.Final {
 		return false, &IntegrityError{Op: "rdv-send", Rank: c.rank, Peer: dest, Tag: tag, Attempts: attempt + 1, Want: done.Sum}

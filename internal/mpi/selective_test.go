@@ -54,9 +54,9 @@ func runSelective(t testing.TB, engine string, faults *simnet.FaultPlan) (recv [
 			case "SsendType":
 				err = c.SsendType(src, 1, ty, 1, 7)
 			case "SsendpType":
-				err = c.SsendpType(src, 1, ty, 1, 7)
+				err = ssendp(c, src, 1, ty, 1, 7)
 			case "SsendvType":
-				err = c.SsendvType(src, 1, ty, 1, 7)
+				err = ssendv(c, src, 1, ty, 1, 7)
 			default:
 				t.Fatalf("unknown engine %s", engine)
 			}
@@ -217,7 +217,7 @@ func TestSelectiveVirtualPoisoned(t *testing.T) {
 	var c0 simnet.Counters
 	err := Run(2, Options{Profile: selectiveProfile(), Faults: plan}, func(c *Comm) error {
 		if c.Rank() == 0 {
-			err := c.SsendvType(buf.Virtual(need), 1, ty, 1, 3)
+			err := ssendv(c, buf.Virtual(need), 1, ty, 1, 3)
 			c0 = c.Counters()
 			return err
 		}
@@ -238,8 +238,8 @@ var selectiveSends = []struct {
 	send func(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) error
 }{
 	{"SsendType", (*Comm).SsendType},
-	{"SsendpType", (*Comm).SsendpType},
-	{"SsendvType", (*Comm).SsendvType},
+	{"SsendpType", ssendp},
+	{"SsendvType", ssendv},
 }
 
 // runFaulted sends the selective vector once, 0→1, under a corruption

@@ -35,27 +35,9 @@ func (b ChunkBitmap) Set(i int) {
 	}
 }
 
-// Clear unmarks chunk i.
-func (b ChunkBitmap) Clear(i int) {
-	if i >= 0 && i/64 < len(b) {
-		b[i/64] &^= 1 << uint(i%64)
-	}
-}
-
 // Get reports whether chunk i is marked.
 func (b ChunkBitmap) Get(i int) bool {
 	return i >= 0 && i/64 < len(b) && b[i/64]&(1<<uint(i%64)) != 0
-}
-
-// Count returns the number of marked chunks.
-func (b ChunkBitmap) Count() int {
-	n := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
 }
 
 // Any reports whether any chunk is marked.
@@ -66,16 +48,6 @@ func (b ChunkBitmap) Any() bool {
 		}
 	}
 	return false
-}
-
-// Clone returns an independent copy (nil stays nil).
-func (b ChunkBitmap) Clone() ChunkBitmap {
-	if b == nil {
-		return nil
-	}
-	c := make(ChunkBitmap, len(b))
-	copy(c, b)
-	return c
 }
 
 // ChunkNack is the receiver's selective verdict on a chunked

@@ -294,10 +294,6 @@ var ErrShortDelivery = fmt.Errorf("simnet: payload truncated in flight")
 // Abort tore the run down.
 var ErrAborted = fmt.Errorf("simnet: fabric aborted")
 
-// ErrCanceled is returned by a blocking fabric operation whose
-// per-operation cancel channel closed (a request deadline firing).
-var ErrCanceled = fmt.Errorf("simnet: operation canceled")
-
 // BlockInfo describes one blocked operation for the quiescence
 // detector's report: who is stuck, on what, since when.
 type BlockInfo struct {
@@ -308,16 +304,13 @@ type BlockInfo struct {
 	Ctx      int
 	Src, Tag int
 	Since    vclock.Time
-	// Deadline marks waits that carry their own timeout: the global
-	// detector defers to them instead of aborting the run.
-	Deadline bool
 }
 
 // String formats one stuck endpoint.
 func (b BlockInfo) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "rank %d blocked in %s", b.Rank, b.Op)
-	if b.Op == "recv" || b.Op == "probe" {
+	if b.Op == "recv" {
 		src := "any"
 		if b.Src != AnySource {
 			src = fmt.Sprint(b.Src)
@@ -400,28 +393,24 @@ func (f *Fabric) EnterBlocked(info BlockInfo, ready func() bool) func() {
 // Quiescent reports whether the run can no longer make progress: no
 // registered goroutine is runnable, at least one is blocked, and no
 // blocked wait's readiness predicate holds. It returns the stuck-
-// endpoint report (sorted by rank) and whether any stuck wait carries
-// its own deadline.
-func (f *Fabric) Quiescent() (stuck []BlockInfo, anyDeadline bool, quiescent bool) {
+// endpoint report, sorted by rank.
+func (f *Fabric) Quiescent() (stuck []BlockInfo, quiescent bool) {
 	if !f.Tracking() {
-		return nil, false, false
+		return nil, false
 	}
 	f.blockMu.Lock()
 	defer f.blockMu.Unlock()
 	if f.running != 0 || len(f.blocked) == 0 {
-		return nil, false, false
+		return nil, false
 	}
 	for _, rec := range f.blocked {
 		if rec.ready() {
-			return nil, false, false
+			return nil, false
 		}
 	}
 	stuck = make([]BlockInfo, 0, len(f.blocked))
 	for _, rec := range f.blocked {
 		stuck = append(stuck, rec.info)
-		if rec.info.Deadline {
-			anyDeadline = true
-		}
 	}
 	sort.Slice(stuck, func(i, j int) bool {
 		if stuck[i].Rank != stuck[j].Rank {
@@ -429,7 +418,7 @@ func (f *Fabric) Quiescent() (stuck []BlockInfo, anyDeadline bool, quiescent boo
 		}
 		return stuck[i].Op < stuck[j].Op
 	})
-	return stuck, anyDeadline, true
+	return stuck, true
 }
 
 // Abort tears the fabric down with err: every blocked and future
@@ -445,7 +434,9 @@ func (f *Fabric) Abort(err error) {
 		close(f.abortCh)
 	}
 	f.abortMu.Unlock()
-	f.KickAll()
+	for _, b := range f.boxes {
+		b.kick()
+	}
 	f.group.Interrupt()
 	f.mu.Lock()
 	groups := make([]*vclock.Group, 0, len(f.groups))
@@ -469,20 +460,12 @@ func (f *Fabric) AbortErr() error {
 // protocol layer select on it.
 func (f *Fabric) AbortChan() <-chan struct{} { return f.abortCh }
 
-// KickAll wakes every goroutine blocked inside a mailbox so it can
-// re-check its cancel channel or the abort state.
-func (f *Fabric) KickAll() {
-	for _, b := range f.boxes {
-		b.kick()
-	}
-}
-
 // WaitQuiesce polls the quiescence predicate from a detector
 // goroutine: it blocks (in real time) until the run is quiescent or
 // stop closes, returning the stuck report. Two consecutive positive
 // snapshots are required, so a momentary all-blocked handoff between
 // cond broadcasts cannot fire it.
-func (f *Fabric) WaitQuiesce(stop <-chan struct{}, interval time.Duration, skipDeadline bool) ([]BlockInfo, bool) {
+func (f *Fabric) WaitQuiesce(stop <-chan struct{}, interval time.Duration) ([]BlockInfo, bool) {
 	if interval <= 0 {
 		interval = 500 * time.Microsecond
 	}
@@ -494,8 +477,8 @@ func (f *Fabric) WaitQuiesce(stop <-chan struct{}, interval time.Duration, skipD
 		case <-stop:
 			return nil, false
 		case <-tick.C:
-			stuck, anyDeadline, ok := f.Quiescent()
-			if !ok || (skipDeadline && anyDeadline) {
+			stuck, ok := f.Quiescent()
+			if !ok {
 				streak = 0
 				continue
 			}

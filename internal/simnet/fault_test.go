@@ -121,7 +121,7 @@ func TestDuplicateConsumedOnce(t *testing.T) {
 	if m := f.Match(1, 0, 0, 0); m == nil || m.Seq != 1 {
 		t.Fatalf("second match %+v, want seq 1 (duplicate deduped)", m)
 	}
-	if m := f.TryMatch(1, 0, 0, 0); m != nil {
+	if m := f.boxes[1].peek(0, 0, 0); m != nil {
 		t.Fatalf("stale duplicate still matchable: %+v", m)
 	}
 }
@@ -166,7 +166,7 @@ func TestRendezvousDamageDegradesToDrop(t *testing.T) {
 	if v := f.Deliver(1, m); v.Kind != FaultDrop {
 		t.Fatalf("damaged RTS verdict %v, want drop", v.Kind)
 	}
-	if f.TryMatch(1, 0, 0, 0) != nil {
+	if f.Pending(1, 0, 0, 0) {
 		t.Fatal("dropped RTS was enqueued")
 	}
 }
@@ -178,20 +178,20 @@ func TestQuiescenceDetection(t *testing.T) {
 	f.WorkerStart()
 
 	// Both workers runnable: not quiescent.
-	if _, _, q := f.Quiescent(); q {
+	if _, q := f.Quiescent(); q {
 		t.Fatal("quiescent with runnable workers")
 	}
 	relA := f.EnterBlocked(BlockInfo{Rank: 0, Op: "recv", Src: 1, Tag: 7},
 		func() bool { return false })
-	if _, _, q := f.Quiescent(); q {
+	if _, q := f.Quiescent(); q {
 		t.Fatal("quiescent with one worker runnable")
 	}
 	ready := false
-	relB := f.EnterBlocked(BlockInfo{Rank: 1, Op: "recv", Src: 0, Tag: 7, Deadline: true},
+	relB := f.EnterBlocked(BlockInfo{Rank: 1, Op: "recv", Src: 0, Tag: 7},
 		func() bool { return ready })
-	stuck, anyDeadline, q := f.Quiescent()
-	if !q || !anyDeadline || len(stuck) != 2 {
-		t.Fatalf("quiescent=%v deadline=%v stuck=%v", q, anyDeadline, stuck)
+	stuck, q := f.Quiescent()
+	if !q || len(stuck) != 2 {
+		t.Fatalf("quiescent=%v stuck=%v", q, stuck)
 	}
 	if stuck[0].Rank != 0 || stuck[1].Rank != 1 {
 		t.Fatalf("report not rank-sorted: %v", stuck)
@@ -199,11 +199,11 @@ func TestQuiescenceDetection(t *testing.T) {
 
 	// A wait that could complete suppresses the verdict.
 	ready = true
-	if _, _, q := f.Quiescent(); q {
+	if _, q := f.Quiescent(); q {
 		t.Fatal("quiescent with a ready wait")
 	}
 	ready = false
-	if stuck, _ := f.WaitQuiesce(nil, time.Millisecond, false); len(stuck) != 2 {
+	if stuck, _ := f.WaitQuiesce(nil, time.Millisecond); len(stuck) != 2 {
 		t.Fatalf("WaitQuiesce stuck=%v", stuck)
 	}
 	relA()
@@ -225,28 +225,29 @@ func TestAbortFirstWins(t *testing.T) {
 	default:
 		t.Fatal("abort channel not closed")
 	}
-	if _, err := f.MatchCancel(0, 0, AnySource, AnyTag, nil); !errors.Is(err, ErrAborted) {
-		t.Fatalf("MatchCancel after abort = %v, want ErrAborted", err)
+	if _, err := f.MatchOrAbort(0, 0, AnySource, AnyTag); !errors.Is(err, ErrAborted) {
+		t.Fatalf("MatchOrAbort after abort = %v, want ErrAborted", err)
 	}
 }
 
-func TestMatchCancelObservesCancel(t *testing.T) {
+// TestMatchOrAbortWakesOnAbort blocks a match on an empty mailbox and
+// expects Abort to wake it with the abort reason.
+func TestMatchOrAbortWakesOnAbort(t *testing.T) {
 	f := New(2)
-	cancel := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := f.MatchCancel(0, 0, AnySource, AnyTag, cancel)
+		_, err := f.MatchOrAbort(0, 0, AnySource, AnyTag)
 		done <- err
 	}()
-	close(cancel)
-	f.KickAll()
+	reason := errors.New("torn down")
+	f.Abort(reason)
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("err = %v, want ErrCanceled", err)
+		if !errors.Is(err, ErrAborted) || !errors.Is(err, reason) {
+			t.Fatalf("err = %v, want ErrAborted wrapping the reason", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("MatchCancel did not observe the cancel")
+		t.Fatal("MatchOrAbort did not observe the abort")
 	}
 }
 

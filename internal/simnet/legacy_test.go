@@ -50,7 +50,7 @@ func (b *legacyMailbox) selectIdx(ctx, src, tag int) int {
 	}
 	best := -1
 	for i, m := range b.msgs {
-		if !m.matches(ctx, src, tag) {
+		if !legacyMatches(m, ctx, src, tag) {
 			continue
 		}
 		if best == -1 {
@@ -88,4 +88,19 @@ func (b *legacyMailbox) peek(ctx, src, tag int) *Message {
 		return b.msgs[i]
 	}
 	return nil
+}
+
+// legacyMatches reports whether the envelope satisfies a (ctx, src, tag)
+// receive pattern. The context never matches a wildcard.
+func legacyMatches(m *Message, ctx, src, tag int) bool {
+	if m.Ctx != ctx {
+		return false
+	}
+	if src != AnySource && m.Src != src {
+		return false
+	}
+	if tag != AnyTag && m.Tag != tag {
+		return false
+	}
+	return true
 }

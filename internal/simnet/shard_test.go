@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/buf"
 )
@@ -163,7 +164,7 @@ func TestCrossCommunicatorIsolation(t *testing.T) {
 	f.Deliver(0, &Message{Ctx: 2, Src: 2, Tag: 7, Kind: KindEager, Bytes: 200})
 	f.Deliver(0, &Message{Ctx: 1, Src: 3, Tag: 7, Kind: KindEager, Bytes: 101})
 
-	if m := f.TryMatch(0, 3, AnySource, AnyTag); m != nil {
+	if m := f.boxes[0].peek(3, AnySource, AnyTag); m != nil {
 		t.Fatalf("ctx 3 sees foreign traffic: %+v", m)
 	}
 	if m := f.Match(0, 2, AnySource, AnyTag); m.Bytes != 200 {
@@ -309,5 +310,14 @@ func TestMatchStatsAttribution(t *testing.T) {
 	}
 	if d.Queues != 3 {
 		t.Fatalf("live queues %d, want 3", d.Queues)
+	}
+}
+
+// TestRankCountersFillWholeLines pins the per-rank counter block to a
+// whole number of 64-byte cache lines, so neighbouring ranks' hot
+// counters never share a line.
+func TestRankCountersFillWholeLines(t *testing.T) {
+	if n := unsafe.Sizeof(rankCounters{}); n%64 != 0 {
+		t.Fatalf("rankCounters is %d bytes, not a whole number of 64-byte lines", n)
 	}
 }

@@ -234,8 +234,8 @@ type handshake struct {
 
 // NewRendezvous returns a rendezvous envelope with its handshake armed.
 // On a tracked fabric the notices travel over the Match and Done
-// channels, which a blocked wait selects on together with the abort and
-// cancel signals, and the wake counter is armed. On an untracked fabric
+// channels, which a blocked wait selects on together with the abort
+// signal, and the wake counter is armed. On an untracked fabric
 // a wait can only end by its notice arriving and each notice is sent
 // once (no Ack, no retransmission), so the envelope and the two slots
 // that carry them are one allocation.
@@ -313,21 +313,6 @@ func (m *Message) WakeSeq() int64 {
 	return m.wake.Load()
 }
 
-// matches reports whether the envelope satisfies a (ctx, src, tag)
-// receive pattern. The context never matches a wildcard.
-func (m *Message) matches(ctx, src, tag int) bool {
-	if m.Ctx != ctx {
-		return false
-	}
-	if src != AnySource && m.Src != src {
-		return false
-	}
-	if tag != AnyTag && m.Tag != tag {
-		return false
-	}
-	return true
-}
-
 // Counters aggregates per-endpoint traffic statistics. The tests use
 // them to assert protocol behaviour (e.g. "this send was eager",
 // "the derived-type send was chunked k times").
@@ -337,7 +322,6 @@ type Counters struct {
 	BytesInjected   int64
 	BytesDelivered  int64
 	MessagesMatched int64
-	Probes          int64
 
 	// Fault-injection attribution, counted against the sender (the
 	// endpoint whose traffic was damaged) except IntegrityRejects,
@@ -368,7 +352,6 @@ type rankCounters struct {
 	bytesInjected   atomic.Int64
 	bytesDelivered  atomic.Int64
 	messagesMatched atomic.Int64
-	probes          atomic.Int64
 
 	drops            atomic.Int64
 	corruptions      atomic.Int64
@@ -383,7 +366,8 @@ type rankCounters struct {
 	retransmitBytes     atomic.Int64
 	dupChunksSuppressed atomic.Int64
 
-	_ [56]byte // 17×8 B of counters + 56 B pad = three full 64 B lines
+	// 16×8 B of counters fill exactly two 64 B lines; a counter added
+	// here needs a pad up to the next whole line.
 }
 
 // snapshot loads a consistent-enough copy for reporting.
@@ -394,7 +378,6 @@ func (c *rankCounters) snapshot() Counters {
 		BytesInjected:   c.bytesInjected.Load(),
 		BytesDelivered:  c.bytesDelivered.Load(),
 		MessagesMatched: c.messagesMatched.Load(),
-		Probes:          c.probes.Load(),
 
 		Drops:            c.drops.Load(),
 		Corruptions:      c.corruptions.Load(),
@@ -443,7 +426,7 @@ type Fabric struct {
 
 	// faults, when non-nil, is the armed fault plan with its per-link
 	// injection counters; SetFaultPlan arms it before any traffic.
-	// An atomic pointer so FaultsEnabled/PayloadFault/Deliver read it
+	// An atomic pointer so PayloadFault/Deliver read it
 	// without touching the registry mutex on every payload op.
 	faults atomic.Pointer[faultState]
 
@@ -497,12 +480,6 @@ func (f *Fabric) SetFaultPlan(p *FaultPlan) {
 	}
 }
 
-// FaultsEnabled reports whether a fault plan is armed. Lock-free: one
-// atomic pointer load, so protocol code may consult it per payload.
-func (f *Fabric) FaultsEnabled() bool {
-	return f.faults.Load() != nil
-}
-
 // PayloadFault draws the fault verdict for the next rendezvous payload
 // transfer on (src → dst) of n bytes. It returns FaultNone when no
 // plan is armed (a single atomic load, no lock). Duplicate/reorder/
@@ -553,13 +530,6 @@ func (f *Fabric) NoteRetry(src int) {
 func (f *Fabric) NoteIntegrityReject(rank int) {
 	f.counters[rank].integrityRejects.Add(1)
 }
-
-// Size returns the endpoint count.
-func (f *Fabric) Size() int { return f.n }
-
-// Group returns the fabric-wide synchronisation group used by
-// barriers and window fences.
-func (f *Fabric) Group() *vclock.Group { return f.group }
 
 // GroupFor returns the synchronisation group of the communicator with
 // the given context, creating it with the given size on first use.
@@ -707,19 +677,18 @@ func (f *Fabric) Deliver(dst int, m *Message) Fault {
 // rank's mailbox and removes it. Matching preserves pairwise FIFO
 // order: among queued candidates of the matched source, the lowest
 // link-sequence number wins (equal to arrival order on a clean run).
-// On an aborted fabric it returns nil; use MatchCancel to observe the
-// abort reason or cancel the wait.
+// On an aborted fabric it returns nil; use MatchOrAbort to observe the
+// abort reason.
 func (f *Fabric) Match(rank, ctx, src, tag int) *Message {
-	m, _ := f.MatchCancel(rank, ctx, src, tag, nil)
+	m, _ := f.MatchOrAbort(rank, ctx, src, tag)
 	return m
 }
 
-// MatchCancel is Match with teardown semantics: it returns early with
-// an error when the fabric aborts or the cancel channel closes (the
-// canceller must also call KickAll to wake the wait).
-func (f *Fabric) MatchCancel(rank, ctx, src, tag int, cancel <-chan struct{}) (*Message, error) {
+// MatchOrAbort is Match with teardown semantics: it returns early with
+// an error wrapping ErrAborted when the fabric aborts.
+func (f *Fabric) MatchOrAbort(rank, ctx, src, tag int) (*Message, error) {
 	f.checkRank(rank)
-	m, err := f.boxes[rank].take(ctx, src, tag, f, cancel)
+	m, err := f.boxes[rank].take(ctx, src, tag, f)
 	if err != nil {
 		return nil, err
 	}
@@ -730,7 +699,7 @@ func (f *Fabric) MatchCancel(rank, ctx, src, tag int, cancel <-chan struct{}) (*
 }
 
 // Pending reports whether a matching envelope is queued right now,
-// without counting a probe or disturbing the queue — the readiness
+// without disturbing the queue — the readiness
 // predicate the quiescence detector evaluates for blocked receives.
 func (f *Fabric) Pending(rank, ctx, src, tag int) bool {
 	f.checkRank(rank)
@@ -744,28 +713,6 @@ func (f *Fabric) Pending(rank, ctx, src, tag int) bool {
 func (f *Fabric) Takes(rank int) int64 {
 	f.checkRank(rank)
 	return f.boxes[rank].takes.Load()
-}
-
-// TryMatch is the non-blocking Match used by Iprobe: it returns nil
-// when nothing matches right now. The envelope is left in place.
-func (f *Fabric) TryMatch(rank, ctx, src, tag int) *Message {
-	f.checkRank(rank)
-	f.counters[rank].probes.Add(1)
-	return f.boxes[rank].peek(ctx, src, tag)
-}
-
-// Probe blocks until a matching envelope is present and returns it
-// without removing it. On an aborted fabric it returns nil.
-func (f *Fabric) Probe(rank, ctx, src, tag int) *Message {
-	m, _ := f.ProbeCancel(rank, ctx, src, tag, nil)
-	return m
-}
-
-// ProbeCancel is Probe with teardown semantics (see MatchCancel).
-func (f *Fabric) ProbeCancel(rank, ctx, src, tag int, cancel <-chan struct{}) (*Message, error) {
-	f.checkRank(rank)
-	f.counters[rank].probes.Add(1)
-	return f.boxes[rank].wait(ctx, src, tag, f, cancel)
 }
 
 // CountersFor returns a snapshot of rank's counters.
@@ -973,8 +920,7 @@ func (b *mailbox) put(m *Message, front bool) {
 	}
 }
 
-// kick wakes every blocked receive so it can re-check its cancel
-// channel or the abort state.
+// kick wakes every blocked receive so it can re-check the abort state.
 func (b *mailbox) kick() {
 	b.waitMu.Lock()
 	b.version.Add(1)
@@ -1096,15 +1042,8 @@ func (b *mailbox) block(v int64) {
 	b.waitMu.Unlock()
 }
 
-// checkLive surfaces cancellation and abort in blocking loops.
-func checkLive(f *Fabric, cancel <-chan struct{}) error {
-	if cancel != nil {
-		select {
-		case <-cancel:
-			return ErrCanceled
-		default:
-		}
-	}
+// checkLive surfaces an abort in blocking loops.
+func checkLive(f *Fabric) error {
 	if f != nil {
 		if err := f.AbortErr(); err != nil {
 			return fmt.Errorf("%w: %w", ErrAborted, err)
@@ -1113,26 +1052,13 @@ func checkLive(f *Fabric, cancel <-chan struct{}) error {
 	return nil
 }
 
-func (b *mailbox) take(ctx, src, tag int, f *Fabric, cancel <-chan struct{}) (*Message, error) {
+func (b *mailbox) take(ctx, src, tag int, f *Fabric) (*Message, error) {
 	for {
-		if err := checkLive(f, cancel); err != nil {
+		if err := checkLive(f); err != nil {
 			return nil, err
 		}
 		v := b.version.Load()
 		if m := b.tryTake(ctx, src, tag); m != nil {
-			return m, nil
-		}
-		b.block(v)
-	}
-}
-
-func (b *mailbox) wait(ctx, src, tag int, f *Fabric, cancel <-chan struct{}) (*Message, error) {
-	for {
-		if err := checkLive(f, cancel); err != nil {
-			return nil, err
-		}
-		v := b.version.Load()
-		if m := b.peek(ctx, src, tag); m != nil {
 			return m, nil
 		}
 		b.block(v)

@@ -72,23 +72,8 @@ func TestTagSelectiveMatchLeavesOthers(t *testing.T) {
 	if m := f.Match(1, 0, 0, 2); m.Bytes != 2 {
 		t.Fatalf("tag-2 match got %+v", m)
 	}
-	if m := f.TryMatch(1, 0, 0, 1); m == nil || m.Bytes != 1 {
+	if m := f.boxes[1].peek(0, 0, 1); m == nil || m.Bytes != 1 {
 		t.Fatalf("tag-1 message lost")
-	}
-}
-
-func TestTryMatchNonDestructive(t *testing.T) {
-	f := New(2)
-	if m := f.TryMatch(1, 0, AnySource, AnyTag); m != nil {
-		t.Fatal("TryMatch invented a message")
-	}
-	f.Deliver(1, &Message{Src: 0, Tag: 0, Kind: KindEager, Bytes: 5})
-	if m := f.TryMatch(1, 0, 0, 0); m == nil {
-		t.Fatal("TryMatch missed a delivered message")
-	}
-	// Still matchable afterwards.
-	if m := f.Match(1, 0, 0, 0); m.Bytes != 5 {
-		t.Fatal("TryMatch consumed the message")
 	}
 }
 
@@ -114,7 +99,7 @@ func TestGroupForSharedAndSized(t *testing.T) {
 	if g1 != g2 {
 		t.Fatal("GroupFor did not share")
 	}
-	if f.GroupFor(0, 4) != f.Group() {
+	if f.GroupFor(0, 4) != f.group {
 		t.Fatal("ctx 0 is not the world group")
 	}
 }

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -115,17 +114,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return tmp[lo]*(1-frac) + tmp[lo+1]*frac
 }
 
-// Min returns the smallest element, or +Inf for an empty sample.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element, or -Inf for an empty sample.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
@@ -215,14 +203,6 @@ func (s *Series) Nearest(x float64) (float64, bool) {
 	return s.Y[best], true
 }
 
-// Validate checks the X/Y length contract.
-func (s *Series) Validate() error {
-	if len(s.X) != len(s.Y) {
-		return fmt.Errorf("stats: series %q has %d xs but %d ys", s.Label, len(s.X), len(s.Y))
-	}
-	return nil
-}
-
 // Ratio returns a new series whose Y values are num.Y/den.Y at the xs
 // common to both, in num's order: the "slowdown" panel is
 // Ratio(scheme, reference).
@@ -234,21 +214,4 @@ func Ratio(label string, num, den *Series) *Series {
 		}
 	}
 	return out
-}
-
-// GeoMean returns the geometric mean of positive Y values of a series,
-// a robust single-number summary for slowdown curves.
-func GeoMean(ys []float64) float64 {
-	var sum float64
-	var n int
-	for _, y := range ys {
-		if y > 0 {
-			sum += math.Log(y)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }

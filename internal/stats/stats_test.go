@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -112,30 +113,6 @@ func TestSeriesNearest(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Fatalf("geomean = %v", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Fatalf("empty geomean = %v", g)
-	}
-	if g := GeoMean([]float64{-1, 0}); g != 0 {
-		t.Fatalf("non-positive geomean = %v", g)
-	}
-}
-
-func TestSeriesValidate(t *testing.T) {
-	s := &Series{Label: "x", X: []float64{1}, Y: nil}
-	if err := s.Validate(); err == nil {
-		t.Fatal("mismatched series validated")
-	}
-	s.Append(2, 3)
-	// Now 2 xs, 1 y — still invalid.
-	if err := s.Validate(); err == nil {
-		t.Fatal("still mismatched")
-	}
-}
-
 // Property: mean is within [min, max] and dismissal never increases
 // the spread.
 func TestQuickMeanBounds(t *testing.T) {
@@ -150,7 +127,7 @@ func TestQuickMeanBounds(t *testing.T) {
 			return true
 		}
 		m := Mean(xs)
-		return m >= Min(xs)-1e-9 && m <= Max(xs)+1e-9
+		return m >= slices.Min(xs)-1e-9 && m <= Max(xs)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -35,9 +35,6 @@ func FromSeconds(s float64) Duration {
 	return Duration(s*1e9 + 0.5)
 }
 
-// Seconds converts a Duration to float64 seconds.
-func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
-
 // Seconds converts a Time to float64 seconds since run start.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
@@ -75,10 +72,6 @@ func (c *Clock) AdvanceTo(t Time) Time {
 	}
 	return c.now
 }
-
-// Reset rewinds the clock to zero (used between harness repetitions
-// that model independent runs).
-func (c *Clock) Reset() { c.now = 0 }
 
 // Group synchronises n participants in virtual time: each deposits its
 // local time and blocks; when all n have arrived everyone resumes at

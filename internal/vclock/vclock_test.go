@@ -43,7 +43,7 @@ func TestFromSecondsRounds(t *testing.T) {
 
 func TestSecondsRoundTrip(t *testing.T) {
 	d := FromSeconds(3.25e-3)
-	if got := d.Seconds(); got < 3.2499e-3 || got > 3.2501e-3 {
+	if got := Time(d).Seconds(); got < 3.2499e-3 || got > 3.2501e-3 {
 		t.Fatalf("round trip = %v", got)
 	}
 }

@@ -1,11 +1,16 @@
 package repro_test
 
 import (
+	"bufio"
+	"bytes"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -115,6 +120,139 @@ func TestNoPackageSwitches(t *testing.T) {
 	}
 }
 
+// TestEveryInternalFuncIsReachable is the tripwire for ROADMAP item
+// 12: every func declared in a non-test file under internal/ is reached
+// by the linker from at least one production binary — cmd/figures,
+// cmd/pingpong, cmd/bench and each program under examples/. It links
+// each of them with -ldflags=-dumpdep, which prints every symbol the
+// linker's dead-code pass keeps, and names each declaration that no
+// dump mentions. Inlining is off (-gcflags=all=-l): an inlined helper
+// leaves no symbol of its own and would read as dead. A helper only
+// tests need lives in a _test.go file or in internal/oracle, which no
+// non-test file may import.
+func TestEveryInternalFuncIsReachable(t *testing.T) {
+	roots := [][]string{{"./cmd/figures"}, {"./cmd/pingpong"}, {"-C", "cmd/bench", "."}}
+	examples, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil || len(examples) == 0 {
+		t.Fatalf("no example programs found (%v)", err)
+	}
+	for _, e := range examples {
+		roots = append(roots, []string{"./" + filepath.ToSlash(filepath.Dir(e))})
+	}
+	reached := map[string]bool{}
+	for _, root := range roots {
+		// -C must come first; the package pattern comes last.
+		args := append([]string{"build"}, root[:len(root)-1]...)
+		args = append(args, "-o", "/dev/null", "-gcflags=all=-l", "-ldflags=-dumpdep", root[len(root)-1])
+		out, err := exec.Command("go", args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+		sc := bufio.NewScanner(bytes.NewReader(out))
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			_, to, ok := strings.Cut(sc.Text(), " -> ")
+			if !ok || !strings.HasPrefix(to, "repro/") {
+				continue
+			}
+			// Only the function's own symbol counts: the linker
+			// deduplicates its data (F.stkobj, F.argliveinfo) under
+			// whichever function's name came first.
+			reached[stripTypeArgs(to)] = true
+		}
+	}
+
+	var dead []string
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro/internal/oracle"` {
+				t.Errorf("%s imports internal/oracle, which only tests may use", path)
+			}
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if !strings.HasPrefix(dir, "internal/") || dir == "internal/oracle" {
+			return nil
+		}
+		pkg := "repro/" + dir + "."
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			// A method's symbol is pkg.T.M or pkg.(*T).M; a value
+			// method called through a pointer is kept as both.
+			name, alt := fn.Name.Name, ""
+			if fn.Recv != nil {
+				typ := fn.Recv.List[0].Type
+				star, ptr := typ.(*ast.StarExpr)
+				if ptr {
+					typ = star.X
+				}
+				switch x := typ.(type) {
+				case *ast.IndexExpr:
+					typ = x.X
+				case *ast.IndexListExpr:
+					typ = x.X
+				}
+				recv := typ.(*ast.Ident).Name
+				name, alt = recv+"."+name, "(*"+recv+")."+name
+				if ptr {
+					name = alt
+				}
+			}
+			if !reached[pkg+name] && !reached[pkg+alt] {
+				dead = append(dead, fset.Position(fn.Pos()).String()+" "+name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(dead)
+	if len(dead) != 0 {
+		t.Fatalf("%d funcs under internal/ that no production binary reaches:\n\t%s", len(dead), strings.Join(dead, "\n\t"))
+	}
+}
+
+// stripTypeArgs removes the bracketed type arguments from a linker
+// symbol, so repro/x.F[go.shape.int] reads as repro/x.F.
+func stripTypeArgs(sym string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
 // TestPricedKernelIsChargedKernel pins model and engine to one
 // decision: for the canonical workload at sizes straddling the
 // parallel-pack threshold on the four paper profiles, the kernel spec
@@ -160,9 +298,9 @@ func TestPricedKernelIsChargedKernel(t *testing.T) {
 			var charged vclock.Duration
 			err = mpi.Run(1, mpi.Options{Profile: prof, ColdCaches: true}, func(c *mpi.Comm) error {
 				var pos int64
-				before := c.Clock().Now()
+				before := c.Wtime()
 				err := c.PackCompiled(buf.Virtual(int(w.SrcBytes())), 1, ty, buf.Virtual(int(n)), &pos)
-				charged = vclock.Duration(c.Clock().Now() - before)
+				charged = vclock.FromSeconds(c.Wtime() - before)
 				return err
 			})
 			if err != nil {
