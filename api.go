@@ -294,11 +294,15 @@ func DefaultRetryPolicy() RetryPolicy { return mpi.DefaultRetryPolicy() }
 
 // Cart is a Cartesian process topology over a communicator, with
 // Rank/Shift in the style of MPI_Cart_*; ProcNull marks an off-grid
-// neighbour.
+// neighbour. DimsCreate factors a size into balanced grid dimensions
+// like MPI_Dims_create.
 type Cart = mpi.Cart
 
 // ProcNull is the off-grid neighbour marker of Cart.Shift.
 const ProcNull = mpi.ProcNull
+
+// DimsCreate factors size into ndims balanced dimensions.
+func DimsCreate(size, ndims int) ([]int, error) { return mpi.DimsCreate(size, ndims) }
 
 // Datatype is an MPI-style derived datatype; the constructors below
 // mirror the MPI type-constructor surface.

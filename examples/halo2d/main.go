@@ -5,10 +5,15 @@
 // strided with one element per grid row, exactly the datatype question
 // the paper studies.
 //
-// Four ranks form a 2×2 process grid. Column halos go out as subarray
+// Four ranks form a 2×2 process grid (DimsCreate). Rank 0 holds the
+// global grid and hands each rank its tile with ScattervType, a
+// subarray tile resized to one tile width landing in the interior of
+// the rank's ghost-framed array. Column halos go out as subarray
 // datatypes (MPI_Type_create_subarray of an N×1 column), row halos as
 // plain contiguous sends. After one exchange every ghost cell is
-// verified against the neighbour's interior. The example then reports
+// verified against the neighbour's interior, and GathervType collects
+// the tiles back into a copy of the global grid that must match the
+// original. The example then reports
 // what the column-halo transfer costs under the derived-type scheme
 // versus packing, at this (small) size — where the paper says the
 // choice doesn't matter.
@@ -19,6 +24,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"time"
@@ -31,7 +37,6 @@ import (
 const (
 	tile = 128      // interior cells per dimension
 	ext  = tile + 2 // tile plus one ghost layer each side
-	px   = 2        // process grid columns
 	nprc = 4        // 2×2 ranks
 )
 
@@ -53,21 +58,71 @@ func main() {
 
 func run(c *repro.Comm) error {
 	me := c.Rank()
-	// The 2×2 process grid as a Cartesian topology: Shift hands back
-	// the stencil neighbours, ProcNull marks the grid edge.
-	cart, err := c.CartCreate([]int{nprc / px, px}, []bool{false, false})
+	// The process grid as a Cartesian topology: DimsCreate balances
+	// the ranks over two dimensions, Shift hands back the stencil
+	// neighbours, ProcNull marks the grid edge.
+	dims, err := repro.DimsCreate(c.Size(), 2)
+	if err != nil {
+		return err
+	}
+	cart, err := c.CartCreate(dims, []bool{false, false})
 	if err != nil {
 		return err
 	}
 
-	// Local tile with ghost frame, row-major ext×ext float64s.
-	grid := buf.AllocAligned(ext * ext * 8)
-	at := func(i, j int) int { return i*ext + j }
-	for i := 1; i <= tile; i++ {
-		for j := 1; j <= tile; j++ {
-			elem.PutFloat64(grid, at(i, j), value(me, i, j))
+	// Rank 0's global grid, row-major rows×cols float64s. Every cell
+	// holds the value its owner assigns to it, with the owner's tile
+	// at process coordinates (gi/tile, gj/tile) in Cart's row-major
+	// rank order.
+	rows, cols := dims[0]*tile, dims[1]*tile
+	var global buf.Block
+	if me == 0 {
+		global = buf.AllocAligned(rows * cols * 8)
+		for gi := 0; gi < rows; gi++ {
+			for gj := 0; gj < cols; gj++ {
+				owner := (gi/tile)*dims[1] + gj/tile
+				elem.PutFloat64(global, gi*cols+gj, value(owner, gi%tile+1, gj%tile+1))
+			}
 		}
 	}
+
+	// One tile of the global grid, resized to a one-tile-wide extent so
+	// that the tile at process coordinates (i, j) starts
+	// i*dims[1]*tile + j extents into the grid.
+	tileTy, err := repro.TypeSubarray([]int{rows, cols}, []int{tile, tile}, []int{0, 0}, repro.TypeFloat64)
+	if err != nil {
+		return err
+	}
+	if tileTy, err = repro.TypeResized(tileTy, 0, tile*8); err != nil {
+		return err
+	}
+	if err := tileTy.Commit(); err != nil {
+		return err
+	}
+	counts := make([]int, c.Size())
+	displs := make([]int, c.Size())
+	for r := range counts {
+		counts[r] = 1
+		displs[r] = (r/dims[1])*dims[1]*tile + r%dims[1]
+	}
+
+	// Local tile with ghost frame, row-major ext×ext float64s; the
+	// scattered tile lands in the interior.
+	grid := buf.AllocAligned(ext * ext * 8)
+	at := func(i, j int) int { return i*ext + j }
+	interior, err := repro.TypeSubarray([]int{ext, ext}, []int{tile, tile}, []int{1, 1}, repro.TypeFloat64)
+	if err != nil {
+		return err
+	}
+	if err := interior.Commit(); err != nil {
+		return err
+	}
+	if err := c.ScattervType(global, counts, displs, tileTy, grid, 1, interior, 0); err != nil {
+		return err
+	}
+	// Time the exchange alone: every rank starts it together, cold.
+	c.Cache().Flush()
+	c.Barrier()
 
 	// Column datatypes: a tile×1 subarray of the ext×ext grid. One
 	// type per column of interest (send columns 1 and tile; receive
@@ -170,10 +225,23 @@ func run(c *repro.Comm) error {
 		}
 	}
 
+	// Collect the interiors back at rank 0: the tiles must reassemble
+	// the global grid exactly.
+	var back buf.Block
+	if me == 0 {
+		back = buf.AllocAligned(rows * cols * 8)
+	}
+	if err := c.GathervType(grid, 1, interior, back, counts, displs, tileTy, 0); err != nil {
+		return err
+	}
+	if me == 0 && !bytes.Equal(back.Bytes(), global.Bytes()) {
+		return fmt.Errorf("gathered tiles do not reassemble the global grid")
+	}
+
 	c.Barrier()
 	if me == 0 {
-		fmt.Printf("2x2 halo exchange of a %dx%d tile verified on all ranks: %.1f us (virtual, %s)\n",
-			tile, tile, elapsed*1e6, c.Profile().Name)
+		fmt.Printf("%dx%d halo exchange of a %dx%d tile verified on all ranks: %.1f us (virtual, %s)\n",
+			dims[0], dims[1], tile, tile, elapsed*1e6, c.Profile().Name)
 		colBytes := int64(tile * 8)
 		rec, err := repro.Recommend(repro.Query{Bytes: colBytes, Profile: c.Profile()}, repro.GoalBalanced)
 		if err != nil {

@@ -94,3 +94,47 @@ func (ct *Cart) Shift(dim, disp int) (src, dst int, err error) {
 	}
 	return src, dst, nil
 }
+
+// DimsCreate factors size into ndims balanced dimensions, largest
+// first, like MPI_Dims_create with all-zero input.
+func DimsCreate(size, ndims int) ([]int, error) {
+	if size <= 0 || ndims <= 0 {
+		return nil, fmt.Errorf("%w: DimsCreate(%d, %d)", ErrCount, size, ndims)
+	}
+	dims := make([]int, ndims)
+	for i := range dims {
+		dims[i] = 1
+	}
+	// Collect the prime factors, then assign them largest-first onto
+	// the currently smallest dimension — the balanced decomposition
+	// MPI_Dims_create produces (12 over 2 dims → 4×3, not 6×2).
+	var factors []int
+	n := size
+	for f := 2; f*f <= n; f++ {
+		for n%f == 0 {
+			factors = append(factors, f)
+			n /= f
+		}
+	}
+	if n > 1 {
+		factors = append(factors, n)
+	}
+	for i := len(factors) - 1; i >= 0; i-- {
+		smallestIdx := 0
+		for j := 1; j < ndims; j++ {
+			if dims[j] < dims[smallestIdx] {
+				smallestIdx = j
+			}
+		}
+		dims[smallestIdx] *= factors[i]
+	}
+	// Largest first, MPI convention.
+	for i := 0; i < ndims; i++ {
+		for j := i + 1; j < ndims; j++ {
+			if dims[j] > dims[i] {
+				dims[i], dims[j] = dims[j], dims[i]
+			}
+		}
+	}
+	return dims, nil
+}

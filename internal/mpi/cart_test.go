@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"testing"
+	"testing/quick"
 
 	"repro/internal/buf"
 	"repro/internal/oracle"
@@ -113,4 +114,66 @@ func TestCartRingExchange(t *testing.T) {
 		}
 		return oracle.VerifyPattern(in, byte(src))
 	})
+}
+
+func TestDimsCreate(t *testing.T) {
+	cases := []struct {
+		size, ndims int
+		want        []int
+	}{
+		{4, 2, []int{2, 2}},
+		{6, 2, []int{3, 2}},
+		{8, 3, []int{2, 2, 2}},
+		{12, 2, []int{4, 3}},
+		{7, 2, []int{7, 1}},
+		{1, 1, []int{1}},
+	}
+	for _, tc := range cases {
+		got, err := DimsCreate(tc.size, tc.ndims)
+		if err != nil {
+			t.Fatalf("DimsCreate(%d,%d): %v", tc.size, tc.ndims, err)
+		}
+		prod := 1
+		for _, d := range got {
+			prod *= d
+		}
+		if prod != tc.size {
+			t.Errorf("DimsCreate(%d,%d) = %v: wrong product", tc.size, tc.ndims, got)
+		}
+		for i, w := range tc.want {
+			if got[i] != w {
+				t.Errorf("DimsCreate(%d,%d) = %v, want %v", tc.size, tc.ndims, got, tc.want)
+				break
+			}
+		}
+	}
+	if _, err := DimsCreate(0, 1); err == nil {
+		t.Error("DimsCreate(0,1) accepted")
+	}
+}
+
+// Property: DimsCreate always multiplies back to size, sorted
+// descending, and reasonably balanced for powers of two.
+func TestQuickDimsCreate(t *testing.T) {
+	f := func(sz, nd uint8) bool {
+		size := int(sz)%255 + 1
+		ndims := int(nd)%4 + 1
+		dims, err := DimsCreate(size, ndims)
+		if err != nil {
+			return false
+		}
+		prod := 1
+		prev := 1 << 30
+		for _, d := range dims {
+			if d <= 0 || d > prev {
+				return false
+			}
+			prev = d
+			prod *= d
+		}
+		return prod == size
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
 }

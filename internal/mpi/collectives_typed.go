@@ -428,6 +428,130 @@ func (c *Comm) gatherTree(send buf.Block, sendCount int, sendTy *datatype.Type, 
 	return c.typedSelfCopy(send, sendCount, sendTy, view, recvCount, recvTy)
 }
 
+// GathervType is GatherType with per-rank receive counts and slot
+// displacements, like MPI_Gatherv: the root receives rank r's
+// contribution as recvCounts[r] instances of recvTy at displacement
+// displs[r], measured in units of recvTy's extent. It always runs the
+// linear fan (slots are irregular, so the packed-tree arithmetic does
+// not apply); remote legs and the root self-leg behave exactly as in
+// GatherType.
+func (c *Comm) GathervType(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCounts, displs []int, recvTy *datatype.Type, root int) error {
+	return c.collErr("GathervType", c.gathervType(send, sendCount, sendTy, recv, recvCounts, displs, recvTy, root))
+}
+
+func (c *Comm) gathervType(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCounts, displs []int, recvTy *datatype.Type, root int) error {
+	if err := c.checkRank(root); err != nil {
+		return err
+	}
+	if sendCount < 0 {
+		return errNegativeCount(sendCount)
+	}
+	sp, err := sendTy.CompilePlan(sendCount)
+	if err != nil {
+		return err
+	}
+	if err := sp.Validate(send); err != nil {
+		return err
+	}
+	if c.rank != root {
+		return c.collSend(send, sendCount, sendTy, root, "fan-in")
+	}
+	if len(recvCounts) != c.size || len(displs) != c.size {
+		return fmt.Errorf("%w: gatherv needs %d counts and displacements, have %d/%d",
+			ErrCount, c.size, len(recvCounts), len(displs))
+	}
+	slot := func(r int) (buf.Block, error) {
+		if recvCounts[r] < 0 {
+			return buf.Block{}, errNegativeCount(recvCounts[r])
+		}
+		return collSlotView(recv, int64(displs[r])*recvTy.Extent(), recvCounts[r], recvTy, "gatherv")
+	}
+	for r := 0; r < c.size; r++ {
+		if _, err := slot(r); err != nil {
+			return err
+		}
+	}
+	if cnt := recvCounts[root]; recvTy.PackSize(cnt) != sp.Bytes() {
+		return fmt.Errorf("%w: gatherv root slot holds %d bytes, contribution is %d",
+			ErrTruncate, recvTy.PackSize(cnt), sp.Bytes())
+	}
+	for r := 0; r < c.size; r++ {
+		view, _ := slot(r)
+		if r == root {
+			if err := c.typedSelfCopy(send, sendCount, sendTy, view, recvCounts[r], recvTy); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := c.collRecv(view, recvCounts[r], recvTy, r, "fan-in"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ScattervType distributes typed slots of the root's buffer with
+// per-rank send counts and slot displacements, like MPI_Scatterv with
+// derived datatypes: rank r receives sendCounts[r] instances of sendTy
+// taken from displacement displs[r], measured in units of sendTy's
+// extent, as recvCount instances of recvTy. sendCounts, displs, send
+// and sendTy are consulted only at the root. Linear fan only, like
+// GathervType.
+func (c *Comm) ScattervType(send buf.Block, sendCounts, displs []int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type, root int) error {
+	return c.collErr("ScattervType", c.scattervType(send, sendCounts, displs, sendTy, recv, recvCount, recvTy, root))
+}
+
+func (c *Comm) scattervType(send buf.Block, sendCounts, displs []int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type, root int) error {
+	if err := c.checkRank(root); err != nil {
+		return err
+	}
+	if recvCount < 0 {
+		return errNegativeCount(recvCount)
+	}
+	rp, err := recvTy.CompilePlan(recvCount)
+	if err != nil {
+		return err
+	}
+	if err := rp.Validate(recv); err != nil {
+		return err
+	}
+	if c.rank != root {
+		return c.collRecv(recv, recvCount, recvTy, root, "fan-out")
+	}
+	if len(sendCounts) != c.size || len(displs) != c.size {
+		return fmt.Errorf("%w: scatterv needs %d counts and displacements, have %d/%d",
+			ErrCount, c.size, len(sendCounts), len(displs))
+	}
+	slot := func(r int) (buf.Block, error) {
+		if sendCounts[r] < 0 {
+			return buf.Block{}, errNegativeCount(sendCounts[r])
+		}
+		return collSlotView(send, int64(displs[r])*sendTy.Extent(), sendCounts[r], sendTy, "scatterv")
+	}
+	for r := 0; r < c.size; r++ {
+		if _, err := slot(r); err != nil {
+			return err
+		}
+	}
+	if cnt := sendCounts[root]; sendTy.PackSize(cnt) != rp.Bytes() {
+		return fmt.Errorf("%w: scatterv root slot holds %d bytes, receive expects %d",
+			ErrTruncate, sendTy.PackSize(cnt), rp.Bytes())
+	}
+	for r := 0; r < c.size; r++ {
+		view, _ := slot(r)
+		if r == root {
+			if err := c.typedSelfCopy(view, sendCounts[r], sendTy, recv, recvCount, recvTy); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := c.collSend(view, sendCounts[r], sendTy, r, "fan-out"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // AllgatherType concentrates every rank's typed contribution at every
 // rank using the ring algorithm, like MPI_Allgather with derived
 // datatypes: rank r's contribution lands as recvCount instances of

@@ -207,6 +207,31 @@ func chaosSchemes(t testing.TB) []chaosScheme {
 			out.Write(rb.Bytes())
 			return nil
 		}},
+		{"gatherv-scatterv", 1, func(c *Comm, out *bytes.Buffer) error {
+			counts := make([]int, c.Size())
+			displs := make([]int, c.Size())
+			total := 0
+			for r := range counts {
+				counts[r] = 64 + 32*r
+				displs[r] = total
+				total += counts[r]
+			}
+			sb := buf.Alloc(counts[c.Rank()])
+			fillPat(sb, c.Rank(), 4)
+			rb := buf.Alloc(total)
+			if err := c.GathervType(sb, counts[c.Rank()], datatype.Byte, rb, counts, displs, datatype.Byte, 0); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				out.Write(rb.Bytes())
+			}
+			back := buf.Alloc(counts[c.Rank()])
+			if err := c.ScattervType(rb, counts, displs, datatype.Byte, back, counts[c.Rank()], datatype.Byte, 0); err != nil {
+				return err
+			}
+			out.Write(back.Bytes())
+			return nil
+		}},
 	}
 }
 
