@@ -95,125 +95,56 @@ func groupByNode(prof *perfmodel.Profile, size int, members []int) *nodeGroups {
 // leader tree plus intra-node fans. The caller has validated the plan
 // and handled size==1.
 func (c *Comm) bcastTwoLevel(b buf.Block, count int, ty *datatype.Type, root int, g *nodeGroups) error {
-	rootGrp := g.index[root]
+	rootGrp, myGrp := g.index[root], g.index[c.rank]
 	leader := func(gi int) int {
 		if gi == rootGrp {
 			return root
 		}
 		return g.groups[gi][0]
 	}
-	myGrp := g.index[c.rank]
-	myLeader := leader(myGrp)
-	if c.rank != myLeader {
-		return c.collRecv(b, count, ty, myLeader, "intra-fan")
+	if c.rank != leader(myGrp) {
+		return c.collRecv(b, count, ty, leader(myGrp), "intra-fan")
 	}
-	// Binomial tree over the leaders, rooted at the root's node.
+	// Binomial tree over the leaders, rooted at the root's node, then
+	// the fan to the rest of my node.
 	nL := len(g.groups)
-	rel := (myGrp - rootGrp + nL) % nL
-	abs := func(r int) int { return leader((r + rootGrp) % nL) }
-	mask := 1
-	for mask < nL {
-		if rel&mask != 0 {
-			if err := c.collRecv(b, count, ty, abs(rel-mask), "tree-parent"); err != nil {
-				return err
-			}
-			break
-		}
-		mask <<= 1
+	if err := c.treeRelay(b, count, ty, (myGrp-rootGrp+nL)%nL, nL, func(r int) int { return leader((r + rootGrp) % nL) }); err != nil {
+		return err
 	}
-	mask >>= 1
-	for mask > 0 {
-		if rel&mask == 0 && rel+mask < nL {
-			if err := c.collSend(b, count, ty, abs(rel+mask), "tree-child"); err != nil {
-				return err
-			}
-		}
-		mask >>= 1
-	}
-	// Intra-node fan to the rest of my node.
-	for _, r := range g.groups[myGrp] {
-		if r == myLeader {
-			continue
-		}
-		if err := c.collSend(b, count, ty, r, "intra-fan"); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.fan(g.groups[myGrp], (*Comm).collSend, ty, "intra-fan", func(int) (buf.Block, int) { return b, count }, nil)
 }
 
 // allgatherTwoLevel runs the gather-to-leader → leader ring → leader
 // fan schedule. The caller has validated every slot, fused the own
 // contribution into the own slot, and checked g.contig.
-func (c *Comm) allgatherTwoLevel(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type, g *nodeGroups) error {
+func (c *Comm) allgatherTwoLevel(send buf.Block, sendCount int, sendTy *datatype.Type, slot func(int) (buf.Block, int), recvTy *datatype.Type, g *nodeGroups) error {
 	myGrp := g.index[c.rank]
 	grp := g.groups[myGrp]
-	leader := grp[0]
-	// The whole gathered surface as one typed view — the leader fans
-	// it back in a single leg. Its span equals the last slot's
-	// requirement, which the caller validated.
-	full, err := collSlotView(recv, 0, c.size*recvCount, recvTy, "allgather")
-	if err != nil {
+	// The whole gathered surface is one typed view from slot 0, which
+	// the leader fans back in a single leg, and each node's block of
+	// consecutive slots one from its first slot. Each ends where its
+	// last slot does, which the caller validated.
+	full, n := slot(0)
+	n *= c.size
+	block := func(gi int) (buf.Block, int) {
+		v, k := slot(g.groups[gi][0])
+		return v, len(g.groups[gi]) * k
+	}
+	if c.rank != grp[0] {
+		if err := c.collSend(send, sendCount, sendTy, grp[0], "intra-gather"); err != nil {
+			return err
+		}
+		return c.collRecv(full, n, recvTy, grp[0], "leader-fan")
+	}
+	if err := c.fan(grp, (*Comm).collRecv, recvTy, "intra-gather", slot, nil); err != nil {
 		return err
 	}
-	if c.rank != leader {
-		if err := c.collSend(send, sendCount, sendTy, leader, "intra-gather"); err != nil {
-			return err
-		}
-		return c.collRecv(full, c.size*recvCount, recvTy, leader, "leader-fan")
-	}
-	// Gather the node's contributions into their rank slots.
-	for _, r := range grp {
-		if r == leader {
-			continue
-		}
-		view, err := collSlotView(recv, collSlotOff(r, recvCount, recvTy), recvCount, recvTy, "allgather")
-		if err != nil {
-			return err
-		}
-		if err := c.collRecv(view, recvCount, recvTy, r, "intra-gather"); err != nil {
-			return err
-		}
-	}
 	// Ring over the leaders: step k forwards the node block that
-	// originated k hops upstream. Each block is the node's contiguous
-	// run of rank slots as one typed view.
+	// originated k hops upstream.
 	nL := len(g.groups)
-	block := func(gi int) (buf.Block, int, error) {
-		members := g.groups[gi]
-		n := len(members) * recvCount
-		v, err := collSlotView(recv, collSlotOff(members[0], recvCount, recvTy), n, recvTy, "allgather")
-		return v, n, err
+	right, left := g.groups[(myGrp+1)%nL][0], g.groups[(myGrp-1+nL)%nL][0]
+	if err := c.ring(nL, myGrp, right, left, recvTy, block); err != nil {
+		return err
 	}
-	right := g.groups[(myGrp+1)%nL][0]
-	left := g.groups[(myGrp-1+nL)%nL][0]
-	blk := myGrp
-	for k := 0; k < nL-1; k++ {
-		sv, sn, err := block(blk)
-		if err != nil {
-			return err
-		}
-		req := c.collIsend(sv, sn, recvTy, right, "ring-send")
-		blk = (blk - 1 + nL) % nL
-		rv, rn, err := block(blk)
-		if err != nil {
-			return err
-		}
-		if err := c.collRecv(rv, rn, recvTy, left, "ring-recv"); err != nil {
-			return err
-		}
-		if _, err := req.Wait(); err != nil {
-			return err
-		}
-	}
-	// Fan the gathered surface to the rest of my node.
-	for _, r := range grp {
-		if r == leader {
-			continue
-		}
-		if err := c.collSend(full, c.size*recvCount, recvTy, r, "leader-fan"); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.fan(grp, (*Comm).collSend, recvTy, "leader-fan", func(int) (buf.Block, int) { return full, n }, nil)
 }

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"math/bits"
+
 	"repro/internal/buf"
 	"repro/internal/datatype"
 	"repro/internal/vclock"
@@ -90,11 +92,10 @@ func (c *Comm) bcastPipelined(b buf.Block, count int, ty *datatype.Type, root in
 	scatterUnit := c.cache.ScatterCost(c.internal.Region(), b.Region(), st, genericCompiled) / float64(n)
 
 	myLo, myHi := seg(rel)
-	span := subtreeSpan(rel, p)
+	parent, kids := treeLinks(rel, p)
 	var scratch buf.Block // packed segments [rel, rel+span) at non-roots
-	if rel != 0 {
-		parent := rel &^ (rel & -rel) // clear the lowest set bit
-		blockN := segLo(rel+span) - myLo
+	if parent >= 0 {
+		blockN := segLo(rel+subtreeSpan(rel, p)) - myLo
 		scratch = c.transitAlloc(b, blockN)
 		defer buf.PutPooled(scratch)
 		if err := c.crecv(scratch.Slice(0, int(blockN)), abs(parent)); err != nil {
@@ -119,17 +120,11 @@ func (c *Comm) bcastPipelined(b buf.Block, count int, ty *datatype.Type, root in
 		}
 		return nil
 	}
-	stride := 1
-	for stride < span {
-		stride <<= 1
-	}
-	for mask := stride >> 1; mask >= 1; mask >>= 1 {
-		child := rel + mask
-		if child >= p || mask >= span {
-			continue
-		}
-		childSpan := subtreeSpan(child, p)
-		lo, hi := segLo(child), segLo(child+childSpan)
+	for kids != 0 {
+		m := 1 << (bits.Len(uint(kids)) - 1)
+		kids &^= m
+		child := rel + m
+		lo, hi := segLo(child), segLo(child+subtreeSpan(child, p))
 		if rel == 0 {
 			blk := c.transitAlloc(b, hi-lo)
 			c.clock.Advance(vclock.FromSeconds(packUnit * float64(hi-lo)))
@@ -200,8 +195,9 @@ func (c *Comm) bcastPipelined(b buf.Block, count int, ty *datatype.Type, root in
 // each hop unpacking the received slot into its layout with the
 // chunk-streamed overlap of ringHop. The slot self-copy has already
 // run; slot r of recv carries rank r's contribution on return.
-func (c *Comm) allgatherPipelined(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type, sp, rp *datatype.Plan) error {
+func (c *Comm) allgatherPipelined(send buf.Block, sendCount int, sendTy *datatype.Type, slot func(int) (buf.Block, int), recvTy *datatype.Type, sp, rp *datatype.Plan) error {
 	n := sp.Bytes()
+	recv, recvCount := slot(0)
 	sst := sendTy.Stats(sendCount)
 	rst := recvTy.Stats(recvCount)
 	packCost := c.cache.GatherCost(send.Region(), c.internal.Region(), sst, genericCompiled)
@@ -222,10 +218,7 @@ func (c *Comm) allgatherPipelined(send buf.Block, sendCount int, sendTy *datatyp
 	abs := func(r int) int { return r }
 	return c.packedRing(c.rank, abs, seg, ownBlk.Slice(0, int(n)), func(stream buf.Block, lo, hi int64) error {
 		src := int(lo / n)
-		view, err := collSlotView(recv, collSlotOff(src, recvCount, recvTy), recvCount, recvTy, "allgather")
-		if err != nil {
-			return err
-		}
+		view, _ := slot(src)
 		sLo, sHi := lo-int64(src)*n, hi-int64(src)*n
 		c.clock.Advance(vclock.FromSeconds(scatterUnit * float64(sHi-sLo)))
 		if err := rp.UnpackRange(stream, view, sLo, sHi); err != nil {

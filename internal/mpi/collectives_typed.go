@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/buf"
@@ -21,12 +22,33 @@ import (
 // contiguous protocol paths, byte- and cost-identical to the classic
 // collectives.
 //
-// Algorithm selection keys off the per-leg payload size and the
-// installation's memory hierarchy (perfmodel.CollectiveTreeLimit):
-// small gathers run a binomial fan-in tree of packed slots
-// (latency-bound legs, ⌈log₂ p⌉ rounds), large ones the linear fan
-// whose legs each cross the memory system exactly once. Broadcast
-// relays the same layout unchanged, so it always uses the tree.
+// The topology each collective runs, and when (n is the packed bytes
+// of one rank's leg, limit the installation's CollectiveTreeLimit):
+//
+//	BcastType      two-level    node leaders' binomial tree, then each
+//	                            leader's intra-node fan (hierarchical
+//	                            machines, see collectives_hier.go)
+//	               pipelined    binomial scatter of packed segments, then
+//	                            their ring (n > limit, > 2 ranks, the
+//	                            layout is not one dense window)
+//	               tree         binomial relay of the layout (otherwise)
+//	GatherType     tree         binomial fan-in of packed slots
+//	                            (perfmodel.UseCollectiveTree: n <= limit
+//	                            and every hop eager)
+//	               linear       fan-in to the root (otherwise)
+//	GathervType    linear       fan-in to the root (slots are irregular)
+//	ScattervType   linear       fan-out from the root
+//	AllgatherType  two-level    fan-in to node leaders, the leaders' ring
+//	                            of node blocks, fan-out (hierarchical
+//	                            machines, each node one run of ranks)
+//	               packed ring  ring of packed slots (n > limit, > 2
+//	                            ranks, slots not FusedDstSafe)
+//	               ring         ring of the slot layouts (otherwise)
+//
+// Each walk is written once: treeLinks places a rank in the binomial
+// tree, ring runs the ring of typed legs, fan the linear fan-in and
+// fan-out, and collPlan and collSlots check every collective's
+// arguments before the first leg moves.
 
 // contigTypes caches committed Contiguous(n, Byte) types for the
 // byte-buffer collective wrappers, keyed by length: collectives are
@@ -91,22 +113,65 @@ func typedSpan(ty *datatype.Type, count int) int64 {
 	return int64(count-1)*ty.Extent() + ty.TrueLB() + ty.TrueExtent()
 }
 
-// collSlotView returns the sub-block of b at byte offset off that a
-// (count × ty) collective leg reads or writes, validating capacity.
-// what names the collective for the error text.
-func collSlotView(b buf.Block, off int64, count int, ty *datatype.Type, what string) (buf.Block, error) {
-	need := typedSpan(ty, count)
-	if off < 0 || off+need > int64(b.Len()) {
-		return buf.Block{}, fmt.Errorf("%w: %s needs %d bytes at offset %d, buffer has %d",
-			ErrTruncate, what, need, off, b.Len())
+// collPlan is every typed collective's check of the one buffer each
+// rank brings: the count, then the plan, then the buffer against it.
+func collPlan(b buf.Block, count int, ty *datatype.Type) (*datatype.Plan, error) {
+	if count < 0 {
+		return nil, errNegativeCount(count)
 	}
-	return b.Slice(int(off), b.Len()-int(off)), nil
+	plan, err := ty.CompilePlan(count)
+	if err != nil {
+		return nil, err
+	}
+	return plan, plan.Validate(b)
 }
 
-// collSlotOff returns the byte offset of rank-slot r: instance
-// r*count, MPI's slot rule for equal-count collectives.
-func collSlotOff(r, count int, ty *datatype.Type) int64 {
-	return int64(r) * int64(count) * ty.Extent()
+// collSlots is the one slot check of the collectives that land a slot
+// per rank in b: rank r's slot is at(r) = (byte offset, count)
+// instances of ty. Every slot must fit b, and this rank's own slot
+// must pack to exactly own bytes, the leg it moves itself. All of it
+// runs before the first leg moves, so a short buffer fails locally
+// instead of mid-protocol. It returns the slot views, each running
+// from its offset to the end of b, and the own slot's plan.
+func (c *Comm) collSlots(b buf.Block, ty *datatype.Type, own int64, what string, at func(r int) (int64, int)) (func(int) (buf.Block, int), *datatype.Plan, error) {
+	for r := 0; r < c.size; r++ {
+		off, n := at(r)
+		if n < 0 {
+			return nil, nil, errNegativeCount(n)
+		}
+		if need := typedSpan(ty, n); off < 0 || off+need > int64(b.Len()) {
+			return nil, nil, fmt.Errorf("%w: %s needs %d bytes at offset %d, buffer has %d",
+				ErrTruncate, what, need, off, b.Len())
+		}
+	}
+	_, n := at(c.rank)
+	plan, err := ty.CompilePlan(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	if plan.Bytes() != own {
+		return nil, nil, fmt.Errorf("%w: %s slot holds %d bytes, the leg moves %d", ErrTruncate, what, plan.Bytes(), own)
+	}
+	return func(r int) (buf.Block, int) {
+		off, n := at(r)
+		return b.Slice(int(off), b.Len()-int(off)), n
+	}, plan, nil
+}
+
+// equalSlots is MPI's slot rule of the equal-count collectives: rank
+// r's slot is count instances starting at instance r*count.
+func equalSlots(count int, ty *datatype.Type) func(int) (int64, int) {
+	return func(r int) (int64, int) { return int64(r) * int64(count) * ty.Extent(), count }
+}
+
+// vSlots is the slot rule of the v-collectives: rank r's slot is
+// counts[r] instances at displs[r] extents of ty.
+func (c *Comm) vSlots(counts, displs []int, ty *datatype.Type, what string) (func(int) (int64, int), error) {
+	if len(counts) != c.size || len(displs) != c.size {
+		return nil, fmt.Errorf("%w: %s needs %d counts and displacements, have %d/%d",
+			ErrCount, what, c.size, len(counts), len(displs))
+	}
+	return func(r int) (int64, int) { return int64(displs[r]) * ty.Extent(), counts[r] }, nil
 }
 
 // contigWindow returns the dense window of a (count × ty) leg when the
@@ -178,7 +243,7 @@ func (c *Comm) typedSelfCopy(sb buf.Block, scount int, sty *datatype.Type, db bu
 	if err := dp.Validate(db); err != nil {
 		return err
 	}
-	n := minInt64(sp.Bytes(), dp.Bytes())
+	n := min(sp.Bytes(), dp.Bytes())
 	if n == 0 {
 		return nil
 	}
@@ -201,6 +266,101 @@ func (c *Comm) typedSelfCopy(sb buf.Block, scount int, sty *datatype.Type, db bu
 	return nil
 }
 
+// treeLinks places relative rank rel in the binomial tree over n ranks
+// rooted at relative rank 0: parent is rel with its lowest set bit
+// cleared (-1 at the root), and kids has bit m set for every child
+// rel+m, one per power of two below rel's subtree span. Every
+// binomial schedule walks the tree through it.
+func treeLinks(rel, n int) (parent, kids int) {
+	parent = rel &^ (rel & -rel)
+	if rel == 0 {
+		parent = -1
+	}
+	return parent, 1<<bits.Len(uint(subtreeSpan(rel, n)-1)) - 1
+}
+
+// subtreeSpan returns how many ranks the binomial subtree rooted at
+// relative rank rel holds in an n-rank tree: rel's lowest set bit, cut
+// at the end of the tree (the root's subtree is the whole tree).
+func subtreeSpan(rel, n int) int {
+	if rel == 0 {
+		return n
+	}
+	return min(rel&-rel, n-rel)
+}
+
+// treeRelay is the binomial broadcast relay at relative rank rel of an
+// n-rank tree whose relative ranks abs maps to communicator ranks: the
+// layout arrives from the parent and leaves for the children, largest
+// subtree first.
+func (c *Comm) treeRelay(b buf.Block, count int, ty *datatype.Type, rel, n int, abs func(int) int) error {
+	parent, kids := treeLinks(rel, n)
+	if parent >= 0 {
+		if err := c.collRecv(b, count, ty, abs(parent), "tree-parent"); err != nil {
+			return err
+		}
+	}
+	for kids != 0 {
+		m := 1 << (bits.Len(uint(kids)) - 1)
+		kids &^= m
+		if err := c.collSend(b, count, ty, abs(rel+m), "tree-child"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ring runs the n-1 steps of the ring allgather at position pos of n:
+// step k forwards the block that originated k positions upstream to
+// right and receives the next one upstream from left. block(i) is
+// position i's view and count of ty.
+func (c *Comm) ring(n, pos, right, left int, ty *datatype.Type, block func(i int) (buf.Block, int)) error {
+	for k := 0; k < n-1; k++ {
+		sv, sn := block((pos - k + n) % n)
+		req := c.collIsend(sv, sn, ty, right, "ring-send")
+		rv, rn := block((pos - k - 1 + n) % n)
+		if err := c.collRecv(rv, rn, ty, left, "ring-recv"); err != nil {
+			return err
+		}
+		if _, err := req.Wait(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fan is the linear fan at its hub, the calling rank: one leg per rank
+// of peers, in order, moving slot(r) with move — collSend for a
+// fan-out, collRecv for a fan-in — under the leg label leg. The hub's
+// own entry runs self on its slot instead, or nothing when self is
+// nil (the slot is already in place).
+func (c *Comm) fan(peers []int, move func(*Comm, buf.Block, int, *datatype.Type, int, string) error,
+	ty *datatype.Type, leg string, slot func(int) (buf.Block, int), self func(buf.Block, int) error) error {
+	for _, r := range peers {
+		view, n := slot(r)
+		var err error
+		if r != c.rank {
+			err = move(c, view, n, ty, r, leg)
+		} else if self != nil {
+			err = self(view, n)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ranks lists the communicator's ranks in order: the peers of a rooted
+// collective's linear fan.
+func (c *Comm) ranks() []int {
+	r := make([]int, c.size)
+	for i := range r {
+		r[i] = i
+	}
+	return r
+}
+
 // BcastType broadcasts count instances of a derived datatype from
 // root's buffer into every rank's layout, like MPI_Bcast with a
 // non-contiguous type. Small messages relay the same layout over a
@@ -220,52 +380,26 @@ func (c *Comm) bcastType(b buf.Block, count int, ty *datatype.Type, root int) er
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
-	if count < 0 {
-		return errNegativeCount(count)
-	}
-	plan, err := ty.CompilePlan(count)
-	if err != nil {
+	plan, err := collPlan(b, count, ty)
+	if err != nil || c.size == 1 {
 		return err
-	}
-	if err := plan.Validate(b); err != nil {
-		return err
-	}
-	if c.size == 1 {
-		return nil
 	}
 	if g := c.twoLevel(); g != nil {
 		return c.bcastTwoLevel(b, count, ty, root, g)
 	}
-	if n := plan.Bytes(); c.size > 2 && n > c.prof.CollectiveTreeLimit() {
-		// Dense layouts keep the tree of raw contiguous hops; the
-		// scatter+allgather win is the relay's pack passes, which a
-		// dense relay does not pay.
-		if _, dense := plan.ContigWindow(); !dense {
-			return c.bcastPipelined(b, count, ty, root, plan)
-		}
+	// Dense layouts keep the tree of raw contiguous hops; the
+	// scatter+allgather win is the relay's pack passes, which a dense
+	// relay does not pay.
+	if c.size > 2 && plan.Bytes() > c.prof.CollectiveTreeLimit() && !isDense(plan) {
+		return c.bcastPipelined(b, count, ty, root, plan)
 	}
-	rel := (c.rank - root + c.size) % c.size
-	abs := func(r int) int { return (r + root) % c.size }
-	mask := 1
-	for mask < c.size {
-		if rel&mask != 0 {
-			if err := c.collRecv(b, count, ty, abs(rel-mask), "tree-parent"); err != nil {
-				return err
-			}
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel&mask == 0 && rel+mask < c.size {
-			if err := c.collSend(b, count, ty, abs(rel+mask), "tree-child"); err != nil {
-				return err
-			}
-		}
-		mask >>= 1
-	}
-	return nil
+	return c.treeRelay(b, count, ty, (c.rank-root+c.size)%c.size, c.size, func(r int) int { return (r + root) % c.size })
+}
+
+// isDense reports whether a plan's message is one contiguous window.
+func isDense(plan *datatype.Plan) bool {
+	_, dense := plan.ContigWindow()
+	return dense
 }
 
 // GatherType concentrates typed contributions at the root in rank
@@ -287,100 +421,42 @@ func (c *Comm) gatherType(send buf.Block, sendCount int, sendTy *datatype.Type, 
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
-	if sendCount < 0 {
-		return errNegativeCount(sendCount)
-	}
-	sp, err := sendTy.CompilePlan(sendCount)
+	sp, err := collPlan(send, sendCount, sendTy)
 	if err != nil {
 		return err
 	}
-	if err := sp.Validate(send); err != nil {
-		return err
-	}
-	n := sp.Bytes()
+	var slot func(int) (buf.Block, int)
 	if c.rank == root {
-		if recvCount < 0 {
-			return errNegativeCount(recvCount)
-		}
-		rp, err := recvTy.CompilePlan(recvCount)
-		if err != nil {
+		if slot, _, err = c.collSlots(recv, recvTy, sp.Bytes(), "gather", equalSlots(recvCount, recvTy)); err != nil {
 			return err
 		}
-		if rp.Bytes() != n {
-			return fmt.Errorf("%w: gather slot holds %d bytes, contribution is %d", ErrTruncate, rp.Bytes(), n)
-		}
-		// Validate every slot before the first leg moves, so a short
-		// receive buffer fails locally instead of mid-protocol.
-		for r := 0; r < c.size; r++ {
-			if _, err := collSlotView(recv, collSlotOff(r, recvCount, recvTy), recvCount, recvTy, "gather"); err != nil {
-				return err
-			}
-		}
 	}
-	if c.size == 1 {
-		view, err := collSlotView(recv, 0, recvCount, recvTy, "gather")
-		if err != nil {
-			return err
-		}
-		return c.typedSelfCopy(send, sendCount, sendTy, view, recvCount, recvTy)
-	}
-	if c.prof.UseCollectiveTree(c.size, n) {
-		return c.gatherTree(send, sendCount, sendTy, recv, recvCount, recvTy, root, n)
-	}
-	if c.rank != root {
+	self := func(view buf.Block, n int) error { return c.typedSelfCopy(send, sendCount, sendTy, view, n, recvTy) }
+	switch {
+	case c.size == 1:
+		return self(slot(0))
+	case c.prof.UseCollectiveTree(c.size, sp.Bytes()):
+		return c.gatherTree(send, sendCount, sendTy, sp, slot, recvTy, root, self)
+	case c.rank != root:
 		return c.collSend(send, sendCount, sendTy, root, "fan-in")
 	}
-	for r := 0; r < c.size; r++ {
-		view, err := collSlotView(recv, collSlotOff(r, recvCount, recvTy), recvCount, recvTy, "gather")
-		if err != nil {
-			return err
-		}
-		if r == root {
-			if err := c.typedSelfCopy(send, sendCount, sendTy, view, recvCount, recvTy); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := c.collRecv(view, recvCount, recvTy, r, "fan-in"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// subtreeSpan returns how many rank slots the binomial subtree rooted
-// at relative rank rel holds in a size-rank fan (itself plus every
-// subtree it absorbs).
-func subtreeSpan(rel, size int) int {
-	span := 1
-	for mask := 1; mask < size && rel&mask == 0; mask <<= 1 {
-		if child := rel + mask; child < size {
-			cs := mask
-			if r := size - child; r < cs {
-				cs = r
-			}
-			span += cs
-		}
-	}
-	return span
+	return c.fan(c.ranks(), (*Comm).collRecv, recvTy, "fan-in", slot, self)
 }
 
 // gatherTree is the binomial fan-in for small typed gathers: every
 // rank packs its contribution once (compiled), subtree blocks combine
 // in ⌈log₂ p⌉ rounds of contiguous sends, and the root unpacks each
 // remote slot into its receive layout. The root's own contribution
-// still goes straight into the receive layout as a fused copy and
-// never touches the packed scratch.
-func (c *Comm) gatherTree(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type, root int, n int64) error {
+// still goes straight into the receive layout through self, a fused
+// copy, and never touches the packed scratch.
+func (c *Comm) gatherTree(send buf.Block, sendCount int, sendTy *datatype.Type, sp *datatype.Plan,
+	slot func(int) (buf.Block, int), recvTy *datatype.Type, root int, self func(buf.Block, int) error) error {
+	n := sp.Bytes()
 	rel := (c.rank - root + c.size) % c.size
 	abs := func(r int) int { return (r + root) % c.size }
-	span := subtreeSpan(rel, c.size)
-	scratch := c.transitAlloc(send, int64(span)*n)
+	span := int64(subtreeSpan(rel, c.size))
+	scratch := c.transitAlloc(send, span*n)
 	defer buf.PutPooled(scratch)
-	sp, err := sendTy.CompilePlan(sendCount)
-	if err != nil {
-		return err
-	}
 	if rel != 0 {
 		// Pack my own contribution into slot 0 of the scratch.
 		st := sendTy.Stats(sendCount)
@@ -389,43 +465,35 @@ func (c *Comm) gatherTree(send buf.Block, sendCount int, sendTy *datatype.Type, 
 			return err
 		}
 	}
-	for mask := 1; mask < c.size; mask <<= 1 {
-		if rel&mask != 0 {
-			// Forward my subtree block to the parent and stop.
-			return c.csend(scratch.Slice(0, int(int64(span)*n)), abs(rel-mask))
-		}
-		child := rel + mask
-		if child >= c.size {
-			continue
-		}
-		childSpan := subtreeSpan(child, c.size)
-		dst := scratch.Slice(int(int64(mask)*n), int(int64(childSpan)*n))
-		if err := c.crecv(dst, abs(child)); err != nil {
+	// Take in the children's subtree blocks, smallest first, then
+	// forward mine to the parent.
+	parent, kids := treeLinks(rel, c.size)
+	for ; kids != 0; kids &= kids - 1 {
+		m := kids & -kids
+		dst := scratch.Slice(int(int64(m)*n), int(int64(subtreeSpan(rel+m, c.size))*n))
+		if err := c.crecv(dst, abs(rel+m)); err != nil {
 			return err
 		}
 	}
+	if parent >= 0 {
+		return c.csend(scratch.Slice(0, int(span*n)), abs(parent))
+	}
 	// Root: unpack every remote slot, fuse its own.
+	_, recvCount := slot(root)
 	rp, err := recvTy.CompilePlan(recvCount)
 	if err != nil {
 		return err
 	}
 	rst := recvTy.Stats(recvCount)
 	for q := 1; q < c.size; q++ {
-		view, err := collSlotView(recv, collSlotOff(abs(q), recvCount, recvTy), recvCount, recvTy, "gather")
-		if err != nil {
-			return err
-		}
-		c.clock.Advance(vclock.FromSeconds(c.cache.ScatterCost(scratch.Region(), recv.Region(), rst, genericCompiled)))
+		view, _ := slot(abs(q))
+		c.clock.Advance(vclock.FromSeconds(c.cache.ScatterCost(scratch.Region(), view.Region(), rst, genericCompiled)))
 		if err := rp.UnpackRange(scratch.Slice(int(int64(q)*n), int(n)), view, 0, n); err != nil {
 			return err
 		}
 		datatype.RecordStagedTransfer(n)
 	}
-	view, err := collSlotView(recv, collSlotOff(root, recvCount, recvTy), recvCount, recvTy, "gather")
-	if err != nil {
-		return err
-	}
-	return c.typedSelfCopy(send, sendCount, sendTy, view, recvCount, recvTy)
+	return self(slot(root))
 }
 
 // GathervType is GatherType with per-rank receive counts and slot
@@ -443,51 +511,24 @@ func (c *Comm) gathervType(send buf.Block, sendCount int, sendTy *datatype.Type,
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
-	if sendCount < 0 {
-		return errNegativeCount(sendCount)
-	}
-	sp, err := sendTy.CompilePlan(sendCount)
+	sp, err := collPlan(send, sendCount, sendTy)
 	if err != nil {
-		return err
-	}
-	if err := sp.Validate(send); err != nil {
 		return err
 	}
 	if c.rank != root {
 		return c.collSend(send, sendCount, sendTy, root, "fan-in")
 	}
-	if len(recvCounts) != c.size || len(displs) != c.size {
-		return fmt.Errorf("%w: gatherv needs %d counts and displacements, have %d/%d",
-			ErrCount, c.size, len(recvCounts), len(displs))
+	at, err := c.vSlots(recvCounts, displs, recvTy, "gatherv")
+	if err != nil {
+		return err
 	}
-	slot := func(r int) (buf.Block, error) {
-		if recvCounts[r] < 0 {
-			return buf.Block{}, errNegativeCount(recvCounts[r])
-		}
-		return collSlotView(recv, int64(displs[r])*recvTy.Extent(), recvCounts[r], recvTy, "gatherv")
+	slot, _, err := c.collSlots(recv, recvTy, sp.Bytes(), "gatherv", at)
+	if err != nil {
+		return err
 	}
-	for r := 0; r < c.size; r++ {
-		if _, err := slot(r); err != nil {
-			return err
-		}
-	}
-	if cnt := recvCounts[root]; recvTy.PackSize(cnt) != sp.Bytes() {
-		return fmt.Errorf("%w: gatherv root slot holds %d bytes, contribution is %d",
-			ErrTruncate, recvTy.PackSize(cnt), sp.Bytes())
-	}
-	for r := 0; r < c.size; r++ {
-		view, _ := slot(r)
-		if r == root {
-			if err := c.typedSelfCopy(send, sendCount, sendTy, view, recvCounts[r], recvTy); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := c.collRecv(view, recvCounts[r], recvTy, r, "fan-in"); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.fan(c.ranks(), (*Comm).collRecv, recvTy, "fan-in", slot, func(view buf.Block, n int) error {
+		return c.typedSelfCopy(send, sendCount, sendTy, view, n, recvTy)
+	})
 }
 
 // ScattervType distributes typed slots of the root's buffer with
@@ -505,51 +546,24 @@ func (c *Comm) scattervType(send buf.Block, sendCounts, displs []int, sendTy *da
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
-	if recvCount < 0 {
-		return errNegativeCount(recvCount)
-	}
-	rp, err := recvTy.CompilePlan(recvCount)
+	rp, err := collPlan(recv, recvCount, recvTy)
 	if err != nil {
-		return err
-	}
-	if err := rp.Validate(recv); err != nil {
 		return err
 	}
 	if c.rank != root {
 		return c.collRecv(recv, recvCount, recvTy, root, "fan-out")
 	}
-	if len(sendCounts) != c.size || len(displs) != c.size {
-		return fmt.Errorf("%w: scatterv needs %d counts and displacements, have %d/%d",
-			ErrCount, c.size, len(sendCounts), len(displs))
+	at, err := c.vSlots(sendCounts, displs, sendTy, "scatterv")
+	if err != nil {
+		return err
 	}
-	slot := func(r int) (buf.Block, error) {
-		if sendCounts[r] < 0 {
-			return buf.Block{}, errNegativeCount(sendCounts[r])
-		}
-		return collSlotView(send, int64(displs[r])*sendTy.Extent(), sendCounts[r], sendTy, "scatterv")
+	slot, _, err := c.collSlots(send, sendTy, rp.Bytes(), "scatterv", at)
+	if err != nil {
+		return err
 	}
-	for r := 0; r < c.size; r++ {
-		if _, err := slot(r); err != nil {
-			return err
-		}
-	}
-	if cnt := sendCounts[root]; sendTy.PackSize(cnt) != rp.Bytes() {
-		return fmt.Errorf("%w: scatterv root slot holds %d bytes, receive expects %d",
-			ErrTruncate, sendTy.PackSize(cnt), rp.Bytes())
-	}
-	for r := 0; r < c.size; r++ {
-		view, _ := slot(r)
-		if r == root {
-			if err := c.typedSelfCopy(view, sendCounts[r], sendTy, recv, recvCount, recvTy); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := c.collSend(view, sendCounts[r], sendTy, r, "fan-out"); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.fan(c.ranks(), (*Comm).collSend, sendTy, "fan-out", slot, func(view buf.Block, n int) error {
+		return c.typedSelfCopy(view, n, sendTy, recv, recvCount, recvTy)
+	})
 }
 
 // AllgatherType concentrates every rank's typed contribution at every
@@ -565,67 +579,28 @@ func (c *Comm) AllgatherType(send buf.Block, sendCount int, sendTy *datatype.Typ
 }
 
 func (c *Comm) allgatherType(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type) error {
-	if sendCount < 0 {
-		return errNegativeCount(sendCount)
-	}
-	if recvCount < 0 {
-		return errNegativeCount(recvCount)
-	}
-	sp, err := sendTy.CompilePlan(sendCount)
+	sp, err := collPlan(send, sendCount, sendTy)
 	if err != nil {
 		return err
 	}
-	if err := sp.Validate(send); err != nil {
-		return err
-	}
-	rp, err := recvTy.CompilePlan(recvCount)
+	slot, rp, err := c.collSlots(recv, recvTy, sp.Bytes(), "allgather", equalSlots(recvCount, recvTy))
 	if err != nil {
 		return err
 	}
-	if rp.Bytes() != sp.Bytes() {
-		return fmt.Errorf("%w: allgather slot holds %d bytes, contribution is %d", ErrTruncate, rp.Bytes(), sp.Bytes())
-	}
-	slot := func(r int) (buf.Block, error) {
-		return collSlotView(recv, collSlotOff(r, recvCount, recvTy), recvCount, recvTy, "allgather")
-	}
-	for r := 0; r < c.size; r++ {
-		if _, err := slot(r); err != nil {
-			return err
-		}
-	}
-	own, _ := slot(c.rank)
-	if err := c.typedSelfCopy(send, sendCount, sendTy, own, recvCount, recvTy); err != nil {
+	own, n := slot(c.rank)
+	if err := c.typedSelfCopy(send, sendCount, sendTy, own, n, recvTy); err != nil || c.size == 1 {
 		return err
-	}
-	if c.size == 1 {
-		return nil
 	}
 	if g := c.twoLevel(); g != nil && g.contig {
-		return c.allgatherTwoLevel(send, sendCount, sendTy, recv, recvCount, recvTy, g)
+		return c.allgatherTwoLevel(send, sendCount, sendTy, slot, recvTy, g)
 	}
-	if n := rp.Bytes(); c.size > 2 && n > c.prof.CollectiveTreeLimit() && !rp.FusedDstSafe() {
+	if c.size > 2 && rp.Bytes() > c.prof.CollectiveTreeLimit() && !rp.FusedDstSafe() {
 		// Large slots the fused engine cannot scatter into (overlapping
 		// repeated instances — the extent-resized halo slots) would
 		// stage a pack+unpack at every hop of the typed ring; the
 		// packed-segment ring packs once and streams each hop through
 		// the pipelined chunk engine instead.
-		return c.allgatherPipelined(send, sendCount, sendTy, recv, recvCount, recvTy, sp, rp)
+		return c.allgatherPipelined(send, sendCount, sendTy, slot, recvTy, sp, rp)
 	}
-	right := (c.rank + 1) % c.size
-	left := (c.rank - 1 + c.size) % c.size
-	// Step k: forward the slot that originated k hops upstream.
-	blk := c.rank
-	for k := 0; k < c.size-1; k++ {
-		sv, _ := slot(blk)
-		req := c.collIsend(sv, recvCount, recvTy, right, "ring-send")
-		blk = (blk - 1 + c.size) % c.size
-		rv, _ := slot(blk)
-		if err := c.collRecv(rv, recvCount, recvTy, left, "ring-recv"); err != nil {
-			return err
-		}
-		if _, err := req.Wait(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.ring(c.size, c.rank, (c.rank+1)%c.size, (c.rank-1+c.size)%c.size, recvTy, slot)
 }

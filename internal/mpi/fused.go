@@ -126,9 +126,9 @@ func (c *Comm) fusedOpen(x *fusedXfer, b buf.Block, count int, ty *datatype.Type
 	// degradation of large typed sends does not apply: the wire term
 	// runs at the nominal injection bandwidth, like the reference send.
 	*x = fusedXfer{plan: plan, b: b, st: ty.Stats(count), dst: match.Dst, n: n, wire: float64(n) / c.prof.NetBandwidth,
-		recv: match.Dst, covered: minInt64(n, int64(match.Dst.Len()))}
+		recv: match.Dst, covered: min(n, int64(match.Dst.Len()))}
 	if x.fd, _ = match.FusedDst.(*fusedDst); x.fd != nil {
-		x.recv, x.covered = x.fd.user, minInt64(n, x.fd.need)
+		x.recv, x.covered = x.fd.user, min(n, x.fd.need)
 	}
 	return m, nil
 }

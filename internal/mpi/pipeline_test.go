@@ -212,6 +212,12 @@ func TestBcastPipelinedMatchesTree(t *testing.T) {
 	}
 }
 
+// collSlotOff returns the byte offset of equal-count slot r.
+func collSlotOff(r, count int, ty *datatype.Type) int64 {
+	off, _ := equalSlots(count, ty)(r)
+	return off
+}
+
 // allgatherWorld runs AllgatherType over the given slot types and
 // returns each rank's receive buffer.
 func allgatherWorld(t *testing.T, prof *perfmodel.Profile, sendTy *datatype.Type, sendCount int, recvTy *datatype.Type, recvCount, size int) [][]byte {

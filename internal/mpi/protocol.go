@@ -668,10 +668,3 @@ func maxTime(a, b vclock.Time) vclock.Time {
 	}
 	return b
 }
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
