@@ -196,6 +196,48 @@ func TestPutOutsideWindowFails(t *testing.T) {
 	})
 }
 
+// TestPutChecksOriginFirst: a Put whose type is uncommitted or whose
+// origin is too short fails before it charges the clock or queues an
+// access, so the closing fence costs what an empty epoch costs.
+func TestPutChecksOriginFirst(t *testing.T) {
+	committed := mustVec(t, 4, 1, 2) // 56-byte span
+	uncommitted, err := datatype.Vector(4, 1, 2, datatype.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var epoch [2]float64
+	for i, put := range []func(w *Win) error{
+		func(w *Win) error { return nil },
+		func(w *Win) error { return w.Put(buf.Alloc(56), 1, uncommitted, 1, 0) },
+		func(w *Win) error { return w.Put(buf.Alloc(40), 1, committed, 1, 0) },
+	} {
+		run2(t, func(c *Comm) error {
+			w, err := c.WinCreate(buf.Alloc(64))
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				before := c.Wtime()
+				if err := put(w); (err == nil) != (i == 0) {
+					t.Errorf("put %d: err = %v", i, err)
+				}
+				if c.Wtime() != before {
+					t.Errorf("put %d advanced the clock by %g s", i, c.Wtime()-before)
+				}
+			}
+			if err := w.Fence(); err != nil {
+				return err
+			}
+			if i == 0 {
+				epoch[c.Rank()] = c.Wtime()
+			} else if c.Wtime() != epoch[c.Rank()] {
+				t.Errorf("put %d: rank %d closed the epoch at %g s, an empty one at %g s", i, c.Rank(), c.Wtime(), epoch[c.Rank()])
+			}
+			return w.Free()
+		})
+	}
+}
+
 func TestFenceAfterFreeFails(t *testing.T) {
 	run2(t, func(c *Comm) error {
 		w, err := c.WinCreate(buf.Alloc(8))

@@ -191,12 +191,15 @@ func TestChargeAdvancesClock(t *testing.T) {
 }
 
 // TestNegativeCountRejected: every typed send and receive entry point —
-// blocking, I, S, B, p and v forms — rejects a negative count with
-// ErrCount before anything reaches the fabric.
+// blocking, I, S, B, p and v forms —, the typed collectives and
+// Win.Put reject a negative count with ErrCount before anything
+// reaches the fabric or the clock.
 func TestNegativeCountRejected(t *testing.T) {
 	ty := mustVec(t, 4, 1, 2)
 	b := buf.Alloc(64)
+	counts, displs := []int{1, 1}, []int{0, 1}
 	req := func(_ *Request, err error) error { return err }
+	var wins [2]*Win
 	entries := []struct {
 		name string
 		call func(c *Comm) error
@@ -210,17 +213,31 @@ func TestNegativeCountRejected(t *testing.T) {
 		{"IsendvType", func(c *Comm) error { return req(c.IsendvType(b, -1, ty, 1, 0)) }},
 		{"RecvType", func(c *Comm) error { _, err := c.RecvType(b, -1, ty, 1, 0); return err }},
 		{"IrecvType", func(c *Comm) error { return req(c.IrecvType(b, -1, ty, 1, 0)) }},
+		{"BcastType", func(c *Comm) error { return c.BcastType(b, -1, ty, 0) }},
+		{"GatherType", func(c *Comm) error { return c.GatherType(b, -1, ty, b, 1, ty, 0) }},
+		{"GathervType", func(c *Comm) error { return c.GathervType(b, -1, ty, b, counts, displs, ty, 0) }},
+		{"ScattervType", func(c *Comm) error { return c.ScattervType(b, counts, displs, ty, b, -1, ty, 0) }},
+		{"AllgatherType", func(c *Comm) error { return c.AllgatherType(b, -1, ty, b, 1, ty) }},
+		{"Put", func(c *Comm) error { return wins[c.Rank()].Put(b, -1, ty, 1, 0) }},
 	}
 	run2(t, func(c *Comm) error {
-		if c.Rank() != 0 {
-			return nil
+		w, err := c.WinCreate(buf.Alloc(64))
+		if err != nil {
+			return err
 		}
-		for _, e := range entries {
-			if err := e.call(c); !errors.Is(err, ErrCount) {
-				t.Errorf("%s(count -1) = %v, want ErrCount", e.name, err)
+		wins[c.Rank()] = w
+		if c.Rank() == 0 {
+			for _, e := range entries {
+				before := c.Wtime()
+				if err := e.call(c); !errors.Is(err, ErrCount) {
+					t.Errorf("%s(count -1) = %v, want ErrCount", e.name, err)
+				}
+				if c.Wtime() != before {
+					t.Errorf("%s(count -1) advanced the clock by %g s", e.name, c.Wtime()-before)
+				}
 			}
 		}
-		return nil
+		return w.Free()
 	})
 }
 
