@@ -126,52 +126,62 @@ func collPlan(b buf.Block, count int, ty *datatype.Type) (*datatype.Plan, error)
 	return plan, plan.Validate(b)
 }
 
-// collSlots is the one slot check of the collectives that land a slot
-// per rank in b: rank r's slot is at(r) = (byte offset, count)
-// instances of ty. Every slot must fit b, and this rank's own slot
-// must pack to exactly own bytes, the leg it moves itself. All of it
-// runs before the first leg moves, so a short buffer fails locally
-// instead of mid-protocol. It returns the slot views, each running
-// from its offset to the end of b, and the own slot's plan.
-func (c *Comm) collSlots(b buf.Block, ty *datatype.Type, own int64, what string, at func(r int) (int64, int)) (func(int) (buf.Block, int), *datatype.Plan, error) {
+// collSlots is the slot layout of a collective that lands one slot
+// per rank in b: rank r's slot is count instances of ty starting at
+// instance r*count (MPI's equal-count rule) or, under the v rule,
+// counts[r] instances at displs[r] extents of ty.
+type collSlots struct {
+	b              buf.Block
+	ty             *datatype.Type
+	count          int
+	v              bool
+	counts, displs []int
+}
+
+// place returns rank r's slot as a byte offset and an instance count.
+func (s *collSlots) place(r int) (int64, int) {
+	if s.v {
+		return int64(s.displs[r]) * s.ty.Extent(), s.counts[r]
+	}
+	return int64(r) * int64(s.count) * s.ty.Extent(), s.count
+}
+
+// view returns rank r's slot as a view running from its offset to the
+// end of b, and its count.
+func (s *collSlots) view(r int) (buf.Block, int) {
+	off, n := s.place(r)
+	return s.b.Slice(int(off), s.b.Len()-int(off)), n
+}
+
+// check is the one slot check: every slot must fit b, and the calling
+// rank's own slot must pack to exactly own bytes, the leg it moves
+// itself. All of it runs before the first leg moves, so a short buffer
+// fails locally instead of mid-protocol. It returns the own slot's
+// plan; what names the collective for the error text.
+func (s *collSlots) check(c *Comm, own int64, what string) (*datatype.Plan, error) {
+	if s.v && (len(s.counts) != c.size || len(s.displs) != c.size) {
+		return nil, fmt.Errorf("%w: %s needs %d counts and displacements, have %d/%d",
+			ErrCount, what, c.size, len(s.counts), len(s.displs))
+	}
 	for r := 0; r < c.size; r++ {
-		off, n := at(r)
+		off, n := s.place(r)
 		if n < 0 {
-			return nil, nil, errNegativeCount(n)
+			return nil, errNegativeCount(n)
 		}
-		if need := typedSpan(ty, n); off < 0 || off+need > int64(b.Len()) {
-			return nil, nil, fmt.Errorf("%w: %s needs %d bytes at offset %d, buffer has %d",
-				ErrTruncate, what, need, off, b.Len())
+		if need := typedSpan(s.ty, n); off < 0 || off+need > int64(s.b.Len()) {
+			return nil, fmt.Errorf("%w: %s needs %d bytes at offset %d, buffer has %d",
+				ErrTruncate, what, need, off, s.b.Len())
 		}
 	}
-	_, n := at(c.rank)
-	plan, err := ty.CompilePlan(n)
+	_, n := s.place(c.rank)
+	plan, err := s.ty.CompilePlan(n)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if plan.Bytes() != own {
-		return nil, nil, fmt.Errorf("%w: %s slot holds %d bytes, the leg moves %d", ErrTruncate, what, plan.Bytes(), own)
+		return nil, fmt.Errorf("%w: %s slot holds %d bytes, the leg moves %d", ErrTruncate, what, plan.Bytes(), own)
 	}
-	return func(r int) (buf.Block, int) {
-		off, n := at(r)
-		return b.Slice(int(off), b.Len()-int(off)), n
-	}, plan, nil
-}
-
-// equalSlots is MPI's slot rule of the equal-count collectives: rank
-// r's slot is count instances starting at instance r*count.
-func equalSlots(count int, ty *datatype.Type) func(int) (int64, int) {
-	return func(r int) (int64, int) { return int64(r) * int64(count) * ty.Extent(), count }
-}
-
-// vSlots is the slot rule of the v-collectives: rank r's slot is
-// counts[r] instances at displs[r] extents of ty.
-func (c *Comm) vSlots(counts, displs []int, ty *datatype.Type, what string) (func(int) (int64, int), error) {
-	if len(counts) != c.size || len(displs) != c.size {
-		return nil, fmt.Errorf("%w: %s needs %d counts and displacements, have %d/%d",
-			ErrCount, what, c.size, len(counts), len(displs))
-	}
-	return func(r int) (int64, int) { return int64(displs[r]) * ty.Extent(), counts[r] }, nil
+	return plan, nil
 }
 
 // contigWindow returns the dense window of a (count × ty) leg when the
@@ -425,22 +435,22 @@ func (c *Comm) gatherType(send buf.Block, sendCount int, sendTy *datatype.Type, 
 	if err != nil {
 		return err
 	}
-	var slot func(int) (buf.Block, int)
+	slots := collSlots{b: recv, ty: recvTy, count: recvCount}
 	if c.rank == root {
-		if slot, _, err = c.collSlots(recv, recvTy, sp.Bytes(), "gather", equalSlots(recvCount, recvTy)); err != nil {
+		if _, err := slots.check(c, sp.Bytes(), "gather"); err != nil {
 			return err
 		}
 	}
 	self := func(view buf.Block, n int) error { return c.typedSelfCopy(send, sendCount, sendTy, view, n, recvTy) }
 	switch {
 	case c.size == 1:
-		return self(slot(0))
+		return self(slots.view(0))
 	case c.prof.UseCollectiveTree(c.size, sp.Bytes()):
-		return c.gatherTree(send, sendCount, sendTy, sp, slot, recvTy, root, self)
+		return c.gatherTree(send, sendCount, sendTy, sp, slots.view, recvTy, root, self)
 	case c.rank != root:
 		return c.collSend(send, sendCount, sendTy, root, "fan-in")
 	}
-	return c.fan(c.ranks(), (*Comm).collRecv, recvTy, "fan-in", slot, self)
+	return c.fan(c.ranks(), (*Comm).collRecv, recvTy, "fan-in", slots.view, self)
 }
 
 // gatherTree is the binomial fan-in for small typed gathers: every
@@ -518,15 +528,11 @@ func (c *Comm) gathervType(send buf.Block, sendCount int, sendTy *datatype.Type,
 	if c.rank != root {
 		return c.collSend(send, sendCount, sendTy, root, "fan-in")
 	}
-	at, err := c.vSlots(recvCounts, displs, recvTy, "gatherv")
-	if err != nil {
+	slots := collSlots{b: recv, ty: recvTy, v: true, counts: recvCounts, displs: displs}
+	if _, err := slots.check(c, sp.Bytes(), "gatherv"); err != nil {
 		return err
 	}
-	slot, _, err := c.collSlots(recv, recvTy, sp.Bytes(), "gatherv", at)
-	if err != nil {
-		return err
-	}
-	return c.fan(c.ranks(), (*Comm).collRecv, recvTy, "fan-in", slot, func(view buf.Block, n int) error {
+	return c.fan(c.ranks(), (*Comm).collRecv, recvTy, "fan-in", slots.view, func(view buf.Block, n int) error {
 		return c.typedSelfCopy(send, sendCount, sendTy, view, n, recvTy)
 	})
 }
@@ -553,15 +559,11 @@ func (c *Comm) scattervType(send buf.Block, sendCounts, displs []int, sendTy *da
 	if c.rank != root {
 		return c.collRecv(recv, recvCount, recvTy, root, "fan-out")
 	}
-	at, err := c.vSlots(sendCounts, displs, sendTy, "scatterv")
-	if err != nil {
+	slots := collSlots{b: send, ty: sendTy, v: true, counts: sendCounts, displs: displs}
+	if _, err := slots.check(c, rp.Bytes(), "scatterv"); err != nil {
 		return err
 	}
-	slot, _, err := c.collSlots(send, sendTy, rp.Bytes(), "scatterv", at)
-	if err != nil {
-		return err
-	}
-	return c.fan(c.ranks(), (*Comm).collSend, sendTy, "fan-out", slot, func(view buf.Block, n int) error {
+	return c.fan(c.ranks(), (*Comm).collSend, sendTy, "fan-out", slots.view, func(view buf.Block, n int) error {
 		return c.typedSelfCopy(view, n, sendTy, recv, recvCount, recvTy)
 	})
 }
@@ -583,16 +585,17 @@ func (c *Comm) allgatherType(send buf.Block, sendCount int, sendTy *datatype.Typ
 	if err != nil {
 		return err
 	}
-	slot, rp, err := c.collSlots(recv, recvTy, sp.Bytes(), "allgather", equalSlots(recvCount, recvTy))
+	slots := collSlots{b: recv, ty: recvTy, count: recvCount}
+	rp, err := slots.check(c, sp.Bytes(), "allgather")
 	if err != nil {
 		return err
 	}
-	own, n := slot(c.rank)
+	own, n := slots.view(c.rank)
 	if err := c.typedSelfCopy(send, sendCount, sendTy, own, n, recvTy); err != nil || c.size == 1 {
 		return err
 	}
 	if g := c.twoLevel(); g != nil && g.contig {
-		return c.allgatherTwoLevel(send, sendCount, sendTy, slot, recvTy, g)
+		return c.allgatherTwoLevel(send, sendCount, sendTy, slots.view, recvTy, g)
 	}
 	if c.size > 2 && rp.Bytes() > c.prof.CollectiveTreeLimit() && !rp.FusedDstSafe() {
 		// Large slots the fused engine cannot scatter into (overlapping
@@ -600,7 +603,7 @@ func (c *Comm) allgatherType(send buf.Block, sendCount int, sendTy *datatype.Typ
 		// stage a pack+unpack at every hop of the typed ring; the
 		// packed-segment ring packs once and streams each hop through
 		// the pipelined chunk engine instead.
-		return c.allgatherPipelined(send, sendCount, sendTy, slot, recvTy, sp, rp)
+		return c.allgatherPipelined(send, sendCount, sendTy, slots.view, recvTy, sp, rp)
 	}
-	return c.ring(c.size, c.rank, (c.rank+1)%c.size, (c.rank-1+c.size)%c.size, recvTy, slot)
+	return c.ring(c.size, c.rank, (c.rank+1)%c.size, (c.rank-1+c.size)%c.size, recvTy, slots.view)
 }

@@ -8,8 +8,9 @@ package mpi
 // topologies keyed off the same boundary — see collectives_hier.go.
 
 // nodeSize returns the ranks-per-node granularity, 0 for a flat
-// machine (NodeSize unset, 1, or no intra-node latency advantage to
-// exploit).
+// machine (NodeSize unset or 1). It does not look at the intra-node
+// latency: linkLatency and groupByNode check for that discount
+// themselves.
 func (c *Comm) nodeSize() int {
 	ns := c.prof.Mem.NodeSize
 	if ns <= 1 {

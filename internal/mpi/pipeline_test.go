@@ -214,7 +214,8 @@ func TestBcastPipelinedMatchesTree(t *testing.T) {
 
 // collSlotOff returns the byte offset of equal-count slot r.
 func collSlotOff(r, count int, ty *datatype.Type) int64 {
-	off, _ := equalSlots(count, ty)(r)
+	s := collSlots{ty: ty, count: count}
+	off, _ := s.place(r)
 	return off
 }
 
