@@ -99,15 +99,15 @@ func (fx *Fixtures) NewRunner(s Scheme) (Runner, error) {
 	case Buffered:
 		return &bufferedRunner{pairState: ps}, nil
 	case VectorType, Subarray:
-		return &typedRunner{pairState: ps, scheme: s}, nil
+		return &typedRunner{pairState: ps, scheme: s, send: (*mpi.Comm).SendType}, nil
 	case OneSided:
 		return &oneSidedRunner{pairState: ps}, nil
 	case PackElement, PackVector, PackCompiled:
 		return &packRunner{pairState: ps, scheme: s}, nil
 	case Sendv:
-		return &sendvRunner{pairState: ps}, nil
+		return &typedRunner{pairState: ps, scheme: s, send: (*mpi.Comm).SendvType}, nil
 	case TypedPipelined:
-		return &pipelinedRunner{pairState: ps}, nil
+		return &typedRunner{pairState: ps, scheme: s, send: (*mpi.Comm).SendpType}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %v", s)
 	}

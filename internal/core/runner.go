@@ -109,9 +109,9 @@ func (ps *pairState) sendBlock(n int64) buf.Block {
 	return ps.fx.scratch(&ps.mem.send, n)
 }
 
-// pongTwoSided is the shared receiver side of all two-sided schemes:
-// contiguous receive, zero-byte reply.
-func (ps *pairState) pongTwoSided() error {
+// Pong is the receiver side of every two-sided scheme: contiguous
+// receive, zero-byte reply.
+func (ps *pairState) Pong() error {
 	if _, err := ps.c.Recv(ps.recvbuf, ps.peer, pingTag); err != nil {
 		return err
 	}
@@ -125,9 +125,9 @@ func (ps *pairState) waitPong() error {
 	return err
 }
 
-// check verifies the receive buffer against the expected pack of the
+// Check verifies the receive buffer against the expected pack of the
 // fixture set.
-func (ps *pairState) check() error {
+func (ps *pairState) Check() error {
 	if ps.w.Virtual {
 		return nil
 	}
@@ -136,6 +136,10 @@ func (ps *pairState) check() error {
 	}
 	return nil
 }
+
+// Teardown releases nothing: only schemes that attach a buffer or
+// open a window override it.
+func (ps *pairState) Teardown() error { return nil }
 
 // gatherLoop is the user-space manual copy: the paper's "copying"
 // scheme inner loop. It moves the bytes (for real payloads) and
@@ -220,10 +224,6 @@ func (r *referenceRunner) Ping() error {
 	return r.waitPong()
 }
 
-func (r *referenceRunner) Pong() error     { return r.pongTwoSided() }
-func (r *referenceRunner) Check() error    { return r.check() }
-func (r *referenceRunner) Teardown() error { return nil }
-
 // copyingRunner is §2.2: gather into a reusable contiguous buffer with
 // a user loop, then send the buffer.
 type copyingRunner struct {
@@ -247,15 +247,19 @@ func (r *copyingRunner) Ping() error {
 	return r.waitPong()
 }
 
-func (r *copyingRunner) Pong() error     { return r.pongTwoSided() }
-func (r *copyingRunner) Check() error    { return r.check() }
-func (r *copyingRunner) Teardown() error { return nil }
-
-// typedRunner is §2.3: send the derived datatype directly (vector or
-// subarray variant).
+// typedRunner sends the derived datatype directly with send: §2.3's
+// MPI_Send (mpi.SendType; vector or subarray variant), the fused
+// zero-copy rendezvous (mpi.SendvType: the compiled plan packs the
+// strided source straight into the receiver's contiguous buffer in one
+// pass, no staging, no MPI-internal chunk buffers), or the
+// software-pipelined one (mpi.SendpType: the chunk loop overlaps
+// packing against injection through the chunk-slot ring — the §2.3
+// pipelining the measured installations never realise). The last two
+// fall back to the ordinary typed path at eager sizes.
 type typedRunner struct {
 	pairState
 	scheme Scheme
+	send   func(c *mpi.Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) error
 	ty     *datatype.Type
 }
 
@@ -273,15 +277,11 @@ func (r *typedRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 }
 
 func (r *typedRunner) Ping() error {
-	if err := r.c.SendType(r.src, 1, r.ty, r.peer, pingTag); err != nil {
+	if err := r.send(r.c, r.src, 1, r.ty, r.peer, pingTag); err != nil {
 		return err
 	}
 	return r.waitPong()
 }
-
-func (r *typedRunner) Pong() error     { return r.pongTwoSided() }
-func (r *typedRunner) Check() error    { return r.check() }
-func (r *typedRunner) Teardown() error { return nil }
 
 // bufferedRunner is §2.4: attach a user buffer, MPI_Bsend the derived
 // type.
@@ -316,9 +316,6 @@ func (r *bufferedRunner) Ping() error {
 	}
 	return r.waitPong()
 }
-
-func (r *bufferedRunner) Pong() error  { return r.pongTwoSided() }
-func (r *bufferedRunner) Check() error { return r.check() }
 
 func (r *bufferedRunner) Teardown() error {
 	if r.attached {
@@ -368,8 +365,6 @@ func (r *oneSidedRunner) Pong() error {
 	return r.win.Fence()
 }
 
-func (r *oneSidedRunner) Check() error { return r.check() }
-
 func (r *oneSidedRunner) Teardown() error {
 	if r.win == nil {
 		return nil
@@ -378,68 +373,6 @@ func (r *oneSidedRunner) Teardown() error {
 	r.win = nil
 	return err
 }
-
-// sendvRunner is the fused zero-copy rendezvous scheme: the derived
-// datatype is sent with mpi.SendvType, so under rendezvous the
-// compiled plan packs the strided source straight into the receiver's
-// contiguous buffer in one pass — no staging allocation, no
-// MPI-internal chunk buffers — and eager-sized messages fall back to
-// the ordinary typed path.
-type sendvRunner struct {
-	pairState
-	ty *datatype.Type
-}
-
-func (r *sendvRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
-	if err := r.init(c, w, peer); err != nil {
-		return err
-	}
-	var err error
-	r.ty, err = w.VectorType()
-	return err
-}
-
-func (r *sendvRunner) Ping() error {
-	if err := r.c.SendvType(r.src, 1, r.ty, r.peer, pingTag); err != nil {
-		return err
-	}
-	return r.waitPong()
-}
-
-func (r *sendvRunner) Pong() error     { return r.pongTwoSided() }
-func (r *sendvRunner) Check() error    { return r.check() }
-func (r *sendvRunner) Teardown() error { return nil }
-
-// pipelinedRunner is the software-pipelined typed scheme: the derived
-// datatype is sent with mpi.SendpType, so past the eager limit the
-// rendezvous chunk loop overlaps packing against injection through the
-// chunk-slot ring — the §2.3 pipelining the measured installations
-// never realise — while eager-sized messages fall back to the ordinary
-// typed path.
-type pipelinedRunner struct {
-	pairState
-	ty *datatype.Type
-}
-
-func (r *pipelinedRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
-	if err := r.init(c, w, peer); err != nil {
-		return err
-	}
-	var err error
-	r.ty, err = w.VectorType()
-	return err
-}
-
-func (r *pipelinedRunner) Ping() error {
-	if err := r.c.SendpType(r.src, 1, r.ty, r.peer, pingTag); err != nil {
-		return err
-	}
-	return r.waitPong()
-}
-
-func (r *pipelinedRunner) Pong() error     { return r.pongTwoSided() }
-func (r *pipelinedRunner) Check() error    { return r.check() }
-func (r *pipelinedRunner) Teardown() error { return nil }
 
 // packRunner covers §2.6: explicit MPI_Pack into a user buffer, then a
 // contiguous send of the packed bytes. PackVector issues one pack call
@@ -500,7 +433,3 @@ func (r *packRunner) Ping() error {
 	}
 	return r.waitPong()
 }
-
-func (r *packRunner) Pong() error     { return r.pongTwoSided() }
-func (r *packRunner) Check() error    { return r.check() }
-func (r *packRunner) Teardown() error { return nil }

@@ -187,35 +187,13 @@ func (b *PipelineBcastPanel) measure(profileName string, sizes []int64) error {
 		if err != nil {
 			return err
 		}
-		run := func(bcast func(c *mpi.Comm, blk buf.Block) error) (float64, error) {
-			prof, err := perfmodel.ByName(profileName)
-			if err != nil {
-				return 0, err
-			}
-			var worst float64
-			err = mpi.Run(b.Ranks, mpi.Options{Profile: prof, ColdCaches: true}, func(c *mpi.Comm) error {
-				blk := buf.Alloc(int(ty.Extent()))
-				if c.Rank() == 0 {
-					blk.FillPattern(0x2F)
-				}
-				if err := bcast(c, blk); err != nil {
-					return err
-				}
-				c.Barrier()
-				if c.Rank() == 0 {
-					worst = c.Wtime()
-				}
-				return nil
-			})
-			return worst, err
-		}
 		before := datatype.PlanStatsSnapshot()
-		piped, err := run(func(c *mpi.Comm, blk buf.Block) error { return c.BcastType(blk, 1, ty, 0) })
+		piped, err := bcastTime(profileName, b.Ranks, ty, func(c *mpi.Comm, blk buf.Block) error { return c.BcastType(blk, 1, ty, 0) })
 		if err != nil {
 			return err
 		}
 		b.Stats = append(b.Stats, datatype.PlanStatsSnapshot().Sub(before))
-		tree, err := run(func(c *mpi.Comm, blk buf.Block) error { return treeBcast(c, blk, ty) })
+		tree, err := bcastTime(profileName, b.Ranks, ty, func(c *mpi.Comm, blk buf.Block) error { return treeBcast(c, blk, ty) })
 		if err != nil {
 			return err
 		}
@@ -229,6 +207,33 @@ func (b *PipelineBcastPanel) measure(profileName string, sizes []int64) error {
 		b.Overlap = append(b.Overlap, overlap)
 	}
 	return nil
+}
+
+// bcastTime runs bcast from rank 0 on ranks ranks of the named
+// installation, caches cold, each rank's buffer one instance of ty, and
+// returns rank 0's virtual time after the closing barrier: the moment
+// the last rank holds the message.
+func bcastTime(profileName string, ranks int, ty *datatype.Type, bcast func(c *mpi.Comm, blk buf.Block) error) (float64, error) {
+	prof, err := perfmodel.ByName(profileName)
+	if err != nil {
+		return 0, err
+	}
+	var worst float64
+	err = mpi.Run(ranks, mpi.Options{Profile: prof, ColdCaches: true}, func(c *mpi.Comm) error {
+		blk := buf.Alloc(int(ty.Extent()))
+		if c.Rank() == 0 {
+			blk.FillPattern(0x2F)
+		}
+		if err := bcast(c, blk); err != nil {
+			return err
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			worst = c.Wtime()
+		}
+		return nil
+	})
+	return worst, err
 }
 
 // treeBcast broadcasts blk from rank 0 over BcastType's binomial tree,

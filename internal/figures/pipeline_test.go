@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/buf"
+	"repro/internal/mpi"
+	"repro/internal/perfmodel"
 )
 
 // pipeCache builds the study once: it runs real protocol worlds per
@@ -106,6 +110,41 @@ func TestPipelineStudyRender(t *testing.T) {
 	for _, want := range []string{"E16", "pipelined", "serial", "fused", "overlap", "scatter+allgather"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("render missing %q", want)
+		}
+	}
+}
+
+// TestTreeBcastIsBcastTypesTree guards E16's claim that its "binomial
+// tree" arm, written out in typed point-to-point legs, is the schedule
+// BcastType itself runs at or under CollectiveTreeLimit: at 8 ranks on
+// every paper profile, both give the same virtual time at 4 KiB, at
+// half the limit and at the limit.
+func TestTreeBcastIsBcastTypesTree(t *testing.T) {
+	for _, name := range []string{"skx-impi", "skx-mvapich", "ls5-cray", "knl-impi"} {
+		prof, err := perfmodel.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := prof.CollectiveTreeLimit()
+		for _, n := range []int64{4 << 10, limit / 2, limit} {
+			ty, err := vectorFor(n, 1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ty.Size() > limit {
+				t.Fatalf("%s: %d-byte vector overshoots the %d-byte tree limit", name, ty.Size(), limit)
+			}
+			typed, err := bcastTime(name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return c.BcastType(blk, 1, ty, 0) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := bcastTime(name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return treeBcast(c, blk, ty) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typed != tree {
+				t.Errorf("%s, %d B: BcastType %.9g s, treeBcast %.9g s", name, ty.Size(), typed, tree)
+			}
 		}
 	}
 }
