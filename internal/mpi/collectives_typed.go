@@ -397,19 +397,15 @@ func (c *Comm) bcastType(b buf.Block, count int, ty *datatype.Type, root int) er
 	if g := c.twoLevel(); g != nil {
 		return c.bcastTwoLevel(b, count, ty, root, g)
 	}
-	// Dense layouts keep the tree of raw contiguous hops; the
-	// scatter+allgather win is the relay's pack passes, which a dense
-	// relay does not pay.
-	if c.size > 2 && plan.Bytes() > c.prof.CollectiveTreeLimit() && !isDense(plan) {
-		return c.bcastPipelined(b, count, ty, root, plan)
+	if c.size > 2 && plan.Bytes() > c.prof.CollectiveTreeLimit() {
+		// Dense layouts keep the tree of raw contiguous hops; the
+		// scatter+allgather win is the relay's pack passes, which a
+		// dense relay does not pay.
+		if _, dense := plan.ContigWindow(); !dense {
+			return c.bcastPipelined(b, count, ty, root, plan)
+		}
 	}
 	return c.treeRelay(b, count, ty, (c.rank-root+c.size)%c.size, c.size, func(r int) int { return (r + root) % c.size })
-}
-
-// isDense reports whether a plan's message is one contiguous window.
-func isDense(plan *datatype.Plan) bool {
-	_, dense := plan.ContigWindow()
-	return dense
 }
 
 // GatherType concentrates typed contributions at the root in rank
