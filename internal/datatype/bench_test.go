@@ -62,20 +62,7 @@ func BenchmarkUnpackEveryOther1MB(b *testing.B) {
 
 func BenchmarkChunkedPacker(b *testing.B) {
 	ty, src, _ := benchVector(b, 1<<17, 1, 2)
-	chunk := buf.Alloc(64 << 10)
-	b.SetBytes(ty.Size())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := ty.NewPacker(src, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for p.Remaining() > 0 {
-			if _, err := p.Pack(chunk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	benchChunkedStream(b, ty, src)
 }
 
 // benchGeometries is the paper-style sweep for the engine comparison:
@@ -341,22 +328,17 @@ func benchPlan(b *testing.B, ty *Type) *Plan {
 	return plan
 }
 
-// benchChunkedStream drains one message through a Packer in 64 KiB
+// benchChunkedStream packs one message through PackChunks in 64 KiB
 // chunks — the internal-chunk streaming shape of rendezvous sends.
 func benchChunkedStream(b *testing.B, ty *Type, src buf.Block) {
 	b.Helper()
-	chunk := buf.Alloc(64 << 10)
+	plan := benchPlan(b, ty)
+	dst := buf.Alloc(int(plan.Bytes()))
 	b.SetBytes(ty.Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := ty.NewPacker(src, 1)
-		if err != nil {
+		if err := plan.PackChunks(src, dst, 0, plan.Bytes(), 64<<10, 0, nil); err != nil {
 			b.Fatal(err)
-		}
-		for p.Remaining() > 0 {
-			if _, err := p.Pack(chunk); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }
@@ -640,19 +622,16 @@ func BenchmarkVirtualPackHuge(b *testing.B) {
 		b.Fatal(err)
 	}
 	_ = ty.Commit()
-	src := buf.Virtual(int(ty.Extent()))
-	chunk := buf.Virtual(512 << 10)
+	plan, err := ty.CompilePlan(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, dst := buf.Virtual(int(ty.Extent())), buf.Virtual(int(ty.Size()))
 	b.SetBytes(ty.Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := ty.NewPacker(src, 1)
-		if err != nil {
+		if err := plan.PackChunks(src, dst, 0, plan.Bytes(), 512<<10, 0, nil); err != nil {
 			b.Fatal(err)
-		}
-		for p.Remaining() > 0 {
-			if _, err := p.Pack(chunk); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

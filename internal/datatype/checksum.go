@@ -14,8 +14,9 @@ import "repro/internal/buf"
 // summing per internal chunk or pipeline slot and a receiver summing
 // the whole stream agree. It is the receiver's tool: a sender's sums
 // are folded by the move that packs or fuses the bytes (PackRangeSum,
-// FusedCopySum, NewChunkPipelineSum), and PlanStats.ChecksumBytes
-// counts the passes made here so that a sender making one shows.
+// PackChunks, FusedCopySum, NewChunkPipelineSum), and
+// PlanStats.ChecksumBytes counts the passes made here so that a sender
+// making one shows.
 //
 // Virtual user blocks are skipped length-only, so both ends of a
 // virtual transfer still produce matching sums.

@@ -27,7 +27,7 @@
 // Pack and unpack traffic runs on one of two compiled engines:
 //
 //  1. Compiled (whole message): a full-message Pack/Unpack — or a
-//     Packer/Unpacker stream drained in one call — executes the
+//     chunk loop whose one chunk is the whole message — executes the
 //     compiled plan (plan.go) bound to (type, count),
 //     goroutine-parallel from ParallelPackThreshold bytes. A plan is one
 //     strided-block form (block.go) — a regular instance, a block
@@ -36,8 +36,9 @@
 //     each has one range executor. Plans are cached per type and count;
 //     the program is compiled and normalized at Commit, so steady-state
 //     packing does no compilation and no allocation.
-//  2. Compiled-chunked: partial-range transfers (the chunked and
-//     pipelined streaming of internal/mpi's rendezvous sends) enter
+//  2. Compiled-chunked: partial-range transfers (PackRange,
+//     UnpackRange, and the one chunk loop behind PackChunks and the
+//     ChunkPipeline that internal/mpi's rendezvous sends drain) enter
 //     the same executors mid-stream — one seek, then the batched
 //     moves — resuming exactly where the previous chunk stopped.
 //

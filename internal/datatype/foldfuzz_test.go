@@ -15,9 +15,10 @@ func sumOf(packed []byte) uint64 { return buf.ChecksumOf(buf.FromBytes(packed)) 
 // against the two-pass form they replace, over fuzzed layouts (count
 // > 1, so ranges cross instance rollovers), arbitrary packed ranges —
 // mid-run cuts included — and sum spans: a folded PackRange equals
-// PackRange plus ChecksumRange per piece, a Packer folding one running
-// checksum through fuzz-sized pieces equals the checksum of the stream,
-// the summing pipeline's chunks carry ChecksumRange of their [Lo, Hi),
+// PackRange plus ChecksumRange per piece, PackChunks folding a running
+// checksum through fuzz-sized chunks, restarted every chunk or run over
+// the whole stream, equals ChecksumRange per span, the summing
+// pipeline's chunks carry ChecksumRange of their [Lo, Hi),
 // and the folded fused copy equals FusedCopy plus ChecksumRange per
 // piece at one, two and three workers.
 func FuzzFoldedMove(f *testing.F) {
@@ -86,21 +87,19 @@ func FuzzFoldedMove(f *testing.F) {
 		}
 		pieceSums("PackRangeSum", plan, lo, hi, span, sums)
 
-		// One running checksum through a Packer drained in pieces.
+		// The serial chunk loop, its running checksum restarted every
+		// chunk and run over the whole stream.
 		chunk := int64(d.byte()) + 1
-		pk, err := ty.NewPacker(src, count)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var running buf.Checksum
-		drained := buf.Alloc(int(total))
-		for off := int64(0); off < total; off += chunk {
-			if _, err := pk.PackSum(drained.Slice(int(off), int(min(chunk, total-off))), &running); err != nil {
+		for _, sumSpan := range []int64{chunk, total} {
+			drained := buf.Alloc(int(total))
+			sums := make([]uint64, (total+sumSpan-1)/sumSpan)
+			if err := plan.PackChunks(src, drained, 0, total, chunk, sumSpan, sums); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if !bytes.Equal(drained.Bytes(), packed) || running.Sum64() != sumOf(packed) {
-			t.Fatalf("Packer.PackSum in %d-byte pieces: stream or running sum differs (%v count=%d)", chunk, ty, count)
+			if !bytes.Equal(drained.Bytes(), packed) {
+				t.Fatalf("PackChunks in %d-byte chunks: stream differs (%v count=%d)", chunk, ty, count)
+			}
+			pieceSums("PackChunks", plan, 0, total, sumSpan, sums)
 		}
 
 		// The summing pipeline, each chunk alone and the range as one.

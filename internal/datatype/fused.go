@@ -215,9 +215,9 @@ func FusedCopySum(srcPlan, dstPlan *Plan, src, dst buf.Block, span int64, sums [
 	if err := dstPlan.t.checkUse(int(dstPlan.count), dst.Len()); err != nil {
 		return 0, fmt.Errorf("fused destination: %w", err)
 	}
-	total := srcPlan.total
-	if dstPlan.total < total {
-		total = dstPlan.total
+	total := min(srcPlan.total, dstPlan.total)
+	if err := checkSums(total, 1, span, sums); err != nil {
+		return 0, err
 	}
 	if total == 0 {
 		return 0, nil

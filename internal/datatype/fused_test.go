@@ -22,14 +22,12 @@ func fusedOracle(t *testing.T, srcTy *Type, srcCount int, dstTy *Type, dstCount 
 	if int64(staging.Len()) > need {
 		staging = staging.Slice(0, int(need))
 	}
-	u, err := dstTy.NewUnpacker(dst, dstCount)
-	if err != nil {
-		t.Fatalf("oracle unpacker: %v", err)
+	plan, err := dstTy.CompilePlan(dstCount)
+	if err == nil {
+		err = plan.UnpackRange(staging, dst, 0, int64(staging.Len()))
 	}
-	if staging.Len() > 0 {
-		if _, err := u.Unpack(staging); err != nil {
-			t.Fatalf("oracle unpack: %v", err)
-		}
+	if err != nil {
+		t.Fatalf("oracle unpack: %v", err)
 	}
 	return dst.Bytes()
 }

@@ -206,58 +206,44 @@ func FuzzPackRoundtrip(f *testing.F) {
 			t.Fatalf("compiled pack differs from cursor for %v count=%d", ty, count)
 		}
 
-		// Chunked differential: stream the same message through
-		// Packer/Unpacker in fuzz-chosen split sizes — the
+		// Chunked differential: pack and unpack the same message as
+		// PackRange/UnpackRange over fuzz-chosen split sizes — the
 		// compiled-chunked tier — and require the identical stream and
 		// the identical scatter.
-		p, err := ty.NewPacker(src, count)
+		plan, err := ty.CompilePlan(count)
 		if err != nil {
-			t.Fatalf("packer (%v): %v", ty, err)
+			t.Fatalf("plan (%v): %v", ty, err)
 		}
-		streamed := make([]byte, 0, len(packed.Bytes()))
-		for p.Remaining() > 0 {
-			n := int64(d.byte()) + 1
-			if n > p.Remaining() {
-				n = p.Remaining()
-			}
-			piece := buf.Alloc(int(n))
-			m, err := p.Pack(piece)
-			if err != nil {
+		total := plan.Bytes()
+		streamed := make([]byte, 0, total)
+		for lo := int64(0); lo < total; {
+			hi := min(lo+int64(d.byte())+1, total)
+			piece := buf.Alloc(int(hi - lo))
+			if err := plan.PackRange(src, piece, lo, hi); err != nil {
 				t.Fatalf("chunked pack (%v): %v", ty, err)
 			}
-			streamed = append(streamed, piece.Bytes()[:m]...)
+			streamed = append(streamed, piece.Bytes()...)
+			lo = hi
 		}
 		if !bytes.Equal(streamed, packed.Bytes()) {
 			t.Fatalf("compiled-chunked stream differs from whole-message pack for %v count=%d", ty, count)
 		}
 		chunkDst := buf.Alloc(bufLen)
-		u, err := ty.NewUnpacker(chunkDst, count)
-		if err != nil {
-			t.Fatalf("unpacker (%v): %v", ty, err)
-		}
-		off := 0
-		for u.Remaining() > 0 {
-			n := int(d.byte()) + 1
-			if int64(n) > u.Remaining() {
-				n = int(u.Remaining())
-			}
-			if _, err := u.Unpack(buf.FromBytes(streamed[off : off+n])); err != nil {
+		for lo := int64(0); lo < total; {
+			hi := min(lo+int64(d.byte())+1, total)
+			if err := plan.UnpackRange(buf.FromBytes(streamed[lo:hi]), chunkDst, lo, hi); err != nil {
 				t.Fatalf("chunked unpack (%v): %v", ty, err)
 			}
-			off += n
+			lo = hi
 		}
 
 		// Pipelined differential: drive the chunk-slot pipeline over a
 		// fuzz-drawn chunk size and ring depth and require the
 		// reassembled stream to match the whole-message pack — the
 		// chunk-split shape of the pipelined rendezvous.
-		if total := ty.PackSize(count); total > 0 {
+		if total > 0 {
 			chunk := int64(d.byte()) + 1
 			depth := d.intn(4) + 1
-			plan, err := ty.CompilePlan(count)
-			if err != nil {
-				t.Fatalf("plan (%v): %v", ty, err)
-			}
 			cp, err := NewChunkPipeline(plan, src, 0, total, chunk, depth, 0)
 			if err != nil {
 				t.Fatalf("pipeline (%v chunk=%d depth=%d): %v", ty, chunk, depth, err)
@@ -283,10 +269,7 @@ func FuzzPackRoundtrip(f *testing.F) {
 		// the sender/receiver pair shape of the sendv rendezvous.
 		if dstTy := decodeType(d, 1); dstTy != nil {
 			dstCount := d.intn(3) + 1
-			srcPlan, err := ty.CompilePlan(count)
-			if err != nil {
-				t.Fatalf("src plan (%v): %v", ty, err)
-			}
+			srcPlan := plan
 			dstPlan, err := dstTy.CompilePlan(dstCount)
 			if err != nil {
 				t.Fatalf("dst plan (%v): %v", dstTy, err)
@@ -303,14 +286,8 @@ func FuzzPackRoundtrip(f *testing.F) {
 				if need := dstTy.PackSize(dstCount); need < prefix {
 					prefix = need
 				}
-				if prefix > 0 {
-					u, err := dstTy.NewUnpacker(oracleDst, dstCount)
-					if err != nil {
-						t.Fatalf("oracle unpacker (%v): %v", dstTy, err)
-					}
-					if _, err := u.Unpack(packed.Slice(0, int(prefix))); err != nil {
-						t.Fatalf("oracle unpack (%v): %v", dstTy, err)
-					}
+				if err := dstPlan.UnpackRange(packed.Slice(0, int(prefix)), oracleDst, 0, prefix); err != nil {
+					t.Fatalf("oracle unpack (%v): %v", dstTy, err)
 				}
 				if !bytes.Equal(fusedDst.Bytes(), oracleDst.Bytes()) {
 					t.Fatalf("fused transfer differs from staged oracle for %v count=%d -> %v count=%d", ty, count, dstTy, dstCount)

@@ -130,23 +130,19 @@ func TestChunkedPackerEqualsOneShot(t *testing.T) {
 	if _, err := ty.Pack(src, 1, oneShot); err != nil {
 		t.Fatal(err)
 	}
-	for _, chunk := range []int{1, 3, 8, 64, 1000, 1536, 10000} {
-		p, err := ty.NewPacker(src, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+	plan, err := ty.CompilePlan(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int64{1, 3, 8, 64, 1000, 1536, 10000} {
 		got := make([]byte, 0, ty.Size())
-		for p.Remaining() > 0 {
-			n := chunk
-			if int64(n) > p.Remaining() {
-				n = int(p.Remaining())
-			}
-			piece := buf.Alloc(n)
-			m, err := p.Pack(piece)
-			if err != nil {
+		for lo := int64(0); lo < plan.Bytes(); lo += chunk {
+			hi := min(lo+chunk, plan.Bytes())
+			piece := buf.Alloc(int(hi - lo))
+			if err := plan.PackRange(src, piece, lo, hi); err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, piece.Bytes()[:m]...)
+			got = append(got, piece.Bytes()...)
 		}
 		if len(got) != oneShot.Len() {
 			t.Fatalf("chunk=%d: got %d bytes, want %d", chunk, len(got), oneShot.Len())
@@ -167,22 +163,17 @@ func TestChunkedUnpackerEqualsOneShot(t *testing.T) {
 	if _, err := ty.Pack(src, 1, packed); err != nil {
 		t.Fatal(err)
 	}
-	for _, chunk := range []int{1, 5, 64, 777} {
+	plan, err := ty.CompilePlan(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int64{1, 5, 64, 777} {
 		dst := buf.Alloc(int(ty.Extent()))
-		u, err := ty.NewUnpacker(dst, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off := 0
-		for u.Remaining() > 0 {
-			n := chunk
-			if int64(n) > u.Remaining() {
-				n = int(u.Remaining())
-			}
-			if _, err := u.Unpack(packed.Slice(off, n)); err != nil {
+		for lo := int64(0); lo < plan.Bytes(); lo += chunk {
+			hi := min(lo+chunk, plan.Bytes())
+			if err := plan.UnpackRange(packed.Slice(int(lo), int(hi-lo)), dst, lo, hi); err != nil {
 				t.Fatal(err)
 			}
-			off += n
 		}
 		ty.Layout(1).ForEach(func(s layout.Segment) bool {
 			for o := s.Off; o < s.End(); o++ {
@@ -213,29 +204,26 @@ func TestVirtualPackCountsWithoutMoving(t *testing.T) {
 	}
 }
 
+// TestVirtualChunkedPackerProgress: a chunked pack of a virtual
+// message moves nothing and attributes the whole stream, one chunk op
+// per 512 KiB piece.
 func TestVirtualChunkedPackerProgress(t *testing.T) {
 	ty := mustType(Vector(1_000_000, 1, 2, Float64))
-	p, err := ty.NewPacker(buf.Virtual(int(ty.Extent())), 1)
+	plan, err := ty.CompilePlan(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk := buf.Virtual(512 << 10)
-	var total int64
-	steps := 0
-	for p.Remaining() > 0 {
-		n, err := p.Pack(chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += n
-		steps++
+	const chunk = 512 << 10
+	before := PlanStatsSnapshot()
+	if err := plan.PackChunks(buf.Virtual(int(ty.Extent())), buf.Virtual(int(ty.Size())), 0, ty.Size(), chunk, 0, nil); err != nil {
+		t.Fatal(err)
 	}
-	if total != ty.Size() {
-		t.Fatalf("total = %d, want %d", total, ty.Size())
+	d := PlanStatsSnapshot().Sub(before)
+	if d.ChunkBytes != ty.Size() {
+		t.Fatalf("chunk bytes = %d, want %d", d.ChunkBytes, ty.Size())
 	}
-	wantSteps := int((ty.Size() + (512 << 10) - 1) / (512 << 10))
-	if steps != wantSteps {
-		t.Fatalf("steps = %d, want %d", steps, wantSteps)
+	if wantSteps := (ty.Size() + chunk - 1) / chunk; d.ChunkOps != wantSteps {
+		t.Fatalf("chunk ops = %d, want %d", d.ChunkOps, wantSteps)
 	}
 }
 
@@ -321,22 +309,20 @@ func TestQuickChunkedPackEquivalence(t *testing.T) {
 		if _, err := ty.Pack(src, 1, oneShot); err != nil {
 			return false
 		}
-		p, err := ty.NewPacker(src, 1)
+		plan, err := ty.CompilePlan(1)
 		if err != nil {
 			return false
 		}
 		crng := rand.New(rand.NewSource(chunkSeed))
 		var got []byte
-		for p.Remaining() > 0 {
-			n := crng.Intn(17) + 1
-			if int64(n) > p.Remaining() {
-				n = int(p.Remaining())
-			}
-			piece := buf.Alloc(n)
-			if _, err := p.Pack(piece); err != nil {
+		for lo := int64(0); lo < plan.Bytes(); {
+			hi := min(lo+int64(crng.Intn(17)+1), plan.Bytes())
+			piece := buf.Alloc(int(hi - lo))
+			if err := plan.PackRange(src, piece, lo, hi); err != nil {
 				return false
 			}
 			got = append(got, piece.Bytes()...)
+			lo = hi
 		}
 		if len(got) != oneShot.Len() {
 			return false

@@ -33,9 +33,9 @@ type PipeChunk struct {
 	slot buf.Block // the ring slot backing Data
 }
 
-// ChunkPipeline drives Plan.PackRange over a bounded ring of pooled
-// slots with a pack worker running up to depth chunks ahead of the
-// consumer. Obtain chunks in stream order with Next, hand each slot
+// ChunkPipeline runs the plan's chunk loop over a bounded ring of
+// pooled slots with a pack worker running up to depth chunks ahead of
+// the consumer. Obtain chunks in stream order with Next, hand each slot
 // back with Recycle, and Close when done (early exits included) —
 // Close joins the worker and returns the ring storage to the pool.
 //
@@ -44,13 +44,6 @@ type PipeChunk struct {
 // at Close. A consumer that holds every chunk without recycling
 // deadlocks against its own worker, exactly like a bounded queue.
 type ChunkPipeline struct {
-	plan   *Plan
-	user   buf.Block
-	lo, hi int64
-	chunk  int64
-	depth  int
-	span   int64 // sum span; 0: the worker folds nothing
-
 	slots []buf.Block
 	ready chan PipeChunk
 	free  chan buf.Block
@@ -72,8 +65,8 @@ func NewChunkPipeline(plan *Plan, user buf.Block, lo, hi, chunk int64, depth, sh
 // >= hi-lo the whole range; otherwise a multiple of chunk. 0 sums
 // nothing, nor does a virtual user block.
 func NewChunkPipelineSum(plan *Plan, user buf.Block, lo, hi, chunk int64, depth, shard int, span int64) (*ChunkPipeline, error) {
-	if chunk <= 0 || span%chunk != 0 && span < hi-lo {
-		return nil, fmt.Errorf("%w: pipeline chunk %d", ErrArgument, chunk)
+	if err := checkSums(hi-lo, chunk, span, nil); err != nil {
+		return nil, err
 	}
 	if lo < 0 || hi < lo || hi > plan.total {
 		return nil, fmt.Errorf("%w: pipeline range [%d,%d) of %d-byte stream", ErrArgument, lo, hi, plan.total)
@@ -81,21 +74,8 @@ func NewChunkPipelineSum(plan *Plan, user buf.Block, lo, hi, chunk int64, depth,
 	if err := plan.Validate(user); err != nil {
 		return nil, err
 	}
-	chunks := int((hi - lo + chunk - 1) / chunk)
-	if depth < 1 {
-		depth = 1
-	}
-	if chunks > 0 && depth > chunks {
-		depth = chunks
-	}
+	depth = max(1, min(depth, int((hi-lo+chunk-1)/chunk)))
 	cp := &ChunkPipeline{
-		plan:  plan,
-		user:  user,
-		lo:    lo,
-		hi:    hi,
-		chunk: chunk,
-		depth: depth,
-		span:  span,
 		slots: make([]buf.Block, depth),
 		ready: make(chan PipeChunk, depth),
 		free:  make(chan buf.Block, depth),
@@ -109,44 +89,32 @@ func NewChunkPipelineSum(plan *Plan, user buf.Block, lo, hi, chunk int64, depth,
 		}
 		cp.free <- cp.slots[i]
 	}
-	go cp.worker()
+	go cp.worker(plan, user, lo, hi, chunk, span)
 	return cp, nil
 }
 
-// worker is the pack stage: it fills free slots ahead of the consumer
-// and hands them over in stream order.
-func (cp *ChunkPipeline) worker() {
+// worker is the pack stage: it runs the plan's chunk loop over free
+// slots ahead of the consumer and hands them over in stream order.
+func (cp *ChunkPipeline) worker(plan *Plan, user buf.Block, lo, hi, chunk, span int64) {
 	defer close(cp.ready)
-	pos := cp.lo
-	var cs buf.Checksum
-	for pos < cp.hi {
-		var slot buf.Block
-		select {
-		case slot = <-cp.free:
-		case <-cp.quit:
-			return
-		}
-		hi := pos + cp.chunk
-		if hi > cp.hi {
-			hi = cp.hi
-		}
-		var sum *buf.Checksum
-		if cp.span > 0 {
-			sum = &cs
-			if (pos-cp.lo)%cp.span == 0 {
-				cs.Reset()
+	plan.chunkLoop(user, lo, hi, chunk, span,
+		func(_, _ int64) (buf.Block, bool) {
+			select {
+			case slot := <-cp.free:
+				return slot, true
+			case <-cp.quit:
+				return buf.Block{}, false
 			}
-		}
-		cp.plan.runChunk(cp.user, slot, pos, hi, packDirection, sum)
-		recordPipelined(1, hi-pos)
-		ch := PipeChunk{Data: slot.Slice(0, int(hi-pos)), Lo: pos, Hi: hi, Sum: cs.Sum64(), slot: slot}
-		select {
-		case cp.ready <- ch:
-		case <-cp.quit:
-			return
-		}
-		pos = hi
-	}
+		},
+		func(slot buf.Block, lo, hi int64, sum uint64) bool {
+			recordPipelined(1, hi-lo)
+			select {
+			case cp.ready <- PipeChunk{Data: slot.Slice(0, int(hi-lo)), Lo: lo, Hi: hi, Sum: sum, slot: slot}:
+				return true
+			case <-cp.quit:
+				return false
+			}
+		})
 }
 
 // Next returns the next packed chunk in stream order; ok is false once

@@ -352,7 +352,8 @@ type PlanStats struct {
 
 	// ChecksumBytes counts the bytes of ChecksumRange passes over real
 	// buffers: reads of a layout that move nothing. Sums folded by a
-	// move (PackRangeSum, FusedCopySum, the pipeline) do not count.
+	// move (PackRangeSum, PackChunks, FusedCopySum, the pipeline) do
+	// not count.
 	ChecksumBytes int64
 }
 

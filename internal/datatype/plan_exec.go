@@ -46,9 +46,9 @@ func (p *Plan) Unpack(src, dst buf.Block) (int64, error) {
 
 // PackRange gathers the packed byte range [lo, hi) of the plan's
 // message from src into stream, whose byte 0 is packed position lo —
-// the exported compiled-chunked entry the mpi protocol layer streams
-// through without allocating a Packer. Buffers are validated; the
-// execution is attributed to the chunk counters.
+// the compiled-chunked entry a selective replay re-packs a damaged
+// range through. Buffers are validated; the execution is attributed to
+// the chunk counters.
 func (p *Plan) PackRange(src, stream buf.Block, lo, hi int64) error {
 	return p.PackRangeSum(src, stream, lo, hi, 0, nil)
 }
@@ -62,6 +62,9 @@ func (p *Plan) PackRangeSum(src, stream buf.Block, lo, hi, span int64, sums []ui
 	if err := p.checkRange(src, stream, lo, hi); err != nil {
 		return err
 	}
+	if err := checkSums(hi-lo, 1, span, sums); err != nil {
+		return err
+	}
 	if sums == nil || hi <= lo || src.IsVirtual() || stream.IsVirtual() {
 		p.runChunk(src, stream, lo, hi, packDirection, nil)
 		return nil
@@ -72,6 +75,84 @@ func (p *Plan) PackRangeSum(src, stream buf.Block, lo, hi, span int64, sums []ui
 		sums[(a-lo)/span] = cs.Sum64()
 	}
 	recordPlanChunk(p.kernel, 1, hi-lo, false)
+	return nil
+}
+
+// PackChunks packs the range [lo, hi) from user into dst, whose byte
+// 0 is packed position lo, one chunk at a time: the serial chunk loop
+// of the derived-type send (§2.3). With sums set, sums[i] gets the
+// checksum of span i, every span bytes from lo, span a multiple of
+// chunk or the whole range. A virtual side moves and sums nothing, and
+// several chunks of it are attributed in closed form (RecordChunks).
+func (p *Plan) PackChunks(user, dst buf.Block, lo, hi, chunk, span int64, sums []uint64) error {
+	if err := p.checkRange(user, dst, lo, hi); err != nil {
+		return err
+	}
+	if err := checkSums(hi-lo, chunk, span, sums); err != nil {
+		return err
+	}
+	virtual := user.IsVirtual() || dst.IsVirtual()
+	if virtual && hi-lo > chunk {
+		p.RecordChunks(lo, hi, chunk, false)
+		return nil
+	}
+	if sums == nil || virtual {
+		span = 0
+	}
+	p.chunkLoop(user, lo, hi, chunk, span,
+		func(a, b int64) (buf.Block, bool) { return dst.Slice(int(a-lo), int(b-a)), true },
+		func(_ buf.Block, a, _ int64, sum uint64) bool {
+			if span > 0 {
+				sums[(a-lo)/span] = sum
+			}
+			return true
+		})
+	return nil
+}
+
+// chunkLoop is the one chunk loop, behind PackChunks and the pipeline
+// worker: each chunk of [lo, hi) packs into the block slot names, and
+// done gets it with the running sum of its span so far (restarted every
+// span bytes from lo; span 0 sums nothing). A chunk that is the whole
+// message runs as one execution. slot or done returning false stops it.
+func (p *Plan) chunkLoop(user buf.Block, lo, hi, chunk, span int64, slot func(a, b int64) (buf.Block, bool), done func(blk buf.Block, a, b int64, sum uint64) bool) {
+	var cs buf.Checksum
+	var sum *buf.Checksum
+	if span > 0 {
+		sum = &cs
+	}
+	for a := lo; a < hi; {
+		b := min(a+chunk, hi)
+		blk, ok := slot(a, b)
+		if !ok {
+			return
+		}
+		if sum != nil && (a-lo)%span == 0 {
+			cs.Reset()
+		}
+		if a == 0 && b == p.total {
+			p.execute(user, blk, packDirection, sum)
+		} else {
+			p.runChunk(user, blk, a, b, packDirection, sum)
+		}
+		if !done(blk, a, b, cs.Sum64()) {
+			return
+		}
+		a = b
+	}
+}
+
+// checkSums validates a chunked move over n packed bytes: chunk > 0 (1
+// for a move that is not chunked), and a running sum that restarts
+// every span bytes on a chunk boundary, with a slot in sums, when set,
+// for every span. Span 0 with nil sums sums nothing.
+func checkSums(n, chunk, span int64, sums []uint64) error {
+	if chunk > 0 && span == 0 && sums == nil {
+		return nil
+	}
+	if chunk <= 0 || span <= 0 || span%chunk != 0 && span < n || sums != nil && int64(len(sums)) < (n+span-1)/span {
+		return fmt.Errorf("%w: %d sums of %d-byte spans over %d bytes in %d-byte chunks", ErrArgument, len(sums), span, n, chunk)
+	}
 	return nil
 }
 
@@ -126,9 +207,9 @@ func (p *Plan) execute(user, stream buf.Block, dir direction, sum *buf.Checksum)
 
 // runChunk executes the packed byte range [lo, hi) of the message
 // against a stream block whose byte 0 is packed position lo — the
-// compiled-chunked tier behind Packer/Unpacker streaming. Large chunks
-// split across goroutines like whole messages, unless a checksum is
-// folded along (sum non-nil: one sequential chain); virtual
+// compiled-chunked tier behind the range entries and chunkLoop. Large
+// chunks split across goroutines like whole messages, unless a checksum
+// is folded along (sum non-nil: one sequential chain); virtual
 // participants record the execution without moving bytes.
 func (p *Plan) runChunk(user, stream buf.Block, lo, hi int64, dir direction, sum *buf.Checksum) {
 	if hi <= lo {

@@ -2,6 +2,7 @@ package datatype
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -188,11 +189,10 @@ func TestPlanDifferentialRandom(t *testing.T) {
 	}
 }
 
-// TestPackerResumeMidSegment pins the streaming contract: a Packer
-// that has already produced partial chunks (arbitrary, usually
-// mid-segment boundaries) resumes on the compiled-chunked tier and the
-// concatenated stream still equals the compiled one-shot output. Same
-// for the Unpacker.
+// TestPackerResumeMidSegment pins the range contract: packed ranges
+// cut at arbitrary, usually mid-segment, points each resume on the
+// compiled-chunked tier, and the concatenated stream still equals the
+// compiled one-shot output. Same for UnpackRange.
 func TestPackerResumeMidSegment(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xBEEF))
 	for iter := 0; iter < 200; iter++ {
@@ -211,66 +211,123 @@ func TestPackerResumeMidSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Stream a few partial chunks, then drain the rest in one call
-		// (which must not take the whole-message path: the stream is
-		// already under way).
-		p, err := ty.NewPacker(src, count)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Pack a few partial ranges, then the rest in one range.
 		var got []byte
-		partials := rng.Intn(3) + 1
-		for i := 0; i < partials && p.Remaining() > 1; i++ {
-			n := rng.Intn(int(p.Remaining())) // may split mid-segment
-			if n == 0 {
-				n = 1
+		lo, total := int64(0), plan.Bytes()
+		for i, partials := 0, rng.Intn(3)+1; i <= partials && lo < total; i++ {
+			hi := total
+			if i < partials && total-lo > 1 {
+				hi = lo + max(1, rng.Int63n(total-lo)) // may split mid-segment
 			}
-			piece := buf.Alloc(n)
-			m, err := p.Pack(piece)
-			if err != nil {
+			piece := buf.Alloc(int(hi - lo))
+			if err := plan.PackRange(src, piece, lo, hi); err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, piece.Bytes()[:m]...)
-		}
-		for p.Remaining() > 0 {
-			piece := buf.Alloc(int(p.Remaining()))
-			m, err := p.Pack(piece)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, piece.Bytes()[:m]...)
+			got = append(got, piece.Bytes()...)
+			lo = hi
 		}
 		if !bytes.Equal(got, oneShot.Bytes()) {
 			t.Fatalf("iter %d (%v): resumed stream differs from one-shot plan", iter, ty)
 		}
 
-		// Unpacker resume: feed the packed stream in two arbitrary
-		// pieces, compare with the plan's one-shot scatter.
+		// Unpack the packed stream in two arbitrary ranges, compare
+		// with the plan's one-shot scatter.
 		planDst := buf.Alloc(bufLen)
 		if _, err := plan.Unpack(oneShot, planDst); err != nil {
 			t.Fatal(err)
 		}
 		streamDst := buf.Alloc(bufLen)
-		u, err := ty.NewUnpacker(streamDst, count)
-		if err != nil {
-			t.Fatal(err)
+		var split int64
+		if total > 1 {
+			split = rng.Int63n(total-1) + 1
 		}
-		split := 0
-		if n := int(u.Remaining()); n > 1 {
-			split = rng.Intn(n-1) + 1
-		}
-		if split > 0 {
-			if _, err := u.Unpack(oneShot.Slice(0, split)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if u.Remaining() > 0 {
-			if _, err := u.Unpack(oneShot.Slice(split, int(u.Remaining()))); err != nil {
+		for _, r := range [][2]int64{{0, split}, {split, total}} {
+			if err := plan.UnpackRange(oneShot.Slice(int(r[0]), int(r[1]-r[0])), streamDst, r[0], r[1]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if !bytes.Equal(streamDst.Bytes(), planDst.Bytes()) {
 			t.Fatalf("iter %d (%v): resumed unpack differs from one-shot plan", iter, ty)
+		}
+	}
+}
+
+// TestPackChunks pins the serial chunk loop over random types, counts,
+// ranges, chunks and sum spans: its bytes are Plan.Pack's, sums[i] is
+// ChecksumRange over span i, it attributes one chunk op per piece, or
+// one whole execution when its one piece is the whole message, and
+// with a virtual side it attributes what RecordChunks does.
+func TestPackChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xC4A2))
+	for iter := 0; iter < 300; iter++ {
+		ty := randPlanType(rng, 1)
+		count := rng.Intn(3) + 1
+		plan, err := ty.CompilePlan(count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := plan.Bytes()
+		if total == 0 {
+			continue
+		}
+		src := buf.Alloc(userBufLen(ty, count))
+		src.FillPattern(byte(iter))
+		want := buf.Alloc(int(total))
+		if _, err := plan.Pack(src, want); err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := int64(0), total
+		if rng.Intn(2) == 0 {
+			lo = rng.Int63n(total)
+			hi = lo + 1 + rng.Int63n(total-lo)
+		}
+		chunk := 1 + rng.Int63n(hi-lo+8)
+		span := chunk * (1 + rng.Int63n(3))
+		if rng.Intn(3) == 0 {
+			span = hi - lo
+		}
+		pieces := (hi - lo + chunk - 1) / chunk
+		whole := lo == 0 && hi == total && pieces == 1
+		sums := make([]uint64, (hi-lo+span-1)/span)
+		dst := buf.Alloc(int(hi - lo))
+		before := PlanStatsSnapshot()
+		if err := plan.PackChunks(src, dst, lo, hi, chunk, span, sums); err != nil {
+			t.Fatal(err)
+		}
+		d := PlanStatsSnapshot().Sub(before)
+		what := fmt.Sprintf("iter %d (%v count=%d [%d,%d) chunk %d span %d)", iter, ty, count, lo, hi, chunk, span)
+		if !bytes.Equal(dst.Bytes(), want.Bytes()[lo:hi]) {
+			t.Fatalf("%s: bytes differ from Plan.Pack", what)
+		}
+		switch {
+		case d.CompiledBytes() != hi-lo:
+			t.Fatalf("%s: %d bytes attributed, want %d", what, d.CompiledBytes(), hi-lo)
+		case whole && (d.CompiledOps() != 1 || d.ChunkOps != 0):
+			t.Fatalf("%s: whole message not one execution: %v", what, d)
+		case !whole && (d.ChunkOps != pieces || d.ChunkBytes != hi-lo):
+			t.Fatalf("%s: %d chunk ops / %d bytes, want %d / %d", what, d.ChunkOps, d.ChunkBytes, pieces, hi-lo)
+		}
+		for i := range sums {
+			a := lo + int64(i)*span
+			var cs buf.Checksum
+			plan.ChecksumRange(src, a, min(a+span, hi), &cs)
+			if sums[i] != cs.Sum64() {
+				t.Fatalf("%s: sum %d is %#x, ChecksumRange %#x", what, i, sums[i], cs.Sum64())
+			}
+		}
+
+		if pieces == 1 {
+			continue
+		}
+		before = PlanStatsSnapshot()
+		plan.RecordChunks(lo, hi, chunk, false)
+		rec := PlanStatsSnapshot().Sub(before)
+		before = PlanStatsSnapshot()
+		if err := plan.PackChunks(buf.Virtual(src.Len()), dst, lo, hi, chunk, span, sums); err != nil {
+			t.Fatal(err)
+		}
+		if v := PlanStatsSnapshot().Sub(before); v != rec {
+			t.Fatalf("%s: virtual source attributes %v, RecordChunks %v", what, v, rec)
 		}
 	}
 }
@@ -446,16 +503,13 @@ func TestPlanStatsCounters(t *testing.T) {
 	}
 
 	// Chunked streaming runs on the compiled kernels.
-	before = PlanStatsSnapshot()
-	p, err := ty.NewPacker(src, 1)
+	plan, err := ty.CompilePlan(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk := buf.Alloc(128)
-	for p.Remaining() > 0 {
-		if _, err := p.Pack(chunk); err != nil {
-			t.Fatal(err)
-		}
+	before = PlanStatsSnapshot()
+	if err := plan.PackChunks(src, dst, 0, plan.Bytes(), 128, 0, nil); err != nil {
+		t.Fatal(err)
 	}
 	d = PlanStatsSnapshot().Sub(before)
 	if d.ChunkOps == 0 || d.ChunkBytes != ty.Size() {
@@ -515,6 +569,37 @@ func TestPlanErrors(t *testing.T) {
 	}
 	if _, err := plan.Unpack(buf.Alloc(4), buf.Alloc(int(ty.Extent()))); err == nil {
 		t.Fatal("truncated packed source accepted")
+	}
+
+	// The summed moves check their chunk, span and sum slots before
+	// they move: no division by a zero span, no write past the last
+	// slot, no restart of the running sum inside a chunk.
+	src, dst, n := buf.Alloc(int(ty.Extent())), buf.Alloc(int(ty.Size())), plan.Bytes()
+	fused := func(span int64, sums []uint64) error {
+		_, err := FusedCopySum(plan, plan, src, buf.Alloc(int(ty.Extent())), span, sums)
+		return err
+	}
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"PackRangeSum span 0", plan.PackRangeSum(src, dst, 0, n, 0, make([]uint64, 1))},
+		{"PackRangeSum negative span", plan.PackRangeSum(src, dst, 0, n, -8, make([]uint64, 1))},
+		{"PackRangeSum short sums", plan.PackRangeSum(src, dst, 0, n, 8, make([]uint64, 9))},
+		{"FusedCopySum span 0", fused(0, make([]uint64, 1))},
+		{"FusedCopySum short sums", fused(16, make([]uint64, 4))},
+		{"PackChunks chunk 0", plan.PackChunks(src, dst, 0, n, 0, 0, nil)},
+		{"PackChunks span 0", plan.PackChunks(src, dst, 0, n, 16, 0, make([]uint64, 1))},
+		{"PackChunks short sums", plan.PackChunks(src, dst, 0, n, 16, 16, make([]uint64, 4))},
+		{"PackChunks span inside a chunk", plan.PackChunks(src, dst, 0, n, 16, 24, make([]uint64, 4))},
+		{"NewChunkPipelineSum negative span", func() error {
+			_, err := NewChunkPipelineSum(plan, src, 0, n, 16, 1, 0, -16)
+			return err
+		}()},
+	} {
+		if !errors.Is(c.err, ErrArgument) {
+			t.Errorf("%s: %v, want ErrArgument", c.name, c.err)
+		}
 	}
 }
 

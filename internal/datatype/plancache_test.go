@@ -162,9 +162,9 @@ func TestPlanCacheBounded(t *testing.T) {
 }
 
 // TestChunkedCompiledDifferential is the tier-2 property test: on
-// randomized (type, count) draws, streaming through Packer/Unpacker in
+// randomized (type, count) draws, PackRange/UnpackRange over
 // randomized chunk splits — which run on the compiled kernels —
-// produces output byte-identical to the raw interpreting cursor.
+// produce output byte-identical to the raw interpreting cursor.
 func TestChunkedCompiledDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xCAC4E))
 	for iter := 0; iter < 300; iter++ {
@@ -175,29 +175,25 @@ func TestChunkedCompiledDifferential(t *testing.T) {
 		src.FillPattern(byte(iter * 5))
 		want := cursorPack(t, ty, src, count, rng)
 
-		// Chunked compiled pack: random split sizes, at least one
-		// partial chunk so the whole-message fast path cannot fire.
-		p, err := ty.NewPacker(src, count)
+		// Chunked compiled pack: random split sizes.
+		plan, err := ty.CompilePlan(count)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := PlanStatsSnapshot()
 		var got []byte
-		for p.Remaining() > 0 {
-			n := int64(rng.Intn(48) + 1)
-			if n > p.Remaining() {
-				n = p.Remaining()
-			}
-			piece := buf.Alloc(int(n))
-			m, err := p.Pack(piece)
-			if err != nil {
+		for lo := int64(0); lo < plan.Bytes(); {
+			hi := min(lo+int64(rng.Intn(48)+1), plan.Bytes())
+			piece := buf.Alloc(int(hi - lo))
+			if err := plan.PackRange(src, piece, lo, hi); err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, piece.Bytes()[:m]...)
+			got = append(got, piece.Bytes()...)
+			lo = hi
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("iter %d (%v, kernel %v, count %d): compiled-chunked stream differs from cursor",
-				iter, ty, p.Plan().Kernel(), count)
+				iter, ty, plan.Kernel(), count)
 		}
 		if len(want) > 48 {
 			// The stream was genuinely chunked: tier 2 must have fired.
@@ -209,20 +205,12 @@ func TestChunkedCompiledDifferential(t *testing.T) {
 
 		// Chunked compiled unpack of the same stream.
 		streamDst := buf.Alloc(bufLen)
-		u, err := ty.NewUnpacker(streamDst, count)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off := 0
-		for u.Remaining() > 0 {
-			n := rng.Intn(48) + 1
-			if int64(n) > u.Remaining() {
-				n = int(u.Remaining())
-			}
-			if _, err := u.Unpack(buf.FromBytes(want[off : off+n])); err != nil {
+		for lo := int64(0); lo < plan.Bytes(); {
+			hi := min(lo+int64(rng.Intn(48)+1), plan.Bytes())
+			if err := plan.UnpackRange(buf.FromBytes(want[lo:hi]), streamDst, lo, hi); err != nil {
 				t.Fatal(err)
 			}
-			off += n
+			lo = hi
 		}
 		cursorDst := buf.Alloc(bufLen)
 		cursorUnpack(t, ty, cursorDst, count, want, rng)
@@ -242,19 +230,19 @@ func TestChunkedCompiledLargeChunkParallel(t *testing.T) {
 	src.FillPattern(0x42)
 	want := cursorPack(t, ty, src, 1, rng)
 
-	p, err := ty.NewPacker(src, 1)
+	plan, err := ty.CompilePlan(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A small leading chunk forces mid-stream resume, then one big
 	// chunk over the threshold.
 	head := buf.Alloc(1000)
-	if _, err := p.Pack(head); err != nil {
+	if err := plan.PackRange(src, head, 0, 1000); err != nil {
 		t.Fatal(err)
 	}
-	rest := buf.Alloc(int(p.Remaining()))
+	rest := buf.Alloc(int(plan.Bytes() - 1000))
 	before := PlanStatsSnapshot()
-	if _, err := p.Pack(rest); err != nil {
+	if err := plan.PackRange(src, rest, 1000, plan.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	d := PlanStatsSnapshot().Sub(before)

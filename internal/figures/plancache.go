@@ -23,8 +23,8 @@ import (
 // flattening, plan compilation — on every pack; the warm curve reuses
 // one committed type so every pack is a plan-cache hit executing the
 // stride kernel. The chunked curve streams the same message in 64 KiB
-// pieces through a Packer, each piece entering the compiled kernels
-// mid-stream.
+// pieces through Plan.PackChunks, each piece entering the compiled
+// kernels mid-stream.
 type PlanCacheStudy struct {
 	Profile *perfmodel.Profile
 	Sizes   []int64
@@ -141,15 +141,12 @@ func (st *PlanCacheStudy) measureSize(n int64, reps int) error {
 	// Chunked streaming on the compiled-chunked tier.
 	chunkStart := time.Now()
 	for r := 0; r < reps; r++ {
-		p, err := ty.NewPacker(src, 1)
+		plan, err := ty.CompilePlan(1)
 		if err != nil {
 			return err
 		}
-		for p.Remaining() > 0 {
-			sz := min(p.Remaining(), planCacheChunk)
-			if _, err := p.Pack(dst.Slice(0, int(sz))); err != nil {
-				return err
-			}
+		if err := plan.PackChunks(src, dst, 0, plan.Bytes(), planCacheChunk, 0, nil); err != nil {
+			return err
 		}
 	}
 	chunked := time.Since(chunkStart).Seconds()

@@ -47,7 +47,7 @@ import (
 //
 // Each walk is written once: treeLinks places a rank in the binomial
 // tree, ring runs the ring of typed legs, fan the linear fan-in and
-// fan-out, and collPlan and collSlots check every collective's
+// fan-out, and typedPlan and collSlots check every collective's
 // arguments before the first leg moves.
 
 // contigTypes caches committed Contiguous(n, Byte) types for the
@@ -111,19 +111,6 @@ func typedSpan(ty *datatype.Type, count int) int64 {
 		return 0
 	}
 	return int64(count-1)*ty.Extent() + ty.TrueLB() + ty.TrueExtent()
-}
-
-// collPlan is every typed collective's check of the one buffer each
-// rank brings: the count, then the plan, then the buffer against it.
-func collPlan(b buf.Block, count int, ty *datatype.Type) (*datatype.Plan, error) {
-	if count < 0 {
-		return nil, errNegativeCount(count)
-	}
-	plan, err := ty.CompilePlan(count)
-	if err != nil {
-		return nil, err
-	}
-	return plan, plan.Validate(b)
 }
 
 // collSlots is the slot layout of a collective that lands one slot
@@ -390,7 +377,7 @@ func (c *Comm) bcastType(b buf.Block, count int, ty *datatype.Type, root int) er
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
-	plan, err := collPlan(b, count, ty)
+	plan, err := typedPlan(b, count, ty)
 	if err != nil || c.size == 1 {
 		return err
 	}
@@ -427,7 +414,7 @@ func (c *Comm) gatherType(send buf.Block, sendCount int, sendTy *datatype.Type, 
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
-	sp, err := collPlan(send, sendCount, sendTy)
+	sp, err := typedPlan(send, sendCount, sendTy)
 	if err != nil {
 		return err
 	}
@@ -517,7 +504,7 @@ func (c *Comm) gathervType(send buf.Block, sendCount int, sendTy *datatype.Type,
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
-	sp, err := collPlan(send, sendCount, sendTy)
+	sp, err := typedPlan(send, sendCount, sendTy)
 	if err != nil {
 		return err
 	}
@@ -548,7 +535,7 @@ func (c *Comm) scattervType(send buf.Block, sendCounts, displs []int, sendTy *da
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
-	rp, err := collPlan(recv, recvCount, recvTy)
+	rp, err := typedPlan(recv, recvCount, recvTy)
 	if err != nil {
 		return err
 	}
@@ -577,7 +564,7 @@ func (c *Comm) AllgatherType(send buf.Block, sendCount int, sendTy *datatype.Typ
 }
 
 func (c *Comm) allgatherType(send buf.Block, sendCount int, sendTy *datatype.Type, recv buf.Block, recvCount int, recvTy *datatype.Type) error {
-	sp, err := collPlan(send, sendCount, sendTy)
+	sp, err := typedPlan(send, sendCount, sendTy)
 	if err != nil {
 		return err
 	}

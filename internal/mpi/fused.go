@@ -102,14 +102,10 @@ func (c *Comm) fusedOpen(x *fusedXfer, b buf.Block, count int, ty *datatype.Type
 	if n == 0 || (!fl.forceRdv && c.prof.Eager(n, fl.packed)) {
 		return nil, c.sendTyped(b, count, ty, dest, tag, fl)
 	}
-	plan, err := ty.CompilePlan(count)
+	// Argument errors surface locally, before the rendezvous envelope
+	// enters the fabric, as they do for SendType.
+	plan, err := typedPlan(b, count, ty)
 	if err != nil {
-		return nil, err
-	}
-	if err := plan.Validate(b); err != nil {
-		// Argument errors surface locally, before the rendezvous
-		// envelope enters the fabric — the same order as SendType,
-		// whose NewPacker validates before anything is delivered.
 		return nil, err
 	}
 	fl.sendv = true
@@ -250,32 +246,16 @@ func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st 
 	// concurrently scattering over.
 	if chunks > 1 && !buf.Overlaps(b, fd.user) {
 		cost := memsim.PipelinedChunkCost(gather, scatter, chunks, c.prof.PipelineDepth())
+		err := c.slotRing(plan, b, fd.user, nCopy, ss, func(ch datatype.PipeChunk) error {
+			return fd.plan.UnpackRange(ch.Data, fd.user, ch.Lo, ch.Hi)
+		})
 		if b.IsVirtual() || fd.user.IsVirtual() {
-			plan.RecordChunks(0, nCopy, chunk, true)
 			fd.plan.RecordChunks(0, nCopy, chunk, false)
+		}
+		if err == nil {
 			datatype.RecordStagedTransfer(nCopy)
-			return cost, nil
 		}
-		cp, err := datatype.NewChunkPipelineSum(plan, b, 0, nCopy, chunk, c.prof.PipelineDepth(), c.rank, ss.span)
-		if err != nil {
-			return cost, err
-		}
-		defer cp.Close()
-		for {
-			ch, ok := cp.Next()
-			if !ok {
-				break
-			}
-			if err := fd.plan.UnpackRange(ch.Data, fd.user, ch.Lo, ch.Hi); err != nil {
-				return cost, err
-			}
-			if ss.sums != nil {
-				ss.sums[ch.Lo/ss.span] = ch.Sum
-			}
-			cp.Recycle(ch)
-		}
-		datatype.RecordStagedTransfer(nCopy)
-		return cost, nil
+		return cost, err
 	}
 	staging := c.transitAlloc(b, nCopy)
 	defer buf.PutPooled(staging)

@@ -93,11 +93,8 @@ func (w *Win) Fence() error {
 // returns once the origin buffer is reusable; remote completion is
 // only guaranteed by the closing Fence.
 func (w *Win) Put(origin buf.Block, count int, ty *datatype.Type, target int, targetOff int64) error {
-	if count < 0 {
-		return errNegativeCount(count)
-	}
 	// The origin is checked before anything is charged or touched.
-	packer, err := ty.NewPacker(origin, count)
+	plan, err := typedPlan(origin, count, ty)
 	if err != nil {
 		return err
 	}
@@ -117,7 +114,7 @@ func (w *Win) Put(origin buf.Block, count int, ty *datatype.Type, target int, ta
 	w.shared.mu.Lock()
 	defer w.shared.mu.Unlock()
 	if n > 0 {
-		if _, err := packer.Pack(w.shared.blocks[target].Slice(int(targetOff), int(n))); err != nil {
+		if _, err := plan.Pack(origin, w.shared.blocks[target].Slice(int(targetOff), int(n))); err != nil {
 			return err
 		}
 	}

@@ -68,7 +68,7 @@ func (c *Comm) BsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 		return errNegativeCount(count)
 	}
 	n := ty.PackSize(count)
-	packer, err := ty.NewPacker(b, count)
+	plan, err := typedPlan(b, count, ty)
 	if err != nil {
 		return err
 	}
@@ -78,7 +78,7 @@ func (c *Comm) BsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	}
 	gather := c.cache.GatherCost(b.Region(), region.Region(), ty.Stats(count), memsim.Kernel{})
 	c.clock.Advance(vclock.FromSeconds(gather + c.prof.BsendOverhead))
-	if _, err := packer.Pack(region); err != nil {
+	if _, err := plan.Pack(b, region); err != nil {
 		release(c.clock.Now())
 		return err
 	}

@@ -136,6 +136,20 @@ func (c *Comm) deliverRdv(m *simnet.Message, dest, tag int) error {
 	}
 }
 
+// typedPlan is every typed operation's check of a user buffer, before
+// any clock charge or envelope: the count, then the plan, then the
+// buffer against it.
+func typedPlan(b buf.Block, count int, ty *datatype.Type) (*datatype.Plan, error) {
+	if count < 0 {
+		return nil, errNegativeCount(count)
+	}
+	plan, err := ty.CompilePlan(count)
+	if err != nil {
+		return nil, err
+	}
+	return plan, plan.Validate(b)
+}
+
 // sendTyped implements the derived-datatype direct send: MPI packs the
 // payload through its internal chunk buffers and transmits, without
 // pack/inject overlap (§2.3), at the internally degraded bandwidth
@@ -146,7 +160,7 @@ func (c *Comm) deliverRdv(m *simnet.Message, dest, tag int) error {
 func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag int, fl sendFlags) error {
 	p := c.prof
 	n := ty.PackSize(count)
-	packer, err := ty.NewPacker(b, count)
+	plan, err := typedPlan(b, count, ty)
 	if err != nil {
 		return err
 	}
@@ -162,7 +176,7 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	if pipelined {
 		// The slot ring is filled by the plan's compiled kernel, one
 		// internal chunk at a time by a single pack worker.
-		k.Engine = PlanKernel(packer.Plan()).Engine
+		k.Engine = PlanKernel(plan).Engine
 	}
 	gather := c.cache.GatherCost(b.Region(), c.internal.Region(), st, k)
 	wireBW := p.InternalBW(n)
@@ -206,23 +220,10 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 		transferSpan = memsim.PipelinedChunkCost(packWork, wire, chunks, p.PipelineDepth())
 	}
 
-	// Every attempt after the first packs through a fresh packer.
-	first := true
-	attemptPacker := func() (*datatype.Packer, error) {
-		if first {
-			first = false
-			return packer, nil
-		}
-		return ty.NewPacker(b, count)
-	}
 	if eager {
 		return c.sendEager("send-typed", dest, tag, n, transferSpan, fl, func() (buf.Block, error) {
-			pk, err := attemptPacker()
-			if err != nil {
-				return buf.Block{}, err
-			}
 			transit := c.transitAlloc(b, n)
-			if _, err := pk.Pack(transit); err != nil {
+			if _, err := plan.Pack(b, transit); err != nil {
 				buf.PutPooled(transit)
 				return buf.Block{}, err
 			}
@@ -253,19 +254,16 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	// measured installations, overlapped under NIC pipelining or the
 	// software-pipelined slot ring. A selective replay re-packs only
 	// the damaged stream ranges through the compiled plan.
-	plan := packer.Plan()
+	covered := min(n, int64(match.Dst.Len()))
 	return c.rdvSend(m, dest, tag, n, &stage{
-		covered: min(n, int64(match.Dst.Len())),
+		covered: covered,
 		real:    !b.IsVirtual() && !match.Dst.IsVirtual(),
 		drain: func(ss srcSums) error {
-			pk, err := attemptPacker()
-			if err != nil {
-				return err
-			}
+			var err error
 			if pipelined {
-				err = c.drainPipelined(pk.Plan(), b, match.Dst, n, ss)
+				err = c.drainPipelined(plan, b, match.Dst, covered, ss)
 			} else {
-				err = c.drainPacker(pk, b, match.Dst, n, ss)
+				err = plan.PackChunks(b, match.Dst, 0, covered, p.InternalChunk(), ss.span, ss.sums)
 			}
 			if err != nil {
 				return err
@@ -299,59 +297,33 @@ type srcSums struct {
 	sums []uint64
 }
 
-// drainPacker streams the packed byte sequence of user into dst
-// through internal-chunk-sized pieces — the mechanical counterpart of
-// the cost charged in sendTyped. When either buffer is virtual no byte
-// lands and no sum exists, so a multi-chunk drain is attributed in
-// closed form, chunk for chunk as the loop would.
-func (c *Comm) drainPacker(packer *datatype.Packer, user, dst buf.Block, n int64, ss srcSums) error {
-	limit := min(n, int64(dst.Len()))
-	chunk := c.prof.InternalChunk()
-	if (user.IsVirtual() || dst.IsVirtual()) && limit > chunk {
-		packer.RecordChunks(limit, chunk)
-		return nil
-	}
-	var off int64
-	var cs buf.Checksum
-	var sum *buf.Checksum
-	if ss.sums != nil {
-		sum = &cs
-	}
-	for off < limit {
-		sz := chunk
-		if off+sz > limit {
-			sz = limit - off
-		}
-		if sum != nil && off%ss.span == 0 {
-			cs.Reset()
-		}
-		if _, err := packer.PackSum(dst.Slice(int(off), int(sz)), sum); err != nil {
-			return err
-		}
-		if sum != nil {
-			ss.sums[off/ss.span] = cs.Sum64()
-		}
-		off += sz
-	}
-	return nil
-}
-
-// drainPipelined is the software-pipelined counterpart of drainPacker:
-// a pack worker fills the bounded slot ring a configurable depth ahead
+// drainPipelined is the software-pipelined chunk loop: a pack worker
+// fills the bounded slot ring a configurable depth ahead
 // (datatype.ChunkPipeline) while this goroutine injects each packed
 // slot into the destination, so chunk k+1 packs while chunk k injects.
-// The ring is the path's entire allocation footprint — depth pooled
-// slots from this rank's shard, recycled in place and released on
-// return. The pack worker folds ss's sums while it fills a slot. With
-// either buffer virtual there is nothing to pack, inject or sum: the
-// chunks are attributed in closed form, with no ring, worker or slot.
 func (c *Comm) drainPipelined(plan *datatype.Plan, user, dst buf.Block, n int64, ss srcSums) error {
-	limit := min(n, int64(dst.Len()))
+	return c.slotRing(plan, user, dst, n, ss, func(ch datatype.PipeChunk) error {
+		buf.CopyAt(dst, int(ch.Lo), ch.Data, 0, int(ch.Hi-ch.Lo))
+		return nil
+	})
+}
+
+// slotRing is the one consumer of the chunk-slot ring, behind
+// drainPipelined and stagedScatter: it packs plan's packed range
+// [0, n) of user through a ring of this rank's pipeline depth in
+// internal-chunk slots, hands every packed chunk to move — which
+// carries it into dst — and records the sums the pack worker folded
+// into ss. The ring is the path's entire allocation footprint, depth
+// pooled slots from this rank's shard, recycled in place and released
+// on return. With user or dst virtual there is nothing to pack, move
+// or sum: the chunks are attributed in closed form, with no ring,
+// worker or slot.
+func (c *Comm) slotRing(plan *datatype.Plan, user, dst buf.Block, n int64, ss srcSums, move func(datatype.PipeChunk) error) error {
 	if user.IsVirtual() || dst.IsVirtual() {
-		plan.RecordChunks(0, limit, c.prof.InternalChunk(), true)
+		plan.RecordChunks(0, n, c.prof.InternalChunk(), true)
 		return nil
 	}
-	cp, err := datatype.NewChunkPipelineSum(plan, user, 0, limit, c.prof.InternalChunk(), c.prof.PipelineDepth(), c.rank, ss.span)
+	cp, err := datatype.NewChunkPipelineSum(plan, user, 0, n, c.prof.InternalChunk(), c.prof.PipelineDepth(), c.rank, ss.span)
 	if err != nil {
 		return err
 	}
@@ -361,7 +333,9 @@ func (c *Comm) drainPipelined(plan *datatype.Plan, user, dst buf.Block, n int64,
 		if !ok {
 			return nil
 		}
-		buf.CopyAt(dst, int(ch.Lo), ch.Data, 0, int(ch.Hi-ch.Lo))
+		if err := move(ch); err != nil {
+			return err
+		}
 		if ss.sums != nil {
 			ss.sums[ch.Lo/ss.span] = ch.Sum
 		}
@@ -449,13 +423,8 @@ func (c *Comm) recvContig(b buf.Block, src, tag int) (Status, error) {
 // recvTyped receives a typed message, scattering into the datatype
 // layout.
 func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int) (Status, error) {
-	// Argument errors surface here, before the match; the unpacker is
-	// built only when a staged payload is scattered (a fused match never
-	// does).
-	plan, err := ty.CompilePlan(count)
-	if err == nil {
-		err = plan.Validate(b)
-	}
+	// Argument errors surface here, before the match.
+	plan, err := typedPlan(b, count, ty)
 	if err != nil {
 		return Status{}, err
 	}
@@ -468,11 +437,14 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 	st := Status{Source: c.localRank(m.Src), Tag: m.Tag, Count: m.Bytes}
 	scatter := c.cache.ScatterCost(c.internal.Region(), b.Region(), ty.Stats(count), memsim.Kernel{})
 	// A staged payload (eager transit, rendezvous staging) is scattered
-	// into b's layout once it has landed.
+	// into b's layout once it has landed: the whole message as one
+	// execution, a short one as the range it covers.
 	unpack := func(packed buf.Block) error {
-		u, err := ty.NewUnpacker(b, count)
-		if err == nil {
-			_, err = u.Unpack(packed)
+		var err error
+		if int64(packed.Len()) >= need {
+			_, err = plan.Unpack(packed, b)
+		} else {
+			err = plan.UnpackRange(packed, b, 0, int64(packed.Len()))
 		}
 		if err == nil {
 			datatype.RecordStagedTransfer(int64(packed.Len()))

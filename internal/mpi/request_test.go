@@ -28,8 +28,8 @@ func issendv(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) 
 // together, on a clean fabric with virtual payloads: for a non-blocking
 // pair a request and its goroutine's closure per side, the envelope,
 // and the typed receiver's layout descriptor; for a blocking typed
-// rendezvous the envelope, the sender's packer and the receiver's
-// unpacker. The counts
+// rendezvous the envelope alone, as both sides run the type's cached
+// plan. The counts
 // are deterministic (no wall threshold) and equal at every GOMAXPROCS;
 // before the request diet the typed non-blocking pair cost 20 objects
 // and the contiguous pair 14. A send engine whose per-transfer state
@@ -61,9 +61,9 @@ func TestAsyncAllocBudget(t *testing.T) {
 		{"Isend+Irecv eager", 5,
 			func(c *Comm) error { return wait(c.cisend(buf.Virtual(1024), 1, 0), nil) },
 			func(c *Comm) error { return wait(c.cirecv(buf.Virtual(1024), 0, 0), nil) }},
-		{"SendType+RecvType rendezvous", 3,
+		{"SendType+RecvType rendezvous", 1,
 			func(c *Comm) error { return c.SendType(buf.Virtual(need), 1, ty, 1, 0) }, recvType},
-		{"SendpType+RecvType rendezvous", 3,
+		{"SendpType+RecvType rendezvous", 1,
 			func(c *Comm) error { return c.SendpType(buf.Virtual(need), 1, ty, 1, 0) }, recvType},
 	}
 	for _, row := range rows {

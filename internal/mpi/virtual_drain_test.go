@@ -112,26 +112,26 @@ func TestVirtualDrainAttribution(t *testing.T) {
 }
 
 var virtualDrainWant = map[string]virtualDrainRow{
-	"SendType/sender/524280":     {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 1},
-	"SendType/sender/524288":     {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 1},
-	"SendType/sender/1572872":    {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 1},
-	"SendType/receiver/524280":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"SendType/receiver/524288":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"SendType/receiver/1572872":  {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
-	"SendType/both/524280":       {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"SendType/both/524288":       {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"SendType/both/1572872":      {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
-	"SendType/both/1000000000":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=1909/2000000000B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1909/2000000000B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1000000000B}", 0.486139394, 0.668826326, 0},
-	"SendpType/sender/524280":    {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 1},
-	"SendpType/sender/524288":    {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 1},
-	"SendpType/sender/1572872":   {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 1},
-	"SendpType/receiver/524280":  {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"SendpType/receiver/524288":  {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"SendpType/receiver/1572872": {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 3},
-	"SendpType/both/524280":      {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
-	"SendpType/both/524288":      {"plan{compiled=0 cache=1/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
-	"SendpType/both/1572872":     {"plan{compiled=0 cache=1/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 0},
-	"SendpType/both/1000000000":  {"plan{compiled=0 cache=1/2 contig=0/0B stride=1909/2000000000B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1909/2000000000B pipelined=1908/1000000000B cursor=0/0B fused=0/0B staged=1/1000000000B}", 0.297139737, 0.479826669, 0},
+	"SendType/sender/524280":     {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 1},
+	"SendType/sender/524288":     {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 1},
+	"SendType/sender/1572872":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 1},
+	"SendType/receiver/524280":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
+	"SendType/receiver/524288":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
+	"SendType/receiver/1572872":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
+	"SendType/both/524280":       {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
+	"SendType/both/524288":       {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
+	"SendType/both/1572872":      {"plan{compiled=0 cache=0/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000430494, 0.000720337, 0},
+	"SendType/both/1000000000":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=1909/2000000000B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1909/2000000000B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/1000000000B}", 0.486139394, 0.668826326, 0},
+	"SendpType/sender/524280":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 1},
+	"SendpType/sender/524288":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 1},
+	"SendpType/sender/1572872":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 1},
+	"SendpType/receiver/524280":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
+	"SendpType/receiver/524288":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
+	"SendpType/receiver/1572872": {"plan{compiled=0 cache=0/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 3},
+	"SendpType/both/524280":      {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524280B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000146262, 0.000244541, 0},
+	"SendpType/both/524288":      {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1/524288B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000146263, 0.000244548, 0},
+	"SendpType/both/1572872":     {"plan{compiled=0 cache=0/2 contig=0/0B stride=5/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=5/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000308782, 0.000598625, 0},
+	"SendpType/both/1000000000":  {"plan{compiled=0 cache=0/2 contig=0/0B stride=1909/2000000000B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=1909/2000000000B pipelined=1908/1000000000B cursor=0/0B fused=0/0B staged=1/1000000000B}", 0.297139737, 0.479826669, 0},
 	"SendvType/sender/524280":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048560B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048560B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524280B}", 0.000152336, 0.000154836, 0},
 	"SendvType/sender/524288":    {"plan{compiled=0 cache=0/2 contig=0/0B stride=2/1048576B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=2/1048576B pipelined=0/0B cursor=0/0B fused=0/0B staged=1/524288B}", 0.000152339, 0.000154839, 0},
 	"SendvType/sender/1572872":   {"plan{compiled=0 cache=0/2 contig=0/0B stride=8/3145744B gather=0/0B block=0/0B canon=0/0 merged=0 parallel=0/0B chunk=8/3145744B pipelined=4/1572872B cursor=0/0B fused=0/0B staged=1/1572872B}", 0.000317514, 0.000320014, 0},
