@@ -1,7 +1,9 @@
 package figures
 
 import (
+	"bytes"
 	"io"
+	"os"
 	"testing"
 
 	"repro/internal/harness"
@@ -51,5 +53,33 @@ func TestHaloStudyBuilds(t *testing.T) {
 	}
 	if err := st.Render(io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHaloStudyGolden renders E15 on the four paper installations at
+// cmd/figures' settings (eight exchange rounds, payloads over 16 MiB
+// virtual) and compares the text byte for byte with
+// testdata/halo_golden.txt. Every number in it is on the virtual
+// clock or a plan counter of study-local types, so the file pins no
+// core count and no garbage-collector timing.
+func TestHaloStudyGolden(t *testing.T) {
+	opt := harness.DefaultOptions()
+	opt.Reps = 8
+	var out bytes.Buffer
+	for _, p := range []string{"skx-impi", "skx-mvapich", "ls5-cray", "knl-impi"} {
+		st, err := BuildHaloStudy(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Render(&out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("testdata/halo_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("E15 output drifted from testdata/halo_golden.txt:\n%s", got)
 	}
 }
