@@ -77,9 +77,6 @@ const (
 // Schemes lists all schemes in legend order.
 func Schemes() []Scheme { return core.Schemes() }
 
-// SchemeByName resolves a legend label like "packing(v)".
-func SchemeByName(name string) (Scheme, error) { return core.SchemeByName(name) }
-
 // Workload describes a strided payload; WorkloadForBytes builds the
 // paper's canonical every-other-element case.
 type Workload = core.Workload

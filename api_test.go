@@ -45,14 +45,6 @@ func TestFacadeSchemes(t *testing.T) {
 	if len(repro.Schemes()) != 11 {
 		t.Fatalf("schemes = %v", repro.Schemes())
 	}
-	s, err := repro.SchemeByName("packing(v)")
-	if err != nil || s != repro.PackVector {
-		t.Fatalf("SchemeByName: %v, %v", s, err)
-	}
-	s, err = repro.SchemeByName("packing(c)")
-	if err != nil || s != repro.PackCompiled {
-		t.Fatalf("SchemeByName packing(c): %v, %v", s, err)
-	}
 }
 
 func TestFacadeRecommend(t *testing.T) {

@@ -1,10 +1,13 @@
-// Command figures regenerates the paper's Figures 1–4 and the studies
-// E5–E21 on the simulated installations. Every artefact is one entry
-// of the study table below: `figures -study list` prints it, and
-// `-study a,b` runs the named entries in order for each -profile
-// (default: figures, the time, bandwidth and slowdown panels). Each
-// study flag that predates -study (-check, -plan, …) appends the entry
-// of its name, so `figures -check` is `figures -study figures,check`.
+// Command figures regenerates the paper's Figures 1–4, the ping-pong
+// table per scheme and the studies E5–E21 on the simulated
+// installations. Every artefact is one entry of the study table: the
+// figures entry, then one per row of figures.Studies. `figures -study
+// list` prints it, and `-study a,b` runs the named entries in order for
+// each -profile (default: figures, the time, bandwidth and slowdown
+// panels); an installation-independent row (E19) runs once, after the
+// others. Each study flag that predates -study (-check, -plan, …)
+// appends the entry of its name unless -study names it already, so
+// `figures -check` is `figures -study figures,check`.
 package main
 
 import (
@@ -36,45 +39,18 @@ type config struct {
 	csvDir string
 }
 
-// compact is the size sweep of the real-byte wall-time studies.
-var compact = []int64{256 << 10, 1 << 20, 8 << 20}
-
 func table() []entry {
 	es := []entry{{"figures", "E1–E4: Figures 1–4, time, bandwidth and slowdown over every scheme (-csv writes them)", false, runFigure}}
 	for _, st := range figures.Studies() {
-		es = append(es, entry{st.Name, st.ID + ": " + st.Title, false, func(w io.Writer, p string, c config) error {
-			return show(w)(st.Run(p, c.sizes, c.opt))
+		es = append(es, entry{st.Name, st.ID + ": " + st.Title, st.Once, func(w io.Writer, p string, c config) error {
+			r, err := st.Run(p, c.sizes, c.opt)
+			if err != nil {
+				return err
+			}
+			return r.Render(w)
 		}})
 	}
-	return append(es,
-		entry{"plancache", "E13: plan cache, cold vs warm compile, compiled chunked streaming", false, func(w io.Writer, p string, c config) error {
-			return show(w)(figures.BuildPlanCacheStudy(p, []int64{64 << 10, 1 << 20, 8 << 20}, capReps(c.opt, 12)))
-		}},
-		entry{"fused", "E14: fused transfer vs staged pack+unpack bandwidth", false, func(w io.Writer, p string, c config) error {
-			return show(w)(figures.BuildFusedStudy(p, compact, capReps(c.opt, 12)))
-		}},
-		entry{"halo", "E15: halo exchange, typed collectives vs manual pack over subarray faces", false, func(w io.Writer, p string, c config) error {
-			return show(w)(figures.BuildHaloStudy(p, capReps(c.opt, 8)))
-		}},
-		entry{"pipeline", "E16: serial vs pipelined vs fused chunk engines across chunk sizes", false, func(w io.Writer, p string, _ config) error {
-			return show(w)(figures.BuildPipelineStudy(p, nil, nil))
-		}},
-		entry{"guidelines", "E17: performance-guidelines verifier against the waiver baseline", false, func(w io.Writer, p string, _ config) error {
-			return show(w)(figures.BuildGuidelinesStudy(p))
-		}},
-		entry{"chaos", "E18: goodput and p99 tail against injected fault rate", false, func(w io.Writer, p string, _ config) error {
-			return show(w)(figures.BuildChaosStudy(p, nil, 0))
-		}},
-		entry{"canon", "E19: normalized vs gather-twin pack bandwidth (wall time, runs once)", true, func(w io.Writer, _ string, c config) error {
-			return show(w)(figures.BuildCanonStudy(compact, capReps(c.opt, 12)))
-		}},
-		entry{"scale", "E20: concurrent job mix at 64-1024 ranks", false, func(w io.Writer, p string, _ config) error {
-			return show(w)(figures.BuildScaleStudy(p, nil))
-		}},
-		entry{"chaosscale", "E21: the E20 job mix under faults, selective vs whole-transfer replay (~1 min)", false, func(w io.Writer, p string, _ config) error {
-			return show(w)(figures.BuildChaosScaleStudy(p, nil, nil))
-		}},
-	)
+	return es
 }
 
 func main() {
@@ -89,6 +65,12 @@ func main() {
 		appended[name] = flag.Bool(name, false, "append the "+name+" entry to -study")
 	}
 	flag.Parse()
+	if *reps < 1 {
+		check(fmt.Errorf("-reps %d: want at least 1", *reps))
+	}
+	if *maxReal < 0 {
+		check(fmt.Errorf("-max-real %d: want at least 0", *maxReal))
+	}
 
 	entries := table()
 	if *studies == "list" {
@@ -99,7 +81,7 @@ func main() {
 	}
 	names := strings.Split(*studies, ",")
 	for _, e := range entries {
-		if on := appended[e.name]; on != nil && *on {
+		if on := appended[e.name]; on != nil && *on && !slices.Contains(names, e.name) {
 			names = append(names, e.name)
 		}
 	}
@@ -150,22 +132,6 @@ func runFigure(w io.Writer, profile string, c config) error {
 	}
 	_, err = fmt.Fprintf(w, "wrote %s\n", path)
 	return err
-}
-
-// show renders a study once it is built.
-func show(w io.Writer) func(interface{ Render(io.Writer) error }, error) error {
-	return func(st interface{ Render(io.Writer) error }, err error) error {
-		if err != nil {
-			return err
-		}
-		return st.Render(w)
-	}
-}
-
-// capReps bounds the repetitions of the real-byte wall-time studies.
-func capReps(o harness.Options, n int) harness.Options {
-	o.Reps = min(o.Reps, n)
-	return o
 }
 
 func check(err error) {

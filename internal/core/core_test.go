@@ -24,21 +24,6 @@ func TestSchemeNames(t *testing.T) {
 	}
 }
 
-func TestSchemeByName(t *testing.T) {
-	for _, s := range Schemes() {
-		got, err := SchemeByName(s.String())
-		if err != nil || got != s {
-			t.Errorf("round trip %v: got %v, %v", s, got, err)
-		}
-	}
-	if _, err := SchemeByName("warp drive"); err == nil {
-		t.Error("unknown name accepted")
-	}
-	if s, err := SchemeByName("bsend"); err != nil || s != Buffered {
-		t.Errorf("alias bsend: %v, %v", s, err)
-	}
-}
-
 func TestWorkloadGeometry(t *testing.T) {
 	w := ForBytes(1 << 20)
 	if w.BlockLen != 1 || w.Stride != 2 {

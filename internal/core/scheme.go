@@ -42,7 +42,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Scheme identifies one of the paper's send schemes.
@@ -90,37 +89,4 @@ func (s Scheme) String() string {
 // Schemes lists all schemes in legend order.
 func Schemes() []Scheme {
 	return []Scheme{Reference, Copying, Buffered, VectorType, Subarray, OneSided, PackElement, PackVector, PackCompiled, Sendv, TypedPipelined}
-}
-
-// SchemeByName resolves a legend label (or a few aliases) to a Scheme.
-func SchemeByName(name string) (Scheme, error) {
-	aliases := map[string]Scheme{
-		"reference":   Reference,
-		"copying":     Copying,
-		"copy":        Copying,
-		"buffered":    Buffered,
-		"bsend":       Buffered,
-		"vector type": VectorType,
-		"vector":      VectorType,
-		"subarray":    Subarray,
-		"onesided":    OneSided,
-		"one-sided":   OneSided,
-		"packing(e)":  PackElement,
-		"packing(v)":  PackVector,
-		"packing(c)":  PackCompiled,
-		"compiled":    PackCompiled,
-		"sendv":       Sendv,
-		"fused":       Sendv,
-		"pipelined":   TypedPipelined,
-		"pipeline":    TypedPipelined,
-	}
-	if s, ok := aliases[name]; ok {
-		return s, nil
-	}
-	known := make([]string, 0, len(aliases))
-	for k := range aliases {
-		known = append(known, k)
-	}
-	sort.Strings(known)
-	return 0, fmt.Errorf("core: unknown scheme %q (known: %v)", name, known)
 }

@@ -2,62 +2,66 @@ package figures
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
 	"repro/internal/harness"
 	"repro/internal/plot"
-	"repro/internal/stats"
 )
 
-// CanonStudy is E19: the Commit-time datatype normalizer (the TEMPI
-// direction), measured in real (wall-clock) time.
+// canonStudy is E19: the Commit-time datatype normalizer (the TEMPI
+// direction), measured in real (wall-clock) time. It does not depend
+// on the installation, so it runs once.
 //
 // Each panel packs one nested derived type — its normalized program,
 // the canonical strided-block form executed in closed form — and its
 // datatype.GatherTwin, the same runs as a table no closed form matches,
 // which stands in for the raw flattened gather walk; it charts both
-// rates. Alongside the
-// bandwidths the study records what the pass actually did to each
-// type: the per-instance run count it collapsed, the dimensionality of
-// the closed form, the class label of the program, and the
-// CanonicalString rendering, so the chart ties the speedup to the IR
-// transformation that produced it.
+// rates. Alongside the bandwidths the study records what the pass
+// actually did to each type: the per-instance run count it collapsed,
+// the dimensionality of the closed form, the class label of the
+// program, the CanonicalString rendering and the plan counters of the
+// canon sweep, so the chart ties the speedup to the IR transformation
+// that produced it. The twin's gather and block executions are curves
+// for the tests: every twin pack must run the gather walk.
 //
 // The third family is the deliberate miss: an irregular indexed type
 // no closed form matches, where the normalizer can only hoist the
 // uniform element size. Its canon-vs-twin ratio near 1 is the study's
 // control — the pass helps where a canonical form exists and costs
 // nothing where one doesn't.
-type CanonStudy struct {
-	Reps int
-
-	// Panels holds one canon-vs-twin comparison per type family.
-	Panels []CanonPanel
-}
-
-// CanonPanel is one type family's normalized/gather-twin comparison.
-type CanonPanel struct {
-	Layout string
-	Sizes  []int64
-
-	Canon, Twin *stats.Series // pack bandwidth, GB/s
-
-	// Per-size attribution of the normalized program: the raw run
-	// count the pass collapsed (0 when it fell back to the table),
-	// the canonical dimensionality, the class label, and the
-	// CanonicalString rendering.
-	RawRuns []int64
-	Dims    []int
-	Classes []string
-	Forms   []string
-
-	// Stats and TwinStats are the plan-counter deltas of the canon and
-	// twin sweeps per size; for collapsing families every canon pack
-	// must land on BlockOps and every twin pack on GatherOps.
-	Stats, TwinStats []datatype.PlanStats
+func canonStudy() *Study {
+	var panels []Panel
+	for _, g := range canonGeometries {
+		panels = append(panels, Panel{Config: plot.Config{
+			Title:  g.name + ": normalized vs gather-twin pack bandwidth (GB/s)",
+			XLabel: "message bytes", YLabel: "GB/s", LogX: true,
+		}, Variant: g.name, Curves: []Curve{{Name: "canon", Label: "normalized (canonical program)"},
+			{Name: "twin", Label: "gather twin (flattened table walk)"}}},
+			Panel{Config: plot.Config{Title: g.name + " per size:"}, Variant: g.name, Note: true})
+	}
+	return &Study{
+		ID: "E19", Name: "canon", Title: "canonical-normalizer study", Once: true,
+		Detail: wallDetail,
+		Sizes:  fixed(256<<10, 1<<20, 8<<20), Real: true, MaxReps: 12,
+		Measure: func(r *Result, opt harness.Options) error {
+			for _, g := range canonGeometries {
+				for _, n := range r.sizes {
+					if err := measureCanon(r, g, n, opt.Reps); err != nil {
+						return err
+					}
+				}
+				r.printf(g.name, "\n")
+			}
+			return nil
+		},
+		Panels: panels,
+		Claims: []Claim{{Metric: "canonSpeedup(x)",
+			Line:  "the normalized block kernel is %.2fx the gather twin's table walk on nested 8-byte runs at the largest size\n",
+			Value: func(r *Result) float64 { return r.last(per("hvecOfVec8B", "canon", "twin")) },
+			Holds: above(0)}},
+		Spaced: true,
+	}
 }
 
 // canonGeometry builds one study type covering about n payload bytes.
@@ -124,44 +128,6 @@ var canonGeometries = []canonGeometry{
 	{"indexedIrregular", false, canonIndexedIrregular},
 }
 
-// canonStudyMinBytes keeps the measured messages large enough that the
-// per-pack fixed costs don't dominate the timed loop.
-const canonStudyMinBytes = 64 << 10
-
-// BuildCanonStudy measures normalized-vs-twin pack bandwidth for each
-// family and size. Sizes above opt.MaxRealBytes (or under
-// canonStudyMinBytes) are skipped: the study times real byte movement.
-func BuildCanonStudy(sizes []int64, opt harness.Options) (*CanonStudy, error) {
-	if opt.Reps == 0 {
-		opt.Reps = 12
-	}
-	if opt.MaxRealBytes == 0 {
-		opt.MaxRealBytes = 16 << 20
-	}
-	st := &CanonStudy{Reps: opt.Reps}
-	for _, g := range canonGeometries {
-		panel := CanonPanel{
-			Layout: g.name,
-			Canon:  &stats.Series{Label: "normalized (canonical program)"},
-			Twin:   &stats.Series{Label: "gather twin (flattened table walk)"},
-		}
-		for _, n := range sizes {
-			if n > opt.MaxRealBytes || n < canonStudyMinBytes {
-				continue
-			}
-			if err := panel.measure(g, n, opt.Reps); err != nil {
-				return nil, err
-			}
-			panel.Sizes = append(panel.Sizes, n)
-		}
-		if len(panel.Sizes) == 0 {
-			return nil, fmt.Errorf("figures: no canon-study sizes at or under MaxRealBytes=%d", opt.MaxRealBytes)
-		}
-		st.Panels = append(st.Panels, panel)
-	}
-	return st, nil
-}
-
 // canonPack times reps compiled packs of ty, returning seconds, the
 // moved bytes per pack and the plan-counter delta of the sweep.
 func canonPack(ty *datatype.Type, reps int) (float64, int64, datatype.PlanStats, error) {
@@ -173,18 +139,16 @@ func canonPack(ty *datatype.Type, reps int) (float64, int64, datatype.PlanStats,
 	src := buf.Alloc(int(ty.UB()))
 	src.FillPattern(0x19)
 	packed := buf.Alloc(int(plan.Bytes()))
-	start := time.Now()
-	for r := 0; r < reps; r++ {
-		if _, err := plan.Pack(src, packed); err != nil {
-			return 0, 0, datatype.PlanStats{}, err
-		}
-	}
-	return time.Since(start).Seconds(), plan.Bytes(), datatype.PlanStatsSnapshot().Sub(before), nil
+	secs, err := wall(reps, func() error {
+		_, err := plan.Pack(src, packed)
+		return err
+	})
+	return secs, plan.Bytes(), datatype.PlanStatsSnapshot().Sub(before), err
 }
 
-// measure packs the family's type and its gather twin for one
+// measureCanon packs the family's type and its gather twin for one
 // (family, size) cell.
-func (p *CanonPanel) measure(g canonGeometry, n int64, reps int) error {
+func measureCanon(r *Result, g canonGeometry, n int64, reps int) error {
 	ty, err := g.build(n)
 	if err != nil {
 		return err
@@ -204,64 +168,23 @@ func (p *CanonPanel) measure(g canonGeometry, n int64, reps int) error {
 	if err != nil {
 		return err
 	}
-	p.Stats = append(p.Stats, canonStats)
-	p.TwinStats = append(p.TwinStats, twinStats)
-
 	plan, err := ty.CompilePlan(1)
 	if err != nil {
 		return err
 	}
 	_, rawRuns, dims := plan.Canon()
-	p.RawRuns = append(p.RawRuns, rawRuns)
-	p.Dims = append(p.Dims, dims)
-	p.Classes = append(p.Classes, plan.KernelClass().String())
-	p.Forms = append(p.Forms, ty.CanonicalString())
 
-	bytes := float64(moved) * float64(reps)
-	p.Canon.Append(float64(n), gbps(bytes, canonSecs))
-	p.Twin.Append(float64(n), gbps(bytes, twinSecs))
-	return nil
-}
-
-// Render prints one bandwidth panel per family plus the canonical-form
-// attribution lines, then the closing claim line.
-func (st *CanonStudy) Render(w io.Writer) error {
-	fmt.Fprintf(w, "== E19 canonical-normalizer study (%d reps, wall time) ==\n\n", st.Reps)
-	for _, p := range st.Panels {
-		cfg := plot.Config{
-			Title:  fmt.Sprintf("%s: normalized vs gather-twin pack bandwidth (GB/s)", p.Layout),
-			XLabel: "message bytes", YLabel: "GB/s", LogX: true,
-		}
-		if err := plot.ASCII(w, cfg, []*stats.Series{p.Canon, p.Twin}); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s per size:\n", p.Layout)
-		for i, n := range p.Sizes {
-			speed := ratio(p.Canon.Y[i], p.Twin.Y[i])
-			reduction := "table kept (uniform hoist)"
-			if p.RawRuns[i] > 0 {
-				reduction = fmt.Sprintf("runs %d→%d (block%dd)", p.RawRuns[i], p.Dims[i], p.Dims[i])
-			}
-			fmt.Fprintf(w, "  %12d B  canon %6.2f GB/s  twin %6.2f GB/s  canon/twin %.2fx  class %s  %s\n",
-				n, p.Canon.Y[i], p.Twin.Y[i], speed, p.Classes[i], reduction)
-			fmt.Fprintf(w, "                 %s  %v\n", p.Forms[i], p.Stats[i])
-		}
-		fmt.Fprintln(w)
+	bytes, x := float64(moved)*float64(reps), float64(n)
+	canon, tw := gbps(bytes, canonSecs), gbps(bytes, twinSecs)
+	r.add(Curve{Name: "canon", Variant: g.name}, x, canon)
+	r.add(Curve{Name: "twin", Variant: g.name}, x, tw)
+	r.add(Curve{Name: "twin gather ops", Variant: g.name}, x, float64(twinStats.GatherOps))
+	r.add(Curve{Name: "twin block ops", Variant: g.name}, x, float64(twinStats.BlockOps))
+	reduction := "table kept (uniform hoist)"
+	if rawRuns > 0 {
+		reduction = fmt.Sprintf("runs %d→%d (block%dd)", rawRuns, dims, dims)
 	}
-	largest := st.Panels[0].Sizes[len(st.Panels[0].Sizes)-1]
-	fmt.Fprintf(w, "the normalized block kernel is %.2fx the gather twin's table walk on nested 8-byte runs at the largest size\n\n",
-		st.CanonSpeedupAt("hvecOfVec8B", largest))
+	r.printf(g.name, "  %12d B  canon %6.2f GB/s  twin %6.2f GB/s  canon/twin %.2fx  class %s  %s\n                 %s  %v\n",
+		n, canon, tw, ratio(canon, tw), plan.KernelClass(), reduction, ty.CanonicalString(), canonStats)
 	return nil
-}
-
-// CanonSpeedupAt returns normalized/twin bandwidth for the named family
-// at the size closest to n (0 when the family is unknown).
-func (st *CanonStudy) CanonSpeedupAt(layoutName string, n int64) float64 {
-	for _, p := range st.Panels {
-		if p.Layout == layoutName {
-			best, _ := stats.Ratio("", p.Canon, p.Twin).Nearest(float64(n))
-			return best
-		}
-	}
-	return 0
 }

@@ -1,6 +1,8 @@
 package figures
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,67 +17,68 @@ import (
 // reports the per-size attribution.
 func TestCanonStudy(t *testing.T) {
 	opt := harness.Options{Reps: 3, MaxRealBytes: 1 << 20}
-	st, err := BuildCanonStudy([]int64{8 << 10, 128 << 10, 512 << 10, 64 << 20}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Panels) != len(canonGeometries) {
-		t.Fatalf("panels = %d, want %d", len(st.Panels), len(canonGeometries))
-	}
-	for pi, p := range st.Panels {
-		g := canonGeometries[pi]
-		if len(p.Sizes) != 2 {
-			t.Fatalf("%s kept sizes %v, want the two inside [min,max]", p.Layout, p.Sizes)
+	st := study(t, "canon")
+	st.Sizes = fixed(8<<10, 128<<10, 512<<10, 64<<20)
+	r := run(t, st, nil, opt)
+	collapse := regexp.MustCompile(`class (\S+)  runs (\d+)→(\d+) \(block\d+d\)`)
+	for _, g := range canonGeometries {
+		canon, twin := r.Series(Curve{Name: "canon", Variant: g.name}), r.Series(Curve{Name: "twin", Variant: g.name})
+		if canon.Len() != 2 {
+			t.Fatalf("%s kept sizes %v, want the two inside [min,max]", g.name, canon.X)
 		}
-		for i, n := range p.Sizes {
-			if p.Canon.Y[i] <= 0 || p.Twin.Y[i] <= 0 {
-				t.Fatalf("%s: non-positive bandwidth at %d B", p.Layout, n)
+		gather := r.Series(Curve{Name: "twin gather ops", Variant: g.name}).Y
+		block := r.Series(Curve{Name: "twin block ops", Variant: g.name}).Y
+		lines := strings.Split(strings.TrimSpace(r.notes[g.name]), "\n")
+		for i, n := range canon.X {
+			if canon.Y[i] <= 0 || twin.Y[i] <= 0 {
+				t.Fatalf("%s: non-positive bandwidth at %g B", g.name, n)
 			}
-			d, tw := p.Stats[i], p.TwinStats[i]
-			if tw.GatherOps < int64(st.Reps) || tw.BlockOps != 0 {
-				t.Errorf("%s at %d B: twin sweep block=%d gather=%d, want all packs on the gather walk",
-					p.Layout, n, tw.BlockOps, tw.GatherOps)
+			if gather[i] < float64(opt.Reps) || block[i] != 0 {
+				t.Errorf("%s at %g B: twin sweep block=%g gather=%g, want all packs on the gather walk",
+					g.name, n, block[i], gather[i])
 			}
+			cell, form := lines[2*i], lines[2*i+1]
+			reps := int64(opt.Reps)
 			if g.collapses {
-				if p.RawRuns[i] <= int64(p.Dims[i]) || p.Dims[i] < 2 {
-					t.Errorf("%s at %d B: runs %d dims %d, want a real collapse",
-						p.Layout, n, p.RawRuns[i], p.Dims[i])
+				m := collapse.FindStringSubmatch(cell)
+				if m == nil {
+					t.Fatalf("%s at %g B: no collapse attribution: %s", g.name, n, cell)
 				}
-				if !strings.Contains(p.Classes[i], "regular") {
-					t.Errorf("%s at %d B: class %q, want a regular kernel class", p.Layout, n, p.Classes[i])
+				runs, _ := strconv.Atoi(m[2])
+				dims, _ := strconv.Atoi(m[3])
+				if runs <= dims || dims < 2 || !strings.Contains(m[1], "regular") {
+					t.Errorf("%s at %g B: runs %d dims %d class %q, want a real collapse onto a regular class", g.name, n, runs, dims, m[1])
 				}
-				if !strings.Contains(p.Forms[i], "canon{block") {
-					t.Errorf("%s at %d B: form %q, want a block canonical form", p.Layout, n, p.Forms[i])
+				if !strings.Contains(form, "canon{block") {
+					t.Errorf("%s at %g B: want a block canonical form: %s", g.name, n, form)
 				}
-				if d.BlockOps < int64(st.Reps) || d.GatherOps != 0 {
-					t.Errorf("%s at %d B: canon sweep block=%d gather=%d, want all packs on the block kernel",
-						p.Layout, n, d.BlockOps, d.GatherOps)
+				blockOps, _ := planCounter(t, form, "block")
+				gatherOps, _ := planCounter(t, form, "gather")
+				if blockOps < reps || gatherOps != 0 {
+					t.Errorf("%s at %g B: canon sweep block=%d gather=%d, want all packs on the block kernel", g.name, n, blockOps, gatherOps)
 				}
 			} else {
-				if p.RawRuns[i] != 0 || p.Dims[i] != 0 {
-					t.Errorf("%s at %d B: control collapsed (runs %d dims %d)",
-						p.Layout, n, p.RawRuns[i], p.Dims[i])
+				if !strings.Contains(cell, "table kept (uniform hoist)") {
+					t.Errorf("%s at %g B: control collapsed: %s", g.name, n, cell)
 				}
-				if !strings.Contains(p.Forms[i], "canon{gather") {
-					t.Errorf("%s at %d B: form %q, want the gather fallback", p.Layout, n, p.Forms[i])
+				if !strings.Contains(form, "canon{gather") {
+					t.Errorf("%s at %g B: want the gather fallback: %s", g.name, n, form)
 				}
-				if d.GatherOps < int64(st.Reps) {
-					t.Errorf("%s at %d B: control ran %d gather ops, want >= %d",
-						p.Layout, n, d.GatherOps, st.Reps)
+				if gatherOps, _ := planCounter(t, form, "gather"); gatherOps < reps {
+					t.Errorf("%s at %g B: control ran %d gather ops, want >= %d", g.name, n, gatherOps, reps)
 				}
 			}
 		}
 	}
-	if st.CanonSpeedupAt("hvecOfVec8B", 512<<10) <= 0 {
-		t.Error("canon speedup not computable")
+	if v := st.Claims[0].Value(r); !st.Claims[0].Holds(v) {
+		t.Errorf("canon speedup %g not computable", v)
 	}
 	var sb strings.Builder
-	if err := st.Render(&sb); err != nil {
+	if err := r.Render(&sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
 	for _, want := range []string{"E19", "normalized (canonical program)", "canon/twin", "canon{block"} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(sb.String(), want) {
 			t.Errorf("render lacks %q", want)
 		}
 	}

@@ -4,81 +4,92 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
+// chaosRun measures E18 at the given fault rates and reps.
+func chaosRun(t *testing.T, rates []float64, reps int) *Result {
+	t.Helper()
+	st := study(t, "chaos")
+	st.Points = rates
+	return run(t, st, nil, harness.Options{Reps: reps})
+}
+
 func TestChaosStudy(t *testing.T) {
-	st, err := BuildChaosStudy("skx-impi", []float64{0, 0.05}, 6)
-	if err != nil {
-		t.Fatal(err)
+	r := chaosRun(t, []float64{0, 0.05}, 6)
+	engines := r.Panels[0].Curves
+	if len(engines) != 3 {
+		t.Fatalf("%d engines", len(engines))
 	}
-	if len(st.Schemes) != 3 {
-		t.Fatalf("%d schemes", len(st.Schemes))
-	}
-	for _, s := range st.Schemes {
-		if s.Goodput.Len() != 2 || s.P99.Len() != 2 {
-			t.Fatalf("%s: sweep lengths %d/%d", s.Name, s.Goodput.Len(), s.P99.Len())
+	for _, e := range engines {
+		at := func(variant string) []float64 { return r.Series(Curve{Name: e.Name, Variant: variant}).Y }
+		good, p99, faults, retries := at("goodput"), at("p99"), at("faults"), at("retries")
+		if len(good) != 2 || len(p99) != 2 {
+			t.Fatalf("%s: sweep lengths %d/%d", e.Name, len(good), len(p99))
 		}
-		if !s.Delivered[0] || s.Goodput.Y[0] <= 0 {
-			t.Fatalf("%s: clean baseline failed (delivered=%v goodput=%g)",
-				s.Name, s.Delivered[0], s.Goodput.Y[0])
+		if good[0] <= 0 {
+			t.Fatalf("%s: clean baseline failed (goodput=%g)", e.Name, good[0])
 		}
-		if s.Faults[0] != 0 || s.Retries[0] != 0 {
-			t.Fatalf("%s: clean baseline attributed faults (%d) or retries (%d)",
-				s.Name, s.Faults[0], s.Retries[0])
+		if faults[0] != 0 || retries[0] != 0 {
+			t.Fatalf("%s: clean baseline attributed faults (%g) or retries (%g)", e.Name, faults[0], retries[0])
 		}
-		// The lossy cell must actually have injected and recovered.
-		if s.Delivered[1] {
-			if s.Faults[1] == 0 {
-				t.Fatalf("%s: lossy cell injected nothing", s.Name)
+		// The lossy cell, when delivered, must actually have injected
+		// and recovered.
+		if good[1] > 0 {
+			if faults[1] == 0 {
+				t.Fatalf("%s: lossy cell injected nothing", e.Name)
 			}
-			if s.Retries[1] == 0 {
-				t.Fatalf("%s: lossy cell recovered without retries", s.Name)
+			if retries[1] == 0 {
+				t.Fatalf("%s: lossy cell recovered without retries", e.Name)
 			}
-			if s.Goodput.Y[1] >= s.Goodput.Y[0] {
-				t.Fatalf("%s: faults did not cost goodput (%g vs %g)",
-					s.Name, s.Goodput.Y[1], s.Goodput.Y[0])
+			if good[1] >= good[0] {
+				t.Fatalf("%s: faults did not cost goodput (%g vs %g)", e.Name, good[1], good[0])
 			}
-			if s.P99.Y[1] <= s.P99.Y[0] {
-				t.Fatalf("%s: faults did not fatten the tail (%g vs %g)",
-					s.Name, s.P99.Y[1], s.P99.Y[0])
+			if p99[1] <= p99[0] {
+				t.Fatalf("%s: faults did not fatten the tail (%g vs %g)", e.Name, p99[1], p99[0])
 			}
 		}
 	}
-	if len(st.Model) != 2 {
-		t.Fatalf("%d model rows", len(st.Model))
+	model := func(name string) []float64 { return r.Series(Curve{Name: name, Variant: "model"}).Y }
+	slowdown, delivery := model("slowdown"), model("delivery")
+	if len(slowdown) != 2 {
+		t.Fatalf("%d model rows", len(slowdown))
 	}
-	if st.Model[0].Slowdown != 1 || st.Model[0].DeliveryProb != 1 {
-		t.Fatalf("clean model row %+v", st.Model[0])
+	if slowdown[0] != 1 || delivery[0] != 1 {
+		t.Fatalf("clean model row: slowdown %g, delivery %g", slowdown[0], delivery[0])
 	}
-	if st.Model[1].Slowdown <= 1 || st.Model[1].DeliveryProb >= 1 {
-		t.Fatalf("lossy model row %+v", st.Model[1])
+	if slowdown[1] <= 1 || delivery[1] >= 1 {
+		t.Fatalf("lossy model row: slowdown %g, delivery %g", slowdown[1], delivery[1])
 	}
 	// The observed columns close the loop: the clean row calibrates to
 	// zero, the lossy row inverts its measured retries back to a leg
 	// loss within the configured resend-class rate and an inflation
 	// above one.
-	if st.Model[0].ObservedLegLoss != 0 || st.Model[0].ObservedSlowdown != 1 {
-		t.Fatalf("clean observed columns %+v", st.Model[0])
+	legLoss, obsSlowdown := model("observed leg loss"), model("observed slowdown")
+	if legLoss[0] != 0 || obsSlowdown[0] != 1 {
+		t.Fatalf("clean observed columns: leg loss %g, slowdown %g", legLoss[0], obsSlowdown[0])
 	}
-	if got := st.Model[1].ObservedLegLoss; got <= 0 || got > 0.05 {
+	if got := legLoss[1]; got <= 0 || got > 0.05 {
 		t.Fatalf("observed leg loss %g, want in (0, 0.05]", got)
 	}
-	if st.Model[1].ObservedSlowdown <= 1 {
-		t.Fatalf("observed slowdown %g, want > 1", st.Model[1].ObservedSlowdown)
+	if obsSlowdown[1] <= 1 {
+		t.Fatalf("observed slowdown %g, want > 1", obsSlowdown[1])
 	}
-	// The PR's acceptance column: at a lossy rate the pipelined
-	// engine's predicted goodput retention under selective chunk
-	// recovery sits strictly above the whole-transfer-replay baseline.
-	if m := st.Model[0]; m.SelectiveRetention != 1 || m.WholeReplayRetention != 1 || m.SelectiveGain != 1 {
-		t.Fatalf("clean retention columns %+v", m)
+	// At a lossy rate the pipelined engine's predicted goodput retention
+	// under selective chunk recovery sits strictly above the
+	// whole-transfer-replay baseline.
+	selective, whole := model("selective"), model("whole replay")
+	if selective[0] != 1 || whole[0] != 1 {
+		t.Fatalf("clean retention columns: selective %g, whole-replay %g", selective[0], whole[0])
 	}
-	if m := st.Model[1]; !(m.SelectiveRetention > m.WholeReplayRetention) || m.SelectiveGain <= 1 {
-		t.Fatalf("lossy retention columns: selective %.4f vs whole-replay %.4f (gain %.3f), want selective strictly above",
-			m.SelectiveRetention, m.WholeReplayRetention, m.SelectiveGain)
+	if !(selective[1] > whole[1]) {
+		t.Fatalf("lossy retention columns: selective %.4f vs whole-replay %.4f, want selective strictly above",
+			selective[1], whole[1])
 	}
 
 	var out bytes.Buffer
-	if err := st.Render(&out); err != nil {
+	if err := r.Render(&out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"E18", "goodput", "p99", "reliability model", "fastest under faults"} {
@@ -89,20 +100,13 @@ func TestChaosStudy(t *testing.T) {
 }
 
 func TestChaosStudyDeterministic(t *testing.T) {
-	a, err := BuildChaosStudy("skx-impi", []float64{0.08}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildChaosStudy("skx-impi", []float64{0.08}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Schemes {
-		if a.Schemes[i].Goodput.Y[0] != b.Schemes[i].Goodput.Y[0] ||
-			a.Schemes[i].Retries[0] != b.Schemes[i].Retries[0] {
-			t.Fatalf("%s not deterministic: %v/%d vs %v/%d", a.Schemes[i].Name,
-				a.Schemes[i].Goodput.Y[0], a.Schemes[i].Retries[0],
-				b.Schemes[i].Goodput.Y[0], b.Schemes[i].Retries[0])
+	a, b := chaosRun(t, []float64{0.08}, 4), chaosRun(t, []float64{0.08}, 4)
+	for _, e := range a.Panels[0].Curves {
+		for _, v := range []string{"goodput", "retries"} {
+			c := Curve{Name: e.Name, Variant: v}
+			if x, y := a.last(c), b.last(c); x != y {
+				t.Fatalf("%s %s not deterministic: %g vs %g", e.Name, v, x, y)
+			}
 		}
 	}
 }

@@ -1,52 +1,52 @@
 package figures
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
 )
 
-// TestFusedStudy pins the E14 contract: every panel has positive
-// bandwidths for both engines, the fused sweep attributes its
-// bytes to FusedOps with no staged leakage, oversize and undersize
-// points are skipped, and Render reports the fused-vs-staged ratios.
+// TestFusedStudy pins the E14 contract: every layout has positive
+// bandwidths for both engines, the fused sweep attributes its bytes to
+// FusedOps with no staged leakage, oversize and undersize points are
+// skipped, and Render reports the fused-vs-staged ratios.
 func TestFusedStudy(t *testing.T) {
 	opt := harness.Options{Reps: 3, MaxRealBytes: 1 << 20}
-	st, err := BuildFusedStudy("skx-impi", []int64{8 << 10, 128 << 10, 512 << 10, 64 << 20}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Panels) != len(fusedGeometries) {
-		t.Fatalf("panels = %d, want %d", len(st.Panels), len(fusedGeometries))
-	}
-	for _, p := range st.Panels {
-		if len(p.Sizes) != 2 {
-			t.Fatalf("%s kept sizes %v, want the two inside [min,max]", p.Layout, p.Sizes)
+	st := study(t, "fused")
+	st.Sizes = fixed(8<<10, 128<<10, 512<<10, 64<<20)
+	r := run(t, st, nil, opt)
+	for _, g := range fusedGeometries {
+		fused, staged := r.Series(Curve{Name: "fused", Variant: g.name}), r.Series(Curve{Name: "staged", Variant: g.name})
+		if fused.Len() != 2 || staged.Len() != 2 {
+			t.Fatalf("%s kept sizes %v, want the two inside [min,max]", g.name, fused.X)
 		}
-		for i, n := range p.Sizes {
-			if p.Fused.Y[i] <= 0 || p.Staged.Y[i] <= 0 {
-				t.Fatalf("%s: non-positive bandwidth at %d B", p.Layout, n)
-			}
-			d := p.Stats[i]
-			if d.FusedOps != int64(st.Reps) {
-				t.Errorf("%s at %d B: fused sweep attributed %d ops, want %d", p.Layout, n, d.FusedOps, st.Reps)
-			}
-			if d.StagedOps != 0 {
-				t.Errorf("%s at %d B: staged attribution leaked into the fused sweep", p.Layout, n)
+		for i, x := range fused.X {
+			if fused.Y[i] <= 0 || staged.Y[i] <= 0 {
+				t.Fatalf("%s: non-positive bandwidth at %g B", g.name, x)
 			}
 		}
+		// Each note line ends with the fused sweep's plan counters.
+		lines := strings.Split(strings.TrimSpace(r.notes[g.name]), "\n")
+		if len(lines) != 2 {
+			t.Fatalf("%s: %d note lines, want 2", g.name, len(lines))
+		}
+		for _, l := range lines {
+			if !strings.Contains(l, fmt.Sprintf(" fused=%d/", opt.Reps)) || !strings.HasSuffix(l, " staged=0/0B}") {
+				t.Errorf("%s: fused sweep not attributed to %d fused ops and no staged ones: %s", g.name, opt.Reps, l)
+			}
+		}
 	}
-	if st.FusedSpeedupAt("everyOther->everyThird", 512<<10) <= 0 {
-		t.Error("fused speedup not computable")
+	if v := st.Claims[0].Value(r); !st.Claims[0].Holds(v) {
+		t.Errorf("fused speedup %g not computable", v)
 	}
 	var sb strings.Builder
-	if err := st.Render(&sb); err != nil {
+	if err := r.Render(&sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
 	for _, want := range []string{"E14", "fused (one pass, no staging)", "fused/staged"} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(sb.String(), want) {
 			t.Errorf("render lacks %q", want)
 		}
 	}

@@ -3,15 +3,14 @@ package figures
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 func TestGuidelinesStudyRender(t *testing.T) {
-	st, err := BuildGuidelinesStudy("skx-impi")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, study(t, "guidelines"), nil, harness.Options{})
 	var sb strings.Builder
-	if err := st.Render(&sb); err != nil {
+	if err := r.Render(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -30,16 +29,13 @@ func TestGuidelinesStudyRender(t *testing.T) {
 	}
 	// skx-impi has no waivers: the study must pass the gate and every
 	// tuned choice must satisfy the recommender guideline.
-	if !st.Clean() {
-		t.Errorf("skx-impi study failed the gate: %v", st.Fresh)
+	if fresh := r.last(Curve{Name: "fresh"}); fresh != 0 {
+		t.Errorf("skx-impi study failed the gate with %g fresh violations", fresh)
 	}
-	if len(st.Tuned) == 0 {
+	if !strings.Contains(out, "tuned -> ") {
 		t.Fatal("no self-tuning cells")
 	}
-	for _, tc := range st.Tuned {
-		if !tc.Satisfied(st.Report.Tolerance) {
-			t.Errorf("tuned choice %v at %d B misses the guideline (%.3g s vs best %.3g s)",
-				tc.Tuned, tc.Bytes, tc.TunedTime, tc.BestTime)
-		}
+	if strings.Contains(out, "GUIDELINE VIOLATED") {
+		t.Errorf("a tuned choice misses the guideline:\n%s", out)
 	}
 }

@@ -2,23 +2,24 @@ package figures
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
 	"repro/internal/harness"
 	"repro/internal/mpi"
-	"repro/internal/perfmodel"
+	"repro/internal/plot"
 )
 
-// HaloStudy is E15: a 2-D/3-D halo exchange over subarray face types,
+// haloStudy is E15: a 2-D/3-D halo exchange over subarray face types,
 // comparing the typed collectives (AllgatherType over face layouts —
 // fused self-leg, fused sendv remote legs past the eager limit)
 // against the manual-pack pipeline the paper's schemes hand-roll (pack
 // the face, run the contiguous collective over packed slots, unpack
 // every slot into the halo layout). Each cell reports both strategies'
-// modeled bandwidth and the PlanStats delta of the typed rounds, whose
-// fused-vs-staged attribution shows which engine moved the faces.
+// modeled bandwidth over opt.Reps exchange rounds and the PlanStats
+// delta of the typed rounds, whose fused-vs-staged attribution shows
+// which engine moved the faces (the self-leg is always fused; staged
+// ops are the eager fallbacks).
 //
 // The grids are the classic stencil shapes: 4 ranks as a 2×2 tile grid
 // exchanging column faces (strided, the paper's canonical layout
@@ -27,38 +28,36 @@ import (
 // row-blocked and fully strided). Face slots land via
 // extent-resized subarray types, the TEMPI-style trick that makes
 // Allgather slot placement follow the halo geometry.
-type HaloStudy struct {
-	Profile *perfmodel.Profile
-	Rounds  int
-	Panels  []HaloPanel
-}
-
-// HaloPanel is one face orientation's sweep over tile sizes.
-type HaloPanel struct {
-	Name  string
-	Dim   int
-	Cells []HaloCell
-}
-
-// HaloCell is one (orientation, tile size) measurement.
-type HaloCell struct {
-	TileN     int
-	FaceBytes int64
-	// Virtual marks cells whose tiles exceeded MaxRealBytes and ran
-	// with length-only buffers (costs modeled, no bytes moved).
-	Virtual bool
-	// TypedGBs and ManualGBs are the modeled exchange bandwidths of
-	// the typed collective and the manual pack pipeline.
-	TypedGBs, ManualGBs float64
-	// Stats is the plan-counter delta over the typed rounds: fused
-	// ops/bytes are the one-pass legs (self-leg always, remote legs
-	// past the eager limit), staged ops/bytes the eager fallbacks.
-	Stats datatype.PlanStats
-}
-
-// Speedup returns typed/manual bandwidth for the cell.
-func (c HaloCell) Speedup() float64 {
-	return ratio(c.TypedGBs, c.ManualGBs)
+func haloStudy() *Study {
+	var panels []Panel
+	for _, g := range haloGeometries {
+		panels = append(panels, Panel{Config: plot.Config{
+			Title: fmt.Sprintf("%dD %s: typed collective vs manual pack+collective", g.dim, g.name)},
+			Variant: g.name, Note: true})
+	}
+	return &Study{
+		ID: "E15", Name: "halo", Title: "halo-exchange study",
+		Detail:  func(r *Result) string { return fmt.Sprintf(" (%d rounds, virtual time)", r.opt.Reps) },
+		MaxReps: 8,
+		Measure: func(r *Result, opt harness.Options) error {
+			for _, g := range haloGeometries {
+				for _, n := range haloTiles[g.dim] {
+					if err := measureHalo(r, g, n, opt); err != nil {
+						return fmt.Errorf("figures: halo %s N=%d: %w", g.name, n, err)
+					}
+				}
+				r.printf(g.name, "\n")
+			}
+			return nil
+		},
+		Panels: panels,
+		// The contiguous faces pay pack+unpack only on the manual side.
+		Claims: []Claim{{Metric: "typedSpeedup(x)",
+			Line:  "typed collectives are %.2fx manual pack on the contiguous 3-D planes at the largest tile\n",
+			Value: func(r *Result) float64 { return r.last(per("3d-z plane (contig)", "typed", "manual")) },
+			Holds: above(1)}},
+		Spaced: true,
+	}
 }
 
 // haloGeometry describes one exchange orientation: the process grid,
@@ -165,51 +164,20 @@ var haloTiles = map[int][]int{
 	3: {16, 64, 256},
 }
 
-// BuildHaloStudy measures every halo geometry and tile size on the
-// named profile. opt.Reps is the exchange-round count per cell;
-// opt.MaxRealBytes bounds materialised tiles (larger cells run
-// virtual, costs modeled on the virtual clock either way).
-func BuildHaloStudy(profileName string, opt harness.Options) (*HaloStudy, error) {
-	prof, err := perfmodel.ByName(profileName)
-	if err != nil {
-		return nil, err
-	}
-	rounds := opt.Reps
-	if rounds == 0 {
-		rounds = 6
-	}
-	maxReal := opt.MaxRealBytes
-	if maxReal == 0 {
-		maxReal = 16 << 20
-	}
-	st := &HaloStudy{Profile: prof, Rounds: rounds}
-	for _, g := range haloGeometries {
-		panel := HaloPanel{Name: g.name, Dim: g.dim}
-		for _, n := range haloTiles[g.dim] {
-			cell, err := measureHaloCell(prof, g, n, rounds, maxReal)
-			if err != nil {
-				return nil, fmt.Errorf("figures: halo %s N=%d: %w", g.name, n, err)
-			}
-			panel.Cells = append(panel.Cells, cell)
-		}
-		st.Panels = append(st.Panels, panel)
-	}
-	return st, nil
-}
-
-// measureHaloCell runs one (geometry, tile) cell: the typed
-// AllgatherType exchange and the manual pack → contiguous Allgather →
-// unpack pipeline, both over the same face and slot types.
-func measureHaloCell(prof *perfmodel.Profile, g haloGeometry, n, rounds int, maxReal int64) (HaloCell, error) {
+// measureHalo runs one (geometry, tile) cell: the typed AllgatherType
+// exchange and the manual pack → contiguous Allgather → unpack
+// pipeline, both over the same face and slot types. Tiles over
+// MaxRealBytes run virtual: costs modeled, no bytes moved.
+func measureHalo(r *Result, g haloGeometry, n int, opt harness.Options) error {
 	var tileBytes int64 = int64(n) * int64(n) * 8
 	if g.dim == 3 {
 		tileBytes *= int64(n)
 	}
-	virtual := tileBytes > maxReal
+	rounds, virtual := opt.Reps, tileBytes > opt.MaxRealBytes
 	var typedSec, manualSec float64
 	var stats datatype.PlanStats
 	var faceBytes int64
-	err := mpi.Run(g.ranks, mpi.Options{Profile: prof}, func(c *mpi.Comm) error {
+	err := mpi.Run(g.ranks, mpi.Options{Profile: r.Profile}, func(c *mpi.Comm) error {
 		grp, err := c.Split(g.color(c.Rank()), g.key(c.Rank()))
 		if err != nil {
 			return err
@@ -279,49 +247,17 @@ func measureHaloCell(prof *perfmodel.Profile, g haloGeometry, n, rounds int, max
 		return nil
 	})
 	if err != nil {
-		return HaloCell{}, err
+		return err
 	}
 	moved := float64(faceBytes) * 2 * float64(rounds) // both halo slots, per round
-	return HaloCell{
-		TileN:     n,
-		FaceBytes: faceBytes,
-		Virtual:   virtual,
-		TypedGBs:  gbps(moved, typedSec),
-		ManualGBs: gbps(moved, manualSec),
-		Stats:     stats,
-	}, nil
-}
-
-// Render prints the study as one table per orientation with the typed
-// rounds' fused-vs-staged attribution, then the closing claim line.
-func (st *HaloStudy) Render(w io.Writer) error {
-	fmt.Fprintf(w, "== E15 halo-exchange study — %s (%d rounds, virtual time) ==\n\n", st.Profile.Name, st.Rounds)
-	for _, p := range st.Panels {
-		fmt.Fprintf(w, "%dD %s: typed collective vs manual pack+collective\n", p.Dim, p.Name)
-		for _, c := range p.Cells {
-			mark := ""
-			if c.Virtual {
-				mark = " (virtual)"
-			}
-			fmt.Fprintf(w, "  N=%-6d face %8d B  typed %7.3f GB/s  manual %7.3f GB/s  typed/manual %.2fx%s\n",
-				c.TileN, c.FaceBytes, c.TypedGBs, c.ManualGBs, c.Speedup(), mark)
-			fmt.Fprintf(w, "           typed rounds: %v\n", c.Stats)
-		}
-		fmt.Fprintln(w)
+	typed, manual := gbps(moved, typedSec), gbps(moved, manualSec)
+	r.add(Curve{Name: "typed", Variant: g.name}, float64(n), typed)
+	r.add(Curve{Name: "manual", Variant: g.name}, float64(n), manual)
+	mark := ""
+	if virtual {
+		mark = " (virtual)"
 	}
-	fmt.Fprintf(w, "typed collectives are %.2fx manual pack on the contiguous 3-D planes at the largest tile\n\n",
-		st.TypedSpeedupAt("3d-z plane (contig)"))
+	r.printf(g.name, "  N=%-6d face %8d B  typed %7.3f GB/s  manual %7.3f GB/s  typed/manual %.2fx%s\n           typed rounds: %v\n",
+		n, faceBytes, typed, manual, ratio(typed, manual), mark, stats)
 	return nil
-}
-
-// TypedSpeedupAt returns typed/manual bandwidth for the named panel at
-// the largest measured tile (0 when the panel is unknown).
-func (st *HaloStudy) TypedSpeedupAt(panelName string) float64 {
-	for _, p := range st.Panels {
-		if p.Name != panelName || len(p.Cells) == 0 {
-			continue
-		}
-		return p.Cells[len(p.Cells)-1].Speedup()
-	}
-	return 0
 }

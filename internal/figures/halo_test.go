@@ -4,54 +4,56 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
 )
 
 // TestHaloStudyBuilds runs E15 on the Skylake profile and pins its
-// invariants: every panel measures all tiles, bandwidths are positive,
-// the typed rounds carry fused attribution (the self-leg is always a
-// fused copy), and the rendezvous-sized cells run all-fused with no
-// staged traffic.
+// invariants: every geometry measures all tiles, bandwidths are
+// positive, the typed rounds carry fused attribution (the self-leg is
+// always a fused copy), and the rendezvous-sized cells run all-fused
+// with no staged traffic.
 func TestHaloStudyBuilds(t *testing.T) {
-	st, err := BuildHaloStudy("skx-impi", harness.Options{Reps: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Panels) != len(haloGeometries) {
-		t.Fatalf("panels = %d, want %d", len(st.Panels), len(haloGeometries))
-	}
-	for _, p := range st.Panels {
-		if len(p.Cells) != len(haloTiles[p.Dim]) {
-			t.Fatalf("%s: cells = %d, want %d", p.Name, len(p.Cells), len(haloTiles[p.Dim]))
+	opt := harness.DefaultOptions()
+	opt.Reps = 3
+	r := run(t, study(t, "halo"), nil, opt)
+	fused := regexp.MustCompile(`typed rounds: plan\{.* fused=[1-9]`)
+	for _, g := range haloGeometries {
+		typed, manual := r.Series(Curve{Name: "typed", Variant: g.name}), r.Series(Curve{Name: "manual", Variant: g.name})
+		if typed.Len() != len(haloTiles[g.dim]) {
+			t.Fatalf("%s: cells = %d, want %d", g.name, typed.Len(), len(haloTiles[g.dim]))
 		}
-		for _, c := range p.Cells {
-			if c.TypedGBs <= 0 || c.ManualGBs <= 0 {
-				t.Errorf("%s N=%d: non-positive bandwidth typed %g manual %g", p.Name, c.TileN, c.TypedGBs, c.ManualGBs)
+		for i, x := range typed.X {
+			if typed.Y[i] <= 0 || manual.Y[i] <= 0 {
+				t.Errorf("%s N=%g: non-positive bandwidth typed %g manual %g", g.name, x, typed.Y[i], manual.Y[i])
 			}
-			if c.Stats.FusedOps == 0 {
-				t.Errorf("%s N=%d: typed rounds carry no fused attribution: %v", p.Name, c.TileN, c.Stats)
+		}
+		lines := strings.Split(strings.TrimSpace(r.notes[g.name]), "\n")
+		for i := 1; i < len(lines); i += 2 {
+			if !fused.MatchString(lines[i]) {
+				t.Errorf("%s: typed rounds carry no fused attribution: %s", g.name, lines[i])
 			}
 		}
 		// The largest tile's faces are rendezvous-sized: every typed
 		// leg must ride the fused engine.
-		last := p.Cells[len(p.Cells)-1]
-		if !last.Virtual {
-			t.Errorf("%s: largest tile N=%d expected to run virtual", p.Name, last.TileN)
+		if last := lines[len(lines)-2]; !strings.HasSuffix(last, "(virtual)") {
+			t.Errorf("%s: largest tile expected to run virtual: %s", g.name, last)
 		}
-		if last.Stats.StagedOps != 0 {
-			t.Errorf("%s N=%d: staged traffic on rendezvous-sized typed rounds: %v", p.Name, last.TileN, last.Stats)
+		if last := lines[len(lines)-1]; !strings.HasSuffix(last, " staged=0/0B}") {
+			t.Errorf("%s: staged traffic on rendezvous-sized typed rounds: %s", g.name, last)
 		}
 	}
 	// The contiguous-face panels pay pack+unpack only on the manual
 	// side, so the typed collective must win there at the largest tile.
 	for _, name := range []string{"2d-y row (contig)", "3d-z plane (contig)"} {
-		if sp := st.TypedSpeedupAt(name); sp <= 1 {
+		if sp := r.last(per(name, "typed", "manual")); sp <= 1 {
 			t.Errorf("%s: typed/manual %.2fx at the largest tile, want >1", name, sp)
 		}
 	}
-	if err := st.Render(io.Discard); err != nil {
+	if err := r.Render(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,14 +66,13 @@ func TestHaloStudyBuilds(t *testing.T) {
 // core count and no garbage-collector timing.
 func TestHaloStudyGolden(t *testing.T) {
 	opt := harness.DefaultOptions()
-	opt.Reps = 8
 	var out bytes.Buffer
 	for _, p := range []string{"skx-impi", "skx-mvapich", "ls5-cray", "knl-impi"} {
-		st, err := BuildHaloStudy(p, opt)
+		r, err := study(t, "halo").Run(p, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Render(&out); err != nil {
+		if err := r.Render(&out); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,23 +2,23 @@ package figures
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
+	"repro/internal/harness"
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 	"repro/internal/plot"
-	"repro/internal/stats"
 )
 
-// PipelineStudy is E16: the software-pipelined chunk engine against
+// pipelineStudy is E16: the software-pipelined chunk engine against
 // the serial chunk loop and the fused rendezvous, across the paper's
-// layouts and a sweep of internal chunk sizes, on the virtual clock.
+// layouts and a sweep of internal chunk sizes (Points), on the virtual
+// clock.
 //
-// Each p2p panel fixes the paper's rendezvous-sized message and sweeps
-// the internal chunk size, comparing three protocol paths moving the
-// same typed payload between two ranks:
+// Each p2p panel fixes the paper's rendezvous-sized message (Bytes)
+// and sweeps the internal chunk size, comparing three protocol paths
+// moving the same typed payload between two ranks:
 //
 //   - serial: SendType — the measured installations' chunk loop, pack
 //     then inject per chunk with no overlap (§2.3);
@@ -29,46 +29,40 @@ import (
 //     into the receiver's buffer (no chunking at all), the upper
 //     bound the pipeline approaches from below.
 //
-// The collective panel compares the pipelined scatter+allgather
-// broadcast against the binomial tree at 8 ranks across message
-// sizes. Every pipelined cell carries its PlanStats delta — the
-// PipelinedOps/PipelinedBytes chunk attribution — plus the modeled
+// The collective note compares the pipelined scatter+allgather
+// broadcast against the binomial tree at 8 ranks across message sizes
+// (the size axis). Every pipelined cell carries its PlanStats delta —
+// the PipelinedOps/PipelinedBytes chunk attribution — plus the modeled
 // overlap fraction (1 - pipelined/serial).
-type PipelineStudy struct {
-	Profile *perfmodel.Profile
-	// Bytes is the fixed p2p message size of the chunk-size sweep.
-	Bytes int64
-
-	Panels []PipelinePanel
-	Bcast  PipelineBcastPanel
-}
-
-// PipelinePanel is one layout's serial/pipelined/fused comparison
-// across chunk sizes.
-type PipelinePanel struct {
-	Layout string
-	Chunks []int64 // swept internal chunk sizes
-
-	Serial, Pipelined, Fused *stats.Series // GB/s against chunk size
-
-	// Overlap is the realised overlap fraction per chunk size:
-	// 1 - pipelined/serial on the virtual clock.
-	Overlap []float64
-	// Stats is the plan-counter delta of each pipelined cell; it must
-	// attribute the payload to PipelinedOps/PipelinedBytes.
-	Stats []datatype.PlanStats
-}
-
-// PipelineBcastPanel compares BcastType's pipelined scatter+allgather
-// schedule against the binomial tree at a fixed world size.
-type PipelineBcastPanel struct {
-	Ranks int
-	Sizes []int64
-
-	Tree, Pipelined *stats.Series // completion seconds against size
-
-	Overlap []float64
-	Stats   []datatype.PlanStats
+func pipelineStudy() *Study {
+	var panels []Panel
+	for _, g := range pipelineGeometries {
+		panels = append(panels, Panel{Config: plot.Config{
+			Title:  g.name + ": serial vs pipelined vs fused bandwidth (GB/s) across internal chunk sizes",
+			XLabel: "internal chunk bytes", YLabel: "GB/s", LogX: true,
+		}, Variant: g.name, Curves: []Curve{{Name: "serial", Label: "serial chunk loop (SendType)"},
+			{Name: "pipelined", Label: "pipelined slot ring (SendpType)"}, {Name: "fused", Label: "fused zero-copy (SendvType)"}}},
+			Panel{Config: plot.Config{Title: g.name + " per chunk size:"}, Variant: g.name, Note: true})
+	}
+	speedup := func(r *Result) float64 {
+		return r.at(per("everyOther", "pipelined", "serial"), float64(r.Profile.InternalChunk()))
+	}
+	return &Study{
+		ID: "E16", Name: "pipeline", Title: "pipelined chunk engine",
+		Detail: func(r *Result) string { return fmt.Sprintf(" (%d-byte messages, virtual clock)", r.Bytes) },
+		Points: []float64{128 << 10, 256 << 10, 512 << 10, 1 << 20}, Bytes: 4 << 20,
+		Sizes:   fixed(256<<10, 1<<20, 4<<20),
+		Measure: measurePipeline,
+		Panels: append(panels, Panel{Config: plot.Config{
+			Title: "BcastType at 8 ranks: pipelined scatter+allgather vs binomial tree (completion seconds):"},
+			Variant: "bcast", Note: true}),
+		Claims: []Claim{{Metric: "pipelinedSpeedup(x)",
+			Line:  "the pipelined chunk engine is %.2fx the serial loop on every-other doubles at the profile's %d-byte chunks\n",
+			Args:  func(r *Result) []any { return []any{speedup(r), r.Profile.InternalChunk()} },
+			Value: speedup,
+			Holds: atLeast(1.3)}},
+		Spaced: true,
+	}
 }
 
 // pipelineGeometries are the swept layouts: the canonical
@@ -82,60 +76,65 @@ var pipelineGeometries = []struct {
 	{"blocked64", 64, 128},
 }
 
-// BuildPipelineStudy measures the study for one profile. chunkSizes
-// sweeps the internal chunk; bcastSizes the collective panel's message
-// sizes. Zero-length slices select the defaults.
-func BuildPipelineStudy(profileName string, chunkSizes, bcastSizes []int64) (*PipelineStudy, error) {
-	prof, err := perfmodel.ByName(profileName)
-	if err != nil {
-		return nil, err
-	}
-	if len(chunkSizes) == 0 {
-		chunkSizes = []int64{128 << 10, 256 << 10, 512 << 10, 1 << 20}
-	}
-	if len(bcastSizes) == 0 {
-		bcastSizes = []int64{256 << 10, 1 << 20, 4 << 20}
-	}
-	st := &PipelineStudy{Profile: prof, Bytes: 4 << 20}
+// measurePipeline fills the p2p panels, one cell per (layout, chunk
+// size), then the collective note, one row per size.
+func measurePipeline(r *Result, _ harness.Options) error {
 	for _, g := range pipelineGeometries {
-		panel := PipelinePanel{
-			Layout:    g.name,
-			Serial:    &stats.Series{Label: "serial chunk loop (SendType)"},
-			Pipelined: &stats.Series{Label: "pipelined slot ring (SendpType)"},
-			Fused:     &stats.Series{Label: "fused zero-copy (SendvType)"},
-		}
-		for _, cs := range chunkSizes {
-			if err := panel.measure(profileName, st.Bytes, g.block, g.stride, cs); err != nil {
-				return nil, err
+		for _, chunk := range r.Points {
+			if err := measureChunks(r, g.name, g.block, g.stride, int64(chunk)); err != nil {
+				return err
 			}
-			panel.Chunks = append(panel.Chunks, cs)
 		}
-		st.Panels = append(st.Panels, panel)
+		r.printf(g.name, "\n")
 	}
-	if err := st.Bcast.measure(profileName, bcastSizes); err != nil {
-		return nil, err
+	for _, n := range r.sizes {
+		ty, err := vectorFor(n, 1, 2)
+		if err != nil {
+			return err
+		}
+		before := datatype.PlanStatsSnapshot()
+		piped, err := bcastTime(r.Profile.Name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return c.BcastType(blk, 1, ty, 0) })
+		if err != nil {
+			return err
+		}
+		ps := datatype.PlanStatsSnapshot().Sub(before)
+		tree, err := bcastTime(r.Profile.Name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return treeBcast(c, blk, ty) })
+		if err != nil {
+			return err
+		}
+		r.add(Curve{Name: "tree", Variant: "bcast"}, float64(n), tree)
+		r.add(Curve{Name: "pipelined", Variant: "bcast"}, float64(n), piped)
+		r.printf("bcast", "  %9d B  tree %.3gs  pipelined %.3gs  speedup %.2fx  overlap %4.1f%%  %v\n",
+			n, tree, piped, ratio(tree, piped), 100*overlap(piped, tree), ps)
 	}
-	return st, nil
+	r.printf("bcast", "\n")
+	return nil
 }
 
-// measure fills one (layout, chunk size) cell: the same typed payload
-// under the three protocol paths, timed on the sender's virtual clock
-// with cold caches so every cell prices the same way. The chunk size
-// is a hierarchy calibration, so each cell runs on a profile copy
-// with Mem.InternalChunk swept.
-func (p *PipelinePanel) measure(profileName string, n int64, block, stride int, chunk int64) error {
-	ty, err := vectorFor(n, block, stride)
+// overlap is the modeled overlap fraction of a pipelined time against
+// its unpipelined one.
+func overlap(piped, serial float64) float64 {
+	if serial <= 0 {
+		return 0
+	}
+	return 1 - piped/serial
+}
+
+// measureChunks fills one (layout, chunk size) cell: the same typed
+// payload under the three protocol paths, timed on the sender's
+// virtual clock with cold caches so every cell prices the same way.
+// The chunk size is a hierarchy calibration, so each cell runs on a
+// profile copy with Mem.InternalChunk swept.
+func measureChunks(r *Result, layout string, block, stride int, chunk int64) error {
+	ty, err := vectorFor(r.Bytes, block, stride)
 	if err != nil {
 		return err
 	}
-	prof, err := perfmodel.ByName(profileName)
-	if err != nil {
-		return err
-	}
+	prof := *r.Profile
 	prof.Mem.InternalChunk = chunk
 	run := func(send func(*mpi.Comm, buf.Block) error) (float64, error) {
 		var elapsed float64
-		err := mpi.Run(2, mpi.Options{Profile: prof, ColdCaches: true}, func(c *mpi.Comm) error {
+		err := mpi.Run(2, mpi.Options{Profile: &prof, ColdCaches: true}, func(c *mpi.Comm) error {
 			if c.Rank() == 0 {
 				src := buf.Alloc(int(ty.Extent()))
 				if err := send(c, src); err != nil {
@@ -159,53 +158,18 @@ func (p *PipelinePanel) measure(profileName string, n int64, block, stride int, 
 	if err != nil {
 		return err
 	}
-	p.Stats = append(p.Stats, datatype.PlanStatsSnapshot().Sub(before))
+	ps := datatype.PlanStatsSnapshot().Sub(before)
 	fused, err := run(func(c *mpi.Comm, src buf.Block) error { return c.SendvType(src, 1, ty, 1, 0) })
 	if err != nil {
 		return err
 	}
-	bytes := float64(ty.Size())
-	p.Serial.Append(float64(chunk), gbps(bytes, serial))
-	p.Pipelined.Append(float64(chunk), gbps(bytes, piped))
-	p.Fused.Append(float64(chunk), gbps(bytes, fused))
-	overlap := 0.0
-	if serial > 0 {
-		overlap = 1 - piped/serial
-	}
-	p.Overlap = append(p.Overlap, overlap)
-	return nil
-}
-
-// measure fills the collective panel: BcastType at 8 ranks, pipelined
-// scatter+allgather against the binomial tree.
-func (b *PipelineBcastPanel) measure(profileName string, sizes []int64) error {
-	b.Ranks = 8
-	b.Tree = &stats.Series{Label: "binomial tree"}
-	b.Pipelined = &stats.Series{Label: "pipelined scatter+allgather"}
-	for _, n := range sizes {
-		ty, err := vectorFor(n, 1, 2)
-		if err != nil {
-			return err
-		}
-		before := datatype.PlanStatsSnapshot()
-		piped, err := bcastTime(profileName, b.Ranks, ty, func(c *mpi.Comm, blk buf.Block) error { return c.BcastType(blk, 1, ty, 0) })
-		if err != nil {
-			return err
-		}
-		b.Stats = append(b.Stats, datatype.PlanStatsSnapshot().Sub(before))
-		tree, err := bcastTime(profileName, b.Ranks, ty, func(c *mpi.Comm, blk buf.Block) error { return treeBcast(c, blk, ty) })
-		if err != nil {
-			return err
-		}
-		b.Sizes = append(b.Sizes, n)
-		b.Tree.Append(float64(n), tree)
-		b.Pipelined.Append(float64(n), piped)
-		overlap := 0.0
-		if tree > 0 {
-			overlap = 1 - piped/tree
-		}
-		b.Overlap = append(b.Overlap, overlap)
-	}
+	bytes, x := float64(ty.Size()), float64(chunk)
+	s, p, f := gbps(bytes, serial), gbps(bytes, piped), gbps(bytes, fused)
+	r.add(Curve{Name: "serial", Variant: layout}, x, s)
+	r.add(Curve{Name: "pipelined", Variant: layout}, x, p)
+	r.add(Curve{Name: "fused", Variant: layout}, x, f)
+	r.printf(layout, "  %9d B chunks  serial %6.2f GB/s  pipelined %6.2f GB/s  fused %6.2f GB/s  overlap %4.1f%%  %v\n",
+		chunk, s, p, f, 100*overlap(piped, serial), ps)
 	return nil
 }
 
@@ -257,51 +221,5 @@ func treeBcast(c *mpi.Comm, blk buf.Block, ty *datatype.Type) error {
 			}
 		}
 	}
-	return nil
-}
-
-// PipelinedSpeedupAt returns serial/pipelined bandwidth for the named
-// layout at the chunk size closest to cs (0 when the layout is
-// unknown).
-func (st *PipelineStudy) PipelinedSpeedupAt(layoutName string, cs int64) float64 {
-	for _, p := range st.Panels {
-		if p.Layout == layoutName {
-			best, _ := stats.Ratio("", p.Pipelined, p.Serial).Nearest(float64(cs))
-			return best
-		}
-	}
-	return 0
-}
-
-// Render prints the study: one bandwidth panel per layout across chunk
-// sizes, the collective panel, the overlap attribution per cell, and
-// the closing claim line.
-func (st *PipelineStudy) Render(w io.Writer) error {
-	fmt.Fprintf(w, "== E16 pipelined chunk engine — %s (%d-byte messages, virtual clock) ==\n\n", st.Profile.Name, st.Bytes)
-	for _, p := range st.Panels {
-		cfg := plot.Config{
-			Title:  fmt.Sprintf("%s: serial vs pipelined vs fused bandwidth (GB/s) across internal chunk sizes", p.Layout),
-			XLabel: "internal chunk bytes", YLabel: "GB/s", LogX: true,
-		}
-		if err := plot.ASCII(w, cfg, []*stats.Series{p.Serial, p.Pipelined, p.Fused}); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s per chunk size:\n", p.Layout)
-		for i, cs := range p.Chunks {
-			fmt.Fprintf(w, "  %9d B chunks  serial %6.2f GB/s  pipelined %6.2f GB/s  fused %6.2f GB/s  overlap %4.1f%%  %v\n",
-				cs, p.Serial.Y[i], p.Pipelined.Y[i], p.Fused.Y[i], 100*p.Overlap[i], p.Stats[i])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "BcastType at %d ranks: pipelined scatter+allgather vs binomial tree (completion seconds):\n", st.Bcast.Ranks)
-	for i, n := range st.Bcast.Sizes {
-		speed := ratio(st.Bcast.Tree.Y[i], st.Bcast.Pipelined.Y[i])
-		fmt.Fprintf(w, "  %9d B  tree %.3gs  pipelined %.3gs  speedup %.2fx  overlap %4.1f%%  %v\n",
-			n, st.Bcast.Tree.Y[i], st.Bcast.Pipelined.Y[i], speed, 100*st.Bcast.Overlap[i], st.Bcast.Stats[i])
-	}
-	fmt.Fprintln(w)
-	chunk := st.Profile.InternalChunk()
-	fmt.Fprintf(w, "the pipelined chunk engine is %.2fx the serial loop on every-other doubles at the profile's %d-byte chunks\n\n",
-		st.PipelinedSpeedupAt("everyOther", chunk), chunk)
 	return nil
 }

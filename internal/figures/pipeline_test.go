@@ -2,31 +2,43 @@ package figures
 
 import (
 	"bytes"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/buf"
+	"repro/internal/harness"
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 )
 
-// pipeCache builds the study once: it runs real protocol worlds per
-// cell, so the shape assertions share one build.
-var pipeCache *PipelineStudy
+// pipeCache measures the study once: it runs real protocol worlds per
+// cell, so the shape assertions share one run.
+var pipeCache *Result
 
-func pipelineStudyFor(t *testing.T) *PipelineStudy {
+func pipelineStudyFor(t *testing.T) *Result {
 	t.Helper()
 	if pipeCache != nil {
 		return pipeCache
 	}
-	st, err := BuildPipelineStudy("skx-impi",
-		[]int64{256 << 10, 512 << 10},
-		[]int64{256 << 10, 2 << 20})
-	if err != nil {
-		t.Fatal(err)
+	st := study(t, "pipeline")
+	st.Points = []float64{256 << 10, 512 << 10}
+	st.Sizes = fixed(256<<10, 2<<20)
+	pipeCache = run(t, st, nil, harness.Options{})
+	return pipeCache
+}
+
+// planCounter reads one ops/bytes pair of a note line's plan counters.
+func planCounter(t *testing.T, line, name string) (ops, bytes int64) {
+	t.Helper()
+	m := regexp.MustCompile(` ` + name + `=(\d+)/(\d+)B`).FindStringSubmatch(line)
+	if m == nil {
+		t.Fatalf("no %s counter in %q", name, line)
 	}
-	pipeCache = st
-	return st
+	ops, _ = strconv.ParseInt(m[1], 10, 64)
+	bytes, _ = strconv.ParseInt(m[2], 10, 64)
+	return ops, bytes
 }
 
 // TestPipelineStudyShape pins E16's headline relations: the pipelined
@@ -34,26 +46,26 @@ func pipelineStudyFor(t *testing.T) *PipelineStudy {
 // fused upper bound, and the acceptance floor — ≥1.3x on every-other
 // doubles at the rendezvous size — holds.
 func TestPipelineStudyShape(t *testing.T) {
-	st := pipelineStudyFor(t)
-	if len(st.Panels) == 0 {
-		t.Fatal("no panels")
-	}
-	for _, p := range st.Panels {
-		for i := range p.Chunks {
-			if p.Pipelined.Y[i] <= p.Serial.Y[i] {
-				t.Errorf("%s chunk %d: pipelined %.2f GB/s not above serial %.2f",
-					p.Layout, p.Chunks[i], p.Pipelined.Y[i], p.Serial.Y[i])
+	r := pipelineStudyFor(t)
+	for _, g := range pipelineGeometries {
+		serial := r.Series(Curve{Name: "serial", Variant: g.name})
+		piped := r.Series(Curve{Name: "pipelined", Variant: g.name})
+		fused := r.Series(Curve{Name: "fused", Variant: g.name})
+		if serial.Len() != len(r.Points) {
+			t.Fatalf("%s: %d cells, want %d", g.name, serial.Len(), len(r.Points))
+		}
+		for i, chunk := range serial.X {
+			if piped.Y[i] <= serial.Y[i] {
+				t.Errorf("%s chunk %g: pipelined %.2f GB/s not above serial %.2f (overlap not positive)",
+					g.name, chunk, piped.Y[i], serial.Y[i])
 			}
-			if p.Pipelined.Y[i] > p.Fused.Y[i]*1.02 {
-				t.Errorf("%s chunk %d: pipelined %.2f GB/s above the fused bound %.2f",
-					p.Layout, p.Chunks[i], p.Pipelined.Y[i], p.Fused.Y[i])
-			}
-			if p.Overlap[i] <= 0 {
-				t.Errorf("%s chunk %d: overlap attribution %.3f not positive", p.Layout, p.Chunks[i], p.Overlap[i])
+			if piped.Y[i] > fused.Y[i]*1.02 {
+				t.Errorf("%s chunk %g: pipelined %.2f GB/s above the fused bound %.2f",
+					g.name, chunk, piped.Y[i], fused.Y[i])
 			}
 		}
 	}
-	if sp := st.PipelinedSpeedupAt("everyOther", 512<<10); sp < 1.3 {
+	if sp := r.at(per("everyOther", "pipelined", "serial"), 512<<10); sp < 1.3 {
 		t.Errorf("everyOther pipelined speedup %.2fx, want >= 1.3x", sp)
 	}
 }
@@ -62,48 +74,53 @@ func TestPipelineStudyShape(t *testing.T) {
 // its chunk attribution: the whole payload through PipelinedOps, and
 // no cursor fallback.
 func TestPipelineStudyAttribution(t *testing.T) {
-	st := pipelineStudyFor(t)
-	for _, p := range st.Panels {
-		for i, d := range p.Stats {
-			if d.PipelinedBytes != st.Bytes {
-				t.Errorf("%s chunk %d: pipelined bytes %d, want %d", p.Layout, p.Chunks[i], d.PipelinedBytes, st.Bytes)
+	r := pipelineStudyFor(t)
+	for _, g := range pipelineGeometries {
+		lines := strings.Split(strings.TrimSpace(r.notes[g.name]), "\n")
+		if len(lines) != len(r.Points) {
+			t.Fatalf("%s: %d note lines, want %d", g.name, len(lines), len(r.Points))
+		}
+		for i, l := range lines {
+			chunk := int64(r.Points[i])
+			ops, bytes := planCounter(t, l, "pipelined")
+			if bytes != r.Bytes {
+				t.Errorf("%s chunk %d: pipelined bytes %d, want %d", g.name, chunk, bytes, r.Bytes)
 			}
-			want := (st.Bytes + p.Chunks[i] - 1) / p.Chunks[i]
-			if d.PipelinedOps != want {
-				t.Errorf("%s chunk %d: pipelined chunks %d, want %d", p.Layout, p.Chunks[i], d.PipelinedOps, want)
+			if want := (r.Bytes + chunk - 1) / chunk; ops != want {
+				t.Errorf("%s chunk %d: pipelined chunks %d, want %d", g.name, chunk, ops, want)
 			}
-			if d.CursorOps != 0 {
-				t.Errorf("%s chunk %d: %d cursor fallbacks on the pipelined path", p.Layout, p.Chunks[i], d.CursorOps)
+			if ops, _ := planCounter(t, l, "cursor"); ops != 0 {
+				t.Errorf("%s chunk %d: %d cursor fallbacks on the pipelined path", g.name, chunk, ops)
 			}
 		}
 	}
-	for i, d := range st.Bcast.Stats {
-		if d.PipelinedOps == 0 || d.PipelinedBytes == 0 {
-			t.Errorf("bcast size %d: no pipelined attribution (%v)", st.Bcast.Sizes[i], d)
+	for _, l := range strings.Split(strings.TrimSpace(r.notes["bcast"]), "\n") {
+		if ops, bytes := planCounter(t, l, "pipelined"); ops == 0 || bytes == 0 {
+			t.Errorf("bcast: no pipelined attribution: %s", l)
 		}
 	}
 }
 
-// TestPipelineStudyBcast pins the collective panel: the pipelined
+// TestPipelineStudyBcast pins the collective note: the pipelined
 // scatter+allgather must beat the binomial tree at 8 ranks on every
 // swept size.
 func TestPipelineStudyBcast(t *testing.T) {
-	st := pipelineStudyFor(t)
-	b := st.Bcast
-	if len(b.Sizes) == 0 {
+	r := pipelineStudyFor(t)
+	tree, piped := r.Series(Curve{Name: "tree", Variant: "bcast"}), r.Series(Curve{Name: "pipelined", Variant: "bcast"})
+	if tree.Len() == 0 {
 		t.Fatal("no bcast sizes")
 	}
-	for i, n := range b.Sizes {
-		if b.Pipelined.Y[i] >= b.Tree.Y[i] {
-			t.Errorf("bcast %d B: pipelined %.3gs not below tree %.3gs", n, b.Pipelined.Y[i], b.Tree.Y[i])
+	for i, n := range tree.X {
+		if piped.Y[i] >= tree.Y[i] {
+			t.Errorf("bcast %g B: pipelined %.3gs not below tree %.3gs", n, piped.Y[i], tree.Y[i])
 		}
 	}
 }
 
 func TestPipelineStudyRender(t *testing.T) {
-	st := pipelineStudyFor(t)
+	r := pipelineStudyFor(t)
 	var out bytes.Buffer
-	if err := st.Render(&out); err != nil {
+	if err := r.Render(&out); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()

@@ -5,47 +5,46 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/perfmodel"
 )
 
 // TestPlanCacheStudy pins the E13 contract: the warm sweep is pure
-// steady state (zero compilations, perfect hit rate), every panel has
+// steady state (zero compilations, perfect hit rate), every curve has
 // a positive bandwidth, oversize points are skipped, and Render
 // reports the hit rates.
 func TestPlanCacheStudy(t *testing.T) {
 	opt := harness.Options{Reps: 3, MaxRealBytes: 1 << 20}
-	st, err := BuildPlanCacheStudy("skx-impi", []int64{64 << 10, 256 << 10, 64 << 20}, opt)
-	if err != nil {
-		t.Fatal(err)
+	st := study(t, "plancache")
+	st.Sizes = fixed(64<<10, 256<<10, 64<<20)
+	r := run(t, st, nil, opt)
+	if got := r.Series(Curve{Name: "warm"}).X; len(got) != 2 {
+		t.Fatalf("sizes kept = %v, want the two under MaxRealBytes", got)
 	}
-	if len(st.Sizes) != 2 {
-		t.Fatalf("sizes kept = %v, want the two under MaxRealBytes", st.Sizes)
-	}
-	for i := range st.Sizes {
-		if st.Cold.Y[i] <= 0 || st.Warm.Y[i] <= 0 || st.Chunked.Y[i] <= 0 {
-			t.Fatalf("non-positive bandwidth at %d B", st.Sizes[i])
-		}
-		if st.HitRates[i] != 1 {
-			t.Errorf("warm hit rate at %d B = %v, want 1", st.Sizes[i], st.HitRates[i])
+	for _, name := range []string{"cold", "warm", "chunked"} {
+		for i, y := range r.Series(Curve{Name: name}).Y {
+			if y <= 0 {
+				t.Fatalf("%s: non-positive bandwidth at %g B", name, r.Series(Curve{Name: name}).X[i])
+			}
 		}
 	}
-	if !st.SteadyStateClean() {
-		t.Errorf("warm sweep compiled or missed: %+v", st.WarmStats)
-	}
-	if st.WarmSpeedupAt(256<<10) <= 0 {
-		t.Error("warm speedup not computable")
+	for _, c := range st.Claims {
+		if v := c.Value(r); !c.Holds(v) {
+			t.Errorf("%s = %g: warm sweep compiled or missed, or no speedup", c.Metric, v)
+		}
 	}
 	var sb strings.Builder
-	if err := st.Render(&sb); err != nil {
+	if err := r.Render(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "hit rate 1.00") {
-		t.Error("render does not report the cache hit rate")
+	if n := strings.Count(sb.String(), "hit rate 1.00"); n != 2 {
+		t.Errorf("render reports a perfect hit rate at %d sizes, want 2:\n%s", n, sb.String())
 	}
 
-	if _, err := BuildPlanCacheStudy("no-such-profile", []int64{64 << 10}, opt); err == nil {
+	if _, err := st.Run("no-such-profile", nil, opt); err == nil {
 		t.Error("unknown profile accepted")
 	}
-	if _, err := BuildPlanCacheStudy("skx-impi", []int64{1 << 30}, opt); err == nil {
+	st.Sizes = func(*perfmodel.Profile, []int64) []int64 { return []int64{1 << 30} }
+	if _, err := st.Run("skx-impi", nil, opt); err == nil {
 		t.Error("all-oversize sweep accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -14,20 +15,30 @@ import (
 	"repro/internal/stats"
 )
 
-// A Study is one experiment of the paper's evaluation written as data:
-// a grid of schemes over one axis, measured once per variant, rendered
-// as panels and checked against the paper's claims.
+// A Study is one experiment of the evaluation written as data: a grid
+// of schemes over one axis measured once per variant, or the curves
+// and notes its Measure hook fills, rendered as panels and checked
+// against its claims.
 type Study struct {
 	ID    string // experiment identifier, "E5"
 	Name  string // the cmd/figures -study name, "eager"
 	Title string // header text, "eager limit study"
 	// Detail appends facts to the header line; nil appends nothing.
 	Detail func(r *Result) string
+	// Once marks a study that does not depend on the installation: it
+	// runs once, after the per-installation ones, and its header names
+	// no profile.
+	Once bool
 
 	Axis Axis
 	// Sizes derives a size axis from the installation and the caller's
 	// sweep; nil measures the sweep itself.
 	Sizes func(p *perfmodel.Profile, sweep []int64) []int64
+	// Real marks a study that times real byte movement: its sizes are
+	// cut to [64 KiB, MaxRealBytes], and none left is an error.
+	Real bool
+	// MaxReps caps the caller's repetitions; 0 keeps them.
+	MaxReps int
 	// Points and Bytes are the x values and the fixed payload of every
 	// axis but the size axis.
 	Points []float64
@@ -38,8 +49,9 @@ type Study struct {
 	// Metric is what one measured cell contributes to a series:
 	// Seconds, NsPerByte or GBps.
 	Metric func(harness.Measurement) float64
-	// Measure replaces the harness grid (E9 runs pairs on split
-	// communicators); it fills the default variant's series.
+	// Measure replaces the harness grid: E9 runs pairs on split
+	// communicators, E13–E21 time their own engines. It fills the
+	// result's curves with add and its note panels with printf.
 	Measure func(r *Result, opt harness.Options) error
 
 	Panels []Panel
@@ -88,32 +100,40 @@ func Seconds(m harness.Measurement) float64   { return m.Time() }
 func NsPerByte(m harness.Measurement) float64 { return m.Time() / float64(m.Bytes) * 1e9 }
 func GBps(m harness.Measurement) float64      { return m.Bandwidth() / 1e9 }
 
-// A Curve is one rendered series: Scheme under the named Variant (""
-// is the first), divided point by point by Over when set — the
-// ratio-to-a-scheme-or-variant metric.
+// A Curve is one rendered series: Scheme, or the curve a Measure hook
+// filled under Name, in the named Variant ("" is the first), divided
+// point by point by Over when set — the ratio-to-a-curve metric.
 type Curve struct {
-	Label   string // "": the scheme's name
+	Label   string // "": the scheme's name or Name
 	Scheme  core.Scheme
+	Name    string
 	Variant string
 	Over    *Curve
 }
 
+// per is curve a over curve b, both filled under variant v.
+func per(v, a, b string) Curve { return Curve{Name: a, Variant: v, Over: &Curve{Name: b, Variant: v}} }
+
 // A Panel is one block of a study's output: an ASCII chart, a table
-// over the axis, or the plan-engine attribution of its first curve's
-// cells. Nil Curves are the study's schemes under Variant.
+// over the axis, one line per measured cell of its curves, or the note
+// a Measure hook printed under Variant. Nil Curves are the study's
+// schemes; a curve without a variant takes the panel's.
 type Panel struct {
 	plot.Config
-	Table, Kernels bool
-	Variant        string
-	Curves         []Curve
+	Table, Note bool
+	Cells       func(harness.Measurement) string
+	Variant     string
+	Curves      []Curve
 }
 
-// A Claim is one paper statement a study checks: a value read off the
-// result, the bound the paper states, the benchmark metric reporting
-// it, and the closing line printing it ("" prints nothing).
+// A Claim is one statement a study checks: a value read off the
+// result, the bound it must meet, the benchmark metric reporting it,
+// and the closing line printing it ("" prints nothing) — a printf
+// format over Args, or over the value when Args is nil.
 type Claim struct {
 	Metric string
-	Line   string // printf format with one verb for the value
+	Line   string
+	Args   func(r *Result) []any
 	Value  func(r *Result) float64
 	Holds  func(v float64) bool
 }
@@ -122,44 +142,56 @@ type Claim struct {
 type Result struct {
 	*Study
 	Profile *perfmodel.Profile
+	opt     harness.Options // the caller's, repetitions capped
+	sizes   []int64         // the size axis
 	series  map[cell][]harness.Measurement
 	y       map[cell]*stats.Series
+	notes   map[string]string
 }
 
-type cell struct {
-	variant string
-	scheme  core.Scheme
-}
+type cell struct{ variant, name string }
 
 // Run measures the study on one installation; sweep is the size axis
 // of studies without their own. Each variant is one MeasureGrid on the
 // size axis and one per point on any other, so every cell runs in the
 // world it ran in when the output was pinned.
 func (st *Study) Run(profileName string, sweep []int64, opt harness.Options) (*Result, error) {
-	prof, err := perfmodel.ByName(profileName)
-	if err != nil {
-		return nil, err
+	r := &Result{Study: st, series: map[cell][]harness.Measurement{}, y: map[cell]*stats.Series{}, notes: map[string]string{}}
+	var err error
+	if !st.Once {
+		if r.Profile, err = perfmodel.ByName(profileName); err != nil {
+			return nil, err
+		}
 	}
-	r := &Result{Study: st, Profile: prof, series: map[cell][]harness.Measurement{}, y: map[cell]*stats.Series{}}
+	r.sizes = sweep
+	if st.Sizes != nil {
+		r.sizes = st.Sizes(r.Profile, sweep)
+	}
+	if st.Real {
+		r.sizes = slices.DeleteFunc(slices.Clone(r.sizes), func(n int64) bool { return n < 64<<10 || n > opt.MaxRealBytes })
+		if len(r.sizes) == 0 {
+			return nil, fmt.Errorf("figures: %s: no sizes in [64 KiB, MaxRealBytes=%d]", st.Name, opt.MaxRealBytes)
+		}
+	}
+	if st.MaxReps > 0 {
+		opt.Reps = min(opt.Reps, st.MaxReps)
+	}
+	r.opt = opt
 	if st.Measure != nil {
 		return r, st.Measure(r, opt)
 	}
-	sizes := sweep
-	if st.Sizes != nil {
-		sizes = st.Sizes(prof, sweep)
-	}
 	for _, v := range st.variants() {
-		p, o := prof, opt
+		p, o := r.Profile, opt
 		if v.Profile != nil {
 			p = v.Profile(p)
 		}
 		if v.Opt != nil {
-			v.Opt(&o, sizes)
+			v.Opt(&o, r.sizes)
 		}
 		schemes := st.schemes(v)
 		grid := make([][]harness.Measurement, len(schemes))
 		if st.Axis.Cell == nil {
-			if grid, err = harness.MeasureGrid(p, schemes, harness.Workloads(sizes, o), o); err != nil {
+			if grid, err = harness.MeasureGrid(p, schemes, harness.Workloads(r.sizes, o), o); err != nil {
 				return nil, err
 			}
 		}
@@ -175,15 +207,14 @@ func (st *Study) Run(profileName string, sweep []int64, opt harness.Options) (*R
 			}
 		}
 		for i, s := range schemes {
-			sr := &stats.Series{Label: s.String()}
+			r.series[cell{v.Name, s.String()}] = grid[i]
 			for j, m := range grid[i] {
 				x := float64(m.Bytes)
 				if st.Axis.Cell != nil {
 					x = st.Points[j]
 				}
-				sr.Append(x, st.Metric(m))
+				r.add(Curve{Scheme: s, Variant: v.Name}, x, st.Metric(m))
 			}
-			r.series[cell{v.Name, s}], r.y[cell{v.Name, s}] = grid[i], sr
 		}
 	}
 	return r, nil
@@ -207,7 +238,24 @@ func (r *Result) key(c Curve) cell {
 	if c.Variant == "" {
 		c.Variant = r.variants()[0].Name
 	}
-	return cell{c.Variant, c.Scheme}
+	if c.Name == "" {
+		c.Name = c.Scheme.String()
+	}
+	return cell{c.Variant, c.Name}
+}
+
+// add appends the point (x, y) to a curve.
+func (r *Result) add(c Curve, x, y float64) {
+	k := r.key(c)
+	if r.y[k] == nil {
+		r.y[k] = &stats.Series{Label: k.name}
+	}
+	r.y[k].Append(x, y)
+}
+
+// printf appends text to the note of a variant.
+func (r *Result) printf(variant, format string, args ...any) {
+	r.notes[variant] += fmt.Sprintf(format, args...)
 }
 
 // Series returns a curve's points.
@@ -224,37 +272,51 @@ func (r *Result) Series(c Curve) *stats.Series {
 
 // Render writes the header, the panels and the closing claim lines.
 func (r *Result) Render(w io.Writer) error {
-	detail := ""
-	if r.Detail != nil {
-		detail = r.Detail(r)
+	header := r.ID + " " + r.Title
+	if !r.Once {
+		header += " — " + r.Profile.Name
 	}
-	fmt.Fprintf(w, "== %s %s — %s%s ==\n", r.ID, r.Title, r.Profile.Name, detail)
+	if r.Detail != nil {
+		header += r.Detail(r)
+	}
+	fmt.Fprintf(w, "== %s ==\n", header)
 	for _, p := range r.Panels {
-		if !p.Table && !p.Kernels {
-			fmt.Fprintln(w) // charts sit one blank line under the header
+		if !p.Table && p.Cells == nil {
+			fmt.Fprintln(w) // charts and notes sit one blank line under the header
 			break
 		}
 	}
 	for _, p := range r.Panels {
+		if (p.Note || p.Cells != nil) && p.Title != "" {
+			fmt.Fprintln(w, p.Title)
+		}
+		if p.Note {
+			io.WriteString(w, r.notes[p.Variant])
+			continue
+		}
 		curves := p.Curves
 		if curves == nil {
 			for _, s := range r.Schemes {
-				curves = append(curves, Curve{Scheme: s, Variant: p.Variant})
+				curves = append(curves, Curve{Scheme: s})
 			}
 		}
 		series := make([]*stats.Series, len(curves))
 		for i, c := range curves {
+			if c.Variant == "" {
+				c.Variant = p.Variant
+			}
+			if p.Cells != nil {
+				for _, m := range r.series[r.key(c)] {
+					fmt.Fprintln(w, p.Cells(m))
+				}
+			}
 			series[i] = r.Series(c)
 		}
 		var err error
 		switch {
+		case p.Cells != nil:
 		case p.Table:
 			err = plot.Table(w, r.Axis.Label, series)
-		case p.Kernels:
-			fmt.Fprintf(w, "%s:\n", p.Title)
-			for _, m := range r.series[r.key(curves[0])] {
-				fmt.Fprintf(w, "  %12d B  %v\n", m.Bytes, m.PlanStats)
-			}
 		default:
 			err = plot.ASCII(w, p.Config, series)
 		}
@@ -263,9 +325,14 @@ func (r *Result) Render(w io.Writer) error {
 		}
 	}
 	for _, c := range r.Claims {
-		if c.Line != "" {
-			fmt.Fprintf(w, c.Line, c.Value(r))
+		if c.Line == "" {
+			continue
 		}
+		args := []any{c.Value(r)}
+		if c.Args != nil {
+			args = c.Args(r)
+		}
+		fmt.Fprintf(w, c.Line, args...)
 	}
 	if r.Spaced {
 		fmt.Fprintln(w)
@@ -282,6 +349,12 @@ func (r *Result) last(c Curve) float64 {
 	return s.Y[s.Len()-1]
 }
 
+// at is a curve's value at the axis point nearest x.
+func (r *Result) at(c Curve, x float64) float64 {
+	y, _ := r.Series(c).Nearest(x)
+	return y
+}
+
 // growth is a curve's last value over its first.
 func (r *Result) growth(c Curve) float64 {
 	return r.last(c) / r.Series(c).Y[0]
@@ -289,8 +362,9 @@ func (r *Result) growth(c Curve) float64 {
 
 func over(a, b core.Scheme) Curve { return Curve{Scheme: a, Over: &Curve{Scheme: b}} }
 
-func above(lo float64) func(float64) bool  { return func(v float64) bool { return v > lo } }
-func atMost(hi float64) func(float64) bool { return func(v float64) bool { return v <= hi } }
+func above(lo float64) func(float64) bool   { return func(v float64) bool { return v > lo } }
+func atMost(hi float64) func(float64) bool  { return func(v float64) bool { return v <= hi } }
+func atLeast(lo float64) func(float64) bool { return func(v float64) bool { return v >= lo } }
 func within(lo, hi float64) func(float64) bool {
 	return func(v float64) bool { return v >= lo && v <= hi }
 }
@@ -298,9 +372,11 @@ func within(lo, hi float64) func(float64) bool {
 // checkBytes is where E10 reads the cost-model factors.
 const checkBytes = 100_000_000
 
-// Studies returns the study table: the paper's §4.5–4.7 ablations
-// (E5–E9), the §2 cost-model factors (E10), the NIC-pipelining what-if
-// of the paper's reference [2] (E11) and the pack-plan compiler (E12).
+// Studies returns the study table: the ping-pong per scheme of the
+// paper's §3.2 protocol, the §4.5–4.7 ablations (E5–E9), the §2
+// cost-model factors (E10), the NIC-pipelining what-if of the paper's
+// reference [2] (E11), the pack-plan compiler (E12) and the studies of
+// this implementation's engines (E13–E21).
 func Studies() []*Study {
 	warmSpeedup := Curve{Label: "copying flush/warm", Scheme: core.Copying, Variant: "flushed",
 		Over: &Curve{Scheme: core.Copying, Variant: "warm"}}
@@ -312,6 +388,19 @@ func Studies() []*Study {
 		return func(o *harness.Options, _ []int64) { o.FlushCache = on }
 	}
 	return []*Study{{
+		ID: "§3.2", Name: "pingpong", Title: "ping-pong per scheme",
+		Detail:  func(r *Result) string { return fmt.Sprintf(" (%d reps, flush %v)", r.opt.Reps, r.opt.FlushCache) },
+		Axis:    SizeAxis,
+		Schemes: core.Schemes(),
+		Metric:  Seconds,
+		Panels: []Panel{{Config: plot.Config{Title: fmt.Sprintf("%-12s %14s %14s %14s %12s %10s %9s",
+			"scheme", "bytes", "time(s)", "min(s)", "bw(GB/s)", "dismissed", "verified")},
+			Cells: func(m harness.Measurement) string {
+				return fmt.Sprintf("%-12s %14d %14.6g %14.6g %12.3f %10d %9v",
+					m.Scheme, m.Bytes, m.Time(), m.Summary.Min, m.Bandwidth()/1e9, m.Dismissed, m.Verified)
+			}}},
+		Spaced: true,
+	}, {
 		ID: "E5", Name: "eager", Title: "eager limit study",
 		Detail: func(r *Result) string { return fmt.Sprintf(" (limit %d bytes)", r.Profile.EagerLimit) },
 		Axis:   SizeAxis, Sizes: eagerSizes,
@@ -337,10 +426,8 @@ func Studies() []*Study {
 			Holds: atMost(5)}},
 	}, {
 		ID: "E6", Name: "cache", Title: "cache flushing study",
-		Axis: SizeAxis,
-		Sizes: func(*perfmodel.Profile, []int64) []int64 {
-			return harness.LogSizes(10_000, 20_000_000, 2)
-		},
+		Axis:     SizeAxis,
+		Sizes:    fixed(harness.LogSizes(10_000, 20_000_000, 2)...),
 		Schemes:  []core.Scheme{core.Copying, core.VectorType, core.PackVector},
 		Variants: []Variant{{Name: "flushed", Opt: flush(true)}, {Name: "warm", Opt: flush(false)}},
 		Metric:   Seconds,
@@ -400,7 +487,7 @@ func Studies() []*Study {
 		ID: "E10", Name: "check", Title: "cost-model factors",
 		Detail: func(*Result) string { return fmt.Sprintf(" at %d bytes", checkBytes) },
 		Axis:   SizeAxis,
-		Sizes:  func(*perfmodel.Profile, []int64) []int64 { return []int64{checkBytes} },
+		Sizes:  fixed(checkBytes),
 		Schemes: []core.Scheme{core.Reference, core.Copying, core.VectorType, core.Buffered,
 			core.PackElement, core.PackVector},
 		Metric: Seconds,
@@ -444,7 +531,8 @@ func Studies() []*Study {
 			{Config: plot.Config{Title: "pack bandwidth, interpreted vs compiled (GB/s)", XLabel: "message bytes", YLabel: "GB/s", LogX: true}},
 			{Config: plot.Config{Title: "compiled speedup (x)", XLabel: "message bytes", YLabel: "x", LogX: true},
 				Curves: []Curve{compiledSpeedup}},
-			{Config: plot.Config{Title: "kernel attribution per size (compiled sweep)"}, Kernels: true,
+			{Config: plot.Config{Title: "kernel attribution per size (compiled sweep):"},
+				Cells:  func(m harness.Measurement) string { return fmt.Sprintf("  %12d B  %v", m.Bytes, m.PlanStats) },
 				Curves: []Curve{{Scheme: core.PackCompiled}}},
 		},
 		Claims: []Claim{{Metric: "compiledSpeedup(x)",
@@ -452,7 +540,13 @@ func Studies() []*Study {
 			Value: func(r *Result) float64 { return r.last(compiledSpeedup) },
 			Holds: above(1)}},
 		Spaced: true,
-	}}
+	}, planCacheStudy(), fusedStudy(), haloStudy(), pipelineStudy(), guidelinesStudy(), chaosStudy(),
+		canonStudy(), scaleStudy(), chaosScaleStudy()}
+}
+
+// fixed is a size axis that ignores the installation and the sweep.
+func fixed(sizes ...int64) func(*perfmodel.Profile, []int64) []int64 {
+	return func(*perfmodel.Profile, []int64) []int64 { return sizes }
 }
 
 // factor is one E10 row: the time ratio a/b the cost model predicts.
@@ -475,7 +569,6 @@ func eagerSizes(p *perfmodel.Profile, _ []int64) []int64 {
 // measurePairs is E9: 1…N concurrent ping-pong pairs on split
 // communicators of one world, timing pair 0.
 func measurePairs(r *Result, opt harness.Options) error {
-	sr := &stats.Series{Label: core.VectorType.String()}
 	for _, x := range r.Points {
 		var t0 float64
 		w := core.ForBytes(r.Bytes)
@@ -511,8 +604,7 @@ func measurePairs(r *Result, opt harness.Options) error {
 		if err != nil {
 			return err
 		}
-		sr.Append(x, t0)
+		r.add(Curve{Scheme: core.VectorType}, x, t0)
 	}
-	r.y[cell{"", core.VectorType}] = sr
 	return nil
 }

@@ -123,7 +123,7 @@ func TestNoPackageSwitches(t *testing.T) {
 // TestEveryInternalFuncIsReachable is the tripwire for ROADMAP item
 // 12: every func declared in a non-test file under internal/ is reached
 // by the linker from at least one production binary — cmd/figures,
-// cmd/pingpong, cmd/bench and each program under examples/. It links
+// cmd/bench and each program under examples/. It links
 // each of them with -ldflags=-dumpdep, which prints every symbol the
 // linker's dead-code pass keeps, and names each declaration that no
 // dump mentions. Inlining is off (-gcflags=all=-l): an inlined helper
@@ -131,7 +131,7 @@ func TestNoPackageSwitches(t *testing.T) {
 // tests need lives in a _test.go file or in internal/oracle, which no
 // non-test file may import.
 func TestEveryInternalFuncIsReachable(t *testing.T) {
-	roots := [][]string{{"./cmd/figures"}, {"./cmd/pingpong"}, {"-C", "cmd/bench", "."}}
+	roots := [][]string{{"./cmd/figures"}, {"-C", "cmd/bench", "."}}
 	examples, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
 	if err != nil || len(examples) == 0 {
 		t.Fatalf("no example programs found (%v)", err)
