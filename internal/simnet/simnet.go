@@ -664,11 +664,16 @@ func (f *Fabric) Deliver(dst int, m *Message) Fault {
 	case FaultDelay:
 		m.Arrival += vclock.Time(fault.Delay)
 	}
-	front := fault.Kind == FaultReorder
-	f.boxes[dst].put(m, front)
+	// The duplicate is copied before the original is queued: once queued,
+	// the receiver may match and retire it concurrently.
+	var dup *Message
 	if fault.Kind == FaultDuplicate {
-		dup := *m
-		f.boxes[dst].put(&dup, false)
+		d := *m
+		dup = &d
+	}
+	f.boxes[dst].put(m, fault.Kind == FaultReorder)
+	if dup != nil {
+		f.boxes[dst].put(dup, false)
 	}
 	return fault
 }
