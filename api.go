@@ -226,8 +226,8 @@ func GuidelinesSweep(cfg GuidelinesConfig) (*GuidelinesReport, error) {
 // point-to-point, one-sided and collective surface.
 type Comm = mpi.Comm
 
-// RunOptions configures the runtime directly (profile, real-time
-// mode, watchdog).
+// RunOptions configures the runtime directly (profile, cache model,
+// watchdog, fault injection).
 type RunOptions = mpi.Options
 
 // Run starts size rank goroutines on a simulated fabric.

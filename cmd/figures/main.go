@@ -65,6 +65,9 @@ func main() {
 		appended[name] = flag.Bool(name, false, "append the "+name+" entry to -study")
 	}
 	flag.Parse()
+	if *perDecade < 1 {
+		check(fmt.Errorf("-per-decade %d: want at least 1", *perDecade))
+	}
 	if *reps < 1 {
 		check(fmt.Errorf("-reps %d: want at least 1", *reps))
 	}

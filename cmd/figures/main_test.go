@@ -29,10 +29,13 @@ func runMain(t *testing.T, args ...string) (string, string, error) {
 	return stdout.String(), stderr.String(), err
 }
 
-// TestRejectsNegativeFlags: a repetition count under one or a negative
-// payload cap is an error naming the flag, before any entry runs.
+// TestRejectsNegativeFlags: a sweep resolution or a repetition count
+// under one, or a negative payload cap, is an error naming the flag,
+// before any entry runs.
 func TestRejectsNegativeFlags(t *testing.T) {
-	for _, tc := range []struct{ flag, value string }{{"-reps", "-1"}, {"-reps", "0"}, {"-max-real", "-1"}} {
+	for _, tc := range []struct{ flag, value string }{
+		{"-per-decade", "0"}, {"-per-decade", "-1"}, {"-reps", "-1"}, {"-reps", "0"}, {"-max-real", "-1"},
+	} {
 		stdout, stderr, err := runMain(t, tc.flag, tc.value, "-profile", "skx-impi", "-study", "check")
 		if err == nil {
 			t.Errorf("%s %s: command succeeded", tc.flag, tc.value)

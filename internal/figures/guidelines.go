@@ -20,7 +20,7 @@ func guidelinesStudy() *Study {
 	return &Study{
 		ID: "E17", Name: "guidelines", Title: "performance-guidelines verifier",
 		Detail: func(*Result) string {
-			return fmt.Sprintf(" (tolerance %.2f, virtual time)", guidelines.DefaultConfig().Tolerance)
+			return fmt.Sprintf(" (tolerance %.2f, virtual time)", guidelines.Tolerance)
 		},
 		Measure: measureGuidelines,
 		Panels:  []Panel{{Note: true}},
@@ -104,7 +104,7 @@ func measureGuidelines(r *Result, _ harness.Options) error {
 	r.printf("", "self-tuned recommender (observed virtual-clock fits fed back via memsim.ObservedHierarchy):\n")
 	for _, tc := range tuned {
 		note := "guideline satisfied"
-		if !tc.Satisfied(rp.Tolerance) {
+		if !tc.Satisfied() {
 			note = "GUIDELINE VIOLATED"
 		}
 		change := ""

@@ -90,7 +90,7 @@ var (
 type Variant struct {
 	Name    string
 	Schemes []core.Scheme // nil: the study's schemes
-	Opt     func(o *harness.Options, sizes []int64)
+	Opt     func(*harness.Options)
 	Profile func(*perfmodel.Profile) *perfmodel.Profile
 }
 
@@ -186,7 +186,7 @@ func (st *Study) Run(profileName string, sweep []int64, opt harness.Options) (*R
 			p = v.Profile(p)
 		}
 		if v.Opt != nil {
-			v.Opt(&o, r.sizes)
+			v.Opt(&o)
 		}
 		schemes := st.schemes(v)
 		grid := make([][]harness.Measurement, len(schemes))
@@ -384,8 +384,8 @@ func Studies() []*Study {
 	pipelined := Curve{Label: "vector type (NIC pipelining, ref [2])", Scheme: core.VectorType, Variant: "pipelined",
 		Over: &Curve{Scheme: core.Reference}}
 	compiledSpeedup := Curve{Label: "speedup", Scheme: core.PackCompiled, Over: &Curve{Scheme: core.PackVector}}
-	flush := func(on bool) func(*harness.Options, []int64) {
-		return func(o *harness.Options, _ []int64) { o.FlushCache = on }
+	flush := func(on bool) func(*harness.Options) {
+		return func(o *harness.Options) { o.FlushCache = on }
 	}
 	return []*Study{{
 		ID: "§3.2", Name: "pingpong", Title: "ping-pong per scheme",
@@ -405,8 +405,11 @@ func Studies() []*Study {
 		Detail: func(r *Result) string { return fmt.Sprintf(" (limit %d bytes)", r.Profile.EagerLimit) },
 		Axis:   SizeAxis, Sizes: eagerSizes,
 		Schemes: []core.Scheme{core.Reference, core.VectorType, core.PackVector},
-		Variants: []Variant{{Name: "default"}, {Name: "raised", Opt: func(o *harness.Options, sizes []int64) {
-			o.EagerLimitOverride = sizes[len(sizes)-1] * 4
+		// §4.5 sets the eager limit over the maximum message size.
+		Variants: []Variant{{Name: "default"}, {Name: "raised", Profile: func(p *perfmodel.Profile) *perfmodel.Profile {
+			raised, sizes := *p, eagerSizes(p, nil)
+			raised.EagerLimit = sizes[len(sizes)-1] * 4
+			return &raised
 		}}},
 		// Per-byte time exposes the drop at the protocol switch better
 		// than absolute time.

@@ -67,15 +67,14 @@ func FuzzGuidelines(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		const tol = 1.05
-		if rec.Scheme == core.VectorType && typed.Time() > packedC.Time()*tol {
+		if rec.Scheme == core.VectorType && typed.Time() > packedC.Time()*Tolerance {
 			t.Errorf("%s %+v (%d B): typed measured %.3g s, pack+send %.3g s (ratio %.3f), yet the self-tuned recommender kept the typed send",
 				p.Name, w, w.Bytes(), typed.Time(), packedC.Time(), typed.Time()/packedC.Time())
 		}
 		// And the mirror: when typed is observed to win clearly, the
 		// balanced recommendation must not abandon the user-friendly
 		// datatype.
-		if typed.Time()*tol < packedC.Time() {
+		if typed.Time()*Tolerance < packedC.Time() {
 			bal, err := core.Recommend(q, core.GoalBalanced)
 			if err != nil {
 				t.Fatal(err)

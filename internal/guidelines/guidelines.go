@@ -7,7 +7,7 @@
 // alternative scheme), and a sweep executes both sides of every rule
 // on simnet across a (layout × size × scheme × installation) grid and
 // reports each cell's measured ratio. Violations — cells whose
-// left-hand side exceeds tolerance × right-hand side — come back as
+// left-hand side exceeds Tolerance × right-hand side — come back as
 // structured records with PlanStats attribution; the baseline file
 // (baseline.txt) waives the violations that are expected by design,
 // the paper's own finding that derived-datatype sends degrade at large
@@ -24,7 +24,7 @@ import (
 // Rule identifies one performance guideline.
 type Rule int
 
-// The rule table. Every rule is a bound "Lhs ≤ tolerance·Rhs" over
+// The rule table. Every rule is a bound "Lhs ≤ Tolerance·Rhs" over
 // measured virtual-clock times of the same payload.
 const (
 	// TypedVsPack: a derived-datatype send must not lose to MPI_Pack
@@ -109,9 +109,9 @@ type Result struct {
 	// are their virtual-clock seconds per operation.
 	LhsName, RhsName string
 	Lhs, Rhs         float64
-	// Ratio is Lhs/Rhs; the rule demands Ratio ≤ tolerance.
+	// Ratio is Lhs/Rhs; the rule demands Ratio ≤ Tolerance.
 	Ratio float64
-	// Violated is true when the bound failed at the sweep's tolerance.
+	// Violated is true when Ratio exceeds Tolerance.
 	Violated bool
 	// Plan attributes the Lhs measurement: which pack-engine tier
 	// moved the bytes and whether the transfers were fused or staged.
@@ -134,10 +134,13 @@ func (r Result) String() string {
 		r.Rule, r.Profile, r.Layout, r.Bytes, r.Ranks, r.LhsName, r.Lhs, r.RhsName, r.Rhs, r.Ratio, verdict)
 }
 
+// Tolerance is the permitted Lhs/Rhs slack before a cell counts as
+// violated.
+const Tolerance = 1.05
+
 // Report is the outcome of one sweep.
 type Report struct {
-	Tolerance float64
-	Results   []Result
+	Results []Result
 }
 
 // Violations returns the violated cells, most severe first.
@@ -185,9 +188,6 @@ type Config struct {
 	// Reps is the per-cell repetition count on the deterministic
 	// virtual clock.
 	Reps int
-	// Tolerance is the permitted Lhs/Rhs slack before a cell counts
-	// as violated.
-	Tolerance float64
 }
 
 // DefaultConfig is the acceptance grid: the three calibrated
@@ -199,10 +199,9 @@ func DefaultConfig() Config {
 			{Name: "alt", BlockLen: 1, Stride: 2},
 			{Name: "block8", BlockLen: 8, Stride: 16},
 		},
-		Sizes:     []int64{8 << 10, 256 << 10, 4 << 20},
-		Ranks:     4,
-		Reps:      3,
-		Tolerance: 1.05,
+		Sizes: []int64{8 << 10, 256 << 10, 4 << 20},
+		Ranks: 4,
+		Reps:  3,
 	}
 }
 
@@ -223,9 +222,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Reps == 0 {
 		cfg.Reps = d.Reps
 	}
-	if cfg.Tolerance == 0 {
-		cfg.Tolerance = d.Tolerance
-	}
 	return cfg
 }
 
@@ -235,7 +231,7 @@ func (cfg Config) withDefaults() Config {
 // shared table; collective rules run their own bracketed worlds.
 func Sweep(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	rp := &Report{Tolerance: cfg.Tolerance}
+	rp := &Report{}
 	for _, name := range cfg.Profiles {
 		for _, lay := range cfg.Layouts {
 			for _, n := range cfg.Sizes {
@@ -250,7 +246,7 @@ func Sweep(cfg Config) (*Report, error) {
 	for i := range rp.Results {
 		r := &rp.Results[i]
 		r.Ratio = ratio(r.Lhs, r.Rhs)
-		r.Violated = r.Ratio > cfg.Tolerance
+		r.Violated = r.Ratio > Tolerance
 	}
 	return rp, nil
 }

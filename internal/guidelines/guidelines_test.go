@@ -56,10 +56,10 @@ func TestGateSyntheticViolation(t *testing.T) {
 		return Result{
 			Cell:    Cell{Rule: TypedVsPack, Profile: "synthetic", Layout: "alt", Bytes: 4096, Ranks: 2},
 			LhsName: "vector type", RhsName: "packing(v)",
-			Lhs: ratio, Rhs: 1, Ratio: ratio, Violated: ratio > 1.05,
+			Lhs: ratio, Rhs: 1, Ratio: ratio, Violated: ratio > Tolerance,
 		}
 	}
-	rp := &Report{Tolerance: 1.05, Results: []Result{mk(1.5)}}
+	rp := &Report{Results: []Result{mk(1.5)}}
 
 	empty, err := ParseBaseline("")
 	if err != nil {
@@ -76,12 +76,12 @@ func TestGateSyntheticViolation(t *testing.T) {
 	if fresh := waived.Gate(rp); len(fresh) != 0 {
 		t.Fatalf("waived violation failed the gate: %v", fresh)
 	}
-	worse := &Report{Tolerance: 1.05, Results: []Result{mk(1.5 * BaselineSlack * 1.01)}}
+	worse := &Report{Results: []Result{mk(1.5 * BaselineSlack * 1.01)}}
 	if fresh := waived.Gate(worse); len(fresh) != 1 {
 		t.Fatal("violation worsened past the slack but passed the gate")
 	}
 	// A clean report passes any baseline.
-	clean := &Report{Tolerance: 1.05, Results: []Result{mk(0.9)}}
+	clean := &Report{Results: []Result{mk(0.9)}}
 	if fresh := empty.Gate(clean); len(fresh) != 0 {
 		t.Fatalf("clean report failed the gate: %v", fresh)
 	}
@@ -185,7 +185,6 @@ func TestTreeGateRegression(t *testing.T) {
 // raw typed-vs-pack guideline is waived (the tuned recommender simply
 // stops picking the typed send there).
 func TestSelfTunedRecommenderSatisfiesGuidelines(t *testing.T) {
-	const tol = 1.05
 	sizes := []int64{8 << 10, 256 << 10, 4 << 20}
 	lay := LayoutSpec{Name: "alt", BlockLen: 1, Stride: 2}
 	for _, name := range []string{"skx-impi", "ls5-cray", "knl-impi"} {
@@ -227,7 +226,7 @@ func TestSelfTunedRecommenderSatisfiesGuidelines(t *testing.T) {
 					best = tm
 				}
 			}
-			if chosen > best*tol {
+			if chosen > best*Tolerance {
 				t.Errorf("%s n=%d: self-tuned choice %v measured %.3g s, best %.3g s (ratio %.3f)",
 					name, n, rec.Scheme, chosen, best, chosen/best)
 			}

@@ -26,10 +26,9 @@ type TunedChoice struct {
 }
 
 // Satisfied reports whether the tuned choice meets the recommender
-// guideline at the given tolerance — its measured time within
-// tolerance of the measured best.
-func (tc TunedChoice) Satisfied(tol float64) bool {
-	return tc.BestTime <= 0 || tc.TunedTime <= tc.BestTime*tol
+// guideline — its measured time within Tolerance of the measured best.
+func (tc TunedChoice) Satisfied() bool {
+	return tc.BestTime <= 0 || tc.TunedTime <= tc.BestTime*Tolerance
 }
 
 // SelfTune closes the tuning loop on one installation: measure the

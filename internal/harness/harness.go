@@ -40,17 +40,6 @@ type Options struct {
 	// Verify checks received payloads byte-for-byte after the last
 	// ping-pong (real payloads only).
 	Verify bool
-	// RealTime measures Go wall time instead of virtual time.
-	RealTime bool
-	// ColdCaches disables warmth tracking entirely (stronger than
-	// FlushCache: even one ping-pong sees no reuse).
-	ColdCaches bool
-	// WallLimit is the per-Run deadlock watchdog; zero means 2 min.
-	WallLimit time.Duration
-	// EagerLimitOverride, when non-zero, replaces the profile's eager
-	// limit — the §4.5 "set the eager limit over the maximum message
-	// size" experiment.
-	EagerLimitOverride int64
 }
 
 // withDefaults fills the zero values.
@@ -60,9 +49,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRealBytes == 0 {
 		o.MaxRealBytes = 16 << 20
-	}
-	if o.WallLimit == 0 {
-		o.WallLimit = 2 * time.Minute
 	}
 	return o
 }
@@ -122,8 +108,11 @@ func (m Measurement) Bandwidth() float64 {
 // of Measurements per scheme, one Measurement per workload. The cells
 // share one payload fixture set (core.Fixtures), built before the first
 // world starts, or handed on by the previous grid over the same
-// workloads.
+// workloads. A negative Options.Reps is an error.
 func MeasureGrid(profile *perfmodel.Profile, schemes []core.Scheme, workloads []core.Workload, opt Options) ([][]Measurement, error) {
+	if opt.Reps < 0 {
+		return nil, fmt.Errorf("harness: Options.Reps %d: want at least 0 (0 means 20)", opt.Reps)
+	}
 	fx, err := takeFixtures(workloads)
 	if err != nil {
 		return nil, err
@@ -179,18 +168,9 @@ func MeasureSweep(profile *perfmodel.Profile, scheme core.Scheme, workloads []co
 // world. Rank 0 is the origin, rank 1 the target, as in the paper.
 func measureWorld(profile *perfmodel.Profile, scheme core.Scheme, workloads []core.Workload, opt Options, fx *core.Fixtures) ([]Measurement, error) {
 	opt = opt.withDefaults()
-	prof := *profile // private copy; overrides must not leak to callers
-	if opt.EagerLimitOverride != 0 {
-		prof.EagerLimit = opt.EagerLimitOverride
-	}
 	results := make([]Measurement, len(workloads))
 	verified := make([]bool, len(workloads))
-	err := mpi.Run(2, mpi.Options{
-		Profile:    &prof,
-		RealTime:   opt.RealTime,
-		ColdCaches: opt.ColdCaches,
-		WallLimit:  opt.WallLimit,
-	}, func(c *mpi.Comm) error {
+	err := mpi.Run(2, mpi.Options{Profile: profile, WallLimit: 2 * time.Minute}, func(c *mpi.Comm) error {
 		for wi, w := range workloads {
 			runner, err := fx.NewRunner(scheme)
 			if err != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -95,6 +96,23 @@ func TestMeasureDeterministic(t *testing.T) {
 	}
 }
 
+// TestNegativeRepsRejected: a negative repetition count is an error
+// naming the option, returned before any world starts; zero still
+// means the paper's 20.
+func TestNegativeRepsRejected(t *testing.T) {
+	_, err := Measure(perfmodel.Generic(), core.Reference, core.ForBytes(1024), Options{Reps: -1})
+	if err == nil || !strings.Contains(err.Error(), "Options.Reps -1") || strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("Reps -1: err = %v, want an error naming Options.Reps", err)
+	}
+	m, err := Measure(perfmodel.Generic(), core.Reference, core.ForBytes(1024), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Times) != 20 {
+		t.Fatalf("Reps 0: %d ping-pongs, want 20", len(m.Times))
+	}
+}
+
 func TestVirtualAndRealAgree(t *testing.T) {
 	// The virtual-payload fast path must not change the model's time;
 	// it only skips the byte movement.
@@ -149,9 +167,9 @@ func TestEagerLimitOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2 := opt
-	o2.EagerLimitOverride = 1 << 30
-	raised, err := Measure(prof, core.Reference, w, o2)
+	big := *prof
+	big.EagerLimit = 1 << 30
+	raised, err := Measure(&big, core.Reference, w, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,20 +235,6 @@ func TestLogSizes(t *testing.T) {
 	}
 }
 
-func TestRealTimeModeRuns(t *testing.T) {
-	prof := perfmodel.Generic()
-	opt := fastOpts()
-	opt.RealTime = true
-	opt.Reps = 2
-	m, err := Measure(prof, core.Reference, core.ForBytes(4096), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Time() <= 0 {
-		t.Fatal("real-time measurement non-positive")
-	}
-}
-
 func TestDismissalNeverNeededInModel(t *testing.T) {
 	// §3.2: "in practice this test is never needed" — deterministic
 	// virtual timing must never trigger the 1-σ dismissal.
@@ -253,7 +257,7 @@ func TestDismissalNeverNeededInModel(t *testing.T) {
 // changes nothing that is measured. Every row of the grid equals the
 // same scheme swept with a private set per cell, and every cell equals
 // the one-cell Measure, on two installations, with the cache flushed
-// between ping-pongs, left warm, and modelled cold.
+// between ping-pongs and left warm.
 func TestGridMatchesPrivateFixtures(t *testing.T) {
 	same := func(t *testing.T, what string, got, want Measurement) {
 		t.Helper()
@@ -269,7 +273,6 @@ func TestGridMatchesPrivateFixtures(t *testing.T) {
 	}{
 		{"flushed", func(*Options) {}},
 		{"warm", func(o *Options) { o.FlushCache = false }},
-		{"cold", func(o *Options) { o.ColdCaches = true }},
 	}
 	for _, name := range []string{"skx-impi", "knl-impi"} {
 		prof, err := perfmodel.ByName(name)

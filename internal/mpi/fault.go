@@ -226,20 +226,21 @@ func (c *Comm) collErr(op string, err error) error {
 	return ce
 }
 
+// The modeled ACK-timeout backoff: the first retransmission round
+// costs baseBackoff of virtual time, and each further round doubles it
+// up to maxBackoff.
+const (
+	baseBackoff = vclock.Duration(20_000)    // 20µs
+	maxBackoff  = vclock.Duration(2_000_000) // 2ms
+)
+
 // RetryPolicy bounds the recovery machinery: how many retransmissions
-// a send may use and how the modeled ACK-timeout backoff grows. The
-// zero value means DefaultRetryPolicy.
+// a send may use. The zero value means DefaultRetryPolicy.
 type RetryPolicy struct {
 	// MaxRetries is the retransmission budget per payload (attempts =
 	// MaxRetries + 1). Negative disables retries entirely: the first
 	// fault is terminal.
 	MaxRetries int
-	// BaseBackoff is the virtual-clock cost of the first
-	// retransmission round (the modeled ACK-timeout/NACK turnaround);
-	// it doubles per retry up to MaxBackoff.
-	BaseBackoff vclock.Duration
-	// MaxBackoff caps the exponential growth.
-	MaxBackoff vclock.Duration
 	// WholeReplay disables selective chunk retransmission: every
 	// damaged rendezvous attempt is verified against one checksum of
 	// the whole covered stream and replayed as a whole transfer.
@@ -252,7 +253,7 @@ type RetryPolicy struct {
 // DefaultRetryPolicy survives the chaos suite's default fault rates:
 // eight retransmissions starting at a 20µs backoff, capped at 2ms.
 func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 8, BaseBackoff: 20_000, MaxBackoff: 2_000_000}
+	return RetryPolicy{MaxRetries: 8}
 }
 
 // FaultProfile prices this policy's recovery for the cost model on a
@@ -262,42 +263,29 @@ func (rp RetryPolicy) FaultProfile(legLossRate float64) memsim.FaultProfile {
 	return memsim.FaultProfile{
 		LegLossRate: legLossRate,
 		MaxRetries:  rp.MaxRetries,
-		BaseBackoff: float64(rp.BaseBackoff) / 1e9,
-		MaxBackoff:  float64(rp.MaxBackoff) / 1e9,
+		BaseBackoff: float64(baseBackoff) / 1e9,
+		MaxBackoff:  float64(maxBackoff) / 1e9,
 	}
 }
 
-// normalized fills zero fields with the defaults.
+// normalized fills a zero retry budget with the default.
 func (rp RetryPolicy) normalized() RetryPolicy {
-	def := DefaultRetryPolicy()
 	if rp.MaxRetries == 0 {
-		rp.MaxRetries = def.MaxRetries
+		rp.MaxRetries = DefaultRetryPolicy().MaxRetries
 	} else if rp.MaxRetries < 0 {
 		rp.MaxRetries = 0
-	}
-	if rp.BaseBackoff <= 0 {
-		rp.BaseBackoff = def.BaseBackoff
-	}
-	if rp.MaxBackoff <= 0 {
-		rp.MaxBackoff = def.MaxBackoff
 	}
 	return rp
 }
 
 // backoff returns the modeled retransmission delay before the given
 // retry (1-based): exponential with a cap.
-func (rp RetryPolicy) backoff(retry int) vclock.Duration {
-	d := rp.BaseBackoff
-	for i := 1; i < retry; i++ {
+func backoff(retry int) vclock.Duration {
+	d := baseBackoff
+	for i := 1; i < retry && d < maxBackoff; i++ {
 		d *= 2
-		if d >= rp.MaxBackoff {
-			return rp.MaxBackoff
-		}
 	}
-	if d > rp.MaxBackoff {
-		d = rp.MaxBackoff
-	}
-	return d
+	return min(d, maxBackoff)
 }
 
 // faultsOn reports whether this communicator's fabric has a fault plan
@@ -450,13 +438,12 @@ func (c *Comm) eagerRetryStep(attempt *int, op string, dest, tag int, f simnet.F
 	if !f.NeedsResend() {
 		return false, nil
 	}
-	pol := c.retry
-	if *attempt >= pol.MaxRetries {
+	if *attempt >= c.retry.MaxRetries {
 		return false, &DeliveryError{Op: op, Rank: c.rank, Peer: dest, Tag: tag, Attempts: *attempt + 1, Last: f.Kind}
 	}
 	*attempt++
 	c.fabric.NoteRetry(c.endpoint(c.rank))
-	c.clock.Advance(pol.backoff(*attempt))
+	c.clock.Advance(backoff(*attempt))
 	return true, nil
 }
 
@@ -610,7 +597,7 @@ const (
 func runDetector(fabric *simnet.Fabric) func() {
 	stop := make(chan struct{})
 	go func() {
-		stuck, ok := fabric.WaitQuiesce(stop, 0)
+		stuck, ok := fabric.WaitQuiesce(stop)
 		if ok {
 			if os.Getenv("MPI_DEBUG_STACKS") != "" {
 				b := make([]byte, 1<<20)

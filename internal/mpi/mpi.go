@@ -9,8 +9,7 @@
 // Ranks are goroutines; the interconnect is internal/simnet; costs come
 // from internal/perfmodel and internal/memsim and advance per-rank
 // virtual clocks (internal/vclock), so measured times reproduce the
-// paper's cluster behaviour deterministically. A real-time mode
-// measures Go wall time instead, for sanity checks.
+// paper's cluster behaviour deterministically.
 //
 // The public API mirrors MPI closely enough that the translation is
 // mechanical: Comm.Send ↔ MPI_Send, Comm.SendType ↔ MPI_Send with a
@@ -64,15 +63,12 @@ type Options struct {
 	// Profile selects the simulated installation; nil means
 	// perfmodel.Generic().
 	Profile *perfmodel.Profile
-	// RealTime switches Wtime to wall-clock measurement of the Go
-	// process instead of the virtual clock. Virtual costs are still
-	// tracked; they simply stop being the reported time.
-	RealTime bool
 	// ColdCaches disables cache-warmth tracking so every memory read
 	// is priced at DRAM bandwidth.
 	ColdCaches bool
 	// WallLimit bounds the real duration of the whole Run as a
-	// deadlock watchdog; 0 means no limit.
+	// deadlock watchdog; 0 means no limit. On expiry the fabric is
+	// aborted, so blocked ranks unwind with an error.
 	WallLimit time.Duration
 	// Faults arms a deterministic fault-injection plan on the fabric:
 	// envelopes and rendezvous payload transfers are dropped, damaged,
@@ -126,7 +122,6 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 		stopDetector = runDetector(fabric)
 		defer stopDetector()
 	}
-	start := time.Now()
 	// The world's node grouping is the same for every rank: built once
 	// per Run (nil on flat machines) and shared read-only by all cores.
 	nodes := groupByNode(prof, size, nil)
@@ -154,8 +149,6 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 				fabric:     fabric,
 				prof:       prof,
 				cache:      memsim.NewState(&prof.Mem),
-				realTime:   opts.RealTime,
-				start:      start,
 				internal:   buf.Alloc(1), // identity for MPI-internal buffer warmth
 				faults:     faultsOn,
 				retry:      retry,
@@ -173,14 +166,16 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 		select {
 		case <-done:
 		case <-time.After(opts.WallLimit):
-			if fabric.Tracking() {
-				// Tear the run down so blocked ranks unwind with the
-				// typed error instead of leaking goroutines.
-				fabric.Abort(fmt.Errorf("%w (after %v)", ErrDeadlock, opts.WallLimit))
-				<-done
-			} else {
-				return fmt.Errorf("%w (after %v)", ErrDeadlock, opts.WallLimit)
+			// Tear the run down so blocked ranks unwind with the typed
+			// error instead of leaking goroutines. Without tracking a
+			// rank may sit in a wait that no abort reaches, so the run
+			// returns without waiting for its ranks.
+			err := fmt.Errorf("%w (after %v)", ErrDeadlock, opts.WallLimit)
+			fabric.Abort(err)
+			if !fabric.Tracking() {
+				return err
 			}
+			<-done
 		}
 	} else {
 		<-done
@@ -199,11 +194,9 @@ type commCore struct {
 	ctx     int   // communicator context id (0 = world)
 	members []int // local rank -> fabric endpoint; nil = identity
 
-	fabric   *simnet.Fabric
-	prof     *perfmodel.Profile
-	cache    *memsim.State
-	realTime bool
-	start    time.Time
+	fabric *simnet.Fabric
+	prof   *perfmodel.Profile
+	cache  *memsim.State
 
 	internal buf.Block // region identity for MPI-internal staging
 
@@ -282,15 +275,9 @@ func (c *Comm) endpoint(rank int) int {
 	return c.members[rank]
 }
 
-// Wtime returns the elapsed time in seconds: virtual time in model
-// mode (the default), wall time in real-time mode — the exact analogue
-// of MPI_Wtime in each.
-func (c *Comm) Wtime() float64 {
-	if c.realTime {
-		return time.Since(c.start).Seconds()
-	}
-	return c.clock.Now().Seconds()
-}
+// Wtime returns the rank's elapsed virtual time in seconds, the
+// analogue of MPI_Wtime on the simulated machine.
+func (c *Comm) Wtime() float64 { return c.clock.Now().Seconds() }
 
 // Cache exposes the rank's cache-warmth state; the harness flushes it
 // between ping-pongs the way the paper rewrites a 50 M array.

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -408,26 +409,6 @@ func TestPingPongDeterministic(t *testing.T) {
 	}
 }
 
-func TestWtimeRealTimeMode(t *testing.T) {
-	err := Run(2, Options{RealTime: true, WallLimit: 10 * time.Second}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			start := c.Wtime()
-			if err := c.Send(buf.Alloc(1024), 1, 0); err != nil {
-				return err
-			}
-			if c.Wtime() < start {
-				t.Error("real time ran backwards")
-			}
-			return nil
-		}
-		_, err := c.Recv(buf.Alloc(1024), 0, 0)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRankPanicIsReported(t *testing.T) {
 	err := Run(1, Options{WallLimit: 10 * time.Second}, func(c *Comm) error {
 		panic("boom")
@@ -447,6 +428,46 @@ func TestWatchdogFiresOnDeadlock(t *testing.T) {
 	})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+}
+
+// TestWatchdogUnwindsUntrackedRanks: when the watchdog fires on a
+// fabric without deadlock tracking, the rank stuck in Recv or in
+// Barrier unwinds after Run returns, so the run leaves no goroutine
+// behind.
+func TestWatchdogUnwindsUntrackedRanks(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stuck func(c *Comm) error
+	}{
+		{"recv", func(c *Comm) error {
+			_, err := c.Recv(buf.Alloc(1), 1, 0) // never sent
+			return err
+		}},
+		{"barrier", func(c *Comm) error {
+			c.Barrier() // never joined
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			err := Run(2, Options{WallLimit: 100 * time.Millisecond}, func(c *Comm) error {
+				if c.Rank() == 0 {
+					return tc.stuck(c)
+				}
+				return nil
+			})
+			if !errors.Is(err, ErrDeadlock) {
+				t.Fatalf("err = %v, want ErrDeadlock", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines after the run, %d before", n, before)
+			}
+		})
 	}
 }
 

@@ -121,9 +121,8 @@ func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *sim
 		m.PostDone(simnet.RdvDone{Err: moveErr})
 		return false, moveErr
 	}
-	pol := c.retry
 	me, peer := c.endpoint(c.rank), c.endpoint(dest)
-	done.Final = m.Ack == nil || attempt >= pol.MaxRetries
+	done.Final = m.Ack == nil || attempt >= c.retry.MaxRetries
 	if done.Chunks > 0 {
 		// A duplicate fault redelivers the chunk rather than damaging
 		// it; the receiver suppresses the extra copy.
@@ -172,7 +171,7 @@ func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *sim
 		copy(done.Sent, nack.Damaged)
 	}
 	c.fabric.NoteRetry(me)
-	c.clock.Advance(pol.backoff(attempt + 1))
+	c.clock.Advance(backoff(attempt + 1))
 	return true, nil
 }
 

@@ -18,13 +18,17 @@ import (
 // Markers assigns one plot character per series, in legend order.
 var Markers = []byte{'r', 'c', 'b', 'v', 's', 'o', 'e', 'p', '1', '2', '3', '4', '5', '6'}
 
+// The plot area of an ASCII chart, in columns and rows.
+const (
+	width  = 68
+	height = 20
+)
+
 // Config controls an ASCII chart.
 type Config struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Width  int  // plot area columns; 0 means 68
-	Height int  // plot area rows; 0 means 20
 	LogX   bool // log10 x axis
 	LogY   bool // log10 y axis
 	// YMax clips the y axis (the paper clips the slowdown panel at
@@ -37,13 +41,6 @@ type Config struct {
 // marker (legend order is priority order, so the reference curve stays
 // visible).
 func ASCII(w io.Writer, cfg Config, series []*stats.Series) error {
-	width, height := cfg.Width, cfg.Height
-	if width <= 0 {
-		width = 68
-	}
-	if height <= 0 {
-		height = 20
-	}
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymin, ymax := math.Inf(1), math.Inf(-1)
 	for _, s := range series {

@@ -51,7 +51,7 @@ func TestASCIIClipsYMax(t *testing.T) {
 	s.Append(1, 1)
 	s.Append(2, 1000)
 	var out bytes.Buffer
-	if err := ASCII(&out, Config{YMax: 10, Height: 5, Width: 20}, []*stats.Series{s}); err != nil {
+	if err := ASCII(&out, Config{YMax: 10}, []*stats.Series{s}); err != nil {
 		t.Fatal(err)
 	}
 	// The top label must be the clipped maximum, not 1000.

@@ -96,23 +96,20 @@ type LinkFaults struct {
 	Duplicate float64
 	Reorder   float64
 	Delay     float64
-	// DelaySpan is the extra latency of a FaultDelay; zero means the
-	// DefaultDelaySpan.
-	DelaySpan vclock.Duration
 }
 
-// DefaultDelaySpan is the extra virtual latency of a delay fault when
-// the plan does not specify one: long enough to reorder against
-// in-flight traffic, short enough not to dominate a benchmark.
-const DefaultDelaySpan = vclock.Duration(50_000) // 50µs
+// delaySpan is the extra virtual latency of a delay fault: long
+// enough to reorder against in-flight traffic, short enough not to
+// dominate a benchmark.
+const delaySpan = vclock.Duration(50_000) // 50µs
 
 // Total returns the summed fault probability of the link.
 func (lf LinkFaults) Total() float64 {
 	return lf.Drop + lf.Corrupt + lf.Truncate + lf.Duplicate + lf.Reorder + lf.Delay
 }
 
-// Link identifies a directed fabric link.
-type Link struct{ Src, Dst int }
+// link identifies a directed fabric link.
+type link struct{ src, dst int }
 
 // ScriptedFault is a one-shot fault pinned to the k-th injection
 // (0-based, counted separately for envelopes and payload transfers) on
@@ -134,10 +131,8 @@ type FaultPlan struct {
 	// Seed keys the per-injection hash; two runs with equal plans see
 	// identical faults.
 	Seed uint64
-	// Default applies to every link without an explicit entry.
+	// Default applies to every link.
 	Default LinkFaults
-	// Links overrides specific directed links.
-	Links map[Link]LinkFaults
 	// Scripted one-shot faults, applied on top of (before) the random
 	// rates.
 	Scripted []ScriptedFault
@@ -161,16 +156,6 @@ func UniformFaults(seed uint64, rate float64) *FaultPlan {
 // probability — the CI smoke configuration.
 func DropOnly(seed uint64, rate float64) *FaultPlan {
 	return &FaultPlan{Seed: seed, Default: LinkFaults{Drop: rate}}
-}
-
-// forLink resolves the effective rates of a directed link.
-func (p *FaultPlan) forLink(src, dst int) LinkFaults {
-	if p.Links != nil {
-		if lf, ok := p.Links[Link{src, dst}]; ok {
-			return lf
-		}
-	}
-	return p.Default
 }
 
 // splitmix64 is the counter hash behind every fault draw: a
@@ -211,15 +196,15 @@ type faultState struct {
 	scripted map[scriptedKey]FaultKind
 
 	mu      sync.Mutex
-	envSeq  map[Link]int64
-	dataSeq map[Link]int64
+	envSeq  map[link]int64
+	dataSeq map[link]int64
 }
 
 func newFaultState(p *FaultPlan) *faultState {
 	fs := &faultState{
 		plan:    p,
-		envSeq:  make(map[Link]int64),
-		dataSeq: make(map[Link]int64),
+		envSeq:  make(map[link]int64),
+		dataSeq: make(map[link]int64),
 	}
 	if len(p.Scripted) > 0 {
 		fs.scripted = make(map[scriptedKey]FaultKind, len(p.Scripted))
@@ -238,8 +223,8 @@ func (fs *faultState) next(src, dst int, bytes int64, payload bool) (Fault, int6
 	if payload {
 		seqs = fs.dataSeq
 	}
-	seq := seqs[Link{src, dst}]
-	seqs[Link{src, dst}] = seq + 1
+	seq := seqs[link{src, dst}]
+	seqs[link{src, dst}] = seq + 1
 	fs.mu.Unlock()
 
 	kind := FaultNone
@@ -248,7 +233,7 @@ func (fs *faultState) next(src, dst int, bytes int64, payload bool) (Fault, int6
 		kind = k
 		_, h = fs.plan.draw(src, dst, seq, payload)
 	} else {
-		lf := fs.plan.forLink(src, dst)
+		lf := fs.plan.Default
 		u, hh := fs.plan.draw(src, dst, seq, payload)
 		h = hh
 		switch {
@@ -269,10 +254,7 @@ func (fs *faultState) next(src, dst int, bytes int64, payload bool) (Fault, int6
 	f := Fault{Kind: kind}
 	switch kind {
 	case FaultDelay:
-		f.Delay = fs.plan.forLink(src, dst).DelaySpan
-		if f.Delay <= 0 {
-			f.Delay = DefaultDelaySpan
-		}
+		f.Delay = delaySpan
 	case FaultCorrupt:
 		if bytes > 0 {
 			f.Offset = int64(h % uint64(bytes))
@@ -460,16 +442,16 @@ func (f *Fabric) AbortErr() error {
 // protocol layer select on it.
 func (f *Fabric) AbortChan() <-chan struct{} { return f.abortCh }
 
+// quiesceInterval is the real-time period at which WaitQuiesce polls.
+const quiesceInterval = 500 * time.Microsecond
+
 // WaitQuiesce polls the quiescence predicate from a detector
 // goroutine: it blocks (in real time) until the run is quiescent or
 // stop closes, returning the stuck report. Two consecutive positive
-// snapshots are required, so a momentary all-blocked handoff between
-// cond broadcasts cannot fire it.
-func (f *Fabric) WaitQuiesce(stop <-chan struct{}, interval time.Duration) ([]BlockInfo, bool) {
-	if interval <= 0 {
-		interval = 500 * time.Microsecond
-	}
-	tick := time.NewTicker(interval)
+// snapshots, quiesceInterval apart, are required, so a momentary
+// all-blocked handoff between cond broadcasts cannot fire it.
+func (f *Fabric) WaitQuiesce(stop <-chan struct{}) ([]BlockInfo, bool) {
+	tick := time.NewTicker(quiesceInterval)
 	defer tick.Stop()
 	streak := 0
 	for {

@@ -151,8 +151,8 @@ func TestDelayPushesArrival(t *testing.T) {
 		Scripted: []ScriptedFault{{Src: 0, Dst: 1, Seq: 0, Kind: FaultDelay}},
 	})
 	f.Deliver(1, &Message{Src: 0, Tag: 0, Kind: KindEager, Bytes: 1, Arrival: 100})
-	if m := f.Match(1, 0, 0, 0); int64(m.Arrival) != 100+int64(DefaultDelaySpan) {
-		t.Fatalf("arrival %d, want %d", m.Arrival, 100+int64(DefaultDelaySpan))
+	if m := f.Match(1, 0, 0, 0); int64(m.Arrival) != 100+int64(delaySpan) {
+		t.Fatalf("arrival %d, want %d", m.Arrival, 100+int64(delaySpan))
 	}
 }
 
@@ -203,7 +203,7 @@ func TestQuiescenceDetection(t *testing.T) {
 		t.Fatal("quiescent with a ready wait")
 	}
 	ready = false
-	if stuck, _ := f.WaitQuiesce(nil, time.Millisecond); len(stuck) != 2 {
+	if stuck, _ := f.WaitQuiesce(nil); len(stuck) != 2 {
 		t.Fatalf("WaitQuiesce stuck=%v", stuck)
 	}
 	relA()
