@@ -44,7 +44,10 @@ import (
 // holds it (MoveRuns, under datatype's copyRunGroups), once per
 // transfer — a source does not change under a send, so replays reuse
 // the sum. Only a receiver verifying what landed still reads bytes just
-// to sum them (Write over staging, FoldRuns over a layout).
+// to sum them (Write over staging, FoldRuns over a layout). One sum is
+// one chain, folded in stream order by one goroutine; a transfer summed
+// per chunk has a chain per chunk, so its chunks can be packed or
+// verified on several goroutines at once (datatype.ChecksumChunks).
 type Checksum struct {
 	lane  [4]uint64
 	words uint64 // whole words folded so far; the next one goes to lane words%4

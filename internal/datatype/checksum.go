@@ -12,11 +12,11 @@ import "repro/internal/buf"
 // to batch over: the partial runs a range edge cuts and gather-table
 // segments. The fold is chunk-invariant (see buf.Checksum): a sender
 // summing per internal chunk or pipeline slot and a receiver summing
-// the whole stream agree. It is the receiver's tool: a sender's sums
-// are folded by the move that packs or fuses the bytes (PackRangeSum,
-// PackChunks, FusedCopySum, NewChunkPipelineSum), and
-// PlanStats.ChecksumBytes counts the passes made here so that a sender
-// making one shows.
+// the whole stream agree. It is the receiver's tool (LandedSum and
+// ChecksumChunks run it over what landed): a sender's sums are folded
+// by the move that packs or fuses the bytes (PackRangeSum, PackChunks,
+// FusedCopySum, NewChunkPipelineSum), and PlanStats.ChecksumBytes
+// counts the passes made here so that a sender making one shows.
 //
 // Virtual user blocks are skipped length-only, so both ends of a
 // virtual transfer still produce matching sums.
@@ -65,4 +65,74 @@ func (it *SegIter) wholeRuns(limit int64) (base, step, runLen, k int64) {
 		return 0, 0, 0, 0
 	}
 	return it.h.o, f.str[0], f.runLen, min(f.cnt[0]-it.h.c[0], limit/f.runLen)
+}
+
+// ChecksumChunks is a receiver's verify of a chunked transfer: for
+// every chunk i that set names (bit i%64 of set[i/64]) it sets sums[i]
+// to the checksum of packed-stream chunk i, [i*size, min((i+1)*size,
+// n)), as it landed in user — read through p's layout (ChecksumRange),
+// or, with p nil, as the packed stream itself. The named chunks split
+// across the workers ParallelWorkersFor gives their bytes, whole chunks
+// to a share, so each sum is one chain and equals a serial verify's.
+// Chunks at or past n, and every chunk of a virtual user, are skipped.
+func ChecksumChunks(p *Plan, user buf.Block, n, size int64, set, sums []uint64) {
+	_, bytes := namedChunks(n, size, set)
+	checksumChunks(p, user, n, size, set, sums, ParallelWorkersFor(bytes))
+}
+
+// checksumChunks is ChecksumChunks with the fan-out given.
+func checksumChunks(p *Plan, user buf.Block, n, size int64, set, sums []uint64, w int) {
+	m, _ := namedChunks(n, size, set)
+	if m == 0 || user.IsVirtual() {
+		return
+	}
+	// Shares are counted in named chunks, not bytes, so a sparse set
+	// (a replay's damaged chunks) still spreads across the workers.
+	fanOut(fanTask{run: sumChunks, p: p, user: user, end: n, size: size, set: set, sums: sums}, 0, m, 1, w)
+}
+
+// namedChunks counts the chunks below n that set names, and their
+// bytes.
+func namedChunks(n, size int64, set []uint64) (m, bytes int64) {
+	for lo, i := int64(0), int64(0); lo < n && size > 0; lo, i = lo+size, i+1 {
+		if chunkNamed(set, i) {
+			m++
+			bytes += min(lo+size, n) - lo
+		}
+	}
+	return m, bytes
+}
+
+// chunkNamed reports whether set names chunk i.
+func chunkNamed(set []uint64, i int64) bool {
+	return i/64 < int64(len(set)) && set[i/64]&(1<<uint(i%64)) != 0
+}
+
+// sumChunks sums one ChecksumChunks share: the named chunks whose rank
+// among the named chunks lies in [from, to).
+func sumChunks(t fanTask) {
+	var rank int64
+	for lo, i := int64(0), int64(0); lo < t.end && rank < t.to; lo, i = lo+t.size, i+1 {
+		if !chunkNamed(t.set, i) {
+			continue
+		}
+		if rank++; rank <= t.from {
+			continue
+		}
+		t.sums[i] = LandedSum(t.p, t.user, lo, min(lo+t.size, t.end))
+	}
+}
+
+// LandedSum is the checksum of packed-stream range [lo, hi) as it
+// landed in user: read through p's layout (ChecksumRange), or, with p
+// nil, as the packed stream itself. It is one chain on the calling
+// goroutine — a whole-transfer verify; ChecksumChunks runs it per chunk.
+func LandedSum(p *Plan, user buf.Block, lo, hi int64) uint64 {
+	var cs buf.Checksum
+	if p != nil {
+		p.ChecksumRange(user, lo, hi, &cs)
+	} else {
+		cs.Write(user.Bytes()[lo:hi])
+	}
+	return cs.Sum64()
 }

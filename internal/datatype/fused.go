@@ -2,7 +2,6 @@ package datatype
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/buf"
 )
@@ -234,53 +233,35 @@ func FusedCopySum(srcPlan, dstPlan *Plan, src, dst buf.Block, span int64, sums [
 }
 
 // fusedExec runs the one-pass transfer over the packed range
-// [0, total): on the calling goroutine, or cut across w > 1 workers
-// (every kernel can start mid-stream, so the cut needs no segment
-// alignment). Either way each range goes through fusedRange — one
-// dispatcher, one kernel per pairing. With sums non-nil the pass is
-// summed piece by piece (FusedCopySum); a checksum's chain is
-// sequential, so the cut then falls on piece boundaries.
+// [0, total) in w shares (fanOut; w <= 1 runs it on the calling
+// goroutine). Every kernel can start mid-stream, so an unsummed pass
+// cuts at cache lines with no segment alignment. Either way each share
+// goes through fusedRange — one dispatcher, one kernel per pairing.
+// With sums non-nil the pass is summed piece by piece (FusedCopySum)
+// and cut at piece boundaries, so every piece is one chain on one
+// worker. The destination plan is FusedDstSafe (callers fall back to
+// the staged path otherwise), so distinct packed ranges write distinct
+// user bytes and the workers need no synchronisation beyond the final
+// join — the same disjointness argument as runParallelRange.
 func fusedExec(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, w int, span int64, sums []uint64) {
-	if w <= 1 {
-		fusedPieces(srcPlan, dstPlan, src, dst, 0, total, total, span, sums)
-		return
-	}
 	align := int64(64)
 	if sums != nil {
 		align = span
 	}
-	// The destination plan is FusedDstSafe (callers fall back to the
-	// staged path otherwise), so distinct packed ranges write distinct
-	// user bytes and the workers need no synchronisation beyond the
-	// final join — the same disjointness argument as runParallelRange.
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		lo, hi := splitPoint(0, total, i, w, align), splitPoint(0, total, i+1, w, align)
-		if i == w-1 {
-			// The caller, who would only wait, takes the last share.
-			fusedPieces(srcPlan, dstPlan, src, dst, lo, hi, total, span, sums)
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int64) {
-			defer wg.Done()
-			fusedPieces(srcPlan, dstPlan, src, dst, lo, hi, total, span, sums)
-		}(lo, hi)
-	}
-	wg.Wait()
+	fanOut(fanTask{run: fusedPieces, p: srcPlan, q: dstPlan, user: src, stream: dst, end: total, size: span, sums: sums}, 0, total, align, w)
 }
 
 // fusedPieces runs one share of fusedExec: the range as it is, or,
-// summed, piece by piece (lo is a multiple of span).
-func fusedPieces(srcPlan, dstPlan *Plan, src, dst buf.Block, lo, hi, total, span int64, sums []uint64) {
-	if sums == nil {
-		fusedRange(srcPlan, dstPlan, src, dst, lo, hi, total, nil)
+// summed, piece by piece (the share starts at a multiple of span).
+func fusedPieces(t fanTask) {
+	if t.sums == nil {
+		fusedRange(t.p, t.q, t.user, t.stream, t.from, t.to, t.end, nil)
 		return
 	}
-	for ; lo < hi; lo += span {
+	for lo := t.from; lo < t.to; lo += t.size {
 		var cs buf.Checksum
-		fusedRange(srcPlan, dstPlan, src, dst, lo, min(lo+span, hi), total, &cs)
-		sums[lo/span] = cs.Sum64()
+		fusedRange(t.p, t.q, t.user, t.stream, lo, min(lo+t.size, t.to), t.end, &cs)
+		t.sums[lo/t.size] = cs.Sum64()
 	}
 }
 

@@ -3,22 +3,21 @@ package datatype
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/buf"
 )
 
 // This file executes compiled plans: the exported whole-message and
-// packed-range entry points, the split of a range across workers, and
-// the two range executors a range can run on — runForm (block.go) over
-// the plan's strided form, which every plan but a gather table has, and
-// runGather over the table. An executor does addressing only — one
-// seek to the range's first byte, then the range cut into the largest
-// batches the program has a fixed stride for — and hands every batch to
-// copyRunGroups and every leftover piece to copyRun (copykernel.go);
-// pack and unpack differ in which argument is the dense one (moveRuns,
-// moveRun); a checksum handed to an executor is folded by the moves, in
-// packed order.
+// packed-range entry points, the shares of a range split across workers
+// (fanOut, fanout.go), and the two range executors a range can run on —
+// runForm (block.go) over the plan's strided form, which every plan but
+// a gather table has, and runGather over the table. An executor does
+// addressing only — one seek to the range's first byte, then the range
+// cut into the largest batches the program has a fixed stride for —
+// and hands every batch to copyRunGroups and every leftover piece to
+// copyRun (copykernel.go); pack and unpack differ in which argument is
+// the dense one (moveRuns, moveRun); a checksum handed to an executor
+// is folded by the moves, in packed order.
 
 // Pack gathers the plan's full message from src into dst, returning
 // the bytes produced. It is the compiled equivalent of Type.Pack.
@@ -56,9 +55,18 @@ func (p *Plan) PackRange(src, stream buf.Block, lo, hi int64) error {
 // PackRangeSum is PackRange that checksums the bytes it packs in the
 // same pass: the range is cut every span bytes from lo and sums[i]
 // receives the checksum of piece i alone, what ChecksumRange over the
-// piece would give. A summed range runs on the calling goroutine; nil
-// sums make it PackRange, and virtual participants record no sum.
+// piece would give. From ParallelPackThreshold bytes the pieces split
+// across workers (fanOut), whole pieces to a share, so every sum is
+// still one chain and a range that is one piece runs on the calling
+// goroutine. Nil sums make it PackRange, and virtual participants
+// record no sum.
 func (p *Plan) PackRangeSum(src, stream buf.Block, lo, hi, span int64, sums []uint64) error {
+	return p.packRangeSum(src, stream, lo, hi, span, sums, moveWorkers(src, stream, hi-lo))
+}
+
+// packRangeSum is PackRangeSum with the fan-out of a summed range
+// given.
+func (p *Plan) packRangeSum(src, stream buf.Block, lo, hi, span int64, sums []uint64, w int) error {
 	if err := p.checkRange(src, stream, lo, hi); err != nil {
 		return err
 	}
@@ -69,22 +77,36 @@ func (p *Plan) PackRangeSum(src, stream buf.Block, lo, hi, span int64, sums []ui
 		p.runChunk(src, stream, lo, hi, packDirection, nil)
 		return nil
 	}
-	for a := lo; a < hi; a += span {
-		var cs buf.Checksum
-		p.runRange(src, stream, a, min(a+span, hi), lo, packDirection, &cs)
-		sums[(a-lo)/span] = cs.Sum64()
-	}
+	fanOut(fanTask{run: packPieces, p: p, user: src, stream: stream, base: lo, size: span, sums: sums}, lo, hi, span, w)
 	recordPlanChunk(p.kernel, 1, hi-lo, false)
 	return nil
+}
+
+// packPieces packs and sums the pieces of one PackRangeSum share.
+func packPieces(t fanTask) {
+	for a := t.from; a < t.to; a += t.size {
+		var cs buf.Checksum
+		t.p.runRange(t.user, t.stream, a, min(a+t.size, t.to), t.base, packDirection, &cs)
+		t.sums[(a-t.base)/t.size] = cs.Sum64()
+	}
 }
 
 // PackChunks packs the range [lo, hi) from user into dst, whose byte
 // 0 is packed position lo, one chunk at a time: the serial chunk loop
 // of the derived-type send (§2.3). With sums set, sums[i] gets the
 // checksum of span i, every span bytes from lo, span a multiple of
-// chunk or the whole range. A virtual side moves and sums nothing, and
-// several chunks of it are attributed in closed form (RecordChunks).
+// chunk or the whole range. From ParallelPackThreshold bytes, chunks
+// that carry no running sum across them (span 0 or span == chunk) split
+// across workers, whole chunks to a share; each chunk executes and is
+// attributed exactly as in the serial loop. A virtual side moves and
+// sums nothing, and several chunks of it are attributed in closed form
+// (RecordChunks).
 func (p *Plan) PackChunks(user, dst buf.Block, lo, hi, chunk, span int64, sums []uint64) error {
+	return p.packChunks(user, dst, lo, hi, chunk, span, sums, moveWorkers(user, dst, hi-lo))
+}
+
+// packChunks is PackChunks with the fan-out given.
+func (p *Plan) packChunks(user, dst buf.Block, lo, hi, chunk, span int64, sums []uint64, w int) error {
 	if err := p.checkRange(user, dst, lo, hi); err != nil {
 		return err
 	}
@@ -97,7 +119,11 @@ func (p *Plan) PackChunks(user, dst buf.Block, lo, hi, chunk, span int64, sums [
 		return nil
 	}
 	if sums == nil || virtual {
-		span = 0
+		span, sums = 0, nil
+	}
+	if w > 1 && hi-lo > chunk && (span == 0 || span == chunk) {
+		fanOut(fanTask{run: packChunkShare, p: p, user: user, stream: dst, base: lo, size: chunk, sums: sums}, lo, hi, chunk, w)
+		return nil
 	}
 	p.chunkLoop(user, lo, hi, chunk, span,
 		func(a, b int64) (buf.Block, bool) { return dst.Slice(int(a-lo), int(b-a)), true },
@@ -108,6 +134,22 @@ func (p *Plan) PackChunks(user, dst buf.Block, lo, hi, chunk, span int64, sums [
 			return true
 		})
 	return nil
+}
+
+// packChunkShare runs one PackChunks share chunk by chunk, each chunk
+// summed alone when sums is set.
+func packChunkShare(t fanTask) {
+	for a := t.from; a < t.to; a += t.size {
+		b := min(a+t.size, t.to)
+		blk := t.stream.Slice(int(a-t.base), int(b-a))
+		if t.sums == nil {
+			t.p.runChunk(t.user, blk, a, b, packDirection, nil)
+			continue
+		}
+		var cs buf.Checksum
+		t.p.runChunk(t.user, blk, a, b, packDirection, &cs)
+		t.sums[(a-t.base)/t.size] = cs.Sum64()
+	}
 }
 
 // chunkLoop is the one chunk loop, behind PackChunks and the pipeline
@@ -186,8 +228,10 @@ func (p *Plan) checkRange(user, stream buf.Block, lo, hi int64) error {
 // across goroutines above the parallel threshold, and records the
 // execution in the plan counters. Buffers must already be validated.
 // Virtual participants record the execution without moving bytes. A
-// checksum's chain is sequential: with sum non-nil the message runs on
-// the calling goroutine and is folded as it moves.
+// non-nil sum is one chain over the whole message, so a summed message
+// runs unsplit on the calling goroutine; summed work that is cut into
+// pieces splits at piece boundaries instead (PackRangeSum, PackChunks,
+// FusedCopySum, ChecksumChunks).
 func (p *Plan) execute(user, stream buf.Block, dir direction, sum *buf.Checksum) int64 {
 	if p.total == 0 {
 		return 0
@@ -207,9 +251,11 @@ func (p *Plan) execute(user, stream buf.Block, dir direction, sum *buf.Checksum)
 
 // runChunk executes the packed byte range [lo, hi) of the message
 // against a stream block whose byte 0 is packed position lo — the
-// compiled-chunked tier behind the range entries and chunkLoop. Large
-// chunks split across goroutines like whole messages, unless a checksum
-// is folded along (sum non-nil: one sequential chain); virtual
+// compiled-chunked tier behind the range entries and the chunk loops.
+// Large chunks split across goroutines like whole messages, unless a
+// checksum is folded along: sum non-nil is one chain over the chunk,
+// which then runs unsplit on the calling goroutine (a chunk loop may
+// still run several such chunks at once, one per worker). Virtual
 // participants record the execution without moving bytes.
 func (p *Plan) runChunk(user, stream buf.Block, lo, hi int64, dir direction, sum *buf.Checksum) {
 	if hi <= lo {
@@ -237,39 +283,16 @@ func (p *Plan) runParallelN(user, stream buf.Block, dir direction, w int) {
 	p.runParallelRange(user, stream, 0, p.total, 0, dir, w)
 }
 
-// runParallelRange splits the packed range [lo, hi) across w workers;
-// soff is the packed position of the stream block's byte 0.
+// runParallelRange splits the packed range [lo, hi) across w workers
+// at cache-line cuts; soff is the packed position of the stream block's
+// byte 0.
 func (p *Plan) runParallelRange(user, stream buf.Block, lo, hi, soff int64, dir direction, w int) {
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wlo, whi := splitPoint(lo, hi, i, w, 64), splitPoint(lo, hi, i+1, w, 64)
-		wg.Add(1)
-		go func(wlo, whi int64) {
-			defer wg.Done()
-			p.runRange(user, stream, wlo, whi, soff, dir, nil)
-		}(wlo, whi)
-	}
-	wg.Wait()
+	fanOut(fanTask{run: runShare, p: p, user: user, stream: stream, base: soff, dir: dir}, lo, hi, 64, w)
 }
 
-// splitPoint returns where share i of the packed range [lo, hi) cut w
-// ways begins; share i ends where share i+1 begins and share w-1 at
-// hi. Interior points are rounded down to a multiple of align packed
-// bytes, 64 unless the pass is summed (fusedExec): the kernels can
-// enter mid-run, so nothing requires it, but an even total/w cut lands
-// mid-word and mid-run for w = 3, 5, 6, 7 — every worker then starts
-// and ends on the partial-run edge path, and two workers write the
-// same cache line of a dense destination.
-func splitPoint(lo, hi int64, i, w int, align int64) int64 {
-	if i >= w {
-		return hi
-	}
-	cut := lo + (hi-lo)/int64(w)*int64(i)
-	cut -= cut % align
-	if cut < lo {
-		cut = lo
-	}
-	return cut
+// runShare moves one share of an unsummed range.
+func runShare(t fanTask) {
+	t.p.runRange(t.user, t.stream, t.from, t.to, t.base, t.dir, nil)
 }
 
 // runRange executes the packed byte range [lo, hi); soff is the packed

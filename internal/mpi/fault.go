@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/buf"
+	"repro/internal/datatype"
 	"repro/internal/memsim"
 	"repro/internal/simnet"
 	"repro/internal/vclock"
@@ -450,14 +451,17 @@ func (c *Comm) eagerRetryStep(attempt *int, op string, dest, tag int, f simnet.F
 // rdvRecvVerify completes the receiver half of a rendezvous payload
 // landing in dst (in fd's layout for a fused receiver): it waits for
 // each attempt's Done, verifies what landed against the sender's
-// checksum claims (landedSum), and ACKs or NACKs through the
-// handshake's Ack channel until an attempt passes or the sender's
-// budget runs out. Whole-transfer attempts verify [0,Bytes) once and
-// NACK with ErrIntegrity; chunked attempts (Done.Chunks > 0) verify per
-// chunk, track which chunks have been accepted across attempts,
-// suppress redelivered duplicates, and NACK a simnet.ChunkNack bitmap
-// so the sender replays only the damaged chunks. It returns the
-// accepted attempt's arrival and delivered size.
+// checksum claims, and ACKs or NACKs through the handshake's Ack
+// channel until an attempt passes or the sender's budget runs out.
+// Whole-transfer attempts verify [0,Bytes) as one chain
+// (datatype.LandedSum) and NACK with ErrIntegrity. Chunked attempts
+// (Done.Chunks > 0) sum every chunk the attempt delivered and that is
+// not yet accepted in one datatype.ChecksumChunks call — spread across
+// the pack workers, each chunk one chain — and then only compare: they
+// track which chunks have been accepted across attempts, suppress
+// redelivered duplicates, and NACK a simnet.ChunkNack bitmap so the
+// sender replays only the damaged chunks. It returns the accepted
+// attempt's arrival and delivered size.
 func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (arrival vclock.Time, bytes int64, err error) {
 	peer, tag := c.localRank(m.Src), m.Tag
 	attempts := 0
@@ -465,7 +469,9 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (ar
 	// cleared in place for the next. The sender copies a NACKed bitmap
 	// before it sends the next RdvDone, and this rank does not touch it
 	// again until that RdvDone has arrived, so the reuse is race-free.
-	var accepted, damaged simnet.ChunkBitmap
+	// check names the chunks an attempt sums, into sums.
+	var accepted, damaged, check simnet.ChunkBitmap
+	var sums []uint64
 	for {
 		done, err := c.awaitDone(m, peer, tag)
 		if err != nil {
@@ -480,10 +486,16 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (ar
 		}
 		if done.Chunks > 0 {
 			if accepted == nil {
-				accepted = simnet.NewChunkBitmap(done.Chunks)
-				damaged = simnet.NewChunkBitmap(done.Chunks)
+				accepted, damaged, check, sums = verifyScratch(done.Chunks)
 			}
 			clear(damaged)
+			plan, user, end := landing(dst, fd, done.Covered)
+			if done.HasSum && end > 0 {
+				for k := range check {
+					check[k] = done.Sent[k] &^ accepted[k] &^ done.PoisonedChunks[k]
+				}
+				datatype.ChecksumChunks(plan, user, end, done.ChunkSize, check, sums)
+			}
 			var want, got uint64
 			for i := 0; i < done.Chunks; i++ {
 				if !done.Sent.Get(i) {
@@ -498,15 +510,12 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (ar
 					c.fabric.NoteDupChunkSuppressed(c.endpoint(c.rank))
 					continue
 				}
-				lo, hi := chunkSpan(i, done.ChunkSize, done.Covered)
+				lo, _ := chunkSpan(i, done.ChunkSize, done.Covered)
 				ok := !done.PoisonedChunks.Get(i)
 				var sum uint64
-				if ok && done.HasSum {
-					var checkable bool
-					sum, checkable = landedSum(dst, fd, lo, hi)
-					if checkable && sum != done.ChunkSums[i] {
-						ok = false
-					}
+				if ok && done.HasSum && lo < end {
+					sum = sums[i]
+					ok = sum == done.ChunkSums[i]
 				}
 				if !ok {
 					damaged.Set(i)
@@ -536,12 +545,9 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (ar
 		}
 		ok := !done.Poisoned
 		var got uint64
-		if ok && done.HasSum {
-			var checkable bool
-			got, checkable = landedSum(dst, fd, 0, done.Bytes)
-			if checkable && got != done.Sum {
-				ok = false
-			}
+		if plan, user, end := landing(dst, fd, done.Bytes); ok && done.HasSum && end > 0 {
+			got = datatype.LandedSum(plan, user, 0, end)
+			ok = got == done.Sum
 		}
 		if ok {
 			m.NoteWake()
@@ -558,26 +564,28 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (ar
 	}
 }
 
-// landedSum recomputes the checksum of packed-stream range [lo,hi) as it
-// landed — through fd's plan in a fused receiver's layout, in dst
-// otherwise — clamped to what the receive holds. The second result is
-// false when nothing can be verified (virtual or empty landing).
-func landedSum(dst buf.Block, fd *fusedDst, lo, hi int64) (uint64, bool) {
-	var cs buf.Checksum
+// verifyScratch allocates, in one piece, a chunked receive's three
+// bitmaps over n chunks and its n per-chunk sums.
+func verifyScratch(n int) (accepted, damaged, check simnet.ChunkBitmap, sums []uint64) {
+	words := len(simnet.NewChunkBitmap(n))
+	s := make([]uint64, 3*words+n)
+	return s[:words:words], s[words : 2*words : 2*words], s[2*words : 3*words : 3*words], s[3*words:]
+}
+
+// landing is where the receiver verifies a rendezvous payload's first
+// n stream bytes as they landed: in a fused receiver's layout through
+// fd's plan, otherwise in dst as the packed stream itself (plan nil).
+// end is n clamped to what the receive holds, 0 when nothing can be
+// verified (virtual or empty landing).
+func landing(dst buf.Block, fd *fusedDst, n int64) (plan *datatype.Plan, user buf.Block, end int64) {
+	user, end = dst, int64(dst.Len())
 	if fd != nil {
-		hi = min(hi, fd.need)
-		if fd.user.IsVirtual() || hi <= lo {
-			return 0, false
-		}
-		fd.plan.ChecksumRange(fd.user, lo, hi, &cs)
-		return cs.Sum64(), true
+		plan, user, end = fd.plan, fd.user, fd.need
 	}
-	hi = min(hi, int64(dst.Len()))
-	if dst.IsVirtual() || hi <= lo {
-		return 0, false
+	if user.IsVirtual() {
+		return plan, user, 0
 	}
-	cs.Write(dst.Bytes()[lo:hi])
-	return cs.Sum64(), true
+	return plan, user, min(n, end)
 }
 
 // FaultKind aliases keep protocol code free of simnet qualifiers at

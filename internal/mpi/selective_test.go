@@ -117,6 +117,71 @@ func TestSelectiveRetransmitDifferential(t *testing.T) {
 	}
 }
 
+// TestSelectiveNackNamesLastWorkersChunk scripts a corruption into the
+// short tail chunk of a 4 MiB typed transfer, the first size whose
+// verify fans out across the pack workers: at every worker count the
+// tail lies in the last worker's share. On each engine — a staged
+// receiver for SsendType and SsendpType, a fused one for SsendvType —
+// the replay, which is the NACK bitmap, is exactly that chunk: one
+// chunk of the tail's unique length, and the payload recovers.
+func TestSelectiveNackNamesLastWorkersChunk(t *testing.T) {
+	const chunk, tail = 512 << 10, 64 << 10
+	const elems = (8*chunk + tail) / 8
+	prof := perfmodel.Generic()
+	prof.Mem.InternalChunk = chunk
+	sendTy, err := datatype.Vector(elems, 1, 2, datatype.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvTy, err := datatype.Vector(elems/4, 4, 8, datatype.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ty := range []*datatype.Type{sendTy, recvTy} {
+		if err := ty.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := buf.Alloc(int(typedSpan(sendTy, 1)))
+	fillPat(src, 0, 1)
+	stream, want := buf.Alloc(8*elems), buf.Alloc(int(typedSpan(recvTy, 1)))
+	if _, err := sendTy.Pack(src, 1, stream); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recvTy.Unpack(stream, 1, want); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range selectiveSends {
+		// Payload draw 8 is the ninth chunk, the tail, of the first attempt.
+		faults := &simnet.FaultPlan{Seed: 31, Scripted: []simnet.ScriptedFault{
+			{Src: 0, Dst: 1, Seq: 8, Payload: true, Kind: simnet.FaultCorrupt}}}
+		dst := buf.Alloc(want.Len())
+		var c0, c1 simnet.Counters
+		err := Run(2, Options{Profile: prof, Faults: faults, WallLimit: 30 * time.Second}, func(c *Comm) error {
+			if c.Rank() == 0 {
+				err := e.send(c, src, 1, sendTy, 1, 7)
+				c0 = c.Counters()
+				return err
+			}
+			_, err := c.RecvType(dst, 1, recvTy, 0, 7)
+			c1 = c.Counters()
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		if !bytes.Equal(dst.Bytes(), want.Bytes()) {
+			t.Errorf("%s: recovered bytes diverge from the fault-free oracle", e.name)
+		}
+		if c0.Corruptions != 1 || c0.Retries != 1 || c1.IntegrityRejects != 1 {
+			t.Errorf("%s: %d corruptions, %d retries, %d receiver rejects, want 1 each", e.name, c0.Corruptions, c0.Retries, c1.IntegrityRejects)
+		}
+		if c0.ChunkRetransmits != 1 || c0.RetransmitBytes != tail {
+			t.Errorf("%s: replayed %d chunks of %d bytes, want the one %d-byte tail chunk", e.name, c0.ChunkRetransmits, c0.RetransmitBytes, tail)
+		}
+	}
+}
+
 // TestSelectiveRetransmitMultiChunk scripts damage into three distinct
 // chunks of one attempt: one round of selective replay carries exactly
 // those three chunks' bytes.
