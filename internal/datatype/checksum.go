@@ -76,19 +76,22 @@ func (it *SegIter) wholeRuns(limit int64) (base, step, runLen, k int64) {
 // to a share, so each sum is one chain and equals a serial verify's.
 // Chunks at or past n, and every chunk of a virtual user, are skipped.
 func ChecksumChunks(p *Plan, user buf.Block, n, size int64, set, sums []uint64) {
-	_, bytes := namedChunks(n, size, set)
-	checksumChunks(p, user, n, size, set, sums, ParallelWorkersFor(bytes))
+	checksumChunks(p, user, n, size, set, sums, ParallelWorkersFor)
 }
 
-// checksumChunks is ChecksumChunks with the fan-out given.
-func checksumChunks(p *Plan, user buf.Block, n, size int64, set, sums []uint64, w int) {
-	m, _ := namedChunks(n, size, set)
-	if m == 0 || user.IsVirtual() {
+// checksumChunks is ChecksumChunks with the fan-out for the named
+// bytes given by workers.
+func checksumChunks(p *Plan, user buf.Block, n, size int64, set, sums []uint64, workers func(bytes int64) int) {
+	if user.IsVirtual() {
 		return
 	}
-	// Shares are counted in named chunks, not bytes, so a sparse set
-	// (a replay's damaged chunks) still spreads across the workers.
-	fanOut(fanTask{run: sumChunks, p: p, user: user, end: n, size: size, set: set, sums: sums}, 0, m, 1, w)
+	m, bytes := namedChunks(n, size, set)
+	if m == 0 {
+		return
+	}
+	// The fan-out's range is the named chunks' ranks, so a share sums
+	// whole chunks.
+	fanOut(fanTask{run: sumChunks, p: p, user: user, end: n, size: size, set: set, sums: sums}, 0, m, 1, workers(bytes))
 }
 
 // namedChunks counts the chunks below n that set names, and their

@@ -95,12 +95,13 @@ func packPieces(t fanTask) {
 // 0 is packed position lo, one chunk at a time: the serial chunk loop
 // of the derived-type send (§2.3). With sums set, sums[i] gets the
 // checksum of span i, every span bytes from lo, span a multiple of
-// chunk or the whole range. From ParallelPackThreshold bytes, chunks
-// that carry no running sum across them (span 0 or span == chunk) split
-// across workers, whole chunks to a share; each chunk executes and is
-// attributed exactly as in the serial loop. A virtual side moves and
-// sums nothing, and several chunks of it are attributed in closed form
-// (RecordChunks).
+// chunk or the whole range. Several chunks that carry no running sum
+// across them (span 0 or span == chunk) run through the fan-out, whole
+// chunks to a share, split across workers from ParallelPackThreshold
+// bytes; each chunk executes and is attributed exactly as in the serial
+// loop, which runs a single chunk and a sum across chunks. A virtual
+// side moves and sums nothing, and several chunks of it are attributed
+// in closed form (RecordChunks).
 func (p *Plan) PackChunks(user, dst buf.Block, lo, hi, chunk, span int64, sums []uint64) error {
 	return p.packChunks(user, dst, lo, hi, chunk, span, sums, moveWorkers(user, dst, hi-lo))
 }
@@ -121,7 +122,7 @@ func (p *Plan) packChunks(user, dst buf.Block, lo, hi, chunk, span int64, sums [
 	if sums == nil || virtual {
 		span, sums = 0, nil
 	}
-	if w > 1 && hi-lo > chunk && (span == 0 || span == chunk) {
+	if hi-lo > chunk && (span == 0 || span == chunk) {
 		fanOut(fanTask{run: packChunkShare, p: p, user: user, stream: dst, base: lo, size: chunk, sums: sums}, lo, hi, chunk, w)
 		return nil
 	}
@@ -152,8 +153,8 @@ func packChunkShare(t fanTask) {
 	}
 }
 
-// chunkLoop is the one chunk loop, behind PackChunks and the pipeline
-// worker: each chunk of [lo, hi) packs into the block slot names, and
+// chunkLoop is the one serial chunk loop, behind PackChunks' single
+// chunk and sums across chunks, and the pipeline worker: each chunk of [lo, hi) packs into the block slot names, and
 // done gets it with the running sum of its span so far (restarted every
 // span bytes from lo; span 0 sums nothing). A chunk that is the whole
 // message runs as one execution. slot or done returning false stops it.
