@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -238,8 +237,11 @@ func TestRecommendConclusion(t *testing.T) {
 	if m := price(t, q(5e8)).Clean; m.Ratio(VectorType, PackCompiled) <= 1 {
 		t.Errorf("cost model does not favour compiled packing at 5e8 B: %+v", m)
 	}
-	if m := price(t, q(64<<20)); runtime.GOMAXPROCS(0) > 1 && m.Workers <= 1 {
-		t.Errorf("no parallel-pack term above the threshold: %+v", m)
+	if m := price(t, q(64<<20)); m.Workers != 2 {
+		t.Errorf("64 MiB priced across %d pack workers, want 2: %+v", m.Workers, m)
+	}
+	if m := price(t, q(datatype.ParallelPackThreshold-8)); m.Workers != 1 {
+		t.Errorf("below the parallel threshold priced across %d pack workers, want 1: %+v", m.Workers, m)
 	}
 	dense := committer(t)(datatype.Contiguous(1<<17, datatype.Float64))
 	contig := recommend(t, Query{Type: dense, Profile: prof}, GoalBalanced)

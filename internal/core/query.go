@@ -151,8 +151,8 @@ type Cost struct {
 	// recovery is measured against (E18/E21).
 	WholeReplay Times
 
-	// Workers is the parallel fan-out of the compiled and fused engines
-	// (1 = serial). Normalized reports that the pack terms were priced
+	// Workers is the modelled fan-out of the compiled and fused engines
+	// (1 = serial; the same on every host). Normalized reports that the pack terms were priced
 	// with the canonicalised block kernel (memsim.Normalized).
 	Workers    int
 	Normalized bool

@@ -312,7 +312,7 @@ func runSerial(p *Plan, user, stream buf.Block, dir direction) {
 // benchWorkers is the fan-out of a parallel bench cell over payload
 // bytes: the host's pack fan-out, with at least 256 KiB per worker.
 func benchWorkers(payload int64) int {
-	return min(ParallelWorkersFor(ParallelPackThreshold), int(payload/(256<<10)))
+	return min(parallelWorkersFor(ParallelPackThreshold), int(payload/(256<<10)))
 }
 
 // benchSink keeps a benchmarked result live.

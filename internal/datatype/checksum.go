@@ -72,11 +72,11 @@ func (it *SegIter) wholeRuns(limit int64) (base, step, runLen, k int64) {
 // to the checksum of packed-stream chunk i, [i*size, min((i+1)*size,
 // n)), as it landed in user — read through p's layout (ChecksumRange),
 // or, with p nil, as the packed stream itself. The named chunks split
-// across the workers ParallelWorkersFor gives their bytes, whole chunks
+// across the workers parallelWorkersFor gives their bytes, whole chunks
 // to a share, so each sum is one chain and equals a serial verify's.
 // Chunks at or past n, and every chunk of a virtual user, are skipped.
 func ChecksumChunks(p *Plan, user buf.Block, n, size int64, set, sums []uint64) {
-	checksumChunks(p, user, n, size, set, sums, ParallelWorkersFor)
+	checksumChunks(p, user, n, size, set, sums, parallelWorkersFor)
 }
 
 // checksumChunks is ChecksumChunks with the fan-out for the named

@@ -28,11 +28,12 @@
 //
 //  1. Compiled (whole message): a full-message Pack/Unpack — or a
 //     chunk loop whose one chunk is the whole message — executes the
-//     compiled plan (plan.go) bound to (type, count),
-//     goroutine-parallel from ParallelPackThreshold bytes. A plan is one
-//     strided-block form (block.go) — a regular instance, a block
-//     pattern the normalizer found, or a dense message, with count as
-//     its outermost level — or a gather table for irregular instances;
+//     compiled plan (plan.go) bound to (type, count), split across
+//     the host's cores from ParallelPackThreshold bytes (the cost model
+//     charges a fixed fan-out instead). A plan is one strided-block
+//     form (block.go) — a regular instance, a block pattern the
+//     normalizer found, or a dense message, with count as its
+//     outermost level — or a gather table for irregular instances;
 //     each has one range executor. Plans are cached per type and count;
 //     the program is compiled and normalized at Commit, so steady-state
 //     packing does no compilation and no allocation.

@@ -93,14 +93,13 @@ func fanOut(t fanTask, lo, hi, align int64, w int) {
 	fanJoins.Put(wg)
 }
 
-// moveWorkers is the fan-out of an n-byte move between a and b:
-// ParallelWorkersFor(n), or 1 when either side is virtual and nothing
-// moves.
+// moveWorkers is parallelWorkersFor(n) for a move between a and b, or
+// 1 when either side is virtual and nothing moves.
 func moveWorkers(a, b buf.Block, n int64) int {
 	if a.IsVirtual() || b.IsVirtual() {
 		return 1
 	}
-	return ParallelWorkersFor(n)
+	return parallelWorkersFor(n)
 }
 
 // splitPoint returns where share i of the range [lo, hi) cut w ways

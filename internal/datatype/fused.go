@@ -221,10 +221,9 @@ func FusedCopySum(srcPlan, dstPlan *Plan, src, dst buf.Block, span int64, sums [
 	if total == 0 {
 		return 0, nil
 	}
-	// The parallel decision depends only on the size, so virtual
-	// transfers are attributed exactly as their real counterparts
-	// (and as the parallel pricers model them).
-	w := ParallelWorkersFor(total)
+	// Virtual transfers are attributed as their real counterparts: the
+	// parallel decision reads the size, not the payload.
+	w := parallelWorkersFor(total)
 	if !src.IsVirtual() && !dst.IsVirtual() {
 		fusedExec(srcPlan, dstPlan, src, dst, total, w, span, sums)
 	}

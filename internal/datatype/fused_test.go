@@ -293,7 +293,7 @@ func TestFusedCopySteadyStateAllocs(t *testing.T) {
 // TestFusedCopyParallelMatchesSerial pins the parallel fused pass:
 // split across explicit worker counts, every kernel pairing must
 // produce byte-identical results to the serial pass, and FusedCopy
-// must attribute the execution to the fan-out ParallelWorkersFor
+// must attribute the execution to the fan-out parallelWorkersFor
 // chose.
 func TestFusedCopyParallelMatchesSerial(t *testing.T) {
 	vec := func(count, bl, str int) *Type {
@@ -334,7 +334,7 @@ func TestFusedCopyParallelMatchesSerial(t *testing.T) {
 			if d.FusedOps != 1 {
 				t.Fatalf("fused attribution %+v", d)
 			}
-			if w := ParallelWorkersFor(srcPlan.Bytes()); (w > 1) != (d.ParallelOps == 1) {
+			if w := parallelWorkersFor(srcPlan.Bytes()); (w > 1) != (d.ParallelOps == 1) {
 				t.Fatalf("parallel attribution %+v (workers %d)", d, w)
 			}
 

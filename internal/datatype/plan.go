@@ -280,12 +280,10 @@ func (p *Plan) ContigWindow() (off int64, ok bool) {
 // Bytes returns the packed size of the full message.
 func (p *Plan) Bytes() int64 { return p.total }
 
-// ParallelWorkersFor returns the goroutine fan-out the pack engine
-// uses for an n-byte message: 1 below ParallelPackThreshold, else
-// GOMAXPROCS capped by maxPackWorkers. The threshold is maxPackWorkers
-// shares of 256 KiB, so every worker's share keeps the goroutine
-// handoff amortised.
-func ParallelWorkersFor(n int64) int {
+// parallelWorkersFor sizes the pack engine's real goroutine split of an
+// n-byte message: 1 below ParallelPackThreshold, else GOMAXPROCS capped
+// by maxPackWorkers. No simulated cost reads it (see mpi.KernelFor).
+func parallelWorkersFor(n int64) int {
 	if n < ParallelPackThreshold {
 		return 1
 	}

@@ -239,7 +239,7 @@ func (p *Plan) execute(user, stream buf.Block, dir direction, sum *buf.Checksum)
 	}
 	parallel := false
 	if !user.IsVirtual() && !stream.IsVirtual() {
-		if w := ParallelWorkersFor(p.total); sum == nil && w > 1 {
+		if w := parallelWorkersFor(p.total); sum == nil && w > 1 {
 			parallel = true
 			p.runParallelN(user, stream, dir, w)
 		} else {
@@ -264,8 +264,7 @@ func (p *Plan) runChunk(user, stream buf.Block, lo, hi int64, dir direction, sum
 	}
 	parallel := false
 	if !user.IsVirtual() && !stream.IsVirtual() {
-		n := hi - lo
-		if w := ParallelWorkersFor(n); sum == nil && w > 1 {
+		if w := parallelWorkersFor(hi - lo); sum == nil && w > 1 {
 			parallel = true
 			p.runParallelRange(user, stream, lo, hi, lo, dir, w)
 		} else {

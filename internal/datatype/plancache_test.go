@@ -253,7 +253,7 @@ func TestChunkedCompiledLargeChunkParallel(t *testing.T) {
 	if d.ChunkOps == 0 {
 		t.Fatalf("large chunk not attributed to the chunk tier: %v", d)
 	}
-	if ParallelWorkersFor(int64(rest.Len())) > 1 && d.ParallelOps == 0 {
+	if parallelWorkersFor(int64(rest.Len())) > 1 && d.ParallelOps == 0 {
 		t.Fatalf("large chunk did not engage the parallel splitter: %v", d)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"regexp"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -47,9 +46,6 @@ var planLine = regexp.MustCompile(`(?m)^ +\d+ B  plan\{.*\}$`)
 // compares the text byte for byte with the output of the per-study
 // functions the table replaced.
 func TestStudiesGolden(t *testing.T) {
-	// Pricing reads the host's core count through the parallel pack
-	// fan-out; the file was recorded at GOMAXPROCS=2.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	opt := harness.DefaultOptions()
 	opt.Reps = 2
 	opt.MaxRealBytes = 1 << 20

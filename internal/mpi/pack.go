@@ -88,15 +88,21 @@ func (c *Comm) PackCompiled(b buf.Block, count int, ty *datatype.Type, outbuf bu
 	return nil
 }
 
+// modelledPackWorkers is the pack fan-out KernelFor charges on any host.
+const modelledPackWorkers = 2
+
 // KernelFor is the one place a compiled move gets its kernel spec:
 // every charge in this package and every price in core goes through it,
 // so the model and the engine it prices agree by construction. A
 // program the Commit-time normalizer collapsed into a canonical
 // strided-block form (datatype.KernelBlock) runs the Normalized engine,
-// any other the generic Compiled one, across the workers the pack
-// engine fans a move of that many bytes out to.
+// any other the generic Compiled one: serial below
+// datatype.ParallelPackThreshold, across modelledPackWorkers from it on.
 func KernelFor(normalized bool, bytes int64) memsim.Kernel {
-	k := memsim.Kernel{Engine: memsim.Compiled, Workers: datatype.ParallelWorkersFor(bytes)}
+	k := memsim.Kernel{Engine: memsim.Compiled, Workers: 1}
+	if bytes >= datatype.ParallelPackThreshold {
+		k.Workers = modelledPackWorkers
+	}
 	if normalized {
 		k.Engine = memsim.Normalized
 	}
@@ -109,11 +115,9 @@ func PlanKernel(plan *datatype.Plan) memsim.Kernel {
 }
 
 // genericCompiled is the spec the staged typed-collective legs and the
-// staged emulation of a fused transfer charge whatever kernel their
-// plan runs. For a KernelBlock plan, or a leg past the parallel
-// threshold, that is not what PackCompiled charges for the same move:
-// the known disagreement of ROADMAP item 1, kept so simulated times
-// stay the parent's.
+// staged emulation of a fused transfer charge whatever kernel their plan
+// runs, not PackCompiled's for a KernelBlock plan or a parallel-size leg:
+// kept, so simulated times hold, until ROADMAP item 15 moves both.
 var genericCompiled = memsim.Kernel{Engine: memsim.Compiled}
 
 // fusedCopyCost prices the one-pass move of n bytes from src's layout

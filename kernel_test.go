@@ -24,14 +24,15 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestHostFanOutHasOneReader is the tripwire for ROADMAP item 1: the
-// host's core count reaches a simulated cost through
-// datatype.ParallelWorkersFor, so outside internal/datatype that name
-// may be selected in exactly one place — mpi.KernelFor, which core
-// prices through and mpi charges through. A second reader is a second
-// place the virtual clock depends on the machine.
-func TestHostFanOutHasOneReader(t *testing.T) {
-	const datatypePath = `"repro/internal/datatype"`
+// TestNoHostCoreReads is the tripwire for ROADMAP item 1a: a simulated
+// time must not depend on the machine that simulates it, so no non-test
+// file of the module may call runtime.GOMAXPROCS or runtime.NumCPU —
+// except parallelWorkersFor in internal/datatype/plan.go, which sizes
+// the goroutine split the pack engine really runs and is never priced.
+// cmd/bench, a module of its own, pins and records GOMAXPROCS and is
+// not walked.
+func TestNoHostCoreReads(t *testing.T) {
+	const allowed = "internal/datatype/plan.go parallelWorkersFor"
 	var sites []string
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -39,7 +40,7 @@ func TestHostFanOutHasOneReader(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == filepath.Join("internal", "datatype")) {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == filepath.Join("cmd", "bench")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -47,40 +48,45 @@ func TestHostFanOutHasOneReader(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		pkgName := ""
 		for _, imp := range f.Imports {
-			if imp.Path.Value != datatypePath {
-				continue
-			}
-			pkgName = "datatype"
-			if imp.Name != nil {
-				pkgName = imp.Name.Name
+			if imp.Path.Value == `"runtime"` {
+				pkgName = "runtime"
+				if imp.Name != nil {
+					pkgName = imp.Name.Name
+				}
 			}
 		}
 		if pkgName == "" {
 			return nil
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "ParallelWorkersFor" {
+		for _, decl := range f.Decls {
+			where := filepath.ToSlash(path)
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				where += " " + fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "GOMAXPROCS" && sel.Sel.Name != "NumCPU") {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkgName && where != allowed {
+					sites = append(sites, fset.Position(sel.Pos()).String()+" runtime."+sel.Sel.Name)
+				}
 				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkgName {
-				sites = append(sites, fset.Position(sel.Pos()).String())
-			}
-			return true
-		})
+			})
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) != 1 || !strings.HasPrefix(sites[0], filepath.Join("internal", "mpi", "pack.go")+":") {
-		t.Fatalf("datatype.ParallelWorkersFor selected at %v, want exactly one site, in internal/mpi/pack.go", sites)
+	if len(sites) != 0 {
+		t.Fatalf("the host's core count read outside %s at %v", allowed, sites)
 	}
 }
 
