@@ -39,15 +39,18 @@ import (
 // cryptographic MAC — multi-word damage collides with probability
 // about 2^-64 at best and an adversary can construct collisions.
 //
-// The kernel allocates nothing, and a sender spends no pass on it: the
-// strided move that packs or fuses a chunk folds each word while it
-// holds it (MoveRuns, under datatype's copyRunGroups), once per
-// transfer — a source does not change under a send, so replays reuse
-// the sum. Only a receiver verifying what landed still reads bytes just
-// to sum them (Write over staging, FoldRuns over a layout). One sum is
-// one chain, folded in stream order by one goroutine; a transfer summed
-// per chunk has a chain per chunk, so its chunks can be packed or
-// verified on several goroutines at once (datatype.ChecksumChunks).
+// The kernel allocates nothing, and a typed sender spends no pass on
+// it: the strided move that packs or fuses a chunk folds each word
+// while it holds it (MoveRuns, under datatype's copyRunGroups), once
+// per transfer — a source does not change under a send, so replays
+// reuse the sum. One sender reads its source twice: a contiguous
+// rendezvous drain under faults moves the payload (datatype.Move) and
+// then folds its whole-transfer sum with one Write. A receiver
+// verifying what landed reads bytes just to sum them too (Write over
+// staging, FoldRuns over a layout). One sum is one chain, folded in
+// stream order by one goroutine; a transfer summed per chunk has a
+// chain per chunk, so its chunks can be packed or verified on several
+// goroutines at once (datatype.ChecksumChunks).
 type Checksum struct {
 	lane  [4]uint64
 	words uint64 // whole words folded so far; the next one goes to lane words%4

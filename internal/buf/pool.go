@@ -3,6 +3,7 @@ package buf
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // This file implements the size-classed block pool behind the
@@ -162,7 +163,7 @@ func GetPooledFor(rank, n int) Block {
 	if v := blockPools[shard][c].Get(); v != nil {
 		poolCounters.hits.Add(1)
 		poolCounters.shard[shard].hits.Add(1)
-		sl := *(v.(*[]byte))
+		sl := unsafe.Slice(v.(*byte), 1<<(minPoolBits+c))
 		return Block{data: sl[:n], n: n, region: nextRegion(), pool: int8(c) + 1, shard: int8(shard)}
 	}
 	sl := make([]byte, 1<<(minPoolBits+c))
@@ -177,10 +178,12 @@ func PutPooled(b Block) {
 	if b.pool == 0 || b.data == nil {
 		return
 	}
-	sl := b.data[:cap(b.data)]
 	poolCounters.inUse.Add(-(int64(1) << (minPoolBits + int(b.pool) - 1)))
 	poolCounters.shard[b.shard].inUse.Add(-(int64(1) << (minPoolBits + int(b.pool) - 1)))
 	poolCounters.puts.Add(1)
 	poolCounters.shard[b.shard].puts.Add(1)
-	blockPools[b.shard][b.pool-1].Put(&sl)
+	// The pool holds the backing array's first byte, not a slice
+	// header: a pointer fits the interface without a heap box, and
+	// the class fixes the length GetPooledFor rebuilds.
+	blockPools[b.shard][b.pool-1].Put(unsafe.SliceData(b.data))
 }

@@ -79,3 +79,22 @@ func TestPoolOutOfRangeFallsBack(t *testing.T) {
 	}
 	PutPooled(big) // no-op
 }
+
+// TestPoolGetPutAllocatesNothing: once a class holds storage, a
+// GetPooledFor/PutPooled pair allocates nothing — the pool keeps the
+// backing array's pointer, not a boxed slice header — and a recycled
+// block still spans its whole class.
+func TestPoolGetPutAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a random fraction of Puts")
+	}
+	PutPooled(GetPooledFor(3, 300))
+	if a := testing.AllocsPerRun(100, func() { PutPooled(GetPooledFor(3, 300)) }); a != 0 {
+		t.Errorf("a warm get/put pair makes %v allocations, want 0", a)
+	}
+	b := GetPooledFor(3, 500)
+	if b.Len() != 500 || cap(b.Bytes()) != 512 {
+		t.Errorf("recycled block has len %d cap %d, want 500 and its 512-byte class", b.Len(), cap(b.Bytes()))
+	}
+	PutPooled(b)
+}

@@ -30,7 +30,8 @@
 //     chunk loop whose one chunk is the whole message — executes the
 //     compiled plan (plan.go) bound to (type, count), split across
 //     the host's cores from ParallelPackThreshold bytes (the cost model
-//     charges a fixed fan-out instead). A plan is one strided-block
+//     charges a fixed fan-out instead), as is Move, the contiguous
+//     payload copy of internal/mpi. A plan is one strided-block
 //     form (block.go) — a regular instance, a block pattern the
 //     normalizer found, or a dense message, with count as its
 //     outermost level — or a gather table for irregular instances;

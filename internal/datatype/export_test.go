@@ -14,3 +14,6 @@ var (
 func ChecksumChunksW(p *Plan, user buf.Block, n, size int64, set, sums []uint64, w int) {
 	checksumChunks(p, user, n, size, set, sums, func(int64) int { return w })
 }
+
+// MoveW is Move at w workers.
+var MoveW = move

@@ -9,13 +9,13 @@ import (
 // This file is the engine's one fan-out: a range cut into per-worker
 // shares (splitPoint), each share run by a goroutine of its own and the
 // last one by the caller, who then waits for the rest. Every parallel
-// execution goes through it — a whole message or a large chunk split
-// at cache-line cuts (runParallelRange), a fused pass (fusedExec), and
-// summed work split at piece boundaries: PackRangeSum's pieces,
-// PackChunks' chunks and a receiver's per-chunk verify
-// (ChecksumChunks). A summed piece never straddles two shares, so each
-// sum stays one sequential chain, folded by one worker, and the sums
-// and bytes are those of a serial run.
+// execution goes through it — a whole message or a large chunk split at
+// cache-line cuts (runParallelRange), a large contiguous payload copy at
+// the same cuts (Move), a fused pass (fusedExec), and summed work split
+// at piece boundaries: PackRangeSum's pieces, PackChunks' chunks and a
+// receiver's per-chunk verify (ChecksumChunks). A summed piece never
+// straddles two shares, so each sum stays one sequential chain, folded
+// by one worker, and the sums and bytes are those of a serial run.
 //
 // A fan-out allocates nothing once warm. A share travels to its
 // goroutine as a fanTask value over a buffered channel, naming the
@@ -100,6 +100,32 @@ func moveWorkers(a, b buf.Block, n int64) int {
 		return 1
 	}
 	return parallelWorkersFor(n)
+}
+
+// Move copies n contiguous bytes from src[sOff:] to dst[dOff:] — the
+// one payload copy of internal/mpi. It is buf.CopyAt (bounds checked,
+// nothing moved when a side is virtual), split across the pack workers
+// at 64-byte cuts from ParallelPackThreshold bytes on. It records no
+// plan counter: a contiguous copy is not a plan execution.
+func Move(dst buf.Block, dOff int64, src buf.Block, sOff, n int64) {
+	move(dst, dOff, src, sOff, n, moveWorkers(dst, src, n))
+}
+
+// move is Move at w workers; overlapping ranges stay serial (memmove).
+func move(dst buf.Block, dOff int64, src buf.Block, sOff, n int64, w int) {
+	if w > 1 {
+		d, s := dst.Slice(int(dOff), int(n)), src.Slice(int(sOff), int(n))
+		if !buf.Overlaps(d, s) {
+			fanOut(fanTask{run: moveShare, user: d, stream: s}, 0, n, 64, w)
+			return
+		}
+	}
+	buf.CopyAt(dst, int(dOff), src, int(sOff), int(n))
+}
+
+// moveShare copies one share of a contiguous move.
+func moveShare(t fanTask) {
+	buf.CopyAt(t.user, int(t.from), t.stream, int(t.from), int(t.to-t.from))
 }
 
 // splitPoint returns where share i of the range [lo, hi) cut w ways

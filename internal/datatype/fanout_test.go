@@ -242,9 +242,9 @@ func TestSplitPointRelativeToLo(t *testing.T) {
 	}
 }
 
-// TestFanOutAllocatesNothing: a 4 MiB summed PackChunks and a chunk
-// verify through a layout and over staging allocate nothing at any
-// fan-out, and leave no goroutine behind.
+// TestFanOutAllocatesNothing: a 4 MiB summed PackChunks, a chunk
+// verify through a layout and over staging, and a contiguous Move
+// allocate nothing at any fan-out, and leave no goroutine behind.
 func TestFanOutAllocatesNothing(t *testing.T) {
 	const n, chunk = 4 << 20, 512 << 10
 	ty, err := datatype.Vector(n/8, 1, 2, datatype.Float64)
@@ -274,6 +274,7 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 			}},
 			{"fused-receiver verify", func() { datatype.ChecksumChunksW(plan, src, n, chunk, set, sums, w) }},
 			{"staged-receiver verify", func() { datatype.ChecksumChunksW(nil, dst, n, chunk, set, sums, w) }},
+			{"contiguous move", func() { datatype.MoveW(dst, 0, src, 0, n, w) }},
 		}
 		for _, c := range calls {
 			if a := testing.AllocsPerRun(10, c.f); a != 0 {
@@ -288,6 +289,67 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 		}
 		if after := runtime.NumGoroutine(); after != before {
 			t.Errorf("w=%d: %d goroutines after the fan-outs, %d before", w, after, before)
+		}
+	}
+}
+
+// TestFanOutMoveMatchesCopy: a contiguous Move lands copy's bytes at
+// every fan-out, for lengths around a cache line and around
+// ParallelPackThreshold, at odd offsets on both sides, and leaves every
+// byte outside the destination range alone.
+func TestFanOutMoveMatchesCopy(t *testing.T) {
+	const th = datatype.ParallelPackThreshold
+	const sOff, dOff = 3, 5
+	src := buf.Alloc(th + 7 + sOff)
+	for i, b := 0, src.Bytes(); i < len(b); i++ {
+		b[i] = byte(i*131 + 7)
+	}
+	dst, want := buf.Alloc(th+7+dOff+1), make([]byte, th+7+dOff+1)
+	for _, n := range []int64{0, 1, 63, 64, th - 1, th, th + 7} {
+		for _, w := range fanWorkers {
+			for i, b := 0, dst.Bytes(); i < len(b); i++ {
+				b[i], want[i] = 0xee, 0xee
+			}
+			copy(want[dOff:dOff+n], src.Bytes()[sOff:sOff+n])
+			datatype.MoveW(dst, dOff, src, sOff, n, w)
+			if !bytes.Equal(dst.Bytes(), want) {
+				t.Errorf("n=%d w=%d: moved bytes differ from copy's", n, w)
+			}
+		}
+	}
+	// Move itself, at the host's fan-out.
+	datatype.Move(dst, dOff, src, sOff, th+7)
+	if !bytes.Equal(dst.Bytes()[dOff:dOff+th+7], src.Bytes()[sOff:]) {
+		t.Error("Move: moved bytes differ from copy's")
+	}
+}
+
+// TestFanOutMoveVirtualAndOverlap: a move with a virtual side moves
+// nothing, and overlapping ranges of one block give copy's (memmove's)
+// result at every fan-out, in both directions.
+func TestFanOutMoveVirtualAndOverlap(t *testing.T) {
+	const n = datatype.ParallelPackThreshold + 7
+	solid := buf.Alloc(n)
+	for _, w := range fanWorkers {
+		solid.Bytes()[0], solid.Bytes()[n-1] = 1, 2
+		datatype.MoveW(solid, 0, buf.Virtual(n), 0, n, w)
+		datatype.MoveW(buf.Virtual(n), 0, solid, 0, n, w)
+		if solid.Bytes()[0] != 1 || solid.Bytes()[n-1] != 2 {
+			t.Errorf("w=%d: a move from a virtual block wrote real bytes", w)
+		}
+	}
+	shared := buf.Alloc(n + 64)
+	for _, w := range fanWorkers {
+		for _, shift := range []struct{ dOff, sOff int64 }{{64, 0}, {0, 64}, {1, 0}} {
+			for i, b := 0, shared.Bytes(); i < len(b); i++ {
+				b[i] = byte(i*131 + 7)
+			}
+			want := slices.Clone(shared.Bytes())
+			copy(want[shift.dOff:shift.dOff+n], want[shift.sOff:shift.sOff+n])
+			datatype.MoveW(shared, shift.dOff, shared, shift.sOff, n, w)
+			if !bytes.Equal(shared.Bytes(), want) {
+				t.Errorf("w=%d, dst at %d, src at %d: an overlapping move differs from copy's", w, shift.dOff, shift.sOff)
+			}
 		}
 	}
 }

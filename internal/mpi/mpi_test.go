@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -119,6 +120,38 @@ func TestEagerProtocolSelected(t *testing.T) {
 		}
 		_, err := c.Recv(buf.Alloc(n), 0, 0)
 		return err
+	})
+}
+
+// TestSendRecvSplitMove: a contiguous rendezvous of 4 MiB + 8 bytes,
+// which the drain moves split across the pack workers, lands the exact
+// pattern through a blocking Send/Recv pair and a non-blocking pair.
+func TestSendRecvSplitMove(t *testing.T) {
+	const n = datatype.ParallelPackThreshold + 8
+	run2(t, func(c *Comm) error {
+		b := buf.Alloc(n)
+		if c.Rank() == 0 {
+			b.FillPattern(5)
+			if err := c.Send(b, 1, 0); err != nil {
+				return err
+			}
+			_, err := c.cisend(b, 1, 1).Wait()
+			return err
+		}
+		if _, err := c.Recv(b, 0, 0); err != nil {
+			return err
+		}
+		if err := oracle.VerifyPattern(b, 5); err != nil {
+			return fmt.Errorf("Send/Recv: %w", err)
+		}
+		b.Zero()
+		if _, err := c.cirecv(b, 0, 1).Wait(); err != nil {
+			return err
+		}
+		if err := oracle.VerifyPattern(b, 5); err != nil {
+			return fmt.Errorf("Isend/Irecv: %w", err)
+		}
+		return nil
 	})
 }
 

@@ -70,8 +70,9 @@ func (c *Comm) sendContig(b buf.Block, dest, tag int, fl sendFlags) error {
 		real:    !b.IsVirtual() && !match.Dst.IsVirtual(),
 		drain: func(ss srcSums) error {
 			c.clock.Advance(vclock.FromSeconds(occupy))
-			buf.CopyAt(match.Dst, 0, b, 0, int(nCopy))
+			datatype.Move(match.Dst, 0, b, 0, nCopy)
 			if ss.sums != nil {
+				// The one sender that reads its source twice (selective.go).
 				var cs buf.Checksum
 				cs.Write(b.Bytes()[:nCopy])
 				ss.sums[0] = cs.Sum64()
@@ -303,7 +304,7 @@ type srcSums struct {
 // slot into the destination, so chunk k+1 packs while chunk k injects.
 func (c *Comm) drainPipelined(plan *datatype.Plan, user, dst buf.Block, n int64, ss srcSums) error {
 	return c.slotRing(plan, user, dst, n, ss, func(ch datatype.PipeChunk) error {
-		buf.CopyAt(dst, int(ch.Lo), ch.Data, 0, int(ch.Hi-ch.Lo))
+		datatype.Move(dst, ch.Lo, ch.Data, 0, ch.Hi-ch.Lo)
 		return nil
 	})
 }
@@ -393,7 +394,7 @@ func (c *Comm) transitCopy(b buf.Block) buf.Block {
 		return buf.Virtual(b.Len())
 	}
 	t := buf.GetPooledFor(c.rank, b.Len())
-	buf.Copy(t, b)
+	datatype.Move(t, 0, b, 0, int64(b.Len()))
 	return t
 }
 
@@ -507,7 +508,7 @@ func (c *Comm) land(m *simnet.Message, post vclock.Time, dst buf.Block, fd *fuse
 			if m.Arrival <= post {
 				extra = c.cache.CopyCost(m.Payload.Region(), dst.Region(), int64(landed.Len()))
 			}
-			buf.CopyAt(dst, 0, landed, 0, landed.Len())
+			datatype.Move(dst, 0, landed, 0, int64(landed.Len()))
 		}
 	case simnet.KindRendezvous:
 		match := simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: dst}

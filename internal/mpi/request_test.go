@@ -39,6 +39,8 @@ func TestAsyncAllocBudget(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	ty, need := everyOtherBuf(t, 1<<17) // 1 MiB of data: rendezvous everywhere
+	// The contiguous row moves real bytes, split across the pack workers.
+	contig := [2]buf.Block{buf.Alloc(datatype.ParallelPackThreshold), buf.Alloc(datatype.ParallelPackThreshold)}
 	wait := func(req *Request, err error) error {
 		if err == nil {
 			_, err = req.Wait()
@@ -65,6 +67,9 @@ func TestAsyncAllocBudget(t *testing.T) {
 			func(c *Comm) error { return c.SendType(buf.Virtual(need), 1, ty, 1, 0) }, recvType},
 		{"SendpType+RecvType rendezvous", 1,
 			func(c *Comm) error { return c.SendpType(buf.Virtual(need), 1, ty, 1, 0) }, recvType},
+		{"Send+Recv real 4 MiB contiguous rendezvous", 1,
+			func(c *Comm) error { return c.Send(contig[0], 1, 0) },
+			func(c *Comm) error { _, err := c.Recv(contig[1], 0, 0); return err }},
 	}
 	for _, row := range rows {
 		const runs = 200

@@ -12,12 +12,13 @@ import (
 // contiguous stream, the serial or pipelined typed chunk loop, the
 // fused scatter — describes its matched transfer as one stage, and one
 // attempt loop runs it. Without faults that is a single drain. Under
-// faults each attempt carries the checksums of the source stream,
-// which cannot change during a send: the first drain folds them while
-// it moves the bytes (srcSums — no second read of the source). A
-// damaged attempt is replayed whole, or, when the engine can replay a
-// stream range and the payload spans several internal chunks, only in
-// its damaged chunks: each chunk then carries its own checksum, the
+// faults each attempt carries the checksums of the source stream, which
+// cannot change during a send: the first drain folds them while it
+// moves the bytes (srcSums — no second read of the source; the
+// contiguous drain alone moves, then sums in a second read). A damaged
+// attempt is replayed whole, or, when the engine can replay a stream
+// range and the payload spans several internal chunks, only in its
+// damaged chunks: each chunk then carries its own checksum, the
 // receiver NACKs a bitmap of damaged chunks (simnet.ChunkNack), and
 // every replay reuses the first drain's sums.
 

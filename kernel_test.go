@@ -90,6 +90,53 @@ func TestNoHostCoreReads(t *testing.T) {
 	}
 }
 
+// TestMpiPayloadCopiesMove is the tripwire for the one contiguous
+// move: no non-test file of internal/mpi may call buf.Copy or
+// buf.CopyAt, so every payload copy goes through datatype.Move and
+// splits across the pack workers when it is large.
+func TestMpiPayloadCopiesMove(t *testing.T) {
+	var sites []string
+	fset := token.NewFileSet()
+	files, err := filepath.Glob(filepath.Join("internal", "mpi", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no files found under internal/mpi (%v)", err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgName := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro/internal/buf"` {
+				pkgName = "buf"
+				if imp.Name != nil {
+					pkgName = imp.Name.Name
+				}
+			}
+		}
+		if pkgName == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "Copy" && sel.Sel.Name != "CopyAt") {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkgName {
+				sites = append(sites, fset.Position(sel.Pos()).String()+" buf."+sel.Sel.Name)
+			}
+			return true
+		})
+	}
+	if len(sites) != 0 {
+		t.Fatalf("payload copies in internal/mpi bypass datatype.Move at %v", sites)
+	}
+}
+
 // TestNoPackageSwitches is the tripwire for ROADMAP item 3: a simulated
 // run is a function of its inputs, so no package under internal/, and
 // not the api.go facade, may declare a receiverless Set… function — a
