@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/oracle"
 )
 
 // TestMain runs the command itself when figures asks it to, so each test
@@ -58,5 +61,25 @@ func TestAppendedFlagRunsOnce(t *testing.T) {
 	}
 	if n := strings.Count(stdout, "== E10 "); n != 1 {
 		t.Errorf("E10 printed %d times, want once:\n%s", n, stdout)
+	}
+}
+
+// TestFiguresGolden pins the four paper figures: the command runs with
+// CI's sweep (two points per decade, two reps, payloads over 1 MiB
+// virtual) and each CSV it writes, line by line, is the store's block
+// "<profile>.csv". The rows depend neither on the host's core count nor
+// on when the garbage collector runs.
+func TestFiguresGolden(t *testing.T) {
+	dir := t.TempDir()
+	_, stderr, err := runMain(t, "-profile", "all", "-per-decade", "2", "-reps", "2", "-max-real", "1048576", "-csv", dir)
+	if err != nil {
+		t.Fatalf("%v: %s", err, stderr)
+	}
+	for _, p := range []string{"skx-impi", "skx-mvapich", "ls5-cray", "knl-impi"} {
+		data, err := os.ReadFile(filepath.Join(dir, p+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle.Golden(t, p+".csv", strings.Split(strings.TrimSuffix(string(data), "\n"), "\n"))
 	}
 }

@@ -1,24 +1,17 @@
 package core
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/datatype"
 	"repro/internal/memsim"
+	"repro/internal/oracle"
 	"repro/internal/perfmodel"
 )
-
-var queryGoldenUpdate = flag.Bool("query-golden-update", false, "rewrite testdata/query_golden.txt from this tree")
-
-const queryGoldenFile = "testdata/query_golden.txt"
 
 // The golden grid: every registered profile plus a hierarchical one,
 // sizes 0 and 10³…10⁹ at three per decade, both goals, point-to-point
@@ -136,34 +129,33 @@ type goldenQuery struct {
 	fault string
 }
 
-// goldenQueries enumerates the grid: point-to-point under every fault
-// profile and every observed hierarchy, collectives at every rank count
-// under every fault profile, and every type at counts 1 and 4.
-func goldenQueries(t testing.TB) []goldenQuery {
+// goldenQueries enumerates one profile's share of the grid:
+// point-to-point under every fault profile and every observed
+// hierarchy, collectives at every rank count under every fault
+// profile, and every type at counts 1 and 4.
+func goldenQueries(t testing.TB, gp goldenProfile) []goldenQuery {
 	var out []goldenQuery
-	for _, gp := range goldenProfiles(t) {
-		p := gp.p
-		for _, n := range goldenSizes() {
+	p := gp.p
+	for _, n := range goldenSizes() {
+		for _, gf := range goldenFaults() {
+			out = append(out, goldenQuery{fmt.Sprintf("%s n=%d faults=%s", gp.name, n, gf.name),
+				Query{Bytes: n, Profile: p, Faults: gf.fp}, gf.name})
+		}
+		for _, ob := range goldenObservedSet() {
+			out = append(out, goldenQuery{key: fmt.Sprintf("%s n=%d observed=%s", gp.name, n, ob.name),
+				q: Query{Bytes: n, Profile: p, Observed: ob.o}})
+		}
+		for _, ranks := range goldenRanks {
 			for _, gf := range goldenFaults() {
-				out = append(out, goldenQuery{fmt.Sprintf("%s n=%d faults=%s", gp.name, n, gf.name),
-					Query{Bytes: n, Profile: p, Faults: gf.fp}, gf.name})
-			}
-			for _, ob := range goldenObservedSet() {
-				out = append(out, goldenQuery{key: fmt.Sprintf("%s n=%d observed=%s", gp.name, n, ob.name),
-					q: Query{Bytes: n, Profile: p, Observed: ob.o}})
-			}
-			for _, ranks := range goldenRanks {
-				for _, gf := range goldenFaults() {
-					out = append(out, goldenQuery{fmt.Sprintf("%s n=%d ranks=%d faults=%s", gp.name, n, ranks, gf.name),
-						Query{Bytes: n, Profile: p, Ranks: ranks, Faults: gf.fp}, gf.name})
-				}
+				out = append(out, goldenQuery{fmt.Sprintf("%s n=%d ranks=%d faults=%s", gp.name, n, ranks, gf.name),
+					Query{Bytes: n, Profile: p, Ranks: ranks, Faults: gf.fp}, gf.name})
 			}
 		}
-		for _, gt := range goldenTypes(t) {
-			for _, count := range []int{1, 4} {
-				out = append(out, goldenQuery{key: fmt.Sprintf("%s type=%s count=%d", gp.name, gt.name, count),
-					q: Query{Type: gt.ty, Count: count, Profile: p}})
-			}
+	}
+	for _, gt := range goldenTypes(t) {
+		for _, count := range []int{1, 4} {
+			out = append(out, goldenQuery{key: fmt.Sprintf("%s type=%s count=%d", gp.name, gt.name, count),
+				q: Query{Type: gt.ty, Count: count, Profile: p}})
 		}
 	}
 	return out
@@ -257,10 +249,11 @@ func (b *goldenBlock) quantities(c Cost, gq goldenQuery) {
 	f("DeliveryProb", c.DeliveryProb)
 }
 
-// queryGoldenLines prices and recommends every query of the grid.
-func queryGoldenLines(t testing.TB) []string {
+// queryGoldenLines prices and recommends every query of one profile's
+// share of the grid.
+func queryGoldenLines(t testing.TB, gp goldenProfile) []string {
 	var out []string
-	for _, gq := range goldenQueries(t) {
+	for _, gq := range goldenQueries(t, gp) {
 		c, err := Price(gq.q)
 		if err != nil {
 			t.Fatal(err)
@@ -280,31 +273,15 @@ func queryGoldenLines(t testing.TB) []string {
 }
 
 // TestQueryGolden pins every price and recommendation of the cost model
-// over the golden grid; the answers do not depend on the host's core
-// count. The file was recorded through the twelve entry points Query
+// over the golden grid, one digest block per profile ("query.<name>"),
+// whose rows are that profile's lines: its quantities sorted by name,
+// then one line per goal. The answers do not depend on the host's core
+// count. The rows were recorded through the twelve entry points Query
 // replaced, under their field names; the zero-byte collective rows
 // under a fault profile since report delivery probability 1 and a
 // finite ratio.
 func TestQueryGolden(t *testing.T) {
-	got := []byte(strings.Join(queryGoldenLines(t), "\n") + "\n")
-	if *queryGoldenUpdate {
-		if err := os.WriteFile(queryGoldenFile, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
+	for _, gp := range goldenProfiles(t) {
+		oracle.Golden(t, "query."+gp.name, queryGoldenLines(t, gp))
 	}
-	want, err := os.ReadFile(queryGoldenFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("%d lines, want %d", len(gl), len(wl))
 }

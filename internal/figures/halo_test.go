@@ -1,14 +1,13 @@
 package figures
 
 import (
-	"bytes"
 	"io"
-	"os"
 	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/oracle"
 )
 
 // TestHaloStudyBuilds runs E15 on the Skylake profile and pins its
@@ -60,27 +59,21 @@ func TestHaloStudyBuilds(t *testing.T) {
 
 // TestHaloStudyGolden renders E15 on the four paper installations at
 // cmd/figures' settings (eight exchange rounds, payloads over 16 MiB
-// virtual) and compares the text byte for byte with
-// testdata/halo_golden.txt. Every number in it is on the virtual
-// clock or a plan counter of study-local types, so the file pins no
-// core count and no garbage-collector timing.
+// virtual) and compares each installation's text, line by line, with
+// the store's block "halo.<profile>". Every number in it is on the
+// virtual clock or a plan counter of study-local types, so the rows pin
+// no core count and no garbage-collector timing.
 func TestHaloStudyGolden(t *testing.T) {
 	opt := harness.DefaultOptions()
-	var out bytes.Buffer
 	for _, p := range []string{"skx-impi", "skx-mvapich", "ls5-cray", "knl-impi"} {
 		r, err := study(t, "halo").Run(p, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var out strings.Builder
 		if err := r.Render(&out); err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile("testdata/halo_golden.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); got != string(want) {
-		t.Errorf("E15 output drifted from testdata/halo_golden.txt:\n%s", got)
+		oracle.Golden(t, "halo."+p, strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n"))
 	}
 }

@@ -1,16 +1,19 @@
 package memsim_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/buf"
 	"repro/internal/layout"
 	"repro/internal/memsim"
+	"repro/internal/oracle"
 	"repro/internal/perfmodel"
 )
 
-// The golden table pins the Kernel-spec'd pricers to the fourteen
+// The golden rows pin the Kernel-spec'd pricers to the fourteen
 // exported pricers they replaced (plain, compiled and normalized
 // gather/scatter, each serial and parallel; the serial and parallel
 // fused copy; the fused and staged collective legs):
@@ -19,342 +22,95 @@ import (
 // (3 because dividing by a power of two is exact in any operation
 // order), on a disabled cache, on a cold one (the first call on a fresh
 // State) and on a warm one (the same call repeated on that State, so
-// the warmth the first call left behind is pinned too).
+// the warmth the first call left behind is pinned too). The store
+// holds one block per profile, "kernel-costs.<profile>"; a row is
+// "<layout> <cache> <pricer>" and the bits in hex, one value for a
+// serial pricer and one per worker count for a parallel one.
+// "StagedLeg" is the staged collective leg as core priced it (one
+// region throughout), "StagedSum" the compiled gather src→staging plus
+// compiled scatter staging→dst that mpi's typedSelfCopy summed by
+// hand; "FusedDense" is the fused copy into a contiguous destination.
 
 var goldenWorkers = [5]int{1, 2, 3, 4, 16}
 
-var goldenLayouts = map[string]layout.Stats{
-	"every-other-double": layout.Describe(layout.Strided{Count: 1 << 17, BlockLen: 8, Stride: 16}),
-	"4-run-block":        layout.Describe(layout.Strided{Count: 1 << 12, BlockLen: 32, Stride: 256}),
-	"irregular":          layout.Describe(layout.Jittered(1<<12, 8, 96, 0.5)),
+var goldenLayouts = []struct {
+	name string
+	st   layout.Stats
+}{
+	{"every-other-double", layout.Describe(layout.Strided{Count: 1 << 17, BlockLen: 8, Stride: 16})},
+	{"4-run-block", layout.Describe(layout.Strided{Count: 1 << 12, BlockLen: 32, Stride: 256})},
+	{"irregular", layout.Describe(layout.Jittered(1<<12, 8, 96, 0.5))},
 }
-
-// goldenRow holds one (profile, layout, cache) cell of the parent's
-// prices, in the order of serialNames and parNames. "StagedLeg" is the
-// staged collective leg as core priced it (one region throughout),
-// "StagedSum" the compiled gather src→staging plus compiled scatter
-// staging→dst that mpi's typedSelfCopy summed by hand; "FusedDense" is
-// the fused copy into a contiguous destination.
-type goldenRow struct {
-	profile, layout, cache string
-	serial                 [10]uint64
-	par                    [5][7]uint64
-}
-
-var serialNames = [10]string{"Gather", "Scatter", "CompiledGather", "CompiledScatter", "NormalizedGather",
-	"NormalizedScatter", "Fused", "FusedDense", "StagedLeg", "StagedSum"}
-
-var parNames = [7]string{"ParallelCompiledGather", "ParallelCompiledScatter", "ParallelNormalizedGather",
-	"ParallelNormalizedScatter", "ParallelFused", "ParallelFusedDense", "FusedLeg"}
 
 type pricer func(s *memsim.State) float64
 
-func TestKernelCostsReproduceParentBits(t *testing.T) {
+func TestKernelCostsGolden(t *testing.T) {
 	const src, staging, dst = buf.Region(1), buf.Region(3), buf.Region(2)
-	for _, row := range goldenRows {
-		p, err := perfmodel.ByName(row.profile)
+	for _, profile := range []string{"skx-impi", "skx-mvapich", "ls5-cray", "knl-impi"} {
+		p, err := perfmodel.ByName(profile)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := &p.Mem
-		st := goldenLayouts[row.layout]
-		d := layout.Dense(st.Bytes)
-		check := func(name string, want uint64, f pricer) {
-			t.Helper()
-			s := memsim.NewState(h)
-			s.SetDisabled(row.cache == "disabled")
-			got := f(s)
-			if row.cache == "warm" {
-				got = f(s)
+		var rows []string
+		for _, gl := range goldenLayouts {
+			st := gl.st
+			d := layout.Dense(st.Bytes)
+			gather := func(k memsim.Kernel) pricer {
+				return func(s *memsim.State) float64 { return s.GatherCost(src, dst, st, k) }
 			}
-			if math.Float64bits(got) != want {
-				t.Errorf("%s/%s %s cache, %s: %#x (%g), parent %#x (%g)",
-					row.profile, row.layout, row.cache, name, math.Float64bits(got), got, want, math.Float64frombits(want))
+			scatter := func(k memsim.Kernel) pricer {
+				return func(s *memsim.State) float64 { return s.ScatterCost(src, dst, st, k) }
+			}
+			fused := func(dstSt layout.Stats, w int) pricer {
+				return func(s *memsim.State) float64 { return s.FusedCopyCost(src, dst, st, dstSt, w) }
+			}
+			compiled := memsim.Kernel{Engine: memsim.Compiled}
+			normalized := memsim.Kernel{Engine: memsim.Normalized}
+			serial := []struct {
+				name string
+				f    pricer
+			}{
+				{"Gather", gather(memsim.Kernel{})}, {"Scatter", scatter(memsim.Kernel{})},
+				{"CompiledGather", gather(compiled)}, {"CompiledScatter", scatter(compiled)},
+				{"NormalizedGather", gather(normalized)}, {"NormalizedScatter", scatter(normalized)},
+				{"Fused", fused(st, 0)}, {"FusedDense", fused(d, 0)},
+				{"StagedLeg", func(s *memsim.State) float64 { return s.StagedCollectiveLegCost(src, src, src, st, st) }},
+				{"StagedSum", func(s *memsim.State) float64 { return s.StagedCollectiveLegCost(src, staging, dst, st, st) }},
+			}
+			parallel := []struct {
+				name string
+				at   func(w int) pricer
+			}{
+				{"ParallelCompiledGather", func(w int) pricer { return gather(memsim.Kernel{Engine: memsim.Compiled, Workers: w}) }},
+				{"ParallelCompiledScatter", func(w int) pricer { return scatter(memsim.Kernel{Engine: memsim.Compiled, Workers: w}) }},
+				{"ParallelNormalizedGather", func(w int) pricer { return gather(memsim.Kernel{Engine: memsim.Normalized, Workers: w}) }},
+				{"ParallelNormalizedScatter", func(w int) pricer { return scatter(memsim.Kernel{Engine: memsim.Normalized, Workers: w}) }},
+				{"ParallelFused", func(w int) pricer { return fused(st, w) }},
+				{"ParallelFusedDense", func(w int) pricer { return fused(d, w) }},
+				{"FusedLeg", func(w int) pricer { return fused(st, w) }},
+			}
+			for _, cache := range []string{"disabled", "cold", "warm"} {
+				bits := func(f pricer) string {
+					s := memsim.NewState(&p.Mem)
+					s.SetDisabled(cache == "disabled")
+					got := f(s)
+					if cache == "warm" {
+						got = f(s)
+					}
+					return fmt.Sprintf("%016x", math.Float64bits(got))
+				}
+				for _, sp := range serial {
+					rows = append(rows, fmt.Sprintf("%s %s %s %s", gl.name, cache, sp.name, bits(sp.f)))
+				}
+				for _, pp := range parallel {
+					vals := make([]string, len(goldenWorkers))
+					for i, w := range goldenWorkers {
+						vals[i] = bits(pp.at(w))
+					}
+					rows = append(rows, fmt.Sprintf("%s %s %s %s", gl.name, cache, pp.name, strings.Join(vals, " ")))
+				}
 			}
 		}
-		gather := func(k memsim.Kernel) pricer {
-			return func(s *memsim.State) float64 { return s.GatherCost(src, dst, st, k) }
-		}
-		scatter := func(k memsim.Kernel) pricer {
-			return func(s *memsim.State) float64 { return s.ScatterCost(src, dst, st, k) }
-		}
-		fused := func(dstSt layout.Stats, w int) pricer {
-			return func(s *memsim.State) float64 { return s.FusedCopyCost(src, dst, st, dstSt, w) }
-		}
-		compiled := memsim.Kernel{Engine: memsim.Compiled}
-		for i, f := range []pricer{
-			gather(memsim.Kernel{}), scatter(memsim.Kernel{}),
-			gather(compiled), scatter(compiled),
-			gather(memsim.Kernel{Engine: memsim.Normalized}), scatter(memsim.Kernel{Engine: memsim.Normalized}),
-			fused(st, 0), fused(d, 0),
-			func(s *memsim.State) float64 { return s.StagedCollectiveLegCost(src, src, src, st, st) },
-			func(s *memsim.State) float64 { return s.StagedCollectiveLegCost(src, staging, dst, st, st) },
-		} {
-			check(serialNames[i], row.serial[i], f)
-		}
-		for wi, w := range goldenWorkers {
-			pc := memsim.Kernel{Engine: memsim.Compiled, Workers: w}
-			pn := memsim.Kernel{Engine: memsim.Normalized, Workers: w}
-			for i, f := range []pricer{
-				gather(pc), scatter(pc), gather(pn), scatter(pn), fused(st, w), fused(d, w), fused(st, w),
-			} {
-				check(parNames[i], row.par[wi][i], f)
-			}
-		}
+		oracle.Golden(t, "kernel-costs."+profile, rows)
 	}
-}
-
-var goldenRows = []goldenRow{
-	{"skx-impi", "every-other-double", "disabled", [10]uint64{0x3f29ce06c2d35b4e, 0x3f291ba3071d100e, 0x3f278cc865f4a8bd, 0x3f26da64aa3e5d7e, 0x3f27638d162de521, 0x3f26b1295a7799e2, 0x3f31685fb5a689f0, 0x3f278cc865f4a8bd, 0x3f3733968819831e, 0x3f3733968819831e}, [5][7]uint64{
-		{0x3f278cc865f4a8bd, 0x3f26da64aa3e5d7e, 0x3f27638d162de521, 0x3f26b1295a7799e2, 0x3f31685fb5a689f0, 0x3f278cc865f4a8bd, 0x3f31685fb5a689f0},
-		{0x3f178cc865f4a8bd, 0x3f16da64aa3e5d7e, 0x3f17638d162de521, 0x3f16b1295a7799e2, 0x3f21685fb5a689f0, 0x3f178cc865f4a8bd, 0x3f21685fb5a689f0},
-		{0x3f0f666087f0e0fc, 0x3f0e788638532753, 0x3f0f2f66c83d3180, 0x3f0e418c789f77d7, 0x3f1735d4f2336295, 0x3f0f666087f0e0fc, 0x3f1735d4f2336295},
-		{0x3f0ade41cb711b3e, 0x3f0a1262197c32f6, 0x3f0ab5067baa57a2, 0x3f09e926c9b56f5a, 0x3f13df1bc434388f, 0x3f0ade41cb711b3e, 0x3f13df1bc434388f},
-		{0x3f0aa068d3c6f5d3, 0x3f09d48921d20d8b, 0x3f0a9619ffd544ec, 0x3f09ca3a4de05ca4, 0x3f13c02f485f25d9, 0x3f0aa068d3c6f5d3, 0x3f13c02f485f25d9},
-	}},
-	{"skx-impi", "every-other-double", "cold", [10]uint64{0x3f29ce06c2d35b4e, 0x3f291ba3071d100e, 0x3f278cc865f4a8bd, 0x3f26da64aa3e5d7e, 0x3f27638d162de521, 0x3f26b1295a7799e2, 0x3f31685fb5a689f0, 0x3f278cc865f4a8bd, 0x3f33608ecd059a08, 0x3f33608ecd059a08}, [5][7]uint64{
-		{0x3f278cc865f4a8bd, 0x3f26da64aa3e5d7e, 0x3f27638d162de521, 0x3f26b1295a7799e2, 0x3f31685fb5a689f0, 0x3f278cc865f4a8bd, 0x3f31685fb5a689f0},
-		{0x3f178cc865f4a8bd, 0x3f16da64aa3e5d7e, 0x3f17638d162de521, 0x3f16b1295a7799e2, 0x3f21685fb5a689f0, 0x3f178cc865f4a8bd, 0x3f21685fb5a689f0},
-		{0x3f0f666087f0e0fc, 0x3f0e788638532753, 0x3f0f2f66c83d3180, 0x3f0e418c789f77d7, 0x3f1735d4f2336295, 0x3f0f666087f0e0fc, 0x3f1735d4f2336295},
-		{0x3f0ade41cb711b3e, 0x3f0a1262197c32f6, 0x3f0ab5067baa57a2, 0x3f09e926c9b56f5a, 0x3f13df1bc434388f, 0x3f0ade41cb711b3e, 0x3f13df1bc434388f},
-		{0x3f0aa068d3c6f5d3, 0x3f09d48921d20d8b, 0x3f0a9619ffd544ec, 0x3f09ca3a4de05ca4, 0x3f13c02f485f25d9, 0x3f0aa068d3c6f5d3, 0x3f13c02f485f25d9},
-	}},
-	{"skx-impi", "every-other-double", "warm", [10]uint64{0x3f141193b386763c, 0x3f21759390f53de3, 0x3f0f1e2df3922236, 0x3f1e68aa682d16a5, 0x3f0e7940b47713c3, 0x3f1e1633c89f8f6c, 0x3f230b82823cf3b0, 0x3f0f1e2df3922236, 0x3f26fbe0b0fb13e0, 0x3f26fbe0b0fb13e0}, [5][7]uint64{
-		{0x3f0f1e2df3922236, 0x3f1e68aa682d16a5, 0x3f0e7940b47713c3, 0x3f1e1633c89f8f6c, 0x3f230b82823cf3b0, 0x3f0f1e2df3922236, 0x3f230b82823cf3b0},
-		{0x3eff1e2df3922236, 0x3f0e68aa682d16a5, 0x3efe7940b47713c3, 0x3f0e1633c89f8f6c, 0x3f130b82823cf3b0, 0x3eff1e2df3922236, 0x3f130b82823cf3b0},
-		{0x3ef4bec94d0c16ce, 0x3f0445c6f01e0f19, 0x3ef450d5cda4b7d7, 0x3f040ecd306a5f9d, 0x3f0964ae02fbef95, 0x3ef4bec94d0c16ce, 0x3f0964ae02fbef95},
-		{0x3ef1b08aa6bd5aa0, 0x3f015499927342c4, 0x3ef15e14072fd367, 0x3f012b5e42ac7f28, 0x3f05b83b1056032f, 0x3ef1b08aa6bd5aa0, 0x3f05b83b1056032f},
-		{0x3ef134d8b7690fcb, 0x3f0116c09ac91d59, 0x3ef1203b0f85adfc, 0x3f010c71c6d76c72, 0x3f057a6218abddc4, 0x3ef134d8b7690fcb, 0x3f057a6218abddc4},
-	}},
-	{"skx-impi", "4-run-block", "disabled", [10]uint64{0x3f01be33f45ae05c, 0x3f013869279227ed, 0x3f01760c28bf0a0a, 0x3f00f0415bf6519b, 0x3f0170e4bec63197, 0x3f00eb19f1fd7928, 0x3f0cba032e17752d, 0x3f01760c28bf0a0a, 0x3f113326c25aadd2, 0x3f113326c25aadd2}, [5][7]uint64{
-		{0x3f01760c28bf0a0a, 0x3f00f0415bf6519b, 0x3f0170e4bec63197, 0x3f00eb19f1fd7928, 0x3f0cba032e17752d, 0x3f01760c28bf0a0a, 0x3f0cba032e17752d},
-		{0x3ef1760c28bf0a0a, 0x3ef0f0415bf6519b, 0x3ef170e4bec63197, 0x3ef0eb19f1fd7928, 0x3efcba032e17752d, 0x3ef1760c28bf0a0a, 0x3efcba032e17752d},
-		{0x3ee7481036540d63, 0x3ee695ac7a9dc224, 0x3ee74130fe5d9773, 0x3ee68ecd42a74c34, 0x3ef326acc964f8c8, 0x3ee7481036540d63, 0x3ef326acc964f8c8},
-		{0x3ee3f32734dc5fea, 0x3ee35a3f6f64b1b5, 0x3ee3edffcae38777, 0x3ee35518056bd942, 0x3ef0698e78e9dae5, 0x3ee3f32734dc5fea, 0x3ef0698e78e9dae5},
-		{0x3ee3eb6c15e71b3d, 0x3ee35284506f6d08, 0x3ee3ea223b68e520, 0x3ee3513a75f136eb, 0x3ef065b0e96f388e, 0x3ee3eb6c15e71b3d, 0x3ef065b0e96f388e},
-	}},
-	{"skx-impi", "4-run-block", "cold", [10]uint64{0x3f01be33f45ae05c, 0x3f013869279227ed, 0x3f01760c28bf0a0a, 0x3f00f0415bf6519b, 0x3f0170e4bec63197, 0x3f00eb19f1fd7928, 0x3f0cba032e17752d, 0x3f01760c28bf0a0a, 0x3f0e9345c9a1728f, 0x3f0e9345c9a1728f}, [5][7]uint64{
-		{0x3f01760c28bf0a0a, 0x3f00f0415bf6519b, 0x3f0170e4bec63197, 0x3f00eb19f1fd7928, 0x3f0cba032e17752d, 0x3f01760c28bf0a0a, 0x3f0cba032e17752d},
-		{0x3ef1760c28bf0a0a, 0x3ef0f0415bf6519b, 0x3ef170e4bec63197, 0x3ef0eb19f1fd7928, 0x3efcba032e17752d, 0x3ef1760c28bf0a0a, 0x3efcba032e17752d},
-		{0x3ee7481036540d63, 0x3ee695ac7a9dc224, 0x3ee74130fe5d9773, 0x3ee68ecd42a74c34, 0x3ef326acc964f8c8, 0x3ee7481036540d63, 0x3ef326acc964f8c8},
-		{0x3ee3f32734dc5fea, 0x3ee35a3f6f64b1b5, 0x3ee3edffcae38777, 0x3ee35518056bd942, 0x3ef0698e78e9dae5, 0x3ee3f32734dc5fea, 0x3ef0698e78e9dae5},
-		{0x3ee3eb6c15e71b3d, 0x3ee35284506f6d08, 0x3ee3ea223b68e520, 0x3ee3513a75f136eb, 0x3ef065b0e96f388e, 0x3ee3eb6c15e71b3d, 0x3ef065b0e96f388e},
-	}},
-	{"skx-impi", "4-run-block", "warm", [10]uint64{0x3ee7a919163b20e1, 0x3efacac2d8fc7dae, 0x3ee68879e7cbc799, 0x3efa3a7341c4d10a, 0x3ee673dc3fe865ca, 0x3efa30246dd32023, 0x3f00e6157f4b5d09, 0x3ee68879e7cbc799, 0x3f02bf581ad55a6b, 0x3f02bf581ad55a6b}, [5][7]uint64{
-		{0x3ee68879e7cbc799, 0x3efa3a7341c4d10a, 0x3ee673dc3fe865ca, 0x3efa30246dd32023, 0x3f00e6157f4b5d09, 0x3ee68879e7cbc799, 0x3f00e6157f4b5d09},
-		{0x3ed68879e7cbc799, 0x3eea3a7341c4d10a, 0x3ed673dc3fe865ca, 0x3eea30246dd32023, 0x3ef0e6157f4b5d09, 0x3ed68879e7cbc799, 0x3ef0e6157f4b5d09},
-		{0x3ece0b4d350fb4cc, 0x3ee17c4cd6833607, 0x3ecdefd05535dd0f, 0x3ee1756d9e8cc017, 0x3ee6881ca9b9d161, 0x3ece0b4d350fb4cc, 0x3ee6881ca9b9d161},
-		{0x3ec9baa76b3a35e2, 0x3eddf6b657c07338, 0x3ec9a609c356d413, 0x3eddec6783cec251, 0x3ee34e9f97c5e357, 0x3ec9baa76b3a35e2, 0x3ee34e9f97c5e357},
-		{0x3ec99bbaef65232c, 0x3edde74019d5e9de, 0x3ec99693856c4ab9, 0x3edde4ac64d97da4, 0x3ee346e478d09eaa, 0x3ec99bbaef65232c, 0x3ee346e478d09eaa},
-	}},
-	{"skx-impi", "irregular", "disabled", [10]uint64{0x3f05489a23563d12, 0x3f013869279227ed, 0x3f05007257ba66c0, 0x3f00f0415bf6519b, 0x3f04fb4aedc18e4d, 0x3f00eb19f1fd7928, 0x3f123ef2ff89fd08, 0x3f05007257ba66c0, 0x3f12f859d9d85c2e, 0x3f12f859d9d85c2e}, [5][7]uint64{
-		{0x3f05007257ba66c0, 0x3f00f0415bf6519b, 0x3f04fb4aedc18e4d, 0x3f00eb19f1fd7928, 0x3f123ef2ff89fd08, 0x3f05007257ba66c0, 0x3f123ef2ff89fd08},
-		{0x3ef5007257ba66c0, 0x3ef0f0415bf6519b, 0x3ef4fb4aedc18e4d, 0x3ef0eb19f1fd7928, 0x3f023ef2ff89fd08, 0x3ef5007257ba66c0, 0x3f023ef2ff89fd08},
-		{0x3eec009874f88901, 0x3ee695ac7a9dc224, 0x3eebf9b93d021311, 0x3ee68ecd42a74c34, 0x3ef853eeaa0d515f, 0x3eec009874f88901, 0x3ef853eeaa0d515f},
-		{0x3ee7ff09b3b280bb, 0x3ee35a3f6f64b1b5, 0x3ee7f9e249b9a848, 0x3ee35518056bd942, 0x3ef4d97dcbc34b67, 0x3ee7ff09b3b280bb, 0x3ef4d97dcbc34b67},
-		{0x3ee7f74e94bd3c0e, 0x3ee35284506f6d08, 0x3ee7f604ba3f05f1, 0x3ee3513a75f136eb, 0x3ef4d5a03c48a910, 0x3ee7f74e94bd3c0e, 0x3ef4d5a03c48a910},
-	}},
-	{"skx-impi", "irregular", "cold", [10]uint64{0x3f05489a23563d12, 0x3f013869279227ed, 0x3f05007257ba66c0, 0x3f00f0415bf6519b, 0x3f04fb4aedc18e4d, 0x3f00eb19f1fd7928, 0x3f123ef2ff89fd08, 0x3f05007257ba66c0, 0x3f127df8e275df0b, 0x3f127df8e275df0b}, [5][7]uint64{
-		{0x3f05007257ba66c0, 0x3f00f0415bf6519b, 0x3f04fb4aedc18e4d, 0x3f00eb19f1fd7928, 0x3f123ef2ff89fd08, 0x3f05007257ba66c0, 0x3f123ef2ff89fd08},
-		{0x3ef5007257ba66c0, 0x3ef0f0415bf6519b, 0x3ef4fb4aedc18e4d, 0x3ef0eb19f1fd7928, 0x3f023ef2ff89fd08, 0x3ef5007257ba66c0, 0x3f023ef2ff89fd08},
-		{0x3eec009874f88901, 0x3ee695ac7a9dc224, 0x3eebf9b93d021311, 0x3ee68ecd42a74c34, 0x3ef853eeaa0d515f, 0x3eec009874f88901, 0x3ef853eeaa0d515f},
-		{0x3ee7ff09b3b280bb, 0x3ee35a3f6f64b1b5, 0x3ee7f9e249b9a848, 0x3ee35518056bd942, 0x3ef4d97dcbc34b67, 0x3ee7ff09b3b280bb, 0x3ef4d97dcbc34b67},
-		{0x3ee7f74e94bd3c0e, 0x3ee35284506f6d08, 0x3ee7f604ba3f05f1, 0x3ee3513a75f136eb, 0x3ef4d5a03c48a910, 0x3ee7f74e94bd3c0e, 0x3ef4d5a03c48a910},
-	}},
-	{"skx-impi", "irregular", "warm", [10]uint64{0x3eec351af6f1cdd6, 0x3f0043a738cd2da8, 0x3eeb147bc882748e, 0x3efff6feda62aeab, 0x3eeaffde209f12bf, 0x3effecb00670fdc4, 0x3f064292997a3073, 0x3eeb147bc882748e, 0x3f06c09e5f51f479, 0x3f06c09e5f51f479}, [5][7]uint64{
-		{0x3eeb147bc882748e, 0x3efff6feda62aeab, 0x3eeaffde209f12bf, 0x3effecb00670fdc4, 0x3f064292997a3073, 0x3eeb147bc882748e, 0x3f064292997a3073},
-		{0x3edb147bc882748e, 0x3eeff6feda62aeab, 0x3edaffde209f12bf, 0x3eefecb00670fdc4, 0x3ef64292997a3073, 0x3edb147bc882748e, 0x3ef64292997a3073},
-		{0x3ed20da7db01a30a, 0x3ee54f5491971f1c, 0x3ed1ffe96b14b72b, 0x3ee5487559a0a92c, 0x3eedae18cca2eb44, 0x3ed20da7db01a30a, 0x3eedae18cca2eb44},
-		{0x3eceecf2b52f8dd6, 0x3ee242865e8393af, 0x3eced8550d4c2c07, 0x3ee23d5ef48abb3c, 0x3ee96f2e911ff987, 0x3eceecf2b52f8dd6, 0x3ee96f2e911ff987},
-		{0x3ecece06395a7b20, 0x3ee23acb3f8e4f02, 0x3ecec8decf61a2ad, 0x3ee23981651018e5, 0x3ee96773722ab4da, 0x3ecece06395a7b20, 0x3ee96773722ab4da},
-	}},
-	{"skx-mvapich", "every-other-double", "disabled", [10]uint64{0x3f29ce06c2d35b4e, 0x3f291ba3071d100e, 0x3f278cc865f4a8bd, 0x3f26da64aa3e5d7e, 0x3f27638d162de521, 0x3f26b1295a7799e2, 0x3f31685fb5a689f0, 0x3f278cc865f4a8bd, 0x3f3733968819831e, 0x3f3733968819831e}, [5][7]uint64{
-		{0x3f278cc865f4a8bd, 0x3f26da64aa3e5d7e, 0x3f27638d162de521, 0x3f26b1295a7799e2, 0x3f31685fb5a689f0, 0x3f278cc865f4a8bd, 0x3f31685fb5a689f0},
-		{0x3f178cc865f4a8bd, 0x3f16da64aa3e5d7e, 0x3f17638d162de521, 0x3f16b1295a7799e2, 0x3f21685fb5a689f0, 0x3f178cc865f4a8bd, 0x3f21685fb5a689f0},
-		{0x3f0f666087f0e0fc, 0x3f0e788638532753, 0x3f0f2f66c83d3180, 0x3f0e418c789f77d7, 0x3f1735d4f2336295, 0x3f0f666087f0e0fc, 0x3f1735d4f2336295},
-		{0x3f0ade41cb711b3e, 0x3f0a1262197c32f6, 0x3f0ab5067baa57a2, 0x3f09e926c9b56f5a, 0x3f13df1bc434388f, 0x3f0ade41cb711b3e, 0x3f13df1bc434388f},
-		{0x3f0aa068d3c6f5d3, 0x3f09d48921d20d8b, 0x3f0a9619ffd544ec, 0x3f09ca3a4de05ca4, 0x3f13c02f485f25d9, 0x3f0aa068d3c6f5d3, 0x3f13c02f485f25d9},
-	}},
-	{"skx-mvapich", "every-other-double", "cold", [10]uint64{0x3f29ce06c2d35b4e, 0x3f291ba3071d100e, 0x3f278cc865f4a8bd, 0x3f26da64aa3e5d7e, 0x3f27638d162de521, 0x3f26b1295a7799e2, 0x3f31685fb5a689f0, 0x3f278cc865f4a8bd, 0x3f33608ecd059a08, 0x3f33608ecd059a08}, [5][7]uint64{
-		{0x3f278cc865f4a8bd, 0x3f26da64aa3e5d7e, 0x3f27638d162de521, 0x3f26b1295a7799e2, 0x3f31685fb5a689f0, 0x3f278cc865f4a8bd, 0x3f31685fb5a689f0},
-		{0x3f178cc865f4a8bd, 0x3f16da64aa3e5d7e, 0x3f17638d162de521, 0x3f16b1295a7799e2, 0x3f21685fb5a689f0, 0x3f178cc865f4a8bd, 0x3f21685fb5a689f0},
-		{0x3f0f666087f0e0fc, 0x3f0e788638532753, 0x3f0f2f66c83d3180, 0x3f0e418c789f77d7, 0x3f1735d4f2336295, 0x3f0f666087f0e0fc, 0x3f1735d4f2336295},
-		{0x3f0ade41cb711b3e, 0x3f0a1262197c32f6, 0x3f0ab5067baa57a2, 0x3f09e926c9b56f5a, 0x3f13df1bc434388f, 0x3f0ade41cb711b3e, 0x3f13df1bc434388f},
-		{0x3f0aa068d3c6f5d3, 0x3f09d48921d20d8b, 0x3f0a9619ffd544ec, 0x3f09ca3a4de05ca4, 0x3f13c02f485f25d9, 0x3f0aa068d3c6f5d3, 0x3f13c02f485f25d9},
-	}},
-	{"skx-mvapich", "every-other-double", "warm", [10]uint64{0x3f141193b386763c, 0x3f21759390f53de3, 0x3f0f1e2df3922236, 0x3f1e68aa682d16a5, 0x3f0e7940b47713c3, 0x3f1e1633c89f8f6c, 0x3f230b82823cf3b0, 0x3f0f1e2df3922236, 0x3f26fbe0b0fb13e0, 0x3f26fbe0b0fb13e0}, [5][7]uint64{
-		{0x3f0f1e2df3922236, 0x3f1e68aa682d16a5, 0x3f0e7940b47713c3, 0x3f1e1633c89f8f6c, 0x3f230b82823cf3b0, 0x3f0f1e2df3922236, 0x3f230b82823cf3b0},
-		{0x3eff1e2df3922236, 0x3f0e68aa682d16a5, 0x3efe7940b47713c3, 0x3f0e1633c89f8f6c, 0x3f130b82823cf3b0, 0x3eff1e2df3922236, 0x3f130b82823cf3b0},
-		{0x3ef4bec94d0c16ce, 0x3f0445c6f01e0f19, 0x3ef450d5cda4b7d7, 0x3f040ecd306a5f9d, 0x3f0964ae02fbef95, 0x3ef4bec94d0c16ce, 0x3f0964ae02fbef95},
-		{0x3ef1b08aa6bd5aa0, 0x3f015499927342c4, 0x3ef15e14072fd367, 0x3f012b5e42ac7f28, 0x3f05b83b1056032f, 0x3ef1b08aa6bd5aa0, 0x3f05b83b1056032f},
-		{0x3ef134d8b7690fcb, 0x3f0116c09ac91d59, 0x3ef1203b0f85adfc, 0x3f010c71c6d76c72, 0x3f057a6218abddc4, 0x3ef134d8b7690fcb, 0x3f057a6218abddc4},
-	}},
-	{"skx-mvapich", "4-run-block", "disabled", [10]uint64{0x3f01be33f45ae05c, 0x3f013869279227ed, 0x3f01760c28bf0a0a, 0x3f00f0415bf6519b, 0x3f0170e4bec63197, 0x3f00eb19f1fd7928, 0x3f0cba032e17752d, 0x3f01760c28bf0a0a, 0x3f113326c25aadd2, 0x3f113326c25aadd2}, [5][7]uint64{
-		{0x3f01760c28bf0a0a, 0x3f00f0415bf6519b, 0x3f0170e4bec63197, 0x3f00eb19f1fd7928, 0x3f0cba032e17752d, 0x3f01760c28bf0a0a, 0x3f0cba032e17752d},
-		{0x3ef1760c28bf0a0a, 0x3ef0f0415bf6519b, 0x3ef170e4bec63197, 0x3ef0eb19f1fd7928, 0x3efcba032e17752d, 0x3ef1760c28bf0a0a, 0x3efcba032e17752d},
-		{0x3ee7481036540d63, 0x3ee695ac7a9dc224, 0x3ee74130fe5d9773, 0x3ee68ecd42a74c34, 0x3ef326acc964f8c8, 0x3ee7481036540d63, 0x3ef326acc964f8c8},
-		{0x3ee3f32734dc5fea, 0x3ee35a3f6f64b1b5, 0x3ee3edffcae38777, 0x3ee35518056bd942, 0x3ef0698e78e9dae5, 0x3ee3f32734dc5fea, 0x3ef0698e78e9dae5},
-		{0x3ee3eb6c15e71b3d, 0x3ee35284506f6d08, 0x3ee3ea223b68e520, 0x3ee3513a75f136eb, 0x3ef065b0e96f388e, 0x3ee3eb6c15e71b3d, 0x3ef065b0e96f388e},
-	}},
-	{"skx-mvapich", "4-run-block", "cold", [10]uint64{0x3f01be33f45ae05c, 0x3f013869279227ed, 0x3f01760c28bf0a0a, 0x3f00f0415bf6519b, 0x3f0170e4bec63197, 0x3f00eb19f1fd7928, 0x3f0cba032e17752d, 0x3f01760c28bf0a0a, 0x3f0e9345c9a1728f, 0x3f0e9345c9a1728f}, [5][7]uint64{
-		{0x3f01760c28bf0a0a, 0x3f00f0415bf6519b, 0x3f0170e4bec63197, 0x3f00eb19f1fd7928, 0x3f0cba032e17752d, 0x3f01760c28bf0a0a, 0x3f0cba032e17752d},
-		{0x3ef1760c28bf0a0a, 0x3ef0f0415bf6519b, 0x3ef170e4bec63197, 0x3ef0eb19f1fd7928, 0x3efcba032e17752d, 0x3ef1760c28bf0a0a, 0x3efcba032e17752d},
-		{0x3ee7481036540d63, 0x3ee695ac7a9dc224, 0x3ee74130fe5d9773, 0x3ee68ecd42a74c34, 0x3ef326acc964f8c8, 0x3ee7481036540d63, 0x3ef326acc964f8c8},
-		{0x3ee3f32734dc5fea, 0x3ee35a3f6f64b1b5, 0x3ee3edffcae38777, 0x3ee35518056bd942, 0x3ef0698e78e9dae5, 0x3ee3f32734dc5fea, 0x3ef0698e78e9dae5},
-		{0x3ee3eb6c15e71b3d, 0x3ee35284506f6d08, 0x3ee3ea223b68e520, 0x3ee3513a75f136eb, 0x3ef065b0e96f388e, 0x3ee3eb6c15e71b3d, 0x3ef065b0e96f388e},
-	}},
-	{"skx-mvapich", "4-run-block", "warm", [10]uint64{0x3ee7a919163b20e1, 0x3efacac2d8fc7dae, 0x3ee68879e7cbc799, 0x3efa3a7341c4d10a, 0x3ee673dc3fe865ca, 0x3efa30246dd32023, 0x3f00e6157f4b5d09, 0x3ee68879e7cbc799, 0x3f02bf581ad55a6b, 0x3f02bf581ad55a6b}, [5][7]uint64{
-		{0x3ee68879e7cbc799, 0x3efa3a7341c4d10a, 0x3ee673dc3fe865ca, 0x3efa30246dd32023, 0x3f00e6157f4b5d09, 0x3ee68879e7cbc799, 0x3f00e6157f4b5d09},
-		{0x3ed68879e7cbc799, 0x3eea3a7341c4d10a, 0x3ed673dc3fe865ca, 0x3eea30246dd32023, 0x3ef0e6157f4b5d09, 0x3ed68879e7cbc799, 0x3ef0e6157f4b5d09},
-		{0x3ece0b4d350fb4cc, 0x3ee17c4cd6833607, 0x3ecdefd05535dd0f, 0x3ee1756d9e8cc017, 0x3ee6881ca9b9d161, 0x3ece0b4d350fb4cc, 0x3ee6881ca9b9d161},
-		{0x3ec9baa76b3a35e2, 0x3eddf6b657c07338, 0x3ec9a609c356d413, 0x3eddec6783cec251, 0x3ee34e9f97c5e357, 0x3ec9baa76b3a35e2, 0x3ee34e9f97c5e357},
-		{0x3ec99bbaef65232c, 0x3edde74019d5e9de, 0x3ec99693856c4ab9, 0x3edde4ac64d97da4, 0x3ee346e478d09eaa, 0x3ec99bbaef65232c, 0x3ee346e478d09eaa},
-	}},
-	{"skx-mvapich", "irregular", "disabled", [10]uint64{0x3f05489a23563d12, 0x3f013869279227ed, 0x3f05007257ba66c0, 0x3f00f0415bf6519b, 0x3f04fb4aedc18e4d, 0x3f00eb19f1fd7928, 0x3f123ef2ff89fd08, 0x3f05007257ba66c0, 0x3f12f859d9d85c2e, 0x3f12f859d9d85c2e}, [5][7]uint64{
-		{0x3f05007257ba66c0, 0x3f00f0415bf6519b, 0x3f04fb4aedc18e4d, 0x3f00eb19f1fd7928, 0x3f123ef2ff89fd08, 0x3f05007257ba66c0, 0x3f123ef2ff89fd08},
-		{0x3ef5007257ba66c0, 0x3ef0f0415bf6519b, 0x3ef4fb4aedc18e4d, 0x3ef0eb19f1fd7928, 0x3f023ef2ff89fd08, 0x3ef5007257ba66c0, 0x3f023ef2ff89fd08},
-		{0x3eec009874f88901, 0x3ee695ac7a9dc224, 0x3eebf9b93d021311, 0x3ee68ecd42a74c34, 0x3ef853eeaa0d515f, 0x3eec009874f88901, 0x3ef853eeaa0d515f},
-		{0x3ee7ff09b3b280bb, 0x3ee35a3f6f64b1b5, 0x3ee7f9e249b9a848, 0x3ee35518056bd942, 0x3ef4d97dcbc34b67, 0x3ee7ff09b3b280bb, 0x3ef4d97dcbc34b67},
-		{0x3ee7f74e94bd3c0e, 0x3ee35284506f6d08, 0x3ee7f604ba3f05f1, 0x3ee3513a75f136eb, 0x3ef4d5a03c48a910, 0x3ee7f74e94bd3c0e, 0x3ef4d5a03c48a910},
-	}},
-	{"skx-mvapich", "irregular", "cold", [10]uint64{0x3f05489a23563d12, 0x3f013869279227ed, 0x3f05007257ba66c0, 0x3f00f0415bf6519b, 0x3f04fb4aedc18e4d, 0x3f00eb19f1fd7928, 0x3f123ef2ff89fd08, 0x3f05007257ba66c0, 0x3f127df8e275df0b, 0x3f127df8e275df0b}, [5][7]uint64{
-		{0x3f05007257ba66c0, 0x3f00f0415bf6519b, 0x3f04fb4aedc18e4d, 0x3f00eb19f1fd7928, 0x3f123ef2ff89fd08, 0x3f05007257ba66c0, 0x3f123ef2ff89fd08},
-		{0x3ef5007257ba66c0, 0x3ef0f0415bf6519b, 0x3ef4fb4aedc18e4d, 0x3ef0eb19f1fd7928, 0x3f023ef2ff89fd08, 0x3ef5007257ba66c0, 0x3f023ef2ff89fd08},
-		{0x3eec009874f88901, 0x3ee695ac7a9dc224, 0x3eebf9b93d021311, 0x3ee68ecd42a74c34, 0x3ef853eeaa0d515f, 0x3eec009874f88901, 0x3ef853eeaa0d515f},
-		{0x3ee7ff09b3b280bb, 0x3ee35a3f6f64b1b5, 0x3ee7f9e249b9a848, 0x3ee35518056bd942, 0x3ef4d97dcbc34b67, 0x3ee7ff09b3b280bb, 0x3ef4d97dcbc34b67},
-		{0x3ee7f74e94bd3c0e, 0x3ee35284506f6d08, 0x3ee7f604ba3f05f1, 0x3ee3513a75f136eb, 0x3ef4d5a03c48a910, 0x3ee7f74e94bd3c0e, 0x3ef4d5a03c48a910},
-	}},
-	{"skx-mvapich", "irregular", "warm", [10]uint64{0x3eec351af6f1cdd6, 0x3f0043a738cd2da8, 0x3eeb147bc882748e, 0x3efff6feda62aeab, 0x3eeaffde209f12bf, 0x3effecb00670fdc4, 0x3f064292997a3073, 0x3eeb147bc882748e, 0x3f06c09e5f51f479, 0x3f06c09e5f51f479}, [5][7]uint64{
-		{0x3eeb147bc882748e, 0x3efff6feda62aeab, 0x3eeaffde209f12bf, 0x3effecb00670fdc4, 0x3f064292997a3073, 0x3eeb147bc882748e, 0x3f064292997a3073},
-		{0x3edb147bc882748e, 0x3eeff6feda62aeab, 0x3edaffde209f12bf, 0x3eefecb00670fdc4, 0x3ef64292997a3073, 0x3edb147bc882748e, 0x3ef64292997a3073},
-		{0x3ed20da7db01a30a, 0x3ee54f5491971f1c, 0x3ed1ffe96b14b72b, 0x3ee5487559a0a92c, 0x3eedae18cca2eb44, 0x3ed20da7db01a30a, 0x3eedae18cca2eb44},
-		{0x3eceecf2b52f8dd6, 0x3ee242865e8393af, 0x3eced8550d4c2c07, 0x3ee23d5ef48abb3c, 0x3ee96f2e911ff987, 0x3eceecf2b52f8dd6, 0x3ee96f2e911ff987},
-		{0x3ecece06395a7b20, 0x3ee23acb3f8e4f02, 0x3ecec8decf61a2ad, 0x3ee23981651018e5, 0x3ee96773722ab4da, 0x3ecece06395a7b20, 0x3ee96773722ab4da},
-	}},
-	{"ls5-cray", "every-other-double", "disabled", [10]uint64{0x3f2c82b23ea18e41, 0x3f2bbcd893ad7bf7, 0x3f2a1af841f84740, 0x3f29551e970434f6, 0x3f29eefd42355477, 0x3f2929239741422d, 0x3f334cc646dbb779, 0x3f2a1af841f84740, 0x3f39b80b6c7e3e1b, 0x3f39b80b6c7e3e1b}, [5][7]uint64{
-		{0x3f2a1af841f84740, 0x3f29551e970434f6, 0x3f29eefd42355477, 0x3f2929239741422d, 0x3f334cc646dbb779, 0x3f2a1af841f84740, 0x3f334cc646dbb779},
-		{0x3f1a1af841f84740, 0x3f19551e970434f6, 0x3f19eefd42355477, 0x3f1929239741422d, 0x3f234cc646dbb779, 0x3f1a1af841f84740, 0x3f234cc646dbb779},
-		{0x3f1167502bfada2b, 0x3f10e369ba02cdf9, 0x3f1149fe2c238da5, 0x3f10c617ba2b8173, 0x3f19bbb30924f4a2, 0x3f1167502bfada2b, 0x3f19bbb30924f4a2},
-		{0x3f1045dc694a6fd6, 0x3f0f9468bce3c8cf, 0x3f102fdee968f672, 0x3f0f686dbd20d606, 0x3f1814f918a1e8a5, 0x3f1045dc694a6fd6, 0x3f1814f918a1e8a5},
-		{0x3f1024e0297839bf, 0x3f0f52703d3f5ca2, 0x3f101f60c97fdb66, 0x3f0f47717d4e9fef, 0x3f17f3fcd8cfb28e, 0x3f1024e0297839bf, 0x3f17f3fcd8cfb28e},
-	}},
-	{"ls5-cray", "every-other-double", "cold", [10]uint64{0x3f2c82b23ea18e41, 0x3f2bbcd893ad7bf7, 0x3f2a1af841f84740, 0x3f29551e970434f6, 0x3f29eefd42355477, 0x3f2929239741422d, 0x3f334cc646dbb779, 0x3f2a1af841f84740, 0x3f357e2c16a33bf9, 0x3f357e2c16a33bf9}, [5][7]uint64{
-		{0x3f2a1af841f84740, 0x3f29551e970434f6, 0x3f29eefd42355477, 0x3f2929239741422d, 0x3f334cc646dbb779, 0x3f2a1af841f84740, 0x3f334cc646dbb779},
-		{0x3f1a1af841f84740, 0x3f19551e970434f6, 0x3f19eefd42355477, 0x3f1929239741422d, 0x3f234cc646dbb779, 0x3f1a1af841f84740, 0x3f234cc646dbb779},
-		{0x3f1167502bfada2b, 0x3f10e369ba02cdf9, 0x3f1149fe2c238da5, 0x3f10c617ba2b8173, 0x3f19bbb30924f4a2, 0x3f1167502bfada2b, 0x3f19bbb30924f4a2},
-		{0x3f1045dc694a6fd6, 0x3f0f9468bce3c8cf, 0x3f102fdee968f672, 0x3f0f686dbd20d606, 0x3f1814f918a1e8a5, 0x3f1045dc694a6fd6, 0x3f1814f918a1e8a5},
-		{0x3f1024e0297839bf, 0x3f0f52703d3f5ca2, 0x3f101f60c97fdb66, 0x3f0f47717d4e9fef, 0x3f17f3fcd8cfb28e, 0x3f1024e0297839bf, 0x3f17f3fcd8cfb28e},
-	}},
-	{"ls5-cray", "every-other-double", "warm", [10]uint64{0x3f162abbc902b678, 0x3f234919e7f777b3, 0x3f115b47cfb02878, 0x3f20e15feb4e30b2, 0x3f110351d02a42e5, 0x3f20b564eb8b3de9, 0x3f252c3833973bee, 0x3f115b47cfb02878, 0x3f298f03d32644ee, 0x3f298f03d32644ee}, [5][7]uint64{
-		{0x3f115b47cfb02878, 0x3f20e15feb4e30b2, 0x3f110351d02a42e5, 0x3f20b564eb8b3de9, 0x3f252c3833973bee, 0x3f115b47cfb02878, 0x3f252c3833973bee},
-		{0x3f015b47cfb02878, 0x3f10e15feb4e30b2, 0x3f010351d02a42e5, 0x3f10b564eb8b3de9, 0x3f152c3833973bee, 0x3f015b47cfb02878, 0x3f152c3833973bee},
-		{0x3ef7245fbf958b4a, 0x3f0681d539bd9643, 0x3ef6af17c0385931, 0x3f0647313a0efd37, 0x3f0c3af59a1efa92, 0x3ef7245fbf958b4a, 0x3f0c3af59a1efa92},
-		{0x3ef5861ec3d93fcc, 0x3f0503ba6640437a, 0x3ef52e28c4535a39, 0x3f04d7bf667d50b1, 0x3f0a6148c09b9184, 0x3ef5861ec3d93fcc, 0x3f0a6148c09b9184},
-		{0x3ef5022dc4906770, 0x3f04c1c1e69bd74d, 0x3ef4ec3044aeee0c, 0x3f04b6c326ab1a9a, 0x3f0a1f5040f72557, 0x3ef5022dc4906770, 0x3f0a1f5040f72557},
-	}},
-	{"ls5-cray", "4-run-block", "disabled", [10]uint64{0x3f03aa37b15baed5, 0x3f0315d47124a11d, 0x3f035d4071c685f5, 0x3f02c8dd318f783d, 0x3f0357c111ce279c, 0x3f02c35dd19719e4, 0x3f0fdbd4bd85ada7, 0x3f035d4071c685f5, 0x3f13130ed1aaff19, 0x3f13130ed1aaff19}, [5][7]uint64{
-		{0x3f035d4071c685f5, 0x3f02c8dd318f783d, 0x3f0357c111ce279c, 0x3f02c35dd19719e4, 0x3f0fdbd4bd85ada7, 0x3f035d4071c685f5, 0x3f0fdbd4bd85ada7},
-		{0x3ef35d4071c685f5, 0x3ef2c8dd318f783d, 0x3ef357c111ce279c, 0x3ef2c35dd19719e4, 0x3effdbd4bd85ada7, 0x3ef35d4071c685f5, 0x3effdbd4bd85ada7},
-		{0x3ee9d1ab425e07f1, 0x3ee90bd19769f5a7, 0x3ee9ca56c26834d0, 0x3ee9047d17742286, 0x3ef53d387e591e70, 0x3ee9d1ab425e07f1, 0x3ef53d387e591e70},
-		{0x3ee831d0de3bf845, 0x3ee77854cdf72720, 0x3ee82c517e4399ec, 0x3ee772d56dfec8c7, 0x3ef3e8051e7574f2, 0x3ee831d0de3bf845, 0x3ef3e8051e7574f2},
-		{0x3ee82991ce476ac0, 0x3ee77015be02999b, 0x3ee82831f6495329, 0x3ee76eb5e6048204, 0x3ef3e3e5967b2e2f, 0x3ee82991ce476ac0, 0x3ef3e3e5967b2e2f},
-	}},
-	{"ls5-cray", "4-run-block", "cold", [10]uint64{0x3f03aa37b15baed5, 0x3f0315d47124a11d, 0x3f035d4071c685f5, 0x3f02c8dd318f783d, 0x3f0357c111ce279c, 0x3f02c35dd19719e4, 0x3f0fdbd4bd85ada7, 0x3f035d4071c685f5, 0x3f10f61f26bd7e08, 0x3f10f61f26bd7e08}, [5][7]uint64{
-		{0x3f035d4071c685f5, 0x3f02c8dd318f783d, 0x3f0357c111ce279c, 0x3f02c35dd19719e4, 0x3f0fdbd4bd85ada7, 0x3f035d4071c685f5, 0x3f0fdbd4bd85ada7},
-		{0x3ef35d4071c685f5, 0x3ef2c8dd318f783d, 0x3ef357c111ce279c, 0x3ef2c35dd19719e4, 0x3effdbd4bd85ada7, 0x3ef35d4071c685f5, 0x3effdbd4bd85ada7},
-		{0x3ee9d1ab425e07f1, 0x3ee90bd19769f5a7, 0x3ee9ca56c26834d0, 0x3ee9047d17742286, 0x3ef53d387e591e70, 0x3ee9d1ab425e07f1, 0x3ef53d387e591e70},
-		{0x3ee831d0de3bf845, 0x3ee77854cdf72720, 0x3ee82c517e4399ec, 0x3ee772d56dfec8c7, 0x3ef3e8051e7574f2, 0x3ee831d0de3bf845, 0x3ef3e8051e7574f2},
-		{0x3ee82991ce476ac0, 0x3ee77015be02999b, 0x3ee82831f6495329, 0x3ee76eb5e6048204, 0x3ef3e3e5967b2e2f, 0x3ee82991ce476ac0, 0x3ef3e3e5967b2e2f},
-	}},
-	{"ls5-cray", "4-run-block", "warm", [10]uint64{0x3eea60e1b70e2245, 0x3efdb7ea36933df7, 0x3ee92d04b8b97ec5, 0x3efd1dfbb768ec37, 0x3ee9170738d80561, 0x3efd12fcf7782f84, 0x3f02c9d579ed8763, 0x3ee92d04b8b97ec5, 0x3f04da3f09e2d5cd, 0x3f04da3f09e2d5cd}, [5][7]uint64{
-		{0x3ee92d04b8b97ec5, 0x3efd1dfbb768ec37, 0x3ee9170738d80561, 0x3efd12fcf7782f84, 0x3f02c9d579ed8763, 0x3ee92d04b8b97ec5, 0x3f02c9d579ed8763},
-		{0x3ed92d04b8b97ec5, 0x3eed1dfbb768ec37, 0x3ed9170738d80561, 0x3eed12fcf7782f84, 0x3ef2c9d579ed8763, 0x3ed92d04b8b97ec5, 0x3ef2c9d579ed8763},
-		{0x3ed0c8add07ba9d9, 0x3ee369527a45f2cf, 0x3ed0ba04d0900396, 0x3ee361fdfa501fae, 0x3ee90d1ca29209d9, 0x3ed0c8add07ba9d9, 0x3ee90d1ca29209d9},
-		{0x3ecf6d4726f721c4, 0x3ee22ffda2a56475, 0x3ecf5749a715a860, 0x3ee22a7e42ad061c, 0x3ee7798b286cba0f, 0x3ecf6d4726f721c4, 0x3ee7798b286cba0f},
-		{0x3ecf4c4ae724ebad, 0x3ee227be92b0d6f0, 0x3ecf46cb872c8d54, 0x3ee2265ebab2bf59, 0x3ee7714c18782c8a, 0x3ecf4c4ae724ebad, 0x3ee7714c18782c8a},
-	}},
-	{"ls5-cray", "irregular", "disabled", [10]uint64{0x3f07977f21f972c0, 0x3f0315d47124a11d, 0x3f074a87e26449e0, 0x3f02c8dd318f783d, 0x3f074508826beb87, 0x3f02c35dd19719e4, 0x3f143c49e545903b, 0x3f074a87e26449e0, 0x3f1509b289f9e10e, 0x3f1509b289f9e10e}, [5][7]uint64{
-		{0x3f074a87e26449e0, 0x3f02c8dd318f783d, 0x3f074508826beb87, 0x3f02c35dd19719e4, 0x3f143c49e545903b, 0x3f074a87e26449e0, 0x3f143c49e545903b},
-		{0x3ef74a87e26449e0, 0x3ef2c8dd318f783d, 0x3ef74508826beb87, 0x3ef2c35dd19719e4, 0x3f043c49e545903b, 0x3ef74a87e26449e0, 0x3f043c49e545903b},
-		{0x3eef0e0a83306280, 0x3ee90bd19769f5a7, 0x3eef06b6033a8f5f, 0x3ee9047d17742286, 0x3efafb0d31b215a4, 0x3eef0e0a83306280, 0x3efafb0d31b215a4},
-		{0x3eed1a6a2b012d2b, 0x3ee77854cdf72720, 0x3eed14eacb08ced2, 0x3ee772d56dfec8c7, 0x3ef949fc8698dcb3, 0x3eed1a6a2b012d2b, 0x3ef949fc8698dcb3},
-		{0x3eed122b1b0c9fa6, 0x3ee77015be02999b, 0x3eed10cb430e880f, 0x3ee76eb5e6048204, 0x3ef945dcfe9e95f0, 0x3eed122b1b0c9fa6, 0x3ef945dcfe9e95f0},
-	}},
-	{"ls5-cray", "irregular", "cold", [10]uint64{0x3f07977f21f972c0, 0x3f0315d47124a11d, 0x3f074a87e26449e0, 0x3f02c8dd318f783d, 0x3f074508826beb87, 0x3f02c35dd19719e4, 0x3f143c49e545903b, 0x3f074a87e26449e0, 0x3f1482769f3e80ca, 0x3f1482769f3e80ca}, [5][7]uint64{
-		{0x3f074a87e26449e0, 0x3f02c8dd318f783d, 0x3f074508826beb87, 0x3f02c35dd19719e4, 0x3f143c49e545903b, 0x3f074a87e26449e0, 0x3f143c49e545903b},
-		{0x3ef74a87e26449e0, 0x3ef2c8dd318f783d, 0x3ef74508826beb87, 0x3ef2c35dd19719e4, 0x3f043c49e545903b, 0x3ef74a87e26449e0, 0x3f043c49e545903b},
-		{0x3eef0e0a83306280, 0x3ee90bd19769f5a7, 0x3eef06b6033a8f5f, 0x3ee9047d17742286, 0x3efafb0d31b215a4, 0x3eef0e0a83306280, 0x3efafb0d31b215a4},
-		{0x3eed1a6a2b012d2b, 0x3ee77854cdf72720, 0x3eed14eacb08ced2, 0x3ee772d56dfec8c7, 0x3ef949fc8698dcb3, 0x3eed1a6a2b012d2b, 0x3ef949fc8698dcb3},
-		{0x3eed122b1b0c9fa6, 0x3ee77015be02999b, 0x3eed10cb430e880f, 0x3ee76eb5e6048204, 0x3ef945dcfe9e95f0, 0x3eed122b1b0c9fa6, 0x3ef945dcfe9e95f0},
-	}},
-	{"ls5-cray", "irregular", "warm", [10]uint64{0x3eef75d4c143b667, 0x3f02075c9bade095, 0x3eee41f7c2ef12e7, 0x3f01ba655c18b7b5, 0x3eee2bfa430d9983, 0x3f01b4e5fc20595c, 0x3f08be89d8e29b4e, 0x3eee41f7c2ef12e7, 0x3f094ae34cd47c6f, 0x3f094ae34cd47c6f}, [5][7]uint64{
-		{0x3eee41f7c2ef12e7, 0x3f01ba655c18b7b5, 0x3eee2bfa430d9983, 0x3f01b4e5fc20595c, 0x3f08be89d8e29b4e, 0x3eee41f7c2ef12e7, 0x3f08be89d8e29b4e},
-		{0x3ede41f7c2ef12e7, 0x3ef1ba655c18b7b5, 0x3ede2bfa430d9983, 0x3ef1b4e5fc20595c, 0x3ef8be89d8e29b4e, 0x3ede41f7c2ef12e7, 0x3ef8be89d8e29b4e},
-		{0x3ed42bfa81f4b744, 0x3ee7a331d020f4f1, 0x3ed41d5182091101, 0x3ee79bdd502b21d0, 0x3ef07f0690971234, 0x3ed42bfa81f4b744, 0x3ef07f0690971234},
-		{0x3ed2e3bb79dd0d77, 0x3ee6263f0322b675, 0x3ed2d8bcb9ec50c4, 0x3ee620bfa32a581c, 0x3eeeeb6c9f1f12f5, 0x3ed2e3bb79dd0d77, 0x3eeeeb6c9f1f12f5},
-		{0x3ed2d33d59f3f26b, 0x3ee61dfff32e28f0, 0x3ed2d07da9f7c33f, 0x3ee61ca01b301159, 0x3eeee32d8f2a8570, 0x3ed2d33d59f3f26b, 0x3eeee32d8f2a8570},
-	}},
-	{"knl-impi", "every-other-double", "disabled", [10]uint64{0x3f4a93a4bc076397, 0x3f49d806e089df7d, 0x3f48b29b6ea3241e, 0x3f47f6fd9325a004, 0x3f48903f56d2d671, 0x3f47d4a17b555257, 0x3f5245df1032d339, 0x3f48b29b6ea3241e, 0x3f5854cc80e46211, 0x3f5854cc80e46211}, [5][7]uint64{
-		{0x3f48b29b6ea3241e, 0x3f47f6fd9325a004, 0x3f48903f56d2d671, 0x3f47d4a17b555257, 0x3f5245df1032d339, 0x3f48b29b6ea3241e, 0x3f5245df1032d339},
-		{0x3f38b29b6ea3241e, 0x3f37f6fd9325a004, 0x3f38903f56d2d671, 0x3f37d4a17b555257, 0x3f4245df1032d339, 0x3f38b29b6ea3241e, 0x3f4245df1032d339},
-		{0x3f30771249c21815, 0x3f2ff3fcc4322ab0, 0x3f30602a39e1e44c, 0x3f2fc62ca471c31f, 0x3f385d296aee6ef8, 0x3f30771249c21815, 0x3f385d296aee6ef8},
-		{0x3f28b29b6ea3241e, 0x3f27f6fd9325a004, 0x3f28903f56d2d671, 0x3f27d4a17b555257, 0x3f3245df1032d339, 0x3f28b29b6ea3241e, 0x3f3245df1032d339},
-		{0x3f1e3373c7d36c28, 0x3f1d4c8a1c253fb9, 0x3f1e2245bbeb4552, 0x3f1d3b5c103d18e3, 0x3f26644564fef297, 0x3f1e3373c7d36c28, 0x3f26644564fef297},
-	}},
-	{"knl-impi", "every-other-double", "cold", [10]uint64{0x3f4a93a4bc076397, 0x3f49d806e089df7d, 0x3f48b29b6ea3241e, 0x3f47f6fd9325a004, 0x3f48903f56d2d671, 0x3f47d4a17b555257, 0x3f5245df1032d339, 0x3f48b29b6ea3241e, 0x3f55b6025e80c052, 0x3f55b6025e80c052}, [5][7]uint64{
-		{0x3f48b29b6ea3241e, 0x3f47f6fd9325a004, 0x3f48903f56d2d671, 0x3f47d4a17b555257, 0x3f5245df1032d339, 0x3f48b29b6ea3241e, 0x3f5245df1032d339},
-		{0x3f38b29b6ea3241e, 0x3f37f6fd9325a004, 0x3f38903f56d2d671, 0x3f37d4a17b555257, 0x3f4245df1032d339, 0x3f38b29b6ea3241e, 0x3f4245df1032d339},
-		{0x3f30771249c21815, 0x3f2ff3fcc4322ab0, 0x3f30602a39e1e44c, 0x3f2fc62ca471c31f, 0x3f385d296aee6ef8, 0x3f30771249c21815, 0x3f385d296aee6ef8},
-		{0x3f28b29b6ea3241e, 0x3f27f6fd9325a004, 0x3f28903f56d2d671, 0x3f27d4a17b555257, 0x3f3245df1032d339, 0x3f28b29b6ea3241e, 0x3f3245df1032d339},
-		{0x3f1e3373c7d36c28, 0x3f1d4c8a1c253fb9, 0x3f1e2245bbeb4552, 0x3f1d3b5c103d18e3, 0x3f26644564fef297, 0x3f1e3373c7d36c28, 0x3f26644564fef297},
-	}},
-	{"knl-impi", "every-other-double", "warm", [10]uint64{0x3f3f8b00718c8945, 0x3f449a729bc29bff, 0x3f3bc8edd6c40a55, 0x3f42b9694e5e5c86, 0x3f3b8435a7236efa, 0x3f42970d368e0ed9, 0x3f49bd999d24877f, 0x3f3bc8edd6c40a55, 0x3f504ef01ce030d8, 0x3f504ef01ce030d8}, [5][7]uint64{
-		{0x3f3bc8edd6c40a55, 0x3f42b9694e5e5c86, 0x3f3b8435a7236efa, 0x3f42970d368e0ed9, 0x3f49bd999d24877f, 0x3f3bc8edd6c40a55, 0x3f49bd999d24877f},
-		{0x3f2bc8edd6c40a55, 0x3f32b9694e5e5c86, 0x3f2b8435a7236efa, 0x3f32970d368e0ed9, 0x3f39bd999d24877f, 0x3f2bc8edd6c40a55, 0x3f39bd999d24877f},
-		{0x3f2285f3e482b18d, 0x3f28f73713287b5d, 0x3f225823c4c249fc, 0x3f28c966f36813cc, 0x3f312911136dafaa, 0x3f2285f3e482b18d, 0x3f312911136dafaa},
-		{0x3f1bc8edd6c40a55, 0x3f22b9694e5e5c86, 0x3f1b8435a7236efa, 0x3f22970d368e0ed9, 0x3f29bd999d24877f, 0x3f1bc8edd6c40a55, 0x3f29bd999d24877f},
-		{0x3f10e6f81296f74a, 0x3f16d95d78b9d8f7, 0x3f10d5ca06aed074, 0x3f16c82f6cd1b221, 0x3f1f7c0f14c17050, 0x3f10e6f81296f74a, 0x3f1f7c0f14c17050},
-	}},
-	{"knl-impi", "4-run-block", "disabled", [10]uint64{0x3f2297229ee281ed, 0x3f220a6c3a445eda, 0x3f225b017535f9fe, 0x3f21ce4b1097d6eb, 0x3f2256b5f23bf049, 0x3f21c9ff8d9dcd36, 0x3f2e342426f87c53, 0x3f225b017535f9fe, 0x3f3214a642e6e874, 0x3f3214a642e6e874}, [5][7]uint64{
-		{0x3f225b017535f9fe, 0x3f21ce4b1097d6eb, 0x3f2256b5f23bf049, 0x3f21c9ff8d9dcd36, 0x3f2e342426f87c53, 0x3f225b017535f9fe, 0x3f2e342426f87c53},
-		{0x3f125b017535f9fe, 0x3f11ce4b1097d6eb, 0x3f1256b5f23bf049, 0x3f11c9ff8d9dcd36, 0x3f1e342426f87c53, 0x3f125b017535f9fe, 0x3f1e342426f87c53},
-		{0x3f08795746f2a2a8, 0x3f07bdb96b751e8e, 0x3f08739d42fa95b6, 0x3f07b7ff677d119c, 0x3f1422c2c4a5a837, 0x3f08795746f2a2a8, 0x3f1422c2c4a5a837},
-		{0x3f025b017535f9fe, 0x3f01ce4b1097d6eb, 0x3f0256b5f23bf049, 0x3f01c9ff8d9dcd36, 0x3f0e342426f87c53, 0x3f025b017535f9fe, 0x3f0e342426f87c53},
-		{0x3ef6911d46fc6092, 0x3ef5e3ee0639bf3f, 0x3ef68ef7857f5bb7, 0x3ef5e1c844bcba64, 0x3f02931a24936ccc, 0x3ef6911d46fc6092, 0x3f02931a24936ccc},
-	}},
-	{"knl-impi", "4-run-block", "cold", [10]uint64{0x3f2297229ee281ed, 0x3f220a6c3a445eda, 0x3f225b017535f9fe, 0x3f21ce4b1097d6eb, 0x3f2256b5f23bf049, 0x3f21c9ff8d9dcd36, 0x3f2e342426f87c53, 0x3f225b017535f9fe, 0x3f30c54131b51795, 0x3f30c54131b51795}, [5][7]uint64{
-		{0x3f225b017535f9fe, 0x3f21ce4b1097d6eb, 0x3f2256b5f23bf049, 0x3f21c9ff8d9dcd36, 0x3f2e342426f87c53, 0x3f225b017535f9fe, 0x3f2e342426f87c53},
-		{0x3f125b017535f9fe, 0x3f11ce4b1097d6eb, 0x3f1256b5f23bf049, 0x3f11c9ff8d9dcd36, 0x3f1e342426f87c53, 0x3f125b017535f9fe, 0x3f1e342426f87c53},
-		{0x3f08795746f2a2a8, 0x3f07bdb96b751e8e, 0x3f08739d42fa95b6, 0x3f07b7ff677d119c, 0x3f1422c2c4a5a837, 0x3f08795746f2a2a8, 0x3f1422c2c4a5a837},
-		{0x3f025b017535f9fe, 0x3f01ce4b1097d6eb, 0x3f0256b5f23bf049, 0x3f01c9ff8d9dcd36, 0x3f0e342426f87c53, 0x3f025b017535f9fe, 0x3f0e342426f87c53},
-		{0x3ef6911d46fc6092, 0x3ef5e3ee0639bf3f, 0x3ef68ef7857f5bb7, 0x3ef5e1c844bcba64, 0x3f02931a24936ccc, 0x3ef6911d46fc6092, 0x3f02931a24936ccc},
-	}},
-	{"knl-impi", "4-run-block", "warm", [10]uint64{0x3f14f90e78e3556d, 0x3f1ed7442fc17a36, 0x3f1480cc258a458f, 0x3f1e5f01dc686a58, 0x3f1478351f963223, 0x3f1e566ad67456ec, 0x3f261988c487a51c, 0x3f1480cc258a458f, 0x3f296fe700f957f4, 0x3f296fe700f957f4}, [5][7]uint64{
-		{0x3f1480cc258a458f, 0x3f1e5f01dc686a58, 0x3f1478351f963223, 0x3f1e566ad67456ec, 0x3f261988c487a51c, 0x3f1480cc258a458f, 0x3f261988c487a51c},
-		{0x3f0480cc258a458f, 0x3f0e5f01dc686a58, 0x3f0478351f963223, 0x3f0e566ad67456ec, 0x3f161988c487a51c, 0x3f0480cc258a458f, 0x3f161988c487a51c},
-		{0x3efb566587630769, 0x3f043f5692f046e4, 0x3efb4af17f72ed84, 0x3f04399c8ef839f2, 0x3f0d7761060a317a, 0x3efb566587630769, 0x3f0d7761060a317a},
-		{0x3ef480cc258a458f, 0x3efe5f01dc686a58, 0x3ef478351f963223, 0x3efe566ad67456ec, 0x3f061988c487a51c, 0x3ef480cc258a458f, 0x3f061988c487a51c},
-		{0x3ee92f80fe1e11d7, 0x3ef2aa57b4840bde, 0x3ee92b357b240822, 0x3ef2a831f3070703, 0x3efb2cd7813981f2, 0x3ee92f80fe1e11d7, 0x3efb2cd7813981f2},
-	}},
-	{"knl-impi", "irregular", "disabled", [10]uint64{0x3f26506ac7781cd1, 0x3f220a6c3a445eda, 0x3f2614499dcb94e2, 0x3f21ce4b1097d6eb, 0x3f260ffe1ad18b2d, 0x3f21c9ff8d9dcd36, 0x3f332f6ca91b840c, 0x3f2614499dcb94e2, 0x3f33f14a5731b5e6, 0x3f33f14a5731b5e6}, [5][7]uint64{
-		{0x3f2614499dcb94e2, 0x3f21ce4b1097d6eb, 0x3f260ffe1ad18b2d, 0x3f21c9ff8d9dcd36, 0x3f332f6ca91b840c, 0x3f2614499dcb94e2, 0x3f332f6ca91b840c},
-		{0x3f1614499dcb94e2, 0x3f11ce4b1097d6eb, 0x3f160ffe1ad18b2d, 0x3f11c9ff8d9dcd36, 0x3f232f6ca91b840c, 0x3f1614499dcb94e2, 0x3f232f6ca91b840c},
-		{0x3f0d706227ba1bd8, 0x3f07bdb96b751e8e, 0x3f0d6aa823c20ee6, 0x3f07b7ff677d119c, 0x3f199490e17a0564, 0x3f0d706227ba1bd8, 0x3f199490e17a0564},
-		{0x3f0614499dcb94e2, 0x3f01ce4b1097d6eb, 0x3f060ffe1ad18b2d, 0x3f01c9ff8d9dcd36, 0x3f132f6ca91b840c, 0x3f0614499dcb94e2, 0x3f132f6ca91b840c},
-		{0x3efb2662653e5a49, 0x3ef5e3ee0639bf3f, 0x3efb243ca3c1556e, 0x3ef5e1c844bcba64, 0x3f0799b1041c6059, 0x3efb2662653e5a49, 0x3f0799b1041c6059},
-	}},
-	{"knl-impi", "irregular", "cold", [10]uint64{0x3f26506ac7781cd1, 0x3f220a6c3a445eda, 0x3f2614499dcb94e2, 0x3f21ce4b1097d6eb, 0x3f260ffe1ad18b2d, 0x3f21c9ff8d9dcd36, 0x3f332f6ca91b840c, 0x3f2614499dcb94e2, 0x3f339d7112e541ae, 0x3f339d7112e541ae}, [5][7]uint64{
-		{0x3f2614499dcb94e2, 0x3f21ce4b1097d6eb, 0x3f260ffe1ad18b2d, 0x3f21c9ff8d9dcd36, 0x3f332f6ca91b840c, 0x3f2614499dcb94e2, 0x3f332f6ca91b840c},
-		{0x3f1614499dcb94e2, 0x3f11ce4b1097d6eb, 0x3f160ffe1ad18b2d, 0x3f11c9ff8d9dcd36, 0x3f232f6ca91b840c, 0x3f1614499dcb94e2, 0x3f232f6ca91b840c},
-		{0x3f0d706227ba1bd8, 0x3f07bdb96b751e8e, 0x3f0d6aa823c20ee6, 0x3f07b7ff677d119c, 0x3f199490e17a0564, 0x3f0d706227ba1bd8, 0x3f199490e17a0564},
-		{0x3f0614499dcb94e2, 0x3f01ce4b1097d6eb, 0x3f060ffe1ad18b2d, 0x3f01c9ff8d9dcd36, 0x3f132f6ca91b840c, 0x3f0614499dcb94e2, 0x3f132f6ca91b840c},
-		{0x3efb2662653e5a49, 0x3ef5e3ee0639bf3f, 0x3efb243ca3c1556e, 0x3ef5e1c844bcba64, 0x3f0799b1041c6059, 0x3efb2662653e5a49, 0x3f0799b1041c6059},
-	}},
-	{"knl-impi", "irregular", "warm", [10]uint64{0x3f1920551c4f1fb9, 0x3f2162b9b1ab766a, 0x3f18a812c8f60fdb, 0x3f21269887feee7b, 0x3f189f7bc301fc6f, 0x3f21224d0504e4c6, 0x3f2c9e9918e67b22, 0x3f18a812c8f60fdb, 0x3f2d7aa1ec79f668, 0x3f2d7aa1ec79f668}, [5][7]uint64{
-		{0x3f18a812c8f60fdb, 0x3f21269887feee7b, 0x3f189f7bc301fc6f, 0x3f21224d0504e4c6, 0x3f2c9e9918e67b22, 0x3f18a812c8f60fdb, 0x3f2c9e9918e67b22},
-		{0x3f08a812c8f60fdb, 0x3f11269887feee7b, 0x3f089f7bc301fc6f, 0x3f11224d0504e4c6, 0x3f1c9e9918e67b22, 0x3f08a812c8f60fdb, 0x3f1c9e9918e67b22},
-		{0x3f00700c85f95fe7, 0x3f06de20b553e8a3, 0x3f006a52820152f5, 0x3f06d866b15bdbb1, 0x3f1314661099a76c, 0x3f00700c85f95fe7, 0x3f1314661099a76c},
-		{0x3ef8a812c8f60fdb, 0x3f01269887feee7b, 0x3ef89f7bc301fc6f, 0x3f01224d0504e4c6, 0x3f0c9e9918e67b22, 0x3ef8a812c8f60fdb, 0x3f0c9e9918e67b22},
-		{0x3eee4c26b38f0ad3, 0x3ef5158871cc5266, 0x3eee47db3095011e, 0x3ef51362b04f4d8b, 0x3f0199897e60f5e9, 0x3eee4c26b38f0ad3, 0x3f0199897e60f5e9},
-	}},
 }

@@ -3,31 +3,29 @@ package mpi
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
+	"repro/internal/oracle"
 	"repro/internal/perfmodel"
 )
 
 // The golden table of the collective schedules. Every (collective,
 // topology) pair runs once or twice — odd world sizes, a root that is
-// neither rank 0 nor a node leader — and testdata/collective_golden.txt
-// records, per run, every rank's integer virtual time, fabric counters
-// and error, and the run's plan-engine attribution (kernel, chunk,
-// pipelined, fused and staged fields; the plan-cache and compile
-// counters move with benign build races and are left out). Caches run
-// cold, so the order in which the ranks' goroutines touch memory cannot
-// move a row, and every move stays under datatype.ParallelPackThreshold,
-// so no row depends on the core count. The received bytes are checked
-// against the Type.Pack/Type.Unpack oracle. On a mismatch the test
-// prints every row it produced; a change that means to move a row
-// replaces the file's rows with those and says why.
-
-const collGoldenFile = "testdata/collective_golden.txt"
+// neither rank 0 nor a node leader — and the store's "collective"
+// block keeps one row per run: every rank's integer virtual time,
+// fabric counters and error, and the run's plan-engine attribution
+// (kernel, chunk, pipelined, fused and staged fields; the plan-cache
+// and compile counters move with benign build races and are left
+// out). Caches run cold, so the order in which the ranks' goroutines
+// touch memory cannot move a row, and every move stays under
+// datatype.ParallelPackThreshold, so no row depends on the core count.
+// The received bytes are checked against the Type.Pack/Type.Unpack
+// oracle. A change that means to move a row records it with
+// -golden-update and says why.
 
 // collGolden is one recorded collective run.
 type collGolden struct {
@@ -344,29 +342,11 @@ func collGoldenRow(t *testing.T, k collGolden) string {
 }
 
 // TestCollectiveGolden runs every recorded collective and compares its
-// row with the file.
+// row with the store.
 func TestCollectiveGolden(t *testing.T) {
-	data, err := os.ReadFile(collGoldenFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recorded := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	var rows []string
 	for _, k := range collGoldenCases(t) {
 		rows = append(rows, collGoldenRow(t, k))
 	}
-	bad := 0
-	for i, row := range rows {
-		if i >= len(recorded) || recorded[i] != row {
-			bad++
-			name, _, _ := strings.Cut(row, " ")
-			t.Errorf("%s: row differs from %s", name, collGoldenFile)
-		}
-	}
-	if len(rows) != len(recorded) {
-		t.Errorf("ran %d rows, %s records %d", len(rows), collGoldenFile, len(recorded))
-	}
-	if bad > 0 || len(rows) != len(recorded) {
-		t.Logf("rows of this tree:\n%s", strings.Join(rows, "\n"))
-	}
+	oracle.Golden(t, "collective", rows)
 }

@@ -150,10 +150,13 @@ func (s *collSlots) check(c *Comm, own int64, what string) (*datatype.Plan, erro
 		return nil, fmt.Errorf("%w: %s needs %d counts and displacements, have %d/%d",
 			ErrCount, what, c.size, len(s.counts), len(s.displs))
 	}
+	if err := checkCount(s.count, s.ty); err != nil {
+		return nil, err
+	}
 	for r := 0; r < c.size; r++ {
 		off, n := s.place(r)
-		if n < 0 {
-			return nil, errNegativeCount(n)
+		if err := checkCount(n, s.ty); err != nil {
+			return nil, err
 		}
 		if need := typedSpan(s.ty, n); off < 0 || off+need > int64(s.b.Len()) {
 			return nil, fmt.Errorf("%w: %s needs %d bytes at offset %d, buffer has %d",

@@ -57,8 +57,8 @@ func (c *Comm) SendvType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	if err := c.checkP2P(dest, tag); err != nil {
 		return err
 	}
-	if count < 0 {
-		return errNegativeCount(count)
+	if err := checkCount(count, ty); err != nil {
+		return err
 	}
 	return c.sendTypedFused(b, count, ty, dest, tag, sendFlags{})
 }
@@ -73,8 +73,8 @@ func (c *Comm) IsendvType(b buf.Block, count int, ty *datatype.Type, dest, tag i
 	if err := c.checkP2P(dest, tag); err != nil {
 		return nil, err
 	}
-	if count < 0 {
-		return nil, errNegativeCount(count)
+	if err := checkCount(count, ty); err != nil {
+		return nil, err
 	}
 	return c.startAsyncSend(&Request{kind: opSendFused, b: b, count: count, ty: ty, peer: dest, tag: tag}), nil
 }

@@ -2,10 +2,7 @@ package mpi
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"hash/fnv"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +10,7 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
+	"repro/internal/oracle"
 	"repro/internal/simnet"
 )
 
@@ -20,23 +18,16 @@ import (
 // quantity of a faulted typed send — both ranks' virtual time, both
 // ranks' fabric counters, the plan-engine attribution, the error each
 // rank returns — is a function of the fault plan alone, never of how
-// the engine came by a checksum. testdata/faulty_golden.txt records a
-// digest of those quantities per (send form × receiver × fault plan),
-// written from the tree that still summed the source in a second
-// strided pass (commit f6b1cfa); the contiguous and eager SendType rows
-// were recorded later, from the tree whose send engines still ran their
-// own attempt loops (commit d51fc9d). TestFaultyGolden asserts this
-// tree reproduces every row and that the received bytes equal the
-// Type.Pack/Type.Unpack oracle.
-//
-// To compare two trees row by row instead of by digest, run both with
-// -faulty-golden-dump=<file> and diff the files.
-var (
-	goldenUpdate = flag.Bool("faulty-golden-update", false, "rewrite testdata/faulty_golden.txt from this tree")
-	goldenDump   = flag.String("faulty-golden-dump", "", "also write the undigested golden rows to this file")
-)
-
-const goldenFile = "testdata/faulty_golden.txt"
+// the engine came by a checksum. The store holds one digest block per
+// send form ("faulty.<form>"), whose rows are "<form>/<receiver>/<plan>
+// <quantities>", one per receiver × fault plan. The rows were written
+// from the tree that still summed the source in a second strided pass
+// (commit f6b1cfa); the contiguous and eager SendType rows were
+// recorded later, from the tree whose send engines still ran their own
+// attempt loops (commit d51fc9d). TestFaultyGolden asserts this tree
+// reproduces every row and that the received bytes equal the
+// Type.Pack/Type.Unpack oracle; -golden-dump=<dir> on two trees gives
+// files to diff row by row.
 
 type goldenSend struct {
 	name  string
@@ -241,59 +232,13 @@ func goldenRow(t *testing.T, s goldenSend, recv string, faults *simnet.FaultPlan
 }
 
 func TestFaultyGolden(t *testing.T) {
-	// One line per send form and receiver: its name, then plan=digest
-	// for every fault plan.
-	golden := map[string]string{}
-	if !*goldenUpdate {
-		data, err := os.ReadFile(goldenFile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			f := strings.Fields(line)
-			for _, kv := range f[min(1, len(f)):] {
-				k, v, _ := strings.Cut(kv, "=")
-				golden[f[0]+"/"+k] = v
-			}
-		}
-	}
-	var out, dump bytes.Buffer
-	rows, bad := 0, 0
 	for _, s := range goldenSends() {
+		var rows []string
 		for _, recv := range goldenRecvs {
-			fmt.Fprintf(&out, "%s/%s", s.name, recv)
 			for _, p := range goldenPlans(s.elems*8/4096, !s.eager) {
-				key := s.name + "/" + recv + "/" + p.name
-				row := goldenRow(t, s, recv, p.plan())
-				h := fnv.New32a()
-				h.Write([]byte(row))
-				digest := fmt.Sprintf("%08x", h.Sum32())
-				fmt.Fprintf(&dump, "%s %s\n", key, row)
-				fmt.Fprintf(&out, " %s=%s", p.name, digest)
-				rows++
-				if !*goldenUpdate && golden[key] != digest {
-					if bad++; bad <= 5 {
-						t.Errorf("%s: digest %s, recorded %q\n  now: %s", key, digest, golden[key], row)
-					}
-				}
+				rows = append(rows, fmt.Sprintf("%s/%s/%s %s", s.name, recv, p.name, goldenRow(t, s, recv, p.plan())))
 			}
-			out.WriteByte('\n')
 		}
-	}
-	if bad > 5 {
-		t.Errorf("… and %d more rows", bad-5)
-	}
-	if !*goldenUpdate && rows != len(golden) {
-		t.Errorf("ran %d rows, %s records %d", rows, goldenFile, len(golden))
-	}
-	if *goldenDump != "" {
-		if err := os.WriteFile(*goldenDump, dump.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if *goldenUpdate {
-		if err := os.WriteFile(goldenFile, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		oracle.Golden(t, "faulty."+s.name, rows)
 	}
 }

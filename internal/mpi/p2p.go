@@ -39,8 +39,8 @@ func (c *Comm) SendType(b buf.Block, count int, ty *datatype.Type, dest, tag int
 	if err := c.checkP2P(dest, tag); err != nil {
 		return err
 	}
-	if count < 0 {
-		return errNegativeCount(count)
+	if err := checkCount(count, ty); err != nil {
+		return err
 	}
 	return c.sendTyped(b, count, ty, dest, tag, sendFlags{})
 }
@@ -50,8 +50,8 @@ func (c *Comm) SsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	if err := c.checkP2P(dest, tag); err != nil {
 		return err
 	}
-	if count < 0 {
-		return errNegativeCount(count)
+	if err := checkCount(count, ty); err != nil {
+		return err
 	}
 	return c.sendTyped(b, count, ty, dest, tag, sendFlags{forceRdv: true})
 }
@@ -64,8 +64,8 @@ func (c *Comm) BsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	if err := c.checkP2P(dest, tag); err != nil {
 		return err
 	}
-	if count < 0 {
-		return errNegativeCount(count)
+	if err := checkCount(count, ty); err != nil {
+		return err
 	}
 	n := ty.PackSize(count)
 	plan, err := typedPlan(b, count, ty)
@@ -142,8 +142,8 @@ func (c *Comm) RecvType(b buf.Block, count int, ty *datatype.Type, src, tag int)
 	if err := c.checkRecvArgs(src, tag); err != nil {
 		return Status{}, err
 	}
-	if count < 0 {
-		return Status{}, errNegativeCount(count)
+	if err := checkCount(count, ty); err != nil {
+		return Status{}, err
 	}
 	return c.recvTyped(b, count, ty, src, tag)
 }
@@ -155,9 +155,17 @@ func (c *Comm) checkP2P(dest, tag int) error {
 	return checkTag(tag)
 }
 
-// errNegativeCount is every typed entry point's error for count < 0.
-func errNegativeCount(count int) error {
-	return fmt.Errorf("%w: %d", ErrCount, count)
+// checkCount is every typed entry point's check of its count and type,
+// before anything is charged or touched: a count under zero is
+// ErrCount, a nil type datatype.ErrArgument.
+func checkCount(count int, ty *datatype.Type) error {
+	if count < 0 {
+		return fmt.Errorf("%w: %d", ErrCount, count)
+	}
+	if ty == nil {
+		return fmt.Errorf("%w: nil type", datatype.ErrArgument)
+	}
+	return nil
 }
 
 func (c *Comm) checkRecvArgs(src, tag int) error {

@@ -15,8 +15,8 @@ import (
 // and the position window inside the packed buffer — and returns the
 // window as a sub-block. op names the operation for the error text.
 func packWindow(count int, ty *datatype.Type, packed buf.Block, position *int64, op string) (buf.Block, int64, error) {
-	if count < 0 {
-		return buf.Block{}, 0, errNegativeCount(count)
+	if err := checkCount(count, ty); err != nil {
+		return buf.Block{}, 0, err
 	}
 	need := ty.PackSize(count)
 	if *position < 0 || *position+need > int64(packed.Len()) {

@@ -32,8 +32,8 @@ func (c *Comm) SendpType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	if err := c.checkP2P(dest, tag); err != nil {
 		return err
 	}
-	if count < 0 {
-		return errNegativeCount(count)
+	if err := checkCount(count, ty); err != nil {
+		return err
 	}
 	return c.sendTyped(b, count, ty, dest, tag, sendFlags{pipelined: true})
 }

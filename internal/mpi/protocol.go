@@ -138,11 +138,11 @@ func (c *Comm) deliverRdv(m *simnet.Message, dest, tag int) error {
 }
 
 // typedPlan is every typed operation's check of a user buffer, before
-// any clock charge or envelope: the count, then the plan, then the
-// buffer against it.
+// any clock charge or envelope: the count and type (checkCount), then
+// the plan, then the buffer against it.
 func typedPlan(b buf.Block, count int, ty *datatype.Type) (*datatype.Plan, error) {
-	if count < 0 {
-		return nil, errNegativeCount(count)
+	if err := checkCount(count, ty); err != nil {
+		return nil, err
 	}
 	plan, err := ty.CompilePlan(count)
 	if err != nil {

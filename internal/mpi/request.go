@@ -68,8 +68,8 @@ func (c *Comm) IsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	if err := c.checkP2P(dest, tag); err != nil {
 		return nil, err
 	}
-	if count < 0 {
-		return nil, errNegativeCount(count)
+	if err := checkCount(count, ty); err != nil {
+		return nil, err
 	}
 	return c.startAsyncSend(&Request{kind: opSendTyped, b: b, count: count, ty: ty, peer: dest, tag: tag}), nil
 }
@@ -163,8 +163,8 @@ func (c *Comm) IrecvType(b buf.Block, count int, ty *datatype.Type, src, tag int
 	if err := c.checkRecvArgs(src, tag); err != nil {
 		return nil, err
 	}
-	if count < 0 {
-		return nil, errNegativeCount(count)
+	if err := checkCount(count, ty); err != nil {
+		return nil, err
 	}
 	return c.startAsync(&Request{kind: opRecvTyped, b: b, count: count, ty: ty, peer: src, tag: tag}), nil
 }

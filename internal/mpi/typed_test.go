@@ -191,35 +191,48 @@ func TestChargeAdvancesClock(t *testing.T) {
 }
 
 // TestNegativeCountRejected: every typed send and receive entry point —
-// blocking, I, S, B, p and v forms —, the typed collectives and
-// Win.Put reject a negative count with ErrCount before anything
-// reaches the fabric or the clock.
+// blocking, I, S, B, p and v forms —, the typed collectives, Win.Put
+// and the explicit pack calls reject a negative count with ErrCount,
+// and a nil type with datatype.ErrArgument, before anything reaches
+// the fabric or the clock.
 func TestNegativeCountRejected(t *testing.T) {
-	ty := mustVec(t, 4, 1, 2)
 	b := buf.Alloc(64)
 	counts, displs := []int{1, 1}, []int{0, 1}
 	req := func(_ *Request, err error) error { return err }
 	var wins [2]*Win
 	entries := []struct {
 		name string
-		call func(c *Comm) error
+		call func(c *Comm, n int, ty *datatype.Type) error
 	}{
-		{"SendType", func(c *Comm) error { return c.SendType(b, -1, ty, 1, 0) }},
-		{"IsendType", func(c *Comm) error { return req(c.IsendType(b, -1, ty, 1, 0)) }},
-		{"SsendType", func(c *Comm) error { return c.SsendType(b, -1, ty, 1, 0) }},
-		{"BsendType", func(c *Comm) error { return c.BsendType(b, -1, ty, 1, 0) }},
-		{"SendpType", func(c *Comm) error { return c.SendpType(b, -1, ty, 1, 0) }},
-		{"SendvType", func(c *Comm) error { return c.SendvType(b, -1, ty, 1, 0) }},
-		{"IsendvType", func(c *Comm) error { return req(c.IsendvType(b, -1, ty, 1, 0)) }},
-		{"RecvType", func(c *Comm) error { _, err := c.RecvType(b, -1, ty, 1, 0); return err }},
-		{"IrecvType", func(c *Comm) error { return req(c.IrecvType(b, -1, ty, 1, 0)) }},
-		{"BcastType", func(c *Comm) error { return c.BcastType(b, -1, ty, 0) }},
-		{"GatherType", func(c *Comm) error { return c.GatherType(b, -1, ty, b, 1, ty, 0) }},
-		{"GathervType", func(c *Comm) error { return c.GathervType(b, -1, ty, b, counts, displs, ty, 0) }},
-		{"ScattervType", func(c *Comm) error { return c.ScattervType(b, counts, displs, ty, b, -1, ty, 0) }},
-		{"AllgatherType", func(c *Comm) error { return c.AllgatherType(b, -1, ty, b, 1, ty) }},
-		{"Put", func(c *Comm) error { return wins[c.Rank()].Put(b, -1, ty, 1, 0) }},
+		{"SendType", func(c *Comm, n int, ty *datatype.Type) error { return c.SendType(b, n, ty, 1, 0) }},
+		{"IsendType", func(c *Comm, n int, ty *datatype.Type) error { return req(c.IsendType(b, n, ty, 1, 0)) }},
+		{"SsendType", func(c *Comm, n int, ty *datatype.Type) error { return c.SsendType(b, n, ty, 1, 0) }},
+		{"BsendType", func(c *Comm, n int, ty *datatype.Type) error { return c.BsendType(b, n, ty, 1, 0) }},
+		{"SendpType", func(c *Comm, n int, ty *datatype.Type) error { return c.SendpType(b, n, ty, 1, 0) }},
+		{"SendvType", func(c *Comm, n int, ty *datatype.Type) error { return c.SendvType(b, n, ty, 1, 0) }},
+		{"IsendvType", func(c *Comm, n int, ty *datatype.Type) error { return req(c.IsendvType(b, n, ty, 1, 0)) }},
+		{"RecvType", func(c *Comm, n int, ty *datatype.Type) error { _, err := c.RecvType(b, n, ty, 1, 0); return err }},
+		{"IrecvType", func(c *Comm, n int, ty *datatype.Type) error { return req(c.IrecvType(b, n, ty, 1, 0)) }},
+		{"BcastType", func(c *Comm, n int, ty *datatype.Type) error { return c.BcastType(b, n, ty, 0) }},
+		{"GatherType", func(c *Comm, n int, ty *datatype.Type) error { return c.GatherType(b, n, ty, b, 1, ty, 0) }},
+		{"GathervType", func(c *Comm, n int, ty *datatype.Type) error {
+			return c.GathervType(b, n, ty, b, counts, displs, ty, 0)
+		}},
+		{"ScattervType", func(c *Comm, n int, ty *datatype.Type) error {
+			return c.ScattervType(b, counts, displs, ty, b, n, ty, 0)
+		}},
+		{"AllgatherType", func(c *Comm, n int, ty *datatype.Type) error { return c.AllgatherType(b, n, ty, b, 1, ty) }},
+		{"Put", func(c *Comm, n int, ty *datatype.Type) error { return wins[c.Rank()].Put(b, n, ty, 1, 0) }},
+		{"Pack", func(c *Comm, n int, ty *datatype.Type) error { var pos int64; return c.Pack(b, n, ty, b, &pos) }},
+		{"Unpack", func(c *Comm, n int, ty *datatype.Type) error { var pos int64; return c.Unpack(b, &pos, b, n, ty) }},
+		{"PackCompiled", func(c *Comm, n int, ty *datatype.Type) error { var pos int64; return c.PackCompiled(b, n, ty, b, &pos) }},
 	}
+	inputs := []struct {
+		name  string
+		count int
+		ty    *datatype.Type
+		want  error
+	}{{"count -1", -1, mustVec(t, 4, 1, 2), ErrCount}, {"nil type", 1, nil, datatype.ErrArgument}}
 	run2(t, func(c *Comm) error {
 		w, err := c.WinCreate(buf.Alloc(64))
 		if err != nil {
@@ -227,13 +240,15 @@ func TestNegativeCountRejected(t *testing.T) {
 		}
 		wins[c.Rank()] = w
 		if c.Rank() == 0 {
-			for _, e := range entries {
-				before := c.Wtime()
-				if err := e.call(c); !errors.Is(err, ErrCount) {
-					t.Errorf("%s(count -1) = %v, want ErrCount", e.name, err)
-				}
-				if c.Wtime() != before {
-					t.Errorf("%s(count -1) advanced the clock by %g s", e.name, c.Wtime()-before)
+			for _, in := range inputs {
+				for _, e := range entries {
+					before := c.Wtime()
+					if err := e.call(c, in.count, in.ty); !errors.Is(err, in.want) {
+						t.Errorf("%s(%s) = %v, want %v", e.name, in.name, err, in.want)
+					}
+					if c.Wtime() != before {
+						t.Errorf("%s(%s) advanced the clock by %g s", e.name, in.name, c.Wtime()-before)
+					}
 				}
 			}
 		}

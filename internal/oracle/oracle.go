@@ -1,8 +1,9 @@
 // Package oracle holds the checks that tests in several packages share:
-// whether a block holds the pattern buf.Block.FillPattern writes, and
-// whether a layout keeps its ordering and size contract. No program
-// runs them, so only _test.go files import this package (the root
-// package's TestEveryInternalFuncIsReachable enforces that).
+// whether a block holds the pattern buf.Block.FillPattern writes,
+// whether a layout keeps its ordering and size contract, and the golden
+// store every pinned output goes through (Golden). No program runs
+// them, so only _test.go files import this package (the root package's
+// TestEveryInternalFuncIsReachable enforces that).
 package oracle
 
 import (

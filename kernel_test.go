@@ -10,7 +10,9 @@ import (
 	"io/fs"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -135,6 +137,139 @@ func TestMpiPayloadCopiesMove(t *testing.T) {
 	if len(sites) != 0 {
 		t.Fatalf("payload copies in internal/mpi bypass datatype.Move at %v", sites)
 	}
+}
+
+// TestOneGoldenStore is the tripwire for ROADMAP item 17: a test pins
+// output through oracle.Golden, whose one flag pair and one
+// testdata/golden.txt per package are the only knobs and the only
+// record. So no _test.go file of the module outside internal/oracle may
+// declare a flag, or pass a testdata/ path to os.ReadFile, os.WriteFile,
+// os.Open, os.OpenFile or os.Create: a path whose expression holds a
+// "testdata" string literal, directly or through a constant or
+// variable of the file or its package. cmd/bench, a module of its own,
+// is not walked.
+func TestOneGoldenStore(t *testing.T) {
+	declares := strings.Fields("Bool BoolFunc BoolVar Duration DurationVar Float64 Float64Var Func Int Int64 Int64Var IntVar String StringVar TextVar Uint Uint64 Uint64Var UintVar Var")
+	opens := strings.Fields("ReadFile WriteFile Open OpenFile Create")
+	fset := token.NewFileSet()
+	pkgs := map[string][]*ast.File{} // directory → its parsed files
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == filepath.Join("cmd", "bench")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pkgs[dir] = append(pkgs[dir], f)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sites []string
+	for dir, files := range pkgs {
+		values := map[string]ast.Expr{} // the package-level values, for names a file does not resolve
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if vs, ok := n.(*ast.ValueSpec); ok {
+					for i := range min(len(vs.Names), len(vs.Values)) {
+						values[vs.Names[i].Name] = vs.Values[i]
+					}
+				}
+				_, isFunc := n.(*ast.FuncDecl)
+				return !isFunc
+			})
+		}
+		for _, f := range files {
+			pos := fset.Position(f.Pos())
+			if !strings.HasSuffix(pos.Filename, "_test.go") || dir == "internal/oracle" {
+				continue
+			}
+			imports := map[string]string{} // local name → import path
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				name := filepath.Base(path)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imports[name] = path
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				x, ok := sel.X.(*ast.Ident)
+				if !ok || x.Obj != nil {
+					return true
+				}
+				at := fset.Position(call.Pos()).String()
+				switch pkg := imports[x.Name]; {
+				case pkg == "flag" && slices.Contains(declares, sel.Sel.Name):
+					sites = append(sites, at+" declares a flag (flag."+sel.Sel.Name+")")
+				case pkg == "os" && slices.Contains(opens, sel.Sel.Name) && len(call.Args) > 0 &&
+					holdsTestdata(call.Args[0], values, map[*ast.Ident]bool{}):
+					sites = append(sites, at+" passes a testdata path to os."+sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(sites)
+	if len(sites) != 0 {
+		t.Fatalf("tests keep golden knobs or files of their own (oracle.Golden is the one store):\n\t%s", strings.Join(sites, "\n\t"))
+	}
+}
+
+// holdsTestdata reports whether e holds a "testdata" string literal,
+// following each identifier to the value it was declared or assigned
+// with: through the parser's scope within the file, through values
+// (the package-level values by name) beyond it.
+func holdsTestdata(e ast.Expr, values map[string]ast.Expr, seen map[*ast.Ident]bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		switch x := n.(type) {
+		case *ast.BasicLit:
+			found = x.Kind == token.STRING && strings.Contains(x.Value, "testdata")
+		case *ast.Ident:
+			if seen[x] {
+				return false
+			}
+			seen[x] = true
+			v := values[x.Name]
+			if x.Obj != nil {
+				v = nil
+				switch d := x.Obj.Decl.(type) {
+				case *ast.ValueSpec:
+					if i := slices.IndexFunc(d.Names, func(id *ast.Ident) bool { return id.Name == x.Name }); i >= 0 && i < len(d.Values) {
+						v = d.Values[i]
+					}
+				case *ast.AssignStmt:
+					if i := slices.IndexFunc(d.Lhs, func(l ast.Expr) bool { id, ok := l.(*ast.Ident); return ok && id.Name == x.Name }); i >= 0 && i < len(d.Rhs) {
+						v = d.Rhs[i]
+					}
+				}
+			}
+			found = v != nil && holdsTestdata(v, values, seen)
+		}
+		return true
+	})
+	return found
 }
 
 // TestNoPackageSwitches is the tripwire for ROADMAP item 3: a simulated
