@@ -67,7 +67,7 @@ func TestAppendedFlagRunsOnce(t *testing.T) {
 // TestFiguresGolden pins the four paper figures: the command runs with
 // CI's sweep (two points per decade, two reps, payloads over 1 MiB
 // virtual) and each CSV it writes, line by line, is the store's block
-// "<profile>.csv". The rows depend neither on the host's core count nor
+// "<profile>.csv"; the block "csv" lists those blocks. The rows depend neither on the host's core count nor
 // on when the garbage collector runs.
 func TestFiguresGolden(t *testing.T) {
 	dir := t.TempDir()
@@ -75,11 +75,14 @@ func TestFiguresGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v: %s", err, stderr)
 	}
+	var blocks []string
 	for _, p := range []string{"skx-impi", "skx-mvapich", "ls5-cray", "knl-impi"} {
 		data, err := os.ReadFile(filepath.Join(dir, p+".csv"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle.Golden(t, p+".csv", strings.Split(strings.TrimSuffix(string(data), "\n"), "\n"))
+		blocks = append(blocks, p+".csv")
+		oracle.Golden(t, blocks[len(blocks)-1], strings.Split(strings.TrimSuffix(string(data), "\n"), "\n"))
 	}
+	oracle.Golden(t, "csv", blocks)
 }

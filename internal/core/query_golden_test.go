@@ -275,13 +275,17 @@ func queryGoldenLines(t testing.TB, gp goldenProfile) []string {
 // TestQueryGolden pins every price and recommendation of the cost model
 // over the golden grid, one digest block per profile ("query.<name>"),
 // whose rows are that profile's lines: its quantities sorted by name,
-// then one line per goal. The answers do not depend on the host's core
+// then one line per goal. The block "query" lists those blocks, so a
+// profile that stops being registered fails too. The answers do not depend on the host's core
 // count. The rows were recorded through the twelve entry points Query
 // replaced, under their field names; the zero-byte collective rows
 // under a fault profile since report delivery probability 1 and a
 // finite ratio.
 func TestQueryGolden(t *testing.T) {
+	var blocks []string
 	for _, gp := range goldenProfiles(t) {
-		oracle.Golden(t, "query."+gp.name, queryGoldenLines(t, gp))
+		blocks = append(blocks, "query."+gp.name)
+		oracle.Golden(t, blocks[len(blocks)-1], queryGoldenLines(t, gp))
 	}
+	oracle.Golden(t, "query", blocks)
 }

@@ -60,11 +60,13 @@ func TestHaloStudyBuilds(t *testing.T) {
 // TestHaloStudyGolden renders E15 on the four paper installations at
 // cmd/figures' settings (eight exchange rounds, payloads over 16 MiB
 // virtual) and compares each installation's text, line by line, with
-// the store's block "halo.<profile>". Every number in it is on the
+// the store's block "halo.<profile>"; the block "halo" lists those
+// blocks. Every number in it is on the
 // virtual clock or a plan counter of study-local types, so the rows pin
 // no core count and no garbage-collector timing.
 func TestHaloStudyGolden(t *testing.T) {
 	opt := harness.DefaultOptions()
+	var blocks []string
 	for _, p := range []string{"skx-impi", "skx-mvapich", "ls5-cray", "knl-impi"} {
 		r, err := study(t, "halo").Run(p, nil, opt)
 		if err != nil {
@@ -74,6 +76,8 @@ func TestHaloStudyGolden(t *testing.T) {
 		if err := r.Render(&out); err != nil {
 			t.Fatal(err)
 		}
-		oracle.Golden(t, "halo."+p, strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n"))
+		blocks = append(blocks, "halo."+p)
+		oracle.Golden(t, blocks[len(blocks)-1], strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n"))
 	}
+	oracle.Golden(t, "halo", blocks)
 }

@@ -3,7 +3,6 @@ package figures
 import (
 	"bytes"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
 
@@ -45,18 +44,18 @@ var planLine = regexp.MustCompile(`(?m)^ +\d+ B  plan\{.*\}$`)
 // TestStudiesGolden renders E5–E12 on skx-impi at two points per decade,
 // two reps and payloads over 1 MiB virtual, with E9 at four pairs, and
 // compares each study's text, line by line and with E12's plan lines
-// masked, with the store's block "studies.<name>". The rows were
-// recorded from the output of the per-study functions the table
+// masked, with the store's block "studies.<name>"; the block "studies"
+// lists those blocks. A study missing from the table fails. The rows
+// were recorded from the output of the per-study functions the table
 // replaced.
 func TestStudiesGolden(t *testing.T) {
 	opt := harness.DefaultOptions()
 	opt.Reps = 2
 	opt.MaxRealBytes = 1 << 20
-	for _, st := range Studies() {
-		if !slices.Contains(strings.Fields("eager cache spacing blocks nodes check what-if plan"), st.Name) {
-			continue
-		}
-		if st.Name == "nodes" {
+	var blocks []string
+	for _, name := range strings.Fields("eager cache spacing blocks nodes check what-if plan") {
+		st := study(t, name)
+		if name == "nodes" {
 			st.Points = st.Points[:4]
 		}
 		var out strings.Builder
@@ -64,8 +63,10 @@ func TestStudiesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := planLine.ReplaceAllString(out.String(), "<plan stats>")
-		oracle.Golden(t, "studies."+st.Name, strings.Split(strings.TrimSuffix(text, "\n"), "\n"))
+		blocks = append(blocks, "studies."+name)
+		oracle.Golden(t, blocks[len(blocks)-1], strings.Split(strings.TrimSuffix(text, "\n"), "\n"))
 	}
+	oracle.Golden(t, "studies", blocks)
 }
 
 // TestStudyClaims checks every claim of the table on skx-impi: the

@@ -23,7 +23,8 @@ import (
 // order), on a disabled cache, on a cold one (the first call on a fresh
 // State) and on a warm one (the same call repeated on that State, so
 // the warmth the first call left behind is pinned too). The store
-// holds one block per profile, "kernel-costs.<profile>"; a row is
+// holds one block per profile, "kernel-costs.<profile>", and the block
+// "kernel-costs" that lists them; a row is
 // "<layout> <cache> <pricer>" and the bits in hex, one value for a
 // serial pricer and one per worker count for a parallel one.
 // "StagedLeg" is the staged collective leg as core priced it (one
@@ -46,6 +47,7 @@ type pricer func(s *memsim.State) float64
 
 func TestKernelCostsGolden(t *testing.T) {
 	const src, staging, dst = buf.Region(1), buf.Region(3), buf.Region(2)
+	var blocks []string
 	for _, profile := range []string{"skx-impi", "skx-mvapich", "ls5-cray", "knl-impi"} {
 		p, err := perfmodel.ByName(profile)
 		if err != nil {
@@ -111,6 +113,8 @@ func TestKernelCostsGolden(t *testing.T) {
 				}
 			}
 		}
-		oracle.Golden(t, "kernel-costs."+profile, rows)
+		blocks = append(blocks, "kernel-costs."+profile)
+		oracle.Golden(t, blocks[len(blocks)-1], rows)
 	}
+	oracle.Golden(t, "kernel-costs", blocks)
 }

@@ -20,7 +20,8 @@ import (
 // rank returns — is a function of the fault plan alone, never of how
 // the engine came by a checksum. The store holds one digest block per
 // send form ("faulty.<form>"), whose rows are "<form>/<receiver>/<plan>
-// <quantities>", one per receiver × fault plan. The rows were written
+// <quantities>", one per receiver × fault plan, and the block "faulty"
+// lists those blocks, so a lost send form fails too. The rows were written
 // from the tree that still summed the source in a second strided pass
 // (commit f6b1cfa); the contiguous and eager SendType rows were
 // recorded later, from the tree whose send engines still ran their own
@@ -232,6 +233,7 @@ func goldenRow(t *testing.T, s goldenSend, recv string, faults *simnet.FaultPlan
 }
 
 func TestFaultyGolden(t *testing.T) {
+	var blocks []string
 	for _, s := range goldenSends() {
 		var rows []string
 		for _, recv := range goldenRecvs {
@@ -239,6 +241,8 @@ func TestFaultyGolden(t *testing.T) {
 				rows = append(rows, fmt.Sprintf("%s/%s/%s %s", s.name, recv, p.name, goldenRow(t, s, recv, p.plan())))
 			}
 		}
-		oracle.Golden(t, "faulty."+s.name, rows)
+		blocks = append(blocks, "faulty."+s.name)
+		oracle.Golden(t, blocks[len(blocks)-1], rows)
 	}
+	oracle.Golden(t, "faulty", blocks)
 }

@@ -194,10 +194,13 @@ func TestChargeAdvancesClock(t *testing.T) {
 // blocking, I, S, B, p and v forms —, the typed collectives, Win.Put
 // and the explicit pack calls reject a negative count with ErrCount,
 // and a nil type with datatype.ErrArgument, before anything reaches
-// the fabric or the clock.
+// the fabric or the clock. The "/recv" and "/send" collective entries
+// pass a valid type on the other side, so the slot check rejects the
+// input.
 func TestNegativeCountRejected(t *testing.T) {
 	b := buf.Alloc(64)
 	counts, displs := []int{1, 1}, []int{0, 1}
+	word := mustVec(t, 1, 1, 1)
 	req := func(_ *Request, err error) error { return err }
 	var wins [2]*Win
 	entries := []struct {
@@ -222,6 +225,11 @@ func TestNegativeCountRejected(t *testing.T) {
 			return c.ScattervType(b, counts, displs, ty, b, n, ty, 0)
 		}},
 		{"AllgatherType", func(c *Comm, n int, ty *datatype.Type) error { return c.AllgatherType(b, n, ty, b, 1, ty) }},
+		{"GatherType/recv", func(c *Comm, n int, ty *datatype.Type) error { return c.GatherType(b, 1, word, b, n, ty, 0) }},
+		{"AllgatherType/recv", func(c *Comm, n int, ty *datatype.Type) error { return c.AllgatherType(b, 1, word, b, n, ty) }},
+		{"ScattervType/send", func(c *Comm, n int, ty *datatype.Type) error {
+			return c.ScattervType(b, []int{n, n}, displs, ty, b, 1, word, 0)
+		}},
 		{"Put", func(c *Comm, n int, ty *datatype.Type) error { return wins[c.Rank()].Put(b, n, ty, 1, 0) }},
 		{"Pack", func(c *Comm, n int, ty *datatype.Type) error { var pos int64; return c.Pack(b, n, ty, b, &pos) }},
 		{"Unpack", func(c *Comm, n int, ty *datatype.Type) error { var pos int64; return c.Unpack(b, &pos, b, n, ty) }},

@@ -20,7 +20,11 @@ import (
 // "name sha256 rowcount" (the digest covers the rows joined by "\n",
 // with a trailing newline); a block of at most maxStoredRows bytes also
 // keeps its rows, one per line behind a '|', so a mismatch there names
-// the first differing row and the file diffs row by row.
+// the first differing row and the file diffs row by row. Golden cannot
+// see a stored block that no run produces any more, so a test that
+// writes several blocks also pins their names, as the rows of one more
+// block named after their common prefix: a block that goes missing or
+// is renamed then fails there.
 var (
 	goldenUpdate = flag.Bool("golden-update", false, "rewrite the blocks this run produces in testdata/golden.txt")
 	goldenDump   = flag.String("golden-dump", "", "write each block this run produces to `dir`/<name>.txt")
