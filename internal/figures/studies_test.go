@@ -69,6 +69,41 @@ func TestStudiesGolden(t *testing.T) {
 	oracle.Golden(t, "studies", blocks)
 }
 
+// planCache matches the plan-cache hit/miss counter of a printed
+// PlanStats delta. It reads the process-global plan cache, which
+// whatever ran earlier in the process has warmed, so
+// TestRendezvousStudiesGolden masks it; ROADMAP item 3, which takes the
+// global PlanStats away, deletes the mask.
+var planCache = regexp.MustCompile(`cache=\d+/\d+`)
+
+// TestRendezvousStudiesGolden renders E16 (pipeline) and E18 (chaos),
+// the two studies that drive SendpType, on the four paper
+// installations at cmd/figures' defaults, and compares each study ×
+// installation's text with the store's block "<study>.<profile>"; the
+// block "rendezvous" lists those blocks. Both studies print only
+// virtual-clock numbers, fault counters and plan counters of their own
+// transfers, so apart from the masked cache counter the rows pin no
+// core count and no garbage-collector timing.
+func TestRendezvousStudiesGolden(t *testing.T) {
+	var blocks []string
+	for _, name := range []string{"pipeline", "chaos"} {
+		for _, p := range []string{"skx-impi", "skx-mvapich", "ls5-cray", "knl-impi"} {
+			r, err := study(t, name).Run(p, DefaultSizes(4), harness.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			if err := r.Render(&out); err != nil {
+				t.Fatal(err)
+			}
+			text := planCache.ReplaceAllString(out.String(), "cache=H/M")
+			blocks = append(blocks, name+"."+p)
+			oracle.Golden(t, blocks[len(blocks)-1], strings.Split(strings.TrimSuffix(text, "\n"), "\n"))
+		}
+	}
+	oracle.Golden(t, "rendezvous", blocks)
+}
+
 // TestStudyClaims checks every claim of the table on skx-impi: the
 // paper's statements on E5–E12 and each closing line of E13–E21. Rows
 // that cap their repetitions run at the cap, the real-byte rows time
