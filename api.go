@@ -30,8 +30,9 @@
 // fused zero-copy rendezvous, where the compiled plan scatters the
 // sender's layout straight into the receiver's buffer in one pass — no
 // staging buffer, no MPI-internal chunking; the eleventh,
-// TypedPipelined ("pipelined"), overlaps the pack of one internal
-// chunk with the injection of the previous one through a slot ring.
+// TypedPipelined ("pipelined"), is priced as overlapping the pack of
+// one internal chunk with the injection of the previous one, while its
+// bytes pack in one pass into the receiver's buffer.
 // Measurement.PlanStats reports which kernels moved each cell's bytes,
 // including fused-vs-staged attribution.
 //

@@ -76,10 +76,10 @@ func (c *Cost) priceClean(st layout.Stats, normalized bool, p *perfmodel.Profile
 	}
 
 	// The pipelined typed send runs the same chunked staging, but the
-	// compiled pack of chunk k+1 overlaps the injection of chunk k
-	// through the slot ring, so the span collapses to the two-stage
-	// pipeline bound. Rendezvous only: the eager path packs in one
-	// shot before the envelope leaves.
+	// compiled pack of chunk k+1 is modelled overlapping the injection
+	// of chunk k, so the span collapses to the two-stage pipeline
+	// bound. Rendezvous only: the eager path packs in one shot before
+	// the envelope leaves.
 	if c.Chunks > 1 {
 		pipePack := mem.GatherCost(0, 0, st, memsim.Kernel{Engine: k.Engine}) + float64(c.Chunks)*p.ChunkOverhead
 		c.Clean[TypedPipelined] = memsim.PipelinedChunkCost(pipePack, typedWire, c.Chunks, c.Depth)
@@ -110,10 +110,10 @@ func (c *Cost) priceFaults(p *perfmodel.Profile, fp memsim.FaultProfile) {
 			continue
 		}
 		if s == TypedPipelined {
-			// A whole-transfer retry of the pipelined engine drains the
-			// slot ring and replays the span serially before the overlap
-			// refills, and a selective one replays a chunk's share of
-			// the serial pass: overlap only pays off on clean attempts.
+			// A whole-transfer retry of the pipelined engine replays the
+			// span serially before the modelled overlap refills, and a
+			// selective one replays a chunk's share of the serial pass:
+			// overlap only pays off on clean attempts.
 			resend = c.Clean[VectorType]
 		}
 		c.WholeReplay[s] = fp.InflateTransfer(clean, resend, c.Legs)

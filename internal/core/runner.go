@@ -252,10 +252,10 @@ func (r *copyingRunner) Ping() error {
 // zero-copy rendezvous (mpi.SendvType: the compiled plan packs the
 // strided source straight into the receiver's contiguous buffer in one
 // pass, no staging, no MPI-internal chunk buffers), or the
-// software-pipelined one (mpi.SendpType: the chunk loop overlaps
-// packing against injection through the chunk-slot ring — the §2.3
-// pipelining the measured installations never realise). The last two
-// fall back to the ordinary typed path at eager sizes.
+// software-pipelined one (mpi.SendpType: the chunk loop is priced as
+// packing overlapped against injection, the §2.3 pipelining the
+// measured installations never realise; its bytes pack in one pass).
+// The last two fall back to the ordinary typed path at eager sizes.
 type typedRunner struct {
 	pairState
 	scheme Scheme

@@ -33,10 +33,10 @@
 // derived-type send serialising pack and inject — and that pipelining
 // the two stages would recover the reference rate, which "in practice
 // we don't see". The pipelined scheme realises that overlap in
-// software: the rendezvous chunk loop runs on a slot ring with a pack
-// worker a configurable depth ahead of injection, so the span
-// collapses to the two-stage pipeline bound while the transfer still
-// stages through MPI-internal chunks (unlike sendv, which needs a
+// software, on the virtual clock: the rendezvous chunk loop is priced
+// as a pack worker a configurable depth ahead of injection, so the
+// span collapses to the two-stage pipeline bound while the transfer
+// still moves in MPI-internal chunks (unlike sendv, which needs a
 // scatter-capable receive path).
 package core
 

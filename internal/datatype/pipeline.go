@@ -15,9 +15,12 @@ import (
 // would be possible for this scheme to pipeline the reads and sends".
 // The NIC support is hardware; the ChunkPipeline is the software
 // equivalent: a pack worker runs a configurable depth ahead of the
-// consumer, so chunk k+1 packs while chunk k injects (or unpacks, for
-// a staged scatter). The ring is fixed at construction — depth pooled
-// slots and nothing else — so the steady state allocates nothing.
+// consumer, so chunk k+1 packs while chunk k is consumed. Its one
+// transfer is the two-stage staged scatter (pack, then unpack into a
+// layout); the pipelined rendezvous send only models the overlap and
+// packs its bytes in one pass (Plan.PackChunks). The ring is fixed at
+// construction — depth pooled slots and nothing else — so the steady
+// state allocates nothing.
 
 // PipeChunk is one packed chunk handed from the pipeline's pack worker
 // to its consumer: Data holds the packed bytes of stream range
@@ -107,7 +110,7 @@ func (cp *ChunkPipeline) worker(plan *Plan, user buf.Block, lo, hi, chunk, span 
 			}
 		},
 		func(slot buf.Block, lo, hi int64, sum uint64) bool {
-			recordPipelined(1, hi-lo)
+			RecordPipelined(1, hi-lo)
 			select {
 			case cp.ready <- PipeChunk{Data: slot.Slice(0, int(hi-lo)), Lo: lo, Hi: hi, Sum: sum, slot: slot}:
 				return true
@@ -135,12 +138,6 @@ func (cp *ChunkPipeline) Recycle(ch PipeChunk) {
 	case <-cp.quit:
 	}
 }
-
-// RecordPipelinedChunk attributes one chunk whose local work ran
-// overlapped against its neighbour's flight outside a ChunkPipeline —
-// the chunk-streamed collective hops — so PlanStats carries the
-// overlap attribution of every pipelined path.
-func RecordPipelinedChunk(n int64) { recordPipelined(1, n) }
 
 // Close stops the worker (if still running), waits for it to exit and
 // returns the ring storage to the pool. It is safe after a full drain

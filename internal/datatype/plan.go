@@ -499,9 +499,11 @@ func recordPlanChunk(k PlanKernel, ops, n int64, parallel bool) {
 	planCounters.chunkBytes.Add(n)
 }
 
-// recordPipelined attributes ops chunks of n bytes in total executed
-// by the chunk-slot pipeline's pack worker.
-func recordPipelined(ops, n int64) {
+// RecordPipelined attributes ops chunks of n bytes in total to the
+// pipelined tier: the chunk-slot pipeline's pack worker, the pipelined
+// rendezvous send (overlap modelled, bytes on the one-pass drain) and
+// the chunk-streamed collective hops.
+func RecordPipelined(ops, n int64) {
 	planCounters.pipelinedOps.Add(ops)
 	planCounters.pipelinedBytes.Add(n)
 }
@@ -509,14 +511,15 @@ func recordPipelined(ops, n int64) {
 // RecordChunks attributes the packed range [lo, hi), cut into
 // chunk-sized pieces, exactly as that many partial-range executions
 // over a virtual participant would — and, when pipelined, as chunks of
-// a ChunkPipeline's pack worker — without running them. A chunk loop
-// whose user buffer or destination is virtual moves no bytes and folds
-// no checksum, so this one step is all it does.
+// a ChunkPipeline's pack worker (the virtual staged scatter) — without
+// running them. A chunk loop whose user buffer or destination is
+// virtual moves no bytes and folds no checksum, so this one step is
+// all it does.
 func (p *Plan) RecordChunks(lo, hi, chunk int64, pipelined bool) {
 	ops := (hi - lo + chunk - 1) / chunk
 	recordPlanChunk(p.kernel, ops, hi-lo, false)
 	if pipelined {
-		recordPipelined(ops, hi-lo)
+		RecordPipelined(ops, hi-lo)
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 
 // chaosStudy is E18: the fault-recovery study. The same typed payload
 // moves between two ranks under the three rendezvous engines — the
-// serial chunk loop (SendType), the pipelined slot ring (SendpType)
-// and the fused zero-copy pass (SendvType) — while the fabric injects
-// a swept rate (Points) of uniform faults (drops, corruption,
-// truncation, duplication, reordering, delays) and the
+// serial chunk loop (SendType), the pipelined one (SendpType, its
+// overlap modelled) and the fused zero-copy pass (SendvType) — while
+// the fabric injects a swept rate (Points) of uniform faults (drops,
+// corruption, truncation, duplication, reordering, delays) and the
 // checksum/ACK/retry machinery recovers. Every cell reports goodput,
 // the p99 of the per-message completion times (retries fatten the tail
 // long before they move the mean), and the fabric's own recovery

@@ -22,9 +22,9 @@ import (
 //
 //   - serial: SendType — the measured installations' chunk loop, pack
 //     then inject per chunk with no overlap (§2.3);
-//   - pipelined: SendpType — the chunk-slot pipeline, pack of chunk
-//     k+1 overlapped against the injection of chunk k through the
-//     bounded slot ring (memsim.PipelinedChunkCost);
+//   - pipelined: SendpType — the software pipeline, pack of chunk
+//     k+1 modelled overlapping the injection of chunk k
+//     (memsim.PipelinedChunkCost), the bytes on the one-pass drain;
 //   - fused: SendvType — the zero-copy rendezvous, one pass straight
 //     into the receiver's buffer (no chunking at all), the upper
 //     bound the pipeline approaches from below.

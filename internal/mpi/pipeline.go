@@ -15,19 +15,19 @@ import (
 // overlap the two stages ("in practice we don't see this
 // performance"), which is why SendType keeps the serial chunk loop —
 // it reproduces their behaviour. SendpType is this runtime's own
-// answer: the same rendezvous protocol, but the chunk loop runs on the
-// chunk-slot pipeline (datatype.ChunkPipeline), a pack worker filling
-// a bounded ring of pooled slots a configurable depth ahead of
-// injection, so chunk k+1 packs while chunk k is on the wire. The
-// span collapses from pack+wire to the two-stage pipeline bound
-// (memsim.PipelinedChunkCost), and the ring — PipelineDepth slots of
-// InternalChunk bytes from this rank's pool shard — is the path's
-// entire allocation footprint.
+// answer: the same rendezvous protocol, with the chunk loop priced as
+// a software pipeline, a pack worker running PipelineDepth chunks
+// ahead of injection so chunk k+1 packs while chunk k is on the wire.
+// The span collapses from pack+wire to the two-stage pipeline bound
+// (memsim.PipelinedChunkCost). The overlap is modelled on the virtual
+// clock; the bytes take the one-pass drain every typed send takes,
+// packed chunk by chunk straight into the receiver's block on the pack
+// workers, so no byte is copied twice and no ring is drawn.
 
 // SendpType is the software-pipelined typed send: identical semantics
-// to SendType, but past the eager limit the rendezvous chunk loop
-// overlaps packing with injection through the slot ring. Eager-sized
-// and single-chunk payloads take the ordinary serial typed path.
+// to SendType, but past the eager limit the rendezvous chunk loop is
+// priced as packing overlapped with injection. Eager-sized and
+// single-chunk payloads take the ordinary serial typed path.
 func (c *Comm) SendpType(b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
 	if err := c.checkP2P(dest, tag); err != nil {
 		return err
@@ -113,7 +113,7 @@ func (c *Comm) ringHop(out buf.Block, dest int, in buf.Block, src int, unpack fu
 			if err := unpack(lo, hi); err != nil {
 				return err
 			}
-			datatype.RecordPipelinedChunk(hi - lo)
+			datatype.RecordPipelined(1, hi-lo)
 			recvd++
 		}
 		if sent < outPieces {

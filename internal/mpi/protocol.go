@@ -29,12 +29,12 @@ type sendFlags struct {
 	// typed receiver may expose its user layout for the direct
 	// one-pass scatter instead of allocating staging.
 	sendv bool
-	// pipelined routes the rendezvous chunk loop through the
-	// software-pipelined chunk engine (SendpType, collective legs):
-	// chunk k+1 packs into the slot ring while chunk k injects, priced
-	// by memsim.PipelinedChunkCost. The measured installations
-	// serialise the two stages (§2.3), so the paper schemes leave it
-	// unset.
+	// pipelined prices the rendezvous chunk loop as the
+	// software-pipelined chunk engine (SendpType): chunk k+1 packs
+	// while chunk k injects, modelled by memsim.PipelinedChunkCost.
+	// The bytes take the same one-pass drain as every typed send. The
+	// measured installations serialise the two stages (§2.3), so the
+	// paper schemes leave it unset.
 	pipelined bool
 }
 
@@ -154,10 +154,12 @@ func typedPlan(b buf.Block, count int, ty *datatype.Type) (*datatype.Plan, error
 // sendTyped implements the derived-datatype direct send: MPI packs the
 // payload through its internal chunk buffers and transmits, without
 // pack/inject overlap (§2.3), at the internally degraded bandwidth
-// (§4.1). Under fl.pipelined the rendezvous chunk loop runs on the
-// software-pipelined chunk engine instead: chunk k+1 packs into the
-// slot ring while chunk k injects, and the span collapses to the
-// two-stage pipeline bound (memsim.PipelinedChunkCost).
+// (§4.1). Under fl.pipelined the rendezvous chunk loop is priced as
+// the software-pipelined chunk engine instead: chunk k+1 packs while
+// chunk k injects, so the span collapses to the two-stage pipeline
+// bound (memsim.PipelinedChunkCost). The overlap is modelled; the bytes
+// take the one-pass drain of every engine, packed chunk by chunk
+// straight into the receiver's block on the pack workers.
 func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag int, fl sendFlags) error {
 	p := c.prof
 	n := ty.PackSize(count)
@@ -175,8 +177,8 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	pipelined := fl.pipelined && !eager && chunks > 1 && !p.NICPipelining
 	var k memsim.Kernel // the interpreting serial loop
 	if pipelined {
-		// The slot ring is filled by the plan's compiled kernel, one
-		// internal chunk at a time by a single pack worker.
+		// The modelled pipeline packs with the plan's compiled kernel,
+		// one internal chunk at a time on a single pack worker.
 		k.Engine = PlanKernel(plan).Engine
 	}
 	gather := c.cache.GatherCost(b.Region(), c.internal.Region(), st, k)
@@ -201,8 +203,8 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	// wire time and the NIC's own line-granular memory traffic at
 	// streaming bandwidth, plus per-chunk registration bookkeeping
 	// exposed as pipeline fill. The software-pipelined engine keeps
-	// the core pack loop but overlaps it chunk-by-chunk with the
-	// injection through the slot ring.
+	// the core pack loop but is modelled overlapping it chunk by chunk
+	// with the injection.
 	transferSpan := packWork + wire
 	if p.NICPipelining {
 		h := c.cache.Hierarchy()
@@ -253,21 +255,20 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	c.clock.AdvanceTo(packFrom)
 	// Chunk loop: pack a chunk, inject a chunk — serialised in the
 	// measured installations, overlapped under NIC pipelining or the
-	// software-pipelined slot ring. A selective replay re-packs only
-	// the damaged stream ranges through the compiled plan.
+	// software pipeline, on the clock only: the bytes pack once,
+	// straight into the receiver's block. A selective replay re-packs
+	// only the damaged stream ranges through the compiled plan.
 	covered := min(n, int64(match.Dst.Len()))
+	chunk := p.InternalChunk()
 	return c.rdvSend(m, dest, tag, n, &stage{
 		covered: covered,
 		real:    !b.IsVirtual() && !match.Dst.IsVirtual(),
 		drain: func(ss srcSums) error {
-			var err error
-			if pipelined {
-				err = c.drainPipelined(plan, b, match.Dst, covered, ss)
-			} else {
-				err = plan.PackChunks(b, match.Dst, 0, covered, p.InternalChunk(), ss.span, ss.sums)
-			}
-			if err != nil {
+			if err := plan.PackChunks(b, match.Dst, 0, covered, chunk, ss.span, ss.sums); err != nil {
 				return err
+			}
+			if pipelined {
+				datatype.RecordPipelined((covered+chunk-1)/chunk, covered)
 			}
 			c.clock.Advance(vclock.FromSeconds(transferSpan))
 			if end := ctsAt + dur(wire); c.clock.Now() < end {
@@ -298,27 +299,16 @@ type srcSums struct {
 	sums []uint64
 }
 
-// drainPipelined is the software-pipelined chunk loop: a pack worker
-// fills the bounded slot ring a configurable depth ahead
-// (datatype.ChunkPipeline) while this goroutine injects each packed
-// slot into the destination, so chunk k+1 packs while chunk k injects.
-func (c *Comm) drainPipelined(plan *datatype.Plan, user, dst buf.Block, n int64, ss srcSums) error {
-	return c.slotRing(plan, user, dst, n, ss, func(ch datatype.PipeChunk) error {
-		datatype.Move(dst, ch.Lo, ch.Data, 0, ch.Hi-ch.Lo)
-		return nil
-	})
-}
-
 // slotRing is the one consumer of the chunk-slot ring, behind
-// drainPipelined and stagedScatter: it packs plan's packed range
-// [0, n) of user through a ring of this rank's pipeline depth in
-// internal-chunk slots, hands every packed chunk to move — which
-// carries it into dst — and records the sums the pack worker folded
-// into ss. The ring is the path's entire allocation footprint, depth
-// pooled slots from this rank's shard, recycled in place and released
-// on return. With user or dst virtual there is nothing to pack, move
-// or sum: the chunks are attributed in closed form, with no ring,
-// worker or slot.
+// stagedScatter, the one real two-stage transfer (pack, then unpack
+// into a layout): it packs plan's packed range [0, n) of user through
+// a ring of this rank's pipeline depth in internal-chunk slots, hands
+// every packed chunk to move — which carries it into dst — and records
+// the sums the pack worker folded into ss. The ring is the path's
+// entire allocation footprint, depth pooled slots from this rank's
+// shard, recycled in place and released on return. With user or dst
+// virtual there is nothing to pack, move or sum: the chunks are
+// attributed in closed form, with no ring, worker or slot.
 func (c *Comm) slotRing(plan *datatype.Plan, user, dst buf.Block, n int64, ss srcSums, move func(datatype.PipeChunk) error) error {
 	if user.IsVirtual() || dst.IsVirtual() {
 		plan.RecordChunks(0, n, c.prof.InternalChunk(), true)

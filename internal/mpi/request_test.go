@@ -25,22 +25,27 @@ func issendv(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) 
 }
 
 // TestAsyncAllocBudget pins what one transfer allocates, both sides
-// together, on a clean fabric with virtual payloads: for a non-blocking
-// pair a request and its goroutine's closure per side, the envelope,
-// and the typed receiver's layout descriptor; for a blocking typed
-// rendezvous the envelope alone, as both sides run the type's cached
-// plan. The counts
-// are deterministic (no wall threshold) and equal at every GOMAXPROCS;
-// before the request diet the typed non-blocking pair cost 20 objects
-// and the contiguous pair 14. A send engine whose per-transfer state
-// escapes to the heap fails here first.
+// together, on a clean fabric: for a non-blocking pair a request and
+// its goroutine's closure per side, the envelope, and the typed
+// receiver's layout descriptor; for a blocking typed rendezvous the
+// envelope alone, as both sides run the type's cached plan. Most rows
+// move virtual payloads; the real rows move bytes, a 4 MiB contiguous
+// payload split across the pack workers and a 1 MiB pipelined typed
+// send packed straight into a contiguous typed receive's staging. The
+// counts are deterministic (no wall threshold) and equal at every
+// GOMAXPROCS; before the request diet the typed non-blocking pair cost
+// 20 objects and the contiguous pair 14, and before the pipelined send
+// took the one-pass drain its real row cost 9. A send engine whose
+// per-transfer state escapes to the heap fails here first.
 func TestAsyncAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	ty, need := everyOtherBuf(t, 1<<17) // 1 MiB of data: rendezvous everywhere
-	// The contiguous row moves real bytes, split across the pack workers.
+	// The real rows: a contiguous pair and a typed source with a
+	// contiguous typed receive.
 	contig := [2]buf.Block{buf.Alloc(datatype.ParallelPackThreshold), buf.Alloc(datatype.ParallelPackThreshold)}
+	typedSrc, packed := buf.Alloc(need), buf.Alloc(int(ty.Size()))
 	wait := func(req *Request, err error) error {
 		if err == nil {
 			_, err = req.Wait()
@@ -67,6 +72,9 @@ func TestAsyncAllocBudget(t *testing.T) {
 			func(c *Comm) error { return c.SendType(buf.Virtual(need), 1, ty, 1, 0) }, recvType},
 		{"SendpType+RecvType rendezvous", 1,
 			func(c *Comm) error { return c.SendpType(buf.Virtual(need), 1, ty, 1, 0) }, recvType},
+		{"SendpType+RecvType real rendezvous", 1,
+			func(c *Comm) error { return c.SendpType(typedSrc, 1, ty, 1, 0) },
+			func(c *Comm) error { _, err := c.RecvType(packed, packed.Len(), datatype.Byte, 0, 0); return err }},
 		{"Send+Recv real 4 MiB contiguous rendezvous", 1,
 			func(c *Comm) error { return c.Send(contig[0], 1, 0) },
 			func(c *Comm) error { _, err := c.Recv(contig[1], 0, 0); return err }},
