@@ -34,8 +34,7 @@ func issendv(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) 
 // send packed straight into a contiguous typed receive's staging. The
 // counts are deterministic (no wall threshold) and equal at every
 // GOMAXPROCS; before the request diet the typed non-blocking pair cost
-// 20 objects and the contiguous pair 14, and before the pipelined send
-// took the one-pass drain its real row cost 9. A send engine whose
+// 20 objects and the contiguous pair 14. A send engine whose
 // per-transfer state escapes to the heap fails here first.
 func TestAsyncAllocBudget(t *testing.T) {
 	if raceEnabled {
