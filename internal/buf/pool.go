@@ -63,8 +63,8 @@ var poolCounters struct {
 // ShardPoolStats is one free-list shard's slice of the pool counters.
 // Gets and Hits are attributed to the shard the block was drawn from;
 // Puts to the block's home shard — the shard the storage returns to —
-// wherever the release runs, so a pipeline's slot ring (or any other
-// per-rank transit churn) is attributable shard by shard.
+// wherever the release runs, so a rank's staging and transit churn is
+// attributable shard by shard.
 type ShardPoolStats struct {
 	Gets int64
 	Hits int64

@@ -157,8 +157,8 @@ type Cost struct {
 	Workers    int
 	Normalized bool
 	// Chunks is the internal-chunk count of a point-to-point transfer.
-	// Depth is its pipeline's slot-ring depth, or for a collective the
-	// binomial tree's critical-path hop count ⌈log₂ Ranks⌉.
+	// Depth is its pipeline's modelled slot-ring depth, or for a
+	// collective the binomial tree's critical-path hop count ⌈log₂ Ranks⌉.
 	Chunks int64
 	Depth  int
 	// Legs is the faultable delivery legs per attempt (per hop for a

@@ -11,11 +11,11 @@ import "repro/internal/buf"
 // iterator's per-run Run/Advance serves only what has no fixed stride
 // to batch over: the partial runs a range edge cuts and gather-table
 // segments. The fold is chunk-invariant (see buf.Checksum): a sender
-// summing per internal chunk or pipeline slot and a receiver summing
-// the whole stream agree. It is the receiver's tool (LandedSum and
-// ChecksumChunks run it over what landed): a sender's sums are folded
-// by the move that packs or fuses the bytes (PackRangeSum, PackChunks,
-// FusedCopySum, NewChunkPipelineSum), and PlanStats.ChecksumBytes
+// summing per internal chunk and a receiver summing the whole stream
+// agree. It is the receiver's tool (LandedSum and ChecksumChunks run it
+// over what landed): a sender's sums are folded by the move that packs,
+// stages or fuses the bytes (PackRangeSum, PackChunks, StageChunks,
+// FusedCopySum), and PlanStats.ChecksumBytes
 // counts the passes made here so that a sender making one shows.
 //
 // Virtual user blocks are skipped length-only, so both ends of a

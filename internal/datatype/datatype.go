@@ -39,8 +39,9 @@
 //     the program is compiled and normalized at Commit, so steady-state
 //     packing does no compilation and no allocation.
 //  2. Compiled-chunked: partial-range transfers (PackRange,
-//     UnpackRange, and the one chunk loop behind PackChunks and the
-//     ChunkPipeline that internal/mpi's rendezvous sends drain) enter
+//     UnpackRange, and the one chunked move behind PackChunks, which
+//     internal/mpi's rendezvous sends drain through, and StageChunks,
+//     its staged scatter, and the ChunkPipeline iterator) enter
 //     the same executors mid-stream — one seek, then the batched
 //     moves — resuming exactly where the previous chunk stopped.
 //

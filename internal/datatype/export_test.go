@@ -6,6 +6,7 @@ import "repro/internal/buf"
 // core count, for the package's external tests.
 var (
 	PackChunksW   = (*Plan).packChunks
+	StageChunksW  = (*Plan).stageChunks
 	PackRangeSumW = (*Plan).packRangeSum
 	SplitPoint    = splitPoint
 )

@@ -12,10 +12,11 @@ import (
 // execution goes through it — a whole message or a large chunk split at
 // cache-line cuts (runParallelRange), a large contiguous payload copy at
 // the same cuts (Move), a fused pass (fusedExec), and summed work split
-// at piece boundaries: PackRangeSum's pieces, PackChunks' chunks and a
-// receiver's per-chunk verify (ChecksumChunks). A summed piece never
-// straddles two shares, so each sum stays one sequential chain, folded
-// by one worker, and the sums and bytes are those of a serial run.
+// at piece boundaries: PackRangeSum's pieces, the chunks of PackChunks
+// and StageChunks, and a receiver's per-chunk verify (ChecksumChunks).
+// A summed piece never straddles two shares, so each sum stays one
+// sequential chain, folded by one worker, and the sums and bytes are
+// those of a serial run.
 //
 // A fan-out allocates nothing once warm. A share travels to its
 // goroutine as a fanTask value over a buffered channel, naming the
@@ -35,7 +36,9 @@ type fanTask struct {
 
 	p, q         *Plan
 	user, stream buf.Block
-	dir          direction
+	// out is the layout a staged chunk unpacks into through q.
+	out buf.Block
+	dir direction
 	// base is where the whole range starts: the packed position of the
 	// stream block's byte 0, and where piece 0 begins.
 	base int64
@@ -46,8 +49,13 @@ type fanTask struct {
 	// covers [base+i*size, base+(i+1)*size) and its sum goes to sums[i].
 	size int64
 	sums []uint64
+	// span is where a chunked move's running sum restarts, every span
+	// bytes from base (span 0 sums nothing).
+	span int64
 	// set names the pieces a verify sums (bit i%64 of set[i/64]).
 	set []uint64
+	// share is the task's index among its fan-out's w shares.
+	share int
 }
 
 var (
@@ -80,14 +88,14 @@ func fanOut(t fanTask, lo, hi, align int64, w int) {
 	wg := fanJoins.Get().(*sync.WaitGroup)
 	t.wg = wg
 	for k := 0; k < w-1; k++ {
-		t.from, t.to = splitPoint(lo, hi, k, w, align), splitPoint(lo, hi, k+1, w, align)
+		t.from, t.to, t.share = splitPoint(lo, hi, k, w, align), splitPoint(lo, hi, k+1, w, align), k
 		if t.from < t.to {
 			wg.Add(1)
 			go fanWorker()
 			fanTasks <- t
 		}
 	}
-	t.from, t.to = splitPoint(lo, hi, w-1, w, align), hi
+	t.from, t.to, t.share = splitPoint(lo, hi, w-1, w, align), hi, w-1
 	t.run(t)
 	wg.Wait()
 	fanJoins.Put(wg)

@@ -216,6 +216,47 @@ func TestFanOutConcurrentCalls(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFanOutStageMatchesSerial: StageChunks lands in the receiver's
+// layout what PackRange then UnpackRange land, and folds the sums of
+// the serial run, at every fan-out, over whole ranges and ranges that
+// start mid-stream; it draws one staging block from the given shard and
+// returns it.
+func TestFanOutStageMatchesSerial(t *testing.T) {
+	for _, c := range fanCases(t) {
+		stream := packed(t, c)
+		n := c.plan.Bytes()
+		for _, lo := range []int64{0, 1000} {
+			want := buf.Alloc(c.src.Len())
+			if err := c.plan.UnpackRange(buf.FromBytes(stream[lo:]), want, lo, n); err != nil {
+				t.Fatal(err)
+			}
+			wantSums := pieceSums(stream[lo:], fanChunk)
+			for _, summed := range []bool{false, true} {
+				for _, w := range fanWorkers {
+					out := buf.Alloc(c.src.Len())
+					span, sums := int64(0), []uint64(nil)
+					if summed {
+						span, sums = fanChunk, make([]uint64, len(wantSums))
+					}
+					before := buf.PoolStatsSnapshot()
+					if err := datatype.StageChunksW(c.plan, c.plan, c.src, out, lo, n, fanChunk, span, sums, 5, w); err != nil {
+						t.Fatalf("%s lo=%d w=%d: %v", c.name, lo, w, err)
+					}
+					if d := buf.PoolStatsSnapshot().Sub(before); d.Shards[5].Gets != 1 || d.Shards[5].Puts != 1 {
+						t.Errorf("%s lo=%d w=%d: staging drew %d and returned %d blocks on shard 5, want 1 and 1", c.name, lo, w, d.Shards[5].Gets, d.Shards[5].Puts)
+					}
+					if !bytes.Equal(out.Bytes(), want.Bytes()) {
+						t.Errorf("%s lo=%d summed=%v w=%d: staged layout differs from PackRange+UnpackRange", c.name, lo, summed, w)
+					}
+					if !slices.Equal(sums, wantSums[:len(sums)]) {
+						t.Errorf("%s lo=%d w=%d: staged sums differ from the serial stream's", c.name, lo, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSplitPointRelativeToLo: cuts fall on multiples of align counted
 // from lo, so a summed range that starts mid-stream is cut between its
 // pieces, never inside one.
@@ -242,9 +283,10 @@ func TestSplitPointRelativeToLo(t *testing.T) {
 	}
 }
 
-// TestFanOutAllocatesNothing: a 4 MiB summed PackChunks, a chunk
-// verify through a layout and over staging, and a contiguous Move
-// allocate nothing at any fan-out, and leave no goroutine behind.
+// TestFanOutAllocatesNothing: a 4 MiB summed PackChunks and staged
+// move (its staging pooled), a chunk verify through a layout and over
+// staging, and a contiguous Move allocate nothing at any fan-out, and
+// leave no goroutine behind.
 func TestFanOutAllocatesNothing(t *testing.T) {
 	const n, chunk = 4 << 20, 512 << 10
 	ty, err := datatype.Vector(n/8, 1, 2, datatype.Float64)
@@ -258,7 +300,7 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, dst := buf.Alloc(int(ty.Extent())), buf.Alloc(n)
+	src, dst, out := buf.Alloc(int(ty.Extent())), buf.Alloc(n), buf.Alloc(int(ty.Extent()))
 	sums := make([]uint64, n/chunk)
 	set := []uint64{1<<(n/chunk) - 1}
 	for _, w := range []int{2, 8} {
@@ -269,6 +311,11 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 		}{
 			{"PackChunks", func() {
 				if err := datatype.PackChunksW(plan, src, dst, 0, n, chunk, chunk, sums, w); err != nil {
+					panic(err)
+				}
+			}},
+			{"staged move", func() {
+				if err := datatype.StageChunksW(plan, plan, src, out, 0, n, chunk, chunk, sums, 0, w); err != nil {
 					panic(err)
 				}
 			}},

@@ -17,13 +17,13 @@ func sumOf(packed []byte) uint64 { return buf.ChecksumOf(buf.FromBytes(packed)) 
 // mid-run cuts included — and sum spans: a folded PackRange equals
 // PackRange plus ChecksumRange per piece, PackChunks folding a running
 // checksum through fuzz-sized chunks, restarted every chunk or run over
-// the whole stream, equals ChecksumRange per span, the summing
-// pipeline's chunks carry ChecksumRange of their [Lo, Hi),
+// the whole stream, equals ChecksumRange per span, and so do the sums
+// of the staged move, whose layout equals PackRange plus UnpackRange;
 // and the folded fused copy equals FusedCopy plus ChecksumRange per
 // piece at one, two and three workers.
 func FuzzFoldedMove(f *testing.F) {
-	// A first type, then range cut, span, chunk and depth draws, then the
-	// receiver type of the fused pair.
+	// A first type, then range cut, span, chunk and worker draws, then the
+	// receiver type of the fused and staged pairs.
 	f.Add([]byte{2, 1, 1, 29, 0, 1, 0, 7, 8, 40, 8, 15, 1, 2, 1, 1, 7, 3, 4, 1})        // vector(30,1,2,f64) -> vector(8,4,8,f64): the bench pair
 	f.Add([]byte{2, 1, 1, 8, 1, 3, 2, 11, 3, 90, 5, 6, 2, 2, 1, 0, 12, 1})              // vector(9,2,5) -> contiguous, cuts mid-run
 	f.Add([]byte{2, 1, 2, 6, 0, 16, 1, 5, 17, 200, 8, 23, 0, 2, 1, 1, 5, 2, 4, 1})      // hvector -> vector
@@ -102,30 +102,9 @@ func FuzzFoldedMove(f *testing.F) {
 			pieceSums("PackChunks", plan, 0, total, sumSpan, sums)
 		}
 
-		// The summing pipeline, each chunk alone and the range as one.
-		depth := d.intn(4) + 1
-		for _, sumSpan := range []int64{chunk, total} {
-			cp, err := NewChunkPipelineSum(plan, src, 0, total, chunk, depth, 0, sumSpan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for {
-				ch, ok := cp.Next()
-				if !ok {
-					break
-				}
-				from := ch.Lo - ch.Lo%sumSpan
-				if !bytes.Equal(ch.Data.Bytes(), packed[ch.Lo:ch.Hi]) || ch.Sum != sumOf(packed[from:ch.Hi]) {
-					t.Fatalf("pipeline chunk [%d,%d) span %d: bytes or sum differ (%v count=%d chunk=%d depth=%d)",
-						ch.Lo, ch.Hi, sumSpan, ty, count, chunk, depth)
-				}
-				if sumSpan == chunk {
-					pieceSums("pipeline", plan, ch.Lo, ch.Hi, chunk, []uint64{ch.Sum})
-				}
-				cp.Recycle(ch)
-			}
-			cp.Close()
-		}
+		// The staged move's fan-out, drawn here so the corpus keeps its
+		// byte order; it runs once the receiver type is known.
+		workers := d.intn(4) + 1
 
 		// The folded fused copy, with the explicit fan-out so that the
 		// piece-aligned split is exercised on any host.
@@ -142,6 +121,25 @@ func FuzzFoldedMove(f *testing.F) {
 		if !dstPlan.FusedDstSafe() || both == 0 {
 			return
 		}
+		// The staged move, each chunk summed alone and the range as one,
+		// against PackRange then UnpackRange into the receiver's layout.
+		staged := buf.Alloc(userBufLen(dstTy, dstCount))
+		if err := dstPlan.UnpackRange(buf.FromBytes(packed[:both]), staged, 0, both); err != nil {
+			t.Fatal(err)
+		}
+		for _, sumSpan := range []int64{chunk, both} {
+			got := buf.Alloc(staged.Len())
+			sums := make([]uint64, (both+sumSpan-1)/sumSpan)
+			if err := plan.stageChunks(dstPlan, src, got, 0, both, chunk, sumSpan, sums, 0, workers); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), staged.Bytes()) {
+				t.Fatalf("StageChunks in %d-byte chunks at %d workers: layout differs from PackRange+UnpackRange (%v count=%d -> %v count=%d)",
+					chunk, workers, ty, count, dstTy, dstCount)
+			}
+			pieceSums("StageChunks", plan, 0, both, sumSpan, sums)
+		}
+
 		want := buf.Alloc(userBufLen(dstTy, dstCount))
 		if _, err := FusedCopy(plan, dstPlan, src, want); err != nil {
 			t.Fatal(err)

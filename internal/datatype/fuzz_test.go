@@ -237,9 +237,9 @@ func FuzzPackRoundtrip(f *testing.F) {
 			lo = hi
 		}
 
-		// Pipelined differential: drive the chunk-slot pipeline over a
-		// fuzz-drawn chunk size and ring depth and require the
-		// reassembled stream to match the whole-message pack — the
+		// Pipelined differential: drive the chunk iterator over a
+		// fuzz-drawn chunk size (and depth, which it ignores) and require
+		// the reassembled stream to match the whole-message pack — the
 		// chunk-split shape of the pipelined rendezvous.
 		if total > 0 {
 			chunk := int64(d.byte()) + 1

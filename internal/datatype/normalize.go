@@ -17,7 +17,7 @@ import (
 // same executor, iterator and fused pair kernel as a regular run/gap
 // program instead of on the table walk. Every execution tier —
 // Plan.Pack/Unpack, the chunked PackRange/UnpackRange,
-// SegIter/FusedCopy, ChunkPipeline and ChecksumRange — runs the
+// SegIter/FusedCopy, PackChunks/StageChunks and ChecksumRange — runs the
 // normalized program.
 //
 // The pass is semantics-preserving by construction: a candidate form

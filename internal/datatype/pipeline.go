@@ -1,158 +1,72 @@
 package datatype
 
-import (
-	"fmt"
+import "repro/internal/buf"
 
-	"repro/internal/buf"
-)
+// This file implements the chunk iterator: a plan's packed stream
+// handed out chunk by chunk through one pooled slot, each chunk packed
+// by Next on the calling goroutine. The overlap of pack and inject
+// (§2.3) is priced on the virtual clock (memsim.PipelinedChunkCost),
+// and every chunked transfer moves its bytes on the pack workers
+// (PackChunks, StageChunks); the iterator runs no stage of its own.
 
-// This file implements the chunk-slot pipeline: a software-pipelined
-// execution of a compiled plan's packed stream through a bounded ring
-// of pooled slots. The paper's cost model (§2.3) shows the chunked
-// derived-type send serialising pack and inject — the sender packs a
-// chunk into an internal buffer, transmits it, packs the next — and
-// observes that "with enough support of the NIC and its firmware, it
-// would be possible for this scheme to pipeline the reads and sends".
-// The NIC support is hardware; the ChunkPipeline is the software
-// equivalent: a pack worker runs a configurable depth ahead of the
-// consumer, so chunk k+1 packs while chunk k is consumed. Its one
-// transfer is the two-stage staged scatter (pack, then unpack into a
-// layout); the pipelined rendezvous send only models the overlap and
-// packs its bytes in one pass (Plan.PackChunks). The ring is fixed at
-// construction — depth pooled slots and nothing else — so the steady
-// state allocates nothing.
-
-// PipeChunk is one packed chunk handed from the pipeline's pack worker
-// to its consumer: Data holds the packed bytes of stream range
-// [Lo, Hi), backed by a ring slot that Recycle returns to the packer.
+// PipeChunk is one packed chunk of a ChunkPipeline: Data holds the
+// packed bytes of stream range [Lo, Hi), backed by the pipeline's slot.
 type PipeChunk struct {
 	Data   buf.Block
 	Lo, Hi int64
-	// Sum, on a NewChunkPipelineSum pipeline, is the checksum of the
-	// packed bytes from the last multiple of the sum span up to Hi: the
-	// last chunk of a span carries the span's sum.
-	Sum uint64
-
-	slot buf.Block // the ring slot backing Data
 }
 
-// ChunkPipeline runs the plan's chunk loop over a bounded ring of
-// pooled slots with a pack worker running up to depth chunks ahead of
-// the consumer. Obtain chunks in stream order with Next, hand each slot
-// back with Recycle, and Close when done (early exits included) —
-// Close joins the worker and returns the ring storage to the pool.
-//
-// The ring is the pipeline's entire footprint: depth slots drawn from
-// the caller's pool shard at construction, recycled in place, released
-// at Close. A consumer that holds every chunk without recycling
-// deadlocks against its own worker, exactly like a bounded queue.
+// ChunkPipeline packs the plan's chunk loop through one pooled slot:
+// obtain chunks in stream order with Next and Close when done (early
+// exits included), which returns the slot to the pool. A chunk's Data
+// is valid until the next call of Next or Close; Recycle does nothing.
 type ChunkPipeline struct {
-	slots []buf.Block
-	ready chan PipeChunk
-	free  chan buf.Block
-	quit  chan struct{}
-	done  bool
+	plan          *Plan
+	user, slot    buf.Block
+	at, hi, chunk int64
 }
 
-// NewChunkPipeline validates and starts a pipeline packing the plan's
-// packed byte range [lo, hi) out of user in chunk-sized pieces through
-// a depth-slot ring drawn from the given pool shard (the caller's
-// rank). depth is clamped to [1, chunks]; chunk must be positive.
+// NewChunkPipeline validates the packed byte range [lo, hi) of user and
+// draws the chunk-sized slot its chunks pack into from the given pool
+// shard (the caller's rank); a virtual user draws nothing. chunk must be
+// positive. depth is accepted and unused: pipeline depth is a modelled
+// quantity of the virtual clock (perfmodel.Profile.PipelineDepth).
 func NewChunkPipeline(plan *Plan, user buf.Block, lo, hi, chunk int64, depth, shard int) (*ChunkPipeline, error) {
-	return NewChunkPipelineSum(plan, user, lo, hi, chunk, depth, shard, 0)
-}
-
-// NewChunkPipelineSum is NewChunkPipeline whose pack worker checksums
-// what it packs in the same pass (PipeChunk.Sum), starting afresh every
-// span packed bytes from lo: span == chunk sums each chunk alone, span
-// >= hi-lo the whole range; otherwise a multiple of chunk. 0 sums
-// nothing, nor does a virtual user block.
-func NewChunkPipelineSum(plan *Plan, user buf.Block, lo, hi, chunk int64, depth, shard int, span int64) (*ChunkPipeline, error) {
-	if err := checkSums(hi-lo, chunk, span, nil); err != nil {
+	if err := checkSums(hi-lo, chunk, 0, nil); err != nil {
 		return nil, err
 	}
-	if lo < 0 || hi < lo || hi > plan.total {
-		return nil, fmt.Errorf("%w: pipeline range [%d,%d) of %d-byte stream", ErrArgument, lo, hi, plan.total)
-	}
-	if err := plan.Validate(user); err != nil {
+	if err := plan.checkWindow(user, lo, hi); err != nil {
 		return nil, err
 	}
-	depth = max(1, min(depth, int((hi-lo+chunk-1)/chunk)))
-	cp := &ChunkPipeline{
-		slots: make([]buf.Block, depth),
-		ready: make(chan PipeChunk, depth),
-		free:  make(chan buf.Block, depth),
-		quit:  make(chan struct{}),
+	cp := &ChunkPipeline{plan: plan, user: user, at: lo, hi: hi, chunk: chunk}
+	if user.IsVirtual() {
+		cp.slot = buf.Virtual(int(chunk))
+	} else {
+		cp.slot = buf.GetPooledFor(shard, int(chunk))
 	}
-	for i := range cp.slots {
-		if user.IsVirtual() {
-			cp.slots[i] = buf.Virtual(int(chunk))
-		} else {
-			cp.slots[i] = buf.GetPooledFor(shard, int(chunk))
-		}
-		cp.free <- cp.slots[i]
-	}
-	go cp.worker(plan, user, lo, hi, chunk, span)
 	return cp, nil
 }
 
-// worker is the pack stage: it runs the plan's chunk loop over free
-// slots ahead of the consumer and hands them over in stream order.
-func (cp *ChunkPipeline) worker(plan *Plan, user buf.Block, lo, hi, chunk, span int64) {
-	defer close(cp.ready)
-	plan.chunkLoop(user, lo, hi, chunk, span,
-		func(_, _ int64) (buf.Block, bool) {
-			select {
-			case slot := <-cp.free:
-				return slot, true
-			case <-cp.quit:
-				return buf.Block{}, false
-			}
-		},
-		func(slot buf.Block, lo, hi int64, sum uint64) bool {
-			RecordPipelined(1, hi-lo)
-			select {
-			case cp.ready <- PipeChunk{Data: slot.Slice(0, int(hi-lo)), Lo: lo, Hi: hi, Sum: sum, slot: slot}:
-				return true
-			case <-cp.quit:
-				return false
-			}
-		})
-}
-
-// Next returns the next packed chunk in stream order; ok is false once
-// the range is exhausted. The chunk's slot belongs to the consumer
-// until Recycle hands it back.
+// Next packs the next chunk in stream order into the slot and returns
+// it; ok is false once the range is exhausted or the pipeline closed.
 func (cp *ChunkPipeline) Next() (PipeChunk, bool) {
-	ch, ok := <-cp.ready
-	return ch, ok
+	if cp.at >= cp.hi {
+		return PipeChunk{}, false
+	}
+	a, b := cp.at, min(cp.at+cp.chunk, cp.hi)
+	blk := cp.slot.Slice(0, int(b-a))
+	cp.plan.packChunk(cp.user, blk, a, b, nil)
+	RecordPipelined(1, b-a)
+	cp.at = b
+	return PipeChunk{Data: blk, Lo: a, Hi: b}, true
 }
 
-// Recycle returns a consumed chunk's slot to the pack worker.
-func (cp *ChunkPipeline) Recycle(ch PipeChunk) {
-	if ch.slot.Len() == 0 && ch.Hi == ch.Lo {
-		return
-	}
-	select {
-	case cp.free <- ch.slot:
-	case <-cp.quit:
-	}
-}
+// Recycle does nothing: the next Next reuses the one slot.
+func (cp *ChunkPipeline) Recycle(PipeChunk) {}
 
-// Close stops the worker (if still running), waits for it to exit and
-// returns the ring storage to the pool. It is safe after a full drain
-// and after an early exit; the pipeline must not be used afterwards.
+// Close returns the slot to the pool. It is safe after a full drain,
+// after an early exit and twice; the pipeline yields nothing afterwards.
 func (cp *ChunkPipeline) Close() {
-	if cp.done {
-		return
-	}
-	cp.done = true
-	close(cp.quit)
-	// The worker either observed quit or finished and closed ready;
-	// draining ready synchronises with its exit either way.
-	for range cp.ready {
-	}
-	for _, s := range cp.slots {
-		buf.PutPooled(s)
-	}
+	buf.PutPooled(cp.slot)
+	cp.slot, cp.at = buf.Block{}, cp.hi
 }

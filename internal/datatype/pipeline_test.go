@@ -34,7 +34,8 @@ func pipelineLayouts(t testing.TB) map[string]*Type {
 
 // TestChunkPipelineMatchesPack pins the pipeline's stream byte-for-byte
 // against the whole-message compiled pack across layouts, chunk sizes
-// and ring depths, and checks the chunk attribution.
+// and depths (which the iterator ignores), and checks the chunk
+// attribution.
 func TestChunkPipelineMatchesPack(t *testing.T) {
 	for name, ty := range pipelineLayouts(t) {
 		for _, count := range []int{1, 3} {
@@ -125,11 +126,11 @@ func TestChunkPipelineRange(t *testing.T) {
 	}
 }
 
-// TestChunkPipelineSlotRing pins the fixed-footprint contract: a
-// pipeline draws exactly depth pooled slots, recycles them in place,
-// and returns all of them at Close — full drains and early exits
-// alike.
-func TestChunkPipelineSlotRing(t *testing.T) {
+// TestChunkPipelineOneSlot pins the iterator's footprint: whatever
+// depth it is given, a pipeline draws one pooled slot from its shard,
+// packs every chunk into it and returns it at Close — full drains and
+// early exits alike — and a second Close returns nothing more.
+func TestChunkPipelineOneSlot(t *testing.T) {
 	ty := pipelineLayouts(t)["everyOther"]
 	plan, err := ty.CompilePlan(1)
 	if err != nil {
@@ -151,16 +152,20 @@ func TestChunkPipelineSlotRing(t *testing.T) {
 			cp.Recycle(ch)
 			taken++
 		}
+		if d := buf.PoolStatsSnapshot().Sub(before); d.Puts != 0 {
+			t.Fatalf("drain=%d: %d slots returned before Close", drain, d.Puts)
+		}
 		cp.Close()
+		cp.Close()
+		if _, ok := cp.Next(); ok {
+			t.Fatalf("drain=%d: closed pipeline yielded a chunk", drain)
+		}
 		d := buf.PoolStatsSnapshot().Sub(before)
-		if d.Gets != 3 {
-			t.Fatalf("drain=%d: drew %d pooled slots, want exactly the depth-3 ring", drain, d.Gets)
+		if d.Gets != 1 || d.Puts != 1 {
+			t.Fatalf("drain=%d: drew %d pooled slots and returned %d, want one of each", drain, d.Gets, d.Puts)
 		}
-		if d.Puts != 3 {
-			t.Fatalf("drain=%d: returned %d slots, want 3", drain, d.Puts)
-		}
-		if d.Shards[2].Gets != 3 || d.Shards[2].Puts != 3 {
-			t.Fatalf("drain=%d: ring not attributed to shard 2: %+v", drain, d.Shards[2])
+		if d.Shards[2].Gets != 1 || d.Shards[2].Puts != 1 {
+			t.Fatalf("drain=%d: slot not attributed to shard 2: %+v", drain, d.Shards[2])
 		}
 	}
 }

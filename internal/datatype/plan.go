@@ -331,11 +331,12 @@ type PlanStats struct {
 	// compiled plan. They remain for the readers that still print them.
 	CursorOps, CursorBytes int64
 
-	// PipelinedOps and PipelinedBytes count chunks executed by the
-	// chunk-slot pipeline's pack worker (ChunkPipeline) — the overlap
-	// attribution of the software-pipelined rendezvous and collective
-	// paths. Pipelined chunks are also counted in ChunkOps/ChunkBytes
-	// and their owning kernel, like any partial-range execution.
+	// PipelinedOps and PipelinedBytes count the chunks of the paths
+	// whose pack/transfer overlap is modelled (RecordPipelined): the
+	// software-pipelined rendezvous, the chunked staged scatter and the
+	// pipelined collectives. Their chunks are also counted in
+	// ChunkOps/ChunkBytes and their owning kernel, like any
+	// partial-range execution.
 	PipelinedOps, PipelinedBytes int64
 
 	// FusedOps and FusedBytes count one-pass fused scatter/gather
@@ -500,9 +501,10 @@ func recordPlanChunk(k PlanKernel, ops, n int64, parallel bool) {
 }
 
 // RecordPipelined attributes ops chunks of n bytes in total to the
-// pipelined tier: the chunk-slot pipeline's pack worker, the pipelined
-// rendezvous send (overlap modelled, bytes on the one-pass drain) and
-// the chunk-streamed collective hops.
+// pipelined tier, whose overlap is modelled on the virtual clock: the
+// pipelined rendezvous send, the staged scatter of a chunked sendv
+// fallback, the chunk-streamed collective hops and ChunkPipeline's
+// chunks. Their bytes move as any chunk's do.
 func RecordPipelined(ops, n int64) {
 	planCounters.pipelinedOps.Add(ops)
 	planCounters.pipelinedBytes.Add(n)
@@ -510,17 +512,11 @@ func RecordPipelined(ops, n int64) {
 
 // RecordChunks attributes the packed range [lo, hi), cut into
 // chunk-sized pieces, exactly as that many partial-range executions
-// over a virtual participant would — and, when pipelined, as chunks of
-// a ChunkPipeline's pack worker (the virtual staged scatter) — without
-// running them. A chunk loop whose user buffer or destination is
-// virtual moves no bytes and folds no checksum, so this one step is
-// all it does.
-func (p *Plan) RecordChunks(lo, hi, chunk int64, pipelined bool) {
-	ops := (hi - lo + chunk - 1) / chunk
-	recordPlanChunk(p.kernel, ops, hi-lo, false)
-	if pipelined {
-		RecordPipelined(ops, hi-lo)
-	}
+// over a virtual participant would, without running them. A chunk loop
+// whose user buffer or destination is virtual moves no bytes and folds
+// no checksum, so this one step is all it does.
+func (p *Plan) RecordChunks(lo, hi, chunk int64) {
+	recordPlanChunk(p.kernel, (hi-lo+chunk-1)/chunk, hi-lo, false)
 }
 
 // recordFused attributes one fused one-pass transfer; parallel

@@ -111,77 +111,108 @@ func (p *Plan) packChunks(user, dst buf.Block, lo, hi, chunk, span int64, sums [
 	if err := p.checkRange(user, dst, lo, hi); err != nil {
 		return err
 	}
+	return p.moveChunks(fanTask{user: user, stream: dst}, lo, hi, chunk, span, sums, w, 0)
+}
+
+// StageChunks is the staged move of the packed range [lo, hi): each
+// chunk packs from user into a chunk-sized staging slot and unpacks at
+// once, while it is still in cache, through q into out — a two-stage
+// transfer between two layouts that cannot move in one pass. Chunks,
+// sums and fan-out are PackChunks'; each chunk is attributed as
+// PackRange then UnpackRange of it would be. Every share has its own
+// slot, and the slots are one block drawn from the given pool shard
+// (the caller's rank) and returned before StageChunks returns. A
+// virtual side draws nothing.
+func (p *Plan) StageChunks(q *Plan, user, out buf.Block, lo, hi, chunk, span int64, sums []uint64, shard int) error {
+	return p.stageChunks(q, user, out, lo, hi, chunk, span, sums, shard, moveWorkers(user, out, hi-lo))
+}
+
+// stageChunks is StageChunks with the fan-out given.
+func (p *Plan) stageChunks(q *Plan, user, out buf.Block, lo, hi, chunk, span int64, sums []uint64, shard, w int) error {
+	if err := p.checkWindow(user, lo, hi); err != nil {
+		return err
+	}
+	if err := q.checkWindow(out, lo, hi); err != nil {
+		return err
+	}
+	return p.moveChunks(fanTask{q: q, user: user, out: out}, lo, hi, chunk, span, sums, w, shard)
+}
+
+// moveChunks runs the chunked move t describes — packed into t.stream,
+// or staged into t.out through t.q — over [lo, hi) on w workers, where
+// the chunks and sums allow a split.
+func (p *Plan) moveChunks(t fanTask, lo, hi, chunk, span int64, sums []uint64, w, shard int) error {
 	if err := checkSums(hi-lo, chunk, span, sums); err != nil {
 		return err
 	}
-	virtual := user.IsVirtual() || dst.IsVirtual()
+	if hi <= lo {
+		return nil
+	}
+	virtual := t.user.IsVirtual() || t.stream.IsVirtual() || t.out.IsVirtual()
 	if virtual && hi-lo > chunk {
-		p.RecordChunks(lo, hi, chunk, false)
+		p.RecordChunks(lo, hi, chunk)
+		if t.q != nil {
+			t.q.RecordChunks(lo, hi, chunk)
+		}
 		return nil
 	}
 	if sums == nil || virtual {
 		span, sums = 0, nil
 	}
-	if hi-lo > chunk && (span == 0 || span == chunk) {
-		fanOut(fanTask{run: packChunkShare, p: p, user: user, stream: dst, base: lo, size: chunk, sums: sums}, lo, hi, chunk, w)
-		return nil
+	if hi-lo <= chunk || span != 0 && span != chunk {
+		w = 1
 	}
-	p.chunkLoop(user, lo, hi, chunk, span,
-		func(a, b int64) (buf.Block, bool) { return dst.Slice(int(a-lo), int(b-a)), true },
-		func(_ buf.Block, a, _ int64, sum uint64) bool {
-			if span > 0 {
-				sums[(a-lo)/span] = sum
-			}
-			return true
-		})
+	w = min(w, int((hi-lo+chunk-1)/chunk))
+	if t.q != nil {
+		slots := min(chunk, hi-lo) * int64(w)
+		if virtual {
+			t.stream = buf.Virtual(int(slots))
+		} else {
+			t.stream = buf.GetPooledFor(shard, int(slots))
+			defer buf.PutPooled(t.stream)
+		}
+	}
+	t.run, t.p, t.base, t.size, t.span, t.sums = chunkShare, p, lo, chunk, span, sums
+	fanOut(t, lo, hi, chunk, w)
 	return nil
 }
 
-// packChunkShare runs one PackChunks share chunk by chunk, each chunk
-// summed alone when sums is set.
-func packChunkShare(t fanTask) {
+// chunkShare runs one share of a chunked move chunk by chunk: a chunk
+// packs into its place in the stream block, or, staged, into the
+// share's slot and out of it through q at once. With sums set a
+// running checksum restarts every span bytes from base, and after each
+// chunk sums holds its span's sum so far.
+func chunkShare(t fanTask) {
+	var cs buf.Checksum
+	var sum *buf.Checksum
+	if t.sums != nil {
+		sum = &cs
+	}
 	for a := t.from; a < t.to; a += t.size {
 		b := min(a+t.size, t.to)
-		blk := t.stream.Slice(int(a-t.base), int(b-a))
-		if t.sums == nil {
-			t.p.runChunk(t.user, blk, a, b, packDirection, nil)
-			continue
+		if sum != nil && (a-t.base)%t.span == 0 {
+			cs.Reset()
 		}
-		var cs buf.Checksum
-		t.p.runChunk(t.user, blk, a, b, packDirection, &cs)
-		t.sums[(a-t.base)/t.size] = cs.Sum64()
+		if t.q == nil {
+			t.p.packChunk(t.user, t.stream.Slice(int(a-t.base), int(b-a)), a, b, sum)
+		} else {
+			slot := t.stream.Slice(t.share*int(t.size), int(b-a))
+			t.p.runChunk(t.user, slot, a, b, packDirection, sum)
+			t.q.runChunk(t.out, slot, a, b, unpackDirection, nil)
+		}
+		if sum != nil {
+			t.sums[(a-t.base)/t.span] = cs.Sum64()
+		}
 	}
 }
 
-// chunkLoop is the one serial chunk loop, behind PackChunks' single
-// chunk and sums across chunks, and the pipeline worker: each chunk of [lo, hi) packs into the block slot names, and
-// done gets it with the running sum of its span so far (restarted every
-// span bytes from lo; span 0 sums nothing). A chunk that is the whole
-// message runs as one execution. slot or done returning false stops it.
-func (p *Plan) chunkLoop(user buf.Block, lo, hi, chunk, span int64, slot func(a, b int64) (buf.Block, bool), done func(blk buf.Block, a, b int64, sum uint64) bool) {
-	var cs buf.Checksum
-	var sum *buf.Checksum
-	if span > 0 {
-		sum = &cs
-	}
-	for a := lo; a < hi; {
-		b := min(a+chunk, hi)
-		blk, ok := slot(a, b)
-		if !ok {
-			return
-		}
-		if sum != nil && (a-lo)%span == 0 {
-			cs.Reset()
-		}
-		if a == 0 && b == p.total {
-			p.execute(user, blk, packDirection, sum)
-		} else {
-			p.runChunk(user, blk, a, b, packDirection, sum)
-		}
-		if !done(blk, a, b, cs.Sum64()) {
-			return
-		}
-		a = b
+// packChunk packs the chunk [a, b) into blk: one whole execution when
+// the chunk is the whole message, a partial-range one otherwise.
+func (p *Plan) packChunk(user, blk buf.Block, a, b int64, sum *buf.Checksum) {
+	if a == 0 && b == p.total {
+		p.execute(user, blk, packDirection, sum)
+	} else {
+		p.runChunk(user, blk, a, b, packDirection, sum)
 	}
 }
 
@@ -213,14 +244,23 @@ func (p *Plan) UnpackRange(stream, dst buf.Block, lo, hi int64) error {
 // checkRange validates a partial-range execution: user buffer bounds
 // and the packed window against the stream block.
 func (p *Plan) checkRange(user, stream buf.Block, lo, hi int64) error {
+	if err := p.checkWindow(user, lo, hi); err != nil {
+		return err
+	}
+	if int64(stream.Len()) < hi-lo {
+		return fmt.Errorf("%w: range needs %d bytes, stream block has %d", ErrTruncate, hi-lo, stream.Len())
+	}
+	return nil
+}
+
+// checkWindow validates the user buffer bounds and the packed window
+// [lo, hi) of a partial-range execution.
+func (p *Plan) checkWindow(user buf.Block, lo, hi int64) error {
 	if err := p.t.checkUse(int(p.count), user.Len()); err != nil {
 		return err
 	}
 	if lo < 0 || hi < lo || hi > p.total {
 		return fmt.Errorf("%w: packed range [%d,%d) of %d-byte stream", ErrArgument, lo, hi, p.total)
-	}
-	if int64(stream.Len()) < hi-lo {
-		return fmt.Errorf("%w: range needs %d bytes, stream block has %d", ErrTruncate, hi-lo, stream.Len())
 	}
 	return nil
 }

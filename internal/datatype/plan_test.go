@@ -320,7 +320,7 @@ func TestPackChunks(t *testing.T) {
 			continue
 		}
 		before = PlanStatsSnapshot()
-		plan.RecordChunks(lo, hi, chunk, false)
+		plan.RecordChunks(lo, hi, chunk)
 		rec := PlanStatsSnapshot().Sub(before)
 		before = PlanStatsSnapshot()
 		if err := plan.PackChunks(buf.Virtual(src.Len()), dst, lo, hi, chunk, span, sums); err != nil {
@@ -592,10 +592,7 @@ func TestPlanErrors(t *testing.T) {
 		{"PackChunks span 0", plan.PackChunks(src, dst, 0, n, 16, 0, make([]uint64, 1))},
 		{"PackChunks short sums", plan.PackChunks(src, dst, 0, n, 16, 16, make([]uint64, 4))},
 		{"PackChunks span inside a chunk", plan.PackChunks(src, dst, 0, n, 16, 24, make([]uint64, 4))},
-		{"NewChunkPipelineSum negative span", func() error {
-			_, err := NewChunkPipelineSum(plan, src, 0, n, 16, 1, 0, -16)
-			return err
-		}()},
+		{"StageChunks negative span", plan.StageChunks(plan, src, buf.Alloc(int(ty.Extent())), 0, n, 16, -16, make([]uint64, 1), 0)},
 	} {
 		if !errors.Is(c.err, ErrArgument) {
 			t.Errorf("%s: %v, want ErrArgument", c.name, c.err)

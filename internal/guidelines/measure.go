@@ -134,7 +134,7 @@ func measureCell(profile string, lay LayoutSpec, n int64, cfg Config) ([]Result,
 // point: an hvector-of-vector nesting of the layout family — the shape
 // the Commit-time normalizer collapses into a canonical strided block —
 // is sent through the software-pipelined typed send (SendpType, the
-// engine whose slot ring the block kernels fill) as itself (Lhs) and as
+// engine whose chunks the block kernels pack) as itself (Lhs) and as
 // its datatype.GatherTwin (Rhs), over the virtual clock. The twin has
 // the same size and runs but no closed form, so it stands in for the
 // raw program: both runs move identical bytes through identical

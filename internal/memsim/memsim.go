@@ -100,13 +100,14 @@ type Hierarchy struct {
 	// DefaultInternalChunk.
 	InternalChunk int64
 
-	// PipelineDepth is the slot-ring depth of the software-pipelined
-	// chunk engine on this memory system: how many internal chunks the
-	// pack worker may run ahead of injection. Depth 1 is plain double
-	// buffering of the two stages; deeper rings absorb chunk-to-chunk
-	// jitter (which the deterministic cost model does not price, but
-	// the real executor exhibits), at the cost of depth×InternalChunk
-	// of pooled staging per transfer. Zero means DefaultPipelineDepth.
+	// PipelineDepth is the modelled slot-ring depth of the
+	// software-pipelined chunk engine on this memory system: how many
+	// internal chunks the pack stage may run ahead of injection. Depth 1
+	// is plain double buffering of the two stages; a deeper ring would
+	// absorb chunk-to-chunk jitter, which the deterministic cost model
+	// does not price. It is a modelled quantity only: the real byte
+	// paths move every chunk on the pack workers and draw no ring.
+	// Zero means DefaultPipelineDepth.
 	PipelineDepth int
 
 	// NodeSize is the node boundary of the simulated machine: blocks
@@ -123,9 +124,9 @@ type Hierarchy struct {
 // granularity of the paper-era Intel MPI installations.
 const DefaultInternalChunk = 512 << 10
 
-// DefaultPipelineDepth is the slot-ring depth used when a Hierarchy
-// does not calibrate its own: double buffering, the minimum that
-// overlaps the pack of chunk k+1 with the injection of chunk k.
+// DefaultPipelineDepth is the modelled slot-ring depth used when a
+// Hierarchy does not calibrate its own: double buffering, the minimum
+// that overlaps the pack of chunk k+1 with the injection of chunk k.
 const DefaultPipelineDepth = 2
 
 // InternalChunkSize returns the hierarchy's internal chunk size,
@@ -137,8 +138,8 @@ func (h *Hierarchy) InternalChunkSize() int64 {
 	return DefaultInternalChunk
 }
 
-// ChunkPipelineDepth returns the hierarchy's pipeline slot-ring depth,
-// defaulted.
+// ChunkPipelineDepth returns the hierarchy's modelled pipeline
+// slot-ring depth, defaulted.
 func (h *Hierarchy) ChunkPipelineDepth() int {
 	if h.PipelineDepth > 0 {
 		return h.PipelineDepth

@@ -54,13 +54,7 @@ type fusedDst struct {
 // serve (see the file comment); the call is then semantically
 // identical to SendType.
 func (c *Comm) SendvType(b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return err
-	}
-	if err := checkCount(count, ty); err != nil {
-		return err
-	}
-	return c.sendTypedFused(b, count, ty, dest, tag, sendFlags{})
+	return c.sendTypedChecked(b, count, ty, dest, tag, sendFlags{sendv: true})
 }
 
 // IsendvType starts a non-blocking fused send with SendvType
@@ -70,10 +64,7 @@ func (c *Comm) SendvType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 // background, and the fused path still performs zero staging
 // allocations.
 func (c *Comm) IsendvType(b buf.Block, count int, ty *datatype.Type, dest, tag int) (*Request, error) {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return nil, err
-	}
-	if err := checkCount(count, ty); err != nil {
+	if err := c.checkTypedSend(count, ty, dest, tag); err != nil {
 		return nil, err
 	}
 	return c.startAsyncSend(&Request{kind: opSendFused, b: b, count: count, ty: ty, peer: dest, tag: tag}), nil
@@ -100,6 +91,7 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 func (c *Comm) fusedOpen(x *fusedXfer, b buf.Block, count int, ty *datatype.Type, dest, tag int, fl sendFlags) (*simnet.Message, error) {
 	n := ty.PackSize(count)
 	if n == 0 || (!fl.forceRdv && c.prof.Eager(n, fl.packed)) {
+		fl.sendv = false // an ordinary typed send: no layout to offer
 		return nil, c.sendTyped(b, count, ty, dest, tag, fl)
 	}
 	// Argument errors surface locally, before the rendezvous envelope
@@ -172,17 +164,13 @@ func (c *Comm) fusedTransfer(m *simnet.Message, dest, tag int, x *fusedXfer) err
 			return nil
 		},
 		resend: func(lo, hi int64) error {
+			var err error
 			if x.fd != nil {
-				scratch := c.transitAlloc(x.b, hi-lo)
-				err := x.plan.PackRange(x.b, scratch, lo, hi)
-				if err == nil {
-					err = x.fd.plan.UnpackRange(scratch, x.fd.user, lo, hi)
-				}
-				buf.PutPooled(scratch)
-				if err != nil {
-					return err
-				}
-			} else if err := x.plan.PackRange(x.b, x.dst.Slice(int(lo), int(hi-lo)), lo, hi); err != nil {
+				err = x.plan.StageChunks(x.fd.plan, x.b, x.fd.user, lo, hi, hi-lo, 0, nil, c.rank)
+			} else {
+				err = x.plan.PackRange(x.b, x.dst.Slice(int(lo), int(hi-lo)), lo, hi)
+			}
+			if err != nil {
 				return err
 			}
 			c.clock.Advance(vclock.FromSeconds(attemptCost * float64(hi-lo) / float64(x.covered)))
@@ -227,35 +215,25 @@ func (c *Comm) fusedMove(x *fusedXfer, ss srcSums) (float64, error) {
 
 // stagedScatter is the sender-local staged emulation of a fused
 // transfer that cannot legally run in one pass: pack the plan into
-// staging, scatter it into the receiver's layout, release the staging.
-// Two memory passes — but when the payload spans several internal
-// chunks the passes run on the chunk-slot pipeline: the pack worker
-// fills slot k+1 while this goroutine scatters slot k into the
-// receiver's layout, so the cost collapses from gather+scatter to the
-// two-stage pipeline bound and the staging footprint shrinks from the
-// whole message to the slot ring. With either buffer virtual no byte
-// can land, so both sides' chunks are attributed in closed form,
-// chunk for chunk as the ring would attribute them.
+// staging, scatter it into the receiver's layout. Two memory passes —
+// but over several internal chunks each chunk packs into a chunk-sized
+// slot and scatters at once, on the pack workers (Plan.StageChunks),
+// priced as the two-stage pipeline bound (memsim.PipelinedChunkCost).
 func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st *layout.Stats, nCopy int64, ss srcSums) (float64, error) {
 	gather := c.cache.GatherCost(b.Region(), c.internal.Region(), *st, genericCompiled)
 	scatter := c.cache.ScatterCost(c.internal.Region(), fd.user.Region(), fd.stats, genericCompiled)
-	chunk := c.prof.InternalChunk()
 	chunks := c.prof.Chunks(nCopy)
 	// Aliased buffers (a fused self-send) must stage the whole message:
-	// the pipeline's pack worker would read user bytes the consumer is
-	// concurrently scattering over.
+	// a chunk's scatter would overwrite user bytes a later chunk has
+	// yet to pack.
 	if chunks > 1 && !buf.Overlaps(b, fd.user) {
 		cost := memsim.PipelinedChunkCost(gather, scatter, chunks, c.prof.PipelineDepth())
-		err := c.slotRing(plan, b, fd.user, nCopy, ss, func(ch datatype.PipeChunk) error {
-			return fd.plan.UnpackRange(ch.Data, fd.user, ch.Lo, ch.Hi)
-		})
-		if b.IsVirtual() || fd.user.IsVirtual() {
-			fd.plan.RecordChunks(0, nCopy, chunk, false)
+		if err := plan.StageChunks(fd.plan, b, fd.user, 0, nCopy, c.prof.InternalChunk(), ss.span, ss.sums, c.rank); err != nil {
+			return cost, err
 		}
-		if err == nil {
-			datatype.RecordStagedTransfer(nCopy)
-		}
-		return cost, err
+		datatype.RecordPipelined(chunks, nCopy)
+		datatype.RecordStagedTransfer(nCopy)
+		return cost, nil
 	}
 	staging := c.transitAlloc(b, nCopy)
 	defer buf.PutPooled(staging)

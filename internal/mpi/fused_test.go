@@ -2,10 +2,13 @@ package mpi
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
+	"repro/internal/simnet"
 )
 
 // everyOther returns a committed every-other-double vector of count
@@ -298,47 +301,79 @@ func TestSendvOverlapUnsafeReceiverStages(t *testing.T) {
 
 // TestSendvMismatchedBytesStaged pins the size-mismatch fallback: a
 // receiver posting more instances than the sender ships gets the
-// prefix via the staged emulation, like any typed rendezvous.
+// prefix via the staged emulation, like any typed rendezvous — in one
+// internal chunk, and in three chunks and a tail that the sender stages
+// chunk by chunk on the pack workers; on a clean fabric, under a
+// selective replay of the first chunk and under a whole-transfer
+// replay. The receiver's layout must equal the staged oracle (pack,
+// then unpack the prefix), and a clean multi-chunk transfer attributes
+// every chunk once to each plan and to the pipelined tier.
 func TestSendvMismatchedBytesStaged(t *testing.T) {
-	const sendCount = 1 << 15
-	const recvCount = sendCount + 1024
-	planBefore := datatype.PlanStatsSnapshot()
-	err := Run(2, Options{}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			ty := everyOther(t, sendCount)
-			src := buf.Alloc(int(ty.Extent()))
-			src.FillPattern(0x66)
-			return c.SendvType(src, 1, ty, 1, 5)
+	const chunk = 512 << 10 // the generic profile's internal chunk
+	faulty := &simnet.FaultPlan{Seed: 29, Scripted: []simnet.ScriptedFault{
+		{Src: 0, Dst: 1, Seq: 0, Payload: true, Kind: simnet.FaultCorrupt}}}
+	for _, sendCount := range []int{1 << 15, 3*chunk/8 + 1} {
+		sendTy, recvTy := everyOther(t, sendCount), everyOther(t, sendCount+1024)
+		n := sendTy.Size()
+		src := buf.Alloc(int(sendTy.Extent()))
+		src.FillPattern(0x66)
+		stream := buf.Alloc(int(n))
+		if _, err := sendTy.Pack(src, 1, stream); err != nil {
+			t.Fatal(err)
 		}
-		ty := everyOther(t, recvCount)
-		dst := buf.Alloc(int(ty.Extent()))
-		st, err := c.RecvType(dst, 1, ty, 0, 5)
+		recvPlan, err := recvTy.CompilePlan(1)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if st.Count != int64(sendCount)*8 {
-			t.Errorf("status count %d, want %d", st.Count, sendCount*8)
+		want := buf.Alloc(int(recvTy.Extent()))
+		if err := recvPlan.UnpackRange(stream, want, 0, n); err != nil {
+			t.Fatal(err)
 		}
-		want := buf.Alloc(int(ty.Extent()))
-		want.FillPattern(0x66)
-		for i := 0; i < sendCount*16; i += 16 {
-			if !bytes.Equal(dst.Bytes()[i:i+8], want.Bytes()[i:i+8]) {
-				t.Fatalf("prefix layout byte %d differs", i)
-			}
+		for _, run := range []struct {
+			name   string
+			faults *simnet.FaultPlan
+			retry  RetryPolicy
+		}{
+			{"clean", nil, RetryPolicy{}},
+			{"selective", faulty, RetryPolicy{}},
+			{"whole", faulty, RetryPolicy{WholeReplay: true}},
+		} {
+			t.Run(fmt.Sprintf("%dB/%s", n, run.name), func(t *testing.T) {
+				dst := buf.Alloc(want.Len())
+				var retries int64
+				planBefore := datatype.PlanStatsSnapshot()
+				err := Run(2, Options{Faults: run.faults, Retry: run.retry, WallLimit: 30 * time.Second}, func(c *Comm) error {
+					if c.Rank() == 0 {
+						err := c.SendvType(src, 1, sendTy, 1, 5)
+						retries = c.Counters().Retries
+						return err
+					}
+					st, err := c.RecvType(dst, 1, recvTy, 0, 5)
+					if err == nil && st.Count != n {
+						t.Errorf("status count %d, want %d", st.Count, n)
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !buf.Equal(dst, want) {
+					t.Fatal("receiver's layout differs from the staged oracle")
+				}
+				if (run.faults != nil) != (retries > 0) {
+					t.Fatalf("%d retries on a %s fabric", retries, run.name)
+				}
+				d := datatype.PlanStatsSnapshot().Sub(planBefore)
+				if d.FusedOps != 0 || d.StagedOps == 0 {
+					t.Fatalf("attribution fused=%d staged=%d, want 0/>0", d.FusedOps, d.StagedOps)
+				}
+				if chunks := (n + chunk - 1) / chunk; chunks > 1 && run.faults == nil &&
+					(d.ChunkOps != 2*chunks || d.PipelinedOps != chunks || d.PipelinedBytes != n || d.StagedOps != 1) {
+					t.Fatalf("%d chunks attributed as %d chunk ops, %d pipelined (%d B), %d staged; want %d, %d (%d B), 1",
+						chunks, d.ChunkOps, d.PipelinedOps, d.PipelinedBytes, d.StagedOps, 2*chunks, chunks, n)
+				}
+			})
 		}
-		for i := sendCount * 16; i < dst.Len(); i++ {
-			if dst.Bytes()[i] != 0 {
-				t.Fatalf("byte %d beyond the shipped prefix was written", i)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := datatype.PlanStatsSnapshot().Sub(planBefore)
-	if d.FusedOps != 0 || d.StagedOps == 0 {
-		t.Fatalf("attribution fused=%d staged=%d, want 0/>0", d.FusedOps, d.StagedOps)
 	}
 }
 
@@ -588,22 +623,37 @@ func TestIrecvTypeMatchesSendType(t *testing.T) {
 	})
 }
 
-// BenchmarkFusedRendezvous is the CI smoke cell for the zero-staging
-// contract: one fused exchange per iteration; any pooled staging or
-// transit draw on the fused path fails the bench.
+// BenchmarkFusedRendezvous times one sendv exchange per iteration into
+// a typed receive. The fused cell is the CI smoke for the zero-staging
+// contract: any pooled staging or transit draw on the fused path fails
+// it. The staged cell sends 8 internal chunks + 8 B into a receive one
+// element longer, which the sender stages chunk by chunk.
 func BenchmarkFusedRendezvous(b *testing.B) {
-	const count = 1 << 16
-	before := buf.PoolStatsSnapshot()
+	b.Run("fused", func(b *testing.B) {
+		before := buf.PoolStatsSnapshot()
+		benchSendv(b, 1<<16, 1<<16)
+		if d := buf.PoolStatsSnapshot().Sub(before); d.Gets != 0 {
+			b.Fatalf("fused rendezvous path drew %d pooled staging blocks, want 0 (%+v)", d.Gets, d)
+		}
+	})
+	const staged = 8*(512<<10)/8 + 1
+	b.Run("staged", func(b *testing.B) { benchSendv(b, staged, staged+1) })
+}
+
+// benchSendv runs b.N two-rank worlds, each one SendvType of count
+// every-other doubles into a typed receive of recvCount; both user
+// buffers are allocated once, outside the timed loop.
+func benchSendv(b *testing.B, count, recvCount int) {
+	sendTy, recvTy := everyOther(b, count), everyOther(b, recvCount)
+	src, dst := buf.Alloc(int(sendTy.Extent())), buf.Alloc(int(recvTy.Extent()))
 	b.SetBytes(int64(count) * 8)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := Run(2, Options{}, func(c *Comm) error {
-			ty := everyOther(b, count)
 			if c.Rank() == 0 {
-				src := buf.Alloc(int(ty.Extent()))
-				return c.SendvType(src, 1, ty, 1, 0)
+				return c.SendvType(src, 1, sendTy, 1, 0)
 			}
-			dst := buf.Alloc(int(ty.Extent()))
-			_, err := c.RecvType(dst, 1, ty, 0, 0)
+			_, err := c.RecvType(dst, 1, recvTy, 0, 0)
 			return err
 		})
 		if err != nil {
@@ -611,7 +661,4 @@ func BenchmarkFusedRendezvous(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if d := buf.PoolStatsSnapshot().Sub(before); d.Gets != 0 {
-		b.Fatalf("fused rendezvous path drew %d pooled staging blocks, want 0 (%+v)", d.Gets, d)
-	}
 }

@@ -36,24 +36,12 @@ func (c *Comm) SendPacked(b buf.Block, dest, tag int) error {
 // through MPI's internal chunked pack buffers (§2.3 of the paper) and
 // suffers their large-message degradation (§4.1).
 func (c *Comm) SendType(b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return err
-	}
-	if err := checkCount(count, ty); err != nil {
-		return err
-	}
-	return c.sendTyped(b, count, ty, dest, tag, sendFlags{})
+	return c.sendTypedChecked(b, count, ty, dest, tag, sendFlags{})
 }
 
 // SsendType is SendType under forced rendezvous.
 func (c *Comm) SsendType(b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return err
-	}
-	if err := checkCount(count, ty); err != nil {
-		return err
-	}
-	return c.sendTyped(b, count, ty, dest, tag, sendFlags{forceRdv: true})
+	return c.sendTypedChecked(b, count, ty, dest, tag, sendFlags{forceRdv: true})
 }
 
 // BsendType is the buffered send of a derived datatype, the paper's
@@ -61,10 +49,7 @@ func (c *Comm) SsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 // behind the sender's back — which, as §4.2 observes, helps neither
 // intermediate nor large messages.
 func (c *Comm) BsendType(b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return err
-	}
-	if err := checkCount(count, ty); err != nil {
+	if err := c.checkTypedSend(count, ty, dest, tag); err != nil {
 		return err
 	}
 	n := ty.PackSize(count)
@@ -153,6 +138,29 @@ func (c *Comm) checkP2P(dest, tag int) error {
 		return err
 	}
 	return checkTag(tag)
+}
+
+// checkTypedSend is every typed send's check of its arguments, blocking
+// and non-blocking: the peer and tag (checkP2P), then the count and
+// type (checkCount).
+func (c *Comm) checkTypedSend(count int, ty *datatype.Type, dest, tag int) error {
+	if err := c.checkP2P(dest, tag); err != nil {
+		return err
+	}
+	return checkCount(count, ty)
+}
+
+// sendTypedChecked is the one checked entry of the blocking typed
+// sends: checkTypedSend, then the fused engine for a sendv send and the
+// staged one for every other.
+func (c *Comm) sendTypedChecked(b buf.Block, count int, ty *datatype.Type, dest, tag int, fl sendFlags) error {
+	if err := c.checkTypedSend(count, ty, dest, tag); err != nil {
+		return err
+	}
+	if fl.sendv {
+		return c.sendTypedFused(b, count, ty, dest, tag, fl)
+	}
+	return c.sendTyped(b, count, ty, dest, tag, fl)
 }
 
 // checkCount is every typed entry point's check of its count and type,

@@ -10,32 +10,22 @@ import (
 // pipelined collective schedules are built from.
 //
 // The paper's cost model (§2.3) shows the chunked derived-type send
-// serialising pack and inject: the sender packs an internal chunk,
-// transmits it, packs the next. The measured installations never
-// overlap the two stages ("in practice we don't see this
-// performance"), which is why SendType keeps the serial chunk loop —
-// it reproduces their behaviour. SendpType is this runtime's own
-// answer: the same rendezvous protocol, with the chunk loop priced as
-// a software pipeline, a pack worker running PipelineDepth chunks
-// ahead of injection so chunk k+1 packs while chunk k is on the wire.
-// The span collapses from pack+wire to the two-stage pipeline bound
-// (memsim.PipelinedChunkCost). The overlap is modelled on the virtual
-// clock; the bytes take the one-pass drain every typed send takes,
-// packed chunk by chunk straight into the receiver's block on the pack
-// workers, so no byte is copied twice and no ring is drawn.
+// serialising pack and inject, and the measured installations never
+// overlap the two ("in practice we don't see this performance"), which
+// is why SendType keeps the serial chunk loop. SendpType is this
+// runtime's own answer: the same rendezvous, with the chunk loop priced
+// as a software pipeline PipelineDepth chunks deep, so chunk k+1 packs
+// while chunk k is on the wire and the span collapses from pack+wire to
+// the two-stage bound (memsim.PipelinedChunkCost). Only the virtual
+// clock sees the overlap: the bytes pack once, chunk by chunk on the
+// pack workers, straight into the receiver's block.
 
 // SendpType is the software-pipelined typed send: identical semantics
 // to SendType, but past the eager limit the rendezvous chunk loop is
 // priced as packing overlapped with injection. Eager-sized and
 // single-chunk payloads take the ordinary serial typed path.
 func (c *Comm) SendpType(b buf.Block, count int, ty *datatype.Type, dest, tag int) error {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return err
-	}
-	if err := checkCount(count, ty); err != nil {
-		return err
-	}
-	return c.sendTyped(b, count, ty, dest, tag, sendFlags{pipelined: true})
+	return c.sendTypedChecked(b, count, ty, dest, tag, sendFlags{pipelined: true})
 }
 
 // Chunk-streamed collective hops. A pipelined collective schedule

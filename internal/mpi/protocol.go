@@ -25,7 +25,8 @@ type sendFlags struct {
 	// released as soon as the envelope has entered the fabric; a
 	// non-blocking send uses it to pin program-order delivery.
 	isend *Request
-	// sendv marks a plan-driven fused rendezvous send (SendvType): the
+	// sendv marks a plan-driven fused rendezvous send (SendvType): it
+	// routes the send to the fused engine (sendTypedChecked), and the
 	// typed receiver may expose its user layout for the direct
 	// one-pass scatter instead of allocating staging.
 	sendv bool
@@ -297,41 +298,6 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 type srcSums struct {
 	span int64
 	sums []uint64
-}
-
-// slotRing is the one consumer of the chunk-slot ring, behind
-// stagedScatter, the one real two-stage transfer (pack, then unpack
-// into a layout): it packs plan's packed range [0, n) of user through
-// a ring of this rank's pipeline depth in internal-chunk slots, hands
-// every packed chunk to move — which carries it into dst — and records
-// the sums the pack worker folded into ss. The ring is the path's
-// entire allocation footprint, depth pooled slots from this rank's
-// shard, recycled in place and released on return. With user or dst
-// virtual there is nothing to pack, move or sum: the chunks are
-// attributed in closed form, with no ring, worker or slot.
-func (c *Comm) slotRing(plan *datatype.Plan, user, dst buf.Block, n int64, ss srcSums, move func(datatype.PipeChunk) error) error {
-	if user.IsVirtual() || dst.IsVirtual() {
-		plan.RecordChunks(0, n, c.prof.InternalChunk(), true)
-		return nil
-	}
-	cp, err := datatype.NewChunkPipelineSum(plan, user, 0, n, c.prof.InternalChunk(), c.prof.PipelineDepth(), c.rank, ss.span)
-	if err != nil {
-		return err
-	}
-	defer cp.Close()
-	for {
-		ch, ok := cp.Next()
-		if !ok {
-			return nil
-		}
-		if err := move(ch); err != nil {
-			return err
-		}
-		if ss.sums != nil {
-			ss.sums[ch.Lo/ss.span] = ch.Sum
-		}
-		cp.Recycle(ch)
-	}
 }
 
 // newRdvMessage builds a rendezvous envelope with its RTS arrival

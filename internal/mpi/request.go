@@ -65,10 +65,7 @@ type Request struct {
 
 // IsendType starts a non-blocking derived-datatype send.
 func (c *Comm) IsendType(b buf.Block, count int, ty *datatype.Type, dest, tag int) (*Request, error) {
-	if err := c.checkP2P(dest, tag); err != nil {
-		return nil, err
-	}
-	if err := checkCount(count, ty); err != nil {
+	if err := c.checkTypedSend(count, ty, dest, tag); err != nil {
 		return nil, err
 	}
 	return c.startAsyncSend(&Request{kind: opSendTyped, b: b, count: count, ty: ty, peer: dest, tag: tag}), nil

@@ -30,8 +30,11 @@ func issendv(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) 
 // receiver's layout descriptor; for a blocking typed rendezvous the
 // envelope alone, as both sides run the type's cached plan. Most rows
 // move virtual payloads; the real rows move bytes, a 4 MiB contiguous
-// payload split across the pack workers and a 1 MiB pipelined typed
-// send packed straight into a contiguous typed receive's staging. The
+// payload split across the pack workers, a 1 MiB pipelined typed
+// send packed straight into a contiguous typed receive's staging, and
+// a sendv into a typed receive one element longer, which the sender
+// stages chunk by chunk (the envelope and the receiver's layout
+// descriptor). The
 // counts are deterministic (no wall threshold) and equal at every
 // GOMAXPROCS; before the request diet the typed non-blocking pair cost
 // 20 objects and the contiguous pair 14. A send engine whose
@@ -45,6 +48,12 @@ func TestAsyncAllocBudget(t *testing.T) {
 	// contiguous typed receive.
 	contig := [2]buf.Block{buf.Alloc(datatype.ParallelPackThreshold), buf.Alloc(datatype.ParallelPackThreshold)}
 	typedSrc, packed := buf.Alloc(need), buf.Alloc(int(ty.Size()))
+	// A staged scatter: 3 internal chunks + 8 B of every other double
+	// into a typed receive one element longer.
+	const stagedCount = 3*(512<<10)/8 + 1
+	stagedTy, stagedNeed := everyOtherBuf(t, stagedCount)
+	longerTy, longerNeed := everyOtherBuf(t, stagedCount+1)
+	stagedSrc, stagedDst := buf.Alloc(stagedNeed), buf.Alloc(longerNeed)
 	wait := func(req *Request, err error) error {
 		if err == nil {
 			_, err = req.Wait()
@@ -74,6 +83,9 @@ func TestAsyncAllocBudget(t *testing.T) {
 		{"SendpType+RecvType real rendezvous", 1,
 			func(c *Comm) error { return c.SendpType(typedSrc, 1, ty, 1, 0) },
 			func(c *Comm) error { _, err := c.RecvType(packed, packed.Len(), datatype.Byte, 0, 0); return err }},
+		{"SendvType+RecvType real staged scatter", 2,
+			func(c *Comm) error { return c.SendvType(stagedSrc, 1, stagedTy, 1, 0) },
+			func(c *Comm) error { _, err := c.RecvType(stagedDst, 1, longerTy, 0, 0); return err }},
 		{"Send+Recv real 4 MiB contiguous rendezvous", 1,
 			func(c *Comm) error { return c.Send(contig[0], 1, 0) },
 			func(c *Comm) error { _, err := c.Recv(contig[1], 0, 0); return err }},

@@ -74,7 +74,7 @@ type Profile struct {
 	// without pipelining overlap (§2.3: "in practice we don't see this
 	// performance") — lives in Mem.InternalChunk, calibrated per
 	// profile like the other memory-system constants, together with
-	// the software pipeline's slot-ring depth (Mem.PipelineDepth).
+	// the software pipeline's modelled depth (Mem.PipelineDepth).
 	// Read them through InternalChunk() and PipelineDepth().
 
 	// DegradeBytes and DegradeFactor model §4.1: "a drop in
@@ -212,9 +212,10 @@ func (p *Profile) deratedBW(n int64, factor float64) float64 {
 // size (Mem.InternalChunk, defaulted).
 func (p *Profile) InternalChunk() int64 { return p.Mem.InternalChunkSize() }
 
-// PipelineDepth returns the slot-ring depth the software-pipelined
-// chunk engine uses on this installation (Mem.PipelineDepth,
-// defaulted).
+// PipelineDepth returns the depth of the software-pipelined chunk
+// engine on this installation (Mem.PipelineDepth, defaulted): a
+// modelled quantity, read by the cost terms only; no byte path sizes
+// a buffer or starts a worker by it.
 func (p *Profile) PipelineDepth() int { return p.Mem.ChunkPipelineDepth() }
 
 // Chunks returns the internal chunk count for an n-byte payload.

@@ -139,6 +139,45 @@ func TestMpiPayloadCopiesMove(t *testing.T) {
 	}
 }
 
+// TestDatatypeGoroutinesFanOut is the tripwire for the pack workers
+// being the only goroutines of the byte path: no non-test file of
+// internal/datatype but fanout.go may start a goroutine or make a
+// channel, so every concurrent move runs through fanOut, whose workers
+// take one share each and never outlive the call that started them.
+func TestDatatypeGoroutinesFanOut(t *testing.T) {
+	var sites []string
+	fset := token.NewFileSet()
+	files, err := filepath.Glob(filepath.Join("internal", "datatype", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no files found under internal/datatype (%v)", err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") || filepath.Base(path) == "fanout.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				sites = append(sites, fset.Position(n.Pos()).String()+" go statement")
+			case *ast.CallExpr:
+				if fn, ok := n.Fun.(*ast.Ident); ok && fn.Name == "make" && len(n.Args) > 0 {
+					if _, ok := n.Args[0].(*ast.ChanType); ok {
+						sites = append(sites, fset.Position(n.Pos()).String()+" make(chan)")
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(sites) != 0 {
+		t.Fatalf("goroutines or channels in internal/datatype outside fanout.go at %v", sites)
+	}
+}
+
 // TestOneGoldenStore is the tripwire for ROADMAP item 17: a test pins
 // output through oracle.Golden, whose one flag pair and one
 // testdata/golden.txt per package are the only knobs and the only
