@@ -60,10 +60,10 @@ func BenchmarkFigure2SkxMvapich(b *testing.B) { benchFigure(b, "skx-mvapich") }
 func BenchmarkFigure3Ls5Cray(b *testing.B)    { benchFigure(b, "ls5-cray") }
 func BenchmarkFigure4KnlImpi(b *testing.B)    { benchFigure(b, "knl-impi") }
 
-// BenchmarkStudy runs every row of the study table (E5–E12) and
-// reports each paper claim's value under the claim's metric name. The
-// size-axis studies that follow the caller's sweep (E11, E12) measure
-// 10⁶, 10⁸ and 10⁹ bytes.
+// BenchmarkStudy runs every row of the study table and reports each
+// claim's value under the claim's metric name. The size-axis studies
+// that follow the caller's sweep (the ping-pong table, E11, E12)
+// measure 10⁶, 10⁸ and 10⁹ bytes.
 func BenchmarkStudy(b *testing.B) {
 	sweep := []int64{1_000_000, 100_000_000, 1_000_000_000}
 	for _, st := range figures.Studies() {

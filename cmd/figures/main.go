@@ -1,13 +1,13 @@
 // Command figures regenerates the paper's Figures 1–4, the ping-pong
-// table per scheme and the studies E5–E21 on the simulated
-// installations. Every artefact is one entry of the study table: the
-// figures entry, then one per row of figures.Studies. `figures -study
-// list` prints it, and `-study a,b` runs the named entries in order for
-// each -profile (default: figures, the time, bandwidth and slowdown
-// panels); an installation-independent row (E19) runs once, after the
-// others. Each study flag that predates -study (-check, -plan, …)
-// appends the entry of its name unless -study names it already, so
-// `figures -check` is `figures -study figures,check`.
+// table per scheme and the studies of figures.Studies on the simulated
+// installations; every time it prints is virtual-clock time. Every
+// artefact is one entry of the study table: the figures entry, then one
+// per row of figures.Studies. `figures -study list` prints it, and
+// `-study a,b` runs the named entries in order for each -profile
+// (default: figures, the time, bandwidth and slowdown panels). Each
+// study flag that predates -study (-check, -plan, …) appends the entry
+// of its name unless -study names it already, so `figures -check` is
+// `figures -study figures,check`.
 package main
 
 import (
@@ -27,10 +27,7 @@ import (
 // An entry is one row of the study table.
 type entry struct {
 	name, about string
-	// once marks a profile-independent entry: it runs once, after the
-	// per-installation entries.
-	once bool
-	run  func(w io.Writer, profile string, c config) error
+	run         func(w io.Writer, profile string, c config) error
 }
 
 type config struct {
@@ -40,9 +37,9 @@ type config struct {
 }
 
 func table() []entry {
-	es := []entry{{"figures", "E1–E4: Figures 1–4, time, bandwidth and slowdown over every scheme (-csv writes them)", false, runFigure}}
+	es := []entry{{"figures", "E1–E4: Figures 1–4, time, bandwidth and slowdown over every scheme (-csv writes them)", runFigure}}
 	for _, st := range figures.Studies() {
-		es = append(es, entry{st.Name, st.ID + ": " + st.Title, st.Once, func(w io.Writer, p string, c config) error {
+		es = append(es, entry{st.Name, st.ID + ": " + st.Title, func(w io.Writer, p string, c config) error {
 			r, err := st.Run(p, c.sizes, c.opt)
 			if err != nil {
 				return err
@@ -61,7 +58,7 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write per-figure CSV files")
 	studies := flag.String("study", "figures", "comma-separated study table entries to run, or 'list'")
 	appended := map[string]*bool{}
-	for _, name := range strings.Fields("check what-if plan plancache fused halo pipeline guidelines chaos canon scale chaosscale") {
+	for _, name := range strings.Fields("check what-if plan halo pipeline guidelines chaos scale chaosscale") {
 		appended[name] = flag.Bool(name, false, "append the "+name+" entry to -study")
 	}
 	flag.Parse()
@@ -104,12 +101,9 @@ func main() {
 	c := config{sizes: figures.DefaultSizes(*perDecade), opt: harness.DefaultOptions(), csvDir: *csvDir}
 	c.opt.Reps = *reps
 	c.opt.MaxRealBytes = *maxReal
-	// The profile-independent entries run once, in a last pass.
-	for _, p := range append(profiles, "") {
+	for _, p := range profiles {
 		for _, e := range selected {
-			if e.once == (p == "") {
-				check(e.run(os.Stdout, p, c))
-			}
+			check(e.run(os.Stdout, p, c))
 		}
 	}
 }

@@ -389,7 +389,7 @@ func TestPricePackingForType(t *testing.T) {
 	}
 
 	// An irregular indexed layout keeps the raw ladder.
-	ib := committer(t)(datatype.IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, datatype.Float64))
+	ib := committer(t)(datatype.Indexed([]int{1, 1, 1, 1, 1, 1}, []int{0, 3, 7, 12, 14, 21}, datatype.Float64))
 	if im := price(t, Query{Type: ib, Profile: prof}); im.Normalized {
 		t.Fatalf("irregular indexed layout priced normalized: %+v", im)
 	}

@@ -117,7 +117,7 @@ func goldenTypes(t testing.TB) []goldenType {
 		t.Fatal(err)
 	}
 	nested := commit(datatype.Hvector(256, 1, in.TrueExtent()+16, in))
-	irregular := commit(datatype.IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, datatype.Float64))
+	irregular := commit(datatype.Indexed([]int{1, 1, 1, 1, 1, 1}, []int{0, 3, 7, 12, 14, 21}, datatype.Float64))
 	return []goldenType{{"dense", dense}, {"vector", vec}, {"hvector-of-vector", nested}, {"indexed", irregular}}
 }
 

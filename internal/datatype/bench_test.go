@@ -119,6 +119,35 @@ func BenchmarkPackEngines(b *testing.B) {
 					plan.runParallelN(src, dst, packDirection, w)
 				}
 			})
+			b.Run("cold/"+name, func(b *testing.B) {
+				// The whole software stack per message, nothing
+				// cached: construct, commit (flatten and compile),
+				// bind the count, pack. steadyState below is the same
+				// message on a warm plan cache.
+				before := PlanStatsSnapshot()
+				b.ReportAllocs()
+				b.SetBytes(ty.Size())
+				for i := 0; i < b.N; i++ {
+					cty, err := Vector(count, g.blocklen, g.stride, Float64)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := cty.Commit(); err != nil {
+						b.Fatal(err)
+					}
+					plan, err := cty.CompilePlan(1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := plan.Pack(src, dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if d := PlanStatsSnapshot().Sub(before); d.PlanMisses < int64(b.N) {
+					b.Fatalf("cold cell missed the plan cache %d times in %d ops", d.PlanMisses, b.N)
+				}
+			})
 			b.Run("steadyState/"+name, func(b *testing.B) {
 				// The full steady-state hot path: plan-cache lookup +
 				// kernel, as Comm.PackCompiled runs it. Run with
@@ -201,8 +230,11 @@ func BenchmarkPackEngines(b *testing.B) {
 	// GOMAXPROCS selects. These cells name both: the typed receive of
 	// every-other doubles into blocks of four (8-byte runs into 32-byte
 	// runs) at the parallel threshold, on one goroutine and cut across
-	// two workers whatever the host — and the range checksum over either
-	// layout, the other per-byte pass of a transfer under faults.
+	// two workers whatever the host; the same layout change staged on
+	// one goroutine, so fusedPair/…/serial over stagedPair is the
+	// fused/staged ratio of a transfer whose layouts differ; and the
+	// range checksum over either layout, the other per-byte pass of a
+	// transfer under faults.
 	const payload = 4 << 20
 	everyOther, src, _ := benchVector(b, payload/8, 1, 2)
 	block4, blockSrc, _ := benchVector(b, payload/32, 4, 8)
@@ -221,6 +253,17 @@ func BenchmarkPackEngines(b *testing.B) {
 			}
 		})
 	}
+	b.Run("stagedPair/everyOther→block4/4MiB", func(b *testing.B) {
+		dst := buf.Alloc(int(block4.Extent()))
+		staging := buf.Alloc(payload)
+		b.ReportAllocs()
+		b.SetBytes(payload)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			runSerial(srcPlan, src, staging, packDirection)
+			runSerial(dstPlan, dst, staging, unpackDirection)
+		}
+	})
 	for _, c := range []struct {
 		name string
 		plan *Plan
@@ -393,7 +436,7 @@ func BenchmarkGatherKernel(b *testing.B) {
 		displs[i] = pos
 		pos += 2 + (i*7)%3
 	}
-	ty, err := IndexedBlock(2, displs, Float64)
+	ty, err := indexedBlock(2, displs, Float64)
 	if err != nil {
 		b.Fatal(err)
 	}

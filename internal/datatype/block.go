@@ -15,9 +15,9 @@ import (
 // offset to level coordinates) and one odometer step serve the range
 // executor (runForm), the segment iterator, the checksum walk and the
 // fused pair kernel alike. The file also holds KernelClass, the
-// (element size × stride class × dimensionality) label a compiled
-// program is described by in CanonicalString and the E19 study; like
-// PlanKernel, the label selects a price and a stats bucket, not code.
+// (element size × stride class × dimensionality) label of a compiled
+// program; it selects no code, and only the tests read it
+// (CanonicalString and Plan.KernelClass in canonical_test.go).
 
 // form is the strided-block descriptor: runs of runLen bytes in dims
 // nested levels, innermost first; level l repeats what it holds cnt[l]
@@ -42,9 +42,6 @@ func (f *form) level(cnt, str int64) {
 		f.dims++
 	}
 }
-
-// runs returns the form's run count.
-func (f *form) runs() int64 { return f.cnt[0] * f.cnt[1] * f.cnt[2] * f.cnt[3] }
 
 // head is a position in a form: the level coordinates of a run, the
 // user offset of its first byte, and the bytes of it already consumed.

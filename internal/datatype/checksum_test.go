@@ -164,7 +164,7 @@ func TestChecksumRangeKernel(t *testing.T) {
 		{"block2d", block2d, 1, KernelBlock},
 		{"block3d", block3d, 1, KernelBlock},
 		{"block2dx2", block2d, 2, KernelBlock},
-		{"gatherUniform", mustType(IndexedBlock(1, []int{0, 3, 5, 10, 12, 17, 19, 22, 26, 29, 33, 40}, Float64)), 1, KernelGather},
+		{"gatherUniform", mustType(indexedBlock(1, []int{0, 3, 5, 10, 12, 17, 19, 22, 26, 29, 33, 40}, Float64)), 1, KernelGather},
 		{"gatherMixed", mustType(Indexed([]int{1, 3, 2, 1, 4}, []int{0, 2, 7, 11, 13}, Float64)), 1, KernelGather},
 		{"gatherMixedx2", mustType(Indexed([]int{1, 2, 1}, []int{0, 2, 6}, Float64)), 2, KernelGather},
 		{"contig", mustType(Contiguous(12, Float64)), 1, KernelContig},

@@ -164,21 +164,6 @@ func Hindexed(blocklens []int, displsBytes []int64, base *Type) (*Type, error) {
 	return hindexed(KindHindexed, append([]int(nil), blocklens...), append([]int64(nil), displsBytes...), base)
 }
 
-// IndexedBlock builds equally sized blocks at the given base-extent
-// displacements (MPI_Type_create_indexed_block).
-func IndexedBlock(blocklen int, displs []int, base *Type) (*Type, error) {
-	if err := checkBase(base); err != nil {
-		return nil, err
-	}
-	blocklens := make([]int, len(displs))
-	bdispls := make([]int64, len(displs))
-	for i, d := range displs {
-		blocklens[i] = blocklen
-		bdispls[i] = int64(d) * base.Extent()
-	}
-	return hindexed(KindIndexedBlock, blocklens, bdispls, base)
-}
-
 func hindexed(kind Kind, blocklens []int, displs []int64, base *Type) (*Type, error) {
 	var segs []layout.Segment
 	var size int64

@@ -69,23 +69,21 @@ const (
 	KindHvector
 	KindIndexed
 	KindHindexed
-	KindIndexedBlock
 	KindStruct
 	KindSubarray
 	KindResized
 )
 
 var kindNames = map[Kind]string{
-	KindBasic:        "basic",
-	KindContiguous:   "contiguous",
-	KindVector:       "vector",
-	KindHvector:      "hvector",
-	KindIndexed:      "indexed",
-	KindHindexed:     "hindexed",
-	KindIndexedBlock: "indexed_block",
-	KindStruct:       "struct",
-	KindSubarray:     "subarray",
-	KindResized:      "resized",
+	KindBasic:      "basic",
+	KindContiguous: "contiguous",
+	KindVector:     "vector",
+	KindHvector:    "hvector",
+	KindIndexed:    "indexed",
+	KindHindexed:   "hindexed",
+	KindStruct:     "struct",
+	KindSubarray:   "subarray",
+	KindResized:    "resized",
 }
 
 // String returns the constructor name.
@@ -145,9 +143,6 @@ func (t *Type) Size() int64 { return t.size }
 
 // Extent returns ub-lb (MPI_Type_get_extent).
 func (t *Type) Extent() int64 { return t.ub - t.lb }
-
-// UB returns the upper bound.
-func (t *Type) UB() int64 { return t.ub }
 
 // TrueLB returns the lowest byte offset actually read or written,
 // ignoring Resized adjustments (MPI_Type_get_true_extent).

@@ -54,7 +54,7 @@ func TestFusedCopyDifferential(t *testing.T) {
 		return mustType(Vector(count, bl, str, Float64))
 	}
 	idx := func(bl int, displs ...int) *Type {
-		return mustType(IndexedBlock(bl, displs, Float64))
+		return mustType(indexedBlock(bl, displs, Float64))
 	}
 	contig := func(n int) *Type {
 		return mustType(Contiguous(n, Float64))
@@ -120,7 +120,7 @@ func TestFusedCopyDifferential(t *testing.T) {
 // stream.
 func TestPairIterCoversStream(t *testing.T) {
 	srcTy := mustType(Vector(32, 3, 5, Float64))
-	dstTy := mustType(IndexedBlock(4, []int{0, 7, 15, 26, 40, 55, 71, 88, 106, 125, 145, 166, 188, 211, 235, 260, 286, 313, 341, 370, 400, 431, 463, 496}, Float64))
+	dstTy := mustType(indexedBlock(4, []int{0, 7, 15, 26, 40, 55, 71, 88, 106, 125, 145, 166, 188, 211, 235, 260, 286, 313, 341, 370, 400, 431, 463, 496}, Float64))
 	srcPlan, err := srcTy.CompilePlan(1)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestPairIterCoversStream(t *testing.T) {
 func TestSegIterSeekMatchesWalk(t *testing.T) {
 	for _, ty := range []*Type{
 		mustType(Vector(16, 3, 7, Float64)),
-		mustType(IndexedBlock(2, []int{0, 5, 11, 20, 28}, Float64)),
+		mustType(indexedBlock(2, []int{0, 5, 11, 20, 28}, Float64)),
 		mustType(Contiguous(9, Float64)),
 	} {
 		plan, err := ty.CompilePlan(3)
@@ -331,8 +331,8 @@ func TestFusedCopyParallelMatchesSerial(t *testing.T) {
 				t.Fatal("fused pass differs from serial")
 			}
 			d := PlanStatsSnapshot().Sub(before)
-			if d.FusedOps != 1 {
-				t.Fatalf("fused attribution %+v", d)
+			if d.FusedOps != 1 || d.FusedBytes != srcPlan.Bytes() || d.StagedOps != 0 {
+				t.Fatalf("fused attribution %+v, want one fused op of %d B and no staged one", d, srcPlan.Bytes())
 			}
 			if w := parallelWorkersFor(srcPlan.Bytes()); (w > 1) != (d.ParallelOps == 1) {
 				t.Fatalf("parallel attribution %+v (workers %d)", d, w)

@@ -82,7 +82,7 @@ func decodeType(d *fuzzDecoder, depth int) *Type {
 			displs[i] = pos
 			pos += bl + d.intn(5)
 		}
-		ty, err = IndexedBlock(bl, displs, base)
+		ty, err = indexedBlock(bl, displs, base)
 	case 5:
 		fields := []*Type{Int32, base, Float64}
 		blocklens := make([]int, len(fields))

@@ -96,7 +96,7 @@ func TestNormalizeSubarrayOfContiguous(t *testing.T) {
 func TestNormalizeUniformHoist(t *testing.T) {
 	// Irregular offsets with a uniform block length: no canonical form,
 	// but the uniform element size is hoisted onto the gather table.
-	ty := mustType(IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64))
+	ty := mustType(indexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64))
 	plan, err := ty.CompilePlan(2)
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +142,8 @@ func TestNormalizeStats(t *testing.T) {
 }
 
 // TestKernelClassLabels pins the descriptive class label of each
-// program family — what CanonicalString and the E19 study print. The
-// label selects no kernel; every class runs copyRunGroups.
+// program family — what CanonicalString prints. The label selects no
+// kernel; every class runs copyRunGroups.
 func TestKernelClassLabels(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -162,7 +162,7 @@ func TestKernelClassLabels(t *testing.T) {
 			mid := mustType(Hvector(3, 1, 72, in))
 			return mustType(Hvector(2, 1, 240, mid))
 		}, "elem8/regular/3d"},
-		{"gather-8B", func() *Type { return mustType(IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64)) }, "elem8/irregular/1d"},
+		{"gather-8B", func() *Type { return mustType(indexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64)) }, "elem8/irregular/1d"},
 	}
 	for _, c := range cases {
 		ty := c.build()
@@ -187,7 +187,7 @@ func TestCanonicalString(t *testing.T) {
 		{func() *Type { return mustType(Contiguous(4, Float64)) }, "canon{contig"},
 		{func() *Type { return mustType(Vector(8, 1, 2, Float64)) }, "canon{stride"},
 		{func() *Type { return hvecOfVec(t, 4, 8, 1, 24) }, "canon{block2d"},
-		{func() *Type { return mustType(IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64)) }, "canon{gather"},
+		{func() *Type { return mustType(indexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64)) }, "canon{gather"},
 	}
 	for _, c := range cases {
 		ty := c.build()
@@ -235,7 +235,7 @@ func normalizeCorpus(t *testing.T) map[string]func() *Type {
 			return mk(Indexed([]int{2, 1, 3, 1}, []int{0, 5, 8, 16}, Float64))
 		},
 		"indexed-uniform": func() *Type {
-			return mk(IndexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64))
+			return mk(indexedBlock(1, []int{0, 3, 7, 12, 14, 21}, Float64))
 		},
 		"struct-mixed": func() *Type {
 			return mk(Struct([]int{1, 2, 1}, []int64{0, 8, 40}, []*Type{Int32, Float64, Complex128}))
@@ -411,11 +411,13 @@ func TestNormalizePipeline(t *testing.T) {
 	}
 }
 
-// TestGatherTwin pins the stand-in studies send for "the same transfer
-// without the normalizer": on E19's three families and the guidelines'
-// hvector-of-vector, the twin compiles to the gather walk with the
-// source's size and run count, and packs what the cursor walks over
-// it. indexedIrregular is the control: gather either way.
+// TestGatherTwin pins the stand-in studies and benchmarks send for "the
+// same transfer without the normalizer": on the normalizer's three
+// families (nested 8-byte runs, a 3-D subarray face, an irregular
+// indexed control) and the guidelines' hvector-of-vector, the twin
+// compiles to the gather walk with the source's size and run count,
+// and packs what the cursor walks over it. indexedIrregular is the
+// control: gather either way.
 func TestGatherTwin(t *testing.T) {
 	displs := make([]int, 64)
 	for i := 1; i < len(displs); i++ {
@@ -429,7 +431,7 @@ func TestGatherTwin(t *testing.T) {
 	}{
 		{"hvecOfVec8B", hvecOfVec(t, 64, 16, 1, 16), KernelBlock},
 		{"subarray3d", mustType(Subarray([]int{6, 12, 48}, []int{4, 8, 32}, []int{1, 2, 4}, OrderC, Float64)), KernelBlock},
-		{"indexedIrregular", mustType(IndexedBlock(1, displs, Float64)), KernelGather},
+		{"indexedIrregular", mustType(indexedBlock(1, displs, Float64)), KernelGather},
 		{"guidelines/alt", hvecOfVec(t, 16, 8, 1, 32), KernelBlock},
 		{"guidelines/block8", hvecOfVec(t, 16, 8, 8, 32), KernelBlock},
 	} {

@@ -50,7 +50,7 @@ func TestPackUnpackRoundTripEveryConstructor(t *testing.T) {
 		"hvector":      mustType(Hvector(7, 1, 24, Float64)),
 		"indexed":      mustType(Indexed([]int{2, 1, 3}, []int{0, 4, 8}, Float64)),
 		"hindexed":     mustType(Hindexed([]int{1, 2}, []int64{8, 48}, Float64)),
-		"indexedblock": mustType(IndexedBlock(2, []int{0, 5, 9}, Float64)),
+		"indexedblock": mustType(indexedBlock(2, []int{0, 5, 9}, Float64)),
 		"struct":       mustType(Struct([]int{1, 2}, []int64{0, 8}, []*Type{Int32, Float64})),
 		"subarray":     mustType(Subarray([]int{6, 6}, []int{2, 3}, []int{1, 2}, OrderC, Float64)),
 	}

@@ -356,16 +356,6 @@ type PlanStats struct {
 	ChecksumBytes int64
 }
 
-// HitRate returns PlanHits/(PlanHits+PlanMisses), or 0 with no
-// lookups.
-func (s PlanStats) HitRate() float64 {
-	total := s.PlanHits + s.PlanMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.PlanHits) / float64(total)
-}
-
 // CompiledOps returns the total compiled-kernel executions.
 func (s PlanStats) CompiledOps() int64 {
 	return s.ContigOps + s.StrideOps + s.GatherOps + s.BlockOps

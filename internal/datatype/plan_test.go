@@ -57,7 +57,7 @@ func randPlanType(rng *rand.Rand, depth int) *Type {
 			displs[i] = pos
 			pos += bl + rng.Intn(4)
 		}
-		ty, err = IndexedBlock(bl, displs, base)
+		ty, err = indexedBlock(bl, displs, base)
 	case 5:
 		fields := []*Type{Int32, base, Float64}
 		blocklens := make([]int, len(fields))
@@ -348,7 +348,7 @@ func TestPlanParallelDifferential(t *testing.T) {
 				displs[i] = pos
 				pos += 2 + rng.Intn(3)
 			}
-			return mustType(IndexedBlock(2, displs, Float64)) // irregular, 640 KB
+			return mustType(indexedBlock(2, displs, Float64)) // irregular, 640 KB
 		}(),
 	}
 	for _, ty := range big {

@@ -22,7 +22,7 @@ func randIndexed(rng *rand.Rand) (*Type, error) {
 		displs[i] = pos
 		pos += blocklen + rng.Intn(5)
 	}
-	ty, err := IndexedBlock(blocklen, displs, Float64)
+	ty, err := indexedBlock(blocklen, displs, Float64)
 	if err != nil {
 		return nil, err
 	}

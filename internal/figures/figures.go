@@ -2,14 +2,15 @@
 // under an experiment identifier: the four installation figures E1–E4
 // (Figures 1–4: time, bandwidth and slowdown panels over every scheme,
 // built by Build), the §3.2 ping-pong table per scheme and the studies
-// E5–E21. The table and the studies are rows of one table (Studies),
+// E5–E12, E15–E18, E20 and E21, every number on the virtual clock. The
+// table and the studies are rows of one table (Studies),
 // measured by one runner (Study.Run) and rendered by one renderer
 // (Result.Render) that writes the header, the charts, tables and notes,
 // and the closing claim lines; TestStudyClaims checks every claim.
 // E5–E12 — eager limit §4.5, cache flushing §4.6, spacing, block size
 // and node scaling §4.7, the §2 cost-model factors, the NIC-pipelining
-// what-if and the pack-plan compiler — are harness grids; E9 and
-// E13–E21 measure through a Measure hook of their own.
+// what-if and the pack-plan compiler — are harness grids; E9 and E15
+// onwards measure through a Measure hook of their own.
 // cmd/figures runs any of them by name: `figures -study list`.
 package figures
 

@@ -76,6 +76,20 @@ var pipelineGeometries = []struct {
 	{"blocked64", 64, 128},
 }
 
+// vectorFor builds the committed vector covering n payload bytes with
+// the given block/stride (in float64 elements).
+func vectorFor(n int64, block, stride int) (*datatype.Type, error) {
+	count := int(n) / (block * 8)
+	if count < 1 {
+		count = 1
+	}
+	ty, err := datatype.Vector(count, block, stride, datatype.Float64)
+	if err != nil {
+		return nil, err
+	}
+	return ty, ty.Commit()
+}
+
 // measurePipeline fills the p2p panels, one cell per (layout, chunk
 // size), then the collective note, one row per size.
 func measurePipeline(r *Result, _ harness.Options) error {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -25,18 +24,11 @@ type Study struct {
 	Title string // header text, "eager limit study"
 	// Detail appends facts to the header line; nil appends nothing.
 	Detail func(r *Result) string
-	// Once marks a study that does not depend on the installation: it
-	// runs once, after the per-installation ones, and its header names
-	// no profile.
-	Once bool
 
 	Axis Axis
 	// Sizes derives a size axis from the installation and the caller's
 	// sweep; nil measures the sweep itself.
 	Sizes func(p *perfmodel.Profile, sweep []int64) []int64
-	// Real marks a study that times real byte movement: its sizes are
-	// cut to [64 KiB, MaxRealBytes], and none left is an error.
-	Real bool
 	// MaxReps caps the caller's repetitions; 0 keeps them.
 	MaxReps int
 	// Points and Bytes are the x values and the fixed payload of every
@@ -50,8 +42,9 @@ type Study struct {
 	// Seconds, NsPerByte or GBps.
 	Metric func(harness.Measurement) float64
 	// Measure replaces the harness grid: E9 runs pairs on split
-	// communicators, E13–E21 time their own engines. It fills the
-	// result's curves with add and its note panels with printf.
+	// communicators, E15–E21 drive their own transfers and worlds. It
+	// fills the result's curves with add and its note panels with
+	// printf.
 	Measure func(r *Result, opt harness.Options) error
 
 	Panels []Panel
@@ -158,20 +151,12 @@ type cell struct{ variant, name string }
 func (st *Study) Run(profileName string, sweep []int64, opt harness.Options) (*Result, error) {
 	r := &Result{Study: st, series: map[cell][]harness.Measurement{}, y: map[cell]*stats.Series{}, notes: map[string]string{}}
 	var err error
-	if !st.Once {
-		if r.Profile, err = perfmodel.ByName(profileName); err != nil {
-			return nil, err
-		}
+	if r.Profile, err = perfmodel.ByName(profileName); err != nil {
+		return nil, err
 	}
 	r.sizes = sweep
 	if st.Sizes != nil {
 		r.sizes = st.Sizes(r.Profile, sweep)
-	}
-	if st.Real {
-		r.sizes = slices.DeleteFunc(slices.Clone(r.sizes), func(n int64) bool { return n < 64<<10 || n > opt.MaxRealBytes })
-		if len(r.sizes) == 0 {
-			return nil, fmt.Errorf("figures: %s: no sizes in [64 KiB, MaxRealBytes=%d]", st.Name, opt.MaxRealBytes)
-		}
 	}
 	if st.MaxReps > 0 {
 		opt.Reps = min(opt.Reps, st.MaxReps)
@@ -272,10 +257,7 @@ func (r *Result) Series(c Curve) *stats.Series {
 
 // Render writes the header, the panels and the closing claim lines.
 func (r *Result) Render(w io.Writer) error {
-	header := r.ID + " " + r.Title
-	if !r.Once {
-		header += " — " + r.Profile.Name
-	}
+	header := r.ID + " " + r.Title + " — " + r.Profile.Name
 	if r.Detail != nil {
 		header += r.Detail(r)
 	}
@@ -376,7 +358,8 @@ const checkBytes = 100_000_000
 // paper's §3.2 protocol, the §4.5–4.7 ablations (E5–E9), the §2
 // cost-model factors (E10), the NIC-pipelining what-if of the paper's
 // reference [2] (E11), the pack-plan compiler (E12) and the studies of
-// this implementation's engines (E13–E21).
+// this implementation's engines on the virtual clock (E15–E18, E20 and
+// E21).
 func Studies() []*Study {
 	warmSpeedup := Curve{Label: "copying flush/warm", Scheme: core.Copying, Variant: "flushed",
 		Over: &Curve{Scheme: core.Copying, Variant: "warm"}}
@@ -543,8 +526,7 @@ func Studies() []*Study {
 			Value: func(r *Result) float64 { return r.last(compiledSpeedup) },
 			Holds: above(1)}},
 		Spaced: true,
-	}, planCacheStudy(), fusedStudy(), haloStudy(), pipelineStudy(), guidelinesStudy(), chaosStudy(),
-		canonStudy(), scaleStudy(), chaosScaleStudy()}
+	}, haloStudy(), pipelineStudy(), guidelinesStudy(), chaosStudy(), scaleStudy(), chaosScaleStudy()}
 }
 
 // fixed is a size axis that ignores the installation and the sweep.

@@ -105,13 +105,16 @@ func TestRendezvousStudiesGolden(t *testing.T) {
 }
 
 // TestStudyClaims checks every claim of the table on skx-impi: the
-// paper's statements on E5–E12 and each closing line of E13–E21. Rows
-// that cap their repetitions run at the cap, the real-byte rows time
-// payloads up to 1 MiB, and the rank axes stop at the cells their
-// claims read.
+// paper's statements on E5–E12 and each closing line of E15–E21. Rows
+// that cap their repetitions run at the cap, and the rank axes stop at
+// the cells their claims read. Every row first rejects an installation
+// no profile names, with an error that names it.
 func TestStudyClaims(t *testing.T) {
 	for _, st := range Studies() {
 		o := shapeOpts()
+		if _, err := st.Run("no-such-profile", nil, o); err == nil || !strings.Contains(err.Error(), `"no-such-profile"`) {
+			t.Errorf("%s %s: unknown installation gave %v, want an error naming it", st.ID, st.Title, err)
+		}
 		switch st.Name {
 		case "nodes":
 			st.Points = st.Points[:4]
@@ -124,9 +127,6 @@ func TestStudyClaims(t *testing.T) {
 		}
 		if st.MaxReps > 0 {
 			o.Reps = st.MaxReps
-		}
-		if st.Real {
-			o.MaxRealBytes = 1 << 20
 		}
 		r := run(t, st, []int64{1_000_000, 100_000_000, 1_000_000_000}, o)
 		for _, c := range st.Claims {

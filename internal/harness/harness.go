@@ -79,7 +79,7 @@ type Measurement struct {
 	// grid's fixture set and runs before any window opens). It shows
 	// which tier — compiled whole-message kernels, compiled-chunked
 	// streaming or parallel execution — moved the cell's bytes, how
-	// the plan cache behaved (PlanHits/PlanMisses, PlanStats.HitRate),
+	// the plan cache behaved (PlanHits/PlanMisses),
 	// and how each typed rendezvous payload travelled:
 	// FusedOps/FusedBytes for one-pass fused transfers (the sendv
 	// scheme's zero-staging path),
