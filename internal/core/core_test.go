@@ -8,6 +8,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/layout"
 	"repro/internal/memsim"
+	"repro/internal/oracle"
 	"repro/internal/perfmodel"
 )
 
@@ -66,8 +67,11 @@ func TestWorkloadTypesAgreeWithLayout(t *testing.T) {
 	if vt.Size() != w.Bytes() || st.Size() != w.Bytes() {
 		t.Fatalf("type sizes %d/%d, want %d", vt.Size(), st.Size(), w.Bytes())
 	}
-	// Both types must select exactly the workload's layout bytes.
-	want := layout.Segments(w.Layout())
+	// Both types must select exactly the workload's blocks.
+	var want []layout.Segment
+	for i := 0; i < w.Count; i++ {
+		want = append(want, layout.Segment{Off: int64(i*w.Stride) * ElemSize, Len: int64(w.BlockLen) * ElemSize})
+	}
 	for name, ty := range map[string]*datatype.Type{"vector": vt, "subarray": st} {
 		plan, err := ty.CompilePlan(1)
 		if err != nil {
@@ -105,7 +109,11 @@ func TestJitteredWorkloadType(t *testing.T) {
 	if _, err := w.SubarrayType(); err == nil {
 		t.Fatal("subarray accepted a jittered workload")
 	}
-	if w.SrcBytes() < w.Layout().Extent() {
+	st, err := w.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.SrcBytes() < st.Extent {
 		t.Fatal("source allocation smaller than jittered extent")
 	}
 }
@@ -120,7 +128,8 @@ func TestQuickJitterPreservesPayload(t *testing.T) {
 			j /= 2
 		}
 		w := Workload{Count: int(cnt)%100 + 1, BlockLen: 1, Stride: 8, Jitter: j}
-		return w.Layout().Size() == w.Bytes()
+		st, err := w.Stats()
+		return err == nil && st.Bytes == w.Bytes() && (j == 0 || oracle.Stats(w.segments()).Bytes == w.Bytes())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,10 @@ func pricePointToPoint(q Query) (Cost, error) {
 			st, normalized = q.Type.Stats(count), plan.Kernel() == datatype.KernelBlock
 		}
 	} else if n > 0 {
-		st = layout.Describe(ForBytes(n).Layout())
+		var err error
+		if st, err = ForBytes(n).Stats(); err != nil {
+			return Cost{}, err
+		}
 	}
 	c := Cost{Bytes: n, Ranks: 1, Workers: 1}
 	if n > 0 {
@@ -138,12 +141,15 @@ func (c *Cost) priceFaults(p *perfmodel.Profile, fp memsim.FaultProfile) {
 // in ranks-1 single-hop forwards of checksummed chunks that recover
 // selectively. So as the fault rate climbs the deep tree pays retries
 // the ring does not.
-func priceCollective(ranks int, n int64, p *perfmodel.Profile, fp memsim.FaultProfile) Cost {
+func priceCollective(ranks int, n int64, p *perfmodel.Profile, fp memsim.FaultProfile) (Cost, error) {
 	c := Cost{Bytes: n, Ranks: ranks, Workers: 1, DeliveryProb: 1, RingDeliveryProb: 1}
 	if n <= 0 {
-		return c
+		return c, nil
 	}
-	st := layout.Describe(ForBytes(n).Layout())
+	st, err := ForBytes(n).Stats()
+	if err != nil {
+		return Cost{}, err
+	}
 	mem := memsim.NewState(&p.Mem)
 	mem.SetDisabled(true) // steady-state estimate: cold, deterministic
 	wire := p.WireTime(n) + p.NetLatency
@@ -251,7 +257,7 @@ func priceCollective(ranks int, n int64, p *perfmodel.Profile, fp memsim.FaultPr
 		c.RingDeliveryProb = pow(fp.TransferDeliveryProb(c.Legs), ranks-1)
 	}
 	c.DeliveryProb = pow(fp.TransferDeliveryProb(c.Legs), typedHops)
-	return c
+	return c, nil
 }
 
 // ringCost prices the clean pipelined packed-segment ring: one serial

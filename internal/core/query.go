@@ -195,7 +195,7 @@ func Price(q Query) (Cost, error) {
 		return Cost{}, err
 	}
 	if q.Ranks > 1 {
-		return priceCollective(q.Ranks, q.Bytes, q.Profile, q.Faults), nil
+		return priceCollective(q.Ranks, q.Bytes, q.Profile, q.Faults)
 	}
 	return pricePointToPoint(q)
 }

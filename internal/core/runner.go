@@ -141,37 +141,15 @@ func (ps *pairState) Check() error {
 // open a window override it.
 func (ps *pairState) Teardown() error { return nil }
 
-// gatherLoop is the user-space manual copy: the paper's "copying"
-// scheme inner loop. It moves the bytes (for real payloads) and
-// charges the gather cost on the virtual clock.
-func (ps *pairState) gatherLoop(dst buf.Block) {
-	lay := ps.w.Layout()
-	st := layout.Describe(lay)
-	ps.c.Charge(ps.c.Cache().GatherCost(ps.src.Region(), dst.Region(), st, memsim.Kernel{}))
-	if ps.src.IsVirtual() || dst.IsVirtual() {
-		return
-	}
-	if s, ok := lay.(layout.Strided); ok {
-		gatherStrided(dst.Bytes(), ps.src.Bytes(), s)
-		return
-	}
-	off := 0
-	lay.ForEach(func(s layout.Segment) bool {
-		buf.CopyAt(dst, off, ps.src, int(s.Off), int(s.Len))
-		off += int(s.Len)
-		return true
-	})
-}
-
 // gatherStrided is the indexed loop the paper's user writes for a
-// regular stride (§2.2): an 8-byte block moves as one word, any other
+// regular stride (§2.2): count blocks of blockLen bytes, block starts
+// stride bytes apart. An 8-byte block moves as one word, any other
 // block length as one copy. The word loop's bounds are checked once, the
 // way a C compiler has nothing to check in the user's loop at all: both
 // slices are resliced to the last word the loop touches — a layout the
 // buffers do not hold panics there, before a byte has moved — and the
 // words then move at offsets from the two base pointers.
-func gatherStrided(dst, src []byte, s layout.Strided) {
-	count, blockLen, stride := s.Count, s.BlockLen, s.Stride
+func gatherStrided(dst, src []byte, count, blockLen, stride int64) {
 	if blockLen != 8 || stride < 0 || count <= 0 {
 		for i := int64(0); i < count; i++ {
 			copy(dst[i*blockLen:(i+1)*blockLen], src[i*stride:])
@@ -225,10 +203,14 @@ func (r *referenceRunner) Ping() error {
 }
 
 // copyingRunner is §2.2: gather into a reusable contiguous buffer with
-// a user loop, then send the buffer.
+// a user loop, then send the buffer. The loop is the user's own: it
+// walks the stride, or the jittered segments listed once in Setup, and
+// calls no datatype function.
 type copyingRunner struct {
 	pairState
 	sendbuf buf.Block
+	st      layout.Stats
+	segs    []layout.Segment // jittered workloads only
 }
 
 func (r *copyingRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
@@ -236,11 +218,32 @@ func (r *copyingRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 		return err
 	}
 	r.sendbuf = r.sendBlock(w.Bytes())
-	return nil
+	r.segs = w.segments()
+	var err error
+	r.st, err = w.Stats()
+	return err
+}
+
+// gather is the manual copy: it moves the bytes (for real payloads)
+// and charges the gather cost on the virtual clock.
+func (r *copyingRunner) gather() {
+	dst := r.sendbuf
+	r.c.Charge(r.c.Cache().GatherCost(r.src.Region(), dst.Region(), r.st, memsim.Kernel{}))
+	switch {
+	case r.src.IsVirtual() || dst.IsVirtual():
+	case r.w.Jitter > 0:
+		off := 0
+		for _, s := range r.segs {
+			buf.CopyAt(dst, off, r.src, int(s.Off), int(s.Len))
+			off += int(s.Len)
+		}
+	default:
+		gatherStrided(dst.Bytes(), r.src.Bytes(), int64(r.w.Count), int64(r.w.BlockLen)*ElemSize, int64(r.w.Stride)*ElemSize)
+	}
 }
 
 func (r *copyingRunner) Ping() error {
-	r.gatherLoop(r.sendbuf)
+	r.gather()
 	if err := r.c.SendPacked(r.sendbuf, r.peer, pingTag); err != nil {
 		return err
 	}
@@ -384,6 +387,7 @@ type packRunner struct {
 	pairState
 	scheme  Scheme
 	ty      *datatype.Type
+	st      layout.Stats // PackElement's gather, priced per element call
 	sendbuf buf.Block
 }
 
@@ -395,6 +399,7 @@ func (r *packRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if r.ty, err = w.VectorType(); err != nil {
 		return err
 	}
+	r.st = r.ty.Stats(1)
 	r.sendbuf = r.sendBlock(w.Bytes())
 	return nil
 }
@@ -419,8 +424,7 @@ func (r *packRunner) Ping() error {
 		// moves through the same pack engine.
 		elems := r.w.Elems()
 		r.c.Charge(float64(elems) * r.c.Profile().CallOverhead)
-		st := layout.Describe(r.w.Layout())
-		r.c.Charge(r.c.Cache().GatherCost(r.src.Region(), r.sendbuf.Region(), st, memsim.Kernel{}))
+		r.c.Charge(r.c.Cache().GatherCost(r.src.Region(), r.sendbuf.Region(), r.st, memsim.Kernel{}))
 		if !r.w.Virtual {
 			if _, err := r.ty.Pack(r.src, 1, r.sendbuf); err != nil {
 				return err

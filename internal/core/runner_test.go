@@ -20,21 +20,20 @@ func TestGatherStridedMatchesSegments(t *testing.T) {
 	for _, blockLen := range []int64{4, 8, 16, 24} {
 		for _, gap := range []int64{0, 3, 8, 40} {
 			for count := int64(0); count <= 9; count++ {
-				s := layout.Strided{Count: count, BlockLen: blockLen, Stride: blockLen + gap}
-				want := make([]byte, s.Size()+8)
+				stride := blockLen + gap
+				want := make([]byte, count*blockLen+8)
 				for i := range want {
 					want[i] = 0xCC
 				}
 				got := append([]byte(nil), want...)
 				var off int64
-				s.ForEach(func(seg layout.Segment) bool {
+				for _, seg := range layout.Jittered(count, blockLen, stride, 0) {
 					copy(want[off:off+seg.Len], src[seg.Off:])
 					off += seg.Len
-					return true
-				})
-				gatherStrided(got, src, s)
+				}
+				gatherStrided(got, src, count, blockLen, stride)
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%+v: gather differs from the layout's segments", s)
+					t.Fatalf("%d×%dB stride %d: gather differs from the layout's segments", count, blockLen, stride)
 				}
 			}
 		}
@@ -44,13 +43,13 @@ func TestGatherStridedMatchesSegments(t *testing.T) {
 // TestGatherStridedBoundsPanic pins the hoisted bounds check: a layout
 // that reaches past either buffer panics before any word has moved.
 func TestGatherStridedBoundsPanic(t *testing.T) {
-	s := layout.Strided{Count: 9, BlockLen: 8, Stride: 16}
+	const count, size, extent = 9, 9 * 8, 8*16 + 8
 	for _, c := range []struct {
 		name       string
 		dLen, sLen int64
 	}{
-		{"dst short", s.Size() - 1, s.Extent()},
-		{"src short", s.Size(), s.Extent() - 1},
+		{"dst short", size - 1, extent},
+		{"src short", size, extent - 1},
 	} {
 		dst, src := make([]byte, c.dLen), make([]byte, c.sLen)
 		for i := range src {
@@ -62,7 +61,7 @@ func TestGatherStridedBoundsPanic(t *testing.T) {
 					t.Errorf("%s: overrunning gather did not panic", c.name)
 				}
 			}()
-			gatherStrided(dst, src, s)
+			gatherStrided(dst, src, count, 8, 16)
 		}()
 		for i, b := range dst {
 			if b != 0 {

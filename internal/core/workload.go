@@ -15,6 +15,11 @@ const ElemSize = 8
 // blocks of BlockLen float64 elements, block starts Stride elements
 // apart. The paper's canonical case ("the very simplest case of a
 // derived type", §4.7) is BlockLen 1, Stride 2 — every other element.
+//
+// The geometry exists once, as the workload's derived type: VectorType
+// commits it, Stats reads its closed form, and every scheme is priced
+// and charged from those statistics. Only the manual copy walks the
+// bytes without it, as the user's own loop.
 type Workload struct {
 	Count    int
 	BlockLen int
@@ -54,36 +59,43 @@ func (w Workload) Elems() int { return w.Count * w.BlockLen }
 
 // SrcBytes returns the source allocation size shared by all schemes:
 // Count whole strides (which covers both the vector type's extent and
-// the subarray type's full parent matrix), widened when jitter pushes
-// blocks past the nominal extent.
+// the subarray type's full parent matrix), widened to the end of the
+// last jittered segment when jitter pushes blocks past the nominal
+// extent.
 func (w Workload) SrcBytes() int64 {
 	n := int64(w.Count) * int64(w.Stride) * ElemSize
-	if w.Jitter > 0 {
-		if e := w.Layout().Extent(); e > n {
-			n = e
-		}
+	if segs := w.segments(); len(segs) > 0 {
+		n = max(n, segs[len(segs)-1].End())
 	}
 	return n
 }
 
-// Layout returns the workload's geometric layout in bytes: an exact
-// stride, or the deterministic jittered variant for the §4.7 study.
-// Jittered gaps stay element-aligned so derived types remain valid.
-func (w Workload) Layout() layout.Layout {
+// segments returns the byte segments of a jittered workload — the
+// deterministic §4.7 variant, gaps element-aligned so the derived type
+// stays valid — and nil for an exact stride, whose blocks nobody needs
+// listed.
+func (w Workload) segments() []layout.Segment {
+	var segs []layout.Segment
 	if w.Jitter > 0 {
-		elems := layout.Jittered(int64(w.Count), int64(w.BlockLen), int64(w.Stride), w.Jitter)
-		segs := layout.Segments(elems)
-		for i := range segs {
-			segs[i].Off *= ElemSize
-			segs[i].Len *= ElemSize
-		}
-		return layout.MustIndexed(segs)
+		segs = layout.Jittered(int64(w.Count), int64(w.BlockLen), int64(w.Stride), w.Jitter)
 	}
-	return layout.Strided{
-		Count:    int64(w.Count),
-		BlockLen: int64(w.BlockLen) * ElemSize,
-		Stride:   int64(w.Stride) * ElemSize,
+	for i := range segs {
+		segs[i].Off *= ElemSize
+		segs[i].Len *= ElemSize
 	}
+	return segs
+}
+
+// Stats returns the layout statistics of the workload: the closed form
+// of its derived type, left uncommitted so no pack plan is compiled.
+// Every scheme is priced and charged from these numbers, so they are
+// one geometry whichever way the bytes move.
+func (w Workload) Stats() (layout.Stats, error) {
+	ty, err := w.build()
+	if err != nil {
+		return layout.Stats{}, err
+	}
+	return ty.Stats(1), nil
 }
 
 // ForBytes builds the canonical every-other-element workload whose
@@ -96,29 +108,28 @@ func ForBytes(n int64) Workload {
 	return Workload{Count: count, BlockLen: 1, Stride: 2}
 }
 
-// VectorType builds the derived type describing the workload: an
-// MPI_Type_vector for exact strides, an MPI_Type_create_hindexed for
-// jittered ones.
+// VectorType builds and commits the derived type describing the
+// workload: an MPI_Type_vector for exact strides, an
+// MPI_Type_create_hindexed over the jittered segments otherwise.
 func (w Workload) VectorType() (*datatype.Type, error) {
-	if w.Jitter > 0 {
-		var blocklens []int
-		var displs []int64
-		w.Layout().ForEach(func(s layout.Segment) bool {
-			blocklens = append(blocklens, int(s.Len/ElemSize))
-			displs = append(displs, s.Off)
-			return true
-		})
-		ty, err := datatype.Hindexed(blocklens, displs, datatype.Float64)
-		if err != nil {
-			return nil, err
-		}
-		return ty, ty.Commit()
-	}
-	ty, err := datatype.Vector(w.Count, w.BlockLen, w.Stride, datatype.Float64)
+	ty, err := w.build()
 	if err != nil {
 		return nil, err
 	}
 	return ty, ty.Commit()
+}
+
+// build makes the workload's derived type, uncommitted.
+func (w Workload) build() (*datatype.Type, error) {
+	if w.Jitter > 0 {
+		segs := w.segments()
+		blocklens, displs := make([]int, len(segs)), make([]int64, len(segs))
+		for i, s := range segs {
+			blocklens[i], displs[i] = int(s.Len/ElemSize), s.Off
+		}
+		return datatype.Hindexed(blocklens, displs, datatype.Float64)
+	}
+	return datatype.Vector(w.Count, w.BlockLen, w.Stride, datatype.Float64)
 }
 
 // SubarrayType builds the MPI_Type_create_subarray equivalent: a

@@ -1,10 +1,6 @@
 package datatype
 
-import (
-	"fmt"
-
-	"repro/internal/buf"
-)
+import "repro/internal/buf"
 
 // This file holds the strided-block form every closed-form program
 // executes, and the one range executor over it. A form is runs of one
@@ -14,10 +10,7 @@ import (
 // bound plan adds count as one more outer level. One seek (a packed
 // offset to level coordinates) and one odometer step serve the range
 // executor (runForm), the segment iterator, the checksum walk and the
-// fused pair kernel alike. The file also holds KernelClass, the
-// (element size × stride class × dimensionality) label of a compiled
-// program; it selects no code, and only the tests read it
-// (CanonicalString and Plan.KernelClass in canonical_test.go).
+// fused pair kernel alike.
 
 // form is the strided-block descriptor: runs of runLen bytes in dims
 // nested levels, innermost first; level l repeats what it holds cnt[l]
@@ -119,81 +112,4 @@ func (p *Plan) runForm(user, stream buf.Block, lo, hi, soff int64, dir direction
 			h.step(0, k)
 		}
 	}
-}
-
-// ElemClass buckets a canonical run length into the element sizes the
-// paper's workloads use (float, double, double complex).
-type ElemClass uint8
-
-// The element classes.
-const (
-	ElemAny ElemClass = iota
-	Elem4
-	Elem8
-	Elem16
-)
-
-var elemClassNames = map[ElemClass]string{
-	ElemAny: "any", Elem4: "elem4", Elem8: "elem8", Elem16: "elem16",
-}
-
-// String returns the element-class name.
-func (e ElemClass) String() string {
-	if s, ok := elemClassNames[e]; ok {
-		return s
-	}
-	return fmt.Sprintf("ElemClass(%d)", int(e))
-}
-
-// elemClassOf buckets a run length.
-func elemClassOf(runLen int64) ElemClass {
-	switch runLen {
-	case 4:
-		return Elem4
-	case 8:
-		return Elem8
-	case 16:
-		return Elem16
-	default:
-		return ElemAny
-	}
-}
-
-// StrideClass classifies how a program addresses the user buffer.
-type StrideClass uint8
-
-// The stride classes.
-const (
-	// StrideNone is a contiguous program: one dense run.
-	StrideNone StrideClass = iota
-	// StrideRegular is closed-form strided addressing: a strided form.
-	StrideRegular
-	// StrideIrregular is a gather table walk.
-	StrideIrregular
-)
-
-var strideClassNames = map[StrideClass]string{
-	StrideNone: "contig", StrideRegular: "regular", StrideIrregular: "irregular",
-}
-
-// String returns the stride-class name.
-func (s StrideClass) String() string {
-	if n, ok := strideClassNames[s]; ok {
-		return n
-	}
-	return fmt.Sprintf("StrideClass(%d)", int(s))
-}
-
-// KernelClass describes the shape of a compiled program: the element
-// class of its runs, how it addresses the user buffer, and how many
-// nested stride levels it has.
-type KernelClass struct {
-	Elem   ElemClass
-	Stride StrideClass
-	Dims   int
-}
-
-// String renders the class as elem/stride/dims.
-func (c KernelClass) String() string {
-	return fmt.Sprintf("%v/%v/%dd", c.Elem, c.Stride, c.Dims)
 }

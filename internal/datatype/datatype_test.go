@@ -3,9 +3,11 @@ package datatype
 import (
 	"errors"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/buf"
 	"repro/internal/layout"
+	"repro/internal/oracle"
 )
 
 // mustType commits a freshly constructed type, panicking on error;
@@ -86,7 +88,7 @@ func TestVectorEveryOther(t *testing.T) {
 	if ty.SegmentCount() != 100 {
 		t.Fatalf("segments = %d", ty.SegmentCount())
 	}
-	segs := layout.Segments(ty.Layout(1))
+	segs := ty.segments(1)
 	if segs[0] != (layout.Segment{Off: 0, Len: 8}) || segs[1] != (layout.Segment{Off: 16, Len: 8}) {
 		t.Fatalf("segments = %+v", segs[:2])
 	}
@@ -105,7 +107,7 @@ func TestVectorDenseCoalesces(t *testing.T) {
 func TestVectorBlockLen(t *testing.T) {
 	ty := mustType(Vector(3, 2, 5, Int32))
 	// Blocks of 2 int32 (8 bytes) every 20 bytes.
-	segs := layout.Segments(ty.Layout(1))
+	segs := ty.segments(1)
 	want := []layout.Segment{{Off: 0, Len: 8}, {Off: 20, Len: 8}, {Off: 40, Len: 8}}
 	for i := range want {
 		if segs[i] != want[i] {
@@ -131,7 +133,7 @@ func TestVectorNegativeStrideRejected(t *testing.T) {
 
 func TestHvectorByteStride(t *testing.T) {
 	ty := mustType(Hvector(4, 1, 24, Float64))
-	segs := layout.Segments(ty.Layout(1))
+	segs := ty.segments(1)
 	for i, s := range segs {
 		if s.Off != int64(i*24) || s.Len != 8 {
 			t.Fatalf("seg %d = %+v", i, s)
@@ -145,7 +147,7 @@ func TestIndexedType(t *testing.T) {
 	if ty.Size() != 32 {
 		t.Fatalf("size = %d", ty.Size())
 	}
-	segs := layout.Segments(ty.Layout(1))
+	segs := ty.segments(1)
 	// 3 and 4 are adjacent and must coalesce.
 	want := []layout.Segment{{Off: 0, Len: 8}, {Off: 24, Len: 16}, {Off: 72, Len: 8}}
 	if len(segs) != len(want) {
@@ -163,7 +165,7 @@ func TestIndexedVariableBlocks(t *testing.T) {
 	if ty.Size() != 24 {
 		t.Fatalf("size = %d", ty.Size())
 	}
-	segs := layout.Segments(ty.Layout(1))
+	segs := ty.segments(1)
 	want := []layout.Segment{{Off: 0, Len: 16}, {Off: 32, Len: 8}}
 	for i := range want {
 		if segs[i] != want[i] {
@@ -254,7 +256,7 @@ func TestSubarrayFortranOrder(t *testing.T) {
 	if ty.SegmentCount() != 1 {
 		t.Fatalf("fortran column should be contiguous, got %d segs", ty.SegmentCount())
 	}
-	segs := layout.Segments(ty.Layout(1))
+	segs := ty.segments(1)
 	if segs[0] != (layout.Segment{Off: 2 * 8 * 8, Len: 64}) {
 		t.Fatalf("seg = %+v", segs[0])
 	}
@@ -268,7 +270,7 @@ func TestSubarray3D(t *testing.T) {
 	if ty.SegmentCount() != 4 {
 		t.Fatalf("segments = %d, want 4 rows", ty.SegmentCount())
 	}
-	segs := layout.Segments(ty.Layout(1))
+	segs := ty.segments(1)
 	first := int64((1*16 + 1*4 + 1) * 8)
 	if segs[0] != (layout.Segment{Off: first, Len: 16}) {
 		t.Fatalf("first seg = %+v", segs[0])
@@ -297,7 +299,7 @@ func TestResized(t *testing.T) {
 		t.Fatalf("true extent = %d, want 24", ty.TrueExtent())
 	}
 	// Repetition now strides by 32.
-	segs := layout.Segments(ty.Layout(2))
+	segs := ty.segments(2)
 	want := []layout.Segment{{Off: 0, Len: 8}, {Off: 16, Len: 8}, {Off: 32, Len: 8}, {Off: 48, Len: 8}}
 	for i := range want {
 		if segs[i] != want[i] {
@@ -316,7 +318,7 @@ func TestNestedVectorOfVector(t *testing.T) {
 	if outer.Size() != 3*16 {
 		t.Fatalf("size = %d", outer.Size())
 	}
-	segs := layout.Segments(outer.Layout(1))
+	segs := outer.segments(1)
 	want := []layout.Segment{{Off: 0, Len: 8}, {Off: 16, Len: 8}, {Off: 64, Len: 8}, {Off: 80, Len: 8}, {Off: 128, Len: 8}, {Off: 144, Len: 8}}
 	if len(segs) != len(want) {
 		t.Fatalf("segs = %+v", segs)
@@ -387,33 +389,27 @@ func TestStatsMatchDescribe(t *testing.T) {
 	for name, ty := range types {
 		for _, count := range []int{1, 2, 5} {
 			fast := ty.Stats(count)
-			slow := layoutDescribeSlow(ty.Layout(count))
-			if fast.Segments != slow.Segments || fast.Bytes != slow.Bytes || fast.Extent != slow.Extent {
+			if slow := oracle.Stats(ty.segments(count)); fast != slow {
 				t.Errorf("%s count=%d: fast=%+v slow=%+v", name, count, fast, slow)
-			}
-			if !feq(fast.AvgBlock, slow.AvgBlock) || !feq(fast.AvgGap, slow.AvgGap) || !feq(fast.GapJitter, slow.GapJitter) {
-				t.Errorf("%s count=%d gap/block: fast=%+v slow=%+v", name, count, fast, slow)
 			}
 		}
 	}
 }
 
-// layoutDescribeSlow forces the iterating path by wrapping the layout
-// in a type that does not implement layout.Fast.
-func layoutDescribeSlow(l layout.Layout) layout.Stats {
-	return layout.Describe(opaque{l})
-}
-
-type opaque struct{ layout.Layout }
-
-func (o opaque) ForEach(fn func(layout.Segment) bool) { o.Layout.ForEach(fn) }
-
-func feq(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
+// Property: the closed-form statistics of a vector type agree exactly
+// with iterating its segments, for any geometry and instance count.
+func TestQuickStatsMatchOracle(t *testing.T) {
+	f := func(cnt, bl, extra, count uint8) bool {
+		ty, err := Vector(int(cnt)%64+1, int(bl)%4+1, int(bl)%4+1+int(extra)%8, Float64)
+		if err != nil {
+			return false
+		}
+		k := int(count)%4 + 1
+		return ty.Stats(k) == oracle.Stats(ty.segments(k))
 	}
-	return d <= 1e-9*(1+a+b) || d < 1e-12
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestKindString(t *testing.T) {

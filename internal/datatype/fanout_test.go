@@ -286,7 +286,8 @@ func TestSplitPointRelativeToLo(t *testing.T) {
 // TestFanOutAllocatesNothing: a 4 MiB summed PackChunks and staged
 // move (its staging pooled), a chunk verify through a layout and over
 // staging, and a contiguous Move allocate nothing at any fan-out, and
-// leave no goroutine behind.
+// leave no goroutine behind. Under the race detector the staged move's
+// count is not asserted: its pooled staging is dropped there at random.
 func TestFanOutAllocatesNothing(t *testing.T) {
 	const n, chunk = 4 << 20, 512 << 10
 	ty, err := datatype.Vector(n/8, 1, 2, datatype.Float64)
@@ -308,23 +309,26 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 		calls := []struct {
 			name string
 			f    func()
+			// pooled: the call draws its staging from buf's pool, which
+			// the race runtime drains at random.
+			pooled bool
 		}{
 			{"PackChunks", func() {
 				if err := datatype.PackChunksW(plan, src, dst, 0, n, chunk, chunk, sums, w); err != nil {
 					panic(err)
 				}
-			}},
+			}, false},
 			{"staged move", func() {
 				if err := datatype.StageChunksW(plan, plan, src, out, 0, n, chunk, chunk, sums, 0, w); err != nil {
 					panic(err)
 				}
-			}},
-			{"fused-receiver verify", func() { datatype.ChecksumChunksW(plan, src, n, chunk, set, sums, w) }},
-			{"staged-receiver verify", func() { datatype.ChecksumChunksW(nil, dst, n, chunk, set, sums, w) }},
-			{"contiguous move", func() { datatype.MoveW(dst, 0, src, 0, n, w) }},
+			}, true},
+			{"fused-receiver verify", func() { datatype.ChecksumChunksW(plan, src, n, chunk, set, sums, w) }, false},
+			{"staged-receiver verify", func() { datatype.ChecksumChunksW(nil, dst, n, chunk, set, sums, w) }, false},
+			{"contiguous move", func() { datatype.MoveW(dst, 0, src, 0, n, w) }, false},
 		}
 		for _, c := range calls {
-			if a := testing.AllocsPerRun(10, c.f); a != 0 {
+			if a := testing.AllocsPerRun(10, c.f); a != 0 && !(c.pooled && raceEnabled) {
 				t.Errorf("w=%d: %s makes %v allocations per call, want 0", w, c.name, a)
 			}
 		}

@@ -63,7 +63,6 @@ func normalizeProg(p *planProg) {
 		p.form = cf
 		p.merged = int64(len(p.segs)) - int64(cf.dims)
 		p.kernel = KernelBlock
-		p.class = KernelClass{Elem: elemClassOf(cf.runLen), Stride: StrideRegular, Dims: cf.dims}
 		p.segs = nil
 		planCounters.canonHits.Add(1)
 		planCounters.runsMerged.Add(p.merged)
@@ -74,7 +73,6 @@ func normalizeProg(p *planProg) {
 		// hoisted element size the entry point is a division and the
 		// walk needs no per-segment length fetch.
 		p.uniform = u
-		p.class = KernelClass{Elem: elemClassOf(u), Stride: StrideIrregular, Dims: 1}
 	}
 	planCounters.canonMisses.Add(1)
 }

@@ -12,14 +12,13 @@ import (
 	"repro/internal/oracle"
 )
 
-// gatherReference gathers the layout bytes with a plain loop, the
+// gatherReference gathers the segments' bytes with a plain loop, the
 // oracle every pack engine must match.
-func gatherReference(src buf.Block, l layout.Layout) []byte {
-	out := make([]byte, 0, l.Size())
-	l.ForEach(func(s layout.Segment) bool {
+func gatherReference(src buf.Block, segs []layout.Segment) []byte {
+	var out []byte
+	for _, s := range segs {
 		out = append(out, src.Bytes()[s.Off:s.End()]...)
-		return true
-	})
+	}
 	return out
 }
 
@@ -35,7 +34,7 @@ func TestPackVectorMatchesReference(t *testing.T) {
 	if n != ty.Size() {
 		t.Fatalf("packed %d, want %d", n, ty.Size())
 	}
-	want := gatherReference(src, ty.Layout(1))
+	want := gatherReference(src, ty.segments(1))
 	for i, w := range want {
 		if dst.Bytes()[i] != w {
 			t.Fatalf("byte %d = %#x, want %#x", i, dst.Bytes()[i], w)
@@ -73,22 +72,20 @@ func TestPackUnpackRoundTripEveryConstructor(t *testing.T) {
 			if _, err := ty.Unpack(packed, count, back); err != nil {
 				t.Fatalf("%s: unpack: %v", name, err)
 			}
-			ty.Layout(count).ForEach(func(s layout.Segment) bool {
+			for _, s := range ty.segments(count) {
 				for off := s.Off; off < s.End(); off++ {
 					if back.Bytes()[off] != src.Bytes()[off] {
 						t.Fatalf("%s count=%d: byte %d differs after round trip", name, count, off)
 					}
 				}
-				return true
-			})
+			}
 			// Bytes outside the layout stay zero.
 			sel := make([]bool, bufLen)
-			ty.Layout(count).ForEach(func(s layout.Segment) bool {
+			for _, s := range ty.segments(count) {
 				for off := s.Off; off < s.End(); off++ {
 					sel[off] = true
 				}
-				return true
-			})
+			}
 			for i, inLayout := range sel {
 				if !inLayout && back.Bytes()[i] != 0 {
 					t.Fatalf("%s count=%d: unpack wrote outside the layout at %d", name, count, i)
@@ -175,14 +172,13 @@ func TestChunkedUnpackerEqualsOneShot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ty.Layout(1).ForEach(func(s layout.Segment) bool {
+		for _, s := range ty.segments(1) {
 			for o := s.Off; o < s.End(); o++ {
 				if dst.Bytes()[o] != src.Bytes()[o] {
 					t.Fatalf("chunk=%d: byte %d differs", chunk, o)
 				}
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -273,17 +269,14 @@ func TestQuickPackUnpackIdentity(t *testing.T) {
 		if _, err := ty.Unpack(packed, k, back); err != nil {
 			return false
 		}
-		ok := true
-		ty.Layout(k).ForEach(func(sg layout.Segment) bool {
+		for _, sg := range ty.segments(k) {
 			for off := sg.Off; off < sg.End(); off++ {
 				if back.Bytes()[off] != src.Bytes()[off] {
-					ok = false
 					return false
 				}
 			}
-			return true
-		})
-		return ok
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

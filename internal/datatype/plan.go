@@ -100,9 +100,6 @@ type planProg struct {
 
 	// merged counts the raw table segments a block form replaced.
 	merged int64
-
-	// class is the descriptive class label of the program.
-	class KernelClass
 }
 
 // compileProg flattens one instance of the type into its program and
@@ -112,12 +109,10 @@ func compileProg(t *Type) *planProg {
 	switch {
 	case t.r.n == 0 || t.size == 0:
 		p.kernel = KernelContig
-		p.class = KernelClass{Elem: ElemAny, Stride: StrideNone, Dims: 1}
 	case t.r.regular:
 		p.kernel = KernelStride
 		p.form = newForm(t.r.runLen, t.r.start)
 		p.form.level(t.r.n, t.r.runLen+t.r.gap)
-		p.class = KernelClass{Elem: elemClassOf(t.r.runLen), Stride: StrideRegular, Dims: 1}
 	default:
 		p.kernel = KernelGather
 		p.segs = make([]planSeg, len(t.r.segs))
@@ -126,7 +121,6 @@ func compileProg(t *Type) *planProg {
 			p.segs[i] = planSeg{off: s.Off, pos: pos, length: s.Len}
 			pos += s.Len
 		}
-		p.class = KernelClass{Elem: ElemAny, Stride: StrideIrregular, Dims: 1}
 	}
 	normalizeProg(p)
 	return p

@@ -52,17 +52,14 @@ func TestQuickIndexedPackUnpackIdentity(t *testing.T) {
 		if _, err := ty.Unpack(packed, 1, back); err != nil {
 			return false
 		}
-		ok := true
-		ty.Layout(1).ForEach(func(s layout.Segment) bool {
+		for _, s := range ty.segments(1) {
 			for off := s.Off; off < s.End(); off++ {
 				if back.Bytes()[off] != src.Bytes()[off] {
-					ok = false
 					return false
 				}
 			}
-			return true
-		})
-		return ok
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -121,7 +118,8 @@ func TestQuickTypeLayoutValidates(t *testing.T) {
 			return false
 		}
 		_ = ty.Commit()
-		return oracle.ValidateLayout(ty.Layout(k)) == nil
+		segs := ty.segments(k)
+		return oracle.ValidateLayout(segs) == nil && oracle.Stats(segs).Bytes == ty.PackSize(k)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,22 +1,14 @@
-// Package layout describes where the payload bytes of a non-contiguous
-// message live inside a user buffer.
-//
-// A Layout is a purely geometric object: an ordered list of contiguous
-// byte runs (Segments) relative to the start of a buffer. The derived
-// datatype engine (internal/datatype) flattens its type maps into
-// layouts; the memory model (internal/memsim) prices gather/scatter
-// loops from layout statistics (segment count, gap regularity, block
-// size); and the workload generators of the benchmark harness construct
-// the strided, indexed and subarray layouts the paper motivates in §1:
-// the real parts of a complex array, every other element of a grid
-// during multigrid coarsening, and irregularly spaced FEM boundary
-// elements.
+// Package layout is the geometric vocabulary the packages share about
+// where the payload bytes of a non-contiguous message live inside a
+// user buffer: a Segment is one contiguous run of bytes, and Stats
+// summarises a run list for the memory model (internal/memsim), which
+// prices gather/scatter loops from segment count, gap regularity and
+// block size. The derived datatype engine (internal/datatype) flattens
+// its type maps into segments and computes their Stats in closed form;
+// every workload of the benchmark harness is such a type. Jittered is
+// the deterministic irregular spacing of the §4.7 study, shared by the
+// harness and the memory model's tests.
 package layout
-
-import (
-	"fmt"
-	"sort"
-)
 
 // Segment is one contiguous run of Len bytes starting Off bytes into a
 // buffer.
@@ -28,161 +20,75 @@ type Segment struct {
 // End returns the first byte past the segment.
 func (s Segment) End() int64 { return s.Off + s.Len }
 
-// Layout is an ordered collection of byte segments within a buffer.
-//
-// Implementations must return segments in ascending, non-overlapping
-// offset order so that pack/unpack engines can stream them.
-type Layout interface {
-	// Size is the payload: the total number of bytes selected.
-	Size() int64
-	// Extent is the span from the first selected byte to one past the
-	// last, i.e. the minimal buffer length that contains the layout.
-	Extent() int64
-	// ForEach calls fn for each segment in order. fn returning false
-	// stops the iteration early.
-	ForEach(fn func(Segment) bool)
-	// SegmentCount is the number of contiguous runs.
-	SegmentCount() int
-	// Name identifies the layout family for reports.
-	Name() string
+// Stats summarises the geometry of a layout. The memory model uses
+// these numbers to price gather/scatter loops: many small segments cost
+// per-segment overhead, irregular gaps defeat prefetch streams (§4.7
+// of the paper), and high density means good cache-line utilisation.
+type Stats struct {
+	Segments int   // number of contiguous runs
+	Bytes    int64 // payload size
+	Extent   int64 // span covered in the buffer
+
+	MinBlock int64 // smallest segment length
+	MaxBlock int64 // largest segment length
+	AvgBlock float64
+
+	MinGap int64 // smallest inter-segment gap (bytes between runs)
+	MaxGap int64
+	AvgGap float64
+	// GapJitter is the coefficient of variation of the gaps
+	// (stddev/mean); zero for perfectly regular strides. The prefetch
+	// model in internal/memsim degrades with jitter.
+	GapJitter float64
+
+	// Density is Bytes/Extent in (0,1]; 1 means contiguous.
+	Density float64
 }
 
-// Segments materialises the full segment list of a layout.
-func Segments(l Layout) []Segment {
-	out := make([]Segment, 0, l.SegmentCount())
-	l.ForEach(func(s Segment) bool {
-		out = append(out, s)
-		return true
-	})
-	return out
+// Dense returns the statistics of one contiguous run of n bytes — a
+// packed buffer, or the contiguous side of a fused transfer.
+func Dense(n int64) Stats {
+	if n <= 0 {
+		return Stats{}
+	}
+	return Stats{
+		Segments: 1,
+		Bytes:    n,
+		Extent:   n,
+		MinBlock: n,
+		MaxBlock: n,
+		AvgBlock: float64(n),
+		Density:  1,
+	}
 }
 
-// Strided is the paper's canonical workload: Count blocks of BlockLen
-// bytes, the start of consecutive blocks separated by Stride bytes.
-// BlockLen = 8 and Stride = 16 selects every other float64, the
-// "simplest case of a derived type" the paper measures.
-type Strided struct {
-	Count    int64
-	BlockLen int64
-	Stride   int64
-}
-
-// Size implements Layout.
-func (v Strided) Size() int64 { return v.Count * v.BlockLen }
-
-// Extent implements Layout.
-func (v Strided) Extent() int64 {
-	if v.Count == 0 {
-		return 0
-	}
-	return (v.Count-1)*v.Stride + v.BlockLen
-}
-
-// SegmentCount implements Layout. Adjacent blocks merge when the
-// stride equals the block length (the layout degenerates to
-// contiguous).
-func (v Strided) SegmentCount() int {
-	if v.Count == 0 || v.BlockLen == 0 {
-		return 0
-	}
-	if v.Stride == v.BlockLen {
-		return 1
-	}
-	return int(v.Count)
-}
-
-// ForEach implements Layout.
-func (v Strided) ForEach(fn func(Segment) bool) {
-	if v.Count == 0 || v.BlockLen == 0 {
-		return
-	}
-	if v.Stride == v.BlockLen {
-		fn(Segment{Off: 0, Len: v.Count * v.BlockLen})
-		return
-	}
-	for i := int64(0); i < v.Count; i++ {
-		if !fn(Segment{Off: i * v.Stride, Len: v.BlockLen}) {
-			return
+// Jittered builds the irregular variant of a strided layout for the
+// §4.7 spacing study: count blocks of blockLen units whose gaps vary
+// deterministically around the nominal stride by up to ±jitter times
+// the gap. The segments come in ascending offset order and never
+// overlap; blocks that touch are one segment, so jitter 0 reproduces
+// the regular strided layout exactly, a dense stride as a single run.
+// The pseudo-random sequence is a fixed xorshift so runs are
+// reproducible without seeding.
+func Jittered(count, blockLen, stride int64, jitter float64) []Segment {
+	jitter = min(max(jitter, 0), 1)
+	gap := max(stride-blockLen, 0)
+	segs := make([]Segment, 0, count)
+	var off int64
+	state := uint64(0x9e3779b97f4a7c15)
+	for i := int64(0); i < count; i++ {
+		if n := len(segs); n > 0 && segs[n-1].End() == off {
+			segs[n-1].Len += blockLen
+		} else {
+			segs = append(segs, Segment{Off: off, Len: blockLen})
 		}
+		// xorshift64* for a deterministic jitter in [-1, 1).
+		state ^= state >> 12
+		state ^= state << 25
+		state ^= state >> 27
+		u := float64((state*0x2545f4914f6cdd1d)>>11) / float64(1<<53) // [0,1)
+		delta := int64(float64(gap) * jitter * (2*u - 1))
+		off += blockLen + gap + delta
 	}
+	return segs
 }
-
-// Name implements Layout.
-func (v Strided) Name() string { return "strided" }
-
-// Indexed is an explicit, irregular list of segments, such as an FEM
-// boundary-element gather. Construct it with NewIndexed, which sorts
-// and validates the segments.
-type Indexed struct {
-	segs   []Segment
-	size   int64
-	extent int64
-	name   string
-}
-
-// NewIndexed builds an Indexed layout from a segment list. Segments
-// are sorted by offset and touching segments are coalesced, matching
-// the canonical form the other layouts use; overlapping segments are
-// rejected; zero-length segments are dropped.
-func NewIndexed(segs []Segment) (*Indexed, error) {
-	s := make([]Segment, 0, len(segs))
-	for _, seg := range segs {
-		if seg.Len < 0 || seg.Off < 0 {
-			return nil, fmt.Errorf("layout: negative segment %+v", seg)
-		}
-		if seg.Len > 0 {
-			s = append(s, seg)
-		}
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i].Off < s[j].Off })
-	var size, extent int64
-	out := s[:0]
-	for _, seg := range s {
-		if n := len(out); n > 0 {
-			if seg.Off < out[n-1].End() {
-				return nil, fmt.Errorf("layout: segment at offset %d overlaps previous ending at %d", seg.Off, out[n-1].End())
-			}
-			if seg.Off == out[n-1].End() {
-				out[n-1].Len += seg.Len
-				size += seg.Len
-				extent = out[n-1].End()
-				continue
-			}
-		}
-		out = append(out, seg)
-		size += seg.Len
-		extent = seg.End()
-	}
-	return &Indexed{segs: out, size: size, extent: extent, name: "indexed"}, nil
-}
-
-// MustIndexed is NewIndexed that panics on error, for tests and
-// literals known to be valid.
-func MustIndexed(segs []Segment) *Indexed {
-	l, err := NewIndexed(segs)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// Size implements Layout.
-func (x *Indexed) Size() int64 { return x.size }
-
-// Extent implements Layout.
-func (x *Indexed) Extent() int64 { return x.extent }
-
-// SegmentCount implements Layout.
-func (x *Indexed) SegmentCount() int { return len(x.segs) }
-
-// ForEach implements Layout.
-func (x *Indexed) ForEach(fn func(Segment) bool) {
-	for _, s := range x.segs {
-		if !fn(s) {
-			return
-		}
-	}
-}
-
-// Name implements Layout.
-func (x *Indexed) Name() string { return x.name }

@@ -38,9 +38,9 @@ var goldenLayouts = []struct {
 	name string
 	st   layout.Stats
 }{
-	{"every-other-double", layout.Describe(layout.Strided{Count: 1 << 17, BlockLen: 8, Stride: 16})},
-	{"4-run-block", layout.Describe(layout.Strided{Count: 1 << 12, BlockLen: 32, Stride: 256})},
-	{"irregular", layout.Describe(layout.Jittered(1<<12, 8, 96, 0.5))},
+	{"every-other-double", oracle.Stats(layout.Jittered(1<<17, 8, 16, 0))},
+	{"4-run-block", oracle.Stats(layout.Jittered(1<<12, 32, 256, 0))},
+	{"irregular", oracle.Stats(layout.Jittered(1<<12, 8, 96, 0.5))},
 }
 
 type pricer func(s *memsim.State) float64

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/layout"
+	"repro/internal/oracle"
 )
 
 func testHierarchy() *Hierarchy {
@@ -49,7 +50,7 @@ func TestTrafficStrideWithinLine(t *testing.T) {
 	// Every other float64: gaps of 8 bytes, well under a line, so the
 	// whole extent is touched — the 2× amplification behind the
 	// paper's factor-3 slowdown.
-	st := layout.Describe(layout.Strided{Count: 1000, BlockLen: 8, Stride: 16})
+	st := oracle.Stats(layout.Jittered(1000, 8, 16, 0))
 	want := roundUp(st.Extent, 64)
 	if got := h.Traffic(st); got != want {
 		t.Fatalf("traffic = %d, want %d", got, want)
@@ -62,7 +63,7 @@ func TestTrafficStrideWithinLine(t *testing.T) {
 func TestTrafficLargeGapsSkipLines(t *testing.T) {
 	h := testHierarchy()
 	// 64-byte blocks separated by 4 KB: only the blocks' lines move.
-	st := layout.Describe(layout.Strided{Count: 100, BlockLen: 64, Stride: 4096})
+	st := oracle.Stats(layout.Jittered(100, 64, 4096, 0))
 	if got := h.Traffic(st); got != 100*64 {
 		t.Fatalf("traffic = %d, want %d", got, 100*64)
 	}
@@ -73,7 +74,7 @@ func TestGatherCostColdVsWarm(t *testing.T) {
 	s := NewState(h)
 	src := buf.Alloc(1 << 20)
 	dst := buf.Alloc(1 << 19)
-	st := layout.Describe(layout.Strided{Count: 1 << 16, BlockLen: 8, Stride: 16})
+	st := oracle.Stats(layout.Jittered(1<<16, 8, 16, 0))
 	cold := s.GatherCost(src.Region(), dst.Region(), st, Kernel{})
 	warm := s.GatherCost(src.Region(), dst.Region(), st, Kernel{})
 	if warm >= cold {
@@ -86,7 +87,7 @@ func TestFlushResetsWarmth(t *testing.T) {
 	s := NewState(h)
 	src := buf.Alloc(1 << 20)
 	dst := buf.Alloc(1 << 19)
-	st := layout.Describe(layout.Strided{Count: 1 << 16, BlockLen: 8, Stride: 16})
+	st := oracle.Stats(layout.Jittered(1<<16, 8, 16, 0))
 	cold := s.GatherCost(src.Region(), dst.Region(), st, Kernel{})
 	s.Flush()
 	again := s.GatherCost(src.Region(), dst.Region(), st, Kernel{})
@@ -129,8 +130,8 @@ func TestIrregularGatherCostsMore(t *testing.T) {
 	s := NewState(h)
 	s.SetDisabled(true) // isolate the prefetch effect from warmth
 	src, dst := buf.Alloc(1), buf.Alloc(1)
-	regular := layout.Describe(layout.Jittered(10000, 8, 64, 0))
-	jittered := layout.Describe(layout.Jittered(10000, 8, 64, 0.9))
+	regular := oracle.Stats(layout.Jittered(10000, 8, 64, 0))
+	jittered := oracle.Stats(layout.Jittered(10000, 8, 64, 0.9))
 	cr := s.GatherCost(src.Region(), dst.Region(), regular, Kernel{})
 	cj := s.GatherCost(src.Region(), dst.Region(), jittered, Kernel{})
 	if cj <= cr {
@@ -144,8 +145,8 @@ func TestLargerBlocksCheaperPerByte(t *testing.T) {
 	s.SetDisabled(true)
 	src, dst := buf.Alloc(1), buf.Alloc(1)
 	payload := int64(1 << 20)
-	small := layout.Describe(layout.Strided{Count: payload / 8, BlockLen: 8, Stride: 16})
-	big := layout.Describe(layout.Strided{Count: payload / 512, BlockLen: 512, Stride: 1024})
+	small := oracle.Stats(layout.Jittered(payload/8, 8, 16, 0))
+	big := oracle.Stats(layout.Jittered(payload/512, 512, 1024, 0))
 	cSmall := s.GatherCost(src.Region(), dst.Region(), small, Kernel{})
 	cBig := s.GatherCost(src.Region(), dst.Region(), big, Kernel{})
 	if cBig >= cSmall {
@@ -170,7 +171,7 @@ func TestScatterCost(t *testing.T) {
 	s := NewState(testHierarchy())
 	s.SetDisabled(true)
 	src, dst := buf.Alloc(1), buf.Alloc(1)
-	st := layout.Describe(layout.Strided{Count: 1000, BlockLen: 8, Stride: 16})
+	st := oracle.Stats(layout.Jittered(1000, 8, 16, 0))
 	c := s.ScatterCost(src.Region(), dst.Region(), st, Kernel{})
 	if c <= 0 {
 		t.Fatalf("scatter cost = %g", c)
@@ -307,7 +308,7 @@ func TestParallelCompiledScatterCheaper(t *testing.T) {
 func TestKernelCostProperties(t *testing.T) {
 	src, dst := buf.Alloc(1).Region(), buf.Alloc(1).Region()
 	strided := func(count, block int64) layout.Stats {
-		return layout.Describe(layout.Strided{Count: count, BlockLen: block, Stride: 2 * block})
+		return oracle.Stats(layout.Jittered(count, block, 2*block, 0))
 	}
 	engines := []Engine{Normalized, Compiled, Interpreted} // cheapest first
 	workers := []int{0, 1, 2, 3, 4, 8, 16, 64}
@@ -324,7 +325,7 @@ func TestKernelCostProperties(t *testing.T) {
 		}},
 	}
 	for _, p := range pricers {
-		for _, st := range []layout.Stats{strided(1<<16, 8), strided(1<<10, 512), layout.Describe(layout.Jittered(1<<12, 8, 96, 0.5))} {
+		for _, st := range []layout.Stats{strided(1<<16, 8), strided(1<<10, 512), oracle.Stats(layout.Jittered(1<<12, 8, 96, 0.5))} {
 			for ei, e := range engines {
 				if p.oneEngine && e != Compiled {
 					continue

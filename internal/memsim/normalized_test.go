@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/layout"
+	"repro/internal/oracle"
 )
 
 // TestNormalizedCostOrdering pins the engine ladder on a many-segment
@@ -15,7 +16,7 @@ import (
 // ordering is strict exactly because of the bookkeeping.
 func TestNormalizedCostOrdering(t *testing.T) {
 	h := testHierarchy()
-	st := layout.Describe(layout.Strided{Count: 1 << 16, BlockLen: 8, Stride: 16})
+	st := oracle.Stats(layout.Jittered(1<<16, 8, 16, 0))
 	src := buf.Alloc(int(st.Extent))
 	dst := buf.Alloc(int(st.Bytes))
 	generic := NewState(h).GatherCost(src.Region(), dst.Region(), st, Kernel{})
@@ -37,7 +38,7 @@ func TestNormalizedCostOrdering(t *testing.T) {
 // bound.
 func TestParallelNormalizedCosts(t *testing.T) {
 	h := testHierarchy()
-	st := layout.Describe(layout.Strided{Count: 1 << 16, BlockLen: 8, Stride: 16})
+	st := oracle.Stats(layout.Jittered(1<<16, 8, 16, 0))
 	src := buf.Alloc(int(st.Extent))
 	dst := buf.Alloc(int(st.Bytes))
 	serial := NewState(h).GatherCost(src.Region(), dst.Region(), st, Kernel{Engine: Normalized})

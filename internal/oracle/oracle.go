@@ -1,7 +1,8 @@
 // Package oracle holds the checks that tests in several packages share:
 // whether a block holds the pattern buf.Block.FillPattern writes,
-// whether a layout keeps its ordering and size contract, and the golden
-// store every pinned output goes through (Golden). No program runs
+// whether a segment list keeps its ordering contract, the statistics
+// of a segment list by iteration (the reference for the closed form),
+// and the golden store every pinned output goes through (Golden). No program runs
 // them, so only _test.go files import this package (the root package's
 // TestEveryInternalFuncIsReachable enforces that).
 package oracle
@@ -9,6 +10,7 @@ package oracle
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"repro/internal/buf"
 	"repro/internal/layout"
@@ -32,37 +34,62 @@ func VerifyPattern(b buf.Block, seed byte) error {
 	return nil
 }
 
-// ValidateLayout checks the ordering and non-overlap contract and that
-// the advertised Size and Extent match the segments.
-func ValidateLayout(l layout.Layout) error {
-	var (
-		size int64
-		prev int64 = -1
-		last int64
-		errv error
-	)
-	l.ForEach(func(s layout.Segment) bool {
+// ValidateLayout checks a segment list's ordering and non-overlap
+// contract: no negative offset or length, each segment starting at or
+// past the end of the one before.
+func ValidateLayout(segs []layout.Segment) error {
+	prev := int64(0)
+	for i, s := range segs {
 		if s.Len < 0 || s.Off < 0 {
-			errv = fmt.Errorf("layout %s: negative segment %+v", l.Name(), s)
-			return false
+			return fmt.Errorf("layout: negative segment %d %+v", i, s)
 		}
 		if s.Off < prev {
-			errv = fmt.Errorf("layout %s: segment at %d overlaps or precedes previous end %d", l.Name(), s.Off, prev)
-			return false
+			return fmt.Errorf("layout: segment %d at %d overlaps or precedes previous end %d", i, s.Off, prev)
 		}
 		prev = s.End()
-		size += s.Len
-		last = s.End()
-		return true
-	})
-	if errv != nil {
-		return errv
-	}
-	if size != l.Size() {
-		return fmt.Errorf("layout %s: Size()=%d but segments sum to %d", l.Name(), l.Size(), size)
-	}
-	if l.SegmentCount() > 0 && last > l.Extent() {
-		return fmt.Errorf("layout %s: Extent()=%d but last segment ends at %d", l.Name(), l.Extent(), last)
 	}
 	return nil
+}
+
+// Stats computes the statistics of a segment list by iterating it:
+// the reference the closed form of (*datatype.Type).Stats is tested
+// against. The list is taken as it is: segments that touch count as
+// two, as they do in the closed form of several instances.
+func Stats(segs []layout.Segment) layout.Stats {
+	if len(segs) == 0 {
+		return layout.Stats{}
+	}
+	st := layout.Stats{
+		Segments: len(segs),
+		Extent:   segs[len(segs)-1].End(),
+		MinBlock: math.MaxInt64,
+		MinGap:   math.MaxInt64,
+	}
+	var sumGap int64
+	var sumGapSq float64
+	for i, s := range segs {
+		st.Bytes += s.Len
+		st.MinBlock = min(st.MinBlock, s.Len)
+		st.MaxBlock = max(st.MaxBlock, s.Len)
+		if i > 0 {
+			gap := s.Off - segs[i-1].End()
+			sumGap += gap
+			sumGapSq += float64(gap) * float64(gap)
+			st.MinGap = min(st.MinGap, gap)
+			st.MaxGap = max(st.MaxGap, gap)
+		}
+	}
+	st.AvgBlock = float64(st.Bytes) / float64(st.Segments)
+	if gaps := float64(st.Segments - 1); gaps > 0 {
+		st.AvgGap = float64(sumGap) / gaps
+		if st.AvgGap > 0 {
+			st.GapJitter = math.Sqrt(max(sumGapSq/gaps-st.AvgGap*st.AvgGap, 0)) / st.AvgGap
+		}
+	} else {
+		st.MinGap = 0
+	}
+	if st.Extent > 0 {
+		st.Density = float64(st.Bytes) / float64(st.Extent)
+	}
+	return st
 }

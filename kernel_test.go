@@ -19,7 +19,6 @@ import (
 	"repro/internal/buf"
 	"repro/internal/core"
 	"repro/internal/datatype"
-	"repro/internal/layout"
 	"repro/internal/memsim"
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
@@ -518,7 +517,7 @@ func TestPricedKernelIsChargedKernel(t *testing.T) {
 
 			cold := memsim.NewState(&prof.Mem)
 			cold.SetDisabled(true)
-			gather := cold.GatherCost(0, 0, layout.Describe(w.Layout()), priced)
+			gather := cold.GatherCost(0, 0, ty.Stats(1), priced)
 			if want := prof.PackCallOverhead + gather + prof.WireTime(n); m.Clean[core.PackCompiled] != want {
 				t.Errorf("%s %d B: compiled pack %g is not the %+v gather's %g", name, n, m.Clean[core.PackCompiled], priced, want)
 			}
