@@ -72,8 +72,8 @@ func (w Workload) SrcBytes() int64 {
 
 // segments returns the byte segments of a jittered workload — the
 // deterministic §4.7 variant, gaps element-aligned so the derived type
-// stays valid — and nil for an exact stride, whose blocks nobody needs
-// listed.
+// stays valid — and nil for an exact stride, which the derived type
+// and the manual copy both describe without a list.
 func (w Workload) segments() []layout.Segment {
 	var segs []layout.Segment
 	if w.Jitter > 0 {

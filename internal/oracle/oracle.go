@@ -2,9 +2,9 @@
 // whether a block holds the pattern buf.Block.FillPattern writes,
 // whether a segment list keeps its ordering contract, the statistics
 // of a segment list by iteration (the reference for the closed form),
-// and the golden store every pinned output goes through (Golden). No program runs
-// them, so only _test.go files import this package (the root package's
-// TestEveryInternalFuncIsReachable enforces that).
+// and the golden store every pinned output goes through (Golden). No
+// program runs them, so only _test.go files import this package (the
+// root package's TestEveryInternalFuncIsReachable enforces that).
 package oracle
 
 import (
