@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/buf"
+	"repro/internal/layout"
 )
 
 func benchVector(b *testing.B, count, blocklen, stride int) (*Type, buf.Block, buf.Block) {
@@ -675,6 +676,29 @@ func BenchmarkVirtualPackHuge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := plan.PackChunks(src, dst, 0, plan.Bytes(), 512<<10, 0, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHindexedOneElementBlocks builds the §4.7 jittered 8 MiB
+// workload's type: 1 M one-element Float64 blocks at jittered byte
+// displacements. Each block of a dense base is one segment, appended
+// directly.
+func BenchmarkHindexedOneElementBlocks(b *testing.B) {
+	segs := layout.Jittered(1<<20, 8, 16, 0.5)
+	blocklens, displs := make([]int, len(segs)), make([]int64, len(segs))
+	for i, s := range segs {
+		blocklens[i], displs[i] = int(s.Len/8), s.Off
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ty, err := Hindexed(blocklens, displs, Float64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ty.Size() != 8<<20 {
+			b.Fatalf("size %d, want %d", ty.Size(), 8<<20)
 		}
 	}
 }

@@ -148,8 +148,7 @@ func Indexed(blocklens, displs []int, base *Type) (*Type, error) {
 	for i, d := range displs {
 		bdispls[i] = int64(d) * base.Extent()
 	}
-	blens := append([]int(nil), blocklens...)
-	return hindexed(KindIndexed, blens, bdispls, base)
+	return hindexed(KindIndexed, blocklens, bdispls, base)
 }
 
 // Hindexed is Indexed with byte displacements
@@ -161,14 +160,23 @@ func Hindexed(blocklens []int, displsBytes []int64, base *Type) (*Type, error) {
 	if len(blocklens) != len(displsBytes) {
 		return nil, fmt.Errorf("%w: %d blocklens but %d displacements", ErrArgument, len(blocklens), len(displsBytes))
 	}
-	return hindexed(KindHindexed, append([]int(nil), blocklens...), append([]int64(nil), displsBytes...), base)
+	return hindexed(KindHindexed, blocklens, displsBytes, base)
 }
 
+// hindexed lays blocks of blocklens[i] base instances at byte
+// displacements displs[i]; it only reads the two slices. A base whose
+// instances tile one contiguous run (a basic type, a dense contiguous
+// one) makes each block a single segment, appended directly; any other
+// base replicates its runs per block.
 func hindexed(kind Kind, blocklens []int, displs []int64, base *Type) (*Type, error) {
 	var segs []layout.Segment
 	var size int64
 	lb, ub := int64(0), int64(0)
 	first := true
+	dense := base.r.regular && base.r.n == 1 && base.r.runLen == base.Extent()
+	if dense {
+		segs = make([]layout.Segment, 0, min(int64(len(blocklens)), maxMaterialize+1))
+	}
 	for i, bl := range blocklens {
 		if bl < 0 {
 			return nil, fmt.Errorf("%w: blocklen %d", ErrArgument, bl)
@@ -176,16 +184,23 @@ func hindexed(kind Kind, blocklens []int, displs []int64, base *Type) (*Type, er
 		if bl == 0 {
 			continue
 		}
-		block, err := replicate(base.r, base.Extent(), int64(bl))
-		if err != nil {
-			return nil, err
-		}
-		block = block.shifted(displs[i])
-		if !block.forEach(0, func(s layout.Segment) bool {
-			segs = append(segs, s)
-			return int64(len(segs)) <= maxMaterialize
-		}) {
-			return nil, errTooManySegments(int64(len(segs)))
+		if dense {
+			segs = append(segs, layout.Segment{Off: displs[i] + base.r.start, Len: int64(bl) * base.r.runLen})
+			if int64(len(segs)) > maxMaterialize {
+				return nil, errTooManySegments(int64(len(segs)))
+			}
+		} else {
+			block, err := replicate(base.r, base.Extent(), int64(bl))
+			if err != nil {
+				return nil, err
+			}
+			block = block.shifted(displs[i])
+			if !block.forEach(0, func(s layout.Segment) bool {
+				segs = append(segs, s)
+				return int64(len(segs)) <= maxMaterialize
+			}) {
+				return nil, errTooManySegments(int64(len(segs)))
+			}
 		}
 		size += int64(bl) * base.size
 		blb := displs[i] + base.lb

@@ -217,3 +217,46 @@ func TestVectorResizedShrunkBaseOverlap(t *testing.T) {
 	}
 	checkAgainstOracle(t, "shrunk/hvector-clearing", ok, segs, 1)
 }
+
+// TestHindexedDenseBaseDifferential covers hindexed's one-segment-per-
+// block path: bases whose instances tile one run — a basic type, one
+// whose run starts past offset 0, and one whose lower bound sits before
+// its run — over unsorted displacements with an empty block, against
+// the definitional oracle, and the same bases' overlap rejection.
+func TestHindexedDenseBaseDifferential(t *testing.T) {
+	shifted, err := Hindexed([]int{1}, []int64{8}, Float64) // run at 8, extent 8
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowered, err := Resized(Float64, -8, 8) // run at 0, lb -8
+	if err != nil {
+		t.Fatal(err)
+	}
+	blens, displs := []int{2, 0, 1, 3}, []int64{64, 8, 0, 24}
+	for name, base := range map[string]*Type{"float64": Float64, "shifted": shifted, "lowered": lowered} {
+		if err := base.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		ext := base.Extent()
+		for count := 1; count <= 2; count++ {
+			ty, err := Hindexed(blens, displs, base)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var segs []layout.Segment
+			for i, bl := range blens {
+				for k := int64(0); k < int64(bl); k++ {
+					segs = baseAt(t, base, displs[i]+k*ext, segs)
+				}
+			}
+			sort.Slice(segs, func(i, j int) bool { return segs[i].Off < segs[j].Off })
+			checkAgainstOracle(t, name+"/hindexed", ty, segs, count)
+		}
+		if _, err := Hindexed([]int{2, 1}, []int64{0, ext}, base); !errors.Is(err, ErrOverlap) {
+			t.Errorf("%s: overlapping blocks: %v, want ErrOverlap", name, err)
+		}
+		if _, err := Hindexed([]int{1, -1}, []int64{0, 8}, base); !errors.Is(err, ErrArgument) {
+			t.Errorf("%s: negative blocklen: %v, want ErrArgument", name, err)
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/layout"
 )
 
 // This file implements the pack-plan compiler: Commit-time analysis of
@@ -175,6 +177,11 @@ type Plan struct {
 	// KernelGather: the program's form with count as its outermost
 	// level, or the one run of a KernelContig message.
 	form form
+	// stats is the message's closed-form layout statistics
+	// (Type.Stats(count)), computed once with the plan: plans are
+	// cached, so the transfer paths that price from a plan compute
+	// nothing per call.
+	stats layout.Stats
 }
 
 // CompilePlan compiles count instances of the committed type into an
@@ -234,6 +241,7 @@ func (t *Type) buildPlan(count int) *Plan {
 		count:  int64(count),
 		total:  int64(count) * t.size,
 		kernel: prog.kernel,
+		stats:  t.Stats(count),
 	}
 	if p.total == 0 {
 		p.kernel = KernelContig
@@ -273,6 +281,10 @@ func (p *Plan) ContigWindow() (off int64, ok bool) {
 
 // Bytes returns the packed size of the full message.
 func (p *Plan) Bytes() int64 { return p.total }
+
+// Stats returns the message's layout statistics, Type.Stats(count) as
+// computed when the plan was built.
+func (p *Plan) Stats() layout.Stats { return p.stats }
 
 // parallelWorkersFor sizes the pack engine's real goroutine split of an
 // n-byte message: 1 below ParallelPackThreshold, else GOMAXPROCS capped

@@ -1,7 +1,8 @@
 package datatype
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/layout"
 )
@@ -58,7 +59,7 @@ func irregularRuns(segs []layout.Segment) (runs, error) {
 	if len(segs) == 0 {
 		return emptyRuns(), nil
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Off < segs[j].Off })
+	slices.SortFunc(segs, func(a, b layout.Segment) int { return cmp.Compare(a.Off, b.Off) })
 	// Coalesce adjacent runs; reject overlaps.
 	out := segs[:1]
 	for _, s := range segs[1:] {

@@ -206,10 +206,12 @@ func RunJobMix(m JobMix) (JobMixResult, error) {
 			recvs[i] = buf.Virtual(need)
 		}
 		times := make([]float64, 0, m.Rounds*m.InFlight)
+		// Every round overwrites all of its requests before it waits on
+		// any, so one pair of slices serves them all.
+		rreqs := make([]*mpi.Request, m.InFlight)
+		sreqs := make([]*mpi.Request, m.InFlight)
 		for round := 0; round < m.Rounds; round++ {
 			t0 := c.Wtime()
-			rreqs := make([]*mpi.Request, m.InFlight)
-			sreqs := make([]*mpi.Request, m.InFlight)
 			for i := 0; i < m.InFlight; i++ {
 				if rreqs[i], err = job.IrecvType(recvs[i], 1, ty, left, i); err != nil {
 					return err

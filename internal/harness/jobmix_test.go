@@ -141,17 +141,50 @@ func TestJobMixAccountingReturnsToZero(t *testing.T) {
 // typed transfers in flight per rank, 8 rounds, on skx-impi — requests,
 // matching and the scheduler, no bytes. Profile it with -cpuprofile /
 // -memprofile -memprofilerate 1.
+//
+// It reports the heap cost per typed transfer (allocs/transfer,
+// B/transfer) after one untimed warm-up op, which takes the process's
+// first-use costs (goroutine descriptors, pools) out of the count, and
+// fails above jobMixAllocBudget / jobMixBytesBudget: a per-transfer
+// object that starts escaping to the heap fails here.
 func BenchmarkJobMixRound(b *testing.B) {
 	p, err := perfmodel.ByName("skx-impi")
 	if err != nil {
 		b.Fatal(err)
 	}
 	mix := JobMix{Ranks: 256, Jobs: 8, InFlight: 4, Rounds: 8, NodeSize: 16, Bytes: 1 << 20, Profile: p}
+	if _, err := RunJobMix(mix); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunJobMix(mix); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	transfers := float64(b.N) * float64(mix.Ranks*mix.InFlight*mix.Rounds)
+	allocs := float64(after.Mallocs-before.Mallocs) / transfers
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / transfers
+	b.ReportMetric(allocs, "allocs/transfer")
+	b.ReportMetric(bytes, "B/transfer")
+	if raceEnabled {
+		return // the race detector allocates on its own
+	}
+	if allocs > jobMixAllocBudget || bytes > jobMixBytesBudget {
+		b.Errorf("%.2f allocs and %.0f B per transfer, budget %.1f and %d", allocs, bytes, jobMixAllocBudget, jobMixBytesBudget)
+	}
 }
+
+// The jobmix heap budget per typed transfer: the untracked rendezvous
+// envelope (352 B), a request and a goroutine closure per side, plus
+// each op's share of world start and communicator splits (≈ 7.05
+// allocations and 1 360 B on 2 vCPU at GOMAXPROCS 1 to 8).
+const (
+	jobMixAllocBudget = 7.3
+	jobMixBytesBudget = 1485
+)

@@ -216,7 +216,9 @@ func (s *State) touch(r buf.Region, n int64) {
 			// Never evict what we just touched below its share.
 			break
 		}
-		s.order = s.order[1:]
+		// Shift in place rather than reslice, so the backing array
+		// keeps its front and Flush can hand the whole of it back.
+		s.order = s.order[:copy(s.order, s.order[1:])]
 		s.used -= s.resident[oldest]
 		delete(s.resident, oldest)
 	}
@@ -250,14 +252,15 @@ func (s *State) residency(r buf.Region, n int64) float64 {
 }
 
 // Flush empties the cache, modelling the paper's 50 M-element array
-// rewrite between ping-pongs (§3.2).
+// rewrite between ping-pongs (§3.2). The map and the LRU order are
+// emptied in place, so the touches after a flush allocate nothing.
 func (s *State) Flush() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.disabled {
 		return
 	}
-	s.resident = make(map[buf.Region]int64)
+	clear(s.resident)
 	s.order = s.order[:0]
 	s.used = 0
 }

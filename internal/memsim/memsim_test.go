@@ -96,6 +96,37 @@ func TestFlushResetsWarmth(t *testing.T) {
 	}
 }
 
+// TestFlushCycleAllocatesNothing is the steady state of a ping-pong
+// rank: flush, then price a gather and a scatter, over and over. The
+// flush empties the residency map and the LRU order in place, and an
+// eviction shifts the order within its array, so once the first cycle
+// has sized both, a cycle allocates nothing.
+func TestFlushCycleAllocatesNothing(t *testing.T) {
+	h := testHierarchy()
+	h.LLC = 1 << 20 // three 512 KiB regions: the third touch evicts
+	s := NewState(h)
+	a, b, c := buf.Alloc(1), buf.Alloc(1), buf.Alloc(1)
+	st := layout.Dense(512 << 10)
+	cycle := func() {
+		s.Flush()
+		s.GatherCost(a.Region(), b.Region(), st, Kernel{})
+		s.ScatterCost(b.Region(), c.Region(), st, Kernel{})
+	}
+	cycle()
+	// AllocsPerRun truncates its average, so each run is 100 cycles: a
+	// regrowth every few cycles still counts.
+	if n := testing.AllocsPerRun(10, func() {
+		for range 100 {
+			cycle()
+		}
+	}); n != 0 {
+		t.Errorf("100 flush + gather + scatter cycles allocate %v times, want 0", n)
+	}
+	if r := s.residency(a.Region(), 512<<10); r != 0 {
+		t.Errorf("a survived the cycle's eviction: residency %v", r)
+	}
+}
+
 func TestResidencyEvictsLRU(t *testing.T) {
 	h := testHierarchy()
 	h.LLC = 1 << 20 // 1 MB cache

@@ -76,14 +76,14 @@ func (c *Comm) packedRing(rel int, abs func(int) int, seg func(int) (int64, int6
 // rank's twice (unpack + forward stream), against the binomial tree's
 // ⌈log₂ p⌉ relays of the whole message; the ring hops overlap each
 // piece's unpack with the next piece's flight.
-func (c *Comm) bcastPipelined(b buf.Block, count int, ty *datatype.Type, root int, plan *datatype.Plan) error {
+func (c *Comm) bcastPipelined(b buf.Block, root int, plan *datatype.Plan) error {
 	n := plan.Bytes()
 	p := c.size
 	rel := (c.rank - root + p) % p
 	abs := func(r int) int { return (r + root) % p }
 	segLo := func(r int) int64 { return int64(r) * n / int64(p) }
 	seg := func(r int) (int64, int64) { return segLo(r), segLo(r + 1) }
-	st := ty.Stats(count)
+	st := plan.Stats()
 	// Per-packed-byte costs of the compiled passes, charged
 	// proportionally per segment so the whole message prices exactly
 	// one gather (at the sender of each block) and one scatter (at

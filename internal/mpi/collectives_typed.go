@@ -392,7 +392,7 @@ func (c *Comm) bcastType(b buf.Block, count int, ty *datatype.Type, root int) er
 		// scatter+allgather win is the relay's pack passes, which a
 		// dense relay does not pay.
 		if _, dense := plan.ContigWindow(); !dense {
-			return c.bcastPipelined(b, count, ty, root, plan)
+			return c.bcastPipelined(b, root, plan)
 		}
 	}
 	return c.treeRelay(b, count, ty, (c.rank-root+c.size)%c.size, c.size, func(r int) int { return (r + root) % c.size })

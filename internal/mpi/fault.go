@@ -449,20 +449,20 @@ func (c *Comm) eagerRetryStep(attempt *int, op string, dest, tag int, f simnet.F
 }
 
 // rdvRecvVerify completes the receiver half of a rendezvous payload
-// landing in dst (in fd's layout for a fused receiver): it waits for
+// landing in dst (in fplan's layout for a fused receiver): it waits for
 // each attempt's Done, verifies what landed against the sender's
 // checksum claims, and ACKs or NACKs through the handshake's Ack
 // channel until an attempt passes or the sender's budget runs out.
 // Whole-transfer attempts verify [0,Bytes) as one chain
 // (datatype.LandedSum) and NACK with ErrIntegrity. Chunked attempts
-// (Done.Chunks > 0) sum every chunk the attempt delivered and that is
+// (Done.Replay set) sum every chunk the attempt delivered and that is
 // not yet accepted in one datatype.ChecksumChunks call — spread across
 // the pack workers, each chunk one chain — and then only compare: they
 // track which chunks have been accepted across attempts, suppress
 // redelivered duplicates, and NACK a simnet.ChunkNack bitmap so the
 // sender replays only the damaged chunks. It returns the accepted
 // attempt's arrival and delivered size.
-func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (arrival vclock.Time, bytes int64, err error) {
+func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fplan *datatype.Plan) (arrival vclock.Time, bytes int64, err error) {
 	peer, tag := c.localRank(m.Src), m.Tag
 	attempts := 0
 	// accepted persists across attempts; damaged is one attempt's verdict,
@@ -484,21 +484,21 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (ar
 		if m.Ack == nil {
 			return done.Arrival, done.Bytes, nil
 		}
-		if done.Chunks > 0 {
+		if r := done.Replay; r != nil {
 			if accepted == nil {
-				accepted, damaged, check, sums = verifyScratch(done.Chunks)
+				accepted, damaged, check, sums = verifyScratch(r.Chunks)
 			}
 			clear(damaged)
-			plan, user, end := landing(dst, fd, done.Covered)
+			plan, user, end := landing(dst, fplan, r.Covered)
 			if done.HasSum && end > 0 {
 				for k := range check {
-					check[k] = done.Sent[k] &^ accepted[k] &^ done.PoisonedChunks[k]
+					check[k] = r.Sent[k] &^ accepted[k] &^ r.PoisonedChunks[k]
 				}
-				datatype.ChecksumChunks(plan, user, end, done.ChunkSize, check, sums)
+				datatype.ChecksumChunks(plan, user, end, r.ChunkSize, check, sums)
 			}
 			var want, got uint64
-			for i := 0; i < done.Chunks; i++ {
-				if !done.Sent.Get(i) {
+			for i := 0; i < r.Chunks; i++ {
+				if !r.Sent.Get(i) {
 					// Not in this attempt: damaged if still outstanding.
 					if !accepted.Get(i) {
 						damaged.Set(i)
@@ -510,20 +510,20 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (ar
 					c.fabric.NoteDupChunkSuppressed(c.endpoint(c.rank))
 					continue
 				}
-				lo, _ := chunkSpan(i, done.ChunkSize, done.Covered)
-				ok := !done.PoisonedChunks.Get(i)
+				lo, _ := chunkSpan(i, r.ChunkSize, r.Covered)
+				ok := !r.PoisonedChunks.Get(i)
 				var sum uint64
 				if ok && done.HasSum && lo < end {
 					sum = sums[i]
-					ok = sum == done.ChunkSums[i]
+					ok = sum == r.ChunkSums[i]
 				}
 				if !ok {
 					damaged.Set(i)
-					want, got = done.ChunkSums[i], sum
+					want, got = r.ChunkSums[i], sum
 					continue
 				}
 				accepted.Set(i)
-				if done.Dup.Get(i) {
+				if r.Dup.Get(i) {
 					// The fabric delivered this chunk twice within the
 					// attempt; the second copy is discarded.
 					c.fabric.NoteDupChunkSuppressed(c.endpoint(c.rank))
@@ -545,7 +545,7 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (ar
 		}
 		ok := !done.Poisoned
 		var got uint64
-		if plan, user, end := landing(dst, fd, done.Bytes); ok && done.HasSum && end > 0 {
+		if plan, user, end := landing(dst, fplan, done.Bytes); ok && done.HasSum && end > 0 {
 			got = datatype.LandedSum(plan, user, 0, end)
 			ok = got == done.Sum
 		}
@@ -567,20 +567,20 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fd *fusedDst) (ar
 // verifyScratch allocates, in one piece, a chunked receive's three
 // bitmaps over n chunks and its n per-chunk sums.
 func verifyScratch(n int) (accepted, damaged, check simnet.ChunkBitmap, sums []uint64) {
-	words := len(simnet.NewChunkBitmap(n))
+	words := simnet.ChunkWords(n)
 	s := make([]uint64, 3*words+n)
 	return s[:words:words], s[words : 2*words : 2*words], s[2*words : 3*words : 3*words], s[3*words:]
 }
 
 // landing is where the receiver verifies a rendezvous payload's first
-// n stream bytes as they landed: in a fused receiver's layout through
-// fd's plan, otherwise in dst as the packed stream itself (plan nil).
-// end is n clamped to what the receive holds, 0 when nothing can be
-// verified (virtual or empty landing).
-func landing(dst buf.Block, fd *fusedDst, n int64) (plan *datatype.Plan, user buf.Block, end int64) {
-	user, end = dst, int64(dst.Len())
-	if fd != nil {
-		plan, user, end = fd.plan, fd.user, fd.need
+// n stream bytes as they landed: in a fused receiver's layout dst
+// through its plan fplan, otherwise in dst as the packed stream itself
+// (plan nil). end is n clamped to what the receive holds, 0 when
+// nothing can be verified (virtual or empty landing).
+func landing(dst buf.Block, fplan *datatype.Plan, n int64) (plan *datatype.Plan, user buf.Block, end int64) {
+	plan, user, end = fplan, dst, int64(dst.Len())
+	if fplan != nil {
+		end = fplan.Bytes()
 	}
 	if user.IsVirtual() {
 		return plan, user, 0

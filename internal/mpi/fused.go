@@ -34,10 +34,13 @@ import (
 //     mismatched payload sizes run a sender-local staged emulation, so
 //     the receiver still never unpacks.
 
-// fusedDst is the receiver→sender descriptor of a typed rendezvous
-// receive whose layout the sender may scatter into directly. It rides
-// simnet.RdvMatch.FusedDst as an opaque value; only this package
-// creates and consumes it.
+// fusedDst is the sender's view of a typed rendezvous receive whose
+// layout it may scatter into directly. The receiver hands over only its
+// compiled plan, through simnet.RdvMatch.FusedDst (a pointer in an
+// interface: no allocation); the sender fills this descriptor by value
+// inside its fusedXfer from the match's Dst block and the plan's packed
+// size and closed-form stats, which the plan computed once when it was
+// compiled. plan is nil when the receiver did not offer its layout.
 type fusedDst struct {
 	user  buf.Block
 	plan  *datatype.Plan
@@ -107,31 +110,35 @@ func (c *Comm) fusedOpen(x *fusedXfer, b buf.Block, count int, ty *datatype.Type
 	}
 	c.clock.AdvanceTo(match.MatchTime + dur(c.linkLatency(dest)))
 
-	// A fused receiver takes delivery in its own layout (fd.user); a
-	// contiguous or fused-declining one in match.Dst. covered is the
-	// stream prefix the receiver has room for.
+	// A fused receiver takes delivery in its own layout, described by
+	// the plan it offered; a contiguous or fused-declining one as a
+	// packed stream. Either way match.Dst is the block that takes
+	// delivery, and covered is the stream prefix the receiver has room
+	// for.
 	// No MPI-internal buffers are involved, so the internal-pool
 	// degradation of large typed sends does not apply: the wire term
 	// runs at the nominal injection bandwidth, like the reference send.
-	*x = fusedXfer{plan: plan, b: b, st: ty.Stats(count), dst: match.Dst, n: n, wire: float64(n) / c.prof.NetBandwidth,
-		recv: match.Dst, covered: min(n, int64(match.Dst.Len()))}
-	if x.fd, _ = match.FusedDst.(*fusedDst); x.fd != nil {
-		x.recv, x.covered = x.fd.user, min(n, x.fd.need)
+	*x = fusedXfer{plan: plan, b: b, st: plan.Stats(), dst: match.Dst, n: n, wire: float64(n) / c.prof.NetBandwidth,
+		covered: min(n, int64(match.Dst.Len()))}
+	if dp, _ := match.FusedDst.(*datatype.Plan); dp != nil {
+		x.fd = fusedDst{user: match.Dst, plan: dp, stats: dp.Stats(), need: dp.Bytes()}
+		x.covered = min(n, x.fd.need)
 	}
 	return m, nil
 }
 
 // fusedXfer is one matched fused rendezvous as its attempts see it: the
-// sender's plan over its block b, where the payload lands (fd's layout
-// for a fused receiver, the block dst otherwise; recv is whichever of
-// the two takes delivery), and the stream prefix covered the receiver
-// has room for.
+// sender's plan over its block b, the block dst that takes delivery
+// (in fd's layout for a fused receiver, as the packed stream
+// otherwise), and the stream prefix covered the receiver has room for.
+// fd is held by value: a fusedXfer lives in its sender's frame, and
+// nothing may point it at its own fields.
 type fusedXfer struct {
 	plan       *datatype.Plan
 	b          buf.Block
 	st         layout.Stats
-	fd         *fusedDst
-	dst, recv  buf.Block
+	fd         fusedDst
+	dst        buf.Block
 	n, covered int64
 	wire       float64
 }
@@ -150,7 +157,7 @@ func (c *Comm) fusedTransfer(m *simnet.Message, dest, tag int, x *fusedXfer) err
 	var attemptCost float64
 	return c.rdvSend(m, dest, tag, x.n, &stage{
 		covered: x.covered,
-		real:    !x.b.IsVirtual() && !x.recv.IsVirtual(),
+		real:    !x.b.IsVirtual() && !x.dst.IsVirtual(),
 		drain: func(ss srcSums) error {
 			copyCost, err := c.fusedMove(x, ss)
 			if err != nil {
@@ -165,7 +172,7 @@ func (c *Comm) fusedTransfer(m *simnet.Message, dest, tag int, x *fusedXfer) err
 		},
 		resend: func(lo, hi int64) error {
 			var err error
-			if x.fd != nil {
+			if x.fd.plan != nil {
 				err = x.plan.StageChunks(x.fd.plan, x.b, x.fd.user, lo, hi, hi-lo, 0, nil, c.rank)
 			} else {
 				err = x.plan.PackRange(x.b, x.dst.Slice(int(lo), int(hi-lo)), lo, hi)
@@ -177,7 +184,7 @@ func (c *Comm) fusedTransfer(m *simnet.Message, dest, tag int, x *fusedXfer) err
 			return nil
 		},
 		damage: func(f simnet.Fault, lo, hi int64) bool {
-			if x.fd != nil {
+			if x.fd.plan != nil {
 				return damagePlanRange(x.fd.plan, x.fd.user, lo, hi, f)
 			}
 			return damageContigRange(x.dst, lo, hi, f)
@@ -186,19 +193,19 @@ func (c *Comm) fusedTransfer(m *simnet.Message, dest, tag int, x *fusedXfer) err
 }
 
 // fusedMove runs one attempt's data movement of the fused rendezvous
-// and returns its memory cost. A fused receiver (fd non-nil) with a
-// matching size and no aliasing takes the fused fast path: one pass,
-// layout to layout, split across workers (and priced at the saturating
-// parallel speedup) above the parallel-pack threshold. Aliased buffers
-// or a size mismatch fall to the sender-local staged emulation — the
-// receiver still takes delivery in its layout, the two passes are paid
-// here. A contiguous (or fused-declining) receiver gets the plan packed
-// straight into its block dst in one pass. Whichever pass reads the
-// source folds ss's checksums on the way.
+// and returns its memory cost. A fused receiver (fd.plan non-nil)
+// with a matching size and no aliasing takes the fused fast path: one
+// pass, layout to layout, split across workers (and priced at the
+// saturating parallel speedup) above the parallel-pack threshold.
+// Aliased buffers or a size mismatch fall to the sender-local staged
+// emulation — the receiver still takes delivery in its layout, the two
+// passes are paid here. A contiguous (or fused-declining) receiver
+// gets the plan packed straight into its block dst in one pass.
+// Whichever pass reads the source folds ss's checksums on the way.
 func (c *Comm) fusedMove(x *fusedXfer, ss srcSums) (float64, error) {
-	fd := x.fd
+	fd := &x.fd
 	switch {
-	case fd == nil:
+	case fd.plan == nil:
 		dense := layout.Dense(x.covered)
 		cost := c.fusedCopyCost(x.b.Region(), x.dst.Region(), &x.st, &dense, x.covered)
 		if x.covered == 0 {
@@ -248,14 +255,4 @@ func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st 
 	}
 	datatype.RecordStagedTransfer(nCopy)
 	return cost, nil
-}
-
-// offerFusedDst builds the fused descriptor a typed rendezvous
-// receiver hands to a sendv sender, or nil when the layout cannot
-// legally take a one-pass scatter (overlapping repeated instances).
-func offerFusedDst(b buf.Block, count int, ty *datatype.Type, plan *datatype.Plan, need int64) *fusedDst {
-	if !plan.FusedDstSafe() {
-		return nil
-	}
-	return &fusedDst{user: b, plan: plan, stats: ty.Stats(count), need: need}
 }

@@ -103,7 +103,7 @@ func (w *Win) Put(origin buf.Block, count int, ty *datatype.Type, target int, ta
 		return err
 	}
 	c := w.comm
-	gather := c.cache.GatherCost(origin.Region(), c.internal.Region(), ty.Stats(count), memsim.Kernel{})
+	gather := c.cache.GatherCost(origin.Region(), c.internal.Region(), plan.Stats(), memsim.Kernel{})
 	c.clock.Advance(vclock.FromSeconds(c.prof.PutSetup + gather))
 	wire := 0.0
 	if n > 0 {

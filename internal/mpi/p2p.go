@@ -61,7 +61,7 @@ func (c *Comm) BsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	if err != nil {
 		return err
 	}
-	gather := c.cache.GatherCost(b.Region(), region.Region(), ty.Stats(count), memsim.Kernel{})
+	gather := c.cache.GatherCost(b.Region(), region.Region(), plan.Stats(), memsim.Kernel{})
 	c.clock.Advance(vclock.FromSeconds(gather + c.prof.BsendOverhead))
 	if _, err := plan.Pack(b, region); err != nil {
 		release(c.clock.Now())

@@ -78,7 +78,7 @@ func (c *Comm) PackCompiled(b buf.Block, count int, ty *datatype.Type, outbuf bu
 	if err != nil {
 		return err
 	}
-	st := ty.Stats(count)
+	st := plan.Stats()
 	gather := c.cache.GatherCost(b.Region(), outbuf.Region(), st, PlanKernel(plan))
 	c.clock.Advance(vclock.FromSeconds(c.prof.PackCallOverhead + gather))
 	if _, err := plan.Pack(b, dst); err != nil {

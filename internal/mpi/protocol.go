@@ -168,7 +168,7 @@ func (c *Comm) sendTyped(b buf.Block, count int, ty *datatype.Type, dest, tag in
 	if err != nil {
 		return err
 	}
-	st := ty.Stats(count)
+	st := plan.Stats()
 	chunks := p.Chunks(n)
 	eager := !fl.forceRdv && p.Eager(n, fl.packed)
 	// The pipelined engine needs the rendezvous chunk loop (eager
@@ -392,7 +392,7 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 		return Status{}, err
 	}
 	st := Status{Source: c.localRank(m.Src), Tag: m.Tag, Count: m.Bytes}
-	scatter := c.cache.ScatterCost(c.internal.Region(), b.Region(), ty.Stats(count), memsim.Kernel{})
+	scatter := c.cache.ScatterCost(c.internal.Region(), b.Region(), plan.Stats(), memsim.Kernel{})
 	// A staged payload (eager transit, rendezvous staging) is scattered
 	// into b's layout once it has landed: the whole message as one
 	// execution, a short one as the range it covers.
@@ -412,12 +412,12 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 		return st, c.land(m, post, b, nil, need, scatter, unpack)
 	}
 	if m.Sendv {
-		if fd := offerFusedDst(b, count, ty, plan, need); fd != nil {
-			// Fused: expose the user layout; the sendv sender scatters
-			// straight into it (or runs its local staged emulation) —
-			// either way the payload arrives in place and this rank
-			// never allocates staging or unpacks.
-			return st, c.land(m, post, b, fd, need, 0, nil)
+		if plan.FusedDstSafe() {
+			// Fused: expose the user layout through its plan; the sendv
+			// sender scatters straight into it (or runs its local staged
+			// emulation) — either way the payload arrives in place and
+			// this rank never allocates staging or unpacks.
+			return st, c.land(m, post, b, plan, need, 0, nil)
 		}
 		// The layout cannot take a one-pass scatter (overlapping
 		// instances, uncompilable plan): stage like any typed
@@ -434,13 +434,13 @@ func (c *Comm) recvTyped(b buf.Block, count int, ty *datatype.Type, src, tag int
 // land completes a matched receive with room for room bytes. An eager
 // payload is copied from its transit block into dst, or handed to
 // unpack; a rendezvous sender moves the payload into dst itself — into
-// fd's layout instead when the receiver offered one — and every attempt
+// fplan's layout instead when the receiver offered one — and every attempt
 // is verified before unpack, when set, scatters the landed block. The
 // receive overhead plus extra is charged once the payload is complete;
 // an eager payload copied into dst pays the bounce-buffer copy of an
 // unexpected message as its extra. A message longer than room is
 // delivered up to room and reported as truncated.
-func (c *Comm) land(m *simnet.Message, post vclock.Time, dst buf.Block, fd *fusedDst, room int64, extra float64, unpack func(packed buf.Block) error) error {
+func (c *Comm) land(m *simnet.Message, post vclock.Time, dst buf.Block, fplan *datatype.Plan, room int64, extra float64, unpack func(packed buf.Block) error) error {
 	bytes, landed := m.Bytes, dst
 	switch m.Kind {
 	case simnet.KindEager:
@@ -468,17 +468,17 @@ func (c *Comm) land(m *simnet.Message, post vclock.Time, dst buf.Block, fd *fuse
 		}
 	case simnet.KindRendezvous:
 		match := simnet.RdvMatch{MatchTime: maxTime(m.Arrival, post), Dst: dst}
-		if fd != nil {
-			match.FusedDst = fd
+		if fplan != nil {
+			match.FusedDst = fplan
 		}
 		m.PostMatch(match)
-		arrival, n, err := c.rdvRecvVerify(m, dst, fd)
+		arrival, n, err := c.rdvRecvVerify(m, dst, fplan)
 		if err != nil {
 			return err
 		}
 		c.clock.AdvanceTo(arrival)
 		bytes = n
-		if m.Sendv && fd == nil && unpack == nil {
+		if m.Sendv && fplan == nil && unpack == nil {
 			// A sendv sender packed its layout straight into this
 			// contiguous buffer: one pass, no staging anywhere.
 			datatype.RecordFusedTransfer(min(bytes, int64(dst.Len())))
@@ -496,7 +496,7 @@ func (c *Comm) land(m *simnet.Message, post vclock.Time, dst buf.Block, fd *fuse
 		}
 	}
 	if bytes > room {
-		return errTruncated(bytes, room, fd != nil || unpack != nil)
+		return errTruncated(bytes, room, fplan != nil || unpack != nil)
 	}
 	return nil
 }

@@ -26,16 +26,15 @@ func issendv(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) 
 
 // TestAsyncAllocBudget pins what one transfer allocates, both sides
 // together, on a clean fabric: for a non-blocking pair a request and
-// its goroutine's closure per side, the envelope, and the typed
-// receiver's layout descriptor; for a blocking typed rendezvous the
-// envelope alone, as both sides run the type's cached plan. Most rows
-// move virtual payloads; the real rows move bytes, a 4 MiB contiguous
-// payload split across the pack workers, a 1 MiB pipelined typed
-// send packed straight into a contiguous typed receive's staging, and
-// a sendv into a typed receive one element longer, which the sender
-// stages chunk by chunk (the envelope and the receiver's layout
-// descriptor). The
-// counts are deterministic (no wall threshold) and equal at every
+// its goroutine's closure per side, and the envelope; for a blocking
+// typed rendezvous the envelope alone, as both sides run the type's
+// cached plan and a fused receiver offers that plan itself as its
+// layout. Most rows move virtual payloads; the real rows move bytes, a
+// 4 MiB contiguous payload split across the pack workers, a 1 MiB
+// pipelined typed send packed straight into a contiguous typed
+// receive's staging, and a sendv into a typed receive one element
+// longer, which the sender stages chunk by chunk (the envelope alone).
+// The counts are deterministic (no wall threshold) and equal at every
 // GOMAXPROCS; before the request diet the typed non-blocking pair cost
 // 20 objects and the contiguous pair 14. A send engine whose
 // per-transfer state escapes to the heap fails here first.
@@ -70,7 +69,7 @@ func TestAsyncAllocBudget(t *testing.T) {
 		send   func(c *Comm) error
 		recv   func(c *Comm) error
 	}{
-		{"IsendvType+IrecvType rendezvous", 6,
+		{"IsendvType+IrecvType rendezvous", 5,
 			func(c *Comm) error { return wait(c.IsendvType(buf.Virtual(need), 1, ty, 1, 0)) },
 			func(c *Comm) error { return wait(c.IrecvType(buf.Virtual(need), 1, ty, 0, 0)) }},
 		{"Isend+Irecv eager", 5,
@@ -83,7 +82,7 @@ func TestAsyncAllocBudget(t *testing.T) {
 		{"SendpType+RecvType real rendezvous", 1,
 			func(c *Comm) error { return c.SendpType(typedSrc, 1, ty, 1, 0) },
 			func(c *Comm) error { _, err := c.RecvType(packed, packed.Len(), datatype.Byte, 0, 0); return err }},
-		{"SendvType+RecvType real staged scatter", 2,
+		{"SendvType+RecvType real staged scatter", 1,
 			func(c *Comm) error { return c.SendvType(stagedSrc, 1, stagedTy, 1, 0) },
 			func(c *Comm) error { _, err := c.RecvType(stagedDst, 1, longerTy, 0, 0); return err }},
 		{"Send+Recv real 4 MiB contiguous rendezvous", 1,

@@ -61,35 +61,31 @@ func (c *Comm) rdvSend(m *simnet.Message, dest, tag int, n int64, st *stage) err
 	size := c.prof.InternalChunk()
 	chunks := int((st.covered + size - 1) / size)
 	// done is every attempt's Done. Sum storage exists only when a sum
-	// is claimed, in ChunkSums (one slot for a whole transfer); the
-	// selective descriptor always carries one slot per chunk, with the
+	// is claimed: one slot for a whole transfer, or one per chunk in
+	// the selective descriptor (done.Replay), which also carries the
 	// replay set and the per-attempt verdicts. All of it is allocated
 	// once and reused in place. Reuse is race-free: the receiver reads
 	// it only while it verifies that attempt, and this rank sits in
 	// awaitAck until the receiver has answered it.
 	done := simnet.RdvDone{Bytes: n, HasSum: st.real && m.Ack != nil && st.covered > 0}
-	span := st.covered
-	if c.faultsOn() && !c.retry.WholeReplay && m.Ack != nil && st.resend != nil && chunks > 1 {
-		done.Chunks, done.ChunkSize, done.Covered = chunks, size, st.covered
-		done.ChunkSums = make([]uint64, chunks)
-		done.Sent, done.PoisonedChunks, done.Dup = simnet.FullChunkBitmap(chunks), simnet.NewChunkBitmap(chunks), simnet.NewChunkBitmap(chunks)
-		span = size
-	} else if done.HasSum {
-		done.ChunkSums = make([]uint64, 1)
-	}
 	var ss srcSums
-	if done.HasSum {
-		ss = srcSums{span: span, sums: done.ChunkSums}
+	if c.faultsOn() && !c.retry.WholeReplay && m.Ack != nil && st.resend != nil && chunks > 1 {
+		done.Replay = simnet.NewChunkReplay(chunks, size, st.covered)
+		if done.HasSum {
+			ss = srcSums{span: size, sums: done.Replay.ChunkSums}
+		}
+	} else if done.HasSum {
+		ss = srcSums{span: st.covered, sums: make([]uint64, 1)}
 	}
 	for attempt := 0; ; attempt++ {
 		var err error
-		if attempt == 0 || done.Chunks == 0 {
+		if attempt == 0 || done.Replay == nil {
 			err = st.drain(ss)
 		} else {
 			resent := 0
 			var resentBytes int64
 			for i := 0; i < chunks && err == nil; i++ {
-				if done.Sent.Get(i) {
+				if done.Replay.Sent.Get(i) {
 					lo, hi := chunkSpan(i, size, st.covered)
 					err = st.resend(lo, hi)
 					resent++
@@ -100,7 +96,7 @@ func (c *Comm) rdvSend(m *simnet.Message, dest, tag int, n int64, st *stage) err
 				c.fabric.NoteChunkRetransmit(c.endpoint(c.rank), resent, resentBytes)
 			}
 		}
-		if retry, err := c.rdvVerdict(m, dest, tag, st, &done, attempt, err); !retry {
+		if retry, err := c.rdvVerdict(m, dest, tag, st, &done, ss, attempt, err); !retry {
 			return err
 		}
 	}
@@ -110,37 +106,37 @@ func (c *Comm) rdvSend(m *simnet.Message, dest, tag int, n int64, st *stage) err
 // is posted to the receiver and returned. Otherwise it draws the
 // attempt's faults — one per sent chunk under selective replay, one for
 // the whole transfer otherwise — and applies them to what landed,
-// posts Done with the checksum claims, and waits for the receiver's
-// verdict. A NACK with budget left asks for a retry — counted, its
-// backoff charged, a selective replay narrowed to the damaged chunks;
-// otherwise the result is nil once the payload is accepted, or the
-// typed error. It is a call of its own so that the drains run under
+// posts Done with the checksum claims (ss's sums), and waits for the
+// receiver's verdict. A NACK with budget left asks for a retry —
+// counted, its backoff charged, a selective replay narrowed to the
+// damaged chunks; otherwise the result is nil once the payload is
+// accepted, or the typed error. It is a call of its own so that the drains run under
 // rdvSend's small frame: the request halves that run them start on
 // small goroutine stacks.
-func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *simnet.RdvDone, attempt int, moveErr error) (retry bool, err error) {
+func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *simnet.RdvDone, ss srcSums, attempt int, moveErr error) (retry bool, err error) {
 	if moveErr != nil {
 		m.PostDone(simnet.RdvDone{Err: moveErr})
 		return false, moveErr
 	}
 	me, peer := c.endpoint(c.rank), c.endpoint(dest)
 	done.Final = m.Ack == nil || attempt >= c.retry.MaxRetries
-	if done.Chunks > 0 {
+	if r := done.Replay; r != nil {
 		// A duplicate fault redelivers the chunk rather than damaging
 		// it; the receiver suppresses the extra copy.
-		clear(done.PoisonedChunks)
-		clear(done.Dup)
-		for i := 0; i < done.Chunks; i++ {
-			if !done.Sent.Get(i) {
+		clear(r.PoisonedChunks)
+		clear(r.Dup)
+		for i := 0; i < r.Chunks; i++ {
+			if !r.Sent.Get(i) {
 				continue
 			}
-			lo, hi := chunkSpan(i, done.ChunkSize, st.covered)
+			lo, hi := chunkSpan(i, r.ChunkSize, st.covered)
 			f := c.fabric.PayloadChunkFault(me, peer, hi-lo)
 			if f.Kind == simnet.FaultDuplicate {
-				done.Dup.Set(i)
+				r.Dup.Set(i)
 				f = simnet.Fault{}
 			}
 			if f.NeedsResend() && !st.damage(f, lo, hi) {
-				done.PoisonedChunks.Set(i)
+				r.PoisonedChunks.Set(i)
 			}
 		}
 	} else {
@@ -150,7 +146,7 @@ func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *sim
 		}
 		done.Poisoned = f.NeedsResend() && !st.damage(f, 0, st.covered)
 		if done.HasSum {
-			done.Sum = done.ChunkSums[0]
+			done.Sum = ss.sums[0]
 		}
 	}
 	done.Arrival = c.clock.Now() + dur(c.linkLatency(dest))
@@ -166,10 +162,10 @@ func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *sim
 		return false, &IntegrityError{Op: "rdv-send", Rank: c.rank, Peer: dest, Tag: tag, Attempts: attempt + 1, Want: done.Sum}
 	}
 	var nack *simnet.ChunkNack
-	if done.Chunks > 0 && errors.As(ack, &nack) {
+	if done.Replay != nil && errors.As(ack, &nack) {
 		// Copied, not kept: the receiver reuses its bitmap for the
 		// next attempt's verdict.
-		copy(done.Sent, nack.Damaged)
+		copy(done.Replay.Sent, nack.Damaged)
 	}
 	c.fabric.NoteRetry(me)
 	c.clock.Advance(backoff(attempt + 1))

@@ -11,21 +11,44 @@ package simnet
 // ChunkBitmap is a fixed-capacity bitset over chunk indices.
 type ChunkBitmap []uint64
 
-// NewChunkBitmap returns an all-clear bitmap able to hold n chunks.
-func NewChunkBitmap(n int) ChunkBitmap {
-	if n <= 0 {
-		return nil
-	}
-	return make(ChunkBitmap, (n+63)/64)
+// ChunkWords is the number of words a bitmap over n chunks holds.
+func ChunkWords(n int) int {
+	return (max(n, 0) + 63) / 64
 }
 
-// FullChunkBitmap returns a bitmap with chunks [0,n) all set.
-func FullChunkBitmap(n int) ChunkBitmap {
-	b := NewChunkBitmap(n)
-	for i := 0; i < n; i++ {
-		b.Set(i)
+// ChunkReplay is the selective-retransmission descriptor of a chunked
+// rendezvous payload (RdvDone.Replay): the packed stream's first
+// Covered bytes cut into Chunks pieces of ChunkSize bytes (the last one
+// short). Sent marks the chunks an attempt carries (all of them on the
+// first attempt, only the replayed ones afterwards); ChunkSums holds
+// the sender-side checksum per chunk (indexed by chunk, valid for Sent
+// chunks when the Done claims a sum); PoisonedChunks marks sent chunks
+// the sender knows arrived damaged but could not mechanically damage;
+// Dup marks sent chunks the fabric redelivered (the receiver must
+// suppress the duplicate if it already accepted the chunk).
+type ChunkReplay struct {
+	Chunks         int
+	ChunkSize      int64
+	Covered        int64
+	Sent           ChunkBitmap
+	PoisonedChunks ChunkBitmap
+	Dup            ChunkBitmap
+	ChunkSums      []uint64
+}
+
+// NewChunkReplay returns the descriptor of a covered-byte stream in
+// chunks of size bytes, every chunk marked Sent. The sums and the three
+// bitmaps share one backing array.
+func NewChunkReplay(chunks int, size, covered int64) *ChunkReplay {
+	words := ChunkWords(chunks)
+	s := make([]uint64, 3*words+chunks)
+	r := &ChunkReplay{Chunks: chunks, ChunkSize: size, Covered: covered,
+		Sent: s[:words:words], PoisonedChunks: s[words : 2*words : 2*words], Dup: s[2*words : 3*words : 3*words],
+		ChunkSums: s[3*words:]}
+	for i := 0; i < chunks; i++ {
+		r.Sent.Set(i)
 	}
-	return b
+	return r
 }
 
 // Set marks chunk i.

@@ -84,13 +84,14 @@ type RdvMatch struct {
 	MatchTime vclock.Time
 	// Dst is the receiver's buffer view the sender streams into.
 	Dst buf.Block
-	// FusedDst, when non-nil, is an opaque descriptor of the
-	// receiver's non-contiguous user layout (owned by the mpi layer;
-	// the fabric never inspects it). A fused-capable sender scatters
-	// straight into the layout; Dst is then the raw user block the
-	// descriptor covers, NOT a packed destination, and non-fusing
-	// senders must consult the descriptor rather than streaming
-	// packed bytes into Dst.
+	// FusedDst, when non-nil, is the receiver's compiled plan of its
+	// non-contiguous user layout (a *datatype.Plan, owned by the mpi
+	// layer; the fabric never inspects it). A fused-capable sender
+	// scatters straight into the layout; Dst is then the raw user
+	// block the plan describes, NOT a packed destination, and
+	// non-fusing senders must consult the plan rather than streaming
+	// packed bytes into Dst. A pointer in an interface allocates
+	// nothing.
 	FusedDst any
 }
 
@@ -98,7 +99,9 @@ type RdvMatch struct {
 // and how many bytes were written. A receiver that exposed its layout
 // through RdvMatch.FusedDst takes delivery in place — the sender
 // always lands the payload in the layout (fused one-pass or its local
-// staged equivalent), so no unpack follows.
+// staged equivalent), so no unpack follows. The chunked attempts'
+// descriptor sits behind Replay, so the untracked envelope that embeds
+// an RdvDone (NewRendezvous) stays in a small size class.
 type RdvDone struct {
 	Arrival vclock.Time
 	Bytes   int64
@@ -118,23 +121,11 @@ type RdvDone struct {
 	// a NACK now becomes a permanent integrity error on both sides.
 	Final bool
 
-	// Selective-retransmission descriptor, present when Chunks > 0:
-	// the packed stream's first Covered bytes were cut into Chunks
-	// pieces of ChunkSize bytes (last one short). Sent marks the
-	// chunks this attempt carried (all of them on the first attempt,
-	// only the replayed ones afterwards); ChunkSums holds the
-	// sender-side checksum per chunk (indexed by chunk, valid for
-	// Sent chunks when HasSum); PoisonedChunks marks sent chunks the
-	// sender knows arrived damaged but could not mechanically damage;
-	// Dup marks sent chunks the fabric redelivered (the receiver must
-	// suppress the duplicate if it already accepted the chunk).
-	Chunks         int
-	ChunkSize      int64
-	Covered        int64
-	Sent           ChunkBitmap
-	PoisonedChunks ChunkBitmap
-	Dup            ChunkBitmap
-	ChunkSums      []uint64
+	// Replay, when non-nil, is the selective-retransmission
+	// descriptor: the attempt is chunked, and each chunk carries its
+	// own checksum and verdict. Only a fault-armed transfer of several
+	// internal chunks has one.
+	Replay *ChunkReplay
 }
 
 // Message is one envelope in a mailbox.
@@ -232,23 +223,27 @@ type handshake struct {
 	matched, finished sync.WaitGroup
 }
 
+// rdvEnvelope is an untracked rendezvous: the envelope and its
+// handshake slots in one allocation.
+type rdvEnvelope struct {
+	m  Message
+	hs handshake
+}
+
 // NewRendezvous returns a rendezvous envelope with its handshake armed.
 // On a tracked fabric the notices travel over the Match and Done
 // channels, which a blocked wait selects on together with the abort
 // signal, and the wake counter is armed. On an untracked fabric
 // a wait can only end by its notice arriving and each notice is sent
 // once (no Ack, no retransmission), so the envelope and the two slots
-// that carry them are one allocation.
+// that carry them are one allocation (rdvEnvelope).
 func NewRendezvous(tracked bool) *Message {
 	if tracked {
 		m := &Message{Kind: KindRendezvous, Match: make(chan RdvMatch, 1), Done: make(chan RdvDone, 1)}
 		m.InitWake()
 		return m
 	}
-	e := &struct {
-		m  Message
-		hs handshake
-	}{m: Message{Kind: KindRendezvous}}
+	e := &rdvEnvelope{m: Message{Kind: KindRendezvous}}
 	e.m.hs = &e.hs
 	e.hs.matched.Add(1)
 	e.hs.finished.Add(1)

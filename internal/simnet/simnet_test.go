@@ -3,6 +3,7 @@ package simnet
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/buf"
 )
@@ -192,7 +193,8 @@ func TestBadRankPanics(t *testing.T) {
 // TestRendezvousHandshake drives both representations of the
 // rendezvous handshake through the same four calls: the channel pair of
 // a tracked fabric (with its wake counter) and the one-allocation slot
-// pair of an untracked one.
+// pair of an untracked one, whose envelope must fit the 352-byte size
+// class (the selective descriptor stays behind RdvDone.Replay).
 func TestRendezvousHandshake(t *testing.T) {
 	for _, tracked := range []bool{false, true} {
 		m := NewRendezvous(tracked)
@@ -214,6 +216,9 @@ func TestRendezvousHandshake(t *testing.T) {
 		if want := map[bool]int64{false: 0, true: 2}[tracked]; m.WakeSeq() != want {
 			t.Errorf("tracked=%v: wake count %d, want %d", tracked, m.WakeSeq(), want)
 		}
+	}
+	if n := unsafe.Sizeof(rdvEnvelope{}); n > 352 {
+		t.Errorf("an untracked rendezvous envelope is %d B, want at most 352", n)
 	}
 	if raceEnabled {
 		return
