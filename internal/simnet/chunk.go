@@ -13,7 +13,7 @@ type ChunkBitmap []uint64
 
 // ChunkWords is the number of words a bitmap over n chunks holds.
 func ChunkWords(n int) int {
-	return (max(n, 0) + 63) / 64
+	return (n + 63) / 64
 }
 
 // ChunkReplay is the selective-retransmission descriptor of a chunked
