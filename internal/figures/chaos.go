@@ -1,8 +1,8 @@
 package figures
 
 import (
+	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/buf"
 	"repro/internal/core"
@@ -186,16 +186,15 @@ func measureChaosCell(profileName string, ty *datatype.Type, reps int, send func
 	if err != nil {
 		return chaosCell{}, err
 	}
-	opts := mpi.Options{Profile: prof, ColdCaches: true, WallLimit: 2 * time.Minute}
+	world := mpi.World{Ranks: 2, Profile: prof, ColdCaches: true}
 	if rate > 0 {
-		opts.Faults = simnet.UniformFaults(seed, rate)
+		world.Faults = simnet.UniformFaults(seed, rate)
 	}
 	var (
 		perMsg   []float64
-		total    float64
 		counters [2]simnet.Counters
 	)
-	runErr := mpi.Run(2, opts, func(c *mpi.Comm) error {
+	run, err := mpi.Measure(world, func(c *mpi.Comm) error {
 		defer func() { counters[c.Rank()] = c.Counters() }()
 		if c.Rank() == 0 {
 			src := buf.Alloc(int(ty.Extent()))
@@ -206,7 +205,6 @@ func measureChaosCell(profileName string, ty *datatype.Type, reps int, send func
 				}
 				perMsg = append(perMsg, c.Wtime()-t0)
 			}
-			total = c.Wtime()
 			return nil
 		}
 		dst := buf.Alloc(int(ty.Size()))
@@ -217,13 +215,16 @@ func measureChaosCell(profileName string, ty *datatype.Type, reps int, send func
 		}
 		return nil
 	})
-	cell := chaosCell{delivered: runErr == nil}
-	if runErr != nil {
+	if errors.Is(err, mpi.ErrRetriesExhausted) || errors.Is(err, mpi.ErrIntegrity) {
 		// A cell that exhausts its retry budget is a data point, not a
 		// study failure: it renders as zero goodput, undelivered.
-		return cell, nil
+		return chaosCell{}, nil
 	}
-	if total > 0 {
+	if err != nil {
+		return chaosCell{}, err
+	}
+	cell := chaosCell{delivered: true}
+	if total := run.Ends[0]; total > 0 {
 		cell.goodput = float64(ty.Size()) * float64(reps) / total / 1e9
 	}
 	cell.p99 = stats.Quantile(perMsg, 0.99)

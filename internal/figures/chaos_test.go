@@ -2,10 +2,13 @@ package figures
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/buf"
 	"repro/internal/harness"
+	"repro/internal/mpi"
 )
 
 // chaosRun measures E18 at the given fault rates and reps.
@@ -108,5 +111,25 @@ func TestChaosStudyDeterministic(t *testing.T) {
 				t.Fatalf("%s %s not deterministic: %g vs %g", e.Name, v, x, y)
 			}
 		}
+	}
+}
+
+// TestChaosCellSurfacesOtherErrors: only a spent retry budget or a
+// failed integrity check makes a chaos cell a zero-goodput data point;
+// any other failure of the cell's run fails the study.
+func TestChaosCellSurfacesOtherErrors(t *testing.T) {
+	ty, err := vectorFor(4<<10, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("send failed")
+	_, err = measureChaosCell("skx-impi", ty, 1, func(c *mpi.Comm, src buf.Block) error {
+		if err := c.SendType(src, 1, ty, 1, 0); err != nil {
+			return err
+		}
+		return boom
+	}, 0, 1)
+	if !errors.Is(err, boom) {
+		t.Fatalf("measureChaosCell returned %v, want the send's error", err)
 	}
 }

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -80,9 +79,8 @@ func measureChaosScale(r *Result, _ harness.Options) error {
 			return harness.RunJobMix(harness.JobMix{
 				Ranks: ranks, Jobs: jobs, InFlight: 2, Rounds: 4,
 				Bytes: r.Bytes, Profile: &prof,
-				WallLimit: 4 * time.Minute,
-				Faults:    plan,
-				Retry:     mpi.RetryPolicy{WholeReplay: wholeReplay},
+				Faults: plan,
+				Retry:  mpi.RetryPolicy{WholeReplay: wholeReplay},
 			})
 		}
 		// One clean baseline serves both arms: WholeReplay only changes

@@ -177,7 +177,7 @@ func measureHalo(r *Result, g haloGeometry, n int, opt harness.Options) error {
 	var typedSec, manualSec float64
 	var stats datatype.PlanStats
 	var faceBytes int64
-	err := mpi.Run(g.ranks, mpi.Options{Profile: r.Profile}, func(c *mpi.Comm) error {
+	_, err := mpi.Measure(mpi.World{Ranks: g.ranks, Profile: r.Profile}, func(c *mpi.Comm) error {
 		grp, err := c.Split(g.color(c.Rank()), g.key(c.Rank()))
 		if err != nil {
 			return err
@@ -202,49 +202,48 @@ func measureHalo(r *Result, g haloGeometry, n int, opt harness.Options) error {
 
 		// Typed leg: the layout-aware collective straight between the
 		// tile's face and the slab's halo slots.
-		c.Barrier()
-		before := datatype.PlanStatsSnapshot()
-		c.Barrier() // no rank starts before every rank's snapshot
-		t0 := c.Wtime()
-		for r := 0; r < rounds; r++ {
-			if err := grp.AllgatherType(tile, 1, face, slab, 1, slot); err != nil {
-				return err
+		secs, ps, err := mpi.Window(c, func() error {
+			for r := 0; r < rounds; r++ {
+				if err := grp.AllgatherType(tile, 1, face, slab, 1, slot); err != nil {
+					return err
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		c.Barrier()
 		if c.Rank() == 0 {
-			typedSec = c.Wtime() - t0
-			stats = datatype.PlanStatsSnapshot().Sub(before)
+			typedSec, stats = secs, ps
 		}
-		c.Barrier()
 
 		// Manual leg: pack the face, contiguous Allgather over packed
 		// slots, unpack every slot into the same halo layout.
 		scratch := alloc(face.Size())
 		packedSlab := alloc(face.Size() * int64(grp.Size()))
-		c.Barrier()
-		t0 = c.Wtime()
-		for r := 0; r < rounds; r++ {
-			var pos int64
-			if err := c.Pack(tile, 1, face, scratch, &pos); err != nil {
-				return err
-			}
-			if err := grp.Allgather(scratch, packedSlab); err != nil {
-				return err
-			}
-			for s := 0; s < grp.Size(); s++ {
-				view := slab.Slice(int(int64(s)*slot.Extent()), slab.Len()-int(int64(s)*slot.Extent()))
-				p := int64(s) * face.Size()
-				if err := c.Unpack(packedSlab, &p, view, 1, slot); err != nil {
+		secs, _, err = mpi.Window(c, func() error {
+			for r := 0; r < rounds; r++ {
+				var pos int64
+				if err := c.Pack(tile, 1, face, scratch, &pos); err != nil {
 					return err
 				}
+				if err := grp.Allgather(scratch, packedSlab); err != nil {
+					return err
+				}
+				for s := 0; s < grp.Size(); s++ {
+					view := slab.Slice(int(int64(s)*slot.Extent()), slab.Len()-int(int64(s)*slot.Extent()))
+					p := int64(s) * face.Size()
+					if err := c.Unpack(packedSlab, &p, view, 1, slot); err != nil {
+						return err
+					}
+				}
 			}
-		}
-		c.Barrier()
+			return nil
+		})
 		if c.Rank() == 0 {
-			manualSec = c.Wtime() - t0
+			manualSec = secs
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return err

@@ -106,16 +106,15 @@ func measurePipeline(r *Result, _ harness.Options) error {
 		if err != nil {
 			return err
 		}
-		before := datatype.PlanStatsSnapshot()
-		piped, err := bcastTime(r.Profile.Name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return c.BcastType(blk, 1, ty, 0) })
+		pipedRun, err := bcastRun(r.Profile.Name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return c.BcastType(blk, 1, ty, 0) })
 		if err != nil {
 			return err
 		}
-		ps := datatype.PlanStatsSnapshot().Sub(before)
-		tree, err := bcastTime(r.Profile.Name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return treeBcast(c, blk, ty) })
+		treeRun, err := bcastRun(r.Profile.Name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return treeBcast(c, blk, ty) })
 		if err != nil {
 			return err
 		}
+		piped, tree, ps := pipedRun.Ends[0], treeRun.Ends[0], pipedRun.Plan
 		r.add(Curve{Name: "tree", Variant: "bcast"}, float64(n), tree)
 		r.add(Curve{Name: "pipelined", Variant: "bcast"}, float64(n), piped)
 		r.printf("bcast", "  %9d B  tree %.3gs  pipelined %.3gs  speedup %.2fx  overlap %4.1f%%  %v\n",
@@ -146,37 +145,24 @@ func measureChunks(r *Result, layout string, block, stride int, chunk int64) err
 	}
 	prof := *r.Profile
 	prof.Mem.InternalChunk = chunk
-	run := func(send func(*mpi.Comm, buf.Block) error) (float64, error) {
-		var elapsed float64
-		err := mpi.Run(2, mpi.Options{Profile: &prof, ColdCaches: true}, func(c *mpi.Comm) error {
+	var runs [3]mpi.Measured // serial, pipelined, fused
+	for i, send := range []func(c *mpi.Comm, src buf.Block) error{
+		func(c *mpi.Comm, src buf.Block) error { return c.SendType(src, 1, ty, 1, 0) },
+		func(c *mpi.Comm, src buf.Block) error { return c.SendpType(src, 1, ty, 1, 0) },
+		func(c *mpi.Comm, src buf.Block) error { return c.SendvType(src, 1, ty, 1, 0) },
+	} {
+		runs[i], err = mpi.Measure(mpi.World{Ranks: 2, Profile: &prof, ColdCaches: true}, func(c *mpi.Comm) error {
 			if c.Rank() == 0 {
-				src := buf.Alloc(int(ty.Extent()))
-				if err := send(c, src); err != nil {
-					return err
-				}
-				elapsed = c.Wtime()
-				return nil
+				return send(c, buf.Alloc(int(ty.Extent())))
 			}
-			dst := buf.Alloc(int(ty.Size()))
-			_, err := c.Recv(dst, 0, 0)
+			_, err := c.Recv(buf.Alloc(int(ty.Size())), 0, 0)
 			return err
 		})
-		return elapsed, err
+		if err != nil {
+			return err
+		}
 	}
-	serial, err := run(func(c *mpi.Comm, src buf.Block) error { return c.SendType(src, 1, ty, 1, 0) })
-	if err != nil {
-		return err
-	}
-	before := datatype.PlanStatsSnapshot()
-	piped, err := run(func(c *mpi.Comm, src buf.Block) error { return c.SendpType(src, 1, ty, 1, 0) })
-	if err != nil {
-		return err
-	}
-	ps := datatype.PlanStatsSnapshot().Sub(before)
-	fused, err := run(func(c *mpi.Comm, src buf.Block) error { return c.SendvType(src, 1, ty, 1, 0) })
-	if err != nil {
-		return err
-	}
+	serial, piped, fused, ps := runs[0].Ends[0], runs[1].Ends[0], runs[2].Ends[0], runs[1].Plan
 	bytes, x := float64(ty.Size()), float64(chunk)
 	s, p, f := gbps(bytes, serial), gbps(bytes, piped), gbps(bytes, fused)
 	r.add(Curve{Name: "serial", Variant: layout}, x, s)
@@ -187,17 +173,16 @@ func measureChunks(r *Result, layout string, block, stride int, chunk int64) err
 	return nil
 }
 
-// bcastTime runs bcast from rank 0 on ranks ranks of the named
+// bcastRun runs bcast from rank 0 on ranks ranks of the named
 // installation, caches cold, each rank's buffer one instance of ty, and
-// returns rank 0's virtual time after the closing barrier: the moment
-// the last rank holds the message.
-func bcastTime(profileName string, ranks int, ty *datatype.Type, bcast func(c *mpi.Comm, blk buf.Block) error) (float64, error) {
+// ends every rank at a closing barrier, so the run's Ends[0] is the
+// moment the last rank holds the message.
+func bcastRun(profileName string, ranks int, ty *datatype.Type, bcast func(c *mpi.Comm, blk buf.Block) error) (mpi.Measured, error) {
 	prof, err := perfmodel.ByName(profileName)
 	if err != nil {
-		return 0, err
+		return mpi.Measured{}, err
 	}
-	var worst float64
-	err = mpi.Run(ranks, mpi.Options{Profile: prof, ColdCaches: true}, func(c *mpi.Comm) error {
+	return mpi.Measure(mpi.World{Ranks: ranks, Profile: prof, ColdCaches: true}, func(c *mpi.Comm) error {
 		blk := buf.Alloc(int(ty.Extent()))
 		if c.Rank() == 0 {
 			blk.FillPattern(0x2F)
@@ -206,12 +191,8 @@ func bcastTime(profileName string, ranks int, ty *datatype.Type, bcast func(c *m
 			return err
 		}
 		c.Barrier()
-		if c.Rank() == 0 {
-			worst = c.Wtime()
-		}
 		return nil
 	})
-	return worst, err
 }
 
 // treeBcast broadcasts blk from rank 0 over BcastType's binomial tree,

@@ -151,16 +151,16 @@ func TestTreeBcastIsBcastTypesTree(t *testing.T) {
 			if ty.Size() > limit {
 				t.Fatalf("%s: %d-byte vector overshoots the %d-byte tree limit", name, ty.Size(), limit)
 			}
-			typed, err := bcastTime(name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return c.BcastType(blk, 1, ty, 0) })
+			typed, err := bcastRun(name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return c.BcastType(blk, 1, ty, 0) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			tree, err := bcastTime(name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return treeBcast(c, blk, ty) })
+			tree, err := bcastRun(name, 8, ty, func(c *mpi.Comm, blk buf.Block) error { return treeBcast(c, blk, ty) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			if typed != tree {
-				t.Errorf("%s, %d B: BcastType %.9g s, treeBcast %.9g s", name, ty.Size(), typed, tree)
+			if typed.Ends[0] != tree.Ends[0] {
+				t.Errorf("%s, %d B: BcastType %.9g s, treeBcast %.9g s", name, ty.Size(), typed.Ends[0], tree.Ends[0])
 			}
 		}
 	}

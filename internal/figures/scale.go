@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/harness"
 	"repro/internal/plot"
@@ -68,7 +67,6 @@ func measureScale(r *Result, _ harness.Options) error {
 		c, err := harness.RunJobMix(harness.JobMix{
 			Ranks: ranks, Jobs: jobs, InFlight: 4, Rounds: rounds,
 			Bytes: r.Bytes, Profile: r.Profile, NodeSize: scaleNodeSize,
-			WallLimit: 4 * time.Minute,
 		})
 		if err != nil {
 			return fmt.Errorf("scale cell %d ranks × %d jobs: %w", ranks, jobs, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -558,7 +557,7 @@ func measurePairs(r *Result, opt harness.Options) error {
 		var t0 float64
 		w := core.ForBytes(r.Bytes)
 		w.Virtual = true
-		err := mpi.Run(2*int(x), mpi.Options{Profile: r.Profile, WallLimit: 2 * time.Minute}, func(c *mpi.Comm) error {
+		_, err := mpi.Measure(mpi.World{Ranks: 2 * int(x), Profile: r.Profile}, func(c *mpi.Comm) error {
 			pair, err := c.Split(c.Rank()/2, c.Rank()%2)
 			if err != nil {
 				return err

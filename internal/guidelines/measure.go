@@ -2,7 +2,6 @@ package guidelines
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/buf"
 	"repro/internal/core"
@@ -148,12 +147,10 @@ func measureNormalized(p *perfmodel.Profile, lay LayoutSpec, n int64, cfg Config
 		rows = 2
 	}
 	run := func(twin bool) (float64, datatype.PlanStats, error) {
-		var secs float64
-		var plan datatype.PlanStats
-		err := mpi.Run(2, mpi.Options{Profile: p, WallLimit: 2 * time.Minute}, func(c *mpi.Comm) error {
+		return timeOp(p, 2, cfg.Reps, func(c *mpi.Comm) (func() error, error) {
 			inner, err := datatype.Vector(innerRuns, lay.BlockLen, lay.Stride, datatype.Float64)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			// The +32 pad breaks the inner continuation, so the
 			// flattener emits the irregular table the normalizer
@@ -161,40 +158,26 @@ func measureNormalized(p *perfmodel.Profile, lay LayoutSpec, n int64, cfg Config
 			// and never reaches the pass).
 			ty, err := datatype.Hvector(int(rows), 1, inner.TrueExtent()+32, inner)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if err := ty.Commit(); err != nil {
-				return err
+				return nil, err
 			}
 			if twin {
 				if ty, err = datatype.GatherTwin(ty); err != nil {
-					return err
+					return nil, err
 				}
 			}
 			b := buf.Alloc(int(ty.Extent()))
 			if c.Rank() == 0 {
 				b.FillPattern(1)
+				return func() error { return c.SendpType(b, 1, ty, 1, tag) }, nil
 			}
-			c.Barrier()
-			before := datatype.PlanStatsSnapshot()
-			t0 := c.Wtime()
-			for rep := 0; rep < cfg.Reps; rep++ {
-				if c.Rank() == 0 {
-					if err := c.SendpType(b, 1, ty, 1, tag); err != nil {
-						return err
-					}
-				} else if _, err := c.RecvType(b, 1, ty, 0, tag); err != nil {
-					return err
-				}
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				secs = (c.Wtime() - t0) / float64(cfg.Reps)
-				plan = datatype.PlanStatsSnapshot().Sub(before)
-			}
-			return nil
+			return func() error {
+				_, err := c.RecvType(b, 1, ty, 0, tag)
+				return err
+			}, nil
 		})
-		return secs, plan, err
 	}
 	normT, normPlan, err := run(false)
 	if err != nil {
@@ -211,39 +194,30 @@ func measureNormalized(p *perfmodel.Profile, lay LayoutSpec, n int64, cfg Config
 	}, nil
 }
 
-// collMeasurement is one timed collective strategy: setup builds
-// per-rank state outside the timed window and returns the operation.
-type collMeasurement struct {
-	prof  *perfmodel.Profile
-	ranks int
-	reps  int
-}
-
-// run times the operation over a bracketed world: barrier, timed loop,
-// barrier; seconds per op and the window's PlanStats delta are read on
-// rank 0.
-func (cm collMeasurement) run(setup func(c *mpi.Comm) (func() error, error)) (float64, datatype.PlanStats, error) {
+// timeOp times one strategy on a fresh world of ranks ranks: setup
+// builds per-rank state outside the timed window and returns the
+// operation, and reps of it run in one mpi.Window. It returns the
+// seconds per op and the window's PlanStats delta.
+func timeOp(p *perfmodel.Profile, ranks, reps int, setup func(c *mpi.Comm) (func() error, error)) (float64, datatype.PlanStats, error) {
 	var secs float64
 	var plan datatype.PlanStats
-	err := mpi.Run(cm.ranks, mpi.Options{Profile: cm.prof, WallLimit: 2 * time.Minute}, func(c *mpi.Comm) error {
+	_, err := mpi.Measure(mpi.World{Ranks: ranks, Profile: p}, func(c *mpi.Comm) error {
 		op, err := setup(c)
 		if err != nil {
 			return err
 		}
-		c.Barrier()
-		before := datatype.PlanStatsSnapshot()
-		t0 := c.Wtime()
-		for rep := 0; rep < cm.reps; rep++ {
-			if err := op(); err != nil {
-				return err
+		window, ps, err := mpi.Window(c, func() error {
+			for rep := 0; rep < reps; rep++ {
+				if err := op(); err != nil {
+					return err
+				}
 			}
-		}
-		c.Barrier()
+			return nil
+		})
 		if c.Rank() == 0 {
-			secs = (c.Wtime() - t0) / float64(cm.reps)
-			plan = datatype.PlanStatsSnapshot().Sub(before)
+			secs, plan = window/float64(reps), ps
 		}
-		return nil
+		return err
 	})
 	return secs, plan, err
 }
@@ -253,11 +227,10 @@ func (cm collMeasurement) run(setup func(c *mpi.Comm) (func() error, error)) (fl
 // strategy moving identical bytes through identical layouts.
 func measureCollectives(p *perfmodel.Profile, w core.Workload, cfg Config) ([]Result, error) {
 	ranks := cfg.Ranks
-	cm := collMeasurement{prof: p, ranks: ranks, reps: cfg.Reps}
 	const tag = 3
 
 	// Typed broadcast vs the linear fan of typed sends.
-	bcastTyped, bcastPlan, err := cm.run(func(c *mpi.Comm) (func() error, error) {
+	bcastTyped, bcastPlan, err := timeOp(p, ranks, cfg.Reps, func(c *mpi.Comm) (func() error, error) {
 		ty, err := w.VectorType()
 		if err != nil {
 			return nil, err
@@ -271,7 +244,7 @@ func measureCollectives(p *perfmodel.Profile, w core.Workload, cfg Config) ([]Re
 	if err != nil {
 		return nil, fmt.Errorf("bcast typed: %w", err)
 	}
-	bcastFan, _, err := cm.run(func(c *mpi.Comm) (func() error, error) {
+	bcastFan, _, err := timeOp(p, ranks, cfg.Reps, func(c *mpi.Comm) (func() error, error) {
 		ty, err := w.VectorType()
 		if err != nil {
 			return nil, err
@@ -309,7 +282,7 @@ func measureCollectives(p *perfmodel.Profile, w core.Workload, cfg Config) ([]Re
 		recv := buf.Alloc(ext * c.Size())
 		return ty, send, recv, nil
 	}
-	gatherTyped, gatherPlan, err := cm.run(func(c *mpi.Comm) (func() error, error) {
+	gatherTyped, gatherPlan, err := timeOp(p, ranks, cfg.Reps, func(c *mpi.Comm) (func() error, error) {
 		ty, send, recv, err := gatherSetup(c)
 		if err != nil {
 			return nil, err
@@ -319,7 +292,7 @@ func measureCollectives(p *perfmodel.Profile, w core.Workload, cfg Config) ([]Re
 	if err != nil {
 		return nil, fmt.Errorf("gather typed: %w", err)
 	}
-	gatherP2P, _, err := cm.run(func(c *mpi.Comm) (func() error, error) {
+	gatherP2P, _, err := timeOp(p, ranks, cfg.Reps, func(c *mpi.Comm) (func() error, error) {
 		ty, send, recv, err := gatherSetup(c)
 		if err != nil {
 			return nil, err
@@ -357,7 +330,7 @@ func measureCollectives(p *perfmodel.Profile, w core.Workload, cfg Config) ([]Re
 	}
 
 	// Typed allgather vs gather + contiguous broadcast of the slab.
-	allgatherTyped, allgatherPlan, err := cm.run(func(c *mpi.Comm) (func() error, error) {
+	allgatherTyped, allgatherPlan, err := timeOp(p, ranks, cfg.Reps, func(c *mpi.Comm) (func() error, error) {
 		ty, send, recv, err := gatherSetup(c)
 		if err != nil {
 			return nil, err
@@ -367,7 +340,7 @@ func measureCollectives(p *perfmodel.Profile, w core.Workload, cfg Config) ([]Re
 	if err != nil {
 		return nil, fmt.Errorf("allgather typed: %w", err)
 	}
-	allgatherStaged, _, err := cm.run(func(c *mpi.Comm) (func() error, error) {
+	allgatherStaged, _, err := timeOp(p, ranks, cfg.Reps, func(c *mpi.Comm) (func() error, error) {
 		ty, send, recv, err := gatherSetup(c)
 		if err != nil {
 			return nil, err

@@ -12,7 +12,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/datatype"
@@ -73,19 +72,13 @@ type Measurement struct {
 	Dismissed int
 	Summary   stats.Summary
 	Verified  bool
-	// PlanStats is the delta of the pack-plan engine counters over
-	// this cell's measurement window (both ranks: sender packs,
-	// receiver unpacks; the oracle's expected pack belongs to the
-	// grid's fixture set and runs before any window opens). It shows
-	// which tier — compiled whole-message kernels, compiled-chunked
-	// streaming or parallel execution — moved the cell's bytes, how
-	// the plan cache behaved (PlanHits/PlanMisses),
-	// and how each typed rendezvous payload travelled:
-	// FusedOps/FusedBytes for one-pass fused transfers (the sendv
-	// scheme's zero-staging path),
-	// StagedOps/StagedBytes for the two-pass pack→staging→unpack
-	// pipeline. Studies use the fused-vs-staged split to verify the
-	// sendv cells really skipped the staging buffer.
+	// PlanStats is the cell's mpi.Window delta of the pack-plan engine
+	// counters: both ranks' packs and unpacks (the oracle's expected
+	// pack belongs to the grid's fixture set and runs before the
+	// window). It shows which tier moved the cell's bytes, how the plan
+	// cache behaved, and how each typed rendezvous payload travelled:
+	// studies use the fused-vs-staged split to verify the sendv cells
+	// really skipped the staging buffer.
 	PlanStats datatype.PlanStats
 }
 
@@ -170,7 +163,7 @@ func measureWorld(profile *perfmodel.Profile, scheme core.Scheme, workloads []co
 	opt = opt.withDefaults()
 	results := make([]Measurement, len(workloads))
 	verified := make([]bool, len(workloads))
-	err := mpi.Run(2, mpi.Options{Profile: profile, WallLimit: 2 * time.Minute}, func(c *mpi.Comm) error {
+	_, err := mpi.Measure(mpi.World{Ranks: 2, Profile: profile}, func(c *mpi.Comm) error {
 		for wi, w := range workloads {
 			runner, err := fx.NewRunner(scheme)
 			if err != nil {
@@ -180,42 +173,45 @@ func measureWorld(profile *perfmodel.Profile, scheme core.Scheme, workloads []co
 			if err := runner.Setup(c, w, peer); err != nil {
 				return fmt.Errorf("%v setup (%d bytes): %w", scheme, w.Bytes(), err)
 			}
-			c.Barrier()
-			// The barrier above and the one below bracket the cell's
-			// pack-engine activity of both ranks; the counter delta is
-			// read on rank 0 only, after the closing barrier.
-			planBefore := datatype.PlanStatsSnapshot()
-			times := make([]float64, 0, opt.Reps)
-			for rep := 0; rep < opt.Reps; rep++ {
-				if opt.FlushCache {
-					// The 50 M-array rewrite: outside the timed window,
-					// but it still consumes (virtual) time and empties
-					// the cache (§3.2).
-					c.Charge(c.Cache().FlushCost())
-					c.Cache().Flush()
-				}
-				if c.Rank() == 0 {
-					t0 := c.Wtime()
-					if err := runner.Ping(); err != nil {
-						return fmt.Errorf("%v ping %d: %w", scheme, rep, err)
+			var times []float64 // rank 0's ping times
+			if c.Rank() == 0 {
+				times = make([]float64, 0, opt.Reps)
+			}
+			_, plan, err := mpi.Window(c, func() error {
+				for rep := 0; rep < opt.Reps; rep++ {
+					if opt.FlushCache {
+						// The 50 M-array rewrite: outside the timed
+						// window, but it still consumes (virtual) time
+						// and empties the cache (§3.2).
+						c.Charge(c.Cache().FlushCost())
+						c.Cache().Flush()
 					}
-					times = append(times, c.Wtime()-t0)
-				} else {
-					if err := runner.Pong(); err != nil {
-						return fmt.Errorf("%v pong %d: %w", scheme, rep, err)
+					if c.Rank() == 0 {
+						t0 := c.Wtime()
+						if err := runner.Ping(); err != nil {
+							return fmt.Errorf("%v ping %d: %w", scheme, rep, err)
+						}
+						times = append(times, c.Wtime()-t0)
+					} else {
+						if err := runner.Pong(); err != nil {
+							return fmt.Errorf("%v pong %d: %w", scheme, rep, err)
+						}
 					}
 				}
-			}
-			if opt.Verify && !w.Virtual && c.Rank() == 1 {
-				if err := runner.Check(); err != nil {
-					return fmt.Errorf("%v verify (%d bytes): %w", scheme, w.Bytes(), err)
+				if opt.Verify && !w.Virtual && c.Rank() == 1 {
+					if err := runner.Check(); err != nil {
+						return fmt.Errorf("%v verify (%d bytes): %w", scheme, w.Bytes(), err)
+					}
+					verified[wi] = true
 				}
-				verified[wi] = true
+				if err := runner.Teardown(); err != nil {
+					return fmt.Errorf("%v teardown: %w", scheme, err)
+				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
-			if err := runner.Teardown(); err != nil {
-				return fmt.Errorf("%v teardown: %w", scheme, err)
-			}
-			c.Barrier()
 			if c.Rank() == 0 {
 				kept, dismissed := times, 0
 				if opt.OutlierSigma > 0 {
@@ -228,7 +224,7 @@ func measureWorld(profile *perfmodel.Profile, scheme core.Scheme, workloads []co
 					Times:     kept,
 					Dismissed: dismissed,
 					Summary:   stats.Summarize(kept),
-					PlanStats: datatype.PlanStatsSnapshot().Sub(planBefore),
+					PlanStats: plan,
 				}
 			}
 		}

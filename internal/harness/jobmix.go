@@ -2,10 +2,10 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
@@ -49,8 +49,6 @@ type JobMix struct {
 	// a NetLatency/10 intra-node discount unless the profile already
 	// sets one).
 	NodeSize int
-	// WallLimit is the deadlock watchdog; zero means 2 minutes.
-	WallLimit time.Duration
 
 	// Faults, when non-nil, arms the fault-injecting fabric under the
 	// whole mix — the chaos-at-scale regime (E21): every job's typed
@@ -152,9 +150,6 @@ func RunJobMix(m JobMix) (JobMixResult, error) {
 	if m.Bytes <= 0 {
 		m.Bytes = 1 << 20
 	}
-	if m.WallLimit == 0 {
-		m.WallLimit = 2 * time.Minute
-	}
 	prof := perfmodel.Generic()
 	if m.Profile != nil {
 		p := *m.Profile
@@ -188,12 +183,10 @@ func RunJobMix(m JobMix) (JobMixResult, error) {
 	}
 	var (
 		inFlight, peak, transfers atomic.Int64
-		elapsedMu                 sync.Mutex
-		elapsed                   float64
+		recoveryMu                sync.Mutex
 		completions               = make([][]float64, m.Ranks)
 	)
-	poolBefore := buf.PoolStatsSnapshot()
-	err = mpi.Run(m.Ranks, mpi.Options{Profile: prof, WallLimit: m.WallLimit, Faults: m.Faults, Retry: m.Retry}, func(c *mpi.Comm) error {
+	run, err := mpi.Measure(mpi.World{Ranks: m.Ranks, Profile: prof, Faults: m.Faults, Retry: m.Retry}, func(c *mpi.Comm) error {
 		job, err := c.Split(c.Rank()%m.Jobs, c.Rank())
 		if err != nil {
 			return err
@@ -249,12 +242,9 @@ func RunJobMix(m JobMix) (JobMixResult, error) {
 		}
 		c.Barrier()
 		completions[c.Rank()] = times
-		elapsedMu.Lock()
-		if t := c.Wtime(); t > elapsed {
-			elapsed = t
-		}
+		recoveryMu.Lock()
 		res.Recovery.add(c.Counters())
-		elapsedMu.Unlock()
+		recoveryMu.Unlock()
 		if c.Rank() == 0 {
 			res.Matching = c.MatchStats()
 		}
@@ -263,14 +253,14 @@ func RunJobMix(m JobMix) (JobMixResult, error) {
 	if err != nil {
 		return JobMixResult{}, err
 	}
-	res.Pool = buf.PoolStatsSnapshot().Sub(poolBefore)
+	res.Pool = run.Pool
 	res.Transfers = transfers.Load()
 	res.InFlightPeak = peak.Load()
-	res.Elapsed = elapsed
-	if elapsed > 0 {
-		res.AggregateGBs = float64(res.Transfers) * float64(res.Bytes) / elapsed / 1e9
+	res.Elapsed = slices.Max(run.Ends)
+	if res.Elapsed > 0 {
+		res.AggregateGBs = float64(res.Transfers) * float64(res.Bytes) / res.Elapsed / 1e9
 	}
-	var all []float64
+	all := make([]float64, 0, res.Transfers)
 	for _, ts := range completions {
 		all = append(all, ts...)
 	}

@@ -17,7 +17,7 @@ import (
 // 1024 concurrent transfers — the acceptance regime.
 func TestJobMixScaleSmoke(t *testing.T) {
 	mix := JobMix{Ranks: 256, Jobs: 4, InFlight: 4, Rounds: 2, Bytes: 1 << 20,
-		NodeSize: 16, WallLimit: 4 * time.Minute}
+		NodeSize: 16}
 	if raceEnabled {
 		mix.Ranks, mix.InFlight, mix.Rounds = 64, 2, 1
 	}
@@ -60,8 +60,7 @@ func TestJobMixScaleSmoke(t *testing.T) {
 // traffic must be selective — chunks, not whole transfers.
 func TestJobMixUnderFaults(t *testing.T) {
 	mix := JobMix{Ranks: 32, Jobs: 2, InFlight: 2, Rounds: 2, Bytes: 1 << 20,
-		WallLimit: 4 * time.Minute,
-		Faults:    simnet.UniformFaults(97, 0.04)}
+		Faults: simnet.UniformFaults(97, 0.04)}
 	if raceEnabled {
 		mix.Ranks, mix.InFlight = 16, 1
 	}
@@ -111,7 +110,7 @@ func TestJobMixValidation(t *testing.T) {
 // and every pooled byte is back — on a clean fabric and under
 // TestJobMixUnderFaults' plan.
 func TestJobMixAccountingReturnsToZero(t *testing.T) {
-	mix := JobMix{Ranks: 32, Jobs: 2, InFlight: 2, Rounds: 2, Bytes: 1 << 20, WallLimit: 4 * time.Minute}
+	mix := JobMix{Ranks: 32, Jobs: 2, InFlight: 2, Rounds: 2, Bytes: 1 << 20}
 	if raceEnabled {
 		mix.Ranks, mix.InFlight = 16, 1
 	}

@@ -86,6 +86,9 @@ type Options struct {
 	// DeadlockError naming the stuck endpoints instead of hanging
 	// until WallLimit. Fault-injected runs always detect.
 	DetectDeadlock bool
+	// ends, set only by Measure, receives each rank's virtual seconds
+	// when its body returned.
+	ends []float64
 }
 
 // Run starts size rank goroutines connected by one fabric and waits
@@ -158,6 +161,9 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 			w.core.cache.SetDisabled(opts.ColdCaches)
 			w.comm = Comm{commCore: &w.core, clock: &w.clock}
 			errs[rank] = body(&w.comm)
+			if opts.ends != nil {
+				opts.ends[rank] = w.clock.Now().Seconds()
+			}
 		}(r)
 	}
 	done := make(chan struct{})

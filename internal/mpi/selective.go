@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"errors"
-
 	"repro/internal/buf"
 	"repro/internal/datatype"
 	"repro/internal/simnet"
@@ -161,8 +159,7 @@ func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *sim
 	if done.Final {
 		return false, &IntegrityError{Op: "rdv-send", Rank: c.rank, Peer: dest, Tag: tag, Attempts: attempt + 1, Want: done.Sum}
 	}
-	var nack *simnet.ChunkNack
-	if done.Replay != nil && errors.As(ack, &nack) {
+	if nack, ok := ack.(*simnet.ChunkNack); ok && done.Replay != nil {
 		// Copied, not kept: the receiver reuses its bitmap for the
 		// next attempt's verdict.
 		copy(done.Replay.Sent, nack.Damaged)

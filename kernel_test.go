@@ -177,6 +177,77 @@ func TestDatatypeGoroutinesFanOut(t *testing.T) {
 	}
 }
 
+// TestMeasuredRunsUseTheRunner is the tripwire for one measured run:
+// outside internal/mpi, no non-test file under internal/ may start a
+// world with mpi.Run, set a WallLimit, or read the process-wide
+// counters with datatype.PlanStatsSnapshot or buf.PoolStatsSnapshot.
+// Every internal world goes through mpi.Measure, which owns the
+// watchdog and the whole-run counter deltas, and every timed window
+// through mpi.Window. The facade (api.go) and cmd/bench are not
+// walked.
+func TestMeasuredRunsUseTheRunner(t *testing.T) {
+	forbidden := map[string]map[string]bool{
+		`"repro/internal/mpi"`:      {"Run": true},
+		`"repro/internal/datatype"`: {"PlanStatsSnapshot": true},
+		`"repro/internal/buf"`:      {"PoolStatsSnapshot": true},
+	}
+	var sites []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join("internal", "mpi") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		names := map[string]map[string]bool{} // local import name -> forbidden selectors
+		for _, imp := range f.Imports {
+			if sels, ok := forbidden[imp.Path.Value]; ok {
+				name, _ := strconv.Unquote(imp.Path.Value)
+				name = filepath.Base(name)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				names[name] = sels
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if k, ok := n.Key.(*ast.Ident); ok && k.Name == "WallLimit" {
+					sites = append(sites, fset.Position(n.Pos()).String()+" WallLimit")
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && names[x.Name][sel.Sel.Name] {
+					sites = append(sites, fset.Position(n.Pos()).String()+" "+x.Name+"."+sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) != 0 {
+		t.Fatalf("measured runs outside mpi.Measure and mpi.Window at %v", sites)
+	}
+}
+
 // TestOneGoldenStore is the tripwire for ROADMAP item 17: a test pins
 // output through oracle.Golden, whose one flag pair and one
 // testdata/golden.txt per package are the only knobs and the only
