@@ -157,7 +157,7 @@ type Cost struct {
 	Workers    int
 	Normalized bool
 	// Chunks is the internal-chunk count of a point-to-point transfer.
-	// Depth is its pipeline's modelled slot-ring depth, or for a
+	// Depth is its pipeline's modelled depth, or for a
 	// collective the binomial tree's critical-path hop count ⌈log₂ Ranks⌉.
 	Chunks int64
 	Depth  int
@@ -332,7 +332,7 @@ func (c Cost) fastest(t Times, faulty bool, p *perfmodel.Profile) Recommendation
 			why(": one pass, no staging buffer, no MPI-internal chunking", " under loss: one pass per attempt is the cheapest retry unit"))}
 	case TypedPipelined:
 		return Recommendation{Scheme: s, Reason: fmt.Sprintf("pipelined chunk engine models %.2fx over the serial datatype send on %s: %s", x, p.Name,
-			why(fmt.Sprintf("%d chunks overlapped through a depth-%d slot ring (§2.3)", c.Chunks, c.Depth),
+			why(fmt.Sprintf("%d chunks, each packed while the previous one injects, at modelled depth %d (§2.3)", c.Chunks, c.Depth),
 				"selective retransmission replays only damaged chunks, keeping the overlap"))}
 	case PackCompiled:
 		return Recommendation{Scheme: s, Reason: fmt.Sprintf("compiled pack (%d worker(s)) models %.2fx over the datatype send on %s%s", c.Workers, x, p.Name,

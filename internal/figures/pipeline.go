@@ -41,7 +41,7 @@ func pipelineStudy() *Study {
 			Title:  g.name + ": serial vs pipelined vs fused bandwidth (GB/s) across internal chunk sizes",
 			XLabel: "internal chunk bytes", YLabel: "GB/s", LogX: true,
 		}, Variant: g.name, Curves: []Curve{{Name: "serial", Label: "serial chunk loop (SendType)"},
-			{Name: "pipelined", Label: "pipelined slot ring (SendpType)"}, {Name: "fused", Label: "fused zero-copy (SendvType)"}}},
+			{Name: "pipelined", Label: "pipelined chunk engine (SendpType)"}, {Name: "fused", Label: "fused zero-copy (SendvType)"}}},
 			Panel{Config: plot.Config{Title: g.name + " per chunk size:"}, Variant: g.name, Note: true})
 	}
 	speedup := func(r *Result) float64 {

@@ -179,7 +179,7 @@ func BenchmarkJobMixRound(b *testing.B) {
 	}
 }
 
-// The jobmix heap budget per typed transfer: the untracked rendezvous
+// The jobmix heap budget per typed transfer: the rendezvous
 // envelope (352 B), a request and a goroutine closure per side, plus
 // each op's share of world start and communicator splits (≈ 7.05
 // allocations and 1 360 B on 2 vCPU at GOMAXPROCS 1 to 8).

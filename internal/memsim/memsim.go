@@ -489,16 +489,17 @@ func (s *State) FusedCopyCost(src buf.Region, dst buf.Region, srcSt, dstSt layou
 // under the software-pipelined chunk engine: the pack pass (total
 // seconds, per-chunk bookkeeping included) and the consume pass (wire
 // injection, or the unpack of a staged scatter), overlapped chunk by
-// chunk through a slot ring. The classic two-stage pipeline bound
-// applies: fill with the first chunk's pack, steady state at the
-// slower stage, drain with the last chunk's consume —
+// chunk: chunk k+1 packs while chunk k is consumed. The classic
+// two-stage pipeline bound applies: fill with the first chunk's pack,
+// steady state at the slower stage, drain with the last chunk's
+// consume —
 //
 //	T = pack/C + (C-1)·max(pack/C, consume/C) + consume/C
 //
 // for C chunks. Depth 1 (double buffering) already attains this bound
 // in the deterministic model — the pack worker only ever needs one
-// chunk of lookahead when both stages are jitter-free — so the ring
-// depth does not appear in the formula; a depth below 1 (pipelining
+// chunk of lookahead when both stages are jitter-free — so the depth
+// does not appear in the formula; a depth below 1 (pipelining
 // disabled) degenerates to the serial sum, exactly what the measured
 // installations do (§2.3: "in practice we don't see this
 // performance").

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/buf"
+	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
 
@@ -17,22 +18,19 @@ const BsendOverheadBytes = 64
 // back; a reservation is released when the receiver consumes the
 // message, and the pool compacts free space lazily. This mirrors the
 // ring-like behaviour of real Bsend implementations closely enough for
-// the exhaustion semantics the tests exercise.
+// the exhaustion semantics the tests exercise. Its event is the drain:
+// every reservation released, which wakes the owner's endpoint.
 type bsendPool struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	backing buf.Block
 	inUse   int64
 	pending int
 	// lastRelease is the latest virtual time at which a reservation
 	// was released; BufferDetach advances the caller past it.
 	lastRelease vclock.Time
-}
 
-func newBsendPool(b buf.Block) *bsendPool {
-	p := &bsendPool{backing: b}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+	fabric *simnet.Fabric
+	owner  int // the attaching rank's endpoint
 }
 
 // reserve claims n payload bytes plus overhead, returning a block view
@@ -58,20 +56,16 @@ func (p *bsendPool) reserve(n int64) (buf.Block, func(vclock.Time), error) {
 			p.lastRelease = at
 		}
 		p.mu.Unlock()
-		p.cond.Broadcast()
+		p.fabric.Wake(p.owner)
 	}
 	return region, release, nil
 }
 
-// drain blocks until every reservation is released, returning the
-// latest release time (MPI_Buffer_detach semantics).
-func (p *bsendPool) drain() vclock.Time {
+// Ready reports whether every reservation has been released.
+func (p *bsendPool) Ready() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.pending > 0 {
-		p.cond.Wait()
-	}
-	return p.lastRelease
+	return p.pending == 0
 }
 
 // BufferAttach hands MPI a user buffer for subsequent Bsend calls,
@@ -80,18 +74,24 @@ func (c *Comm) BufferAttach(b buf.Block) error {
 	if c.attach != nil {
 		return fmt.Errorf("%w: a buffer is already attached", ErrBsendBuffer)
 	}
-	c.attach = newBsendPool(b)
+	c.attach = &bsendPool{backing: b, fabric: c.fabric, owner: c.endpoint(c.rank)}
 	return nil
 }
 
 // BufferDetach removes the attached buffer after all buffered sends
 // using it have completed, advancing the clock to the last completion
-// like the blocking MPI_Buffer_detach. It returns the buffer.
+// like the blocking MPI_Buffer_detach. It returns the buffer, or the
+// abort of the fabric if that comes first (the buffer stays attached).
 func (c *Comm) BufferDetach() (buf.Block, error) {
 	if c.attach == nil {
 		return buf.Block{}, fmt.Errorf("%w: no buffer attached", ErrBsendBuffer)
 	}
-	last := c.attach.drain()
+	if err := c.await("bsend-detach", AnySource, AnyTag, c.attach); err != nil {
+		return buf.Block{}, err
+	}
+	c.attach.mu.Lock()
+	last := c.attach.lastRelease
+	c.attach.mu.Unlock()
 	c.clock.AdvanceTo(last)
 	b := c.attach.backing
 	c.attach = nil

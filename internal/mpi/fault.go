@@ -16,9 +16,9 @@ import (
 
 // This file is the recovery half of the fault-injection subsystem: the
 // typed error taxonomy, the retry policy, the checksum plumbing of the
-// protocol paths, the abort-aware handshake waits, and the
-// quiescence (deadlock) detector that names stuck endpoints instead of
-// hanging the run.
+// protocol paths, the package's one wait (await), and the quiescence
+// (deadlock) detector that names stuck endpoints instead of hanging the
+// run.
 
 // Typed error sentinels; the structured errors below match them
 // through errors.Is.
@@ -210,18 +210,17 @@ func (c *Comm) wrapColl(op string, err error) error {
 }
 
 // collErr tags a collective leg's failure and, when the failure is a
-// terminal fault-recovery error on a tracked run, propagates it to
-// every participant by aborting the fabric: ranks blocked in other
-// legs of the collective unwind with the same typed CollectiveError
-// instead of deadlocking on the missing leg.
+// terminal fault-recovery error, propagates it to every participant by
+// aborting the fabric: ranks waiting in other legs of the collective
+// unwind with the same typed CollectiveError instead of deadlocking on
+// the missing leg.
 func (c *Comm) collErr(op string, err error) error {
 	if err == nil {
 		return nil
 	}
 	ce := c.wrapColl(op, err)
-	if c.fabric.Tracking() &&
-		(errors.Is(err, ErrRetriesExhausted) || errors.Is(err, ErrIntegrity) ||
-			errors.Is(err, simnet.ErrShortDelivery)) {
+	if errors.Is(err, ErrRetriesExhausted) || errors.Is(err, ErrIntegrity) ||
+		errors.Is(err, simnet.ErrShortDelivery) {
 		c.fabric.Abort(ce)
 	}
 	return ce
@@ -303,80 +302,23 @@ func (c *Comm) blockInfo(op string, peer, tag int) simnet.BlockInfo {
 	}
 }
 
-// abortErr surfaces the fabric's abort reason as the wait's error.
-func (c *Comm) abortErrFor(op string) error {
-	if err := c.fabric.AbortErr(); err != nil {
-		return err
-	}
-	return fmt.Errorf("%s: %w", op, simnet.ErrAborted)
+// await is the package's one blocking call: it parks the rank, or the
+// request half, on its fabric endpoint until w is ready (simnet Await),
+// registered with the quiescence detector as op on (peer, tag), and
+// returns the fabric's abort, wrapped in simnet.ErrAborted, if that
+// comes first.
+func (c *Comm) await(op string, peer, tag int, w simnet.Waitable) error {
+	return c.fabric.Await(c.blockInfo(op, peer, tag), w)
 }
 
-// chanClosed reports (non-blocking) whether ch is closed.
-func chanClosed(ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
+// awaitNotice waits for the next notice in one slot of a rendezvous
+// handshake and takes it.
+func awaitNotice[T any](c *Comm, op string, peer, tag int, s *simnet.Slot[T]) (T, error) {
+	if err := c.await(op, peer, tag, s); err != nil {
+		var zero T
+		return zero, err
 	}
-}
-
-// awaitMatch waits for the receiver half of the rendezvous handshake.
-// Under tracking it registers with the quiescence detector and unwinds
-// on fabric abort; on the clean path it is the plain channel receive it
-// always was.
-func (c *Comm) awaitMatch(m *simnet.Message, peer, tag int) (simnet.RdvMatch, error) {
-	if !c.fabric.Tracking() {
-		return m.AwaitMatch(), nil
-	}
-	// Readiness must stay true between consuming the event and
-	// deregistering: the poster bumps the wake counter before the
-	// channel send, so a descheduled waiter in that window still reads
-	// as progress instead of fabricating a quiescent state.
-	w0 := m.WakeSeq()
-	release := c.fabric.EnterBlocked(c.blockInfo("rdv-match", peer, tag),
-		func() bool { return len(m.Match) > 0 || m.WakeSeq() != w0 })
-	defer release()
-	select {
-	case match := <-m.Match:
-		return match, nil
-	case <-c.fabric.AbortChan():
-		return simnet.RdvMatch{}, c.abortErrFor("rdv-match")
-	}
-}
-
-// awaitDone waits for the sender's payload-complete notice.
-func (c *Comm) awaitDone(m *simnet.Message, peer, tag int) (simnet.RdvDone, error) {
-	if !c.fabric.Tracking() {
-		return m.AwaitDone(), nil
-	}
-	w0 := m.WakeSeq()
-	release := c.fabric.EnterBlocked(c.blockInfo("rdv-done", peer, tag),
-		func() bool { return len(m.Done) > 0 || m.WakeSeq() != w0 })
-	defer release()
-	select {
-	case done := <-m.Done:
-		return done, nil
-	case <-c.fabric.AbortChan():
-		return simnet.RdvDone{}, c.abortErrFor("rdv-done")
-	}
-}
-
-// awaitAck waits for the receiver's per-attempt verdict.
-func (c *Comm) awaitAck(m *simnet.Message, peer, tag int) (error, error) {
-	if !c.fabric.Tracking() {
-		return <-m.Ack, nil
-	}
-	w0 := m.WakeSeq()
-	release := c.fabric.EnterBlocked(c.blockInfo("rdv-ack", peer, tag),
-		func() bool { return len(m.Ack) > 0 || m.WakeSeq() != w0 })
-	defer release()
-	select {
-	case ack := <-m.Ack:
-		return ack, nil
-	case <-c.fabric.AbortChan():
-		return nil, c.abortErrFor("rdv-ack")
-	}
+	return s.Take(), nil
 }
 
 // eagerIntact verifies a matched eager envelope: in-flight error
@@ -452,7 +394,7 @@ func (c *Comm) eagerRetryStep(attempt *int, op string, dest, tag int, f simnet.F
 // landing in dst (in fplan's layout for a fused receiver): it waits for
 // each attempt's Done, verifies what landed against the sender's
 // checksum claims, and ACKs or NACKs through the handshake's Ack
-// channel until an attempt passes or the sender's budget runs out.
+// slot until an attempt passes or the sender's budget runs out.
 // Whole-transfer attempts verify [0,Bytes) as one chain
 // (datatype.LandedSum) and NACK with ErrIntegrity. Chunked attempts
 // (Done.Replay set) sum every chunk the attempt delivered and that is
@@ -473,7 +415,7 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fplan *datatype.P
 	var accepted, damaged, check simnet.ChunkBitmap
 	var sums []uint64
 	for {
-		done, err := c.awaitDone(m, peer, tag)
+		done, err := awaitNotice(c, "rdv-done", peer, tag, &m.Rdv.Done)
 		if err != nil {
 			return done.Arrival, done.Bytes, err
 		}
@@ -481,7 +423,7 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fplan *datatype.P
 		if done.Err != nil {
 			return done.Arrival, done.Bytes, done.Err
 		}
-		if m.Ack == nil {
+		if !m.Acked {
 			return done.Arrival, done.Bytes, nil
 		}
 		if r := done.Replay; r != nil {
@@ -530,13 +472,11 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fplan *datatype.P
 				}
 			}
 			if !damaged.Any() {
-				m.NoteWake()
-				m.Ack <- nil
+				m.Rdv.Ack.Post(c.fabric, m.Src, nil)
 				return done.Arrival, done.Bytes, nil
 			}
 			c.fabric.NoteIntegrityReject(c.endpoint(c.rank))
-			m.NoteWake()
-			m.Ack <- &simnet.ChunkNack{Damaged: damaged}
+			m.Rdv.Ack.Post(c.fabric, m.Src, &simnet.ChunkNack{Damaged: damaged})
 			if done.Final {
 				return done.Arrival, done.Bytes, &IntegrityError{Op: "rdv-recv", Rank: c.rank, Peer: peer, Tag: tag,
 					Attempts: attempts, Want: want, Got: got}
@@ -550,13 +490,11 @@ func (c *Comm) rdvRecvVerify(m *simnet.Message, dst buf.Block, fplan *datatype.P
 			ok = got == done.Sum
 		}
 		if ok {
-			m.NoteWake()
-			m.Ack <- nil
+			m.Rdv.Ack.Post(c.fabric, m.Src, nil)
 			return done.Arrival, done.Bytes, nil
 		}
 		c.fabric.NoteIntegrityReject(c.endpoint(c.rank))
-		m.NoteWake()
-		m.Ack <- ErrIntegrity
+		m.Rdv.Ack.Post(c.fabric, m.Src, ErrIntegrity)
 		if done.Final {
 			return done.Arrival, done.Bytes, &IntegrityError{Op: "rdv-recv", Rank: c.rank, Peer: peer, Tag: tag,
 				Attempts: attempts, Want: done.Sum, Got: got}

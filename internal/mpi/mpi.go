@@ -68,7 +68,8 @@ type Options struct {
 	ColdCaches bool
 	// WallLimit bounds the real duration of the whole Run as a
 	// deadlock watchdog; 0 means no limit. On expiry the fabric is
-	// aborted, so blocked ranks unwind with an error.
+	// aborted, so waiting ranks unwind with an error, and Run returns
+	// once they have.
 	WallLimit time.Duration
 	// Faults arms a deterministic fault-injection plan on the fabric:
 	// envelopes and rendezvous payload transfers are dropped, damaged,
@@ -118,13 +119,9 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 		for r := 0; r < size; r++ {
 			fabric.WorkerStart()
 		}
+		defer runDetector(fabric)()
 	}
 	retry := opts.Retry.normalized()
-	var stopDetector func()
-	if fabric.Tracking() {
-		stopDetector = runDetector(fabric)
-		defer stopDetector()
-	}
 	// The world's node grouping is the same for every rank: built once
 	// per Run (nil on flat machines) and shared read-only by all cores.
 	nodes := groupByNode(prof, size, nil)
@@ -166,22 +163,20 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 			}
 		}(r)
 	}
+	// The join is the one wait of the package outside await: it waits
+	// for the rank goroutines themselves, not for a fabric event.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	if opts.WallLimit > 0 {
 		select {
 		case <-done:
 		case <-time.After(opts.WallLimit):
-			// Tear the run down so blocked ranks unwind with the typed
-			// error instead of leaking goroutines. Without tracking a
-			// rank may sit in a wait that no abort reaches, so the run
-			// returns without waiting for its ranks.
+			// Tear the run down: every wait aborts, so the waiting ranks
+			// unwind with the typed error and leave no goroutine behind.
 			err := fmt.Errorf("%w (after %v)", ErrDeadlock, opts.WallLimit)
 			fabric.Abort(err)
-			if !fabric.Tracking() {
-				return err
-			}
 			<-done
+			return errors.Join(append([]error{err}, errs...)...)
 		}
 	} else {
 		<-done
@@ -239,31 +234,42 @@ type Comm struct {
 	reqSeq int // request numbering for diagnostics
 	winSeq int // window numbering; identical across ranks (collective)
 
-	// posted is the rank's reusable delivery signal: the half of a
-	// non-blocking send puts one token in once its envelope has entered the fabric
-	// (or it failed before that), and the starter takes it before
-	// returning, so the channel is empty between calls. Made on the
-	// first non-blocking send.
-	posted chan struct{}
+	// barrier is the rank's barrier wait: the group and the epoch it
+	// arrived for (see groupSync).
+	barrier epochWait
+}
+
+// epochWait is the event of a barrier: the epoch a rank arrived for has
+// passed.
+type epochWait struct {
+	g     *vclock.Group
+	epoch uint64
+}
+
+// Ready reports whether the epoch has passed.
+func (w *epochWait) Ready() bool {
+	_, ok := w.g.Passed(w.epoch)
+	return ok
 }
 
 // groupSync deposits the local clock at the communicator's
-// synchronisation group and resumes at the group maximum. Under
-// tracking the wait is registered with the quiescence detector: a
-// barrier some rank never reaches is a deadlock like any other.
+// synchronisation group and resumes at the group maximum. The last
+// arrival wakes every member; a barrier some rank never reaches is a
+// deadlock like any other, and an abort resumes the rank at its own
+// time (the abort surfaces at its next fabric operation).
 func (c *Comm) groupSync() {
 	g := c.fabric.GroupFor(c.ctx, c.size)
-	if !c.fabric.Tracking() {
-		c.clock.AdvanceTo(g.Sync(c.clock.Now()))
+	e, last := g.Arrive(c.clock.Now())
+	if last {
+		for r := 0; r < c.size; r++ {
+			c.fabric.Wake(c.endpoint(r))
+		}
+	}
+	c.barrier = epochWait{g, e}
+	if c.await("barrier", AnySource, AnyTag, &c.barrier) != nil {
 		return
 	}
-	e := g.Epoch()
-	release := c.fabric.EnterBlocked(simnet.BlockInfo{
-		Rank: c.endpoint(c.rank), Op: "barrier", Ctx: c.ctx,
-		Src: AnySource, Tag: AnyTag, Since: c.clock.Now(),
-	}, func() bool { return g.Epoch() != e })
-	t := g.Sync(c.clock.Now())
-	release()
+	t, _ := g.Passed(e)
 	c.clock.AdvanceTo(t)
 }
 

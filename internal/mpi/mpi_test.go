@@ -11,6 +11,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/oracle"
 	"repro/internal/perfmodel"
+	"repro/internal/simnet"
 )
 
 // ssend, ssendp and ssendv are the forced-rendezvous contiguous,
@@ -464,43 +465,80 @@ func TestWatchdogFiresOnDeadlock(t *testing.T) {
 	}
 }
 
-// TestWatchdogUnwindsUntrackedRanks: when the watchdog fires on a
-// fabric without deadlock tracking, the rank stuck in Recv or in
-// Barrier unwinds after Run returns, so the run leaves no goroutine
-// behind.
+// TestWatchdogUnwindsUntrackedRanks: rank 0 parks at each blocking
+// site while rank 1 leaves it there — a receive, a barrier, a
+// rendezvous send never matched (rdv-match), a raw rendezvous envelope
+// matched but never completed (rdv-done), a non-blocking receive's
+// Wait, and a BufferDetach behind a buffered send nobody receives. With
+// and without the quiescence detector, the run ends with ErrDeadlock
+// and leaves no goroutine behind: every wait unwinds on the abort.
 func TestWatchdogUnwindsUntrackedRanks(t *testing.T) {
+	big := 1 << 20 // past every eager limit
 	for _, tc := range []struct {
 		name  string
 		stuck func(c *Comm) error
+		peer  func(c *Comm) error
 	}{
 		{"recv", func(c *Comm) error {
 			_, err := c.Recv(buf.Alloc(1), 1, 0) // never sent
 			return err
-		}},
+		}, nil},
 		{"barrier", func(c *Comm) error {
-			c.Barrier() // never joined
+			c.Barrier() // never joined; the barrier itself returns no error
+			return c.fabric.AbortErr()
+		}, nil},
+		{"rdv-match", func(c *Comm) error {
+			return c.Send(buf.Virtual(big), 1, 0) // never received
+		}, nil},
+		{"rdv-done", func(c *Comm) error {
+			_, err := c.Recv(buf.Alloc(64), 1, 0)
+			return err
+		}, func(c *Comm) error {
+			// A raw rendezvous notice whose sender never streams.
+			m := simnet.NewRendezvous()
+			m.Src, m.Bytes = 1, 64
+			c.fabric.Deliver(0, m)
 			return nil
 		}},
+		{"wait", func(c *Comm) error {
+			_, err := c.cirecv(buf.Alloc(8), 1, 0).Wait() // never sent
+			return err
+		}, nil},
+		{"bsend-detach", func(c *Comm) error {
+			if err := c.BufferAttach(buf.Alloc(1024)); err != nil {
+				return err
+			}
+			if err := c.BsendType(buf.Alloc(8), 8, datatype.Byte, 1, 0); err != nil {
+				return err
+			}
+			_, err := c.BufferDetach() // never drained
+			return err
+		}, nil},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			err := Run(2, Options{WallLimit: 100 * time.Millisecond}, func(c *Comm) error {
-				if c.Rank() == 0 {
-					return tc.stuck(c)
+		for _, detect := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/detect=%v", tc.name, detect), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				err := Run(2, Options{WallLimit: 100 * time.Millisecond, DetectDeadlock: detect}, func(c *Comm) error {
+					if c.Rank() == 0 {
+						return tc.stuck(c)
+					}
+					if tc.peer != nil {
+						return tc.peer(c)
+					}
+					return nil
+				})
+				if !errors.Is(err, ErrDeadlock) {
+					t.Fatalf("err = %v, want ErrDeadlock", err)
 				}
-				return nil
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > before {
+					t.Fatalf("%d goroutines after the run, %d before", n, before)
+				}
 			})
-			if !errors.Is(err, ErrDeadlock) {
-				t.Fatalf("err = %v, want ErrDeadlock", err)
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Fatalf("%d goroutines after the run, %d before", n, before)
-			}
-		})
+		}
 	}
 }
 

@@ -119,7 +119,7 @@ func (c *Comm) rdvHandshake(dest, tag int, n int64, fl *sendFlags) (*simnet.Mess
 	if err != nil {
 		return nil, simnet.RdvMatch{}, err
 	}
-	match, err := c.awaitMatch(m, dest, tag)
+	match, err := awaitNotice(c, "rdv-match", dest, tag, &m.Rdv.Match)
 	return m, match, err
 }
 
@@ -301,16 +301,13 @@ type srcSums struct {
 }
 
 // newRdvMessage builds a rendezvous envelope with its RTS arrival
-// stamped. Under faults the envelope carries the per-attempt Ack
-// channel of the checksum/NACK loop.
+// stamped. Under faults the envelope is Acked: the receiver answers
+// every attempt of the checksum/NACK loop.
 func (c *Comm) newRdvMessage(dest, tag int, n int64, fl sendFlags) *simnet.Message {
-	m := simnet.NewRendezvous(c.fabric.Tracking())
+	m := simnet.NewRendezvous()
 	m.Ctx, m.Src, m.Tag = c.ctx, c.endpoint(c.rank), tag
 	m.Bytes, m.Arrival = n, c.clock.Now()+dur(c.linkLatency(dest))
-	m.Packed, m.Sendv = fl.packed, fl.sendv
-	if c.faultsOn() {
-		m.Ack = make(chan error, 1)
-	}
+	m.Packed, m.Sendv, m.Acked = fl.packed, fl.sendv, c.faultsOn()
 	return m
 }
 
@@ -471,7 +468,7 @@ func (c *Comm) land(m *simnet.Message, post vclock.Time, dst buf.Block, fplan *d
 		if fplan != nil {
 			match.FusedDst = fplan
 		}
-		m.PostMatch(match)
+		m.Rdv.Match.Post(c.fabric, m.Src, match)
 		arrival, n, err := c.rdvRecvVerify(m, dst, fplan)
 		if err != nil {
 			return err
@@ -522,32 +519,9 @@ func (c *Comm) matchFrom(src, tag int) (*simnet.Message, error) {
 }
 
 // matchEndpoint blocks until a message from the fabric endpoint ep (or
-// any, for the wildcard) matches. Under tracking the wait is
-// registered with the quiescence detector and honours an abort
-// teardown.
+// any, for the wildcard) matches, or the fabric aborts.
 func (c *Comm) matchEndpoint(ep, tag int) (*simnet.Message, error) {
-	me := c.endpoint(c.rank)
-	if !c.fabric.Tracking() {
-		m := c.fabric.Match(me, c.ctx, ep, tag)
-		if m == nil {
-			return nil, c.abortErrFor("recv")
-		}
-		return m, nil
-	}
-	// The take counter keeps readiness true between removing the
-	// envelope inside MatchOrAbort and deregistering here: a take by any
-	// receiver on this mailbox since block time counts as progress, so
-	// a descheduled waiter cannot fabricate a quiescent state.
-	t0 := c.fabric.Takes(me)
-	release := c.fabric.EnterBlocked(simnet.BlockInfo{
-		Rank: me, Op: "recv", Ctx: c.ctx, Src: ep, Tag: tag, Since: c.clock.Now(),
-	}, func() bool { return c.fabric.Pending(me, c.ctx, ep, tag) || c.fabric.Takes(me) != t0 })
-	m, err := c.fabric.MatchOrAbort(me, c.ctx, ep, tag)
-	release()
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return c.fabric.MatchOrAbort(c.endpoint(c.rank), c.ctx, ep, tag, c.clock.Now())
 }
 
 // eagerWireErr reports in-flight damage of a matched eager payload as

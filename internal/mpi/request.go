@@ -2,11 +2,10 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
+	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
 
@@ -27,7 +26,7 @@ const (
 // The request is the operation's only allocation besides its goroutine:
 // it holds the operands, the view of the communicator the background
 // half executes on (the owner's core with this request's own clock)
-// and the completion latch. It is never pooled: the caller keeps the
+// and its two events. It is never pooled: the caller keeps the
 // pointer past completion, and a Wait on a finished request must keep
 // answering with a RequestStateError that carries the original result,
 // which a recycled object could not.
@@ -48,14 +47,13 @@ type Request struct {
 	tag   int
 	fl    sendFlags
 	leg   string
-	// owesPost is set while a send's starter waits for the delivery
-	// token on the rank's posted channel.
+	// owesPost is set while a send's starter waits for posted.
 	owesPost bool
 
-	// completed flips, and wg releases, when the background half has
+	// posted is set once a send's envelope has entered the fabric (or
+	// the send failed before that); done once the background half has
 	// stored status and err.
-	completed atomic.Bool
-	wg        sync.WaitGroup
+	posted, done simnet.Flag
 
 	status   Status
 	err      error
@@ -72,23 +70,21 @@ func (c *Comm) IsendType(b buf.Block, count int, ty *datatype.Type, dest, tag in
 }
 
 // startAsync launches r's background half on its own view of the
-// communicator. On tracked fabrics the half is registered with the
-// quiescence detector as a worker.
+// communicator, registered with the quiescence detector as a worker.
 func (c *Comm) startAsync(r *Request) *Request {
 	c.reqSeq++
 	r.owner, r.id = c, c.reqSeq
 	r.clock = *c.clock
 	r.half = *c
 	r.half.clock = &r.clock
-	if c.fabric.Tracking() {
-		c.fabric.WorkerStart()
-	}
-	r.wg.Add(1)
+	c.fabric.WorkerStart()
 	go r.run()
 	return r
 }
 
 // run is the background half: the operation itself, then completion.
+// done is set before the half leaves the detector's runnable count, so
+// a Wait never reads as stuck on a request that has finished.
 func (r *Request) run() {
 	cc := &r.half
 	defer func() {
@@ -96,11 +92,8 @@ func (r *Request) run() {
 			r.err = fmt.Errorf("mpi: async op panicked: %v", p)
 		}
 		r.signalPosted() // a send that failed before delivering
-		if cc.fabric.Tracking() {
-			cc.fabric.WorkerDone()
-		}
-		r.completed.Store(true)
-		r.wg.Done()
+		r.done.Set(cc.fabric, cc.endpoint(cc.rank))
+		cc.fabric.WorkerDone()
 	}()
 	switch r.kind {
 	case opSendContig:
@@ -121,20 +114,16 @@ func (r *Request) run() {
 
 // startAsyncSend starts a send request. To preserve MPI's
 // non-overtaking rule the envelope must enter the fabric before the
-// start returns, so a later blocking send from the same rank cannot overtake
-// it. The protocol layer puts a token on the rank's posted channel
-// right after it enqueues the envelope (both sendContig and sendTyped
-// deliver before they first block), and a half that fails earlier puts
-// it on its way out; startAsyncSend takes that one token, so the
-// channel is empty again when it returns.
+// start returns, so a later blocking send from the same rank cannot
+// overtake it. The protocol layer sets the request's posted flag right
+// after it enqueues the envelope (both sendContig and sendTyped deliver
+// before they first block), and a half that fails earlier sets it on
+// its way out. An abort ends the wait early; Wait then reports it.
 func (c *Comm) startAsyncSend(r *Request) *Request {
-	if c.posted == nil {
-		c.posted = make(chan struct{}, 1)
-	}
 	r.owesPost = true
 	r.fl.isend = r
 	c.startAsync(r)
-	<-c.posted
+	_ = c.await("isend-post", r.peer, r.tag, &r.posted)
 	return r
 }
 
@@ -143,7 +132,7 @@ func (c *Comm) startAsyncSend(r *Request) *Request {
 func (r *Request) signalPosted() {
 	if r != nil && r.owesPost {
 		r.owesPost = false
-		r.half.posted <- struct{}{}
+		r.posted.Set(r.half.fabric, r.half.endpoint(r.half.rank))
 	}
 }
 
@@ -168,34 +157,36 @@ func (c *Comm) IrecvType(b buf.Block, count int, ty *datatype.Type, src, tag int
 
 // misuse builds the typed error of a Wait on an already-completed
 // request: a RequestStateError matching ErrRequestInactive that still
-// carries the error the request originally finished with, so a double
-// Wait after a fabric abort does not swallow the abort reason.
+// carries the error the request originally finished with — or, when the
+// first Wait returned on an abort before the half finished, the abort
+// reason — so a double Wait after a fabric abort does not swallow it.
 func (r *Request) misuse() error {
+	aborted := r.owner.fabric.AbortErr()
+	prior := aborted
+	if r.done.Ready() {
+		prior = r.err
+	}
 	state := "finished"
-	if r.err != nil && chanClosed(r.owner.fabric.AbortChan()) {
+	if prior != nil && aborted != nil {
 		state = "aborted"
 	}
-	return &RequestStateError{Op: "wait", Rank: r.owner.rank, ID: r.id, State: state, Cause: ErrRequestInactive, Prior: r.err}
+	return &RequestStateError{Op: "wait", Rank: r.owner.rank, ID: r.id, State: state, Cause: ErrRequestInactive, Prior: prior}
 }
 
 // Wait blocks until the operation completes and folds its virtual time
 // into the caller, like MPI_Wait. Waiting twice on the same request is
 // request misuse and returns a typed RequestStateError matching
-// ErrRequestInactive. On tracked fabrics the wait is registered with
-// the quiescence detector; an abort tears the background half down
-// too, and its error (the abort reason) is what this Wait then reports.
+// ErrRequestInactive. An abort of the fabric ends the wait with the
+// abort reason unless the half has finished; the half's own waits
+// unwind too, and its clock and status are then left unread.
 func (r *Request) Wait() (Status, error) {
 	if r.finished {
 		return Status{}, r.misuse()
 	}
-	if f := r.owner.fabric; f.Tracking() {
-		release := f.EnterBlocked(r.owner.blockInfo("wait", AnySource, AnyTag), r.completed.Load)
-		r.wg.Wait()
-		release()
-	} else {
-		r.wg.Wait()
+	r.finished = true
+	if err := r.owner.await("wait", AnySource, AnyTag, &r.done); err != nil {
+		return Status{}, err
 	}
 	r.owner.clock.AdvanceTo(r.clock.Now())
-	r.finished = true
 	return r.status, r.err
 }

@@ -197,9 +197,9 @@ func TestIsendProgramOrder(t *testing.T) {
 
 // TestIsendFailedPostLeavesNoSignal: a non-blocking send that fails
 // before its envelope enters the fabric (buffer too short for the
-// layout) still releases its starter, and leaves the rank's delivery
-// signal empty, so the next Isend on the communicator is not released
-// early and completes normally.
+// layout) still releases its starter, and the next Isend on the
+// communicator waits for its own envelope's posting and completes
+// normally.
 func TestIsendFailedPostLeavesNoSignal(t *testing.T) {
 	ty, need := everyOtherBuf(t, 1<<14)
 	run2(t, func(c *Comm) error {
@@ -208,15 +208,15 @@ func TestIsendFailedPostLeavesNoSignal(t *testing.T) {
 			return err
 		}
 		bad := issendv(c, buf.Alloc(need/2), 1, ty, 1, 0)
-		if n := len(c.posted); n != 0 {
-			return fmt.Errorf("%d stale delivery tokens after a failed post", n)
+		if !bad.posted.Ready() {
+			return fmt.Errorf("the failed post returned before its half released it")
 		}
 		if _, err := bad.Wait(); !errors.Is(err, datatype.ErrBounds) {
 			return fmt.Errorf("short-buffer Isend finished with %v, want ErrBounds", err)
 		}
 		good := issendv(c, buf.Alloc(need), 1, ty, 1, 0)
-		if n := len(c.posted); n != 0 {
-			return fmt.Errorf("%d stale delivery tokens after a good post", n)
+		if !good.posted.Ready() {
+			return fmt.Errorf("the good post returned before its envelope entered the fabric")
 		}
 		_, err := good.Wait()
 		return err
@@ -241,7 +241,7 @@ func TestRequestClockPrivateUntilWait(t *testing.T) {
 		before := c.Wtime()
 		req := c.cisend(buf.Alloc(n), 1, 0)
 		// Give the half every chance to run to completion first.
-		for !req.completed.Load() {
+		for !req.done.Ready() {
 			time.Sleep(100 * time.Microsecond)
 		}
 		if now := c.Wtime(); now != before {

@@ -52,8 +52,7 @@ func chunkSpan(i int, size, covered int64) (lo, hi int64) {
 // of n bytes through st: each attempt moves its bytes and hands over to
 // rdvVerdict, until the payload is accepted or the budget is spent.
 // Replay is selective exactly when faults are armed, the policy allows
-// it, the envelope carries an Ack channel, the engine can replay a
-// range, and the covered stream spans more than one internal chunk;
+// it, the envelope is Acked, the engine can replay a range, and the covered stream spans more than one internal chunk;
 // otherwise every attempt drains the whole transfer again.
 func (c *Comm) rdvSend(m *simnet.Message, dest, tag int, n int64, st *stage) error {
 	size := c.prof.InternalChunk()
@@ -64,10 +63,10 @@ func (c *Comm) rdvSend(m *simnet.Message, dest, tag int, n int64, st *stage) err
 	// replay set and the per-attempt verdicts. All of it is allocated
 	// once and reused in place. Reuse is race-free: the receiver reads
 	// it only while it verifies that attempt, and this rank sits in
-	// awaitAck until the receiver has answered it.
-	done := simnet.RdvDone{Bytes: n, HasSum: st.real && m.Ack != nil && st.covered > 0}
+	// the rdv-ack wait until the receiver has answered it.
+	done := simnet.RdvDone{Bytes: n, HasSum: st.real && m.Acked && st.covered > 0}
 	var ss srcSums
-	if c.faultsOn() && !c.retry.WholeReplay && m.Ack != nil && st.resend != nil && chunks > 1 {
+	if c.faultsOn() && !c.retry.WholeReplay && m.Acked && st.resend != nil && chunks > 1 {
 		done.Replay = simnet.NewChunkReplay(chunks, size, st.covered)
 		if done.HasSum {
 			ss = srcSums{span: size, sums: done.Replay.ChunkSums}
@@ -112,12 +111,12 @@ func (c *Comm) rdvSend(m *simnet.Message, dest, tag int, n int64, st *stage) err
 // rdvSend's small frame: the request halves that run them start on
 // small goroutine stacks.
 func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *simnet.RdvDone, ss srcSums, attempt int, moveErr error) (retry bool, err error) {
+	me, peer := c.endpoint(c.rank), c.endpoint(dest)
 	if moveErr != nil {
-		m.PostDone(simnet.RdvDone{Err: moveErr})
+		m.Rdv.Done.Post(c.fabric, peer, simnet.RdvDone{Err: moveErr})
 		return false, moveErr
 	}
-	me, peer := c.endpoint(c.rank), c.endpoint(dest)
-	done.Final = m.Ack == nil || attempt >= c.retry.MaxRetries
+	done.Final = !m.Acked || attempt >= c.retry.MaxRetries
 	if r := done.Replay; r != nil {
 		// A duplicate fault redelivers the chunk rather than damaging
 		// it; the receiver suppresses the extra copy.
@@ -148,11 +147,11 @@ func (c *Comm) rdvVerdict(m *simnet.Message, dest, tag int, st *stage, done *sim
 		}
 	}
 	done.Arrival = c.clock.Now() + dur(c.linkLatency(dest))
-	m.PostDone(*done)
-	if m.Ack == nil {
+	m.Rdv.Done.Post(c.fabric, peer, *done)
+	if !m.Acked {
 		return false, nil
 	}
-	ack, err := c.awaitAck(m, dest, tag)
+	ack, err := awaitNotice(c, "rdv-ack", dest, tag, &m.Rdv.Ack)
 	if err != nil || ack == nil {
 		return false, err
 	}

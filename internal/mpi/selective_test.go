@@ -392,7 +392,7 @@ func TestCleanDrainFoldsNoSums(t *testing.T) {
 			resend:  func(lo, hi int64) error { t.Errorf("clean transfer replayed [%d,%d)", lo, hi); return nil },
 			damage:  func(simnet.Fault, int64, int64) bool { return true },
 		}
-		if err := c.rdvSend(simnet.NewRendezvous(false), 1, 0, st.covered, &st); err != nil {
+		if err := c.rdvSend(simnet.NewRendezvous(), 1, 0, st.covered, &st); err != nil {
 			return err
 		}
 		if len(got) != 1 || got[0].span != 0 || got[0].sums != nil {

@@ -309,20 +309,18 @@ func (b BlockInfo) String() string {
 	return sb.String()
 }
 
-// blockedRec pairs the report info with the wait's readiness
-// predicate. ready() must be safe to call from the detector goroutine
-// and must return true whenever the wait could complete right now
-// (matching message present, channel non-empty, epoch advanced, …) —
-// the fail-safe direction: a true from a racing wake only delays
-// detection, never fabricates a deadlock.
+// blockedRec pairs the report info with the wait's event (a nil w is a
+// receive; see Await). The event stays ready from the moment it exists
+// until the waiter has deregistered, so a registered wait whose event
+// has happened never reads as stuck.
 type blockedRec struct {
-	info  BlockInfo
-	ready func() bool
+	info BlockInfo
+	w    Waitable
 }
 
 // Tracking reports whether worker/blocked accounting is armed (fault
 // mode or an explicit deadlock detector). When false the bookkeeping
-// entry points are no-ops, so the clean path pays nothing.
+// is skipped, so the clean path pays nothing for it.
 func (f *Fabric) Tracking() bool { return f.tracking.Load() }
 
 // EnableTracking arms the worker/blocked accounting; called by the mpi
@@ -330,7 +328,8 @@ func (f *Fabric) Tracking() bool { return f.tracking.Load() }
 func (f *Fabric) EnableTracking() { f.tracking.Store(true) }
 
 // WorkerStart registers a runnable goroutine (a rank body or an async
-// operation) with the quiescence detector.
+// operation) with the quiescence detector; a no-op unless tracking is
+// armed.
 func (f *Fabric) WorkerStart() {
 	if !f.Tracking() {
 		return
@@ -350,26 +349,24 @@ func (f *Fabric) WorkerDone() {
 	f.blockMu.Unlock()
 }
 
-// EnterBlocked records that the calling (registered) goroutine is
-// about to block on a wait described by info, completable exactly when
-// ready() returns true. The returned release function must run when
-// the wait ends. When tracking is off it is a no-op.
-func (f *Fabric) EnterBlocked(info BlockInfo, ready func() bool) func() {
-	if !f.Tracking() {
-		return func() {}
-	}
+// enterBlocked records that the calling (registered) goroutine is about
+// to park on a wait described by info, completable exactly when w is
+// ready, and returns the record's token for leaveBlocked.
+func (f *Fabric) enterBlocked(info BlockInfo, w Waitable) int {
 	f.blockMu.Lock()
+	defer f.blockMu.Unlock()
 	f.blockSeq++
-	tok := f.blockSeq
-	f.blocked[tok] = &blockedRec{info: info, ready: ready}
+	f.blocked[f.blockSeq] = blockedRec{info: info, w: w}
 	f.running--
+	return f.blockSeq
+}
+
+// leaveBlocked ends the wait enterBlocked registered as tok.
+func (f *Fabric) leaveBlocked(tok int) {
+	f.blockMu.Lock()
+	delete(f.blocked, tok)
+	f.running++
 	f.blockMu.Unlock()
-	return func() {
-		f.blockMu.Lock()
-		delete(f.blocked, tok)
-		f.running++
-		f.blockMu.Unlock()
-	}
 }
 
 // Quiescent reports whether the run can no longer make progress: no
@@ -386,7 +383,7 @@ func (f *Fabric) Quiescent() (stuck []BlockInfo, quiescent bool) {
 		return nil, false
 	}
 	for _, rec := range f.blocked {
-		if rec.ready() {
+		if f.boxes[rec.info.Rank].ready(rec.info, rec.w) {
 			return nil, false
 		}
 	}
@@ -403,44 +400,27 @@ func (f *Fabric) Quiescent() (stuck []BlockInfo, quiescent bool) {
 	return stuck, true
 }
 
-// Abort tears the fabric down with err: every blocked and future
-// fabric operation returns an error wrapping ErrAborted and err, and
-// every synchronisation group is interrupted. The first Abort wins.
+// Abort tears the fabric down with err: every parked and future wait
+// whose event has not happened returns an error wrapping ErrAborted and
+// err. The first Abort wins.
 func (f *Fabric) Abort(err error) {
-	f.abortMu.Lock()
-	if f.abortErr == nil {
-		if err == nil {
-			err = ErrAborted
-		}
-		f.abortErr = err
-		close(f.abortCh)
+	if err == nil {
+		err = ErrAborted
 	}
-	f.abortMu.Unlock()
+	f.abort.CompareAndSwap(nil, &err)
 	for _, b := range f.boxes {
-		b.kick()
-	}
-	f.group.Interrupt()
-	f.mu.Lock()
-	groups := make([]*vclock.Group, 0, len(f.groups))
-	for _, g := range f.groups {
-		groups = append(groups, g)
-	}
-	f.mu.Unlock()
-	for _, g := range groups {
-		g.Interrupt()
+		b.wake(nil, true)
 	}
 }
 
-// AbortErr returns the abort reason, or nil while the fabric is live.
+// AbortErr returns the abort reason, or nil while the fabric is live:
+// one atomic load, since every wait checks it.
 func (f *Fabric) AbortErr() error {
-	f.abortMu.Lock()
-	defer f.abortMu.Unlock()
-	return f.abortErr
+	if p := f.abort.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
-
-// AbortChan is closed when the fabric aborts; channel waits in the
-// protocol layer select on it.
-func (f *Fabric) AbortChan() <-chan struct{} { return f.abortCh }
 
 // quiesceInterval is the real-time period at which WaitQuiesce polls.
 const quiesceInterval = 500 * time.Microsecond

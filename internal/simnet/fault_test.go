@@ -166,7 +166,7 @@ func TestRendezvousDamageDegradesToDrop(t *testing.T) {
 	if v := f.Deliver(1, m); v.Kind != FaultDrop {
 		t.Fatalf("damaged RTS verdict %v, want drop", v.Kind)
 	}
-	if f.Pending(1, 0, 0, 0) {
+	if f.boxes[1].peek(0, 0, 0) != nil {
 		t.Fatal("dropped RTS was enqueued")
 	}
 }
@@ -181,14 +181,12 @@ func TestQuiescenceDetection(t *testing.T) {
 	if _, q := f.Quiescent(); q {
 		t.Fatal("quiescent with runnable workers")
 	}
-	relA := f.EnterBlocked(BlockInfo{Rank: 0, Op: "recv", Src: 1, Tag: 7},
-		func() bool { return false })
+	tokA := f.enterBlocked(BlockInfo{Rank: 0, Op: "recv", Src: 1, Tag: 7}, nil)
 	if _, q := f.Quiescent(); q {
 		t.Fatal("quiescent with one worker runnable")
 	}
-	ready := false
-	relB := f.EnterBlocked(BlockInfo{Rank: 1, Op: "recv", Src: 0, Tag: 7},
-		func() bool { return ready })
+	var ready Flag
+	tokB := f.enterBlocked(BlockInfo{Rank: 1, Op: "rdv-done", Src: 0, Tag: 7}, &ready)
 	stuck, q := f.Quiescent()
 	if !q || len(stuck) != 2 {
 		t.Fatalf("quiescent=%v stuck=%v", q, stuck)
@@ -197,17 +195,27 @@ func TestQuiescenceDetection(t *testing.T) {
 		t.Fatalf("report not rank-sorted: %v", stuck)
 	}
 
-	// A wait that could complete suppresses the verdict.
-	ready = true
-	if _, q := f.Quiescent(); q {
-		t.Fatal("quiescent with a ready wait")
-	}
-	ready = false
 	if stuck, _ := f.WaitQuiesce(nil); len(stuck) != 2 {
 		t.Fatalf("WaitQuiesce stuck=%v", stuck)
 	}
-	relA()
-	relB()
+
+	// A wait that could complete suppresses the verdict: an event posted
+	// to it, or an envelope matching a registered receive.
+	ready.Set(f, 1)
+	if _, q := f.Quiescent(); q {
+		t.Fatal("quiescent with a ready wait")
+	}
+	f.leaveBlocked(tokB)
+	tokB = f.enterBlocked(BlockInfo{Rank: 1, Op: "barrier"}, new(Flag))
+	if _, q := f.Quiescent(); !q {
+		t.Fatal("not quiescent once the ready wait left")
+	}
+	f.Deliver(0, &Message{Src: 1, Tag: 7, Kind: KindEager, Bytes: 1})
+	if _, q := f.Quiescent(); q {
+		t.Fatal("quiescent with an envelope waiting for a registered receive")
+	}
+	f.leaveBlocked(tokA)
+	f.leaveBlocked(tokB)
 	f.WorkerDone()
 	f.WorkerDone()
 }
@@ -220,12 +228,7 @@ func TestAbortFirstWins(t *testing.T) {
 	if !errors.Is(f.AbortErr(), first) {
 		t.Fatalf("AbortErr = %v, want the first abort", f.AbortErr())
 	}
-	select {
-	case <-f.AbortChan():
-	default:
-		t.Fatal("abort channel not closed")
-	}
-	if _, err := f.MatchOrAbort(0, 0, AnySource, AnyTag); !errors.Is(err, ErrAborted) {
+	if _, err := f.MatchOrAbort(0, 0, AnySource, AnyTag, 0); !errors.Is(err, ErrAborted) {
 		t.Fatalf("MatchOrAbort after abort = %v, want ErrAborted", err)
 	}
 }
@@ -236,7 +239,7 @@ func TestMatchOrAbortWakesOnAbort(t *testing.T) {
 	f := New(2)
 	done := make(chan error, 1)
 	go func() {
-		_, err := f.MatchOrAbort(0, 0, AnySource, AnyTag)
+		_, err := f.MatchOrAbort(0, 0, AnySource, AnyTag, 0)
 		done <- err
 	}()
 	reason := errors.New("torn down")
@@ -248,23 +251,5 @@ func TestMatchOrAbortWakesOnAbort(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("MatchOrAbort did not observe the abort")
-	}
-}
-
-func TestMessageWakeCounter(t *testing.T) {
-	m := &Message{}
-	if m.WakeSeq() != 0 {
-		t.Fatal("uninitialised wake counter not zero")
-	}
-	m.NoteWake() // inert without InitWake
-	if m.WakeSeq() != 0 {
-		t.Fatal("NoteWake counted without InitWake")
-	}
-	m.InitWake()
-	m.NoteWake()
-	dup := *m // fabric duplicates share the counter
-	dup.NoteWake()
-	if m.WakeSeq() != 2 || dup.WakeSeq() != 2 {
-		t.Fatalf("wake counts diverged: %d vs %d", m.WakeSeq(), dup.WakeSeq())
 	}
 }

@@ -102,7 +102,7 @@ func runDifferential(t *testing.T, seed int64) {
 			}
 		}
 	}
-	if got, want := shard.takes.Load(), legacy.takes.Load(); got != want {
+	if got, want := shard.fastTakes.Load()+shard.wildTakes.Load(), legacy.takes.Load(); got != want {
 		t.Fatalf("seed %d: takes diverged: sharded %d legacy %d", seed, got, want)
 	}
 }

@@ -31,10 +31,11 @@
 // exactly — the property the randomized differential test in
 // shard_test.go pins against the reference implementation.
 //
-// Blocking receives wait on a per-mailbox version counter: every
-// enqueue bumps the version and wakes waiters only when the waiter
-// count is non-zero, so uncontended delivery is two atomic ops, not a
-// mutex + broadcast.
+// Every blocking wait parks at its endpoint's mailbox (Await,
+// await.go): every enqueue or posted event wakes the waits parked there
+// whose event is ready, and takes the mailbox's wait lock only when one
+// is parked, so uncontended delivery is two atomic ops, not a mutex +
+// broadcast.
 package simnet
 
 import (
@@ -60,7 +61,7 @@ const (
 	// KindEager carries the full payload with its arrival time.
 	KindEager Kind = iota
 	// KindRendezvous is a ready-to-send notice; payload transfer
-	// happens through the handshake channels after matching.
+	// happens through the handshake slots after matching.
 	KindRendezvous
 )
 
@@ -100,8 +101,8 @@ type RdvMatch struct {
 // through RdvMatch.FusedDst takes delivery in place — the sender
 // always lands the payload in the layout (fused one-pass or its local
 // staged equivalent), so no unpack follows. The chunked attempts'
-// descriptor sits behind Replay, so the untracked envelope that embeds
-// an RdvDone (NewRendezvous) stays in a small size class.
+// descriptor sits behind Replay, so the envelope that embeds an RdvDone
+// (NewRendezvous) stays in a small size class.
 type RdvDone struct {
 	Arrival vclock.Time
 	Bytes   int64
@@ -109,7 +110,7 @@ type RdvDone struct {
 
 	// Sum is the sender's checksum of the payload's packed byte
 	// stream, valid when HasSum: the receiver verifies what actually
-	// landed against it and NACKs through Message.Ack on mismatch.
+	// landed against it and NACKs through the Ack slot on mismatch.
 	Sum    uint64
 	HasSum bool
 	// Poisoned marks an attempt the sender already knows arrived
@@ -148,18 +149,9 @@ type Message struct {
 	// (rendezvous) lands at the receiver, in virtual time.
 	Arrival vclock.Time
 
-	// Match and Done carry the rendezvous handshake on a tracked
-	// fabric; nil for eager, and on an untracked fabric, where hs
-	// carries it (see NewRendezvous). Post through PostMatch/PostDone.
-	Match chan RdvMatch
-	Done  chan RdvDone
-	hs    *handshake
-	// Ack carries the receiver's per-attempt verdict on a rendezvous
-	// payload back to the sender: nil accepts, non-nil NACKs and asks
-	// for a retransmission. Created (capacity 1) only when the fabric
-	// has a fault plan armed; nil otherwise, and the handshake is the
-	// classic two-message one.
-	Ack chan error
+	// Rdv is a rendezvous envelope's handshake (nil for eager). A
+	// pointer, so fabric-level duplicate copies share one handshake.
+	Rdv *Handshake
 
 	// Seq is the link-order sequence number stamped by Deliver: the
 	// injection index on the directed (Src → dst) link. Matching takes
@@ -179,13 +171,18 @@ type Message struct {
 
 	// Packed marks payloads that were packed in user space, for the
 	// Cray eager-limit artefact (perfmodel.PackedEagerFactor). (The
-	// envelope's four flags sit together so they share one word.)
+	// envelope's five flags sit together so they share one word.)
 	Packed bool
 	// Sendv marks a plan-driven fused rendezvous send (mpi.SendvType):
 	// a typed receiver matching it may expose its user layout through
 	// RdvMatch.FusedDst for the direct one-pass scatter instead of
 	// allocating a packed staging buffer.
 	Sendv bool
+	// Acked marks a rendezvous whose receiver verifies every attempt
+	// and answers it through the Ack slot; set when the fabric has a
+	// fault plan armed, so a clean handshake is the classic
+	// two-notice one.
+	Acked bool
 
 	// Err is a delivery error attached in flight (ErrShortDelivery for
 	// truncation): it surfaces as a typed error from Recv/Wait when no
@@ -204,108 +201,20 @@ type Message struct {
 	// the envelope the legacy whole-mailbox scan would have seen
 	// first.
 	ticket int64
-
-	// wake counts handshake events posted on Match/Done/Ack. Blocked-
-	// wait readiness predicates compare it against the count captured
-	// at block time, so a wake that was consumed from the channel but
-	// whose waiter has not yet deregistered from the quiescence
-	// detector still reads as progress — without it, a descheduled
-	// waiter in that window looks stuck and fabricates a deadlock. A
-	// pointer so fabric-level duplicate copies share one counter.
-	wake *atomic.Int64
 }
 
-// handshake carries a rendezvous' two notices without channels: each
-// is a slot, published once by releasing its latch.
-type handshake struct {
-	match             RdvMatch
-	done              RdvDone
-	matched, finished sync.WaitGroup
-}
-
-// rdvEnvelope is an untracked rendezvous: the envelope and its
-// handshake slots in one allocation.
+// rdvEnvelope is a rendezvous envelope and its handshake in one
+// allocation.
 type rdvEnvelope struct {
 	m  Message
-	hs handshake
+	hs Handshake
 }
 
-// NewRendezvous returns a rendezvous envelope with its handshake armed.
-// On a tracked fabric the notices travel over the Match and Done
-// channels, which a blocked wait selects on together with the abort
-// signal, and the wake counter is armed. On an untracked fabric
-// a wait can only end by its notice arriving and each notice is sent
-// once (no Ack, no retransmission), so the envelope and the two slots
-// that carry them are one allocation (rdvEnvelope).
-func NewRendezvous(tracked bool) *Message {
-	if tracked {
-		m := &Message{Kind: KindRendezvous, Match: make(chan RdvMatch, 1), Done: make(chan RdvDone, 1)}
-		m.InitWake()
-		return m
-	}
+// NewRendezvous returns a rendezvous envelope with its handshake.
+func NewRendezvous() *Message {
 	e := &rdvEnvelope{m: Message{Kind: KindRendezvous}}
-	e.m.hs = &e.hs
-	e.hs.matched.Add(1)
-	e.hs.finished.Add(1)
+	e.m.Rdv = &e.hs
 	return &e.m
-}
-
-// PostMatch hands the receiver's half of the handshake to the sender.
-func (m *Message) PostMatch(x RdvMatch) {
-	if m.hs != nil {
-		m.hs.match = x
-		m.hs.matched.Done()
-		return
-	}
-	m.NoteWake()
-	m.Match <- x
-}
-
-// PostDone hands the sender's half (one attempt's completion notice)
-// to the receiver.
-func (m *Message) PostDone(x RdvDone) {
-	if m.hs != nil {
-		m.hs.done = x
-		m.hs.finished.Done()
-		return
-	}
-	m.NoteWake()
-	m.Done <- x
-}
-
-// AwaitMatch blocks until PostMatch on an untracked fabric's envelope
-// (no teardown to honour). Tracked waits select on Match themselves.
-func (m *Message) AwaitMatch() RdvMatch {
-	m.hs.matched.Wait()
-	return m.hs.match
-}
-
-// AwaitDone is AwaitMatch for the sender's notice.
-func (m *Message) AwaitDone() RdvDone {
-	m.hs.finished.Wait()
-	return m.hs.done
-}
-
-// InitWake arms the handshake wake counter; NewRendezvous calls it
-// when the fabric tracks quiescence. Without it NoteWake/WakeSeq are
-// inert and the handshake is the plain channel protocol.
-func (m *Message) InitWake() { m.wake = new(atomic.Int64) }
-
-// NoteWake records a handshake event. Posters must call it BEFORE the
-// channel send: readiness may only ever turn true early (delaying
-// deadlock detection), never late (fabricating one).
-func (m *Message) NoteWake() {
-	if m.wake != nil {
-		m.wake.Add(1)
-	}
-}
-
-// WakeSeq returns the handshake event count.
-func (m *Message) WakeSeq() int64 {
-	if m.wake == nil {
-		return 0
-	}
-	return m.wake.Load()
 }
 
 // Counters aggregates per-endpoint traffic statistics. The tests use
@@ -438,11 +347,10 @@ type Fabric struct {
 	blockMu  sync.Mutex
 	running  int
 	blockSeq int
-	blocked  map[int]*blockedRec
+	blocked  map[int]blockedRec
 
-	abortMu  sync.Mutex
-	abortErr error
-	abortCh  chan struct{}
+	// abort holds the first Abort's reason; nil while the fabric is live.
+	abort atomic.Pointer[error]
 }
 
 // New creates a fabric with n endpoints.
@@ -455,8 +363,7 @@ func New(n int) *Fabric {
 	for i := range f.boxes {
 		f.boxes[i] = newMailbox()
 	}
-	f.blocked = make(map[int]*blockedRec)
-	f.abortCh = make(chan struct{})
+	f.blocked = make(map[int]blockedRec)
 	return f
 }
 
@@ -673,46 +580,34 @@ func (f *Fabric) Deliver(dst int, m *Message) Fault {
 	return fault
 }
 
-// Match blocks until an envelope matching (src, tag) is available at
-// rank's mailbox and removes it. Matching preserves pairwise FIFO
-// order: among queued candidates of the matched source, the lowest
-// link-sequence number wins (equal to arrival order on a clean run).
-// On an aborted fabric it returns nil; use MatchOrAbort to observe the
-// abort reason.
+// Match is MatchOrAbort stamped at virtual time 0: on an aborted fabric
+// it returns nil.
 func (f *Fabric) Match(rank, ctx, src, tag int) *Message {
-	m, _ := f.MatchOrAbort(rank, ctx, src, tag)
+	m, _ := f.MatchOrAbort(rank, ctx, src, tag, 0)
 	return m
 }
 
-// MatchOrAbort is Match with teardown semantics: it returns early with
-// an error wrapping ErrAborted when the fabric aborts.
-func (f *Fabric) MatchOrAbort(rank, ctx, src, tag int) (*Message, error) {
+// MatchOrAbort blocks until an envelope matching (src, tag) is
+// available at rank's mailbox and removes it, or returns an error
+// wrapping ErrAborted when the fabric aborts first. Matching preserves
+// pairwise FIFO order: among queued candidates of the matched source,
+// the lowest link-sequence number wins (equal to arrival order on a
+// clean run). since stamps the wait's quiescence-detector record.
+func (f *Fabric) MatchOrAbort(rank, ctx, src, tag int, since vclock.Time) (*Message, error) {
 	f.checkRank(rank)
-	m, err := f.boxes[rank].take(ctx, src, tag, f)
-	if err != nil {
-		return nil, err
+	b := f.boxes[rank]
+	for {
+		puts := b.puts.Load()
+		if m := b.tryTake(ctx, src, tag); m != nil {
+			c := &f.counters[rank]
+			c.messagesMatched.Add(1)
+			c.bytesDelivered.Add(m.Bytes)
+			return m, nil
+		}
+		if err := f.await(BlockInfo{Rank: rank, Op: "recv", Ctx: ctx, Src: src, Tag: tag, Since: since}, nil, puts); err != nil {
+			return nil, err
+		}
 	}
-	c := &f.counters[rank]
-	c.messagesMatched.Add(1)
-	c.bytesDelivered.Add(m.Bytes)
-	return m, nil
-}
-
-// Pending reports whether a matching envelope is queued right now,
-// without disturbing the queue — the readiness
-// predicate the quiescence detector evaluates for blocked receives.
-func (f *Fabric) Pending(rank, ctx, src, tag int) bool {
-	f.checkRank(rank)
-	return f.boxes[rank].peek(ctx, src, tag) != nil
-}
-
-// Takes returns the count of envelopes removed from rank's mailbox so
-// far. A blocked receive captures it at block time; any take since
-// counts as progress for the quiescence verdict even though the
-// envelope is no longer queued (see mailbox.takes).
-func (f *Fabric) Takes(rank int) int64 {
-	f.checkRank(rank)
-	return f.boxes[rank].takes.Load()
 }
 
 // CountersFor returns a snapshot of rank's counters.
@@ -830,21 +725,18 @@ type mailbox struct {
 	ticket  atomic.Int64
 	fticket atomic.Int64
 
-	// version counts enqueues (and kicks); blocked receives wait for
-	// it to move. Putters broadcast only when waiters is non-zero, so
-	// uncontended delivery never takes waitMu.
-	version atomic.Int64
-	waiters atomic.Int64
+	// parked lists the waits parked at this endpoint (Await), nparked
+	// counts them; posters take waitMu only when nparked is non-zero,
+	// so uncontended delivery never does. puts counts enqueues: a
+	// receive that read it before its take failed parks only if no
+	// envelope has arrived since.
 	waitMu  sync.Mutex
-	cond    *sync.Cond
+	parked  *parker
+	nparked atomic.Int64
+	puts    atomic.Int64
 
 	// dedup turns on consumed-sequence tracking (duplicate faults).
 	dedup atomic.Bool
-	// takes counts successful removals. Blocked receives capture it at
-	// block time: a take that happened while the record was registered
-	// is progress even after the message left the queue (the taker may
-	// be the waiter itself, descheduled before deregistering).
-	takes atomic.Int64
 
 	// fast/wild split the take traffic for MatchStats attribution.
 	fastTakes atomic.Int64
@@ -856,7 +748,6 @@ func newMailbox() *mailbox {
 		queues: make(map[qkey]*srcQueue),
 		byCtx:  make(map[int][]*srcQueue),
 	}
-	b.cond = sync.NewCond(&b.waitMu)
 	return b
 }
 
@@ -912,20 +803,8 @@ func (b *mailbox) put(m *Message, front bool) {
 		q.msgs = append(q.msgs, m)
 	}
 	q.mu.Unlock()
-	b.version.Add(1)
-	if b.waiters.Load() > 0 {
-		b.waitMu.Lock()
-		b.cond.Broadcast()
-		b.waitMu.Unlock()
-	}
-}
-
-// kick wakes every blocked receive so it can re-check the abort state.
-func (b *mailbox) kick() {
-	b.waitMu.Lock()
-	b.version.Add(1)
-	b.cond.Broadcast()
-	b.waitMu.Unlock()
+	b.puts.Add(1)
+	b.wake(m, false)
 }
 
 // tryTakeFrom attempts a removal from one shard.
@@ -989,20 +868,18 @@ func (b *mailbox) tryTake(ctx, src, tag int) *Message {
 		m := b.tryTakeFrom(q, tag)
 		if m != nil {
 			b.fastTakes.Add(1)
-			b.takes.Add(1)
 		}
 		return m
 	}
 	m := b.tryTakeAny(ctx, tag)
 	if m != nil {
 		b.wildTakes.Add(1)
-		b.takes.Add(1)
 	}
 	return m
 }
 
-// peekLocked-free peek: returns the envelope take would deliver,
-// without removing it.
+// peek returns the envelope tryTake would deliver, without removing
+// it: the readiness of a receive.
 func (b *mailbox) peek(ctx, src, tag int) *Message {
 	dedup := b.dedup.Load()
 	if src != AnySource {
@@ -1031,36 +908,10 @@ func (b *mailbox) peek(ctx, src, tag int) *Message {
 	return best
 }
 
-// block waits until the mailbox version moves past v (or a kick).
-func (b *mailbox) block(v int64) {
-	b.waitMu.Lock()
-	b.waiters.Add(1)
-	for b.version.Load() == v {
-		b.cond.Wait()
-	}
-	b.waiters.Add(-1)
-	b.waitMu.Unlock()
-}
-
-// checkLive surfaces an abort in blocking loops.
+// checkLive surfaces an abort in a wait.
 func checkLive(f *Fabric) error {
-	if f != nil {
-		if err := f.AbortErr(); err != nil {
-			return fmt.Errorf("%w: %w", ErrAborted, err)
-		}
+	if err := f.AbortErr(); err != nil {
+		return fmt.Errorf("%w: %w", ErrAborted, err)
 	}
 	return nil
-}
-
-func (b *mailbox) take(ctx, src, tag int, f *Fabric) (*Message, error) {
-	for {
-		if err := checkLive(f); err != nil {
-			return nil, err
-		}
-		v := b.version.Load()
-		if m := b.tryTake(ctx, src, tag); m != nil {
-			return m, nil
-		}
-		b.block(v)
-	}
 }

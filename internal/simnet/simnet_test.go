@@ -190,40 +190,60 @@ func TestBadRankPanics(t *testing.T) {
 	f.Deliver(5, &Message{Src: 0})
 }
 
-// TestRendezvousHandshake drives both representations of the
-// rendezvous handshake through the same four calls: the channel pair of
-// a tracked fabric (with its wake counter) and the one-allocation slot
-// pair of an untracked one, whose envelope must fit the 352-byte size
-// class (the selective descriptor stays behind RdvDone.Replay).
+// TestRendezvousHandshake drives a rendezvous handshake through its
+// slots on a clean and on a tracked fabric: the sender (endpoint 0)
+// awaits the match, the receiver (endpoint 1) the done notice and the
+// sender its verdict, and a duplicate copy of the envelope shares the
+// one handshake. The envelope and its slots are one allocation that
+// fits the 352-byte size class (the selective descriptor stays behind
+// RdvDone.Replay).
 func TestRendezvousHandshake(t *testing.T) {
 	for _, tracked := range []bool{false, true} {
-		m := NewRendezvous(tracked)
-		if m.Kind != KindRendezvous || (m.Match != nil) != tracked || (m.Done != nil) != tracked {
-			t.Fatalf("tracked=%v: kind %v, Match %v, Done %v", tracked, m.Kind, m.Match, m.Done)
-		}
-		await := func() (RdvMatch, RdvDone) { return m.AwaitMatch(), m.AwaitDone() }
+		f := New(2)
 		if tracked {
-			await = func() (RdvMatch, RdvDone) { return <-m.Match, <-m.Done }
+			f.EnableTracking()
 		}
+		m := NewRendezvous()
+		if m.Kind != KindRendezvous || m.Rdv == nil {
+			t.Fatalf("tracked=%v: kind %v, handshake %v", tracked, m.Kind, m.Rdv)
+		}
+		dup := *m
 		go func() {
-			m.PostMatch(RdvMatch{MatchTime: 7})
-			m.PostDone(RdvDone{Bytes: 9})
+			dup.Rdv.Match.Post(f, 0, RdvMatch{MatchTime: 7})
+			dup.Rdv.Done.Post(f, 1, RdvDone{Bytes: 9})
 		}()
-		match, done := await()
+		if err := f.Await(BlockInfo{Rank: 0, Op: "rdv-match"}, &m.Rdv.Match); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Await(BlockInfo{Rank: 1, Op: "rdv-done"}, &m.Rdv.Done); err != nil {
+			t.Fatal(err)
+		}
+		match, done := m.Rdv.Match.Take(), m.Rdv.Done.Take()
 		if match.MatchTime != 7 || done.Bytes != 9 {
 			t.Errorf("tracked=%v: handshake carried %+v / %+v", tracked, match, done)
 		}
-		if want := map[bool]int64{false: 0, true: 2}[tracked]; m.WakeSeq() != want {
-			t.Errorf("tracked=%v: wake count %d, want %d", tracked, m.WakeSeq(), want)
+		if m.Rdv.Match.Ready() || m.Rdv.Done.Ready() {
+			t.Errorf("tracked=%v: a taken notice still reads ready", tracked)
+		}
+		m.Rdv.Ack.Post(f, 0, ErrShortDelivery)
+		if err := f.Await(BlockInfo{Rank: 0, Op: "rdv-ack"}, &m.Rdv.Ack); err != nil || m.Rdv.Ack.Take() != ErrShortDelivery {
+			t.Errorf("tracked=%v: verdict lost (%v)", tracked, err)
 		}
 	}
 	if n := unsafe.Sizeof(rdvEnvelope{}); n > 352 {
-		t.Errorf("an untracked rendezvous envelope is %d B, want at most 352", n)
+		t.Errorf("a rendezvous envelope is %d B, want at most 352", n)
 	}
 	if raceEnabled {
 		return
 	}
-	if n := testing.AllocsPerRun(100, func() { NewRendezvous(false) }); n != 1 {
-		t.Errorf("an untracked rendezvous envelope is %v allocations, want 1", n)
+	for _, faulted := range []bool{false, true} {
+		f := New(2)
+		if faulted {
+			f.SetFaultPlan(UniformFaults(1, 0.1))
+			f.EnableTracking()
+		}
+		if n := testing.AllocsPerRun(100, func() { NewRendezvous() }); n != 1 {
+			t.Errorf("faulted=%v: a rendezvous envelope is %v allocations, want 1", faulted, n)
+		}
 	}
 }

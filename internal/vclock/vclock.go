@@ -5,8 +5,8 @@
 // model costs; a message carries the sender's injection-complete
 // timestamp, and the receiver folds it in with AdvanceTo; collective
 // synchronisation points (barriers, window fences) use a Group, which
-// blocks all participants and releases them at the maximum deposited
-// time. Because each rank's operation sequence is deterministic in the
+// releases all participants at the maximum deposited time once the
+// last has arrived. Because each rank's operation sequence is deterministic in the
 // benchmark patterns, the resulting timeline is independent of Go
 // scheduler interleaving — the property that makes the reproduced
 // figures exactly repeatable.
@@ -15,6 +15,7 @@ package vclock
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -74,19 +75,18 @@ func (c *Clock) AdvanceTo(t Time) Time {
 }
 
 // Group synchronises n participants in virtual time: each deposits its
-// local time and blocks; when all n have arrived everyone resumes at
-// the maximum time (plus any synchronisation cost the caller adds
-// afterwards). A Group is reusable across consecutive epochs, like a
-// classic two-phase barrier.
+// local time with Arrive; once all n have arrived the epoch is passed
+// and everyone resumes at the maximum (plus any synchronisation cost
+// the caller adds afterwards). A Group is reusable across consecutive
+// epochs, like a classic two-phase barrier. It never blocks: a
+// participant waits for Passed in whatever way its runtime waits.
 type Group struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	n           int
-	arrived     int
-	epoch       uint64
-	maxTime     Time // running max of the in-flight epoch
-	lastMax     Time // released value of the completed epoch
-	interrupted bool // Interrupt called: no epoch can complete any more
+	mu      sync.Mutex
+	n       int
+	arrived int
+	epoch   atomic.Uint64 // written under mu; Passed reads it without
+	maxTime Time          // running max of the in-flight epoch
+	lastMax Time          // released value of the completed epoch
 }
 
 // NewGroup creates a synchronisation group for n participants.
@@ -94,78 +94,46 @@ func NewGroup(n int) *Group {
 	if n <= 0 {
 		panic(fmt.Sprintf("vclock: group size %d", n))
 	}
-	g := &Group{n: n}
-	g.cond = sync.NewCond(&g.mu)
-	return g
+	return &Group{n: n}
 }
 
 // Size returns the number of participants.
 func (g *Group) Size() int { return g.n }
 
-// Sync deposits t and blocks until all participants of the current
-// epoch have deposited, then returns the maximum deposited time. All
-// participants of one epoch receive the same value.
-func (g *Group) Sync(t Time) Time {
+// Arrive deposits t in the current epoch and returns the epoch's
+// number; last reports that this arrival completed it.
+func (g *Group) Arrive(t Time) (epoch uint64, last bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.interrupted {
-		// A torn-down run: nobody else may ever arrive, so blocking
-		// would hang the caller forever. Resume at the deposited time;
-		// the fabric abort error surfaces through the next fabric
-		// operation.
-		return t
-	}
-	epoch := g.epoch
+	epoch = g.epoch.Load()
 	if t > g.maxTime {
 		g.maxTime = t
 	}
 	g.arrived++
-	if g.arrived == g.n {
-		// Last arrival publishes the epoch maximum, resets the running
-		// max for the next epoch, and releases the waiters. A fast
-		// participant can re-enter Sync for the next epoch before the
-		// waiters wake, which is why the released value lives in
-		// lastMax rather than maxTime: the next epoch cannot complete
-		// (and overwrite lastMax) until every current waiter has left.
-		g.lastMax = g.maxTime
-		g.maxTime = 0
-		g.arrived = 0
-		g.epoch++
-		g.cond.Broadcast()
-		return g.lastMax
+	if g.arrived < g.n {
+		return epoch, false
 	}
-	for g.epoch == epoch && !g.interrupted {
-		g.cond.Wait()
-	}
-	if g.epoch == epoch {
-		// Woken by Interrupt with the epoch still open: resume at the
-		// best time known so far rather than a completed maximum.
-		if g.maxTime > t {
-			return g.maxTime
-		}
-		return t
-	}
-	return g.lastMax
+	// The last arrival publishes the epoch maximum and resets the
+	// running max for the next epoch. A fast participant can arrive for
+	// the next epoch before the others have seen this one pass, which
+	// is why the released value lives in lastMax rather than maxTime:
+	// the next epoch cannot pass (and overwrite lastMax) until every
+	// participant of this one has arrived again.
+	g.lastMax = g.maxTime
+	g.maxTime = 0
+	g.arrived = 0
+	g.epoch.Store(epoch + 1)
+	return epoch, true
 }
 
-// Epoch returns the current epoch number. A blocked Sync participant
-// of epoch e is released exactly when the epoch advances past e, so
-// "Epoch() != e" is the readiness predicate the deadlock detector
-// checks for barrier waiters.
-func (g *Group) Epoch() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.epoch
-}
-
-// Interrupt permanently releases every current and future Sync caller
-// without completing their epoch — the teardown path when the fabric
-// aborts a deadlocked or failed run. Participants resume at their own
-// deposited time; the abort reason travels through the fabric, not the
-// group.
-func (g *Group) Interrupt() {
-	g.mu.Lock()
-	g.interrupted = true
-	g.mu.Unlock()
-	g.cond.Broadcast()
+// Passed reports whether epoch e has passed and, once it has, the
+// maximum time deposited in it. A participant of epoch e gets the same
+// value until it arrives again: the next epoch cannot pass, and
+// overwrite it, before then. It takes no lock, so any number of
+// waiters may poll it.
+func (g *Group) Passed(e uint64) (Time, bool) {
+	if g.epoch.Load() == e {
+		return 0, false
+	}
+	return g.lastMax, true
 }

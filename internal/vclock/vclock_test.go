@@ -1,10 +1,23 @@
 package vclock
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// Sync drives a Group the way a blocking barrier would: arrive, then
+// yield until the epoch has passed.
+func (g *Group) Sync(t Time) Time {
+	e, _ := g.Arrive(t)
+	for {
+		if m, ok := g.Passed(e); ok {
+			return m
+		}
+		runtime.Gosched()
+	}
+}
 
 func TestClockAdvance(t *testing.T) {
 	var c Clock

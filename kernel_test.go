@@ -3,6 +3,7 @@ package repro_test
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/parser"
@@ -246,6 +247,158 @@ func TestMeasuredRunsUseTheRunner(t *testing.T) {
 	if len(sites) != 0 {
 		t.Fatalf("measured runs outside mpi.Measure and mpi.Window at %v", sites)
 	}
+}
+
+// TestEveryWaitIsAwait is the tripwire for ROADMAP item 16: every
+// blocking wait of the runtime parks through simnet's Await, which an
+// abort always reaches and which registers with the quiescence
+// detector. So no non-test file of internal/mpi or internal/simnet may
+// receive from a channel, run a select, or call Wait on a variable or
+// field declared as a sync.Cond or sync.WaitGroup — except in these
+// functions:
+//   - simnet (*mailbox).park: the park itself, where every Await blocks;
+//   - mpi Run: the join of the rank goroutines, which waits for the
+//     goroutines themselves, not for a fabric event, and which an abort
+//     ends by unwinding them;
+//   - simnet (*Fabric).WaitQuiesce: the detector's ticker loop, on a
+//     goroutine of its own that no rank waits for.
+//
+// datatype's pack workers are not walked: their join waits for a
+// fan-out of byte moves that never waits on another rank.
+func TestEveryWaitIsAwait(t *testing.T) {
+	exempt := map[string]bool{
+		"simnet (*mailbox).park":       true,
+		"mpi Run":                      true,
+		"simnet (*Fabric).WaitQuiesce": true,
+	}
+	var sites []string
+	fset := token.NewFileSet()
+	for _, pkg := range []string{"mpi", "simnet"} {
+		paths, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no files found under internal/%s (%v)", pkg, err)
+		}
+		var files []*ast.File
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		// The names the package gives its conds and wait groups: fields,
+		// variables, and anything assigned from sync.NewCond.
+		isSyncWaiter := func(e ast.Expr) bool {
+			if st, ok := e.(*ast.StarExpr); ok {
+				e = st.X
+			}
+			if call, ok := e.(*ast.CallExpr); ok {
+				e = call.Fun
+				if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewCond" {
+					return isIdent(sel.X, "sync")
+				}
+				return false
+			}
+			sel, ok := e.(*ast.SelectorExpr)
+			return ok && isIdent(sel.X, "sync") && (sel.Sel.Name == "Cond" || sel.Sel.Name == "WaitGroup")
+		}
+		waiters := map[string]bool{}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Field:
+					if isSyncWaiter(n.Type) {
+						for _, name := range n.Names {
+							waiters[name.Name] = true
+						}
+					}
+				case *ast.ValueSpec:
+					for i, name := range n.Names {
+						if (n.Type != nil && isSyncWaiter(n.Type)) || (i < len(n.Values) && isSyncWaiter(n.Values[i])) {
+							waiters[name.Name] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if i < len(n.Rhs) && isSyncWaiter(n.Rhs[i]) {
+							if name := lastName(lhs); name != "" {
+								waiters[name] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Body == nil || exempt[pkg+" "+funcName(fn)] {
+					continue
+				}
+				at := func(n ast.Node, what string) {
+					sites = append(sites, fmt.Sprintf("%s in %s: %s", fset.Position(n.Pos()), funcName(fn), what))
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.UnaryExpr:
+						if n.Op == token.ARROW {
+							at(n, "channel receive")
+						}
+					case *ast.SelectStmt:
+						at(n, "select")
+					case *ast.CallExpr:
+						if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" && len(n.Args) == 0 && waiters[lastName(sel.X)] {
+							at(n, lastName(sel.X)+".Wait()")
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(sites) != 0 {
+		t.Fatalf("blocking waits outside simnet's Await at %v", sites)
+	}
+}
+
+// isIdent reports whether e is the identifier name.
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// lastName is the final identifier of a name or selector chain, "" for
+// anything else.
+func lastName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	}
+	return ""
+}
+
+// funcName names a declaration as "F" or "(*T).M".
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return fn.Name.Name
+	}
+	typ, star := fn.Recv.List[0].Type, ""
+	if st, ok := typ.(*ast.StarExpr); ok {
+		typ, star = st.X, "*"
+	}
+	switch x := typ.(type) {
+	case *ast.IndexExpr:
+		typ = x.X
+	case *ast.IndexListExpr:
+		typ = x.X
+	}
+	return "(" + star + lastName(typ) + ")." + fn.Name.Name
 }
 
 // TestOneGoldenStore is the tripwire for ROADMAP item 17: a test pins
