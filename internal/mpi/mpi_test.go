@@ -515,30 +515,32 @@ func TestWatchdogUnwindsUntrackedRanks(t *testing.T) {
 			return err
 		}, nil},
 	} {
-		for _, detect := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/detect=%v", tc.name, detect), func(t *testing.T) {
-				before := runtime.NumGoroutine()
-				err := Run(2, Options{WallLimit: 100 * time.Millisecond, DetectDeadlock: detect}, func(c *Comm) error {
-					if c.Rank() == 0 {
-						return tc.stuck(c)
+		t.Run(tc.name, func(t *testing.T) {
+			for _, detect := range []bool{false, true} {
+				t.Run(fmt.Sprintf("detect=%v", detect), func(t *testing.T) {
+					before := runtime.NumGoroutine()
+					err := Run(2, Options{WallLimit: 100 * time.Millisecond, DetectDeadlock: detect}, func(c *Comm) error {
+						if c.Rank() == 0 {
+							return tc.stuck(c)
+						}
+						if tc.peer != nil {
+							return tc.peer(c)
+						}
+						return nil
+					})
+					if !errors.Is(err, ErrDeadlock) {
+						t.Fatalf("err = %v, want ErrDeadlock", err)
 					}
-					if tc.peer != nil {
-						return tc.peer(c)
+					deadline := time.Now().Add(5 * time.Second)
+					for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
 					}
-					return nil
+					if n := runtime.NumGoroutine(); n > before {
+						t.Fatalf("%d goroutines after the run, %d before", n, before)
+					}
 				})
-				if !errors.Is(err, ErrDeadlock) {
-					t.Fatalf("err = %v, want ErrDeadlock", err)
-				}
-				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
-				}
-				if n := runtime.NumGoroutine(); n > before {
-					t.Fatalf("%d goroutines after the run, %d before", n, before)
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
