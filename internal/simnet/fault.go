@@ -280,8 +280,8 @@ var ErrAborted = fmt.Errorf("simnet: fabric aborted")
 // detector's report: who is stuck, on what, since when.
 type BlockInfo struct {
 	Rank int
-	// Op is the protocol state, e.g. "recv", "rdv-match", "rdv-done",
-	// "rdv-ack", "barrier", "wait".
+	// Op is the protocol state: "recv", "rdv-match", "rdv-done",
+	// "rdv-ack", "barrier", "wait", "isend-post" or "bsend-detach".
 	Op       string
 	Ctx      int
 	Src, Tag int
