@@ -180,10 +180,12 @@ func BenchmarkJobMixRound(b *testing.B) {
 }
 
 // The jobmix heap budget per typed transfer: the rendezvous
-// envelope (352 B), a request and a goroutine closure per side, plus
-// each op's share of world start and communicator splits (≈ 7.05
-// allocations and 1 360 B on 2 vCPU at GOMAXPROCS 1 to 8).
+// envelope (352 B) and an 80 B request per side (the half records are
+// pooled and start without a closure), plus each op's share of world
+// start and communicator splits (4.99–5.14 allocations and 891–936 B
+// on 2 vCPU at GOMAXPROCS 1 to 8, after one warm-up op; the budget is
+// the top of that range plus 5 %).
 const (
-	jobMixAllocBudget = 7.3
-	jobMixBytesBudget = 1485
+	jobMixAllocBudget = 5.4
+	jobMixBytesBudget = 983
 )

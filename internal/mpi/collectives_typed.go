@@ -217,9 +217,9 @@ func (c *Comm) collRecv(view buf.Block, count int, ty *datatype.Type, src int, l
 // surfaces at Wait.
 func (c *Comm) collIsend(view buf.Block, count int, ty *datatype.Type, dest int, leg string) *Request {
 	if w, ok := contigWindow(view, count, ty); ok {
-		return c.startAsyncSend(&Request{kind: opSendContig, b: w, peer: dest, tag: collTag, leg: leg})
+		return c.startAsyncSend(asyncOp{kind: opSendContig, b: w, peer: dest, tag: collTag, leg: leg})
 	}
-	return c.startAsyncSend(&Request{kind: opSendFused, b: view, count: count, ty: ty, peer: dest, tag: collTag, leg: leg})
+	return c.startAsyncSend(asyncOp{kind: opSendFused, b: view, count: count, ty: ty, peer: dest, tag: collTag, leg: leg})
 }
 
 // typedSelfCopy is the root's own leg of a typed collective: a single

@@ -70,7 +70,7 @@ func (c *Comm) IsendvType(b buf.Block, count int, ty *datatype.Type, dest, tag i
 	if err := c.checkTypedSend(count, ty, dest, tag); err != nil {
 		return nil, err
 	}
-	return c.startAsyncSend(&Request{kind: opSendFused, b: b, count: count, ty: ty, peer: dest, tag: tag}), nil
+	return c.startAsyncSend(asyncOp{kind: opSendFused, b: b, count: count, ty: ty, peer: dest, tag: tag}), nil
 }
 
 // sendTypedFused is the sender side of the fused rendezvous: open the

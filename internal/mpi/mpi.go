@@ -138,11 +138,13 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 				}
 			}()
 			// One allocation holds the rank's world view: the shared
-			// core, the Comm the body runs on, and the rank's clock.
+			// core, the Comm the body runs on, the rank's clock and
+			// the launcher of its request halves.
 			w := &struct {
-				core  commCore
-				comm  Comm
-				clock vclock.Clock
+				core   commCore
+				comm   Comm
+				clock  vclock.Clock
+				launch launcher
 			}{core: commCore{
 				rank:       rank, // ctx 0, nil members: the world's identity mapping
 				size:       size,
@@ -156,6 +158,8 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 				nodesBuilt: true,
 			}}
 			w.core.cache.SetDisabled(opts.ColdCaches)
+			w.launch.start = w.launch.runOldest
+			w.core.launch = &w.launch
 			w.comm = Comm{commCore: &w.core, clock: &w.clock}
 			errs[rank] = body(&w.comm)
 			if opts.ends != nil {
@@ -181,14 +185,20 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 	} else {
 		<-done
 	}
-	return errors.Join(errs...)
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	// An abort no rank body returned (a rank unwound from a barrier,
+	// which reports no error) still fails the run.
+	return fabric.AbortErr()
 }
 
 // commCore is what every view of one rank's communicator shares: its
 // identity (rank, size, context, membership), the run's fabric, profile
-// and fault configuration, the rank's cache model, and the memoised
-// node grouping. It is immutable once the communicator is in use, apart
-// from the lazily built grouping, which only the owning rank touches.
+// and fault configuration, the rank's cache model and request
+// launcher, and the memoised node grouping. It is immutable once the
+// communicator is in use, apart from the lazily built grouping, which
+// only the owning rank touches.
 type commCore struct {
 	rank    int   // rank within this communicator
 	size    int   // communicator size
@@ -198,6 +208,7 @@ type commCore struct {
 	fabric *simnet.Fabric
 	prof   *perfmodel.Profile
 	cache  *memsim.State
+	launch *launcher // starts the rank's request halves
 
 	internal buf.Block // region identity for MPI-internal staging
 
@@ -217,10 +228,10 @@ type commCore struct {
 // is not safe for concurrent use.
 //
 // A rank has several views of one communicator: the one its body runs
-// on, and one inside every outstanding Request, on which the request's
-// background half executes. All of them share the commCore — and
-// through it the fabric and the rank's (internally locked) cache
-// model. Each view owns the clock it advances: the rank's own, or the
+// on, and one in the half record of every outstanding Request, on
+// which the request's background half executes. All of them share the
+// commCore — and through it the fabric and the rank's (internally
+// locked) cache model and launcher. Each view owns the clock it advances: the rank's own, or the
 // half's private one that Wait folds back. The remaining fields belong
 // to the rank's own view and are copied by value into a half, so
 // nothing a half does to them reaches the owner.

@@ -49,12 +49,12 @@ func chunkTag(i int) int {
 
 // cisend starts an internal async contiguous send on tag.
 func (c *Comm) cisend(b buf.Block, dest, tag int) *Request {
-	return c.startAsyncSend(&Request{kind: opSendContig, b: b, peer: dest, tag: tag})
+	return c.startAsyncSend(asyncOp{kind: opSendContig, b: b, peer: dest, tag: tag})
 }
 
 // cirecv starts an internal async contiguous receive on tag.
 func (c *Comm) cirecv(b buf.Block, src, tag int) *Request {
-	return c.startAsync(&Request{kind: opRecvContig, b: b, peer: src, tag: tag})
+	return c.startAsync(asyncOp{kind: opRecvContig, b: b, peer: src, tag: tag}, false)
 }
 
 // ringHop is one hop of a pipelined ring schedule: it streams the

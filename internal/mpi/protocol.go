@@ -21,10 +21,10 @@ type sendFlags struct {
 	// onConsume runs when the receiver matches the message (BsendType
 	// buffer release; bsendShip delivers such payloads itself).
 	onConsume func()
-	// isend, when non-nil, is the request whose starter must be
+	// isend, when non-nil, is the request half whose starter must be
 	// released as soon as the envelope has entered the fabric; a
 	// non-blocking send uses it to pin program-order delivery.
-	isend *Request
+	isend *half
 	// sendv marks a plan-driven fused rendezvous send (SendvType): it
 	// routes the send to the fused engine (sendTypedChecked), and the
 	// typed receiver may expose its user layout for the direct

@@ -3,8 +3,10 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/buf"
 	"repro/internal/datatype"
@@ -20,13 +22,14 @@ func everyOtherBuf(tb testing.TB, n int) (*datatype.Type, int) {
 // issendv starts a non-blocking fused send under forced rendezvous:
 // even an eager-sized payload takes the fused handshake path.
 func issendv(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) *Request {
-	return c.startAsyncSend(&Request{kind: opSendFused, b: b, count: count, ty: ty, peer: dest, tag: tag,
+	return c.startAsyncSend(asyncOp{kind: opSendFused, b: b, count: count, ty: ty, peer: dest, tag: tag,
 		fl: sendFlags{forceRdv: true}})
 }
 
 // TestAsyncAllocBudget pins what one transfer allocates, both sides
-// together, on a clean fabric: for a non-blocking pair a request and
-// its goroutine's closure per side, and the envelope; for a blocking
+// together, on a clean fabric: for a non-blocking pair a request per
+// side and the envelope (the half records are pooled, and a half starts
+// from the rank's launcher without a closure); for a blocking
 // typed rendezvous the envelope alone, as both sides run the type's
 // cached plan and a fused receiver offers that plan itself as its
 // layout. Most rows move virtual payloads; the real rows move bytes, a
@@ -36,8 +39,9 @@ func issendv(c *Comm, b buf.Block, count int, ty *datatype.Type, dest, tag int) 
 // longer, which the sender stages chunk by chunk (the envelope alone).
 // The counts are deterministic (no wall threshold) and equal at every
 // GOMAXPROCS; before the request diet the typed non-blocking pair cost
-// 20 objects and the contiguous pair 14. A send engine whose
-// per-transfer state escapes to the heap fails here first.
+// 20 objects and the contiguous pair 14, and both cost 5 while each
+// request carried its operands and each half its closure. A send
+// engine whose per-transfer state escapes to the heap fails here first.
 func TestAsyncAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -69,10 +73,10 @@ func TestAsyncAllocBudget(t *testing.T) {
 		send   func(c *Comm) error
 		recv   func(c *Comm) error
 	}{
-		{"IsendvType+IrecvType rendezvous", 5,
+		{"IsendvType+IrecvType rendezvous", 3,
 			func(c *Comm) error { return wait(c.IsendvType(buf.Virtual(need), 1, ty, 1, 0)) },
 			func(c *Comm) error { return wait(c.IrecvType(buf.Virtual(need), 1, ty, 0, 0)) }},
-		{"Isend+Irecv eager", 5,
+		{"Isend+Irecv eager", 3,
 			func(c *Comm) error { return wait(c.cisend(buf.Virtual(1024), 1, 0), nil) },
 			func(c *Comm) error { return wait(c.cirecv(buf.Virtual(1024), 0, 0), nil) }},
 		{"SendType+RecvType rendezvous", 1,
@@ -118,6 +122,57 @@ func TestAsyncAllocBudget(t *testing.T) {
 		t.Logf("%s: %.0f allocs per transfer", row.name, allocs)
 		if allocs > row.budget {
 			t.Errorf("%s: %.0f allocs per transfer, budget %.0f", row.name, allocs, row.budget)
+		}
+	}
+}
+
+// TestRequestHoldsOnlyItsResult pins the size of the one object a
+// non-blocking operation allocates: the operands and the half's view of
+// the communicator live in the pooled half record, not in the Request
+// (280 B while they did).
+func TestRequestHoldsOnlyItsResult(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n > 96 {
+		t.Fatalf("Request is %d B, budget 96", n)
+	}
+}
+
+// TestNeverWaitedRequestsLeaveNoGoroutine: bodies that start
+// IsendvType and IrecvType requests, eager and rendezvous, and return
+// without waiting on them leave no goroutine behind once Run has
+// returned and the halves have run out, with and without the
+// quiescence tracker.
+func TestNeverWaitedRequestsLeaveNoGoroutine(t *testing.T) {
+	const reqs = 8
+	for _, tracked := range []bool{false, true} {
+		for _, elems := range []int{4, 1 << 17} {
+			t.Run(fmt.Sprintf("tracked=%v/elems=%d", tracked, elems), func(t *testing.T) {
+				ty, need := everyOtherBuf(t, elems)
+				before := runtime.NumGoroutine()
+				err := Run(2, Options{WallLimit: 30 * time.Second, DetectDeadlock: tracked}, func(c *Comm) error {
+					for i := 0; i < reqs; i++ {
+						var err error
+						if c.Rank() == 0 {
+							_, err = c.IsendvType(buf.Virtual(need), 1, ty, 1, i)
+						} else {
+							_, err = c.IrecvType(buf.Virtual(need), 1, ty, 0, i)
+						}
+						if err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > before {
+					t.Fatalf("%d goroutines after the run, %d before", n, before)
+				}
+			})
 		}
 	}
 }

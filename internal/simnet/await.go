@@ -119,18 +119,19 @@ func (b *mailbox) ready(info BlockInfo, w Waitable) bool {
 // published the event.
 func (f *Fabric) Wake(ep int) { f.boxes[ep].wake(nil, false) }
 
-// parker is one parked wait: what it waits for, the latch it sleeps
-// on, which its waker releases, and whether an abort released it.
-// Parkers are pooled, so a wait allocates nothing.
+// parker is one parked wait: what it waits for, the one-slot channel
+// it sleeps on, which its waker sends on, and whether an abort
+// released it. Parkers are pooled and each makes its channel once, so
+// a wait allocates nothing.
 type parker struct {
 	info    BlockInfo
 	w       Waitable
-	sleep   sync.WaitGroup
+	sleep   chan struct{}
 	aborted bool
 	next    *parker
 }
 
-var parkers = sync.Pool{New: func() any { return new(parker) }}
+var parkers = sync.Pool{New: func() any { return &parker{sleep: make(chan struct{}, 1)} }}
 
 // park blocks until a wake releases the wait or the fabric aborts,
 // unless one of the two has already happened (see await for puts). The
@@ -151,10 +152,9 @@ func (b *mailbox) park(f *Fabric, info BlockInfo, w Waitable, puts int64) error 
 	}
 	p := parkers.Get().(*parker)
 	p.info, p.w, p.aborted, p.next = info, w, false, b.parked
-	p.sleep.Add(1)
 	b.parked = p
 	b.waitMu.Unlock()
-	p.sleep.Wait()
+	<-p.sleep
 	aborted := p.aborted
 	p.w = nil
 	parkers.Put(p)
@@ -200,6 +200,6 @@ func (b *mailbox) wake(m *Message, abort bool) {
 	for released != nil {
 		p := released
 		released = p.next
-		p.sleep.Done()
+		p.sleep <- struct{}{}
 	}
 }

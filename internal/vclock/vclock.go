@@ -28,12 +28,14 @@ type Duration int64
 
 // FromSeconds converts a floating-point cost in seconds (the unit the
 // performance model computes in) to a Duration, rounding to the
-// nearest nanosecond.
+// nearest nanosecond. The explicit conversion rounds the product before
+// the addition, so an architecture with fused multiply-add (arm64)
+// computes the same Duration as one without.
 func FromSeconds(s float64) Duration {
 	if s < 0 {
 		s = 0
 	}
-	return Duration(s*1e9 + 0.5)
+	return Duration(float64(s*1e9) + 0.5)
 }
 
 // Seconds converts a Time to float64 seconds since run start.

@@ -1,7 +1,11 @@
 package vclock
 
 import (
+	"os"
+	"os/exec"
+	"regexp"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -179,5 +183,43 @@ func TestQuickGroupMax(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFromSecondsDoesNotFuse compiles the package for arm64 and reads
+// FromSeconds' assembly: a fused multiply-add there would round s*1e9
+// + 0.5 once instead of twice, so the same cost could land one
+// nanosecond apart on arm64 and amd64.
+func TestFromSecondsDoesNotFuse(t *testing.T) {
+	cmd := exec.Command("go", "build", "-gcflags=-S", "-o", os.DevNull, ".")
+	cmd.Env = append(os.Environ(), "GOARCH=arm64", "CGO_ENABLED=0")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("GOARCH=arm64 go build -gcflags=-S: %v\n%s", err, out)
+	}
+	// A function's listing runs from its STEXT header to the next
+	// unindented line.
+	var body []string
+	in := false
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.Contains(line, "vclock.FromSeconds STEXT") {
+			in = true
+			continue
+		}
+		if in && !strings.HasPrefix(line, "\t") {
+			break
+		}
+		if in {
+			body = append(body, line)
+		}
+	}
+	if len(body) == 0 {
+		t.Fatalf("no arm64 listing of FromSeconds in the compiler output:\n%s", out)
+	}
+	fused := regexp.MustCompile(`\bF(N?)M(ADD|SUB)D\b`)
+	for _, line := range body {
+		if fused.MatchString(line) {
+			t.Errorf("FromSeconds fuses a multiply-add on arm64: %s", strings.TrimSpace(line))
+		}
 	}
 }
