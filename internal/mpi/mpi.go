@@ -95,7 +95,8 @@ type Options struct {
 // Run starts size rank goroutines connected by one fabric and waits
 // for all of them. Each rank receives its own Comm. The first
 // non-nil error (or recovered panic) per rank is collected into the
-// returned error.
+// returned error; a run whose fabric was aborted returns the abort
+// even when every rank body returned nil.
 func Run(size int, opts Options, body func(*Comm) error) error {
 	if size <= 0 {
 		return fmt.Errorf("%w: world size %d", ErrRank, size)
@@ -188,8 +189,7 @@ func Run(size int, opts Options, body func(*Comm) error) error {
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}
-	// An abort no rank body returned (a rank unwound from a barrier,
-	// which reports no error) still fails the run.
+	// A rank unwound from a barrier by the abort reports no error.
 	return fabric.AbortErr()
 }
 
