@@ -531,16 +531,23 @@ func TestWatchdogUnwindsUntrackedRanks(t *testing.T) {
 					if !errors.Is(err, ErrDeadlock) {
 						t.Fatalf("err = %v, want ErrDeadlock", err)
 					}
-					deadline := time.Now().Add(5 * time.Second)
-					for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-						time.Sleep(time.Millisecond)
-					}
-					if n := runtime.NumGoroutine(); n > before {
-						t.Fatalf("%d goroutines after the run, %d before", n, before)
-					}
+					settleGoroutines(t, before)
 				})
 			}
 		})
+	}
+}
+
+// settleGoroutines fails t unless the goroutine count falls back to
+// before within five seconds.
+func settleGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the run, %d before", n, before)
 	}
 }
 

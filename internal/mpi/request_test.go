@@ -165,13 +165,7 @@ func TestNeverWaitedRequestsLeaveNoGoroutine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
-				}
-				if n := runtime.NumGoroutine(); n > before {
-					t.Fatalf("%d goroutines after the run, %d before", n, before)
-				}
+				settleGoroutines(t, before)
 			})
 		}
 	}
